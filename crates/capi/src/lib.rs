@@ -24,7 +24,7 @@
 //! builds the `cdylib` artifact.
 
 use bnff_obs::next_request_id;
-use bnff_serve::{FrozenModel, ServeEngine};
+use bnff_serve::{FrozenModel, RequestTrace, ServeEngine, ServeError};
 use bnff_tensor::Tensor;
 use std::collections::HashMap;
 use std::ffi::{c_char, c_void, CStr, CString};
@@ -126,12 +126,12 @@ fn set_last_error(message: &str) {
     });
 }
 
-fn error_code(err: &bnff_serve::ServeError) -> i32 {
+fn error_code(err: &ServeError) -> i32 {
     match err {
-        bnff_serve::ServeError::Overloaded { .. } => BNFF_ERR_OVERLOADED,
-        bnff_serve::ServeError::DeadlineExceeded => BNFF_ERR_DEADLINE,
-        bnff_serve::ServeError::ShuttingDown => BNFF_ERR_SHUTDOWN,
-        bnff_serve::ServeError::InvalidArgument(_) => BNFF_ERR_INVALID,
+        ServeError::Overloaded { .. } => BNFF_ERR_OVERLOADED,
+        ServeError::DeadlineExceeded => BNFF_ERR_DEADLINE,
+        ServeError::ShuttingDown => BNFF_ERR_SHUTDOWN,
+        ServeError::InvalidArgument(_) => BNFF_ERR_INVALID,
         _ => BNFF_ERR,
     }
 }
@@ -300,6 +300,77 @@ pub unsafe extern "C" fn bnff_engine_start(
     })
 }
 
+/// The one inference body behind [`bnff_infer`] and [`bnff_infer_traced`]:
+/// handle/null/length checks, submission (`force_trace` asks the engine
+/// for span timings whatever its sampling period), and the buffer-size
+/// protocol. `entry` prefixes the last-error message. Returns the request's
+/// trace (present whenever `force_trace` is set) or the `BNFF_ERR_*` code.
+///
+/// # Safety
+/// The pointer contract of [`bnff_infer`].
+#[allow(clippy::too_many_arguments)]
+unsafe fn infer_into(
+    entry: &str,
+    engine: *const BnffEngine,
+    sample: *const f32,
+    sample_len: u64,
+    scores_out: *mut f32,
+    scores_cap: u64,
+    scores_written: *mut u64,
+    force_trace: bool,
+) -> Result<Option<RequestTrace>, i32> {
+    let fail = |code: i32, message: &dyn std::fmt::Display| {
+        set_last_error(&format!("{entry}: {message}"));
+        Err(code)
+    };
+    if engine.is_null() || !is_live(engine as usize) {
+        return fail(BNFF_ERR_BAD_HANDLE, &"not a live engine handle");
+    }
+    if sample.is_null() {
+        return fail(BNFF_ERR_INVALID, &"sample is null");
+    }
+    let engine = &unsafe { &*engine }.engine;
+    let shape = match engine.sample_shape() {
+        Ok(shape) => shape,
+        Err(e) => return fail(error_code(&e), &e),
+    };
+    if sample_len as usize != shape.volume() {
+        return fail(
+            BNFF_ERR_INVALID,
+            &format!("sample has {sample_len} values, model expects {} ({shape})", shape.volume()),
+        );
+    }
+    let values = unsafe { std::slice::from_raw_parts(sample, sample_len as usize) };
+    let tensor = match Tensor::from_vec(shape, values.to_vec()) {
+        Ok(tensor) => tensor,
+        Err(e) => return fail(BNFF_ERR_INVALID, &e),
+    };
+    let completion = match engine
+        .submit_traced(tensor, next_request_id(), force_trace)
+        .and_then(|rx| rx.recv().map_err(|_| ServeError::ShuttingDown)?)
+    {
+        Ok(completion) => completion,
+        Err(e) => return fail(error_code(&e), &e),
+    };
+    let scores = completion.scores.as_slice();
+    if !scores_written.is_null() {
+        unsafe { *scores_written = scores.len() as u64 };
+    }
+    if (scores_cap as usize) < scores.len() {
+        return fail(
+            BNFF_ERR_BUFFER_TOO_SMALL,
+            &format!("{} scores do not fit in a buffer of {scores_cap}", scores.len()),
+        );
+    }
+    if scores_out.is_null() {
+        return fail(BNFF_ERR_INVALID, &"scores_out is null");
+    }
+    unsafe {
+        std::ptr::copy_nonoverlapping(scores.as_ptr(), scores_out, scores.len());
+    }
+    Ok(completion.trace)
+}
+
 /// Runs one sample through the engine and copies the classifier scores
 /// into `scores_out`.
 ///
@@ -327,63 +398,19 @@ pub unsafe extern "C" fn bnff_infer(
     scores_written: *mut u64,
 ) -> i32 {
     guarded(BNFF_ERR_PANIC, || {
-        if engine.is_null() || !is_live(engine as usize) {
-            set_last_error("bnff_infer: not a live engine handle");
-            return BNFF_ERR_BAD_HANDLE;
-        }
-        if sample.is_null() {
-            set_last_error("bnff_infer: sample is null");
-            return BNFF_ERR_INVALID;
-        }
-        let engine = &unsafe { &*engine }.engine;
-        let shape = match engine.sample_shape() {
-            Ok(shape) => shape,
-            Err(e) => {
-                set_last_error(&format!("bnff_infer: {e}"));
-                return error_code(&e);
-            }
+        let outcome = unsafe {
+            infer_into(
+                "bnff_infer",
+                engine,
+                sample,
+                sample_len,
+                scores_out,
+                scores_cap,
+                scores_written,
+                false,
+            )
         };
-        if sample_len as usize != shape.volume() {
-            set_last_error(&format!(
-                "bnff_infer: sample has {sample_len} values, model expects {} ({shape})",
-                shape.volume()
-            ));
-            return BNFF_ERR_INVALID;
-        }
-        let values = unsafe { std::slice::from_raw_parts(sample, sample_len as usize) };
-        let tensor = match Tensor::from_vec(shape, values.to_vec()) {
-            Ok(tensor) => tensor,
-            Err(e) => {
-                set_last_error(&format!("bnff_infer: {e}"));
-                return BNFF_ERR_INVALID;
-            }
-        };
-        let completion = match engine.infer_blocking(tensor) {
-            Ok(completion) => completion,
-            Err(e) => {
-                set_last_error(&format!("bnff_infer: {e}"));
-                return error_code(&e);
-            }
-        };
-        let scores = completion.scores.as_slice();
-        if !scores_written.is_null() {
-            unsafe { *scores_written = scores.len() as u64 };
-        }
-        if (scores_cap as usize) < scores.len() {
-            set_last_error(&format!(
-                "bnff_infer: {} scores do not fit in a buffer of {scores_cap}",
-                scores.len()
-            ));
-            return BNFF_ERR_BUFFER_TOO_SMALL;
-        }
-        if scores_out.is_null() {
-            set_last_error("bnff_infer: scores_out is null");
-            return BNFF_ERR_INVALID;
-        }
-        unsafe {
-            std::ptr::copy_nonoverlapping(scores.as_ptr(), scores_out, scores.len());
-        }
-        BNFF_OK
+        outcome.map_or_else(|code| code, |_| BNFF_OK)
     })
 }
 
@@ -409,68 +436,20 @@ pub unsafe extern "C" fn bnff_infer_traced(
     trace_out: *mut BnffTrace,
 ) -> i32 {
     guarded(BNFF_ERR_PANIC, || {
-        if engine.is_null() || !is_live(engine as usize) {
-            set_last_error("bnff_infer_traced: not a live engine handle");
-            return BNFF_ERR_BAD_HANDLE;
-        }
-        if sample.is_null() {
-            set_last_error("bnff_infer_traced: sample is null");
-            return BNFF_ERR_INVALID;
-        }
-        let engine = &unsafe { &*engine }.engine;
-        let shape = match engine.sample_shape() {
-            Ok(shape) => shape,
-            Err(e) => {
-                set_last_error(&format!("bnff_infer_traced: {e}"));
-                return error_code(&e);
-            }
+        let outcome = unsafe {
+            infer_into(
+                "bnff_infer_traced",
+                engine,
+                sample,
+                sample_len,
+                scores_out,
+                scores_cap,
+                scores_written,
+                true,
+            )
         };
-        if sample_len as usize != shape.volume() {
-            set_last_error(&format!(
-                "bnff_infer_traced: sample has {sample_len} values, model expects {} ({shape})",
-                shape.volume()
-            ));
-            return BNFF_ERR_INVALID;
-        }
-        let values = unsafe { std::slice::from_raw_parts(sample, sample_len as usize) };
-        let tensor = match Tensor::from_vec(shape, values.to_vec()) {
-            Ok(tensor) => tensor,
-            Err(e) => {
-                set_last_error(&format!("bnff_infer_traced: {e}"));
-                return BNFF_ERR_INVALID;
-            }
-        };
-        let completion = match engine
-            .submit_traced(tensor, next_request_id(), true)
-            .and_then(|rx| rx.recv().map_err(|_| bnff_serve::ServeError::ShuttingDown)?)
-        {
-            Ok(completion) => completion,
-            Err(e) => {
-                set_last_error(&format!("bnff_infer_traced: {e}"));
-                return error_code(&e);
-            }
-        };
-        let scores = completion.scores.as_slice();
-        if !scores_written.is_null() {
-            unsafe { *scores_written = scores.len() as u64 };
-        }
-        if (scores_cap as usize) < scores.len() {
-            set_last_error(&format!(
-                "bnff_infer_traced: {} scores do not fit in a buffer of {scores_cap}",
-                scores.len()
-            ));
-            return BNFF_ERR_BUFFER_TOO_SMALL;
-        }
-        if scores_out.is_null() {
-            set_last_error("bnff_infer_traced: scores_out is null");
-            return BNFF_ERR_INVALID;
-        }
-        unsafe {
-            std::ptr::copy_nonoverlapping(scores.as_ptr(), scores_out, scores.len());
-        }
-        if !trace_out.is_null() {
-            // force_trace guarantees the completion carries a trace.
-            if let Some(trace) = completion.trace {
+        match outcome {
+            Ok(Some(trace)) if !trace_out.is_null() => {
                 unsafe {
                     *trace_out = BnffTrace {
                         request_id: trace.request_id,
@@ -482,9 +461,11 @@ pub unsafe extern "C" fn bnff_infer_traced(
                         _reserved: [0; 7],
                     };
                 }
+                BNFF_OK
             }
+            Ok(_) => BNFF_OK,
+            Err(code) => code,
         }
-        BNFF_OK
     })
 }
 

@@ -7,7 +7,7 @@
 use bnff_capi::{
     bnff_abi_version, bnff_engine_start, bnff_free, bnff_infer, bnff_infer_traced, bnff_last_error,
     bnff_metrics_json, bnff_metrics_prometheus, bnff_model_classes, bnff_model_load,
-    bnff_model_sample_len, BnffTrace, BNFF_ERR_BAD_HANDLE, BNFF_ERR_BUFFER_TOO_SMALL,
+    bnff_model_sample_len, BnffEngine, BnffTrace, BNFF_ERR_BAD_HANDLE, BNFF_ERR_BUFFER_TOO_SMALL,
     BNFF_ERR_INVALID, BNFF_OK,
 };
 use bnff_graph::builder::GraphBuilder;
@@ -43,6 +43,48 @@ fn last_error() -> String {
     let ptr = bnff_last_error();
     assert!(!ptr.is_null(), "a failing call must record a message");
     unsafe { CStr::from_ptr(ptr) }.to_str().unwrap().to_string()
+}
+
+/// One inference call through either entry point: `bnff_infer`, or
+/// `bnff_infer_traced` writing to `trace`. `sample_len` and `cap` are
+/// passed as given so the error rows can lie about them.
+#[allow(clippy::too_many_arguments)]
+fn infer_via(
+    traced: bool,
+    engine: *const BnffEngine,
+    sample: *const f32,
+    sample_len: u64,
+    out: &mut [f32],
+    cap: u64,
+    written: &mut u64,
+    trace: &mut BnffTrace,
+) -> i32 {
+    unsafe {
+        if traced {
+            bnff_infer_traced(engine, sample, sample_len, out.as_mut_ptr(), cap, written, trace)
+        } else {
+            bnff_infer(engine, sample, sample_len, out.as_mut_ptr(), cap, written)
+        }
+    }
+}
+
+/// A trace no successful request produces, so "untouched on error" shows.
+const UNTOUCHED: BnffTrace = BnffTrace {
+    request_id: u64::MAX,
+    queue_us: u64::MAX,
+    infer_us: u64::MAX,
+    batch_size: 0,
+    worker: u64::MAX,
+    stolen: 0,
+    _reserved: [0; 7],
+};
+
+fn assert_untouched(trace: &BnffTrace, case: &str) {
+    assert_eq!(
+        (trace.request_id, trace.queue_us, trace.infer_us, trace.batch_size, trace.worker),
+        (u64::MAX, u64::MAX, u64::MAX, 0, u64::MAX),
+        "{case}: trace_out must be untouched on error"
+    );
 }
 
 #[test]
@@ -93,28 +135,68 @@ fn full_lifecycle_over_the_c_abi() {
     let got: Vec<u32> = scores.iter().map(|v| v.to_bits()).collect();
     assert_eq!(got, expected, "ABI scores must match direct frozen inference exactly");
 
-    // Undersized buffer: typed error, required size still reported.
-    let mut tiny = [0.0f32; 1];
-    let mut needed = 0u64;
-    let code = unsafe {
-        bnff_infer(
+    // The error table, through both entry points: each row is typed, sets
+    // a message naming the entry point, and leaves `trace_out` alone.
+    let sample_ptr = sample.as_slice().as_ptr();
+    for traced in [false, true] {
+        let entry = if traced { "bnff_infer_traced:" } else { "bnff_infer:" };
+        let mut trace = UNTOUCHED;
+
+        // Undersized buffer: required size still reported, buffer not written.
+        let mut tiny = [f32::NAN; 1];
+        let mut needed = 0u64;
+        let code = infer_via(
+            traced,
             engine,
-            sample.as_slice().as_ptr(),
+            sample_ptr,
             sample_len,
-            tiny.as_mut_ptr(),
+            &mut tiny,
             1,
             &mut needed,
-        )
-    };
-    assert_eq!(code, BNFF_ERR_BUFFER_TOO_SMALL);
-    assert_eq!(needed, classes);
+            &mut trace,
+        );
+        assert_eq!(code, BNFF_ERR_BUFFER_TOO_SMALL, "{entry} undersized buffer");
+        assert_eq!(needed, classes);
+        assert!(tiny[0].is_nan(), "{entry} scores_out must not be written when too small");
+        assert!(last_error().starts_with(entry), "{}", last_error());
+        assert_untouched(&trace, "undersized buffer");
 
-    // Wrong sample length: invalid argument.
-    let code = unsafe {
-        bnff_infer(engine, sample.as_slice().as_ptr(), 2, scores.as_mut_ptr(), 3, &mut written)
-    };
-    assert_eq!(code, BNFF_ERR_INVALID);
-    assert!(last_error().contains("expects 108"));
+        // Wrong sample length: invalid argument.
+        let code =
+            infer_via(traced, engine, sample_ptr, 2, &mut scores, 3, &mut written, &mut trace);
+        assert_eq!(code, BNFF_ERR_INVALID, "{entry} wrong sample length");
+        assert!(last_error().contains("expects 108"));
+        assert_untouched(&trace, "wrong sample length");
+
+        // Null sample: invalid argument, nothing dereferenced.
+        let code = infer_via(
+            traced,
+            engine,
+            std::ptr::null(),
+            sample_len,
+            &mut scores,
+            3,
+            &mut written,
+            &mut trace,
+        );
+        assert_eq!(code, BNFF_ERR_INVALID, "{entry} null sample");
+        assert!(last_error().contains("sample is null"));
+        assert_untouched(&trace, "null sample");
+
+        // A pointer that was never a handle is rejected before any dereference.
+        let code = infer_via(
+            traced,
+            std::ptr::dangling(),
+            sample_ptr,
+            sample_len,
+            &mut scores,
+            3,
+            &mut written,
+            &mut trace,
+        );
+        assert_eq!(code, BNFF_ERR_BAD_HANDLE, "{entry} foreign handle");
+        assert_untouched(&trace, "foreign handle");
+    }
 
     // Traced inference: same scores, plus span timings in the out-struct.
     let mut trace = BnffTrace::default();
@@ -158,18 +240,22 @@ fn full_lifecycle_over_the_c_abi() {
     assert_eq!(unsafe { bnff_free(engine.cast()) }, BNFF_OK);
     assert_eq!(unsafe { bnff_free(engine.cast()) }, BNFF_ERR_BAD_HANDLE);
 
-    // A freed engine handle is stale, not dereferenced.
-    let code = unsafe {
-        bnff_infer(
+    // A freed engine handle is stale, not dereferenced — by either entry point.
+    for traced in [false, true] {
+        let mut trace = UNTOUCHED;
+        let code = infer_via(
+            traced,
             engine,
-            sample.as_slice().as_ptr(),
+            sample_ptr,
             sample_len,
-            scores.as_mut_ptr(),
+            &mut scores,
             3,
             &mut written,
-        )
-    };
-    assert_eq!(code, BNFF_ERR_BAD_HANDLE);
+            &mut trace,
+        );
+        assert_eq!(code, BNFF_ERR_BAD_HANDLE, "traced={traced}");
+        assert_untouched(&trace, "stale handle");
+    }
 
     assert_eq!(unsafe { bnff_free(model.cast()) }, BNFF_OK);
     assert_eq!(unsafe { bnff_free(model.cast()) }, BNFF_ERR_BAD_HANDLE);

@@ -139,21 +139,6 @@ pub fn conv2d_forward_direct_into(
     Ok(())
 }
 
-/// im2col + GEMM convolution forward pass (the layout the paper's reference
-/// libraries use). Alias of [`conv2d_forward`], kept under the name that
-/// says *how* the lowering works.
-///
-/// # Errors
-/// Returns an error if the shapes are inconsistent.
-pub fn conv2d_forward_im2col(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    attrs: &Conv2dAttrs,
-) -> Result<Tensor> {
-    conv2d_forward(input, weights, bias, attrs)
-}
-
 /// The production convolution forward pass: im2col lowering into the
 /// cache-blocked packed GEMM, with the column scratch recycled through the
 /// shared pool across samples, calls and training steps. Pointwise
@@ -525,7 +510,7 @@ mod tests {
         let x = random(Shape::nchw(2, 4, 9, 9), 1);
         let w = random(Shape::nchw(5, 4, 3, 3), 2);
         let direct = conv2d_forward_direct(&x, &w, None, &attrs).unwrap();
-        let lowered = conv2d_forward_im2col(&x, &w, None, &attrs).unwrap();
+        let lowered = conv2d_forward(&x, &w, None, &attrs).unwrap();
         assert!(direct.all_close(&lowered, 1e-4).unwrap());
     }
 
@@ -580,7 +565,7 @@ mod tests {
         let y = conv2d_forward_direct(&x, &w, Some(&bias), &attrs).unwrap();
         assert_eq!(y.channel_plane(0, 0), &[11.0; 4]);
         assert_eq!(y.channel_plane(0, 1), &[-3.0; 4]);
-        let y2 = conv2d_forward_im2col(&x, &w, Some(&bias), &attrs).unwrap();
+        let y2 = conv2d_forward(&x, &w, Some(&bias), &attrs).unwrap();
         assert!(y.all_close(&y2, 1e-6).unwrap());
     }
 
@@ -591,7 +576,7 @@ mod tests {
         let w = Tensor::zeros(Shape::nchw(4, 3, 5, 5));
         assert!(conv2d_forward_direct(&x, &w, None, &attrs).is_err());
         let w = Tensor::zeros(Shape::nchw(4, 2, 3, 3));
-        assert!(conv2d_forward_im2col(&x, &w, None, &attrs).is_err());
+        assert!(conv2d_forward(&x, &w, None, &attrs).is_err());
     }
 
     /// Numerical gradient check for the convolution backward passes.
@@ -674,7 +659,7 @@ mod tests {
         let attrs = Conv2dAttrs::new(8, 7, 2, 3);
         let x = random(Shape::nchw(1, 3, 32, 32), 7);
         let w = random(Shape::nchw(8, 3, 7, 7), 8);
-        let y = conv2d_forward_im2col(&x, &w, None, &attrs).unwrap();
+        let y = conv2d_forward(&x, &w, None, &attrs).unwrap();
         assert_eq!(y.shape(), &Shape::nchw(1, 8, 16, 16));
     }
 }

@@ -48,8 +48,8 @@
 //! rounding); `crates/kernels/tests/simd_equivalence.rs` bounds the gap.
 //!
 //! The pre-blocking row-streaming implementation is kept as
-//! [`gemm_streaming`] so the benches (and `BENCH_ci.json`) can report the
-//! blocked/streaming speedup on every run.
+//! [`gemm_streaming`], the independent reference the packed engine is
+//! tested against.
 
 use crate::error::KernelError;
 use crate::Result;
@@ -585,8 +585,8 @@ pub fn gemm_im2col(
 
 /// The pre-blocking implementation: row blocks stream `b` straight from the
 /// source matrix with a [`STREAM_TILE`]-edge loop tiling and no packing.
-/// Kept (unchanged) as the perf baseline the benches and `BENCH_ci.json`
-/// compare the packed engine against.
+/// Kept (unchanged) as the independent reference the tests compare the
+/// packed engine against.
 ///
 /// # Errors
 /// Returns [`KernelError::ShapeMismatch`] when the slice lengths do not

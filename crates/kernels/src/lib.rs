@@ -17,8 +17,8 @@
 //! composition of their unfused counterparts (up to floating-point
 //! reassociation in the Σx² variance), which is what makes the paper's
 //! restructuring legal during training. The test-suites in this crate check
-//! that equivalence, and the Criterion benches in `bnff-bench` measure the
-//! actual memory-traffic benefit on the host CPU.
+//! that equivalence, and the `benchmark/` package measures the actual
+//! memory-traffic benefit on the host CPU (`kernels.fusion_gain_*.str`).
 //!
 //! Every kernel partitions its hot loops across the `bnff-parallel` pool
 //! (convolutions by output plane, GEMMs by output row, BN reductions by

@@ -10,7 +10,7 @@
 use bnff_graph::op::{Conv2dAttrs, PoolAttrs};
 use bnff_kernels::batchnorm::{bn_backward, bn_forward, BnParams};
 use bnff_kernels::conv::{
-    conv2d_backward_input, conv2d_backward_weights, conv2d_forward_direct, conv2d_forward_im2col,
+    conv2d_backward_input, conv2d_backward_weights, conv2d_forward, conv2d_forward_direct,
 };
 use bnff_kernels::eltwise::eltwise_sum_forward;
 use bnff_kernels::fused::{conv2d_forward_with_stats, norm_relu_conv_forward};
@@ -106,7 +106,7 @@ fn conv_forward_and_backward_match_serial() {
             conv2d_forward_direct(&x, &w, None, &attrs).unwrap().into_vec()
         });
         check(&format!("conv_im2col n={n} ic={ic} oc={oc} hw={hw}"), || {
-            conv2d_forward_im2col(&x, &w, None, &attrs).unwrap().into_vec()
+            conv2d_forward(&x, &w, None, &attrs).unwrap().into_vec()
         });
         let y = conv2d_forward_direct(&x, &w, None, &attrs).unwrap();
         let d_out = random(y.shape().clone(), seed + 200);

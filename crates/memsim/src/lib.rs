@@ -60,9 +60,7 @@ pub mod timeline;
 pub use cache::CacheModel;
 pub use error::MemsimError;
 pub use machine::MachineProfile;
-pub use report::{
-    forward_dram_bytes, simulate_iteration, IterationReport, NodeTiming, OpForwardBytes,
-};
+pub use report::{simulate_iteration, IterationReport, NodeTiming};
 pub use timeline::{simulate_timeline, TimelineEvent};
 
 /// Convenience result alias used across the crate.

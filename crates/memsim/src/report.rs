@@ -176,49 +176,6 @@ impl IterationReport {
     }
 }
 
-/// Predicted forward-pass DRAM traffic for one graph node — the memsim
-/// side of the serving profiler's measured-vs-predicted table.
-#[derive(Debug, Clone, Serialize)]
-pub struct OpForwardBytes {
-    /// The node's ID in the source graph (matches the `node` field of a
-    /// compiled tape instruction's `OpProfile`).
-    pub node: bnff_graph::NodeId,
-    /// Node name.
-    pub name: String,
-    /// Operation display name (e.g. `"Conv2d"`, `"BatchNorm"`).
-    pub op: String,
-    /// Predicted forward DRAM traffic in bytes.
-    pub dram_bytes: f64,
-}
-
-/// Predicts the forward-pass DRAM bytes of every compute node in `graph`
-/// on `machine`, in topological order. Input nodes are skipped (they move
-/// no DRAM traffic of their own).
-///
-/// # Errors
-/// Returns an error if the machine profile is invalid or the graph is
-/// structurally inconsistent.
-pub fn forward_dram_bytes(graph: &Graph, machine: &MachineProfile) -> Result<Vec<OpForwardBytes>> {
-    machine.validate()?;
-    let cache = CacheModel::for_machine(machine);
-    let order = graph.topo_order()?;
-    let mut per_node = Vec::with_capacity(order.len());
-    for id in order {
-        let node = graph.node(id)?;
-        if matches!(node.op, bnff_graph::OpKind::Input) {
-            continue;
-        }
-        let cost = node_cost(graph, node)?;
-        per_node.push(OpForwardBytes {
-            node: id,
-            name: node.name.clone(),
-            op: node.op.name().to_string(),
-            dram_bytes: cache.dram_bytes_for(&cost.sweeps_fwd),
-        });
-    }
-    Ok(per_node)
-}
-
 /// Simulates one training iteration (forward + backward) of `graph` on
 /// `machine`.
 ///
@@ -315,23 +272,6 @@ mod tests {
         assert!(report.bwd_seconds > report.fwd_seconds);
         assert!(report.total_dram_bytes() > 0.0);
         assert_eq!(report.per_node.len(), g.node_count() - 1); // input skipped
-    }
-
-    #[test]
-    fn forward_dram_bytes_matches_the_iteration_forward_side() {
-        let g = fragment(120);
-        let machine = MachineProfile::skylake_xeon_2s();
-        let per_op = forward_dram_bytes(&g, &machine).unwrap();
-        let report = simulate_iteration(&g, &machine).unwrap();
-        assert_eq!(per_op.len(), report.per_node.len());
-        for (op, timing) in per_op.iter().zip(&report.per_node) {
-            assert_eq!(op.name, timing.name);
-            assert_eq!(op.op, timing.op);
-            assert_eq!(op.dram_bytes, timing.fwd_dram_bytes);
-            assert!(op.dram_bytes > 0.0, "{} predicts no traffic", op.name);
-        }
-        let total: f64 = per_op.iter().map(|o| o.dram_bytes).sum();
-        assert_eq!(total, report.fwd_dram_bytes);
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! Fluent construction of a [`ServeEngine`]: one entry point for every
 //! model source and every batching knob.
 //!
-//! Before the builder, starting an engine meant choosing among three
-//! constructors (`FrozenModel::from_executor`, `from_checkpoint`, or
-//! `from_parts`) and hand-assembling a [`BatchingConfig`] literal. The
-//! builder collapses that into a single pipeline — *source → knobs →
-//! start* — and adds the file path source that sniffs the model format
-//! (binary artifact vs. JSON checkpoint) from the magic bytes:
+//! The builder is the only way to start an engine: a single pipeline —
+//! *source → knobs → start* — whose file-path source sniffs the model
+//! format (binary artifact vs. JSON checkpoint) from the magic bytes:
 //!
 //! ```rust,no_run
 //! use bnff_serve::ServeEngine;
@@ -193,7 +190,7 @@ impl ServeEngineBuilder {
     pub fn start(self) -> Result<ServeEngine> {
         let config = self.config.clone();
         let model = self.build_model()?;
-        ServeEngine::start_inner(model, config)
+        ServeEngine::start(model, config)
     }
 }
 

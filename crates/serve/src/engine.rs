@@ -254,15 +254,6 @@ impl ServeEngine {
         crate::builder::ServeEngineBuilder::new()
     }
 
-    /// Starts an engine over a frozen model and explicit configuration.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ServeEngine::builder()` — pick a model source, set knobs, `.start()`"
-    )]
-    pub fn start(model: FrozenModel, config: BatchingConfig) -> Result<Self> {
-        Self::start_inner(model, config)
-    }
-
     /// Starts an engine over a frozen model: one bounded shard queue per
     /// worker, each worker's kernel fan-out pinned to a disjoint slice of
     /// the kernel-thread budget.
@@ -270,7 +261,7 @@ impl ServeEngine {
     /// # Errors
     /// Returns an error for a zero `max_batch`/`workers`/`executor_cache`/
     /// `queue_depth` configuration.
-    pub(crate) fn start_inner(model: FrozenModel, config: BatchingConfig) -> Result<Self> {
+    pub(crate) fn start(model: FrozenModel, config: BatchingConfig) -> Result<Self> {
         if config.max_batch == 0
             || config.workers == 0
             || config.executor_cache == 0

@@ -28,11 +28,11 @@
 //! instruction. When enabled ([`FrozenExecutor::enable_profiling`]) the
 //! tape walk times each instruction and accumulates per-slot nanoseconds;
 //! [`FrozenExecutor::profile`] folds the slots back into per-instruction
-//! [`OpProfile`] rows (node, op kind, call count, total/max ns) that the
-//! bench harness pairs with `bnff-memsim`'s predicted DRAM bytes. When
-//! disabled — the default — the cost is a single relaxed atomic load per
-//! forward pass: the instrumented loop is never entered and inference
-//! remains bit-identical either way (timing never touches data).
+//! [`OpProfile`] rows (node, op kind, call count, total/max ns), keyed
+//! like `bnff-memsim`'s per-node predicted DRAM bytes. When disabled —
+//! the default — the cost is a single relaxed atomic load per forward
+//! pass: the instrumented loop is never entered and inference remains
+//! bit-identical either way (timing never touches data).
 
 use crate::error::ServeError;
 use crate::params::{FrozenParamSet, FrozenParams};
@@ -289,8 +289,8 @@ impl FrozenExecutor {
     /// pre-tape reference implementation. The tape is tested bit-identical
     /// against this walk across the model zoo. The walk deliberately does
     /// *not* honour the tape's serial-execution hint: the hint comes from
-    /// the linear IR's compile-time FLOPs analysis, so it is part of what
-    /// the `tape_over_interpreted` comparison measures.
+    /// the linear IR's compile-time FLOPs analysis, which the reference
+    /// stays independent of.
     ///
     /// # Errors
     /// Returns an error when the input shape disagrees with the graph or a

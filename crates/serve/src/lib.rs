@@ -23,9 +23,7 @@
 //!    them into dynamic micro-batches (`max_batch`/`max_wait` bounded, with
 //!    optional deadline expiry), partitions the kernel-thread budget
 //!    disjointly across workers, and reports latency percentiles +
-//!    throughput ([`metrics::ServeReport`]). The [`loadgen`] module drives
-//!    open-loop arrival-rate sweeps against the engine to trace its
-//!    latency-vs-throughput curve.
+//!    throughput ([`metrics::ServeReport`]).
 //!
 //! Training and serving are separate processes in principle: the trainer
 //! writes a model file — a JSON [`Checkpoint`](bnff_train::Checkpoint) or a
@@ -77,7 +75,6 @@ pub mod error;
 pub mod executor;
 pub mod http;
 pub mod httpd;
-pub mod loadgen;
 pub mod metrics;
 pub mod model;
 pub mod params;
@@ -87,7 +84,6 @@ pub use engine::{BatchingConfig, Completion, RequestTrace, ServeEngine};
 pub use error::ServeError;
 pub use executor::{FrozenExecutor, OpProfile};
 pub use httpd::{HttpOptions, HttpServer};
-pub use loadgen::{LoadPoint, OpenLoopConfig};
 pub use metrics::{MetricsSnapshot, ServeMetrics, ServeReport};
 pub use model::FrozenModel;
 pub use params::{FrozenParamSet, FrozenParams};

@@ -337,7 +337,7 @@ impl MetricsSnapshot {
 }
 
 /// A machine-readable serving summary (printed by `serve_synthetic` and
-/// appended to `BENCH_ci.json` by the CI serve-smoke step).
+/// served as JSON by `GET /v1/metrics`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Requests served.

@@ -1,7 +1,8 @@
 //! The frozen model: a batch-retargetable frozen graph plus its folded
 //! parameters.
 //!
-//! A [`FrozenModel`] is built once — from a live [`Executor`], or from a
+//! A [`FrozenModel`] is built once — from a live
+//! [`Executor`](bnff_train::Executor), or from a
 //! [`Checkpoint`] written by a separate training process — and then stamped
 //! into per-batch-size [`FrozenExecutor`]s. Shapes in the graph IR are
 //! concrete, so retargeting rebuilds the node list with the requested batch
@@ -18,7 +19,7 @@ use bnff_graph::{Graph, NodeId};
 use bnff_tensor::Shape;
 use bnff_train::checkpoint::Checkpoint;
 use bnff_train::running::RunningStatSet;
-use bnff_train::{Executor, ParamSet};
+use bnff_train::ParamSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -46,26 +47,6 @@ impl FrozenModel {
             input: frozen.input,
             output: frozen.output,
         })
-    }
-
-    /// Freezes a live training executor.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ServeEngine::builder().executor(..)`, or `FrozenModel::from_parts` when you \
-                need the model itself"
-    )]
-    pub fn from_executor(executor: &Executor) -> Result<Self> {
-        Self::from_parts(executor.graph(), executor.params(), executor.running_stats())
-    }
-
-    /// Loads and freezes a model checkpoint.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ServeEngine::builder().checkpoint(..)`, or `FrozenModel::load` to read a \
-                model file directly"
-    )]
-    pub fn from_checkpoint(checkpoint: &Checkpoint) -> Result<Self> {
-        Self::from_parts(&checkpoint.graph, &checkpoint.params, &checkpoint.running)
     }
 
     /// Loads and freezes a model file — the process-separation path: the

@@ -9,7 +9,7 @@ use bnff_graph::builder::GraphBuilder;
 use bnff_graph::op::Conv2dAttrs;
 use bnff_graph::Graph;
 use bnff_parallel::with_threads;
-use bnff_serve::{BatchingConfig, FrozenModel, ServeEngine};
+use bnff_serve::{BatchingConfig, ServeEngine};
 use bnff_tensor::init::Initializer;
 use bnff_tensor::{Shape, Tensor};
 use bnff_train::checkpoint::Checkpoint;
@@ -231,26 +231,46 @@ fn engine_rejects_bad_samples_and_shuts_down_cleanly() {
     drop(engine);
 }
 
-/// The deprecated constructors remain functional for one release cycle:
-/// the pre-builder path must produce the same model and scores as the
-/// builder path. This is the single intentionally-legacy call site.
+/// The opt-in per-op profiler: one row per tape instruction, counting only
+/// the runs made while enabled, never changing a score bit.
 #[test]
-#[allow(deprecated)]
-fn deprecated_constructors_still_match_the_builder() {
-    let (exec, data, _labels) = conditioned_executor(classifier(2, 3), 71);
-    let legacy = FrozenModel::from_executor(&exec).unwrap();
-    let modern = ServeEngine::builder().executor(&exec).build_model().unwrap();
-    let legacy_scores = legacy.executor(2).unwrap().infer(&data).unwrap();
-    let modern_scores = modern.executor(2).unwrap().infer(&data).unwrap();
-    assert_eq!(legacy_scores.as_slice(), modern_scores.as_slice());
+fn tape_profiler_counts_enabled_runs_and_leaves_scores_untouched() {
+    let (exec, data, _labels) = conditioned_executor(classifier(4, 3), 79);
+    let model = ServeEngine::builder().executor(&exec).build_model().unwrap();
+    let frozen = model.executor(4).unwrap();
+    let instrs = frozen.program().instrs().len();
+    for threads in [1, 4] {
+        with_threads(threads, || {
+            frozen.reset_profile();
+            let plain = frozen.infer(&data).unwrap();
+            let rows = frozen.profile();
+            assert_eq!(rows.len(), instrs, "one row per tape instruction");
+            assert!(rows.iter().all(|r| r.count == 0), "disabled runs must not be recorded");
 
-    let checkpoint = Checkpoint::capture(&exec);
-    let via_checkpoint = FrozenModel::from_checkpoint(&checkpoint).unwrap();
-    let engine = ServeEngine::start(via_checkpoint, BatchingConfig::default()).unwrap();
-    let sample =
-        Tensor::from_vec(Shape::nchw(1, 3, 8, 8), data.as_slice()[..3 * 8 * 8].to_vec()).unwrap();
-    let expected = modern.executor(1).unwrap().infer(&sample).unwrap();
-    let completion = engine.infer_blocking(sample).unwrap();
-    assert_eq!(completion.scores.as_slice(), expected.as_slice());
-    engine.shutdown();
+            frozen.enable_profiling(true);
+            let runs = 3;
+            for _ in 0..runs {
+                let profiled = frozen.infer(&data).unwrap();
+                assert_eq!(
+                    profiled.as_slice(),
+                    plain.as_slice(),
+                    "{threads} threads: profiling changed the scores"
+                );
+            }
+            frozen.enable_profiling(false);
+            let rows = frozen.profile();
+            assert_eq!(rows.len(), instrs);
+            for (row, instr) in rows.iter().zip(frozen.program().instrs()) {
+                assert_eq!(row.node, instr.op_node);
+                assert_eq!(row.count, runs, "{}: count", row.name);
+                assert!(row.max_ns > 0 && row.total_ns >= row.max_ns, "{}: {row:?}", row.name);
+            }
+
+            frozen.reset_profile();
+            assert!(frozen
+                .profile()
+                .iter()
+                .all(|r| r.count == 0 && r.total_ns == 0 && r.max_ns == 0));
+        });
+    }
 }

@@ -7,7 +7,7 @@
 //! kernel entry* by [`active_isa`], in priority order:
 //!
 //! 1. a scoped [`with_isa`] override on the calling thread (used by the
-//!    equivalence tests and the `simd_over_scalar` benches),
+//!    equivalence tests),
 //! 2. the `BNFF_SIMD` environment variable (`scalar` forces the portable
 //!    path, `avx2` requests the vector path, `auto`/unset detects), and
 //! 3. `is_x86_feature_detected!("avx2")` + `("fma")`.

@@ -3,10 +3,7 @@
 //! single-sample requests through the dynamic micro-batching engine,
 //! printing throughput and p50/p99 latency.
 //!
-//! Run with `cargo run --release --example serve_synthetic [-- REPORT.json]`.
-//! When a report path is given, the serving numbers are appended to that
-//! `BENCH_ci.json`-style file through the bench crate's emitter (this is
-//! what the CI serve-smoke step does under `BNFF_THREADS` 1 and 4).
+//! Run with `cargo run --release --example serve_synthetic`.
 //!
 //! Environment knobs: `BNFF_SERVE_REQUESTS` (default 64),
 //! `BNFF_SERVE_WORKERS` (default 2), `BNFF_SERVE_MAX_BATCH` (default 8),
@@ -19,7 +16,6 @@ use bnff::tensor::{Shape, Tensor};
 use bnff::train::checkpoint::Checkpoint;
 use bnff::train::data::SyntheticDataset;
 use bnff::train::{TrainConfig, Trainer};
-use bnff_bench::BenchReport;
 use std::time::{Duration, Instant};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -128,20 +124,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     if let Some(scores) = first_scores {
         println!("first request's logits: {scores:?}");
-    }
-
-    // --- 5. Optionally append the numbers to a BENCH_ci.json-style report.
-    if let Some(out_path) = std::env::args().nth(1) {
-        let path = std::path::Path::new(&out_path);
-        let threads = std::env::var("BNFF_THREADS").unwrap_or_else(|_| "auto".to_string());
-        let tag = format!("serve_synthetic_{threads}t_w{workers}_b{max_batch}");
-        let mut bench = BenchReport::load_or_default(path)?;
-        bench.summarize(&format!("{tag}_throughput_rps"), report.throughput_rps);
-        bench.summarize(&format!("{tag}_p50_ms"), report.p50_ms);
-        bench.summarize(&format!("{tag}_p99_ms"), report.p99_ms);
-        bench.summarize(&format!("{tag}_mean_batch"), report.mean_batch_size);
-        std::fs::write(path, bench.to_json()?)?;
-        println!("appended serving stats to {out_path}");
     }
     Ok(())
 }
