@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-/// A typed model-artifact / checkpoint loading error.
+/// A typed model-artifact loading error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
     /// The file does not start with the artifact magic `b"BNFF"`.
@@ -19,10 +19,9 @@ pub enum ModelError {
     },
     /// The file declares a format version this build does not read.
     UnsupportedVersion {
-        /// The version the file declares (`None` when the field is missing
-        /// or non-numeric — only possible for JSON checkpoints, which carry
-        /// the version as a document field rather than a fixed header word).
-        found: Option<u32>,
+        /// The version the file declares (the header word, or the
+        /// manifest's `provenance.source_format_version`).
+        found: u32,
         /// The version this build reads and writes.
         supported: u32,
     },
@@ -62,15 +61,10 @@ impl fmt::Display for ModelError {
                     "not a bnff model artifact: file starts with {found:?}, expected b\"BNFF\""
                 )
             }
-            ModelError::UnsupportedVersion { found: Some(found), supported } => write!(
+            ModelError::UnsupportedVersion { found, supported } => write!(
                 f,
                 "unsupported model format version {found} (this build reads version {supported}); \
                  re-export the model with a matching toolchain"
-            ),
-            ModelError::UnsupportedVersion { found: None, supported } => write!(
-                f,
-                "model declares no numeric format version (this build reads version {supported}); \
-                 the file is not a bnff model or predates versioning"
             ),
             ModelError::ChecksumMismatch { section, expected, computed } => write!(
                 f,
@@ -100,10 +94,8 @@ mod tests {
     fn display_carries_the_diagnostic_details() {
         let e = ModelError::BadMagic { found: *b"JSON" };
         assert!(e.to_string().contains("BNFF"));
-        let e = ModelError::UnsupportedVersion { found: Some(9), supported: 1 };
+        let e = ModelError::UnsupportedVersion { found: 9, supported: 1 };
         assert!(e.to_string().contains("version 9"));
-        let e = ModelError::UnsupportedVersion { found: None, supported: 1 };
-        assert!(e.to_string().contains("no numeric format version"));
         let e = ModelError::ChecksumMismatch { section: "manifest", expected: 1, computed: 2 };
         assert!(e.to_string().contains("manifest checksum"));
         let e = ModelError::Truncated { needed: 100, available: 7 };

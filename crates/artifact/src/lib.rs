@@ -1,9 +1,9 @@
 //! # bnff-artifact — single-file model artifacts
 //!
-//! The JSON checkpoint (`bnff_train::Checkpoint`) is a debugging format: it
-//! round-trips bit-exactly, but loading it runs a JSON number parser over
-//! every weight and allocates a parse tree bigger than the model. This
-//! crate defines the **deployment** format: one file, one read, raw bytes.
+//! This crate defines the one model file format — the only way a model
+//! leaves training (`bnff_train::Checkpoint::write_artifact`) or enters
+//! serving: one file, one read, raw bytes, every byte behind a checksum or
+//! a validation rule.
 //!
 //! ## Byte layout
 //!
@@ -87,22 +87,3 @@ pub const HEADER_LEN: usize = 32;
 /// 64 bytes = one cache line, and a multiple of every SIMD vector width the
 /// kernels use, so zero-copy views are always aligned loads.
 pub const TENSOR_ALIGN: usize = 64;
-
-/// Whether `bytes` begin with the artifact magic — the cheap sniff used to
-/// route a model file to the artifact reader vs. the JSON checkpoint
-/// parser.
-pub fn is_artifact(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && bytes[0..4] == MAGIC
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn magic_sniffing() {
-        assert!(is_artifact(b"BNFF\x01\x00"));
-        assert!(!is_artifact(b"BNF"));
-        assert!(!is_artifact(b"{\"format_version\":1}"));
-    }
-}

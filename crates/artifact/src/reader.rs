@@ -130,7 +130,7 @@ impl Artifact {
         let version = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
         if version != FORMAT_VERSION {
             return Err(ModelError::UnsupportedVersion {
-                found: Some(version),
+                found: version,
                 supported: FORMAT_VERSION,
             });
         }
@@ -139,10 +139,15 @@ impl Artifact {
         let manifest_crc = u32::from_le_bytes(buf[24..28].try_into().expect("4 bytes"));
         let tensor_crc = u32::from_le_bytes(buf[28..32].try_into().expect("4 bytes"));
 
-        let tensor_base = crate::writer::align_up(HEADER_LEN as u64 + manifest_len, 64);
-        let needed = tensor_base
-            .checked_add(tensor_len)
-            .ok_or_else(|| ModelError::Layout("section lengths overflow u64".to_string()))?;
+        // The header is not checksummed, so both lengths are untrusted:
+        // every sum is checked, and `needed == available` below bounds all
+        // three offsets by the buffer before any of them indexes it.
+        let overflow = || ModelError::Layout("section lengths overflow u64".to_string());
+        let tensor_base = (HEADER_LEN as u64)
+            .checked_add(manifest_len)
+            .and_then(|end| end.checked_next_multiple_of(TENSOR_ALIGN as u64))
+            .ok_or_else(overflow)?;
+        let needed = tensor_base.checked_add(tensor_len).ok_or_else(overflow)?;
         if needed > available {
             return Err(ModelError::Truncated { needed, available });
         }
@@ -238,11 +243,14 @@ fn validate_layout(manifest: &Manifest, tensor_len: u64) -> Result<(), ModelErro
                 entry.name, entry.offset
             )));
         }
-        let volume: usize = entry.shape.iter().product();
-        let expect = (volume * entry.dtype.size_of()) as u64;
-        if expect != entry.byte_len {
+        // Checked: a wrapped product could equal a small `byte_len`.
+        let expect = entry
+            .shape
+            .iter()
+            .try_fold(entry.dtype.size_of() as u64, |bytes, &dim| bytes.checked_mul(dim as u64));
+        if expect != Some(entry.byte_len) {
             return Err(ModelError::Layout(format!(
-                "tensor {i} '{}': shape {:?} needs {expect} bytes, entry declares {}",
+                "tensor {i} '{}': shape {:?} does not span the {} bytes the entry declares",
                 entry.name, entry.shape, entry.byte_len
             )));
         }

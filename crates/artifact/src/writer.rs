@@ -141,7 +141,7 @@ impl ArtifactWriter {
 }
 
 /// Rounds `value` up to the next multiple of `align` (a power of two).
-pub(crate) fn align_up(value: u64, align: u64) -> u64 {
+fn align_up(value: u64, align: u64) -> u64 {
     (value + align - 1) & !(align - 1)
 }
 

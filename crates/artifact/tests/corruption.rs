@@ -2,7 +2,7 @@
 //! matching typed [`ModelError`] — never a panic, never a garbage model.
 
 use bnff_artifact::{
-    Artifact, ArtifactWriter, ModelError, ParamKind, Provenance, FORMAT_VERSION, HEADER_LEN,
+    Artifact, ArtifactWriter, ModelError, ParamKind, Provenance, FORMAT_VERSION, HEADER_LEN, MAGIC,
 };
 use bnff_graph::builder::GraphBuilder;
 use bnff_graph::op::Conv2dAttrs;
@@ -64,7 +64,7 @@ fn future_version_is_unsupported_version() {
     bytes[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
     match Artifact::from_bytes(&bytes) {
         Err(ModelError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, Some(FORMAT_VERSION + 1));
+            assert_eq!(found, FORMAT_VERSION + 1);
             assert_eq!(supported, FORMAT_VERSION);
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -117,16 +117,15 @@ fn trailing_garbage_is_a_layout_error() {
     assert!(matches!(Artifact::from_bytes(&bytes), Err(ModelError::Layout(_))));
 }
 
-#[test]
-fn a_lying_manifest_cannot_read_outside_the_section() {
-    // Rewrite the manifest so a tensor's offset points past the section,
-    // fixing up the header lengths and CRC so only layout validation can
-    // catch it.
+/// The valid artifact with its manifest text passed through `edit`, the
+/// header's manifest length and CRC fixed up to match — so only layout
+/// validation stands between the edited manifest and the tensor views.
+fn with_edited_manifest(edit: impl Fn(&str) -> String) -> Vec<u8> {
     let bytes = valid_artifact();
     let manifest_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
     let manifest = std::str::from_utf8(&bytes[HEADER_LEN..HEADER_LEN + manifest_len]).unwrap();
-    let evil = manifest.replacen("\"offset\":0", "\"offset\":9223372036854775744", 1);
-    assert_ne!(evil, manifest, "fixture must actually move an offset");
+    let evil = edit(manifest);
+    assert_ne!(evil, manifest, "fixture must actually change the manifest");
     let tensor_base = (HEADER_LEN + manifest_len).next_multiple_of(64);
     let section = &bytes[tensor_base..];
     let mut rebuilt = Vec::new();
@@ -138,6 +137,13 @@ fn a_lying_manifest_cannot_read_outside_the_section() {
     rebuilt.extend_from_slice(evil.as_bytes());
     rebuilt.resize((HEADER_LEN + evil.len()).next_multiple_of(64), 0);
     rebuilt.extend_from_slice(section);
+    rebuilt
+}
+
+#[test]
+fn a_lying_manifest_cannot_read_outside_the_section() {
+    let rebuilt =
+        with_edited_manifest(|m| m.replacen("\"offset\":0", "\"offset\":9223372036854775744", 1));
     match Artifact::from_bytes(&rebuilt) {
         // Either is sound: the offset may be rejected as out of section
         // (Truncated) or as misaligned (Layout), but it must never be
@@ -145,6 +151,33 @@ fn a_lying_manifest_cannot_read_outside_the_section() {
         Err(ModelError::Truncated { .. } | ModelError::Layout(_)) => {}
         other => panic!("expected Truncated/Layout, got {other:?}"),
     }
+}
+
+#[test]
+fn a_shape_whose_volume_wraps_is_a_layout_error() {
+    // (2^63 + 1) × 2 wraps to 2 elements = the 8 bytes fc/bias declares, so
+    // unchecked multiplication would accept the shape.
+    let rebuilt = with_edited_manifest(|m| {
+        m.replacen("\"shape\":[2],", "\"shape\":[9223372036854775809,2],", 1)
+    });
+    match Artifact::from_bytes(&rebuilt) {
+        Err(ModelError::Layout(msg)) => assert!(msg.contains("fc/bias"), "{msg}"),
+        other => panic!("expected Layout, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_header_whose_section_lengths_overflow_is_a_layout_error() {
+    // The header is outside both CRCs, so this needs no checksum forgery.
+    let mut bytes = vec![0u8; 64];
+    bytes[0..4].copy_from_slice(&MAGIC);
+    bytes[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    bytes[8..16].copy_from_slice(&(u64::MAX - 10).to_le_bytes());
+    assert!(matches!(Artifact::from_bytes(&bytes), Err(ModelError::Layout(_))));
+    // A huge tensor section on top of a plausible manifest length, too.
+    bytes[8..16].copy_from_slice(&16u64.to_le_bytes());
+    bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert!(matches!(Artifact::from_bytes(&bytes), Err(ModelError::Layout(_))));
 }
 
 proptest! {
@@ -167,10 +200,16 @@ proptest! {
         prop_assert!(Artifact::from_bytes(&bytes[..cut]).is_err());
     }
 
-    /// Random leading bytes (fuzzed non-artifacts) never panic.
+    /// Random bytes never panic — neither as a whole file (fuzzed
+    /// non-artifacts, which stop at the magic) nor behind a valid magic and
+    /// version, where they become the section lengths, CRCs and manifest.
     #[test]
     fn random_blobs_never_panic(blob in prop::collection::vec(0usize..256, 0..256)) {
         let blob: Vec<u8> = blob.into_iter().map(|b| b as u8).collect();
         let _ = Artifact::from_bytes(&blob);
+        let mut framed = MAGIC.to_vec();
+        framed.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        framed.extend_from_slice(&blob);
+        prop_assert!(Artifact::from_bytes(&framed).is_err());
     }
 }

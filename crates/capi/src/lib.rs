@@ -1,8 +1,8 @@
 //! `bnff-capi` — the stable C ABI over model loading and serving.
 //!
 //! Builds as a `cdylib` (`libbnff_capi.so`) so non-Rust hosts can embed the
-//! serving engine: load a model file (binary artifact or JSON checkpoint),
-//! start an engine, run inference, read metrics, free everything.
+//! serving engine: load a `.bnff` model artifact, start an engine, run
+//! inference, read metrics, free everything.
 //!
 //! # ABI contract
 //!
@@ -166,10 +166,10 @@ pub extern "C" fn bnff_last_error() -> *const c_char {
         .with(|slot| slot.borrow().as_ref().map_or(std::ptr::null(), |message| message.as_ptr()))
 }
 
-/// Loads a model file — binary artifact or JSON checkpoint, sniffed from
-/// the magic bytes — and freezes it for inference.
+/// Loads a `.bnff` model artifact and freezes it for inference.
 ///
-/// Returns an opaque handle, or null on failure (see [`bnff_last_error`]).
+/// Returns an opaque handle, or null on failure — a file that is not an
+/// artifact leaves the bad-magic/truncated message in [`bnff_last_error`].
 /// Release with [`bnff_free`].
 ///
 /// # Safety

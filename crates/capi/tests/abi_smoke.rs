@@ -276,6 +276,25 @@ fn load_failures_set_last_error() {
     assert!(model.is_null());
     assert!(last_error().contains("null"));
 
+    // A file that is not an artifact is refused with the loader's typed
+    // message, not parsed.
+    let dir = std::env::temp_dir().join(format!("bnff-abi-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases: [(&str, &[u8], &str); 3] = [
+        ("request.json", b"{\"input\": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}", "not a bnff model"),
+        ("empty.bnff", b"", "truncated"),
+        ("short.bnff", b"BNF", "truncated"),
+    ];
+    for (name, contents, message) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, contents).unwrap();
+        let c_path = CString::new(path.to_str().unwrap()).unwrap();
+        let model = unsafe { bnff_model_load(c_path.as_ptr()) };
+        assert!(model.is_null(), "{name}");
+        assert!(last_error().contains(message), "{name}: {}", last_error());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
     // Stale/foreign pointers are rejected before any dereference.
     assert_eq!(unsafe { bnff_model_sample_len(std::ptr::null()) }, 0);
     assert_eq!(unsafe { bnff_model_classes(std::ptr::dangling()) }, 0);

@@ -26,6 +26,9 @@ pub enum GraphError {
     },
     /// The graph contains a cycle and cannot be topologically ordered.
     CyclicGraph,
+    /// An executor read a node's output before anything produced it (a
+    /// consumer wired to a label input, or a walk out of plan order).
+    MissingValue(NodeId),
     /// A restructuring pass encountered a structural precondition violation.
     PassError {
         /// Name of the pass.
@@ -48,6 +51,7 @@ impl fmt::Display for GraphError {
                 write!(f, "shape inference failed for node '{node}': {reason}")
             }
             GraphError::CyclicGraph => write!(f, "graph contains a cycle"),
+            GraphError::MissingValue(id) => write!(f, "missing output of {id}"),
             GraphError::PassError { pass, reason } => write!(f, "pass '{pass}' failed: {reason}"),
             GraphError::Tensor(err) => write!(f, "tensor error: {err}"),
         }
@@ -81,6 +85,8 @@ mod tests {
         assert!(e.to_string().contains('7'));
         let e = GraphError::CyclicGraph;
         assert!(e.to_string().contains("cycle"));
+        let e = GraphError::MissingValue(NodeId::new(3));
+        assert!(e.to_string().contains("missing output"));
     }
 
     #[test]

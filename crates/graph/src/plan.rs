@@ -24,10 +24,12 @@
 //!    the arena capacity an executor needs and the planned peak bytes
 //!    reported next to the naive per-node-allocation total.
 
+use crate::error::GraphError;
 use crate::graph::Graph;
-use crate::node::NodeId;
+use crate::node::{Node, NodeId};
 use crate::op::OpKind;
 use crate::Result;
+use bnff_tensor::{Shape, Tensor};
 use serde::Serialize;
 
 /// Liveness of one node's output tensor within a training step.
@@ -322,6 +324,73 @@ impl ExecutionPlan {
     /// position `pos` has executed.
     pub fn released_after(&self, pos: usize) -> &[usize] {
         self.release_at.get(pos).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Borrows the output tensor of `node`'s `idx`-th input out of an
+    /// executor's per-node value vector, following Split aliases.
+    ///
+    /// # Errors
+    /// Returns [`GraphError::MissingValue`] when nothing has produced it.
+    pub fn input_value<'a>(
+        &self,
+        values: &'a [Option<Tensor>],
+        node: &Node,
+        idx: usize,
+    ) -> Result<&'a Tensor> {
+        let input = node.inputs[idx];
+        values[self.resolve(input).index()].as_ref().ok_or(GraphError::MissingValue(input))
+    }
+
+    /// Borrows the output tensors of all of `node`'s inputs.
+    ///
+    /// # Errors
+    /// As [`ExecutionPlan::input_value`].
+    pub fn input_values<'a>(
+        &self,
+        values: &'a [Option<Tensor>],
+        node: &Node,
+    ) -> Result<Vec<&'a Tensor>> {
+        (0..node.inputs.len()).map(|i| self.input_value(values, node, i)).collect()
+    }
+
+    /// Allocates the output tensor of `id`: the recycled buffer in the arena
+    /// bin of its plan slot when there is one (`arena` holds one bin per
+    /// [`slot_count`](Self::slot_count)), a fresh tensor otherwise — the bin
+    /// is empty, or the plan retains the output and gives it no slot.
+    pub fn alloc_output(
+        &self,
+        arena: &mut [Option<Vec<f32>>],
+        id: NodeId,
+        shape: &Shape,
+    ) -> Tensor {
+        if let Some(mut buf) = self.slot(id).and_then(|slot| arena[slot].take()) {
+            // Every kernel fed from the arena overwrites its whole output,
+            // so only growth needs (zero-)initialization; the surviving
+            // prefix is left dirty on purpose.
+            buf.resize(shape.volume(), 0.0);
+            return Tensor::from_vec(shape.clone(), buf)
+                .expect("arena buffer resized to the shape's volume");
+        }
+        Tensor::zeros(shape.clone())
+    }
+
+    /// Moves every tensor whose last use was the node at topological
+    /// position `pos` out of `values` and back into its arena bin.
+    pub fn release_dead(
+        &self,
+        arena: &mut [Option<Vec<f32>>],
+        values: &mut [Option<Tensor>],
+        pos: usize,
+    ) {
+        for &dead in self.released_after(pos) {
+            if let Some(tensor) = values[dead].take() {
+                // The planner assigns every transient producer a slot, and
+                // only transient producers appear in the release schedule.
+                let slot =
+                    self.slot(NodeId::new(dead)).expect("released tensors always have a plan slot");
+                arena[slot] = Some(tensor.into_vec());
+            }
+        }
     }
 
     /// Number of reusable buffer slots.

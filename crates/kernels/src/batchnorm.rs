@@ -13,7 +13,6 @@ use bnff_parallel::{
 };
 use bnff_tensor::stats::{channel_stats_one_pass, channel_stats_two_pass, ChannelStats};
 use bnff_tensor::{active_isa, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Minimum `(sample, channel)` planes per worker for planes of `plane_len`
 /// activations (each costing a few floating-point operations).
@@ -22,7 +21,7 @@ pub(crate) fn min_planes_per_thread(plane_len: usize) -> usize {
 }
 
 /// Learnable per-channel parameters of a BN layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BnParams {
     /// Scale γ, one entry per channel.
     pub gamma: Vec<f32>,

@@ -15,7 +15,9 @@
 //!   same arithmetic as the unfused layers (the memory benefit is modelled
 //!   by `bnff-memsim`; numerically the result must be identical).
 
-use crate::batchnorm::{min_planes_per_thread, BnParamGrads, BnParams};
+use crate::batchnorm::{
+    bn_backward, min_planes_per_thread, BnForwardState, BnParamGrads, BnParams,
+};
 use crate::conv::{
     conv2d_backward_input, conv2d_backward_weights, conv2d_forward, conv2d_forward_into,
 };
@@ -83,13 +85,13 @@ pub fn relu_conv_forward(
 /// forward pass.
 #[derive(Debug, Clone)]
 pub struct NormReluConvState {
-    /// The normalized activations `x̂` (before γ/β and ReLU) — the `O2'`
-    /// sweep the fused layer still writes because backward reuses it.
-    pub x_hat: Tensor,
+    /// The statistics used for normalization and the normalized activations
+    /// `x̂` (before γ/β and ReLU) — the `O2'` sweep the fused layer still
+    /// writes because backward reuses it — held in the form BN backward
+    /// borrows.
+    pub bn: BnForwardState,
     /// The post-γ/β, post-ReLU activations actually fed to the convolution.
     pub conv_input: Tensor,
-    /// The statistics used for normalization.
-    pub stats: ChannelStats,
 }
 
 /// The `(sub-BN2)-ReLU-CONV2` fused forward pass: normalize the raw
@@ -181,7 +183,7 @@ pub fn norm_relu_conv_forward_into(
         },
     );
     conv2d_forward_into(&conv_input, weights, bias, attrs, out)?;
-    Ok(NormReluConvState { x_hat, conv_input, stats: stats.clone() })
+    Ok(NormReluConvState { bn: BnForwardState { stats: stats.clone(), x_hat }, conv_input })
 }
 
 /// Gradients produced by [`norm_relu_conv_backward`].
@@ -220,9 +222,7 @@ pub fn norm_relu_conv_backward(
     // ReLU backward (mask taken from the post-ReLU conv input).
     let d_post_bn = relu_backward(&d_conv_input, &state.conv_input)?;
     // BN backward using the saved normalized activations.
-    let bn_state =
-        crate::batchnorm::BnForwardState { stats: state.stats.clone(), x_hat: state.x_hat.clone() };
-    let (d_raw, d_bn) = crate::batchnorm::bn_backward(&d_post_bn, &bn_state, bn, epsilon)?;
+    let (d_raw, d_bn) = bn_backward(&d_post_bn, &state.bn, bn, epsilon)?;
     Ok(NormReluConvGrads { d_raw, d_weights, d_bias, d_bn })
 }
 
@@ -313,7 +313,7 @@ mod tests {
         let unfused_out = conv2d_forward(&relu_out, &w, None, &attrs).unwrap();
 
         assert!(fused_out.all_close(&unfused_out, 1e-4).unwrap());
-        assert!(state.x_hat.all_close(&bn_state.x_hat, 1e-4).unwrap());
+        assert!(state.bn.x_hat.all_close(&bn_state.x_hat, 1e-4).unwrap());
         assert!(state.conv_input.all_close(&relu_out, 1e-4).unwrap());
     }
 
@@ -369,7 +369,7 @@ mod tests {
             norm_relu_conv_forward_into(&x, &in_stats, &bn, 1e-5, &w, None, &attrs, &mut nrc)
                 .unwrap();
         assert_eq!(nrc.as_slice(), nrc_ref.as_slice());
-        assert_eq!(state.x_hat.as_slice(), state_ref.x_hat.as_slice());
+        assert_eq!(state.bn.x_hat.as_slice(), state_ref.bn.x_hat.as_slice());
         assert_eq!(state.conv_input.as_slice(), state_ref.conv_input.as_slice());
     }
 

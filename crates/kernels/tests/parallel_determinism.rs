@@ -219,7 +219,7 @@ fn fused_kernels_match_serial() {
         let stats = channel_stats_one_pass(&x).unwrap();
         let (out, state) = norm_relu_conv_forward(&x, &stats, &bn, 1e-5, &w, None, &attrs).unwrap();
         let mut flat = out.into_vec();
-        flat.extend(state.x_hat.into_vec());
+        flat.extend(state.bn.x_hat.into_vec());
         flat
     });
 }

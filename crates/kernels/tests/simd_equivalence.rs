@@ -216,7 +216,7 @@ fn bn_affine_and_fused_paths_agree() {
         let (out, state) =
             norm_relu_conv_forward(&x, &stats, &params, 1e-5, &w, None, &attrs).unwrap();
         let mut flat = out.into_vec();
-        flat.extend(state.x_hat.into_vec());
+        flat.extend(state.bn.x_hat.into_vec());
         flat.extend(state.conv_input.into_vec());
         flat
     });

@@ -7,10 +7,10 @@
 //!            [--access-log]
 //! ```
 //!
-//! The model file may be a binary artifact (`.bnff`) or a JSON checkpoint;
-//! the format is sniffed from the magic bytes. The process runs until
-//! `POST /v1/shutdown` drains it (see the `bnff_serve::httpd` docs for the
-//! endpoint table and status-code mapping).
+//! The model file is a `.bnff` artifact (`Checkpoint::write_artifact`);
+//! anything else exits non-zero with a typed bad-magic/truncated error. The
+//! process runs until `POST /v1/shutdown` drains it (see the
+//! `bnff_serve::httpd` docs for the endpoint table and status-code mapping).
 //!
 //! Operational output is structured logfmt on stderr (`bnff_obs::log`): a
 //! `startup` line dumping the effective config, one `access` line per

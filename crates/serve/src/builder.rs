@@ -2,8 +2,8 @@
 //! model source and every batching knob.
 //!
 //! The builder is the only way to start an engine: a single pipeline —
-//! *source → knobs → start* — whose file-path source sniffs the model
-//! format (binary artifact vs. JSON checkpoint) from the magic bytes:
+//! *source → knobs → start* — whose file-path source reads a `.bnff`
+//! model artifact:
 //!
 //! ```rust,no_run
 //! use bnff_serve::ServeEngine;
@@ -37,8 +37,7 @@ enum ModelSource {
     /// An eagerly converted model (or the error its conversion produced;
     /// held until `start` so the builder methods stay chainable).
     Ready(Result<FrozenModel>),
-    /// A model file, loaded lazily at `start`; the format (artifact vs.
-    /// JSON checkpoint) is sniffed from the leading bytes.
+    /// A `.bnff` model artifact, loaded lazily at `start`.
     File(PathBuf),
 }
 
@@ -85,8 +84,7 @@ impl ServeEngineBuilder {
         self
     }
 
-    /// Loads a model file at [`start`](Self::start) time, sniffing binary
-    /// artifact vs. JSON checkpoint from the magic bytes (see
+    /// Loads a `.bnff` model artifact at [`start`](Self::start) time (see
     /// [`FrozenModel::load`]).
     #[must_use]
     pub fn model_file(mut self, path: impl Into<PathBuf>) -> Self {
@@ -120,13 +118,6 @@ impl ServeEngineBuilder {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
-        self
-    }
-
-    /// Batch-size-specialized executors each worker keeps cached.
-    #[must_use]
-    pub fn executor_cache(mut self, executor_cache: usize) -> Self {
-        self.config.executor_cache = executor_cache;
         self
     }
 
@@ -186,7 +177,7 @@ impl ServeEngineBuilder {
     ///
     /// # Errors
     /// Returns an error when the model source is missing or fails to load,
-    /// or for a zero `max_batch`/`workers`/`executor_cache`/`queue_depth`.
+    /// or for a zero `max_batch`/`workers`/`queue_depth`.
     pub fn start(self) -> Result<ServeEngine> {
         let config = self.config.clone();
         let model = self.build_model()?;
@@ -232,7 +223,6 @@ mod tests {
             .max_batch(32)
             .max_wait(Duration::from_millis(7))
             .workers(3)
-            .executor_cache(2)
             .queue_depth(9)
             .deadline(Duration::from_millis(40))
             .kernel_threads(5)
@@ -240,7 +230,6 @@ mod tests {
         assert_eq!(b.config.max_batch, 32);
         assert_eq!(b.config.max_wait, Duration::from_millis(7));
         assert_eq!(b.config.workers, 3);
-        assert_eq!(b.config.executor_cache, 2);
         assert_eq!(b.config.queue_depth, 9);
         assert_eq!(b.config.deadline, Some(Duration::from_millis(40)));
         assert_eq!(b.config.kernel_threads, 5);

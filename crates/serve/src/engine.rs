@@ -83,11 +83,6 @@ pub struct BatchingConfig {
     pub max_wait: Duration,
     /// Number of executor worker threads (one shard queue each).
     pub workers: usize,
-    /// Largest number of batch-size-specialized executors (compiled tapes
-    /// plus their register files) each worker keeps cached. Least-recently
-    /// used sizes are evicted and recompiled on demand, bounding the
-    /// memory a worker holds for rare batch sizes.
-    pub executor_cache: usize,
     /// Bound on each shard queue. A submission finding **every** shard at
     /// this depth is shed with [`ServeError::Overloaded`]; total admission
     /// capacity is therefore `workers × queue_depth`.
@@ -115,7 +110,6 @@ impl Default for BatchingConfig {
             max_batch: 8,
             max_wait: Duration::from_millis(2),
             workers: 1,
-            executor_cache: 4,
             queue_depth: 64,
             deadline: None,
             kernel_threads: 0,
@@ -259,16 +253,12 @@ impl ServeEngine {
     /// the kernel-thread budget.
     ///
     /// # Errors
-    /// Returns an error for a zero `max_batch`/`workers`/`executor_cache`/
-    /// `queue_depth` configuration.
+    /// Returns an error for a zero `max_batch`/`workers`/`queue_depth`
+    /// configuration.
     pub(crate) fn start(model: FrozenModel, config: BatchingConfig) -> Result<Self> {
-        if config.max_batch == 0
-            || config.workers == 0
-            || config.executor_cache == 0
-            || config.queue_depth == 0
-        {
+        if config.max_batch == 0 || config.workers == 0 || config.queue_depth == 0 {
             return Err(ServeError::InvalidArgument(
-                "max_batch, workers, executor_cache and queue_depth must be positive".to_string(),
+                "max_batch, workers and queue_depth must be positive".to_string(),
             ));
         }
         let total_threads =
@@ -552,18 +542,20 @@ fn next_batch(shared: &Shared, worker: usize) -> Option<(Assembled, bool)> {
     }
 }
 
+/// Largest number of batch-size-specialized executors (compiled tapes plus
+/// their register files) each worker keeps cached, bounding the memory a
+/// worker holds for rare batch sizes.
+const EXECUTOR_CACHE: usize = 4;
+
 /// A bounded per-worker cache of batch-size-specialized executors, evicting
-/// the least-recently-used size. Entries are kept most-recently-used first.
+/// the least-recently-used size (recompiled on demand). Entries are kept
+/// most-recently-used first.
+#[derive(Default)]
 struct ExecutorCache {
-    cap: usize,
     entries: Vec<(usize, FrozenExecutor)>,
 }
 
 impl ExecutorCache {
-    fn new(cap: usize) -> Self {
-        ExecutorCache { cap: cap.max(1), entries: Vec::new() }
-    }
-
     fn len(&self) -> usize {
         self.entries.len()
     }
@@ -576,7 +568,7 @@ impl ExecutorCache {
         } else {
             let executor = model.executor(size)?;
             self.entries.insert(0, (size, executor));
-            self.entries.truncate(self.cap);
+            self.entries.truncate(EXECUTOR_CACHE);
         }
         Ok(&self.entries[0].1)
     }
@@ -584,8 +576,8 @@ impl ExecutorCache {
 
 fn worker_loop(shared: &Shared, worker: usize) {
     // Executors (compiled tapes + register files) are stamped per coalesced
-    // batch size and cached per worker, bounded by `executor_cache`.
-    let mut executors = ExecutorCache::new(shared.config.executor_cache);
+    // batch size and cached per worker, bounded by `EXECUTOR_CACHE`.
+    let mut executors = ExecutorCache::default();
     while let Some((assembled, stolen)) = next_batch(shared, worker) {
         let Assembled { batch, expired } = assembled;
         for request in expired {

@@ -29,8 +29,8 @@ pub enum ServeError {
     Kernel(bnff_kernels::KernelError),
     /// An error bubbled up from the tensor substrate.
     Tensor(bnff_tensor::TensorError),
-    /// A model (JSON checkpoint or binary artifact) could not be loaded —
-    /// the shared typed hierarchy from `bnff-artifact`.
+    /// A `.bnff` model artifact could not be loaded — the shared typed
+    /// hierarchy from `bnff-artifact`.
     Model(bnff_artifact::ModelError),
     /// An error bubbled up from the training substrate (checkpoint load).
     Train(String),

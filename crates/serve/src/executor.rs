@@ -260,31 +260,6 @@ impl FrozenExecutor {
         }
     }
 
-    fn alloc_output(&self, ws: &mut [Option<Vec<f32>>], id: NodeId, shape: &Shape) -> Tensor {
-        if let Some(slot) = self.plan.slot(id) {
-            if let Some(mut buf) = ws[slot].take() {
-                // Every kernel overwrites its whole output; leftover bytes
-                // in a grown buffer are never read.
-                buf.resize(shape.volume(), 0.0);
-                return Tensor::from_vec(shape.clone(), buf)
-                    .expect("arena buffer resized to the shape's volume");
-            }
-        }
-        Tensor::zeros(shape.clone())
-    }
-
-    fn release_dead(&self, ws: &mut [Option<Vec<f32>>], values: &mut [Option<Tensor>], pos: usize) {
-        for &dead in self.plan.released_after(pos) {
-            if let Some(tensor) = values[dead].take() {
-                let slot = self
-                    .plan
-                    .slot(NodeId::new(dead))
-                    .expect("released tensors always have a plan slot");
-                ws[slot] = Some(tensor.into_vec());
-            }
-        }
-    }
-
     /// Runs one forward pass by interpreting the graph node by node — the
     /// pre-tape reference implementation. The tape is tested bit-identical
     /// against this walk across the model zoo. The walk deliberately does
@@ -309,9 +284,9 @@ impl FrozenExecutor {
             let out = match &node.op {
                 OpKind::Input => None, // Pre-seeded.
                 OpKind::Conv2d(a) | OpKind::ConvRelu(a) => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     let (w, b) = self.conv_params(node)?;
-                    let mut out = self.alloc_output(&mut ws, id, &node.output_shape);
+                    let mut out = self.plan.alloc_output(&mut ws, id, &node.output_shape);
                     if matches!(node.op, OpKind::ConvRelu(_)) {
                         conv2d_forward_relu_into(x, w, b, a, &mut out)?;
                     } else {
@@ -320,7 +295,7 @@ impl FrozenExecutor {
                     Some(out)
                 }
                 OpKind::ChannelAffine => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     let (scale, shift) = match self.params.get(id) {
                         Some(FrozenParams::Affine { scale, shift }) => (scale, shift),
                         _ => {
@@ -330,19 +305,19 @@ impl FrozenExecutor {
                             )))
                         }
                     };
-                    let mut out = self.alloc_output(&mut ws, id, &node.output_shape);
+                    let mut out = self.plan.alloc_output(&mut ws, id, &node.output_shape);
                     channel_affine_into(x, scale, shift, &mut out)?;
                     Some(out)
                 }
                 OpKind::Relu => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let mut out = self.alloc_output(&mut ws, id, &node.output_shape);
+                    let x = self.plan.input_value(&values, node, 0)?;
+                    let mut out = self.plan.alloc_output(&mut ws, id, &node.output_shape);
                     relu_forward_into(x, &mut out)?;
                     Some(out)
                 }
                 OpKind::Pool { kind, attrs } => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let mut out = self.alloc_output(&mut ws, id, &node.output_shape);
+                    let x = self.plan.input_value(&values, node, 0)?;
+                    let mut out = self.plan.alloc_output(&mut ws, id, &node.output_shape);
                     match kind {
                         // State-free inference kernel: no argmax retained.
                         PoolKind::Max => max_pool_forward_into(x, attrs, &mut out)?,
@@ -351,24 +326,24 @@ impl FrozenExecutor {
                     Some(out)
                 }
                 OpKind::GlobalAvgPool => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     Some(global_avg_pool_forward(x)?)
                 }
                 OpKind::Concat => {
-                    let refs = input_values(&self.plan, &values, node)?;
-                    let mut out = self.alloc_output(&mut ws, id, &node.output_shape);
+                    let refs = self.plan.input_values(&values, node)?;
+                    let mut out = self.plan.alloc_output(&mut ws, id, &node.output_shape);
                     concat_forward_into(&refs, &mut out)?;
                     Some(out)
                 }
                 OpKind::Split { .. } => None, // Alias, resolved by the plan.
                 OpKind::EltwiseSum => {
-                    let refs = input_values(&self.plan, &values, node)?;
-                    let mut out = self.alloc_output(&mut ws, id, &node.output_shape);
+                    let refs = self.plan.input_values(&values, node)?;
+                    let mut out = self.plan.alloc_output(&mut ws, id, &node.output_shape);
                     eltwise_sum_forward_into(&refs, &mut out)?;
                     Some(out)
                 }
                 OpKind::FullyConnected { .. } => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     let (w, b) = match self.params.get(id) {
                         Some(FrozenParams::Fc { weights, bias }) => (weights, bias),
                         _ => {
@@ -389,7 +364,7 @@ impl FrozenExecutor {
             if let Some(out) = out {
                 values[id.index()] = Some(out);
             }
-            self.release_dead(&mut ws, &mut values, pos);
+            self.plan.release_dead(&mut ws, &mut values, pos);
         }
 
         values[self.plan.resolve(self.output).index()]
@@ -558,24 +533,4 @@ fn exec_instr(
     }
     regs[instr.out] = Some(out);
     Ok(())
-}
-
-fn input_value<'a>(
-    plan: &ExecutionPlan,
-    values: &'a [Option<Tensor>],
-    node: &Node,
-    idx: usize,
-) -> Result<&'a Tensor> {
-    let input = node.inputs[idx];
-    values[plan.resolve(input).index()]
-        .as_ref()
-        .ok_or_else(|| ServeError::InvalidArgument(format!("missing output of {input}")))
-}
-
-fn input_values<'a>(
-    plan: &ExecutionPlan,
-    values: &'a [Option<Tensor>],
-    node: &Node,
-) -> Result<Vec<&'a Tensor>> {
-    (0..node.inputs.len()).map(|i| input_value(plan, values, node, i)).collect()
 }

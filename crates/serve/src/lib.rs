@@ -26,10 +26,9 @@
 //!    throughput ([`metrics::ServeReport`]).
 //!
 //! Training and serving are separate processes in principle: the trainer
-//! writes a model file — a JSON [`Checkpoint`](bnff_train::Checkpoint) or a
-//! binary `bnff-artifact` — and the server loads it via
-//! [`ServeEngine::builder`]`().model_file(..)` (or [`FrozenModel::load`]),
-//! which sniffs the format from the magic bytes.
+//! writes its [`Checkpoint`](bnff_train::Checkpoint) as a `.bnff` model
+//! artifact (`bnff-artifact`) and the server loads it via
+//! [`ServeEngine::builder`]`().model_file(..)` (or [`FrozenModel::load`]).
 //!
 //! ## Example
 //!

@@ -368,8 +368,8 @@ pub struct ServeReport {
     pub mean_queue_depth: f64,
     /// Largest sampled request-queue depth.
     pub max_queue_depth: usize,
-    /// Peak per-worker executor-cache size (bounded by the engine's
-    /// `executor_cache` configuration).
+    /// Peak per-worker executor-cache size (bounded by the engine's fixed
+    /// per-worker cache capacity).
     pub executor_cache_peak: usize,
 }
 

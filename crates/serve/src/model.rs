@@ -2,7 +2,7 @@
 //! parameters.
 //!
 //! A [`FrozenModel`] is built once — from a live
-//! [`Executor`](bnff_train::Executor), or from a
+//! [`Executor`](bnff_train::Executor), or from the `.bnff` artifact of a
 //! [`Checkpoint`] written by a separate training process — and then stamped
 //! into per-batch-size [`FrozenExecutor`]s. Shapes in the graph IR are
 //! concrete, so retargeting rebuilds the node list with the requested batch
@@ -13,7 +13,6 @@ use crate::error::ServeError;
 use crate::executor::FrozenExecutor;
 use crate::params::{fold_params, FrozenParamSet};
 use crate::Result;
-use bnff_artifact::{Artifact, ModelError};
 use bnff_graph::passes::freeze::{freeze, FrozenGraph};
 use bnff_graph::{Graph, NodeId};
 use bnff_tensor::Shape;
@@ -49,26 +48,17 @@ impl FrozenModel {
         })
     }
 
-    /// Loads and freezes a model file — the process-separation path: the
-    /// trainer wrote the file, the server folds it. The format is sniffed
-    /// from the leading bytes: a binary artifact (magic `BNFF`, loaded
-    /// zero-copy and CRC-verified) or a JSON checkpoint.
+    /// Loads and freezes a `.bnff` model artifact — the process-separation
+    /// path: the trainer wrote the file, the server folds it. The file is
+    /// read once and CRC-verified before any tensor is touched.
     ///
     /// # Errors
     /// Returns [`ServeError::Model`] when the file fails any format
-    /// validation, and a fold error when the model cannot be frozen.
+    /// validation (anything that is not an artifact is a typed
+    /// `BadMagic`/`Truncated`), and a fold error when the model cannot be
+    /// frozen.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path)
-            .map_err(|e| ModelError::Io(format!("reading {}: {e}", path.display())))?;
-        let checkpoint = if bnff_artifact::is_artifact(&bytes) {
-            Checkpoint::from_artifact(&Artifact::from_bytes(&bytes)?)?
-        } else {
-            let json = String::from_utf8(bytes).map_err(|_| {
-                ModelError::Manifest(format!("{} is not UTF-8 JSON", path.display()))
-            })?;
-            Checkpoint::from_json(&json)?
-        };
+        let checkpoint = Checkpoint::read_artifact(path)?;
         Self::from_parts(&checkpoint.graph, &checkpoint.params, &checkpoint.running)
     }
 

@@ -369,7 +369,6 @@ fn zero_bounds_are_rejected() {
     for config in [
         BatchingConfig { max_batch: 0, ..BatchingConfig::default() },
         BatchingConfig { workers: 0, ..BatchingConfig::default() },
-        BatchingConfig { executor_cache: 0, ..BatchingConfig::default() },
         BatchingConfig { queue_depth: 0, ..BatchingConfig::default() },
     ] {
         assert!(matches!(

@@ -4,6 +4,7 @@
 //! and the dynamic batcher must return the same scores whether a request
 //! runs alone or coalesced into a full batch.
 
+use bnff_artifact::Artifact;
 use bnff_core::{BnffOptimizer, FusionLevel};
 use bnff_graph::builder::GraphBuilder;
 use bnff_graph::op::Conv2dAttrs;
@@ -163,7 +164,8 @@ fn checkpoint_freeze_round_trip_serves_identically() {
     let (exec, data, _labels) = conditioned_executor(classifier(4, 3), 41);
     let direct = ServeEngine::builder().executor(&exec).build_model().unwrap();
     let ckpt = Checkpoint::capture(&exec);
-    let restored = Checkpoint::from_json(&ckpt.to_json().unwrap()).unwrap();
+    let artifact = Artifact::from_bytes(&ckpt.to_artifact_bytes().unwrap()).unwrap();
+    let restored = Checkpoint::from_artifact(&artifact).unwrap();
     let via_checkpoint = ServeEngine::builder().checkpoint(&restored).build_model().unwrap();
     let a = direct.executor(4).unwrap().infer(&data).unwrap();
     let b = via_checkpoint.executor(4).unwrap().infer(&data).unwrap();
@@ -189,7 +191,6 @@ fn engine_serves_correct_scores_under_concurrent_load() {
             max_batch: 4,
             max_wait: Duration::from_millis(5),
             workers: 2,
-            executor_cache: 4,
             ..BatchingConfig::default()
         })
         .start()

@@ -264,31 +264,6 @@ impl Default for Tensor {
     }
 }
 
-impl serde::Serialize for Tensor {
-    /// Serializes as `{"shape": [dims...], "data": [values...]}`. Every
-    /// finite `f32` is emitted in its shortest round-trip decimal form, so
-    /// a serialize → deserialize cycle is bit-identical.
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Object(vec![
-            ("shape".to_string(), serde::Serialize::to_value(self.shape.dims())),
-            ("data".to_string(), serde::Serialize::to_value(&self.data)),
-        ])
-    }
-}
-
-impl serde::Deserialize for Tensor {
-    fn from_value(value: &serde::value::Value) -> std::result::Result<Self, serde::DeError> {
-        let dims: Vec<usize> = serde::Deserialize::from_value(
-            value.get("shape").ok_or_else(|| serde::DeError::expected("tensor shape", value))?,
-        )?;
-        let data: Vec<f32> = serde::Deserialize::from_value(
-            value.get("data").ok_or_else(|| serde::DeError::expected("tensor data", value))?,
-        )?;
-        Tensor::from_vec(Shape::new(dims), data)
-            .map_err(|e| serde::DeError::new(format!("invalid tensor: {e}")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,16 +1,18 @@
-//! Model checkpoints: a serde-based snapshot of everything serving needs.
+//! Model checkpoints: a snapshot of everything serving needs.
 //!
 //! A [`Checkpoint`] captures the three things that define a trained model —
 //! the graph topology, the learnable parameters, and the running Batch
-//! Normalization statistics — as one JSON document, so training and serving
-//! can run as separate processes: the trainer writes a file, `bnff-serve`
-//! loads it, freezes the graph and folds the running statistics into the
-//! weights without ever touching the training code path again.
+//! Normalization statistics — so training and serving can run as separate
+//! processes: the trainer writes a `.bnff` artifact
+//! ([`Checkpoint::write_artifact`], byte layout in `bnff-artifact`),
+//! `bnff-serve` loads it, freezes the graph and folds the running statistics
+//! into the weights without ever touching the training code path again.
 //!
-//! The format round-trips **bit-identically**: every `f32` is serialized in
-//! its shortest round-trip decimal form, node ids stay dense, and
-//! `save → load` reproduces parameters, statistics and topology exactly
-//! (locked in by the round-trip proptest in `tests/checkpoint_roundtrip.rs`).
+//! The artifact is the only on-disk form and round-trips **bit-identically**:
+//! every `f32` is stored as its raw little-endian word, node ids stay dense,
+//! and `write_artifact → read_artifact` reproduces parameters, statistics and
+//! topology exactly (locked in by the round-trip proptest in
+//! `tests/artifact_roundtrip.rs`).
 
 use crate::executor::Executor;
 use crate::params::{NodeParams, ParamSet};
@@ -20,15 +22,14 @@ use bnff_artifact::{Artifact, ArtifactWriter, ModelError, ParamKind, Provenance}
 use bnff_graph::{Graph, NodeId};
 use bnff_kernels::batchnorm::BnParams;
 use bnff_tensor::{Shape, Tensor};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
 
 /// The current checkpoint format version.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// A serializable snapshot of a trained model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A snapshot of a trained model.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Format version, for forward-compatibility checks on load.
     pub format_version: u32,
@@ -62,60 +63,7 @@ impl Checkpoint {
         Executor::with_state(self.graph, self.params, self.running)
     }
 
-    /// Serializes the checkpoint as a JSON document.
-    ///
-    /// # Errors
-    /// Returns an error when serialization fails.
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(self).map_err(|e| ModelError::Manifest(e.to_string()).into())
-    }
-
-    /// Parses a checkpoint from its JSON form, checking the format version.
-    ///
-    /// # Errors
-    /// Returns an error on malformed JSON, a shape mismatch, or an
-    /// unsupported format version.
-    pub fn from_json(json: &str) -> Result<Self> {
-        let value = serde_json::parse(json).map_err(|e| ModelError::Manifest(e.to_string()))?;
-        // Check the version *before* deserializing the body, so a
-        // future-format file fails with the version message rather than
-        // whatever shape mismatch its changed layout trips first.
-        let version = value
-            .get("format_version")
-            .and_then(|v| u32::from_value(v).ok())
-            .ok_or(ModelError::UnsupportedVersion { found: None, supported: FORMAT_VERSION })?;
-        if version != FORMAT_VERSION {
-            return Err(ModelError::UnsupportedVersion {
-                found: Some(version),
-                supported: FORMAT_VERSION,
-            }
-            .into());
-        }
-        serde_json::from_value(&value).map_err(|e| ModelError::Manifest(e.to_string()).into())
-    }
-
-    /// Writes the checkpoint to a file.
-    ///
-    /// # Errors
-    /// Returns an error when serialization or the write fails.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        std::fs::write(path, self.to_json()?)
-            .map_err(|e| ModelError::Io(format!("writing {}: {e}", path.display())).into())
-    }
-
-    /// Reads a checkpoint from a file.
-    ///
-    /// # Errors
-    /// Returns an error when the read, parse or version check fails.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| ModelError::Io(format!("reading {}: {e}", path.display())))?;
-        Self::from_json(&json)
-    }
-
-    /// Serializes the checkpoint as a single-file binary model artifact
+    /// Encodes the checkpoint as a single-file binary model artifact
     /// (see `bnff-artifact` for the byte layout). The conversion is
     /// lossless: [`Checkpoint::from_artifact`] reproduces the checkpoint
     /// bit-identically.
@@ -187,7 +135,7 @@ impl Checkpoint {
         let source_version = manifest.provenance.source_format_version;
         if source_version != FORMAT_VERSION {
             return Err(ModelError::UnsupportedVersion {
-                found: Some(source_version),
+                found: source_version,
                 supported: FORMAT_VERSION,
             }
             .into());
@@ -318,71 +266,19 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_bit_identical() {
-        let exec = trained_executor();
-        let ckpt = Checkpoint::capture(&exec);
-        let back = Checkpoint::from_json(&ckpt.to_json().unwrap()).unwrap();
-        assert_eq!(back, ckpt);
-        let restored = back.into_executor().unwrap();
-        assert_eq!(restored.params(), exec.params());
-        assert_eq!(restored.running_stats(), exec.running_stats());
-        assert_eq!(restored.graph(), exec.graph());
-    }
-
-    #[test]
-    fn save_load_through_a_file() {
-        let exec = trained_executor();
-        let ckpt = Checkpoint::capture(&exec);
-        let dir = std::env::temp_dir().join(format!("bnff-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
-        ckpt.save(&path).unwrap();
-        let loaded = Checkpoint::load(&path).unwrap();
-        assert_eq!(loaded, ckpt);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn version_mismatch_is_rejected() {
-        let exec = trained_executor();
-        let mut ckpt = Checkpoint::capture(&exec);
-        ckpt.format_version = 99;
-        let json = serde_json::to_string(&ckpt).unwrap();
-        let err = Checkpoint::from_json(&json).unwrap_err();
-        assert_eq!(
-            err,
-            TrainError::Model(ModelError::UnsupportedVersion { found: Some(99), supported: 1 })
-        );
-        assert!(err.to_string().contains("format version 99"));
-        assert!(Checkpoint::load("/nonexistent/bnff.json").is_err());
-    }
-
-    #[test]
-    fn missing_version_is_a_typed_error() {
-        let err = Checkpoint::from_json("{\"graph\": {}}").unwrap_err();
-        assert_eq!(
-            err,
-            TrainError::Model(ModelError::UnsupportedVersion { found: None, supported: 1 })
-        );
-        assert!(err.to_string().contains("no numeric format version"));
-        let err = Checkpoint::from_json("{\"format_version\": \"one\"}").unwrap_err();
-        assert_eq!(
-            err,
-            TrainError::Model(ModelError::UnsupportedVersion { found: None, supported: 1 })
-        );
-    }
-
-    #[test]
     fn artifact_round_trip_is_bit_identical() {
         let exec = trained_executor();
         let ckpt = Checkpoint::capture(&exec);
         let bytes = ckpt.to_artifact_bytes().unwrap();
-        assert!(bnff_artifact::is_artifact(&bytes));
         let artifact = Artifact::from_bytes(&bytes).unwrap();
         let back = Checkpoint::from_artifact(&artifact).unwrap();
         assert_eq!(back, ckpt);
         // Conversion is deterministic: same checkpoint, same bytes.
         assert_eq!(ckpt.to_artifact_bytes().unwrap(), bytes);
+        let restored = back.into_executor().unwrap();
+        assert_eq!(restored.params(), exec.params());
+        assert_eq!(restored.running_stats(), exec.running_stats());
+        assert_eq!(restored.graph(), exec.graph());
     }
 
     #[test]
@@ -398,7 +294,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
 
         // An artifact exported from a future checkpoint version is rejected
-        // with the same typed error as a future JSON checkpoint.
+        // with a typed error.
         let mut future = ckpt;
         future.format_version = 7;
         let bytes = future.to_artifact_bytes().unwrap();
@@ -406,7 +302,7 @@ mod tests {
         let err = Checkpoint::from_artifact(&artifact).unwrap_err();
         assert_eq!(
             err,
-            TrainError::Model(ModelError::UnsupportedVersion { found: Some(7), supported: 1 })
+            TrainError::Model(ModelError::UnsupportedVersion { found: 7, supported: 1 })
         );
     }
 }

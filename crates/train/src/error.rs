@@ -17,8 +17,8 @@ pub enum TrainError {
     Kernel(bnff_kernels::KernelError),
     /// An error bubbled up from the tensor substrate.
     Tensor(bnff_tensor::TensorError),
-    /// A model (JSON checkpoint or binary artifact) could not be loaded or
-    /// stored — the shared typed hierarchy from `bnff-artifact`.
+    /// A `.bnff` model artifact could not be loaded or stored — the shared
+    /// typed hierarchy from `bnff-artifact`.
     Model(bnff_artifact::ModelError),
 }
 

@@ -328,41 +328,6 @@ impl Executor {
         Ok(self.graph.node(node.inputs[idx])?.output_shape.clone())
     }
 
-    /// Allocates the output tensor for `id`: from the arena bin of its plan
-    /// slot when the planned path's workspace is supplied, fresh otherwise
-    /// (naive path, or an output the plan retains for backward).
-    fn alloc_output(&self, ws: Option<&mut Workspace>, id: NodeId, shape: &Shape) -> Tensor {
-        if let Some(ws) = ws {
-            if let Some(slot) = self.plan.slot(id) {
-                if let Some(mut buf) = ws.arena[slot].take() {
-                    // Every kernel fed from the arena overwrites its whole
-                    // output, so only growth needs (zero-)initialization;
-                    // the surviving prefix is left dirty on purpose.
-                    buf.resize(shape.volume(), 0.0);
-                    return Tensor::from_vec(shape.clone(), buf)
-                        .expect("arena buffer resized to the shape's volume");
-                }
-            }
-        }
-        Tensor::zeros(shape.clone())
-    }
-
-    /// Releases every tensor whose last forward use was the node at
-    /// topological position `pos` back into its arena bin.
-    fn release_dead(&self, ws: &mut Workspace, values: &mut [Option<Tensor>], pos: usize) {
-        for &dead in self.plan.released_after(pos) {
-            if let Some(tensor) = values[dead].take() {
-                // The planner assigns every transient producer a slot, and
-                // only transient producers appear in the release schedule.
-                let slot = self
-                    .plan
-                    .slot(NodeId::new(dead))
-                    .expect("released tensors always have a plan slot");
-                ws.arena[slot] = Some(tensor.into_vec());
-            }
-        }
-    }
-
     /// Runs the plan-driven forward pass on a mini-batch: inputs are
     /// borrowed from the slot vector, transient outputs are written into
     /// recycled arena buffers and released at their last use.
@@ -433,9 +398,19 @@ impl Executor {
 
         // The naive reference path never touches the workspace, so only the
         // planned path takes the lock (a poisoned lock is recovered — the
-        // workspace is pure scratch, safe to reuse after a panic).
+        // workspace is pure scratch, safe to reuse after a panic). The naive
+        // path's bins stay empty — it releases nothing — so every output it
+        // allocates is fresh.
         let mut ws = planned
             .then(|| self.workspace.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
+        let mut empty_bins = Vec::new();
+        let arena: &mut [Option<Vec<f32>>] = match ws.as_deref_mut() {
+            Some(ws) => &mut ws.arena,
+            None => {
+                empty_bins.resize(self.plan.slot_count(), None);
+                &mut empty_bins
+            }
+        };
 
         for (pos, &id) in self.plan.order().iter().enumerate() {
             let node = self.graph.node(id)?;
@@ -446,28 +421,28 @@ impl Executor {
                     None
                 }
                 OpKind::Conv2d(a) => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     let (w, b) = self.conv_params(node)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
                     conv2d_forward_into(x, w, b, a, &mut out)?;
                     Some(out)
                 }
                 OpKind::ReluConv(a) => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     let (w, b) = self.conv_params(node)?;
                     // The clipped activation is computed once: it feeds the
                     // convolution and is then moved (not re-cloned) into the
                     // node state for the backward pass.
                     let clipped = relu_forward(x);
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
                     conv2d_forward_into(&clipped, w, b, a, &mut out)?;
                     states[id.index()] = Some(NodeState::ClippedInput(clipped));
                     Some(out)
                 }
                 OpKind::ConvStats { conv: a, .. } => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     let (w, b) = self.conv_params(node)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
                     let s = match mode {
                         StatsMode::Batch => conv2d_forward_with_stats_into(x, w, b, a, &mut out)?,
                         StatsMode::Running => {
@@ -482,14 +457,14 @@ impl Executor {
                     Some(out)
                 }
                 OpKind::BatchNorm(attrs) => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     let p = self.bn_params(node)?;
                     let s = match mode {
                         StatsMode::Batch => bn_statistics(x, attrs.one_pass_stats)?,
                         StatsMode::Running => self.running_channel_stats(id)?,
                     };
                     stats[id.index()] = Some(s.clone());
-                    let mut y = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                    let mut y = self.plan.alloc_output(arena, id, &node.output_shape);
                     let x_hat = bn_normalize_into(x, &s, p, attrs.epsilon, &mut y)?;
                     states[id.index()] = Some(NodeState::Bn(BnForwardState { stats: s, x_hat }));
                     Some(y)
@@ -497,7 +472,7 @@ impl Executor {
                 OpKind::SubBnStats(attrs) => {
                     let s = match mode {
                         StatsMode::Batch => {
-                            let x = input_value(&self.plan, &values, node, 0)?;
+                            let x = self.plan.input_value(&values, node, 0)?;
                             bn_statistics(x, attrs.one_pass_stats)?
                         }
                         StatsMode::Running => self.running_channel_stats(id)?,
@@ -513,22 +488,22 @@ impl Executor {
                     Some(summary)
                 }
                 OpKind::SubBnNorm(attrs) => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     let p = self.bn_params(node)?;
                     let s = node_stats(&stats, node, 1)?.clone();
-                    let mut y = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                    let mut y = self.plan.alloc_output(arena, id, &node.output_shape);
                     let x_hat = bn_normalize_into(x, &s, p, attrs.epsilon, &mut y)?;
                     states[id.index()] = Some(NodeState::Bn(BnForwardState { stats: s, x_hat }));
                     Some(y)
                 }
                 OpKind::NormRelu(attrs) => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     let p = self.bn_params(node)?;
                     let s = node_stats(&stats, node, 1)?.clone();
                     // The output is retained as the backward ReLU mask
                     // (saved outputs have no arena slot); clip in place
                     // instead of materializing a separate post-ReLU copy.
-                    let mut y = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                    let mut y = self.plan.alloc_output(arena, id, &node.output_shape);
                     let x_hat = bn_normalize_into(x, &s, p, attrs.epsilon, &mut y)?;
                     relu_forward_inplace(&mut y);
                     states[id.index()] = Some(NodeState::Bn(BnForwardState { stats: s, x_hat }));
@@ -536,11 +511,11 @@ impl Executor {
                 }
                 OpKind::NormReluConv { conv: a, bn: attrs }
                 | OpKind::NormReluConvStats { conv: a, bn_in: attrs, .. } => {
-                    let raw = input_value(&self.plan, &values, node, 0)?;
+                    let raw = self.plan.input_value(&values, node, 0)?;
                     let s = node_stats(&stats, node, 1)?.clone();
                     let (w, b) = self.conv_params(node)?;
                     let bn_p = self.bn_params(node)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
                     let state = norm_relu_conv_forward_into(
                         raw,
                         &s,
@@ -561,13 +536,13 @@ impl Executor {
                     Some(out)
                 }
                 OpKind::Relu => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                    let x = self.plan.input_value(&values, node, 0)?;
+                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
                     relu_forward_into(x, &mut out)?;
                     Some(out)
                 }
                 OpKind::Pool { kind, attrs } => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     match kind {
                         PoolKind::Max => {
                             // The state keeps only shape + argmax, so the
@@ -577,26 +552,25 @@ impl Executor {
                             Some(out)
                         }
                         PoolKind::Average => {
-                            let mut out =
-                                self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                            let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
                             avg_pool_forward_into(x, attrs, &mut out)?;
                             Some(out)
                         }
                     }
                 }
                 OpKind::GlobalAvgPool => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     Some(global_avg_pool_forward(x)?)
                 }
                 OpKind::Concat => {
-                    let refs = input_values(&self.plan, &values, node)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                    let refs = self.plan.input_values(&values, node)?;
+                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
                     concat_forward_into(&refs, &mut out)?;
                     Some(out)
                 }
                 OpKind::ConcatStats(_) => {
-                    let refs = input_values(&self.plan, &values, node)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                    let refs = self.plan.input_values(&values, node)?;
+                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
                     let s = match mode {
                         StatsMode::Batch => concat_forward_with_stats_into(&refs, &mut out)?,
                         StatsMode::Running => {
@@ -613,13 +587,13 @@ impl Executor {
                     None
                 }
                 OpKind::EltwiseSum => {
-                    let refs = input_values(&self.plan, &values, node)?;
-                    let mut out = self.alloc_output(ws.as_deref_mut(), id, &node.output_shape);
+                    let refs = self.plan.input_values(&values, node)?;
+                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
                     eltwise_sum_forward_into(&refs, &mut out)?;
                     Some(out)
                 }
                 OpKind::FullyConnected { .. } => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     let (w, b) = match self.params.get(node.id) {
                         Some(NodeParams::Fc { weights, bias }) => (weights, bias),
                         _ => {
@@ -639,7 +613,7 @@ impl Executor {
                     )));
                 }
                 OpKind::SoftmaxLoss => {
-                    let x = input_value(&self.plan, &values, node, 0)?;
+                    let x = self.plan.input_value(&values, node, 0)?;
                     let state = softmax_loss_forward(x, labels)?;
                     loss = state.loss;
                     scores = Some(x.clone());
@@ -650,8 +624,8 @@ impl Executor {
             if let Some(out) = out {
                 values[id.index()] = Some(out);
             }
-            if let Some(ws) = ws.as_deref_mut() {
-                self.release_dead(ws, &mut values, pos);
+            if planned {
+                self.plan.release_dead(arena, &mut values, pos);
             }
         }
 
@@ -927,28 +901,6 @@ impl Executor {
 
         Ok(Gradients { per_node, d_data: d_vals[data_id.index()].take() })
     }
-}
-
-/// Borrows the resolved output tensor of a node's `idx`-th input.
-fn input_value<'a>(
-    plan: &ExecutionPlan,
-    values: &'a [Option<Tensor>],
-    node: &Node,
-    idx: usize,
-) -> Result<&'a Tensor> {
-    let input = node.inputs[idx];
-    values[plan.resolve(input).index()]
-        .as_ref()
-        .ok_or_else(|| TrainError::Missing(format!("output of {input}")))
-}
-
-/// Borrows the resolved output tensors of all of a node's inputs.
-fn input_values<'a>(
-    plan: &ExecutionPlan,
-    values: &'a [Option<Tensor>],
-    node: &Node,
-) -> Result<Vec<&'a Tensor>> {
-    (0..node.inputs.len()).map(|i| input_value(plan, values, node, i)).collect()
 }
 
 /// The mini-batch statistics attached to a node's `idx`-th input.

@@ -94,8 +94,7 @@ impl SgdOptimizer {
                 tensor.len()
             )));
         }
-        let grads = grads.as_slice().to_vec();
-        self.update_vec(key, tensor.as_mut_slice(), &grads, decay);
+        self.update_vec(key, tensor.as_mut_slice(), grads.as_slice(), decay);
         Ok(())
     }
 

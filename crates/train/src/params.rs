@@ -7,11 +7,10 @@ use bnff_graph::{Graph, NodeId};
 use bnff_kernels::batchnorm::BnParams;
 use bnff_tensor::init::Initializer;
 use bnff_tensor::{Shape, Tensor};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The learnable parameters owned by one graph node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeParams {
     /// A convolution's filters and optional bias.
     Conv {
@@ -79,7 +78,7 @@ pub enum NodeParamGrads {
 }
 
 /// All parameters of a graph, keyed by node id index.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParamSet {
     entries: HashMap<usize, NodeParams>,
 }

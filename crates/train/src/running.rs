@@ -17,14 +17,13 @@ use crate::Result;
 use bnff_graph::op::OpKind;
 use bnff_graph::{Graph, NodeId};
 use bnff_tensor::stats::ChannelStats;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The default EMA momentum: `running = (1−m)·running + m·batch`.
 pub const DEFAULT_MOMENTUM: f32 = 0.1;
 
 /// Running mean/variance of one statistics-producing node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunningStats {
     /// Per-channel running mean.
     pub mean: Vec<f32>,
@@ -76,7 +75,7 @@ fn stats_channels(graph: &Graph, id: NodeId) -> Option<usize> {
 
 /// Running statistics for every statistics-producing node of one graph,
 /// keyed by node index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunningStatSet {
     entries: HashMap<usize, RunningStats>,
     momentum: f32,
@@ -165,6 +164,9 @@ impl RunningStatSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{Checkpoint, FORMAT_VERSION};
+    use crate::ParamSet;
+    use bnff_artifact::Artifact;
     use bnff_graph::builder::GraphBuilder;
     use bnff_graph::op::Conv2dAttrs;
     use bnff_graph::passes::{BnffPass, Pass};
@@ -213,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_is_bit_identical() {
+    fn artifact_round_trip_keeps_momentum_and_statistics() {
         let g = bn_graph();
         let mut set = RunningStatSet::initialize(&g).with_momentum(0.25);
         let bn = g.nodes().find(|n| n.name == "bn").unwrap().id;
@@ -223,8 +225,15 @@ mod tests {
             count: 64,
         };
         set.observe(bn, &batch).unwrap();
-        let json = serde_json::to_string(&set).unwrap();
-        let back: RunningStatSet = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, set);
+        let ckpt = Checkpoint {
+            format_version: FORMAT_VERSION,
+            graph: g,
+            params: ParamSet::new(),
+            running: set,
+        };
+        let artifact = Artifact::from_bytes(&ckpt.to_artifact_bytes().unwrap()).unwrap();
+        let back = Checkpoint::from_artifact(&artifact).unwrap();
+        assert_eq!(back.running.momentum().to_bits(), 0.25f32.to_bits());
+        assert_eq!(back.running, ckpt.running);
     }
 }

@@ -1,7 +1,6 @@
-//! Trains a tiny model and exports it in every deployable form: binary
-//! artifact (`model.bnff`), JSON checkpoint (`model.json`), and a ready
-//! `request.json` body for `POST /v1/infer` — the input set for the CI
-//! HTTP smoke test:
+//! Trains a tiny model and exports it as a binary artifact (`model.bnff`)
+//! plus a ready `request.json` body for `POST /v1/infer` — the input set for
+//! the CI HTTP smoke test:
 //!
 //! ```text
 //! cargo run --release --example export_artifact -- OUTDIR
@@ -46,19 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("step {:2}: loss {:.4}", metrics.step, metrics.loss);
     }
 
-    // --- 2. Export both model formats from one checkpoint.
-    let checkpoint = Checkpoint::capture(trainer.executor());
+    // --- 2. Export the model artifact.
     let artifact_path = outdir.join("model.bnff");
-    let json_path = outdir.join("model.json");
-    checkpoint.write_artifact(&artifact_path)?;
-    checkpoint.save(&json_path)?;
+    Checkpoint::capture(trainer.executor()).write_artifact(&artifact_path)?;
     let artifact_bytes = std::fs::metadata(&artifact_path)?.len();
-    let json_bytes = std::fs::metadata(&json_path)?.len();
-    println!(
-        "wrote {} ({artifact_bytes} B) and {} ({json_bytes} B)",
-        artifact_path.display(),
-        json_path.display()
-    );
+    println!("wrote {} ({artifact_bytes} B)", artifact_path.display());
 
     // --- 3. Emit a valid inference request body for the served model.
     let model = ServeEngine::builder().model_file(&artifact_path).build_model()?;

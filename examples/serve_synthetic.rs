@@ -1,5 +1,6 @@
-//! End-to-end serving demo: train a small zoo model, checkpoint it, freeze
-//! it (BN folded into the weights), and serve a stream of synthetic
+//! End-to-end serving demo: train a small zoo model, write it as a `.bnff`
+//! artifact, load and freeze that file (BN folded into the weights), and
+//! serve a stream of synthetic
 //! single-sample requests through the dynamic micro-batching engine,
 //! printing throughput and p50/p99 latency.
 //!
@@ -56,27 +57,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // --- 2. Checkpoint to disk and load it back — training and serving
-    // stay separable processes.
-    let ckpt_path =
-        std::env::temp_dir().join(format!("bnff-serve-demo-{}.json", std::process::id()));
-    Checkpoint::capture(trainer.executor()).save(&ckpt_path)?;
-    let checkpoint = Checkpoint::load(&ckpt_path)?;
+    // --- 2. Hand off through a model artifact on disk — training and
+    // serving stay separable processes.
+    let artifact_path =
+        std::env::temp_dir().join(format!("bnff-serve-demo-{}.bnff", std::process::id()));
+    let checkpoint = Checkpoint::capture(trainer.executor());
+    checkpoint.write_artifact(&artifact_path)?;
     println!(
-        "--- checkpoint written to {} ({} params) ---",
-        ckpt_path.display(),
+        "--- artifact written to {} ({} params) ---",
+        artifact_path.display(),
         checkpoint.params.scalar_count()
     );
 
-    // --- 3. Freeze: BN folds into the conv weights.
-    let model = ServeEngine::builder().checkpoint(&checkpoint).build_model()?;
+    // --- 3. Load and freeze: BN folds into the conv weights.
+    let model = ServeEngine::builder().model_file(&artifact_path).build_model()?;
     println!(
         "--- frozen: {} nodes (training graph had {}), {} frozen params ---",
         model.template().node_count(),
         checkpoint.graph.node_count(),
         model.params().scalar_count()
     );
-    std::fs::remove_file(&ckpt_path).ok();
+    std::fs::remove_file(&artifact_path).ok();
 
     // --- 4. Serve a stream of single-sample requests.
     let sample_shape = model.sample_shape()?;
@@ -97,7 +98,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_batch,
             max_wait: Duration::from_millis(2),
             workers,
-            executor_cache: 4,
             ..BatchingConfig::default()
         })
         .start()?;

@@ -2,15 +2,16 @@
 //! (0–3: Baseline, RCF, RCF+MVF, BNFF): train a little, checkpoint,
 //! convert to a binary artifact and back bit-identically, then prove a
 //! model served from the artifact file scores exactly like one served
-//! from the JSON checkpoint file — and within 1e-5 of the training
-//! executor's eval-mode forward.
+//! from the in-memory checkpoint (no serialization at all) — and within
+//! 1e-5 of the training executor's eval-mode forward. Anything that is not
+//! an artifact is refused with a typed error.
 
-use bnff::artifact::Artifact;
+use bnff::artifact::{Artifact, ModelError};
 use bnff::core::{BnffOptimizer, FusionLevel};
 use bnff::graph::builder::GraphBuilder;
 use bnff::graph::op::Conv2dAttrs;
 use bnff::graph::Graph;
-use bnff::serve::ServeEngine;
+use bnff::serve::{FrozenModel, ServeEngine, ServeError};
 use bnff::tensor::init::Initializer;
 use bnff::tensor::{Shape, Tensor};
 use bnff::train::checkpoint::Checkpoint;
@@ -44,6 +45,10 @@ fn conditioned(graph: Graph, seed: u64) -> (Executor, Tensor, Vec<usize>) {
     (exec, data, labels)
 }
 
+fn bits(scores: &Tensor) -> Vec<u32> {
+    scores.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
 fn artifact_deployment_is_equivalent_at_every_fusion_level() {
     let dir = std::env::temp_dir().join(format!("bnff-deploy-{}", std::process::id()));
@@ -59,28 +64,20 @@ fn artifact_deployment_is_equivalent_at_every_fusion_level() {
         let checkpoint = Checkpoint::capture(&exec);
         let bytes = checkpoint.to_artifact_bytes().unwrap();
         let restored = Checkpoint::from_artifact(&Artifact::from_bytes(&bytes).unwrap()).unwrap();
-        assert_eq!(
-            checkpoint.to_json().unwrap(),
-            restored.to_json().unwrap(),
-            "{level}: artifact round trip changed the checkpoint"
-        );
+        assert_eq!(checkpoint, restored, "{level}: artifact round trip changed the checkpoint");
 
-        // Both on-disk formats freeze to bit-identical scoring models.
+        // The file on disk freezes to the same scoring model, bit for bit,
+        // as the checkpoint that never left memory.
         let artifact_path = dir.join(format!("model-{level}.bnff"));
-        let json_path = dir.join(format!("model-{level}.json"));
         checkpoint.write_artifact(&artifact_path).unwrap();
-        checkpoint.save(&json_path).unwrap();
-
         let from_artifact =
             ServeEngine::builder().model_file(&artifact_path).build_model().unwrap();
-        let from_json = ServeEngine::builder().model_file(&json_path).build_model().unwrap();
+        let in_memory = ServeEngine::builder().checkpoint(&checkpoint).build_model().unwrap();
         let artifact_scores = from_artifact.executor(4).unwrap().infer(&data).unwrap();
-        let json_scores = from_json.executor(4).unwrap().infer(&data).unwrap();
-        let artifact_bits: Vec<u32> =
-            artifact_scores.as_slice().iter().map(|v| v.to_bits()).collect();
-        let json_bits: Vec<u32> = json_scores.as_slice().iter().map(|v| v.to_bits()).collect();
+        let memory_scores = in_memory.executor(4).unwrap().infer(&data).unwrap();
         assert_eq!(
-            artifact_bits, json_bits,
+            bits(&artifact_scores),
+            bits(&memory_scores),
             "{level}: artifact-served and checkpoint-served scores differ"
         );
 
@@ -89,5 +86,36 @@ fn artifact_deployment_is_equivalent_at_every_fusion_level() {
         assert!(div < 1e-5, "{level}: deployed model diverges from eval by {div}");
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn files_that_are_not_artifacts_are_typed_errors() {
+    let dir = std::env::temp_dir().join(format!("bnff-not-a-model-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases: [(&str, &[u8]); 3] = [
+        (
+            "old-checkpoint.json",
+            b"{\"format_version\": 1, \"graph\": {\"name\": \"a JSON text file\"}}",
+        ),
+        ("empty.bnff", b""),
+        ("short.bnff", b"BNF"),
+    ];
+    for (name, contents) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, contents).unwrap();
+        let loaded = FrozenModel::load(&path).unwrap_err();
+        let started = ServeEngine::builder().model_file(&path).start().unwrap_err();
+        assert_eq!(loaded, started, "{name}: the builder must report what the loader does");
+        match (name, loaded) {
+            ("old-checkpoint.json", ServeError::Model(ModelError::BadMagic { found })) => {
+                assert_eq!(&found, b"{\"fo");
+            }
+            (_, ServeError::Model(ModelError::Truncated { needed: 32, available })) => {
+                assert_eq!(available, contents.len() as u64, "{name}");
+            }
+            (_, other) => panic!("{name}: expected BadMagic/Truncated, got {other:?}"),
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
