@@ -11,8 +11,7 @@
 //! order:
 //!
 //! * each instruction carries a fully-resolved kernel recipe (a [`Kernel`]
-//!   with concrete attributes, the fused-ReLU flag, and — for convolutions —
-//!   the pre-chosen lowering strategy),
+//!   with concrete attributes and the fused-ReLU flag),
 //! * operands are *virtual registers* ([`Reg`]): dense indices into a
 //!   register file whose slots come straight from the memory plan's
 //!   buffer-slot assignment, with pre-computed byte sizes and arena offsets
@@ -29,9 +28,8 @@
 //! collapses into one fused instruction (bit-exact — the clamp is the same
 //! `max(v, 0)` sweep either way; the convolution case is skipped when the
 //! ReLU's register is one of the convolution's inputs, since a convolution
-//! cannot run in place), and every convolution picks between the
-//! materialized im2col lowering and the gather-fused packing by its
-//! geometry.
+//! cannot run in place). Convolutions carry no lowering choice: the kernels
+//! have one forward entry point, whose GEMM gathers windows while packing.
 //!
 //! [`LinearProgram::validate`] replays the tape symbolically and proves that
 //! no register is read after being clobbered — the register-file analogue of
@@ -69,11 +67,6 @@ pub enum Kernel {
         attrs: Conv2dAttrs,
         /// Clamp the output with a fused ReLU.
         fused_relu: bool,
-        /// Use the gather-fused im2col lowering (window elements packed
-        /// straight from the input sample) instead of materializing the
-        /// column matrix. Chosen at compile time from the geometry; both
-        /// lowerings are bit-identical.
-        gather: bool,
     },
     /// Per-channel affine `y = scale[c]·x + shift[c]`.
     Affine {
@@ -187,16 +180,6 @@ fn node_flops(graph: &Graph, node_id: NodeId) -> Result<u64> {
     })
 }
 
-/// Whether a convolution should use the gather-fused im2col lowering: the
-/// fusion saves one full write + read of the `(C·Kh·Kw) × (Ho·Wo)` column
-/// matrix, which pays off once the matrix is deep (enough reuse per input
-/// element) *and* wide (enough packed strips to amortize the per-strip
-/// window-origin setup). Measured on the serving shapes: the big stride-1
-/// feature-map convs win ~1.25×, shallow stems lose.
-fn gather_pays_off(rows: usize, cols: usize) -> bool {
-    rows >= 64 && cols >= 512
-}
-
 /// The register assigned to a node's (alias-resolved) output tensor.
 fn lookup_reg(reg_of: &[Option<Reg>], plan: &ExecutionPlan, id: NodeId) -> Result<Reg> {
     reg_of[plan.resolve(id).index()].ok_or_else(|| GraphError::PassError {
@@ -265,9 +248,6 @@ impl LinearProgram {
             let (kernel, value_node) = match &node.op {
                 OpKind::Input | OpKind::Split { .. } => continue,
                 OpKind::Conv2d(a) | OpKind::ConvRelu(a) => {
-                    let in_shape = &graph.node(node.inputs[0])?.output_shape;
-                    let rows = in_shape.c() * a.kernel_h * a.kernel_w;
-                    let cols = node.output_shape.h() * node.output_shape.w();
                     let mut fused_relu = matches!(node.op, OpKind::ConvRelu(_));
                     let mut value_node = id;
                     // Fuse a sole-consumer ReLU that executes immediately
@@ -296,9 +276,7 @@ impl LinearProgram {
                             }
                         }
                     }
-                    let kernel =
-                        Kernel::Conv { attrs: *a, fused_relu, gather: gather_pays_off(rows, cols) };
-                    (kernel, value_node)
+                    (Kernel::Conv { attrs: *a, fused_relu }, value_node)
                 }
                 OpKind::ChannelAffine => {
                     // Fuse a sole-consumer ReLU that executes immediately
@@ -675,13 +653,6 @@ mod tests {
                 .iter()
                 .any(|i| matches!(i.kernel, Kernel::Affine { fused_relu: false })));
         }
-    }
-
-    #[test]
-    fn conv_strategy_follows_geometry() {
-        assert!(gather_pays_off(288, 1024));
-        assert!(!gather_pays_off(27, 1024), "shallow stem stays materialized");
-        assert!(!gather_pays_off(288, 64), "narrow maps stay materialized");
     }
 
     #[test]

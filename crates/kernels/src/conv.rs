@@ -1,24 +1,46 @@
-//! 2-D convolution kernels: direct and im2col+GEMM forward paths, plus the
-//! backward passes with respect to the inputs and the weights.
+//! 2-D convolution kernels: the gather-packed forward pass, the backward
+//! passes with respect to the inputs and the weights, and the direct
+//! loop-nest reference.
+//!
+//! No kernel here writes a `(C·Kh·Kw) × (Ho·Wo)` column matrix. All three
+//! convolution GEMMs read their windows through one
+//! [`Im2colView`], expanded only inside the GEMM's
+//! B-packer:
+//!
+//! * **forward** — `out_n = W · im2col(x_n)`, bias/ReLU (and, for the fused
+//!   `CONV1-(sub-BN1)` layer, the Σx/Σx² accumulation) applied per sample
+//!   while the output is cache-hot;
+//! * **weight gradient** — `d_W += d_out_n · im2col(x_n)ᵀ`, the transposed
+//!   form of the same gather, summed across a group's samples inside the
+//!   GEMM;
+//! * **input gradient**, stride 1 — `d_x_n += W_rot · im2col(d_out_n)` with
+//!   padding `K − 1 − pad`: a forward convolution of the output gradient
+//!   with the 180°-rotated, channel-transposed weights. A strided
+//!   convolution (or `pad > K − 1`) has no such form and keeps
+//!   `d_col = Wᵀ · d_out_n` scattered by [`col2im_accumulate`]; which of
+//!   the two runs is decided from the attributes alone.
+//!
+//! A pointwise convolution is the degenerate case of each: the sample *is*
+//! the operand and the GEMM reads it in place.
 //!
 //! The direct path partitions work over `(sample, out_channel)` output
-//! planes, the lowered path inherits the GEMM's row-block partitioning, and
-//! the weight gradient reduces per-sample partials with a deterministic
+//! planes, the GEMM paths inherit the GEMM's row-block partitioning, and
+//! the weight gradient reduces per-group partials with a deterministic
 //! tree — so all paths scale across `BNFF_THREADS` cores while producing
 //! thread-count-independent results.
 
 use crate::error::KernelError;
-use crate::gemm::{gemm, gemm_im2col, gemm_tn, Im2colView};
-use crate::im2col::{col2im_accumulate, col_shape, conv_out_dim, im2col_into};
+use crate::gemm::{gemm_im2col, gemm_nt_im2col_acc, gemm_tn, Im2colView};
+use crate::im2col::{col2im_accumulate, col_shape, conv_out_dim};
 use crate::Result;
 use bnff_graph::op::Conv2dAttrs;
 use bnff_parallel::{chunk_ranges, min_items_per_thread, parallel_reduce, parallel_rows_mut};
 use bnff_tensor::pool::SharedBufferPool;
+use bnff_tensor::stats::ChannelAccumulator;
 use bnff_tensor::{Shape, Tensor};
 
-/// Column-matrix scratch recycled across convolutions and training steps,
-/// so the im2col lowering of every conv node expands into storage carved
-/// out by earlier calls instead of `malloc`.
+/// The `d_col` scratch of the strided input gradient (the one path that
+/// still materializes a column matrix), recycled across calls and steps.
 static COL_POOL: SharedBufferPool = SharedBufferPool::bounded(64 << 20);
 
 /// Validates the weight tensor layout `(Cout, Cin, Kh, Kw)` against the
@@ -28,8 +50,8 @@ fn check_conv(
     weights: &Tensor,
     attrs: &Conv2dAttrs,
 ) -> Result<(usize, usize, usize)> {
-    input.shape().expect_nchw()?;
     weights.shape().expect_nchw()?;
+    let (out_h, out_w) = conv_out_hw(input.shape(), attrs)?;
     let in_c = input.shape().c();
     let ws = weights.shape();
     if ws.n() != attrs.out_channels
@@ -42,9 +64,47 @@ fn check_conv(
             ws, attrs.out_channels, in_c, attrs.kernel_h, attrs.kernel_w
         )));
     }
-    let out_h = conv_out_dim(input.shape().h(), attrs.kernel_h, attrs.stride, attrs.pad)?;
-    let out_w = conv_out_dim(input.shape().w(), attrs.kernel_w, attrs.stride, attrs.pad)?;
     Ok((in_c, out_h, out_w))
+}
+
+/// Output spatial extent of the convolution over a 4-D `input` shape.
+fn conv_out_hw(input: &Shape, attrs: &Conv2dAttrs) -> Result<(usize, usize)> {
+    input.expect_nchw()?;
+    let out_h = conv_out_dim(input.h(), attrs.kernel_h, attrs.stride, attrs.pad)?;
+    let out_w = conv_out_dim(input.w(), attrs.kernel_w, attrs.stride, attrs.pad)?;
+    Ok((out_h, out_w))
+}
+
+/// Checks that `tensor` (the forward output, or the gradient flowing back
+/// into it) has exactly the shape the convolution produces for `input`.
+fn check_conv_output(
+    what: &str,
+    tensor: &Tensor,
+    input: &Shape,
+    attrs: &Conv2dAttrs,
+    (out_h, out_w): (usize, usize),
+) -> Result<()> {
+    let expected = Shape::nchw(input.n(), attrs.out_channels, out_h, out_w);
+    if tensor.shape() != &expected {
+        return Err(KernelError::ShapeMismatch(format!(
+            "{what} is {}, convolution produces {expected}",
+            tensor.shape()
+        )));
+    }
+    Ok(())
+}
+
+fn check_bias(bias: Option<&[f32]>, attrs: &Conv2dAttrs) -> Result<()> {
+    if let Some(b) = bias {
+        if b.len() != attrs.out_channels {
+            return Err(KernelError::ShapeMismatch(format!(
+                "bias has {} entries, expected {}",
+                b.len(),
+                attrs.out_channels
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Direct (loop-nest) convolution forward pass.
@@ -81,25 +141,9 @@ pub fn conv2d_forward_direct_into(
     out: &mut Tensor,
 ) -> Result<()> {
     let (in_c, out_h, out_w) = check_conv(input, weights, attrs)?;
-    if let Some(b) = bias {
-        if b.len() != attrs.out_channels {
-            return Err(KernelError::ShapeMismatch(format!(
-                "bias has {} entries, expected {}",
-                b.len(),
-                attrs.out_channels
-            )));
-        }
-    }
-    let n = input.shape().n();
+    check_bias(bias, attrs)?;
+    check_conv_output("output tensor", out, input.shape(), attrs, (out_h, out_w))?;
     let (h, w) = (input.shape().h(), input.shape().w());
-    let expected = Shape::nchw(n, attrs.out_channels, out_h, out_w);
-    if out.shape() != &expected {
-        return Err(KernelError::ShapeMismatch(format!(
-            "output tensor is {}, convolution produces {}",
-            out.shape(),
-            expected
-        )));
-    }
     // One task per `(sample, out_channel)` output plane; every plane is a
     // disjoint contiguous run of the NCHW output buffer.
     let plane_len = out_h * out_w;
@@ -139,11 +183,11 @@ pub fn conv2d_forward_direct_into(
     Ok(())
 }
 
-/// The production convolution forward pass: im2col lowering into the
-/// cache-blocked packed GEMM, with the column scratch recycled through the
-/// shared pool across samples, calls and training steps. Pointwise
-/// (`1×1`/stride-1/no-pad) convolutions skip the im2col copy entirely —
-/// each input sample already *is* the column matrix.
+/// The production convolution forward pass: each sample is one packed GEMM
+/// `out_n = W · im2col(x_n)` whose B-packer gathers the windows straight
+/// from the sample (see [`Im2colView`]), so no column matrix is written.
+/// Pointwise (`1×1`/stride-1/no-pad) convolutions are the degenerate case —
+/// each input sample already *is* the operand.
 ///
 /// # Errors
 /// Returns an error if the shapes are inconsistent.
@@ -159,15 +203,10 @@ pub fn conv2d_forward(
     Ok(out)
 }
 
-/// Whether a convolution's im2col column matrix is the input sample itself.
-fn is_pointwise(attrs: &Conv2dAttrs) -> bool {
-    attrs.kernel_h == 1 && attrs.kernel_w == 1 && attrs.stride == 1 && attrs.pad == 0
-}
-
 /// [`conv2d_forward`] into a caller-provided output tensor (every element
 /// is overwritten — the packed GEMM's `beta == 0` path never reads the
-/// recycled buffer). This is the entry point the plan-driven executor and
-/// the fused kernels route their convolutions through.
+/// recycled buffer). This is the one entry point the plan-driven executor,
+/// the serving tape and the fused kernels route their convolutions through.
 ///
 /// # Errors
 /// Returns an error if the shapes (including `out`'s) are inconsistent.
@@ -178,7 +217,7 @@ pub fn conv2d_forward_into(
     attrs: &Conv2dAttrs,
     out: &mut Tensor,
 ) -> Result<()> {
-    conv2d_forward_into_impl(input, weights, bias, attrs, out, false)
+    conv_forward(input, weights, bias, attrs, false, None, out)
 }
 
 /// Inference entry point for the frozen graph's fused `CONV+ReLU` operator:
@@ -195,88 +234,27 @@ pub fn conv2d_forward_relu_into(
     attrs: &Conv2dAttrs,
     out: &mut Tensor,
 ) -> Result<()> {
-    conv2d_forward_into_impl(input, weights, bias, attrs, out, true)
+    conv_forward(input, weights, bias, attrs, true, None, out)
 }
 
-/// Convolution forward pass with the im2col lowering **fused into the GEMM's
-/// B-packing**: window elements are gathered straight from the input sample
-/// while the `KC × NR` strips are packed, so the `(C·Kh·Kw) × (Ho·Wo)` column
-/// matrix is never written or re-read. Bit-identical to
-/// [`conv2d_forward_into`] (same microkernel, bitwise-equal packed panels,
-/// same accumulation order, same bias/ReLU epilogues) — this is the entry
-/// point the serving tape dispatches its pre-resolved conv recipes to.
-///
-/// # Errors
-/// Returns an error if the shapes (including `out`'s) are inconsistent.
-pub fn conv2d_forward_gather_into(
+/// [`conv2d_forward_into`] that also pushes every output plane into `stats`
+/// right after its sample is produced — the `CONV1-(sub-BN1)` accumulation,
+/// done while the sample's output is cache-hot instead of in a second sweep
+/// over the whole feature map. Planes are pushed in sample order, so the
+/// sums are bit-identical to [`ChannelAccumulator::from_tensor`] on `out`.
+pub(crate) fn conv2d_forward_stats_into(
     input: &Tensor,
     weights: &Tensor,
     bias: Option<&[f32]>,
     attrs: &Conv2dAttrs,
-    fuse_relu: bool,
+    stats: &mut ChannelAccumulator,
     out: &mut Tensor,
 ) -> Result<()> {
-    let (in_c, out_h, out_w) = check_conv(input, weights, attrs)?;
-    check_bias(bias, attrs)?;
-    let n = input.shape().n();
-    let (h, w) = (input.shape().h(), input.shape().w());
-    let (rows, cols) = col_shape(input.shape(), attrs)?;
-    let expected = Shape::nchw(n, attrs.out_channels, out_h, out_w);
-    if out.shape() != &expected {
-        return Err(KernelError::ShapeMismatch(format!(
-            "output tensor is {}, convolution produces {}",
-            out.shape(),
-            expected
-        )));
-    }
-    let w_mat = weights.as_slice();
-    let pointwise = is_pointwise(attrs);
-    for ni in 0..n {
-        let start = out.shape().offset4(ni, 0, 0, 0);
-        let out_slice = &mut out.as_mut_slice()[start..start + attrs.out_channels * cols];
-        let in_start = input.shape().offset4(ni, 0, 0, 0);
-        let sample = &input.as_slice()[in_start..in_start + in_c * h * w];
-        if pointwise {
-            // The sample already is the column matrix; same path as the
-            // materializing kernel.
-            gemm(attrs.out_channels, cols, rows, 1.0, w_mat, sample, 0.0, out_slice)?;
-        } else {
-            let view = Im2colView {
-                sample,
-                channels: in_c,
-                in_h: h,
-                in_w: w,
-                kernel_h: attrs.kernel_h,
-                kernel_w: attrs.kernel_w,
-                stride: attrs.stride,
-                pad: attrs.pad,
-                out_h,
-                out_w,
-            };
-            gemm_im2col(attrs.out_channels, cols, rows, 1.0, w_mat, view, 0.0, out_slice)?;
-        }
-        apply_bias_relu(out_slice, bias, cols, fuse_relu);
-    }
-    Ok(())
+    conv_forward(input, weights, bias, attrs, false, Some(stats), out)
 }
 
-fn check_bias(bias: Option<&[f32]>, attrs: &Conv2dAttrs) -> Result<()> {
-    if let Some(b) = bias {
-        if b.len() != attrs.out_channels {
-            return Err(KernelError::ShapeMismatch(format!(
-                "bias has {} entries, expected {}",
-                b.len(),
-                attrs.out_channels
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// The shared convolution epilogue: per-output-channel bias add and the
-/// optional fused ReLU clamp, applied to one sample's output plane run.
-/// Both forward entry points use this same code so their results stay
-/// bit-identical.
+/// The per-sample epilogue's bias add and optional fused ReLU clamp, applied
+/// to one sample's run of output planes.
 fn apply_bias_relu(out_slice: &mut [f32], bias: Option<&[f32]>, cols: usize, fuse_relu: bool) {
     // Runs on the caller's thread, so resolving the ISA here honours any
     // scoped `with_isa` override. Add and clamp are bit-identical across
@@ -292,45 +270,60 @@ fn apply_bias_relu(out_slice: &mut [f32], bias: Option<&[f32]>, cols: usize, fus
     }
 }
 
-fn conv2d_forward_into_impl(
+/// The window geometry of `attrs` over one `C × H × W` sample.
+fn window_view<'a>(
+    sample: &'a [f32],
+    (channels, in_h, in_w): (usize, usize, usize),
+    attrs: &Conv2dAttrs,
+    (out_h, out_w): (usize, usize),
+) -> Im2colView<'a> {
+    Im2colView {
+        sample,
+        channels,
+        in_h,
+        in_w,
+        kernel_h: attrs.kernel_h,
+        kernel_w: attrs.kernel_w,
+        stride: attrs.stride,
+        pad_h: attrs.pad,
+        pad_w: attrs.pad,
+        out_h,
+        out_w,
+    }
+}
+
+/// The one convolution forward body behind every entry point.
+fn conv_forward(
     input: &Tensor,
     weights: &Tensor,
     bias: Option<&[f32]>,
     attrs: &Conv2dAttrs,
-    out: &mut Tensor,
     fuse_relu: bool,
+    mut stats: Option<&mut ChannelAccumulator>,
+    out: &mut Tensor,
 ) -> Result<()> {
-    let (_in_c, out_h, out_w) = check_conv(input, weights, attrs)?;
+    let (in_c, out_h, out_w) = check_conv(input, weights, attrs)?;
     check_bias(bias, attrs)?;
-    let n = input.shape().n();
-    let (rows, cols) = col_shape(input.shape(), attrs)?;
-    let expected = Shape::nchw(n, attrs.out_channels, out_h, out_w);
-    if out.shape() != &expected {
-        return Err(KernelError::ShapeMismatch(format!(
-            "output tensor is {}, convolution produces {}",
-            out.shape(),
-            expected
-        )));
-    }
+    check_conv_output("output tensor", out, input.shape(), attrs, (out_h, out_w))?;
+    let in_dims = (in_c, input.shape().h(), input.shape().w());
+    let (rows, cols) = (in_c * attrs.kernel_h * attrs.kernel_w, out_h * out_w);
+    let sample_len = in_c * in_dims.1 * in_dims.2;
+    let out_len = attrs.out_channels * cols;
     let w_mat = weights.as_slice(); // (Cout) x (Cin*Kh*Kw), row-major by construction
-    let pointwise = is_pointwise(attrs);
-    // One recycled column matrix serves every sample (unused when pointwise).
-    let mut col = if pointwise { Vec::new() } else { COL_POOL.take_dirty(rows * cols) };
-    for ni in 0..n {
-        let start = out.shape().offset4(ni, 0, 0, 0);
-        let out_slice = &mut out.as_mut_slice()[start..start + attrs.out_channels * cols];
-        // out_sample = W (Cout x rows) · col (rows x cols)
-        if pointwise {
-            let in_start = input.shape().offset4(ni, 0, 0, 0);
-            let sample = &input.as_slice()[in_start..in_start + rows * cols];
-            gemm(attrs.out_channels, cols, rows, 1.0, w_mat, sample, 0.0, out_slice)?;
-        } else {
-            im2col_into(input, ni, attrs, &mut col)?;
-            gemm(attrs.out_channels, cols, rows, 1.0, w_mat, &col, 0.0, out_slice)?;
-        }
+    for ni in 0..input.shape().n() {
+        let sample = &input.as_slice()[ni * sample_len..(ni + 1) * sample_len];
+        let out_slice = &mut out.as_mut_slice()[ni * out_len..(ni + 1) * out_len];
+        // out_sample = W (Cout x rows) · im2col(sample) (rows x cols)
+        let view = window_view(sample, in_dims, attrs, (out_h, out_w));
+        gemm_im2col(attrs.out_channels, cols, rows, 1.0, w_mat, view, 0.0, out_slice)?;
         apply_bias_relu(out_slice, bias, cols, fuse_relu);
+        if let Some(acc) = stats.as_deref_mut() {
+            for (oc, plane) in out_slice.chunks_exact(cols).enumerate() {
+                acc.push_plane(oc, plane);
+            }
+            acc.add_count(cols);
+        }
     }
-    COL_POOL.give(col);
     Ok(())
 }
 
@@ -349,41 +342,107 @@ pub fn conv2d_backward_input(
     Ok(d_input)
 }
 
+/// `W_rot[ci][co][kh][kw] = W[co][ci][Kh−1−kh][Kw−1−kw]`: the weights of the
+/// forward convolution that maps `d_out` to `d_input` at stride 1, as the
+/// row-major `C_in × (C_out·Kh·Kw)` matrix its GEMM multiplies by.
+fn rotated_weights(weights: &Tensor) -> Vec<f32> {
+    let ws = weights.shape();
+    let (out_c, in_c, taps) = (ws.n(), ws.c(), ws.h() * ws.w());
+    let w = weights.as_slice();
+    let mut rot = vec![0.0f32; w.len()];
+    for co in 0..out_c {
+        for ci in 0..in_c {
+            let src = &w[(co * in_c + ci) * taps..][..taps];
+            let dst = &mut rot[(ci * out_c + co) * taps..][..taps];
+            // Reversing the flattened taps is the 180° rotation.
+            for (d, s) in dst.iter_mut().zip(src.iter().rev()) {
+                *d = *s;
+            }
+        }
+    }
+    rot
+}
+
 /// [`conv2d_backward_input`] accumulating into a caller-provided gradient
 /// tensor (whose shape is the convolution's input shape). The gradient is
 /// *added* to `d_input`, so callers wanting the plain gradient must pass a
 /// zero-filled tensor — e.g. one taken from a
 /// [`bnff_tensor::pool::BufferPool`].
 ///
+/// At stride 1 (with `pad ≤ K − 1`) each sample is one GEMM
+/// `d_x_n += W_rot · im2col(d_out_n)` — a forward convolution of the output
+/// gradient with the rotated weights at padding `K − 1 − pad`, gathered by
+/// the same packer as the forward pass, with no `d_col` and no scatter.
+/// Otherwise `d_col = Wᵀ · d_out_n` is scattered back by
+/// [`col2im_accumulate`].
+///
 /// # Errors
-/// Returns an error if the shapes are inconsistent.
+/// Returns [`KernelError::ShapeMismatch`] when `weights` or `d_out` do not
+/// match what the convolution over `d_input`'s shape consumes and produces.
 pub fn conv2d_backward_input_into(
     d_out: &Tensor,
     weights: &Tensor,
     attrs: &Conv2dAttrs,
     d_input: &mut Tensor,
 ) -> Result<()> {
-    let input_shape = d_input.shape().clone();
-    input_shape.expect_nchw()?;
-    d_out.shape().expect_nchw()?;
-    let n = input_shape.n();
-    let (rows, cols) = col_shape(&input_shape, attrs)?;
-    if d_out.shape().c() != attrs.out_channels {
-        return Err(KernelError::ShapeMismatch(format!(
-            "d_out channels {} do not match out_channels {}",
-            d_out.shape().c(),
-            attrs.out_channels
-        )));
+    let (_, out_h, out_w) = check_conv(d_input, weights, attrs)?;
+    check_conv_output("d_out", d_out, d_input.shape(), attrs, (out_h, out_w))?;
+    if attrs.stride == 1 && attrs.pad < attrs.kernel_h.min(attrs.kernel_w) {
+        backward_input_rotated(d_out, weights, attrs, (out_h, out_w), d_input)
+    } else {
+        backward_input_strided(d_out, weights, attrs, d_input)
     }
-    let w_mat = weights.as_slice(); // Cout x rows
-                                    // One recycled gradient column matrix serves every sample
-                                    // (the packed gemm_tn overwrites it without reading it).
+}
+
+/// Stride-1 input gradient: per sample, `d_x_n += W_rot · im2col(d_out_n)`.
+fn backward_input_rotated(
+    d_out: &Tensor,
+    weights: &Tensor,
+    attrs: &Conv2dAttrs,
+    (out_h, out_w): (usize, usize),
+    d_input: &mut Tensor,
+) -> Result<()> {
+    let (in_c, h, w) = (d_input.shape().c(), d_input.shape().h(), d_input.shape().w());
+    let w_rot = rotated_weights(weights);
+    let depth = attrs.out_channels * attrs.kernel_h * attrs.kernel_w;
+    let (sample_len, d_out_len) = (in_c * h * w, attrs.out_channels * out_h * out_w);
+    for ni in 0..d_input.shape().n() {
+        let view = Im2colView {
+            sample: &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len],
+            channels: attrs.out_channels,
+            in_h: out_h,
+            in_w: out_w,
+            kernel_h: attrs.kernel_h,
+            kernel_w: attrs.kernel_w,
+            stride: 1,
+            pad_h: attrs.kernel_h - 1 - attrs.pad,
+            pad_w: attrs.kernel_w - 1 - attrs.pad,
+            out_h: h,
+            out_w: w,
+        };
+        let d_x = &mut d_input.as_mut_slice()[ni * sample_len..(ni + 1) * sample_len];
+        gemm_im2col(in_c, h * w, depth, 1.0, &w_rot, view, 1.0, d_x)?;
+    }
+    Ok(())
+}
+
+/// Strided input gradient: per sample, `d_col = Wᵀ · d_out_n` scattered
+/// back by [`col2im_accumulate`].
+fn backward_input_strided(
+    d_out: &Tensor,
+    weights: &Tensor,
+    attrs: &Conv2dAttrs,
+    d_input: &mut Tensor,
+) -> Result<()> {
+    let (rows, cols) = col_shape(d_input.shape(), attrs)?;
+    let d_out_len = attrs.out_channels * cols;
+    // One recycled gradient column matrix serves every sample (the packed
+    // gemm_tn overwrites it without reading it).
     let mut d_col = COL_POOL.take_dirty(rows * cols);
-    for ni in 0..n {
+    for ni in 0..d_input.shape().n() {
         // d_col (rows x cols) = Wᵀ (rows x Cout) · d_out_sample (Cout x cols)
-        let start = d_out.shape().offset4(ni, 0, 0, 0);
-        let d_out_slice = &d_out.as_slice()[start..start + attrs.out_channels * cols];
-        gemm_tn(rows, cols, attrs.out_channels, w_mat, d_out_slice, &mut d_col)?;
+        let d_out_n = &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len];
+        gemm_tn(rows, cols, attrs.out_channels, weights.as_slice(), d_out_n, &mut d_col)?;
         col2im_accumulate(&d_col, d_input, ni, attrs)?;
     }
     COL_POOL.give(d_col);
@@ -397,65 +456,64 @@ pub fn conv2d_backward_input_into(
 /// is `false`.
 ///
 /// # Errors
-/// Returns an error if the shapes are inconsistent.
+/// Returns [`KernelError::ShapeMismatch`] when `d_out` is not the shape the
+/// convolution produces for `input`.
 pub fn conv2d_backward_weights(
     input: &Tensor,
     d_out: &Tensor,
     attrs: &Conv2dAttrs,
     with_bias: bool,
 ) -> Result<(Tensor, Vec<f32>)> {
-    input.shape().expect_nchw()?;
-    d_out.shape().expect_nchw()?;
-    let in_c = input.shape().c();
+    let out_hw = conv_out_hw(input.shape(), attrs)?;
+    check_conv_output("d_out", d_out, input.shape(), attrs, out_hw)?;
     let n = input.shape().n();
-    let (rows, cols) = col_shape(input.shape(), attrs)?;
+    let in_dims = (input.shape().c(), input.shape().h(), input.shape().w());
+    let (rows, cols) = (in_dims.0 * attrs.kernel_h * attrs.kernel_w, out_hw.0 * out_hw.1);
+    let sample_len = in_dims.0 * in_dims.1 * in_dims.2;
     let mut d_w =
-        Tensor::zeros(Shape::nchw(attrs.out_channels, in_c, attrs.kernel_h, attrs.kernel_w));
+        Tensor::zeros(Shape::nchw(attrs.out_channels, in_dims.0, attrs.kernel_h, attrs.kernel_w));
     // Samples are grouped into a bounded number of chunks fixed by the
     // problem (never by the thread count): each chunk accumulates its
     // samples serially in batch order into one (d_W, d_bias) partial, and
     // the partials combine with a deterministic tree. Bounding the chunk
     // count caps transient memory at MAX_WGRAD_PARTIALS weight buffers
-    // whatever the batch size. The im2col + GEMM inside each partial run
-    // serially when this level already fans out, and in parallel when it
-    // does not (single chunk).
+    // whatever the batch size. The GEMM inside each partial runs serially
+    // when this level already fans out, and in parallel when it does not
+    // (single chunk).
     const MAX_WGRAD_PARTIALS: usize = 8;
     let sample_macs = attrs.out_channels * rows * cols;
     let min_samples = min_items_per_thread(sample_macs);
     let groups = chunk_ranges(n, n.div_ceil(min_samples).min(MAX_WGRAD_PARTIALS));
+    // The GEMMs below run on pool workers, which do not inherit a scoped
+    // `with_isa` override: resolve the ISA here and re-pin it per group.
+    let isa = bnff_tensor::active_isa();
+    let d_out_len = attrs.out_channels * cols;
     let reduced = parallel_reduce(
         groups.len(),
         1,
-        |gi| -> Result<(Vec<f32>, Vec<f32>)> {
-            let mut d_w_flat = vec![0.0f32; attrs.out_channels * rows];
-            let mut d_bias = vec![0.0f32; if with_bias { attrs.out_channels } else { 0 }];
-            let mut sample_buf = vec![0.0f32; attrs.out_channels * rows];
-            // The column scratch is recycled from the shared pool and
-            // expanded in place per sample (the adjoint of the forward
-            // path's reuse).
-            let mut col = COL_POOL.take_dirty(rows * cols);
-            for ni in groups[gi].clone() {
-                im2col_into(input, ni, attrs, &mut col)?;
-                let start = d_out.shape().offset4(ni, 0, 0, 0);
-                let d_out_slice = &d_out.as_slice()[start..start + attrs.out_channels * cols];
-                // d_W (Cout x rows) += d_out_sample (Cout x cols) · colᵀ (cols x rows)
-                crate::gemm::gemm_nt(
-                    attrs.out_channels,
-                    rows,
-                    cols,
-                    d_out_slice,
-                    &col,
-                    &mut sample_buf,
-                )?;
-                for (acc, v) in d_w_flat.iter_mut().zip(sample_buf.iter()) {
-                    *acc += *v;
+        |gi| {
+            bnff_tensor::with_isa(isa, || -> Result<(Vec<f32>, Vec<f32>)> {
+                let mut d_w_flat = vec![0.0f32; attrs.out_channels * rows];
+                let mut d_bias = vec![0.0f32; if with_bias { attrs.out_channels } else { 0 }];
+                for ni in groups[gi].clone() {
+                    let sample = &input.as_slice()[ni * sample_len..(ni + 1) * sample_len];
+                    let view = window_view(sample, in_dims, attrs, out_hw);
+                    let d_out_n = &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len];
+                    // d_W (Cout x rows) += d_out_n (Cout x cols) · im2col(sample)ᵀ (cols x rows)
+                    gemm_nt_im2col_acc(
+                        attrs.out_channels,
+                        rows,
+                        cols,
+                        d_out_n,
+                        view,
+                        &mut d_w_flat,
+                    )?;
+                    for (db, plane) in d_bias.iter_mut().zip(d_out_n.chunks_exact(cols)) {
+                        *db += plane.iter().sum::<f32>();
+                    }
                 }
-                for (oc, db) in d_bias.iter_mut().enumerate() {
-                    *db += d_out_slice[oc * cols..(oc + 1) * cols].iter().sum::<f32>();
-                }
-            }
-            COL_POOL.give(col);
-            Ok((d_w_flat, d_bias))
+                Ok((d_w_flat, d_bias))
+            })
         },
         |a, b| match (a, b) {
             (Ok((mut w1, mut b1)), Ok((w2, b2))) => {
@@ -484,6 +542,8 @@ pub fn conv2d_backward_weights(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::gemm;
+    use crate::im2col::{im2col, test_geometries};
     use bnff_tensor::init::Initializer;
 
     fn random(shape: Shape, seed: u64) -> Tensor {
@@ -514,46 +574,216 @@ mod tests {
         assert!(direct.all_close(&lowered, 1e-4).unwrap());
     }
 
+    /// The materialized lowering, composed from the reference pieces: the
+    /// element-wise `im2col`, the plain GEMM and the shared epilogue.
+    fn conv_materialized(
+        x: &Tensor,
+        w: &Tensor,
+        bias: Option<&[f32]>,
+        attrs: &Conv2dAttrs,
+        fuse_relu: bool,
+    ) -> Vec<f32> {
+        let (rows, cols) = col_shape(x.shape(), attrs).unwrap();
+        let mut out = Vec::new();
+        for ni in 0..x.shape().n() {
+            let col = im2col(x, ni, attrs).unwrap();
+            let mut out_n = vec![f32::NAN; attrs.out_channels * cols];
+            gemm(attrs.out_channels, cols, rows, 1.0, w.as_slice(), &col, 0.0, &mut out_n).unwrap();
+            apply_bias_relu(&mut out_n, bias, cols, fuse_relu);
+            out.extend(out_n);
+        }
+        out
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn gather_path_is_bit_identical_to_materialized() {
         // Strided, padded, pointwise and biased variants, with and without
-        // the fused ReLU; the gather path must match bit for bit.
-        for (case, attrs, in_c, hw) in [
-            ("same3x3", Conv2dAttrs::same_3x3(6), 4usize, 9usize),
-            ("strided", Conv2dAttrs::new(5, 3, 2, 1), 4, 9),
-            ("pointwise", Conv2dAttrs::pointwise(7), 3, 8),
-            ("biased", Conv2dAttrs::new(6, 5, 2, 2).with_bias(), 2, 11),
-        ] {
-            let x = random(Shape::nchw(2, in_c, hw, hw), 3);
+        // the fused ReLU, then the whole geometry table; the gather path
+        // must match the materialized lowering bit for bit.
+        let mut cases = vec![
+            ("same3x3".to_string(), Conv2dAttrs::same_3x3(6), 4usize, 9usize, 9usize),
+            ("strided".to_string(), Conv2dAttrs::new(5, 3, 2, 1), 4, 9, 9),
+            ("pointwise".to_string(), Conv2dAttrs::pointwise(7), 3, 8, 8),
+            ("biased".to_string(), Conv2dAttrs::new(6, 5, 2, 2).with_bias(), 2, 11, 11),
+        ];
+        for (in_c, in_h, in_w, attrs) in test_geometries() {
+            cases.push((format!("{attrs:?}"), attrs, in_c, in_h, in_w));
+        }
+        for (case, attrs, in_c, in_h, in_w) in cases {
+            let x = random(Shape::nchw(2, in_c, in_h, in_w), 3);
             let w =
                 random(Shape::nchw(attrs.out_channels, in_c, attrs.kernel_h, attrs.kernel_w), 4);
             let bias: Option<Vec<f32>> =
                 attrs.bias.then(|| (0..attrs.out_channels).map(|i| i as f32 * 0.3 - 0.5).collect());
             for fuse_relu in [false, true] {
                 let (_, oh, ow) = check_conv(&x, &w, &attrs).unwrap();
-                let shape = Shape::nchw(2, attrs.out_channels, oh, ow);
-                let mut reference = Tensor::zeros(shape.clone());
+                let mut gathered =
+                    Tensor::filled(Shape::nchw(2, attrs.out_channels, oh, ow), f32::NAN);
                 if fuse_relu {
-                    conv2d_forward_relu_into(&x, &w, bias.as_deref(), &attrs, &mut reference)
+                    conv2d_forward_relu_into(&x, &w, bias.as_deref(), &attrs, &mut gathered)
                         .unwrap();
                 } else {
-                    conv2d_forward_into(&x, &w, bias.as_deref(), &attrs, &mut reference).unwrap();
+                    conv2d_forward_into(&x, &w, bias.as_deref(), &attrs, &mut gathered).unwrap();
                 }
-                let mut gathered = Tensor::zeros(shape);
-                conv2d_forward_gather_into(
-                    &x,
-                    &w,
-                    bias.as_deref(),
-                    &attrs,
-                    fuse_relu,
-                    &mut gathered,
-                )
-                .unwrap();
-                let ref_bits: Vec<u32> = reference.as_slice().iter().map(|v| v.to_bits()).collect();
-                let got_bits: Vec<u32> = gathered.as_slice().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got_bits, ref_bits, "{case} relu={fuse_relu}");
+                let reference = conv_materialized(&x, &w, bias.as_deref(), &attrs, fuse_relu);
+                assert_eq!(bits(gathered.as_slice()), bits(&reference), "{case} relu={fuse_relu}");
             }
         }
+    }
+
+    /// `x` (two samples), `w` and an output gradient `g` for one geometry.
+    fn gradient_fixture(
+        (in_c, in_h, in_w, attrs): (usize, usize, usize, Conv2dAttrs),
+    ) -> (Tensor, Tensor, Tensor) {
+        let x = random(Shape::nchw(2, in_c, in_h, in_w), 11);
+        let w = random(Shape::nchw(attrs.out_channels, in_c, attrs.kernel_h, attrs.kernel_w), 12);
+        let (_, oh, ow) = check_conv(&x, &w, &attrs).unwrap();
+        let g = random(Shape::nchw(2, attrs.out_channels, oh, ow), 13);
+        (x, w, g)
+    }
+
+    /// Element-wise col2im with a bounds test per element: the scatter the
+    /// production paths are checked against.
+    fn scatter_naive(d_col: &[f32], d_x: &mut Tensor, ni: usize, attrs: &Conv2dAttrs) {
+        let (c, h, w) = (d_x.shape().c(), d_x.shape().h(), d_x.shape().w());
+        let (_, cols) = col_shape(d_x.shape(), attrs).unwrap();
+        let wo = (w + 2 * attrs.pad - attrs.kernel_w) / attrs.stride + 1;
+        let start = d_x.shape().offset4(ni, 0, 0, 0);
+        for row in 0..c * attrs.kernel_h * attrs.kernel_w {
+            let (ci, kh, kw) = (
+                row / (attrs.kernel_h * attrs.kernel_w),
+                (row / attrs.kernel_w) % attrs.kernel_h,
+                row % attrs.kernel_w,
+            );
+            for col in 0..cols {
+                let ih = ((col / wo) * attrs.stride + kh) as isize - attrs.pad as isize;
+                let iw = ((col % wo) * attrs.stride + kw) as isize - attrs.pad as isize;
+                if ih >= 0 && iw >= 0 && (ih as usize) < h && (iw as usize) < w {
+                    d_x.as_mut_slice()[start + (ci * h + ih as usize) * w + iw as usize] +=
+                        d_col[row * cols + col];
+                }
+            }
+        }
+    }
+
+    /// `|got − want| ≤ tol · max|want|` element-wise.
+    fn assert_close_relative(label: &str, got: &[f32], want: &[f32], tol: f32) {
+        let scale = want.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() <= tol * scale, "{label}[{i}]: {g} vs {w} (scale {scale})");
+        }
+    }
+
+    #[test]
+    fn gradients_match_the_materialized_oracle() {
+        for geometry in test_geometries() {
+            let attrs = geometry.3;
+            let label = format!("{attrs:?}");
+            let (x, w, g) = gradient_fixture(geometry);
+            let (rows, cols) = col_shape(x.shape(), &attrs).unwrap();
+            let oc = attrs.out_channels;
+            // d_W = Σ_n g_n · im2col(x_n)ᵀ and d_x_n = col2im(Wᵀ · g_n),
+            // both through a materialized column matrix.
+            let mut d_w_ref = vec![0.0f32; oc * rows];
+            let mut d_x_ref = Tensor::zeros(x.shape().clone());
+            let mut partial = vec![0.0f32; oc * rows];
+            let mut d_col = vec![0.0f32; rows * cols];
+            for ni in 0..2 {
+                let g_n = &g.as_slice()[ni * oc * cols..(ni + 1) * oc * cols];
+                let col = im2col(&x, ni, &attrs).unwrap();
+                crate::gemm::gemm_nt(oc, rows, cols, g_n, &col, &mut partial).unwrap();
+                d_w_ref.iter_mut().zip(&partial).for_each(|(acc, v)| *acc += *v);
+                gemm_tn(rows, cols, oc, w.as_slice(), g_n, &mut d_col).unwrap();
+                scatter_naive(&d_col, &mut d_x_ref, ni, &attrs);
+            }
+            let (d_w, _) = conv2d_backward_weights(&x, &g, &attrs, false).unwrap();
+            let d_x = conv2d_backward_input(&g, &w, x.shape(), &attrs).unwrap();
+            assert_close_relative(&format!("d_w {label}"), d_w.as_slice(), &d_w_ref, 1e-5);
+            assert_close_relative(
+                &format!("d_x {label}"),
+                d_x.as_slice(),
+                d_x_ref.as_slice(),
+                1e-5,
+            );
+        }
+    }
+
+    /// `⟨conv(x, w), g⟩ = ⟨x, d_x⟩ = ⟨w, d_w⟩`, the inner products taken in
+    /// f64: the convolution is linear in `x` and in `w`, and the backward
+    /// passes are its adjoints.
+    #[test]
+    fn gradients_satisfy_the_adjoint_identity() {
+        fn dot(a: &[f32], b: &[f32]) -> (f64, f64) {
+            let products = a.iter().zip(b).map(|(&p, &q)| f64::from(p) * f64::from(q));
+            products.fold((0.0, 0.0), |(sum, abs), v| (sum + v, abs + v.abs()))
+        }
+        for geometry in test_geometries() {
+            let attrs = geometry.3;
+            let (x, w, g) = gradient_fixture(geometry);
+            let y = conv2d_forward(&x, &w, None, &attrs).unwrap();
+            let (d_w, _) = conv2d_backward_weights(&x, &g, &attrs, false).unwrap();
+            let d_x = conv2d_backward_input(&g, &w, x.shape(), &attrs).unwrap();
+            let (forward, magnitude) = dot(y.as_slice(), g.as_slice());
+            for (side, (value, _)) in [
+                ("x·d_x", dot(x.as_slice(), d_x.as_slice())),
+                ("w·d_w", dot(w.as_slice(), d_w.as_slice())),
+            ] {
+                assert!(
+                    (value - forward).abs() <= 1e-5 * magnitude,
+                    "{attrs:?}: ⟨y, g⟩ = {forward} but {side} = {value}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn input_gradient_adds_into_a_nonzero_d_input() {
+        // One geometry per path: stride 1 (rotated gather) and stride 2
+        // (`d_col` + col2im).
+        for attrs in [Conv2dAttrs::same_3x3(5), Conv2dAttrs::new(5, 3, 2, 1)] {
+            let (x, w, g) = gradient_fixture((4, 9, 9, attrs));
+            let plain = conv2d_backward_input(&g, &w, x.shape(), &attrs).unwrap();
+            let base = random(x.shape().clone(), 14);
+            let mut d_input = base.clone();
+            conv2d_backward_input_into(&g, &w, &attrs, &mut d_input).unwrap();
+            let want: Vec<f32> =
+                base.as_slice().iter().zip(plain.as_slice()).map(|(b, p)| b + p).collect();
+            assert_close_relative(&format!("{attrs:?}"), d_input.as_slice(), &want, 1e-6);
+        }
+    }
+
+    #[test]
+    fn backward_entry_points_reject_mismatched_shapes() {
+        let attrs = Conv2dAttrs::same_3x3(4);
+        let x = random(Shape::nchw(2, 3, 6, 6), 15);
+        let w = random(Shape::nchw(4, 3, 3, 3), 16);
+        let good = Tensor::zeros(Shape::nchw(2, 4, 6, 6));
+        let mismatch = |r: Result<()>| matches!(r, Err(KernelError::ShapeMismatch(_)));
+        let input_grad = |d_out: &Tensor, weights: &Tensor| {
+            conv2d_backward_input_into(
+                d_out,
+                weights,
+                &attrs,
+                &mut Tensor::zeros(x.shape().clone()),
+            )
+        };
+        let weight_grad =
+            |d_out: &Tensor| conv2d_backward_weights(&x, d_out, &attrs, false).map(|_| ());
+        assert!(input_grad(&good, &w).is_ok() && weight_grad(&good).is_ok());
+        // Wrong batch, too-small and too-large spatial extent: each used to
+        // panic (slice out of range) or be silently accepted.
+        for bad in [Shape::nchw(1, 4, 6, 6), Shape::nchw(2, 4, 5, 5), Shape::nchw(2, 4, 7, 7)] {
+            let d_out = Tensor::zeros(bad.clone());
+            assert!(mismatch(input_grad(&d_out, &w)), "input gradient accepted d_out {bad}");
+            assert!(mismatch(weight_grad(&d_out)), "weight gradient accepted d_out {bad}");
+        }
+        // Same element count, wrong layout.
+        let transposed = Tensor::zeros(Shape::nchw(3, 4, 3, 3));
+        assert!(mismatch(input_grad(&good, &transposed)));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::batchnorm::{
 };
 use crate::conv::{
     conv2d_backward_input, conv2d_backward_weights, conv2d_forward, conv2d_forward_into,
+    conv2d_forward_stats_into,
 };
 use crate::error::KernelError;
 use crate::relu::relu_backward;
@@ -42,17 +43,16 @@ pub fn conv2d_forward_with_stats(
     bias: Option<&[f32]>,
     attrs: &Conv2dAttrs,
 ) -> Result<(Tensor, ChannelStats)> {
-    let out = conv2d_forward(input, weights, bias, attrs)?;
-    // The accumulation rides along the output write: every value written is
-    // pushed into its channel's accumulator (here expressed as a per-plane
-    // pass over the freshly produced output, which stays cache-resident;
-    // the per-channel partials reduce across worker threads).
-    let stats = ChannelAccumulator::from_tensor(&out)?.finalize()?;
+    let mut out = Tensor::zeros(fused_conv_output_shape(input.shape(), attrs)?);
+    let stats = conv2d_forward_with_stats_into(input, weights, bias, attrs, &mut out)?;
     Ok((out, stats))
 }
 
 /// [`conv2d_forward_with_stats`] into a caller-provided output tensor.
-/// Every element of `out` is overwritten.
+/// Every element of `out` is overwritten. The accumulation rides along the
+/// output write: the convolution's per-sample epilogue pushes each freshly
+/// produced output plane into its channel's accumulator while the sample is
+/// still cache-hot, so the feature map is not swept a second time.
 ///
 /// # Errors
 /// Returns an error if the shapes (including `out`'s) are inconsistent.
@@ -63,8 +63,9 @@ pub fn conv2d_forward_with_stats_into(
     attrs: &Conv2dAttrs,
     out: &mut Tensor,
 ) -> Result<ChannelStats> {
-    conv2d_forward_into(input, weights, bias, attrs, out)?;
-    Ok(ChannelAccumulator::from_tensor(out)?.finalize()?)
+    let mut stats = ChannelAccumulator::new(attrs.out_channels);
+    conv2d_forward_stats_into(input, weights, bias, attrs, &mut stats, out)?;
+    Ok(stats.finalize()?)
 }
 
 /// ReLU applied while reading the ifmaps of a convolution (RCF).

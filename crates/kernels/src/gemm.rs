@@ -1,8 +1,8 @@
 //! Cache-blocked, panel-packed general matrix multiply.
 //!
-//! The im2col convolution path and the fully-connected layer are lowered to
-//! this GEMM, mirroring how MKL-DNN / CUTLASS execute them in the paper's
-//! reference implementations. The paper's whole argument is about keeping
+//! Convolutions and the fully-connected layer are lowered to this GEMM,
+//! mirroring how MKL-DNN / CUTLASS execute them in the paper's reference
+//! implementations. The paper's whole argument is about keeping
 //! mini-batch operands in on-chip memory, so the GEMM — the hottest loop in
 //! the workspace — uses the classic three-level blocking of
 //! GotoBLAS/BLIS instead of streaming whole matrices:
@@ -18,9 +18,14 @@
 //!   against one packed `B` strip, accumulating the full `k`-slab in
 //!   registers before touching `C`.
 //!
-//! All three entry points ([`gemm`], [`gemm_nt`], [`gemm_tn`]) drive the same
-//! packed path; the transpose variants differ only in how the packing
-//! routines gather elements. Packing buffers are recycled through a shared
+//! All entry points ([`gemm`], [`gemm_nt`], [`gemm_tn`], [`gemm_im2col`])
+//! drive the same packed path; they differ only in how the packing
+//! routines gather elements. A convolution's `B` operand is *virtual*: an
+//! [`Im2colView`] names the sample and the window geometry, and the
+//! B-packer expands the windows straight into the packed strips (one
+//! resolved-once segment copy per packed row and output-row run), so the
+//! im2col column matrix is never written — forwards, or transposed for the
+//! weight gradient. Packing buffers are recycled through a shared
 //! [`bnff_tensor::pool::SharedBufferPool`], so steady-state training steps
 //! pack into storage carved out by earlier calls instead of `malloc`.
 //!
@@ -52,6 +57,7 @@
 //! tested against.
 
 use crate::error::KernelError;
+use crate::im2col::taps_inside;
 use crate::Result;
 use bnff_parallel::{min_items_per_thread, parallel_row_blocks_mut, parallel_rows_mut};
 use bnff_tensor::pool::SharedBufferPool;
@@ -108,16 +114,26 @@ enum Operand<'a> {
     /// A convolution's im2col column matrix, described by its geometry and
     /// gathered from the input sample during packing (B side only).
     Im2col(Im2colView<'a>),
+    /// The transpose of that column matrix (`(Ho·Wo) × (C·Kh·Kw)`), gathered
+    /// the same way (B side only) — the weight gradient's operand.
+    Im2colT(Im2colView<'a>),
 }
 
-/// A *virtual* `B` operand for the convolution GEMM: the im2col column
+/// A *virtual* `B` operand for the convolution GEMMs: the im2col column
 /// matrix of one sample, described by its geometry instead of being
-/// materialized. [`gemm_im2col`] packs window elements straight from the
-/// sample's `C × H × W` plane into the `KC × NR` strips the microkernel
-/// consumes. The packed strips are bit-identical to packing a materialized
-/// column matrix (same values, same zero padding), so the product is
-/// bit-identical to the two-step `im2col → gemm` lowering — while skipping
-/// one full write plus one full read of the `(C·Kh·Kw) × (Ho·Wo)` matrix.
+/// materialized. The B-packer is the only place a convolution window is
+/// ever expanded: for every packed row `(ci, kh, kw)` and output row it
+/// resolves the run of output columns whose input column lies inside the
+/// image once, moves that run with one segment copy and zero-fills only the
+/// clipped edges — straight from the sample's `C × H × W` planes into the
+/// `KC × NR` strips the microkernel consumes. The packed strips are
+/// bit-identical to packing a materialized column matrix (same values, same
+/// zero padding), so [`gemm_im2col`] is bit-identical to the two-step
+/// `im2col → gemm` lowering while the `(C·Kh·Kw) × (Ho·Wo)` matrix is never
+/// written. The forward pass, the weight gradient (through the transposed
+/// form) and the stride-1 input gradient (a forward convolution of `d_out`
+/// with the rotated weights, whose padding `K − 1 − pad` differs per axis
+/// for non-square filters) all read their windows through this view.
 #[derive(Debug, Clone, Copy)]
 pub struct Im2colView<'a> {
     /// One sample's `C × H × W` values, contiguous.
@@ -134,8 +150,10 @@ pub struct Im2colView<'a> {
     pub kernel_w: usize,
     /// Stride (same in both dimensions).
     pub stride: usize,
-    /// Zero padding (same on all sides).
-    pub pad: usize,
+    /// Zero padding above and below.
+    pub pad_h: usize,
+    /// Zero padding left and right.
+    pub pad_w: usize,
     /// Output height `Ho`.
     pub out_h: usize,
     /// Output width `Wo`.
@@ -182,7 +200,7 @@ fn pack_a(a: Operand<'_>, m: usize, row0: usize, mc: usize, pc: usize, kc: usize
                     }
                 }
             }
-            Operand::Im2col(_) => {
+            Operand::Im2col(_) | Operand::Im2colT(_) => {
                 unreachable!("im2col operands only appear on the B side of a multiply")
             }
         }
@@ -225,40 +243,202 @@ fn pack_b_strip(
                 }
             }
         }
-        Operand::Im2col(v) => {
-            // Logical element (kk, j) of the column matrix is input value
-            // `(ci, oh·s + kh − pad, ow·s + kw − pad)` with zeros outside
-            // the image — exactly what `im2col` would have written. The
-            // per-column window origins are fixed across the strip, so they
-            // are resolved once (one div/mod per column, not per element).
-            let mut ih_base = [0isize; NR];
-            let mut iw_base = [0isize; NR];
-            for j in 0..nr_eff {
-                let col = col0 + j;
-                ih_base[j] = ((col / v.out_w) * v.stride) as isize - v.pad as isize;
-                iw_base[j] = ((col % v.out_w) * v.stride) as isize - v.pad as isize;
+        Operand::Im2col(v) => pack_im2col_strip(&v, pc, col0, nr_eff, strip),
+        Operand::Im2colT(v) => pack_im2col_t_strip(&v, pc, kc, col0, nr_eff, strip),
+    }
+}
+
+impl Im2colView<'_> {
+    /// Whether the column matrix is the sample itself (a pointwise window:
+    /// `1×1`, stride 1, no padding), so the GEMM can read it in place.
+    fn is_identity(&self) -> bool {
+        (self.kernel_h, self.kernel_w, self.stride) == (1, 1, 1)
+            && (self.pad_h, self.pad_w) == (0, 0)
+            && (self.out_h, self.out_w) == (self.in_h, self.in_w)
+    }
+
+    /// Checks that the view describes a `rows × cols` column matrix over a
+    /// sample of the stated extent.
+    fn check(&self, rows: usize, cols: usize) -> Result<()> {
+        check_len(self.sample.len(), self.channels, self.in_h * self.in_w, "im2col sample")?;
+        if self.stride == 0 {
+            return Err(KernelError::InvalidArgument("stride must be positive".to_string()));
+        }
+        if rows != self.channels * self.kernel_h * self.kernel_w || cols != self.out_h * self.out_w
+        {
+            return Err(KernelError::ShapeMismatch(format!(
+                "im2col view ({}·{}·{} rows, {}·{} cols) does not describe a {rows}x{cols} matrix",
+                self.channels, self.kernel_h, self.kernel_w, self.out_h, self.out_w
+            )));
+        }
+        Ok(())
+    }
+
+    /// Splits a column-matrix row index into `(ci, kh, kw)`.
+    fn window_of(&self, row: usize) -> (usize, usize, usize) {
+        let taps = self.kernel_h * self.kernel_w;
+        (row / taps, (row / self.kernel_w) % self.kernel_h, row % self.kernel_w)
+    }
+
+    /// Advances `(ci, kh, kw)` to the next column-matrix row.
+    fn next_window(&self, (ci, kh, kw): (usize, usize, usize)) -> (usize, usize, usize) {
+        if kw + 1 < self.kernel_w {
+            (ci, kh, kw + 1)
+        } else if kh + 1 < self.kernel_h {
+            (ci, kh + 1, 0)
+        } else {
+            (ci + 1, 0, 0)
+        }
+    }
+
+    /// The input row `ih` of channel `ci`, or `None` when `ih` falls in the
+    /// vertical padding.
+    #[inline(always)]
+    fn input_row(&self, ci: usize, ih: isize) -> Option<&[f32]> {
+        if ih < 0 || ih >= self.in_h as isize {
+            return None;
+        }
+        let start = (ci * self.in_h + ih as usize) * self.in_w;
+        Some(&self.sample[start..start + self.in_w])
+    }
+}
+
+/// Splits the output positions `start .. start + count` (row-major over an
+/// `out_w`-wide map) into runs that stay inside one output row and are at
+/// most `NR` long: `(offset from start, oh, ow0, len)`.
+fn row_runs(
+    out_w: usize,
+    start: usize,
+    count: usize,
+) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let mut offset = 0;
+    std::iter::from_fn(move || {
+        let pos = start + offset;
+        let (oh, ow0) = (pos / out_w, pos % out_w);
+        let len = (out_w - ow0).min(count - offset).min(NR);
+        let run = (offset, oh, ow0, len);
+        offset += len;
+        (len > 0).then_some(run)
+    })
+}
+
+/// One run of a packed strip's columns: `len` consecutive output positions
+/// of one output row, starting at the strip's lane `lane`. `ih0`/`iw0` are
+/// the input coordinates tap `(0, 0)` of the run's first window reads
+/// (negative inside the padding), so tap `(kh, kw)` of window `t` reads
+/// `(ih0 + kh, iw0 + kw + t·stride)`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    lane: usize,
+    len: usize,
+    ih0: isize,
+    iw0: isize,
+}
+
+/// `dst[t] = row[iw + t·stride]` where that column lies inside the row and
+/// `0.0` where padding clips it. The run of valid `t` is resolved once, so
+/// the interior moves as one segment copy (fixed-size when it fills a whole
+/// `NR`-wide step) and only the clipped edges are zero-filled. Inlined into
+/// the packers: this body is their whole inner loop.
+#[inline(always)]
+fn gather_row(row: &[f32], iw: isize, stride: usize, dst: &mut [f32]) {
+    if stride == 1 && iw >= 0 && iw as usize + dst.len() <= row.len() {
+        let src = &row[iw as usize..iw as usize + dst.len()];
+        match (<&mut [f32; NR]>::try_from(&mut *dst), <&[f32; NR]>::try_from(src)) {
+            (Ok(dst), Ok(src)) => *dst = *src,
+            _ => dst.copy_from_slice(src),
+        }
+        return;
+    }
+    let valid = taps_inside(iw, stride, row.len(), dst.len());
+    dst[..valid.start].fill(0.0);
+    dst[valid.end..].fill(0.0);
+    if valid.is_empty() {
+        return;
+    }
+    // Non-negative: `valid.start` is the first tap at or past column 0.
+    let first = (iw + (valid.start * stride) as isize) as usize;
+    let dst = &mut dst[valid];
+    if stride == 1 {
+        // A clipped run is a few elements short of a step; a plain loop
+        // beats a variable-length `memcpy` call at this size.
+        for (slot, src) in dst.iter_mut().zip(&row[first..]) {
+            *slot = *src;
+        }
+    } else {
+        for (slot, src) in dst.iter_mut().zip(row[first..].iter().step_by(stride)) {
+            *slot = *src;
+        }
+    }
+}
+
+/// Packs one `kc × NR` strip of an im2col column matrix straight from the
+/// sample. The strip's `nr_eff` columns are consecutive output positions,
+/// i.e. at most `NR` runs of one output row each, resolved once per strip;
+/// every packed row `(ci, kh, kw)` then moves each run with one
+/// [`gather_row`].
+fn pack_im2col_strip(v: &Im2colView<'_>, pc: usize, col0: usize, nr_eff: usize, strip: &mut [f32]) {
+    let mut runs = [Run::default(); NR];
+    let mut n_runs = 0;
+    for (lane, oh, ow0, len) in row_runs(v.out_w, col0, nr_eff) {
+        runs[n_runs] = Run {
+            lane,
+            len,
+            ih0: (oh * v.stride) as isize - v.pad_h as isize,
+            iw0: (ow0 * v.stride) as isize - v.pad_w as isize,
+        };
+        n_runs += 1;
+    }
+    let mut window = v.window_of(pc);
+    for step in strip.chunks_exact_mut(NR) {
+        let (ci, kh, kw) = window;
+        for run in &runs[..n_runs] {
+            let dst = &mut step[run.lane..run.lane + run.len];
+            match v.input_row(ci, run.ih0 + kh as isize) {
+                Some(row) => gather_row(row, run.iw0 + kw as isize, v.stride, dst),
+                None => dst.fill(0.0),
             }
-            let plane_len = v.in_h * v.in_w;
-            for kk in 0..kc {
-                let row = pc + kk;
-                let kw_off = (row % v.kernel_w) as isize;
-                let kh_off = ((row / v.kernel_w) % v.kernel_h) as isize;
-                let ci = row / (v.kernel_w * v.kernel_h);
-                let plane = &v.sample[ci * plane_len..(ci + 1) * plane_len];
-                let step = &mut strip[kk * NR..(kk + 1) * NR];
-                for (j, slot) in step.iter_mut().enumerate() {
-                    *slot = if j < nr_eff {
-                        let ih = ih_base[j] + kh_off;
-                        let iw = iw_base[j] + kw_off;
-                        if ih >= 0 && iw >= 0 && (ih as usize) < v.in_h && (iw as usize) < v.in_w {
-                            plane[ih as usize * v.in_w + iw as usize]
-                        } else {
-                            0.0
-                        }
-                    } else {
-                        0.0
-                    };
-                }
+        }
+        step[nr_eff..].fill(0.0);
+        window = v.next_window(window);
+    }
+}
+
+/// Packs one `kc × NR` strip of the *transposed* column matrix: the strip's
+/// columns are `nr_eff` consecutive rows `(ci, kh, kw)` of the column
+/// matrix and its `kc` steps are consecutive output positions. Up to `NR`
+/// positions of one output row at a time, each lane's run is gathered into
+/// a lane-major tile by the same [`gather_row`] as the forward packer, and
+/// the tile is written out transposed.
+fn pack_im2col_t_strip(
+    v: &Im2colView<'_>,
+    pc: usize,
+    kc: usize,
+    col0: usize,
+    nr_eff: usize,
+    strip: &mut [f32],
+) {
+    let mut windows = [(0usize, 0usize, 0usize); NR];
+    let mut window = v.window_of(col0);
+    for slot in &mut windows[..nr_eff] {
+        *slot = window;
+        window = v.next_window(window);
+    }
+    // Lanes past `nr_eff` are never gathered into and stay zero.
+    let mut tile = [[0.0f32; NR]; NR];
+    for (kk, oh, ow0, len) in row_runs(v.out_w, pc, kc) {
+        for (lane, &(ci, kh, kw)) in tile.iter_mut().zip(&windows[..nr_eff]) {
+            let dst = &mut lane[..len];
+            let ih = (oh * v.stride + kh) as isize - v.pad_h as isize;
+            let iw = (ow0 * v.stride + kw) as isize - v.pad_w as isize;
+            match v.input_row(ci, ih) {
+                Some(row) => gather_row(row, iw, v.stride, dst),
+                None => dst.fill(0.0),
+            }
+        }
+        for (t, step) in strip[kk * NR..(kk + len) * NR].chunks_exact_mut(NR).enumerate() {
+            for (slot, lane) in step.iter_mut().zip(&tile) {
+                *slot = lane[t];
             }
         }
     }
@@ -317,28 +497,24 @@ mod avx2 {
     /// twelve FMAs. FMA contracts `a·b + acc` into one rounding, so this
     /// path is *not* bit-identical to the scalar kernel — equivalence is
     /// bounded by `tests/simd_equivalence.rs` instead.
+    ///
+    /// The caller upholds the contract the loads below rely on —
+    /// `a_panel` holds `kc·MR` and `b_strip` `kc·NR` values for the same
+    /// `kc`, and `b_strip` starts 32-byte aligned. `gemm_packed`, the only
+    /// caller, `assert!`s it once per packed slab (in release builds too)
+    /// so this per-tile loop carries no checks.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub fn microkernel(a_panel: &[f32], b_strip: &[f32], acc: &mut AccTile) {
-        debug_assert_eq!(a_panel.len() % MR, 0);
-        debug_assert_eq!(b_strip.len() % NR, 0);
-        debug_assert_eq!(a_panel.len() / MR, b_strip.len() / NR);
-        // The aligned-load contract: packed B strips come from `AlignedBuf`
-        // storage at 64-byte strides, so every `_mm256_load_ps` below is
-        // 32-byte aligned.
-        debug_assert_eq!(
-            b_strip.as_ptr() as usize % 32,
-            0,
-            "packed B strip must be 32-byte aligned for aligned vector loads"
-        );
         let kc = b_strip.len() / NR;
         let mut acc_v = [[_mm256_setzero_ps(); 2]; MR];
         let mut a = a_panel.as_ptr();
         let mut b = b_strip.as_ptr();
         for _ in 0..kc {
             // SAFETY: `kc` iterations advance `a` by `kc·MR` and `b` by
-            // `kc·NR` elements, exactly the panel/strip lengths asserted
-            // above; the strip's base alignment plus the 64-byte stride
-            // keep both loads 32-byte aligned.
+            // `kc·NR` elements, exactly the panel/strip lengths
+            // `gemm_packed` asserts per slab before carving these slices;
+            // the slab's asserted base alignment plus the 64-byte step
+            // stride keep both loads 32-byte aligned.
             unsafe {
                 let b0 = _mm256_load_ps(b);
                 let b1 = _mm256_load_ps(b.add(8));
@@ -368,7 +544,9 @@ fn microkernel(isa: SimdIsa, a_panel: &[f32], b_strip: &[f32], acc: &mut AccTile
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         SimdIsa::Avx2Fma => {
             // SAFETY: `SimdIsa::Avx2Fma` is only ever produced after
-            // `is_x86_feature_detected!` confirmed avx2+fma at runtime.
+            // `is_x86_feature_detected!` confirmed avx2+fma at runtime, and
+            // `gemm_packed` asserted the panel/strip lengths and the strip
+            // alignment the kernel's aligned loads need for this slab.
             unsafe { avx2::microkernel(a_panel, b_strip, acc) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
@@ -426,6 +604,16 @@ fn gemm_packed(
             // aligned loads.
             let mut packed_b = PACK_POOL.take_aligned_dirty(strips * kc * NR);
             let strip_len = kc * NR;
+            // The AVX2 microkernel's safety contract, checked here once per
+            // slab rather than per tile: every strip below is a
+            // `strip_len` slice at a multiple of `strip_len` (64·kc bytes)
+            // from this aligned base.
+            assert_eq!(packed_b.len(), strips * strip_len, "packed B slab holds whole strips");
+            assert_eq!(
+                packed_b.as_ptr() as usize % 32,
+                0,
+                "packed B slab must be 32-byte aligned for aligned vector loads"
+            );
             parallel_rows_mut(
                 packed_b.as_mut_slice(),
                 strip_len,
@@ -447,6 +635,13 @@ fn gemm_packed(
             parallel_row_blocks_mut(c, n, MC, min_rows, |first_row, c_rows| {
                 let rows = c_rows.len() / n;
                 let mut packed_a = PACK_POOL.take_aligned_dirty(MC.div_ceil(MR) * MR * kc);
+                // The other half of the contract: every panel below is a
+                // `kc·MR` slice of this buffer, matching the strips' `kc`.
+                assert_eq!(
+                    packed_a.len(),
+                    MC.div_ceil(MR) * MR * kc,
+                    "packed A holds kc-deep panels"
+                );
                 let mut acc = [[0.0f32; NR]; MR];
                 let mut r0 = 0;
                 while r0 < rows {
@@ -554,7 +749,8 @@ pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
 /// `k×n` im2col column matrix described by an [`Im2colView`] — gathered
 /// during packing, never materialized. Bit-identical to materializing the
 /// column matrix and calling [`gemm`]: the microkernel consumes bitwise
-/// equal packed panels in the same accumulation order.
+/// equal packed panels in the same accumulation order. A pointwise view's
+/// column matrix is the sample itself and is read in place.
 ///
 /// # Errors
 /// Returns [`KernelError::ShapeMismatch`] when the slice lengths or the
@@ -572,14 +768,33 @@ pub fn gemm_im2col(
 ) -> Result<()> {
     check_len(a.len(), m, k, "a")?;
     check_len(c.len(), m, n, "c")?;
-    check_len(b.sample.len(), b.channels, b.in_h * b.in_w, "im2col sample")?;
-    if k != b.channels * b.kernel_h * b.kernel_w || n != b.out_h * b.out_w {
-        return Err(KernelError::ShapeMismatch(format!(
-            "im2col view ({}·{}·{} rows, {}·{} cols) does not describe a {k}x{n} matrix",
-            b.channels, b.kernel_h, b.kernel_w, b.out_h, b.out_w
-        )));
-    }
-    gemm_packed(m, n, k, alpha, Operand::Normal(a), Operand::Im2col(b), beta, c);
+    b.check(k, n)?;
+    let b = if b.is_identity() { Operand::Normal(b.sample) } else { Operand::Im2col(b) };
+    gemm_packed(m, n, k, alpha, Operand::Normal(a), b, beta, c);
+    Ok(())
+}
+
+/// `c += a·Bᵀ` where `a` is `m×k` row-major and `B` is the `n×k` im2col
+/// column matrix described by an [`Im2colView`]: the weight-gradient GEMM
+/// `d_W += d_out · colᵀ`, accumulating into `c` so a run of samples sums
+/// inside the multiply.
+///
+/// # Errors
+/// Returns [`KernelError::ShapeMismatch`] when the slice lengths or the
+/// view's geometry do not match the given dimensions.
+pub(crate) fn gemm_nt_im2col_acc(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: Im2colView<'_>,
+    c: &mut [f32],
+) -> Result<()> {
+    check_len(a.len(), m, k, "a")?;
+    check_len(c.len(), m, n, "c")?;
+    b.check(n, k)?;
+    let b = if b.is_identity() { Operand::Transposed(b.sample) } else { Operand::Im2colT(b) };
+    gemm_packed(m, n, k, 1.0, Operand::Normal(a), b, 1.0, c);
     Ok(())
 }
 
@@ -641,6 +856,8 @@ pub fn gemm_streaming(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::im2col::{col_shape, im2col};
+    use bnff_tensor::{Shape, Tensor};
 
     fn naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
         let mut c = vec![0.0; m * n];
@@ -808,54 +1025,50 @@ mod tests {
 
     #[test]
     fn gemm_im2col_is_bit_identical_to_materialized() {
-        // Geometries straddling KC/NC edges and exercising stride + padding.
-        for &(channels, in_h, in_w, kernel, stride, pad, m) in &[
-            (3usize, 8usize, 8usize, 3usize, 1usize, 1usize, 5usize),
-            (32, 10, 10, 3, 2, 1, MC + 2),
-            (40, 9, 7, 3, 1, 0, 4),
-            (2, 33, 33, 5, 2, 2, 7),
-        ] {
-            let out_h = (in_h + 2 * pad - kernel) / stride + 1;
-            let out_w = (in_w + 2 * pad - kernel) / stride + 1;
-            let k = channels * kernel * kernel;
-            let n = out_h * out_w;
-            let sample: Vec<f32> =
-                (0..channels * in_h * in_w).map(|i| ((i * 31 % 23) as f32 - 11.0) * 0.37).collect();
-            let a: Vec<f32> = (0..m * k).map(|i| ((i * 29 % 17) as f32 - 8.0) * 0.21).collect();
-            // Materialize the column matrix the view describes.
-            let mut col = vec![0.0f32; k * n];
-            for row in 0..k {
-                let kw = row % kernel;
-                let kh = (row / kernel) % kernel;
-                let ci = row / (kernel * kernel);
-                for j in 0..n {
-                    let ih = ((j / out_w) * stride + kh) as isize - pad as isize;
-                    let iw = ((j % out_w) * stride + kw) as isize - pad as isize;
-                    if ih >= 0 && iw >= 0 && (ih as usize) < in_h && (iw as usize) < in_w {
-                        col[row * n + j] =
-                            sample[ci * in_h * in_w + ih as usize * in_w + iw as usize];
-                    }
-                }
-            }
-            let mut expected = vec![0.0f32; m * n];
-            gemm(m, n, k, 1.0, &a, &col, 0.0, &mut expected).unwrap();
+        // The element-wise `im2col` is the oracle: packing the matrix it
+        // writes and gathering through the view must feed the microkernel
+        // bitwise-equal panels, for the column matrix and its transpose.
+        for (in_c, in_h, in_w, attrs) in crate::im2col::test_geometries() {
+            let label = format!("c{in_c} {in_h}x{in_w} {attrs:?}");
+            let x = Tensor::from_vec(
+                Shape::nchw(1, in_c, in_h, in_w),
+                (0..in_c * in_h * in_w).map(|i| ((i * 31 % 23) as f32 - 11.0) * 0.37).collect(),
+            )
+            .unwrap();
+            let col = im2col(&x, 0, &attrs).unwrap();
+            let (k, n) = col_shape(x.shape(), &attrs).unwrap();
+            let m = attrs.out_channels;
             let view = Im2colView {
-                sample: &sample,
-                channels,
+                sample: x.as_slice(),
+                channels: in_c,
                 in_h,
                 in_w,
-                kernel_h: kernel,
-                kernel_w: kernel,
-                stride,
-                pad,
-                out_h,
-                out_w,
+                kernel_h: attrs.kernel_h,
+                kernel_w: attrs.kernel_w,
+                stride: attrs.stride,
+                pad_h: attrs.pad,
+                pad_w: attrs.pad,
+                out_h: (in_h + 2 * attrs.pad - attrs.kernel_h) / attrs.stride + 1,
+                out_w: (in_w + 2 * attrs.pad - attrs.kernel_w) / attrs.stride + 1,
             };
+
+            let a: Vec<f32> = (0..m * k).map(|i| ((i * 29 % 17) as f32 - 8.0) * 0.21).collect();
+            let mut expected = vec![0.0f32; m * n];
+            gemm(m, n, k, 1.0, &a, &col, 0.0, &mut expected).unwrap();
             let mut fused = vec![f32::NAN; m * n];
             gemm_im2col(m, n, k, 1.0, &a, view, 0.0, &mut fused).unwrap();
             let fused_bits: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
             let expected_bits: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fused_bits, expected_bits, "c{channels} {in_h}x{in_w} k{kernel}");
+            assert_eq!(fused_bits, expected_bits, "{label}");
+
+            // a · colᵀ, accumulated into zeros: equal values (the `0 + x`
+            // of the accumulate can only turn a −0.0 into +0.0).
+            let a_t: Vec<f32> = (0..m * n).map(|i| ((i * 23 % 19) as f32 - 9.0) * 0.17).collect();
+            let mut expected_t = vec![0.0f32; m * k];
+            gemm_nt(m, k, n, &a_t, &col, &mut expected_t).unwrap();
+            let mut fused_t = vec![0.0f32; m * k];
+            gemm_nt_im2col_acc(m, k, n, &a_t, view, &mut fused_t).unwrap();
+            assert_eq!(fused_t, expected_t, "transposed {label}");
         }
     }
 
@@ -870,7 +1083,8 @@ mod tests {
             kernel_h: 3,
             kernel_w: 3,
             stride: 1,
-            pad: 1,
+            pad_h: 1,
+            pad_w: 1,
             out_h: 4,
             out_w: 4,
         };
@@ -882,6 +1096,9 @@ mod tests {
         // Sample shorter than C·H·W.
         let short = Im2colView { sample: &sample[..47], ..view };
         assert!(gemm_im2col(2, 16, 27, 1.0, &a, short, 0.0, &mut c).is_err());
+        // A zero stride has no column matrix.
+        let stuck = Im2colView { stride: 0, ..view };
+        assert!(gemm_im2col(2, 16, 27, 1.0, &a, stuck, 0.0, &mut c).is_err());
     }
 
     #[test]

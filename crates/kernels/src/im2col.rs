@@ -1,15 +1,25 @@
-//! im2col / col2im lowering for convolutions.
+//! The reference im2col lowering and the strided col2im adjoint.
 //!
 //! The reference CNN libraries in the paper (MKL-DNN, CUTLASS) execute
-//! convolutions as matrix multiplies over an im2col-expanded input; we
-//! provide the same lowering so the GEMM-based convolution path can be
-//! benchmarked against the direct path.
+//! convolutions as matrix multiplies over an im2col-expanded input. The
+//! production kernels in [`crate::conv`] never write that matrix — the
+//! GEMM's B-packer gathers windows straight from the sample
+//! ([`crate::gemm::Im2colView`]) — so what lives here is:
+//!
+//! * [`im2col`], the element-wise materializing lowering, kept as the oracle
+//!   the gather packer is tested bit-identical against;
+//! * [`col2im_accumulate`], its adjoint, which the input gradient of a
+//!   *strided* convolution still scatters a `d_col` through (stride-1
+//!   convolutions compute their input gradient as a forward convolution
+//!   with rotated weights instead);
+//! * the geometry helpers both share with the packer.
 
 use crate::error::KernelError;
 use crate::Result;
 use bnff_graph::op::Conv2dAttrs;
 use bnff_parallel::{min_items_per_thread, parallel_rows_mut};
 use bnff_tensor::{Shape, Tensor};
+use std::ops::Range;
 
 /// Computes the output spatial size of a convolution dimension.
 pub(crate) fn conv_out_dim(dim: usize, kernel: usize, stride: usize, pad: usize) -> Result<usize> {
@@ -23,6 +33,20 @@ pub(crate) fn conv_out_dim(dim: usize, kernel: usize, stride: usize, pad: usize)
         )));
     }
     Ok((padded - kernel) / stride + 1)
+}
+
+/// The taps `t` in `0..len` whose input position `start + t·stride` lies
+/// inside `0..extent` (`start` is negative inside the leading padding).
+/// They form one run, resolved here once per row segment, so the copy loops
+/// on either side of the lowering test no bounds per element. Empty when
+/// padding clips the whole segment.
+#[inline(always)]
+pub(crate) fn taps_inside(start: isize, stride: usize, extent: usize, len: usize) -> Range<usize> {
+    let ceil_div = |x: usize| if stride == 1 { x } else { x.div_ceil(stride) };
+    let first = if start < 0 { ceil_div(start.unsigned_abs()) } else { 0 }.min(len);
+    let end =
+        if start < extent as isize { ceil_div((extent as isize - start) as usize) } else { 0 };
+    first..end.clamp(first, len)
 }
 
 /// Expands one sample of an NCHW tensor into a `(C·Kh·Kw) × (Ho·Wo)` column
@@ -126,18 +150,21 @@ pub fn col2im_accumulate(
             for kh in 0..attrs.kernel_h {
                 for kw in 0..attrs.kernel_w {
                     let row = (ci * attrs.kernel_h + kh) * attrs.kernel_w + kw;
-                    for oh in 0..ho {
-                        let ih = (oh * attrs.stride + kh) as isize - attrs.pad as isize;
-                        if ih < 0 || ih as usize >= h {
-                            continue;
-                        }
-                        for ow in 0..wo {
-                            let iw = (ow * attrs.stride + kw) as isize - attrs.pad as isize;
-                            if iw < 0 || iw as usize >= w {
-                                continue;
-                            }
-                            let v = cols_data[row * cols + oh * wo + ow];
-                            plane[ih as usize * w + iw as usize] += v;
+                    // Per output row the columns that land inside the
+                    // image are one run, resolved once; the scatter below
+                    // tests no bounds per element.
+                    let pad = attrs.pad as isize;
+                    let valid = taps_inside(kw as isize - pad, attrs.stride, w, wo);
+                    if valid.is_empty() {
+                        continue;
+                    }
+                    let iw0 = valid.start * attrs.stride + kw - attrs.pad;
+                    for oh in taps_inside(kh as isize - pad, attrs.stride, h, ho) {
+                        let ih = oh * attrs.stride + kh - attrs.pad;
+                        let src = &cols_data[row * cols + oh * wo..][valid.clone()];
+                        let dst = plane[ih * w + iw0..].iter_mut().step_by(attrs.stride);
+                        for (slot, v) in dst.zip(src) {
+                            *slot += *v;
                         }
                     }
                 }
@@ -157,6 +184,44 @@ pub fn col_shape(input: &Shape, attrs: &Conv2dAttrs) -> Result<(usize, usize)> {
     let ho = conv_out_dim(input.h(), attrs.kernel_h, attrs.stride, attrs.pad)?;
     let wo = conv_out_dim(input.w(), attrs.kernel_w, attrs.stride, attrs.pad)?;
     Ok((input.c() * attrs.kernel_h * attrs.kernel_w, ho * wo))
+}
+
+/// The convolution geometries `(C_in, H, W, attrs)` the gather packer
+/// (`gemm` tests) and both gradient paths (`conv` tests) are checked over.
+#[cfg(test)]
+pub(crate) fn test_geometries() -> Vec<(usize, usize, usize, Conv2dAttrs)> {
+    let conv = |out_channels, kernel_h, kernel_w, stride, pad| Conv2dAttrs {
+        out_channels,
+        kernel_h,
+        kernel_w,
+        stride,
+        pad,
+        bias: false,
+    };
+    vec![
+        // 8×8 and 4×4 maps, and a one-column output: `out_w < NR`, so one
+        // packed strip spans several output rows.
+        (3, 8, 8, conv(5, 3, 3, 1, 1)),
+        (6, 4, 4, conv(30, 3, 3, 1, 1)), // C_out·9 = 270 straddles KC in the rotated GEMM
+        (2, 5, 3, conv(3, 3, 3, 1, 0)),
+        // `out_w` not a multiple of NR: 17 and 33 (and 33² > NC columns).
+        (3, 17, 17, conv(4, 3, 3, 1, 1)),
+        (2, 33, 33, conv(3, 3, 3, 1, 1)),
+        // `k = C·Kh·Kw` straddling KC; `m` past MC; no padding.
+        (32, 10, 10, conv(crate::gemm::MC + 2, 3, 3, 2, 1)),
+        (40, 9, 7, conv(4, 3, 3, 1, 0)),
+        // Non-square filters (the rotated padding differs per axis).
+        (3, 9, 12, conv(4, 3, 5, 1, 1)),
+        (2, 10, 9, conv(3, 1, 3, 2, 0)),
+        // pad > 1, at stride 1 and 2; pad > K − 1 (strided-path fallback).
+        (2, 11, 11, conv(3, 5, 5, 1, 2)),
+        (2, 33, 33, conv(7, 5, 5, 2, 2)),
+        (3, 6, 6, conv(4, 2, 2, 1, 2)),
+        // Stride 4.
+        (4, 19, 19, conv(6, 5, 5, 4, 2)),
+        // Pointwise: the sample is the operand.
+        (5, 6, 6, conv(7, 1, 1, 1, 0)),
+    ]
 }
 
 #[cfg(test)]

@@ -94,12 +94,18 @@ fn gemm_matches_serial_across_odd_sizes() {
 
 #[test]
 fn conv_forward_and_backward_match_serial() {
-    // Batch 1 (threads > samples), odd channel counts, odd spatial sizes.
-    for &(n, ic, oc, hw, seed) in
-        &[(1usize, 1usize, 1usize, 1usize, 1u64), (1, 3, 5, 7, 2), (3, 4, 6, 9, 3), (2, 2, 8, 5, 4)]
-    {
-        let attrs =
-            Conv2dAttrs::new(oc, if hw >= 3 { 3 } else { 1 }, 1, if hw >= 3 { 1 } else { 0 });
+    // Batch 1 (threads > samples), odd channel counts, odd spatial sizes;
+    // then stride 2 (the `d_col` + col2im input gradient) and 4×4 maps
+    // (`out_w < NR`: one packed strip spans four output rows).
+    let same = |oc, hw| Conv2dAttrs::new(oc, if hw >= 3 { 3 } else { 1 }, 1, usize::from(hw >= 3));
+    for &(n, ic, oc, hw, seed, attrs) in &[
+        (1usize, 1usize, 1usize, 1usize, 1u64, same(1, 1)),
+        (1, 3, 5, 7, 2, same(5, 7)),
+        (3, 4, 6, 9, 3, same(6, 9)),
+        (2, 2, 8, 5, 4, same(8, 5)),
+        (3, 4, 6, 9, 5, Conv2dAttrs::new(6, 3, 2, 1)),
+        (3, 5, 7, 4, 6, same(7, 4)),
+    ] {
         let x = random(Shape::nchw(n, ic, hw, hw), seed);
         let w = random(Shape::nchw(oc, ic, attrs.kernel_h, attrs.kernel_w), seed + 100);
         check(&format!("conv_direct n={n} ic={ic} oc={oc} hw={hw}"), || {
@@ -243,6 +249,19 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
     )
     .unwrap();
     let b = random(x.shape().clone(), 43);
+    // Forward and both gradients, at stride 1 on 4×4 maps (`out_w < NR`)
+    // and at stride 2.
+    let small = random(Shape::nchw(3, 5, 4, 4), 44);
+    let strided = Conv2dAttrs::new(6, 3, 2, 1);
+    let conv_case = |input: &Tensor, attrs: &Conv2dAttrs| {
+        let y = conv2d_forward(input, &w, None, attrs).unwrap();
+        let d_x = conv2d_backward_input(&y, &w, input.shape(), attrs).unwrap();
+        let (d_w, _) = conv2d_backward_weights(input, &y, attrs, false).unwrap();
+        let mut flat = y.into_vec();
+        flat.extend(d_x.into_vec());
+        flat.extend(d_w.into_vec());
+        flat
+    };
 
     let detected = with_isa(SimdIsa::Avx2Fma, active_isa);
     let mut isas = vec![SimdIsa::Scalar];
@@ -274,13 +293,15 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
             flat.extend(stats.var);
             flat
         }),
+        ("conv_fwd_bwd_4x4", &|| conv_case(&small, &attrs)),
+        ("conv_fwd_bwd_stride2", &|| conv_case(&x, &strided)),
     ];
     for &isa in &isas {
         for (label, f) in cases {
             with_isa(isa, || {
                 let reference: Vec<u32> =
                     with_grain(1, || with_threads(1, f)).iter().map(|v| v.to_bits()).collect();
-                for &t in &[3usize, 4, 7] {
+                for &t in &[3usize, 4, 7, 16] {
                     let candidate: Vec<u32> =
                         with_grain(1, || with_threads(t, f)).iter().map(|v| v.to_bits()).collect();
                     assert_eq!(

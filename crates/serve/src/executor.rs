@@ -46,9 +46,7 @@ use bnff_kernels::affine::{
     channel_affine_relu_into,
 };
 use bnff_kernels::concat::concat_forward_into;
-use bnff_kernels::conv::{
-    conv2d_forward_gather_into, conv2d_forward_into, conv2d_forward_relu_into,
-};
+use bnff_kernels::conv::{conv2d_forward_into, conv2d_forward_relu_into};
 use bnff_kernels::eltwise::eltwise_sum_forward_into;
 use bnff_kernels::fc::{fc_forward, fc_forward_into};
 use bnff_kernels::pool::{
@@ -470,21 +468,9 @@ fn exec_instr(
     }
     let mut out = take_out(regs, instr);
     match (&instr.kernel, params) {
-        (
-            Kernel::Conv { attrs, fused_relu, gather },
-            Some(FrozenParams::Conv { weights, bias }),
-        ) => {
+        (Kernel::Conv { attrs, fused_relu }, Some(FrozenParams::Conv { weights, bias })) => {
             let x = reg_ref(regs, instr, 0)?;
-            if *gather {
-                conv2d_forward_gather_into(
-                    x,
-                    weights,
-                    bias.as_deref(),
-                    attrs,
-                    *fused_relu,
-                    &mut out,
-                )?;
-            } else if *fused_relu {
+            if *fused_relu {
                 conv2d_forward_relu_into(x, weights, bias.as_deref(), attrs, &mut out)?;
             } else {
                 conv2d_forward_into(x, weights, bias.as_deref(), attrs, &mut out)?;

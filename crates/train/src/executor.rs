@@ -16,7 +16,7 @@
 //! but every dispatched kernel fans its per-sample / per-channel / per-row
 //! work out across the `bnff-parallel` pool, so one training step saturates
 //! `BNFF_THREADS` cores: convolutions lower to the cache-blocked packed
-//! GEMM (im2col column matrices recycled across steps), which partitions
+//! GEMM (windows gathered while packing, no column matrix), which partitions
 //! MC-aligned output row blocks, BN reduces its mini-batch statistics with one
 //! partial per channel, and the gradient accumulation between branches
 //! (`ops::add_assign`) sweeps in parallel chunks.
