@@ -136,16 +136,6 @@ impl NodeCost {
     pub fn bytes_total(&self) -> usize {
         self.bytes_fwd() + self.bytes_bwd()
     }
-
-    /// Bytes swept in the forward pass restricted to activation-sized
-    /// tensors (the traffic BNFF targets).
-    pub fn activation_bytes_fwd(&self) -> usize {
-        self.sweeps_fwd
-            .iter()
-            .filter(|s| matches!(s.class, TensorClass::Activation | TensorClass::Gradient))
-            .map(|s| s.bytes)
-            .sum()
-    }
 }
 
 /// The shape of one GEMM a node's im2col / inner-product lowering executes
@@ -194,13 +184,8 @@ pub fn node_gemms(graph: &Graph, node: &Node) -> Result<NodeGemms> {
         None => return Ok(NodeGemms::default()),
     };
     let out = &node.output_shape;
-    Ok(match &node.op {
-        OpKind::Conv2d(a)
-        | OpKind::ReluConv(a)
-        | OpKind::ConvRelu(a)
-        | OpKind::ConvStats { conv: a, .. }
-        | OpKind::NormReluConv { conv: a, .. }
-        | OpKind::NormReluConvStats { conv: a, .. } => {
+    Ok(match (node.op.conv_attrs(), &node.op) {
+        (Some(a), _) => {
             if !input_shape.is_nchw() || !out.is_nchw() {
                 return Ok(NodeGemms::default());
             }
@@ -218,7 +203,7 @@ pub fn node_gemms(graph: &Graph, node: &Node) -> Result<NodeGemms> {
                 ],
             }
         }
-        OpKind::FullyConnected { out_features } => {
+        (None, OpKind::FullyConnected { out_features }) => {
             let batch = input_shape.dim(0).unwrap_or(1);
             let in_features = input_shape.volume() / batch.max(1);
             NodeGemms {

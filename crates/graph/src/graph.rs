@@ -2,7 +2,7 @@
 
 use crate::error::GraphError;
 use crate::node::{Node, NodeId};
-use crate::op::OpKind;
+use crate::op::{ConvPrologue, OpForm, OpKind};
 use crate::shape_infer::infer_output_shape;
 use crate::Result;
 use bnff_tensor::Shape;
@@ -333,40 +333,26 @@ impl Graph {
     /// Number of learnable parameters owned by one node.
     pub fn node_parameter_count(&self, node: &Node) -> usize {
         let in_shape =
-            node.inputs.first().and_then(|id| self.node(*id).ok()).map(|n| n.output_shape.clone());
-        match &node.op {
-            OpKind::Conv2d(a) | OpKind::ReluConv(a) | OpKind::ConvRelu(a) => {
+            node.inputs.first().and_then(|id| self.node(*id).ok()).map(|n| &n.output_shape);
+        match (node.op.form(), &node.op) {
+            (OpForm::Conv { attrs: a, prologue, .. }, _) => {
                 let in_c = in_shape.map(|s| s.c()).unwrap_or(0);
-                a.weight_elems(in_c) + if a.bias { a.out_channels } else { 0 }
+                // A normalizing prologue brings the γ/β of the BN it
+                // absorbed, which cover the convolution's input channels.
+                let absorbed =
+                    if matches!(prologue, ConvPrologue::NormRelu(_)) { 2 * in_c } else { 0 };
+                a.weight_elems(in_c) + if a.bias { a.out_channels } else { 0 } + absorbed
             }
-            OpKind::ChannelAffine => {
+            (OpForm::Norm { .. }, _) => 2 * node.output_shape.c(),
+            (_, OpKind::ChannelAffine) => {
                 // Channels are dim 1 for NCHW activations and the feature
                 // axis for a 2-D (batch × features) input.
                 2 * node.output_shape.dim(1).unwrap_or(0)
             }
-            OpKind::ConvStats { conv: a, .. } => {
-                let in_c = in_shape.map(|s| s.c()).unwrap_or(0);
-                a.weight_elems(in_c) + if a.bias { a.out_channels } else { 0 }
-            }
-            OpKind::NormReluConv { conv: a, .. } | OpKind::NormReluConvStats { conv: a, .. } => {
-                // The fused op owns both the convolution weights and the γ/β
-                // of the absorbed normalization (whose channel count equals
-                // the fused op's input channel count).
-                let in_c = in_shape.map(|s| s.c()).unwrap_or(0);
-                a.weight_elems(in_c) + if a.bias { a.out_channels } else { 0 } + 2 * in_c
-            }
-            OpKind::NormRelu(_) => {
-                let in_c = in_shape.map(|s| s.c()).unwrap_or(0);
-                2 * in_c
-            }
-            OpKind::FullyConnected { out_features } => {
+            (_, OpKind::FullyConnected { out_features }) => {
                 let in_features =
                     in_shape.map(|s| s.volume() / s.dim(0).unwrap_or(1).max(1)).unwrap_or(0);
                 in_features * out_features + out_features
-            }
-            OpKind::BatchNorm(_) | OpKind::SubBnNorm(_) => {
-                let c = node.output_shape.c();
-                2 * c
             }
             _ => 0,
         }

@@ -63,7 +63,7 @@ pub mod shape_infer;
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::Graph;
-pub use linear::{Instr, Kernel, LinearProgram, Reg, REG_ALIGN};
+pub use linear::{Instr, Kernel, LinearProgram, Reg};
 pub use node::{Node, NodeId};
 pub use op::OpKind;
 pub use plan::{ExecutionPlan, MemoryPlanSummary};

@@ -14,9 +14,9 @@
 //!   with concrete attributes and the fused-ReLU flag),
 //! * operands are *virtual registers* ([`Reg`]): dense indices into a
 //!   register file whose slots come straight from the memory plan's
-//!   buffer-slot assignment, with pre-computed byte sizes and arena offsets
-//!   ([`LinearProgram::reg_offsets`]) — no slot `HashMap`, no shape
-//!   inference, no liveness queries remain on the request path,
+//!   buffer-slot assignment, with pre-computed byte sizes — no slot
+//!   `HashMap`, no shape inference, no liveness queries remain on the
+//!   request path,
 //! * shapes are batch-specialized: a program lowered for batch `N` hardcodes
 //!   every loop bound and buffer size for that `N`, and small programs carry
 //!   a serial-execution hint ([`LinearProgram::prefers_serial`]) so a tape
@@ -48,9 +48,6 @@ use serde::Serialize;
 
 /// A virtual register: a dense index into the tape executor's register file.
 pub type Reg = usize;
-
-/// Register/arena offsets are aligned to cache lines.
-pub const REG_ALIGN: usize = 64;
 
 /// Programs whose whole forward pass is below this many estimated FLOPs
 /// prefer serial execution: per-kernel thread fan-out costs more than it
@@ -127,12 +124,8 @@ pub struct Instr {
     pub inputs: Vec<Reg>,
     /// Producer node of each input register, for validation/diagnostics.
     pub input_nodes: Vec<NodeId>,
-    /// Pre-computed arena byte offset of each input register.
-    pub input_offsets: Vec<usize>,
     /// Output register.
     pub out: Reg,
-    /// Pre-computed arena byte offset of the output register.
-    pub out_offset: usize,
     /// Concrete (batch-specialized) output shape.
     pub out_shape: Shape,
     /// `out_shape.volume()`, pre-computed.
@@ -155,9 +148,6 @@ pub struct LinearProgram {
     /// Capacity in bytes of every register (slot-backed registers first,
     /// pinned outputs after).
     reg_bytes: Vec<usize>,
-    /// Byte offset of every register in one contiguous virtual arena
-    /// ([`REG_ALIGN`]-aligned prefix sums of `reg_bytes`).
-    reg_offsets: Vec<usize>,
     flops_estimate: u64,
 }
 
@@ -228,12 +218,6 @@ impl LinearProgram {
                 reg_bytes.push(graph.node(id)?.output_shape.bytes_f32());
             }
         }
-        let reg_offsets = aligned_prefix_sums(&reg_bytes);
-        debug_assert_eq!(
-            reg_offsets[..plan.slot_count()],
-            plan.slot_offsets(REG_ALIGN)[..],
-            "slot-backed registers must sit at the plan's resolved offsets"
-        );
 
         // The peephole marks ReLU nodes fused into their producer (an
         // affine or a convolution).
@@ -318,7 +302,6 @@ impl LinearProgram {
             let input_nodes: Vec<NodeId> = node.inputs.iter().map(|&i| plan.resolve(i)).collect();
             let inputs: Vec<Reg> =
                 input_nodes.iter().map(|&i| lookup_reg(&reg_of, plan, i)).collect::<Result<_>>()?;
-            let input_offsets: Vec<usize> = inputs.iter().map(|&r| reg_offsets[r]).collect();
             let out = lookup_reg(&reg_of, plan, value_node)?;
             let flops = node_flops(graph, id)?
                 + if value_node == id { 0 } else { node_flops(graph, value_node)? };
@@ -330,9 +313,7 @@ impl LinearProgram {
                 kernel,
                 inputs,
                 input_nodes,
-                input_offsets,
                 out,
-                out_offset: reg_offsets[out],
                 out_shape: value.output_shape.clone(),
                 out_volume: value.output_shape.volume(),
                 flops,
@@ -349,7 +330,6 @@ impl LinearProgram {
             output_reg: lookup_reg(&reg_of, plan, output)?,
             output_node: plan.resolve(output),
             reg_bytes,
-            reg_offsets,
             flops_estimate,
         };
         program.validate()?;
@@ -416,16 +396,6 @@ impl LinearProgram {
         &self.reg_bytes
     }
 
-    /// Byte offset of every register in the contiguous virtual arena.
-    pub fn reg_offsets(&self) -> &[usize] {
-        &self.reg_offsets
-    }
-
-    /// Total bytes of the virtual arena backing the register file.
-    pub fn arena_bytes(&self) -> usize {
-        self.reg_offsets.last().map_or(0, |&off| off) + self.reg_bytes.last().map_or(0, |&b| b)
-    }
-
     /// Estimated FLOPs of one forward pass.
     pub fn flops_estimate(&self) -> u64 {
         self.flops_estimate
@@ -441,9 +411,8 @@ impl LinearProgram {
 
     /// Replays the tape symbolically and checks that every instruction
     /// reads registers still holding the values it expects: no register is
-    /// written while a not-yet-consumed value lives in it, instructions
-    /// never read their own output register, and register byte ranges never
-    /// overlap in the virtual arena.
+    /// written while a not-yet-consumed value lives in it, and instructions
+    /// never read their own output register.
     ///
     /// # Errors
     /// Returns an error describing the first clobber found.
@@ -453,21 +422,6 @@ impl LinearProgram {
             pass: "linearize/validate".to_string(),
             reason,
         };
-        // Disjoint, aligned arena ranges per register.
-        let mut end = 0usize;
-        for (reg, (&off, &bytes)) in self.reg_offsets.iter().zip(self.reg_bytes.iter()).enumerate()
-        {
-            if off % REG_ALIGN != 0 {
-                return Err(clobber(format!("register {reg} offset {off} is unaligned")));
-            }
-            if off < end {
-                return Err(clobber(format!(
-                    "register {reg} at [{off}, {}) overlaps the previous register ending at {end}",
-                    off + bytes
-                )));
-            }
-            end = off + bytes;
-        }
         // Symbolic replay: which node's value does each register hold?
         let mut holds: Vec<Option<NodeId>> = vec![None; self.reg_bytes.len()];
         if self.input_reg >= holds.len() {
@@ -503,9 +457,6 @@ impl LinearProgram {
                     instr.name, instr.out
                 )));
             }
-            if instr.out_offset != self.reg_offsets[instr.out] {
-                return Err(clobber(format!("'{}' carries a stale output offset", instr.name)));
-            }
             holds[instr.out] = Some(instr.node);
         }
         match holds.get(self.output_reg).copied().flatten() {
@@ -516,17 +467,6 @@ impl LinearProgram {
             ))),
         }
     }
-}
-
-/// [`REG_ALIGN`]-aligned exclusive prefix sums.
-fn aligned_prefix_sums(bytes: &[usize]) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(bytes.len());
-    let mut off = 0usize;
-    for &b in bytes {
-        offsets.push(off);
-        off += b.div_ceil(REG_ALIGN) * REG_ALIGN;
-    }
-    offsets
 }
 
 #[cfg(test)]
@@ -556,9 +496,9 @@ mod tests {
         assert!(!program.is_empty());
         // Every instruction's operands are fully resolved.
         for instr in program.instrs() {
-            assert_eq!(instr.inputs.len(), instr.input_offsets.len());
+            assert_eq!(instr.inputs.len(), instr.input_nodes.len());
             assert_eq!(instr.out_volume, instr.out_shape.volume());
-            assert!(instr.out_offset + instr.out_volume * 4 <= program.arena_bytes());
+            assert!(instr.out_volume * 4 <= program.reg_bytes()[instr.out]);
         }
         assert!(program.validate().is_ok());
         assert!(program.flops_estimate() > 0);
@@ -653,23 +593,6 @@ mod tests {
                 .iter()
                 .any(|i| matches!(i.kernel, Kernel::Affine { fused_relu: false })));
         }
-    }
-
-    #[test]
-    fn registers_are_disjoint_and_aligned() {
-        let frozen = frozen_fragment();
-        let program = LinearProgram::lower_for_inference(&frozen).unwrap();
-        let offsets = program.reg_offsets();
-        let bytes = program.reg_bytes();
-        for r in 0..program.reg_count() {
-            assert_eq!(offsets[r] % REG_ALIGN, 0);
-            for s in r + 1..program.reg_count() {
-                let disjoint =
-                    offsets[r] + bytes[r] <= offsets[s] || offsets[s] + bytes[s] <= offsets[r];
-                assert!(disjoint, "registers {r} and {s} overlap");
-            }
-        }
-        assert!(program.arena_bytes() >= bytes.iter().sum::<usize>());
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! loss) **plus** the restructured operators that the Fission and Fusion
 //! passes introduce: BN sub-layers, and the fused `CONV+stats`,
 //! `ReLU+CONV`, `norm+ReLU+CONV` and `Concat+stats` operators.
+//!
+//! The fused kinds are spellings of one idea — a BN's halves ride a
+//! convolution as a *prologue* (applied while its ifmap is read) or an
+//! *epilogue* (accumulated while its ofmap is written). [`OpKind::form`]
+//! decodes every kind into that prologue/core/epilogue shape once;
+//! executors, the planner and the freeze pass read the decoded [`OpForm`]
+//! instead of naming the kinds.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -226,7 +233,98 @@ pub enum OpKind {
     ChannelAffine,
 }
 
+/// What a convolution applies to its input feature map while reading it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConvPrologue {
+    /// The ifmap is read as is.
+    None,
+    /// RCF: the ifmap is clipped at zero.
+    Relu,
+    /// `(sub-BN2)-ReLU-CONV2`: the ifmap is normalized with the statistics
+    /// on the op's second input and the γ/β the op owns, then clipped.
+    NormRelu(BatchNormAttrs),
+}
+
+/// An operation decoded into the pieces the paper's restructuring moves
+/// around: a convolution with an optional prologue and epilogue, a
+/// normalization, or anything else.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum OpForm {
+    /// A convolution, possibly fused on either side.
+    Conv {
+        /// The convolution attributes.
+        attrs: Conv2dAttrs,
+        /// What is applied to the ifmap while it is read.
+        prologue: ConvPrologue,
+        /// `CONV1-(sub-BN1)`: Σx/Σx² of the ofmap are accumulated while it
+        /// is written, for the BN with these attributes.
+        stats_out: Option<BatchNormAttrs>,
+        /// The ofmap is clipped at zero while it is written (frozen graphs).
+        relu_out: bool,
+    },
+    /// A normalization `γ·(x−μ)/√(σ²+ε) + β` sweep the op owns γ/β for.
+    Norm {
+        /// The BN attributes.
+        bn: BatchNormAttrs,
+        /// The statistics are computed from the op's own input (a whole
+        /// `BatchNorm`); otherwise they arrive on the second input.
+        stats_from_input: bool,
+        /// The output is clipped at zero in the same sweep.
+        relu: bool,
+    },
+    /// Everything else.
+    Other,
+}
+
 impl OpKind {
+    /// Decodes the operation into its prologue/core/epilogue form — the one
+    /// place the fused kinds are taken apart.
+    pub fn form(&self) -> OpForm {
+        use ConvPrologue::{NormRelu, Relu};
+        let conv = |attrs, prologue, stats_out, relu_out| OpForm::Conv {
+            attrs,
+            prologue,
+            stats_out,
+            relu_out,
+        };
+        match *self {
+            OpKind::Conv2d(a) => conv(a, ConvPrologue::None, None, false),
+            OpKind::ReluConv(a) => conv(a, Relu, None, false),
+            OpKind::ConvStats { conv: a, bn } => conv(a, ConvPrologue::None, Some(bn), false),
+            OpKind::NormReluConv { conv: a, bn } => conv(a, NormRelu(bn), None, false),
+            OpKind::NormReluConvStats { conv: a, bn_in, bn_out } => {
+                conv(a, NormRelu(bn_in), Some(bn_out), false)
+            }
+            OpKind::ConvRelu(a) => conv(a, ConvPrologue::None, None, true),
+            OpKind::BatchNorm(bn) => OpForm::Norm { bn, stats_from_input: true, relu: false },
+            OpKind::SubBnNorm(bn) => OpForm::Norm { bn, stats_from_input: false, relu: false },
+            OpKind::NormRelu(bn) => OpForm::Norm { bn, stats_from_input: false, relu: true },
+            OpKind::Input
+            | OpKind::FullyConnected { .. }
+            | OpKind::SubBnStats(_)
+            | OpKind::Relu
+            | OpKind::Pool { .. }
+            | OpKind::GlobalAvgPool
+            | OpKind::Concat
+            | OpKind::Split { .. }
+            | OpKind::EltwiseSum
+            | OpKind::SoftmaxLoss
+            | OpKind::ConcatStats(_)
+            | OpKind::ChannelAffine => OpForm::Other,
+        }
+    }
+
+    /// The BN attributes of the mini-batch statistics (Σx/Σx² → mean,
+    /// variance) this operation publishes, if it publishes any.
+    pub fn stats_out(&self) -> Option<BatchNormAttrs> {
+        match (self.form(), self) {
+            (OpForm::Conv { stats_out, .. }, _) => stats_out,
+            (OpForm::Norm { bn, stats_from_input: true, .. }, _) => Some(bn),
+            (_, OpKind::SubBnStats(bn) | OpKind::ConcatStats(bn)) => Some(*bn),
+            _ => None,
+        }
+    }
+
     /// Short human-readable name of the operation.
     pub fn name(&self) -> &'static str {
         match self {
@@ -257,83 +355,52 @@ impl OpKind {
 
     /// The layer category used for CONV/FC vs non-CONV breakdowns.
     pub fn category(&self) -> LayerCategory {
-        match self {
-            OpKind::Conv2d(_) | OpKind::FullyConnected { .. } => LayerCategory::ConvFc,
-            OpKind::ReluConv(_)
-            | OpKind::ConvStats { .. }
-            | OpKind::NormReluConv { .. }
-            | OpKind::NormReluConvStats { .. }
-            | OpKind::ConvRelu(_) => LayerCategory::FusedConv,
+        match self.form() {
+            OpForm::Conv {
+                prologue: ConvPrologue::None, stats_out: None, relu_out: false, ..
+            } => LayerCategory::ConvFc,
+            OpForm::Conv { .. } => LayerCategory::FusedConv,
+            _ if matches!(self, OpKind::FullyConnected { .. }) => LayerCategory::ConvFc,
             _ => LayerCategory::NonConv,
         }
     }
 
     /// Whether the operation contains a convolution (fused or not).
     pub fn contains_conv(&self) -> bool {
-        matches!(
-            self,
-            OpKind::Conv2d(_)
-                | OpKind::ReluConv(_)
-                | OpKind::ConvStats { .. }
-                | OpKind::NormReluConv { .. }
-                | OpKind::NormReluConvStats { .. }
-                | OpKind::ConvRelu(_)
-        )
+        self.conv_attrs().is_some()
     }
 
     /// Whether the operation is Batch Normalization or one of its fission
     /// products.
     pub fn is_bn_related(&self) -> bool {
-        matches!(
-            self,
-            OpKind::BatchNorm(_)
-                | OpKind::SubBnStats(_)
-                | OpKind::SubBnNorm(_)
-                | OpKind::NormRelu(_)
-        )
+        matches!(self.form(), OpForm::Norm { .. }) || matches!(self, OpKind::SubBnStats(_))
     }
 
     /// The convolution attributes if the op contains a convolution.
     pub fn conv_attrs(&self) -> Option<Conv2dAttrs> {
-        match self {
-            OpKind::Conv2d(a) | OpKind::ReluConv(a) | OpKind::ConvRelu(a) => Some(*a),
-            OpKind::ConvStats { conv, .. }
-            | OpKind::NormReluConv { conv, .. }
-            | OpKind::NormReluConvStats { conv, .. } => Some(*conv),
+        match self.form() {
+            OpForm::Conv { attrs, .. } => Some(attrs),
             _ => None,
         }
     }
 
     /// Whether the operation learns parameters (weights, γ/β).
     pub fn has_parameters(&self) -> bool {
-        matches!(
-            self,
-            OpKind::Conv2d(_)
-                | OpKind::FullyConnected { .. }
-                | OpKind::BatchNorm(_)
-                | OpKind::SubBnNorm(_)
-                | OpKind::ReluConv(_)
-                | OpKind::ConvStats { .. }
-                | OpKind::NormReluConv { .. }
-                | OpKind::NormReluConvStats { .. }
-                | OpKind::NormRelu(_)
-                | OpKind::ConvRelu(_)
-                | OpKind::ChannelAffine
-        )
+        !matches!(self.form(), OpForm::Other)
+            || matches!(self, OpKind::FullyConnected { .. } | OpKind::ChannelAffine)
     }
 
     /// Number of tensor inputs this operation requires, when fixed.
     ///
     /// Returns `None` for variadic operations (Concat, EltwiseSum).
     pub fn fixed_arity(&self) -> Option<usize> {
-        match self {
-            OpKind::Input => Some(0),
-            OpKind::Concat | OpKind::ConcatStats(_) | OpKind::EltwiseSum => None,
-            OpKind::SubBnNorm(_) => Some(2),
-            OpKind::NormReluConv { .. }
-            | OpKind::NormReluConvStats { .. }
-            | OpKind::NormRelu(_) => Some(2),
-            OpKind::SoftmaxLoss => Some(2),
+        match (self.form(), self) {
+            (_, OpKind::Input) => Some(0),
+            (_, OpKind::Concat | OpKind::ConcatStats(_) | OpKind::EltwiseSum) => None,
+            // Statistics computed elsewhere arrive on a second input.
+            (OpForm::Conv { prologue: ConvPrologue::NormRelu(_), .. }, _)
+            | (OpForm::Norm { stats_from_input: false, .. }, _)
+            | (_, OpKind::SoftmaxLoss) => Some(2),
             _ => Some(1),
         }
     }
@@ -341,51 +408,20 @@ impl OpKind {
 
 impl fmt::Display for OpKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OpKind::Conv2d(a) => {
-                write!(
-                    f,
-                    "Conv2d({}x{}, s{}, oc{})",
-                    a.kernel_h, a.kernel_w, a.stride, a.out_channels
-                )
+        match (self.conv_attrs(), self) {
+            (Some(a), _) => write!(
+                f,
+                "{}({}x{}, s{}, oc{})",
+                self.name(),
+                a.kernel_h,
+                a.kernel_w,
+                a.stride,
+                a.out_channels
+            ),
+            (None, OpKind::FullyConnected { out_features }) => {
+                write!(f, "FullyConnected({out_features})")
             }
-            OpKind::ReluConv(a) => {
-                write!(
-                    f,
-                    "ReluConv({}x{}, s{}, oc{})",
-                    a.kernel_h, a.kernel_w, a.stride, a.out_channels
-                )
-            }
-            OpKind::ConvRelu(a) => {
-                write!(
-                    f,
-                    "ConvRelu({}x{}, s{}, oc{})",
-                    a.kernel_h, a.kernel_w, a.stride, a.out_channels
-                )
-            }
-            OpKind::ConvStats { conv: a, .. } => {
-                write!(
-                    f,
-                    "ConvStats({}x{}, s{}, oc{})",
-                    a.kernel_h, a.kernel_w, a.stride, a.out_channels
-                )
-            }
-            OpKind::NormReluConv { conv: a, .. } => {
-                write!(
-                    f,
-                    "NormReluConv({}x{}, s{}, oc{})",
-                    a.kernel_h, a.kernel_w, a.stride, a.out_channels
-                )
-            }
-            OpKind::NormReluConvStats { conv: a, .. } => {
-                write!(
-                    f,
-                    "NormReluConvStats({}x{}, s{}, oc{})",
-                    a.kernel_h, a.kernel_w, a.stride, a.out_channels
-                )
-            }
-            OpKind::FullyConnected { out_features } => write!(f, "FullyConnected({out_features})"),
-            other => write!(f, "{}", other.name()),
+            _ => write!(f, "{}", self.name()),
         }
     }
 }
@@ -403,6 +439,96 @@ mod tests {
         let b = Conv2dAttrs::new(64, 7, 2, 3).with_bias();
         assert!(b.bias);
         assert_eq!(b.weight_elems(3), 64 * 3 * 7 * 7);
+    }
+
+    #[test]
+    fn form_decodes_every_variant() {
+        use ConvPrologue::{NormRelu, Relu};
+        let a = Conv2dAttrs::same_3x3(8);
+        let (bn, mvf) = (BatchNormAttrs::default(), BatchNormAttrs::one_pass());
+        let conv = |prologue, stats_out, relu_out| OpForm::Conv {
+            attrs: a,
+            prologue,
+            stats_out,
+            relu_out,
+        };
+        let norm = |stats_from_input, relu| OpForm::Norm { bn, stats_from_input, relu };
+        let pool = OpKind::Pool { kind: PoolKind::Max, attrs: PoolAttrs::new(2, 2, 0) };
+        // (op, its form, the statistics it publishes)
+        let table = [
+            (OpKind::Input, OpForm::Other, None),
+            (OpKind::Conv2d(a), conv(ConvPrologue::None, None, false), None),
+            (OpKind::FullyConnected { out_features: 4 }, OpForm::Other, None),
+            (OpKind::BatchNorm(bn), norm(true, false), Some(bn)),
+            (OpKind::SubBnStats(mvf), OpForm::Other, Some(mvf)),
+            (OpKind::SubBnNorm(bn), norm(false, false), None),
+            (OpKind::Relu, OpForm::Other, None),
+            (pool, OpForm::Other, None),
+            (OpKind::GlobalAvgPool, OpForm::Other, None),
+            (OpKind::Concat, OpForm::Other, None),
+            (OpKind::Split { consumers: 2 }, OpForm::Other, None),
+            (OpKind::EltwiseSum, OpForm::Other, None),
+            (OpKind::SoftmaxLoss, OpForm::Other, None),
+            (OpKind::ReluConv(a), conv(Relu, None, false), None),
+            (
+                OpKind::ConvStats { conv: a, bn: mvf },
+                conv(ConvPrologue::None, Some(mvf), false),
+                Some(mvf),
+            ),
+            (OpKind::NormReluConv { conv: a, bn }, conv(NormRelu(bn), None, false), None),
+            (OpKind::NormRelu(bn), norm(false, true), None),
+            (
+                OpKind::NormReluConvStats { conv: a, bn_in: bn, bn_out: mvf },
+                conv(NormRelu(bn), Some(mvf), false),
+                Some(mvf),
+            ),
+            (OpKind::ConcatStats(mvf), OpForm::Other, Some(mvf)),
+            (OpKind::ConvRelu(a), conv(ConvPrologue::None, None, true), None),
+            (OpKind::ChannelAffine, OpForm::Other, None),
+        ];
+        let mut seen = [false; 21];
+        for (op, form, stats) in &table {
+            // No wildcard: a new variant does not compile until it has a
+            // row here (and an arm in `form`).
+            let row = match op {
+                OpKind::Input => 0,
+                OpKind::Conv2d(_) => 1,
+                OpKind::FullyConnected { .. } => 2,
+                OpKind::BatchNorm(_) => 3,
+                OpKind::SubBnStats(_) => 4,
+                OpKind::SubBnNorm(_) => 5,
+                OpKind::Relu => 6,
+                OpKind::Pool { .. } => 7,
+                OpKind::GlobalAvgPool => 8,
+                OpKind::Concat => 9,
+                OpKind::Split { .. } => 10,
+                OpKind::EltwiseSum => 11,
+                OpKind::SoftmaxLoss => 12,
+                OpKind::ReluConv(_) => 13,
+                OpKind::ConvStats { .. } => 14,
+                OpKind::NormReluConv { .. } => 15,
+                OpKind::NormRelu(_) => 16,
+                OpKind::NormReluConvStats { .. } => 17,
+                OpKind::ConcatStats(_) => 18,
+                OpKind::ConvRelu(_) => 19,
+                OpKind::ChannelAffine => 20,
+            };
+            seen[row] = true;
+            assert_eq!(op.form(), *form, "{op}");
+            assert_eq!(op.stats_out(), *stats, "{op}");
+            // The derived predicates agree with the decoding.
+            assert_eq!(op.contains_conv(), matches!(form, OpForm::Conv { .. }), "{op}");
+            assert_eq!(
+                op.fixed_arity() == Some(2),
+                matches!(
+                    form,
+                    OpForm::Conv { prologue: NormRelu(_), .. }
+                        | OpForm::Norm { stats_from_input: false, .. }
+                ) || *op == OpKind::SoftmaxLoss,
+                "{op}"
+            );
+        }
+        assert!(seen.iter().all(|s| *s), "a variant has no row: {seen:?}");
     }
 
     #[test]

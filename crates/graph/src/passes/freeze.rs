@@ -17,12 +17,12 @@
 //! cost. The pass works in three stages:
 //!
 //! 1. **Lower** — every training operator is rewritten to its inference
-//!    form: `BatchNorm`/`SubBnNorm`/`NormRelu` become [`OpKind::ChannelAffine`]
-//!    nodes, the fused BNFF operators (`ConvStats`, `NormReluConv`,
-//!    `NormReluConvStats`, `ConcatStats`, `ReluConv`) are de-fused into
-//!    affine/ReLU/conv chains, statistics nodes (`SubBnStats`) and the
-//!    `SoftmaxLoss` head are stripped (the frozen output is the classifier
-//!    scores).
+//!    form, read off its decoded [`OpForm`]: a normalization becomes an
+//!    [`OpKind::ChannelAffine`] node (plus a `Relu` when it clips), a fused
+//!    convolution is de-fused into its prologue chain (affine → ReLU) and
+//!    the bare convolution, epilogue statistics and statistics nodes
+//!    (`SubBnStats`, `ConcatStats`) and the `SoftmaxLoss` head are stripped
+//!    (the frozen output is the classifier scores).
 //! 2. **Fold** — every `ChannelAffine` whose producer is a `Conv2d` or
 //!    `FullyConnected` with no other consumer is absorbed into that
 //!    producer's [`FoldRecipe`]; the conv gains a bias term. Affines that
@@ -38,7 +38,7 @@
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::node::NodeId;
-use crate::op::OpKind;
+use crate::op::{ConvPrologue, OpForm, OpKind};
 use crate::Result;
 use std::collections::{HashMap, HashSet};
 
@@ -125,6 +125,20 @@ struct Lowered {
     output: NodeId,
 }
 
+/// Adds the `ChannelAffine` a normalization lowers to; `source` names the
+/// training nodes owning its γ/β and publishing its statistics.
+fn add_affine(
+    out: &mut Graph,
+    recipes: &mut HashMap<usize, FoldRecipe>,
+    name: String,
+    x: NodeId,
+    source: AffineSource,
+) -> Result<NodeId> {
+    let affine = out.add_node(name, OpKind::ChannelAffine, vec![x])?;
+    recipes.insert(affine.index(), FoldRecipe::Affine(source));
+    Ok(affine)
+}
+
 fn lower(graph: &Graph) -> Result<Lowered> {
     graph.validate()?;
     let order = graph.topo_order()?;
@@ -142,130 +156,91 @@ fn lower(graph: &Graph) -> Result<Lowered> {
 
     for &id in &order {
         let node = graph.node(id)?;
-        let new_id = match &node.op {
-            OpKind::Input => {
-                if node.output_shape.is_nchw() {
-                    let data = out.add_input(&node.name, node.output_shape.clone());
-                    input = Some(data);
-                    Some(data)
+        let new_id = match node.op.form() {
+            // A fused convolution de-fuses into its prologue chain
+            // (affine → ReLU) followed by the bare convolution; epilogue
+            // statistics have no inference counterpart.
+            OpForm::Conv { attrs, prologue, relu_out: false, .. } => {
+                let mut x = mapped(&map, node.inputs[0])?;
+                if let ConvPrologue::NormRelu(bn) = prologue {
+                    let source =
+                        AffineSource { gamma_beta: id, stats: node.inputs[1], epsilon: bn.epsilon };
+                    x = add_affine(
+                        &mut out,
+                        &mut recipes,
+                        format!("{}/affine", node.name),
+                        x,
+                        source,
+                    )?;
+                }
+                if prologue != ConvPrologue::None {
+                    x = out.add_node(format!("{}/relu", node.name), OpKind::Relu, vec![x])?;
+                }
+                let conv = out.add_node(&node.name, OpKind::Conv2d(attrs), vec![x])?;
+                recipes.insert(conv.index(), FoldRecipe::Conv { source: id, affine: None });
+                Some(conv)
+            }
+            OpForm::Norm { bn, stats_from_input, relu } => {
+                let x = mapped(&map, node.inputs[0])?;
+                let stats = if stats_from_input { id } else { node.inputs[1] };
+                let source = AffineSource { gamma_beta: id, stats, epsilon: bn.epsilon };
+                if relu {
+                    let name = format!("{}/affine", node.name);
+                    let affine = add_affine(&mut out, &mut recipes, name, x, source)?;
+                    Some(out.add_node(&node.name, OpKind::Relu, vec![affine])?)
                 } else {
-                    None // Label inputs have no inference counterpart.
+                    Some(add_affine(&mut out, &mut recipes, node.name.clone(), x, source)?)
                 }
             }
-            OpKind::Conv2d(a) | OpKind::ConvStats { conv: a, .. } => {
-                let x = mapped(&map, node.inputs[0])?;
-                let conv = out.add_node(&node.name, OpKind::Conv2d(*a), vec![x])?;
-                recipes.insert(conv.index(), FoldRecipe::Conv { source: id, affine: None });
-                Some(conv)
-            }
-            OpKind::ReluConv(a) => {
-                let x = mapped(&map, node.inputs[0])?;
-                let relu = out.add_node(format!("{}/relu", node.name), OpKind::Relu, vec![x])?;
-                let conv = out.add_node(&node.name, OpKind::Conv2d(*a), vec![relu])?;
-                recipes.insert(conv.index(), FoldRecipe::Conv { source: id, affine: None });
-                Some(conv)
-            }
-            OpKind::BatchNorm(attrs) => {
-                let x = mapped(&map, node.inputs[0])?;
-                let affine = out.add_node(&node.name, OpKind::ChannelAffine, vec![x])?;
-                recipes.insert(
-                    affine.index(),
-                    FoldRecipe::Affine(AffineSource {
-                        gamma_beta: id,
-                        stats: id,
-                        epsilon: attrs.epsilon,
-                    }),
-                );
-                Some(affine)
-            }
-            OpKind::SubBnStats(_) => None, // Running stats replace batch stats.
-            OpKind::SubBnNorm(attrs) => {
-                let x = mapped(&map, node.inputs[0])?;
-                let affine = out.add_node(&node.name, OpKind::ChannelAffine, vec![x])?;
-                recipes.insert(
-                    affine.index(),
-                    FoldRecipe::Affine(AffineSource {
-                        gamma_beta: id,
-                        stats: node.inputs[1],
-                        epsilon: attrs.epsilon,
-                    }),
-                );
-                Some(affine)
-            }
-            OpKind::NormRelu(attrs) => {
-                let x = mapped(&map, node.inputs[0])?;
-                let affine =
-                    out.add_node(format!("{}/affine", node.name), OpKind::ChannelAffine, vec![x])?;
-                recipes.insert(
-                    affine.index(),
-                    FoldRecipe::Affine(AffineSource {
-                        gamma_beta: id,
-                        stats: node.inputs[1],
-                        epsilon: attrs.epsilon,
-                    }),
-                );
-                let relu = out.add_node(&node.name, OpKind::Relu, vec![affine])?;
-                Some(relu)
-            }
-            OpKind::NormReluConv { conv, bn }
-            | OpKind::NormReluConvStats { conv, bn_in: bn, .. } => {
-                let x = mapped(&map, node.inputs[0])?;
-                let affine =
-                    out.add_node(format!("{}/affine", node.name), OpKind::ChannelAffine, vec![x])?;
-                recipes.insert(
-                    affine.index(),
-                    FoldRecipe::Affine(AffineSource {
-                        gamma_beta: id,
-                        stats: node.inputs[1],
-                        epsilon: bn.epsilon,
-                    }),
-                );
-                let relu =
-                    out.add_node(format!("{}/relu", node.name), OpKind::Relu, vec![affine])?;
-                let conv_id = out.add_node(&node.name, OpKind::Conv2d(*conv), vec![relu])?;
-                recipes.insert(conv_id.index(), FoldRecipe::Conv { source: id, affine: None });
-                Some(conv_id)
-            }
-            OpKind::ConcatStats(_) | OpKind::Concat => {
-                let inputs = node
-                    .inputs
-                    .iter()
-                    .map(|i| mapped(&map, *i))
-                    .collect::<Result<Vec<NodeId>>>()?;
-                Some(out.add_node(&node.name, OpKind::Concat, inputs)?)
-            }
-            OpKind::FullyConnected { out_features } => {
-                let x = mapped(&map, node.inputs[0])?;
-                let fc = out.add_node(
-                    &node.name,
-                    OpKind::FullyConnected { out_features: *out_features },
-                    vec![x],
-                )?;
-                recipes.insert(fc.index(), FoldRecipe::Fc { source: id, affine: None });
-                Some(fc)
-            }
-            OpKind::SoftmaxLoss => {
-                scores_source = Some(node.inputs[0]);
-                None
-            }
-            OpKind::Relu
-            | OpKind::Pool { .. }
-            | OpKind::GlobalAvgPool
-            | OpKind::Split { .. }
-            | OpKind::EltwiseSum => {
-                let inputs = node
-                    .inputs
-                    .iter()
-                    .map(|i| mapped(&map, *i))
-                    .collect::<Result<Vec<NodeId>>>()?;
-                Some(out.add_node(&node.name, node.op.clone(), inputs)?)
-            }
-            OpKind::ConvRelu(_) | OpKind::ChannelAffine => {
-                return Err(pass_err(format!(
-                    "node '{}' is already an inference operator; freeze expects a training graph",
-                    node.name
-                )));
-            }
+            OpForm::Conv { relu_out: true, .. } | OpForm::Other => match &node.op {
+                OpKind::Input => {
+                    if node.output_shape.is_nchw() {
+                        let data = out.add_input(&node.name, node.output_shape.clone());
+                        input = Some(data);
+                        Some(data)
+                    } else {
+                        None // Label inputs have no inference counterpart.
+                    }
+                }
+                OpKind::SubBnStats(_) => None, // Running stats replace batch stats.
+                OpKind::SoftmaxLoss => {
+                    scores_source = Some(node.inputs[0]);
+                    None
+                }
+                OpKind::Relu
+                | OpKind::Pool { .. }
+                | OpKind::GlobalAvgPool
+                | OpKind::Split { .. }
+                | OpKind::EltwiseSum
+                | OpKind::Concat
+                | OpKind::ConcatStats(_)
+                | OpKind::FullyConnected { .. } => {
+                    let inputs = node
+                        .inputs
+                        .iter()
+                        .map(|i| mapped(&map, *i))
+                        .collect::<Result<Vec<NodeId>>>()?;
+                    // A concat's epilogue statistics have no inference
+                    // counterpart either.
+                    let op = match node.op {
+                        OpKind::ConcatStats(_) => OpKind::Concat,
+                        ref other => other.clone(),
+                    };
+                    let lowered = out.add_node(&node.name, op, inputs)?;
+                    if matches!(node.op, OpKind::FullyConnected { .. }) {
+                        let recipe = FoldRecipe::Fc { source: id, affine: None };
+                        recipes.insert(lowered.index(), recipe);
+                    }
+                    Some(lowered)
+                }
+                _ => {
+                    return Err(pass_err(format!(
+                        "node '{}' is already an inference operator; freeze expects a training \
+                         graph",
+                        node.name
+                    )));
+                }
+            },
         };
         map[id.index()] = new_id;
     }

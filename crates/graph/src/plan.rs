@@ -14,9 +14,10 @@
 //!    last forward consumer (Split outputs are aliases of their input and
 //!    extend the producer's interval instead of owning one).
 //! 2. **Backward retention** — whether the backward pass re-reads the
-//!    tensor. Convolutions, fully-connected layers and ReLU masks re-read
-//!    their saved inputs; BN-derived layers keep `x̂` in their own state and
-//!    do *not* retain their input; pooling and concat need only shapes.
+//!    tensor. Bare convolutions, fully-connected layers and ReLU masks
+//!    re-read their saved inputs; a convolution with a prologue keeps the
+//!    transformed ifmap, and a BN-derived layer its `x̂`, in its own state
+//!    and does *not* retain its input; pooling and concat need only shapes.
 //!    Retained tensors stay live through the backward pass and are excluded
 //!    from reuse.
 //! 3. **Slot assignment** — transient tensors are packed into reusable
@@ -27,7 +28,7 @@
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::node::{Node, NodeId};
-use crate::op::OpKind;
+use crate::op::{ConvPrologue, OpForm, OpKind};
 use crate::Result;
 use bnff_tensor::{Shape, Tensor};
 use serde::Serialize;
@@ -118,22 +119,18 @@ enum PlanMode {
 }
 
 /// Whether `op`'s backward pass re-reads the output tensor of its first
-/// input (the saved ifmap of the cost analysis).
+/// input (the saved ifmap of the cost analysis). A convolution with a
+/// prologue re-reads the *transformed* ifmap, which it keeps in its own
+/// state, so only a bare convolution pins its input.
 fn backward_reads_first_input(op: &OpKind) -> bool {
-    matches!(
-        op,
-        OpKind::Conv2d(_)
-            | OpKind::ConvStats { .. }
-            | OpKind::ReluConv(_)
-            | OpKind::Relu
-            | OpKind::FullyConnected { .. }
-    )
+    matches!(op.form(), OpForm::Conv { prologue: ConvPrologue::None, .. })
+        || matches!(op, OpKind::Relu | OpKind::FullyConnected { .. })
 }
 
-/// Whether `op`'s backward pass re-reads the node's *own* output tensor.
+/// Whether `op`'s backward pass re-reads the node's *own* output tensor: a
+/// clipping normalization recovers its ReLU mask from it.
 fn backward_reads_own_output(op: &OpKind) -> bool {
-    // NormRelu recovers its ReLU mask from the forward output.
-    matches!(op, OpKind::NormRelu(_))
+    matches!(op.form(), OpForm::Norm { relu: true, .. })
 }
 
 impl ExecutionPlan {
@@ -403,21 +400,6 @@ impl ExecutionPlan {
         &self.slot_bytes
     }
 
-    /// Byte offset of each reuse slot when the slots are laid out back to
-    /// back in one contiguous arena, each aligned to `align` bytes. A tape
-    /// compiler resolves these once so no slot lookup survives to request
-    /// time.
-    pub fn slot_offsets(&self, align: usize) -> Vec<usize> {
-        let align = align.max(1);
-        let mut offsets = Vec::with_capacity(self.slot_bytes.len());
-        let mut off = 0usize;
-        for &bytes in &self.slot_bytes {
-            offsets.push(off);
-            off += bytes.div_ceil(align) * align;
-        }
-        offsets
-    }
-
     /// Peak bytes of node outputs the planned execution holds at once.
     pub fn planned_peak_bytes(&self) -> usize {
         self.saved_bytes + self.slot_bytes.iter().sum::<usize>()
@@ -489,24 +471,6 @@ mod tests {
         for pos in 0..g.node_count() {
             assert!(!plan.released_after(pos).contains(&ids[3].index()));
         }
-    }
-
-    #[test]
-    fn slot_offsets_are_aligned_disjoint_prefix_sums() {
-        let (g, _) = conv_chain();
-        let plan = ExecutionPlan::for_graph(&g).unwrap();
-        let offsets = plan.slot_offsets(64);
-        let sizes = plan.slot_sizes();
-        assert_eq!(offsets.len(), sizes.len());
-        for (i, (&off, &bytes)) in offsets.iter().zip(sizes.iter()).enumerate() {
-            assert_eq!(off % 64, 0, "slot {i} offset {off} unaligned");
-            if let Some(&next) = offsets.get(i + 1) {
-                assert!(off + bytes <= next, "slot {i} overlaps its successor");
-            }
-        }
-        // Degenerate alignment of 0 is clamped rather than dividing by zero.
-        let tight = plan.slot_offsets(0);
-        assert_eq!(tight.len(), sizes.len());
     }
 
     #[test]

@@ -57,27 +57,12 @@ pub fn infer_output_shape(op: &OpKind, inputs: &[&Shape]) -> Result<Shape> {
             node: String::new(),
             reason: "input nodes carry an explicit shape".to_string(),
         }),
-        OpKind::Conv2d(a) | OpKind::ReluConv(a) | OpKind::ConvRelu(a) => {
-            let x = inputs[0];
-            x.expect_nchw()?;
-            Ok(Shape::nchw(
-                x.n(),
-                a.out_channels,
-                conv_spatial(x.h(), a.kernel_h, a.stride, a.pad)?,
-                conv_spatial(x.w(), a.kernel_w, a.stride, a.pad)?,
-            ))
-        }
-        OpKind::ConvStats { conv: a, .. } => {
-            let x = inputs[0];
-            x.expect_nchw()?;
-            Ok(Shape::nchw(
-                x.n(),
-                a.out_channels,
-                conv_spatial(x.h(), a.kernel_h, a.stride, a.pad)?,
-                conv_spatial(x.w(), a.kernel_w, a.stride, a.pad)?,
-            ))
-        }
-        OpKind::NormReluConv { conv: a, .. } | OpKind::NormReluConvStats { conv: a, .. } => {
+        OpKind::Conv2d(a)
+        | OpKind::ReluConv(a)
+        | OpKind::ConvRelu(a)
+        | OpKind::ConvStats { conv: a, .. }
+        | OpKind::NormReluConv { conv: a, .. }
+        | OpKind::NormReluConvStats { conv: a, .. } => {
             let x = inputs[0];
             x.expect_nchw()?;
             Ok(Shape::nchw(

@@ -1,5 +1,5 @@
 //! Property tests for the linear-IR lowering: across randomly shaped
-//! chain/residual/dense graphs, the arena offsets a [`LinearProgram`]
+//! chain/residual/dense graphs, the registers a [`LinearProgram`]
 //! assigns must never alias two simultaneously-live values. Register reuse
 //! is legal only once the previous occupant's last reader has run (the
 //! boundary case — a pointwise kernel consuming its own output register in
@@ -8,7 +8,7 @@
 use bnff_graph::builder::GraphBuilder;
 use bnff_graph::op::Conv2dAttrs;
 use bnff_graph::passes::freeze::freeze;
-use bnff_graph::{Graph, LinearProgram, REG_ALIGN};
+use bnff_graph::{Graph, LinearProgram};
 use bnff_tensor::Shape;
 use proptest::prelude::*;
 
@@ -60,24 +60,11 @@ struct LiveRange {
 }
 
 /// Replays the tape symbolically and checks that no two values whose live
-/// ranges overlap were assigned overlapping arena byte ranges.
+/// ranges overlap were assigned the same register, and that every value fits
+/// the register it is written to.
 fn check_no_aliasing(program: &LinearProgram) -> Result<(), TestCaseError> {
-    let offsets = program.reg_offsets();
     let bytes = program.reg_bytes();
-    prop_assert_eq!(offsets.len(), program.reg_count());
-    for r in 0..program.reg_count() {
-        prop_assert!(
-            offsets[r].is_multiple_of(REG_ALIGN),
-            "register {} offset {} unaligned",
-            r,
-            offsets[r]
-        );
-        for s in r + 1..program.reg_count() {
-            let disjoint =
-                offsets[r] + bytes[r] <= offsets[s] || offsets[s] + bytes[s] <= offsets[r];
-            prop_assert!(disjoint, "registers {} and {} share arena bytes", r, s);
-        }
-    }
+    prop_assert_eq!(bytes.len(), program.reg_count());
 
     // Replay: which value (index into `ranges`) each register holds.
     let mut held: Vec<Option<usize>> = vec![None; program.reg_count()];
@@ -86,13 +73,11 @@ fn check_no_aliasing(program: &LinearProgram) -> Result<(), TestCaseError> {
     ranges.push(LiveRange { reg: program.input_reg(), def: 0, last_use: 0 });
     for (i, instr) in program.instrs().iter().enumerate() {
         let pos = i + 1;
-        for (&reg, &off) in instr.inputs.iter().zip(&instr.input_offsets) {
-            prop_assert_eq!(off, offsets[reg]);
+        for &reg in &instr.inputs {
             let vid = held[reg];
             prop_assert!(vid.is_some(), "'{}' reads register {} before any def", instr.name, reg);
             ranges[vid.unwrap()].last_use = pos;
         }
-        prop_assert_eq!(instr.out_offset, offsets[instr.out]);
         prop_assert!(
             instr.out_volume * 4 <= bytes[instr.out],
             "'{}' writes {} bytes into register {} of {} bytes",

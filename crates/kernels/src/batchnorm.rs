@@ -125,6 +125,25 @@ pub fn bn_normalize_into(
     epsilon: f32,
     y: &mut Tensor,
 ) -> Result<Tensor> {
+    normalize_sweep_into(x, stats, params, epsilon, false, y)
+}
+
+/// The one normalize sweep behind [`bn_normalize_into`] and the
+/// `(sub-BN2)-ReLU` prologue of a fused convolution: writes
+/// `y = γ·x̂ + β` — clipped at zero in the same pass when `fuse_relu` — and
+/// returns the (freshly allocated) `x̂ = (x − μ)/√(σ² + ε)`. Every element
+/// of `y` is overwritten.
+///
+/// # Errors
+/// Returns an error if shapes or channel counts disagree.
+pub fn normalize_sweep_into(
+    x: &Tensor,
+    stats: &ChannelStats,
+    params: &BnParams,
+    epsilon: f32,
+    fuse_relu: bool,
+    y: &mut Tensor,
+) -> Result<Tensor> {
     let c = check_channels(x, params)?;
     if stats.channels() != c {
         return Err(KernelError::ShapeMismatch(format!(
@@ -171,7 +190,7 @@ pub fn bn_normalize_into(
                     inv_std,
                     params.gamma[ci],
                     params.beta[ci],
-                    false,
+                    fuse_relu,
                 );
             }
         },

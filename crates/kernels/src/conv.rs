@@ -31,7 +31,7 @@
 
 use crate::error::KernelError;
 use crate::gemm::{gemm_im2col, gemm_nt_im2col_acc, gemm_tn, Im2colView};
-use crate::im2col::{col2im_accumulate, col_shape, conv_out_dim};
+use crate::im2col::{col2im_accumulate, col_shape, conv_out_hw, conv_out_shape};
 use crate::Result;
 use bnff_graph::op::Conv2dAttrs;
 use bnff_parallel::{chunk_ranges, min_items_per_thread, parallel_reduce, parallel_rows_mut};
@@ -65,14 +65,6 @@ fn check_conv(
         )));
     }
     Ok((in_c, out_h, out_w))
-}
-
-/// Output spatial extent of the convolution over a 4-D `input` shape.
-fn conv_out_hw(input: &Shape, attrs: &Conv2dAttrs) -> Result<(usize, usize)> {
-    input.expect_nchw()?;
-    let out_h = conv_out_dim(input.h(), attrs.kernel_h, attrs.stride, attrs.pad)?;
-    let out_w = conv_out_dim(input.w(), attrs.kernel_w, attrs.stride, attrs.pad)?;
-    Ok((out_h, out_w))
 }
 
 /// Checks that `tensor` (the forward output, or the gradient flowing back
@@ -120,8 +112,7 @@ pub fn conv2d_forward_direct(
     bias: Option<&[f32]>,
     attrs: &Conv2dAttrs,
 ) -> Result<Tensor> {
-    let (_, out_h, out_w) = check_conv(input, weights, attrs)?;
-    let mut out = Tensor::zeros(Shape::nchw(input.shape().n(), attrs.out_channels, out_h, out_w));
+    let mut out = Tensor::zeros(conv_out_shape(input.shape(), attrs)?);
     conv2d_forward_direct_into(input, weights, bias, attrs, &mut out)?;
     Ok(out)
 }
@@ -197,8 +188,7 @@ pub fn conv2d_forward(
     bias: Option<&[f32]>,
     attrs: &Conv2dAttrs,
 ) -> Result<Tensor> {
-    let (_, out_h, out_w) = check_conv(input, weights, attrs)?;
-    let mut out = Tensor::zeros(Shape::nchw(input.shape().n(), attrs.out_channels, out_h, out_w));
+    let mut out = Tensor::zeros(conv_out_shape(input.shape(), attrs)?);
     conv2d_forward_into(input, weights, bias, attrs, &mut out)?;
     Ok(out)
 }

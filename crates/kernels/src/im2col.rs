@@ -35,6 +35,20 @@ pub(crate) fn conv_out_dim(dim: usize, kernel: usize, stride: usize, pad: usize)
     Ok((padded - kernel) / stride + 1)
 }
 
+/// Output spatial extent `(Ho, Wo)` of a convolution over a 4-D input shape.
+pub(crate) fn conv_out_hw(input: &Shape, attrs: &Conv2dAttrs) -> Result<(usize, usize)> {
+    input.expect_nchw()?;
+    let ho = conv_out_dim(input.h(), attrs.kernel_h, attrs.stride, attrs.pad)?;
+    let wo = conv_out_dim(input.w(), attrs.kernel_w, attrs.stride, attrs.pad)?;
+    Ok((ho, wo))
+}
+
+/// The shape a convolution produces for a 4-D input shape.
+pub(crate) fn conv_out_shape(input: &Shape, attrs: &Conv2dAttrs) -> Result<Shape> {
+    let (ho, wo) = conv_out_hw(input, attrs)?;
+    Ok(Shape::nchw(input.n(), attrs.out_channels, ho, wo))
+}
+
 /// The taps `t` in `0..len` whose input position `start + t·stride` lies
 /// inside `0..extent` (`start` is negative inside the leading padding).
 /// They form one run, resolved here once per row segment, so the copy loops
@@ -76,10 +90,8 @@ pub fn im2col_into(
     out: &mut Vec<f32>,
 ) -> Result<()> {
     let shape = input.shape();
-    shape.expect_nchw()?;
+    let (ho, wo) = conv_out_hw(shape, attrs)?;
     let (c, h, w) = (shape.c(), shape.h(), shape.w());
-    let ho = conv_out_dim(h, attrs.kernel_h, attrs.stride, attrs.pad)?;
-    let wo = conv_out_dim(w, attrs.kernel_w, attrs.stride, attrs.pad)?;
     let rows = c * attrs.kernel_h * attrs.kernel_w;
     let cols = ho * wo;
     // Size without pre-zeroing the kept prefix (the fill below overwrites
@@ -124,10 +136,8 @@ pub fn col2im_accumulate(
     attrs: &Conv2dAttrs,
 ) -> Result<()> {
     let shape = target.shape().clone();
-    shape.expect_nchw()?;
+    let (ho, wo) = conv_out_hw(&shape, attrs)?;
     let (c, h, w) = (shape.c(), shape.h(), shape.w());
-    let ho = conv_out_dim(h, attrs.kernel_h, attrs.stride, attrs.pad)?;
-    let wo = conv_out_dim(w, attrs.kernel_w, attrs.stride, attrs.pad)?;
     let rows = c * attrs.kernel_h * attrs.kernel_w;
     let cols = ho * wo;
     if cols_data.len() != rows * cols {
@@ -180,9 +190,7 @@ pub fn col2im_accumulate(
 /// # Errors
 /// Returns an error if the input shape is not 4-D or the window does not fit.
 pub fn col_shape(input: &Shape, attrs: &Conv2dAttrs) -> Result<(usize, usize)> {
-    input.expect_nchw()?;
-    let ho = conv_out_dim(input.h(), attrs.kernel_h, attrs.stride, attrs.pad)?;
-    let wo = conv_out_dim(input.w(), attrs.kernel_w, attrs.stride, attrs.pad)?;
+    let (ho, wo) = conv_out_hw(input, attrs)?;
     Ok((input.c() * attrs.kernel_h * attrs.kernel_w, ho * wo))
 }
 
@@ -227,6 +235,14 @@ pub(crate) fn test_geometries() -> Vec<(usize, usize, usize, Conv2dAttrs)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn conv_out_shape_matches_conv() {
+        let attrs = Conv2dAttrs::new(16, 3, 2, 1);
+        let shape = conv_out_shape(&Shape::nchw(4, 8, 17, 17), &attrs).unwrap();
+        assert_eq!(shape, Shape::nchw(4, 16, 9, 9));
+        assert!(conv_out_shape(&Shape::matrix(2, 2), &attrs).is_err());
+    }
 
     #[test]
     fn identity_kernel_copies_input() {

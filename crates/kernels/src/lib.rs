@@ -8,9 +8,12 @@
 //!   ReLU, pooling, fully-connected, softmax loss, concat and element-wise
 //!   sum.
 //! * **Fused (restructured)** kernels corresponding to the operators the BN
-//!   Fission-n-Fusion passes introduce: a convolution that accumulates
-//!   Σx/Σx² of its output while writing it ([`fused::conv2d_forward_with_stats`]),
-//!   and a convolution that normalizes + clips its input while reading it
+//!   Fission-n-Fusion passes introduce, each a composition of the one
+//!   convolution body and the one normalize sweep
+//!   ([`batchnorm::normalize_sweep_into`]): an *epilogue* that accumulates
+//!   Σx/Σx² of the convolution's output while writing it
+//!   ([`fused::conv2d_forward_with_stats`]), and a *prologue* that
+//!   normalizes + clips the convolution's input before it is read
 //!   ([`fused::norm_relu_conv_forward`]).
 //!
 //! The fused kernels compute *bit-for-bit comparable* results to the

@@ -146,11 +146,6 @@ impl FrozenExecutor {
         self.profiler.set_enabled(on);
     }
 
-    /// Whether per-instruction timing is currently on.
-    pub fn profiling_enabled(&self) -> bool {
-        self.profiler.enabled()
-    }
-
     /// Zeroes the accumulated per-instruction timings.
     pub fn reset_profile(&self) {
         self.profiler.reset();

@@ -303,16 +303,6 @@ impl MetricsSnapshot {
         self.latency.value_at_quantile(p / 100.0) as f64 * 1e-6
     }
 
-    /// Mean time requests spent waiting in shard queues, in milliseconds.
-    pub fn mean_queue_wait_ms(&self) -> f64 {
-        self.queue_wait.mean() * 1e-6
-    }
-
-    /// Mean forward-pass time per executed batch, in milliseconds.
-    pub fn mean_infer_ms(&self) -> f64 {
-        self.infer.mean() * 1e-6
-    }
-
     /// Folds the counters into a summary over `wall` seconds of serving.
     pub fn report(&self, wall: Duration) -> ServeReport {
         let wall_seconds = wall.as_secs_f64().max(f64::MIN_POSITIVE);

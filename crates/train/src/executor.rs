@@ -1,49 +1,53 @@
 //! The numeric graph executor: plan-driven forward and backward passes over
-//! a model graph, dispatching to the kernels crate, including the fused BNFF
-//! operators.
+//! a model graph, dispatching to the kernels crate.
 //!
-//! Execution is organized around a [`bnff_graph::plan::ExecutionPlan`]
-//! computed once per graph: node outputs live in a slot vector indexed by
-//! node id (inputs are *borrowed*, never cloned out of a map), tensors the
-//! backward pass never revisits are released at their last forward use, and
-//! their storage is recycled through a per-executor arena (one bin per plan
-//! slot) plus a [`BufferPool`] for backward gradients — both persistent
-//! across training steps. [`Executor::forward_naive`] keeps the old
-//! one-buffer-per-node behaviour as the reference the equivalence tests
-//! compare against; both paths are bit-identical.
+//! The restructured operators are never matched by name here: every op is
+//! decoded by [`OpKind::form`] into *prologue → core → epilogue*, and each
+//! direction has one convolution arm and one normalization arm.
 //!
-//! Nodes execute in topological order (layer dependencies are sequential),
-//! but every dispatched kernel fans its per-sample / per-channel / per-row
-//! work out across the `bnff-parallel` pool, so one training step saturates
-//! `BNFF_THREADS` cores: convolutions lower to the cache-blocked packed
-//! GEMM (windows gathered while packing, no column matrix), which partitions
-//! MC-aligned output row blocks, BN reduces its mini-batch statistics with one
-//! partial per channel, and the gradient accumulation between branches
-//! (`ops::add_assign`) sweeps in parallel chunks.
+//! * Forward convolution: the prologue borrows the ifmap, clips it (RCF), or
+//!   runs the normalize+clip sweep on it (`(sub-BN2)-ReLU-CONV2`); one
+//!   convolution call follows, riding the Σx/Σx² epilogue
+//!   (`CONV1-(sub-BN1)`) when the statistics are single-sweep. A transformed
+//!   ifmap and its `x̂` move into the node's state — they are what backward
+//!   re-reads. Forward normalization is the same sweep on its own.
+//! * Backward convolution: weight and input gradients from the tensor the
+//!   convolution actually read, then the ReLU mask taken from that tensor,
+//!   then BN backward — each only if the prologue had it. Backward
+//!   normalization is the last two steps on its own.
+//! * Training publishes mini-batch statistics and eval the running ones;
+//!   `publish_stats` is the one place that chooses.
+//!
+//! Execution follows an [`ExecutionPlan`] computed once per graph: node
+//! outputs live in a vector indexed by node id (inputs are borrowed), tensors
+//! backward never revisits are released at their last forward use into a
+//! per-executor arena (one bin per plan slot), and backward gradients recycle
+//! through a [`BufferPool`] — both persistent across steps.
+//! [`Executor::forward_naive`] keeps one buffer per node as the bit-identical
+//! reference. Every kernel fans out over the `bnff-parallel` pool.
 
 use crate::error::TrainError;
-use crate::params::{NodeParamGrads, NodeParams, ParamSet};
+use crate::params::{Gradients, NodeParamGrads, NodeParams, ParamSet};
 use crate::running::RunningStatSet;
 use crate::Result;
-use bnff_graph::op::{OpKind, PoolKind};
+use bnff_graph::op::{ConvPrologue, OpForm, OpKind, PoolKind};
 use bnff_graph::plan::ExecutionPlan;
 use bnff_graph::{Graph, Node, NodeId};
-use bnff_kernels::batchnorm::{bn_backward, bn_normalize_into, bn_statistics, BnForwardState};
+use bnff_kernels::batchnorm::{
+    bn_backward, bn_statistics, normalize_sweep_into, BnForwardState, BnParamGrads, BnParams,
+};
 use bnff_kernels::concat::{concat_backward, concat_forward_into};
 use bnff_kernels::conv::{
     conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward_into,
 };
 use bnff_kernels::eltwise::eltwise_sum_forward_into;
 use bnff_kernels::fc::{fc_backward, fc_forward};
-use bnff_kernels::fused::{
-    concat_forward_with_stats_into, conv2d_forward_with_stats_into, norm_relu_conv_backward,
-    norm_relu_conv_forward_into, NormReluConvState,
-};
+use bnff_kernels::fused::conv2d_forward_with_stats_into;
 use bnff_kernels::pool::{
     avg_pool_backward, avg_pool_forward_into, global_avg_pool_backward, global_avg_pool_forward,
     max_pool_backward, max_pool_forward, MaxPoolState,
 };
-use bnff_kernels::relu::{relu_backward, relu_forward, relu_forward_inplace, relu_forward_into};
+use bnff_kernels::relu::{relu_backward, relu_forward, relu_forward_into};
 use bnff_kernels::softmax::{
     accuracy, softmax_loss_backward, softmax_loss_forward, SoftmaxLossState,
 };
@@ -67,12 +71,15 @@ enum StatsMode {
 /// Per-node state captured during the forward pass for reuse in backward.
 #[derive(Debug, Clone)]
 enum NodeState {
-    Bn(BnForwardState),
+    /// What a convolution prologue and/or a normalization keeps: the
+    /// transformed (clipped, possibly normalized) ifmap the convolution
+    /// actually read, and the statistics + `x̂` BN backward borrows.
+    Saved {
+        conv_input: Option<Tensor>,
+        bn: Option<BnForwardState>,
+    },
     MaxPool(MaxPoolState),
     Softmax(SoftmaxLossState),
-    NormReluConv(NormReluConvState),
-    /// The clipped (post-ReLU) input a fused ReluConv fed to its convolution.
-    ClippedInput(Tensor),
 }
 
 /// The result of one forward pass.
@@ -84,13 +91,9 @@ pub struct ForwardResult {
     pub accuracy: f32,
     /// The classifier scores fed into the loss node.
     pub scores: Tensor,
-    /// Node outputs, indexed by node id. Under the planned path only the
-    /// tensors the backward pass revisits survive; the naive path keeps
-    /// every output.
+    /// Node outputs by node id: the ones backward revisits (planned path) or
+    /// all of them (naive path).
     values: Vec<Option<Tensor>>,
-    /// Split nodes forward their input's tensor: alias[i] names the node
-    /// whose output a lookup of node `i` resolves to.
-    alias: Vec<Option<usize>>,
     stats: Vec<Option<ChannelStats>>,
     states: Vec<Option<NodeState>>,
     labels: Vec<usize>,
@@ -101,65 +104,15 @@ impl ForwardResult {
     ///
     /// The planned forward pass ([`Executor::forward`]) retains only the
     /// tensors its liveness analysis says the backward pass re-reads;
-    /// [`Executor::forward_naive`] retains every node output.
+    /// [`Executor::forward_naive`] retains every node output (a Split owns
+    /// none: it forwards its producer's).
     pub fn output(&self, id: NodeId) -> Option<&Tensor> {
-        let idx = self.alias.get(id.index()).copied().flatten().unwrap_or(id.index());
-        self.values.get(idx).and_then(Option::as_ref)
+        self.values.get(id.index()).and_then(Option::as_ref)
     }
 
     /// The mini-batch statistics produced by a statistics-bearing node.
     pub fn stats(&self, id: NodeId) -> Option<&ChannelStats> {
         self.stats.get(id.index()).and_then(Option::as_ref)
-    }
-
-    fn input_tensor(&self, node: &Node, idx: usize) -> Result<&Tensor> {
-        self.output(node.inputs[idx])
-            .ok_or_else(|| TrainError::Missing(format!("forward output of {}", node.inputs[idx])))
-    }
-}
-
-/// Parameter gradients (and the data gradient) of one backward pass.
-#[derive(Debug, Clone)]
-pub struct Gradients {
-    /// Per-node parameter gradients, keyed by node id index.
-    pub per_node: HashMap<usize, NodeParamGrads>,
-    /// Gradient with respect to the data input, when requested.
-    pub d_data: Option<Tensor>,
-}
-
-impl Gradients {
-    /// Looks up the gradients of one node.
-    pub fn node(&self, id: NodeId) -> Option<&NodeParamGrads> {
-        self.per_node.get(&id.index())
-    }
-
-    /// Global L2 norm of all parameter gradients (useful for debugging
-    /// exploding/vanishing gradients).
-    pub fn global_norm(&self) -> f64 {
-        let mut acc = 0.0f64;
-        for g in self.per_node.values() {
-            match g {
-                NodeParamGrads::Conv { d_weights, d_bias } => {
-                    acc += d_weights.sq_norm();
-                    acc += d_bias.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                }
-                NodeParamGrads::Bn { d_gamma, d_beta } => {
-                    acc += d_gamma.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                    acc += d_beta.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                }
-                NodeParamGrads::ConvBn { d_weights, d_bias, d_gamma, d_beta } => {
-                    acc += d_weights.sq_norm();
-                    acc += d_bias.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                    acc += d_gamma.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                    acc += d_beta.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                }
-                NodeParamGrads::Fc { d_weights, d_bias } => {
-                    acc += d_weights.sq_norm();
-                    acc += d_bias.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
-                }
-            }
-        }
-        acc.sqrt()
     }
 }
 
@@ -274,11 +227,6 @@ impl Executor {
         &self.running
     }
 
-    /// Replaces the running statistics wholesale (checkpoint restore).
-    pub fn set_running_stats(&mut self, running: RunningStatSet) {
-        self.running = running;
-    }
-
     /// Folds the mini-batch statistics recorded by a (training-mode)
     /// forward pass into the running EMA — one call per optimization step,
     /// mirroring what training frameworks do inside their BN layers.
@@ -288,13 +236,11 @@ impl Executor {
     /// `fwd` (e.g. the result came from an eval-mode forward).
     pub fn update_running_stats(&mut self, fwd: &ForwardResult) -> Result<()> {
         let tracked: Vec<usize> = self.running.iter().map(|(idx, _)| *idx).collect();
-        for idx in tracked {
-            let id = NodeId::new(idx);
+        for id in tracked.into_iter().map(NodeId::new) {
             let stats = fwd.stats(id).ok_or_else(|| {
                 TrainError::Missing(format!("mini-batch statistics of {id} in forward result"))
             })?;
-            let stats = stats.clone();
-            self.running.observe(id, &stats)?;
+            self.running.observe(id, stats)?;
         }
         Ok(())
     }
@@ -309,23 +255,34 @@ impl Executor {
 
     fn conv_params(&self, node: &Node) -> Result<(&Tensor, Option<&[f32]>)> {
         match self.params.get(node.id) {
-            Some(NodeParams::Conv { weights, bias }) => Ok((weights, bias.as_deref())),
-            Some(NodeParams::ConvBn { weights, bias, .. }) => Ok((weights, bias.as_deref())),
-            _ => Err(TrainError::Missing(format!("convolution parameters for '{}'", node.name))),
+            Some(NodeParams::Conv { weights, bias } | NodeParams::ConvBn { weights, bias, .. }) => {
+                Ok((weights, bias.as_deref()))
+            }
+            _ => Err(missing("convolution parameters", node)),
         }
     }
 
-    fn bn_params(&self, node: &Node) -> Result<&bnff_kernels::batchnorm::BnParams> {
+    fn bn_params(&self, node: &Node) -> Result<&BnParams> {
         match self.params.get(node.id) {
-            Some(NodeParams::Bn(p)) => Ok(p),
-            Some(NodeParams::ConvBn { bn, .. }) => Ok(bn),
-            _ => Err(TrainError::Missing(format!("BN parameters for '{}'", node.name))),
+            Some(NodeParams::Bn(bn) | NodeParams::ConvBn { bn, .. }) => Ok(bn),
+            _ => Err(missing("BN parameters", node)),
         }
     }
 
-    /// The shape of a node's first input.
-    fn input_shape(&self, node: &Node, idx: usize) -> Result<Shape> {
-        Ok(self.graph.node(node.inputs[idx])?.output_shape.clone())
+    fn fc_params(&self, node: &Node) -> Result<(&Tensor, &[f32])> {
+        match self.params.get(node.id) {
+            Some(NodeParams::Fc { weights, bias }) => Ok((weights, bias)),
+            _ => Err(missing("FC parameters", node)),
+        }
+    }
+
+    /// The retained output of a node's first input, through Split aliases.
+    fn saved_input<'f>(&self, fwd: &'f ForwardResult, node: &Node) -> Result<&'f Tensor> {
+        fwd.output(self.plan.resolve(node.inputs[0])).ok_or_else(|| missing("saved input", node))
+    }
+
+    fn input_shape(&self, node: &Node, idx: usize) -> Result<&Shape> {
+        Ok(&self.graph.node(node.inputs[idx])?.output_shape)
     }
 
     /// Runs the plan-driven forward pass on a mini-batch: inputs are
@@ -363,12 +320,53 @@ impl Executor {
         self.run_forward(data, labels, false, StatsMode::Batch)
     }
 
-    /// The running statistics of node `id` as kernel-ready [`ChannelStats`].
-    fn running_channel_stats(&self, id: NodeId) -> Result<ChannelStats> {
-        self.running
-            .get(id)
-            .map(crate::running::RunningStats::as_channel_stats)
-            .ok_or_else(|| TrainError::Missing(format!("running statistics for {id}")))
+    /// The statistics node `id` publishes for `x`: the mini-batch's in
+    /// training, the running ones (what the freeze pass folds) in eval.
+    fn publish_stats(
+        &self,
+        mode: StatsMode,
+        id: NodeId,
+        x: &Tensor,
+        one_pass: bool,
+    ) -> Result<ChannelStats> {
+        match mode {
+            StatsMode::Batch => Ok(bn_statistics(x, one_pass)?),
+            StatsMode::Running => self
+                .running
+                .get(id)
+                .map(crate::running::RunningStats::as_channel_stats)
+                .ok_or_else(|| TrainError::Missing(format!("running statistics for {id}"))),
+        }
+    }
+
+    /// The one normalize sweep: `y = γ·x̂ + β` with `node`'s γ/β, clipped at
+    /// zero in the same pass when `relu`. Returns what BN backward keeps.
+    fn normalize(
+        &self,
+        node: &Node,
+        x: &Tensor,
+        stats: ChannelStats,
+        epsilon: f32,
+        relu: bool,
+        y: &mut Tensor,
+    ) -> Result<BnForwardState> {
+        let x_hat = normalize_sweep_into(x, &stats, self.bn_params(node)?, epsilon, relu, y)?;
+        Ok(BnForwardState { stats, x_hat })
+    }
+
+    /// BN backward through the normalization `node` ran (its own, or the one
+    /// its convolution absorbed), from the state the forward pass saved.
+    fn normalize_backward(
+        &self,
+        node: &Node,
+        d_y: &Tensor,
+        state: Option<&NodeState>,
+        epsilon: f32,
+    ) -> Result<(Tensor, BnParamGrads)> {
+        let Some(NodeState::Saved { bn: Some(state), .. }) = state else {
+            return Err(missing("forward state", node));
+        };
+        Ok(bn_backward(d_y, state, self.bn_params(node)?, epsilon)?)
     }
 
     fn run_forward(
@@ -386,240 +384,134 @@ impl Executor {
         let mut values: Vec<Option<Tensor>> = vec![None; n];
         let mut stats: Vec<Option<ChannelStats>> = vec![None; n];
         let mut states: Vec<Option<NodeState>> = vec![None; n];
-        let alias: Vec<Option<usize>> = (0..n)
-            .map(|i| {
-                let id = NodeId::new(i);
-                self.plan.is_alias(id).then(|| self.plan.resolve(id).index())
-            })
-            .collect();
         let mut loss = 0.0f32;
         let mut scores: Option<Tensor> = None;
         values[data_id.index()] = Some(data.clone());
 
-        // The naive reference path never touches the workspace, so only the
-        // planned path takes the lock (a poisoned lock is recovered — the
-        // workspace is pure scratch, safe to reuse after a panic). The naive
-        // path's bins stay empty — it releases nothing — so every output it
-        // allocates is fresh.
+        // Only the planned path takes the workspace lock (a poisoned lock is
+        // recovered — the workspace is pure scratch, safe to reuse after a
+        // panic). The naive reference path gets bins that stay empty — it
+        // releases nothing — so every output it allocates is fresh.
         let mut ws = planned
             .then(|| self.workspace.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-        let mut empty_bins = Vec::new();
-        let arena: &mut [Option<Vec<f32>>] = match ws.as_deref_mut() {
-            Some(ws) => &mut ws.arena,
-            None => {
-                empty_bins.resize(self.plan.slot_count(), None);
-                &mut empty_bins
-            }
-        };
+        let mut empty_bins = vec![None; self.plan.slot_count()];
+        let arena = ws.as_deref_mut().map_or(&mut empty_bins[..], |ws| &mut ws.arena[..]);
 
         for (pos, &id) in self.plan.order().iter().enumerate() {
             let node = self.graph.node(id)?;
-            let out = match &node.op {
-                OpKind::Input => {
-                    // Label inputs carry no tensor; the data input is
-                    // pre-seeded.
-                    None
-                }
-                OpKind::Conv2d(a) => {
-                    let x = self.plan.input_value(&values, node, 0)?;
+            let input = || self.plan.input_value(&values, node, 0);
+            let out = match (node.op.form(), &node.op) {
+                (OpForm::Conv { attrs, prologue, stats_out, relu_out: false }, _) => {
+                    let x = input()?;
                     let (w, b) = self.conv_params(node)?;
-                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
-                    conv2d_forward_into(x, w, b, a, &mut out)?;
-                    Some(out)
-                }
-                OpKind::ReluConv(a) => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    let (w, b) = self.conv_params(node)?;
-                    // The clipped activation is computed once: it feeds the
-                    // convolution and is then moved (not re-cloned) into the
-                    // node state for the backward pass.
-                    let clipped = relu_forward(x);
-                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
-                    conv2d_forward_into(&clipped, w, b, a, &mut out)?;
-                    states[id.index()] = Some(NodeState::ClippedInput(clipped));
-                    Some(out)
-                }
-                OpKind::ConvStats { conv: a, .. } => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    let (w, b) = self.conv_params(node)?;
-                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
-                    let s = match mode {
-                        StatsMode::Batch => conv2d_forward_with_stats_into(x, w, b, a, &mut out)?,
-                        StatsMode::Running => {
-                            // Inference needs no batch statistics: run the
-                            // plain convolution and hand consumers the
-                            // running statistics instead.
-                            conv2d_forward_into(x, w, b, a, &mut out)?;
-                            self.running_channel_stats(id)?
+                    // Prologue: the convolution reads its input as is, or a
+                    // clipped / normalized+clipped copy. The copy is what
+                    // backward re-reads, so it moves into the node state and
+                    // the plan does not pin `x`.
+                    let (conv_input, bn) = match prologue {
+                        ConvPrologue::None => (None, None),
+                        ConvPrologue::Relu => (Some(relu_forward(x)), None),
+                        ConvPrologue::NormRelu(bn) => {
+                            let s = node_stats(&stats, node)?.clone();
+                            let mut clipped = Tensor::zeros(x.shape().clone());
+                            let bn = self.normalize(node, x, s, bn.epsilon, true, &mut clipped)?;
+                            (Some(clipped), Some(bn))
                         }
                     };
-                    stats[id.index()] = Some(s);
+                    let read = conv_input.as_ref().unwrap_or(x);
+                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
+                    // Epilogue: single-sweep statistics ride the output
+                    // write; two-pass ones re-sweep the finished ofmap.
+                    let rides =
+                        mode == StatsMode::Batch && stats_out.is_some_and(|bn| bn.one_pass_stats);
+                    stats[id.index()] = if rides {
+                        Some(conv2d_forward_with_stats_into(read, w, b, &attrs, &mut out)?)
+                    } else {
+                        conv2d_forward_into(read, w, b, &attrs, &mut out)?;
+                        stats_out.map(|_| self.publish_stats(mode, id, &out, false)).transpose()?
+                    };
+                    if conv_input.is_some() {
+                        states[id.index()] = Some(NodeState::Saved { conv_input, bn });
+                    }
                     Some(out)
                 }
-                OpKind::BatchNorm(attrs) => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    let p = self.bn_params(node)?;
-                    let s = match mode {
-                        StatsMode::Batch => bn_statistics(x, attrs.one_pass_stats)?,
-                        StatsMode::Running => self.running_channel_stats(id)?,
+                (OpForm::Norm { bn, stats_from_input, relu }, _) => {
+                    let x = input()?;
+                    let s = if stats_from_input {
+                        let s = self.publish_stats(mode, id, x, bn.one_pass_stats)?;
+                        stats[id.index()] = Some(s.clone());
+                        s
+                    } else {
+                        node_stats(&stats, node)?.clone()
                     };
-                    stats[id.index()] = Some(s.clone());
+                    // A clipped output is retained as the backward ReLU mask
+                    // (saved outputs have no arena slot).
                     let mut y = self.plan.alloc_output(arena, id, &node.output_shape);
-                    let x_hat = bn_normalize_into(x, &s, p, attrs.epsilon, &mut y)?;
-                    states[id.index()] = Some(NodeState::Bn(BnForwardState { stats: s, x_hat }));
+                    let bn = self.normalize(node, x, s, bn.epsilon, relu, &mut y)?;
+                    states[id.index()] = Some(NodeState::Saved { conv_input: None, bn: Some(bn) });
                     Some(y)
                 }
-                OpKind::SubBnStats(attrs) => {
-                    let s = match mode {
-                        StatsMode::Batch => {
-                            let x = self.plan.input_value(&values, node, 0)?;
-                            bn_statistics(x, attrs.one_pass_stats)?
-                        }
-                        StatsMode::Running => self.running_channel_stats(id)?,
-                    };
-                    // The 2×C summary is assembled directly from the
-                    // mean/var slices.
-                    let mut summary = Vec::with_capacity(2 * s.channels());
-                    summary.extend_from_slice(&s.mean);
-                    summary.extend_from_slice(&s.var);
+                // Label inputs carry no tensor, the data input is pre-seeded,
+                // and a Split is a pointer pass resolved through the plan.
+                (_, OpKind::Input | OpKind::Split { .. }) => None,
+                (_, OpKind::SubBnStats(attrs)) => {
+                    let s = self.publish_stats(mode, id, input()?, attrs.one_pass_stats)?;
+                    let summary = [s.mean.as_slice(), s.var.as_slice()].concat();
                     let summary = Tensor::from_vec(Shape::matrix(2, s.channels()), summary)
                         .map_err(TrainError::Tensor)?;
                     stats[id.index()] = Some(s);
                     Some(summary)
                 }
-                OpKind::SubBnNorm(attrs) => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    let p = self.bn_params(node)?;
-                    let s = node_stats(&stats, node, 1)?.clone();
-                    let mut y = self.plan.alloc_output(arena, id, &node.output_shape);
-                    let x_hat = bn_normalize_into(x, &s, p, attrs.epsilon, &mut y)?;
-                    states[id.index()] = Some(NodeState::Bn(BnForwardState { stats: s, x_hat }));
-                    Some(y)
-                }
-                OpKind::NormRelu(attrs) => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    let p = self.bn_params(node)?;
-                    let s = node_stats(&stats, node, 1)?.clone();
-                    // The output is retained as the backward ReLU mask
-                    // (saved outputs have no arena slot); clip in place
-                    // instead of materializing a separate post-ReLU copy.
-                    let mut y = self.plan.alloc_output(arena, id, &node.output_shape);
-                    let x_hat = bn_normalize_into(x, &s, p, attrs.epsilon, &mut y)?;
-                    relu_forward_inplace(&mut y);
-                    states[id.index()] = Some(NodeState::Bn(BnForwardState { stats: s, x_hat }));
-                    Some(y)
-                }
-                OpKind::NormReluConv { conv: a, bn: attrs }
-                | OpKind::NormReluConvStats { conv: a, bn_in: attrs, .. } => {
-                    let raw = self.plan.input_value(&values, node, 0)?;
-                    let s = node_stats(&stats, node, 1)?.clone();
-                    let (w, b) = self.conv_params(node)?;
-                    let bn_p = self.bn_params(node)?;
+                (_, OpKind::Relu) => {
                     let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
-                    let state = norm_relu_conv_forward_into(
-                        raw,
-                        &s,
-                        bn_p,
-                        attrs.epsilon,
-                        w,
-                        b,
-                        a,
-                        &mut out,
-                    )?;
-                    if let OpKind::NormReluConvStats { bn_out, .. } = &node.op {
-                        stats[id.index()] = Some(match mode {
-                            StatsMode::Batch => bn_statistics(&out, bn_out.one_pass_stats)?,
-                            StatsMode::Running => self.running_channel_stats(id)?,
-                        });
-                    }
-                    states[id.index()] = Some(NodeState::NormReluConv(state));
+                    relu_forward_into(input()?, &mut out)?;
                     Some(out)
                 }
-                OpKind::Relu => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
-                    relu_forward_into(x, &mut out)?;
+                (_, OpKind::Pool { kind: PoolKind::Max, attrs }) => {
+                    // The state keeps only shape + argmax, so the pooled
+                    // output is owned once by the slot vector.
+                    let (out, state) = max_pool_forward(input()?, attrs)?;
+                    states[id.index()] = Some(NodeState::MaxPool(state));
                     Some(out)
                 }
-                OpKind::Pool { kind, attrs } => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    match kind {
-                        PoolKind::Max => {
-                            // The state keeps only shape + argmax, so the
-                            // pooled output is owned once by the slot vector.
-                            let (out, state) = max_pool_forward(x, attrs)?;
-                            states[id.index()] = Some(NodeState::MaxPool(state));
-                            Some(out)
-                        }
-                        PoolKind::Average => {
-                            let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
-                            avg_pool_forward_into(x, attrs, &mut out)?;
-                            Some(out)
-                        }
-                    }
+                (_, OpKind::Pool { kind: PoolKind::Average, attrs }) => {
+                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
+                    avg_pool_forward_into(input()?, attrs, &mut out)?;
+                    Some(out)
                 }
-                OpKind::GlobalAvgPool => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    Some(global_avg_pool_forward(x)?)
-                }
-                OpKind::Concat => {
+                (_, OpKind::GlobalAvgPool) => Some(global_avg_pool_forward(input()?)?),
+                (_, OpKind::Concat | OpKind::ConcatStats(_)) => {
                     let refs = self.plan.input_values(&values, node)?;
                     let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
                     concat_forward_into(&refs, &mut out)?;
+                    // ICF: the concatenation's own Σx/Σx² epilogue.
+                    if let Some(bn) = node.op.stats_out() {
+                        stats[id.index()] =
+                            Some(self.publish_stats(mode, id, &out, bn.one_pass_stats)?);
+                    }
                     Some(out)
                 }
-                OpKind::ConcatStats(_) => {
-                    let refs = self.plan.input_values(&values, node)?;
-                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
-                    let s = match mode {
-                        StatsMode::Batch => concat_forward_with_stats_into(&refs, &mut out)?,
-                        StatsMode::Running => {
-                            concat_forward_into(&refs, &mut out)?;
-                            self.running_channel_stats(id)?
-                        }
-                    };
-                    stats[id.index()] = Some(s);
-                    Some(out)
-                }
-                OpKind::Split { .. } => {
-                    // A pointer pass: consumers resolve to the aliased
-                    // producer through the plan, so no tensor is stored.
-                    None
-                }
-                OpKind::EltwiseSum => {
+                (_, OpKind::EltwiseSum) => {
                     let refs = self.plan.input_values(&values, node)?;
                     let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
                     eltwise_sum_forward_into(&refs, &mut out)?;
                     Some(out)
                 }
-                OpKind::FullyConnected { .. } => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    let (w, b) = match self.params.get(node.id) {
-                        Some(NodeParams::Fc { weights, bias }) => (weights, bias),
-                        _ => {
-                            return Err(TrainError::Missing(format!(
-                                "FC parameters for '{}'",
-                                node.name
-                            )))
-                        }
-                    };
-                    Some(fc_forward(x, w, b)?)
+                (_, OpKind::FullyConnected { .. }) => {
+                    let (w, b) = self.fc_params(node)?;
+                    Some(fc_forward(input()?, w, b)?)
                 }
-                OpKind::ConvRelu(_) | OpKind::ChannelAffine => {
-                    return Err(TrainError::Unsupported(format!(
-                        "'{}' is an inference-only operator; run frozen graphs on the \
-                         bnff-serve executor",
-                        node.name
-                    )));
-                }
-                OpKind::SoftmaxLoss => {
-                    let x = self.plan.input_value(&values, node, 0)?;
+                (_, OpKind::SoftmaxLoss) => {
+                    let x = input()?;
                     let state = softmax_loss_forward(x, labels)?;
                     loss = state.loss;
                     scores = Some(x.clone());
                     states[id.index()] = Some(NodeState::Softmax(state));
                     Some(Tensor::from_slice(&[loss]))
                 }
+                // Every training convolution and normalization decoded
+                // above; what is left are the freeze pass's operators.
+                _ => return Err(inference_only(node)),
             };
             if let Some(out) = out {
                 values[id.index()] = Some(out);
@@ -630,17 +522,8 @@ impl Executor {
         }
 
         let scores = scores.ok_or_else(|| TrainError::Missing("softmax loss node".to_string()))?;
-        let acc = accuracy(&scores, labels)?;
-        Ok(ForwardResult {
-            loss,
-            accuracy: acc,
-            scores,
-            values,
-            alias,
-            stats,
-            states,
-            labels: labels.to_vec(),
-        })
+        let accuracy = accuracy(&scores, labels)?;
+        Ok(ForwardResult { loss, accuracy, scores, values, stats, states, labels: labels.to_vec() })
     }
 
     /// Runs the backward pass, producing parameter gradients. Gradient
@@ -650,8 +533,7 @@ impl Executor {
     /// # Errors
     /// Returns an error if the forward result does not match this graph.
     pub fn backward(&self, fwd: &ForwardResult) -> Result<Gradients> {
-        let n = self.graph.node_count();
-        let mut d_vals: Vec<Option<Tensor>> = vec![None; n];
+        let mut d_vals: Vec<Option<Tensor>> = vec![None; self.graph.node_count()];
         let mut per_node: HashMap<usize, NodeParamGrads> = HashMap::new();
         let data_id = self.data_input()?;
 
@@ -660,274 +542,168 @@ impl Executor {
 
         for &id in self.plan.order().iter().rev() {
             let node = self.graph.node(id)?;
-            match &node.op {
-                OpKind::SoftmaxLoss => {
-                    let state = match states_ref(&fwd.states, id) {
-                        Some(NodeState::Softmax(s)) => s,
-                        _ => return Err(TrainError::Missing("softmax state".to_string())),
+            let state = fwd.states.get(id.index()).and_then(Option::as_ref);
+            if matches!(node.op, OpKind::SoftmaxLoss) {
+                let Some(NodeState::Softmax(state)) = state else {
+                    return Err(missing("forward state", node));
+                };
+                let d_scores = softmax_loss_backward(state, &fwd.labels)?;
+                accumulate(&mut d_vals, node.inputs[0], d_scores)?;
+                continue;
+            }
+            let Some(grad) = d_vals[id.index()].take() else {
+                continue;
+            };
+            // Each arm yields the gradient of the node's first input, if any.
+            let d_x = match (node.op.form(), &node.op) {
+                (OpForm::Conv { attrs, prologue, relu_out: false, .. }, _) => {
+                    // The tensor the convolution read: its input, or the
+                    // transformed copy its prologue saved.
+                    let read = match (prologue, state) {
+                        (ConvPrologue::None, _) => self.saved_input(fwd, node)?,
+                        (_, Some(NodeState::Saved { conv_input: Some(t), .. })) => t,
+                        _ => return Err(missing("forward state", node)),
                     };
-                    let d_scores = softmax_loss_backward(state, &fwd.labels)?;
-                    accumulate(&mut d_vals, node.inputs[0], d_scores)?;
+                    let (w, b) = self.conv_params(node)?;
+                    let (d_weights, d_bias) =
+                        conv2d_backward_weights(read, &grad, &attrs, b.is_some())?;
+                    // Nothing consumes the data input's gradient, so a
+                    // convolution reading it (the stem) skips the
+                    // input-gradient GEMM — unless the ∂γ/∂β of a BN it
+                    // absorbed need it.
+                    let wanted = matches!(prologue, ConvPrologue::NormRelu(_))
+                        || self.plan.resolve(node.inputs[0]) != data_id;
+                    let (mut d_x, mut d_bn) = (None, None);
+                    if wanted {
+                        // Accumulated into a zeroed buffer from the pool.
+                        let len = read.shape().volume();
+                        let mut d_read = Tensor::from_vec(read.shape().clone(), pool.take(len))
+                            .map_err(TrainError::Tensor)?;
+                        conv2d_backward_input_into(&grad, w, &attrs, &mut d_read)?;
+                        if prologue != ConvPrologue::None {
+                            // relu(x) > 0 ⇔ x > 0: the clipped ifmap is its
+                            // own mask.
+                            let masked = relu_backward(&d_read, read)?;
+                            pool.give(std::mem::replace(&mut d_read, masked).into_vec());
+                        }
+                        if let ConvPrologue::NormRelu(bn) = prologue {
+                            let (d_raw, g) =
+                                self.normalize_backward(node, &d_read, state, bn.epsilon)?;
+                            d_read = d_raw;
+                            d_bn = Some(g);
+                        }
+                        d_x = Some(d_read);
+                    }
+                    let grads = match d_bn {
+                        Some(BnParamGrads { d_gamma, d_beta }) => {
+                            NodeParamGrads::ConvBn { d_weights, d_bias, d_gamma, d_beta }
+                        }
+                        None => NodeParamGrads::Conv { d_weights, d_bias },
+                    };
+                    per_node.insert(id.index(), grads);
+                    d_x
                 }
-                OpKind::Input => {}
-                OpKind::Split { .. } => {
+                (OpForm::Norm { bn, relu, .. }, _) => {
+                    // A clipping normalization recovers its ReLU mask from
+                    // its retained output.
+                    let masked = if relu {
+                        let y = fwd.output(id).ok_or_else(|| missing("output", node))?;
+                        Some(relu_backward(&grad, y)?)
+                    } else {
+                        None
+                    };
+                    let d_y = masked.as_ref().unwrap_or(&grad);
+                    let (d_x, BnParamGrads { d_gamma, d_beta }) =
+                        self.normalize_backward(node, d_y, state, bn.epsilon)?;
+                    per_node.insert(id.index(), NodeParamGrads::Bn { d_gamma, d_beta });
+                    Some(d_x)
+                }
+                (_, OpKind::Split { .. }) => {
                     // The gradient flows through unchanged; move it rather
                     // than copying.
-                    if let Some(grad) = d_vals[id.index()].take() {
-                        accumulate(&mut d_vals, node.inputs[0], grad)?;
-                    }
+                    accumulate(&mut d_vals, node.inputs[0], grad)?;
+                    continue;
                 }
-                OpKind::EltwiseSum => {
-                    if let Some(grad) = d_vals[id.index()].take() {
-                        let (last, rest) =
-                            node.inputs.split_last().expect("eltwise sum has inputs");
-                        for input in rest {
-                            // Occupied slots accumulate by reference; only a
-                            // first insertion pays for a copy.
-                            accumulate_ref(&mut d_vals, *input, &grad)?;
-                        }
-                        accumulate(&mut d_vals, *last, grad)?;
+                (_, OpKind::EltwiseSum) => {
+                    let (last, rest) = node.inputs.split_last().expect("eltwise sum has inputs");
+                    for input in rest {
+                        // Occupied slots accumulate by reference; only a
+                        // first insertion pays for a copy.
+                        accumulate_ref(&mut d_vals, *input, &grad)?;
                     }
+                    accumulate(&mut d_vals, *last, grad)?;
+                    continue;
                 }
-                _ => {
-                    let Some(grad) = d_vals[id.index()].take() else {
-                        continue;
+                // Nothing consumes the data input's gradient, and the
+                // statistics path has none of its own: the normalization
+                // backward already differentiates through mean/variance.
+                (_, OpKind::Input | OpKind::SubBnStats(_)) => None,
+                (_, OpKind::Relu) => Some(relu_backward(&grad, self.saved_input(fwd, node)?)?),
+                // Pooling backward needs only the input *shape*, which the
+                // graph records; the input tensor itself was not retained.
+                (_, OpKind::Pool { kind: PoolKind::Max, .. }) => {
+                    let Some(NodeState::MaxPool(state)) = state else {
+                        return Err(missing("forward state", node));
                     };
-                    match &node.op {
-                        OpKind::Conv2d(a) | OpKind::ConvStats { conv: a, .. } => {
-                            let x = fwd.input_tensor(node, 0)?;
-                            let (w, b) = self.conv_params(node)?;
-                            // The input gradient accumulates into a zeroed
-                            // buffer recycled from the pool.
-                            let mut d_x =
-                                Tensor::from_vec(x.shape().clone(), pool.take(x.shape().volume()))
-                                    .map_err(TrainError::Tensor)?;
-                            conv2d_backward_input_into(&grad, w, a, &mut d_x)?;
-                            let (d_w, d_b) = conv2d_backward_weights(x, &grad, a, b.is_some())?;
-                            per_node.insert(
-                                id.index(),
-                                NodeParamGrads::Conv { d_weights: d_w, d_bias: d_b },
-                            );
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::ReluConv(a) => {
-                            let x = fwd.input_tensor(node, 0)?;
-                            // The forward pass saved the clipped input; only
-                            // a stale result (never produced by this
-                            // executor) forces a recompute.
-                            let recomputed;
-                            let clipped: &Tensor = match states_ref(&fwd.states, id) {
-                                Some(NodeState::ClippedInput(t)) => t,
-                                _ => {
-                                    recomputed = relu_forward(x);
-                                    &recomputed
-                                }
-                            };
-                            let (w, b) = self.conv_params(node)?;
-                            let mut d_clipped = Tensor::from_vec(
-                                clipped.shape().clone(),
-                                pool.take(clipped.shape().volume()),
-                            )
-                            .map_err(TrainError::Tensor)?;
-                            conv2d_backward_input_into(&grad, w, a, &mut d_clipped)?;
-                            let (d_w, d_b) =
-                                conv2d_backward_weights(clipped, &grad, a, b.is_some())?;
-                            let d_x = relu_backward(&d_clipped, x)?;
-                            pool.give(d_clipped.into_vec());
-                            per_node.insert(
-                                id.index(),
-                                NodeParamGrads::Conv { d_weights: d_w, d_bias: d_b },
-                            );
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::NormReluConv { conv: a, bn: attrs }
-                        | OpKind::NormReluConvStats { conv: a, bn_in: attrs, .. } => {
-                            let state = match states_ref(&fwd.states, id) {
-                                Some(NodeState::NormReluConv(s)) => s,
-                                _ => {
-                                    return Err(TrainError::Missing(format!(
-                                        "fused state for '{}'",
-                                        node.name
-                                    )))
-                                }
-                            };
-                            let (w, b) = self.conv_params(node)?;
-                            let bn_p = self.bn_params(node)?;
-                            let grads = norm_relu_conv_backward(
-                                &grad,
-                                state,
-                                bn_p,
-                                attrs.epsilon,
-                                w,
-                                a,
-                                b.is_some(),
-                            )?;
-                            per_node.insert(
-                                id.index(),
-                                NodeParamGrads::ConvBn {
-                                    d_weights: grads.d_weights,
-                                    d_bias: grads.d_bias,
-                                    d_gamma: grads.d_bn.d_gamma,
-                                    d_beta: grads.d_bn.d_beta,
-                                },
-                            );
-                            accumulate(&mut d_vals, node.inputs[0], grads.d_raw)?;
-                        }
-                        OpKind::BatchNorm(attrs) | OpKind::SubBnNorm(attrs) => {
-                            let state = match states_ref(&fwd.states, id) {
-                                Some(NodeState::Bn(s)) => s,
-                                _ => {
-                                    return Err(TrainError::Missing(format!(
-                                        "BN state for '{}'",
-                                        node.name
-                                    )))
-                                }
-                            };
-                            let p = self.bn_params(node)?;
-                            let (d_x, g) = bn_backward(&grad, state, p, attrs.epsilon)?;
-                            per_node.insert(
-                                id.index(),
-                                NodeParamGrads::Bn { d_gamma: g.d_gamma, d_beta: g.d_beta },
-                            );
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::NormRelu(attrs) => {
-                            let state = match states_ref(&fwd.states, id) {
-                                Some(NodeState::Bn(s)) => s,
-                                _ => {
-                                    return Err(TrainError::Missing(format!(
-                                        "BN state for '{}'",
-                                        node.name
-                                    )))
-                                }
-                            };
-                            let p = self.bn_params(node)?;
-                            let y = fwd
-                                .output(id)
-                                .ok_or_else(|| TrainError::Missing("NormRelu output".into()))?;
-                            let d_post_bn = relu_backward(&grad, y)?;
-                            let (d_x, g) = bn_backward(&d_post_bn, state, p, attrs.epsilon)?;
-                            per_node.insert(
-                                id.index(),
-                                NodeParamGrads::Bn { d_gamma: g.d_gamma, d_beta: g.d_beta },
-                            );
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::SubBnStats(_) => {
-                            // The statistics path carries no independent
-                            // gradient: the normalization backward already
-                            // differentiates through mean/variance.
-                        }
-                        OpKind::Relu => {
-                            let x = fwd.input_tensor(node, 0)?;
-                            let d_x = relu_backward(&grad, x)?;
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::Pool { kind, attrs } => {
-                            // Pooling backward needs only the input *shape*,
-                            // which the graph records; the input tensor
-                            // itself was not retained.
-                            let in_shape = self.input_shape(node, 0)?;
-                            let d_x = match kind {
-                                PoolKind::Max => {
-                                    let state = match states_ref(&fwd.states, id) {
-                                        Some(NodeState::MaxPool(s)) => s,
-                                        _ => {
-                                            return Err(TrainError::Missing(format!(
-                                                "max pool state for '{}'",
-                                                node.name
-                                            )))
-                                        }
-                                    };
-                                    max_pool_backward(&grad, state, &in_shape)?
-                                }
-                                PoolKind::Average => avg_pool_backward(&grad, &in_shape, attrs)?,
-                            };
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::GlobalAvgPool => {
-                            let in_shape = self.input_shape(node, 0)?;
-                            let d_x = global_avg_pool_backward(&grad, &in_shape)?;
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::Concat | OpKind::ConcatStats(_) => {
-                            let shapes: Vec<Shape> = node
-                                .inputs
-                                .iter()
-                                .map(|i| self.graph.node(*i).map(|n| n.output_shape.clone()))
-                                .collect::<bnff_graph::Result<_>>()?;
-                            let grads = concat_backward(&grad, &shapes)?;
-                            for (input, g) in node.inputs.iter().zip(grads) {
-                                accumulate(&mut d_vals, *input, g)?;
-                            }
-                        }
-                        OpKind::FullyConnected { .. } => {
-                            let x = fwd.input_tensor(node, 0)?;
-                            let w = match self.params.get(node.id) {
-                                Some(NodeParams::Fc { weights, .. }) => weights,
-                                _ => {
-                                    return Err(TrainError::Missing(format!(
-                                        "FC parameters for '{}'",
-                                        node.name
-                                    )))
-                                }
-                            };
-                            let (d_x, d_w, d_b) = fc_backward(x, w, &grad)?;
-                            per_node.insert(
-                                id.index(),
-                                NodeParamGrads::Fc { d_weights: d_w, d_bias: d_b },
-                            );
-                            accumulate(&mut d_vals, node.inputs[0], d_x)?;
-                        }
-                        OpKind::ConvRelu(_) | OpKind::ChannelAffine => {
-                            return Err(TrainError::Unsupported(format!(
-                                "'{}' is an inference-only operator with no backward pass",
-                                node.name
-                            )));
-                        }
-                        OpKind::Input
-                        | OpKind::SoftmaxLoss
-                        | OpKind::Split { .. }
-                        | OpKind::EltwiseSum => {
-                            unreachable!("handled above")
-                        }
-                    }
-                    // This node's incoming gradient is fully consumed;
-                    // recycle its storage for the next allocation.
-                    pool.give(grad.into_vec());
+                    Some(max_pool_backward(&grad, state, self.input_shape(node, 0)?)?)
                 }
+                (_, OpKind::Pool { kind: PoolKind::Average, attrs }) => {
+                    Some(avg_pool_backward(&grad, self.input_shape(node, 0)?, attrs)?)
+                }
+                (_, OpKind::GlobalAvgPool) => {
+                    Some(global_avg_pool_backward(&grad, self.input_shape(node, 0)?)?)
+                }
+                (_, OpKind::Concat | OpKind::ConcatStats(_)) => {
+                    let shapes: Vec<Shape> = (0..node.inputs.len())
+                        .map(|i| self.input_shape(node, i).cloned())
+                        .collect::<Result<_>>()?;
+                    for (input, g) in node.inputs.iter().zip(concat_backward(&grad, &shapes)?) {
+                        accumulate(&mut d_vals, *input, g)?;
+                    }
+                    None
+                }
+                (_, OpKind::FullyConnected { .. }) => {
+                    let (w, _) = self.fc_params(node)?;
+                    let (d_x, d_weights, d_bias) =
+                        fc_backward(self.saved_input(fwd, node)?, w, &grad)?;
+                    per_node.insert(id.index(), NodeParamGrads::Fc { d_weights, d_bias });
+                    Some(d_x)
+                }
+                _ => return Err(inference_only(node)),
+            };
+            if let Some(d_x) = d_x {
+                accumulate(&mut d_vals, node.inputs[0], d_x)?;
             }
+            // The incoming gradient is consumed: recycle its storage.
+            pool.give(grad.into_vec());
         }
 
-        Ok(Gradients { per_node, d_data: d_vals[data_id.index()].take() })
+        Ok(Gradients { per_node })
     }
 }
 
-/// The mini-batch statistics attached to a node's `idx`-th input.
-fn node_stats<'a>(
-    stats: &'a [Option<ChannelStats>],
-    node: &Node,
-    idx: usize,
-) -> Result<&'a ChannelStats> {
-    stats[node.inputs[idx].index()]
-        .as_ref()
-        .ok_or_else(|| TrainError::Missing(format!("statistics for '{}'", node.name)))
+fn missing(what: &str, node: &Node) -> TrainError {
+    TrainError::Missing(format!("{what} for '{}'", node.name))
 }
 
-fn states_ref(states: &[Option<NodeState>], id: NodeId) -> Option<&NodeState> {
-    states.get(id.index()).and_then(Option::as_ref)
+fn inference_only(node: &Node) -> TrainError {
+    let name = &node.name;
+    TrainError::Unsupported(format!(
+        "'{name}' is an inference-only operator; run frozen graphs on the bnff-serve executor"
+    ))
+}
+
+/// The mini-batch statistics on a node's second input.
+fn node_stats<'a>(stats: &'a [Option<ChannelStats>], node: &Node) -> Result<&'a ChannelStats> {
+    stats[node.inputs[1].index()].as_ref().ok_or_else(|| missing("statistics", node))
 }
 
 /// Adds `grad` into the gradient slot of `id`, cloning it only when the
 /// slot is still empty.
 fn accumulate_ref(d_vals: &mut [Option<Tensor>], id: NodeId, grad: &Tensor) -> Result<()> {
     match d_vals[id.index()].as_mut() {
-        Some(existing) => {
-            ops::add_assign(existing, grad).map_err(TrainError::Tensor)?;
-        }
-        None => {
-            d_vals[id.index()] = Some(grad.clone());
-        }
+        Some(existing) => ops::add_assign(existing, grad).map_err(TrainError::Tensor)?,
+        None => d_vals[id.index()] = Some(grad.clone()),
     }
     Ok(())
 }
@@ -936,12 +712,8 @@ fn accumulate_ref(d_vals: &mut [Option<Tensor>], id: NodeId, grad: &Tensor) -> R
 /// is still empty.
 fn accumulate(d_vals: &mut [Option<Tensor>], id: NodeId, grad: Tensor) -> Result<()> {
     match d_vals[id.index()].as_mut() {
-        Some(existing) => {
-            ops::add_assign(existing, &grad).map_err(TrainError::Tensor)?;
-        }
-        None => {
-            d_vals[id.index()] = Some(grad);
-        }
+        Some(existing) => ops::add_assign(existing, &grad).map_err(TrainError::Tensor)?,
+        None => d_vals[id.index()] = Some(grad),
     }
     Ok(())
 }
@@ -950,7 +722,7 @@ fn accumulate(d_vals: &mut [Option<Tensor>], id: NodeId, grad: Tensor) -> Result
 mod tests {
     use super::*;
     use bnff_graph::builder::GraphBuilder;
-    use bnff_graph::op::Conv2dAttrs;
+    use bnff_graph::op::{BatchNormAttrs, Conv2dAttrs};
     use bnff_graph::passes::{BnffPass, Pass};
     use bnff_tensor::init::Initializer;
 
@@ -1001,7 +773,6 @@ mod tests {
         let grads = exec.backward(&fwd).unwrap();
         assert_eq!(grads.per_node.len(), exec.params().len());
         assert!(grads.global_norm() > 0.0);
-        assert!(grads.d_data.is_some());
     }
 
     #[test]
@@ -1079,6 +850,59 @@ mod tests {
             (numeric - f64::from(analytic)).abs() < 5e-3,
             "numeric {numeric} vs analytic {analytic}"
         );
+    }
+
+    #[test]
+    fn both_sided_fused_conv_publishes_its_statistics_from_the_epilogue() {
+        // conv1 → bn → relu → conv2 → bn → relu → conv3: conv2 sits between
+        // two BNs, so BNFF fuses it on both sides (normalize+clip prologue,
+        // Σx/Σx² epilogue).
+        let mut b = GraphBuilder::new("chain");
+        let x = b.input("data", Shape::nchw(4, 3, 8, 8)).unwrap();
+        let labels = b.input("labels", Shape::vector(4)).unwrap();
+        let c1 = b.conv2d(x, Conv2dAttrs::same_3x3(8), "conv1").unwrap();
+        let c2 = b.bn_relu_conv(c1, Conv2dAttrs::same_3x3(8), "cpl2").unwrap();
+        let c3 = b.bn_relu_conv(c2, Conv2dAttrs::pointwise(8), "cpl3").unwrap();
+        let gap = b.global_avg_pool(c3, "gap").unwrap();
+        let fc = b.fully_connected(gap, 4, "fc").unwrap();
+        b.softmax_loss(fc, labels, "loss").unwrap();
+        let fused = BnffPass::new().run(&b.finish()).unwrap();
+        let (id, conv, bn_in, bn_out) = fused
+            .nodes()
+            .find_map(|n| match n.op {
+                OpKind::NormReluConvStats { conv, bn_in, bn_out } => {
+                    Some((n.id, conv, bn_in, bn_out))
+                }
+                _ => None,
+            })
+            .expect("BNFF fuses conv2 on both sides");
+        assert!(bn_out.one_pass_stats, "BNFF runs MVF before fusing");
+
+        let (data, labels) = random_batch(4, 4, 19);
+        let mut variances = Vec::new();
+        for one_pass in [true, false] {
+            let mut graph = fused.clone();
+            let bn_out = BatchNormAttrs { one_pass_stats: one_pass, ..bn_out };
+            graph.set_op(id, OpKind::NormReluConvStats { conv, bn_in, bn_out }).unwrap();
+            let mut exec = Executor::new(graph, 23).unwrap();
+            // A large offset on a small signal: Σx² − (Σx)² cancels where the
+            // two-pass variance does not, so the flavours differ in bits.
+            if let Some(NodeParams::ConvBn { weights, bias, .. }) = exec.params_mut().get_mut(id) {
+                weights.map_inplace(|w| w * 1e-2);
+                *bias = Some(vec![4096.0; conv.out_channels]);
+            }
+            let fwd = exec.forward_naive(&data, &labels).unwrap();
+            let published = fwd.stats(id).expect("conv2 publishes statistics");
+            let swept = bn_statistics(fwd.output(id).unwrap(), one_pass).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&published.mean), bits(&swept.mean), "one_pass={one_pass}");
+            assert_eq!(bits(&published.var), bits(&swept.var), "one_pass={one_pass}");
+            // The planned path publishes the same numbers.
+            let planned = exec.forward(&data, &labels).unwrap();
+            assert_eq!(bits(&planned.stats(id).unwrap().var), bits(&published.var));
+            variances.push(bits(&published.var));
+        }
+        assert_ne!(variances[0], variances[1], "two-pass attrs must keep the two-pass sweep");
     }
 
     #[test]

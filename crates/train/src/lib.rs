@@ -63,9 +63,9 @@ pub mod validate;
 
 pub use checkpoint::Checkpoint;
 pub use error::TrainError;
-pub use executor::{Executor, ForwardResult, Gradients};
+pub use executor::{Executor, ForwardResult};
 pub use optimizer::SgdOptimizer;
-pub use params::{NodeParams, ParamSet};
+pub use params::{Gradients, NodeParams, ParamSet};
 pub use running::{RunningStatSet, RunningStats};
 pub use trainer::{TrainConfig, Trainer};
 

@@ -1,8 +1,7 @@
 //! Stochastic gradient descent with momentum and weight decay.
 
 use crate::error::TrainError;
-use crate::executor::Gradients;
-use crate::params::{NodeParamGrads, NodeParams, ParamSet};
+use crate::params::{Gradients, NodeParamGrads, NodeParams, ParamSet};
 use crate::Result;
 use bnff_parallel::{min_items_per_thread, parallel_rows_mut2};
 use bnff_tensor::Tensor;
@@ -174,7 +173,7 @@ mod tests {
                 d_bias: vec![],
             },
         );
-        (params, Gradients { per_node, d_data: None })
+        (params, Gradients { per_node })
     }
 
     #[test]
@@ -239,7 +238,7 @@ mod tests {
         let (mut params, _) = single_param_setup(1.0);
         let mut per_node = HashMap::new();
         per_node.insert(0usize, NodeParamGrads::Bn { d_gamma: vec![1.0], d_beta: vec![1.0] });
-        let grads = Gradients { per_node, d_data: None };
+        let grads = Gradients { per_node };
         let mut opt = SgdOptimizer::plain(0.1).unwrap();
         assert!(opt.step(&mut params, &grads).is_err());
     }
@@ -253,7 +252,7 @@ mod tests {
             3usize,
             NodeParamGrads::Bn { d_gamma: vec![1.0, -1.0], d_beta: vec![0.5, 0.5] },
         );
-        let grads = Gradients { per_node, d_data: None };
+        let grads = Gradients { per_node };
         let mut opt = SgdOptimizer::plain(0.1).unwrap();
         opt.step(&mut params, &grads).unwrap();
         match params.get(bnff_graph::NodeId::new(3)).unwrap() {

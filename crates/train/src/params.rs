@@ -2,7 +2,7 @@
 
 use crate::error::TrainError;
 use crate::Result;
-use bnff_graph::op::OpKind;
+use bnff_graph::op::{ConvPrologue, OpForm, OpKind};
 use bnff_graph::{Graph, NodeId};
 use bnff_kernels::batchnorm::BnParams;
 use bnff_tensor::init::Initializer;
@@ -77,6 +77,45 @@ pub enum NodeParamGrads {
     },
 }
 
+/// Parameter gradients of one backward pass.
+#[derive(Debug, Clone)]
+pub struct Gradients {
+    /// Per-node parameter gradients, keyed by node id index.
+    pub per_node: HashMap<usize, NodeParamGrads>,
+}
+
+impl Gradients {
+    /// Looks up the gradients of one node.
+    pub fn node(&self, id: NodeId) -> Option<&NodeParamGrads> {
+        self.per_node.get(&id.index())
+    }
+
+    /// Global L2 norm of all parameter gradients (useful for debugging
+    /// exploding/vanishing gradients). Nodes are summed in index order, so
+    /// the result is reproducible bit for bit.
+    pub fn global_norm(&self) -> f64 {
+        fn sq(v: &[f32]) -> f64 {
+            v.iter().map(|&v| f64::from(v) * f64::from(v)).sum()
+        }
+        let mut nodes: Vec<_> = self.per_node.iter().collect();
+        nodes.sort_unstable_by_key(|(idx, _)| **idx);
+        let mut acc = 0.0f64;
+        for (_, g) in nodes {
+            match g {
+                NodeParamGrads::Conv { d_weights, d_bias }
+                | NodeParamGrads::Fc { d_weights, d_bias } => {
+                    acc += d_weights.sq_norm() + sq(d_bias);
+                }
+                NodeParamGrads::Bn { d_gamma, d_beta } => acc += sq(d_gamma) + sq(d_beta),
+                NodeParamGrads::ConvBn { d_weights, d_bias, d_gamma, d_beta } => {
+                    acc += d_weights.sq_norm() + sq(d_bias) + sq(d_gamma) + sq(d_beta);
+                }
+            }
+        }
+        acc.sqrt()
+    }
+}
+
 /// All parameters of a graph, keyed by node id index.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParamSet {
@@ -103,41 +142,30 @@ impl ParamSet {
                 .first()
                 .and_then(|id| graph.node(*id).ok())
                 .map(|n| n.output_shape.clone());
-            let params = match &node.op {
-                OpKind::Conv2d(a) | OpKind::ReluConv(a) | OpKind::ConvStats { conv: a, .. } => {
-                    let in_c = in_shape
-                        .as_ref()
-                        .ok_or_else(|| TrainError::Missing(format!("input of {}", node.name)))?
-                        .c();
+            let missing_input = || TrainError::Missing(format!("input of {}", node.name));
+            let params = match (node.op.form(), &node.op) {
+                (OpForm::Conv { attrs: a, prologue, .. }, _) => {
+                    let in_c = in_shape.as_ref().ok_or_else(missing_input)?.c();
                     let fan_in = in_c * a.kernel_h * a.kernel_w;
                     let weights = init.he_normal(
                         Shape::nchw(a.out_channels, in_c, a.kernel_h, a.kernel_w),
                         fan_in,
                     );
-                    let bias = if a.bias { Some(vec![0.0; a.out_channels]) } else { None };
-                    Some(NodeParams::Conv { weights, bias })
+                    let bias = a.bias.then(|| vec![0.0; a.out_channels]);
+                    // A normalizing prologue brings the γ/β of the BN it
+                    // absorbed, over the convolution's input channels.
+                    Some(match prologue {
+                        ConvPrologue::NormRelu(_) => {
+                            NodeParams::ConvBn { weights, bias, bn: BnParams::identity(in_c) }
+                        }
+                        _ => NodeParams::Conv { weights, bias },
+                    })
                 }
-                OpKind::NormReluConv { conv: a, .. }
-                | OpKind::NormReluConvStats { conv: a, .. } => {
-                    let in_c = in_shape
-                        .as_ref()
-                        .ok_or_else(|| TrainError::Missing(format!("input of {}", node.name)))?
-                        .c();
-                    let fan_in = in_c * a.kernel_h * a.kernel_w;
-                    let weights = init.he_normal(
-                        Shape::nchw(a.out_channels, in_c, a.kernel_h, a.kernel_w),
-                        fan_in,
-                    );
-                    let bias = if a.bias { Some(vec![0.0; a.out_channels]) } else { None };
-                    Some(NodeParams::ConvBn { weights, bias, bn: BnParams::identity(in_c) })
+                (OpForm::Norm { .. }, _) => {
+                    Some(NodeParams::Bn(BnParams::identity(node.output_shape.c())))
                 }
-                OpKind::BatchNorm(_) | OpKind::SubBnNorm(_) | OpKind::NormRelu(_) => {
-                    let channels = node.output_shape.c();
-                    Some(NodeParams::Bn(BnParams::identity(channels)))
-                }
-                OpKind::FullyConnected { out_features } => {
-                    let in_shape = in_shape
-                        .ok_or_else(|| TrainError::Missing(format!("input of {}", node.name)))?;
+                (_, OpKind::FullyConnected { out_features }) => {
+                    let in_shape = in_shape.ok_or_else(missing_input)?;
                     let in_features =
                         in_shape.volume() / in_shape.dim(0).map_err(TrainError::Tensor)?.max(1);
                     let weights = init.xavier_uniform(

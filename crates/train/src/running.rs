@@ -8,13 +8,13 @@
 //! batch structure). The freeze pass folds exactly these running statistics
 //! into the adjacent convolutions.
 //!
-//! One [`RunningStats`] entry exists per *statistics-producing* node: a
-//! `BatchNorm` owns its own, while under BNFF restructuring the producers
-//! are the fission/fusion operators (`SubBnStats`, `ConvStats`,
-//! `ConcatStats`, `NormReluConvStats`).
+//! One [`RunningStats`] entry exists per *statistics-producing* node — every
+//! node whose op reports [`bnff_graph::op::OpKind::stats_out`]: a `BatchNorm`
+//! owns its own, while under BNFF restructuring the producers are the
+//! fission/fusion operators (`SubBnStats`, a convolution or concatenation
+//! with a statistics epilogue).
 
 use crate::Result;
-use bnff_graph::op::OpKind;
 use bnff_graph::{Graph, NodeId};
 use bnff_tensor::stats::ChannelStats;
 use std::collections::HashMap;
@@ -61,16 +61,10 @@ impl RunningStats {
 /// produces statistics at all.
 fn stats_channels(graph: &Graph, id: NodeId) -> Option<usize> {
     let node = graph.node(id).ok()?;
-    match &node.op {
-        // A BatchNorm's statistics cover its own (NCHW) output channels.
-        OpKind::BatchNorm(_) => Some(node.output_shape.c()),
-        // SubBnStats emits a 2×C summary matrix.
-        OpKind::SubBnStats(_) => node.output_shape.dim(1).ok(),
-        OpKind::ConvStats { .. } | OpKind::ConcatStats(_) | OpKind::NormReluConvStats { .. } => {
-            Some(node.output_shape.c())
-        }
-        _ => None,
-    }
+    node.op.stats_out()?;
+    // Channels are dim 1 both of an NCHW feature map and of the 2×C summary
+    // matrix a `SubBnStats` emits.
+    node.output_shape.dim(1).ok()
 }
 
 /// Running statistics for every statistics-producing node of one graph,
