@@ -14,12 +14,14 @@
 //!    last forward consumer (Split outputs are aliases of their input and
 //!    extend the producer's interval instead of owning one).
 //! 2. **Backward retention** — whether the backward pass re-reads the
-//!    tensor. Bare convolutions, fully-connected layers and ReLU masks
-//!    re-read their saved inputs; a convolution with a prologue keeps the
-//!    transformed ifmap, and a BN-derived layer its `x̂`, in its own state
-//!    and does *not* retain its input; pooling and concat need only shapes.
-//!    Retained tensors stay live through the backward pass and are excluded
-//!    from reuse.
+//!    tensor. Every convolution, fully-connected layers and ReLU masks
+//!    re-read their saved inputs — a convolution with a prologue too: it
+//!    recomputes the clipped / normalized ifmap from its raw input (and the
+//!    2×C statistics), so that input is all it pins and it keeps no tensor
+//!    of its own. A standalone normalization keeps its `x̂` in its own state
+//!    and does *not* retain its input (a clipping one also pins its output,
+//!    the ReLU mask); pooling and concat need only shapes. Retained tensors
+//!    stay live through the backward pass and are excluded from reuse.
 //! 3. **Slot assignment** — transient tensors are packed into reusable
 //!    buffer slots with a greedy best-fit over their live intervals, giving
 //!    the arena capacity an executor needs and the planned peak bytes
@@ -28,7 +30,7 @@
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::node::{Node, NodeId};
-use crate::op::{ConvPrologue, OpForm, OpKind};
+use crate::op::{OpForm, OpKind};
 use crate::Result;
 use bnff_tensor::{Shape, Tensor};
 use serde::Serialize;
@@ -70,8 +72,9 @@ pub struct MemoryPlanSummary {
 /// buffer-slot assignment and release schedule.
 ///
 /// Both metrics cover the node *output* tensors the executor materializes;
-/// auxiliary backward state (BN `x̂`, pooling argmax) is identical between
-/// the naive and the planned execution and is not part of the comparison.
+/// auxiliary backward state (a standalone BN's `x̂`, pooling argmax) is
+/// identical between the naive and the planned execution and is not part of
+/// the comparison.
 #[derive(Debug, Clone, Serialize)]
 pub struct ExecutionPlan {
     order: Vec<NodeId>,
@@ -119,11 +122,10 @@ enum PlanMode {
 }
 
 /// Whether `op`'s backward pass re-reads the output tensor of its first
-/// input (the saved ifmap of the cost analysis). A convolution with a
-/// prologue re-reads the *transformed* ifmap, which it keeps in its own
-/// state, so only a bare convolution pins its input.
+/// input (the saved ifmap of the cost analysis). Every training convolution
+/// does: a prologue is recomputed from the raw input, never stored.
 fn backward_reads_first_input(op: &OpKind) -> bool {
-    matches!(op.form(), OpForm::Conv { prologue: ConvPrologue::None, .. })
+    matches!(op.form(), OpForm::Conv { .. })
         || matches!(op, OpKind::Relu | OpKind::FullyConnected { .. })
 }
 
@@ -415,6 +417,20 @@ impl ExecutionPlan {
         self.saved_bytes
     }
 
+    /// Upper bound on the bytes of activation gradients one backward pass
+    /// holds at once: one gradient per node output, alive from the backward
+    /// of that output's last consumer to the backward of its producer — the
+    /// forward live interval, mirrored.
+    pub fn gradient_peak_bytes(&self) -> usize {
+        let mut live_at = vec![0usize; self.order.len()];
+        for live in self.liveness.iter().flatten() {
+            for bytes in &mut live_at[live.def..=live.last_use] {
+                *bytes += live.bytes;
+            }
+        }
+        live_at.into_iter().max().unwrap_or(0)
+    }
+
     /// The plan's memory accounting in one serializable record.
     pub fn summary(&self) -> MemoryPlanSummary {
         MemoryPlanSummary {
@@ -445,6 +461,20 @@ mod tests {
         (b.finish(), vec![x, c1, bn, r, c2])
     }
 
+    /// `conv_chain` as the fusion passes leave it: statistics from conv1's
+    /// epilogue, normalize+clip as conv2's prologue, then an RCF clip.
+    fn fused_chain() -> (Graph, Vec<NodeId>) {
+        let bn = crate::op::BatchNormAttrs::one_pass();
+        let mut g = Graph::new("fused");
+        let x = g.add_input("in", Shape::nchw(2, 8, 8, 8));
+        let conv = Conv2dAttrs::pointwise(16);
+        let c1 = g.add_node("conv1", OpKind::ConvStats { conv, bn }, vec![x]).unwrap();
+        let conv = Conv2dAttrs::pointwise(8);
+        let c2 = g.add_node("conv2", OpKind::NormReluConv { conv, bn }, vec![c1, c1]).unwrap();
+        let c3 = g.add_node("conv3", OpKind::ReluConv(conv), vec![c2]).unwrap();
+        (g, vec![x, c1, c2, c3])
+    }
+
     #[test]
     fn backward_retention_follows_op_semantics() {
         let (g, ids) = conv_chain();
@@ -458,6 +488,27 @@ mod tests {
         assert!(plan.is_saved(ids[3]));
         // conv2's output has no consumer and no backward reader.
         assert!(!plan.is_saved(ids[4]));
+
+        // A convolution with a prologue pins its raw input: backward
+        // recomputes the normalized / clipped ifmap from it.
+        let (g, ids) = fused_chain();
+        let plan = ExecutionPlan::for_graph(&g).unwrap();
+        assert!(plan.is_saved(ids[0]), "conv1 re-reads the data input");
+        assert!(plan.is_saved(ids[1]), "the normalize+clip prologue pins conv1's output");
+        assert!(plan.is_saved(ids[2]), "the clip prologue pins conv2's output");
+        assert!(!plan.is_saved(ids[3]));
+        assert_eq!(plan.saved_bytes(), (2 * 8 + 2 * 16 + 2 * 8) * 8 * 8 * 4);
+    }
+
+    #[test]
+    fn gradient_peak_mirrors_the_forward_live_intervals() {
+        // in → conv1 → bn → relu → conv2: at most a tensor and its
+        // consumer's output are alive at once, the widest pair being
+        // conv1/bn (or bn/relu) at 16 channels each.
+        let (g, _) = conv_chain();
+        let plan = ExecutionPlan::for_graph(&g).unwrap();
+        assert_eq!(plan.gradient_peak_bytes(), 2 * (2 * 16 * 8 * 8 * 4));
+        assert!(plan.gradient_peak_bytes() <= plan.naive_total_bytes());
     }
 
     #[test]

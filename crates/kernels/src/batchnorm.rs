@@ -11,6 +11,7 @@ use crate::Result;
 use bnff_parallel::{
     min_items_per_thread, parallel_map_collect, parallel_rows_mut, parallel_rows_mut2,
 };
+use bnff_tensor::simd::{sum_dot_f64, SimdIsa};
 use bnff_tensor::stats::{channel_stats_one_pass, channel_stats_two_pass, ChannelStats};
 use bnff_tensor::{active_isa, Tensor};
 
@@ -87,6 +88,27 @@ fn check_channels(x: &Tensor, params: &BnParams) -> Result<usize> {
     Ok(c)
 }
 
+/// Validates the operands of a normalization of `x`, returning its channel
+/// count.
+pub(crate) fn check_normalize(
+    x: &Tensor,
+    stats: &ChannelStats,
+    params: &BnParams,
+    epsilon: f32,
+) -> Result<usize> {
+    let c = check_channels(x, params)?;
+    if stats.channels() != c {
+        return Err(KernelError::ShapeMismatch(format!(
+            "statistics cover {} channels, input has {c}",
+            stats.channels()
+        )));
+    }
+    if epsilon <= 0.0 {
+        return Err(KernelError::InvalidArgument("epsilon must be positive".to_string()));
+    }
+    Ok(c)
+}
+
 /// Computes mini-batch statistics, two-pass (baseline) or one-pass (MVF).
 ///
 /// # Errors
@@ -125,14 +147,15 @@ pub fn bn_normalize_into(
     epsilon: f32,
     y: &mut Tensor,
 ) -> Result<Tensor> {
-    normalize_sweep_into(x, stats, params, epsilon, false, y)
+    let mut x_hat = Tensor::zeros(x.shape().clone());
+    normalize_sweep_into(x, stats, params, epsilon, false, &mut x_hat, y)?;
+    Ok(x_hat)
 }
 
-/// The one normalize sweep behind [`bn_normalize_into`] and the
-/// `(sub-BN2)-ReLU` prologue of a fused convolution: writes
-/// `y = γ·x̂ + β` — clipped at zero in the same pass when `fuse_relu` — and
-/// returns the (freshly allocated) `x̂ = (x − μ)/√(σ² + ε)`. Every element
-/// of `y` is overwritten.
+/// The one batch-wide normalize sweep, behind [`bn_normalize_into`] and a
+/// standalone normalization node: writes `x̂ = (x − μ)/√(σ² + ε)` into
+/// `x_hat` and `y = γ·x̂ + β` — clipped at zero in the same pass when
+/// `fuse_relu` — into `y`. Every element of both is overwritten.
 ///
 /// # Errors
 /// Returns an error if shapes or channel counts disagree.
@@ -142,20 +165,12 @@ pub fn normalize_sweep_into(
     params: &BnParams,
     epsilon: f32,
     fuse_relu: bool,
+    x_hat: &mut Tensor,
     y: &mut Tensor,
-) -> Result<Tensor> {
-    let c = check_channels(x, params)?;
-    if stats.channels() != c {
-        return Err(KernelError::ShapeMismatch(format!(
-            "statistics cover {} channels, input has {c}",
-            stats.channels()
-        )));
-    }
-    if epsilon <= 0.0 {
-        return Err(KernelError::InvalidArgument("epsilon must be positive".to_string()));
-    }
+) -> Result<()> {
+    let c = check_normalize(x, stats, params, epsilon)?;
     x.shape().expect_same(y.shape())?;
-    let mut x_hat = Tensor::zeros(x.shape().clone());
+    x.shape().expect_same(x_hat.shape())?;
     let plane_len = x.shape().h() * x.shape().w();
     let src = x.as_slice();
     // One task per `(sample, channel)` plane; `x̂` and `y` are written in
@@ -179,12 +194,12 @@ pub fn normalize_sweep_into(
                 let p = first_plane + p_local;
                 let ci = p % c;
                 let mean = stats.mean[ci];
-                let inv_std = 1.0 / (stats.var[ci] + epsilon).sqrt();
+                let inv_std = inv_std(stats, ci, epsilon);
                 let src_plane = &src[p * plane_len..(p + 1) * plane_len];
                 vecops::normalize_plane(
                     isa,
                     src_plane,
-                    hat_plane,
+                    Some(hat_plane),
                     y_plane,
                     mean,
                     inv_std,
@@ -195,7 +210,7 @@ pub fn normalize_sweep_into(
             }
         },
     );
-    Ok(x_hat)
+    Ok(())
 }
 
 /// Full BN forward pass: statistics + normalization.
@@ -211,6 +226,13 @@ pub fn bn_forward(
     let stats = bn_statistics(x, one_pass)?;
     let (y, x_hat) = bn_normalize(x, &stats, params, epsilon)?;
     Ok((y, BnForwardState { stats, x_hat }))
+}
+
+/// `1/√(σ² + ε)` of channel `ci` — the one place the normalize sweep, the
+/// fused prologue and both backward passes take it from, so a recomputed
+/// `x̂` matches the stored one bit for bit.
+pub(crate) fn inv_std(stats: &ChannelStats, ci: usize, epsilon: f32) -> f32 {
+    1.0 / (stats.var[ci] + epsilon).sqrt()
 }
 
 /// BN backward pass.
@@ -229,64 +251,97 @@ pub fn bn_backward(
     params: &BnParams,
     epsilon: f32,
 ) -> Result<(Tensor, BnParamGrads)> {
-    let c = check_channels(d_y, params)?;
-    d_y.shape().expect_same(state.x_hat.shape())?;
-    let n = d_y.shape().n();
-    let per_channel = (n * d_y.shape().h() * d_y.shape().w()) as f64;
+    let mut d_x = d_y.clone();
+    let grads = bn_backward_inplace(&mut d_x, state, params, epsilon)?;
+    Ok((d_x, grads))
+}
+
+/// [`bn_backward`] in place: `grad` holds `d_y` on entry and `d_x` on
+/// return. Both sweeps are the plane helpers of the fused convolution
+/// backward ([`crate::fused::fused_conv_backward_into`]), fed the stored
+/// `x̂` instead of recomputing it.
+///
+/// # Errors
+/// Returns an error if shapes or channel counts disagree.
+pub fn bn_backward_inplace(
+    grad: &mut Tensor,
+    state: &BnForwardState,
+    params: &BnParams,
+    epsilon: f32,
+) -> Result<BnParamGrads> {
+    let c = check_channels(grad, params)?;
+    grad.shape().expect_same(state.x_hat.shape())?;
+    let n = grad.shape().n();
+    let plane_len = grad.shape().h() * grad.shape().w();
+    let isa = active_isa();
 
     // First reduction: ∂β = Σ d_y, ∂γ = Σ d_y · x̂. One worker partial per
     // channel, each accumulating its planes in mini-batch order, so the
     // result matches a serial sweep bit-for-bit.
-    let plane_len = d_y.shape().h() * d_y.shape().w();
-    let partials: Vec<(f64, f64)> =
-        parallel_map_collect(c, min_planes_per_thread(n * plane_len), |ci| {
-            let mut beta_acc = 0.0f64;
-            let mut gamma_acc = 0.0f64;
-            for ni in 0..n {
-                let dy = d_y.channel_plane(ni, ci);
-                let xh = state.x_hat.channel_plane(ni, ci);
-                for (&g, &h) in dy.iter().zip(xh.iter()) {
-                    beta_acc += f64::from(g);
-                    gamma_acc += f64::from(g) * f64::from(h);
-                }
-            }
-            (beta_acc, gamma_acc)
-        });
-    let d_beta: Vec<f64> = partials.iter().map(|&(b, _)| b).collect();
-    let d_gamma: Vec<f64> = partials.iter().map(|&(_, g)| g).collect();
+    let (d_y, x_hat) = (&*grad, &state.x_hat);
+    let sums = parallel_map_collect(c, min_planes_per_thread(n * plane_len), |ci| {
+        let (mut sum, mut dot) = (0.0f64, 0.0f64);
+        for ni in 0..n {
+            let (dy, xh) = (d_y.channel_plane(ni, ci), x_hat.channel_plane(ni, ci));
+            sum_dot_f64(isa, dy, xh, &mut sum, &mut dot);
+        }
+        (sum, dot)
+    });
 
-    // Second pass: ∂x, one task per `(sample, channel)` plane.
-    let mut d_x = Tensor::zeros(d_y.shape().clone());
-    let dy_all = d_y.as_slice();
-    let xh_all = state.x_hat.as_slice();
+    // Second pass: ∂x over the stored x̂ (`mean 0`, `inv_std 1`).
+    bn_dx_sweep(isa, grad, x_hat, &sums, |ci| {
+        (0.0, 1.0, f64::from(params.gamma[ci]) * f64::from(inv_std(&state.stats, ci, epsilon)))
+    });
+    Ok(param_grads(&sums))
+}
+
+/// The BN input-gradient sweep, in place on `grad`, one task per
+/// `(sample, channel)` plane: `d_x = scale·(g − mean_g − x̂·mean_gx̂)` from
+/// the per-channel `(Σg, Σg·x̂)` in `sums`, with `x̂ = (x − mean)·inv_std`
+/// and `(mean, inv_std, scale)` supplied per channel by `channel`.
+pub(crate) fn bn_dx_sweep(
+    isa: SimdIsa,
+    grad: &mut Tensor,
+    x: &Tensor,
+    sums: &[(f64, f64)],
+    channel: impl Fn(usize) -> (f32, f32, f64) + Sync,
+) {
+    let shape = grad.shape();
+    let (c, plane_len) = (shape.c(), shape.h() * shape.w());
+    let per_channel = (shape.n() * plane_len) as f64;
+    let x_all = x.as_slice();
     parallel_rows_mut(
-        d_x.as_mut_slice(),
+        grad.as_mut_slice(),
         plane_len.max(1),
         min_planes_per_thread(plane_len),
         |first_plane, block| {
-            for (p_local, dx_plane) in block.chunks_mut(plane_len.max(1)).enumerate() {
+            for (p_local, g_plane) in block.chunks_mut(plane_len.max(1)).enumerate() {
                 let p = first_plane + p_local;
                 let ci = p % c;
-                let inv_std = 1.0 / (state.stats.var[ci] + epsilon).sqrt();
-                let scale = f64::from(params.gamma[ci]) * f64::from(inv_std);
-                let mean_dy = d_beta[ci] / per_channel;
-                let mean_dy_xhat = d_gamma[ci] / per_channel;
-                let dy = &dy_all[p * plane_len..(p + 1) * plane_len];
-                let xh = &xh_all[p * plane_len..(p + 1) * plane_len];
-                for ((dst, &g), &h) in dx_plane.iter_mut().zip(dy.iter()).zip(xh.iter()) {
-                    *dst = (scale * (f64::from(g) - mean_dy - f64::from(h) * mean_dy_xhat)) as f32;
-                }
+                let (mean, inv_std, scale) = channel(ci);
+                let (sum, dot) = sums[ci];
+                let x_plane = &x_all[p * plane_len..(p + 1) * plane_len];
+                vecops::bn_dx_plane(
+                    isa,
+                    g_plane,
+                    x_plane,
+                    mean,
+                    inv_std,
+                    scale,
+                    sum / per_channel,
+                    dot / per_channel,
+                );
             }
         },
     );
+}
 
-    Ok((
-        d_x,
-        BnParamGrads {
-            d_gamma: d_gamma.into_iter().map(|v| v as f32).collect(),
-            d_beta: d_beta.into_iter().map(|v| v as f32).collect(),
-        },
-    ))
+/// `(∂γ, ∂β)` from the per-channel `(Σg, Σg·x̂)`.
+pub(crate) fn param_grads(sums: &[(f64, f64)]) -> BnParamGrads {
+    BnParamGrads {
+        d_gamma: sums.iter().map(|&(_, dot)| dot as f32).collect(),
+        d_beta: sums.iter().map(|&(sum, _)| sum as f32).collect(),
+    }
 }
 
 #[cfg(test)]

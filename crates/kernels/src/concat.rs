@@ -74,29 +74,37 @@ pub fn concat_forward_into(inputs: &[&Tensor], out: &mut Tensor) -> Result<()> {
 /// # Errors
 /// Returns an error when the channel counts do not add up.
 pub fn concat_backward(d_y: &Tensor, input_shapes: &[Shape]) -> Result<Vec<Tensor>> {
-    d_y.shape().expect_nchw()?;
-    let total: usize = input_shapes.iter().map(|s| s.c()).sum();
-    if total != d_y.shape().c() {
+    let mut grads: Vec<Tensor> = input_shapes.iter().map(|s| Tensor::zeros(s.clone())).collect();
+    concat_backward_into(d_y, &mut grads)?;
+    Ok(grads)
+}
+
+/// [`concat_backward`] into caller-provided gradient tensors, one per
+/// concatenated input and of that input's shape. Every element of every
+/// tensor in `grads` is overwritten.
+///
+/// # Errors
+/// Returns an error when the channel counts do not add up or batch/spatial
+/// dimensions disagree.
+pub fn concat_backward_into(d_y: &Tensor, grads: &mut [Tensor]) -> Result<()> {
+    let refs: Vec<&Tensor> = grads.iter().collect();
+    if refs.is_empty() || concat_output_shape(&refs)? != *d_y.shape() {
         return Err(KernelError::ShapeMismatch(format!(
-            "inputs supply {total} channels but gradient has {}",
-            d_y.shape().c()
+            "the given input gradients do not concatenate to the gradient {}",
+            d_y.shape()
         )));
     }
-    let n = d_y.shape().n();
-    let mut grads = Vec::with_capacity(input_shapes.len());
     let mut offset = 0usize;
-    for shape in input_shapes {
-        shape.expect_nchw()?;
-        let mut g = Tensor::zeros(shape.clone());
-        for ni in 0..n {
-            for ci in 0..shape.c() {
+    for g in grads {
+        let channels = g.shape().c();
+        for ni in 0..d_y.shape().n() {
+            for ci in 0..channels {
                 g.channel_plane_mut(ni, ci).copy_from_slice(d_y.channel_plane(ni, offset + ci));
             }
         }
-        offset += shape.c();
-        grads.push(g);
+        offset += channels;
     }
-    Ok(grads)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -13,9 +13,9 @@
 //! * **weight gradient** — `d_W += d_out_n · im2col(x_n)ᵀ`, the transposed
 //!   form of the same gather, summed across a group's samples inside the
 //!   GEMM;
-//! * **input gradient**, stride 1 — `d_x_n += W_rot · im2col(d_out_n)` with
-//!   padding `K − 1 − pad`: a forward convolution of the output gradient
-//!   with the 180°-rotated, channel-transposed weights. A strided
+//! * **input gradient**, stride 1 — `d_x_n (+)= W_rot · im2col(d_out_n)`
+//!   with padding `K − 1 − pad`: a forward convolution of the output
+//!   gradient with the 180°-rotated, channel-transposed weights. A strided
 //!   convolution (or `pad > K − 1`) has no such form and keeps
 //!   `d_col = Wᵀ · d_out_n` scattered by [`col2im_accumulate`]; which of
 //!   the two runs is decided from the attributes alone.
@@ -23,25 +23,125 @@
 //! A pointwise convolution is the degenerate case of each: the sample *is*
 //! the operand and the GEMM reads it in place.
 //!
+//! The two passes that read the input feature map take it as a
+//! [`ConvInput`] and ask it for one sample at a time: the borrowed slice, or
+//! — the paper's RCF and `(sub-BN2)-ReLU` prologues — that sample clipped or
+//! normalized+clipped into one pooled, L2-sized scratch right before the
+//! packer gathers from it, so no batch-wide transformed copy is ever written.
+//! The input gradient mirrors the forward epilogue: a per-sample hook runs
+//! on each freshly written `d_x_n` while it is cache-hot
+//! ([`crate::fused::fused_conv_backward_into`] hangs the ReLU mask and the
+//! ∂γ/∂β reductions there).
+//!
 //! The direct path partitions work over `(sample, out_channel)` output
 //! planes, the GEMM paths inherit the GEMM's row-block partitioning, and
 //! the weight gradient reduces per-group partials with a deterministic
 //! tree — so all paths scale across `BNFF_THREADS` cores while producing
 //! thread-count-independent results.
 
+use crate::batchnorm::{check_normalize, inv_std, BnParams};
 use crate::error::KernelError;
 use crate::gemm::{gemm_im2col, gemm_nt_im2col_acc, gemm_tn, Im2colView};
 use crate::im2col::{col2im_accumulate, col_shape, conv_out_hw, conv_out_shape};
+use crate::vecops;
 use crate::Result;
 use bnff_graph::op::Conv2dAttrs;
 use bnff_parallel::{chunk_ranges, min_items_per_thread, parallel_reduce, parallel_rows_mut};
 use bnff_tensor::pool::SharedBufferPool;
-use bnff_tensor::stats::ChannelAccumulator;
+use bnff_tensor::simd::SimdIsa;
+use bnff_tensor::stats::{ChannelAccumulator, ChannelStats};
 use bnff_tensor::{Shape, Tensor};
 
-/// The `d_col` scratch of the strided input gradient (the one path that
-/// still materializes a column matrix), recycled across calls and steps.
+/// Per-call scratch recycled across calls and steps: the transformed sample
+/// of a [`ConvInput`] prologue, and the `d_col` of the strided input
+/// gradient (the one path that still materializes a column matrix).
 static COL_POOL: SharedBufferPool = SharedBufferPool::bounded(64 << 20);
+
+/// The input feature map of a convolution together with what is applied to
+/// it while it is read — 1:1 with [`bnff_graph::op::ConvPrologue`].
+#[derive(Debug, Clone, Copy)]
+pub enum ConvInput<'a> {
+    /// The tensor as is: every sample is borrowed, nothing is copied.
+    Raw(&'a Tensor),
+    /// RCF: the tensor clipped at zero.
+    Clip(&'a Tensor),
+    /// `(sub-BN2)-ReLU`: `max(γ·(x − μ)/√(σ² + ε) + β, 0)`.
+    NormClip {
+        /// The raw activations.
+        x: &'a Tensor,
+        /// The statistics `x` is normalized with.
+        stats: &'a ChannelStats,
+        /// The γ/β applied after normalization.
+        params: &'a BnParams,
+        /// The ε under the square root.
+        epsilon: f32,
+    },
+}
+
+impl<'a> ConvInput<'a> {
+    /// The tensor the prologue is applied to.
+    pub fn tensor(&self) -> &'a Tensor {
+        match *self {
+            ConvInput::Raw(x) | ConvInput::Clip(x) | ConvInput::NormClip { x, .. } => x,
+        }
+    }
+
+    fn check(&self) -> Result<()> {
+        if let ConvInput::NormClip { x, stats, params, epsilon } = *self {
+            check_normalize(x, stats, params, epsilon)?;
+        }
+        Ok(())
+    }
+
+    /// The `C·H·W` scratch [`ConvInput::sample`] transforms into, from
+    /// [`COL_POOL`] (give it back there); empty when samples are borrowed.
+    fn take_scratch(&self) -> Vec<f32> {
+        match self {
+            ConvInput::Raw(_) => Vec::new(),
+            _ => COL_POOL.take_dirty(self.tensor().len() / self.tensor().shape().n().max(1)),
+        }
+    }
+
+    /// Sample `ni` of the untransformed tensor.
+    pub(crate) fn raw_sample(&self, ni: usize) -> &'a [f32] {
+        let x = self.tensor();
+        let len = x.len() / x.shape().n().max(1);
+        &x.as_slice()[ni * len..(ni + 1) * len]
+    }
+
+    /// Sample `ni` as the convolution reads it: the borrowed slice, or the
+    /// sample transformed plane by plane into `scratch` — the normalize
+    /// sweep's arithmetic per ISA, minus the `x̂` store.
+    fn sample<'s>(&self, isa: SimdIsa, ni: usize, scratch: &'s mut [f32]) -> &'s [f32]
+    where
+        'a: 's,
+    {
+        let src = self.raw_sample(ni);
+        let shape = self.tensor().shape();
+        let plane_len = (shape.h() * shape.w()).max(1);
+        match *self {
+            ConvInput::Raw(_) => return src,
+            ConvInput::Clip(_) => vecops::relu_into(isa, src, scratch),
+            ConvInput::NormClip { stats, params, epsilon, .. } => {
+                let planes = src.chunks_exact(plane_len).zip(scratch.chunks_exact_mut(plane_len));
+                for (ci, (x_plane, plane)) in planes.enumerate() {
+                    vecops::normalize_plane(
+                        isa,
+                        x_plane,
+                        None,
+                        plane,
+                        stats.mean[ci],
+                        inv_std(stats, ci, epsilon),
+                        params.gamma[ci],
+                        params.beta[ci],
+                        true,
+                    );
+                }
+            }
+        }
+        scratch
+    }
+}
 
 /// Validates the weight tensor layout `(Cout, Cin, Kh, Kw)` against the
 /// input channels and attributes, returning `(in_c, out_h, out_w)`.
@@ -207,7 +307,7 @@ pub fn conv2d_forward_into(
     attrs: &Conv2dAttrs,
     out: &mut Tensor,
 ) -> Result<()> {
-    conv_forward(input, weights, bias, attrs, false, None, out)
+    conv_forward(ConvInput::Raw(input), weights, bias, attrs, false, None, out)
 }
 
 /// Inference entry point for the frozen graph's fused `CONV+ReLU` operator:
@@ -224,23 +324,7 @@ pub fn conv2d_forward_relu_into(
     attrs: &Conv2dAttrs,
     out: &mut Tensor,
 ) -> Result<()> {
-    conv_forward(input, weights, bias, attrs, true, None, out)
-}
-
-/// [`conv2d_forward_into`] that also pushes every output plane into `stats`
-/// right after its sample is produced — the `CONV1-(sub-BN1)` accumulation,
-/// done while the sample's output is cache-hot instead of in a second sweep
-/// over the whole feature map. Planes are pushed in sample order, so the
-/// sums are bit-identical to [`ChannelAccumulator::from_tensor`] on `out`.
-pub(crate) fn conv2d_forward_stats_into(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    attrs: &Conv2dAttrs,
-    stats: &mut ChannelAccumulator,
-    out: &mut Tensor,
-) -> Result<()> {
-    conv_forward(input, weights, bias, attrs, false, Some(stats), out)
+    conv_forward(ConvInput::Raw(input), weights, bias, attrs, true, None, out)
 }
 
 /// The per-sample epilogue's bias add and optional fused ReLU clamp, applied
@@ -282,9 +366,14 @@ fn window_view<'a>(
     }
 }
 
-/// The one convolution forward body behind every entry point.
-fn conv_forward(
-    input: &Tensor,
+/// The one convolution forward body behind every entry point: per sample,
+/// the prologue of `input`, one gather-packed GEMM, then the epilogue on the
+/// cache-hot output — bias, the frozen graph's ReLU clamp, and (the
+/// `CONV1-(sub-BN1)` accumulation) a push of every output plane into
+/// `stats`, in sample order, so the sums are bit-identical to
+/// [`ChannelAccumulator::from_tensor`] on `out`.
+pub(crate) fn conv_forward(
+    input: ConvInput<'_>,
     weights: &Tensor,
     bias: Option<&[f32]>,
     attrs: &Conv2dAttrs,
@@ -292,16 +381,19 @@ fn conv_forward(
     mut stats: Option<&mut ChannelAccumulator>,
     out: &mut Tensor,
 ) -> Result<()> {
-    let (in_c, out_h, out_w) = check_conv(input, weights, attrs)?;
+    input.check()?;
+    let x = input.tensor();
+    let (in_c, out_h, out_w) = check_conv(x, weights, attrs)?;
     check_bias(bias, attrs)?;
-    check_conv_output("output tensor", out, input.shape(), attrs, (out_h, out_w))?;
-    let in_dims = (in_c, input.shape().h(), input.shape().w());
+    check_conv_output("output tensor", out, x.shape(), attrs, (out_h, out_w))?;
+    let in_dims = (in_c, x.shape().h(), x.shape().w());
     let (rows, cols) = (in_c * attrs.kernel_h * attrs.kernel_w, out_h * out_w);
-    let sample_len = in_c * in_dims.1 * in_dims.2;
     let out_len = attrs.out_channels * cols;
     let w_mat = weights.as_slice(); // (Cout) x (Cin*Kh*Kw), row-major by construction
-    for ni in 0..input.shape().n() {
-        let sample = &input.as_slice()[ni * sample_len..(ni + 1) * sample_len];
+    let isa = bnff_tensor::active_isa();
+    let mut scratch = input.take_scratch();
+    for ni in 0..x.shape().n() {
+        let sample = input.sample(isa, ni, &mut scratch);
         let out_slice = &mut out.as_mut_slice()[ni * out_len..(ni + 1) * out_len];
         // out_sample = W (Cout x rows) · im2col(sample) (rows x cols)
         let view = window_view(sample, in_dims, attrs, (out_h, out_w));
@@ -314,6 +406,7 @@ fn conv_forward(
             acc.add_count(cols);
         }
     }
+    COL_POOL.give(scratch);
     Ok(())
 }
 
@@ -375,27 +468,46 @@ pub fn conv2d_backward_input_into(
     attrs: &Conv2dAttrs,
     d_input: &mut Tensor,
 ) -> Result<()> {
+    backward_input(d_out, weights, attrs, false, d_input, |_, _| {})
+}
+
+/// The one input-gradient body: [`conv2d_backward_input_into`] that either
+/// adds to `d_input` or — `overwrite` — replaces it (no element is read, so
+/// a dirty recycled buffer is fine), and runs `epilogue(ni, d_x_n)` on each
+/// sample's gradient right after it is complete, in sample order, on the
+/// calling thread — the mirror of the forward pass's per-sample epilogue.
+pub(crate) fn backward_input(
+    d_out: &Tensor,
+    weights: &Tensor,
+    attrs: &Conv2dAttrs,
+    overwrite: bool,
+    d_input: &mut Tensor,
+    epilogue: impl FnMut(usize, &mut [f32]),
+) -> Result<()> {
     let (_, out_h, out_w) = check_conv(d_input, weights, attrs)?;
     check_conv_output("d_out", d_out, d_input.shape(), attrs, (out_h, out_w))?;
     if attrs.stride == 1 && attrs.pad < attrs.kernel_h.min(attrs.kernel_w) {
-        backward_input_rotated(d_out, weights, attrs, (out_h, out_w), d_input)
+        backward_input_rotated(d_out, weights, attrs, (out_h, out_w), overwrite, d_input, epilogue)
     } else {
-        backward_input_strided(d_out, weights, attrs, d_input)
+        backward_input_strided(d_out, weights, attrs, overwrite, d_input, epilogue)
     }
 }
 
-/// Stride-1 input gradient: per sample, `d_x_n += W_rot · im2col(d_out_n)`.
+/// Stride-1 input gradient: per sample, `d_x_n (+)= W_rot · im2col(d_out_n)`.
 fn backward_input_rotated(
     d_out: &Tensor,
     weights: &Tensor,
     attrs: &Conv2dAttrs,
     (out_h, out_w): (usize, usize),
+    overwrite: bool,
     d_input: &mut Tensor,
+    mut epilogue: impl FnMut(usize, &mut [f32]),
 ) -> Result<()> {
     let (in_c, h, w) = (d_input.shape().c(), d_input.shape().h(), d_input.shape().w());
     let w_rot = rotated_weights(weights);
     let depth = attrs.out_channels * attrs.kernel_h * attrs.kernel_w;
     let (sample_len, d_out_len) = (in_c * h * w, attrs.out_channels * out_h * out_w);
+    let beta = if overwrite { 0.0 } else { 1.0 };
     for ni in 0..d_input.shape().n() {
         let view = Im2colView {
             sample: &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len],
@@ -411,21 +523,25 @@ fn backward_input_rotated(
             out_w: w,
         };
         let d_x = &mut d_input.as_mut_slice()[ni * sample_len..(ni + 1) * sample_len];
-        gemm_im2col(in_c, h * w, depth, 1.0, &w_rot, view, 1.0, d_x)?;
+        gemm_im2col(in_c, h * w, depth, 1.0, &w_rot, view, beta, d_x)?;
+        epilogue(ni, d_x);
     }
     Ok(())
 }
 
 /// Strided input gradient: per sample, `d_col = Wᵀ · d_out_n` scattered
-/// back by [`col2im_accumulate`].
+/// back by [`col2im_accumulate`] (onto zeros when overwriting).
 fn backward_input_strided(
     d_out: &Tensor,
     weights: &Tensor,
     attrs: &Conv2dAttrs,
+    overwrite: bool,
     d_input: &mut Tensor,
+    mut epilogue: impl FnMut(usize, &mut [f32]),
 ) -> Result<()> {
     let (rows, cols) = col_shape(d_input.shape(), attrs)?;
     let d_out_len = attrs.out_channels * cols;
+    let sample_len = d_input.len() / d_input.shape().n().max(1);
     // One recycled gradient column matrix serves every sample (the packed
     // gemm_tn overwrites it without reading it).
     let mut d_col = COL_POOL.take_dirty(rows * cols);
@@ -433,7 +549,11 @@ fn backward_input_strided(
         // d_col (rows x cols) = Wᵀ (rows x Cout) · d_out_sample (Cout x cols)
         let d_out_n = &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len];
         gemm_tn(rows, cols, attrs.out_channels, weights.as_slice(), d_out_n, &mut d_col)?;
+        if overwrite {
+            d_input.as_mut_slice()[ni * sample_len..(ni + 1) * sample_len].fill(0.0);
+        }
         col2im_accumulate(&d_col, d_input, ni, attrs)?;
+        epilogue(ni, &mut d_input.as_mut_slice()[ni * sample_len..(ni + 1) * sample_len]);
     }
     COL_POOL.give(d_col);
     Ok(())
@@ -454,12 +574,25 @@ pub fn conv2d_backward_weights(
     attrs: &Conv2dAttrs,
     with_bias: bool,
 ) -> Result<(Tensor, Vec<f32>)> {
-    let out_hw = conv_out_hw(input.shape(), attrs)?;
-    check_conv_output("d_out", d_out, input.shape(), attrs, out_hw)?;
-    let n = input.shape().n();
-    let in_dims = (input.shape().c(), input.shape().h(), input.shape().w());
+    backward_weights(ConvInput::Raw(input), d_out, attrs, with_bias)
+}
+
+/// The one weight-gradient body: [`conv2d_backward_weights`] against the
+/// input as the forward pass read it, each group transforming its samples
+/// into its own pooled scratch.
+pub(crate) fn backward_weights(
+    input: ConvInput<'_>,
+    d_out: &Tensor,
+    attrs: &Conv2dAttrs,
+    with_bias: bool,
+) -> Result<(Tensor, Vec<f32>)> {
+    input.check()?;
+    let x = input.tensor();
+    let out_hw = conv_out_hw(x.shape(), attrs)?;
+    check_conv_output("d_out", d_out, x.shape(), attrs, out_hw)?;
+    let n = x.shape().n();
+    let in_dims = (x.shape().c(), x.shape().h(), x.shape().w());
     let (rows, cols) = (in_dims.0 * attrs.kernel_h * attrs.kernel_w, out_hw.0 * out_hw.1);
-    let sample_len = in_dims.0 * in_dims.1 * in_dims.2;
     let mut d_w =
         Tensor::zeros(Shape::nchw(attrs.out_channels, in_dims.0, attrs.kernel_h, attrs.kernel_w));
     // Samples are grouped into a bounded number of chunks fixed by the
@@ -485,8 +618,9 @@ pub fn conv2d_backward_weights(
             bnff_tensor::with_isa(isa, || -> Result<(Vec<f32>, Vec<f32>)> {
                 let mut d_w_flat = vec![0.0f32; attrs.out_channels * rows];
                 let mut d_bias = vec![0.0f32; if with_bias { attrs.out_channels } else { 0 }];
+                let mut scratch = input.take_scratch();
                 for ni in groups[gi].clone() {
-                    let sample = &input.as_slice()[ni * sample_len..(ni + 1) * sample_len];
+                    let sample = input.sample(isa, ni, &mut scratch);
                     let view = window_view(sample, in_dims, attrs, out_hw);
                     let d_out_n = &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len];
                     // d_W (Cout x rows) += d_out_n (Cout x cols) · im2col(sample)ᵀ (cols x rows)
@@ -502,6 +636,7 @@ pub fn conv2d_backward_weights(
                         *db += plane.iter().sum::<f32>();
                     }
                 }
+                COL_POOL.give(scratch);
                 Ok((d_w_flat, d_bias))
             })
         },

@@ -79,6 +79,23 @@ pub fn fc_backward(
     weights: &Tensor,
     d_y: &Tensor,
 ) -> Result<(Tensor, Tensor, Vec<f32>)> {
+    let mut d_x = Tensor::zeros(x.shape().clone());
+    let (d_w, d_bias) = fc_backward_into(x, weights, d_y, &mut d_x)?;
+    Ok((d_x, d_w, d_bias))
+}
+
+/// [`fc_backward`] with the input gradient written into a caller-provided
+/// tensor of `x`'s shape (every element is overwritten — the GEMM's
+/// `beta == 0` path never reads it); returns `(d_weights, d_bias)`.
+///
+/// # Errors
+/// Returns an error if the dimensions (including `d_x`'s) are inconsistent.
+pub fn fc_backward_into(
+    x: &Tensor,
+    weights: &Tensor,
+    d_y: &Tensor,
+    d_x: &mut Tensor,
+) -> Result<(Tensor, Vec<f32>)> {
     let (n, in_features) = flatten_dims(x)?;
     let (n2, out_features) = flatten_dims(d_y)?;
     if n != n2 {
@@ -90,9 +107,9 @@ pub fn fc_backward(
             weights.shape()
         )));
     }
+    x.shape().expect_same(d_x.shape())?;
 
     // d_x (N x in) = d_y (N x out) · W (out x in)
-    let mut d_x_flat = vec![0.0f32; n * in_features];
     gemm(
         n,
         in_features,
@@ -101,9 +118,8 @@ pub fn fc_backward(
         d_y.as_slice(),
         weights.as_slice(),
         0.0,
-        &mut d_x_flat,
+        d_x.as_mut_slice(),
     )?;
-    let d_x = Tensor::from_vec(x.shape().clone(), d_x_flat)?;
 
     // d_W (out x in) = d_yᵀ (out x N) · x (N x in)
     let mut d_w = Tensor::zeros(weights.shape().clone());
@@ -116,7 +132,7 @@ pub fn fc_backward(
             *b += d_y.as_slice()[row * out_features + j];
         }
     }
-    Ok((d_x, d_w, d_bias))
+    Ok((d_w, d_bias))
 }
 
 #[cfg(test)]

@@ -8,20 +8,26 @@
 //!   ReLU, pooling, fully-connected, softmax loss, concat and element-wise
 //!   sum.
 //! * **Fused (restructured)** kernels corresponding to the operators the BN
-//!   Fission-n-Fusion passes introduce, each a composition of the one
-//!   convolution body and the one normalize sweep
-//!   ([`batchnorm::normalize_sweep_into`]): an *epilogue* that accumulates
-//!   Σx/Σx² of the convolution's output while writing it
-//!   ([`fused::conv2d_forward_with_stats`]), and a *prologue* that
-//!   normalizes + clips the convolution's input before it is read
-//!   ([`fused::norm_relu_conv_forward`]).
+//!   Fission-n-Fusion passes introduce. Each rides the one convolution
+//!   body's sample loop: a *prologue* ([`conv::ConvInput`]) that normalizes +
+//!   clips one sample of the convolution's input right before it is read, an
+//!   *epilogue* that accumulates Σx/Σx² of the convolution's output while
+//!   writing it ([`fused::fused_conv_forward_into`], behind
+//!   [`fused::norm_relu_conv_forward`] and
+//!   [`fused::conv2d_forward_with_stats`]), and — backward — an epilogue of
+//!   the input gradient that applies ReLU′ and accumulates the ∂γ/∂β
+//!   reductions while each sample's gradient is cache-hot
+//!   ([`fused::fused_conv_backward_into`]). No batch-wide normalized or
+//!   clipped copy of the input is written in either direction.
 //!
 //! The fused kernels compute *bit-for-bit comparable* results to the
 //! composition of their unfused counterparts (up to floating-point
-//! reassociation in the Σx² variance), which is what makes the paper's
-//! restructuring legal during training. The test-suites in this crate check
-//! that equivalence, and the `benchmark/` package measures the actual
-//! memory-traffic benefit on the host CPU (`kernels.fusion_gain_*.str`).
+//! reassociation in the Σx² variance) — the unfused ReLU and BN backward
+//! passes are wrappers over the very plane helpers the fused epilogue runs —
+//! which is what makes the paper's restructuring legal during training. The
+//! test-suites in this crate check that equivalence, and the `benchmark/`
+//! package measures the actual memory-traffic benefit on the host CPU
+//! (`kernels.fusion_gain_*.str`).
 //!
 //! Every kernel partitions its hot loops across the `bnff-parallel` pool
 //! (convolutions by output plane, GEMMs by output row, BN reductions by

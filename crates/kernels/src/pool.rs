@@ -35,15 +35,32 @@ fn pooled_shape(x: &Tensor, attrs: &PoolAttrs) -> Result<(usize, usize)> {
 /// Returns an error if the input is not 4-D or the window does not fit.
 pub fn max_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> Result<(Tensor, MaxPoolState)> {
     let (oh, ow) = pooled_shape(x, attrs)?;
+    let mut output = Tensor::zeros(Shape::nchw(x.shape().n(), x.shape().c(), oh, ow));
+    let state = max_pool_forward_argmax_into(x, attrs, &mut output)?;
+    Ok((output, state))
+}
+
+/// [`max_pool_forward`] into a caller-provided output tensor, returning the
+/// backward state. Every element of `out` is overwritten.
+///
+/// # Errors
+/// Returns an error if the input is not 4-D, the window does not fit, or
+/// `out` has the wrong shape.
+pub fn max_pool_forward_argmax_into(
+    x: &Tensor,
+    attrs: &PoolAttrs,
+    out: &mut Tensor,
+) -> Result<MaxPoolState> {
+    let (oh, ow) = pooled_shape(x, attrs)?;
     let (n, c, h, w) = (x.shape().n(), x.shape().c(), x.shape().h(), x.shape().w());
-    let mut output = Tensor::zeros(Shape::nchw(n, c, oh, ow));
+    check_pooled_output(out, &Shape::nchw(n, c, oh, ow))?;
     let mut argmax = vec![0usize; n * c * oh * ow];
     // One task per `(sample, channel)` plane; output values and argmax
     // indices for a plane occupy matching contiguous runs.
     let plane_out = oh * ow;
     let min_planes = min_planes_per_thread(plane_out * attrs.kernel * attrs.kernel);
     parallel_rows_mut2(
-        output.as_mut_slice(),
+        out.as_mut_slice(),
         plane_out,
         &mut argmax,
         plane_out,
@@ -82,8 +99,19 @@ pub fn max_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> Result<(Tensor, MaxPoo
             }
         },
     );
-    let state = MaxPoolState { output_shape: output.shape().clone(), argmax };
-    Ok((output, state))
+    Ok(MaxPoolState { output_shape: out.shape().clone(), argmax })
+}
+
+/// Checks a caller-provided pooling output against the shape the input
+/// pools to.
+fn check_pooled_output(out: &Tensor, expected: &Shape) -> Result<()> {
+    if out.shape() != expected {
+        return Err(KernelError::ShapeMismatch(format!(
+            "pool output tensor is {}, input pools to {expected}",
+            out.shape()
+        )));
+    }
+    Ok(())
 }
 
 /// Inference-only max-pooling forward pass into a caller-provided output
@@ -96,13 +124,7 @@ pub fn max_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> Result<(Tensor, MaxPoo
 pub fn max_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, out: &mut Tensor) -> Result<()> {
     let (oh, ow) = pooled_shape(x, attrs)?;
     let (c, h, w) = (x.shape().c(), x.shape().h(), x.shape().w());
-    let expected = Shape::nchw(x.shape().n(), c, oh, ow);
-    if out.shape() != &expected {
-        return Err(KernelError::ShapeMismatch(format!(
-            "output tensor is {}, max pooling produces {expected}",
-            out.shape()
-        )));
-    }
+    check_pooled_output(out, &Shape::nchw(x.shape().n(), c, oh, ow))?;
     let plane_out = oh * ow;
     let min_planes = min_planes_per_thread(plane_out * attrs.kernel * attrs.kernel);
     parallel_rows_mut(out.as_mut_slice(), plane_out.max(1), min_planes, |first_plane, block| {
@@ -146,13 +168,20 @@ pub fn max_pool_backward(
     state: &MaxPoolState,
     input_shape: &Shape,
 ) -> Result<Tensor> {
-    d_y.shape().expect_same(&state.output_shape).map_err(KernelError::Tensor)?;
-    input_shape.expect_nchw()?;
-    let c = d_y.shape().c();
-    let (oh, ow) = (d_y.shape().h(), d_y.shape().w());
     let mut d_x = Tensor::zeros(input_shape.clone());
-    let plane_in = input_shape.h() * input_shape.w();
-    let plane_out = oh * ow;
+    max_pool_backward_into(d_y, state, &mut d_x)?;
+    Ok(d_x)
+}
+
+/// [`max_pool_backward`] into a caller-provided gradient tensor of the
+/// pooling input's shape. Every element of `d_x` is overwritten.
+///
+/// # Errors
+/// Returns an error if the shapes are inconsistent with the forward state.
+pub fn max_pool_backward_into(d_y: &Tensor, state: &MaxPoolState, d_x: &mut Tensor) -> Result<()> {
+    d_y.shape().expect_same(&state.output_shape).map_err(KernelError::Tensor)?;
+    let (c, plane_in) = check_pool_gradient(d_y, d_x)?;
+    let plane_out = d_y.shape().h() * d_y.shape().w();
     parallel_rows_mut(
         d_x.as_mut_slice(),
         plane_in.max(1),
@@ -162,13 +191,29 @@ pub fn max_pool_backward(
                 let p = first_plane + p_local;
                 let grads = d_y.channel_plane(p / c, p % c);
                 let args = &state.argmax[p * plane_out..(p + 1) * plane_out];
+                plane.fill(0.0);
                 for (&arg, &g) in args.iter().zip(grads.iter()) {
                     plane[arg] += g;
                 }
             }
         },
     );
-    Ok(d_x)
+    Ok(())
+}
+
+/// Checks that `d_x` can hold the input gradient of a pooling whose output
+/// gradient is `d_y` (same batch and channels), returning the channel count
+/// and the input plane length.
+fn check_pool_gradient(d_y: &Tensor, d_x: &Tensor) -> Result<(usize, usize)> {
+    d_y.shape().expect_nchw()?;
+    d_x.shape().expect_nchw()?;
+    let (dy, dx) = (d_y.shape(), d_x.shape());
+    if dy.n() != dx.n() || dy.c() != dx.c() {
+        return Err(KernelError::ShapeMismatch(format!(
+            "pooling gradient {dy} does not match the input gradient {dx}"
+        )));
+    }
+    Ok((dx.c(), dx.h() * dx.w()))
 }
 
 /// Average-pooling forward pass (count includes padding positions excluded,
@@ -192,14 +237,7 @@ pub fn avg_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> Result<Tensor> {
 pub fn avg_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, out: &mut Tensor) -> Result<()> {
     let (oh, ow) = pooled_shape(x, attrs)?;
     let (n, c, h, w) = (x.shape().n(), x.shape().c(), x.shape().h(), x.shape().w());
-    let expected = Shape::nchw(n, c, oh, ow);
-    if out.shape() != &expected {
-        return Err(KernelError::ShapeMismatch(format!(
-            "pool output tensor is {}, input pools to {}",
-            out.shape(),
-            expected
-        )));
-    }
+    check_pooled_output(out, &Shape::nchw(n, c, oh, ow))?;
     let plane_out = oh * ow;
     let min_planes = min_planes_per_thread(plane_out * attrs.kernel * attrs.kernel);
     parallel_rows_mut(out.as_mut_slice(), plane_out, min_planes, |first_plane, block| {
@@ -237,46 +275,79 @@ pub fn avg_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, out: &mut Tensor) ->
 /// # Errors
 /// Returns an error if the shapes are inconsistent.
 pub fn avg_pool_backward(d_y: &Tensor, input_shape: &Shape, attrs: &PoolAttrs) -> Result<Tensor> {
-    d_y.shape().expect_nchw()?;
-    input_shape.expect_nchw()?;
-    let (c, h, w) = (input_shape.c(), input_shape.h(), input_shape.w());
-    let (oh, ow) = (d_y.shape().h(), d_y.shape().w());
     let mut d_x = Tensor::zeros(input_shape.clone());
-    let plane_in = h * w;
-    let min_planes = min_planes_per_thread(oh * ow * attrs.kernel * attrs.kernel);
+    avg_pool_backward_into(d_y, attrs, &mut d_x)?;
+    Ok(d_x)
+}
+
+/// [`avg_pool_backward`] into a caller-provided gradient tensor of the
+/// pooling input's shape. Every element of `d_x` is overwritten: each plane
+/// is zeroed, then every window adds `share = g / count` to its valid
+/// positions in window order (`count` being the number of valid positions,
+/// as in the forward pass).
+///
+/// # Errors
+/// Returns an error if the shapes are inconsistent.
+pub fn avg_pool_backward_into(d_y: &Tensor, attrs: &PoolAttrs, d_x: &mut Tensor) -> Result<()> {
+    let (c, plane_in) = check_pool_gradient(d_y, d_x)?;
+    let (h, w) = (d_x.shape().h(), d_x.shape().w());
+    let (oh, ow) = (d_y.shape().h(), d_y.shape().w());
+    if pooled_shape(d_x, attrs)? != (oh, ow) {
+        return Err(KernelError::ShapeMismatch(format!(
+            "pooling gradient is {}, input {} pools to {oh}x{ow}",
+            d_y.shape(),
+            d_x.shape()
+        )));
+    }
+    let (kernel, stride, pad) = (attrs.kernel, attrs.stride, attrs.pad);
+    // The kernel taps of output index `o` that land inside an axis of `len`.
+    let taps = |o: usize, len: usize| {
+        let start = o * stride;
+        let lo = pad.saturating_sub(start);
+        lo..(len + pad).saturating_sub(start).min(kernel).max(lo)
+    };
+    let min_planes = min_planes_per_thread(oh * ow * kernel * kernel);
     parallel_rows_mut(d_x.as_mut_slice(), plane_in.max(1), min_planes, |first_plane, block| {
         for (p_local, plane) in block.chunks_mut(plane_in.max(1)).enumerate() {
             let p = first_plane + p_local;
             let grads = d_y.channel_plane(p / c, p % c);
-            for po in 0..oh {
-                for qo in 0..ow {
-                    // Recompute the number of valid positions of this window.
-                    let mut positions = Vec::new();
-                    for kh in 0..attrs.kernel {
-                        let ih = (po * attrs.stride + kh) as isize - attrs.pad as isize;
-                        if ih < 0 || ih as usize >= h {
-                            continue;
-                        }
-                        for kw in 0..attrs.kernel {
-                            let iw = (qo * attrs.stride + kw) as isize - attrs.pad as isize;
-                            if iw < 0 || iw as usize >= w {
-                                continue;
+            plane.fill(0.0);
+            if stride == kernel && pad == 0 {
+                // Disjoint windows that all fit (the transitions' 2×2/2
+                // pooling): every covered element receives exactly one add.
+                let share_scale = (kernel * kernel) as f32;
+                for (po, g_row) in grads.chunks_exact(ow.max(1)).enumerate() {
+                    for row in plane[po * kernel * w..].chunks_exact_mut(w).take(kernel) {
+                        for (window, &g) in row.chunks_exact_mut(kernel).zip(g_row) {
+                            let share = g / share_scale;
+                            for v in window {
+                                *v += share;
                             }
-                            positions.push(ih as usize * w + iw as usize);
                         }
                     }
-                    if positions.is_empty() {
+                }
+                continue;
+            }
+            for po in 0..oh {
+                let rows = taps(po, h);
+                for qo in 0..ow {
+                    let cols = taps(qo, w);
+                    let count = rows.len() * cols.len();
+                    if count == 0 {
                         continue;
                     }
-                    let share = grads[po * ow + qo] / positions.len() as f32;
-                    for idx in positions {
-                        plane[idx] += share;
+                    let share = grads[po * ow + qo] / count as f32;
+                    for kh in rows.clone() {
+                        let row = &mut plane[(po * stride + kh - pad) * w..][..w];
+                        for v in &mut row[qo * stride + cols.start - pad..][..cols.len()] {
+                            *v += share;
+                        }
                     }
                 }
             }
         }
     });
-    Ok(d_x)
+    Ok(())
 }
 
 /// Global average pooling forward: reduces every channel plane to a single
@@ -323,12 +394,19 @@ pub fn global_avg_pool_forward_into(x: &Tensor, out: &mut Tensor) -> Result<()> 
 /// # Errors
 /// Returns an error if the shapes are inconsistent.
 pub fn global_avg_pool_backward(d_y: &Tensor, input_shape: &Shape) -> Result<Tensor> {
-    d_y.shape().expect_nchw()?;
-    input_shape.expect_nchw()?;
-    let c = input_shape.c();
-    let plane_len = (input_shape.h() * input_shape.w()) as f32;
     let mut d_x = Tensor::zeros(input_shape.clone());
-    let plane_in = input_shape.h() * input_shape.w();
+    global_avg_pool_backward_into(d_y, &mut d_x)?;
+    Ok(d_x)
+}
+
+/// [`global_avg_pool_backward`] into a caller-provided gradient tensor of
+/// the pooling input's shape. Every element of `d_x` is overwritten.
+///
+/// # Errors
+/// Returns an error if the shapes are inconsistent.
+pub fn global_avg_pool_backward_into(d_y: &Tensor, d_x: &mut Tensor) -> Result<()> {
+    let (c, plane_in) = check_pool_gradient(d_y, d_x)?;
+    let plane_len = plane_in as f32;
     parallel_rows_mut(
         d_x.as_mut_slice(),
         plane_in.max(1),
@@ -336,14 +414,11 @@ pub fn global_avg_pool_backward(d_y: &Tensor, input_shape: &Shape) -> Result<Ten
         |first_plane, block| {
             for (p_local, plane) in block.chunks_mut(plane_in.max(1)).enumerate() {
                 let p = first_plane + p_local;
-                let share = d_y.at(p / c, p % c, 0, 0) / plane_len;
-                for v in plane {
-                    *v = share;
-                }
+                plane.fill(d_y.at(p / c, p % c, 0, 0) / plane_len);
             }
         },
     );
-    Ok(d_x)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -48,22 +48,27 @@ pub fn relu_forward_inplace(x: &mut Tensor) {
 /// # Errors
 /// Returns an error if the shapes differ.
 pub fn relu_backward(d_y: &Tensor, x: &Tensor) -> Result<Tensor> {
-    d_y.shape().expect_same(x.shape())?;
-    let mask = x.as_slice();
     let mut d_x = d_y.clone();
-    parallel_rows_mut(d_x.as_mut_slice(), 1, min_items_per_thread(1), |offset, chunk| {
-        let len = chunk.len();
-        for (g, &v) in chunk.iter_mut().zip(&mask[offset..offset + len]) {
-            // Gradient passes only where v > 0.0; NaN activations fail the
-            // test and block the gradient, matching the forward clip
-            // (NaN.max(0.0) == 0.0).
-            let passes = v > 0.0;
-            if !passes {
-                *g = 0.0;
-            }
-        }
-    });
+    relu_backward_inplace(&mut d_x, x)?;
     Ok(d_x)
+}
+
+/// [`relu_backward`] in place on the gradient: `grad` is zeroed wherever
+/// `x > 0` fails (NaN activations block the gradient, matching the forward
+/// clip `NaN.max(0.0) == 0.0`). Branch-free and bit-identical on both ISAs,
+/// so arbitrary worker chunk boundaries are safe.
+///
+/// # Errors
+/// Returns an error if the shapes differ.
+pub fn relu_backward_inplace(grad: &mut Tensor, x: &Tensor) -> Result<()> {
+    grad.shape().expect_same(x.shape())?;
+    let mask = x.as_slice();
+    let isa = active_isa();
+    parallel_rows_mut(grad.as_mut_slice(), 1, min_items_per_thread(1), |offset, chunk| {
+        let len = chunk.len();
+        vecops::relu_mask(isa, chunk, &mask[offset..offset + len]);
+    });
+    Ok(())
 }
 
 #[cfg(test)]

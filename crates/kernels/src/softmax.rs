@@ -73,6 +73,22 @@ pub fn softmax_loss_forward(scores: &Tensor, labels: &[usize]) -> Result<Softmax
 /// # Errors
 /// Returns an error when a label is out of range or the batch sizes differ.
 pub fn softmax_loss_backward(state: &SoftmaxLossState, labels: &[usize]) -> Result<Tensor> {
+    let mut d_scores = Tensor::zeros(state.probs.shape().clone());
+    softmax_loss_backward_into(state, labels, &mut d_scores)?;
+    Ok(d_scores)
+}
+
+/// [`softmax_loss_backward`] into a caller-provided tensor of the scores'
+/// shape. Every element of `d_scores` is overwritten.
+///
+/// # Errors
+/// Returns an error when a label is out of range, or the batch sizes or the
+/// shape of `d_scores` differ.
+pub fn softmax_loss_backward_into(
+    state: &SoftmaxLossState,
+    labels: &[usize],
+    d_scores: &mut Tensor,
+) -> Result<()> {
     let (n, k) = view_rows(&state.probs)?;
     if labels.len() != n {
         return Err(KernelError::ShapeMismatch(format!(
@@ -80,8 +96,9 @@ pub fn softmax_loss_backward(state: &SoftmaxLossState, labels: &[usize]) -> Resu
             labels.len()
         )));
     }
-    let mut d_scores = state.probs.clone();
+    state.probs.shape().expect_same(d_scores.shape())?;
     let slice = d_scores.as_mut_slice();
+    slice.copy_from_slice(state.probs.as_slice());
     for (row, &label) in labels.iter().enumerate() {
         if label >= k {
             return Err(KernelError::InvalidArgument(format!(
@@ -93,7 +110,7 @@ pub fn softmax_loss_backward(state: &SoftmaxLossState, labels: &[usize]) -> Resu
     for v in slice.iter_mut() {
         *v /= n as f32;
     }
-    Ok(d_scores)
+    Ok(())
 }
 
 /// Classification accuracy of a score matrix against integer labels.

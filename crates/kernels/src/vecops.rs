@@ -1,19 +1,21 @@
 //! Shared vectorized sweeps for the bandwidth-bound kernels.
 //!
-//! ReLU, channel affine, BN normalize, the element-wise sum and the conv
-//! bias/ReLU epilogue are all memory-sweep kernels — exactly the loops the
-//! paper's DRAM-byte argument is about. Each helper here takes the
+//! ReLU and its backward mask, channel affine, BN normalize and the BN
+//! input gradient, the element-wise sum and the conv bias/ReLU epilogue are
+//! all memory-sweep kernels — exactly the loops the paper's DRAM-byte
+//! argument is about. Each helper here takes the
 //! [`SimdIsa`] the calling kernel resolved at entry (on the calling
 //! thread) and runs either the historical scalar loop, bit-for-bit, or an
 //! AVX2+FMA sweep.
 //!
 //! Determinism notes, per helper:
 //!
-//! * [`relu_into`] / [`relu_inplace`] / [`add_assign`] / [`add_scalar`]:
-//!   the vector and scalar flavours are bit-identical for every input
-//!   (`max` and `+` are exact-rounded elementwise ops with no
-//!   contraction), so these helpers are safe on *arbitrary* chunk
-//!   boundaries — a worker split mid-slice cannot change results.
+//! * [`relu_into`] / [`relu_inplace`] / [`relu_mask`] / [`add_assign`] /
+//!   [`add_scalar`] / [`bn_dx_plane`]: the vector and scalar flavours are
+//!   bit-identical for every input (`max`, the compare-and-mask, `+` and
+//!   the uncontracted f64 `mul`/`sub` are exact-rounded elementwise ops),
+//!   so these helpers are safe on *arbitrary* chunk boundaries — a worker
+//!   split mid-slice cannot change results.
 //! * [`affine`] / [`normalize_plane`]: the AVX2 flavour contracts
 //!   `scale·x + shift` (and `γ·x̂ + β`) with FMA, rounding once where the
 //!   scalar loop rounds twice. Within one ISA results are deterministic,
@@ -49,6 +51,52 @@ pub(crate) fn relu_inplace(isa: SimdIsa, dst: &mut [f32]) {
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
         SimdIsa::Avx2Fma => relu_inplace_scalar(dst),
         SimdIsa::Scalar => relu_inplace_scalar(dst),
+    }
+}
+
+/// ReLU backward: `g[i]` is kept where `y[i] > 0` and becomes `+0.0`
+/// elsewhere (NaN activations block the gradient, matching the forward
+/// clip), without a data-dependent branch. Bit-identical across ISAs.
+pub(crate) fn relu_mask(isa: SimdIsa, g: &mut [f32], y: &[f32]) {
+    assert_eq!(g.len(), y.len(), "gradient and mask planes differ in length");
+    match isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        SimdIsa::Avx2Fma => {
+            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+            unsafe { avx2::relu_mask(g, y) }
+        }
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        SimdIsa::Avx2Fma => relu_mask_scalar(g, y),
+        SimdIsa::Scalar => relu_mask_scalar(g, y),
+    }
+}
+
+/// The BN input gradient over one plane, in place on the upstream gradient:
+/// `g = scale·(g − mean_g − x̂·mean_gx̂)` with `x̂ = (x − mean)·inv_std`
+/// recomputed from `x`; a caller holding a stored `x̂` passes it as `x` with
+/// `mean = 0`, `inv_std = 1`, which reproduces it bit for bit. The f64
+/// `mul`/`sub` chain is not contracted, so the ISAs are bit-identical.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn bn_dx_plane(
+    isa: SimdIsa,
+    g: &mut [f32],
+    x: &[f32],
+    mean: f32,
+    inv_std: f32,
+    scale: f64,
+    mean_g: f64,
+    mean_gxhat: f64,
+) {
+    assert_eq!(g.len(), x.len(), "gradient and activation planes differ in length");
+    match isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        SimdIsa::Avx2Fma => {
+            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+            unsafe { avx2::bn_dx_plane(g, x, mean, inv_std, scale, mean_g, mean_gxhat) }
+        }
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        SimdIsa::Avx2Fma => bn_dx_plane_scalar(g, x, mean, inv_std, scale, mean_g, mean_gxhat),
+        SimdIsa::Scalar => bn_dx_plane_scalar(g, x, mean, inv_std, scale, mean_g, mean_gxhat),
     }
 }
 
@@ -127,14 +175,15 @@ pub(crate) fn affine_inplace(
 }
 
 /// The BN normalize sweep over one `(sample, channel)` plane: writes
-/// `x̂ = (x − mean)·inv_std` into `hat` and `y = γ·x̂ + β` (clamped at zero
-/// when `fuse_relu`) into `y`, in lockstep. The `x̂` stream is bit-identical
-/// across ISAs (sub + mul only); the `y` stream contracts with FMA on AVX2.
+/// `y = γ·x̂ + β` (clamped at zero when `fuse_relu`) into `y` and, when the
+/// caller keeps it, `x̂ = (x − mean)·inv_std` into `hat`, in lockstep. The
+/// `x̂` stream is bit-identical across ISAs (sub + mul only); the `y` stream
+/// contracts with FMA on AVX2.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn normalize_plane(
     isa: SimdIsa,
     src: &[f32],
-    hat: &mut [f32],
+    hat: Option<&mut [f32]>,
     y: &mut [f32],
     mean: f32,
     inv_std: f32,
@@ -142,8 +191,8 @@ pub(crate) fn normalize_plane(
     beta: f32,
     fuse_relu: bool,
 ) {
-    debug_assert_eq!(src.len(), hat.len());
-    debug_assert_eq!(src.len(), y.len());
+    assert_eq!(src.len(), y.len(), "normalize planes differ in length");
+    assert!(hat.as_ref().is_none_or(|h| h.len() == src.len()), "x̂ plane differs in length");
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         SimdIsa::Avx2Fma => {
@@ -169,6 +218,29 @@ fn relu_into_scalar(src: &[f32], dst: &mut [f32]) {
 fn relu_inplace_scalar(dst: &mut [f32]) {
     for v in dst {
         *v = v.max(0.0);
+    }
+}
+
+fn relu_mask_scalar(g: &mut [f32], y: &[f32]) {
+    for (g, &v) in g.iter_mut().zip(y) {
+        // All ones where the gradient passes, all zeros (`+0.0`) elsewhere.
+        let keep = u32::from(v > 0.0).wrapping_neg();
+        *g = f32::from_bits(g.to_bits() & keep);
+    }
+}
+
+fn bn_dx_plane_scalar(
+    g: &mut [f32],
+    x: &[f32],
+    mean: f32,
+    inv_std: f32,
+    scale: f64,
+    mean_g: f64,
+    mean_gxhat: f64,
+) {
+    for (g, &v) in g.iter_mut().zip(x) {
+        let hat = (v - mean) * inv_std;
+        *g = (scale * (f64::from(*g) - mean_g - f64::from(hat) * mean_gxhat)) as f32;
     }
 }
 
@@ -211,7 +283,7 @@ fn affine_inplace_scalar(dst: &mut [f32], scale: f32, shift: f32, fuse_relu: boo
 #[allow(clippy::too_many_arguments)]
 fn normalize_plane_scalar(
     src: &[f32],
-    hat: &mut [f32],
+    hat: Option<&mut [f32]>,
     y: &mut [f32],
     mean: f32,
     inv_std: f32,
@@ -219,15 +291,25 @@ fn normalize_plane_scalar(
     beta: f32,
     fuse_relu: bool,
 ) {
-    if fuse_relu {
-        for ((h, o), &v) in hat.iter_mut().zip(y.iter_mut()).zip(src) {
-            *h = (v - mean) * inv_std;
-            *o = (gamma * *h + beta).max(0.0);
+    let affine = |h: f32| {
+        let r = gamma * h + beta;
+        if fuse_relu {
+            r.max(0.0)
+        } else {
+            r
         }
-    } else {
-        for ((h, o), &v) in hat.iter_mut().zip(y.iter_mut()).zip(src) {
-            *h = (v - mean) * inv_std;
-            *o = gamma * *h + beta;
+    };
+    match hat {
+        Some(hat) => {
+            for ((h, o), &v) in hat.iter_mut().zip(y.iter_mut()).zip(src) {
+                *h = (v - mean) * inv_std;
+                *o = affine(*h);
+            }
+        }
+        None => {
+            for (o, &v) in y.iter_mut().zip(src) {
+                *o = affine((v - mean) * inv_std);
+            }
         }
     }
 }
@@ -271,6 +353,69 @@ mod avx2 {
         for v in &mut dst[vec_end..] {
             *v = v.max(0.0);
         }
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub fn relu_mask(g: &mut [f32], y: &[f32]) {
+        let zero = _mm256_setzero_ps();
+        let n = g.len();
+        let vec_end = n - n % 8;
+        for i in (0..vec_end).step_by(8) {
+            // SAFETY: i + 8 <= vec_end <= len of both slices (equal lengths
+            // are asserted by the dispatcher).
+            unsafe {
+                let p = g.as_mut_ptr().add(i);
+                // Ordered compare: a NaN activation yields an all-zero lane.
+                let keep = _mm256_cmp_ps::<_CMP_GT_OQ>(_mm256_loadu_ps(y.as_ptr().add(i)), zero);
+                _mm256_storeu_ps(p, _mm256_and_ps(_mm256_loadu_ps(p), keep));
+            }
+        }
+        super::relu_mask_scalar(&mut g[vec_end..], &y[vec_end..]);
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub fn bn_dx_plane(
+        g: &mut [f32],
+        x: &[f32],
+        mean: f32,
+        inv_std: f32,
+        scale: f64,
+        mean_g: f64,
+        mean_gxhat: f64,
+    ) {
+        let (m, is) = (_mm256_set1_ps(mean), _mm256_set1_ps(inv_std));
+        let (sc, mg, mgx) =
+            (_mm256_set1_pd(scale), _mm256_set1_pd(mean_g), _mm256_set1_pd(mean_gxhat));
+        // `scale·((g − mean_g) − x̂·mean_gx̂)` on four f64 lanes, rounded to
+        // f32 by the conversion exactly as the scalar `as f32` does.
+        let dx = |g: __m128, hat: __m128| {
+            let t = _mm256_sub_pd(_mm256_cvtps_pd(g), mg);
+            let t = _mm256_sub_pd(t, _mm256_mul_pd(_mm256_cvtps_pd(hat), mgx));
+            _mm256_cvtpd_ps(_mm256_mul_pd(sc, t))
+        };
+        let n = g.len();
+        let vec_end = n - n % 8;
+        for i in (0..vec_end).step_by(8) {
+            // SAFETY: i + 8 <= vec_end <= len of both slices (equal lengths
+            // are asserted by the dispatcher).
+            unsafe {
+                let p = g.as_mut_ptr().add(i);
+                let gv = _mm256_loadu_ps(p);
+                let hat = _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x.as_ptr().add(i)), m), is);
+                let lo = dx(_mm256_castps256_ps128(gv), _mm256_castps256_ps128(hat));
+                let hi = dx(_mm256_extractf128_ps::<1>(gv), _mm256_extractf128_ps::<1>(hat));
+                _mm256_storeu_ps(p, _mm256_set_m128(hi, lo));
+            }
+        }
+        super::bn_dx_plane_scalar(
+            &mut g[vec_end..],
+            &x[vec_end..],
+            mean,
+            inv_std,
+            scale,
+            mean_g,
+            mean_gxhat,
+        );
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -359,7 +504,7 @@ mod avx2 {
     #[target_feature(enable = "avx2", enable = "fma")]
     pub fn normalize_plane(
         src: &[f32],
-        hat: &mut [f32],
+        mut hat: Option<&mut [f32]>,
         y: &mut [f32],
         mean: f32,
         inv_std: f32,
@@ -375,7 +520,8 @@ mod avx2 {
         let n = src.len();
         let vec_end = n - n % 8;
         for i in (0..vec_end).step_by(8) {
-            // SAFETY: i + 8 <= vec_end <= len of all three slices.
+            // SAFETY: i + 8 <= vec_end <= len of all three slices (equal
+            // lengths are asserted by the dispatcher).
             unsafe {
                 let v = _mm256_loadu_ps(src.as_ptr().add(i));
                 let h = _mm256_mul_ps(_mm256_sub_ps(v, m), is);
@@ -383,15 +529,18 @@ mod avx2 {
                 if fuse_relu {
                     o = _mm256_max_ps(o, zero);
                 }
-                _mm256_storeu_ps(hat.as_mut_ptr().add(i), h);
+                if let Some(hat) = hat.as_deref_mut() {
+                    _mm256_storeu_ps(hat.as_mut_ptr().add(i), h);
+                }
                 _mm256_storeu_ps(y.as_mut_ptr().add(i), o);
             }
         }
-        for ((h, o), &v) in
-            hat[vec_end..].iter_mut().zip(y[vec_end..].iter_mut()).zip(&src[vec_end..])
-        {
-            *h = (v - mean) * inv_std;
-            let r = gamma.mul_add(*h, beta);
+        for (i, (o, &v)) in y[vec_end..].iter_mut().zip(&src[vec_end..]).enumerate() {
+            let h = (v - mean) * inv_std;
+            if let Some(hat) = hat.as_deref_mut() {
+                hat[vec_end + i] = h;
+            }
+            let r = gamma.mul_add(h, beta);
             *o = if fuse_relu { r.max(0.0) } else { r };
         }
     }
@@ -408,6 +557,10 @@ mod tests {
 
     fn data(n: usize) -> Vec<f32> {
         (0..n).map(|i| ((i * 53 % 31) as f32 - 15.0) * 0.37).collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -475,8 +628,8 @@ mod tests {
         let src = data(n);
         let (mut h1, mut y1) = (vec![0.0; n], vec![0.0; n]);
         let (mut h2, mut y2) = (vec![0.0; n], vec![0.0; n]);
-        normalize_plane(SimdIsa::Scalar, &src, &mut h1, &mut y1, 0.3, 1.7, 0.9, -0.2, false);
-        normalize_plane(isa, &src, &mut h2, &mut y2, 0.3, 1.7, 0.9, -0.2, false);
+        normalize_plane(SimdIsa::Scalar, &src, Some(&mut h1), &mut y1, 0.3, 1.7, 0.9, -0.2, false);
+        normalize_plane(isa, &src, Some(&mut h2), &mut y2, 0.3, 1.7, 0.9, -0.2, false);
         // x̂ uses only sub+mul — exact elementwise ops — on both paths.
         assert_eq!(
             h1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -484,6 +637,47 @@ mod tests {
         );
         for (a, b) in y1.iter().zip(&y2) {
             assert!((a - b).abs() <= 1e-5, "{a} vs {b}");
+        }
+        // Dropping the x̂ store changes nothing about `y`, on either ISA.
+        for (path, y_ref) in [(SimdIsa::Scalar, &y1), (isa, &y2)] {
+            for fuse in [false, true] {
+                let (mut h, mut with_hat, mut without) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                normalize_plane(path, &src, Some(&mut h), &mut with_hat, 0.3, 1.7, 0.9, -0.2, fuse);
+                normalize_plane(path, &src, None, &mut without, 0.3, 1.7, 0.9, -0.2, fuse);
+                assert_eq!(bits(&with_hat), bits(&without), "{path} relu={fuse}");
+                if !fuse {
+                    assert_eq!(bits(&with_hat), bits(y_ref));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relu_mask_and_bn_dx_are_bit_identical_across_isas() {
+        let isa = active_vector_isa();
+        for n in [0usize, 1, 7, 8, 9, 63, 100] {
+            let g0 = data(n);
+            // A mask with NaN, ±0.0 and both signs.
+            let specials = [f32::NAN, 0.0, -0.0, 1.5, -2.0, f32::INFINITY, f32::NEG_INFINITY];
+            let y: Vec<f32> = (0..n).map(|i| specials[i % specials.len()]).collect();
+            let (mut a, mut b) = (g0.clone(), g0.clone());
+            relu_mask(SimdIsa::Scalar, &mut a, &y);
+            relu_mask(isa, &mut b, &y);
+            assert_eq!(bits(&a), bits(&b), "mask n={n}");
+            for ((&kept, &g), &v) in a.iter().zip(&g0).zip(&y) {
+                let want = if v > 0.0 { g } else { 0.0 };
+                assert_eq!(kept.to_bits(), want.to_bits(), "mask {v}");
+            }
+            let x: Vec<f32> = data(n).iter().map(|v| v * 1.3 + 0.4).collect();
+            let (mut a, mut b) = (g0.clone(), g0.clone());
+            bn_dx_plane(SimdIsa::Scalar, &mut a, &x, 0.3, 1.7, 0.81, 0.013, -0.27);
+            bn_dx_plane(isa, &mut b, &x, 0.3, 1.7, 0.81, 0.013, -0.27);
+            assert_eq!(bits(&a), bits(&b), "bn_dx n={n}");
+            // A stored x̂ passes through `(v − 0)·1` unchanged.
+            let hat: Vec<f32> = x.iter().map(|v| (v - 0.3) * 1.7).collect();
+            let mut c = g0.clone();
+            bn_dx_plane(isa, &mut c, &hat, 0.0, 1.0, 0.81, 0.013, -0.27);
+            assert_eq!(bits(&a), bits(&c), "stored x̂ n={n}");
         }
     }
 }

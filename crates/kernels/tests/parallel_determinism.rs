@@ -11,11 +11,18 @@ use bnff_graph::op::{Conv2dAttrs, PoolAttrs};
 use bnff_kernels::batchnorm::{bn_backward, bn_forward, BnParams};
 use bnff_kernels::conv::{
     conv2d_backward_input, conv2d_backward_weights, conv2d_forward, conv2d_forward_direct,
+    ConvInput,
 };
 use bnff_kernels::eltwise::eltwise_sum_forward;
-use bnff_kernels::fused::{conv2d_forward_with_stats, norm_relu_conv_forward};
+use bnff_kernels::fused::{
+    conv2d_forward_with_stats, fused_conv_backward_into, fused_conv_forward_into,
+    norm_relu_conv_forward,
+};
 use bnff_kernels::gemm::{gemm, gemm_nt, gemm_tn};
-use bnff_kernels::pool::{avg_pool_forward, max_pool_backward, max_pool_forward};
+use bnff_kernels::pool::{
+    avg_pool_backward, avg_pool_forward, global_avg_pool_backward, max_pool_backward,
+    max_pool_forward,
+};
 use bnff_kernels::relu::{relu_backward, relu_forward};
 use bnff_kernels::softmax::softmax_loss_forward;
 use bnff_parallel::{with_grain, with_threads};
@@ -195,6 +202,17 @@ fn pool_relu_eltwise_match_serial() {
         max_pool_backward(&d_y, &state, x.shape()).unwrap().into_vec()
     });
     check("avg_pool_forward", || avg_pool_forward(&x, &pool).unwrap().into_vec());
+    // The padded, overlapping window and the disjoint 2×2/2 fast path.
+    for (label, attrs) in [("padded", pool), ("disjoint", PoolAttrs::new(2, 2, 0))] {
+        let d_y = random(avg_pool_forward(&x, &attrs).unwrap().shape().clone(), 20);
+        check(&format!("avg_pool_backward {label}"), || {
+            avg_pool_backward(&d_y, x.shape(), &attrs).unwrap().into_vec()
+        });
+    }
+    check("global_avg_pool_backward", || {
+        let d_y = random(Shape::nchw(3, 5, 1, 1), 21);
+        global_avg_pool_backward(&d_y, x.shape()).unwrap().into_vec()
+    });
     check("relu_forward", || relu_forward(&x).into_vec());
     check("relu_backward", || {
         let d_y = random(x.shape().clone(), 14);
@@ -221,13 +239,42 @@ fn fused_kernels_match_serial() {
         flat
     });
     let bn = BnParams::new(vec![1.2, 0.8, 1.0, 0.9], vec![0.1, -0.1, 0.0, 0.2]).unwrap();
+    let stats = channel_stats_one_pass(&x).unwrap();
     check("norm_relu_conv", || {
-        let stats = channel_stats_one_pass(&x).unwrap();
-        let (out, state) = norm_relu_conv_forward(&x, &stats, &bn, 1e-5, &w, None, &attrs).unwrap();
-        let mut flat = out.into_vec();
-        flat.extend(state.bn.x_hat.into_vec());
-        flat
+        norm_relu_conv_forward(&x, &stats, &bn, 1e-5, &w, None, &attrs).unwrap().into_vec()
     });
+    let normalized = ConvInput::NormClip { x: &x, stats: &stats, params: &bn, epsilon: 1e-5 };
+    for (label, input) in [("norm_clip", normalized), ("clip", ConvInput::Clip(&x))] {
+        check(&format!("fused_conv_forward {label}"), || fused_forward(input, &w, &attrs));
+        check(&format!("fused_conv_backward {label}"), || fused_backward(input, &w, &attrs));
+    }
+}
+
+/// The fused forward with its statistics epilogue, flattened.
+fn fused_forward(input: ConvInput<'_>, w: &Tensor, attrs: &Conv2dAttrs) -> Vec<f32> {
+    let mut out = conv2d_forward(input.tensor(), w, None, attrs).unwrap();
+    let stats = fused_conv_forward_into(input, w, None, attrs, true, &mut out).unwrap().unwrap();
+    let mut flat = out.into_vec();
+    flat.extend(stats.mean);
+    flat.extend(stats.var);
+    flat
+}
+
+/// The fused backward against its own forward output as the gradient, into
+/// a dirty buffer: `d_x`, `d_W` and (for a normalizing prologue) ∂γ/∂β,
+/// flattened.
+fn fused_backward(input: ConvInput<'_>, w: &Tensor, attrs: &Conv2dAttrs) -> Vec<f32> {
+    let mut d_out = conv2d_forward(input.tensor(), w, None, attrs).unwrap();
+    fused_conv_forward_into(input, w, None, attrs, false, &mut d_out).unwrap();
+    let mut d_x = Tensor::filled(input.tensor().shape().clone(), f32::NAN);
+    let grads = fused_conv_backward_into(input, &d_out, w, attrs, false, Some(&mut d_x)).unwrap();
+    let mut flat = d_x.into_vec();
+    flat.extend(grads.d_weights.into_vec());
+    if let Some(bn) = grads.d_bn {
+        flat.extend(bn.d_gamma);
+        flat.extend(bn.d_beta);
+    }
+    flat
 }
 
 /// The determinism contract is *per dispatch path*: under a fixed ISA the
@@ -263,6 +310,12 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
         flat
     };
 
+    // Fixed statistics (not the batch's): the prologue only has to be
+    // deterministic, and 9×9 and 4×4 inputs can share them.
+    let stats = channel_stats_one_pass(&x).unwrap();
+    let normalized =
+        |input| ConvInput::NormClip { x: input, stats: &stats, params: &params, epsilon: 1e-5 };
+
     let detected = with_isa(SimdIsa::Avx2Fma, active_isa);
     let mut isas = vec![SimdIsa::Scalar];
     if detected != SimdIsa::Scalar {
@@ -295,6 +348,28 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
         }),
         ("conv_fwd_bwd_4x4", &|| conv_case(&small, &attrs)),
         ("conv_fwd_bwd_stride2", &|| conv_case(&x, &strided)),
+        ("relu_backward", &|| relu_backward(&b, &x).unwrap().into_vec()),
+        ("bn_backward", &|| {
+            let (_, state) = bn_forward(&x, &params, 1e-5, true).unwrap();
+            let (d_x, grads) = bn_backward(&b, &state, &params, 1e-5).unwrap();
+            let mut flat = d_x.into_vec();
+            flat.extend(grads.d_gamma);
+            flat.extend(grads.d_beta);
+            flat
+        }),
+        ("avg_pool_backward", &|| {
+            let attrs = PoolAttrs::new(3, 2, 1);
+            let d_y = avg_pool_forward(&x, &attrs).unwrap();
+            avg_pool_backward(&d_y, x.shape(), &attrs).unwrap().into_vec()
+        }),
+        // The fused layer in both directions: normalize+clip prologue and
+        // statistics epilogue forward; mask + ∂γ/∂β epilogue backward, on
+        // the rotated (stride 1, 4×4 and 9×9) and strided paths.
+        ("fused_forward", &|| fused_forward(normalized(&x), &w, &attrs)),
+        ("fused_backward_4x4", &|| fused_backward(normalized(&small), &w, &attrs)),
+        ("fused_backward_9x9", &|| fused_backward(normalized(&x), &w, &attrs)),
+        ("fused_backward_stride2", &|| fused_backward(normalized(&x), &w, &strided)),
+        ("fused_backward_clip", &|| fused_backward(ConvInput::Clip(&x), &w, &attrs)),
     ];
     for &isa in &isas {
         for (label, f) in cases {

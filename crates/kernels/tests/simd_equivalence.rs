@@ -8,21 +8,21 @@
 //! bounded reassociations, so the paths must agree within an accumulated-
 //! rounding tolerance that scales with the reduction depth — that bound is
 //! what these tests pin down. Kernels whose vector flavour uses only
-//! exact-rounded elementwise ops (ReLU, element-wise sum, bias add) must
-//! match bit-for-bit and are asserted exactly.
+//! exact-rounded elementwise ops (ReLU and its backward mask, element-wise
+//! sum, bias add) must match bit-for-bit and are asserted exactly.
 //!
 //! On hardware without AVX2+FMA the requested vector path clamps to the
 //! scalar fallback and every comparison holds trivially — the suite still
 //! passes, it just stops being a cross-path check.
 
 use bnff_graph::op::Conv2dAttrs;
-use bnff_kernels::batchnorm::{bn_forward, BnParams};
-use bnff_kernels::conv::conv2d_forward_relu_into;
+use bnff_kernels::batchnorm::{bn_backward, bn_forward, BnParams};
+use bnff_kernels::conv::{conv2d_forward_relu_into, ConvInput};
 use bnff_kernels::dispatch::{active_isa, with_isa, SimdIsa};
 use bnff_kernels::eltwise::eltwise_sum_forward;
-use bnff_kernels::fused::norm_relu_conv_forward;
+use bnff_kernels::fused::{fused_conv_backward_into, norm_relu_conv_forward};
 use bnff_kernels::gemm::{gemm, gemm_nt, gemm_tn, KC, MC, MR, NR};
-use bnff_kernels::relu::relu_forward;
+use bnff_kernels::relu::{relu_backward, relu_forward};
 use bnff_kernels::{affine, fc};
 use bnff_tensor::init::Initializer;
 use bnff_tensor::stats::{channel_stats_one_pass, channel_stats_two_pass};
@@ -138,6 +138,17 @@ fn relu_and_eltwise_are_bit_identical_across_paths() {
         v.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
         "relu must not differ across dispatch paths"
     );
+    // The backward mask, over activations with NaN and both zeros.
+    let mut mask = x.clone();
+    for (i, v) in mask.as_mut_slice().iter_mut().step_by(7).enumerate() {
+        *v = [f32::NAN, 0.0, -0.0][i % 3];
+    }
+    let (s, v) = both_paths(|| relu_backward(&b, &mask).unwrap().into_vec());
+    assert_eq!(
+        s.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+        v.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+        "the ReLU mask must not differ across dispatch paths"
+    );
     let (s, v) = both_paths(|| eltwise_sum_forward(&[&x, &b, &x]).unwrap().into_vec());
     assert_eq!(
         s.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
@@ -213,14 +224,38 @@ fn bn_affine_and_fused_paths_agree() {
 
     let (s, v) = both_paths(|| {
         let stats = channel_stats_one_pass(&x).unwrap();
-        let (out, state) =
-            norm_relu_conv_forward(&x, &stats, &params, 1e-5, &w, None, &attrs).unwrap();
-        let mut flat = out.into_vec();
-        flat.extend(state.bn.x_hat.into_vec());
-        flat.extend(state.conv_input.into_vec());
-        flat
+        norm_relu_conv_forward(&x, &stats, &params, 1e-5, &w, None, &attrs).unwrap().into_vec()
     });
     assert_paths_close("norm_relu_conv", 4 * 9 + 3 * 5 * 5, &s, &v);
+
+    // Backward: the ∂γ/∂β reductions add per-plane lane partials on the
+    // vector path where the scalar path continues one fold per channel;
+    // unfused (stored x̂) and fused (x̂ recomputed in the conv's epilogue).
+    let d_y = init.uniform(x.shape().clone(), -1.0, 1.0);
+    let (s, v) = both_paths(|| {
+        let (_, state) = bn_forward(&x, &params, 1e-5, true).unwrap();
+        let (d_x, grads) = bn_backward(&d_y, &state, &params, 1e-5).unwrap();
+        let mut flat = d_x.into_vec();
+        flat.extend(grads.d_gamma);
+        flat.extend(grads.d_beta);
+        flat
+    });
+    assert_paths_close("bn_backward", 3 * 5 * 5, &s, &v);
+    let d_out = init.uniform(Shape::nchw(3, 6, 5, 5), -1.0, 1.0);
+    let (s, v) = both_paths(|| {
+        let stats = channel_stats_one_pass(&x).unwrap();
+        let input = ConvInput::NormClip { x: &x, stats: &stats, params: &params, epsilon: 1e-5 };
+        let mut d_x = Tensor::zeros(x.shape().clone());
+        let grads =
+            fused_conv_backward_into(input, &d_out, &w, &attrs, false, Some(&mut d_x)).unwrap();
+        let bn = grads.d_bn.unwrap();
+        let mut flat = d_x.into_vec();
+        flat.extend(grads.d_weights.into_vec());
+        flat.extend(bn.d_gamma);
+        flat.extend(bn.d_beta);
+        flat
+    });
+    assert_paths_close("fused_conv_backward", 6 * 9 + 3 * 5 * 5, &s, &v);
 }
 
 #[test]

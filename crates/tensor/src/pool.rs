@@ -48,6 +48,7 @@ pub struct BufferPool {
     limit_bytes: Option<usize>,
     takes: usize,
     hits: usize,
+    taken_bytes: usize,
 }
 
 impl BufferPool {
@@ -81,10 +82,18 @@ impl BufferPool {
         self.hits
     }
 
+    /// Total bytes requested by every `take` so far. Next to
+    /// [`BufferPool::free_bytes`] it tells a pool that circulates its
+    /// storage from one that only hoards it.
+    pub fn taken_bytes(&self) -> usize {
+        self.taken_bytes
+    }
+
     /// Pops the smallest free buffer whose capacity covers `len` (best
     /// fit), maintaining the hit/take accounting.
     fn pop_best_fit(&mut self, len: usize) -> Option<Vec<f32>> {
         self.takes += 1;
+        self.taken_bytes += len * std::mem::size_of::<f32>();
         let mut best: Option<usize> = None;
         for (i, buf) in self.free.iter().enumerate() {
             if buf.capacity() >= len {
@@ -154,6 +163,7 @@ impl BufferPool {
     /// microkernel can issue aligned vector loads.
     pub fn take_aligned_dirty(&mut self, len: usize) -> AlignedBuf {
         self.takes += 1;
+        self.taken_bytes += len * std::mem::size_of::<f32>();
         let mut best: Option<usize> = None;
         for (i, buf) in self.free_aligned.iter().enumerate() {
             if buf.capacity() >= len {
@@ -194,6 +204,14 @@ impl BufferPool {
     /// Takes a zero-filled tensor of the given shape from the pool.
     pub fn take_tensor(&mut self, shape: Shape) -> Tensor {
         let data = self.take(shape.volume());
+        Tensor::from_vec(shape, data).expect("pool buffer sized to the shape's volume")
+    }
+
+    /// Takes a tensor of the given shape whose *contents are unspecified*
+    /// (see [`BufferPool::take_dirty`]) — for kernels that overwrite every
+    /// element of their output.
+    pub fn take_tensor_dirty(&mut self, shape: Shape) -> Tensor {
+        let data = self.take_dirty(shape.volume());
         Tensor::from_vec(shape, data).expect("pool buffer sized to the shape's volume")
     }
 
@@ -243,6 +261,7 @@ impl SharedBufferPool {
                 limit_bytes,
                 takes: 0,
                 hits: 0,
+                taken_bytes: 0,
             }),
         }
     }
@@ -277,9 +296,12 @@ impl SharedBufferPool {
         self.lock().take_dirty(len)
     }
 
-    /// Returns a buffer's storage to the free list.
+    /// Returns a buffer's storage to the free list. A zero-capacity buffer
+    /// is dropped without taking the lock.
     pub fn give(&self, buf: Vec<f32>) {
-        self.lock().give(buf);
+        if buf.capacity() > 0 {
+            self.lock().give(buf);
+        }
     }
 
     /// Takes a 32-byte-aligned buffer of exactly `len` elements with
@@ -342,6 +364,12 @@ mod tests {
         // A miss still allocates initialized storage.
         let fresh = pool.take_dirty(100);
         assert_eq!(fresh, vec![0.0; 100]);
+        pool.give(fresh);
+        // The tensor form draws from the same free list, and every request
+        // is counted in bytes whether or not it hit.
+        let t = pool.take_tensor_dirty(Shape::nchw(1, 2, 5, 10));
+        assert_eq!((t.len(), pool.hits(), pool.takes()), (100, 3, 5));
+        assert_eq!(pool.taken_bytes(), (8 + 4 + 6 + 100 + 100) * 4);
     }
 
     #[test]

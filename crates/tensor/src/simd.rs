@@ -272,6 +272,31 @@ pub fn sq_dev_sum_f64(isa: SimdIsa, x: &[f32], mean: f64) -> f64 {
     }
 }
 
+/// Adds `Σg` and `Σg·h` of two equal-length planes, in `f64`, to the running
+/// sums `sum` and `dot` — the ∂β/∂γ reduction of BN backward, one
+/// `(sample, channel)` plane at a time. The scalar path *continues* the
+/// running sums element by element (the historical per-channel fold, bit for
+/// bit, whatever the plane boundaries); the AVX2 path adds one plane
+/// subtotal built from four lane partials, like [`sum_sq_f64`].
+///
+/// # Panics
+/// Panics if the planes differ in length.
+pub fn sum_dot_f64(isa: SimdIsa, g: &[f32], h: &[f32], sum: &mut f64, dot: &mut f64) {
+    assert_eq!(g.len(), h.len(), "sum_dot_f64 planes differ in length");
+    match isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        SimdIsa::Avx2Fma => {
+            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+            let (s, d) = unsafe { avx2::sum_dot_f64(g, h) };
+            *sum += s;
+            *dot += d;
+        }
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        SimdIsa::Avx2Fma => sum_dot_f64_scalar(g, h, sum, dot),
+        SimdIsa::Scalar => sum_dot_f64_scalar(g, h, sum, dot),
+    }
+}
+
 fn sum_f64_scalar(x: &[f32]) -> f64 {
     let mut s = 0.0f64;
     for &v in x {
@@ -289,6 +314,13 @@ fn sum_sq_f64_scalar(x: &[f32]) -> (f64, f64) {
         q += v * v;
     }
     (s, q)
+}
+
+fn sum_dot_f64_scalar(g: &[f32], h: &[f32], sum: &mut f64, dot: &mut f64) {
+    for (&g, &h) in g.iter().zip(h) {
+        *sum += f64::from(g);
+        *dot += f64::from(g) * f64::from(h);
+    }
 }
 
 fn sq_dev_sum_f64_scalar(x: &[f32], mean: f64) -> f64 {
@@ -361,6 +393,34 @@ mod avx2 {
             sq += v * v;
         }
         (sum, sq)
+    }
+
+    /// `(Σg, Σg·h)` of two planes of equal length (asserted by the caller).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub fn sum_dot_f64(g: &[f32], h: &[f32]) -> (f64, f64) {
+        let mut s = _mm256_setzero_pd();
+        let mut d = _mm256_setzero_pd();
+        let (g_chunks, h_chunks) = (g.chunks_exact(8), h.chunks_exact(8));
+        let (g_tail, h_tail) = (g_chunks.remainder(), h_chunks.remainder());
+        for (gc, hc) in g_chunks.zip(h_chunks) {
+            // SAFETY: each chunk holds exactly eight f32 values.
+            let (gv, hv) = unsafe { (_mm256_loadu_ps(gc.as_ptr()), _mm256_loadu_ps(hc.as_ptr())) };
+            let g_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(gv));
+            let g_hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(gv));
+            s = _mm256_add_pd(s, g_lo);
+            s = _mm256_add_pd(s, g_hi);
+            // An f32·f32 product is exact in f64, so the contraction rounds
+            // exactly where a separate multiply and add would.
+            d = _mm256_fmadd_pd(g_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(hv)), d);
+            d = _mm256_fmadd_pd(g_hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(hv)), d);
+        }
+        let mut sum = hsum_pd(s);
+        let mut dot = hsum_pd(d);
+        for (&g, &h) in g_tail.iter().zip(h_tail) {
+            sum += f64::from(g);
+            dot += f64::from(g) * f64::from(h);
+        }
+        (sum, dot)
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -470,6 +530,30 @@ mod tests {
         let m = es / x.len() as f64;
         let dev: f64 = x.iter().map(|&v| (f64::from(v) - m) * (f64::from(v) - m)).sum();
         assert_eq!(sq_dev_sum_f64(SimdIsa::Scalar, &x, m).to_bits(), dev.to_bits());
+    }
+
+    #[test]
+    fn sum_dot_continues_running_sums_across_planes() {
+        let (g, h) = (data(103), data(103).iter().map(|v| v * 0.7 - 0.2).collect::<Vec<_>>());
+        let (mut es, mut ed) = (0.0f64, 0.0f64);
+        for (&a, &b) in g.iter().zip(&h) {
+            es += f64::from(a);
+            ed += f64::from(a) * f64::from(b);
+        }
+        // Scalar: two planes continue one fold, bit for bit.
+        let (mut s, mut d) = (0.0f64, 0.0f64);
+        sum_dot_f64(SimdIsa::Scalar, &g[..40], &h[..40], &mut s, &mut d);
+        sum_dot_f64(SimdIsa::Scalar, &g[40..], &h[40..], &mut s, &mut d);
+        assert_eq!((s.to_bits(), d.to_bits()), (es.to_bits(), ed.to_bits()));
+        // Vector: plane subtotals, within f64 reassociation of the fold.
+        let isa = clamp_to_hardware(SimdIsa::Avx2Fma);
+        for split in [0usize, 7, 8, 40, 103] {
+            let (mut s, mut d) = (0.0f64, 0.0f64);
+            sum_dot_f64(isa, &g[..split], &h[..split], &mut s, &mut d);
+            sum_dot_f64(isa, &g[split..], &h[split..], &mut s, &mut d);
+            assert!((s - es).abs() <= 1e-9 * (1.0 + es.abs()), "split {split}: {s} vs {es}");
+            assert!((d - ed).abs() <= 1e-9 * (1.0 + ed.abs()), "split {split}: {d} vs {ed}");
+        }
     }
 
     #[test]

@@ -5,26 +5,30 @@
 //! decoded by [`OpKind::form`] into *prologue → core → epilogue*, and each
 //! direction has one convolution arm and one normalization arm.
 //!
-//! * Forward convolution: the prologue borrows the ifmap, clips it (RCF), or
-//!   runs the normalize+clip sweep on it (`(sub-BN2)-ReLU-CONV2`); one
-//!   convolution call follows, riding the Σx/Σx² epilogue
-//!   (`CONV1-(sub-BN1)`) when the statistics are single-sweep. A transformed
-//!   ifmap and its `x̂` move into the node's state — they are what backward
-//!   re-reads. Forward normalization is the same sweep on its own.
-//! * Backward convolution: weight and input gradients from the tensor the
-//!   convolution actually read, then the ReLU mask taken from that tensor,
-//!   then BN backward — each only if the prologue had it. Backward
-//!   normalization is the last two steps on its own.
+//! * Convolution, both directions: the prologue becomes a [`ConvInput`] over
+//!   the node's *raw* input — borrowed, clipped (RCF) or normalized+clipped
+//!   (`(sub-BN2)-ReLU-CONV2`) one sample at a time inside the kernel — and
+//!   one fused call follows. Forward rides the Σx/Σx² epilogue
+//!   (`CONV1-(sub-BN1)`) when the statistics are single-sweep; backward
+//!   yields the weight gradient, the input gradient with ReLU′ and BN
+//!   backward applied, and the ∂γ/∂β of an absorbed BN. A convolution keeps
+//!   no state: backward re-reads the raw input the plan pins and the 2×C
+//!   statistics.
+//! * Normalization on its own is the normalize sweep (its `x̂` is the node's
+//!   state) and, backward, the same mask and BN plane helpers in place on
+//!   the incoming gradient.
 //! * Training publishes mini-batch statistics and eval the running ones;
 //!   `publish_stats` is the one place that chooses.
 //!
 //! Execution follows an [`ExecutionPlan`] computed once per graph: node
-//! outputs live in a vector indexed by node id (inputs are borrowed), tensors
+//! outputs live in a vector indexed by node id (inputs are borrowed); those
 //! backward never revisits are released at their last forward use into a
-//! per-executor arena (one bin per plan slot), and backward gradients recycle
-//! through a [`BufferPool`] — both persistent across steps.
-//! [`Executor::forward_naive`] keeps one buffer per node as the bit-identical
-//! reference. Every kernel fans out over the `bnff-parallel` pool.
+//! per-executor arena (one bin per plan slot); retained outputs and every
+//! `x̂` — until the [`ForwardResult`] is dropped — and backward's gradients
+//! circulate through one [`BufferPool`]. Both persist across steps, so a
+//! warmed step mallocs no activation, state or gradient. [`Executor::forward_naive`] keeps one fresh
+//! buffer per node as the bit-identical reference. Every kernel fans out
+//! over the `bnff-parallel` pool.
 
 use crate::error::TrainError;
 use crate::params::{Gradients, NodeParamGrads, NodeParams, ParamSet};
@@ -34,29 +38,29 @@ use bnff_graph::op::{ConvPrologue, OpForm, OpKind, PoolKind};
 use bnff_graph::plan::ExecutionPlan;
 use bnff_graph::{Graph, Node, NodeId};
 use bnff_kernels::batchnorm::{
-    bn_backward, bn_statistics, normalize_sweep_into, BnForwardState, BnParamGrads, BnParams,
+    bn_backward_inplace, bn_statistics, normalize_sweep_into, BnForwardState, BnParamGrads,
+    BnParams,
 };
-use bnff_kernels::concat::{concat_backward, concat_forward_into};
-use bnff_kernels::conv::{
-    conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward_into,
-};
+use bnff_kernels::concat::{concat_backward_into, concat_forward_into};
+use bnff_kernels::conv::ConvInput;
 use bnff_kernels::eltwise::eltwise_sum_forward_into;
-use bnff_kernels::fc::{fc_backward, fc_forward};
-use bnff_kernels::fused::conv2d_forward_with_stats_into;
+use bnff_kernels::fc::{fc_backward_into, fc_forward_into};
+use bnff_kernels::fused::{fused_conv_backward_into, fused_conv_forward_into};
 use bnff_kernels::pool::{
-    avg_pool_backward, avg_pool_forward_into, global_avg_pool_backward, global_avg_pool_forward,
-    max_pool_backward, max_pool_forward, MaxPoolState,
+    avg_pool_backward_into, avg_pool_forward_into, global_avg_pool_backward_into,
+    global_avg_pool_forward_into, max_pool_backward_into, max_pool_forward_argmax_into,
+    MaxPoolState,
 };
-use bnff_kernels::relu::{relu_backward, relu_forward, relu_forward_into};
+use bnff_kernels::relu::{relu_backward_inplace, relu_forward_into};
 use bnff_kernels::softmax::{
-    accuracy, softmax_loss_backward, softmax_loss_forward, SoftmaxLossState,
+    accuracy, softmax_loss_backward_into, softmax_loss_forward, SoftmaxLossState,
 };
 use bnff_tensor::pool::BufferPool;
 use bnff_tensor::stats::ChannelStats;
 use bnff_tensor::{ops, Shape, Tensor};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Which statistics a forward pass normalizes with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,15 +73,11 @@ enum StatsMode {
 }
 
 /// Per-node state captured during the forward pass for reuse in backward.
+/// A convolution has none, whatever its prologue.
 #[derive(Debug, Clone)]
 enum NodeState {
-    /// What a convolution prologue and/or a normalization keeps: the
-    /// transformed (clipped, possibly normalized) ifmap the convolution
-    /// actually read, and the statistics + `x̂` BN backward borrows.
-    Saved {
-        conv_input: Option<Tensor>,
-        bn: Option<BnForwardState>,
-    },
+    /// The statistics + `x̂` a standalone normalization's backward borrows.
+    Norm(BnForwardState),
     MaxPool(MaxPoolState),
     Softmax(SoftmaxLossState),
 }
@@ -97,6 +97,24 @@ pub struct ForwardResult {
     stats: Vec<Option<ChannelStats>>,
     states: Vec<Option<NodeState>>,
     labels: Vec<usize>,
+    /// The workspace a planned pass drew the retained `values` from.
+    home: Option<Arc<Mutex<Workspace>>>,
+}
+
+impl Drop for ForwardResult {
+    /// Returns the retained outputs' and every `x̂`'s storage to the pool it
+    /// was taken from.
+    fn drop(&mut self) {
+        if let Some(home) = &self.home {
+            let mut ws = lock(home);
+            self.values.drain(..).flatten().for_each(|t| ws.pool.reclaim(t));
+            for state in self.states.drain(..).flatten() {
+                if let NodeState::Norm(BnForwardState { x_hat, .. }) = state {
+                    ws.pool.reclaim(x_hat);
+                }
+            }
+        }
+    }
 }
 
 impl ForwardResult {
@@ -117,23 +135,50 @@ impl ForwardResult {
 }
 
 /// The persistent buffer storage one executor recycles across nodes and
-/// across training steps: one bin per plan slot for forward activations,
-/// plus a best-fit free list for backward gradients.
+/// across training steps: one bin per plan slot for transient forward
+/// activations, plus a best-fit free list for retained outputs, `x̂` state and
+/// backward gradients.
 struct Workspace {
     arena: Vec<Option<Vec<f32>>>,
     pool: BufferPool,
 }
 
 impl Workspace {
-    fn for_plan(plan: &ExecutionPlan) -> Self {
-        Workspace {
-            arena: vec![None; plan.slot_count()],
-            // Backward releases roughly one gradient buffer per activation;
-            // bound the free list so give/take imbalance can never grow the
-            // pool without limit across steps.
-            pool: BufferPool::bounded(2 * plan.naive_total_bytes() + (1 << 20)),
+    /// A workspace whose pool retains at most `pool_bytes`; with zero (the
+    /// naive reference path) every buffer it hands out is fresh.
+    fn new(plan: &ExecutionPlan, pool_bytes: usize) -> Self {
+        Workspace { arena: vec![None; plan.slot_count()], pool: BufferPool::bounded(pool_bytes) }
+    }
+
+    /// An executor's workspace. What is out of its pool at once, and idles in
+    /// it between steps, is the outputs a forward result retains, the `x̂` of
+    /// every standalone normalization, and the gradients one backward holds
+    /// — in practice twice their planned peak (best fit serves small
+    /// requests from larger buffers, and a gradient summed into an occupied
+    /// slot briefly has two), budgeted at three times. Give and take
+    /// balance, so the bound only guards against imbalance.
+    fn for_graph(graph: &Graph, plan: &ExecutionPlan) -> Self {
+        let norms = graph.nodes().filter(|n| matches!(n.op.form(), OpForm::Norm { .. }));
+        let x_hat_bytes: usize = norms.map(|n| n.output_shape.bytes_f32()).sum();
+        Self::new(plan, plan.saved_bytes() + x_hat_bytes + 3 * plan.gradient_peak_bytes())
+    }
+
+    /// The output buffer of node `id`, contents unspecified (every kernel
+    /// overwrites its whole output): the recycled bin of its plan slot, or —
+    /// a retained output has none — a pool buffer, which comes back when the
+    /// forward result is dropped.
+    fn output(&mut self, plan: &ExecutionPlan, id: NodeId, shape: &Shape) -> Tensor {
+        match plan.slot(id) {
+            Some(_) => plan.alloc_output(&mut self.arena, id, shape),
+            None => self.pool.take_tensor_dirty(shape.clone()),
         }
     }
+}
+
+/// Locks a workspace, recovering a poisoned lock: it is pure scratch, safe
+/// to reuse after a panic.
+fn lock(workspace: &Mutex<Workspace>) -> MutexGuard<'_, Workspace> {
+    workspace.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl fmt::Debug for Workspace {
@@ -142,6 +187,8 @@ impl fmt::Debug for Workspace {
             .field("arena_slots", &self.arena.len())
             .field("arena_filled", &self.arena.iter().flatten().count())
             .field("pool_free_bytes", &self.pool.free_bytes())
+            .field("pool_takes", &self.pool.takes())
+            .field("pool_hits", &self.pool.hits())
             .finish()
     }
 }
@@ -153,7 +200,7 @@ pub struct Executor {
     params: ParamSet,
     plan: ExecutionPlan,
     running: RunningStatSet,
-    workspace: Mutex<Workspace>,
+    workspace: Arc<Mutex<Workspace>>,
 }
 
 impl Clone for Executor {
@@ -164,7 +211,7 @@ impl Clone for Executor {
             plan: self.plan.clone(),
             running: self.running.clone(),
             // Recycled buffers are per-executor scratch, not state.
-            workspace: Mutex::new(Workspace::for_plan(&self.plan)),
+            workspace: Arc::new(Mutex::new(Workspace::for_graph(&self.graph, &self.plan))),
         }
     }
 }
@@ -198,7 +245,7 @@ impl Executor {
     /// cyclic).
     pub fn with_state(graph: Graph, params: ParamSet, running: RunningStatSet) -> Result<Self> {
         let plan = ExecutionPlan::for_graph(&graph)?;
-        let workspace = Mutex::new(Workspace::for_plan(&plan));
+        let workspace = Arc::new(Mutex::new(Workspace::for_graph(&graph, &plan)));
         Ok(Executor { graph, params, plan, running, workspace })
     }
 
@@ -339,34 +386,25 @@ impl Executor {
         }
     }
 
-    /// The one normalize sweep: `y = γ·x̂ + β` with `node`'s γ/β, clipped at
-    /// zero in the same pass when `relu`. Returns what BN backward keeps.
-    fn normalize(
-        &self,
+    /// `x` as the convolution `node` reads it: its prologue, with the
+    /// statistics on the node's second input and the γ/β the node owns.
+    fn ifmap<'a>(
+        &'a self,
         node: &Node,
-        x: &Tensor,
-        stats: ChannelStats,
-        epsilon: f32,
-        relu: bool,
-        y: &mut Tensor,
-    ) -> Result<BnForwardState> {
-        let x_hat = normalize_sweep_into(x, &stats, self.bn_params(node)?, epsilon, relu, y)?;
-        Ok(BnForwardState { stats, x_hat })
-    }
-
-    /// BN backward through the normalization `node` ran (its own, or the one
-    /// its convolution absorbed), from the state the forward pass saved.
-    fn normalize_backward(
-        &self,
-        node: &Node,
-        d_y: &Tensor,
-        state: Option<&NodeState>,
-        epsilon: f32,
-    ) -> Result<(Tensor, BnParamGrads)> {
-        let Some(NodeState::Saved { bn: Some(state), .. }) = state else {
-            return Err(missing("forward state", node));
-        };
-        Ok(bn_backward(d_y, state, self.bn_params(node)?, epsilon)?)
+        prologue: ConvPrologue,
+        x: &'a Tensor,
+        stats: &'a [Option<ChannelStats>],
+    ) -> Result<ConvInput<'a>> {
+        Ok(match prologue {
+            ConvPrologue::None => ConvInput::Raw(x),
+            ConvPrologue::Relu => ConvInput::Clip(x),
+            ConvPrologue::NormRelu(bn) => ConvInput::NormClip {
+                x,
+                stats: node_stats(stats, node)?,
+                params: self.bn_params(node)?,
+                epsilon: bn.epsilon,
+            },
+        })
     }
 
     fn run_forward(
@@ -386,149 +424,121 @@ impl Executor {
         let mut states: Vec<Option<NodeState>> = vec![None; n];
         let mut loss = 0.0f32;
         let mut scores: Option<Tensor> = None;
-        values[data_id.index()] = Some(data.clone());
 
-        // Only the planned path takes the workspace lock (a poisoned lock is
-        // recovered — the workspace is pure scratch, safe to reuse after a
-        // panic). The naive reference path gets bins that stay empty — it
-        // releases nothing — so every output it allocates is fresh.
-        let mut ws = planned
-            .then(|| self.workspace.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-        let mut empty_bins = vec![None; self.plan.slot_count()];
-        let arena = ws.as_deref_mut().map_or(&mut empty_bins[..], |ws| &mut ws.arena[..]);
+        // Only the planned path takes the workspace lock; the naive
+        // reference path releases nothing and allocates everything fresh.
+        let mut guard = planned.then(|| lock(&self.workspace));
+        let mut unpooled = Workspace::new(&self.plan, 0);
+        let ws = guard.as_deref_mut().unwrap_or(&mut unpooled);
+        let mut seed = ws.output(&self.plan, data_id, data.shape());
+        seed.as_mut_slice().copy_from_slice(data.as_slice());
+        values[data_id.index()] = Some(seed);
 
         for (pos, &id) in self.plan.order().iter().enumerate() {
             let node = self.graph.node(id)?;
             let input = || self.plan.input_value(&values, node, 0);
-            let out = match (node.op.form(), &node.op) {
-                (OpForm::Conv { attrs, prologue, stats_out, relu_out: false }, _) => {
-                    let x = input()?;
-                    let (w, b) = self.conv_params(node)?;
-                    // Prologue: the convolution reads its input as is, or a
-                    // clipped / normalized+clipped copy. The copy is what
-                    // backward re-reads, so it moves into the node state and
-                    // the plan does not pin `x`.
-                    let (conv_input, bn) = match prologue {
-                        ConvPrologue::None => (None, None),
-                        ConvPrologue::Relu => (Some(relu_forward(x)), None),
-                        ConvPrologue::NormRelu(bn) => {
-                            let s = node_stats(&stats, node)?.clone();
-                            let mut clipped = Tensor::zeros(x.shape().clone());
-                            let bn = self.normalize(node, x, s, bn.epsilon, true, &mut clipped)?;
-                            (Some(clipped), Some(bn))
-                        }
-                    };
-                    let read = conv_input.as_ref().unwrap_or(x);
-                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
-                    // Epilogue: single-sweep statistics ride the output
-                    // write; two-pass ones re-sweep the finished ofmap.
-                    let rides =
-                        mode == StatsMode::Batch && stats_out.is_some_and(|bn| bn.one_pass_stats);
-                    stats[id.index()] = if rides {
-                        Some(conv2d_forward_with_stats_into(read, w, b, &attrs, &mut out)?)
-                    } else {
-                        conv2d_forward_into(read, w, b, &attrs, &mut out)?;
-                        stats_out.map(|_| self.publish_stats(mode, id, &out, false)).transpose()?
-                    };
-                    if conv_input.is_some() {
-                        states[id.index()] = Some(NodeState::Saved { conv_input, bn });
-                    }
-                    Some(out)
-                }
-                (OpForm::Norm { bn, stats_from_input, relu }, _) => {
-                    let x = input()?;
-                    let s = if stats_from_input {
-                        let s = self.publish_stats(mode, id, x, bn.one_pass_stats)?;
-                        stats[id.index()] = Some(s.clone());
-                        s
-                    } else {
-                        node_stats(&stats, node)?.clone()
-                    };
-                    // A clipped output is retained as the backward ReLU mask
-                    // (saved outputs have no arena slot).
-                    let mut y = self.plan.alloc_output(arena, id, &node.output_shape);
-                    let bn = self.normalize(node, x, s, bn.epsilon, relu, &mut y)?;
-                    states[id.index()] = Some(NodeState::Saved { conv_input: None, bn: Some(bn) });
-                    Some(y)
-                }
-                // Label inputs carry no tensor, the data input is pre-seeded,
-                // and a Split is a pointer pass resolved through the plan.
-                (_, OpKind::Input | OpKind::Split { .. }) => None,
-                (_, OpKind::SubBnStats(attrs)) => {
-                    let s = self.publish_stats(mode, id, input()?, attrs.one_pass_stats)?;
-                    let summary = [s.mean.as_slice(), s.var.as_slice()].concat();
-                    let summary = Tensor::from_vec(Shape::matrix(2, s.channels()), summary)
-                        .map_err(TrainError::Tensor)?;
-                    stats[id.index()] = Some(s);
-                    Some(summary)
-                }
-                (_, OpKind::Relu) => {
-                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
-                    relu_forward_into(input()?, &mut out)?;
-                    Some(out)
-                }
-                (_, OpKind::Pool { kind: PoolKind::Max, attrs }) => {
-                    // The state keeps only shape + argmax, so the pooled
-                    // output is owned once by the slot vector.
-                    let (out, state) = max_pool_forward(input()?, attrs)?;
-                    states[id.index()] = Some(NodeState::MaxPool(state));
-                    Some(out)
-                }
-                (_, OpKind::Pool { kind: PoolKind::Average, attrs }) => {
-                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
-                    avg_pool_forward_into(input()?, attrs, &mut out)?;
-                    Some(out)
-                }
-                (_, OpKind::GlobalAvgPool) => Some(global_avg_pool_forward(input()?)?),
-                (_, OpKind::Concat | OpKind::ConcatStats(_)) => {
-                    let refs = self.plan.input_values(&values, node)?;
-                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
-                    concat_forward_into(&refs, &mut out)?;
-                    // ICF: the concatenation's own Σx/Σx² epilogue.
-                    if let Some(bn) = node.op.stats_out() {
+            // Label inputs carry no tensor, the data input is pre-seeded,
+            // and a Split is a pointer pass resolved through the plan; every
+            // other node fills the one output buffer allocated for it here.
+            if !matches!(node.op, OpKind::Input | OpKind::Split { .. }) {
+                let mut out = ws.output(&self.plan, id, &node.output_shape);
+                match (node.op.form(), &node.op) {
+                    (OpForm::Conv { attrs, prologue, stats_out, relu_out: false }, _) => {
+                        let x = self.ifmap(node, prologue, input()?, &stats)?;
+                        let (w, b) = self.conv_params(node)?;
+                        // Epilogue: single-sweep statistics ride the output
+                        // write; two-pass ones re-sweep the finished ofmap.
+                        let rides = mode == StatsMode::Batch
+                            && stats_out.is_some_and(|bn| bn.one_pass_stats);
                         stats[id.index()] =
-                            Some(self.publish_stats(mode, id, &out, bn.one_pass_stats)?);
+                            match fused_conv_forward_into(x, w, b, &attrs, rides, &mut out)? {
+                                None if stats_out.is_some() => {
+                                    Some(self.publish_stats(mode, id, &out, false)?)
+                                }
+                                ridden => ridden,
+                            };
                     }
-                    Some(out)
+                    (OpForm::Norm { bn, stats_from_input, relu }, _) => {
+                        let x = input()?;
+                        let s = if stats_from_input {
+                            let s = self.publish_stats(mode, id, x, bn.one_pass_stats)?;
+                            stats[id.index()] = Some(s.clone());
+                            s
+                        } else {
+                            node_stats(&stats, node)?.clone()
+                        };
+                        // A clipped output is retained as the backward ReLU
+                        // mask; `x̂` is the node's state.
+                        let params = self.bn_params(node)?;
+                        let mut x_hat = ws.pool.take_tensor_dirty(x.shape().clone());
+                        normalize_sweep_into(
+                            x, &s, params, bn.epsilon, relu, &mut x_hat, &mut out,
+                        )?;
+                        states[id.index()] =
+                            Some(NodeState::Norm(BnForwardState { stats: s, x_hat }));
+                    }
+                    (_, OpKind::SubBnStats(attrs)) => {
+                        let s = self.publish_stats(mode, id, input()?, attrs.one_pass_stats)?;
+                        let (mean, var) = out.as_mut_slice().split_at_mut(s.channels());
+                        mean.copy_from_slice(&s.mean);
+                        var.copy_from_slice(&s.var);
+                        stats[id.index()] = Some(s);
+                    }
+                    (_, OpKind::Relu) => relu_forward_into(input()?, &mut out)?,
+                    (_, OpKind::Pool { kind: PoolKind::Max, attrs }) => {
+                        let state = max_pool_forward_argmax_into(input()?, attrs, &mut out)?;
+                        states[id.index()] = Some(NodeState::MaxPool(state));
+                    }
+                    (_, OpKind::Pool { kind: PoolKind::Average, attrs }) => {
+                        avg_pool_forward_into(input()?, attrs, &mut out)?;
+                    }
+                    (_, OpKind::GlobalAvgPool) => {
+                        global_avg_pool_forward_into(input()?, &mut out)?;
+                    }
+                    (_, OpKind::Concat | OpKind::ConcatStats(_)) => {
+                        concat_forward_into(&self.plan.input_values(&values, node)?, &mut out)?;
+                        // ICF: the concatenation's own Σx/Σx² epilogue.
+                        if let Some(bn) = node.op.stats_out() {
+                            stats[id.index()] =
+                                Some(self.publish_stats(mode, id, &out, bn.one_pass_stats)?);
+                        }
+                    }
+                    (_, OpKind::EltwiseSum) => {
+                        let refs = self.plan.input_values(&values, node)?;
+                        eltwise_sum_forward_into(&refs, &mut out)?;
+                    }
+                    (_, OpKind::FullyConnected { .. }) => {
+                        let (w, b) = self.fc_params(node)?;
+                        fc_forward_into(input()?, w, b, &mut out)?;
+                    }
+                    (_, OpKind::SoftmaxLoss) => {
+                        let x = input()?;
+                        let state = softmax_loss_forward(x, labels)?;
+                        loss = state.loss;
+                        scores = Some(x.clone());
+                        states[id.index()] = Some(NodeState::Softmax(state));
+                        out.fill(loss);
+                    }
+                    // Every training convolution and normalization decoded
+                    // above; what is left are the freeze pass's operators.
+                    _ => return Err(inference_only(node)),
                 }
-                (_, OpKind::EltwiseSum) => {
-                    let refs = self.plan.input_values(&values, node)?;
-                    let mut out = self.plan.alloc_output(arena, id, &node.output_shape);
-                    eltwise_sum_forward_into(&refs, &mut out)?;
-                    Some(out)
-                }
-                (_, OpKind::FullyConnected { .. }) => {
-                    let (w, b) = self.fc_params(node)?;
-                    Some(fc_forward(input()?, w, b)?)
-                }
-                (_, OpKind::SoftmaxLoss) => {
-                    let x = input()?;
-                    let state = softmax_loss_forward(x, labels)?;
-                    loss = state.loss;
-                    scores = Some(x.clone());
-                    states[id.index()] = Some(NodeState::Softmax(state));
-                    Some(Tensor::from_slice(&[loss]))
-                }
-                // Every training convolution and normalization decoded
-                // above; what is left are the freeze pass's operators.
-                _ => return Err(inference_only(node)),
-            };
-            if let Some(out) = out {
                 values[id.index()] = Some(out);
             }
             if planned {
-                self.plan.release_dead(arena, &mut values, pos);
+                self.plan.release_dead(&mut ws.arena, &mut values, pos);
             }
         }
 
         let scores = scores.ok_or_else(|| TrainError::Missing("softmax loss node".to_string()))?;
         let accuracy = accuracy(&scores, labels)?;
-        Ok(ForwardResult { loss, accuracy, scores, values, stats, states, labels: labels.to_vec() })
+        let (labels, home) = (labels.to_vec(), planned.then(|| Arc::clone(&self.workspace)));
+        Ok(ForwardResult { loss, accuracy, scores, values, stats, states, labels, home })
     }
 
-    /// Runs the backward pass, producing parameter gradients. Gradient
-    /// buffers are released into the executor's pool as soon as a node's
-    /// backward has consumed them.
+    /// Runs the backward pass, producing parameter gradients. Every
+    /// gradient buffer comes from the executor's pool and returns to it as
+    /// soon as a node's backward has consumed it.
     ///
     /// # Errors
     /// Returns an error if the forward result does not match this graph.
@@ -537,7 +547,7 @@ impl Executor {
         let mut per_node: HashMap<usize, NodeParamGrads> = HashMap::new();
         let data_id = self.data_input()?;
 
-        let mut ws = self.workspace.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut ws = lock(&self.workspace);
         let pool = &mut ws.pool;
 
         for &id in self.plan.order().iter().rev() {
@@ -547,81 +557,60 @@ impl Executor {
                 let Some(NodeState::Softmax(state)) = state else {
                     return Err(missing("forward state", node));
                 };
-                let d_scores = softmax_loss_backward(state, &fwd.labels)?;
-                accumulate(&mut d_vals, node.inputs[0], d_scores)?;
+                let mut d_scores = pool.take_tensor_dirty(state.probs.shape().clone());
+                softmax_loss_backward_into(state, &fwd.labels, &mut d_scores)?;
+                accumulate(pool, &mut d_vals, node.inputs[0], d_scores)?;
                 continue;
             }
-            let Some(grad) = d_vals[id.index()].take() else {
+            let Some(mut grad) = d_vals[id.index()].take() else {
                 continue;
             };
-            // Each arm yields the gradient of the node's first input, if any.
+            // Each arm yields the gradient of the node's first input, if any,
+            // in a dirty pool buffer of that input's shape (every kernel
+            // overwrites it) — or passes on the gradient it owns, in place.
+            let input_grad = |pool: &mut BufferPool, i| {
+                Ok(pool.take_tensor_dirty(self.input_shape(node, i)?.clone()))
+            };
             let d_x = match (node.op.form(), &node.op) {
                 (OpForm::Conv { attrs, prologue, relu_out: false, .. }, _) => {
-                    // The tensor the convolution read: its input, or the
-                    // transformed copy its prologue saved.
-                    let read = match (prologue, state) {
-                        (ConvPrologue::None, _) => self.saved_input(fwd, node)?,
-                        (_, Some(NodeState::Saved { conv_input: Some(t), .. })) => t,
-                        _ => return Err(missing("forward state", node)),
-                    };
+                    let x = self.saved_input(fwd, node)?;
+                    let x = self.ifmap(node, prologue, x, &fwd.stats)?;
                     let (w, b) = self.conv_params(node)?;
-                    let (d_weights, d_bias) =
-                        conv2d_backward_weights(read, &grad, &attrs, b.is_some())?;
                     // Nothing consumes the data input's gradient, so a
                     // convolution reading it (the stem) skips the
                     // input-gradient GEMM — unless the ∂γ/∂β of a BN it
                     // absorbed need it.
                     let wanted = matches!(prologue, ConvPrologue::NormRelu(_))
                         || self.plan.resolve(node.inputs[0]) != data_id;
-                    let (mut d_x, mut d_bn) = (None, None);
-                    if wanted {
-                        // Accumulated into a zeroed buffer from the pool.
-                        let len = read.shape().volume();
-                        let mut d_read = Tensor::from_vec(read.shape().clone(), pool.take(len))
-                            .map_err(TrainError::Tensor)?;
-                        conv2d_backward_input_into(&grad, w, &attrs, &mut d_read)?;
-                        if prologue != ConvPrologue::None {
-                            // relu(x) > 0 ⇔ x > 0: the clipped ifmap is its
-                            // own mask.
-                            let masked = relu_backward(&d_read, read)?;
-                            pool.give(std::mem::replace(&mut d_read, masked).into_vec());
-                        }
-                        if let ConvPrologue::NormRelu(bn) = prologue {
-                            let (d_raw, g) =
-                                self.normalize_backward(node, &d_read, state, bn.epsilon)?;
-                            d_read = d_raw;
-                            d_bn = Some(g);
-                        }
-                        d_x = Some(d_read);
-                    }
-                    let grads = match d_bn {
-                        Some(BnParamGrads { d_gamma, d_beta }) => {
-                            NodeParamGrads::ConvBn { d_weights, d_bias, d_gamma, d_beta }
-                        }
-                        None => NodeParamGrads::Conv { d_weights, d_bias },
-                    };
-                    per_node.insert(id.index(), grads);
+                    let mut d_x = wanted.then(|| input_grad(pool, 0)).transpose()?;
+                    let grads =
+                        fused_conv_backward_into(x, &grad, w, &attrs, b.is_some(), d_x.as_mut())?;
+                    per_node.insert(id.index(), grads.into());
                     d_x
                 }
                 (OpForm::Norm { bn, relu, .. }, _) => {
+                    let Some(NodeState::Norm(state)) = state else {
+                        return Err(missing("forward state", node));
+                    };
                     // A clipping normalization recovers its ReLU mask from
                     // its retained output.
-                    let masked = if relu {
+                    if relu {
                         let y = fwd.output(id).ok_or_else(|| missing("output", node))?;
-                        Some(relu_backward(&grad, y)?)
-                    } else {
-                        None
-                    };
-                    let d_y = masked.as_ref().unwrap_or(&grad);
-                    let (d_x, BnParamGrads { d_gamma, d_beta }) =
-                        self.normalize_backward(node, d_y, state, bn.epsilon)?;
+                        relu_backward_inplace(&mut grad, y)?;
+                    }
+                    let BnParamGrads { d_gamma, d_beta } =
+                        bn_backward_inplace(&mut grad, state, self.bn_params(node)?, bn.epsilon)?;
                     per_node.insert(id.index(), NodeParamGrads::Bn { d_gamma, d_beta });
-                    Some(d_x)
+                    accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
+                    continue;
                 }
-                (_, OpKind::Split { .. }) => {
-                    // The gradient flows through unchanged; move it rather
-                    // than copying.
-                    accumulate(&mut d_vals, node.inputs[0], grad)?;
+                (_, OpKind::Relu | OpKind::Split { .. }) => {
+                    // A ReLU masks the gradient it owns; through a Split it
+                    // flows unchanged. Either way it is moved, not copied.
+                    if matches!(node.op, OpKind::Relu) {
+                        relu_backward_inplace(&mut grad, self.saved_input(fwd, node)?)?;
+                    }
+                    accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
                     continue;
                 }
                 (_, OpKind::EltwiseSum) => {
@@ -629,53 +618,66 @@ impl Executor {
                     for input in rest {
                         // Occupied slots accumulate by reference; only a
                         // first insertion pays for a copy.
-                        accumulate_ref(&mut d_vals, *input, &grad)?;
+                        match d_vals[input.index()].as_mut() {
+                            Some(sum) => ops::add_assign(sum, &grad).map_err(TrainError::Tensor)?,
+                            None => {
+                                let mut copy = pool.take_tensor_dirty(grad.shape().clone());
+                                copy.as_mut_slice().copy_from_slice(grad.as_slice());
+                                d_vals[input.index()] = Some(copy);
+                            }
+                        }
                     }
-                    accumulate(&mut d_vals, *last, grad)?;
+                    accumulate(pool, &mut d_vals, *last, grad)?;
                     continue;
                 }
                 // Nothing consumes the data input's gradient, and the
                 // statistics path has none of its own: the normalization
                 // backward already differentiates through mean/variance.
                 (_, OpKind::Input | OpKind::SubBnStats(_)) => None,
-                (_, OpKind::Relu) => Some(relu_backward(&grad, self.saved_input(fwd, node)?)?),
                 // Pooling backward needs only the input *shape*, which the
                 // graph records; the input tensor itself was not retained.
                 (_, OpKind::Pool { kind: PoolKind::Max, .. }) => {
                     let Some(NodeState::MaxPool(state)) = state else {
                         return Err(missing("forward state", node));
                     };
-                    Some(max_pool_backward(&grad, state, self.input_shape(node, 0)?)?)
+                    let mut d_x = input_grad(pool, 0)?;
+                    max_pool_backward_into(&grad, state, &mut d_x)?;
+                    Some(d_x)
                 }
                 (_, OpKind::Pool { kind: PoolKind::Average, attrs }) => {
-                    Some(avg_pool_backward(&grad, self.input_shape(node, 0)?, attrs)?)
+                    let mut d_x = input_grad(pool, 0)?;
+                    avg_pool_backward_into(&grad, attrs, &mut d_x)?;
+                    Some(d_x)
                 }
                 (_, OpKind::GlobalAvgPool) => {
-                    Some(global_avg_pool_backward(&grad, self.input_shape(node, 0)?)?)
+                    let mut d_x = input_grad(pool, 0)?;
+                    global_avg_pool_backward_into(&grad, &mut d_x)?;
+                    Some(d_x)
                 }
                 (_, OpKind::Concat | OpKind::ConcatStats(_)) => {
-                    let shapes: Vec<Shape> = (0..node.inputs.len())
-                        .map(|i| self.input_shape(node, i).cloned())
-                        .collect::<Result<_>>()?;
-                    for (input, g) in node.inputs.iter().zip(concat_backward(&grad, &shapes)?) {
-                        accumulate(&mut d_vals, *input, g)?;
+                    let mut parts = (0..node.inputs.len())
+                        .map(|i| input_grad(pool, i))
+                        .collect::<Result<Vec<_>>>()?;
+                    concat_backward_into(&grad, &mut parts)?;
+                    for (input, part) in node.inputs.iter().zip(parts) {
+                        accumulate(pool, &mut d_vals, *input, part)?;
                     }
                     None
                 }
                 (_, OpKind::FullyConnected { .. }) => {
-                    let (w, _) = self.fc_params(node)?;
-                    let (d_x, d_weights, d_bias) =
-                        fc_backward(self.saved_input(fwd, node)?, w, &grad)?;
+                    let (x, (w, _)) = (self.saved_input(fwd, node)?, self.fc_params(node)?);
+                    let mut d_x = input_grad(pool, 0)?;
+                    let (d_weights, d_bias) = fc_backward_into(x, w, &grad, &mut d_x)?;
                     per_node.insert(id.index(), NodeParamGrads::Fc { d_weights, d_bias });
                     Some(d_x)
                 }
                 _ => return Err(inference_only(node)),
             };
             if let Some(d_x) = d_x {
-                accumulate(&mut d_vals, node.inputs[0], d_x)?;
+                accumulate(pool, &mut d_vals, node.inputs[0], d_x)?;
             }
             // The incoming gradient is consumed: recycle its storage.
-            pool.give(grad.into_vec());
+            pool.reclaim(grad);
         }
 
         Ok(Gradients { per_node })
@@ -698,21 +700,19 @@ fn node_stats<'a>(stats: &'a [Option<ChannelStats>], node: &Node) -> Result<&'a 
     stats[node.inputs[1].index()].as_ref().ok_or_else(|| missing("statistics", node))
 }
 
-/// Adds `grad` into the gradient slot of `id`, cloning it only when the
-/// slot is still empty.
-fn accumulate_ref(d_vals: &mut [Option<Tensor>], id: NodeId, grad: &Tensor) -> Result<()> {
+/// Adds `grad` into the gradient slot of `id`: moved in when the slot is
+/// still empty, summed in and recycled otherwise.
+fn accumulate(
+    pool: &mut BufferPool,
+    d_vals: &mut [Option<Tensor>],
+    id: NodeId,
+    grad: Tensor,
+) -> Result<()> {
     match d_vals[id.index()].as_mut() {
-        Some(existing) => ops::add_assign(existing, grad).map_err(TrainError::Tensor)?,
-        None => d_vals[id.index()] = Some(grad.clone()),
-    }
-    Ok(())
-}
-
-/// Adds `grad` into the gradient slot of `id`, moving it in when the slot
-/// is still empty.
-fn accumulate(d_vals: &mut [Option<Tensor>], id: NodeId, grad: Tensor) -> Result<()> {
-    match d_vals[id.index()].as_mut() {
-        Some(existing) => ops::add_assign(existing, &grad).map_err(TrainError::Tensor)?,
+        Some(existing) => {
+            ops::add_assign(existing, &grad).map_err(TrainError::Tensor)?;
+            pool.reclaim(grad);
+        }
         None => d_vals[id.index()] = Some(grad),
     }
     Ok(())
@@ -798,6 +798,9 @@ mod tests {
         assert!(fwd.output(find("conv1")).is_none());
         // relu1's output is conv2's saved ifmap.
         assert!(fwd.output(find("relu1")).is_some());
+        // A convolution keeps no state of its own.
+        assert!(fwd.states[find("conv1").index()].is_none());
+        assert!(fwd.states[find("conv2").index()].is_none());
         // The naive path retains everything.
         let naive = exec.forward_naive(&data, &labels).unwrap();
         assert!(naive.output(find("conv1")).is_some());
@@ -815,6 +818,61 @@ mod tests {
         let _ = exec.backward(&fwd).unwrap();
         let after = exec.workspace.lock().unwrap().pool.hits();
         assert!(after > before, "second step should reuse pooled gradient buffers");
+    }
+
+    /// A small DenseNet-BC restructured to `level`, one batch for it, and an
+    /// executor on it.
+    fn densenet(level: bnff_core::FusionLevel) -> (Executor, Tensor, Vec<usize>) {
+        let baseline = bnff_models::densenet_cifar(2, 4, 1, 4).unwrap();
+        let graph = bnff_core::BnffOptimizer::new(level).apply(&baseline).unwrap();
+        let data = Initializer::seeded(31).uniform(Shape::nchw(2, 3, 32, 32), -1.0, 1.0);
+        (Executor::new(graph, 29).unwrap(), data, vec![1, 3])
+    }
+
+    #[test]
+    fn a_forward_result_holds_exactly_what_the_plan_pins() {
+        // At every level: the retained outputs are the plan's saved bytes,
+        // a fused convolution adds no tensor of its own to them, and the
+        // only tensor-sized state left is a standalone normalization's x̂.
+        for level in bnff_core::FusionLevel::all() {
+            let (exec, data, labels) = densenet(level);
+            let fwd = exec.forward(&data, &labels).unwrap();
+            let held: usize = fwd.values.iter().flatten().map(Tensor::bytes).sum();
+            assert_eq!(held, exec.plan().saved_bytes(), "{level:?}");
+            for node in exec.graph().nodes() {
+                let stateless = !matches!(
+                    (node.op.form(), &node.op),
+                    (OpForm::Norm { .. }, _)
+                        | (_, OpKind::Pool { kind: PoolKind::Max, .. } | OpKind::SoftmaxLoss)
+                );
+                assert_eq!(fwd.states[node.id.index()].is_none(), stateless, "{}", node.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_warmed_step_circulates_the_pool_instead_of_filling_it() {
+        for level in [bnff_core::FusionLevel::Baseline, bnff_core::FusionLevel::Bnff] {
+            let (exec, data, labels) = densenet(level);
+            let step = || {
+                let fwd = exec.forward(&data, &labels).unwrap();
+                exec.backward(&fwd).unwrap();
+            };
+            (0..3).for_each(|_| step());
+            let counters = || {
+                let ws = exec.workspace.lock().unwrap();
+                (ws.pool.takes(), ws.pool.hits(), ws.pool.taken_bytes(), ws.pool.free_bytes())
+            };
+            let (takes, hits, taken, _) = counters();
+            step();
+            let (takes_after, hits_after, taken_after, idle) = counters();
+            // Nothing tensor-sized came from malloc, and the pool holds no
+            // buffer a step does not take: it is a working set, not a
+            // graveyard filled to its bound.
+            assert!(takes_after > takes, "{level:?}: the step drew from the pool");
+            assert_eq!(takes_after - takes, hits_after - hits, "{level:?}: every take must hit");
+            assert!(idle <= taken_after - taken, "{level:?}: {idle} B idle, one step takes less");
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@ use crate::error::TrainError;
 use crate::Result;
 use bnff_graph::op::{ConvPrologue, OpForm, OpKind};
 use bnff_graph::{Graph, NodeId};
-use bnff_kernels::batchnorm::BnParams;
+use bnff_kernels::batchnorm::{BnParamGrads, BnParams};
+use bnff_kernels::fused::ConvGrads;
 use bnff_tensor::init::Initializer;
 use bnff_tensor::{Shape, Tensor};
 use std::collections::HashMap;
@@ -75,6 +76,19 @@ pub enum NodeParamGrads {
         /// Bias gradients.
         d_bias: Vec<f32>,
     },
+}
+
+impl From<ConvGrads> for NodeParamGrads {
+    /// A fused convolution's gradients: `ConvBn` when its prologue absorbed
+    /// a BN (and so produced ∂γ/∂β), `Conv` otherwise.
+    fn from(ConvGrads { d_weights, d_bias, d_bn }: ConvGrads) -> Self {
+        match d_bn {
+            Some(BnParamGrads { d_gamma, d_beta }) => {
+                NodeParamGrads::ConvBn { d_weights, d_bias, d_gamma, d_beta }
+            }
+            None => NodeParamGrads::Conv { d_weights, d_bias },
+        }
+    }
 }
 
 /// Parameter gradients of one backward pass.
