@@ -1,8 +1,9 @@
-//! # bnff-bench — figure regeneration binaries
+//! # bnff-bench — figure regeneration
 //!
-//! The binaries (in `src/bin/`) regenerate every table and figure of the
-//! paper from the analytical machine model at the paper's scale. This
-//! library only hosts the small table-printing helpers they share. Every
+//! The `figures` binary (`src/bin/figures.rs`) regenerates every table and
+//! figure of the paper from the analytical machine model at the paper's
+//! scale. This library only hosts the small table-printing helpers its
+//! drivers share. Every
 //! *measured* number lives in the standalone `benchmark/` package at the
 //! repo root (see `BENCHMARK.json`).
 //!

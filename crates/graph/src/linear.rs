@@ -23,13 +23,14 @@
 //!   walker can skip per-kernel thread fan-out when the whole forward pass
 //!   is cheaper than the spawns.
 //!
-//! Lowering also runs a peephole over the tape: a `ChannelAffine` or
-//! `Conv2d` whose sole consumer is the immediately following `Relu`
-//! collapses into one fused instruction (bit-exact — the clamp is the same
-//! `max(v, 0)` sweep either way; the convolution case is skipped when the
-//! ReLU's register is one of the convolution's inputs, since a convolution
-//! cannot run in place). Convolutions carry no lowering choice: the kernels
-//! have one forward entry point, whose GEMM gathers windows while packing.
+//! ReLU fusion has one owner per producer. A convolution's trailing ReLU is
+//! the freeze pass's decision (stage 3 rewrites every sole-consumer pair to
+//! [`OpKind::ConvRelu`]); lowering only reads it off the op. The one fusion
+//! lowering owns is the pair no `OpKind` can carry: a `ChannelAffine` whose
+//! sole consumer is the immediately following `Relu` collapses into one
+//! fused instruction (bit-exact — the clamp is the same `max(v, 0)` sweep
+//! either way). Convolutions carry no lowering choice: the kernels have one
+//! forward entry point, whose GEMM gathers windows while packing.
 //!
 //! [`LinearProgram::validate`] replays the tape symbolically and proves that
 //! no register is read after being clobbered — the register-file analogue of
@@ -219,8 +220,7 @@ impl LinearProgram {
             }
         }
 
-        // The peephole marks ReLU nodes fused into their producer (an
-        // affine or a convolution).
+        // The peephole marks ReLU nodes fused into their producing affine.
         let mut fused_into_producer = vec![false; n];
         let mut instrs = Vec::new();
         let mut flops_estimate = 0u64;
@@ -232,35 +232,8 @@ impl LinearProgram {
             let (kernel, value_node) = match &node.op {
                 OpKind::Input | OpKind::Split { .. } => continue,
                 OpKind::Conv2d(a) | OpKind::ConvRelu(a) => {
-                    let mut fused_relu = matches!(node.op, OpKind::ConvRelu(_));
-                    let mut value_node = id;
-                    // Fuse a sole-consumer ReLU that executes immediately
-                    // next into the convolution's epilogue — the same
-                    // `max(v, 0)` sweep, run while the output is cache-hot.
-                    // Unlike the affine peephole below, the fused write must
-                    // not land on one of the convolution's own input
-                    // registers (a convolution cannot run in place), so the
-                    // pair stays unfused when the planner recycled an input
-                    // slot for the ReLU.
-                    if !fused_relu {
-                        let consumers = graph.consumers(id);
-                        if consumers.len() == 1
-                            && matches!(graph.node(consumers[0])?.op, OpKind::Relu)
-                            && plan.position(consumers[0]) == pos + 1
-                        {
-                            let relu_reg = lookup_reg(&reg_of, plan, consumers[0])?;
-                            let mut collides = false;
-                            for &input in &node.inputs {
-                                collides |= lookup_reg(&reg_of, plan, input)? == relu_reg;
-                            }
-                            if !collides {
-                                fused_relu = true;
-                                value_node = consumers[0];
-                                fused_into_producer[consumers[0].index()] = true;
-                            }
-                        }
-                    }
-                    (Kernel::Conv { attrs: *a, fused_relu }, value_node)
+                    let fused_relu = matches!(node.op, OpKind::ConvRelu(_));
+                    (Kernel::Conv { attrs: *a, fused_relu }, id)
                 }
                 OpKind::ChannelAffine => {
                     // Fuse a sole-consumer ReLU that executes immediately
@@ -534,11 +507,8 @@ mod tests {
 
     #[test]
     fn baseline_conv_relu_pairs_fuse_into_the_conv() {
-        // A baseline (graph-level-unfused) conv→bn→relu block freezes to a
-        // folded Conv2d followed by a standalone Relu. The second consumer
-        // of the input keeps the input's slot alive past `c1`, so the
-        // planner cannot recycle it for `r1` and the peephole's collision
-        // guard lets the pair fuse.
+        // A graph-level-unfused conv→relu pair is fused by the freeze pass
+        // (`ConvRelu`); lowering reads the flag off the op.
         let mut b = GraphBuilder::new("conv-relu");
         let x = b.input("in", Shape::nchw(1, 3, 8, 8)).unwrap();
         let c1 = b.conv2d(x, Conv2dAttrs::same_3x3(4), "c1").unwrap();

@@ -14,14 +14,15 @@
 //!    last forward consumer (Split outputs are aliases of their input and
 //!    extend the producer's interval instead of owning one).
 //! 2. **Backward retention** — whether the backward pass re-reads the
-//!    tensor. Every convolution, fully-connected layers and ReLU masks
-//!    re-read their saved inputs — a convolution with a prologue too: it
-//!    recomputes the clipped / normalized ifmap from its raw input (and the
-//!    2×C statistics), so that input is all it pins and it keeps no tensor
-//!    of its own. A standalone normalization keeps its `x̂` in its own state
-//!    and does *not* retain its input (a clipping one also pins its output,
-//!    the ReLU mask); pooling and concat need only shapes. Retained tensors
-//!    stay live through the backward pass and are excluded from reuse.
+//!    tensor. One rule: every convolution, every normalization,
+//!    fully-connected layers and ReLU masks re-read their *first input* and
+//!    nothing else. A convolution with a prologue recomputes the clipped /
+//!    normalized ifmap from its raw input, and a normalization — standalone
+//!    or absorbed — recomputes `x̂` and its ReLU mask from its raw input and
+//!    the 2×C statistics, so no operator keeps a feature map of its own and
+//!    the plan's saved tensors are everything a forward result holds;
+//!    pooling and concat need only shapes. Retained tensors stay live
+//!    through the backward pass and are excluded from reuse.
 //! 3. **Slot assignment** — transient tensors are packed into reusable
 //!    buffer slots with a greedy best-fit over their live intervals, giving
 //!    the arena capacity an executor needs and the planned peak bytes
@@ -71,10 +72,10 @@ pub struct MemoryPlanSummary {
 /// The memory plan of one graph: execution order, per-output liveness,
 /// buffer-slot assignment and release schedule.
 ///
-/// Both metrics cover the node *output* tensors the executor materializes;
-/// auxiliary backward state (a standalone BN's `x̂`, pooling argmax) is
-/// identical between the naive and the planned execution and is not part of
-/// the comparison.
+/// Both metrics cover the node *output* tensors the executor materializes —
+/// every feature map a training step holds. The only other backward state
+/// (max-pool argmax indices, softmax probabilities) is identical between the
+/// naive and the planned execution and is not part of the comparison.
 #[derive(Debug, Clone, Serialize)]
 pub struct ExecutionPlan {
     order: Vec<NodeId>,
@@ -122,17 +123,13 @@ enum PlanMode {
 }
 
 /// Whether `op`'s backward pass re-reads the output tensor of its first
-/// input (the saved ifmap of the cost analysis). Every training convolution
-/// does: a prologue is recomputed from the raw input, never stored.
+/// input (the saved ifmap of the cost analysis) — the only tensor any
+/// backward re-reads. Every training convolution and normalization does: a
+/// prologue, `x̂` and a ReLU mask are recomputed from the raw input, never
+/// stored.
 fn backward_reads_first_input(op: &OpKind) -> bool {
-    matches!(op.form(), OpForm::Conv { .. })
+    matches!(op.form(), OpForm::Conv { .. } | OpForm::Norm { .. })
         || matches!(op, OpKind::Relu | OpKind::FullyConnected { .. })
-}
-
-/// Whether `op`'s backward pass re-reads the node's *own* output tensor: a
-/// clipping normalization recovers its ReLU mask from it.
-fn backward_reads_own_output(op: &OpKind) -> bool {
-    matches!(op.form(), OpForm::Norm { relu: true, .. })
 }
 
 impl ExecutionPlan {
@@ -186,12 +183,10 @@ impl ExecutionPlan {
             }
             let node = graph.node(id)?;
             let pos = position[id.index()];
-            let saved = match mode {
-                PlanMode::Training => backward_reads_own_output(&node.op),
-                // Pin final outputs so the inference executor can return
-                // them instead of releasing them into the arena.
-                PlanMode::Inference => graph.consumers(id).is_empty(),
-            };
+            // Training pins through consumer edges only (below). Inference
+            // pins final outputs so the executor can return them instead of
+            // releasing them into the arena.
+            let saved = mode == PlanMode::Inference && graph.consumers(id).is_empty();
             liveness[id.index()] = Some(TensorLiveness {
                 def: pos,
                 last_use: pos,
@@ -481,13 +476,25 @@ mod tests {
         let plan = ExecutionPlan::for_graph(&g).unwrap();
         // The data input is re-read by conv1's weight-gradient pass.
         assert!(plan.is_saved(ids[0]));
-        // conv1's output feeds only BN, whose backward uses its own state.
-        assert!(!plan.is_saved(ids[1]));
+        // conv1's output is what BN's backward recomputes x̂ from.
+        assert!(plan.is_saved(ids[1]));
         // bn's output is the ReLU mask; relu's output is conv2's saved ifmap.
         assert!(plan.is_saved(ids[2]));
         assert!(plan.is_saved(ids[3]));
         // conv2's output has no consumer and no backward reader.
         assert!(!plan.is_saved(ids[4]));
+
+        // A clipping normalization pins its input like any other — the mask
+        // is recomputed — and nothing pins an operator's own output.
+        let mut g = Graph::new("clipping");
+        let x = g.add_input("in", Shape::nchw(2, 8, 8, 8));
+        let bn = crate::op::BatchNormAttrs::one_pass();
+        let stats = g.add_node("stats", OpKind::SubBnStats(bn), vec![x]).unwrap();
+        let norm = g.add_node("norm", OpKind::NormRelu(bn), vec![x, stats]).unwrap();
+        let pool = g.add_node("gap", OpKind::GlobalAvgPool, vec![norm]).unwrap();
+        let plan = ExecutionPlan::for_graph(&g).unwrap();
+        assert!(plan.is_saved(x), "the normalization re-reads its raw input");
+        assert!(!plan.is_saved(stats) && !plan.is_saved(norm) && !plan.is_saved(pool));
 
         // A convolution with a prologue pins its raw input: backward
         // recomputes the normalized / clipped ifmap from it.
@@ -513,14 +520,21 @@ mod tests {
 
     #[test]
     fn transient_tensors_are_released_at_their_last_use() {
-        let (g, ids) = conv_chain();
+        // in → conv → pool → bn: pooling's backward needs only shapes.
+        let mut b = GraphBuilder::new("pooled");
+        let x = b.input("in", Shape::nchw(2, 8, 8, 8)).unwrap();
+        let conv = b.conv2d(x, Conv2dAttrs::pointwise(16), "conv").unwrap();
+        let pool = b.avg_pool(conv, PoolAttrs::new(2, 2, 0), "pool").unwrap();
+        b.batch_norm_default(pool, "bn").unwrap();
+        let g = b.finish();
         let plan = ExecutionPlan::for_graph(&g).unwrap();
-        // conv1's output dies once bn has executed.
-        let bn_pos = plan.position(ids[2]);
-        assert!(plan.released_after(bn_pos).contains(&ids[1].index()));
-        // Saved tensors are never released during forward.
+        // The convolution's output dies once the pool has executed.
+        assert!(plan.released_after(plan.position(pool)).contains(&conv.index()));
+        // Saved tensors (the pool's output is BN's saved input) are never
+        // released during forward.
+        assert!(plan.is_saved(pool));
         for pos in 0..g.node_count() {
-            assert!(!plan.released_after(pos).contains(&ids[3].index()));
+            assert!(!plan.released_after(pos).contains(&pool.index()));
         }
     }
 
@@ -564,7 +578,12 @@ mod tests {
         let x = b.input("in", Shape::nchw(8, 32, 16, 16)).unwrap();
         let c1 = b.bn_relu_conv(x, Conv2dAttrs::pointwise(64), "cpl/a").unwrap();
         let c2 = b.bn_relu_conv(c1, Conv2dAttrs::same_3x3(16), "cpl/b").unwrap();
-        b.concat(vec![x, c2], "concat").unwrap();
+        // Every tensor inside the composite layers is some backward's saved
+        // input; the reuse is in what follows them, whose backward needs
+        // only shapes: the pooled map recycles the convolution's buffer.
+        let cat = b.concat(vec![x, c2], "concat").unwrap();
+        let pool = b.avg_pool(cat, PoolAttrs::new(2, 2, 0), "pool").unwrap();
+        b.global_avg_pool(pool, "gap").unwrap();
         let g = b.finish();
         let plan = ExecutionPlan::for_graph(&g).unwrap();
         assert!(

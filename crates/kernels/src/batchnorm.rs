@@ -3,7 +3,19 @@
 //! The forward pass computes per-channel mean/variance over the mini-batch
 //! (either in the baseline two-pass fashion or the single-pass MVF fashion),
 //! then normalizes with the learnable scale γ and shift β. The backward
-//! pass produces ∂γ, ∂β and ∂x with the standard BN gradient formulas.
+//! pass produces ∂γ, ∂β and ∂x with the standard BN gradient formulas, in
+//! two forms over the same plane helpers:
+//!
+//! * [`norm_backward_inplace`] keeps nothing from the forward pass: `x̂` —
+//!   and, for a clipping normalization, the ReLU mask — is recomputed plane
+//!   by plane from the layer's input and the 2×C statistics by
+//!   `NormRecompute`, the body the fused convolution's input-gradient
+//!   epilogue ([`crate::fused::fused_conv_backward_into`]) runs too. This is
+//!   what the train executor calls, with [`normalize_sweep_into`] storing no
+//!   `x̂` on the way forward.
+//! * [`bn_forward`] / [`bn_backward`] are the stored-`x̂` form
+//!   ([`BnForwardState`]) — the reference the recomputed form is
+//!   bit-identical to, per ISA.
 
 use crate::error::KernelError;
 use crate::vecops;
@@ -148,14 +160,15 @@ pub fn bn_normalize_into(
     y: &mut Tensor,
 ) -> Result<Tensor> {
     let mut x_hat = Tensor::zeros(x.shape().clone());
-    normalize_sweep_into(x, stats, params, epsilon, false, &mut x_hat, y)?;
+    normalize_sweep_into(x, stats, params, epsilon, false, Some(&mut x_hat), y)?;
     Ok(x_hat)
 }
 
 /// The one batch-wide normalize sweep, behind [`bn_normalize_into`] and a
-/// standalone normalization node: writes `x̂ = (x − μ)/√(σ² + ε)` into
-/// `x_hat` and `y = γ·x̂ + β` — clipped at zero in the same pass when
-/// `fuse_relu` — into `y`. Every element of both is overwritten.
+/// standalone normalization node: writes `y = γ·x̂ + β` — clipped at zero in
+/// the same pass when `fuse_relu` — into `y` and, for a caller that keeps
+/// it, `x̂ = (x − μ)/√(σ² + ε)` into `x_hat`. Every element of both is
+/// overwritten.
 ///
 /// # Errors
 /// Returns an error if shapes or channel counts disagree.
@@ -165,13 +178,12 @@ pub fn normalize_sweep_into(
     params: &BnParams,
     epsilon: f32,
     fuse_relu: bool,
-    x_hat: &mut Tensor,
+    x_hat: Option<&mut Tensor>,
     y: &mut Tensor,
 ) -> Result<()> {
     let c = check_normalize(x, stats, params, epsilon)?;
     x.shape().expect_same(y.shape())?;
-    x.shape().expect_same(x_hat.shape())?;
-    let plane_len = x.shape().h() * x.shape().w();
+    let plane_len = (x.shape().h() * x.shape().w()).max(1);
     let src = x.as_slice();
     // One task per `(sample, channel)` plane; `x̂` and `y` are written in
     // lockstep so the feature map is swept once. The ISA is resolved here,
@@ -179,37 +191,38 @@ pub fn normalize_sweep_into(
     // caller's `with_isa` override; workers split on whole planes, so the
     // vectorized sweep stays deterministic across thread counts.
     let isa = active_isa();
-    parallel_rows_mut2(
-        x_hat.as_mut_slice(),
-        plane_len.max(1),
-        y.as_mut_slice(),
-        plane_len.max(1),
-        min_planes_per_thread(plane_len),
-        |first_plane, hat_block, y_block| {
-            for (p_local, (hat_plane, y_plane)) in hat_block
-                .chunks_mut(plane_len.max(1))
-                .zip(y_block.chunks_mut(plane_len.max(1)))
-                .enumerate()
-            {
-                let p = first_plane + p_local;
-                let ci = p % c;
-                let mean = stats.mean[ci];
-                let inv_std = inv_std(stats, ci, epsilon);
-                let src_plane = &src[p * plane_len..(p + 1) * plane_len];
-                vecops::normalize_plane(
-                    isa,
-                    src_plane,
-                    Some(hat_plane),
-                    y_plane,
-                    mean,
-                    inv_std,
-                    params.gamma[ci],
-                    params.beta[ci],
-                    fuse_relu,
-                );
+    let plane = |p: usize, hat_plane: Option<&mut [f32]>, y_plane: &mut [f32]| {
+        let ci = p % c;
+        vecops::normalize_plane(
+            isa,
+            &src[p * plane_len..(p + 1) * plane_len],
+            hat_plane,
+            y_plane,
+            stats.mean[ci],
+            inv_std(stats, ci, epsilon),
+            params.gamma[ci],
+            params.beta[ci],
+            fuse_relu,
+        );
+    };
+    let min_planes = min_planes_per_thread(plane_len);
+    match x_hat {
+        Some(x_hat) => {
+            x.shape().expect_same(x_hat.shape())?;
+            let (hat, y) = (x_hat.as_mut_slice(), y.as_mut_slice());
+            parallel_rows_mut2(hat, plane_len, y, plane_len, min_planes, |first, hat, y| {
+                let planes = hat.chunks_mut(plane_len).zip(y.chunks_mut(plane_len));
+                for (offset, (hat_plane, y_plane)) in planes.enumerate() {
+                    plane(first + offset, Some(hat_plane), y_plane);
+                }
+            });
+        }
+        None => parallel_rows_mut(y.as_mut_slice(), plane_len, min_planes, |first, y| {
+            for (offset, y_plane) in y.chunks_mut(plane_len).enumerate() {
+                plane(first + offset, None, y_plane);
             }
-        },
-    );
+        }),
+    }
     Ok(())
 }
 
@@ -235,7 +248,7 @@ pub(crate) fn inv_std(stats: &ChannelStats, ci: usize, epsilon: f32) -> f32 {
     1.0 / (stats.var[ci] + epsilon).sqrt()
 }
 
-/// BN backward pass.
+/// BN backward pass over a stored `x̂`.
 ///
 /// Given the upstream gradient `d_y`, the forward state and the parameters,
 /// returns `(d_x, parameter gradients)` using the standard training-mode BN
@@ -251,34 +264,16 @@ pub fn bn_backward(
     params: &BnParams,
     epsilon: f32,
 ) -> Result<(Tensor, BnParamGrads)> {
-    let mut d_x = d_y.clone();
-    let grads = bn_backward_inplace(&mut d_x, state, params, epsilon)?;
-    Ok((d_x, grads))
-}
-
-/// [`bn_backward`] in place: `grad` holds `d_y` on entry and `d_x` on
-/// return. Both sweeps are the plane helpers of the fused convolution
-/// backward ([`crate::fused::fused_conv_backward_into`]), fed the stored
-/// `x̂` instead of recomputing it.
-///
-/// # Errors
-/// Returns an error if shapes or channel counts disagree.
-pub fn bn_backward_inplace(
-    grad: &mut Tensor,
-    state: &BnForwardState,
-    params: &BnParams,
-    epsilon: f32,
-) -> Result<BnParamGrads> {
-    let c = check_channels(grad, params)?;
-    grad.shape().expect_same(state.x_hat.shape())?;
-    let n = grad.shape().n();
-    let plane_len = grad.shape().h() * grad.shape().w();
+    let c = check_channels(d_y, params)?;
+    d_y.shape().expect_same(state.x_hat.shape())?;
+    let n = d_y.shape().n();
+    let plane_len = d_y.shape().h() * d_y.shape().w();
     let isa = active_isa();
 
     // First reduction: ∂β = Σ d_y, ∂γ = Σ d_y · x̂. One worker partial per
     // channel, each accumulating its planes in mini-batch order, so the
     // result matches a serial sweep bit-for-bit.
-    let (d_y, x_hat) = (&*grad, &state.x_hat);
+    let x_hat = &state.x_hat;
     let sums = parallel_map_collect(c, min_planes_per_thread(n * plane_len), |ci| {
         let (mut sum, mut dot) = (0.0f64, 0.0f64);
         for ni in 0..n {
@@ -289,10 +284,125 @@ pub fn bn_backward_inplace(
     });
 
     // Second pass: ∂x over the stored x̂ (`mean 0`, `inv_std 1`).
-    bn_dx_sweep(isa, grad, x_hat, &sums, |ci| {
+    let mut d_x = d_y.clone();
+    bn_dx_sweep(isa, &mut d_x, x_hat, &sums, |ci| {
         (0.0, 1.0, f64::from(params.gamma[ci]) * f64::from(inv_std(&state.stats, ci, epsilon)))
     });
+    Ok((d_x, param_grads(&sums)))
+}
+
+/// What a normalization's backward re-derives per `(sample, channel)` plane
+/// from the layer's raw input and the 2×C statistics instead of reading it
+/// from a stored tensor: `x̂`, `y = γ·x̂ + β` and from it the ReLU mask. The
+/// one recompute body of the standalone backward and of the fused
+/// convolution's input-gradient epilogue; it owns the two plane-sized
+/// scratch buffers, so each worker builds its own.
+pub(crate) struct NormRecompute<'a> {
+    isa: SimdIsa,
+    stats: &'a ChannelStats,
+    params: &'a BnParams,
+    epsilon: f32,
+    relu: bool,
+    hat: Vec<f32>,
+    y: Vec<f32>,
+}
+
+impl<'a> NormRecompute<'a> {
+    pub(crate) fn new(
+        isa: SimdIsa,
+        stats: &'a ChannelStats,
+        params: &'a BnParams,
+        epsilon: f32,
+        relu: bool,
+        plane_len: usize,
+    ) -> Self {
+        let (hat, y) = (vec![0.0; plane_len], vec![0.0; plane_len]);
+        NormRecompute { isa, stats, params, epsilon, relu, hat, y }
+    }
+
+    /// One plane of channel `ci`, up to the reductions: `g` passes ReLU′ in
+    /// place (a clipping normalization) and its Σg and Σg·x̂ continue the
+    /// channel's running `sums` — called in batch order per channel, which
+    /// makes the scalar fold the historical one, bit for bit.
+    pub(crate) fn plane(&mut self, ci: usize, g: &mut [f32], x: &[f32], sums: &mut (f64, f64)) {
+        vecops::normalize_plane(
+            self.isa,
+            x,
+            Some(&mut self.hat),
+            &mut self.y,
+            self.stats.mean[ci],
+            inv_std(self.stats, ci, self.epsilon),
+            self.params.gamma[ci],
+            self.params.beta[ci],
+            self.relu,
+        );
+        if self.relu {
+            vecops::relu_mask(self.isa, g, &self.y);
+        }
+        sum_dot_f64(self.isa, g, &self.hat, &mut sums.0, &mut sums.1);
+    }
+}
+
+/// The backward pass of a normalization that stored nothing, in place:
+/// `grad` holds the gradient of `y = γ·x̂ + β` (of `max(y, 0)` when `relu`)
+/// on entry and `d_x` on return. `x̂` and the ReLU mask are recomputed from
+/// the layer's input `x` and its statistics (`NormRecompute`); numerically
+/// this is `relu_backward` on the stored `y`, then [`bn_backward`] on a
+/// stored `x̂`, per ISA and for any thread count.
+///
+/// # Errors
+/// Returns an error if shapes or channel counts disagree.
+pub fn norm_backward_inplace(
+    grad: &mut Tensor,
+    x: &Tensor,
+    stats: &ChannelStats,
+    params: &BnParams,
+    epsilon: f32,
+    relu: bool,
+) -> Result<BnParamGrads> {
+    let c = check_normalize(x, stats, params, epsilon)?;
+    x.shape().expect_same(grad.shape())?;
+    let n = x.shape().n();
+    let plane_len = (x.shape().h() * x.shape().w()).max(1);
+    let isa = active_isa();
+
+    // Mask + reductions: one task per channel, handed that channel's planes
+    // of every sample, so its running (Σg, Σg·x̂) folds them in mini-batch
+    // order whatever the worker count.
+    let mut by_channel: Vec<Vec<&mut [f32]>> = (0..c).map(|_| Vec::with_capacity(n)).collect();
+    for (p, g_plane) in grad.as_mut_slice().chunks_mut(plane_len).enumerate() {
+        by_channel[p % c].push(g_plane);
+    }
+    let mut sums = vec![(0.0f64, 0.0f64); c];
+    let min_channels = min_planes_per_thread(n * plane_len);
+    parallel_rows_mut2(&mut by_channel, 1, &mut sums, 1, min_channels, |first, channels, sums| {
+        let mut recompute = NormRecompute::new(isa, stats, params, epsilon, relu, plane_len);
+        for (offset, (g_planes, sums)) in channels.iter_mut().zip(sums).enumerate() {
+            let ci = first + offset;
+            for (ni, g_plane) in g_planes.iter_mut().enumerate() {
+                recompute.plane(ci, g_plane, x.channel_plane(ni, ci), sums);
+            }
+        }
+    });
+
+    norm_dx_sweep(isa, grad, x, &sums, stats, params, epsilon);
     Ok(param_grads(&sums))
+}
+
+/// [`bn_dx_sweep`] over the raw input `x`: `x̂` is recomputed from `stats`.
+pub(crate) fn norm_dx_sweep(
+    isa: SimdIsa,
+    grad: &mut Tensor,
+    x: &Tensor,
+    sums: &[(f64, f64)],
+    stats: &ChannelStats,
+    params: &BnParams,
+    epsilon: f32,
+) {
+    bn_dx_sweep(isa, grad, x, sums, |ci| {
+        let inv_std = inv_std(stats, ci, epsilon);
+        (stats.mean[ci], inv_std, f64::from(params.gamma[ci]) * f64::from(inv_std))
+    });
 }
 
 /// The BN input-gradient sweep, in place on `grad`, one task per

@@ -29,14 +29,13 @@
 //! fused layer the `O2'` write of the paper's Figure 5, which these kernels
 //! no longer perform.
 
-use crate::batchnorm::{bn_dx_sweep, inv_std, param_grads, BnParamGrads, BnParams};
+use crate::batchnorm::{norm_dx_sweep, param_grads, BnParamGrads, BnParams, NormRecompute};
 use crate::conv::{backward_input, backward_weights, conv_forward, ConvInput};
 use crate::error::KernelError;
 use crate::im2col::conv_out_shape;
 use crate::vecops;
 use crate::Result;
 use bnff_graph::op::Conv2dAttrs;
-use bnff_tensor::simd::sum_dot_f64;
 use bnff_tensor::stats::{ChannelAccumulator, ChannelStats};
 use bnff_tensor::{active_isa, Tensor};
 
@@ -197,31 +196,15 @@ pub fn fused_conv_backward_into(
         }
         (ConvInput::NormClip { stats, params, epsilon, .. }, Some(d_x)) => {
             let mut sums = vec![(0.0f64, 0.0f64); x.shape().c()];
-            let (mut hat, mut y) = (vec![0.0f32; plane_len], vec![0.0f32; plane_len]);
+            let mut recompute = NormRecompute::new(isa, stats, params, epsilon, true, plane_len);
             backward_input(d_out, weights, attrs, true, d_x, |ni, g| {
                 let x_planes = input.raw_sample(ni).chunks_exact(plane_len);
                 let planes = g.chunks_exact_mut(plane_len).zip(x_planes);
                 for (ci, (g_plane, x_plane)) in planes.enumerate() {
-                    vecops::normalize_plane(
-                        isa,
-                        x_plane,
-                        Some(&mut hat),
-                        &mut y,
-                        stats.mean[ci],
-                        inv_std(stats, ci, epsilon),
-                        params.gamma[ci],
-                        params.beta[ci],
-                        true,
-                    );
-                    vecops::relu_mask(isa, g_plane, &y);
-                    let (sum, dot) = &mut sums[ci];
-                    sum_dot_f64(isa, g_plane, &hat, sum, dot);
+                    recompute.plane(ci, g_plane, x_plane, &mut sums[ci]);
                 }
             })?;
-            bn_dx_sweep(isa, d_x, x, &sums, |ci| {
-                let inv_std = inv_std(stats, ci, epsilon);
-                (stats.mean[ci], inv_std, f64::from(params.gamma[ci]) * f64::from(inv_std))
-            });
+            norm_dx_sweep(isa, d_x, x, &sums, stats, params, epsilon);
             d_bn = Some(param_grads(&sums));
         }
     }

@@ -8,7 +8,7 @@
 //! the work, more threads than work items, and single-element inputs.
 
 use bnff_graph::op::{Conv2dAttrs, PoolAttrs};
-use bnff_kernels::batchnorm::{bn_backward, bn_forward, BnParams};
+use bnff_kernels::batchnorm::{bn_backward, bn_forward, norm_backward_inplace, BnParams};
 use bnff_kernels::conv::{
     conv2d_backward_input, conv2d_backward_weights, conv2d_forward, conv2d_forward_direct,
     ConvInput,
@@ -283,6 +283,28 @@ fn fused_backward(input: ConvInput<'_>, w: &Tensor, attrs: &Conv2dAttrs) -> Vec<
 /// sweeps whose vector and tail flavours round identically (ReLU, sums,
 /// GEMM's per-element ascending-k accumulation). Checked under the scalar
 /// path and, where the hardware allows, the AVX2+FMA path.
+/// A normalization's backward with `x̂` (and, `relu`, the mask) recomputed
+/// from the input, flattened — and bit-identical to `relu_backward` then
+/// `bn_backward` on the stored `y` and `x̂`, under the ISA and worker count
+/// it runs at.
+fn norm_backward(x: &Tensor, d_y: &Tensor, params: &BnParams, relu: bool) -> Vec<f32> {
+    let flat = |d_x: Tensor, d_gamma: Vec<f32>, d_beta: Vec<f32>| {
+        let mut flat = d_x.into_vec();
+        flat.extend(d_gamma);
+        flat.extend(d_beta);
+        flat.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+    };
+    let (y, state) = bn_forward(x, params, 1e-5, true).unwrap();
+    let masked = if relu { relu_backward(d_y, &y).unwrap() } else { d_y.clone() };
+    let (stored, grads) = bn_backward(&masked, &state, params, 1e-5).unwrap();
+    let stored = flat(stored, grads.d_gamma, grads.d_beta);
+    let mut d_x = d_y.clone();
+    let grads = norm_backward_inplace(&mut d_x, x, &state.stats, params, 1e-5, relu).unwrap();
+    let recomputed = flat(d_x, grads.d_gamma, grads.d_beta);
+    assert_eq!(recomputed, stored, "recomputed vs stored x̂, relu={relu}");
+    recomputed.into_iter().map(f32::from_bits).collect()
+}
+
 #[test]
 fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
     use bnff_kernels::dispatch::{active_isa, with_isa, SimdIsa};
@@ -299,6 +321,8 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
     // Forward and both gradients, at stride 1 on 4×4 maps (`out_w < NR`)
     // and at stride 2.
     let small = random(Shape::nchw(3, 5, 4, 4), 44);
+    let (tiny, tiny_grad) =
+        (random(Shape::nchw(3, 5, 2, 2), 45), random(Shape::nchw(3, 5, 2, 2), 46));
     let strided = Conv2dAttrs::new(6, 3, 2, 1);
     let conv_case = |input: &Tensor, attrs: &Conv2dAttrs| {
         let y = conv2d_forward(input, &w, None, attrs).unwrap();
@@ -357,6 +381,11 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
             flat.extend(grads.d_beta);
             flat
         }),
+        // The same backward storing nothing, without and with the clip, and
+        // on 2×2 planes — shorter than one vector.
+        ("norm_backward", &|| norm_backward(&x, &b, &params, false)),
+        ("norm_backward_clip", &|| norm_backward(&x, &b, &params, true)),
+        ("norm_backward_clip_2x2", &|| norm_backward(&tiny, &tiny_grad, &params, true)),
         ("avg_pool_backward", &|| {
             let attrs = PoolAttrs::new(3, 2, 1);
             let d_y = avg_pool_forward(&x, &attrs).unwrap();

@@ -16,7 +16,9 @@
 //! passes, it just stops being a cross-path check.
 
 use bnff_graph::op::Conv2dAttrs;
-use bnff_kernels::batchnorm::{bn_backward, bn_forward, BnParams};
+use bnff_kernels::batchnorm::{
+    bn_backward, bn_forward, norm_backward_inplace, BnParamGrads, BnParams,
+};
 use bnff_kernels::conv::{conv2d_forward_relu_into, ConvInput};
 use bnff_kernels::dispatch::{active_isa, with_isa, SimdIsa};
 use bnff_kernels::eltwise::eltwise_sum_forward;
@@ -230,17 +232,36 @@ fn bn_affine_and_fused_paths_agree() {
 
     // Backward: the ∂γ/∂β reductions add per-plane lane partials on the
     // vector path where the scalar path continues one fold per channel;
-    // unfused (stored x̂) and fused (x̂ recomputed in the conv's epilogue).
+    // unfused on a stored x̂, unfused with x̂ (and a clipping normalization's
+    // mask) recomputed from the input — bit-identical to the stored form on
+    // each path, 2×2 planes shorter than one vector included — and fused
+    // (recomputed in the conv's epilogue).
     let d_y = init.uniform(x.shape().clone(), -1.0, 1.0);
-    let (s, v) = both_paths(|| {
-        let (_, state) = bn_forward(&x, &params, 1e-5, true).unwrap();
-        let (d_x, grads) = bn_backward(&d_y, &state, &params, 1e-5).unwrap();
-        let mut flat = d_x.into_vec();
-        flat.extend(grads.d_gamma);
-        flat.extend(grads.d_beta);
-        flat
-    });
-    assert_paths_close("bn_backward", 3 * 5 * 5, &s, &v);
+    let mut tiny_init = Initializer::seeded(29);
+    let tiny = tiny_init.uniform(Shape::nchw(3, 4, 2, 2), -2.0, 2.0);
+    let d_tiny = tiny_init.uniform(tiny.shape().clone(), -1.0, 1.0);
+    for (x, d_y, relu) in [(&x, &d_y, false), (&x, &d_y, true), (&tiny, &d_tiny, true)] {
+        let (s, v) = both_paths(|| {
+            let (y, state) = bn_forward(x, &params, 1e-5, true).unwrap();
+            let masked = if relu { relu_backward(d_y, &y).unwrap() } else { d_y.clone() };
+            let flat = |d_x: Tensor, grads: BnParamGrads| {
+                let mut flat = d_x.into_vec();
+                flat.extend(grads.d_gamma);
+                flat.extend(grads.d_beta);
+                flat
+            };
+            let (d_x, grads) = bn_backward(&masked, &state, &params, 1e-5).unwrap();
+            let stored = flat(d_x, grads);
+            let mut d_x = d_y.clone();
+            let grads =
+                norm_backward_inplace(&mut d_x, x, &state.stats, &params, 1e-5, relu).unwrap();
+            let recomputed = flat(d_x, grads);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&recomputed), bits(&stored), "relu={relu} under {}", active_isa());
+            recomputed
+        });
+        assert_paths_close("bn_backward", 3 * 5 * 5, &s, &v);
+    }
     let d_out = init.uniform(Shape::nchw(3, 6, 5, 5), -1.0, 1.0);
     let (s, v) = both_paths(|| {
         let stats = channel_stats_one_pass(&x).unwrap();

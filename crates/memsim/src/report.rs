@@ -249,7 +249,7 @@ pub fn simulate_iteration(graph: &Graph, machine: &MachineProfile) -> Result<Ite
 mod tests {
     use super::*;
     use bnff_graph::builder::GraphBuilder;
-    use bnff_graph::op::Conv2dAttrs;
+    use bnff_graph::op::{Conv2dAttrs, PoolAttrs};
     use bnff_graph::passes::{BnffPass, Pass};
     use bnff_tensor::Shape;
 
@@ -363,7 +363,17 @@ mod tests {
 
     #[test]
     fn planner_peak_is_below_the_naive_total() {
-        let g = fragment(64);
+        // Inside the composite layers every tensor is some backward's saved
+        // input; the planner's reuse is in the transition that follows them,
+        // whose pooling backward needs only shapes.
+        let mut b = GraphBuilder::new("fragment+transition");
+        let x = b.input("in", Shape::nchw(64, 256, 28, 28)).unwrap();
+        let c1 = b.bn_relu_conv(x, Conv2dAttrs::pointwise(128), "cpl/a").unwrap();
+        let c2 = b.bn_relu_conv(c1, Conv2dAttrs::same_3x3(32), "cpl/b").unwrap();
+        let cat = b.concat(vec![x, c2], "concat").unwrap();
+        let pool = b.avg_pool(cat, PoolAttrs::new(2, 2, 0), "pool").unwrap();
+        b.global_avg_pool(pool, "gap").unwrap();
+        let g = b.finish();
         let report = simulate_iteration(&g, &MachineProfile::skylake_xeon_2s()).unwrap();
         assert!(
             report.planned_peak_activation_bytes < report.naive_activation_bytes,

@@ -11,22 +11,23 @@
 //!   one fused call follows. Forward rides the Σx/Σx² epilogue
 //!   (`CONV1-(sub-BN1)`) when the statistics are single-sweep; backward
 //!   yields the weight gradient, the input gradient with ReLU′ and BN
-//!   backward applied, and the ∂γ/∂β of an absorbed BN. A convolution keeps
-//!   no state: backward re-reads the raw input the plan pins and the 2×C
-//!   statistics.
-//! * Normalization on its own is the normalize sweep (its `x̂` is the node's
-//!   state) and, backward, the same mask and BN plane helpers in place on
-//!   the incoming gradient.
+//!   backward applied, and the ∂γ/∂β of an absorbed BN.
+//! * Normalization on its own is the normalize sweep and, backward, the
+//!   fused epilogue's recompute body in place on the incoming gradient.
+//! * Neither keeps a tensor of its own: backward re-derives `x̂` and the
+//!   ReLU mask from the raw first input the plan pins and the 2×C
+//!   statistics, so a [`ForwardResult`] holds exactly the plan's saved
+//!   tensors (plus max-pool argmax indices and the softmax probabilities).
 //! * Training publishes mini-batch statistics and eval the running ones;
 //!   `publish_stats` is the one place that chooses.
 //!
 //! Execution follows an [`ExecutionPlan`] computed once per graph: node
 //! outputs live in a vector indexed by node id (inputs are borrowed); those
 //! backward never revisits are released at their last forward use into a
-//! per-executor arena (one bin per plan slot); retained outputs and every
-//! `x̂` — until the [`ForwardResult`] is dropped — and backward's gradients
-//! circulate through one [`BufferPool`]. Both persist across steps, so a
-//! warmed step mallocs no activation, state or gradient. [`Executor::forward_naive`] keeps one fresh
+//! per-executor arena (one bin per plan slot); retained outputs — until the
+//! [`ForwardResult`] is dropped — and backward's gradients circulate through
+//! one [`BufferPool`]. Both persist across steps, so a warmed step mallocs
+//! no activation or gradient. [`Executor::forward_naive`] keeps one fresh
 //! buffer per node as the bit-identical reference. Every kernel fans out
 //! over the `bnff-parallel` pool.
 
@@ -38,8 +39,7 @@ use bnff_graph::op::{ConvPrologue, OpForm, OpKind, PoolKind};
 use bnff_graph::plan::ExecutionPlan;
 use bnff_graph::{Graph, Node, NodeId};
 use bnff_kernels::batchnorm::{
-    bn_backward_inplace, bn_statistics, normalize_sweep_into, BnForwardState, BnParamGrads,
-    BnParams,
+    bn_statistics, norm_backward_inplace, normalize_sweep_into, BnParamGrads, BnParams,
 };
 use bnff_kernels::concat::{concat_backward_into, concat_forward_into};
 use bnff_kernels::conv::ConvInput;
@@ -72,18 +72,18 @@ enum StatsMode {
     Running,
 }
 
-/// Per-node state captured during the forward pass for reuse in backward.
-/// A convolution has none, whatever its prologue.
-#[derive(Debug, Clone)]
+/// Per-node state captured during the forward pass for reuse in backward —
+/// none of it a feature map: convolutions and normalizations have none.
+#[derive(Debug)]
 enum NodeState {
-    /// The statistics + `x̂` a standalone normalization's backward borrows.
-    Norm(BnForwardState),
     MaxPool(MaxPoolState),
     Softmax(SoftmaxLossState),
 }
 
-/// The result of one forward pass.
-#[derive(Debug, Clone)]
+/// The result of one forward pass. Not `Clone`: dropping a planned result
+/// hands its retained buffers back to the executor's pool, which a copy never
+/// borrowed from.
+#[derive(Debug)]
 pub struct ForwardResult {
     /// Mean cross-entropy loss over the mini-batch.
     pub loss: f32,
@@ -102,17 +102,11 @@ pub struct ForwardResult {
 }
 
 impl Drop for ForwardResult {
-    /// Returns the retained outputs' and every `x̂`'s storage to the pool it
-    /// was taken from.
+    /// Returns the retained outputs' storage to the pool it was taken from.
     fn drop(&mut self) {
         if let Some(home) = &self.home {
             let mut ws = lock(home);
             self.values.drain(..).flatten().for_each(|t| ws.pool.reclaim(t));
-            for state in self.states.drain(..).flatten() {
-                if let NodeState::Norm(BnForwardState { x_hat, .. }) = state {
-                    ws.pool.reclaim(x_hat);
-                }
-            }
         }
     }
 }
@@ -136,8 +130,8 @@ impl ForwardResult {
 
 /// The persistent buffer storage one executor recycles across nodes and
 /// across training steps: one bin per plan slot for transient forward
-/// activations, plus a best-fit free list for retained outputs, `x̂` state and
-/// backward gradients.
+/// activations, plus a best-fit free list for retained outputs and backward
+/// gradients.
 struct Workspace {
     arena: Vec<Option<Vec<f32>>>,
     pool: BufferPool,
@@ -151,16 +145,14 @@ impl Workspace {
     }
 
     /// An executor's workspace. What is out of its pool at once, and idles in
-    /// it between steps, is the outputs a forward result retains, the `x̂` of
-    /// every standalone normalization, and the gradients one backward holds
-    /// — in practice twice their planned peak (best fit serves small
-    /// requests from larger buffers, and a gradient summed into an occupied
-    /// slot briefly has two), budgeted at three times. Give and take
-    /// balance, so the bound only guards against imbalance.
-    fn for_graph(graph: &Graph, plan: &ExecutionPlan) -> Self {
-        let norms = graph.nodes().filter(|n| matches!(n.op.form(), OpForm::Norm { .. }));
-        let x_hat_bytes: usize = norms.map(|n| n.output_shape.bytes_f32()).sum();
-        Self::new(plan, plan.saved_bytes() + x_hat_bytes + 3 * plan.gradient_peak_bytes())
+    /// it between steps, is the outputs a forward result retains and the
+    /// gradients one backward holds — in practice twice their planned peak
+    /// (best fit serves small requests from larger buffers, and a gradient
+    /// summed into an occupied slot briefly has two), budgeted at three
+    /// times. Give and take balance, so the bound only guards against
+    /// imbalance.
+    fn for_graph(plan: &ExecutionPlan) -> Self {
+        Self::new(plan, plan.saved_bytes() + 3 * plan.gradient_peak_bytes())
     }
 
     /// The output buffer of node `id`, contents unspecified (every kernel
@@ -211,7 +203,7 @@ impl Clone for Executor {
             plan: self.plan.clone(),
             running: self.running.clone(),
             // Recycled buffers are per-executor scratch, not state.
-            workspace: Arc::new(Mutex::new(Workspace::for_graph(&self.graph, &self.plan))),
+            workspace: Arc::new(Mutex::new(Workspace::for_graph(&self.plan))),
         }
     }
 }
@@ -245,7 +237,7 @@ impl Executor {
     /// cyclic).
     pub fn with_state(graph: Graph, params: ParamSet, running: RunningStatSet) -> Result<Self> {
         let plan = ExecutionPlan::for_graph(&graph)?;
-        let workspace = Arc::new(Mutex::new(Workspace::for_graph(&graph, &plan)));
+        let workspace = Arc::new(Mutex::new(Workspace::for_graph(&plan)));
         Ok(Executor { graph, params, plan, running, workspace })
     }
 
@@ -400,7 +392,7 @@ impl Executor {
             ConvPrologue::Relu => ConvInput::Clip(x),
             ConvPrologue::NormRelu(bn) => ConvInput::NormClip {
                 x,
-                stats: node_stats(stats, node)?,
+                stats: node_stats(stats, node, false)?,
                 params: self.bn_params(node)?,
                 epsilon: bn.epsilon,
             },
@@ -421,7 +413,7 @@ impl Executor {
         let n = self.graph.node_count();
         let mut values: Vec<Option<Tensor>> = vec![None; n];
         let mut stats: Vec<Option<ChannelStats>> = vec![None; n];
-        let mut states: Vec<Option<NodeState>> = vec![None; n];
+        let mut states: Vec<Option<NodeState>> = (0..n).map(|_| None).collect();
         let mut loss = 0.0f32;
         let mut scores: Option<Tensor> = None;
 
@@ -460,22 +452,13 @@ impl Executor {
                     }
                     (OpForm::Norm { bn, stats_from_input, relu }, _) => {
                         let x = input()?;
-                        let s = if stats_from_input {
-                            let s = self.publish_stats(mode, id, x, bn.one_pass_stats)?;
-                            stats[id.index()] = Some(s.clone());
-                            s
-                        } else {
-                            node_stats(&stats, node)?.clone()
-                        };
-                        // A clipped output is retained as the backward ReLU
-                        // mask; `x̂` is the node's state.
+                        if stats_from_input {
+                            stats[id.index()] =
+                                Some(self.publish_stats(mode, id, x, bn.one_pass_stats)?);
+                        }
+                        let s = node_stats(&stats, node, stats_from_input)?;
                         let params = self.bn_params(node)?;
-                        let mut x_hat = ws.pool.take_tensor_dirty(x.shape().clone());
-                        normalize_sweep_into(
-                            x, &s, params, bn.epsilon, relu, &mut x_hat, &mut out,
-                        )?;
-                        states[id.index()] =
-                            Some(NodeState::Norm(BnForwardState { stats: s, x_hat }));
+                        normalize_sweep_into(x, s, params, bn.epsilon, relu, None, &mut out)?;
                     }
                     (_, OpKind::SubBnStats(attrs)) => {
                         let s = self.publish_stats(mode, id, input()?, attrs.one_pass_stats)?;
@@ -588,18 +571,12 @@ impl Executor {
                     per_node.insert(id.index(), grads.into());
                     d_x
                 }
-                (OpForm::Norm { bn, relu, .. }, _) => {
-                    let Some(NodeState::Norm(state)) = state else {
-                        return Err(missing("forward state", node));
-                    };
-                    // A clipping normalization recovers its ReLU mask from
-                    // its retained output.
-                    if relu {
-                        let y = fwd.output(id).ok_or_else(|| missing("output", node))?;
-                        relu_backward_inplace(&mut grad, y)?;
-                    }
+                (OpForm::Norm { bn, stats_from_input, relu }, _) => {
+                    let x = self.saved_input(fwd, node)?;
+                    let s = node_stats(&fwd.stats, node, stats_from_input)?;
+                    let params = self.bn_params(node)?;
                     let BnParamGrads { d_gamma, d_beta } =
-                        bn_backward_inplace(&mut grad, state, self.bn_params(node)?, bn.epsilon)?;
+                        norm_backward_inplace(&mut grad, x, s, params, bn.epsilon, relu)?;
                     per_node.insert(id.index(), NodeParamGrads::Bn { d_gamma, d_beta });
                     accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
                     continue;
@@ -695,9 +672,15 @@ fn inference_only(node: &Node) -> TrainError {
     ))
 }
 
-/// The mini-batch statistics on a node's second input.
-fn node_stats<'a>(stats: &'a [Option<ChannelStats>], node: &Node) -> Result<&'a ChannelStats> {
-    stats[node.inputs[1].index()].as_ref().ok_or_else(|| missing("statistics", node))
+/// The statistics `node` normalizes with: the ones it published itself
+/// (`own`) or those on its second input.
+fn node_stats<'a>(
+    stats: &'a [Option<ChannelStats>],
+    node: &Node,
+    own: bool,
+) -> Result<&'a ChannelStats> {
+    let source = if own { node.id } else { node.inputs[1] };
+    stats[source.index()].as_ref().ok_or_else(|| missing("statistics", node))
 }
 
 /// Adds `grad` into the gradient slot of `id`: moved in when the slot is
@@ -794,13 +777,16 @@ mod tests {
         let (data, labels) = random_batch(4, 4, 14);
         let fwd = exec.forward(&data, &labels).unwrap();
         let find = |name: &str| exec.graph().nodes().find(|n| n.name == name).unwrap().id;
-        // conv1's output feeds only BN, which keeps its own state.
-        assert!(fwd.output(find("conv1")).is_none());
+        // conv1's output is what bn1's backward recomputes x̂ from, and
         // relu1's output is conv2's saved ifmap.
+        assert!(fwd.output(find("conv1")).is_some());
         assert!(fwd.output(find("relu1")).is_some());
-        // A convolution keeps no state of its own.
-        assert!(fwd.states[find("conv1").index()].is_none());
-        assert!(fwd.states[find("conv2").index()].is_none());
+        // conv2's output feeds only the global pool, which needs its shape.
+        assert!(fwd.output(find("conv2")).is_none());
+        // Neither a convolution nor a normalization keeps state of its own.
+        for name in ["conv1", "bn1", "conv2"] {
+            assert!(fwd.states[find(name).index()].is_none(), "{name}");
+        }
         // The naive path retains everything.
         let naive = exec.forward_naive(&data, &labels).unwrap();
         assert!(naive.output(find("conv1")).is_some());
@@ -820,30 +806,51 @@ mod tests {
         assert!(after > before, "second step should reuse pooled gradient buffers");
     }
 
-    /// A small DenseNet-BC restructured to `level`, one batch for it, and an
-    /// executor on it.
-    fn densenet(level: bnff_core::FusionLevel) -> (Executor, Tensor, Vec<usize>) {
-        let baseline = bnff_models::densenet_cifar(2, 4, 1, 4).unwrap();
-        let graph = bnff_core::BnffOptimizer::new(level).apply(&baseline).unwrap();
+    /// `baseline` (a batch-2 CIFAR model) restructured to `level`, one batch
+    /// for it, and an executor on it.
+    fn restructured(
+        baseline: &Graph,
+        level: bnff_core::FusionLevel,
+    ) -> (Executor, Tensor, Vec<usize>) {
+        let graph = bnff_core::BnffOptimizer::new(level).apply(baseline).unwrap();
         let data = Initializer::seeded(31).uniform(Shape::nchw(2, 3, 32, 32), -1.0, 1.0);
         (Executor::new(graph, 29).unwrap(), data, vec![1, 3])
     }
 
+    /// A small DenseNet-BC restructured to `level`.
+    fn densenet(level: bnff_core::FusionLevel) -> (Executor, Tensor, Vec<usize>) {
+        restructured(&bnff_models::densenet_cifar(2, 4, 1, 4).unwrap(), level)
+    }
+
     #[test]
     fn a_forward_result_holds_exactly_what_the_plan_pins() {
-        // At every level: the retained outputs are the plan's saved bytes,
-        // a fused convolution adds no tensor of its own to them, and the
-        // only tensor-sized state left is a standalone normalization's x̂.
-        for level in bnff_core::FusionLevel::all() {
-            let (exec, data, labels) = densenet(level);
+        // For the CIFAR zoo at every level: the retained outputs are the
+        // plan's saved bytes, each drawn from the pool exactly once and
+        // nothing else with them, and no convolution or normalization adds
+        // state of its own.
+        let zoo = [
+            bnff_models::densenet_cifar(2, 4, 1, 4).unwrap(),
+            bnff_models::resnet_cifar(2, 1, 4).unwrap(),
+        ];
+        let cases =
+            zoo.iter().flat_map(|g| bnff_core::FusionLevel::all().into_iter().map(move |l| (g, l)));
+        for (baseline, level) in cases {
+            let (exec, data, labels) = restructured(baseline, level);
+            let plan = exec.plan();
+            let takes = || exec.workspace.lock().unwrap().pool.takes();
+            let before = takes();
             let fwd = exec.forward(&data, &labels).unwrap();
+            let saved = exec
+                .graph()
+                .nodes()
+                .filter(|n| plan.liveness(n.id).is_some_and(|live| live.saved_for_backward));
+            assert_eq!(takes() - before, saved.count(), "{level:?}");
             let held: usize = fwd.values.iter().flatten().map(Tensor::bytes).sum();
-            assert_eq!(held, exec.plan().saved_bytes(), "{level:?}");
+            assert_eq!(held, plan.saved_bytes(), "{level:?}");
             for node in exec.graph().nodes() {
                 let stateless = !matches!(
-                    (node.op.form(), &node.op),
-                    (OpForm::Norm { .. }, _)
-                        | (_, OpKind::Pool { kind: PoolKind::Max, .. } | OpKind::SoftmaxLoss)
+                    node.op,
+                    OpKind::Pool { kind: PoolKind::Max, .. } | OpKind::SoftmaxLoss
                 );
                 assert_eq!(fwd.states[node.id.index()].is_none(), stateless, "{}", node.name);
             }
