@@ -1,17 +1,15 @@
-//! 2-D convolution kernels: the gather-packed forward pass, the backward
-//! passes with respect to the inputs and the weights, and the direct
-//! loop-nest reference.
+//! 2-D convolution kernels: the forward pass, the backward passes with
+//! respect to the inputs and the weights, and the direct loop-nest
+//! reference.
 //!
 //! No kernel here writes a `(C·Kh·Kw) × (Ho·Wo)` column matrix. All three
-//! convolution GEMMs read their windows through one
-//! [`Im2colView`], expanded only inside the GEMM's
-//! B-packer:
+//! convolution GEMMs read their windows through one [`Im2colView`]:
 //!
 //! * **forward** — `out_n = W · im2col(x_n)`, bias/ReLU (and, for the fused
 //!   `CONV1-(sub-BN1)` layer, the Σx/Σx² accumulation) applied per sample
 //!   while the output is cache-hot;
 //! * **weight gradient** — `d_W += d_out_n · im2col(x_n)ᵀ`, the transposed
-//!   form of the same gather, summed across a group's samples inside the
+//!   form of the same windows, summed across a group's samples inside the
 //!   GEMM;
 //! * **input gradient**, stride 1 — `d_x_n (+)= W_rot · im2col(d_out_n)`
 //!   with padding `K − 1 − pad`: a forward convolution of the output
@@ -20,14 +18,32 @@
 //!   `d_col = Wᵀ · d_out_n` scattered by [`col2im_accumulate`]; which of
 //!   the two runs is decided from the attributes alone.
 //!
-//! A pointwise convolution is the degenerate case of each: the sample *is*
-//! the operand and the GEMM reads it in place.
+//! ## What is packed, what is read in place
+//!
+//! The forward pass and the stride-1 input gradient are one multiply per
+//! sample by the *same* left operand, so that operand's panels (`W`, or
+//! `W_rot`) are packed once per call (`gemm::Im2colGemm`). Their right operand
+//! is not packed at all when the geometry allows the GEMM's microkernel to
+//! read the windows where they lie: stride 1 and an output width that is a
+//! multiple of 8 (every convolution of the CIFAR models; the rule is
+//! `Im2colView::staged_for_in_place`'s). Padding is made real for that: each
+//! sample is staged in a pooled `C × (H + 2p) × (W + 2p)` scratch
+//! (`Staging`) whose zero border is laid once per call — the scratch is
+//! recycled dirty — and the GEMM is handed the unpadded view over it. For a
+//! [`ConvInput`] prologue that staging *is* the copy the prologue makes
+//! anyway, written row by row; a raw input pays `1.1×` its sample where the
+//! packer used to write a `Kh·Kw ×` slab per sample. An unpadded view
+//! (pointwise, `valid`) is read from the caller's tensor with no copy.
+//! Strided or ragged-width convolutions and the weight gradient's
+//! transposed windows go through the GEMM's gather packer. All of this is
+//! invisible in the results: the multiply consumes the same bits in the
+//! same order either way.
 //!
 //! The two passes that read the input feature map take it as a
 //! [`ConvInput`] and ask it for one sample at a time: the borrowed slice, or
 //! — the paper's RCF and `(sub-BN2)-ReLU` prologues — that sample clipped or
-//! normalized+clipped into one pooled, L2-sized scratch right before the
-//! packer gathers from it, so no batch-wide transformed copy is ever written.
+//! normalized+clipped into the L2-sized staging scratch right before the
+//! GEMM reads it, so no batch-wide transformed copy is ever written.
 //! The input gradient mirrors the forward epilogue: a per-sample hook runs
 //! on each freshly written `d_x_n` while it is cache-hot
 //! ([`crate::fused::fused_conv_backward_into`] hangs the ReLU mask and the
@@ -41,7 +57,7 @@
 
 use crate::batchnorm::{check_normalize, inv_std, BnParams};
 use crate::error::KernelError;
-use crate::gemm::{gemm_im2col, gemm_nt_im2col_acc, gemm_tn, Im2colView};
+use crate::gemm::{gemm_nt_im2col_acc, gemm_tn, Im2colGemm, Im2colView};
 use crate::im2col::{col2im_accumulate, col_shape, conv_out_hw, conv_out_shape};
 use crate::vecops;
 use crate::Result;
@@ -52,9 +68,10 @@ use bnff_tensor::simd::SimdIsa;
 use bnff_tensor::stats::{ChannelAccumulator, ChannelStats};
 use bnff_tensor::{Shape, Tensor};
 
-/// Per-call scratch recycled across calls and steps: the transformed sample
-/// of a [`ConvInput`] prologue, and the `d_col` of the strided input
-/// gradient (the one path that still materializes a column matrix).
+/// Per-call scratch recycled across calls and steps: the staged sample of a
+/// [`ConvInput`] prologue or of an in-place read (`Staging`), the rotated
+/// weights, and the `d_col` of the strided input gradient (the one path
+/// that still materializes a column matrix).
 static COL_POOL: SharedBufferPool = SharedBufferPool::bounded(64 << 20);
 
 /// The input feature map of a convolution together with what is applied to
@@ -93,13 +110,15 @@ impl<'a> ConvInput<'a> {
         Ok(())
     }
 
-    /// The `C·H·W` scratch [`ConvInput::sample`] transforms into, from
-    /// [`COL_POOL`] (give it back there); empty when samples are borrowed.
-    fn take_scratch(&self) -> Vec<f32> {
-        match self {
-            ConvInput::Raw(_) => Vec::new(),
-            _ => COL_POOL.take_dirty(self.tensor().len() / self.tensor().shape().n().max(1)),
-        }
+    /// The `(C, H, W)` of one sample.
+    fn sample_dims(&self) -> (usize, usize, usize) {
+        let shape = self.tensor().shape();
+        (shape.c(), shape.h(), shape.w())
+    }
+
+    /// Whether the convolution reads a transformed copy of each sample.
+    fn transforms(&self) -> bool {
+        !matches!(self, ConvInput::Raw(_))
     }
 
     /// Sample `ni` of the untransformed tensor.
@@ -109,37 +128,110 @@ impl<'a> ConvInput<'a> {
         &x.as_slice()[ni * len..(ni + 1) * len]
     }
 
-    /// Sample `ni` as the convolution reads it: the borrowed slice, or the
-    /// sample transformed plane by plane into `scratch` — the normalize
-    /// sweep's arithmetic per ISA, minus the `x̂` store.
-    fn sample<'s>(&self, isa: SimdIsa, ni: usize, scratch: &'s mut [f32]) -> &'s [f32]
+    /// Sample `ni` as the convolution reads it: the borrowed slice (`stage`
+    /// is `None`), or the sample written run by run into `stage` — copied,
+    /// clipped or normalized+clipped (the normalize sweep's arithmetic per
+    /// ISA, minus the `x̂` store; per element it does not depend on where a
+    /// run starts).
+    fn sample<'s>(&self, isa: SimdIsa, ni: usize, stage: Option<&'s mut Staging>) -> &'s [f32]
     where
         'a: 's,
     {
         let src = self.raw_sample(ni);
-        let shape = self.tensor().shape();
-        let plane_len = (shape.h() * shape.w()).max(1);
+        let Some(stage) = stage else { return src };
         match *self {
-            ConvInput::Raw(_) => return src,
-            ConvInput::Clip(_) => vecops::relu_into(isa, src, scratch),
+            ConvInput::Raw(_) => stage.write(src, |_, x, y| y.copy_from_slice(x)),
+            ConvInput::Clip(_) => stage.write(src, |_, x, y| vecops::relu_into(isa, x, y)),
             ConvInput::NormClip { stats, params, epsilon, .. } => {
-                let planes = src.chunks_exact(plane_len).zip(scratch.chunks_exact_mut(plane_len));
-                for (ci, (x_plane, plane)) in planes.enumerate() {
+                // `1/σ` once per plane, not once per row of it.
+                let mut plane = (usize::MAX, 0.0);
+                stage.write(src, |ci, x, y| {
+                    if plane.0 != ci {
+                        plane = (ci, inv_std(stats, ci, epsilon));
+                    }
+                    let (gamma, beta) = (params.gamma[ci], params.beta[ci]);
                     vecops::normalize_plane(
                         isa,
-                        x_plane,
+                        x,
                         None,
-                        plane,
+                        y,
                         stats.mean[ci],
-                        inv_std(stats, ci, epsilon),
-                        params.gamma[ci],
-                        params.beta[ci],
+                        plane.1,
+                        gamma,
+                        beta,
                         true,
                     );
-                }
+                })
             }
         }
-        scratch
+    }
+}
+
+/// The pooled scratch one sample is staged in before a GEMM reads it: `C`
+/// planes of `H × W` values, each inside a zero border of `border.0` rows
+/// and `border.1` columns. The border is the convolution's padding made
+/// real, which is what lets the microkernel read the windows of a stride-1
+/// convolution where they lie (see [`Im2colView::staged_for_in_place`]); it is
+/// laid once, on take — the buffer is recycled dirty — and every
+/// [`Staging::write`] fills exactly the interior. Without a border this is
+/// the plain `C·H·W` scratch of a [`ConvInput`] prologue.
+struct Staging {
+    dims: (usize, usize, usize),
+    border: (usize, usize),
+    buf: Vec<f32>,
+}
+
+impl Staging {
+    /// Scratch for `dims = (C, H, W)` samples inside `border`, or `None`
+    /// when there is nothing to stage: no border and no transformation, so
+    /// the GEMM reads the caller's sample itself.
+    fn take(
+        dims: (usize, usize, usize),
+        border: Option<(usize, usize)>,
+        transforms: bool,
+    ) -> Option<Self> {
+        if border.is_none() && !transforms {
+            return None;
+        }
+        let ((c, h, w), border) = (dims, border.unwrap_or((0, 0)));
+        let (rows, cols) = (h + 2 * border.0, w + 2 * border.1);
+        let mut buf = COL_POOL.take_dirty(c * rows * cols);
+        if border != (0, 0) {
+            let first = border.0 * cols + border.1;
+            for plane in buf.chunks_exact_mut(rows * cols) {
+                // Zero everything between the interior row segments.
+                let mut at = 0;
+                for r in 0..h {
+                    plane[at..first + r * cols].fill(0.0);
+                    at = first + r * cols + w;
+                }
+                plane[at..].fill(0.0);
+            }
+        }
+        Some(Staging { dims, border, buf })
+    }
+
+    /// Writes one sample: `run(ci, src, dst)` for every stretch of plane
+    /// `ci` that stays contiguous in the scratch — a row inside a border,
+    /// the whole plane without one — and returns the staged sample.
+    fn write(&mut self, src: &[f32], mut run: impl FnMut(usize, &[f32], &mut [f32])) -> &[f32] {
+        let ((_, h, w), (bh, bw)) = (self.dims, self.border);
+        let (rows, cols) = (h + 2 * bh, w + 2 * bw);
+        let run_len = if self.border == (0, 0) { h * w } else { w }.max(1);
+        let planes = src.chunks_exact((h * w).max(1)).zip(self.buf.chunks_exact_mut(rows * cols));
+        for (ci, (x_plane, plane)) in planes.enumerate() {
+            for (r, x_run) in x_plane.chunks_exact(run_len).enumerate() {
+                let at = (bh + r) * cols + bw;
+                run(ci, x_run, &mut plane[at..at + run_len]);
+            }
+        }
+        &self.buf
+    }
+}
+
+impl Drop for Staging {
+    fn drop(&mut self) {
+        COL_POOL.give(std::mem::take(&mut self.buf));
     }
 }
 
@@ -274,11 +366,11 @@ pub fn conv2d_forward_direct_into(
     Ok(())
 }
 
-/// The production convolution forward pass: each sample is one packed GEMM
-/// `out_n = W · im2col(x_n)` whose B-packer gathers the windows straight
-/// from the sample (see [`Im2colView`]), so no column matrix is written.
-/// Pointwise (`1×1`/stride-1/no-pad) convolutions are the degenerate case —
-/// each input sample already *is* the operand.
+/// The production convolution forward pass: each sample is one GEMM
+/// `out_n = W · im2col(x_n)` that reads the windows where they lie or
+/// gathers them while packing (see [`Im2colView`]), so no column matrix is
+/// written. Pointwise (`1×1`/stride-1/no-pad) convolutions are the
+/// degenerate case — each input sample already *is* the operand.
 ///
 /// # Errors
 /// Returns an error if the shapes are inconsistent.
@@ -367,11 +459,11 @@ fn window_view<'a>(
 }
 
 /// The one convolution forward body behind every entry point: per sample,
-/// the prologue of `input`, one gather-packed GEMM, then the epilogue on the
-/// cache-hot output — bias, the frozen graph's ReLU clamp, and (the
-/// `CONV1-(sub-BN1)` accumulation) a push of every output plane into
-/// `stats`, in sample order, so the sums are bit-identical to
-/// [`ChannelAccumulator::from_tensor`] on `out`.
+/// the prologue of `input`, one GEMM (module docs: what it packs and what it
+/// reads in place), then the epilogue on the cache-hot output — bias, the
+/// frozen graph's ReLU clamp, and (the `CONV1-(sub-BN1)` accumulation) a
+/// push of every output plane into `stats`, in sample order, so the sums
+/// are bit-identical to [`ChannelAccumulator::from_tensor`] on `out`.
 pub(crate) fn conv_forward(
     input: ConvInput<'_>,
     weights: &Tensor,
@@ -383,21 +475,24 @@ pub(crate) fn conv_forward(
 ) -> Result<()> {
     input.check()?;
     let x = input.tensor();
-    let (in_c, out_h, out_w) = check_conv(x, weights, attrs)?;
+    let (_, out_h, out_w) = check_conv(x, weights, attrs)?;
     check_bias(bias, attrs)?;
     check_conv_output("output tensor", out, x.shape(), attrs, (out_h, out_w))?;
-    let in_dims = (in_c, x.shape().h(), x.shape().w());
-    let (rows, cols) = (in_c * attrs.kernel_h * attrs.kernel_w, out_h * out_w);
+    let cols = out_h * out_w;
     let out_len = attrs.out_channels * cols;
     let w_mat = weights.as_slice(); // (Cout) x (Cin*Kh*Kw), row-major by construction
     let isa = bnff_tensor::active_isa();
-    let mut scratch = input.take_scratch();
+    // out_sample = W (Cout x rows) · im2col(sample) (rows x cols): the
+    // weights' panels are packed once for all samples, and a stride-1
+    // geometry reads each sample through a zero-bordered copy in place.
+    let (border, view) =
+        window_view(&[], input.sample_dims(), attrs, (out_h, out_w)).staged_for_in_place();
+    let gemm = Im2colGemm::new(attrs.out_channels, w_mat, &view)?;
+    let mut stage = Staging::take(input.sample_dims(), border, input.transforms());
     for ni in 0..x.shape().n() {
-        let sample = input.sample(isa, ni, &mut scratch);
+        let sample = input.sample(isa, ni, stage.as_mut());
         let out_slice = &mut out.as_mut_slice()[ni * out_len..(ni + 1) * out_len];
-        // out_sample = W (Cout x rows) · im2col(sample) (rows x cols)
-        let view = window_view(sample, in_dims, attrs, (out_h, out_w));
-        gemm_im2col(attrs.out_channels, cols, rows, 1.0, w_mat, view, 0.0, out_slice)?;
+        gemm.run(sample, 1.0, 0.0, out_slice)?;
         apply_bias_relu(out_slice, bias, cols, fuse_relu);
         if let Some(acc) = stats.as_deref_mut() {
             for (oc, plane) in out_slice.chunks_exact(cols).enumerate() {
@@ -406,7 +501,6 @@ pub(crate) fn conv_forward(
             acc.add_count(cols);
         }
     }
-    COL_POOL.give(scratch);
     Ok(())
 }
 
@@ -432,7 +526,8 @@ fn rotated_weights(weights: &Tensor) -> Vec<f32> {
     let ws = weights.shape();
     let (out_c, in_c, taps) = (ws.n(), ws.c(), ws.h() * ws.w());
     let w = weights.as_slice();
-    let mut rot = vec![0.0f32; w.len()];
+    // Every element is written below.
+    let mut rot = COL_POOL.take_dirty(w.len());
     for co in 0..out_c {
         for ci in 0..in_c {
             let src = &w[(co * in_c + ci) * taps..][..taps];
@@ -454,8 +549,9 @@ fn rotated_weights(weights: &Tensor) -> Vec<f32> {
 ///
 /// At stride 1 (with `pad ≤ K − 1`) each sample is one GEMM
 /// `d_x_n += W_rot · im2col(d_out_n)` — a forward convolution of the output
-/// gradient with the rotated weights at padding `K − 1 − pad`, gathered by
-/// the same packer as the forward pass, with no `d_col` and no scatter.
+/// gradient with the rotated weights at padding `K − 1 − pad`, its windows
+/// read the way the forward pass reads its own, with no `d_col` and no
+/// scatter.
 /// Otherwise `d_col = Wᵀ · d_out_n` is scattered back by
 /// [`col2im_accumulate`].
 ///
@@ -504,26 +600,35 @@ fn backward_input_rotated(
     mut epilogue: impl FnMut(usize, &mut [f32]),
 ) -> Result<()> {
     let (in_c, h, w) = (d_input.shape().c(), d_input.shape().h(), d_input.shape().w());
+    let d_out_dims = (attrs.out_channels, out_h, out_w);
+    let (border, view) = Im2colView {
+        sample: &[],
+        channels: attrs.out_channels,
+        in_h: out_h,
+        in_w: out_w,
+        kernel_h: attrs.kernel_h,
+        kernel_w: attrs.kernel_w,
+        stride: 1,
+        pad_h: attrs.kernel_h - 1 - attrs.pad,
+        pad_w: attrs.kernel_w - 1 - attrs.pad,
+        out_h: h,
+        out_w: w,
+    }
+    .staged_for_in_place();
+    // The rotated weights only live until their panels are packed.
     let w_rot = rotated_weights(weights);
-    let depth = attrs.out_channels * attrs.kernel_h * attrs.kernel_w;
+    let gemm = Im2colGemm::new(in_c, &w_rot, &view)?;
+    COL_POOL.give(w_rot);
+    let mut stage = Staging::take(d_out_dims, border, false);
     let (sample_len, d_out_len) = (in_c * h * w, attrs.out_channels * out_h * out_w);
     let beta = if overwrite { 0.0 } else { 1.0 };
     for ni in 0..d_input.shape().n() {
-        let view = Im2colView {
-            sample: &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len],
-            channels: attrs.out_channels,
-            in_h: out_h,
-            in_w: out_w,
-            kernel_h: attrs.kernel_h,
-            kernel_w: attrs.kernel_w,
-            stride: 1,
-            pad_h: attrs.kernel_h - 1 - attrs.pad,
-            pad_w: attrs.kernel_w - 1 - attrs.pad,
-            out_h: h,
-            out_w: w,
-        };
+        let mut d_out_n = &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len];
+        if let Some(stage) = &mut stage {
+            d_out_n = stage.write(d_out_n, |_, g, staged| staged.copy_from_slice(g));
+        }
         let d_x = &mut d_input.as_mut_slice()[ni * sample_len..(ni + 1) * sample_len];
-        gemm_im2col(in_c, h * w, depth, 1.0, &w_rot, view, beta, d_x)?;
+        gemm.run(d_out_n, 1.0, beta, d_x)?;
         epilogue(ni, d_x);
     }
     Ok(())
@@ -618,9 +723,9 @@ pub(crate) fn backward_weights(
             bnff_tensor::with_isa(isa, || -> Result<(Vec<f32>, Vec<f32>)> {
                 let mut d_w_flat = vec![0.0f32; attrs.out_channels * rows];
                 let mut d_bias = vec![0.0f32; if with_bias { attrs.out_channels } else { 0 }];
-                let mut scratch = input.take_scratch();
+                let mut stage = Staging::take(in_dims, None, input.transforms());
                 for ni in groups[gi].clone() {
-                    let sample = input.sample(isa, ni, &mut scratch);
+                    let sample = input.sample(isa, ni, stage.as_mut());
                     let view = window_view(sample, in_dims, attrs, out_hw);
                     let d_out_n = &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len];
                     // d_W (Cout x rows) += d_out_n (Cout x cols) · im2col(sample)ᵀ (cols x rows)
@@ -636,7 +741,6 @@ pub(crate) fn backward_weights(
                         *db += plane.iter().sum::<f32>();
                     }
                 }
-                COL_POOL.give(scratch);
                 Ok((d_w_flat, d_bias))
             })
         },
@@ -758,6 +862,40 @@ mod tests {
                 assert_eq!(bits(gathered.as_slice()), bits(&reference), "{case} relu={fuse_relu}");
             }
         }
+    }
+
+    /// The staging scratch is recycled dirty, so its zero border has to be
+    /// laid on every take: a larger convolution over NaN leaves NaN where a
+    /// smaller one's border will lie, and a NaN-filled buffer of exactly
+    /// the smaller one's scratch size is the best fit the pool hands out.
+    #[test]
+    fn bordered_scratch_is_rezeroed_per_call() {
+        let attrs = Conv2dAttrs::same_3x3(5);
+        let poison = Tensor::filled(Shape::nchw(1, 3, 24, 24), f32::NAN);
+        let w = random(Shape::nchw(5, 3, 3, 3), 31);
+        let mut out = Tensor::zeros(Shape::nchw(1, 5, 24, 24));
+        conv2d_forward_into(&poison, &w, None, &attrs, &mut out).unwrap();
+        assert!(out.as_slice().iter().all(|v| v.is_nan()));
+
+        let x = random(Shape::nchw(2, 3, 8, 16), 32);
+        let g = random(Shape::nchw(2, 5, 8, 16), 33);
+        let scratch_len = 3 * 10 * 18;
+        for input in [ConvInput::Raw(&x), ConvInput::Clip(&x)] {
+            let read = if input.transforms() { crate::relu::relu_forward(&x) } else { x.clone() };
+            let want = conv_materialized(&read, &w, None, &attrs, false);
+            COL_POOL.give(vec![f32::NAN; scratch_len]);
+            let mut got = Tensor::filled(Shape::nchw(2, 5, 8, 16), f32::NAN);
+            conv_forward(input, &w, None, &attrs, false, None, &mut got).unwrap();
+            assert_eq!(bits(got.as_slice()), bits(&want), "{input:?}");
+        }
+        // The input gradient stages `d_out` (5 channels) the same way.
+        let mut want = Tensor::zeros(x.shape().clone());
+        backward_input_strided(&g, &w, &attrs, true, &mut want, |_, _| {}).unwrap();
+        COL_POOL.give(vec![f32::NAN; 5 * 10 * 18]);
+        let mut d_x = Tensor::filled(x.shape().clone(), f32::NAN);
+        backward_input(&g, &w, &attrs, true, &mut d_x, |_, _| {}).unwrap();
+        assert!(d_x.as_slice().iter().all(|v| v.is_finite()));
+        assert_close_relative("d_x", d_x.as_slice(), want.as_slice(), 1e-5);
     }
 
     /// `x` (two samples), `w` and an output gradient `g` for one geometry.

@@ -1,4 +1,5 @@
-//! Cache-blocked, panel-packed general matrix multiply.
+//! Cache-blocked general matrix multiply: `A` packed into panels, `B` packed
+//! into strips or read where it lies.
 //!
 //! Convolutions and the fully-connected layer are lowered to this GEMM,
 //! mirroring how MKL-DNN / CUTLASS execute them in the paper's reference
@@ -8,37 +9,63 @@
 //! GotoBLAS/BLIS instead of streaming whole matrices:
 //!
 //! * The `k` dimension is split into [`KC`]-deep slabs and the `n` dimension
-//!   into [`NC`]-wide slabs; each `KC × NC` slab of `B` is **packed** once
-//!   into contiguous `KC × NR` strips that stay cache-resident while every
-//!   row block of the output reuses them.
+//!   into [`NC`]-wide slabs; each `KC × NC` slab of `B` is consumed as
+//!   `KC × NR` strips that stay cache-resident while every row block of the
+//!   output reuses them.
 //! * The `m` dimension is split into [`MC`]-row blocks; each `MC × KC` block
 //!   of `A` is packed into `KC × MR` panels by the worker that owns those
-//!   output rows.
+//!   output rows — or, for a convolution, all of `A` is packed once per call
+//!   and shared by its samples.
 //! * An [`MR`]`×`[`NR`] register microkernel multiplies one packed `A` panel
-//!   against one packed `B` strip, accumulating the full `k`-slab in
-//!   registers before touching `C`.
+//!   against one `B` strip, accumulating the full `k`-slab in registers
+//!   before touching `C`.
 //!
-//! All entry points ([`gemm`], [`gemm_nt`], [`gemm_tn`], [`gemm_im2col`])
-//! drive the same packed path; they differ only in how the packing
-//! routines gather elements. A convolution's `B` operand is *virtual*: an
-//! [`Im2colView`] names the sample and the window geometry, and the
-//! B-packer expands the windows straight into the packed strips (one
-//! resolved-once segment copy per packed row and output-row run), so the
-//! im2col column matrix is never written — forwards, or transposed for the
-//! weight gradient. Packing buffers are recycled through a shared
+//! ## What is packed and what is read in place
+//!
+//! The microkernel has one contract for `B`: row `kk` of the strip's two
+//! 8-lane halves is at `base[0] + rows[kk]` and `base[1] + rows[kk]` of some
+//! slice. A *packed* strip (`rows[kk] = kk·NR`, the halves 8 apart) is one
+//! instance; an operand whose rows already lie contiguous in memory is
+//! another, and then nothing is copied:
+//!
+//! * a row-major `B` (`rows[kk] = kk·n`) — [`gemm`], [`gemm_tn`] and every
+//!   pointwise convolution — while few enough `A` panels sweep each strip
+//!   that packing would not pay back (`m ≤ 36`, see `IN_PLACE_MAX_PANELS`);
+//! * a convolution's column matrix, which is *virtual* — an [`Im2colView`]
+//!   names the sample and the window geometry — when the view has stride 1,
+//!   no padding and an output width that is a multiple of 8: row
+//!   `(ci, kh, kw)` is then the sample itself shifted by
+//!   `(ci·H + kh)·W + kw`, and neither half of an `NR`-aligned strip
+//!   crosses an output row. [`crate::conv`] turns a padded stride-1
+//!   convolution into such a view by staging each sample inside a zero
+//!   border (`1.1×` the sample copied, where the packer wrote `Kh·Kw ×`).
+//!
+//! Everything else goes through the packer, which is also the only place a
+//! window is ever *expanded*: transposed operands, strided or ragged-width
+//! views (one resolved-once segment copy per packed row and output-row
+//! run), the transposed view of the weight gradient, and the ragged last
+//! strip of an operand that is otherwise read in place (reading it there
+//! would run past the operand's last row). Packed values and in-place
+//! values are the same bits consumed in the same order, so which of the
+//! two happened never shows in a result. The im2col column matrix is never
+//! written either way. Packing buffers are recycled through a shared
 //! [`bnff_tensor::pool::SharedBufferPool`], so steady-state training steps
 //! pack into storage carved out by earlier calls instead of `malloc`.
 //!
-//! ## SIMD dispatch
+//! ## SIMD dispatch and the load contract
 //!
 //! The register microkernel comes in two flavours selected per GEMM call by
 //! [`bnff_tensor::simd::active_isa`] (scoped [`bnff_tensor::simd::with_isa`]
 //! override → `BNFF_SIMD` env → CPU detection): the portable scalar loop,
 //! and an AVX2+FMA kernel that keeps the full `MR × NR` tile in twelve
-//! `__m256` accumulators and issues *aligned* 256-bit loads from the packed
-//! `B` strips — which is why the packing buffers live in 32-byte-aligned
-//! [`bnff_tensor::simd::AlignedBuf`] storage. The ISA is resolved once on
-//! the calling thread and passed by value into the pool workers.
+//! `__m256` accumulators. Its `B` loads are *unaligned* and unchecked — an
+//! in-place row starts wherever the window does. Their bound,
+//! `max(base) + max(rows) + 8 ≤ len`, is `assert!`ed (release builds too)
+//! once per strip and `k`-slab when the `Strip` is built, never per load;
+//! packed strips still live in 32-byte-aligned
+//! [`bnff_tensor::simd::AlignedBuf`] storage so that none of their loads
+//! straddles a cache line. The ISA is resolved once on the calling thread
+//! and passed by value into the pool workers.
 //!
 //! ## Determinism
 //!
@@ -57,11 +84,11 @@
 //! tested against.
 
 use crate::error::KernelError;
-use crate::im2col::taps_inside;
+use crate::im2col::{conv_out_dim, taps_inside};
 use crate::Result;
 use bnff_parallel::{min_items_per_thread, parallel_row_blocks_mut, parallel_rows_mut};
 use bnff_tensor::pool::SharedBufferPool;
-use bnff_tensor::simd::{active_isa, SimdIsa};
+use bnff_tensor::simd::{active_isa, AlignedBuf, SimdIsa};
 
 /// Microkernel tile height: rows of `C` accumulated in registers at once.
 pub const MR: usize = 6;
@@ -121,19 +148,23 @@ enum Operand<'a> {
 
 /// A *virtual* `B` operand for the convolution GEMMs: the im2col column
 /// matrix of one sample, described by its geometry instead of being
-/// materialized. The B-packer is the only place a convolution window is
-/// ever expanded: for every packed row `(ci, kh, kw)` and output row it
+/// materialized. A stride-1, unpadded view whose output width is a multiple
+/// of 8 is read by the microkernel where it lies — row `(ci, kh, kw)` of
+/// the column matrix is the sample shifted by `(ci·H + kh)·W + kw`. For any
+/// other view the B-packer expands the windows, and it is the only place
+/// that ever does: for every packed row `(ci, kh, kw)` and output row it
 /// resolves the run of output columns whose input column lies inside the
 /// image once, moves that run with one segment copy and zero-fills only the
 /// clipped edges — straight from the sample's `C × H × W` planes into the
-/// `KC × NR` strips the microkernel consumes. The packed strips are
-/// bit-identical to packing a materialized column matrix (same values, same
-/// zero padding), so [`gemm_im2col`] is bit-identical to the two-step
-/// `im2col → gemm` lowering while the `(C·Kh·Kw) × (Ho·Wo)` matrix is never
-/// written. The forward pass, the weight gradient (through the transposed
-/// form) and the stride-1 input gradient (a forward convolution of `d_out`
-/// with the rotated weights, whose padding `K − 1 − pad` differs per axis
-/// for non-square filters) all read their windows through this view.
+/// `KC × NR` strips the microkernel consumes. Either way the microkernel
+/// consumes, in the same order, the bits a materialized column matrix would
+/// hold (same values, same zero padding), so [`gemm_im2col`] is
+/// bit-identical to the two-step `im2col → gemm` lowering while the
+/// `(C·Kh·Kw) × (Ho·Wo)` matrix is never written. The forward pass, the
+/// weight gradient (through the transposed form) and the stride-1 input
+/// gradient (a forward convolution of `d_out` with the rotated weights,
+/// whose padding `K − 1 − pad` differs per axis for non-square filters) all
+/// read their windows through this view.
 #[derive(Debug, Clone, Copy)]
 pub struct Im2colView<'a> {
     /// One sample's `C × H × W` values, contiguous.
@@ -170,20 +201,20 @@ fn pack_a(a: Operand<'_>, m: usize, row0: usize, mc: usize, pc: usize, kc: usize
     for ir in 0..panels {
         let panel = &mut out[ir * kc * MR..(ir + 1) * kc * MR];
         match a {
-            // Row-major A: gather MR rows in lockstep, k innermost per row.
+            // Row-major A: the panel's MR rows advance in lockstep, one
+            // contiguous MR-wide step per `kk`; rows past the block read a
+            // zero row, so padding is written in the same pass.
             Operand::Normal(data) => {
                 let cols = data.len() / m;
-                for i in 0..MR {
-                    let row = row0 + ir * MR + i;
-                    if row < row0 + mc {
-                        let src = &data[row * cols + pc..row * cols + pc + kc];
-                        for (kk, &v) in src.iter().enumerate() {
-                            panel[kk * MR + i] = v;
-                        }
-                    } else {
-                        for slot in panel.iter_mut().skip(i).step_by(MR) {
-                            *slot = 0.0;
-                        }
+                let mut rows = [&ZERO_ROW[..kc]; MR];
+                let live = MR.min(mc - ir * MR);
+                for (i, row) in rows.iter_mut().enumerate().take(live) {
+                    let start = (row0 + ir * MR + i) * cols + pc;
+                    *row = &data[start..start + kc];
+                }
+                for (kk, step) in panel.chunks_exact_mut(MR).enumerate() {
+                    for (slot, row) in step.iter_mut().zip(&rows) {
+                        *slot = row[kk];
                     }
                 }
             }
@@ -257,12 +288,23 @@ impl Im2colView<'_> {
             && (self.out_h, self.out_w) == (self.in_h, self.in_w)
     }
 
-    /// Checks that the view describes a `rows × cols` column matrix over a
-    /// sample of the stated extent.
-    fn check(&self, rows: usize, cols: usize) -> Result<()> {
-        check_len(self.sample.len(), self.channels, self.in_h * self.in_w, "im2col sample")?;
-        if self.stride == 0 {
-            return Err(KernelError::InvalidArgument("stride must be positive".to_string()));
+    /// Checks the view's geometry — a positive stride, each output extent
+    /// equal to `(in + 2·pad − K)/stride + 1` for a filter that fits the
+    /// padded input — and that it describes a `rows × cols` column matrix.
+    /// Everything the packer and the in-place reads index by is derived
+    /// from these fields, so nothing downstream re-checks them.
+    fn check_geometry(&self, rows: usize, cols: usize) -> Result<()> {
+        let axes = [
+            (self.in_h, self.pad_h, self.kernel_h, self.out_h),
+            (self.in_w, self.pad_w, self.kernel_w, self.out_w),
+        ];
+        for (extent, pad, kernel, out) in axes {
+            let expected = conv_out_dim(extent, kernel, self.stride, pad)?;
+            if out != expected {
+                return Err(KernelError::ShapeMismatch(format!(
+                    "im2col view states an output extent of {out}, its window geometry gives {expected}"
+                )));
+            }
         }
         if rows != self.channels * self.kernel_h * self.kernel_w || cols != self.out_h * self.out_w
         {
@@ -272,6 +314,45 @@ impl Im2colView<'_> {
             )));
         }
         Ok(())
+    }
+
+    /// [`Im2colView::check_geometry`], and that the sample has the stated
+    /// extent.
+    fn check(&self, rows: usize, cols: usize) -> Result<()> {
+        self.check_geometry(rows, cols)?;
+        check_len(self.sample.len(), self.channels, self.in_h * self.in_w, "im2col sample")
+    }
+
+    /// Whether every full strip of the column matrix can be read where it
+    /// lies: at stride 1 without padding, row `(ci, kh, kw)` is the sample
+    /// shifted by `(ci·H + kh)·W + kw`, and with `out_w` a multiple of 8
+    /// neither 8-lane half of an `NR`-aligned strip crosses an output row.
+    fn reads_in_place(&self) -> bool {
+        self.stride == 1 && (self.pad_h, self.pad_w) == (0, 0) && self.out_w.is_multiple_of(8)
+    }
+
+    /// How a convolution hands this view's sample to the GEMM so that the
+    /// windows are read in place: the zero border `(rows, columns)` to stage
+    /// each plane of the sample in — the view's padding, for a stride-1
+    /// view whose `out_w` is a multiple of 8 — and the same windows as an
+    /// unpadded view over that staged copy (its `sample` is the caller's to
+    /// set). The border is `None`, and the view unchanged, when no copy is
+    /// called for: the view is read in place as it is, or keeps the packer
+    /// whatever it is handed (strided, ragged).
+    pub(crate) fn staged_for_in_place(&self) -> (Option<(usize, usize)>, Self) {
+        let (bh, bw) = (self.pad_h, self.pad_w);
+        let staged = Im2colView {
+            in_h: self.in_h + 2 * bh,
+            in_w: self.in_w + 2 * bw,
+            pad_h: 0,
+            pad_w: 0,
+            ..*self
+        };
+        if (bh, bw) != (0, 0) && staged.reads_in_place() {
+            (Some((bh, bw)), staged)
+        } else {
+            (None, *self)
+        }
     }
 
     /// Splits a column-matrix row index into `(ci, kh, kw)`.
@@ -447,37 +528,91 @@ fn pack_im2col_t_strip(
 /// The `MR × NR` tile of partial sums a microkernel call produces.
 type AccTile = [[f32; NR]; MR];
 
+/// Row offsets of a packed strip: step `kk` starts `kk·NR` into it.
+static PACKED_ROWS: [usize; KC] = {
+    let mut rows = [0; KC];
+    let mut kk = 0;
+    while kk < KC {
+        rows[kk] = kk * NR;
+        kk += 1;
+    }
+    rows
+};
+
+/// The zero row [`pack_a`] reads for panel rows past the end of `A`.
+static ZERO_ROW: [f32; KC] = [0.0; KC];
+
+/// The row offsets of one `k`-slab's strips, with how far past a strip's
+/// base they reach (`max(rows) + 8` lanes) — taken once per slab so that
+/// checking a strip costs one comparison.
+#[derive(Clone, Copy)]
+struct SlabRows<'a> {
+    rows: &'a [usize],
+    reach: usize,
+}
+
+impl<'a> SlabRows<'a> {
+    fn new(rows: &'a [usize]) -> Self {
+        SlabRows { rows, reach: rows.iter().max().map_or(0, |last| last + 8) }
+    }
+}
+
+/// One `kc × NR` strip of `B` as the microkernels read it: the 8 lanes of
+/// half `h` of row `kk` are `data[base[h] + rows[kk]..][..8]`. A packed
+/// strip is the special case `base = [start, start + 8]`,
+/// `rows = PACKED_ROWS`; an operand read in place points `data` at the
+/// operand itself.
+struct Strip<'a> {
+    data: &'a [f32],
+    base: [usize; 2],
+    rows: &'a [usize],
+}
+
+impl<'a> Strip<'a> {
+    /// The assert is the whole safety contract of the AVX2 microkernel's
+    /// unchecked loads and runs in release builds — once per strip and
+    /// slab, never per load.
+    fn new(data: &'a [f32], base: [usize; 2], slab: SlabRows<'a>) -> Self {
+        assert!(
+            base[0].max(base[1]) + slab.reach <= data.len(),
+            "a B strip must lie inside its operand"
+        );
+        Strip { data, base, rows: slab.rows }
+    }
+}
+
 /// The portable register microkernel: multiplies one `kc × MR` packed `A`
-/// panel against one `kc × NR` packed `B` strip into the `MR × NR` tile of
-/// partial sums. The accumulation order (ascending `kk`) is fixed by the
-/// packing, never by the caller's thread count — and per `C` element it is
+/// panel against one `kc`-row `B` strip into the `MR × NR` tile of partial
+/// sums. The accumulation order (ascending `kk`) is fixed by the operands,
+/// never by the caller's thread count — and per `C` element it is
 /// independent of the `MR`/`NR` tile shape, so widening the microkernel
 /// left this path bit-identical to the historical 4×8 kernel.
 #[inline]
-fn microkernel_scalar(a_panel: &[f32], b_strip: &[f32], acc: &mut AccTile) {
+fn microkernel_scalar(a_panel: &[f32], b: &Strip<'_>, acc: &mut AccTile) {
     // A full 6×16 accumulator tile (96 f32) spills out of the baseline
-    // SSE register file, so the portable kernel sweeps the packed panels
-    // once per 3×8 *sub-tile* (24 f32 — register-resident under
-    // auto-vectorization). Each `C` element still accumulates its products
-    // in ascending `kk` order, so the split changes neither results nor
-    // the bit-identity-across-threads contract; the repeated panel reads
-    // stay in L1.
+    // SSE register file, so the portable kernel sweeps the panel once per
+    // 3×8 *sub-tile* (24 f32 — register-resident under auto-vectorization),
+    // one 8-lane half of the strip at a time. Each `C` element still
+    // accumulates its products in ascending `kk` order, so the split
+    // changes neither results nor the bit-identity-across-threads
+    // contract; the repeated panel reads stay in L1.
     const MR_S: usize = 3;
-    const NR_S: usize = 8;
+    const LANES: usize = NR / 2;
     for i0 in (0..MR).step_by(MR_S) {
-        for j0 in (0..NR).step_by(NR_S) {
-            let mut sub = [[0.0f32; NR_S]; MR_S];
-            for (a_frag, b_frag) in a_panel.chunks_exact(MR).zip(b_strip.chunks_exact(NR)) {
-                let b: &[f32; NR_S] = b_frag[j0..j0 + NR_S].try_into().expect("NR_S divides NR");
-                for (i, row) in sub.iter_mut().enumerate() {
+        for (half, base) in b.base.into_iter().enumerate() {
+            let mut sub = [[0.0f32; LANES]; MR_S];
+            for (a_frag, row) in a_panel.chunks_exact(MR).zip(b.rows) {
+                let lanes: &[f32; LANES] =
+                    b.data[base + row..base + row + LANES].try_into().expect("LANES-long slice");
+                for (i, sub_row) in sub.iter_mut().enumerate() {
                     let av = a_frag[i0 + i];
-                    for (slot, bv) in row.iter_mut().zip(b.iter()) {
+                    for (slot, bv) in sub_row.iter_mut().zip(lanes) {
                         *slot += av * *bv;
                     }
                 }
             }
-            for (i, row) in sub.iter().enumerate() {
-                acc[i0 + i][j0..j0 + NR_S].copy_from_slice(row);
+            for (i, sub_row) in sub.iter().enumerate() {
+                acc[i0 + i][half * LANES..(half + 1) * LANES].copy_from_slice(sub_row);
             }
         }
     }
@@ -485,7 +620,7 @@ fn microkernel_scalar(a_panel: &[f32], b_strip: &[f32], acc: &mut AccTile) {
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2 {
-    use super::{AccTile, MR, NR};
+    use super::{AccTile, Strip, MR};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
@@ -493,38 +628,27 @@ mod avx2 {
 
     /// The AVX2+FMA microkernel: the whole `6 × 16` tile lives in twelve
     /// `__m256` accumulators; each `kk` step broadcasts six `A` scalars,
-    /// issues two aligned 256-bit loads from the packed `B` strip and
-    /// twelve FMAs. FMA contracts `a·b + acc` into one rounding, so this
-    /// path is *not* bit-identical to the scalar kernel — equivalence is
-    /// bounded by `tests/simd_equivalence.rs` instead.
-    ///
-    /// The caller upholds the contract the loads below rely on —
-    /// `a_panel` holds `kc·MR` and `b_strip` `kc·NR` values for the same
-    /// `kc`, and `b_strip` starts 32-byte aligned. `gemm_packed`, the only
-    /// caller, `assert!`s it once per packed slab (in release builds too)
-    /// so this per-tile loop carries no checks.
+    /// issues two unaligned 256-bit loads — the strip's two halves of `B`
+    /// row `kk`, wherever [`Strip`] says they lie — and twelve FMAs. FMA
+    /// contracts `a·b + acc` into one rounding, so this path is *not*
+    /// bit-identical to the scalar kernel — equivalence is bounded by
+    /// `tests/simd_equivalence.rs` instead.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn microkernel(a_panel: &[f32], b_strip: &[f32], acc: &mut AccTile) {
-        let kc = b_strip.len() / NR;
+    pub fn microkernel(a_panel: &[f32], b: &Strip<'_>, acc: &mut AccTile) {
         let mut acc_v = [[_mm256_setzero_ps(); 2]; MR];
-        let mut a = a_panel.as_ptr();
-        let mut b = b_strip.as_ptr();
-        for _ in 0..kc {
-            // SAFETY: `kc` iterations advance `a` by `kc·MR` and `b` by
-            // `kc·NR` elements, exactly the panel/strip lengths
-            // `gemm_packed` asserts per slab before carving these slices;
-            // the slab's asserted base alignment plus the 64-byte step
-            // stride keep both loads 32-byte aligned.
-            unsafe {
-                let b0 = _mm256_load_ps(b);
-                let b1 = _mm256_load_ps(b.add(8));
-                for (i, accs) in acc_v.iter_mut().enumerate() {
-                    let ai = _mm256_set1_ps(*a.add(i));
-                    accs[0] = _mm256_fmadd_ps(ai, b0, accs[0]);
-                    accs[1] = _mm256_fmadd_ps(ai, b1, accs[1]);
-                }
-                a = a.add(MR);
-                b = b.add(NR);
+        let halves = b.base.map(|base| b.data.as_ptr().wrapping_add(base));
+        for (a_frag, &row) in a_panel.chunks_exact(MR).zip(b.rows) {
+            let a_frag: &[f32; MR] = a_frag.try_into().expect("chunks_exact yields MR values");
+            // SAFETY: `Strip::new` asserted `base[h] + row + 8 <= data.len()`
+            // for both halves and every `row` of `b.rows`, so each load
+            // reads 8 f32 inside `b.data`.
+            let (b0, b1) = unsafe {
+                (_mm256_loadu_ps(halves[0].add(row)), _mm256_loadu_ps(halves[1].add(row)))
+            };
+            for (accs, &av) in acc_v.iter_mut().zip(a_frag) {
+                let ai = _mm256_set1_ps(av);
+                accs[0] = _mm256_fmadd_ps(ai, b0, accs[0]);
+                accs[1] = _mm256_fmadd_ps(ai, b1, accs[1]);
             }
         }
         for (row, v) in acc.iter_mut().zip(acc_v.iter()) {
@@ -539,24 +663,92 @@ mod avx2 {
 
 /// Dispatches one microkernel call to the resolved ISA.
 #[inline]
-fn microkernel(isa: SimdIsa, a_panel: &[f32], b_strip: &[f32], acc: &mut AccTile) {
+fn microkernel(isa: SimdIsa, a_panel: &[f32], b: &Strip<'_>, acc: &mut AccTile) {
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         SimdIsa::Avx2Fma => {
             // SAFETY: `SimdIsa::Avx2Fma` is only ever produced after
-            // `is_x86_feature_detected!` confirmed avx2+fma at runtime, and
-            // `gemm_packed` asserted the panel/strip lengths and the strip
-            // alignment the kernel's aligned loads need for this slab.
-            unsafe { avx2::microkernel(a_panel, b_strip, acc) }
+            // `is_x86_feature_detected!` confirmed avx2+fma at runtime.
+            unsafe { avx2::microkernel(a_panel, b, acc) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => microkernel_scalar(a_panel, b_strip, acc),
-        SimdIsa::Scalar => microkernel_scalar(a_panel, b_strip, acc),
+        SimdIsa::Avx2Fma => microkernel_scalar(a_panel, b, acc),
+        SimdIsa::Scalar => microkernel_scalar(a_panel, b, acc),
+    }
+}
+
+/// The left operand of a multiply: packed block by block by the worker that
+/// owns those output rows, or all of it packed ahead by [`pack_a_whole`]
+/// (a convolution multiplies every sample by the same weights).
+#[derive(Clone, Copy)]
+enum Lhs<'a> {
+    Operand(Operand<'a>),
+    Packed(&'a [f32]),
+}
+
+/// Packs all of logical `A` (`m × k`): slab `pc` starts at `pc · m_pad`
+/// (`m_pad` = `m` rounded up to whole `MR` panels) and holds the panels of
+/// rows `0..m` in order, so the panels of the `MC` block at `row0` start
+/// `row0 / MR` panels in.
+fn pack_a_whole(a: Operand<'_>, m: usize, k: usize) -> AlignedBuf {
+    let m_pad = m.div_ceil(MR) * MR;
+    let mut packed = PACK_POOL.take_aligned_dirty(m_pad * k);
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        pack_a(a, m, 0, m, pc, kc, &mut packed[pc * m_pad..(pc + kc) * m_pad]);
+    }
+    packed
+}
+
+/// A plain row-major `B` is read in place only while at most this many `A`
+/// panels sweep each of its strips (`m ≤ 36`). Packing a strip costs about
+/// as much as two sweeps of it and buys every later sweep aligned L1 hits
+/// whatever the row pitch — a pitch of 1–4 KiB, as in a power-of-two GEMM
+/// or a 32×32 feature map, lands a strip's rows in a handful of L1 sets.
+/// Measured on `m × 1024 × 256` (4 KiB pitch): in place is 2× ahead at
+/// `m = 8`, level at 32 and behind from 48; at 256³ it is 20 % behind.
+const IN_PLACE_MAX_PANELS: usize = 6;
+
+impl<'a> Operand<'a> {
+    /// Where each of the `k` rows of the `k × n` right operand of an
+    /// `m`-row multiply starts, when its rows lie contiguous in memory and
+    /// reading them there pays — then the microkernel reads every full
+    /// strip where it lies and only a ragged last strip is packed — or
+    /// `None` when every strip goes through the packer. A window view's
+    /// packer is a gather, dearer than any number of sweeps saves, so a
+    /// view that can be read in place always is.
+    fn rows_in_place(&self, m: usize, k: usize, n: usize) -> Option<Vec<usize>> {
+        match self {
+            Operand::Normal(_) if m <= IN_PLACE_MAX_PANELS * MR => {
+                Some((0..k).map(|kk| kk * n).collect())
+            }
+            Operand::Im2col(v) if v.reads_in_place() => Some(
+                (0..k)
+                    .map(|row| {
+                        let (ci, kh, kw) = v.window_of(row);
+                        (ci * v.in_h + kh) * v.in_w + kw
+                    })
+                    .collect(),
+            ),
+            _ => None,
+        }
+    }
+
+    /// The storage and the start of the 8 lanes at column `col` of row 0 of
+    /// an operand [`Operand::rows_in_place`] returned offsets for.
+    fn lanes_in_place(&self, col: usize) -> (&'a [f32], usize) {
+        match *self {
+            Operand::Normal(data) => (data, col),
+            Operand::Im2col(v) => (v.sample, (col / v.out_w) * v.in_w + col % v.out_w),
+            _ => unreachable!("only row-contiguous operands are read in place"),
+        }
     }
 }
 
 /// The packed GEMM driver: `c = alpha * A·B + beta * c` over logical
-/// `m × k` and `k × n` operands in whatever storage [`Operand`] describes.
+/// `m × k` and `k × n` operands in whatever storage [`Lhs`] and [`Operand`]
+/// describe; `b_rows` is `b.rows_in_place(m, k, n)`, passed in so that a
+/// convolution builds the table once for all its samples.
 /// BLAS semantics for `beta == 0.0`: `c` is overwritten without being read
 /// (so recycled buffers full of garbage — or NaNs — are fine).
 #[allow(clippy::too_many_arguments)]
@@ -565,8 +757,9 @@ fn gemm_packed(
     n: usize,
     k: usize,
     alpha: f32,
-    a: Operand<'_>,
+    a: Lhs<'_>,
     b: Operand<'_>,
+    b_rows: Option<&[usize]>,
     beta: f32,
     c: &mut [f32],
 ) {
@@ -590,42 +783,55 @@ fn gemm_packed(
         }
         return;
     }
+    let m_pad = m.div_ceil(MR) * MR;
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let strips = nc.div_ceil(NR);
+        // Full strips of a row-contiguous B are read where they lie; the
+        // rest — every strip of any other operand, the ragged last strip of
+        // this one (reading it in place would run past the operand's last
+        // row) — are packed.
+        let in_place = if b_rows.is_some() { nc / NR } else { 0 };
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            // Pack the B slab once per (jc, pc); strips are disjoint rows of
-            // the packed buffer, so the fan-out is pure data movement. The
-            // dirty take skips the pool's zero fill — packing overwrites
-            // every lane (padding included). Aligned storage: a strip is
-            // `kc·NR` f32 = 64·kc bytes, so every strip start inherits the
-            // buffer's 32-byte alignment and the AVX2 microkernel can use
-            // aligned loads.
-            let mut packed_b = PACK_POOL.take_aligned_dirty(strips * kc * NR);
             let strip_len = kc * NR;
-            // The AVX2 microkernel's safety contract, checked here once per
-            // slab rather than per tile: every strip below is a
-            // `strip_len` slice at a multiple of `strip_len` (64·kc bytes)
-            // from this aligned base.
-            assert_eq!(packed_b.len(), strips * strip_len, "packed B slab holds whole strips");
-            assert_eq!(
-                packed_b.as_ptr() as usize % 32,
-                0,
-                "packed B slab must be 32-byte aligned for aligned vector loads"
-            );
+            // Strips are disjoint rows of the packed buffer, so the fan-out
+            // is pure data movement. The dirty take skips the pool's zero
+            // fill — packing overwrites every lane (padding included).
+            // Aligned storage keeps a packed strip's 32-byte loads from
+            // straddling cache lines.
+            let mut packed_b = if strips > in_place {
+                PACK_POOL.take_aligned_dirty((strips - in_place) * strip_len)
+            } else {
+                AlignedBuf::new()
+            };
             parallel_rows_mut(
                 packed_b.as_mut_slice(),
                 strip_len,
                 min_items_per_thread(strip_len),
                 |first_strip, block| {
                     for (s_local, strip) in block.chunks_mut(strip_len).enumerate() {
-                        pack_b_strip(b, k, n, pc, kc, jc, nc, first_strip + s_local, strip);
+                        let jr = in_place + first_strip + s_local;
+                        pack_b_strip(b, k, n, pc, kc, jc, nc, jr, strip);
                     }
                 },
             );
+            let packed_rows = SlabRows::new(&PACKED_ROWS[..kc]);
+            let rows = b_rows.map_or(packed_rows, |rows| SlabRows::new(&rows[pc..pc + kc]));
+            let strip_at = |jr: usize| {
+                if jr < in_place {
+                    let col0 = jc + jr * NR;
+                    let ((data, lo), (_, hi)) =
+                        (b.lanes_in_place(col0), b.lanes_in_place(col0 + 8));
+                    Strip::new(data, [lo, hi], rows)
+                } else {
+                    let start = (jr - in_place) * strip_len;
+                    Strip::new(&packed_b, [start, start + 8], packed_rows)
+                }
+            };
             // One worker per run of whole MC row blocks; each packs its own
-            // A panels and owns its C rows outright.
+            // A panels (unless they were packed ahead) and owns its C rows
+            // outright.
             let min_rows = min_items_per_thread(2 * kc * nc);
             // The first k-slab *stores* `alpha·A·B + beta·c` (never reading
             // `c` when beta == 0, so recycled garbage is fine); later slabs
@@ -634,26 +840,33 @@ fn gemm_packed(
             let first_slab = pc == 0;
             parallel_row_blocks_mut(c, n, MC, min_rows, |first_row, c_rows| {
                 let rows = c_rows.len() / n;
-                let mut packed_a = PACK_POOL.take_aligned_dirty(MC.div_ceil(MR) * MR * kc);
-                // The other half of the contract: every panel below is a
-                // `kc·MR` slice of this buffer, matching the strips' `kc`.
-                assert_eq!(
-                    packed_a.len(),
-                    MC.div_ceil(MR) * MR * kc,
-                    "packed A holds kc-deep panels"
-                );
+                let mut own_panels = match a {
+                    Lhs::Operand(_) => PACK_POOL.take_aligned_dirty(MC.div_ceil(MR) * MR * kc),
+                    Lhs::Packed(_) => AlignedBuf::new(),
+                };
                 let mut acc = [[0.0f32; NR]; MR];
                 let mut r0 = 0;
                 while r0 < rows {
                     let mc = MC.min(rows - r0);
-                    pack_a(a, m, first_row + r0, mc, pc, kc, packed_a.as_mut_slice());
+                    let panels = mc.div_ceil(MR);
+                    let packed_a = match a {
+                        Lhs::Operand(a) => {
+                            pack_a(a, m, first_row + r0, mc, pc, kc, own_panels.as_mut_slice());
+                            own_panels.as_slice()
+                        }
+                        Lhs::Packed(whole) => &whole[pc * m_pad + (first_row + r0) * kc..],
+                    };
+                    // A short panel would make the microkernel stop early
+                    // (wrong sums, not unsoundness): every panel below is a
+                    // `kc·MR` slice, matching the strips' `kc` rows.
+                    assert!(packed_a.len() >= panels * kc * MR, "packed A holds kc-deep panels");
                     for jr in 0..strips {
-                        let b_strip = &packed_b[jr * strip_len..(jr + 1) * strip_len];
+                        let b_strip = strip_at(jr);
                         let col0 = jc + jr * NR;
                         let nr_eff = NR.min(jc + nc - col0);
-                        for ir in 0..mc.div_ceil(MR) {
+                        for ir in 0..panels {
                             let a_panel = &packed_a[ir * kc * MR..(ir + 1) * kc * MR];
-                            microkernel(isa, a_panel, b_strip, &mut acc);
+                            microkernel(isa, a_panel, &b_strip, &mut acc);
                             let mr_eff = MR.min(mc - ir * MR);
                             for (i, acc_row) in acc.iter().enumerate().take(mr_eff) {
                                 let row = r0 + ir * MR + i;
@@ -681,10 +894,88 @@ fn gemm_packed(
                     }
                     r0 += mc;
                 }
-                PACK_POOL.give_aligned(packed_a);
+                PACK_POOL.give_aligned(own_panels);
             });
             PACK_POOL.give_aligned(packed_b);
         }
+    }
+}
+
+/// `gemm_packed` over two plain operands: `A` packed per row block, `B`
+/// read in place where its rows allow.
+#[allow(clippy::too_many_arguments)]
+fn multiply(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    beta: f32,
+    c: &mut [f32],
+) {
+    let b_rows = b.rows_in_place(m, k, n);
+    gemm_packed(m, n, k, alpha, Lhs::Operand(a), b, b_rows.as_deref(), beta, c);
+}
+
+/// One convolution call's multiply `c = alpha · A·im2col(sample) + beta · c`,
+/// set up once and run per sample: `A` (the weights) is packed into panels
+/// ahead, and the row-offset table of a column matrix that is read in place
+/// is built once — only the sample changes between runs. The panels go back
+/// to the packing pool on drop.
+pub(crate) struct Im2colGemm {
+    m: usize,
+    n: usize,
+    k: usize,
+    panels: AlignedBuf,
+    geometry: Im2colView<'static>,
+    b_rows: Option<Vec<usize>>,
+}
+
+/// The operand a view is multiplied as: a pointwise view's column matrix is
+/// the sample itself.
+fn im2col_operand(view: Im2colView<'_>) -> Operand<'_> {
+    if view.is_identity() {
+        Operand::Normal(view.sample)
+    } else {
+        Operand::Im2col(view)
+    }
+}
+
+impl Im2colGemm {
+    /// Prepares `A · im2col(·)` for the `m × (C·Kh·Kw)` row-major `a` and
+    /// the window geometry of `view` (whose `sample` is not read).
+    ///
+    /// # Errors
+    /// Returns [`KernelError::ShapeMismatch`] when `a` or the view's
+    /// geometry is inconsistent.
+    pub(crate) fn new(m: usize, a: &[f32], view: &Im2colView<'_>) -> Result<Self> {
+        let geometry = Im2colView { sample: &[], ..*view };
+        let (k, n) = (view.channels * view.kernel_h * view.kernel_w, view.out_h * view.out_w);
+        check_len(a.len(), m, k, "a")?;
+        geometry.check_geometry(k, n)?;
+        let b_rows = im2col_operand(geometry).rows_in_place(m, k, n);
+        Ok(Im2colGemm { m, n, k, panels: pack_a_whole(Operand::Normal(a), m, k), geometry, b_rows })
+    }
+
+    /// `c = alpha · A·im2col(sample) + beta · c`.
+    ///
+    /// # Errors
+    /// Returns [`KernelError::ShapeMismatch`] when `sample` or `c` does not
+    /// have the extent the geometry states.
+    pub(crate) fn run(&self, sample: &[f32], alpha: f32, beta: f32, c: &mut [f32]) -> Result<()> {
+        let view = Im2colView { sample, ..self.geometry };
+        check_len(sample.len(), view.channels, view.in_h * view.in_w, "im2col sample")?;
+        check_len(c.len(), self.m, self.n, "c")?;
+        let (a, b) = (Lhs::Packed(&self.panels), im2col_operand(view));
+        gemm_packed(self.m, self.n, self.k, alpha, a, b, self.b_rows.as_deref(), beta, c);
+        Ok(())
+    }
+}
+
+impl Drop for Im2colGemm {
+    fn drop(&mut self) {
+        PACK_POOL.give_aligned(std::mem::take(&mut self.panels));
     }
 }
 
@@ -717,7 +1008,7 @@ pub fn gemm(
     check_len(a.len(), m, k, "a")?;
     check_len(b.len(), k, n, "b")?;
     check_len(c.len(), m, n, "c")?;
-    gemm_packed(m, n, k, alpha, Operand::Normal(a), Operand::Normal(b), beta, c);
+    multiply(m, n, k, alpha, Operand::Normal(a), Operand::Normal(b), beta, c);
     Ok(())
 }
 
@@ -729,7 +1020,7 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     check_len(a.len(), m, k, "a")?;
     check_len(b.len(), n, k, "b")?;
     check_len(c.len(), m, n, "c")?;
-    gemm_packed(m, n, k, 1.0, Operand::Normal(a), Operand::Transposed(b), 0.0, c);
+    multiply(m, n, k, 1.0, Operand::Normal(a), Operand::Transposed(b), 0.0, c);
     Ok(())
 }
 
@@ -741,16 +1032,16 @@ pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     check_len(a.len(), k, m, "a")?;
     check_len(b.len(), k, n, "b")?;
     check_len(c.len(), m, n, "c")?;
-    gemm_packed(m, n, k, 1.0, Operand::Transposed(a), Operand::Normal(b), 0.0, c);
+    multiply(m, n, k, 1.0, Operand::Transposed(a), Operand::Normal(b), 0.0, c);
     Ok(())
 }
 
 /// `c = alpha * a·B + beta * c` where `a` is `m×k` row-major and `B` is the
-/// `k×n` im2col column matrix described by an [`Im2colView`] — gathered
-/// during packing, never materialized. Bit-identical to materializing the
-/// column matrix and calling [`gemm`]: the microkernel consumes bitwise
-/// equal packed panels in the same accumulation order. A pointwise view's
-/// column matrix is the sample itself and is read in place.
+/// `k×n` im2col column matrix described by an [`Im2colView`] — read in
+/// place or gathered during packing, never materialized. Bit-identical to
+/// materializing the column matrix and calling [`gemm`]: the microkernel
+/// consumes bitwise equal values in the same accumulation order. A
+/// pointwise view's column matrix is the sample itself.
 ///
 /// # Errors
 /// Returns [`KernelError::ShapeMismatch`] when the slice lengths or the
@@ -769,9 +1060,7 @@ pub fn gemm_im2col(
     check_len(a.len(), m, k, "a")?;
     check_len(c.len(), m, n, "c")?;
     b.check(k, n)?;
-    let b = if b.is_identity() { Operand::Normal(b.sample) } else { Operand::Im2col(b) };
-    gemm_packed(m, n, k, alpha, Operand::Normal(a), b, beta, c);
-    Ok(())
+    Im2colGemm::new(m, a, &b)?.run(b.sample, alpha, beta, c)
 }
 
 /// `c += a·Bᵀ` where `a` is `m×k` row-major and `B` is the `n×k` im2col
@@ -794,7 +1083,7 @@ pub(crate) fn gemm_nt_im2col_acc(
     check_len(c.len(), m, n, "c")?;
     b.check(n, k)?;
     let b = if b.is_identity() { Operand::Transposed(b.sample) } else { Operand::Im2colT(b) };
-    gemm_packed(m, n, k, 1.0, Operand::Normal(a), b, 1.0, c);
+    multiply(m, n, k, 1.0, Operand::Normal(a), b, 1.0, c);
     Ok(())
 }
 
@@ -1061,6 +1350,25 @@ mod tests {
             let expected_bits: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
             assert_eq!(fused_bits, expected_bits, "{label}");
 
+            // Where a zero-bordered copy makes the windows readable in
+            // place, the microkernel's reads of it must be those same bits.
+            if let (Some((bh, bw)), staged) = view.staged_for_in_place() {
+                let (rows, cols) = (in_h + 2 * bh, in_w + 2 * bw);
+                let mut bordered = vec![0.0f32; in_c * rows * cols];
+                for (p, plane) in x.as_slice().chunks_exact(in_h * in_w).enumerate() {
+                    for (r, row) in plane.chunks_exact(in_w).enumerate() {
+                        let at = (p * rows + bh + r) * cols + bw;
+                        bordered[at..at + in_w].copy_from_slice(row);
+                    }
+                }
+                let in_place = Im2colView { sample: &bordered, ..staged };
+                assert!(in_place.reads_in_place(), "{label}");
+                let mut direct = vec![f32::NAN; m * n];
+                gemm_im2col(m, n, k, 1.0, &a, in_place, 0.0, &mut direct).unwrap();
+                let direct_bits: Vec<u32> = direct.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(direct_bits, expected_bits, "in place {label}");
+            }
+
             // a · colᵀ, accumulated into zeros: equal values (the `0 + x`
             // of the accumulate can only turn a −0.0 into +0.0).
             let a_t: Vec<f32> = (0..m * n).map(|i| ((i * 23 % 19) as f32 - 9.0) * 0.17).collect();
@@ -1099,6 +1407,55 @@ mod tests {
         // A zero stride has no column matrix.
         let stuck = Im2colView { stride: 0, ..view };
         assert!(gemm_im2col(2, 16, 27, 1.0, &a, stuck, 0.0, &mut c).is_err());
+    }
+
+    /// The in-place reads index the sample by the view's fields alone, so a
+    /// view whose extents do not follow from its own window geometry must
+    /// be turned away — the `rows`/`cols` products agreeing is not enough.
+    #[test]
+    fn gemm_im2col_rejects_malformed_geometry() {
+        let sample = vec![1.0f32; 2 * 6 * 8];
+        // A valid 3×3 over 2×6×8: 4×6 outputs, read in place.
+        let view = Im2colView {
+            sample: &sample,
+            channels: 2,
+            in_h: 6,
+            in_w: 8,
+            kernel_h: 3,
+            kernel_w: 3,
+            stride: 1,
+            pad_h: 0,
+            pad_w: 0,
+            out_h: 4,
+            out_w: 6,
+        };
+        let a = vec![0.5f32; 3 * 2 * 49];
+        let mut c = vec![0.0f32; 3 * 64];
+        assert!(gemm_im2col(3, 24, 18, 1.0, &a[..54], view, 0.0, &mut c[..72]).is_ok());
+        let mismatch = |view: Im2colView<'_>, n: usize, k: usize, c: &mut [f32]| {
+            let result = gemm_im2col(3, n, k, 1.0, &a[..3 * k], view, 0.0, &mut c[..3 * n]);
+            matches!(result, Err(KernelError::ShapeMismatch(_)))
+        };
+        // The right `out_h·out_w`, the wrong `out_w`: 3×8 instead of 4×6.
+        assert!(mismatch(Im2colView { out_h: 3, out_w: 8, ..view }, 24, 18, &mut c));
+        // An output larger than the windows that fit: 8×8 from a 6×8 input.
+        assert!(mismatch(Im2colView { out_h: 8, out_w: 8, ..view }, 64, 18, &mut c));
+        // A filter larger than the padded input.
+        let wide = Im2colView { kernel_h: 7, kernel_w: 7, out_h: 1, out_w: 2, ..view };
+        assert!(mismatch(wide, 2, 98, &mut c));
+    }
+
+    /// A plain `B` is read in place while few panels sweep it; a transposed
+    /// one never is. (That the in-place path then takes no `B` slab from the
+    /// pool is pinned in `tests/pack_pool.rs`, which has the pool to itself.)
+    #[test]
+    fn in_place_rule_follows_the_shape() {
+        let data = vec![0.0f32; 64 * 64];
+        let rows = |m, k, n| Operand::Normal(&data[..k * n]).rows_in_place(m, k, n);
+        assert_eq!(rows(8, 3, 16), Some(vec![0, 16, 32]));
+        assert!(rows(IN_PLACE_MAX_PANELS * MR, 4, 16).is_some());
+        assert!(rows(IN_PLACE_MAX_PANELS * MR + 1, 4, 16).is_none(), "many sweeps: pack");
+        assert!(Operand::Transposed(&data).rows_in_place(8, 4, 16).is_none());
     }
 
     #[test]

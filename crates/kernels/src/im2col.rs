@@ -3,11 +3,11 @@
 //! The reference CNN libraries in the paper (MKL-DNN, CUTLASS) execute
 //! convolutions as matrix multiplies over an im2col-expanded input. The
 //! production kernels in [`crate::conv`] never write that matrix — the
-//! GEMM's B-packer gathers windows straight from the sample
+//! GEMM reads the windows where they lie or gathers them while packing
 //! ([`crate::gemm::Im2colView`]) — so what lives here is:
 //!
 //! * [`im2col`], the element-wise materializing lowering, kept as the oracle
-//!   the gather packer is tested bit-identical against;
+//!   both of those are tested bit-identical against;
 //! * [`col2im_accumulate`], its adjoint, which the input gradient of a
 //!   *strided* convolution still scatters a `d_col` through (stride-1
 //!   convolutions compute their input gradient as a forward convolution
@@ -194,8 +194,9 @@ pub fn col_shape(input: &Shape, attrs: &Conv2dAttrs) -> Result<(usize, usize)> {
     Ok((input.c() * attrs.kernel_h * attrs.kernel_w, ho * wo))
 }
 
-/// The convolution geometries `(C_in, H, W, attrs)` the gather packer
-/// (`gemm` tests) and both gradient paths (`conv` tests) are checked over.
+/// The convolution geometries `(C_in, H, W, attrs)` the gather packer and
+/// the in-place reads (`gemm` tests), both gradient paths (`conv` tests) and
+/// the fused prologues (`fused` tests) are checked over.
 #[cfg(test)]
 pub(crate) fn test_geometries() -> Vec<(usize, usize, usize, Conv2dAttrs)> {
     let conv = |out_channels, kernel_h, kernel_w, stride, pad| Conv2dAttrs {
@@ -229,6 +230,22 @@ pub(crate) fn test_geometries() -> Vec<(usize, usize, usize, Conv2dAttrs)> {
         (4, 19, 19, conv(6, 5, 5, 4, 2)),
         // Pointwise: the sample is the operand.
         (5, 6, 6, conv(7, 1, 1, 1, 0)),
+        // Stride 1 with `out_w` a multiple of 8: the windows are read in
+        // place, through a zero-bordered copy of the sample when padded.
+        // `out_w = 8`, `C·Kh·Kw = 288` (two KC slabs), `m = 8` on `MR = 6`.
+        (32, 8, 8, conv(8, 3, 3, 1, 1)),
+        // `out_w = 16`; the rotated GEMM's `C_out·9 = 270` straddles KC.
+        (4, 16, 16, conv(30, 3, 3, 1, 1)),
+        // `out_w = 24`, `n = 120` (the ragged last strip is packed beside
+        // seven read in place), `m = MC + 2`: past MC and no multiple of MR.
+        (3, 5, 24, conv(crate::gemm::MC + 2, 3, 3, 1, 1)),
+        // `out_w = 32`, and a two-deep border.
+        (2, 6, 32, conv(5, 3, 3, 1, 1)),
+        (2, 8, 16, conv(3, 5, 5, 1, 2)),
+        // A `valid` 3×3 (`out_w = 8`, `n = 40`): in place with no copy.
+        (3, 7, 10, conv(4, 3, 3, 1, 0)),
+        // Non-square: the input gradient's border is 1 row by 3 columns.
+        (3, 9, 16, conv(4, 3, 5, 1, 1)),
     ]
 }
 

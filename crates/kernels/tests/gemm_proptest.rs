@@ -2,7 +2,8 @@
 //! straddle every blocking edge (`MR`/`NR` microtiles, `MC` row blocks,
 //! `KC` slabs — none of them multiples of each other), all three transpose
 //! variants must agree with a naive triple-loop reference, including the
-//! degenerate 1×1 and `K = 0` cases.
+//! degenerate 1×1 and `K = 0` cases; and a `B` read in place must give the
+//! bits a packed `B` gives.
 
 use bnff_kernels::gemm::{gemm, gemm_nt, gemm_streaming, gemm_tn, KC, MC, MR, NR};
 use proptest::prelude::*;
@@ -113,6 +114,35 @@ proptest! {
         let mut c_tn = vec![f32::NAN; m * n];
         gemm_tn(m, n, k, &at, &b, &mut c_tn).unwrap();
         assert_close("gemm_tn", m, n, k, &c_tn, &reference);
+    }
+}
+
+proptest! {
+    /// A row-major `B` under a short `A` is read where it lies. Per `C`
+    /// element that must change nothing: the same products in the same
+    /// order as the packed path, which `gemm_nt` on the transposed storage
+    /// always takes (a transposed `B` has no contiguous rows) — bit for
+    /// bit, for whole-strip widths, for a ragged width (whose last strip is
+    /// packed beside the in-place ones) and for `k` on both sides of `KC` —
+    /// and within the file's tolerance of the streaming engine.
+    #[test]
+    fn in_place_b_is_bit_identical_to_packed_b(
+        case in (1usize..6 * MR + 1, NR..4 * NR, KC - 20..KC + 45, 0usize..1_000_000)
+    ) {
+        let (m, width, k, seed) = (case.0, case.1, case.2, case.3 as u64);
+        let a = data(m * k, seed);
+        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for n in [width - width % NR, width] {
+            let b = data(k * n, seed ^ 0xBEEF);
+            let mut in_place = vec![f32::NAN; m * n];
+            gemm(m, n, k, 1.0, &a, &b, 0.0, &mut in_place).unwrap();
+            let mut packed = vec![f32::NAN; m * n];
+            gemm_nt(m, n, k, &a, &transpose(k, n, &b), &mut packed).unwrap();
+            assert_eq!(bits(&in_place), bits(&packed), "{m}x{n}x{k}");
+            let mut streamed = vec![0.0; m * n];
+            gemm_streaming(m, n, k, 1.0, &a, &b, 0.0, &mut streamed).unwrap();
+            assert_close("in-place gemm vs streaming", m, n, k, &in_place, &streamed);
+        }
     }
 }
 

@@ -103,7 +103,8 @@ fn gemm_matches_serial_across_odd_sizes() {
 fn conv_forward_and_backward_match_serial() {
     // Batch 1 (threads > samples), odd channel counts, odd spatial sizes;
     // then stride 2 (the `d_col` + col2im input gradient) and 4×4 maps
-    // (`out_w < NR`: one packed strip spans four output rows).
+    // (`out_w < NR`: one packed strip spans four output rows); then 8- and
+    // 16-wide maps, whose windows are read in place from a bordered copy.
     let same = |oc, hw| Conv2dAttrs::new(oc, if hw >= 3 { 3 } else { 1 }, 1, usize::from(hw >= 3));
     for &(n, ic, oc, hw, seed, attrs) in &[
         (1usize, 1usize, 1usize, 1usize, 1u64, same(1, 1)),
@@ -112,6 +113,8 @@ fn conv_forward_and_backward_match_serial() {
         (2, 2, 8, 5, 4, same(8, 5)),
         (3, 4, 6, 9, 5, Conv2dAttrs::new(6, 3, 2, 1)),
         (3, 5, 7, 4, 6, same(7, 4)),
+        (3, 5, 7, 8, 7, same(7, 8)),
+        (2, 3, 100, 16, 8, same(100, 16)),
     ] {
         let x = random(Shape::nchw(n, ic, hw, hw), seed);
         let w = random(Shape::nchw(oc, ic, attrs.kernel_h, attrs.kernel_w), seed + 100);
@@ -321,6 +324,9 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
     // Forward and both gradients, at stride 1 on 4×4 maps (`out_w < NR`)
     // and at stride 2.
     let small = random(Shape::nchw(3, 5, 4, 4), 44);
+    // 8×8 and 16×16 maps: stride-1 windows read in place (`out_w % 8 == 0`).
+    let (wide8, wide16) =
+        (random(Shape::nchw(3, 5, 8, 8), 47), random(Shape::nchw(2, 5, 16, 16), 48));
     let (tiny, tiny_grad) =
         (random(Shape::nchw(3, 5, 2, 2), 45), random(Shape::nchw(3, 5, 2, 2), 46));
     let strided = Conv2dAttrs::new(6, 3, 2, 1);
@@ -372,6 +378,8 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
         }),
         ("conv_fwd_bwd_4x4", &|| conv_case(&small, &attrs)),
         ("conv_fwd_bwd_stride2", &|| conv_case(&x, &strided)),
+        ("conv_fwd_bwd_8x8", &|| conv_case(&wide8, &attrs)),
+        ("conv_fwd_bwd_16x16", &|| conv_case(&wide16, &attrs)),
         ("relu_backward", &|| relu_backward(&b, &x).unwrap().into_vec()),
         ("bn_backward", &|| {
             let (_, state) = bn_forward(&x, &params, 1e-5, true).unwrap();
@@ -399,6 +407,10 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
         ("fused_backward_9x9", &|| fused_backward(normalized(&x), &w, &attrs)),
         ("fused_backward_stride2", &|| fused_backward(normalized(&x), &w, &strided)),
         ("fused_backward_clip", &|| fused_backward(ConvInput::Clip(&x), &w, &attrs)),
+        // The same through the bordered scratch the in-place reads need.
+        ("fused_forward_8x8", &|| fused_forward(normalized(&wide8), &w, &attrs)),
+        ("fused_backward_16x16", &|| fused_backward(normalized(&wide16), &w, &attrs)),
+        ("fused_backward_clip_8x8", &|| fused_backward(ConvInput::Clip(&wide8), &w, &attrs)),
     ];
     for &isa in &isas {
         for (label, f) in cases {

@@ -22,7 +22,9 @@ use bnff_kernels::batchnorm::{
 use bnff_kernels::conv::{conv2d_forward_relu_into, ConvInput};
 use bnff_kernels::dispatch::{active_isa, with_isa, SimdIsa};
 use bnff_kernels::eltwise::eltwise_sum_forward;
-use bnff_kernels::fused::{fused_conv_backward_into, norm_relu_conv_forward};
+use bnff_kernels::fused::{
+    fused_conv_backward_into, fused_conv_forward_into, norm_relu_conv_forward,
+};
 use bnff_kernels::gemm::{gemm, gemm_nt, gemm_tn, KC, MC, MR, NR};
 use bnff_kernels::relu::{relu_backward, relu_forward};
 use bnff_kernels::{affine, fc};
@@ -229,6 +231,33 @@ fn bn_affine_and_fused_paths_agree() {
         norm_relu_conv_forward(&x, &stats, &params, 1e-5, &w, None, &attrs).unwrap().into_vec()
     });
     assert_paths_close("norm_relu_conv", 4 * 9 + 3 * 5 * 5, &s, &v);
+
+    // 8- and 16-wide maps: the microkernel reads the windows where they lie
+    // (a zero-bordered copy of each sample) instead of from packed strips.
+    for (h, w_in) in [(8, 8), (6, 16)] {
+        let wide = init.uniform(Shape::nchw(2, 4, h, w_in), -2.0, 2.0);
+        let (s, v) = both_paths(|| {
+            let mut out = Tensor::zeros(Shape::nchw(2, 6, h, w_in));
+            conv2d_forward_relu_into(&wide, &w, Some(&bias), &attrs, &mut out).unwrap();
+            out.into_vec()
+        });
+        assert_paths_close("conv2d_forward_relu in place", 4 * 9, &s, &v);
+        let (s, v) = both_paths(|| {
+            let stats = channel_stats_one_pass(&wide).unwrap();
+            let input =
+                ConvInput::NormClip { x: &wide, stats: &stats, params: &params, epsilon: 1e-5 };
+            let mut out = Tensor::zeros(Shape::nchw(2, 6, h, w_in));
+            fused_conv_forward_into(input, &w, None, &attrs, false, &mut out).unwrap();
+            let mut d_x = Tensor::zeros(wide.shape().clone());
+            let grads =
+                fused_conv_backward_into(input, &out, &w, &attrs, false, Some(&mut d_x)).unwrap();
+            let mut flat = out.into_vec();
+            flat.extend(d_x.into_vec());
+            flat.extend(grads.d_weights.into_vec());
+            flat
+        });
+        assert_paths_close("fused conv in place", 6 * 9 + 2 * h * w_in, &s, &v);
+    }
 
     // Backward: the ∂γ/∂β reductions add per-plane lane partials on the
     // vector path where the scalar path continues one fold per channel;

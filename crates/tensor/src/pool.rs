@@ -159,8 +159,8 @@ impl BufferPool {
 
     /// Takes a 32-byte-aligned buffer of exactly `len` elements with
     /// *unspecified* contents (the [`BufferPool::take_dirty`] analogue for
-    /// [`AlignedBuf`] storage) — what the packed-GEMM panels use so the
-    /// microkernel can issue aligned vector loads.
+    /// [`AlignedBuf`] storage) — what the packed-GEMM panels use, so that
+    /// no vector load from a packed strip straddles a cache line.
     pub fn take_aligned_dirty(&mut self, len: usize) -> AlignedBuf {
         self.takes += 1;
         self.taken_bytes += len * std::mem::size_of::<f32>();
@@ -310,9 +310,12 @@ impl SharedBufferPool {
         self.lock().take_aligned_dirty(len)
     }
 
-    /// Returns an aligned buffer's storage to the free list.
+    /// Returns an aligned buffer's storage to the free list. A
+    /// zero-capacity buffer is dropped without taking the lock.
     pub fn give_aligned(&self, buf: AlignedBuf) {
-        self.lock().give_aligned(buf);
+        if buf.capacity() > 0 {
+            self.lock().give_aligned(buf);
+        }
     }
 
     /// `(hits, takes)` served so far — the reuse rate of the pool.

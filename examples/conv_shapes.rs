@@ -1,0 +1,123 @@
+//! Per-shape convolution timings: for each distinct convolution of
+//! `densenet_cifar(batch, 8, 2, 10)` — the model the benchmark trains — the
+//! forward pass, the weight gradient and the input gradient, each as the
+//! median of 9 runs on one thread, in ms and GFLOP/s. This is the table
+//! convolution work is sized and checked with; it reads the public kernel
+//! entry points only, so it runs unchanged against any commit.
+//!
+//! Run with `cargo run --release --example conv_shapes -- --batch 64`.
+
+use bnff::graph::op::{Conv2dAttrs, OpKind};
+use bnff::kernels::conv::{
+    conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward, conv2d_forward_into,
+};
+use bnff::models::densenet_cifar;
+use bnff::parallel::with_threads;
+use bnff::tensor::init::Initializer;
+use bnff::tensor::{Shape, Tensor};
+use std::hint::black_box;
+use std::time::Instant;
+
+const RUNS: usize = 9;
+
+/// Median wall time of `RUNS` calls of `f`, in milliseconds, after one
+/// untimed call that fills the packing pools.
+fn median_ms(mut f: impl FnMut()) -> f64 {
+    f();
+    let mut times: Vec<f64> = (0..RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[RUNS / 2]
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let batch = match args.as_slice() {
+        [] => 64,
+        [flag, value] if flag == "--batch" => value.parse()?,
+        _ => return Err("usage: conv_shapes [--batch N]".into()),
+    };
+    let graph = densenet_cifar(batch, 8, 2, 10)?;
+    // Distinct (input shape, attributes) in graph order, with how many
+    // layers share each.
+    let mut shapes: Vec<(Shape, Conv2dAttrs, usize)> = Vec::new();
+    for node in graph.nodes() {
+        if let OpKind::Conv2d(attrs) = node.op {
+            let input = &graph.node(node.inputs[0])?.output_shape;
+            match shapes.iter_mut().find(|(shape, a, _)| shape == input && *a == attrs) {
+                Some(known) => known.2 += 1,
+                None => shapes.push((input.clone(), attrs, 1)),
+            }
+        }
+    }
+    println!(
+        "densenet_cifar({batch}, 8, 2, 10): {} distinct convolutions, one thread, median of {RUNS}",
+        shapes.len()
+    );
+    println!(
+        "{:>22} {:>3} {:>2}  {:>16}  {:>16}  {:>16}",
+        "input -> out k", "s/p", "x", "forward", "weight grad", "input grad"
+    );
+    let mut total = [0.0f64; 3];
+    for (input, attrs, count) in shapes {
+        let mut init = Initializer::seeded(7);
+        let x = init.uniform(input.clone(), -1.0, 1.0);
+        let w = init.uniform(
+            Shape::nchw(attrs.out_channels, input.c(), attrs.kernel_h, attrs.kernel_w),
+            -1.0,
+            1.0,
+        );
+        let mut out = conv2d_forward(&x, &w, None, &attrs)?;
+        let d_out = init.uniform(out.shape().clone(), -1.0, 1.0);
+        let mut d_x = Tensor::zeros(input.clone());
+        let gflop =
+            2.0 * (out.shape().volume() * input.c() * attrs.kernel_h * attrs.kernel_w) as f64 / 1e9;
+        let ms = with_threads(1, || {
+            [
+                median_ms(|| {
+                    conv2d_forward_into(black_box(&x), &w, None, &attrs, &mut out)
+                        .expect("forward shapes agree");
+                }),
+                median_ms(|| {
+                    black_box(
+                        conv2d_backward_weights(black_box(&x), &d_out, &attrs, false)
+                            .expect("weight-gradient shapes agree"),
+                    );
+                }),
+                median_ms(|| {
+                    conv2d_backward_input_into(black_box(&d_out), &w, &attrs, &mut d_x)
+                        .expect("input-gradient shapes agree");
+                }),
+            ]
+        });
+        black_box((&out, &d_x));
+        let cell = |ms: f64| format!("{ms:7.3} ms {:5.1}", gflop / ms * 1e3);
+        println!(
+            "{:>3}x{:<2}x{:<2} -> {:>3} {}x{} {:>3} {:>2}  {}  {}  {}",
+            input.c(),
+            input.h(),
+            input.w(),
+            attrs.out_channels,
+            attrs.kernel_h,
+            attrs.kernel_w,
+            format!("{}/{}", attrs.stride, attrs.pad),
+            count,
+            cell(ms[0]),
+            cell(ms[1]),
+            cell(ms[2]),
+        );
+        for (sum, ms) in total.iter_mut().zip(ms) {
+            *sum += ms * count as f64;
+        }
+    }
+    println!(
+        "all layers (ms x layer count): forward {:.1} ms, weight grad {:.1} ms, input grad {:.1} ms",
+        total[0], total[1], total[2]
+    );
+    Ok(())
+}
