@@ -154,6 +154,18 @@ fn a_lying_manifest_cannot_read_outside_the_section() {
 }
 
 #[test]
+fn a_manifest_nested_past_the_parser_bound_is_a_manifest_error() {
+    // A correctly checksummed manifest of a million `[`: the JSON parser
+    // recurses per level, so without its nesting bound this overflows the
+    // loading thread's stack (a process abort, not an error).
+    let rebuilt = with_edited_manifest(|_| "[".repeat(1_000_000));
+    match Artifact::from_bytes(&rebuilt) {
+        Err(ModelError::Manifest(msg)) => assert!(msg.contains("recursion limit"), "{msg}"),
+        other => panic!("expected Manifest, got {other:?}"),
+    }
+}
+
+#[test]
 fn a_shape_whose_volume_wraps_is_a_layout_error() {
     // (2^63 + 1) × 2 wraps to 2 elements = the 8 bytes fc/bias declares, so
     // unchecked multiplication would accept the shape.

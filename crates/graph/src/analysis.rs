@@ -28,7 +28,7 @@
 
 use crate::graph::Graph;
 use crate::node::{Node, NodeId};
-use crate::op::{Conv2dAttrs, LayerCategory, OpKind, PoolKind};
+use crate::op::{Conv2dAttrs, OpKind, PoolKind};
 use crate::Result;
 use bnff_tensor::Shape;
 use serde::Serialize;
@@ -598,20 +598,6 @@ pub fn graph_cost(graph: &Graph) -> Result<GraphCost> {
     Ok(GraphCost { per_node, flops_fwd, flops_bwd, bytes_fwd, bytes_bwd })
 }
 
-/// Aggregates bytes swept per layer category (used for the CONV/FC vs
-/// non-CONV breakdowns of Figures 1 and 6).
-///
-/// # Errors
-/// Returns an error if the graph is structurally inconsistent.
-pub fn bytes_by_category(graph: &Graph) -> Result<HashMap<LayerCategory, usize>> {
-    let mut map = HashMap::new();
-    for node in graph.nodes() {
-        let cost = node_cost(graph, node)?;
-        *map.entry(node.op.category()).or_insert(0) += cost.bytes_total();
-    }
-    Ok(map)
-}
-
 /// Counts whole-activation memory sweeps (reads + writes of mini-batch
 /// feature maps and gradients) for the entire graph, forward + backward.
 ///
@@ -635,7 +621,7 @@ pub fn activation_sweep_count(graph: &Graph) -> Result<usize> {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::op::BatchNormAttrs;
+    use crate::op::{BatchNormAttrs, LayerCategory};
 
     fn fragment() -> Graph {
         let mut b = GraphBuilder::new("frag");
@@ -753,9 +739,21 @@ mod tests {
     #[test]
     fn categories_split_conv_and_nonconv() {
         let g = fragment();
-        let by_cat = bytes_by_category(&g).unwrap();
-        assert!(by_cat[&LayerCategory::ConvFc] > 0);
-        assert!(by_cat[&LayerCategory::NonConv] > 0);
+        // The per-node table splits by category the way the Figure 1/6
+        // breakdowns split it.
+        let cost = graph_cost(&g).unwrap();
+        let bytes_of = |category| -> usize {
+            g.nodes()
+                .filter(|n| n.op.category() == category)
+                .map(|n| cost.per_node[&n.id.index()].bytes_total())
+                .sum()
+        };
+        assert!(bytes_of(LayerCategory::ConvFc) > 0);
+        assert!(bytes_of(LayerCategory::NonConv) > 0);
+        assert_eq!(
+            bytes_of(LayerCategory::ConvFc) + bytes_of(LayerCategory::NonConv),
+            cost.bytes_total()
+        );
     }
 
     #[test]

@@ -56,16 +56,6 @@ impl Node {
     ) -> Self {
         Node { id, name: name.into(), op, inputs, output_shape }
     }
-
-    /// Number of elements in the node's output tensor.
-    pub fn output_volume(&self) -> usize {
-        self.output_shape.volume()
-    }
-
-    /// Number of bytes of the node's single-precision output tensor.
-    pub fn output_bytes(&self) -> usize {
-        self.output_shape.bytes_f32()
-    }
 }
 
 impl fmt::Display for Node {
@@ -87,7 +77,7 @@ mod tests {
     }
 
     #[test]
-    fn node_volume_and_bytes() {
+    fn node_displays_its_id_name_op_and_shape() {
         let n = Node::new(
             NodeId::new(0),
             "conv",
@@ -95,9 +85,9 @@ mod tests {
             vec![],
             Shape::nchw(2, 8, 4, 4),
         );
-        assert_eq!(n.output_volume(), 2 * 8 * 4 * 4);
-        assert_eq!(n.output_bytes(), 2 * 8 * 4 * 4 * 4);
-        assert!(n.to_string().contains("conv"));
+        let shown = n.to_string();
+        assert!(shown.starts_with("n0 [conv] "), "{shown}");
+        assert!(shown.ends_with(&format!("-> {}", n.output_shape)), "{shown}");
     }
 
     #[test]

@@ -68,20 +68,9 @@ pub fn concat_forward_into(inputs: &[&Tensor], out: &mut Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Splits the upstream gradient of a concatenation back into per-input
-/// gradients.
-///
-/// # Errors
-/// Returns an error when the channel counts do not add up.
-pub fn concat_backward(d_y: &Tensor, input_shapes: &[Shape]) -> Result<Vec<Tensor>> {
-    let mut grads: Vec<Tensor> = input_shapes.iter().map(|s| Tensor::zeros(s.clone())).collect();
-    concat_backward_into(d_y, &mut grads)?;
-    Ok(grads)
-}
-
-/// [`concat_backward`] into caller-provided gradient tensors, one per
-/// concatenated input and of that input's shape. Every element of every
-/// tensor in `grads` is overwritten.
+/// Splits the upstream gradient of a concatenation back into
+/// caller-provided gradient tensors, one per concatenated input and of that
+/// input's shape. Every element of every tensor in `grads` is overwritten.
 ///
 /// # Errors
 /// Returns an error when the channel counts do not add up or batch/spatial
@@ -142,7 +131,8 @@ mod tests {
         let mut d_y = Tensor::zeros(y.shape().clone());
         d_y.channel_plane_mut(0, 0).fill(1.0);
         d_y.channel_plane_mut(0, 2).fill(3.0);
-        let grads = concat_backward(&d_y, &[a.shape().clone(), b.shape().clone()]).unwrap();
+        let mut grads = [Tensor::filled(a.shape().clone(), f32::NAN), b.clone()];
+        concat_backward_into(&d_y, &mut grads).unwrap();
         assert_eq!(grads[0].channel_plane(0, 0), &[1.0; 4]);
         assert_eq!(grads[1].channel_plane(0, 0), &[0.0; 4]);
         assert_eq!(grads[1].channel_plane(0, 1), &[3.0; 4]);
@@ -153,7 +143,8 @@ mod tests {
         let a = Tensor::from_vec(Shape::nchw(2, 1, 1, 2), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let b = Tensor::from_vec(Shape::nchw(2, 1, 1, 2), vec![5.0, 6.0, 7.0, 8.0]).unwrap();
         let y = concat_forward(&[&a, &b]).unwrap();
-        let back = concat_backward(&y, &[a.shape().clone(), b.shape().clone()]).unwrap();
+        let mut back = [Tensor::zeros(a.shape().clone()), Tensor::zeros(b.shape().clone())];
+        concat_backward_into(&y, &mut back).unwrap();
         assert!(back[0].all_close(&a, 1e-6).unwrap());
         assert!(back[1].all_close(&b, 1e-6).unwrap());
     }
@@ -169,6 +160,8 @@ mod tests {
     #[test]
     fn backward_channel_mismatch_rejected() {
         let d_y = Tensor::zeros(Shape::nchw(1, 3, 2, 2));
-        assert!(concat_backward(&d_y, &[Shape::nchw(1, 1, 2, 2)]).is_err());
+        let mut too_few = [Tensor::zeros(Shape::nchw(1, 1, 2, 2))];
+        assert!(concat_backward_into(&d_y, &mut too_few).is_err());
+        assert!(concat_backward_into(&d_y, &mut []).is_err());
     }
 }

@@ -13,31 +13,40 @@
 //!   GEMM;
 //! * **input gradient**, stride 1 — `d_x_n (+)= W_rot · im2col(d_out_n)`
 //!   with padding `K − 1 − pad`: a forward convolution of the output
-//!   gradient with the 180°-rotated, channel-transposed weights. A strided
-//!   convolution (or `pad > K − 1`) has no such form and keeps
+//!   gradient with the 180°-rotated, channel-transposed weights, run by
+//!   the same per-sample body as the forward pass (`conv_samples`). A
+//!   strided convolution (or `pad > K − 1`) has no such form and keeps
 //!   `d_col = Wᵀ · d_out_n` scattered by [`col2im_accumulate`]; which of
 //!   the two runs is decided from the attributes alone.
 //!
-//! ## What is packed, what is read in place
+//! ## What is staged, what is packed, what is read in place
 //!
-//! The forward pass and the stride-1 input gradient are one multiply per
-//! sample by the *same* left operand, so that operand's panels (`W`, or
-//! `W_rot`) are packed once per call (`gemm::Im2colGemm`). Their right operand
-//! is not packed at all when the geometry allows the GEMM's microkernel to
-//! read the windows where they lie: stride 1 and an output width that is a
-//! multiple of 8 (every convolution of the CIFAR models; the rule is
-//! `Im2colView::staged_for_in_place`'s). Padding is made real for that: each
-//! sample is staged in a pooled `C × (H + 2p) × (W + 2p)` scratch
-//! (`Staging`) whose zero border is laid once per call — the scratch is
-//! recycled dirty — and the GEMM is handed the unpadded view over it. For a
-//! [`ConvInput`] prologue that staging *is* the copy the prologue makes
-//! anyway, written row by row; a raw input pays `1.1×` its sample where the
-//! packer used to write a `Kh·Kw ×` slab per sample. An unpadded view
-//! (pointwise, `valid`) is read from the caller's tensor with no copy.
-//! Strided or ragged-width convolutions and the weight gradient's
-//! transposed windows go through the GEMM's gather packer. All of this is
-//! invisible in the results: the multiply consumes the same bits in the
-//! same order either way.
+//! *Staged.* Padding is a border, and nothing else: a convolution with
+//! `pad ≠ 0` stages every sample it reads — in all three GEMMs, at any
+//! stride and width — in a pooled `C × (H + 2·pad_h) × (W + 2·pad_w)`
+//! scratch (`Staging`) whose zero border is laid once per take (the scratch
+//! is recycled dirty), and hands the GEMM the view of those windows over
+//! the bordered copy, where none of them is clipped (`Windows::staged` is
+//! the rule; an [`Im2colView`] has no padding to express). For a
+//! [`ConvInput`] prologue the staging *is* the copy the prologue makes
+//! anyway, written row by row into the interior — so the padding comes
+//! after the prologue, as `max(γ·(0 − μ)/σ + β, 0) ≠ 0` requires; a raw
+//! input pays `1.1×` its sample. An unpadded convolution (pointwise,
+//! `valid`) without a prologue stages nothing and is read from the
+//! caller's tensor. The forward pass and the input gradient hold one
+//! scratch per call, the weight gradient one per sample group.
+//!
+//! *Packed once per call.* The forward pass and the stride-1 input gradient
+//! are one multiply per sample by the *same* left operand, so that
+//! operand's panels (`W`, or `W_rot`) are packed once (`gemm::Im2colGemm`).
+//!
+//! *Read in place, or gathered.* The GEMM's microkernel reads the windows
+//! of the staged sample where they lie when the view has stride 1 and an
+//! output width that is a multiple of 8 (every convolution of the CIFAR
+//! models). Strided or ragged-width views and the weight gradient's
+//! transposed windows go through the GEMM's gather packer, which expands
+//! the same pad-free windows. None of this shows in a result: the multiply
+//! consumes the same bits in the same order either way.
 //!
 //! The two passes that read the input feature map take it as a
 //! [`ConvInput`] and ask it for one sample at a time: the borrowed slice, or
@@ -69,9 +78,9 @@ use bnff_tensor::stats::{ChannelAccumulator, ChannelStats};
 use bnff_tensor::{Shape, Tensor};
 
 /// Per-call scratch recycled across calls and steps: the staged sample of a
-/// [`ConvInput`] prologue or of an in-place read (`Staging`), the rotated
-/// weights, and the `d_col` of the strided input gradient (the one path
-/// that still materializes a column matrix).
+/// padded convolution or of a [`ConvInput`] prologue (`Staging`), the
+/// rotated weights, and the `d_col` of the strided input gradient (the one
+/// path that materializes a column matrix).
 static COL_POOL: SharedBufferPool = SharedBufferPool::bounded(64 << 20);
 
 /// The input feature map of a convolution together with what is applied to
@@ -167,14 +176,56 @@ impl<'a> ConvInput<'a> {
     }
 }
 
+/// The windows one of the per-sample convolution GEMMs reads: the filter
+/// extent, the stride, the zero padding `(rows, columns)` around every plane
+/// and the `(Ho, Wo)` map of window positions.
+#[derive(Debug, Clone, Copy)]
+struct Windows {
+    kernel: (usize, usize),
+    stride: usize,
+    pad: (usize, usize),
+    out: (usize, usize),
+}
+
+impl Windows {
+    /// The windows of the forward convolution `attrs` producing `out`.
+    fn of(attrs: &Conv2dAttrs, out: (usize, usize)) -> Self {
+        Windows {
+            kernel: (attrs.kernel_h, attrs.kernel_w),
+            stride: attrs.stride,
+            pad: (attrs.pad, attrs.pad),
+            out,
+        }
+    }
+
+    /// How the GEMM sees a `(C, H, W)` sample. Padding is a border: the
+    /// sample is staged with every plane inside a zero border of `pad`
+    /// rows and columns ([`Staging::take`]), and the view names these
+    /// windows over that `C × (H + 2·pad.0) × (W + 2·pad.1)` copy, where
+    /// none of them is clipped — over the sample as it is when there is no
+    /// padding. The view's `sample` is the caller's to set.
+    fn staged(&self, (channels, h, w): (usize, usize, usize)) -> Im2colView<'static> {
+        Im2colView {
+            sample: &[],
+            channels,
+            in_h: h + 2 * self.pad.0,
+            in_w: w + 2 * self.pad.1,
+            kernel_h: self.kernel.0,
+            kernel_w: self.kernel.1,
+            stride: self.stride,
+            out_h: self.out.0,
+            out_w: self.out.1,
+        }
+    }
+}
+
 /// The pooled scratch one sample is staged in before a GEMM reads it: `C`
 /// planes of `H × W` values, each inside a zero border of `border.0` rows
-/// and `border.1` columns. The border is the convolution's padding made
-/// real, which is what lets the microkernel read the windows of a stride-1
-/// convolution where they lie (see [`Im2colView::staged_for_in_place`]); it is
-/// laid once, on take — the buffer is recycled dirty — and every
-/// [`Staging::write`] fills exactly the interior. Without a border this is
-/// the plain `C·H·W` scratch of a [`ConvInput`] prologue.
+/// and `border.1` columns — the convolution's padding, made real (see
+/// [`Windows::staged`]). The border is laid once, on take — the buffer is
+/// recycled dirty — and every [`Staging::write`] fills exactly the
+/// interior. Without a border this is the plain `C·H·W` scratch of a
+/// [`ConvInput`] prologue.
 struct Staging {
     dims: (usize, usize, usize),
     border: (usize, usize),
@@ -185,15 +236,11 @@ impl Staging {
     /// Scratch for `dims = (C, H, W)` samples inside `border`, or `None`
     /// when there is nothing to stage: no border and no transformation, so
     /// the GEMM reads the caller's sample itself.
-    fn take(
-        dims: (usize, usize, usize),
-        border: Option<(usize, usize)>,
-        transforms: bool,
-    ) -> Option<Self> {
-        if border.is_none() && !transforms {
+    fn take(dims: (usize, usize, usize), border: (usize, usize), transforms: bool) -> Option<Self> {
+        if border == (0, 0) && !transforms {
             return None;
         }
-        let ((c, h, w), border) = (dims, border.unwrap_or((0, 0)));
+        let (c, h, w) = dims;
         let (rows, cols) = (h + 2 * border.0, w + 2 * border.1);
         let mut buf = COL_POOL.take_dirty(c * rows * cols);
         if border != (0, 0) {
@@ -304,28 +351,9 @@ pub fn conv2d_forward_direct(
     bias: Option<&[f32]>,
     attrs: &Conv2dAttrs,
 ) -> Result<Tensor> {
-    let mut out = Tensor::zeros(conv_out_shape(input.shape(), attrs)?);
-    conv2d_forward_direct_into(input, weights, bias, attrs, &mut out)?;
-    Ok(out)
-}
-
-/// [`conv2d_forward_direct`] into a caller-provided output tensor, so a
-/// plan-driven executor can hand the convolution a recycled buffer instead
-/// of allocating a fresh feature map per node per step. Every element of
-/// `out` is overwritten.
-///
-/// # Errors
-/// Returns an error if the shapes (including `out`'s) are inconsistent.
-pub fn conv2d_forward_direct_into(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    attrs: &Conv2dAttrs,
-    out: &mut Tensor,
-) -> Result<()> {
     let (in_c, out_h, out_w) = check_conv(input, weights, attrs)?;
     check_bias(bias, attrs)?;
-    check_conv_output("output tensor", out, input.shape(), attrs, (out_h, out_w))?;
+    let mut out = Tensor::zeros(conv_out_shape(input.shape(), attrs)?);
     let (h, w) = (input.shape().h(), input.shape().w());
     // One task per `(sample, out_channel)` output plane; every plane is a
     // disjoint contiguous run of the NCHW output buffer.
@@ -363,7 +391,7 @@ pub fn conv2d_forward_direct_into(
             }
         }
     });
-    Ok(())
+    Ok(out)
 }
 
 /// The production convolution forward pass: each sample is one GEMM
@@ -436,26 +464,33 @@ fn apply_bias_relu(out_slice: &mut [f32], bias: Option<&[f32]>, cols: usize, fus
     }
 }
 
-/// The window geometry of `attrs` over one `C × H × W` sample.
-fn window_view<'a>(
-    sample: &'a [f32],
-    (channels, in_h, in_w): (usize, usize, usize),
-    attrs: &Conv2dAttrs,
-    (out_h, out_w): (usize, usize),
-) -> Im2colView<'a> {
-    Im2colView {
-        sample,
-        channels,
-        in_h,
-        in_w,
-        kernel_h: attrs.kernel_h,
-        kernel_w: attrs.kernel_w,
-        stride: attrs.stride,
-        pad_h: attrs.pad,
-        pad_w: attrs.pad,
-        out_h,
-        out_w,
+/// The per-sample loop behind the forward pass and the stride-1 input
+/// gradient: `out_n = beta · out_n + A · im2col(x_n)` for every sample of
+/// `input` — `A` is `m × (C·Kh·Kw)`, its panels packed once for all samples;
+/// `x_n` is staged inside its zero border and through `input`'s prologue,
+/// or borrowed when neither applies — then `epilogue(n, out_n)` on the
+/// cache-hot result, in sample order, on the calling thread.
+fn conv_samples(
+    input: ConvInput<'_>,
+    m: usize,
+    a: &[f32],
+    windows: &Windows,
+    beta: f32,
+    out: &mut [f32],
+    mut epilogue: impl FnMut(usize, &mut [f32]),
+) -> Result<()> {
+    let dims = input.sample_dims();
+    let gemm = Im2colGemm::new(m, a, &windows.staged(dims))?;
+    let mut stage = Staging::take(dims, windows.pad, input.transforms());
+    let isa = bnff_tensor::active_isa();
+    let out_len = m * windows.out.0 * windows.out.1;
+    for ni in 0..input.tensor().shape().n() {
+        let sample = input.sample(isa, ni, stage.as_mut());
+        let out_n = &mut out[ni * out_len..(ni + 1) * out_len];
+        gemm.run(sample, 1.0, beta, out_n)?;
+        epilogue(ni, out_n);
     }
+    Ok(())
 }
 
 /// The one convolution forward body behind every entry point: per sample,
@@ -479,29 +514,18 @@ pub(crate) fn conv_forward(
     check_bias(bias, attrs)?;
     check_conv_output("output tensor", out, x.shape(), attrs, (out_h, out_w))?;
     let cols = out_h * out_w;
-    let out_len = attrs.out_channels * cols;
-    let w_mat = weights.as_slice(); // (Cout) x (Cin*Kh*Kw), row-major by construction
-    let isa = bnff_tensor::active_isa();
-    // out_sample = W (Cout x rows) · im2col(sample) (rows x cols): the
-    // weights' panels are packed once for all samples, and a stride-1
-    // geometry reads each sample through a zero-bordered copy in place.
-    let (border, view) =
-        window_view(&[], input.sample_dims(), attrs, (out_h, out_w)).staged_for_in_place();
-    let gemm = Im2colGemm::new(attrs.out_channels, w_mat, &view)?;
-    let mut stage = Staging::take(input.sample_dims(), border, input.transforms());
-    for ni in 0..x.shape().n() {
-        let sample = input.sample(isa, ni, stage.as_mut());
-        let out_slice = &mut out.as_mut_slice()[ni * out_len..(ni + 1) * out_len];
-        gemm.run(sample, 1.0, 0.0, out_slice)?;
-        apply_bias_relu(out_slice, bias, cols, fuse_relu);
+    // out_n = W (Cout x C·Kh·Kw, row-major by construction) · im2col(x_n)
+    let windows = Windows::of(attrs, (out_h, out_w));
+    let (m, w_mat) = (attrs.out_channels, weights.as_slice());
+    conv_samples(input, m, w_mat, &windows, 0.0, out.as_mut_slice(), |_, out_n| {
+        apply_bias_relu(out_n, bias, cols, fuse_relu);
         if let Some(acc) = stats.as_deref_mut() {
-            for (oc, plane) in out_slice.chunks_exact(cols).enumerate() {
+            for (oc, plane) in out_n.chunks_exact(cols).enumerate() {
                 acc.push_plane(oc, plane);
             }
             acc.add_count(cols);
         }
-    }
-    Ok(())
+    })
 }
 
 /// Gradient of the convolution with respect to its input.
@@ -583,55 +607,35 @@ pub(crate) fn backward_input(
     let (_, out_h, out_w) = check_conv(d_input, weights, attrs)?;
     check_conv_output("d_out", d_out, d_input.shape(), attrs, (out_h, out_w))?;
     if attrs.stride == 1 && attrs.pad < attrs.kernel_h.min(attrs.kernel_w) {
-        backward_input_rotated(d_out, weights, attrs, (out_h, out_w), overwrite, d_input, epilogue)
+        backward_input_rotated(d_out, weights, attrs, overwrite, d_input, epilogue)
     } else {
         backward_input_strided(d_out, weights, attrs, overwrite, d_input, epilogue)
     }
 }
 
-/// Stride-1 input gradient: per sample, `d_x_n (+)= W_rot · im2col(d_out_n)`.
+/// Stride-1 input gradient: per sample, `d_x_n (+)= W_rot · im2col(d_out_n)`
+/// — the forward body over `d_out` with the rotated weights, padding
+/// `K − 1 − pad` per axis and the input's extent as the output map.
 fn backward_input_rotated(
     d_out: &Tensor,
     weights: &Tensor,
     attrs: &Conv2dAttrs,
-    (out_h, out_w): (usize, usize),
     overwrite: bool,
     d_input: &mut Tensor,
-    mut epilogue: impl FnMut(usize, &mut [f32]),
+    epilogue: impl FnMut(usize, &mut [f32]),
 ) -> Result<()> {
-    let (in_c, h, w) = (d_input.shape().c(), d_input.shape().h(), d_input.shape().w());
-    let d_out_dims = (attrs.out_channels, out_h, out_w);
-    let (border, view) = Im2colView {
-        sample: &[],
-        channels: attrs.out_channels,
-        in_h: out_h,
-        in_w: out_w,
-        kernel_h: attrs.kernel_h,
-        kernel_w: attrs.kernel_w,
+    let windows = Windows {
+        kernel: (attrs.kernel_h, attrs.kernel_w),
         stride: 1,
-        pad_h: attrs.kernel_h - 1 - attrs.pad,
-        pad_w: attrs.kernel_w - 1 - attrs.pad,
-        out_h: h,
-        out_w: w,
-    }
-    .staged_for_in_place();
-    // The rotated weights only live until their panels are packed.
+        pad: (attrs.kernel_h - 1 - attrs.pad, attrs.kernel_w - 1 - attrs.pad),
+        out: (d_input.shape().h(), d_input.shape().w()),
+    };
+    let (in_c, beta) = (d_input.shape().c(), if overwrite { 0.0 } else { 1.0 });
     let w_rot = rotated_weights(weights);
-    let gemm = Im2colGemm::new(in_c, &w_rot, &view)?;
+    let d_x = d_input.as_mut_slice();
+    let done = conv_samples(ConvInput::Raw(d_out), in_c, &w_rot, &windows, beta, d_x, epilogue);
     COL_POOL.give(w_rot);
-    let mut stage = Staging::take(d_out_dims, border, false);
-    let (sample_len, d_out_len) = (in_c * h * w, attrs.out_channels * out_h * out_w);
-    let beta = if overwrite { 0.0 } else { 1.0 };
-    for ni in 0..d_input.shape().n() {
-        let mut d_out_n = &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len];
-        if let Some(stage) = &mut stage {
-            d_out_n = stage.write(d_out_n, |_, g, staged| staged.copy_from_slice(g));
-        }
-        let d_x = &mut d_input.as_mut_slice()[ni * sample_len..(ni + 1) * sample_len];
-        gemm.run(d_out_n, 1.0, beta, d_x)?;
-        epilogue(ni, d_x);
-    }
-    Ok(())
+    done
 }
 
 /// Strided input gradient: per sample, `d_col = Wᵀ · d_out_n` scattered
@@ -716,6 +720,8 @@ pub(crate) fn backward_weights(
     // `with_isa` override: resolve the ISA here and re-pin it per group.
     let isa = bnff_tensor::active_isa();
     let d_out_len = attrs.out_channels * cols;
+    let windows = Windows::of(attrs, out_hw);
+    let geometry = windows.staged(in_dims);
     let reduced = parallel_reduce(
         groups.len(),
         1,
@@ -723,10 +729,10 @@ pub(crate) fn backward_weights(
             bnff_tensor::with_isa(isa, || -> Result<(Vec<f32>, Vec<f32>)> {
                 let mut d_w_flat = vec![0.0f32; attrs.out_channels * rows];
                 let mut d_bias = vec![0.0f32; if with_bias { attrs.out_channels } else { 0 }];
-                let mut stage = Staging::take(in_dims, None, input.transforms());
+                let mut stage = Staging::take(in_dims, windows.pad, input.transforms());
                 for ni in groups[gi].clone() {
                     let sample = input.sample(isa, ni, stage.as_mut());
-                    let view = window_view(sample, in_dims, attrs, out_hw);
+                    let view = Im2colView { sample, ..geometry };
                     let d_out_n = &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len];
                     // d_W (Cout x rows) += d_out_n (Cout x cols) · im2col(sample)ᵀ (cols x rows)
                     gemm_nt_im2col_acc(
@@ -828,6 +834,21 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// `d_W = Σ_n g_n · im2col(x_n)ᵀ` through a materialized column matrix.
+    fn weight_gradient_materialized(x: &Tensor, g: &Tensor, attrs: &Conv2dAttrs) -> Vec<f32> {
+        let (rows, cols) = col_shape(x.shape(), attrs).unwrap();
+        let oc = attrs.out_channels;
+        let mut d_w = vec![0.0f32; oc * rows];
+        let mut partial = vec![0.0f32; oc * rows];
+        for ni in 0..x.shape().n() {
+            let col = im2col(x, ni, attrs).unwrap();
+            let g_n = &g.as_slice()[ni * oc * cols..(ni + 1) * oc * cols];
+            crate::gemm::gemm_nt(oc, rows, cols, g_n, &col, &mut partial).unwrap();
+            d_w.iter_mut().zip(&partial).for_each(|(acc, v)| *acc += *v);
+        }
+        d_w
+    }
+
     #[test]
     fn gather_path_is_bit_identical_to_materialized() {
         // Strided, padded, pointwise and biased variants, with and without
@@ -868,6 +889,7 @@ mod tests {
     /// laid on every take: a larger convolution over NaN leaves NaN where a
     /// smaller one's border will lie, and a NaN-filled buffer of exactly
     /// the smaller one's scratch size is the best fit the pool hands out.
+    /// All three GEMMs stage that way, at any stride.
     #[test]
     fn bordered_scratch_is_rezeroed_per_call() {
         let attrs = Conv2dAttrs::same_3x3(5);
@@ -880,13 +902,37 @@ mod tests {
         let x = random(Shape::nchw(2, 3, 8, 16), 32);
         let g = random(Shape::nchw(2, 5, 8, 16), 33);
         let scratch_len = 3 * 10 * 18;
-        for input in [ConvInput::Raw(&x), ConvInput::Clip(&x)] {
-            let read = if input.transforms() { crate::relu::relu_forward(&x) } else { x.clone() };
-            let want = conv_materialized(&read, &w, None, &attrs, false);
+        let stats = crate::batchnorm::bn_statistics(&x, true).unwrap();
+        let params = BnParams::new(vec![0.8, -0.6, 1.1], vec![0.1, 0.0, -0.2]).unwrap();
+        let norm_clip =
+            ConvInput::NormClip { x: &x, stats: &stats, params: &params, epsilon: 1e-5 };
+        let inputs =
+            [("raw", ConvInput::Raw(&x)), ("clip", ConvInput::Clip(&x)), ("norm", norm_clip)];
+        // Each sample as the convolution reads it, from the batch-wide sweeps.
+        let reads = [
+            x.clone(),
+            crate::relu::relu_forward(&x),
+            crate::relu::relu_forward(
+                &crate::batchnorm::bn_normalize(&x, &stats, &params, 1e-5).unwrap().0,
+            ),
+        ];
+        let strided = Conv2dAttrs::new(5, 3, 2, 1);
+        for ((name, input), read) in inputs.into_iter().zip(&reads) {
+            for attrs in [attrs, strided] {
+                let want = conv_materialized(read, &w, None, &attrs, false);
+                COL_POOL.give(vec![f32::NAN; scratch_len]);
+                let mut got = Tensor::filled(conv_out_shape(x.shape(), &attrs).unwrap(), f32::NAN);
+                conv_forward(input, &w, None, &attrs, false, None, &mut got).unwrap();
+                assert_eq!(bits(got.as_slice()), bits(&want), "{name} {attrs:?}");
+            }
+            // The weight gradient: every sample group stages in a scratch of
+            // its own, so poison one per group there can be.
+            let want = weight_gradient_materialized(read, &g, &attrs);
             COL_POOL.give(vec![f32::NAN; scratch_len]);
-            let mut got = Tensor::filled(Shape::nchw(2, 5, 8, 16), f32::NAN);
-            conv_forward(input, &w, None, &attrs, false, None, &mut got).unwrap();
-            assert_eq!(bits(got.as_slice()), bits(&want), "{input:?}");
+            COL_POOL.give(vec![f32::NAN; scratch_len]);
+            let (d_w, _) = backward_weights(input, &g, &attrs, false).unwrap();
+            assert!(d_w.as_slice().iter().all(|v| v.is_finite()), "d_w {name}");
+            assert_close_relative(&format!("d_w {name}"), d_w.as_slice(), &want, 1e-5);
         }
         // The input gradient stages `d_out` (5 channels) the same way.
         let mut want = Tensor::zeros(x.shape().clone());
@@ -951,15 +997,11 @@ mod tests {
             let oc = attrs.out_channels;
             // d_W = Σ_n g_n · im2col(x_n)ᵀ and d_x_n = col2im(Wᵀ · g_n),
             // both through a materialized column matrix.
-            let mut d_w_ref = vec![0.0f32; oc * rows];
+            let d_w_ref = weight_gradient_materialized(&x, &g, &attrs);
             let mut d_x_ref = Tensor::zeros(x.shape().clone());
-            let mut partial = vec![0.0f32; oc * rows];
             let mut d_col = vec![0.0f32; rows * cols];
             for ni in 0..2 {
                 let g_n = &g.as_slice()[ni * oc * cols..(ni + 1) * oc * cols];
-                let col = im2col(&x, ni, &attrs).unwrap();
-                crate::gemm::gemm_nt(oc, rows, cols, g_n, &col, &mut partial).unwrap();
-                d_w_ref.iter_mut().zip(&partial).for_each(|(acc, v)| *acc += *v);
                 gemm_tn(rows, cols, oc, w.as_slice(), g_n, &mut d_col).unwrap();
                 scatter_naive(&d_col, &mut d_x_ref, ni, &attrs);
             }
@@ -1127,14 +1169,14 @@ mod tests {
         let attrs = Conv2dAttrs::same_3x3(4);
         let x = random(Shape::nchw(2, 3, 6, 6), 21);
         let w = random(Shape::nchw(4, 3, 3, 3), 22);
-        let reference = conv2d_forward_direct(&x, &w, None, &attrs).unwrap();
+        let reference = conv2d_forward(&x, &w, None, &attrs).unwrap();
         // A dirty buffer of the right shape must give bit-identical results.
         let mut out = Tensor::filled(Shape::nchw(2, 4, 6, 6), f32::NAN);
-        conv2d_forward_direct_into(&x, &w, None, &attrs, &mut out).unwrap();
-        assert_eq!(out.as_slice(), reference.as_slice());
+        conv2d_forward_into(&x, &w, None, &attrs, &mut out).unwrap();
+        assert_eq!(bits(out.as_slice()), bits(reference.as_slice()));
         // A wrong-shaped output tensor is rejected.
         let mut bad = Tensor::zeros(Shape::nchw(2, 4, 5, 5));
-        assert!(conv2d_forward_direct_into(&x, &w, None, &attrs, &mut bad).is_err());
+        assert!(conv2d_forward_into(&x, &w, None, &attrs, &mut bad).is_err());
     }
 
     #[test]

@@ -25,6 +25,16 @@
 
 pub use bnff_tensor::simd::{active_isa, with_isa, SimdIsa};
 
+/// The dispatch paths a unit test can run on this machine: the scalar path
+/// and, where the hardware has one, the vector path.
+#[cfg(test)]
+pub(crate) fn test_isas() -> Vec<SimdIsa> {
+    let vector = with_isa(SimdIsa::Avx2Fma, active_isa);
+    let mut isas = vec![SimdIsa::Scalar];
+    isas.extend((vector != SimdIsa::Scalar).then_some(vector));
+    isas
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,12 +50,6 @@ pub fn eltwise_sum_forward_into(inputs: &[&Tensor], out: &mut Tensor) -> Result<
     Ok(())
 }
 
-/// Backward pass of the element-wise sum: each input receives the upstream
-/// gradient unchanged.
-pub fn eltwise_sum_backward(d_y: &Tensor, num_inputs: usize) -> Vec<Tensor> {
-    (0..num_inputs).map(|_| d_y.clone()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,15 +82,5 @@ mod tests {
         let mut bad = Tensor::zeros(Shape::vector(4));
         assert!(eltwise_sum_forward_into(&[&a, &b], &mut bad).is_err());
         assert!(eltwise_sum_forward_into(&[], &mut out).is_err());
-    }
-
-    #[test]
-    fn backward_replicates_gradient() {
-        let d_y = Tensor::from_slice(&[1.0, 2.0]);
-        let grads = eltwise_sum_backward(&d_y, 3);
-        assert_eq!(grads.len(), 3);
-        for g in grads {
-            assert_eq!(g, d_y);
-        }
     }
 }

@@ -67,26 +67,10 @@ pub fn fc_forward_into(x: &Tensor, weights: &Tensor, bias: &[f32], out: &mut Ten
     Ok(())
 }
 
-/// Fully-connected backward pass.
-///
-/// Returns `(d_x, d_weights, d_bias)` where `d_x` has the shape of the
-/// original (possibly 4-D) input.
-///
-/// # Errors
-/// Returns an error if the dimensions are inconsistent.
-pub fn fc_backward(
-    x: &Tensor,
-    weights: &Tensor,
-    d_y: &Tensor,
-) -> Result<(Tensor, Tensor, Vec<f32>)> {
-    let mut d_x = Tensor::zeros(x.shape().clone());
-    let (d_w, d_bias) = fc_backward_into(x, weights, d_y, &mut d_x)?;
-    Ok((d_x, d_w, d_bias))
-}
-
-/// [`fc_backward`] with the input gradient written into a caller-provided
-/// tensor of `x`'s shape (every element is overwritten — the GEMM's
-/// `beta == 0` path never reads it); returns `(d_weights, d_bias)`.
+/// Fully-connected backward pass: the input gradient is written into a
+/// caller-provided tensor of `x`'s (possibly 4-D) shape (every element is
+/// overwritten — the GEMM's `beta == 0` path never reads it); returns
+/// `(d_weights, d_bias)`.
 ///
 /// # Errors
 /// Returns an error if the dimensions (including `d_x`'s) are inconsistent.
@@ -179,7 +163,8 @@ mod tests {
             y.as_slice().iter().zip(g.as_slice()).map(|(&a, &b)| f64::from(a) * f64::from(b)).sum()
         };
 
-        let (d_x, d_w, d_b) = fc_backward(&x, &w, &g).unwrap();
+        let mut d_x = Tensor::filled(x.shape().clone(), f32::NAN);
+        let (d_w, d_b) = fc_backward_into(&x, &w, &g, &mut d_x).unwrap();
         let h = 1e-2f32;
         for idx in [0usize, 3, 7, 11] {
             let mut xp = x.clone();
@@ -206,9 +191,14 @@ mod tests {
         let x = Tensor::ones(Shape::nchw(2, 3, 2, 2));
         let w = Tensor::ones(Shape::matrix(5, 12));
         let d_y = Tensor::ones(Shape::matrix(2, 5));
-        let (d_x, d_w, d_b) = fc_backward(&x, &w, &d_y).unwrap();
-        assert_eq!(d_x.shape(), x.shape());
+        let mut d_x = Tensor::zeros(x.shape().clone());
+        let (d_w, d_b) = fc_backward_into(&x, &w, &d_y, &mut d_x).unwrap();
+        // Every input feature sums five unit weights of five unit gradients.
+        assert_eq!(d_x.as_slice(), &[5.0; 24]);
         assert_eq!(d_w.shape(), w.shape());
         assert_eq!(d_b.len(), 5);
+        // A gradient tensor that is not the input's shape is turned away.
+        let mut flat = Tensor::zeros(Shape::matrix(2, 12));
+        assert!(fc_backward_into(&x, &w, &d_y, &mut flat).is_err());
     }
 }

@@ -22,8 +22,8 @@
 //!   `d_x`. The unfused [`crate::relu::relu_backward`] and
 //!   [`crate::batchnorm::bn_backward`] run the same plane helpers, which is
 //!   what keeps fused and unfused training bit-identical per ISA.
-//! * [`concat_forward_with_stats`] — the ICF fused layer: Σx/Σx² accumulated
-//!   while the concatenation writes its output.
+//! * [`concat_forward_with_stats_into`] — the ICF fused layer: Σx/Σx²
+//!   accumulated while the concatenation writes its output.
 //!
 //! The cost model (`bnff_graph::analysis`, `bnff-memsim`) still charges the
 //! fused layer the `O2'` write of the paper's Figure 5, which these kernels
@@ -211,19 +211,9 @@ pub fn fused_conv_backward_into(
     Ok(ConvGrads { d_weights, d_bias, d_bn })
 }
 
-/// Channel concatenation that also accumulates Σx / Σx² of its output (the
-/// ICF fused layer). Returns the concatenated tensor and its statistics.
-///
-/// # Errors
-/// Returns an error if the inputs are incompatible.
-pub fn concat_forward_with_stats(inputs: &[&Tensor]) -> Result<(Tensor, ChannelStats)> {
-    let out = crate::concat::concat_forward(inputs)?;
-    let stats = ChannelAccumulator::from_tensor(&out)?.finalize()?;
-    Ok((out, stats))
-}
-
-/// [`concat_forward_with_stats`] into a caller-provided output tensor.
-/// Every element of `out` is overwritten.
+/// Channel concatenation into a caller-provided output tensor that also
+/// returns Σx / Σx² of that output (the ICF fused layer). Every element of
+/// `out` is overwritten.
 ///
 /// # Errors
 /// Returns an error if the inputs (or `out`'s shape) are incompatible.
@@ -240,6 +230,7 @@ mod tests {
     use super::*;
     use crate::batchnorm::{bn_backward, bn_normalize_into, bn_statistics, BnForwardState};
     use crate::conv::{conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward};
+    use crate::dispatch::test_isas;
     use crate::im2col::test_geometries;
     use crate::relu::{relu_backward, relu_forward};
     use bnff_tensor::init::Initializer;
@@ -254,14 +245,6 @@ mod tests {
 
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
-    }
-
-    /// The scalar path and, where the hardware has one, the vector path.
-    fn isas() -> Vec<SimdIsa> {
-        let vector = with_isa(SimdIsa::Avx2Fma, active_isa);
-        let mut isas = vec![SimdIsa::Scalar];
-        isas.extend((vector != SimdIsa::Scalar).then_some(vector));
-        isas
     }
 
     /// γ of both signs and β around zero, so the clip is live everywhere;
@@ -303,7 +286,7 @@ mod tests {
     /// without the statistics epilogue, on both ISAs; likewise the RCF clip.
     #[test]
     fn norm_relu_conv_matches_unfused_pipeline() {
-        for isa in isas() {
+        for isa in test_isas() {
             with_isa(isa, || {
                 for (in_c, h, w, attrs) in test_geometries() {
                     let label = format!("{isa} {attrs:?}");
@@ -426,7 +409,7 @@ mod tests {
     /// (rotated) and strided (fallback) geometries, dirty `d_input`.
     #[test]
     fn fused_backward_matches_the_composed_reference() {
-        for isa in isas() {
+        for isa in test_isas() {
             with_isa(isa, || {
                 for (in_c, h, w, attrs) in test_geometries() {
                     let label = format!("{attrs:?}");
@@ -488,7 +471,7 @@ mod tests {
     #[test]
     fn clip_and_raw_backward_match_the_unfused_kernels() {
         let specials = [f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1e-30, -1e-30];
-        for isa in isas() {
+        for isa in test_isas() {
             with_isa(isa, || {
                 for attrs in [Conv2dAttrs::same_3x3(5), Conv2dAttrs::new(5, 3, 2, 1)] {
                     let mut x = random(Shape::nchw(2, 4, 9, 9), 21);
@@ -556,7 +539,8 @@ mod tests {
     fn concat_with_stats_matches_separate() {
         let a = random(Shape::nchw(2, 2, 4, 4), 10);
         let b = random(Shape::nchw(2, 3, 4, 4), 11);
-        let (out, stats) = concat_forward_with_stats(&[&a, &b]).unwrap();
+        let mut out = Tensor::filled(Shape::nchw(2, 5, 4, 4), f32::NAN);
+        let stats = concat_forward_with_stats_into(&[&a, &b], &mut out).unwrap();
         let plain = crate::concat::concat_forward(&[&a, &b]).unwrap();
         assert!(out.all_close(&plain, 1e-6).unwrap());
         let reference = bn_statistics(&plain, false).unwrap();

@@ -32,17 +32,20 @@
 //!   pointwise convolution — while few enough `A` panels sweep each strip
 //!   that packing would not pay back (`m ≤ 36`, see `IN_PLACE_MAX_PANELS`);
 //! * a convolution's column matrix, which is *virtual* — an [`Im2colView`]
-//!   names the sample and the window geometry — when the view has stride 1,
-//!   no padding and an output width that is a multiple of 8: row
-//!   `(ci, kh, kw)` is then the sample itself shifted by
-//!   `(ci·H + kh)·W + kw`, and neither half of an `NR`-aligned strip
-//!   crosses an output row. [`crate::conv`] turns a padded stride-1
-//!   convolution into such a view by staging each sample inside a zero
-//!   border (`1.1×` the sample copied, where the packer wrote `Kh·Kw ×`).
+//!   names the sample and the window geometry — when the view has stride 1
+//!   and an output width that is a multiple of 8: row `(ci, kh, kw)` is
+//!   then the sample itself shifted by `(ci·H + kh)·W + kw`, and neither
+//!   half of an `NR`-aligned strip crosses an output row.
+//!
+//! A view has no padding: every window it names lies inside its sample.
+//! Convolution padding is [`crate::conv`]'s business — it stages a padded
+//! sample inside a zero border and hands over the view of the bordered
+//! copy — so nothing in this module clips a window or tests a coordinate
+//! against an edge.
 //!
 //! Everything else goes through the packer, which is also the only place a
 //! window is ever *expanded*: transposed operands, strided or ragged-width
-//! views (one resolved-once segment copy per packed row and output-row
+//! views (one segment copy, or strided read, per packed row and output-row
 //! run), the transposed view of the weight gradient, and the ragged last
 //! strip of an operand that is otherwise read in place (reading it there
 //! would run past the operand's last row). Packed values and in-place
@@ -84,7 +87,7 @@
 //! tested against.
 
 use crate::error::KernelError;
-use crate::im2col::{conv_out_dim, taps_inside};
+use crate::im2col::conv_out_dim;
 use crate::Result;
 use bnff_parallel::{min_items_per_thread, parallel_row_blocks_mut, parallel_rows_mut};
 use bnff_tensor::pool::SharedBufferPool;
@@ -148,23 +151,23 @@ enum Operand<'a> {
 
 /// A *virtual* `B` operand for the convolution GEMMs: the im2col column
 /// matrix of one sample, described by its geometry instead of being
-/// materialized. A stride-1, unpadded view whose output width is a multiple
-/// of 8 is read by the microkernel where it lies — row `(ci, kh, kw)` of
-/// the column matrix is the sample shifted by `(ci·H + kh)·W + kw`. For any
+/// materialized. The geometry has no padding — `out = (in − K)/stride + 1`
+/// per axis, every window inside the sample; a padded convolution points
+/// the view at a copy of its sample staged inside a zero border
+/// ([`crate::conv`]). A stride-1 view whose output width is a multiple of 8
+/// is read by the microkernel where it lies — row `(ci, kh, kw)` of the
+/// column matrix is the sample shifted by `(ci·H + kh)·W + kw`. For any
 /// other view the B-packer expands the windows, and it is the only place
-/// that ever does: for every packed row `(ci, kh, kw)` and output row it
-/// resolves the run of output columns whose input column lies inside the
-/// image once, moves that run with one segment copy and zero-fills only the
-/// clipped edges — straight from the sample's `C × H × W` planes into the
-/// `KC × NR` strips the microkernel consumes. Either way the microkernel
-/// consumes, in the same order, the bits a materialized column matrix would
-/// hold (same values, same zero padding), so [`gemm_im2col`] is
-/// bit-identical to the two-step `im2col → gemm` lowering while the
-/// `(C·Kh·Kw) × (Ho·Wo)` matrix is never written. The forward pass, the
-/// weight gradient (through the transposed form) and the stride-1 input
-/// gradient (a forward convolution of `d_out` with the rotated weights,
-/// whose padding `K − 1 − pad` differs per axis for non-square filters) all
-/// read their windows through this view.
+/// that ever does: every packed row `(ci, kh, kw)` moves each run of
+/// output columns within one output row with one segment copy (a strided
+/// read past stride 1) — straight from the sample's `C × H × W` planes into
+/// the `KC × NR` strips the microkernel consumes. Either way the
+/// microkernel consumes, in the same order, the bits a materialized column
+/// matrix would hold, so [`gemm_im2col`] is bit-identical to the two-step
+/// `im2col → gemm` lowering while the `(C·Kh·Kw) × (Ho·Wo)` matrix is never
+/// written. The forward pass, the weight gradient (through the transposed
+/// form) and the stride-1 input gradient (a forward convolution of `d_out`
+/// with the rotated weights) all read their windows through this view.
 #[derive(Debug, Clone, Copy)]
 pub struct Im2colView<'a> {
     /// One sample's `C × H × W` values, contiguous.
@@ -181,10 +184,6 @@ pub struct Im2colView<'a> {
     pub kernel_w: usize,
     /// Stride (same in both dimensions).
     pub stride: usize,
-    /// Zero padding above and below.
-    pub pad_h: usize,
-    /// Zero padding left and right.
-    pub pad_w: usize,
     /// Output height `Ho`.
     pub out_h: usize,
     /// Output width `Wo`.
@@ -281,25 +280,20 @@ fn pack_b_strip(
 
 impl Im2colView<'_> {
     /// Whether the column matrix is the sample itself (a pointwise window:
-    /// `1×1`, stride 1, no padding), so the GEMM can read it in place.
+    /// `1×1` at stride 1), so the GEMM can read it in place.
     fn is_identity(&self) -> bool {
         (self.kernel_h, self.kernel_w, self.stride) == (1, 1, 1)
-            && (self.pad_h, self.pad_w) == (0, 0)
-            && (self.out_h, self.out_w) == (self.in_h, self.in_w)
     }
 
     /// Checks the view's geometry — a positive stride, each output extent
-    /// equal to `(in + 2·pad − K)/stride + 1` for a filter that fits the
-    /// padded input — and that it describes a `rows × cols` column matrix.
-    /// Everything the packer and the in-place reads index by is derived
-    /// from these fields, so nothing downstream re-checks them.
+    /// equal to `(in − K)/stride + 1` for a filter that fits the input —
+    /// and that it describes a `rows × cols` column matrix. Everything the
+    /// packer and the in-place reads index by is derived from these fields,
+    /// so nothing downstream re-checks them.
     fn check_geometry(&self, rows: usize, cols: usize) -> Result<()> {
-        let axes = [
-            (self.in_h, self.pad_h, self.kernel_h, self.out_h),
-            (self.in_w, self.pad_w, self.kernel_w, self.out_w),
-        ];
-        for (extent, pad, kernel, out) in axes {
-            let expected = conv_out_dim(extent, kernel, self.stride, pad)?;
+        let axes = [(self.in_h, self.kernel_h, self.out_h), (self.in_w, self.kernel_w, self.out_w)];
+        for (extent, kernel, out) in axes {
+            let expected = conv_out_dim(extent, kernel, self.stride, 0)?;
             if out != expected {
                 return Err(KernelError::ShapeMismatch(format!(
                     "im2col view states an output extent of {out}, its window geometry gives {expected}"
@@ -324,35 +318,11 @@ impl Im2colView<'_> {
     }
 
     /// Whether every full strip of the column matrix can be read where it
-    /// lies: at stride 1 without padding, row `(ci, kh, kw)` is the sample
-    /// shifted by `(ci·H + kh)·W + kw`, and with `out_w` a multiple of 8
-    /// neither 8-lane half of an `NR`-aligned strip crosses an output row.
+    /// lies: at stride 1, row `(ci, kh, kw)` is the sample shifted by
+    /// `(ci·H + kh)·W + kw`, and with `out_w` a multiple of 8 neither
+    /// 8-lane half of an `NR`-aligned strip crosses an output row.
     fn reads_in_place(&self) -> bool {
-        self.stride == 1 && (self.pad_h, self.pad_w) == (0, 0) && self.out_w.is_multiple_of(8)
-    }
-
-    /// How a convolution hands this view's sample to the GEMM so that the
-    /// windows are read in place: the zero border `(rows, columns)` to stage
-    /// each plane of the sample in — the view's padding, for a stride-1
-    /// view whose `out_w` is a multiple of 8 — and the same windows as an
-    /// unpadded view over that staged copy (its `sample` is the caller's to
-    /// set). The border is `None`, and the view unchanged, when no copy is
-    /// called for: the view is read in place as it is, or keeps the packer
-    /// whatever it is handed (strided, ragged).
-    pub(crate) fn staged_for_in_place(&self) -> (Option<(usize, usize)>, Self) {
-        let (bh, bw) = (self.pad_h, self.pad_w);
-        let staged = Im2colView {
-            in_h: self.in_h + 2 * bh,
-            in_w: self.in_w + 2 * bw,
-            pad_h: 0,
-            pad_w: 0,
-            ..*self
-        };
-        if (bh, bw) != (0, 0) && staged.reads_in_place() {
-            (Some((bh, bw)), staged)
-        } else {
-            (None, *self)
-        }
+        self.stride == 1 && self.out_w.is_multiple_of(8)
     }
 
     /// Splits a column-matrix row index into `(ci, kh, kw)`.
@@ -372,15 +342,11 @@ impl Im2colView<'_> {
         }
     }
 
-    /// The input row `ih` of channel `ci`, or `None` when `ih` falls in the
-    /// vertical padding.
+    /// The input row `ih` of channel `ci`.
     #[inline(always)]
-    fn input_row(&self, ci: usize, ih: isize) -> Option<&[f32]> {
-        if ih < 0 || ih >= self.in_h as isize {
-            return None;
-        }
-        let start = (ci * self.in_h + ih as usize) * self.in_w;
-        Some(&self.sample[start..start + self.in_w])
+    fn input_row(&self, ci: usize, ih: usize) -> &[f32] {
+        let start = (ci * self.in_h + ih) * self.in_w;
+        &self.sample[start..start + self.in_w]
     }
 }
 
@@ -405,49 +371,30 @@ fn row_runs(
 
 /// One run of a packed strip's columns: `len` consecutive output positions
 /// of one output row, starting at the strip's lane `lane`. `ih0`/`iw0` are
-/// the input coordinates tap `(0, 0)` of the run's first window reads
-/// (negative inside the padding), so tap `(kh, kw)` of window `t` reads
-/// `(ih0 + kh, iw0 + kw + t·stride)`.
+/// the input coordinates tap `(0, 0)` of the run's first window reads, so
+/// tap `(kh, kw)` of window `t` reads `(ih0 + kh, iw0 + kw + t·stride)`.
 #[derive(Debug, Clone, Copy, Default)]
 struct Run {
     lane: usize,
     len: usize,
-    ih0: isize,
-    iw0: isize,
+    ih0: usize,
+    iw0: usize,
 }
 
-/// `dst[t] = row[iw + t·stride]` where that column lies inside the row and
-/// `0.0` where padding clips it. The run of valid `t` is resolved once, so
-/// the interior moves as one segment copy (fixed-size when it fills a whole
-/// `NR`-wide step) and only the clipped edges are zero-filled. Inlined into
+/// `dst[t] = row[iw + t·stride]`: one segment copy at stride 1 (fixed-size
+/// when it fills a whole `NR`-wide step), one strided read otherwise. Every
+/// tap lies inside the row — a view has no padding to clip. Inlined into
 /// the packers: this body is their whole inner loop.
 #[inline(always)]
-fn gather_row(row: &[f32], iw: isize, stride: usize, dst: &mut [f32]) {
-    if stride == 1 && iw >= 0 && iw as usize + dst.len() <= row.len() {
-        let src = &row[iw as usize..iw as usize + dst.len()];
+fn gather_row(row: &[f32], iw: usize, stride: usize, dst: &mut [f32]) {
+    if stride == 1 {
+        let src = &row[iw..iw + dst.len()];
         match (<&mut [f32; NR]>::try_from(&mut *dst), <&[f32; NR]>::try_from(src)) {
             (Ok(dst), Ok(src)) => *dst = *src,
             _ => dst.copy_from_slice(src),
         }
-        return;
-    }
-    let valid = taps_inside(iw, stride, row.len(), dst.len());
-    dst[..valid.start].fill(0.0);
-    dst[valid.end..].fill(0.0);
-    if valid.is_empty() {
-        return;
-    }
-    // Non-negative: `valid.start` is the first tap at or past column 0.
-    let first = (iw + (valid.start * stride) as isize) as usize;
-    let dst = &mut dst[valid];
-    if stride == 1 {
-        // A clipped run is a few elements short of a step; a plain loop
-        // beats a variable-length `memcpy` call at this size.
-        for (slot, src) in dst.iter_mut().zip(&row[first..]) {
-            *slot = *src;
-        }
     } else {
-        for (slot, src) in dst.iter_mut().zip(row[first..].iter().step_by(stride)) {
+        for (slot, src) in dst.iter_mut().zip(row[iw..].iter().step_by(stride)) {
             *slot = *src;
         }
     }
@@ -462,12 +409,7 @@ fn pack_im2col_strip(v: &Im2colView<'_>, pc: usize, col0: usize, nr_eff: usize, 
     let mut runs = [Run::default(); NR];
     let mut n_runs = 0;
     for (lane, oh, ow0, len) in row_runs(v.out_w, col0, nr_eff) {
-        runs[n_runs] = Run {
-            lane,
-            len,
-            ih0: (oh * v.stride) as isize - v.pad_h as isize,
-            iw0: (ow0 * v.stride) as isize - v.pad_w as isize,
-        };
+        runs[n_runs] = Run { lane, len, ih0: oh * v.stride, iw0: ow0 * v.stride };
         n_runs += 1;
     }
     let mut window = v.window_of(pc);
@@ -475,10 +417,7 @@ fn pack_im2col_strip(v: &Im2colView<'_>, pc: usize, col0: usize, nr_eff: usize, 
         let (ci, kh, kw) = window;
         for run in &runs[..n_runs] {
             let dst = &mut step[run.lane..run.lane + run.len];
-            match v.input_row(ci, run.ih0 + kh as isize) {
-                Some(row) => gather_row(row, run.iw0 + kw as isize, v.stride, dst),
-                None => dst.fill(0.0),
-            }
+            gather_row(v.input_row(ci, run.ih0 + kh), run.iw0 + kw, v.stride, dst);
         }
         step[nr_eff..].fill(0.0);
         window = v.next_window(window);
@@ -509,13 +448,8 @@ fn pack_im2col_t_strip(
     let mut tile = [[0.0f32; NR]; NR];
     for (kk, oh, ow0, len) in row_runs(v.out_w, pc, kc) {
         for (lane, &(ci, kh, kw)) in tile.iter_mut().zip(&windows[..nr_eff]) {
-            let dst = &mut lane[..len];
-            let ih = (oh * v.stride + kh) as isize - v.pad_h as isize;
-            let iw = (ow0 * v.stride + kw) as isize - v.pad_w as isize;
-            match v.input_row(ci, ih) {
-                Some(row) => gather_row(row, iw, v.stride, dst),
-                None => dst.fill(0.0),
-            }
+            let row = v.input_row(ci, oh * v.stride + kh);
+            gather_row(row, ow0 * v.stride + kw, v.stride, &mut lane[..len]);
         }
         for (t, step) in strip[kk * NR..(kk + len) * NR].chunks_exact_mut(NR).enumerate() {
             for (slot, lane) in step.iter_mut().zip(&tile) {
@@ -1146,6 +1080,8 @@ pub fn gemm_streaming(
 mod tests {
     use super::*;
     use crate::im2col::{col_shape, im2col};
+    use bnff_graph::op::Conv2dAttrs;
+    use bnff_tensor::simd::with_isa;
     use bnff_tensor::{Shape, Tensor};
 
     fn naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
@@ -1312,101 +1248,108 @@ mod tests {
         }
     }
 
+    /// Sample 0 of `x` the way [`crate::conv`] hands a padded sample to the
+    /// GEMM — every plane inside a zero border of `attrs.pad` rows and
+    /// columns — with the geometry of `attrs`' windows over that copy (the
+    /// caller points `sample` at it).
+    fn bordered(x: &Tensor, attrs: &Conv2dAttrs) -> (Vec<f32>, Im2colView<'static>) {
+        let (c, h, w, pad) = (x.shape().c(), x.shape().h(), x.shape().w(), attrs.pad);
+        let (rows, cols) = (h + 2 * pad, w + 2 * pad);
+        let mut staged = vec![0.0f32; c * rows * cols];
+        for (p, plane) in x.as_slice()[..c * h * w].chunks_exact(h * w).enumerate() {
+            for (r, row) in plane.chunks_exact(w).enumerate() {
+                let at = (p * rows + pad + r) * cols + pad;
+                staged[at..at + w].copy_from_slice(row);
+            }
+        }
+        let geometry = Im2colView {
+            sample: &[],
+            channels: c,
+            in_h: rows,
+            in_w: cols,
+            kernel_h: attrs.kernel_h,
+            kernel_w: attrs.kernel_w,
+            stride: attrs.stride,
+            out_h: (rows - attrs.kernel_h) / attrs.stride + 1,
+            out_w: (cols - attrs.kernel_w) / attrs.stride + 1,
+        };
+        (staged, geometry)
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn gemm_im2col_is_bit_identical_to_materialized() {
-        // The element-wise `im2col` is the oracle: packing the matrix it
-        // writes and gathering through the view must feed the microkernel
-        // bitwise-equal panels, for the column matrix and its transpose.
-        for (in_c, in_h, in_w, attrs) in crate::im2col::test_geometries() {
-            let label = format!("c{in_c} {in_h}x{in_w} {attrs:?}");
-            let x = Tensor::from_vec(
-                Shape::nchw(1, in_c, in_h, in_w),
-                (0..in_c * in_h * in_w).map(|i| ((i * 31 % 23) as f32 - 11.0) * 0.37).collect(),
-            )
-            .unwrap();
-            let col = im2col(&x, 0, &attrs).unwrap();
-            let (k, n) = col_shape(x.shape(), &attrs).unwrap();
-            let m = attrs.out_channels;
-            let view = Im2colView {
-                sample: x.as_slice(),
-                channels: in_c,
-                in_h,
-                in_w,
-                kernel_h: attrs.kernel_h,
-                kernel_w: attrs.kernel_w,
-                stride: attrs.stride,
-                pad_h: attrs.pad,
-                pad_w: attrs.pad,
-                out_h: (in_h + 2 * attrs.pad - attrs.kernel_h) / attrs.stride + 1,
-                out_w: (in_w + 2 * attrs.pad - attrs.kernel_w) / attrs.stride + 1,
-            };
+        // The element-wise `im2col` is the oracle, and it pads by clipping:
+        // multiplying by the matrix it writes and reading the bordered
+        // sample through the view — in place or through the packer, as the
+        // geometry decides — must feed the microkernel bitwise-equal
+        // operands, for the column matrix and its transpose, on each ISA.
+        for isa in crate::dispatch::test_isas() {
+            with_isa(isa, || {
+                for (in_c, in_h, in_w, attrs) in crate::im2col::test_geometries() {
+                    let label = format!("{isa:?} c{in_c} {in_h}x{in_w} {attrs:?}");
+                    let x = Tensor::from_vec(
+                        Shape::nchw(1, in_c, in_h, in_w),
+                        (0..in_c * in_h * in_w)
+                            .map(|i| ((i * 31 % 23) as f32 - 11.0) * 0.37)
+                            .collect(),
+                    )
+                    .unwrap();
+                    let col = im2col(&x, 0, &attrs).unwrap();
+                    let (k, n) = col_shape(x.shape(), &attrs).unwrap();
+                    let m = attrs.out_channels;
+                    let (staged, geometry) = bordered(&x, &attrs);
+                    let view = Im2colView { sample: &staged, ..geometry };
 
-            let a: Vec<f32> = (0..m * k).map(|i| ((i * 29 % 17) as f32 - 8.0) * 0.21).collect();
-            let mut expected = vec![0.0f32; m * n];
-            gemm(m, n, k, 1.0, &a, &col, 0.0, &mut expected).unwrap();
-            let mut fused = vec![f32::NAN; m * n];
-            gemm_im2col(m, n, k, 1.0, &a, view, 0.0, &mut fused).unwrap();
-            let fused_bits: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
-            let expected_bits: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fused_bits, expected_bits, "{label}");
+                    let a: Vec<f32> =
+                        (0..m * k).map(|i| ((i * 29 % 17) as f32 - 8.0) * 0.21).collect();
+                    let mut expected = vec![0.0f32; m * n];
+                    gemm(m, n, k, 1.0, &a, &col, 0.0, &mut expected).unwrap();
+                    let mut fused = vec![f32::NAN; m * n];
+                    gemm_im2col(m, n, k, 1.0, &a, view, 0.0, &mut fused).unwrap();
+                    assert_eq!(bits(&fused), bits(&expected), "{label}");
 
-            // Where a zero-bordered copy makes the windows readable in
-            // place, the microkernel's reads of it must be those same bits.
-            if let (Some((bh, bw)), staged) = view.staged_for_in_place() {
-                let (rows, cols) = (in_h + 2 * bh, in_w + 2 * bw);
-                let mut bordered = vec![0.0f32; in_c * rows * cols];
-                for (p, plane) in x.as_slice().chunks_exact(in_h * in_w).enumerate() {
-                    for (r, row) in plane.chunks_exact(in_w).enumerate() {
-                        let at = (p * rows + bh + r) * cols + bw;
-                        bordered[at..at + in_w].copy_from_slice(row);
-                    }
+                    // a · colᵀ, accumulated into zeros: equal values (the
+                    // `0 + x` of the accumulate can only turn a −0.0 into
+                    // +0.0).
+                    let a_t: Vec<f32> =
+                        (0..m * n).map(|i| ((i * 23 % 19) as f32 - 9.0) * 0.17).collect();
+                    let mut expected_t = vec![0.0f32; m * k];
+                    gemm_nt(m, k, n, &a_t, &col, &mut expected_t).unwrap();
+                    let mut fused_t = vec![0.0f32; m * k];
+                    gemm_nt_im2col_acc(m, k, n, &a_t, view, &mut fused_t).unwrap();
+                    assert_eq!(fused_t, expected_t, "transposed {label}");
                 }
-                let in_place = Im2colView { sample: &bordered, ..staged };
-                assert!(in_place.reads_in_place(), "{label}");
-                let mut direct = vec![f32::NAN; m * n];
-                gemm_im2col(m, n, k, 1.0, &a, in_place, 0.0, &mut direct).unwrap();
-                let direct_bits: Vec<u32> = direct.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(direct_bits, expected_bits, "in place {label}");
-            }
-
-            // a · colᵀ, accumulated into zeros: equal values (the `0 + x`
-            // of the accumulate can only turn a −0.0 into +0.0).
-            let a_t: Vec<f32> = (0..m * n).map(|i| ((i * 23 % 19) as f32 - 9.0) * 0.17).collect();
-            let mut expected_t = vec![0.0f32; m * k];
-            gemm_nt(m, k, n, &a_t, &col, &mut expected_t).unwrap();
-            let mut fused_t = vec![0.0f32; m * k];
-            gemm_nt_im2col_acc(m, k, n, &a_t, view, &mut fused_t).unwrap();
-            assert_eq!(fused_t, expected_t, "transposed {label}");
+            });
         }
     }
 
     #[test]
     fn gemm_im2col_rejects_inconsistent_views() {
-        let sample = vec![0.0f32; 3 * 4 * 4];
-        let view = Im2colView {
-            sample: &sample,
-            channels: 3,
-            in_h: 4,
-            in_w: 4,
-            kernel_h: 3,
-            kernel_w: 3,
-            stride: 1,
-            pad_h: 1,
-            pad_w: 1,
-            out_h: 4,
-            out_w: 4,
-        };
+        // A `same` 3×3 over 3×4×4, staged in its one-deep border.
+        let attrs = Conv2dAttrs::same_3x3(2);
+        let x = Tensor::zeros(Shape::nchw(1, 3, 4, 4));
+        let (staged, geometry) = bordered(&x, &attrs);
+        let view = Im2colView { sample: &staged, ..geometry };
         let a = vec![0.0f32; 2 * 27];
         let mut c = vec![0.0f32; 2 * 16];
         assert!(gemm_im2col(2, 16, 27, 1.0, &a, view, 0.0, &mut c).is_ok());
         // k disagrees with the view's row count.
         assert!(gemm_im2col(2, 16, 26, 1.0, &a[..52], view, 0.0, &mut c).is_err());
         // Sample shorter than C·H·W.
-        let short = Im2colView { sample: &sample[..47], ..view };
+        let short = Im2colView { sample: &staged[..staged.len() - 1], ..view };
         assert!(gemm_im2col(2, 16, 27, 1.0, &a, short, 0.0, &mut c).is_err());
         // A zero stride has no column matrix.
         let stuck = Im2colView { stride: 0, ..view };
         assert!(gemm_im2col(2, 16, 27, 1.0, &a, stuck, 0.0, &mut c).is_err());
+        // The same windows over the sample without its border: a view has
+        // no padding, so 4×4 outputs of a 3×3 over 4×4 do not exist.
+        let bare = Im2colView { sample: x.as_slice(), in_h: 4, in_w: 4, ..view };
+        assert!(gemm_im2col(2, 16, 27, 1.0, &a, bare, 0.0, &mut c).is_err());
+        assert!(gemm_nt_im2col_acc(2, 27, 16, &c, bare, &mut vec![0.0f32; 2 * 27]).is_err());
     }
 
     /// The in-place reads index the sample by the view's fields alone, so a
@@ -1424,8 +1367,6 @@ mod tests {
             kernel_h: 3,
             kernel_w: 3,
             stride: 1,
-            pad_h: 0,
-            pad_w: 0,
             out_h: 4,
             out_w: 6,
         };

@@ -3,16 +3,21 @@
 //! The reference CNN libraries in the paper (MKL-DNN, CUTLASS) execute
 //! convolutions as matrix multiplies over an im2col-expanded input. The
 //! production kernels in [`crate::conv`] never write that matrix — the
-//! GEMM reads the windows where they lie or gathers them while packing
-//! ([`crate::gemm::Im2colView`]) — so what lives here is:
+//! GEMM reads the windows of a (zero-bordered) staged sample where they lie
+//! or gathers them while packing ([`crate::gemm::Im2colView`]) — so what
+//! lives here is:
 //!
-//! * [`im2col`], the element-wise materializing lowering, kept as the oracle
-//!   both of those are tested bit-identical against;
+//! * [`im2col`], the element-wise materializing lowering, the oracle both
+//!   of those are tested bit-identical against. It pads by *clipping* —
+//!   a bounds test per element — where the production path pads with a
+//!   border, which is what makes it an independent check;
 //! * [`col2im_accumulate`], its adjoint, which the input gradient of a
-//!   *strided* convolution still scatters a `d_col` through (stride-1
+//!   *strided* convolution scatters a `d_col` through (stride-1
 //!   convolutions compute their input gradient as a forward convolution
-//!   with rotated weights instead);
-//! * the geometry helpers both share with the packer.
+//!   with rotated weights instead); `taps_inside` resolves, once per row
+//!   segment, which of its taps land inside the image;
+//! * the output-extent helpers the convolution kernels and the GEMM's view
+//!   check share.
 
 use crate::error::KernelError;
 use crate::Result;
@@ -51,11 +56,11 @@ pub(crate) fn conv_out_shape(input: &Shape, attrs: &Conv2dAttrs) -> Result<Shape
 
 /// The taps `t` in `0..len` whose input position `start + t·stride` lies
 /// inside `0..extent` (`start` is negative inside the leading padding).
-/// They form one run, resolved here once per row segment, so the copy loops
-/// on either side of the lowering test no bounds per element. Empty when
+/// They form one run, resolved here once per row segment, so the scatter
+/// loop of [`col2im_accumulate`] tests no bounds per element. Empty when
 /// padding clips the whole segment.
 #[inline(always)]
-pub(crate) fn taps_inside(start: isize, stride: usize, extent: usize, len: usize) -> Range<usize> {
+fn taps_inside(start: isize, stride: usize, extent: usize, len: usize) -> Range<usize> {
     let ceil_div = |x: usize| if stride == 1 { x } else { x.div_ceil(stride) };
     let first = if start < 0 { ceil_div(start.unsigned_abs()) } else { 0 }.min(len);
     let end =
@@ -69,37 +74,15 @@ pub(crate) fn taps_inside(start: isize, stride: usize, extent: usize, len: usize
 /// # Errors
 /// Returns an error if the input is not 4-D or the window does not fit.
 pub fn im2col(input: &Tensor, sample: usize, attrs: &Conv2dAttrs) -> Result<Vec<f32>> {
-    let mut out = Vec::new();
-    im2col_into(input, sample, attrs, &mut out)?;
-    Ok(out)
-}
-
-/// [`im2col`] into a caller-provided scratch buffer, so a loop over the
-/// mini-batch (or over training steps) expands every sample into the same
-/// allocation instead of building a fresh column matrix each time.
-///
-/// The buffer is resized to `(C·Kh·Kw) · (Ho·Wo)` and every element is
-/// overwritten.
-///
-/// # Errors
-/// Returns an error if the input is not 4-D or the window does not fit.
-pub fn im2col_into(
-    input: &Tensor,
-    sample: usize,
-    attrs: &Conv2dAttrs,
-    out: &mut Vec<f32>,
-) -> Result<()> {
     let shape = input.shape();
     let (ho, wo) = conv_out_hw(shape, attrs)?;
     let (c, h, w) = (shape.c(), shape.h(), shape.w());
     let rows = c * attrs.kernel_h * attrs.kernel_w;
     let cols = ho * wo;
-    // Size without pre-zeroing the kept prefix (the fill below overwrites
-    // every element); resize only initializes growth.
-    out.resize(rows * cols, 0.0);
+    let mut out = vec![0.0f32; rows * cols];
     // One task per output row `(ci, kh, kw)`; rows are disjoint in `out`.
     let min_rows = min_items_per_thread(cols.saturating_mul(4));
-    parallel_rows_mut(out, cols, min_rows, |first_row, block| {
+    parallel_rows_mut(&mut out, cols, min_rows, |first_row, block| {
         for (row_local, row_slice) in block.chunks_mut(cols).enumerate() {
             let row = first_row + row_local;
             let kw_off = row % attrs.kernel_w;
@@ -120,7 +103,7 @@ pub fn im2col_into(
             }
         }
     });
-    Ok(())
+    Ok(out)
 }
 
 /// Accumulates a `(C·Kh·Kw) × (Ho·Wo)` column matrix back into one sample of
@@ -194,9 +177,9 @@ pub fn col_shape(input: &Shape, attrs: &Conv2dAttrs) -> Result<(usize, usize)> {
     Ok((input.c() * attrs.kernel_h * attrs.kernel_w, ho * wo))
 }
 
-/// The convolution geometries `(C_in, H, W, attrs)` the gather packer and
-/// the in-place reads (`gemm` tests), both gradient paths (`conv` tests) and
-/// the fused prologues (`fused` tests) are checked over.
+/// The convolution geometries `(C_in, H, W, attrs)` the bordered views —
+/// packed and read in place (`gemm` tests) — both gradient paths (`conv`
+/// tests) and the fused prologues (`fused` tests) are checked over.
 #[cfg(test)]
 pub(crate) fn test_geometries() -> Vec<(usize, usize, usize, Conv2dAttrs)> {
     let conv = |out_channels, kernel_h, kernel_w, stride, pad| Conv2dAttrs {
@@ -307,18 +290,6 @@ mod tests {
         let mut back = Tensor::zeros(x.shape().clone());
         col2im_accumulate(&cols, &mut back, 0, &attrs).unwrap();
         assert!(back.all_close(&x, 1e-6).unwrap());
-    }
-
-    #[test]
-    fn scratch_buffer_is_reusable_across_samples() {
-        let data: Vec<f32> = (0..32).map(|i| i as f32).collect();
-        let x = Tensor::from_vec(Shape::nchw(2, 1, 4, 4), data).unwrap();
-        let attrs = Conv2dAttrs::same_3x3(1);
-        let mut scratch = Vec::new();
-        for sample in 0..2 {
-            im2col_into(&x, sample, &attrs, &mut scratch).unwrap();
-            assert_eq!(scratch, im2col(&x, sample, &attrs).unwrap());
-        }
     }
 
     #[test]

@@ -68,18 +68,9 @@ pub fn softmax_loss_forward(scores: &Tensor, labels: &[usize]) -> Result<Softmax
     Ok(SoftmaxLossState { loss: (loss / n as f64) as f32, probs })
 }
 
-/// Softmax cross-entropy backward pass: `d_scores = (softmax − one_hot) / N`.
-///
-/// # Errors
-/// Returns an error when a label is out of range or the batch sizes differ.
-pub fn softmax_loss_backward(state: &SoftmaxLossState, labels: &[usize]) -> Result<Tensor> {
-    let mut d_scores = Tensor::zeros(state.probs.shape().clone());
-    softmax_loss_backward_into(state, labels, &mut d_scores)?;
-    Ok(d_scores)
-}
-
-/// [`softmax_loss_backward`] into a caller-provided tensor of the scores'
-/// shape. Every element of `d_scores` is overwritten.
+/// Softmax cross-entropy backward pass, `d_scores = (softmax − one_hot) / N`,
+/// into a caller-provided tensor of the scores' shape. Every element of
+/// `d_scores` is overwritten.
 ///
 /// # Errors
 /// Returns an error when a label is out of range, or the batch sizes or the
@@ -168,7 +159,8 @@ mod tests {
                 .unwrap();
         let labels = vec![2usize, 1];
         let state = softmax_loss_forward(&scores, &labels).unwrap();
-        let d_scores = softmax_loss_backward(&state, &labels).unwrap();
+        let mut d_scores = Tensor::filled(scores.shape().clone(), f32::NAN);
+        softmax_loss_backward_into(&state, &labels, &mut d_scores).unwrap();
         let h = 1e-3f32;
         for idx in 0..scores.len() {
             let mut sp = scores.clone();

@@ -104,7 +104,10 @@ fn conv_forward_and_backward_match_serial() {
     // Batch 1 (threads > samples), odd channel counts, odd spatial sizes;
     // then stride 2 (the `d_col` + col2im input gradient) and 4×4 maps
     // (`out_w < NR`: one packed strip spans four output rows); then 8- and
-    // 16-wide maps, whose windows are read in place from a bordered copy.
+    // 16-wide maps, whose windows are read in place from a bordered copy;
+    // then nine samples — more than the weight gradient has sample groups,
+    // so a group restages its bordered scratch — strided under a two-deep
+    // border, and at a ragged width (`out_w = 12`).
     let same = |oc, hw| Conv2dAttrs::new(oc, if hw >= 3 { 3 } else { 1 }, 1, usize::from(hw >= 3));
     for &(n, ic, oc, hw, seed, attrs) in &[
         (1usize, 1usize, 1usize, 1usize, 1u64, same(1, 1)),
@@ -115,6 +118,8 @@ fn conv_forward_and_backward_match_serial() {
         (3, 5, 7, 4, 6, same(7, 4)),
         (3, 5, 7, 8, 7, same(7, 8)),
         (2, 3, 100, 16, 8, same(100, 16)),
+        (9, 3, 5, 11, 9, Conv2dAttrs::new(5, 5, 2, 2)),
+        (9, 3, 5, 12, 10, same(5, 12)),
     ] {
         let x = random(Shape::nchw(n, ic, hw, hw), seed);
         let w = random(Shape::nchw(oc, ic, attrs.kernel_h, attrs.kernel_w), seed + 100);

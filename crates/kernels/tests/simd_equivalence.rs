@@ -19,7 +19,7 @@ use bnff_graph::op::Conv2dAttrs;
 use bnff_kernels::batchnorm::{
     bn_backward, bn_forward, norm_backward_inplace, BnParamGrads, BnParams,
 };
-use bnff_kernels::conv::{conv2d_forward_relu_into, ConvInput};
+use bnff_kernels::conv::{conv2d_backward_weights, conv2d_forward_relu_into, ConvInput};
 use bnff_kernels::dispatch::{active_isa, with_isa, SimdIsa};
 use bnff_kernels::eltwise::eltwise_sum_forward;
 use bnff_kernels::fused::{
@@ -306,6 +306,17 @@ fn bn_affine_and_fused_paths_agree() {
         flat
     });
     assert_paths_close("fused_conv_backward", 6 * 9 + 3 * 5 * 5, &s, &v);
+
+    // The weight gradient's transposed windows, gathered from a bordered
+    // copy of each sample: a strided-padded and a ragged-width padded shape.
+    for (hw, attrs) in [(9, Conv2dAttrs::new(6, 3, 2, 1)), (7, Conv2dAttrs::new(6, 5, 1, 2))] {
+        let x = init.uniform(Shape::nchw(3, 4, hw, hw), -0.5, 0.5);
+        let out_hw = (hw + 2 * attrs.pad - attrs.kernel_h) / attrs.stride + 1;
+        let d_out = init.uniform(Shape::nchw(3, 6, out_hw, out_hw), -0.5, 0.5);
+        let (s, v) =
+            both_paths(|| conv2d_backward_weights(&x, &d_out, &attrs, false).unwrap().0.into_vec());
+        assert_paths_close(&format!("conv2d_backward_weights {attrs:?}"), 3 * hw * hw, &s, &v);
+    }
 }
 
 #[test]

@@ -42,8 +42,8 @@ impl Request {
 }
 
 /// Why a request could not be parsed. Every variant maps to a `400` except
-/// [`HttpError::BodyTooLarge`] (`413`) and [`HttpError::Closed`] (no
-/// response — the peer went away).
+/// [`HttpError::BodyTooLarge`] (`413`), [`HttpError::Timeout`] (`408`) and
+/// [`HttpError::Closed`] (no response — the peer went away).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpError {
     /// The connection closed before a full request arrived.
@@ -59,8 +59,21 @@ pub enum HttpError {
     BodyTooLarge(usize),
     /// A line exceeds [`MAX_LINE`].
     LineTooLong,
+    /// The peer sent nothing for as long as the socket's read timeout.
+    Timeout,
     /// An I/O error on the connection.
     Io(String),
+}
+
+impl From<std::io::Error> for HttpError {
+    fn from(err: std::io::Error) -> Self {
+        // A socket read timeout surfaces as `WouldBlock` on Unix and
+        // `TimedOut` on Windows.
+        match err.kind() {
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => HttpError::Timeout,
+            _ => HttpError::Io(err.to_string()),
+        }
+    }
 }
 
 impl fmt::Display for HttpError {
@@ -74,6 +87,7 @@ impl fmt::Display for HttpError {
                 write!(f, "request body of {n} bytes exceeds the {MAX_BODY}-byte limit")
             }
             HttpError::LineTooLong => write!(f, "request line or header exceeds {MAX_LINE} bytes"),
+            HttpError::Timeout => write!(f, "timed out waiting for the request"),
             HttpError::Io(msg) => write!(f, "i/o error: {msg}"),
         }
     }
@@ -107,7 +121,7 @@ fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, HttpError> {
                     return Err(HttpError::LineTooLong);
                 }
             }
-            Err(e) => return Err(HttpError::Io(e.to_string())),
+            Err(e) => return Err(e.into()),
         }
     }
 }
@@ -162,7 +176,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 HttpError::BadBody(format!("body ended before the declared {content_length} bytes"))
             } else {
-                HttpError::Io(e.to_string())
+                e.into()
             }
         })?;
     }
@@ -176,6 +190,7 @@ pub fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
@@ -262,6 +277,28 @@ mod tests {
         ));
         assert!(matches!(parse(b"GET / HTT"), Err(HttpError::Closed)));
         assert_eq!(parse(b"").unwrap(), None);
+    }
+
+    #[test]
+    fn a_read_timeout_is_its_own_error() {
+        /// Half a request line, then what a timed-out socket read returns.
+        struct Stalls(&'static [u8]);
+        impl std::io::Read for Stalls {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::ErrorKind::WouldBlock.into());
+                }
+                let n = self.0.len().min(buf.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        for sent in [&b""[..], b"GET /v1/hea", b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc"] {
+            let parsed = read_request(&mut BufReader::new(Stalls(sent)));
+            assert_eq!(parsed, Err(HttpError::Timeout), "{:?}", String::from_utf8_lossy(sent));
+        }
+        assert_eq!(reason(408), "Request Timeout");
     }
 
     #[test]

@@ -20,7 +20,11 @@
 //! load balancers react correctly without knowing the engine's error types:
 //! [`ServeError::Overloaded`] → `429` (with `retry-after`),
 //! [`ServeError::DeadlineExceeded`] → `504`, [`ServeError::ShuttingDown`] →
-//! `503`, invalid samples and malformed JSON → `400`.
+//! `503`, invalid samples and malformed JSON (nesting past the parser's
+//! 128-level bound included) → `400`. Every accepted socket carries a 5 s
+//! read and write timeout: a peer that goes silent mid-request is answered
+//! `408` and closed, so it cannot hold its connection thread, or a drain,
+//! for longer than that.
 //!
 //! The build environment has no signal-handling bindings (no `libc`), so
 //! graceful shutdown is driven by `POST /v1/shutdown` instead of `SIGTERM`:
@@ -49,6 +53,11 @@ use std::time::{Duration, Instant};
 
 /// The `content-type` of the Prometheus text exposition format.
 const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+
+/// Read and write timeout of every accepted socket: the longest a peer may
+/// stay silent mid-request, or leave a response unread, before its
+/// connection thread gives up on it (`408`, then close).
+const SOCKET_DEADLINE: Duration = Duration::from_secs(5);
 
 /// `POST /v1/infer` request body.
 #[derive(Debug, Deserialize)]
@@ -302,6 +311,12 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
 }
 
 fn handle_connection(shared: &ServerShared, stream: TcpStream) {
+    // The read half is a clone of the same socket, so it shares the timeouts.
+    if stream.set_read_timeout(Some(SOCKET_DEADLINE)).is_err()
+        || stream.set_write_timeout(Some(SOCKET_DEADLINE)).is_err()
+    {
+        return;
+    }
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut stream = stream;
@@ -314,10 +329,14 @@ fn handle_connection(shared: &ServerShared, stream: TcpStream) {
         }
         Ok(None) => return,
         Err(HttpError::Closed) => return,
-        Err(err @ HttpError::BodyTooLarge(_)) => {
-            (None, (413, Vec::new(), error_body(&err.to_string())))
+        Err(err) => {
+            let status = match err {
+                HttpError::BodyTooLarge(_) => 413,
+                HttpError::Timeout => 408,
+                _ => 400,
+            };
+            (None, (status, Vec::new(), error_body(&err.to_string())))
         }
-        Err(err) => (None, (400, Vec::new(), error_body(&err.to_string()))),
     };
     let _ = write_response(&mut stream, status, &extra, &body);
     if shared.access_log {

@@ -267,6 +267,61 @@ fn malformed_requests_are_400s() {
     server.shutdown();
 }
 
+/// The JSON parser recurses once per nesting level, so unbounded a body of
+/// nothing but `[` overflows the connection thread's stack — which aborts
+/// the whole process. The nesting bound makes it an ordinary `400`.
+#[test]
+fn deeply_nested_bodies_are_400s_and_the_server_keeps_serving() {
+    let exec = trained(19);
+    let engine = ServeEngine::builder().executor(&exec).start().unwrap();
+    let server = HttpServer::bind(engine, "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    for len in [10_000, 1 << 20] {
+        let (status, _, body) = post(addr, "/v1/infer", &"[".repeat(len));
+        assert_eq!(status, 400, "{len} bytes of '[': {body}");
+        assert!(body.contains("recursion limit"), "{body}");
+    }
+    let sample = Initializer::seeded(5).uniform(Shape::nchw(1, 3, 6, 6), -1.0, 1.0);
+    let (status, _, body) = post(addr, "/v1/infer", &infer_body(sample.as_slice()));
+    assert_eq!(status, 200, "body: {body}");
+    server.shutdown();
+}
+
+/// A client that stops sending mid-request is answered `408` once the
+/// socket's read timeout (5 s) runs out, and its connection thread is
+/// released: the server goes on answering and drains without waiting.
+#[test]
+fn a_silent_client_is_timed_out_with_408() {
+    let exec = trained(23);
+    let engine = ServeEngine::builder().executor(&exec).start().unwrap();
+    let server = HttpServer::bind(engine, "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+
+    let began = std::time::Instant::now();
+    let mut silent = TcpStream::connect(addr).unwrap();
+    silent.write_all(b"POST /v1/inf").unwrap();
+    // The stalled connection does not block anyone else.
+    let (status, _, body) = get(addr, "/v1/healthz");
+    assert_eq!((status, body.contains("\"ok\"")), (200, true), "{body}");
+
+    silent.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut response = String::new();
+    silent.read_to_string(&mut response).expect("the server answers, then closes");
+    assert!(response.starts_with("HTTP/1.1 408 Request Timeout\r\n"), "{response}");
+    let waited = began.elapsed();
+    assert!(
+        (Duration::from_secs(4)..Duration::from_secs(10)).contains(&waited),
+        "timed out after {waited:?}, the socket deadline is 5 s"
+    );
+
+    let (status, _, _) = get(addr, "/v1/healthz");
+    assert_eq!(status, 200);
+    // No connection is left in flight, so the drain returns at once.
+    let began = std::time::Instant::now();
+    server.shutdown();
+    assert!(began.elapsed() < Duration::from_secs(2), "drain waited {:?}", began.elapsed());
+}
+
 #[test]
 fn overload_is_shed_with_429_and_retry_after() {
     let exec = trained(19);

@@ -75,15 +75,6 @@ pub fn scaled(t: &Tensor, alpha: f32) -> Tensor {
     t.map(|x| x * alpha)
 }
 
-/// Linear interpolation `out = (1 - w) * a + w * b` used for running
-/// statistics in Batch Normalization inference.
-///
-/// # Errors
-/// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-pub fn lerp(a: &Tensor, b: &Tensor, w: f32) -> Result<Tensor> {
-    a.zip_map(b, |x, y| (1.0 - w) * x + w * y)
-}
-
 /// Dot product of two tensors viewed as flat vectors.
 ///
 /// # Errors
@@ -177,15 +168,6 @@ mod tests {
         scale(&mut a, 0.5);
         assert_eq!(a.as_slice(), &[1.0, 2.0]);
         assert_eq!(scaled(&a, 3.0).as_slice(), &[3.0, 6.0]);
-    }
-
-    #[test]
-    fn lerp_running_stats() {
-        let old = t(&[0.0, 10.0]);
-        let new = t(&[10.0, 0.0]);
-        let mixed = lerp(&old, &new, 0.1).unwrap();
-        assert!((mixed.as_slice()[0] - 1.0).abs() < 1e-6);
-        assert!((mixed.as_slice()[1] - 9.0).abs() < 1e-6);
     }
 
     #[test]

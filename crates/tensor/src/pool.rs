@@ -221,13 +221,6 @@ impl BufferPool {
     }
 }
 
-impl Tensor {
-    /// Releases this tensor's storage into `pool`, consuming the tensor.
-    pub fn release_into(self, pool: &mut BufferPool) {
-        pool.reclaim(self);
-    }
-}
-
 /// A [`BufferPool`] behind a mutex, shareable across the worker threads of
 /// the `bnff-parallel` pool and across training steps.
 ///
@@ -345,7 +338,7 @@ mod tests {
         let mut pool = BufferPool::new();
         let mut t = pool.take_tensor(Shape::vector(4));
         t.fill(7.0);
-        t.release_into(&mut pool);
+        pool.reclaim(t);
         let u = pool.take(4);
         assert_eq!(u, vec![0.0; 4]);
     }

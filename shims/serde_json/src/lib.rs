@@ -63,12 +63,18 @@ pub fn from_str<T: serde::Deserialize>(input: &str) -> Result<T, Error> {
     from_value(&parse(input)?)
 }
 
+/// How deep arrays and objects may nest (`serde_json`'s own default). The
+/// parser recurses once per level, so this is what keeps a hostile body of
+/// `[[[[…` from overflowing the stack of the thread that parses it.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into a [`Value`] tree.
 ///
 /// # Errors
-/// Returns an error on malformed JSON or trailing non-whitespace input.
+/// Returns an error on malformed JSON, trailing non-whitespace input, or
+/// containers nested more than 128 deep.
 pub fn parse(input: &str) -> Result<Value, Error> {
-    let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
@@ -81,6 +87,8 @@ pub fn parse(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -118,11 +126,23 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(Error::new(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one container, one level deeper — or refuses to, past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!("recursion limit exceeded at byte {}", self.pos)));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -362,6 +382,25 @@ mod tests {
         assert!(super::parse("[1,]").is_err());
         assert!(super::parse("1 2").is_err());
         assert!(super::parse(r#"{"k" 1}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        // Arrays, objects, and the two alternating (two levels per repeat).
+        for (open, close, levels) in [("[", "]", 1), ("{\"k\":", "}", 1), ("[{\"k\":", "}]", 2)] {
+            assert!(super::parse(&nest(open, close, 128 / levels)).is_ok(), "{open} at 128");
+            let err = super::parse(&nest(open, close, 128 / levels + 1)).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "{open} at 129+: {err}");
+            // Unclosed and a million deep: the bound is hit on the way
+            // down, long before the stack runs out.
+            assert!(super::parse(&open.repeat(1_000_000)).is_err(), "{open} at 1e6");
+            assert!(super::from_str::<Vec<f32>>(&open.repeat(1_000_000)).is_err());
+        }
+        // Siblings do not count as depth.
+        assert!(super::parse(&format!("[{}[]]", "[],".repeat(1000))).is_ok());
     }
 
     #[test]
