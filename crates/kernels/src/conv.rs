@@ -3,14 +3,19 @@
 //! reference.
 //!
 //! No kernel here writes a `(C·Kh·Kw) × (Ho·Wo)` column matrix. All three
-//! convolution GEMMs read their windows through one [`Im2colView`]:
+//! passes read their windows through one [`Im2colView`] — two GEMMs and,
+//! where the view's windows lie in place, a correlation:
 //!
 //! * **forward** — `out_n = W · im2col(x_n)`, bias/ReLU (and, for the fused
 //!   `CONV1-(sub-BN1)` layer, the Σx/Σx² accumulation) applied per sample
 //!   while the output is cache-hot;
-//! * **weight gradient** — `d_W += d_out_n · im2col(x_n)ᵀ`, the transposed
-//!   form of the same windows, summed across a group's samples inside the
-//!   GEMM;
+//! * **weight gradient** — `d_W += d_out_n · im2col(x_n)ᵀ`, summed across a
+//!   group's samples in batch order. Its reduction axis — the output
+//!   positions — is the contiguous axis of both `d_out_n` and the windows
+//!   of a view that reads in place, so there it is a register-tiled
+//!   correlation of the two operands where they lie (`crate::correlate`):
+//!   no pack, no transpose. A strided or ragged-width view keeps the GEMM
+//!   over the transposed form of its windows;
 //! * **input gradient**, stride 1 — `d_x_n (+)= W_rot · im2col(d_out_n)`
 //!   with padding `K − 1 − pad`: a forward convolution of the output
 //!   gradient with the 180°-rotated, channel-transposed weights, run by
@@ -25,9 +30,10 @@
 //! `pad ≠ 0` stages every sample it reads — in all three GEMMs, at any
 //! stride and width — in a pooled `C × (H + 2·pad_h) × (W + 2·pad_w)`
 //! scratch (`Staging`) whose zero border is laid once per take (the scratch
-//! is recycled dirty), and hands the GEMM the view of those windows over
-//! the bordered copy, where none of them is clipped (`Windows::staged` is
-//! the rule; an [`Im2colView`] has no padding to express). For a
+//! is recycled dirty), and hands the GEMM — or the correlation — the view
+//! of those windows over the bordered copy, where none of them is clipped
+//! (`Windows::staged` is the rule; an [`Im2colView`] has no padding to
+//! express). For a
 //! [`ConvInput`] prologue the staging *is* the copy the prologue makes
 //! anyway, written row by row into the interior — so the padding comes
 //! after the prologue, as `max(γ·(0 − μ)/σ + β, 0) ≠ 0` requires; a raw
@@ -40,13 +46,17 @@
 //! are one multiply per sample by the *same* left operand, so that
 //! operand's panels (`W`, or `W_rot`) are packed once (`gemm::Im2colGemm`).
 //!
-//! *Read in place, or gathered.* The GEMM's microkernel reads the windows
-//! of the staged sample where they lie when the view has stride 1 and an
-//! output width that is a multiple of 8 (every convolution of the CIFAR
-//! models). Strided or ragged-width views and the weight gradient's
-//! transposed windows go through the GEMM's gather packer, which expands
-//! the same pad-free windows. None of this shows in a result: the multiply
-//! consumes the same bits in the same order either way.
+//! *Read in place, or gathered.* When the view has stride 1 and an output
+//! width that is a multiple of 8 (every convolution of the CIFAR models),
+//! the GEMM's microkernel reads the windows of the staged sample where they
+//! lie, and the weight gradient packs nothing at all: its correlation reads
+//! both the windows and `d_out_n` in place. Strided or ragged-width views
+//! go through the GEMM's gather packer, which expands the same pad-free
+//! windows — transposed, for the weight gradient. For the two GEMMs none of
+//! this shows in a result: the multiply consumes the same bits in the same
+//! order either way. The weight gradient's two forms sum a sample's
+//! positions in different orders (`crate::correlate` states its own); which
+//! one runs is decided by the view's shape alone, never by a thread count.
 //!
 //! The two passes that read the input feature map take it as a
 //! [`ConvInput`] and ask it for one sample at a time: the borrowed slice, or
@@ -65,6 +75,7 @@
 //! thread-count-independent results.
 
 use crate::batchnorm::{check_normalize, inv_std, BnParams};
+use crate::correlate::WindowCorrelation;
 use crate::error::KernelError;
 use crate::gemm::{gemm_nt_im2col_acc, gemm_tn, Im2colGemm, Im2colView};
 use crate::im2col::{col2im_accumulate, col_shape, conv_out_hw, conv_out_shape};
@@ -702,26 +713,28 @@ pub(crate) fn backward_weights(
     let n = x.shape().n();
     let in_dims = (x.shape().c(), x.shape().h(), x.shape().w());
     let (rows, cols) = (in_dims.0 * attrs.kernel_h * attrs.kernel_w, out_hw.0 * out_hw.1);
-    let mut d_w =
-        Tensor::zeros(Shape::nchw(attrs.out_channels, in_dims.0, attrs.kernel_h, attrs.kernel_w));
+    let d_w_shape = Shape::nchw(attrs.out_channels, in_dims.0, attrs.kernel_h, attrs.kernel_w);
     // Samples are grouped into a bounded number of chunks fixed by the
     // problem (never by the thread count): each chunk accumulates its
     // samples serially in batch order into one (d_W, d_bias) partial, and
     // the partials combine with a deterministic tree. Bounding the chunk
     // count caps transient memory at MAX_WGRAD_PARTIALS weight buffers
-    // whatever the batch size. The GEMM inside each partial runs serially
-    // when this level already fans out, and in parallel when it does not
-    // (single chunk).
+    // whatever the batch size. The gathering GEMM inside each partial runs
+    // serially when this level already fans out, and in parallel when it
+    // does not (single chunk).
     const MAX_WGRAD_PARTIALS: usize = 8;
     let sample_macs = attrs.out_channels * rows * cols;
     let min_samples = min_items_per_thread(sample_macs);
     let groups = chunk_ranges(n, n.div_ceil(min_samples).min(MAX_WGRAD_PARTIALS));
-    // The GEMMs below run on pool workers, which do not inherit a scoped
+    // The kernels below run on pool workers, which do not inherit a scoped
     // `with_isa` override: resolve the ISA here and re-pin it per group.
     let isa = bnff_tensor::active_isa();
     let d_out_len = attrs.out_channels * cols;
     let windows = Windows::of(attrs, out_hw);
     let geometry = windows.staged(in_dims);
+    // Windows that lie in place are correlated with `d_out_n` where both
+    // lie; the others are gathered, transposed, by the GEMM's packer.
+    let correlation = WindowCorrelation::new(&geometry);
     let reduced = parallel_reduce(
         groups.len(),
         1,
@@ -732,17 +745,21 @@ pub(crate) fn backward_weights(
                 let mut stage = Staging::take(in_dims, windows.pad, input.transforms());
                 for ni in groups[gi].clone() {
                     let sample = input.sample(isa, ni, stage.as_mut());
-                    let view = Im2colView { sample, ..geometry };
                     let d_out_n = &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len];
-                    // d_W (Cout x rows) += d_out_n (Cout x cols) · im2col(sample)ᵀ (cols x rows)
-                    gemm_nt_im2col_acc(
-                        attrs.out_channels,
-                        rows,
-                        cols,
-                        d_out_n,
-                        view,
-                        &mut d_w_flat,
-                    )?;
+                    match &correlation {
+                        Some(correlation) => {
+                            correlation.accumulate(isa, sample, d_out_n, &mut d_w_flat)
+                        }
+                        // d_W (Cout x rows) += d_out_n (Cout x cols) · im2col(sample)ᵀ (cols x rows)
+                        None => gemm_nt_im2col_acc(
+                            attrs.out_channels,
+                            rows,
+                            cols,
+                            d_out_n,
+                            Im2colView { sample, ..geometry },
+                            &mut d_w_flat,
+                        )?,
+                    }
                     for (db, plane) in d_bias.iter_mut().zip(d_out_n.chunks_exact(cols)) {
                         *db += plane.iter().sum::<f32>();
                     }
@@ -766,11 +783,13 @@ pub(crate) fn backward_weights(
     match reduced {
         Some(partials) => {
             let (d_w_flat, d_bias) = partials?;
-            d_w.as_mut_slice().copy_from_slice(&d_w_flat);
-            Ok((d_w, d_bias))
+            Ok((Tensor::from_vec(d_w_shape, d_w_flat)?, d_bias))
         }
         // Empty batch: zero gradients.
-        None => Ok((d_w, vec![0.0f32; if with_bias { attrs.out_channels } else { 0 }])),
+        None => Ok((
+            Tensor::zeros(d_w_shape),
+            vec![0.0f32; if with_bias { attrs.out_channels } else { 0 }],
+        )),
     }
 }
 
@@ -1014,6 +1033,69 @@ mod tests {
                 d_x_ref.as_slice(),
                 1e-5,
             );
+        }
+    }
+
+    /// The order the correlation states for `d_W`: per `(co, j)` a sample's
+    /// products in eight lane partials (lane `ow mod 8`, which is `pos mod 8`
+    /// at these widths), combined by the fixed tree, samples in batch order.
+    fn weight_gradient_lane_model(x: &Tensor, g: &Tensor, attrs: &Conv2dAttrs) -> Vec<f32> {
+        let (rows, cols) = col_shape(x.shape(), attrs).unwrap();
+        let mut d_w = vec![0.0f32; attrs.out_channels * rows];
+        for ni in 0..x.shape().n() {
+            let col = im2col(x, ni, attrs).unwrap();
+            let g_n = &g.as_slice()[ni * attrs.out_channels * cols..];
+            for (i, slot) in d_w.iter_mut().enumerate() {
+                let (g_row, col_row) = (&g_n[i / rows * cols..][..cols], &col[i % rows * cols..]);
+                let mut l = [0.0f32; 8];
+                for (pos, (g, c)) in g_row.iter().zip(col_row).enumerate() {
+                    l[pos % 8] += g * c;
+                }
+                *slot += ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+            }
+        }
+        d_w
+    }
+
+    #[test]
+    fn in_place_weight_gradient_covers_every_tile_tail() {
+        // `(C, H, W, attrs)`: `C_out` of 1, 5 and 8 (on tiles of 4 rows),
+        // `C·Kh·Kw mod 3` of 0, 1 and 2 (on tiles of 3 columns), `out_w` of
+        // 8, 16 and 32; padded 3×3, valid 5×5 and pointwise windows.
+        let geometries = [
+            (3, 8, 16, Conv2dAttrs::same_3x3(5)),
+            (4, 8, 8, Conv2dAttrs::same_3x3(8)),
+            (2, 3, 32, Conv2dAttrs::same_3x3(1)),
+            (1, 12, 12, Conv2dAttrs::new(1, 5, 1, 0)),
+            (2, 6, 36, Conv2dAttrs::new(8, 5, 1, 0)),
+            (5, 4, 8, Conv2dAttrs::pointwise(5)),
+            (7, 3, 16, Conv2dAttrs::pointwise(1)),
+            (6, 2, 32, Conv2dAttrs::pointwise(8)),
+        ];
+        for (in_c, in_h, in_w, attrs) in geometries {
+            for n in [2, 9] {
+                let label = format!("n={n} c={in_c} {in_h}x{in_w} {attrs:?}");
+                let x = random(Shape::nchw(n, in_c, in_h, in_w), 51);
+                let out_hw = conv_out_hw(x.shape(), &attrs).unwrap();
+                let g = random(Shape::nchw(n, attrs.out_channels, out_hw.0, out_hw.1), 52);
+                let view = Windows::of(&attrs, out_hw).staged((in_c, in_h, in_w));
+                assert!(WindowCorrelation::new(&view).is_some(), "{label}");
+                let want = weight_gradient_materialized(&x, &g, &attrs);
+                for isa in crate::dispatch::test_isas() {
+                    let (d_w, _) = bnff_tensor::with_isa(isa, || {
+                        conv2d_backward_weights(&x, &g, &attrs, false).unwrap()
+                    });
+                    assert_close_relative(&format!("{label} {isa}"), d_w.as_slice(), &want, 1e-5);
+                }
+                // One sample group, so the batch is summed in batch order.
+                let (d_w, _) = bnff_parallel::with_grain(usize::MAX, || {
+                    bnff_tensor::with_isa(SimdIsa::Scalar, || {
+                        conv2d_backward_weights(&x, &g, &attrs, false).unwrap()
+                    })
+                });
+                let model = weight_gradient_lane_model(&x, &g, &attrs);
+                assert_eq!(bits(d_w.as_slice()), bits(&model), "{label}");
+            }
         }
     }
 

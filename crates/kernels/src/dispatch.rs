@@ -1,8 +1,9 @@
 //! Runtime SIMD dispatch: which instruction set the kernels execute.
 //!
 //! Every kernel with an explicit-SIMD flavour (the packed GEMM microkernel,
-//! BN statistics and normalization, ReLU, channel affine, the element-wise
-//! sum and the convolution bias/ReLU epilogue) resolves an ISA **once at
+//! the weight-gradient correlation, BN statistics and normalization, ReLU,
+//! channel affine, the element-wise sum and the convolution bias/ReLU
+//! epilogue) resolves an ISA **once at
 //! kernel entry, on the calling thread**, and threads it by value through
 //! its workers. Resolution order:
 //!

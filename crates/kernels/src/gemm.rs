@@ -46,9 +46,11 @@
 //! Everything else goes through the packer, which is also the only place a
 //! window is ever *expanded*: transposed operands, strided or ragged-width
 //! views (one segment copy, or strided read, per packed row and output-row
-//! run), the transposed view of the weight gradient, and the ragged last
-//! strip of an operand that is otherwise read in place (reading it there
-//! would run past the operand's last row). Packed values and in-place
+//! run), the transposed form of such a view for its weight gradient (a view
+//! that reads in place has none: `crate::correlate` sums its weight
+//! gradient over the same row offsets without a multiply), and the ragged
+//! last strip of an operand that is otherwise read in place (reading it
+//! there would run past the operand's last row). Packed values and in-place
 //! values are the same bits consumed in the same order, so which of the
 //! two happened never shows in a result. The im2col column matrix is never
 //! written either way. Packing buffers are recycled through a shared
@@ -166,8 +168,9 @@ enum Operand<'a> {
 /// matrix would hold, so [`gemm_im2col`] is bit-identical to the two-step
 /// `im2col → gemm` lowering while the `(C·Kh·Kw) × (Ho·Wo)` matrix is never
 /// written. The forward pass, the weight gradient (through the transposed
-/// form) and the stride-1 input gradient (a forward convolution of `d_out`
-/// with the rotated weights) all read their windows through this view.
+/// form, or — read in place — as a correlation over the same row offsets)
+/// and the stride-1 input gradient (a forward convolution of `d_out` with
+/// the rotated weights) all read their windows through this view.
 #[derive(Debug, Clone, Copy)]
 pub struct Im2colView<'a> {
     /// One sample's `C × H × W` values, contiguous.
@@ -323,6 +326,22 @@ impl Im2colView<'_> {
     /// 8-lane half of an `NR`-aligned strip crosses an output row.
     fn reads_in_place(&self) -> bool {
         self.stride == 1 && self.out_w.is_multiple_of(8)
+    }
+
+    /// Where each row `(ci, kh, kw)` of the column matrix starts in the
+    /// sample, when the view [reads in place](Self::reads_in_place): the
+    /// table the forward GEMM reads `B` through and the weight-gradient
+    /// correlation ([`crate::correlate`]) reads its windows through.
+    pub(crate) fn rows_in_place(&self) -> Option<Vec<usize>> {
+        let rows = self.channels * self.kernel_h * self.kernel_w;
+        self.reads_in_place().then(|| {
+            (0..rows)
+                .map(|row| {
+                    let (ci, kh, kw) = self.window_of(row);
+                    (ci * self.in_h + kh) * self.in_w + kw
+                })
+                .collect()
+        })
     }
 
     /// Splits a column-matrix row index into `(ci, kh, kw)`.
@@ -656,14 +675,7 @@ impl<'a> Operand<'a> {
             Operand::Normal(_) if m <= IN_PLACE_MAX_PANELS * MR => {
                 Some((0..k).map(|kk| kk * n).collect())
             }
-            Operand::Im2col(v) if v.reads_in_place() => Some(
-                (0..k)
-                    .map(|row| {
-                        let (ci, kh, kw) = v.window_of(row);
-                        (ci * v.in_h + kh) * v.in_w + kw
-                    })
-                    .collect(),
-            ),
+            Operand::Im2col(v) => v.rows_in_place(),
             _ => None,
         }
     }

@@ -64,6 +64,7 @@ pub mod affine;
 pub mod batchnorm;
 pub mod concat;
 pub mod conv;
+mod correlate;
 pub mod dispatch;
 pub mod eltwise;
 pub mod error;

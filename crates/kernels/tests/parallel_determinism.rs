@@ -107,7 +107,9 @@ fn conv_forward_and_backward_match_serial() {
     // 16-wide maps, whose windows are read in place from a bordered copy;
     // then nine samples — more than the weight gradient has sample groups,
     // so a group restages its bordered scratch — strided under a two-deep
-    // border, and at a ragged width (`out_w = 12`).
+    // border, at a ragged width (`out_w = 12`) and at an in-place one
+    // (`out_w = 16`: a group runs two samples through the weight-gradient
+    // correlation).
     let same = |oc, hw| Conv2dAttrs::new(oc, if hw >= 3 { 3 } else { 1 }, 1, usize::from(hw >= 3));
     for &(n, ic, oc, hw, seed, attrs) in &[
         (1usize, 1usize, 1usize, 1usize, 1u64, same(1, 1)),
@@ -120,6 +122,7 @@ fn conv_forward_and_backward_match_serial() {
         (2, 3, 100, 16, 8, same(100, 16)),
         (9, 3, 5, 11, 9, Conv2dAttrs::new(5, 5, 2, 2)),
         (9, 3, 5, 12, 10, same(5, 12)),
+        (9, 3, 5, 16, 11, same(5, 16)),
     ] {
         let x = random(Shape::nchw(n, ic, hw, hw), seed);
         let w = random(Shape::nchw(oc, ic, attrs.kernel_h, attrs.kernel_w), seed + 100);
@@ -332,6 +335,9 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
     // 8×8 and 16×16 maps: stride-1 windows read in place (`out_w % 8 == 0`).
     let (wide8, wide16) =
         (random(Shape::nchw(3, 5, 8, 8), 47), random(Shape::nchw(2, 5, 16, 16), 48));
+    // Nine samples: more than the weight gradient has sample groups, so one
+    // group's partial sums two samples' correlations in batch order.
+    let nine = random(Shape::nchw(9, 5, 8, 8), 49);
     let (tiny, tiny_grad) =
         (random(Shape::nchw(3, 5, 2, 2), 45), random(Shape::nchw(3, 5, 2, 2), 46));
     let strided = Conv2dAttrs::new(6, 3, 2, 1);
@@ -385,6 +391,7 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
         ("conv_fwd_bwd_stride2", &|| conv_case(&x, &strided)),
         ("conv_fwd_bwd_8x8", &|| conv_case(&wide8, &attrs)),
         ("conv_fwd_bwd_16x16", &|| conv_case(&wide16, &attrs)),
+        ("conv_fwd_bwd_8x8_nine", &|| conv_case(&nine, &attrs)),
         ("relu_backward", &|| relu_backward(&b, &x).unwrap().into_vec()),
         ("bn_backward", &|| {
             let (_, state) = bn_forward(&x, &params, 1e-5, true).unwrap();

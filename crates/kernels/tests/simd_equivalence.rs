@@ -308,8 +308,14 @@ fn bn_affine_and_fused_paths_agree() {
     assert_paths_close("fused_conv_backward", 6 * 9 + 3 * 5 * 5, &s, &v);
 
     // The weight gradient's transposed windows, gathered from a bordered
-    // copy of each sample: a strided-padded and a ragged-width padded shape.
-    for (hw, attrs) in [(9, Conv2dAttrs::new(6, 3, 2, 1)), (7, Conv2dAttrs::new(6, 5, 1, 2))] {
+    // copy of each sample — a strided-padded and a ragged-width padded shape
+    // — and its correlation over windows read in place: padded, pointwise.
+    for (hw, attrs) in [
+        (9, Conv2dAttrs::new(6, 3, 2, 1)),
+        (7, Conv2dAttrs::new(6, 5, 1, 2)),
+        (8, Conv2dAttrs::same_3x3(6)),
+        (8, Conv2dAttrs::pointwise(6)),
+    ] {
         let x = init.uniform(Shape::nchw(3, 4, hw, hw), -0.5, 0.5);
         let out_hw = (hw + 2 * attrs.pad - attrs.kernel_h) / attrs.stride + 1;
         let d_out = init.uniform(Shape::nchw(3, 6, out_hw, out_hw), -0.5, 0.5);

@@ -2,22 +2,26 @@
 //! `densenet_cifar(batch, 8, 2, 10)` — the model the benchmark trains — the
 //! forward pass, the weight gradient and the input gradient, each as the
 //! median of 9 runs on one thread, in ms and GFLOP/s. A second table does
-//! the same for six strided or ragged-width shapes no benchmark workload
-//! runs (ResNet-style downsampling and 28²/14²/7² maps, a 7×7 stem) — the
-//! ones whose windows the GEMM's packer expands — and ends with one line
-//! `bits <hex>`: a digest of the bits of all three results of every one of
-//! them. This is the table convolution work is sized and checked with; it
-//! reads the public kernel entry points only, so it runs unchanged against
-//! any commit, and equal digests on two commits mean equal results.
+//! the same for `resnet_cifar(batch, 1, 10)`, the other model this
+//! repository trains (its stride-1 3×3 rows read their windows in place,
+//! its stride-2 rows do not). A third covers six strided or ragged-width
+//! shapes no benchmark workload runs (ResNet-style downsampling and
+//! 28²/14²/7² maps, a 7×7 stem) — the ones whose windows the GEMM's packer
+//! expands — and ends with one line `bits <hex>`: a digest of the bits of
+//! all three results of every one of them. These are the tables convolution
+//! work is sized and checked with; they read the public model builders and
+//! kernel entry points only, so the file runs unchanged against any commit,
+//! and equal digests on two commits mean equal results.
 //!
 //! Run with `cargo run --release --example conv_shapes -- --batch 64`.
 
 use bnff::graph::op::{Conv2dAttrs, OpKind};
+use bnff::graph::Graph;
 use bnff::kernels::conv::{
     conv2d_backward_input, conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward,
     conv2d_forward_into,
 };
-use bnff::models::densenet_cifar;
+use bnff::models::{densenet_cifar, resnet_cifar};
 use bnff::parallel::with_threads;
 use bnff::tensor::init::Initializer;
 use bnff::tensor::{Shape, Tensor};
@@ -119,14 +123,9 @@ fn measure(
     Ok(ms)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let batch = match args.as_slice() {
-        [] => 64,
-        [flag, value] if flag == "--batch" => value.parse()?,
-        _ => return Err("usage: conv_shapes [--batch N]".into()),
-    };
-    let graph = densenet_cifar(batch, 8, 2, 10)?;
+/// One row per distinct convolution of `graph` and the three passes summed
+/// over all its convolution layers.
+fn model_table(name: &str, graph: &Graph) -> Result<(), Box<dyn std::error::Error>> {
     // Distinct (input shape, attributes) in graph order, with how many
     // layers share each.
     let mut shapes: Vec<(Shape, Conv2dAttrs, usize)> = Vec::new();
@@ -139,10 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    println!(
-        "densenet_cifar({batch}, 8, 2, 10): {} distinct convolutions, one thread, median of {RUNS}",
-        shapes.len()
-    );
+    println!("{name}: {} distinct convolutions, one thread, median of {RUNS}", shapes.len());
     print_header();
     let mut total = [0.0f64; 3];
     for (input, attrs, count) in shapes {
@@ -155,6 +151,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "all layers (ms x layer count): forward {:.1} ms, weight grad {:.1} ms, input grad {:.1} ms",
         total[0], total[1], total[2]
     );
+    Ok(())
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let batch = match args.as_slice() {
+        [] => 64,
+        [flag, value] if flag == "--batch" => value.parse()?,
+        _ => return Err("usage: conv_shapes [--batch N]".into()),
+    };
+    model_table(&format!("densenet_cifar({batch}, 8, 2, 10)"), &densenet_cifar(batch, 8, 2, 10)?)?;
+    println!();
+    model_table(&format!("resnet_cifar({batch}, 1, 10)"), &resnet_cifar(batch, 1, 10)?)?;
 
     // Strided or ragged-width: `(C, H = W, C_out, K, stride, pad)`.
     let packed: [(usize, usize, usize, usize, usize, usize); 6] = [
