@@ -16,9 +16,14 @@
 //!   of `A` is packed into `KC × MR` panels by the worker that owns those
 //!   output rows — or, for a convolution, all of `A` is packed once per call
 //!   and shared by its samples.
-//! * An [`MR`]`×`[`NR`] register microkernel multiplies one packed `A` panel
-//!   against one `B` strip, accumulating the full `k`-slab in registers
-//!   before touching `C`.
+//! * A register microkernel multiplies the first `R ≤` [`MR`] rows of one
+//!   packed `A` panel against one `B` strip — `R` is the panel's live rows,
+//!   so a ragged last panel (`m mod MR ≠ 0`) costs only its own rows —
+//!   accumulates the `R ×` [`NR`] tile over the whole `k`-slab in
+//!   registers, and then writes that tile into `C` itself: `c = α·acc` on
+//!   the first slab of a `β = 0` multiply (never reading `C`), `c = c +
+//!   α·acc` on later slabs or at `β = 1`, `c = β·c + α·acc` otherwise — a
+//!   separate multiply and add, one rounding each, on both ISAs.
 //!
 //! ## What is packed and what is read in place
 //!
@@ -61,16 +66,20 @@
 //!
 //! The register microkernel comes in two flavours selected per GEMM call by
 //! [`bnff_tensor::simd::active_isa`] (scoped [`bnff_tensor::simd::with_isa`]
-//! override → `BNFF_SIMD` env → CPU detection): the portable scalar loop,
-//! and an AVX2+FMA kernel that keeps the full `MR × NR` tile in twelve
-//! `__m256` accumulators. Its `B` loads are *unaligned* and unchecked — an
+//! override → `BNFF_SIMD` env → CPU detection), each monomorphized for
+//! every `R` in `1..=MR`: the portable scalar loop (3 × 8 sub-tiles), and
+//! an AVX2+FMA kernel that keeps the `R × NR` tile in `2R` `__m256`
+//! accumulators (twelve for a whole panel) and writes them to `C` straight
+//! from the registers — with masked loads and stores for the halves of a
+//! ragged strip's rows. Its `B` loads are *unaligned* and unchecked — an
 //! in-place row starts wherever the window does. Their bound,
 //! `max(base) + max(rows) + 8 ≤ len`, is `assert!`ed (release builds too)
 //! once per strip and `k`-slab when the `Strip` is built, never per load;
-//! packed strips still live in 32-byte-aligned
-//! [`bnff_tensor::simd::AlignedBuf`] storage so that none of their loads
-//! straddles a cache line. The ISA is resolved once on the calling thread
-//! and passed by value into the pool workers.
+//! its `C` loads and stores are bounded the same way, by one assert per
+//! tile that the tile lies inside the worker's rows of `C`. Packed strips
+//! live in 32-byte-aligned [`bnff_tensor::simd::AlignedBuf`] storage so
+//! that none of their loads straddles a cache line. The ISA is resolved
+//! once on the calling thread and passed by value into the pool workers.
 //!
 //! ## Determinism
 //!
@@ -196,8 +205,9 @@ pub struct Im2colView<'a> {
 /// Packs the `mc × kc` block of logical `A` starting at `(row0, pc)` into
 /// `kc × MR` panels: panel `ir` holds rows `row0 + ir*MR ..` with the `k`
 /// index outermost, so the microkernel reads `MR` consecutive values per
-/// step. Rows beyond `mc` are zero-padded (adding `0.0 × b` is exact, so
-/// padded lanes never change the result).
+/// step. Rows beyond `mc` are zero-padded so that every panel keeps that
+/// layout; the microkernel of a ragged last panel multiplies only its live
+/// rows and never reads the padding.
 fn pack_a(a: Operand<'_>, m: usize, row0: usize, mc: usize, pc: usize, kc: usize, out: &mut [f32]) {
     let panels = mc.div_ceil(MR);
     for ir in 0..panels {
@@ -478,9 +488,6 @@ fn pack_im2col_t_strip(
     }
 }
 
-/// The `MR × NR` tile of partial sums a microkernel call produces.
-type AccTile = [[f32; NR]; MR];
-
 /// Row offsets of a packed strip: step `kk` starts `kk·NR` into it.
 static PACKED_ROWS: [usize; KC] = {
     let mut rows = [0; KC];
@@ -534,38 +541,141 @@ impl<'a> Strip<'a> {
     }
 }
 
-/// The portable register microkernel: multiplies one `kc × MR` packed `A`
-/// panel against one `kc`-row `B` strip into the `MR × NR` tile of partial
-/// sums. The accumulation order (ascending `kk`) is fixed by the operands,
-/// never by the caller's thread count — and per `C` element it is
-/// independent of the `MR`/`NR` tile shape, so widening the microkernel
-/// left this path bit-identical to the historical 4×8 kernel.
+/// How a microkernel call folds its tile of sums `acc` into `C`, each
+/// element evaluated left to right with one rounding per operation — a
+/// multiply and an add, never a fused multiply-add — on both ISAs.
+#[derive(Clone, Copy)]
+enum Fold {
+    /// `c = α·acc`: the first `k`-slab of a `β = 0` multiply. `C` is never
+    /// read, so a recycled buffer full of garbage — or NaNs — is fine.
+    Store,
+    /// `c = c + α·acc`: every later slab, and the first one when `β = 1`.
+    Add,
+    /// `c = β·c + α·acc`: the first slab for any other `β`.
+    Blend(f32),
+}
+
+impl Fold {
+    /// The fold of slab `pc` of `c = α·A·B + β·c`.
+    fn for_slab(pc: usize, beta: f32) -> Self {
+        if pc > 0 || beta == 1.0 {
+            Fold::Add
+        } else if beta == 0.0 {
+            Fold::Store
+        } else {
+            Fold::Blend(beta)
+        }
+    }
+
+    /// One element of the fold — the scalar kernel's write-back, and the
+    /// arithmetic the AVX2 kernel's vector write-back rounds exactly like.
+    #[inline(always)]
+    fn apply(self, alpha: f32, c: &mut f32, acc: f32) {
+        match self {
+            Fold::Store => *c = alpha * acc,
+            Fold::Add => *c += alpha * acc,
+            Fold::Blend(beta) => *c = beta * *c + alpha * acc,
+        }
+    }
+}
+
+/// Where one microkernel call's `R × cols` tile lies in a worker's rows of
+/// `C` — row `i` is `c[at + i·ldc..][..cols]`, `cols ≤ NR` (only a packed
+/// strip is ever ragged) — and how the call folds its sums into it.
+#[derive(Clone, Copy)]
+struct Tile {
+    at: usize,
+    ldc: usize,
+    cols: usize,
+    alpha: f32,
+    fold: Fold,
+}
+
+/// Multiplies the first `R` rows of one `kc × MR` packed `A` panel against
+/// one `kc`-row `B` strip and folds the `R × tile.cols` product straight
+/// into `c`, on the resolved ISA. A ragged last panel (`R < MR`) costs only
+/// its own rows: it keeps the `MR`-wide packed layout and [`pack_a`]'s zero
+/// padding rows, but nothing multiplies them.
 #[inline]
-fn microkernel_scalar(a_panel: &[f32], b: &Strip<'_>, acc: &mut AccTile) {
-    // A full 6×16 accumulator tile (96 f32) spills out of the baseline
-    // SSE register file, so the portable kernel sweeps the panel once per
-    // 3×8 *sub-tile* (24 f32 — register-resident under auto-vectorization),
-    // one 8-lane half of the strip at a time. Each `C` element still
-    // accumulates its products in ascending `kk` order, so the split
-    // changes neither results nor the bit-identity-across-threads
-    // contract; the repeated panel reads stay in L1.
-    const MR_S: usize = 3;
-    const LANES: usize = NR / 2;
-    for i0 in (0..MR).step_by(MR_S) {
-        for (half, base) in b.base.into_iter().enumerate() {
-            let mut sub = [[0.0f32; LANES]; MR_S];
-            for (a_frag, row) in a_panel.chunks_exact(MR).zip(b.rows) {
-                let lanes: &[f32; LANES] =
-                    b.data[base + row..base + row + LANES].try_into().expect("LANES-long slice");
-                for (i, sub_row) in sub.iter_mut().enumerate() {
-                    let av = a_frag[i0 + i];
-                    for (slot, bv) in sub_row.iter_mut().zip(lanes) {
-                        *slot += av * *bv;
-                    }
+fn microkernel<const R: usize>(
+    isa: SimdIsa,
+    a_panel: &[f32],
+    b: &Strip<'_>,
+    c: &mut [f32],
+    tile: Tile,
+) {
+    const { assert!(R >= 1 && R <= MR, "a microkernel covers 1..=MR panel rows") };
+    // The whole safety contract of the AVX2 microkernel's unchecked `C`
+    // loads and stores; it runs in release builds — once per tile, never
+    // per store.
+    assert!(
+        tile.cols <= NR && tile.at + (R - 1) * tile.ldc + tile.cols <= c.len(),
+        "a C tile must lie inside the worker's rows"
+    );
+    match isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        SimdIsa::Avx2Fma => {
+            // SAFETY: `SimdIsa::Avx2Fma` is only ever produced after
+            // `is_x86_feature_detected!` confirmed avx2+fma at runtime, and
+            // the assert above is the tile bound the kernel requires.
+            unsafe { avx2::microkernel::<R>(a_panel, b, c, tile) }
+        }
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        SimdIsa::Avx2Fma => microkernel_scalar::<R>(a_panel, b, c, tile),
+        SimdIsa::Scalar => microkernel_scalar::<R>(a_panel, b, c, tile),
+    }
+}
+
+/// Rows of the portable kernel's register sub-tile.
+const SUB_ROWS: usize = 3;
+
+/// Lanes of one half of a strip row.
+const LANES: usize = NR / 2;
+
+/// The portable register microkernel — same contract as the AVX2 one. A
+/// full 6×16 accumulator tile (96 f32) spills out of the baseline SSE
+/// register file, so the panel is swept once per sub-tile of up to
+/// [`SUB_ROWS`] × [`LANES`] (register-resident under auto-vectorization),
+/// one 8-lane half of the strip at a time. Each `C` element still
+/// accumulates its products in ascending `kk` order — fixed by the
+/// operands, never by the thread count, and independent of the tile shape,
+/// so this path is bit-identical to the historical 4×8 kernel; the
+/// repeated panel reads stay in L1.
+fn microkernel_scalar<const R: usize>(a_panel: &[f32], b: &Strip<'_>, c: &mut [f32], tile: Tile) {
+    for i0 in (0..R).step_by(SUB_ROWS) {
+        match R - i0 {
+            1 => sub_tile::<1>(a_panel, b, i0, c, tile),
+            2 => sub_tile::<2>(a_panel, b, i0, c, tile),
+            _ => sub_tile::<SUB_ROWS>(a_panel, b, i0, c, tile),
+        }
+    }
+}
+
+/// Panel rows `i0..i0 + H` of the portable kernel against each half of the
+/// strip that holds columns of the tile, folded into `C` once its sums are
+/// complete.
+#[inline(always)]
+fn sub_tile<const H: usize>(a_panel: &[f32], b: &Strip<'_>, i0: usize, c: &mut [f32], tile: Tile) {
+    for (half, base) in b.base.into_iter().enumerate() {
+        let cols = tile.cols.saturating_sub(half * LANES).min(LANES);
+        if cols == 0 {
+            break;
+        }
+        let mut sums = [[0.0f32; LANES]; H];
+        for (a_frag, row) in a_panel.chunks_exact(MR).zip(b.rows) {
+            let lanes: &[f32; LANES] =
+                b.data[base + row..base + row + LANES].try_into().expect("LANES-long slice");
+            for (i, sum_row) in sums.iter_mut().enumerate() {
+                let av = a_frag[i0 + i];
+                for (slot, bv) in sum_row.iter_mut().zip(lanes) {
+                    *slot += av * *bv;
                 }
             }
-            for (i, sub_row) in sub.iter().enumerate() {
-                acc[i0 + i][half * LANES..(half + 1) * LANES].copy_from_slice(sub_row);
+        }
+        for (i, sum_row) in sums.iter().enumerate() {
+            let at = tile.at + (i0 + i) * tile.ldc + half * LANES;
+            for (cv, &sum) in c[at..at + cols].iter_mut().zip(sum_row) {
+                tile.fold.apply(tile.alpha, cv, sum);
             }
         }
     }
@@ -573,22 +683,35 @@ fn microkernel_scalar(a_panel: &[f32], b: &Strip<'_>, acc: &mut AccTile) {
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2 {
-    use super::{AccTile, Strip, MR};
+    use super::{Fold, Strip, Tile, LANES, MR};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// The AVX2+FMA microkernel: the whole `6 × 16` tile lives in twelve
-    /// `__m256` accumulators; each `kk` step broadcasts six `A` scalars,
-    /// issues two unaligned 256-bit loads — the strip's two halves of `B`
-    /// row `kk`, wherever [`Strip`] says they lie — and twelve FMAs. FMA
-    /// contracts `a·b + acc` into one rounding, so this path is *not*
+    /// The AVX2+FMA microkernel: the `R × 16` tile lives in `2R` `__m256`
+    /// accumulators (twelve at `R = MR`); each `kk` step broadcasts `R` `A`
+    /// scalars, issues two unaligned 256-bit loads — the strip's two halves
+    /// of `B` row `kk`, wherever [`Strip`] says they lie — and `2R` FMAs.
+    /// FMA contracts `a·b + acc` into one rounding, so this path is *not*
     /// bit-identical to the scalar kernel — equivalence is bounded by
-    /// `tests/simd_equivalence.rs` instead.
+    /// `tests/simd_equivalence.rs` instead. The tile then goes from the
+    /// registers into `C` with a separate multiply and add per
+    /// [`Fold`] (the `α` multiply skipped at `α = 1`, which is exact); the
+    /// halves of a ragged strip's rows through masked loads and stores.
+    ///
+    /// # Safety
+    /// The CPU must support avx2+fma, and `tile` must lie inside `c`:
+    /// `tile.cols ≤ NR` and `tile.at + (R − 1)·tile.ldc + tile.cols ≤
+    /// c.len()`, as [`super::microkernel`] asserts before every call.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn microkernel(a_panel: &[f32], b: &Strip<'_>, acc: &mut AccTile) {
-        let mut acc_v = [[_mm256_setzero_ps(); 2]; MR];
+    pub unsafe fn microkernel<const R: usize>(
+        a_panel: &[f32],
+        b: &Strip<'_>,
+        c: &mut [f32],
+        tile: Tile,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
         let halves = b.base.map(|base| b.data.as_ptr().wrapping_add(base));
         for (a_frag, &row) in a_panel.chunks_exact(MR).zip(b.rows) {
             let a_frag: &[f32; MR] = a_frag.try_into().expect("chunks_exact yields MR values");
@@ -598,35 +721,91 @@ mod avx2 {
             let (b0, b1) = unsafe {
                 (_mm256_loadu_ps(halves[0].add(row)), _mm256_loadu_ps(halves[1].add(row)))
             };
-            for (accs, &av) in acc_v.iter_mut().zip(a_frag) {
+            for (accs, &av) in acc.iter_mut().zip(a_frag) {
                 let ai = _mm256_set1_ps(av);
                 accs[0] = _mm256_fmadd_ps(ai, b0, accs[0]);
                 accs[1] = _mm256_fmadd_ps(ai, b1, accs[1]);
             }
         }
-        for (row, v) in acc.iter_mut().zip(acc_v.iter()) {
-            // SAFETY: each accumulator row holds NR = 16 f32 values.
-            unsafe {
-                _mm256_storeu_ps(row.as_mut_ptr(), v[0]);
-                _mm256_storeu_ps(row.as_mut_ptr().add(8), v[1]);
+        // How many lanes of each half of a row lie inside the tile.
+        let lanes = [tile.cols.min(LANES), tile.cols.saturating_sub(LANES)];
+        let alpha = _mm256_set1_ps(tile.alpha);
+        for (i, sums) in acc.iter().enumerate() {
+            for (h, (&sum, &live)) in sums.iter().zip(&lanes).enumerate() {
+                if live == 0 {
+                    continue;
+                }
+                // SAFETY: `live > 0` puts this half's first lane at column
+                // `8h < tile.cols`, so the offset lies inside the tile that
+                // `super::microkernel` asserted lies inside `c`.
+                let dst = unsafe { c.as_mut_ptr().add(tile.at + i * tile.ldc + h * LANES) };
+                let prod = if tile.alpha == 1.0 { sum } else { _mm256_mul_ps(alpha, sum) };
+                let value = match tile.fold {
+                    Fold::Store => prod,
+                    // SAFETY (both reads): the `live` lanes at `dst` are the
+                    // rest of this half's tile row, inside `c` by the
+                    // per-tile assert in `super::microkernel`.
+                    Fold::Add => _mm256_add_ps(unsafe { read(dst, live) }, prod),
+                    Fold::Blend(beta) => {
+                        let old = unsafe { read(dst, live) };
+                        _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(beta), old), prod)
+                    }
+                };
+                // SAFETY: as for the reads — the per-tile assert in
+                // `super::microkernel` keeps the `live` lanes at `dst` inside
+                // `c`.
+                unsafe { write(dst, live, value) }
             }
         }
     }
-}
 
-/// Dispatches one microkernel call to the resolved ISA.
-#[inline]
-fn microkernel(isa: SimdIsa, a_panel: &[f32], b: &Strip<'_>, acc: &mut AccTile) {
-    match isa {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `SimdIsa::Avx2Fma` is only ever produced after
-            // `is_x86_feature_detected!` confirmed avx2+fma at runtime.
-            unsafe { avx2::microkernel(a_panel, b, acc) }
+    /// The mask that selects the `live` leading lanes of a vector.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn lane_mask(live: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(live as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    /// The `live` leading lanes at `dst`, the rest as zero: one plain load
+    /// for a whole half, a masked one — touching only those lanes — for a
+    /// ragged strip's.
+    ///
+    /// # Safety
+    /// The CPU must support avx2, and the `live ≤ 8` values at `dst` must
+    /// lie inside one allocation.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn read(dst: *const f32, live: usize) -> __m256 {
+        // SAFETY: the caller guarantees the `live` values the load touches
+        // (all eight when `live == LANES`, the masked ones otherwise).
+        unsafe {
+            if live == LANES {
+                _mm256_loadu_ps(dst)
+            } else {
+                _mm256_maskload_ps(dst, lane_mask(live))
+            }
         }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => microkernel_scalar(a_panel, b, acc),
-        SimdIsa::Scalar => microkernel_scalar(a_panel, b, acc),
+    }
+
+    /// Writes the `live` leading lanes of `value` to `dst`, the way
+    /// [`read`] reads them.
+    ///
+    /// # Safety
+    /// As for [`read`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn write(dst: *mut f32, live: usize, value: __m256) {
+        // SAFETY: the caller guarantees the `live` values the store touches.
+        unsafe {
+            if live == LANES {
+                _mm256_storeu_ps(dst, value)
+            } else {
+                _mm256_maskstore_ps(dst, lane_mask(live), value)
+            }
+        }
     }
 }
 
@@ -658,8 +837,11 @@ fn pack_a_whole(a: Operand<'_>, m: usize, k: usize) -> AlignedBuf {
 /// as much as two sweeps of it and buys every later sweep aligned L1 hits
 /// whatever the row pitch — a pitch of 1–4 KiB, as in a power-of-two GEMM
 /// or a 32×32 feature map, lands a strip's rows in a handful of L1 sets.
-/// Measured on `m × 1024 × 256` (4 KiB pitch): in place is 2× ahead at
-/// `m = 8`, level at 32 and behind from 48; at 256³ it is 20 % behind.
+/// Measured on `m × 1024 × 256` (4 KiB pitch, one thread, the microkernel
+/// writing `C` itself): in place is 1.8× ahead at `m = 8`, 1.4× at 16,
+/// 1.2× at 24, 7 % at 32–36, level at 48 and 20–35 % behind from 64; at
+/// 256³ it is 20 % behind. Admitting `m = 48` would buy a tie, so the bound
+/// stays at six panels.
 const IN_PLACE_MAX_PANELS: usize = 6;
 
 impl<'a> Operand<'a> {
@@ -783,14 +965,13 @@ fn gemm_packed(
             // `c` when beta == 0, so recycled garbage is fine); later slabs
             // accumulate. This keeps C at 2·⌈k/KC⌉ − 1 passes — exactly
             // what the memsim blocked model charges.
-            let first_slab = pc == 0;
+            let fold = Fold::for_slab(pc, beta);
             parallel_row_blocks_mut(c, n, MC, min_rows, |first_row, c_rows| {
                 let rows = c_rows.len() / n;
                 let mut own_panels = match a {
                     Lhs::Operand(_) => PACK_POOL.take_aligned_dirty(MC.div_ceil(MR) * MR * kc),
                     Lhs::Packed(_) => AlignedBuf::new(),
                 };
-                let mut acc = [[0.0f32; NR]; MR];
                 let mut r0 = 0;
                 while r0 < rows {
                     let mc = MC.min(rows - r0);
@@ -812,29 +993,16 @@ fn gemm_packed(
                         let nr_eff = NR.min(jc + nc - col0);
                         for ir in 0..panels {
                             let a_panel = &packed_a[ir * kc * MR..(ir + 1) * kc * MR];
-                            microkernel(isa, a_panel, &b_strip, &mut acc);
-                            let mr_eff = MR.min(mc - ir * MR);
-                            for (i, acc_row) in acc.iter().enumerate().take(mr_eff) {
-                                let row = r0 + ir * MR + i;
-                                let dst = &mut c_rows[row * n + col0..row * n + col0 + nr_eff];
-                                let tile = dst.iter_mut().zip(acc_row.iter());
-                                if !first_slab {
-                                    for (cv, av) in tile {
-                                        *cv += alpha * *av;
-                                    }
-                                } else if beta == 0.0 {
-                                    for (cv, av) in tile {
-                                        *cv = alpha * *av;
-                                    }
-                                } else if beta == 1.0 {
-                                    for (cv, av) in tile {
-                                        *cv += alpha * *av;
-                                    }
-                                } else {
-                                    for (cv, av) in tile {
-                                        *cv = beta * *cv + alpha * *av;
-                                    }
-                                }
+                            let at = (r0 + ir * MR) * n + col0;
+                            let tile = Tile { at, ldc: n, cols: nr_eff, alpha, fold };
+                            let (b, c) = (&b_strip, &mut *c_rows);
+                            match MR.min(mc - ir * MR) {
+                                1 => microkernel::<1>(isa, a_panel, b, c, tile),
+                                2 => microkernel::<2>(isa, a_panel, b, c, tile),
+                                3 => microkernel::<3>(isa, a_panel, b, c, tile),
+                                4 => microkernel::<4>(isa, a_panel, b, c, tile),
+                                5 => microkernel::<5>(isa, a_panel, b, c, tile),
+                                _ => microkernel::<MR>(isa, a_panel, b, c, tile),
                             }
                         }
                     }
@@ -1175,6 +1343,77 @@ mod tests {
         let mut c = vec![f32::NAN; 4];
         gemm(2, 2, 2, 1.0, &a, &b, 0.0, &mut c).unwrap();
         assert_eq!(c, b);
+    }
+
+    /// Each `KC` slab's bare product `A[:, slab]·B[slab, :]` — `α = 1`,
+    /// `β = 0`: the microkernel's sums, written unscaled.
+    fn slab_products(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<Vec<f32>> {
+        (0..k)
+            .step_by(KC)
+            .map(|pc| {
+                let kc = KC.min(k - pc);
+                let a_slab: Vec<f32> =
+                    a.chunks_exact(k).flat_map(|row| &row[pc..pc + kc]).copied().collect();
+                let mut product = vec![f32::NAN; m * n];
+                gemm(m, n, kc, 1.0, &a_slab, &b[pc * n..(pc + kc) * n], 0.0, &mut product).unwrap();
+                product
+            })
+            .collect()
+    }
+
+    /// The microkernel multiplies only the `R` rows of a ragged last panel
+    /// and writes `C` itself. Every row of an `m`-row product must carry
+    /// the bits the same row gets inside whole panels (the same `A` with
+    /// extra rows up to a multiple of `MR`), and those must be the slabs'
+    /// bare products folded element by element as the write-back contract
+    /// says — a separate multiply and add per arm — for every `R`, ragged
+    /// strips (`n = 40` leaves a whole 8-lane half, `21` and `45` a masked
+    /// one in either half), one `k`-slab and two, and each `(α, β)` arm
+    /// (`(0.7, 1.3)` because a power-of-two `β` scales `c` exactly and
+    /// would hide a fused multiply-add). `β = 0` must never read the NaNs
+    /// it overwrites.
+    #[test]
+    fn ragged_panels_and_strips_match_whole_panels_bit_for_bit() {
+        // Inexact values, so that any change of rounding shows in the bits.
+        let value = |i: usize, salt: usize| (((i * 37 + salt) % 29) as f32 - 14.0) * 0.0371;
+        let shapes = [16usize, 21, 40, 45, 1024].into_iter().flat_map(|n| [(n, 16), (n, 288)]);
+        for isa in crate::dispatch::test_isas() {
+            with_isa(isa, || {
+                for (n, k) in shapes.clone() {
+                    let b: Vec<f32> = (0..k * n).map(|i| value(i, 3)).collect();
+                    for m in 1..=13usize {
+                        let m_pad = m.div_ceil(MR) * MR;
+                        let a: Vec<f32> = (0..m_pad * k).map(|i| value(i, 11)).collect();
+                        let slabs = slab_products(m_pad, n, k, &a, &b);
+                        for (alpha, beta) in
+                            [(1.0f32, 0.0f32), (1.0, 1.0), (1.5, 2.0), (2.0, 0.5), (0.7, 1.3)]
+                        {
+                            let label = format!("{isa:?} {m}x{n}x{k} α {alpha} β {beta}");
+                            let c0: Vec<f32> = (0..m_pad * n)
+                                .map(|i| if beta == 0.0 { f32::NAN } else { value(i, 5) })
+                                .collect();
+                            let mut want = c0.clone();
+                            for (slab, product) in slabs.iter().enumerate() {
+                                for (c, &p) in want.iter_mut().zip(product) {
+                                    *c = match (slab, beta) {
+                                        (0, 0.0) => alpha * p,
+                                        (0, 1.0) | (1.., _) => *c + alpha * p,
+                                        _ => beta * *c + alpha * p,
+                                    };
+                                }
+                            }
+                            let mut whole = c0.clone();
+                            gemm(m_pad, n, k, alpha, &a, &b, beta, &mut whole).unwrap();
+                            assert_eq!(bits(&whole), bits(&want), "{label}: whole panels");
+                            let mut ragged = c0[..m * n].to_vec();
+                            gemm(m, n, k, alpha, &a[..m * k], &b, beta, &mut ragged).unwrap();
+                            assert_eq!(bits(&ragged), bits(&whole[..m * n]), "{label}");
+                            assert!(ragged.iter().all(|v| !v.is_nan()), "{label} read C");
+                        }
+                    }
+                }
+            });
+        }
     }
 
     #[test]

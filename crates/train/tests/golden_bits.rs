@@ -17,12 +17,20 @@
 //! added in batch order and sample groups in order. No other kernel's bits
 //! moved (the forward pass, `d_x` and the strided / ragged-width `d_W`
 //! digest of `examples/conv_shapes` equal the parent commit's).
+//!
+//! A second table pins the same runs on the AVX2+FMA ISA. It exists to show
+//! that PR 24 — the register microkernel writing its own `C` tile and
+//! multiplying only the rows of a ragged last `A` panel that exist — moved
+//! no AVX2 bit: it was recorded at the parent commit and passes unedited
+//! after it. A host without avx2+fma skips that half with a message
+//! (`with_isa` clamps to what the hardware has, so the run checks the ISA it
+//! actually took).
 
 use bnff_core::{BnffOptimizer, FusionLevel};
 use bnff_graph::Graph;
 use bnff_models::{densenet_cifar, resnet_cifar};
 use bnff_parallel::with_threads;
-use bnff_tensor::{with_isa, SimdIsa};
+use bnff_tensor::{active_isa, with_isa, SimdIsa};
 use bnff_train::data::SyntheticDataset;
 use bnff_train::{Executor, SgdOptimizer};
 
@@ -79,14 +87,22 @@ fn run(graph: &Graph) -> Golden {
     Golden { loss, grad_norm, running, eval_loss }
 }
 
-fn check(model: &str, baseline: &Graph, expected: &[Golden]) {
+fn check(model: &str, baseline: &Graph, isa: SimdIsa, expected: &[Golden]) {
     let levels = FusionLevel::all();
     assert_eq!(levels.len(), expected.len());
     for (level, want) in levels.into_iter().zip(expected) {
         let graph = BnffOptimizer::new(level).apply(baseline).unwrap();
         for threads in [1usize, 4] {
-            let got = with_isa(SimdIsa::Scalar, || with_threads(threads, || run(&graph)));
-            assert_eq!(&got, want, "{model} {} at {threads} thread(s)", level.label());
+            // `with_isa` clamps to what the host supports: only a run that
+            // really took `isa` may be held to its table.
+            let got = with_isa(isa, || {
+                (active_isa() == isa).then(|| with_threads(threads, || run(&graph)))
+            });
+            let Some(got) = got else {
+                eprintln!("skipping the {isa:?} table of {model}: this host lacks that ISA");
+                return;
+            };
+            assert_eq!(&got, want, "{model} {} on {isa:?} at {threads} thread(s)", level.label());
         }
     }
 }
@@ -97,6 +113,7 @@ fn densenet_cifar_reproduces_the_recorded_bits_at_every_level() {
     check(
         "densenet_cifar",
         &baseline,
+        SimdIsa::Scalar,
         &[
             // Baseline
             row(0x4005_8b38, 0x3ff9_4835_5616_f828, 0x373c_2103_750c_1aff, 0x3fc9_d1ae),
@@ -118,6 +135,7 @@ fn tiny_resnet_reproduces_the_recorded_bits_at_every_level() {
     check(
         "resnet_cifar",
         &baseline,
+        SimdIsa::Scalar,
         &[
             // Baseline
             row(0x3fed_a8b0, 0x4012_0b57_a67d_6cc0, 0x0abe_b9c8_f52c_2017, 0x3ffa_a8b2),
@@ -129,6 +147,50 @@ fn tiny_resnet_reproduces_the_recorded_bits_at_every_level() {
             row(0x3fed_a8b0, 0x4012_0b57_a67d_6cc0, 0x0abe_b9c8_f52c_2017, 0x3ffa_a8b2),
             // BNFF+ICF
             row(0x3fed_a8b0, 0x4012_0b57_a67d_6cc0, 0x0abe_b9c8_f52c_2017, 0x3ffa_a8b2),
+        ],
+    );
+}
+
+#[test]
+fn densenet_cifar_reproduces_the_recorded_avx2_bits_at_every_level() {
+    let baseline = densenet_cifar(BATCH, 4, 1, CLASSES).unwrap();
+    check(
+        "densenet_cifar",
+        &baseline,
+        SimdIsa::Avx2Fma,
+        &[
+            // Baseline
+            row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0xff70_5672_86ff_c9f7, 0x3fc9_d1af),
+            // RCF
+            row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0xff70_5672_86ff_c9f7, 0x3fc9_d1af),
+            // RCF+MVF
+            row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0xff70_5672_86ff_c9f7, 0x3fc9_d1af),
+            // BNFF
+            row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0x148f_1b70_227f_d503, 0x3fc9_d1af),
+            // BNFF+ICF
+            row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0x30da_2d40_bf79_96af, 0x3fc9_d1af),
+        ],
+    );
+}
+
+#[test]
+fn tiny_resnet_reproduces_the_recorded_avx2_bits_at_every_level() {
+    let baseline = resnet_cifar(BATCH, 1, CLASSES).unwrap();
+    check(
+        "resnet_cifar",
+        &baseline,
+        SimdIsa::Avx2Fma,
+        &[
+            // Baseline
+            row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
+            // RCF
+            row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
+            // RCF+MVF
+            row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
+            // BNFF
+            row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
+            // BNFF+ICF
+            row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
         ],
     );
 }

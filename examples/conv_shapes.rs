@@ -7,11 +7,11 @@
 //! its stride-2 rows do not). A third covers six strided or ragged-width
 //! shapes no benchmark workload runs (ResNet-style downsampling and
 //! 28²/14²/7² maps, a 7×7 stem) — the ones whose windows the GEMM's packer
-//! expands — and ends with one line `bits <hex>`: a digest of the bits of
-//! all three results of every one of them. These are the tables convolution
-//! work is sized and checked with; they read the public model builders and
-//! kernel entry points only, so the file runs unchanged against any commit,
-//! and equal digests on two commits mean equal results.
+//! expands. Each table ends with one line `bits <hex>`: a digest of the bits
+//! of all three results of every one of its rows. These are the tables
+//! convolution work is sized and checked with; they read the public model
+//! builders and kernel entry points only, so the file runs unchanged against
+//! any commit, and equal digests on two commits mean equal results.
 //!
 //! Run with `cargo run --release --example conv_shapes -- --batch 64`.
 
@@ -29,6 +29,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const RUNS: usize = 9;
+
+/// Where every table's digest starts: the FNV-1a offset basis.
+const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Median wall time of `RUNS` calls of `f`, in milliseconds, after one
 /// untimed call that fills the packing pools.
@@ -123,8 +126,8 @@ fn measure(
     Ok(ms)
 }
 
-/// One row per distinct convolution of `graph` and the three passes summed
-/// over all its convolution layers.
+/// One row per distinct convolution of `graph`, the three passes summed
+/// over all its convolution layers, and the digest of every row's results.
 fn model_table(name: &str, graph: &Graph) -> Result<(), Box<dyn std::error::Error>> {
     // Distinct (input shape, attributes) in graph order, with how many
     // layers share each.
@@ -141,8 +144,9 @@ fn model_table(name: &str, graph: &Graph) -> Result<(), Box<dyn std::error::Erro
     println!("{name}: {} distinct convolutions, one thread, median of {RUNS}", shapes.len());
     print_header();
     let mut total = [0.0f64; 3];
+    let mut digest = DIGEST_SEED;
     for (input, attrs, count) in shapes {
-        let ms = measure(&input, &attrs, count, &mut 0)?;
+        let ms = measure(&input, &attrs, count, &mut digest)?;
         for (sum, ms) in total.iter_mut().zip(ms) {
             *sum += ms * count as f64;
         }
@@ -151,6 +155,7 @@ fn model_table(name: &str, graph: &Graph) -> Result<(), Box<dyn std::error::Erro
         "all layers (ms x layer count): forward {:.1} ms, weight grad {:.1} ms, input grad {:.1} ms",
         total[0], total[1], total[2]
     );
+    println!("bits {digest:016x}");
     Ok(())
 }
 
@@ -176,7 +181,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     println!("\nstrided / ragged-width shapes at batch {batch} (windows expanded by the packer)");
     print_header();
-    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut digest = DIGEST_SEED;
     for (c, hw, out_c, k, stride, pad) in packed {
         let attrs = Conv2dAttrs::new(out_c, k, stride, pad);
         measure(&Shape::nchw(batch, c, hw, hw), &attrs, 1, &mut digest)?;
