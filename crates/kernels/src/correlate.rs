@@ -142,12 +142,13 @@ impl Sweep<'_> {
     fn channels<const RR: usize>(&self, isa: SimdIsa, co0: usize, d_w_rows: &mut [f32]) {
         match isa {
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            SimdIsa::Avx2Fma => {
-                // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+            SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+                // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified
+                // avx2+fma support.
                 unsafe { avx2::channels::<RR>(self, co0, d_w_rows) }
             }
             #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-            SimdIsa::Avx2Fma => self.channels_scalar::<RR>(co0, d_w_rows),
+            SimdIsa::Avx2Fma | SimdIsa::Avx512 => self.channels_scalar::<RR>(co0, d_w_rows),
             SimdIsa::Scalar => self.channels_scalar::<RR>(co0, d_w_rows),
         }
     }

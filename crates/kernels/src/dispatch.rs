@@ -10,16 +10,25 @@
 //! 1. a scoped [`with_isa`] override on the calling thread (tests use this
 //!    to compare paths in one process),
 //! 2. the `BNFF_SIMD` environment variable — `scalar`, `avx2` / `avx2fma`,
-//!    or `auto` (unknown values fall back to `auto`),
+//!    `avx512`, or `auto` (unknown values fall back to `auto`, the widest
+//!    ISA the host has),
 //! 3. runtime CPUID detection (`is_x86_feature_detected!`).
 //!
-//! A requested ISA the hardware cannot execute is clamped down to
-//! [`SimdIsa::Scalar`], so `BNFF_SIMD=avx2` on a non-AVX2 machine is safe.
+//! A requested ISA the hardware cannot execute steps down a tier at a time
+//! — [`SimdIsa::Avx512`] to [`SimdIsa::Avx2Fma`] to [`SimdIsa::Scalar`] —
+//! so `BNFF_SIMD=avx512` on an AVX2-only machine, or `avx2` on a machine
+//! without it, is safe.
+//!
+//! [`SimdIsa::Avx512`] is numerically the AVX2+FMA flavour. Only the GEMM
+//! microkernel is wider there: it multiplies two `B` strips per call in
+//! 512-bit registers and gives every `C` element the bits the 256-bit
+//! kernel gives. Every other kernel runs its AVX2+FMA body.
 //!
 //! Results are bit-identical across `BNFF_THREADS` *within* one ISA; the
-//! two ISAs differ in the last bits wherever FMA contracts a multiply-add
-//! (see `tests/simd_equivalence.rs` for the quantified bound). Bench
-//! artifacts therefore record [`active_isa`] next to every number.
+//! scalar and the vector ISAs differ in the last bits wherever FMA
+//! contracts a multiply-add (see `tests/simd_equivalence.rs` for the
+//! quantified bound). Bench artifacts therefore record [`active_isa`] next
+//! to every number.
 //!
 //! The implementation lives in `bnff_tensor::simd` (the aligned pack
 //! buffers live next to it); this module is the kernels-facing face of it.
@@ -27,13 +36,13 @@
 pub use bnff_tensor::simd::{active_isa, with_isa, SimdIsa};
 
 /// The dispatch paths a unit test can run on this machine: the scalar path
-/// and, where the hardware has one, the vector path.
+/// and every vector tier the hardware has.
 #[cfg(test)]
 pub(crate) fn test_isas() -> Vec<SimdIsa> {
-    let vector = with_isa(SimdIsa::Avx2Fma, active_isa);
-    let mut isas = vec![SimdIsa::Scalar];
-    isas.extend((vector != SimdIsa::Scalar).then_some(vector));
-    isas
+    [SimdIsa::Scalar, SimdIsa::Avx2Fma, SimdIsa::Avx512]
+        .into_iter()
+        .filter(|&isa| with_isa(isa, active_isa) == isa)
+        .collect()
 }
 
 #[cfg(test)]
@@ -53,5 +62,6 @@ mod tests {
         // Bench artifacts and CI gates key on these strings.
         assert_eq!(SimdIsa::Scalar.name(), "scalar");
         assert_eq!(SimdIsa::Avx2Fma.name(), "avx2+fma");
+        assert_eq!(SimdIsa::Avx512.name(), "avx512");
     }
 }

@@ -17,13 +17,14 @@
 //!   output rows — or, for a convolution, all of `A` is packed once per call
 //!   and shared by its samples.
 //! * A register microkernel multiplies the first `R ≤` [`MR`] rows of one
-//!   packed `A` panel against one `B` strip — `R` is the panel's live rows,
+//!   packed `A` panel against one `B` strip (two whole ones at a time on
+//!   the AVX-512 tier) — `R` is the panel's live rows,
 //!   so a ragged last panel (`m mod MR ≠ 0`) costs only its own rows —
 //!   accumulates the `R ×` [`NR`] tile over the whole `k`-slab in
 //!   registers, and then writes that tile into `C` itself: `c = α·acc` on
 //!   the first slab of a `β = 0` multiply (never reading `C`), `c = c +
 //!   α·acc` on later slabs or at `β = 1`, `c = β·c + α·acc` otherwise — a
-//!   separate multiply and add, one rounding each, on both ISAs.
+//!   separate multiply and add, one rounding each, on every ISA.
 //!
 //! ## What is packed and what is read in place
 //!
@@ -64,22 +65,41 @@
 //!
 //! ## SIMD dispatch and the load contract
 //!
-//! The register microkernel comes in two flavours selected per GEMM call by
-//! [`bnff_tensor::simd::active_isa`] (scoped [`bnff_tensor::simd::with_isa`]
-//! override → `BNFF_SIMD` env → CPU detection), each monomorphized for
-//! every `R` in `1..=MR`: the portable scalar loop (3 × 8 sub-tiles), and
-//! an AVX2+FMA kernel that keeps the `R × NR` tile in `2R` `__m256`
-//! accumulators (twelve for a whole panel) and writes them to `C` straight
-//! from the registers — with masked loads and stores for the halves of a
-//! ragged strip's rows. Its `B` loads are *unaligned* and unchecked — an
+//! The register microkernel comes in three flavours selected per GEMM call
+//! by [`bnff_tensor::simd::active_isa`] (scoped
+//! [`bnff_tensor::simd::with_isa`] override → `BNFF_SIMD` env → CPU
+//! detection), each monomorphized for every `R` in `1..=MR`:
+//!
+//! * the portable scalar loop (3 × 8 sub-tiles);
+//! * an AVX2+FMA kernel that keeps the `R × NR` tile in `2R` `__m256`
+//!   accumulators (twelve for a whole panel) and writes them to `C`
+//!   straight from the registers — with masked loads and stores for the
+//!   halves of a ragged strip's rows;
+//! * on the AVX-512 tier, a *pair* kernel, `microkernel2`: the packed GEMM
+//!   walks whole strips two at a time and multiplies the `R × 2·NR` tile in `2R`
+//!   `__m512` accumulators, one 512-bit vector per strip row — one load
+//!   when the strip's halves are adjacent, two 256-bit loads joined when an
+//!   8-wide output row splits them. An odd or ragged last strip goes
+//!   through the AVX2 kernel.
+//!
+//! The pair kernel's bits are the AVX2 kernel's. Lane `l` of a strip's
+//! 512-bit accumulator is lane `l mod 8` of the AVX2 kernel's accumulator
+//! for half `l / 8`: the same products, one FMA each, in ascending `k` from
+//! zero. The write-back is the same `Fold` — a separate multiply and add,
+//! never fused — and needs no mask, because a pair only ever holds whole
+//! strips. Every other kernel is unchanged on that tier.
+//!
+//! The vector kernels' `B` loads are *unaligned* and unchecked — an
 //! in-place row starts wherever the window does. Their bound,
 //! `max(base) + max(rows) + 8 ≤ len`, is `assert!`ed (release builds too)
 //! once per strip and `k`-slab when the `Strip` is built, never per load;
-//! its `C` loads and stores are bounded the same way, by one assert per
-//! tile that the tile lies inside the worker's rows of `C`. Packed strips
-//! live in 32-byte-aligned [`bnff_tensor::simd::AlignedBuf`] storage so
-//! that none of their loads straddles a cache line. The ISA is resolved
-//! once on the calling thread and passed by value into the pool workers.
+//! when `base[1] = base[0] + 8` it also bounds the pair kernel's 16-lane
+//! loads. Their `C` loads and stores are bounded the same way, by one
+//! assert per tile (per pair of tiles) that it lies inside the worker's
+//! rows of `C`. Packed strips live in 32-byte-aligned
+//! [`bnff_tensor::simd::AlignedBuf`] storage so that none of their 256-bit
+//! loads straddles a cache line. The ISA is resolved once on the calling
+//! thread and passed by value into the pool workers.
 //!
 //! ## Determinism
 //!
@@ -90,8 +110,10 @@
 //! outer, registers inner) depends only on the problem shape. Results are
 //! therefore bit-identical for any `BNFF_THREADS` *within each dispatch
 //! path*, which `crates/kernels/tests/parallel_determinism.rs` locks in.
-//! Across paths the last bits may differ (FMA contracts `a·b + c` into one
-//! rounding); `crates/kernels/tests/simd_equivalence.rs` bounds the gap.
+//! Between the scalar and the vector paths the last bits may differ (FMA
+//! contracts `a·b + c` into one rounding);
+//! `crates/kernels/tests/simd_equivalence.rs` bounds the gap. The AVX2 and
+//! AVX-512 paths give the same bits.
 //!
 //! The pre-blocking row-streaming implementation is kept as
 //! [`gemm_streaming`], the independent reference the packed engine is
@@ -111,7 +133,8 @@ pub const MR: usize = 6;
 /// `MR × NR = 6 × 16` fills the AVX2 register file: twelve `__m256`
 /// accumulators plus two `B` vectors and one `A` broadcast use 15 of the 16
 /// architectural ymm registers (the BLIS sgemm shape for Haswell-class
-/// cores).
+/// cores). The AVX-512 tier keeps two such tiles, one row of each per
+/// `__m512`, in the same count of zmm registers.
 pub const NR: usize = 16;
 
 /// Rows of `A` packed per block: an `MC × KC` packed panel (96 KiB of f32,
@@ -529,9 +552,10 @@ struct Strip<'a> {
 }
 
 impl<'a> Strip<'a> {
-    /// The assert is the whole safety contract of the AVX2 microkernel's
+    /// The assert is the whole safety contract of the vector microkernels'
     /// unchecked loads and runs in release builds — once per strip and
-    /// slab, never per load.
+    /// slab, never per load. With `base[1] = base[0] + 8` it also bounds
+    /// the AVX-512 kernel's one 16-lane load per row.
     fn new(data: &'a [f32], base: [usize; 2], slab: SlabRows<'a>) -> Self {
         assert!(
             base[0].max(base[1]) + slab.reach <= data.len(),
@@ -543,7 +567,7 @@ impl<'a> Strip<'a> {
 
 /// How a microkernel call folds its tile of sums `acc` into `C`, each
 /// element evaluated left to right with one rounding per operation — a
-/// multiply and an add, never a fused multiply-add — on both ISAs.
+/// multiply and an add, never a fused multiply-add — on every ISA.
 #[derive(Clone, Copy)]
 enum Fold {
     /// `c = α·acc`: the first `k`-slab of a `β = 0` multiply. `C` is never
@@ -581,7 +605,8 @@ impl Fold {
 
 /// Where one microkernel call's `R × cols` tile lies in a worker's rows of
 /// `C` — row `i` is `c[at + i·ldc..][..cols]`, `cols ≤ NR` (only a packed
-/// strip is ever ragged) — and how the call folds its sums into it.
+/// strip is ever ragged; a pair of whole strips has a second tile `NR`
+/// columns right of the first) — and how the call folds its sums into it.
 #[derive(Clone, Copy)]
 struct Tile {
     at: usize,
@@ -614,15 +639,67 @@ fn microkernel<const R: usize>(
     );
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `SimdIsa::Avx2Fma` is only ever produced after
-            // `is_x86_feature_detected!` confirmed avx2+fma at runtime, and
-            // the assert above is the tile bound the kernel requires.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `SimdIsa::Avx2Fma` and `SimdIsa::Avx512` are only ever
+            // produced after `is_x86_feature_detected!` confirmed avx2+fma
+            // at runtime, and the assert above is the tile bound the kernel
+            // requires.
             unsafe { avx2::microkernel::<R>(a_panel, b, c, tile) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => microkernel_scalar::<R>(a_panel, b, c, tile),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => microkernel_scalar::<R>(a_panel, b, c, tile),
         SimdIsa::Scalar => microkernel_scalar::<R>(a_panel, b, c, tile),
+    }
+}
+
+/// [`microkernel`] over two whole `B` strips side by side — `b[1]` holds
+/// the `NR` columns after `b[0]`'s — on the AVX-512 tier: the `R × 2·NR`
+/// product is folded into `c` as two `R × NR` tiles, the second `NR`
+/// columns right of `tile.at`. Only [`gemm_packed`] pairs strips, and only
+/// under [`SimdIsa::Avx512`].
+#[inline]
+fn microkernel2<const R: usize>(
+    isa: SimdIsa,
+    a_panel: &[f32],
+    b: [&Strip<'_>; 2],
+    c: &mut [f32],
+    tile: Tile,
+) {
+    const { assert!(R >= 1 && R <= MR, "a microkernel covers 1..=MR panel rows") };
+    // The whole safety contract of the AVX-512 microkernel's unchecked `C`
+    // loads and stores; it runs in release builds — once per pair of
+    // tiles, never per store.
+    assert!(
+        tile.cols == NR && tile.at + (R - 1) * tile.ldc + 2 * NR <= c.len(),
+        "both C tiles of a strip pair must lie inside the worker's rows"
+    );
+    match isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        SimdIsa::Avx512 => {
+            // SAFETY: `SimdIsa::Avx512` is only ever produced after
+            // `is_x86_feature_detected!` confirmed avx2, fma and avx512f at
+            // runtime, and the assert above is the bound on both tiles the
+            // kernel requires.
+            unsafe { avx512::microkernel2::<R>(a_panel, b, c, tile) }
+        }
+        _ => unreachable!("B strips are paired only under AVX-512"),
+    }
+}
+
+/// One microkernel call over the first `R` rows of `a_panel`: against `b`
+/// alone, or against `b` and the strip right of it when `next` pairs them.
+#[inline]
+fn panel_tile<const R: usize>(
+    isa: SimdIsa,
+    a_panel: &[f32],
+    b: &Strip<'_>,
+    next: Option<&Strip<'_>>,
+    c: &mut [f32],
+    tile: Tile,
+) {
+    match next {
+        Some(next) => microkernel2::<R>(isa, a_panel, [b, next], c, tile),
+        None => microkernel::<R>(isa, a_panel, b, c, tile),
     }
 }
 
@@ -809,6 +886,127 @@ mod avx2 {
     }
 }
 
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+mod avx512 {
+    use super::{Fold, Strip, Tile, LANES, MR, NR};
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
+
+    /// The AVX-512 microkernel: [`super::avx2::microkernel`] over two whole
+    /// strips at once, each `B` row of a strip one 512-bit vector, so the
+    /// `R × 2·NR` tile lives in `2R` `__m512` accumulators (twelve at
+    /// `R = MR`; with two `B` vectors and one `A` broadcast, 15 of the 32
+    /// zmm registers). Lanes `0..8` of strip `s`'s vector are its half 0
+    /// and lanes `8..16` its half 1, so lane `l` of accumulator `[i][s]`
+    /// holds exactly the sum the AVX2 kernel keeps in lane `l mod 8` of its
+    /// accumulator `[i][l / 8]` for strip `s`: the same products, one FMA
+    /// each, in ascending `k`, from zero. The write-back is the AVX2
+    /// kernel's [`Fold`] arithmetic — the `α` multiply skipped at `α = 1`,
+    /// then a separate multiply and add with the same operand order — and
+    /// needs no mask, because a pair only ever holds whole strips. Every
+    /// `C` element therefore carries the AVX2 kernel's bits.
+    ///
+    /// # Safety
+    /// The CPU must support avx512f, and both tiles must lie inside `c`:
+    /// `tile.at + (R − 1)·tile.ldc + 2·NR ≤ c.len()`, as
+    /// [`super::microkernel2`] asserts before every call.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn microkernel2<const R: usize>(
+        a_panel: &[f32],
+        b: [&Strip<'_>; 2],
+        c: &mut [f32],
+        tile: Tile,
+    ) {
+        let acc = if b.iter().all(|strip| strip.base[1] == strip.base[0] + LANES) {
+            sums::<R, true>(a_panel, b)
+        } else {
+            sums::<R, false>(a_panel, b)
+        };
+        let alpha = _mm512_set1_ps(tile.alpha);
+        for (i, row) in acc.iter().enumerate() {
+            for (s, &sum) in row.iter().enumerate() {
+                // SAFETY: strip `s`'s tile row `i` is the 16 values at
+                // `tile.at + i·ldc + s·NR`, inside `c` by the per-pair
+                // assert in `super::microkernel2`.
+                let dst = unsafe { c.as_mut_ptr().add(tile.at + i * tile.ldc + s * NR) };
+                let prod = if tile.alpha == 1.0 { sum } else { _mm512_mul_ps(alpha, sum) };
+                let value = match tile.fold {
+                    Fold::Store => prod,
+                    // SAFETY (both reads): the 16 values at `dst` are this
+                    // tile row, inside `c` as above.
+                    Fold::Add => _mm512_add_ps(unsafe { _mm512_loadu_ps(dst) }, prod),
+                    Fold::Blend(beta) => {
+                        let old = unsafe { _mm512_loadu_ps(dst) };
+                        _mm512_add_ps(_mm512_mul_ps(_mm512_set1_ps(beta), old), prod)
+                    }
+                };
+                // SAFETY: as for the reads — the tile row at `dst` lies
+                // inside `c`.
+                unsafe { _mm512_storeu_ps(dst, value) }
+            }
+        }
+    }
+
+    /// The `R × 2·NR` sums of one pair of strips. `ADJACENT` says both
+    /// strips' halves lie 8 lanes apart — a packed strip, a row-major `B`,
+    /// a view whose output rows are at least 16 wide — so each row is one
+    /// 512-bit load; otherwise (an 8-wide output row splits every strip)
+    /// the two 256-bit halves are loaded and joined.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn sums<const R: usize, const ADJACENT: bool>(
+        a_panel: &[f32],
+        b: [&Strip<'_>; 2],
+    ) -> [[__m512; 2]; R] {
+        let mut acc = [[_mm512_setzero_ps(); 2]; R];
+        let halves = b.map(|strip| strip.base.map(|base| strip.data.as_ptr().wrapping_add(base)));
+        let rows = a_panel.chunks_exact(MR).zip(b[0].rows).zip(b[1].rows);
+        for ((a_frag, &row0), &row1) in rows {
+            let a_frag: &[f32; MR] = a_frag.try_into().expect("chunks_exact yields MR values");
+            // SAFETY: `Strip::new` asserted `base[h] + row + 8 <= data.len()`
+            // for both halves of each strip and every `row` of its table.
+            // Adjacent halves (`base[1] = base[0] + 8`) make that
+            // `base[0] + row + 16 <= data.len()`, the 16 values one load
+            // reads; split halves are read 8 values each.
+            let (b0, b1) = unsafe {
+                if ADJACENT {
+                    (
+                        _mm512_loadu_ps(halves[0][0].add(row0)),
+                        _mm512_loadu_ps(halves[1][0].add(row1)),
+                    )
+                } else {
+                    (join(halves[0], row0), join(halves[1], row1))
+                }
+            };
+            for (accs, &av) in acc.iter_mut().zip(a_frag) {
+                let ai = _mm512_set1_ps(av);
+                accs[0] = _mm512_fmadd_ps(ai, b0, accs[0]);
+                accs[1] = _mm512_fmadd_ps(ai, b1, accs[1]);
+            }
+        }
+        acc
+    }
+
+    /// The 8 lanes at `halves[0] + row` below the 8 at `halves[1] + row`.
+    ///
+    /// # Safety
+    /// The CPU must support avx512f, and both runs of 8 values must lie
+    /// inside one allocation.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn join(halves: [*const f32; 2], row: usize) -> __m512 {
+        // SAFETY: the caller guarantees both 8-value runs.
+        let (lo, hi) =
+            unsafe { (_mm256_loadu_ps(halves[0].add(row)), _mm256_loadu_ps(halves[1].add(row))) };
+        _mm512_castpd_ps(_mm512_insertf64x4::<1>(
+            _mm512_castps_pd(_mm512_castps256_ps512(lo)),
+            _mm256_castps_pd(hi),
+        ))
+    }
+}
+
 /// The left operand of a multiply: packed block by block by the worker that
 /// owns those output rows, or all of it packed ahead by [`pack_a_whole`]
 /// (a convolution multiplies every sample by the same weights).
@@ -987,24 +1185,30 @@ fn gemm_packed(
                     // (wrong sums, not unsoundness): every panel below is a
                     // `kc·MR` slice, matching the strips' `kc` rows.
                     assert!(packed_a.len() >= panels * kc * MR, "packed A holds kc-deep panels");
-                    for jr in 0..strips {
+                    let mut jr = 0;
+                    while jr < strips {
                         let b_strip = strip_at(jr);
                         let col0 = jc + jr * NR;
                         let nr_eff = NR.min(jc + nc - col0);
+                        // Under AVX-512 whole strips go two to a call; an
+                        // odd or ragged last strip goes alone.
+                        let paired = isa == SimdIsa::Avx512 && col0 + 2 * NR <= jc + nc;
+                        let next = paired.then(|| strip_at(jr + 1));
                         for ir in 0..panels {
                             let a_panel = &packed_a[ir * kc * MR..(ir + 1) * kc * MR];
                             let at = (r0 + ir * MR) * n + col0;
                             let tile = Tile { at, ldc: n, cols: nr_eff, alpha, fold };
-                            let (b, c) = (&b_strip, &mut *c_rows);
+                            let (b, next, c) = (&b_strip, next.as_ref(), &mut *c_rows);
                             match MR.min(mc - ir * MR) {
-                                1 => microkernel::<1>(isa, a_panel, b, c, tile),
-                                2 => microkernel::<2>(isa, a_panel, b, c, tile),
-                                3 => microkernel::<3>(isa, a_panel, b, c, tile),
-                                4 => microkernel::<4>(isa, a_panel, b, c, tile),
-                                5 => microkernel::<5>(isa, a_panel, b, c, tile),
-                                _ => microkernel::<MR>(isa, a_panel, b, c, tile),
+                                1 => panel_tile::<1>(isa, a_panel, b, next, c, tile),
+                                2 => panel_tile::<2>(isa, a_panel, b, next, c, tile),
+                                3 => panel_tile::<3>(isa, a_panel, b, next, c, tile),
+                                4 => panel_tile::<4>(isa, a_panel, b, next, c, tile),
+                                5 => panel_tile::<5>(isa, a_panel, b, next, c, tile),
+                                _ => panel_tile::<MR>(isa, a_panel, b, next, c, tile),
                             }
                         }
+                        jr += 1 + usize::from(paired);
                     }
                     r0 += mc;
                 }
@@ -1413,6 +1617,89 @@ mod tests {
                     }
                 }
             });
+        }
+    }
+
+    /// The AVX-512 tier multiplies whole strips two at a time in 512-bit
+    /// registers; every element must carry the bits the AVX2 kernel gives
+    /// it. `n = 16` is one lone strip, 32 one pair, 48 a pair and a lone
+    /// strip, 21 and 45 end in a ragged strip, 1024 is 32 pairs; `k = 288`
+    /// takes a second `k`-slab. The strips are read in place (a row-major
+    /// `B` under few panels, halves adjacent), packed (a transposed `B`),
+    /// and read from windows whose 8-wide output rows split every strip's
+    /// halves (`out_w = 8`) or keep them adjacent (`out_w ∈ {16, 32}`).
+    #[test]
+    fn avx512_tier_matches_avx2_bit_for_bit() {
+        if with_isa(SimdIsa::Avx512, active_isa) != SimdIsa::Avx512 {
+            eprintln!("skipping the AVX-512 tier check: this host lacks avx512f");
+            return;
+        }
+        let value = |i: usize, salt: usize| (((i * 37 + salt) % 29) as f32 - 14.0) * 0.0371;
+        let blends = [(1.0f32, 0.0f32), (1.0, 1.0), (1.5, 2.0), (2.0, 0.5), (0.7, 1.3)];
+        let both = |label: &str, beta: f32, run: &dyn Fn() -> Vec<f32>| {
+            let want = with_isa(SimdIsa::Avx2Fma, run);
+            let got = with_isa(SimdIsa::Avx512, run);
+            assert_eq!(bits(&got), bits(&want), "{label}");
+            if beta == 0.0 {
+                assert!(got.iter().all(|v| !v.is_nan()), "{label} read C");
+            }
+        };
+        for n in [16usize, 21, 32, 45, 48, 1024] {
+            for k in [16usize, 288] {
+                let b: Vec<f32> = (0..k * n).map(|i| value(i, 3)).collect();
+                let b_t: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+                for m in 1..=13usize {
+                    let a: Vec<f32> = (0..m * k).map(|i| value(i, 11)).collect();
+                    for (alpha, beta) in blends {
+                        let c0: Vec<f32> = (0..m * n)
+                            .map(|i| if beta == 0.0 { f32::NAN } else { value(i, 5) })
+                            .collect();
+                        both(&format!("{m}x{n}x{k} α {alpha} β {beta}"), beta, &|| {
+                            let mut c = c0.clone();
+                            gemm(m, n, k, alpha, &a, &b, beta, &mut c).unwrap();
+                            c
+                        });
+                    }
+                    both(&format!("packed {m}x{n}x{k}"), 0.0, &|| {
+                        let mut c = vec![f32::NAN; m * n];
+                        gemm_nt(m, n, k, &a, &b_t, &mut c).unwrap();
+                        c
+                    });
+                }
+            }
+        }
+        for (channels, out_h, out_w) in
+            [(4usize, 6usize, 8usize), (32, 5, 8), (4, 3, 16), (32, 2, 32)]
+        {
+            let (in_h, in_w) = (out_h + 2, out_w + 2);
+            let sample: Vec<f32> = (0..channels * in_h * in_w).map(|i| value(i, 7)).collect();
+            let view = Im2colView {
+                sample: &sample,
+                channels,
+                in_h,
+                in_w,
+                kernel_h: 3,
+                kernel_w: 3,
+                stride: 1,
+                out_h,
+                out_w,
+            };
+            assert!(view.reads_in_place());
+            let (k, n) = (channels * 9, out_h * out_w);
+            for m in [1usize, 5, 8, 13] {
+                let a: Vec<f32> = (0..m * k).map(|i| value(i, 13)).collect();
+                for (alpha, beta) in blends {
+                    let c0: Vec<f32> = (0..m * n)
+                        .map(|i| if beta == 0.0 { f32::NAN } else { value(i, 17) })
+                        .collect();
+                    let label = format!("im2col {channels}x{in_h}x{in_w} m {m} α {alpha} β {beta}");
+                    both(&label, beta, &|| {
+                        let mut c = c0.clone();
+                        gemm_im2col(m, n, k, alpha, &a, view, beta, &mut c).unwrap();
+                        c
+                    });
+                }
+            }
         }
     }
 

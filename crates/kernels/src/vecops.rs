@@ -30,12 +30,13 @@ pub(crate) fn relu_into(isa: SimdIsa, src: &[f32], dst: &mut [f32]) {
     debug_assert_eq!(src.len(), dst.len());
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
             unsafe { avx2::relu_into(src, dst) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => relu_into_scalar(src, dst),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => relu_into_scalar(src, dst),
         SimdIsa::Scalar => relu_into_scalar(src, dst),
     }
 }
@@ -44,12 +45,13 @@ pub(crate) fn relu_into(isa: SimdIsa, src: &[f32], dst: &mut [f32]) {
 pub(crate) fn relu_inplace(isa: SimdIsa, dst: &mut [f32]) {
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
             unsafe { avx2::relu_inplace(dst) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => relu_inplace_scalar(dst),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => relu_inplace_scalar(dst),
         SimdIsa::Scalar => relu_inplace_scalar(dst),
     }
 }
@@ -61,12 +63,13 @@ pub(crate) fn relu_mask(isa: SimdIsa, g: &mut [f32], y: &[f32]) {
     assert_eq!(g.len(), y.len(), "gradient and mask planes differ in length");
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
             unsafe { avx2::relu_mask(g, y) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => relu_mask_scalar(g, y),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => relu_mask_scalar(g, y),
         SimdIsa::Scalar => relu_mask_scalar(g, y),
     }
 }
@@ -90,12 +93,15 @@ pub(crate) fn bn_dx_plane(
     assert_eq!(g.len(), x.len(), "gradient and activation planes differ in length");
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
             unsafe { avx2::bn_dx_plane(g, x, mean, inv_std, scale, mean_g, mean_gxhat) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => bn_dx_plane_scalar(g, x, mean, inv_std, scale, mean_g, mean_gxhat),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            bn_dx_plane_scalar(g, x, mean, inv_std, scale, mean_g, mean_gxhat)
+        }
         SimdIsa::Scalar => bn_dx_plane_scalar(g, x, mean, inv_std, scale, mean_g, mean_gxhat),
     }
 }
@@ -106,12 +112,13 @@ pub(crate) fn add_assign(isa: SimdIsa, dst: &mut [f32], src: &[f32]) {
     debug_assert_eq!(src.len(), dst.len());
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
             unsafe { avx2::add_assign(dst, src) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => add_assign_scalar(dst, src),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => add_assign_scalar(dst, src),
         SimdIsa::Scalar => add_assign_scalar(dst, src),
     }
 }
@@ -120,12 +127,13 @@ pub(crate) fn add_assign(isa: SimdIsa, dst: &mut [f32], src: &[f32]) {
 pub(crate) fn add_scalar(isa: SimdIsa, dst: &mut [f32], value: f32) {
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
             unsafe { avx2::add_scalar(dst, value) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => add_scalar_scalar(dst, value),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => add_scalar_scalar(dst, value),
         SimdIsa::Scalar => add_scalar_scalar(dst, value),
     }
 }
@@ -143,12 +151,13 @@ pub(crate) fn affine(
     debug_assert_eq!(src.len(), dst.len());
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
             unsafe { avx2::affine(src, dst, scale, shift, fuse_relu) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => affine_scalar(src, dst, scale, shift, fuse_relu),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => affine_scalar(src, dst, scale, shift, fuse_relu),
         SimdIsa::Scalar => affine_scalar(src, dst, scale, shift, fuse_relu),
     }
 }
@@ -164,12 +173,13 @@ pub(crate) fn affine_inplace(
 ) {
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
             unsafe { avx2::affine_inplace(dst, scale, shift, fuse_relu) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => affine_inplace_scalar(dst, scale, shift, fuse_relu),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => affine_inplace_scalar(dst, scale, shift, fuse_relu),
         SimdIsa::Scalar => affine_inplace_scalar(dst, scale, shift, fuse_relu),
     }
 }
@@ -195,12 +205,13 @@ pub(crate) fn normalize_plane(
     assert!(hat.as_ref().is_none_or(|h| h.len() == src.len()), "x̂ plane differs in length");
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
             unsafe { avx2::normalize_plane(src, hat, y, mean, inv_std, gamma, beta, fuse_relu) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => {
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
             normalize_plane_scalar(src, hat, y, mean, inv_std, gamma, beta, fuse_relu)
         }
         SimdIsa::Scalar => {

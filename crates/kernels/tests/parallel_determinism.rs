@@ -357,11 +357,11 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
     let normalized =
         |input| ConvInput::NormClip { x: input, stats: &stats, params: &params, epsilon: 1e-5 };
 
-    let detected = with_isa(SimdIsa::Avx2Fma, active_isa);
-    let mut isas = vec![SimdIsa::Scalar];
-    if detected != SimdIsa::Scalar {
-        isas.push(detected);
-    }
+    // Every ISA the host can run: the scalar path and each vector tier.
+    let isas: Vec<SimdIsa> = [SimdIsa::Scalar, SimdIsa::Avx2Fma, SimdIsa::Avx512]
+        .into_iter()
+        .filter(|&isa| with_isa(isa, active_isa) == isa)
+        .collect();
     let cases: &[(&str, &dyn Fn() -> Vec<f32>)] = &[
         ("gemm_70x65x50", &|| {
             let (m, n, k) = (70, 65, 50);

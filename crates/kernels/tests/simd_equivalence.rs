@@ -11,8 +11,11 @@
 //! exact-rounded elementwise ops (ReLU and its backward mask, element-wise
 //! sum, bias add) must match bit-for-bit and are asserted exactly.
 //!
-//! On hardware without AVX2+FMA the requested vector path clamps to the
-//! scalar fallback and every comparison holds trivially — the suite still
+//! Every vector tier the host has runs each case: the AVX-512 tier must
+//! give the AVX2+FMA tier's bits exactly (only its GEMM microkernel is
+//! wider, with the same per-element arithmetic), and both must lie within
+//! the bound of the scalar path. On hardware without AVX2+FMA there is no
+//! vector tier and every comparison holds trivially — the suite still
 //! passes, it just stops being a cross-path check.
 
 use bnff_graph::op::Conv2dAttrs;
@@ -33,10 +36,13 @@ use bnff_tensor::stats::{channel_stats_one_pass, channel_stats_two_pass};
 use bnff_tensor::{Shape, Tensor};
 use proptest::prelude::*;
 
-/// The vector path under test: the detected ISA when a scoped request for
-/// AVX2+FMA survives hardware clamping, else the scalar fallback.
-fn vector_isa() -> SimdIsa {
-    with_isa(SimdIsa::Avx2Fma, active_isa)
+/// The vector tiers under test: each one a scoped request survives
+/// hardware clamping for.
+fn vector_isas() -> Vec<SimdIsa> {
+    [SimdIsa::Avx2Fma, SimdIsa::Avx512]
+        .into_iter()
+        .filter(|&isa| with_isa(isa, active_isa) == isa)
+        .collect()
 }
 
 fn data(len: usize, seed: u64) -> Vec<f32> {
@@ -67,10 +73,19 @@ fn assert_paths_close(label: &str, k: usize, scalar: &[f32], vector: &[f32]) {
     }
 }
 
-/// Runs `f` once under each dispatch path and returns (scalar, vector).
+/// Runs `f` once under the scalar path and once under each vector tier,
+/// checks that the vector tiers agree bit for bit, and returns (scalar,
+/// vector) — the scalar result twice on a host without a vector tier.
 fn both_paths<F: Fn() -> Vec<f32>>(f: F) -> (Vec<f32>, Vec<f32>) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let scalar = with_isa(SimdIsa::Scalar, &f);
-    let vector = with_isa(vector_isa(), &f);
+    let mut vectors = vector_isas().into_iter().map(|isa| (isa, with_isa(isa, &f)));
+    let Some((first, vector)) = vectors.next() else {
+        return (scalar.clone(), scalar);
+    };
+    for (isa, other) in vectors {
+        assert_eq!(bits(&other), bits(&vector), "{isa} must reproduce {first} bit for bit");
+    }
     (scalar, vector)
 }
 
@@ -337,15 +352,18 @@ fn fully_connected_rides_the_dispatched_gemm() {
 
 #[test]
 fn env_override_clamps_to_hardware() {
-    // A scoped request for the vector path never yields an ISA the host
-    // cannot execute; on non-AVX2 machines it degrades to Scalar.
-    let isa = vector_isa();
+    // A scoped request for a vector tier never yields an ISA the host
+    // cannot execute: AVX-512 steps down to AVX2+FMA, and that to Scalar.
+    let (avx2, avx512) =
+        (with_isa(SimdIsa::Avx2Fma, active_isa), with_isa(SimdIsa::Avx512, active_isa));
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-        assert_eq!(isa, SimdIsa::Avx2Fma);
+        assert_eq!(avx2, SimdIsa::Avx2Fma);
+        let wide = if is_x86_feature_detected!("avx512f") { SimdIsa::Avx512 } else { avx2 };
+        assert_eq!(avx512, wide);
     } else {
-        assert_eq!(isa, SimdIsa::Scalar);
+        assert_eq!((avx2, avx512), (SimdIsa::Scalar, SimdIsa::Scalar));
     }
     #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-    assert_eq!(isa, SimdIsa::Scalar);
+    assert_eq!((avx2, avx512), (SimdIsa::Scalar, SimdIsa::Scalar));
 }

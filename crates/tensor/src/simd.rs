@@ -3,18 +3,24 @@
 //!
 //! Every hot kernel in the workspace comes in (at least) two flavours: the
 //! portable scalar loop the crate has always shipped, and an explicit
-//! AVX2+FMA `std::arch` implementation. Which one runs is decided *once per
-//! kernel entry* by [`active_isa`], in priority order:
+//! AVX2+FMA `std::arch` implementation. A third tier, [`SimdIsa::Avx512`],
+//! is numerically the AVX2+FMA flavour: every kernel runs its AVX2+FMA body
+//! there except the GEMM microkernel, which multiplies two `B` strips per
+//! call at 512 bits with the same bits as its 256-bit twin. Which flavour
+//! runs is decided *once per kernel entry* by [`active_isa`], in priority
+//! order:
 //!
 //! 1. a scoped [`with_isa`] override on the calling thread (used by the
 //!    equivalence tests),
 //! 2. the `BNFF_SIMD` environment variable (`scalar` forces the portable
-//!    path, `avx2` requests the vector path, `auto`/unset detects), and
-//! 3. `is_x86_feature_detected!("avx2")` + `("fma")`.
+//!    path, `avx2` pins the 256-bit kernels, `avx512` requests the 512-bit
+//!    GEMM, `auto`/unset detects), and
+//! 3. `is_x86_feature_detected!` for avx2 + fma, then avx512f.
 //!
-//! Requests for a vector ISA the hardware cannot run are clamped to
-//! [`SimdIsa::Scalar`], so forcing `BNFF_SIMD=avx2` on an old machine
-//! degrades instead of faulting. Kernels resolve the ISA on the *calling*
+//! Requests for a vector ISA the hardware cannot run step down —
+//! [`SimdIsa::Avx512`] to [`SimdIsa::Avx2Fma`] to [`SimdIsa::Scalar`] — so
+//! forcing `BNFF_SIMD=avx512` on an older machine degrades instead of
+//! faulting. Kernels resolve the ISA on the *calling*
 //! thread and pass the value into their worker closures — thread-local
 //! overrides do not propagate into the `bnff-parallel` pool by themselves.
 //!
@@ -23,10 +29,12 @@
 //! Within one ISA the kernels stay bit-identical across `BNFF_THREADS`
 //! (work is still partitioned at problem-granular boundaries and each
 //! output element keeps a thread-count-independent accumulation order).
-//! *Across* ISAs results may differ in the last bits: the AVX2 paths use
-//! FMA contraction and lane-split accumulators, which round differently
-//! from the scalar loops. The `simd_equivalence` suite bounds that
-//! difference explicitly.
+//! Between the scalar and the vector ISAs results may differ in the last
+//! bits: the AVX2 paths use FMA contraction and lane-split accumulators,
+//! which round differently from the scalar loops. The `simd_equivalence`
+//! suite bounds that difference explicitly. [`SimdIsa::Avx512`] and
+//! [`SimdIsa::Avx2Fma`] give the same bits: the wider GEMM accumulates
+//! every element in the same order with the same operations.
 //!
 //! ```rust
 //! use bnff_tensor::simd::{active_isa, with_isa, SimdIsa};
@@ -47,6 +55,9 @@ pub enum SimdIsa {
     Scalar,
     /// Explicit 256-bit AVX2 intrinsics with FMA contraction.
     Avx2Fma,
+    /// [`SimdIsa::Avx2Fma`] with the GEMM microkernel at 512 bits (AVX-512F)
+    /// — bit-identical results, every other kernel the AVX2+FMA body.
+    Avx512,
 }
 
 impl SimdIsa {
@@ -55,14 +66,20 @@ impl SimdIsa {
         match self {
             SimdIsa::Scalar => "scalar",
             SimdIsa::Avx2Fma => "avx2+fma",
+            SimdIsa::Avx512 => "avx512",
         }
     }
 
-    /// The widest ISA the running CPU supports (ignoring every override).
+    /// The widest ISA the running CPU and OS support (ignoring every
+    /// override). The feature checks include the OS saving the vector
+    /// registers' state.
     pub fn detected() -> SimdIsa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         {
             if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                if is_x86_feature_detected!("avx512f") {
+                    return SimdIsa::Avx512;
+                }
                 return SimdIsa::Avx2Fma;
             }
         }
@@ -81,18 +98,21 @@ thread_local! {
     static ISA_OVERRIDE: Cell<Option<SimdIsa>> = const { Cell::new(None) };
 }
 
-/// Clamps a requested ISA to what the hardware can actually execute.
+/// Clamps a requested ISA to what the hardware can actually execute,
+/// stepping down `Avx512 → Avx2Fma → Scalar`.
 fn clamp_to_hardware(requested: SimdIsa) -> SimdIsa {
-    match requested {
-        SimdIsa::Scalar => SimdIsa::Scalar,
-        other if SimdIsa::detected() == SimdIsa::Avx2Fma => other,
+    match (requested, SimdIsa::detected()) {
+        (SimdIsa::Avx512, SimdIsa::Avx512) => SimdIsa::Avx512,
+        (SimdIsa::Avx512 | SimdIsa::Avx2Fma, SimdIsa::Avx512 | SimdIsa::Avx2Fma) => {
+            SimdIsa::Avx2Fma
+        }
         _ => SimdIsa::Scalar,
     }
 }
 
 /// The process-wide default ISA: `BNFF_SIMD` when set (`scalar` | `avx2` |
-/// `auto`; unknown values fall back to `auto`), otherwise hardware
-/// detection. Read once per process.
+/// `avx512` | `auto`; unknown values fall back to `auto`), otherwise
+/// hardware detection. Read once per process.
 fn env_isa() -> SimdIsa {
     static ENV: OnceLock<SimdIsa> = OnceLock::new();
     *ENV.get_or_init(|| {
@@ -102,6 +122,7 @@ fn env_isa() -> SimdIsa {
             Some(s) if s.eq_ignore_ascii_case("avx2") || s.eq_ignore_ascii_case("avx2fma") => {
                 clamp_to_hardware(SimdIsa::Avx2Fma)
             }
+            Some(s) if s.eq_ignore_ascii_case("avx512") => clamp_to_hardware(SimdIsa::Avx512),
             _ => SimdIsa::detected(),
         }
     })
@@ -230,13 +251,14 @@ impl DerefMut for AlignedBuf {
 pub fn sum_f64(isa: SimdIsa, x: &[f32]) -> f64 {
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` is only ever produced by `clamp_to_hardware`
-            // / `SimdIsa::detected`, which verified avx2+fma at runtime.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` are only ever produced by
+            // `clamp_to_hardware` / `SimdIsa::detected`, which verified
+            // avx2+fma at runtime.
             unsafe { avx2::sum_f64(x) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => sum_f64_scalar(x),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => sum_f64_scalar(x),
         SimdIsa::Scalar => sum_f64_scalar(x),
     }
 }
@@ -247,12 +269,13 @@ pub fn sum_f64(isa: SimdIsa, x: &[f32]) -> f64 {
 pub fn sum_sq_f64(isa: SimdIsa, x: &[f32]) -> (f64, f64) {
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
             unsafe { avx2::sum_sq_f64(x) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => sum_sq_f64_scalar(x),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => sum_sq_f64_scalar(x),
         SimdIsa::Scalar => sum_sq_f64_scalar(x),
     }
 }
@@ -262,12 +285,13 @@ pub fn sum_sq_f64(isa: SimdIsa, x: &[f32]) -> (f64, f64) {
 pub fn sq_dev_sum_f64(isa: SimdIsa, x: &[f32], mean: f64) -> f64 {
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
             unsafe { avx2::sq_dev_sum_f64(x, mean) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => sq_dev_sum_f64_scalar(x, mean),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => sq_dev_sum_f64_scalar(x, mean),
         SimdIsa::Scalar => sq_dev_sum_f64_scalar(x, mean),
     }
 }
@@ -285,14 +309,15 @@ pub fn sum_dot_f64(isa: SimdIsa, g: &[f32], h: &[f32], sum: &mut f64, dot: &mut 
     assert_eq!(g.len(), h.len(), "sum_dot_f64 planes differ in length");
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma => {
-            // SAFETY: `Avx2Fma` implies runtime-verified avx2+fma support.
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
             let (s, d) = unsafe { avx2::sum_dot_f64(g, h) };
             *sum += s;
             *dot += d;
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma => sum_dot_f64_scalar(g, h, sum, dot),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => sum_dot_f64_scalar(g, h, sum, dot),
         SimdIsa::Scalar => sum_dot_f64_scalar(g, h, sum, dot),
     }
 }
@@ -463,6 +488,9 @@ mod tests {
                 // Clamped to hardware: either the real thing or Scalar.
                 assert_eq!(active_isa(), clamp_to_hardware(SimdIsa::Avx2Fma));
             });
+            with_isa(SimdIsa::Avx512, || {
+                assert_eq!(active_isa(), clamp_to_hardware(SimdIsa::Avx512));
+            });
             assert_eq!(active_isa(), SimdIsa::Scalar);
         });
         assert_eq!(active_isa(), before);
@@ -476,12 +504,26 @@ mod tests {
         if SimdIsa::detected() == SimdIsa::Scalar {
             assert_eq!(isa, SimdIsa::Scalar);
         }
+        if SimdIsa::detected() != SimdIsa::Avx512 {
+            assert_ne!(isa, SimdIsa::Avx512);
+        }
+    }
+
+    #[test]
+    fn clamping_steps_down_one_tier_at_a_time() {
+        let detected = SimdIsa::detected();
+        assert_eq!(clamp_to_hardware(SimdIsa::Scalar), SimdIsa::Scalar);
+        // The widest request yields whatever the host has.
+        assert_eq!(clamp_to_hardware(SimdIsa::Avx512), detected);
+        let avx2 = if detected == SimdIsa::Scalar { SimdIsa::Scalar } else { SimdIsa::Avx2Fma };
+        assert_eq!(clamp_to_hardware(SimdIsa::Avx2Fma), avx2);
     }
 
     #[test]
     fn isa_names_are_stable() {
         assert_eq!(SimdIsa::Scalar.name(), "scalar");
         assert_eq!(SimdIsa::Avx2Fma.name(), "avx2+fma");
+        assert_eq!(SimdIsa::Avx512.name(), "avx512");
         assert_eq!(format!("{}", SimdIsa::Scalar), "scalar");
     }
 

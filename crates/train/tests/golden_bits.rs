@@ -25,6 +25,14 @@
 //! after it. A host without avx2+fma skips that half with a message
 //! (`with_isa` clamps to what the hardware has, so the run checks the ISA it
 //! actually took).
+//!
+//! The AVX-512 tier has no table of its own: it runs every kernel's
+//! AVX2+FMA body except the GEMM microkernel, whose 512-bit pair kernel
+//! gives every element the 256-bit kernel's bits, so both models must
+//! reproduce the AVX2 table under it too. A host without avx512f skips
+//! those two tests with a message — `with_isa(SimdIsa::Avx512, ..)` steps
+//! down to AVX2+FMA there, and a run on that tier would only repeat the
+//! AVX2 tests, not check the wide kernel.
 
 use bnff_core::{BnffOptimizer, FusionLevel};
 use bnff_graph::Graph;
@@ -151,46 +159,54 @@ fn tiny_resnet_reproduces_the_recorded_bits_at_every_level() {
     );
 }
 
+/// The AVX2+FMA table of the DenseNet-CIFAR runs.
+const DENSENET_AVX2: [Golden; 5] = [
+    // Baseline
+    row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0xff70_5672_86ff_c9f7, 0x3fc9_d1af),
+    // RCF
+    row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0xff70_5672_86ff_c9f7, 0x3fc9_d1af),
+    // RCF+MVF
+    row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0xff70_5672_86ff_c9f7, 0x3fc9_d1af),
+    // BNFF
+    row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0x148f_1b70_227f_d503, 0x3fc9_d1af),
+    // BNFF+ICF
+    row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0x30da_2d40_bf79_96af, 0x3fc9_d1af),
+];
+
+/// The AVX2+FMA table of the tiny-ResNet runs.
+const RESNET_AVX2: [Golden; 5] = [
+    // Baseline
+    row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
+    // RCF
+    row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
+    // RCF+MVF
+    row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
+    // BNFF
+    row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
+    // BNFF+ICF
+    row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
+];
+
 #[test]
 fn densenet_cifar_reproduces_the_recorded_avx2_bits_at_every_level() {
     let baseline = densenet_cifar(BATCH, 4, 1, CLASSES).unwrap();
-    check(
-        "densenet_cifar",
-        &baseline,
-        SimdIsa::Avx2Fma,
-        &[
-            // Baseline
-            row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0xff70_5672_86ff_c9f7, 0x3fc9_d1af),
-            // RCF
-            row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0xff70_5672_86ff_c9f7, 0x3fc9_d1af),
-            // RCF+MVF
-            row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0xff70_5672_86ff_c9f7, 0x3fc9_d1af),
-            // BNFF
-            row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0x148f_1b70_227f_d503, 0x3fc9_d1af),
-            // BNFF+ICF
-            row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0x30da_2d40_bf79_96af, 0x3fc9_d1af),
-        ],
-    );
+    check("densenet_cifar", &baseline, SimdIsa::Avx2Fma, &DENSENET_AVX2);
 }
 
 #[test]
 fn tiny_resnet_reproduces_the_recorded_avx2_bits_at_every_level() {
     let baseline = resnet_cifar(BATCH, 1, CLASSES).unwrap();
-    check(
-        "resnet_cifar",
-        &baseline,
-        SimdIsa::Avx2Fma,
-        &[
-            // Baseline
-            row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
-            // RCF
-            row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
-            // RCF+MVF
-            row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
-            // BNFF
-            row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
-            // BNFF+ICF
-            row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
-        ],
-    );
+    check("resnet_cifar", &baseline, SimdIsa::Avx2Fma, &RESNET_AVX2);
+}
+
+#[test]
+fn densenet_cifar_reproduces_the_avx2_bits_on_the_avx512_tier() {
+    let baseline = densenet_cifar(BATCH, 4, 1, CLASSES).unwrap();
+    check("densenet_cifar", &baseline, SimdIsa::Avx512, &DENSENET_AVX2);
+}
+
+#[test]
+fn tiny_resnet_reproduces_the_avx2_bits_on_the_avx512_tier() {
+    let baseline = resnet_cifar(BATCH, 1, CLASSES).unwrap();
+    check("resnet_cifar", &baseline, SimdIsa::Avx512, &RESNET_AVX2);
 }

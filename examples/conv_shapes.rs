@@ -7,8 +7,10 @@
 //! its stride-2 rows do not). A third covers six strided or ragged-width
 //! shapes no benchmark workload runs (ResNet-style downsampling and
 //! 28²/14²/7² maps, a 7×7 stem) — the ones whose windows the GEMM's packer
-//! expands. Each table ends with one line `bits <hex>`: a digest of the bits
-//! of all three results of every one of its rows. These are the tables
+//! expands. Each table's header names the SIMD dispatch tier it ran on
+//! (`isa <name>`), and each table ends with one line `bits <hex>`: a digest
+//! of the bits of all three results of every one of its rows — which
+//! depend on that tier. These are the tables
 //! convolution work is sized and checked with; they read the public model
 //! builders and kernel entry points only, so the file runs unchanged against
 //! any commit, and equal digests on two commits mean equal results.
@@ -21,6 +23,7 @@ use bnff::kernels::conv::{
     conv2d_backward_input, conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward,
     conv2d_forward_into,
 };
+use bnff::kernels::dispatch::active_isa;
 use bnff::models::{densenet_cifar, resnet_cifar};
 use bnff::parallel::with_threads;
 use bnff::tensor::init::Initializer;
@@ -56,7 +59,9 @@ fn fold_bits(digest: u64, values: &[f32]) -> u64 {
         .fold(digest, |hash, byte| (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
-fn print_header() {
+/// The table's title with the ISA it runs on, then the column names.
+fn print_header(title: &str) {
+    println!("{title}, isa {}", active_isa());
     println!(
         "{:>22} {:>3} {:>2}  {:>16}  {:>16}  {:>16}",
         "input -> out k", "s/p", "x", "forward", "weight grad", "input grad"
@@ -141,8 +146,10 @@ fn model_table(name: &str, graph: &Graph) -> Result<(), Box<dyn std::error::Erro
             }
         }
     }
-    println!("{name}: {} distinct convolutions, one thread, median of {RUNS}", shapes.len());
-    print_header();
+    print_header(&format!(
+        "{name}: {} distinct convolutions, one thread, median of {RUNS}",
+        shapes.len()
+    ));
     let mut total = [0.0f64; 3];
     let mut digest = DIGEST_SEED;
     for (input, attrs, count) in shapes {
@@ -179,8 +186,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (64, 7, 64, 3, 1, 1),
         (3, 32, 16, 7, 2, 3),
     ];
-    println!("\nstrided / ragged-width shapes at batch {batch} (windows expanded by the packer)");
-    print_header();
+    println!();
+    print_header(&format!(
+        "strided / ragged-width shapes at batch {batch} (windows expanded by the packer)"
+    ));
     let mut digest = DIGEST_SEED;
     for (c, hw, out_c, k, stride, pad) in packed {
         let attrs = Conv2dAttrs::new(out_c, k, stride, pad);
