@@ -293,18 +293,18 @@ pub fn bn_backward(
 
 /// What a normalization's backward re-derives per `(sample, channel)` plane
 /// from the layer's raw input and the 2×C statistics instead of reading it
-/// from a stored tensor: `x̂`, `y = γ·x̂ + β` and from it the ReLU mask. The
-/// one recompute body of the standalone backward and of the fused
-/// convolution's input-gradient epilogue; it owns the two plane-sized
-/// scratch buffers, so each worker builds its own.
+/// from a stored tensor: `x̂`, `y = γ·x̂ + β` and from it the ReLU mask — in
+/// registers, by one [`vecops::norm_grad_plane`] pass per plane, so nothing
+/// plane-sized is written but the masked gradient. The one recompute body
+/// of its two callers: the standalone [`norm_backward_inplace`] and the
+/// fused convolution's input-gradient epilogue
+/// ([`crate::fused::fused_conv_backward_into`]).
 pub(crate) struct NormRecompute<'a> {
     isa: SimdIsa,
     stats: &'a ChannelStats,
     params: &'a BnParams,
     epsilon: f32,
     relu: bool,
-    hat: Vec<f32>,
-    y: Vec<f32>,
 }
 
 impl<'a> NormRecompute<'a> {
@@ -314,32 +314,26 @@ impl<'a> NormRecompute<'a> {
         params: &'a BnParams,
         epsilon: f32,
         relu: bool,
-        plane_len: usize,
     ) -> Self {
-        let (hat, y) = (vec![0.0; plane_len], vec![0.0; plane_len]);
-        NormRecompute { isa, stats, params, epsilon, relu, hat, y }
+        NormRecompute { isa, stats, params, epsilon, relu }
     }
 
     /// One plane of channel `ci`, up to the reductions: `g` passes ReLU′ in
     /// place (a clipping normalization) and its Σg and Σg·x̂ continue the
     /// channel's running `sums` — called in batch order per channel, which
     /// makes the scalar fold the historical one, bit for bit.
-    pub(crate) fn plane(&mut self, ci: usize, g: &mut [f32], x: &[f32], sums: &mut (f64, f64)) {
-        vecops::normalize_plane(
+    pub(crate) fn plane(&self, ci: usize, g: &mut [f32], x: &[f32], sums: &mut (f64, f64)) {
+        vecops::norm_grad_plane(
             self.isa,
+            g,
             x,
-            Some(&mut self.hat),
-            &mut self.y,
             self.stats.mean[ci],
             inv_std(self.stats, ci, self.epsilon),
             self.params.gamma[ci],
             self.params.beta[ci],
             self.relu,
+            sums,
         );
-        if self.relu {
-            vecops::relu_mask(self.isa, g, &self.y);
-        }
-        sum_dot_f64(self.isa, g, &self.hat, &mut sums.0, &mut sums.1);
     }
 }
 
@@ -376,7 +370,7 @@ pub fn norm_backward_inplace(
     let mut sums = vec![(0.0f64, 0.0f64); c];
     let min_channels = min_planes_per_thread(n * plane_len);
     parallel_rows_mut2(&mut by_channel, 1, &mut sums, 1, min_channels, |first, channels, sums| {
-        let mut recompute = NormRecompute::new(isa, stats, params, epsilon, relu, plane_len);
+        let recompute = NormRecompute::new(isa, stats, params, epsilon, relu);
         for (offset, (g_planes, sums)) in channels.iter_mut().zip(sums).enumerate() {
             let ci = first + offset;
             for (ni, g_plane) in g_planes.iter_mut().enumerate() {

@@ -743,12 +743,18 @@ pub(crate) fn backward_weights(
                 let mut d_w_flat = vec![0.0f32; attrs.out_channels * rows];
                 let mut d_bias = vec![0.0f32; if with_bias { attrs.out_channels } else { 0 }];
                 let mut stage = Staging::take(in_dims, windows.pad, input.transforms());
+                // The correlation's interleaved `d_out_n` tiles, laid per
+                // sample into one scratch per group, like the staging.
+                let pairs_len =
+                    correlation.as_ref().map_or(0, |c| c.pairs_len(isa, attrs.out_channels));
+                let mut pairs =
+                    if pairs_len > 0 { COL_POOL.take_dirty(pairs_len) } else { Vec::new() };
                 for ni in groups[gi].clone() {
                     let sample = input.sample(isa, ni, stage.as_mut());
                     let d_out_n = &d_out.as_slice()[ni * d_out_len..(ni + 1) * d_out_len];
                     match &correlation {
                         Some(correlation) => {
-                            correlation.accumulate(isa, sample, d_out_n, &mut d_w_flat)
+                            correlation.accumulate(isa, sample, d_out_n, &mut d_w_flat, &mut pairs)
                         }
                         // d_W (Cout x rows) += d_out_n (Cout x cols) · im2col(sample)ᵀ (cols x rows)
                         None => gemm_nt_im2col_acc(
@@ -764,6 +770,7 @@ pub(crate) fn backward_weights(
                         *db += plane.iter().sum::<f32>();
                     }
                 }
+                COL_POOL.give(pairs);
                 Ok((d_w_flat, d_bias))
             })
         },

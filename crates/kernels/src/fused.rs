@@ -196,7 +196,7 @@ pub fn fused_conv_backward_into(
         }
         (ConvInput::NormClip { stats, params, epsilon, .. }, Some(d_x)) => {
             let mut sums = vec![(0.0f64, 0.0f64); x.shape().c()];
-            let mut recompute = NormRecompute::new(isa, stats, params, epsilon, true, plane_len);
+            let recompute = NormRecompute::new(isa, stats, params, epsilon, true);
             backward_input(d_out, weights, attrs, true, d_x, |ni, g| {
                 let x_planes = input.raw_sample(ni).chunks_exact(plane_len);
                 let planes = g.chunks_exact_mut(plane_len).zip(x_planes);

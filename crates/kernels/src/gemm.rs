@@ -961,7 +961,16 @@ mod avx512 {
         b: [&Strip<'_>; 2],
     ) -> [[__m512; 2]; R] {
         let mut acc = [[_mm512_setzero_ps(); 2]; R];
-        let halves = b.map(|strip| strip.base.map(|base| strip.data.as_ptr().wrapping_add(base)));
+        // Loops, not `array::map`: a closure here inherits avx512f, so it
+        // cannot be inlined into `map`'s body, and depending on how the
+        // crate's codegen units fall it stays an outlined call per
+        // microkernel call — a few percent of a small-`k` multiply.
+        let mut halves = [[std::ptr::null::<f32>(); 2]; 2];
+        for (strip_halves, strip) in halves.iter_mut().zip(b) {
+            for (half, base) in strip_halves.iter_mut().zip(strip.base) {
+                *half = strip.data.as_ptr().wrapping_add(base);
+            }
+        }
         let rows = a_panel.chunks_exact(MR).zip(b[0].rows).zip(b[1].rows);
         for ((a_frag, &row0), &row1) in rows {
             let a_frag: &[f32; MR] = a_frag.try_into().expect("chunks_exact yields MR values");

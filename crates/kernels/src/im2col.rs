@@ -229,6 +229,10 @@ pub(crate) fn test_geometries() -> Vec<(usize, usize, usize, Conv2dAttrs)> {
         (3, 7, 10, conv(4, 3, 3, 1, 0)),
         // Non-square: the input gradient's border is 1 row by 3 columns.
         (3, 9, 16, conv(4, 3, 5, 1, 1)),
+        // `C_out = 13` and `16`: the AVX-512 correlation's 8-channel tile,
+        // then its 4- and 1-channel tails, or two whole tiles (pointwise).
+        (5, 8, 8, conv(13, 3, 3, 1, 1)),
+        (4, 16, 16, conv(16, 1, 1, 1, 0)),
     ]
 }
 

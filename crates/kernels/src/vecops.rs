@@ -21,6 +21,10 @@
 //!   scalar loop rounds twice. Within one ISA results are deterministic,
 //!   but the two ISAs differ in the last bits; callers only invoke these
 //!   on whole planes, whose boundaries do not depend on thread count.
+//! * [`norm_grad_plane`]: [`normalize_plane`] → [`relu_mask`] →
+//!   `sum_dot_f64` in one pass, bit for bit per ISA; its reductions are
+//!   `sum_dot_f64`'s (the AVX2 flavour adds a plane subtotal, the scalar one
+//!   continues the running sums), so it too is called on whole planes.
 
 use bnff_tensor::simd::SimdIsa;
 
@@ -220,6 +224,47 @@ pub(crate) fn normalize_plane(
     }
 }
 
+/// The recompute half of a normalization's backward over one
+/// `(sample, channel)` plane, in one pass: `x̂ = (x − mean)·inv_std` and —
+/// `relu` — `y = γ·x̂ + β` are derived in registers, `g` is zeroed in place
+/// where `!(y > 0)` (the ordered compare: a NaN `y` masks), and `Σg`,
+/// `Σg·x̂` of the masked `g` are added to `sums` in f64. Bit for bit
+/// [`normalize_plane`] (clipping when `relu`) → [`relu_mask`] on its `y` →
+/// `bnff_tensor::simd::sum_dot_f64` of `g` and its `x̂`, per ISA, without
+/// writing `x̂` or `y` anywhere: the AVX2 flavour keeps `sum_dot_f64`'s four
+/// f64 lane partials and adds their subtotal, the scalar one continues the
+/// running sums element by element.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn norm_grad_plane(
+    isa: SimdIsa,
+    g: &mut [f32],
+    x: &[f32],
+    mean: f32,
+    inv_std: f32,
+    gamma: f32,
+    beta: f32,
+    relu: bool,
+    sums: &mut (f64, f64),
+) {
+    assert_eq!(g.len(), x.len(), "gradient and activation planes differ in length");
+    match isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
+            let (sum, dot) =
+                unsafe { avx2::norm_grad_plane(g, x, mean, inv_std, gamma, beta, relu) };
+            sums.0 += sum;
+            sums.1 += dot;
+        }
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            norm_grad_plane_scalar(g, x, mean, inv_std, gamma, beta, relu, sums)
+        }
+        SimdIsa::Scalar => norm_grad_plane_scalar(g, x, mean, inv_std, gamma, beta, relu, sums),
+    }
+}
+
 fn relu_into_scalar(src: &[f32], dst: &mut [f32]) {
     for (d, &v) in dst.iter_mut().zip(src) {
         *d = v.max(0.0);
@@ -252,6 +297,29 @@ fn bn_dx_plane_scalar(
     for (g, &v) in g.iter_mut().zip(x) {
         let hat = (v - mean) * inv_std;
         *g = (scale * (f64::from(*g) - mean_g - f64::from(hat) * mean_gxhat)) as f32;
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn norm_grad_plane_scalar(
+    g: &mut [f32],
+    x: &[f32],
+    mean: f32,
+    inv_std: f32,
+    gamma: f32,
+    beta: f32,
+    relu: bool,
+    sums: &mut (f64, f64),
+) {
+    for (g, &v) in g.iter_mut().zip(x) {
+        let hat = (v - mean) * inv_std;
+        if relu {
+            // `max(y, 0) > 0` ⇔ `y > 0`, NaN included.
+            let keep = u32::from(gamma * hat + beta > 0.0).wrapping_neg();
+            *g = f32::from_bits(g.to_bits() & keep);
+        }
+        sums.0 += f64::from(*g);
+        sums.1 += f64::from(*g) * f64::from(hat);
     }
 }
 
@@ -429,6 +497,71 @@ mod avx2 {
         );
     }
 
+    /// `bnff_tensor::simd`'s fixed-order reduce of four f64 lanes.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn hsum_pd(v: __m256d) -> f64 {
+        let mut lanes = [0.0f64; 4];
+        // SAFETY: `lanes` has room for all four f64 lanes.
+        unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), v) };
+        ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]
+    }
+
+    /// The plane's `(Σg, Σg·x̂)` after the mask: `normalize_plane`'s `x̂`
+    /// and FMA-contracted `y`, `relu_mask`'s compare-and-`and`, then
+    /// `sum_dot_f64`'s lane partials, `hsum_pd` and scalar tail.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub fn norm_grad_plane(
+        g: &mut [f32],
+        x: &[f32],
+        mean: f32,
+        inv_std: f32,
+        gamma: f32,
+        beta: f32,
+        relu: bool,
+    ) -> (f64, f64) {
+        let (m, is) = (_mm256_set1_ps(mean), _mm256_set1_ps(inv_std));
+        let (ga, b, zero) = (_mm256_set1_ps(gamma), _mm256_set1_ps(beta), _mm256_setzero_ps());
+        let mut s = _mm256_setzero_pd();
+        let mut d = _mm256_setzero_pd();
+        let n = g.len();
+        let vec_end = n - n % 8;
+        for i in (0..vec_end).step_by(8) {
+            // SAFETY: i + 8 <= vec_end <= len of both slices (equal lengths
+            // are asserted by the dispatcher).
+            let (p, xv) = unsafe { (g.as_mut_ptr().add(i), _mm256_loadu_ps(x.as_ptr().add(i))) };
+            let hat = _mm256_mul_ps(_mm256_sub_ps(xv, m), is);
+            // SAFETY: as above — the 8 values at `p` lie inside `g`.
+            let mut gv = unsafe { _mm256_loadu_ps(p) };
+            if relu {
+                // `max(y, 0) > 0` ⇔ `y > 0`; ordered, so a NaN `y` masks.
+                let keep = _mm256_cmp_ps::<_CMP_GT_OQ>(_mm256_fmadd_ps(ga, hat, b), zero);
+                gv = _mm256_and_ps(gv, keep);
+                // SAFETY: as above.
+                unsafe { _mm256_storeu_ps(p, gv) };
+            }
+            let g_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(gv));
+            let g_hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(gv));
+            s = _mm256_add_pd(s, g_lo);
+            s = _mm256_add_pd(s, g_hi);
+            // An f32·f32 product is exact in f64, so the contraction rounds
+            // exactly where a separate multiply and add would.
+            d = _mm256_fmadd_pd(g_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(hat)), d);
+            d = _mm256_fmadd_pd(g_hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(hat)), d);
+        }
+        let mut sums = (hsum_pd(s), hsum_pd(d));
+        for (g, &v) in g[vec_end..].iter_mut().zip(&x[vec_end..]) {
+            let hat = (v - mean) * inv_std;
+            if relu {
+                let keep = u32::from(gamma.mul_add(hat, beta) > 0.0).wrapping_neg();
+                *g = f32::from_bits(g.to_bits() & keep);
+            }
+            sums.0 += f64::from(*g);
+            sums.1 += f64::from(*g) * f64::from(hat);
+        }
+        sums
+    }
+
     #[target_feature(enable = "avx2", enable = "fma")]
     pub fn add_assign(dst: &mut [f32], src: &[f32]) {
         let n = src.len();
@@ -560,7 +693,8 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnff_tensor::simd::with_isa;
+    use crate::dispatch::test_isas;
+    use bnff_tensor::simd::{sum_dot_f64, with_isa};
 
     fn active_vector_isa() -> SimdIsa {
         with_isa(SimdIsa::Avx2Fma, bnff_tensor::simd::active_isa)
@@ -690,5 +824,114 @@ mod tests {
             bn_dx_plane(isa, &mut c, &hat, 0.0, 1.0, 0.81, 0.013, -0.27);
             assert_eq!(bits(&a), bits(&c), "stored x̂ n={n}");
         }
+    }
+
+    /// The one-pass epilogue is [`normalize_plane`] → [`relu_mask`] →
+    /// `sum_dot_f64` bit for bit, `g` and sums, on every tier: planes
+    /// shorter than, equal to and past one vector, with and without the
+    /// clip, `γ < 0` and `β = ±0.0` with some `x` exactly at the mean (so
+    /// `y = −0.0` or `+0.0` there, both masked), and NaN activations (a
+    /// masked lane under the ordered compare; the Σg·x̂ it feeds is NaN).
+    #[test]
+    fn norm_grad_plane_is_the_three_kernels_in_one_pass() {
+        let (mean, inv_std) = (0.3f32, 1.7f32);
+        for isa in test_isas() {
+            for n in [1usize, 7, 8, 9, 63, 64, 65, 1024] {
+                for nan in [false, true] {
+                    let x: Vec<f32> = data(n)
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| match i % 11 {
+                            3 if nan => f32::NAN,
+                            1 | 6 => mean,
+                            _ => v * 0.4 + 0.2,
+                        })
+                        .collect();
+                    let g0: Vec<f32> = data(n + 5)[5..].to_vec();
+                    let params = [(0.9f32, -0.2f32), (-0.7, -0.0), (-0.7, 0.0), (1.1, 0.0)];
+                    for (gamma, beta) in params {
+                        for relu in [false, true] {
+                            let label = format!("{isa} n={n} γ={gamma} β={beta} relu={relu}");
+                            let (mut hat, mut y) = (vec![0.0; n], vec![0.0; n]);
+                            normalize_plane(
+                                isa,
+                                &x,
+                                Some(&mut hat),
+                                &mut y,
+                                mean,
+                                inv_std,
+                                gamma,
+                                beta,
+                                relu,
+                            );
+                            let mut want = g0.clone();
+                            if relu {
+                                relu_mask(isa, &mut want, &y);
+                            }
+                            let mut want_sums = (0.25f64, -1.5f64);
+                            sum_dot_f64(isa, &want, &hat, &mut want_sums.0, &mut want_sums.1);
+                            let mut got = g0.clone();
+                            let mut got_sums = (0.25f64, -1.5f64);
+                            norm_grad_plane(
+                                isa,
+                                &mut got,
+                                &x,
+                                mean,
+                                inv_std,
+                                gamma,
+                                beta,
+                                relu,
+                                &mut got_sums,
+                            );
+                            assert_eq!(bits(&got), bits(&want), "g {label}");
+                            assert_eq!(got_sums.0.to_bits(), want_sums.0.to_bits(), "Σg {label}");
+                            assert_eq!(got_sums.1.to_bits(), want_sums.1.to_bits(), "Σg·x̂ {label}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scalar twin continues the running sums element by element, so a
+    /// channel split into planes of 3, 5 and 64 values folds exactly as one
+    /// element-by-element loop over the whole channel.
+    #[test]
+    fn scalar_norm_grad_plane_continues_one_fold() {
+        let (mean, inv_std, gamma, beta) = (0.3f32, 1.7f32, -0.7f32, 0.15f32);
+        let x: Vec<f32> = data(72).iter().map(|v| v * 0.4 + 0.2).collect();
+        let g0 = data(77)[5..].to_vec();
+        let mut want = g0.clone();
+        let mut want_sums = (0.0f64, 0.0f64);
+        for (g, &v) in want.iter_mut().zip(&x) {
+            let hat = (v - mean) * inv_std;
+            if gamma * hat + beta <= 0.0 {
+                *g = 0.0;
+            }
+            want_sums.0 += f64::from(*g);
+            want_sums.1 += f64::from(*g) * f64::from(hat);
+        }
+        let mut got = g0;
+        let mut got_sums = (0.0f64, 0.0f64);
+        let (mut g_rest, mut x_rest) = (&mut got[..], &x[..]);
+        for len in [3usize, 5, 64] {
+            let (g_plane, g_next) = g_rest.split_at_mut(len);
+            let (x_plane, x_next) = x_rest.split_at(len);
+            norm_grad_plane(
+                SimdIsa::Scalar,
+                g_plane,
+                x_plane,
+                mean,
+                inv_std,
+                gamma,
+                beta,
+                true,
+                &mut got_sums,
+            );
+            (g_rest, x_rest) = (g_next, x_next);
+        }
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got_sums.0.to_bits(), want_sums.0.to_bits());
+        assert_eq!(got_sums.1.to_bits(), want_sums.1.to_bits());
     }
 }

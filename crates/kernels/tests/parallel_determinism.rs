@@ -123,6 +123,10 @@ fn conv_forward_and_backward_match_serial() {
         (9, 3, 5, 11, 9, Conv2dAttrs::new(5, 5, 2, 2)),
         (9, 3, 5, 12, 10, same(5, 12)),
         (9, 3, 5, 16, 11, same(5, 16)),
+        // 13 and 16 output channels: the AVX-512 correlation's 8-channel
+        // tile, then its 4- and 1-channel tails, or two whole tiles.
+        (3, 5, 13, 8, 12, same(13, 8)),
+        (2, 4, 16, 16, 13, Conv2dAttrs::pointwise(16)),
     ] {
         let x = random(Shape::nchw(n, ic, hw, hw), seed);
         let w = random(Shape::nchw(oc, ic, attrs.kernel_h, attrs.kernel_w), seed + 100);
@@ -341,9 +345,18 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
     let (tiny, tiny_grad) =
         (random(Shape::nchw(3, 5, 2, 2), 45), random(Shape::nchw(3, 5, 2, 2), 46));
     let strided = Conv2dAttrs::new(6, 3, 2, 1);
+    // 13 and 16 output channels: the AVX-512 correlation's 8-channel tile,
+    // then its 4- and 1-channel tails, or two whole tiles (pointwise).
+    let (same13, point16) = (Conv2dAttrs::same_3x3(13), Conv2dAttrs::pointwise(16));
+    let (w13, w16) = (random(Shape::nchw(13, 5, 3, 3), 50), random(Shape::nchw(16, 5, 1, 1), 51));
     let conv_case = |input: &Tensor, attrs: &Conv2dAttrs| {
-        let y = conv2d_forward(input, &w, None, attrs).unwrap();
-        let d_x = conv2d_backward_input(&y, &w, input.shape(), attrs).unwrap();
+        let w = match attrs.out_channels {
+            13 => &w13,
+            16 => &w16,
+            _ => &w,
+        };
+        let y = conv2d_forward(input, w, None, attrs).unwrap();
+        let d_x = conv2d_backward_input(&y, w, input.shape(), attrs).unwrap();
         let (d_w, _) = conv2d_backward_weights(input, &y, attrs, false).unwrap();
         let mut flat = y.into_vec();
         flat.extend(d_x.into_vec());
@@ -392,6 +405,8 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
         ("conv_fwd_bwd_8x8", &|| conv_case(&wide8, &attrs)),
         ("conv_fwd_bwd_16x16", &|| conv_case(&wide16, &attrs)),
         ("conv_fwd_bwd_8x8_nine", &|| conv_case(&nine, &attrs)),
+        ("conv_fwd_bwd_8x8_13", &|| conv_case(&wide8, &same13)),
+        ("conv_fwd_bwd_16x16_16_1x1", &|| conv_case(&wide16, &point16)),
         ("relu_backward", &|| relu_backward(&b, &x).unwrap().into_vec()),
         ("bn_backward", &|| {
             let (_, state) = bn_forward(&x, &params, 1e-5, true).unwrap();
@@ -423,6 +438,7 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
         ("fused_forward_8x8", &|| fused_forward(normalized(&wide8), &w, &attrs)),
         ("fused_backward_16x16", &|| fused_backward(normalized(&wide16), &w, &attrs)),
         ("fused_backward_clip_8x8", &|| fused_backward(ConvInput::Clip(&wide8), &w, &attrs)),
+        ("fused_backward_8x8_13", &|| fused_backward(normalized(&wide8), &w13, &same13)),
     ];
     for &isa in &isas {
         for (label, f) in cases {

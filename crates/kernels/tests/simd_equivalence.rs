@@ -324,16 +324,20 @@ fn bn_affine_and_fused_paths_agree() {
 
     // The weight gradient's transposed windows, gathered from a bordered
     // copy of each sample — a strided-padded and a ragged-width padded shape
-    // — and its correlation over windows read in place: padded, pointwise.
+    // — and its correlation over windows read in place: padded, pointwise,
+    // and with 13 and 16 output channels (the AVX-512 tier's 8-channel tile,
+    // then its 4- and 1-channel tails, or two whole tiles).
     for (hw, attrs) in [
         (9, Conv2dAttrs::new(6, 3, 2, 1)),
         (7, Conv2dAttrs::new(6, 5, 1, 2)),
         (8, Conv2dAttrs::same_3x3(6)),
         (8, Conv2dAttrs::pointwise(6)),
+        (8, Conv2dAttrs::same_3x3(13)),
+        (16, Conv2dAttrs::pointwise(16)),
     ] {
         let x = init.uniform(Shape::nchw(3, 4, hw, hw), -0.5, 0.5);
         let out_hw = (hw + 2 * attrs.pad - attrs.kernel_h) / attrs.stride + 1;
-        let d_out = init.uniform(Shape::nchw(3, 6, out_hw, out_hw), -0.5, 0.5);
+        let d_out = init.uniform(Shape::nchw(3, attrs.out_channels, out_hw, out_hw), -0.5, 0.5);
         let (s, v) =
             both_paths(|| conv2d_backward_weights(&x, &d_out, &attrs, false).unwrap().0.into_vec());
         assert_paths_close(&format!("conv2d_backward_weights {attrs:?}"), 3 * hw * hw, &s, &v);

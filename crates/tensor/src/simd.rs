@@ -303,6 +303,10 @@ pub fn sq_dev_sum_f64(isa: SimdIsa, x: &[f32], mean: f64) -> f64 {
 /// bit, whatever the plane boundaries); the AVX2 path adds one plane
 /// subtotal built from four lane partials, like [`sum_sq_f64`].
 ///
+/// Its callers in `bnff-kernels`: BN backward over a stored `x̂`
+/// (`bn_backward`), and the tests that hold the one-pass recompute epilogue
+/// (`vecops::norm_grad_plane`, which keeps this order in registers) to it.
+///
 /// # Panics
 /// Panics if the planes differ in length.
 pub fn sum_dot_f64(isa: SimdIsa, g: &[f32], h: &[f32], sum: &mut f64, dot: &mut f64) {

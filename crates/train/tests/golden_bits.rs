@@ -27,8 +27,11 @@
 //! actually took).
 //!
 //! The AVX-512 tier has no table of its own: it runs every kernel's
-//! AVX2+FMA body except the GEMM microkernel, whose 512-bit pair kernel
-//! gives every element the 256-bit kernel's bits, so both models must
+//! AVX2+FMA body except two that it widens without moving a bit — the GEMM
+//! microkernel, whose 512-bit pair kernel gives every element the 256-bit
+//! kernel's bits, and the weight-gradient correlation, whose zmm
+//! accumulators each hold two of the AVX2 tile's (output channels `p` and
+//! `p + 4`) and are reduced by the same `hadd` tree — so both models must
 //! reproduce the AVX2 table under it too. A host without avx512f skips
 //! those two tests with a message — `with_isa(SimdIsa::Avx512, ..)` steps
 //! down to AVX2+FMA there, and a run on that tier would only repeat the
