@@ -35,9 +35,11 @@
 //! (`Windows::staged` is the rule; an [`Im2colView`] has no padding to
 //! express). For a
 //! [`ConvInput`] prologue the staging *is* the copy the prologue makes
-//! anyway, written row by row into the interior — so the padding comes
-//! after the prologue, as `max(γ·(0 − μ)/σ + β, 0) ≠ 0` requires; a raw
-//! input pays `1.1×` its sample. An unpadded convolution (pointwise,
+//! anyway, written into the interior one plane per call
+//! (`vecops::stage_plane` walks the plane's rows itself, so a 32-wide row
+//! costs no call of its own) — so the padding comes after the prologue, as
+//! `max(γ·(0 − μ)/σ + β, 0) ≠ 0` requires; a raw input pays `1.1×` its
+//! sample. An unpadded convolution (pointwise,
 //! `valid`) without a prologue stages nothing and is read from the
 //! caller's tensor. The forward pass and the input gradient hold one
 //! scratch per call, the weight gradient one per sample group.
@@ -79,7 +81,7 @@ use crate::correlate::WindowCorrelation;
 use crate::error::KernelError;
 use crate::gemm::{gemm_nt_im2col_acc, gemm_tn, Im2colGemm, Im2colView};
 use crate::im2col::{col2im_accumulate, col_shape, conv_out_hw, conv_out_shape};
-use crate::vecops;
+use crate::vecops::{self, StageOp};
 use crate::Result;
 use bnff_graph::op::Conv2dAttrs;
 use bnff_parallel::{chunk_ranges, min_items_per_thread, parallel_reduce, parallel_rows_mut};
@@ -149,10 +151,10 @@ impl<'a> ConvInput<'a> {
     }
 
     /// Sample `ni` as the convolution reads it: the borrowed slice (`stage`
-    /// is `None`), or the sample written run by run into `stage` — copied,
-    /// clipped or normalized+clipped (the normalize sweep's arithmetic per
-    /// ISA, minus the `x̂` store; per element it does not depend on where a
-    /// run starts).
+    /// is `None`), or the sample written plane by plane into `stage` —
+    /// copied, clipped or normalized+clipped (the normalize sweep's
+    /// arithmetic per ISA, minus the `x̂` store; per element it does not
+    /// depend on where a row starts).
     fn sample<'s>(&self, isa: SimdIsa, ni: usize, stage: Option<&'s mut Staging>) -> &'s [f32]
     where
         'a: 's,
@@ -160,27 +162,15 @@ impl<'a> ConvInput<'a> {
         let src = self.raw_sample(ni);
         let Some(stage) = stage else { return src };
         match *self {
-            ConvInput::Raw(_) => stage.write(src, |_, x, y| y.copy_from_slice(x)),
-            ConvInput::Clip(_) => stage.write(src, |_, x, y| vecops::relu_into(isa, x, y)),
+            ConvInput::Raw(_) => stage.write(isa, src, |_| StageOp::Copy),
+            ConvInput::Clip(_) => stage.write(isa, src, |_| StageOp::Relu),
+            // `1/σ` once per plane.
             ConvInput::NormClip { stats, params, epsilon, .. } => {
-                // `1/σ` once per plane, not once per row of it.
-                let mut plane = (usize::MAX, 0.0);
-                stage.write(src, |ci, x, y| {
-                    if plane.0 != ci {
-                        plane = (ci, inv_std(stats, ci, epsilon));
-                    }
-                    let (gamma, beta) = (params.gamma[ci], params.beta[ci]);
-                    vecops::normalize_plane(
-                        isa,
-                        x,
-                        None,
-                        y,
-                        stats.mean[ci],
-                        plane.1,
-                        gamma,
-                        beta,
-                        true,
-                    );
+                stage.write(isa, src, |ci| StageOp::NormClip {
+                    mean: stats.mean[ci],
+                    inv_std: inv_std(stats, ci, epsilon),
+                    gamma: params.gamma[ci],
+                    beta: params.beta[ci],
                 })
             }
         }
@@ -235,8 +225,8 @@ impl Windows {
 /// and `border.1` columns — the convolution's padding, made real (see
 /// [`Windows::staged`]). The border is laid once, on take — the buffer is
 /// recycled dirty — and every [`Staging::write`] fills exactly the
-/// interior. Without a border this is the plain `C·H·W` scratch of a
-/// [`ConvInput`] prologue.
+/// interior, plane by plane. Without a border this is the plain `C·H·W`
+/// scratch of a [`ConvInput`] prologue.
 struct Staging {
     dims: (usize, usize, usize),
     border: (usize, usize),
@@ -252,8 +242,14 @@ impl Staging {
             return None;
         }
         let (c, h, w) = dims;
+        let len = c * (h + 2 * border.0) * (w + 2 * border.1);
+        Some(Staging::bordered(dims, border, COL_POOL.take_dirty(len)))
+    }
+
+    /// The dirty buffer `buf` as the scratch, its zero border laid.
+    fn bordered(dims: (usize, usize, usize), border: (usize, usize), mut buf: Vec<f32>) -> Self {
+        let (_, h, w) = dims;
         let (rows, cols) = (h + 2 * border.0, w + 2 * border.1);
-        let mut buf = COL_POOL.take_dirty(c * rows * cols);
         if border != (0, 0) {
             let first = border.0 * cols + border.1;
             for plane in buf.chunks_exact_mut(rows * cols) {
@@ -266,22 +262,19 @@ impl Staging {
                 plane[at..].fill(0.0);
             }
         }
-        Some(Staging { dims, border, buf })
+        Staging { dims, border, buf }
     }
 
-    /// Writes one sample: `run(ci, src, dst)` for every stretch of plane
-    /// `ci` that stays contiguous in the scratch — a row inside a border,
-    /// the whole plane without one — and returns the staged sample.
-    fn write(&mut self, src: &[f32], mut run: impl FnMut(usize, &[f32], &mut [f32])) -> &[f32] {
+    /// Writes one sample, plane `ci` through `op(ci)` by one
+    /// [`vecops::stage_plane`] call that walks the plane's interior rows,
+    /// and returns the staged sample.
+    fn write(&mut self, isa: SimdIsa, src: &[f32], op: impl Fn(usize) -> StageOp) -> &[f32] {
         let ((_, h, w), (bh, bw)) = (self.dims, self.border);
         let (rows, cols) = (h + 2 * bh, w + 2 * bw);
-        let run_len = if self.border == (0, 0) { h * w } else { w }.max(1);
+        let first = bh * cols + bw;
         let planes = src.chunks_exact((h * w).max(1)).zip(self.buf.chunks_exact_mut(rows * cols));
         for (ci, (x_plane, plane)) in planes.enumerate() {
-            for (r, x_run) in x_plane.chunks_exact(run_len).enumerate() {
-                let at = (bh + r) * cols + bw;
-                run(ci, x_run, &mut plane[at..at + run_len]);
-            }
+            vecops::stage_plane(isa, op(ci), x_plane, &mut plane[first..], (h, w), cols);
         }
         &self.buf
     }
@@ -508,8 +501,9 @@ fn conv_samples(
 /// the prologue of `input`, one GEMM (module docs: what it packs and what it
 /// reads in place), then the epilogue on the cache-hot output — bias, the
 /// frozen graph's ReLU clamp, and (the `CONV1-(sub-BN1)` accumulation) a
-/// push of every output plane into `stats`, in sample order, so the sums
-/// are bit-identical to [`ChannelAccumulator::from_tensor`] on `out`.
+/// push of the sample's output planes into `stats`, two channels at a time
+/// and in sample order, so the sums are bit-identical to
+/// [`ChannelAccumulator::from_tensor`] on `out`.
 pub(crate) fn conv_forward(
     input: ConvInput<'_>,
     weights: &Tensor,
@@ -531,9 +525,7 @@ pub(crate) fn conv_forward(
     conv_samples(input, m, w_mat, &windows, 0.0, out.as_mut_slice(), |_, out_n| {
         apply_bias_relu(out_n, bias, cols, fuse_relu);
         if let Some(acc) = stats.as_deref_mut() {
-            for (oc, plane) in out_n.chunks_exact(cols).enumerate() {
-                acc.push_plane(oc, plane);
-            }
+            acc.push_sample(out_n);
             acc.add_count(cols);
         }
     })
@@ -968,6 +960,67 @@ mod tests {
         backward_input(&g, &w, &attrs, true, &mut d_x, |_, _| {}).unwrap();
         assert!(d_x.as_slice().iter().all(|v| v.is_finite()));
         assert_close_relative("d_x", d_x.as_slice(), want.as_slice(), 1e-5);
+    }
+
+    /// Every staged plane, into a NaN-filled scratch: border elements `+0.0`,
+    /// interior elements the bits of the element-wise sweep the prologue
+    /// names (the copy, `relu_into`, or `normalize_plane` with the clip) on
+    /// the same tier — for borders 1, 2 and 1×2, and widths below, at, past
+    /// and well past one vector; the input carries NaN, ±∞ and ±0.0.
+    #[test]
+    fn staged_planes_match_the_elementwise_reference() {
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        for isa in crate::dispatch::test_isas() {
+            for w in [1usize, 7, 8, 9, 33] {
+                let (c, h) = (3usize, 4usize);
+                let mut x = random(Shape::nchw(2, c, h, w), 61);
+                for (i, v) in x.as_mut_slice().iter_mut().enumerate().filter(|(i, _)| i % 7 == 3) {
+                    *v = specials[i % specials.len()];
+                }
+                let finite = random(x.shape().clone(), 62);
+                let stats = crate::batchnorm::bn_statistics(&finite, true).unwrap();
+                let params = BnParams::new(vec![0.8, -0.6, 1.1], vec![0.1, -0.0, -0.2]).unwrap();
+                let norm_clip =
+                    ConvInput::NormClip { x: &x, stats: &stats, params: &params, epsilon: 1e-5 };
+                let mut clipped = x.clone();
+                vecops::relu_into(isa, x.as_slice(), clipped.as_mut_slice());
+                let mut normed = x.clone();
+                for (p, y) in normed.as_mut_slice().chunks_exact_mut(h * w).enumerate() {
+                    let ci = p % c;
+                    let (mean, gamma, beta) = (stats.mean[ci], params.gamma[ci], params.beta[ci]);
+                    let inv_std = inv_std(&stats, ci, 1e-5);
+                    let src = x.channel_plane(p / c, ci);
+                    vecops::normalize_plane(isa, src, None, y, mean, inv_std, gamma, beta, true);
+                }
+                let inputs = [
+                    ("raw", ConvInput::Raw(&x), &x),
+                    ("clip", ConvInput::Clip(&x), &clipped),
+                    ("norm", norm_clip, &normed),
+                ];
+                for (name, input, read) in inputs {
+                    for border in [(1usize, 1usize), (2, 2), (1, 2)] {
+                        let (rows, cols) = (h + 2 * border.0, w + 2 * border.1);
+                        for ni in 0..2 {
+                            let label = format!("{isa} {name} w={w} border {border:?} n={ni}");
+                            let scratch = vec![f32::NAN; c * rows * cols];
+                            let mut stage = Staging::bordered((c, h, w), border, scratch);
+                            let staged = input.sample(isa, ni, Some(&mut stage));
+                            for (i, &v) in staged.iter().enumerate() {
+                                let (ci, r, col) = (i / (rows * cols), i / cols % rows, i % cols);
+                                let inside = (border.0..border.0 + h).contains(&r)
+                                    && (border.1..border.1 + w).contains(&col);
+                                let want = if inside {
+                                    read.at(ni, ci, r - border.0, col - border.1)
+                                } else {
+                                    0.0
+                                };
+                                assert_eq!(v.to_bits(), want.to_bits(), "{label} at {i}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// `x` (two samples), `w` and an output gradient `g` for one geometry.

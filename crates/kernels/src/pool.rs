@@ -1,4 +1,14 @@
 //! Spatial pooling layers: max, average and global average pooling.
+//!
+//! Average pooling over disjoint windows that all fit (`stride == kernel`,
+//! no padding: the DenseNet transitions' 2×2/2) runs without the general
+//! per-output window loop. The forward computes each output row from its
+//! `kernel` input rows with no bounds test and one divisor — at `k = 2` the
+//! AVX2 and AVX-512 tiers split the even and odd lanes of the two input
+//! rows — and the backward writes every input-gradient element once. Both
+//! perform the general loop's floating-point operations in its order, so
+//! every result keeps its bits (±0.0, NaN and ±∞ included) on every ISA;
+//! padded or overlapping windows keep the general loop.
 
 use crate::batchnorm::min_planes_per_thread;
 use crate::error::KernelError;
@@ -6,6 +16,7 @@ use crate::im2col::conv_out_dim;
 use crate::Result;
 use bnff_graph::op::PoolAttrs;
 use bnff_parallel::{parallel_rows_mut, parallel_rows_mut2};
+use bnff_tensor::simd::{active_isa, SimdIsa};
 use bnff_tensor::{Shape, Tensor};
 
 /// What the max-pooling backward pass needs from the forward pass: the
@@ -230,7 +241,10 @@ pub fn avg_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> Result<Tensor> {
 }
 
 /// [`avg_pool_forward`] into a caller-provided output tensor. Every element
-/// of `out` is overwritten.
+/// of `out` is overwritten. Disjoint windows that all fit (`stride ==
+/// kernel`, no padding) take a path without the per-output window loop
+/// (module docs), with the same bits; every other window shape takes the
+/// general loop.
 ///
 /// # Errors
 /// Returns an error if the shapes (including `out`'s) are inconsistent.
@@ -240,34 +254,98 @@ pub fn avg_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, out: &mut Tensor) ->
     check_pooled_output(out, &Shape::nchw(n, c, oh, ow))?;
     let plane_out = oh * ow;
     let min_planes = min_planes_per_thread(plane_out * attrs.kernel * attrs.kernel);
+    // Resolved on the caller's thread: pool workers don't inherit a scoped
+    // `with_isa` override.
+    let isa = active_isa();
     parallel_rows_mut(out.as_mut_slice(), plane_out, min_planes, |first_plane, block| {
         for (p_local, out_plane) in block.chunks_mut(plane_out).enumerate() {
             let p = first_plane + p_local;
             let plane = x.channel_plane(p / c, p % c);
-            for po in 0..oh {
-                for qo in 0..ow {
-                    let mut acc = 0.0f32;
-                    let mut count = 0usize;
-                    for kh in 0..attrs.kernel {
-                        let ih = (po * attrs.stride + kh) as isize - attrs.pad as isize;
-                        if ih < 0 || ih as usize >= h {
-                            continue;
-                        }
-                        for kw in 0..attrs.kernel {
-                            let iw = (qo * attrs.stride + kw) as isize - attrs.pad as isize;
-                            if iw < 0 || iw as usize >= w {
-                                continue;
-                            }
-                            acc += plane[ih as usize * w + iw as usize];
-                            count += 1;
-                        }
-                    }
-                    out_plane[po * ow + qo] = if count > 0 { acc / count as f32 } else { 0.0 };
-                }
+            if disjoint(attrs) {
+                avg_pool_disjoint(isa, attrs.kernel, plane, w, out_plane, ow);
+            } else {
+                avg_pool_windows(plane, (h, w), attrs, out_plane, (oh, ow));
             }
         }
     });
     Ok(())
+}
+
+/// Whether `attrs` tiles a plane with disjoint windows that all fit — the
+/// DenseNet transitions' 2×2/2 pooling.
+fn disjoint(attrs: &PoolAttrs) -> bool {
+    attrs.stride == attrs.kernel && attrs.pad == 0
+}
+
+/// The general average-pooling loop over one plane, for any window: each
+/// output is `0.0`, plus the window's valid positions in `(kh, kw)` order,
+/// divided by their count (`0.0` for a window with none).
+fn avg_pool_windows(
+    plane: &[f32],
+    (h, w): (usize, usize),
+    attrs: &PoolAttrs,
+    out_plane: &mut [f32],
+    (oh, ow): (usize, usize),
+) {
+    for po in 0..oh {
+        for qo in 0..ow {
+            let mut acc = 0.0f32;
+            let mut count = 0usize;
+            for kh in 0..attrs.kernel {
+                let ih = (po * attrs.stride + kh) as isize - attrs.pad as isize;
+                if ih < 0 || ih as usize >= h {
+                    continue;
+                }
+                for kw in 0..attrs.kernel {
+                    let iw = (qo * attrs.stride + kw) as isize - attrs.pad as isize;
+                    if iw < 0 || iw as usize >= w {
+                        continue;
+                    }
+                    acc += plane[ih as usize * w + iw as usize];
+                    count += 1;
+                }
+            }
+            out_plane[po * ow + qo] = if count > 0 { acc / count as f32 } else { 0.0 };
+        }
+    }
+}
+
+/// [`avg_pool_windows`] for disjoint `k × k` windows that all fit, one
+/// output row per `k` input rows of width `w`, with no bounds test and one
+/// divisor: each output is `0.0`, plus its window in `(kh, kw)` order,
+/// divided by `(k·k) as f32` — the general loop's operations in its order,
+/// so every result (±0.0, NaN and ±∞ included) has its bits. At `k = 2`
+/// the vector tiers take the even and odd lanes of the two input rows.
+fn avg_pool_disjoint(
+    isa: SimdIsa,
+    k: usize,
+    plane: &[f32],
+    w: usize,
+    out_plane: &mut [f32],
+    ow: usize,
+) {
+    let scale = (k * k) as f32;
+    for (out_row, rows) in out_plane.chunks_exact_mut(ow.max(1)).zip(plane.chunks_exact(k * w)) {
+        // SAFETY (both arms): the tier implies runtime-verified support of
+        // its features, and each of the two input rows holds `w ≥ 2·ow`
+        // values (`ow = ⌊w / 2⌋` at `k = 2`).
+        let done = match isa {
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SimdIsa::Avx512 if k == 2 => unsafe { avx512::pool2_row(rows.split_at(w), out_row) },
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SimdIsa::Avx2Fma if k == 2 => unsafe { avx2::pool2_row(rows.split_at(w), out_row, 0) },
+            _ => 0,
+        };
+        for (qo, o) in out_row.iter_mut().enumerate().skip(done) {
+            let mut acc = 0.0f32;
+            for row in rows.chunks_exact(w) {
+                for &v in &row[qo * k..][..k] {
+                    acc += v;
+                }
+            }
+            *o = acc / scale;
+        }
+    }
 }
 
 /// Average-pooling backward pass.
@@ -284,7 +362,8 @@ pub fn avg_pool_backward(d_y: &Tensor, input_shape: &Shape, attrs: &PoolAttrs) -
 /// pooling input's shape. Every element of `d_x` is overwritten: each plane
 /// is zeroed, then every window adds `share = g / count` to its valid
 /// positions in window order (`count` being the number of valid positions,
-/// as in the forward pass).
+/// as in the forward pass). Disjoint windows that all fit write each element
+/// once instead, with the same values.
 ///
 /// # Errors
 /// Returns an error if the shapes are inconsistent.
@@ -299,6 +378,32 @@ pub fn avg_pool_backward_into(d_y: &Tensor, attrs: &PoolAttrs, d_x: &mut Tensor)
             d_x.shape()
         )));
     }
+    let min_planes = min_planes_per_thread(oh * ow * attrs.kernel * attrs.kernel);
+    let isa = active_isa();
+    parallel_rows_mut(d_x.as_mut_slice(), plane_in.max(1), min_planes, |first_plane, block| {
+        for (p_local, plane) in block.chunks_mut(plane_in.max(1)).enumerate() {
+            let p = first_plane + p_local;
+            let grads = d_y.channel_plane(p / c, p % c);
+            if disjoint(attrs) {
+                avg_pool_backward_disjoint(isa, attrs.kernel, grads, ow, plane, w);
+            } else {
+                avg_pool_backward_windows(grads, (oh, ow), attrs, plane, (h, w));
+            }
+        }
+    });
+    Ok(())
+}
+
+/// The general average-pooling backward over one plane, for any window:
+/// the plane is zeroed, then every window adds `g / count` to its valid
+/// positions.
+fn avg_pool_backward_windows(
+    grads: &[f32],
+    (oh, ow): (usize, usize),
+    attrs: &PoolAttrs,
+    plane: &mut [f32],
+    (h, w): (usize, usize),
+) {
     let (kernel, stride, pad) = (attrs.kernel, attrs.stride, attrs.pad);
     // The kernel taps of output index `o` that land inside an axis of `len`.
     let taps = |o: usize, len: usize| {
@@ -306,48 +411,170 @@ pub fn avg_pool_backward_into(d_y: &Tensor, attrs: &PoolAttrs, d_x: &mut Tensor)
         let lo = pad.saturating_sub(start);
         lo..(len + pad).saturating_sub(start).min(kernel).max(lo)
     };
-    let min_planes = min_planes_per_thread(oh * ow * kernel * kernel);
-    parallel_rows_mut(d_x.as_mut_slice(), plane_in.max(1), min_planes, |first_plane, block| {
-        for (p_local, plane) in block.chunks_mut(plane_in.max(1)).enumerate() {
-            let p = first_plane + p_local;
-            let grads = d_y.channel_plane(p / c, p % c);
-            plane.fill(0.0);
-            if stride == kernel && pad == 0 {
-                // Disjoint windows that all fit (the transitions' 2×2/2
-                // pooling): every covered element receives exactly one add.
-                let share_scale = (kernel * kernel) as f32;
-                for (po, g_row) in grads.chunks_exact(ow.max(1)).enumerate() {
-                    for row in plane[po * kernel * w..].chunks_exact_mut(w).take(kernel) {
-                        for (window, &g) in row.chunks_exact_mut(kernel).zip(g_row) {
-                            let share = g / share_scale;
-                            for v in window {
-                                *v += share;
-                            }
-                        }
-                    }
-                }
+    plane.fill(0.0);
+    for po in 0..oh {
+        let rows = taps(po, h);
+        for qo in 0..ow {
+            let cols = taps(qo, w);
+            let count = rows.len() * cols.len();
+            if count == 0 {
                 continue;
             }
-            for po in 0..oh {
-                let rows = taps(po, h);
-                for qo in 0..ow {
-                    let cols = taps(qo, w);
-                    let count = rows.len() * cols.len();
-                    if count == 0 {
-                        continue;
-                    }
-                    let share = grads[po * ow + qo] / count as f32;
-                    for kh in rows.clone() {
-                        let row = &mut plane[(po * stride + kh - pad) * w..][..w];
-                        for v in &mut row[qo * stride + cols.start - pad..][..cols.len()] {
-                            *v += share;
-                        }
-                    }
+            let share = grads[po * ow + qo] / count as f32;
+            for kh in rows.clone() {
+                let row = &mut plane[(po * stride + kh - pad) * w..][..w];
+                for v in &mut row[qo * stride + cols.start - pad..][..cols.len()] {
+                    *v += share;
                 }
             }
         }
-    });
-    Ok(())
+    }
+}
+
+/// [`avg_pool_backward_windows`] for disjoint `k × k` windows that all fit:
+/// every covered element is written once with `0.0 + g / (k·k)` — the value
+/// zeroing then adding gives, `+0.0` for a `−0.0` share — and only the rows
+/// and columns no window covers (odd `H` or `W` at `k = 2`) are zeroed.
+fn avg_pool_backward_disjoint(
+    isa: SimdIsa,
+    k: usize,
+    grads: &[f32],
+    ow: usize,
+    plane: &mut [f32],
+    w: usize,
+) {
+    let scale = (k * k) as f32;
+    let covered = grads.len() / ow.max(1) * k * w;
+    let (rows, uncovered) = plane.split_at_mut(covered);
+    for (g_row, rows) in grads.chunks_exact(ow.max(1)).zip(rows.chunks_exact_mut(k * w)) {
+        for row in rows.chunks_exact_mut(w) {
+            let done = match isa {
+                // SAFETY: both vector tiers imply runtime-verified avx2+fma
+                // support, and the row holds `w ≥ 2·ow` values.
+                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                SimdIsa::Avx2Fma | SimdIsa::Avx512 if k == 2 => unsafe {
+                    avx2::unpool2_row(g_row, row)
+                },
+                _ => 0,
+            };
+            for (window, &g) in row.chunks_exact_mut(k).zip(g_row).skip(done) {
+                window.fill(0.0 + g / scale);
+            }
+            row[ow * k..].fill(0.0);
+        }
+    }
+    uncovered.fill(0.0);
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+mod avx2 {
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
+
+    /// Outputs `from..` of one 2×2/2 output row, eight at a time, from the
+    /// input rows `r0` and `r1`: each is `((((0 + r0[2q]) + r0[2q + 1]) +
+    /// r1[2q]) + r1[2q + 1]) / 4`, with the even and odd lanes of sixteen
+    /// input values split by two shuffles (which leave the 64-bit quarters
+    /// in the order 0, 2, 1, 3 — put back by one permute of the result).
+    /// Returns how many outputs are done; the caller finishes the rest.
+    ///
+    /// # Safety
+    /// The CPU must support avx2 and fma, and both rows must hold at least
+    /// `2·out.len()` values.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn pool2_row((r0, r1): (&[f32], &[f32]), out: &mut [f32], from: usize) -> usize {
+        debug_assert!(r0.len() >= 2 * out.len() && r1.len() >= 2 * out.len());
+        let (zero, four) = (_mm256_setzero_ps(), _mm256_set1_ps(4.0));
+        let end = from + (out.len() - from) / 8 * 8;
+        for q in (from..end).step_by(8) {
+            // SAFETY: q + 8 <= out.len(), so the 16 values at 2q lie inside
+            // both rows (the caller's contract), and the 8 at q inside `out`.
+            unsafe {
+                let (a, b) = (r0.as_ptr().add(2 * q), r1.as_ptr().add(2 * q));
+                let (a0, a1) = (_mm256_loadu_ps(a), _mm256_loadu_ps(a.add(8)));
+                let (b0, b1) = (_mm256_loadu_ps(b), _mm256_loadu_ps(b.add(8)));
+                let mut acc = _mm256_add_ps(zero, _mm256_shuffle_ps::<0x88>(a0, a1));
+                acc = _mm256_add_ps(acc, _mm256_shuffle_ps::<0xDD>(a0, a1));
+                acc = _mm256_add_ps(acc, _mm256_shuffle_ps::<0x88>(b0, b1));
+                acc = _mm256_add_ps(acc, _mm256_shuffle_ps::<0xDD>(b0, b1));
+                let mean = _mm256_castps_pd(_mm256_div_ps(acc, four));
+                let mean = _mm256_castpd_ps(_mm256_permute4x64_pd::<0xD8>(mean));
+                _mm256_storeu_ps(out.as_mut_ptr().add(q), mean);
+            }
+        }
+        end
+    }
+
+    /// The covered part of one input-gradient row under 2×2/2 windows,
+    /// eight gradients at a time: `0 + g / 4` twice each, in order. Returns
+    /// how many gradients are done; the caller finishes the rest.
+    ///
+    /// # Safety
+    /// The CPU must support avx2 and fma, and `row` must hold at least
+    /// `2·g.len()` values.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn unpool2_row(g: &[f32], row: &mut [f32]) -> usize {
+        debug_assert!(row.len() >= 2 * g.len());
+        let (zero, four) = (_mm256_setzero_ps(), _mm256_set1_ps(4.0));
+        let end = g.len() / 8 * 8;
+        for q in (0..end).step_by(8) {
+            // SAFETY: q + 8 <= g.len(), and the 16 values at 2q lie inside
+            // `row` by the caller's contract.
+            unsafe {
+                let share =
+                    _mm256_add_ps(zero, _mm256_div_ps(_mm256_loadu_ps(g.as_ptr().add(q)), four));
+                // Lanes [0, 0, 1, 1 | 4, 4, 5, 5] and [2, 2, 3, 3 | 6, 6, 7, 7].
+                let (lo, hi) = (_mm256_unpacklo_ps(share, share), _mm256_unpackhi_ps(share, share));
+                let dst = row.as_mut_ptr().add(2 * q);
+                _mm256_storeu_ps(dst, _mm256_permute2f128_ps::<0x20>(lo, hi));
+                _mm256_storeu_ps(dst.add(8), _mm256_permute2f128_ps::<0x31>(lo, hi));
+            }
+        }
+        end
+    }
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+mod avx512 {
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
+
+    /// [`super::avx2::pool2_row`] sixteen outputs at a time: the even and
+    /// odd lanes of 32 input values by one two-source permute each, in
+    /// order, so no permute of the result; the AVX2 body finishes the row.
+    ///
+    /// # Safety
+    /// The CPU must support avx512f, and both rows must hold at least
+    /// `2·out.len()` values.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn pool2_row((r0, r1): (&[f32], &[f32]), out: &mut [f32]) -> usize {
+        debug_assert!(r0.len() >= 2 * out.len() && r1.len() >= 2 * out.len());
+        let (zero, four) = (_mm512_setzero_ps(), _mm512_set1_ps(4.0));
+        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+        let odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
+        let end = out.len() / 16 * 16;
+        for q in (0..end).step_by(16) {
+            // SAFETY: q + 16 <= out.len(), so the 32 values at 2q lie inside
+            // both rows (the caller's contract), and the 16 at q inside `out`.
+            unsafe {
+                let (a, b) = (r0.as_ptr().add(2 * q), r1.as_ptr().add(2 * q));
+                let (a0, a1) = (_mm512_loadu_ps(a), _mm512_loadu_ps(a.add(16)));
+                let (b0, b1) = (_mm512_loadu_ps(b), _mm512_loadu_ps(b.add(16)));
+                let mut acc = _mm512_add_ps(zero, _mm512_permutex2var_ps(a0, even, a1));
+                acc = _mm512_add_ps(acc, _mm512_permutex2var_ps(a0, odd, a1));
+                acc = _mm512_add_ps(acc, _mm512_permutex2var_ps(b0, even, b1));
+                acc = _mm512_add_ps(acc, _mm512_permutex2var_ps(b0, odd, b1));
+                _mm512_storeu_ps(out.as_mut_ptr().add(q), _mm512_div_ps(acc, four));
+            }
+        }
+        // SAFETY: avx512f implies avx2 and fma; the rows and `out` are the
+        // caller's, unchanged.
+        unsafe { super::avx2::pool2_row((r0, r1), out, end) }
+    }
 }
 
 /// Global average pooling forward: reduces every channel plane to a single
@@ -424,6 +651,7 @@ pub fn global_avg_pool_backward_into(d_y: &Tensor, d_x: &mut Tensor) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bnff_tensor::simd::with_isa;
 
     #[test]
     fn max_pool_picks_maximum() {
@@ -470,6 +698,63 @@ mod tests {
         assert_eq!(out.as_slice(), &[2.5]);
         let mut bad = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
         assert!(avg_pool_forward_into(&x, &attrs, &mut bad).is_err());
+    }
+
+    /// The disjoint-window path against the general loop (called per plane),
+    /// bit for bit, forward and backward, on every tier: 2×2/2 and 3×3/3 over
+    /// even, odd and single-window planes (and 25 outputs a row: a zmm step,
+    /// a ymm step and a scalar tail), inputs with ±0.0, NaN, ±∞ and
+    /// subnormals, gradients with −0.0, into NaN-filled outputs — so every
+    /// element, the uncovered odd row and column included, must be written.
+    #[test]
+    fn disjoint_windows_match_the_window_loop() {
+        let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40, -3e-39];
+        // A special every 17th value, so most windows sum four finite values
+        // whose rounding depends on the order they are added in.
+        let value = |i: usize, salt: usize| match (i + salt) % 17 {
+            5 => specials[i / 17 % specials.len()],
+            _ => ((i * 7919 + salt) % 1000) as f32 / 97.0 - 5.0,
+        };
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for isa in crate::dispatch::test_isas() {
+            for k in [2usize, 3] {
+                for (h, w) in [(2usize, 2usize), (7, 9), (8, 8), (32, 32), (3, 50)] {
+                    if k > h || k > w {
+                        continue;
+                    }
+                    let label = format!("{isa} {k}x{k}/{k} over {h}x{w}");
+                    let attrs = PoolAttrs::new(k, k, 0);
+                    let shape = Shape::nchw(2, 3, h, w);
+                    let x = Tensor::from_vec(
+                        shape.clone(),
+                        (0..shape.volume()).map(|i| value(i, 0)).collect(),
+                    )
+                    .unwrap();
+                    let (oh, ow) = (h / k, w / k);
+                    let mut y = Tensor::filled(Shape::nchw(2, 3, oh, ow), f32::NAN);
+                    with_isa(isa, || avg_pool_forward_into(&x, &attrs, &mut y)).unwrap();
+                    let mut want = vec![f32::NAN; oh * ow];
+                    for (p, got) in y.as_slice().chunks_exact(oh * ow).enumerate() {
+                        let plane = x.channel_plane(p / 3, p % 3);
+                        avg_pool_windows(plane, (h, w), &attrs, &mut want, (oh, ow));
+                        assert_eq!(bits(got), bits(&want), "forward {label} plane {p}");
+                    }
+                    let g = Tensor::from_vec(
+                        y.shape().clone(),
+                        (0..y.len()).map(|i| if i % 5 == 1 { -0.0 } else { value(i, 3) }).collect(),
+                    )
+                    .unwrap();
+                    let mut d_x = Tensor::filled(shape.clone(), f32::NAN);
+                    with_isa(isa, || avg_pool_backward_into(&g, &attrs, &mut d_x)).unwrap();
+                    let mut want = vec![f32::NAN; h * w];
+                    for (p, got) in d_x.as_slice().chunks_exact(h * w).enumerate() {
+                        let grads = g.channel_plane(p / 3, p % 3);
+                        avg_pool_backward_windows(grads, (oh, ow), &attrs, &mut want, (h, w));
+                        assert_eq!(bits(got), bits(&want), "backward {label} plane {p}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

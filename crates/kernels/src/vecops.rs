@@ -21,6 +21,10 @@
 //!   scalar loop rounds twice. Within one ISA results are deterministic,
 //!   but the two ISAs differ in the last bits; callers only invoke these
 //!   on whole planes, whose boundaries do not depend on thread count.
+//! * [`stage_plane`]: a plane copied, clipped or normalized+clipped into
+//!   the rows of a bordered scratch, one call per plane — per element the
+//!   element-wise sweep it names ([`relu_into`], or [`normalize_plane`]
+//!   with the clip) on the same ISA, bit for bit, wherever a row starts.
 //! * [`norm_grad_plane`]: [`normalize_plane`] → [`relu_mask`] →
 //!   `sum_dot_f64` in one pass, bit for bit per ISA; its reductions are
 //!   `sum_dot_f64`'s (the AVX2 flavour adds a plane subtotal, the scalar one
@@ -224,6 +228,58 @@ pub(crate) fn normalize_plane(
     }
 }
 
+/// What [`stage_plane`] applies to each value it copies.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StageOp {
+    /// The value as it is.
+    Copy,
+    /// `max(x, 0)`: [`relu_into`]'s arithmetic.
+    Relu,
+    /// `max(γ·((x − mean)·inv_std) + β, 0)`: [`normalize_plane`]'s
+    /// arithmetic with the clip, minus the `x̂` store.
+    NormClip { mean: f32, inv_std: f32, gamma: f32, beta: f32 },
+}
+
+/// Writes the plane `src` — `rows` rows of `width` values, one after
+/// another — through `op` into `dst`, whose rows start `pitch` values apart:
+/// row `r` lands in `dst[r·pitch..r·pitch + width]` and nothing between two
+/// rows is touched. One call walks every row; per element the result is
+/// `op`'s element-wise sweep on the same ISA, bit for bit.
+///
+/// # Panics
+/// Panics if `src` is not `rows × width` values, `pitch < width`, or `dst`
+/// is too short to hold the rows.
+pub(crate) fn stage_plane(
+    isa: SimdIsa,
+    op: StageOp,
+    src: &[f32],
+    dst: &mut [f32],
+    (rows, width): (usize, usize),
+    pitch: usize,
+) {
+    assert!(src.len() == rows * width && pitch >= width, "ragged plane");
+    if src.is_empty() {
+        return;
+    }
+    assert!(dst.len() >= (rows - 1) * pitch + width, "staged rows overrun the scratch");
+    // Rows that abut are one row.
+    let (rows, width, pitch) =
+        if pitch == width { (1, src.len(), 0) } else { (rows, width, pitch) };
+    match isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
+            unsafe { avx2::stage_plane(op, src, dst, (rows, width), pitch) }
+        }
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            stage_plane_scalar(op, src, dst, (rows, width), pitch)
+        }
+        SimdIsa::Scalar => stage_plane_scalar(op, src, dst, (rows, width), pitch),
+    }
+}
+
 /// The recompute half of a normalization's backward over one
 /// `(sample, channel)` plane, in one pass: `x̂ = (x − mean)·inv_std` and —
 /// `relu` — `y = γ·x̂ + β` are derived in registers, `g` is zeroed in place
@@ -262,6 +318,25 @@ pub(crate) fn norm_grad_plane(
             norm_grad_plane_scalar(g, x, mean, inv_std, gamma, beta, relu, sums)
         }
         SimdIsa::Scalar => norm_grad_plane_scalar(g, x, mean, inv_std, gamma, beta, relu, sums),
+    }
+}
+
+fn stage_plane_scalar(
+    op: StageOp,
+    src: &[f32],
+    dst: &mut [f32],
+    (rows, width): (usize, usize),
+    pitch: usize,
+) {
+    for r in 0..rows {
+        let (x, y) = (&src[r * width..][..width], &mut dst[r * pitch..][..width]);
+        match op {
+            StageOp::Copy => y.copy_from_slice(x),
+            StageOp::Relu => relu_into_scalar(x, y),
+            StageOp::NormClip { mean, inv_std, gamma, beta } => {
+                normalize_plane_scalar(x, None, y, mean, inv_std, gamma, beta, true)
+            }
+        }
     }
 }
 
@@ -395,10 +470,24 @@ fn normalize_plane_scalar(
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2 {
+    use super::StageOp;
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
+
+    /// The scalar twin of `_mm256_max_ps(v, 0)`: `v` where `v > 0`, `+0.0`
+    /// elsewhere (NaN and `−0.0` included), so a tail value has the bits a
+    /// vector lane gives it in every build — `f32::max` leaves the sign of
+    /// a zero tie unspecified.
+    #[inline]
+    fn clip(v: f32) -> f32 {
+        if v > 0.0 {
+            v
+        } else {
+            0.0
+        }
+    }
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub fn relu_into(src: &[f32], dst: &mut [f32]) {
@@ -413,7 +502,68 @@ mod avx2 {
             }
         }
         for (d, &v) in dst[vec_end..].iter_mut().zip(&src[vec_end..]) {
-            *d = v.max(0.0);
+            *d = clip(v);
+        }
+    }
+
+    /// `op` over every row: eight values per vector step, the rest of a
+    /// row by the scalar tail (FMA-contracted, like every AVX2 tail here).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub fn stage_plane(
+        op: StageOp,
+        src: &[f32],
+        dst: &mut [f32],
+        rows: (usize, usize),
+        pitch: usize,
+    ) {
+        let zero = _mm256_setzero_ps();
+        match op {
+            StageOp::Copy => stage_rows(src, dst, rows, pitch, |v| v, |v| v),
+            StageOp::Relu => stage_rows(src, dst, rows, pitch, |v| _mm256_max_ps(v, zero), clip),
+            StageOp::NormClip { mean, inv_std, gamma, beta } => {
+                let (m, is) = (_mm256_set1_ps(mean), _mm256_set1_ps(inv_std));
+                let (g, b) = (_mm256_set1_ps(gamma), _mm256_set1_ps(beta));
+                stage_rows(
+                    src,
+                    dst,
+                    rows,
+                    pitch,
+                    |v| {
+                        _mm256_max_ps(
+                            _mm256_fmadd_ps(g, _mm256_mul_ps(_mm256_sub_ps(v, m), is), b),
+                            zero,
+                        )
+                    },
+                    |v| clip(gamma.mul_add((v - mean) * inv_std, beta)),
+                );
+            }
+        }
+    }
+
+    /// The row walk behind [`stage_plane`]: `vector` on every whole group of
+    /// eight values of a row, `scalar` on the rest of it.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn stage_rows(
+        src: &[f32],
+        dst: &mut [f32],
+        (rows, width): (usize, usize),
+        pitch: usize,
+        vector: impl Fn(__m256) -> __m256,
+        scalar: impl Fn(f32) -> f32,
+    ) {
+        for r in 0..rows {
+            // The dispatcher asserted both rows in bounds.
+            let (x, y) = (&src[r * width..][..width], &mut dst[r * pitch..][..width]);
+            let ((x_chunks, x_tail), (y_chunks, y_tail)) =
+                (x.as_chunks::<8>(), y.as_chunks_mut::<8>());
+            for (xc, yc) in x_chunks.iter().zip(y_chunks) {
+                // SAFETY: `xc` and `yc` hold exactly eight values each.
+                unsafe { _mm256_storeu_ps(yc.as_mut_ptr(), vector(_mm256_loadu_ps(xc.as_ptr()))) };
+            }
+            for (o, &v) in y_tail.iter_mut().zip(x_tail) {
+                *o = scalar(v);
+            }
         }
     }
 
@@ -430,7 +580,7 @@ mod avx2 {
             }
         }
         for v in &mut dst[vec_end..] {
-            *v = v.max(0.0);
+            *v = clip(*v);
         }
     }
 
@@ -616,7 +766,7 @@ mod avx2 {
         }
         for (d, &v) in dst[vec_end..].iter_mut().zip(&src[vec_end..]) {
             let r = scale.mul_add(v, shift);
-            *d = if fuse_relu { r.max(0.0) } else { r };
+            *d = if fuse_relu { clip(r) } else { r };
         }
     }
 
@@ -640,7 +790,7 @@ mod avx2 {
         }
         for v in &mut dst[vec_end..] {
             let r = scale.mul_add(*v, shift);
-            *v = if fuse_relu { r.max(0.0) } else { r };
+            *v = if fuse_relu { clip(r) } else { r };
         }
     }
 
@@ -685,7 +835,7 @@ mod avx2 {
                 hat[vec_end + i] = h;
             }
             let r = gamma.mul_add(h, beta);
-            *o = if fuse_relu { r.max(0.0) } else { r };
+            *o = if fuse_relu { clip(r) } else { r };
         }
     }
 }

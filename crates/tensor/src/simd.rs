@@ -5,8 +5,9 @@
 //! portable scalar loop the crate has always shipped, and an explicit
 //! AVX2+FMA `std::arch` implementation. A third tier, [`SimdIsa::Avx512`],
 //! is numerically the AVX2+FMA flavour: every kernel runs its AVX2+FMA body
-//! there except the GEMM microkernel, which multiplies two `B` strips per
-//! call at 512 bits with the same bits as its 256-bit twin. Which flavour
+//! there except the few with a 512-bit body of the same bits (the GEMM
+//! microkernel, the weight-gradient correlation and 2×2 average pooling —
+//! `bnff_kernels::dispatch` lists them). Which flavour
 //! runs is decided *once per kernel entry* by [`active_isa`], in priority
 //! order:
 //!
@@ -35,6 +36,20 @@
 //! suite bounds that difference explicitly. [`SimdIsa::Avx512`] and
 //! [`SimdIsa::Avx2Fma`] give the same bits: the wider GEMM accumulates
 //! every element in the same order with the same operations.
+//!
+//! ## Two planes per call
+//!
+//! The f64 reductions ([`sum_f64`], [`sum_sq_f64`], [`sq_dev_sum_f64`]) are
+//! bound by their dependent add chain, not by the bytes they read: one
+//! chain per plane leaves the vector units idle for most of each add's
+//! latency. Their two-plane forms ([`sum_f64_pair`], [`sum_sq_f64_pair`],
+//! [`sq_dev_sum_f64_pair`]) walk two planes in one loop with two
+//! independent chains. The bits hold because nothing is shared between the
+//! planes: each keeps its own four lane partials (or, scalar, its own
+//! sequential fold), takes its values in its own order, and ends with its
+//! own lane reduce and scalar tail — so each result is exactly the
+//! single-plane call's, whatever the two lengths. The single-plane forms
+//! are the two-plane ones with an empty second plane.
 //!
 //! ```rust
 //! use bnff_tensor::simd::{active_isa, with_isa, SimdIsa};
@@ -247,52 +262,73 @@ impl DerefMut for AlignedBuf {
 /// is the exact sequential fold the statistics kernels have always used;
 /// the AVX2 path converts eight lanes per step to `f64` and keeps four
 /// partial sums, reduced in a fixed lane order (deterministic, but rounded
-/// differently from the scalar fold).
+/// differently from the scalar fold). It is [`sum_f64_pair`] with an empty
+/// second plane.
 pub fn sum_f64(isa: SimdIsa, x: &[f32]) -> f64 {
-    match isa {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
-            // SAFETY: `Avx2Fma` and `Avx512` are only ever produced by
-            // `clamp_to_hardware` / `SimdIsa::detected`, which verified
-            // avx2+fma at runtime.
-            unsafe { avx2::sum_f64(x) }
-        }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma | SimdIsa::Avx512 => sum_f64_scalar(x),
-        SimdIsa::Scalar => sum_f64_scalar(x),
-    }
+    sum_f64_pair(isa, x, &[])[0]
 }
 
 /// `(Σx, Σx²)` of a slice accumulated in `f64`, on the given ISA — the MVF
 /// one-pass statistics primitive. Scalar path matches the historical
 /// element loop bit-for-bit; see [`sum_f64`] for the AVX2 rounding caveat.
 pub fn sum_sq_f64(isa: SimdIsa, x: &[f32]) -> (f64, f64) {
-    match isa {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
-            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
-            // support.
-            unsafe { avx2::sum_sq_f64(x) }
-        }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma | SimdIsa::Avx512 => sum_sq_f64_scalar(x),
-        SimdIsa::Scalar => sum_sq_f64_scalar(x),
-    }
+    sum_sq_f64_pair(isa, x, &[])[0]
 }
 
 /// `Σ(x − mean)²` of a slice accumulated in `f64`, on the given ISA — the
 /// second sweep of the baseline two-pass variance.
 pub fn sq_dev_sum_f64(isa: SimdIsa, x: &[f32], mean: f64) -> f64 {
+    sq_dev_sum_f64_pair(isa, x, &[], [mean, 0.0])[0]
+}
+
+/// [`sum_f64`] of two planes at once: `[sum_f64(isa, a), sum_f64(isa, b)]`,
+/// bit for bit, whatever the two lengths (an empty `b` sums to `0.0`). Each
+/// plane keeps its own lane partials, order, lane reduce and scalar tail;
+/// the two independent add chains only hide each other's latency.
+pub fn sum_f64_pair(isa: SimdIsa, a: &[f32], b: &[f32]) -> [f64; 2] {
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
             // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
             // support.
-            unsafe { avx2::sq_dev_sum_f64(x, mean) }
+            unsafe { avx2::sum_f64_pair(a, b) }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma | SimdIsa::Avx512 => sq_dev_sum_f64_scalar(x, mean),
-        SimdIsa::Scalar => sq_dev_sum_f64_scalar(x, mean),
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => sum_f64_pair_scalar(a, b),
+        SimdIsa::Scalar => sum_f64_pair_scalar(a, b),
+    }
+}
+
+/// [`sum_sq_f64`] of two planes at once, bit for bit the two single-plane
+/// calls whatever the two lengths — see [`sum_f64_pair`].
+pub fn sum_sq_f64_pair(isa: SimdIsa, a: &[f32], b: &[f32]) -> [(f64, f64); 2] {
+    match isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
+            unsafe { avx2::sum_sq_f64_pair(a, b) }
+        }
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => sum_sq_f64_pair_scalar(a, b),
+        SimdIsa::Scalar => sum_sq_f64_pair_scalar(a, b),
+    }
+}
+
+/// [`sq_dev_sum_f64`] of two planes around their own means at once, bit for
+/// bit the two single-plane calls whatever the two lengths — see
+/// [`sum_f64_pair`].
+pub fn sq_dev_sum_f64_pair(isa: SimdIsa, a: &[f32], b: &[f32], means: [f64; 2]) -> [f64; 2] {
+    match isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
+            // support.
+            unsafe { avx2::sq_dev_sum_f64_pair(a, b, means) }
+        }
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        SimdIsa::Avx2Fma | SimdIsa::Avx512 => sq_dev_sum_f64_pair_scalar(a, b, means),
+        SimdIsa::Scalar => sq_dev_sum_f64_pair_scalar(a, b, means),
     }
 }
 
@@ -326,23 +362,43 @@ pub fn sum_dot_f64(isa: SimdIsa, g: &[f32], h: &[f32], sum: &mut f64, dot: &mut 
     }
 }
 
-fn sum_f64_scalar(x: &[f32]) -> f64 {
-    let mut s = 0.0f64;
-    for &v in x {
-        s += f64::from(v);
+/// Two element-by-element folds in one loop over the planes' common prefix,
+/// then each over the rest of its own plane: per plane the sequential fold
+/// `step(plane, acc, v)` of a single-plane loop, bit for bit, with the two
+/// dependent chains interleaved.
+fn fold_pair<T: Copy>(a: &[f32], b: &[f32], zero: T, step: impl Fn(usize, &mut T, f32)) -> [T; 2] {
+    let mut acc = [zero; 2];
+    let common = a.len().min(b.len());
+    for (&u, &v) in a.iter().zip(b) {
+        step(0, &mut acc[0], u);
+        step(1, &mut acc[1], v);
     }
-    s
+    for &u in &a[common..] {
+        step(0, &mut acc[0], u);
+    }
+    for &v in &b[common..] {
+        step(1, &mut acc[1], v);
+    }
+    acc
 }
 
-fn sum_sq_f64_scalar(x: &[f32]) -> (f64, f64) {
-    let mut s = 0.0f64;
-    let mut q = 0.0f64;
-    for &v in x {
+fn sum_f64_pair_scalar(a: &[f32], b: &[f32]) -> [f64; 2] {
+    fold_pair(a, b, 0.0f64, |_, s, v| *s += f64::from(v))
+}
+
+fn sum_sq_f64_pair_scalar(a: &[f32], b: &[f32]) -> [(f64, f64); 2] {
+    fold_pair(a, b, (0.0f64, 0.0f64), |_, (s, q), v| {
         let v = f64::from(v);
-        s += v;
-        q += v * v;
-    }
-    (s, q)
+        *s += v;
+        *q += v * v;
+    })
+}
+
+fn sq_dev_sum_f64_pair_scalar(a: &[f32], b: &[f32], means: [f64; 2]) -> [f64; 2] {
+    fold_pair(a, b, 0.0f64, |plane, acc, v| {
+        let d = f64::from(v) - means[plane];
+        *acc += d * d;
+    })
 }
 
 fn sum_dot_f64_scalar(g: &[f32], h: &[f32], sum: &mut f64, dot: &mut f64) {
@@ -350,15 +406,6 @@ fn sum_dot_f64_scalar(g: &[f32], h: &[f32], sum: &mut f64, dot: &mut f64) {
         *sum += f64::from(g);
         *dot += f64::from(g) * f64::from(h);
     }
-}
-
-fn sq_dev_sum_f64_scalar(x: &[f32], mean: f64) -> f64 {
-    let mut acc = 0.0f64;
-    for &v in x {
-        let d = f64::from(v) - mean;
-        acc += d * d;
-    }
-    acc
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -378,50 +425,77 @@ mod avx2 {
         ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]
     }
 
+    /// The eight values of `chunk` widened to f64: lanes 0–3, then 4–7.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn sum_f64(x: &[f32]) -> f64 {
-        let mut s = _mm256_setzero_pd();
-        let chunks = x.chunks_exact(8);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            // SAFETY: each chunk holds exactly eight f32 values.
-            let v = unsafe { _mm256_loadu_ps(chunk.as_ptr()) };
-            let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-            let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v));
-            s = _mm256_add_pd(s, lo);
-            s = _mm256_add_pd(s, hi);
+    fn widen(chunk: &[f32; 8]) -> (__m256d, __m256d) {
+        // SAFETY: `chunk` holds exactly eight f32 values.
+        let v = unsafe { _mm256_loadu_ps(chunk.as_ptr()) };
+        (_mm256_cvtps_pd(_mm256_castps256_ps128(v)), _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)))
+    }
+
+    /// Walks two planes eight values at a time — jointly over their common
+    /// prefix, then each alone — folding `step(plane, acc, chunk)` into each
+    /// plane's own accumulator, and returns both with the planes' scalar
+    /// tails. Per plane the steps are the ones a walk of that plane alone
+    /// takes, in its order.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn walk_pair<'a, A: Copy>(
+        a: &'a [f32],
+        b: &'a [f32],
+        zero: A,
+        step: impl Fn(usize, A, &[f32; 8]) -> A,
+    ) -> ([A; 2], [&'a [f32]; 2]) {
+        let ((a_chunks, a_tail), (b_chunks, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
+        let common = a_chunks.len().min(b_chunks.len());
+        let mut acc = [zero; 2];
+        for (u, v) in a_chunks.iter().zip(b_chunks) {
+            acc[0] = step(0, acc[0], u);
+            acc[1] = step(1, acc[1], v);
         }
-        let mut sum = hsum_pd(s);
-        for &v in tail {
-            sum += f64::from(v);
+        for u in &a_chunks[common..] {
+            acc[0] = step(0, acc[0], u);
         }
-        sum
+        for v in &b_chunks[common..] {
+            acc[1] = step(1, acc[1], v);
+        }
+        (acc, [a_tail, b_tail])
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn sum_sq_f64(x: &[f32]) -> (f64, f64) {
-        let mut s = _mm256_setzero_pd();
-        let mut q = _mm256_setzero_pd();
-        let chunks = x.chunks_exact(8);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            // SAFETY: each chunk holds exactly eight f32 values.
-            let v = unsafe { _mm256_loadu_ps(chunk.as_ptr()) };
-            let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-            let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v));
-            s = _mm256_add_pd(s, lo);
-            s = _mm256_add_pd(s, hi);
-            q = _mm256_fmadd_pd(lo, lo, q);
-            q = _mm256_fmadd_pd(hi, hi, q);
+    pub fn sum_f64_pair(a: &[f32], b: &[f32]) -> [f64; 2] {
+        let (acc, tails) = walk_pair(a, b, _mm256_setzero_pd(), |_, s, chunk| {
+            let (lo, hi) = widen(chunk);
+            _mm256_add_pd(_mm256_add_pd(s, lo), hi)
+        });
+        let mut sums = [hsum_pd(acc[0]), hsum_pd(acc[1])];
+        for (sum, tail) in sums.iter_mut().zip(tails) {
+            for &v in tail {
+                *sum += f64::from(v);
+            }
         }
-        let mut sum = hsum_pd(s);
-        let mut sq = hsum_pd(q);
-        for &v in tail {
-            let v = f64::from(v);
-            sum += v;
-            sq += v * v;
+        sums
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub fn sum_sq_f64_pair(a: &[f32], b: &[f32]) -> [(f64, f64); 2] {
+        let zero = _mm256_setzero_pd();
+        let (acc, tails) = walk_pair(a, b, (zero, zero), |_, (s, q), chunk| {
+            let (lo, hi) = widen(chunk);
+            let q = _mm256_fmadd_pd(hi, hi, _mm256_fmadd_pd(lo, lo, q));
+            (_mm256_add_pd(_mm256_add_pd(s, lo), hi), q)
+        });
+        let mut sums =
+            [(hsum_pd(acc[0].0), hsum_pd(acc[0].1)), (hsum_pd(acc[1].0), hsum_pd(acc[1].1))];
+        for ((sum, sq), tail) in sums.iter_mut().zip(tails) {
+            for &v in tail {
+                let v = f64::from(v);
+                *sum += v;
+                *sq += v * v;
+            }
         }
-        (sum, sq)
+        sums
     }
 
     /// `(Σg, Σg·h)` of two planes of equal length (asserted by the caller).
@@ -453,26 +527,32 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn sq_dev_sum_f64(x: &[f32], mean: f64) -> f64 {
-        let m = _mm256_set1_pd(mean);
-        let mut acc = _mm256_setzero_pd();
-        let chunks = x.chunks_exact(8);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            // SAFETY: each chunk holds exactly eight f32 values.
-            let v = unsafe { _mm256_loadu_ps(chunk.as_ptr()) };
-            let lo = _mm256_sub_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(v)), m);
-            let hi = _mm256_sub_pd(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)), m);
-            acc = _mm256_fmadd_pd(lo, lo, acc);
-            acc = _mm256_fmadd_pd(hi, hi, acc);
+    pub fn sq_dev_sum_f64_pair(a: &[f32], b: &[f32], means: [f64; 2]) -> [f64; 2] {
+        let m = [_mm256_set1_pd(means[0]), _mm256_set1_pd(means[1])];
+        let (acc, tails) = walk_pair(a, b, _mm256_setzero_pd(), |plane, acc, chunk| {
+            let (lo, hi) = widen(chunk);
+            let (lo, hi) = (_mm256_sub_pd(lo, m[plane]), _mm256_sub_pd(hi, m[plane]));
+            _mm256_fmadd_pd(hi, hi, _mm256_fmadd_pd(lo, lo, acc))
+        });
+        let mut sums = [hsum_pd(acc[0]), hsum_pd(acc[1])];
+        for ((sum, tail), mean) in sums.iter_mut().zip(tails).zip(means) {
+            for &v in tail {
+                let d = f64::from(v) - mean;
+                *sum += d * d;
+            }
         }
-        let mut sum = hsum_pd(acc);
-        for &v in tail {
-            let d = f64::from(v) - mean;
-            sum += d * d;
-        }
-        sum
+        sums
     }
+}
+
+/// The dispatch paths a unit test can run on this machine: the scalar path
+/// and every vector tier the hardware has.
+#[cfg(test)]
+pub(crate) fn test_isas() -> Vec<SimdIsa> {
+    [SimdIsa::Scalar, SimdIsa::Avx2Fma, SimdIsa::Avx512]
+        .into_iter()
+        .filter(|&isa| with_isa(isa, active_isa) == isa)
+        .collect()
 }
 
 #[cfg(test)]
@@ -599,6 +679,76 @@ mod tests {
             sum_dot_f64(isa, &g[split..], &h[split..], &mut s, &mut d);
             assert!((s - es).abs() <= 1e-9 * (1.0 + es.abs()), "split {split}: {s} vs {es}");
             assert!((d - ed).abs() <= 1e-9 * (1.0 + ed.abs()), "split {split}: {d} vs {ed}");
+        }
+    }
+
+    /// Each two-plane kernel returns what two single-plane calls return, bit
+    /// for bit, on every tier and for every pair of lengths — equal, unequal
+    /// and an empty second plane — shorter than, at and past one vector.
+    #[test]
+    fn pair_kernels_equal_two_single_plane_calls() {
+        let lengths = [0usize, 1, 7, 8, 9, 63, 64, 65, 1024];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for isa in test_isas() {
+            for &la in &lengths[1..] {
+                for lb in lengths {
+                    let label = format!("{isa} {la}+{lb}");
+                    let a = data(la);
+                    let b: Vec<f32> = data(lb + 3)[3..].iter().map(|v| v * 1.7 - 0.4).collect();
+                    let got = sum_f64_pair(isa, &a, &b);
+                    let want = [sum_f64(isa, &a), sum_f64(isa, &b)];
+                    assert_eq!(bits(&got), bits(&want), "Σx {label}");
+                    let [(sa, qa), (sb, qb)] = sum_sq_f64_pair(isa, &a, &b);
+                    let ((wsa, wqa), (wsb, wqb)) = (sum_sq_f64(isa, &a), sum_sq_f64(isa, &b));
+                    assert_eq!(bits(&[sa, qa, sb, qb]), bits(&[wsa, wqa, wsb, wqb]), "Σx² {label}");
+                    let means = [0.3, -1.1];
+                    let got = sq_dev_sum_f64_pair(isa, &a, &b, means);
+                    let want =
+                        [sq_dev_sum_f64(isa, &a, means[0]), sq_dev_sum_f64(isa, &b, means[1])];
+                    assert_eq!(bits(&got), bits(&want), "Σ(x − m)² {label}");
+                }
+            }
+        }
+    }
+
+    /// The vector tiers' single-plane order, written out: lane `j` of the
+    /// four f64 partials takes values `8i + j`, then `8i + 4 + j`, from
+    /// zero; the lanes reduce as `((l0 + l1) + l2) + l3`; the tail adds on
+    /// in order. (Every f32 square is exact in f64, so a contracted Σx²
+    /// rounds where a separate multiply-add would; Σ(x − m)² contracts.)
+    #[test]
+    fn vector_single_plane_kernels_keep_their_lane_order() {
+        let Some(&isa) = test_isas().iter().find(|&&isa| isa != SimdIsa::Scalar) else {
+            eprintln!("skipping the lane-order check: this host has no vector tier");
+            return;
+        };
+        let mean = 0.3f64;
+        for n in [1usize, 7, 8, 9, 63, 64, 65, 1024] {
+            let x = data(n);
+            let (mut s, mut q, mut d) = ([0.0f64; 4], [0.0f64; 4], [0.0f64; 4]);
+            let (chunks, tail) = x.as_chunks::<8>();
+            for chunk in chunks {
+                for half in [0, 4] {
+                    for j in 0..4 {
+                        let v = f64::from(chunk[half + j]);
+                        s[j] += v;
+                        q[j] += v * v;
+                        d[j] = (v - mean).mul_add(v - mean, d[j]);
+                    }
+                }
+            }
+            let reduce = |l: [f64; 4]| ((l[0] + l[1]) + l[2]) + l[3];
+            let (mut s, mut q, mut d) = (reduce(s), reduce(q), reduce(d));
+            for &v in tail {
+                let v = f64::from(v);
+                s += v;
+                q += v * v;
+                d += (v - mean) * (v - mean);
+            }
+            assert_eq!(sum_f64(isa, &x).to_bits(), s.to_bits(), "Σx n={n}");
+            let (gs, gq) = sum_sq_f64(isa, &x);
+            assert_eq!((gs.to_bits(), gq.to_bits()), (s.to_bits(), q.to_bits()), "Σx² n={n}");
+            assert_eq!(sq_dev_sum_f64(isa, &x, mean).to_bits(), d.to_bits(), "Σ(x − m)² n={n}");
         }
     }
 

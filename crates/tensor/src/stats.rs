@@ -11,6 +11,13 @@
 //! [`channel_stats_welford`] — plus the raw Σx / Σx² accumulators
 //! ([`ChannelAccumulator`]) that the fused `CONV + sub-BN1` kernel updates
 //! while it writes its output feature map.
+//!
+//! Every sweep here but Welford's walks the channels two at a time: the two
+//! planes of a channel pair go through one two-plane kernel
+//! ([`simd::sum_sq_f64_pair`] and its siblings), whose two independent f64
+//! add chains hide each other's latency where one chain per plane bound
+//! the sweep. Each plane still gets exactly its single-plane sums, so every
+//! statistic keeps its bits; an odd last channel pairs with an empty plane.
 
 use crate::error::TensorError;
 use crate::shape::Shape;
@@ -23,6 +30,24 @@ use bnff_parallel::{min_items_per_thread, parallel_map_collect};
 /// activations (each costing a few f64 operations).
 fn channels_per_thread(per_channel: usize) -> usize {
     min_items_per_thread(per_channel.saturating_mul(4))
+}
+
+/// Planes `2·pair` and `2·pair + 1` of sample `ni` — the second one empty
+/// past the last channel, where the two-plane kernels sum it to zero.
+fn plane_pair(x: &Tensor, ni: usize, pair: usize) -> (&[f32], &[f32]) {
+    let c = 2 * pair;
+    (x.channel_plane(ni, c), if c + 1 < x.shape().c() { x.channel_plane(ni, c + 1) } else { &[] })
+}
+
+/// `f(pair)` for every channel pair across worker threads, flattened back
+/// to one value per channel (an odd last channel drops its pair's second).
+fn map_channel_pairs<T: Send>(
+    channels: usize,
+    per_channel: usize,
+    f: impl Fn(usize) -> [T; 2] + Sync,
+) -> Vec<T> {
+    let pairs = parallel_map_collect(channels.div_ceil(2), channels_per_thread(2 * per_channel), f);
+    pairs.into_iter().flatten().take(channels).collect()
 }
 
 /// Per-channel mean and biased variance over a mini-batch.
@@ -112,22 +137,38 @@ impl ChannelAccumulator {
     }
 
     /// Records that `per_channel_count` elements have been accumulated into
-    /// every channel (call once per plane / batch rather than per element to
-    /// keep `push` cheap).
+    /// every channel (call once per sample / batch rather than per element
+    /// to keep `push` cheap).
     pub fn add_count(&mut self, per_channel_count: usize) {
         self.count += per_channel_count;
     }
 
-    /// Accumulates an entire contiguous plane of channel `c`.
+    /// Accumulates one sample's `C` contiguous channel planes: each channel
+    /// gets its plane's [`simd::sum_sq_f64`] subtotal, the planes taken two
+    /// channels at a time by [`simd::sum_sq_f64_pair`]. Counts nothing —
+    /// see [`ChannelAccumulator::add_count`].
     ///
     /// # Panics
-    /// Panics if `c` is out of range.
-    pub fn push_plane(&mut self, c: usize, plane: &[f32]) {
+    /// Panics if `planes` is not `C` planes of one length.
+    pub fn push_sample(&mut self, planes: &[f32]) {
+        let channels = self.channels();
+        assert!(
+            channels > 0 && planes.len().is_multiple_of(channels),
+            "{} values are not {channels} planes",
+            planes.len()
+        );
+        let plane_len = planes.len() / channels;
         // Runs on the caller's thread, so the scoped `with_isa` override (if
         // any) is honoured here.
-        let (s, q) = simd::sum_sq_f64(active_isa(), plane);
-        self.sum[c] += s;
-        self.sq_sum[c] += q;
+        let isa = active_isa();
+        for (pair, two) in planes.chunks(2 * plane_len.max(1)).enumerate() {
+            let (a, b) = two.split_at(plane_len.min(two.len()));
+            let sums = simd::sum_sq_f64_pair(isa, a, b);
+            for (c, (s, q)) in (2 * pair..channels).zip(sums) {
+                self.sum[c] += s;
+                self.sq_sum[c] += q;
+            }
+        }
     }
 
     /// Accumulates every channel of an NCHW tensor, with the per-channel
@@ -135,7 +176,10 @@ impl ChannelAccumulator {
     /// combined in channel order — the two-pass tree reduction that mirrors
     /// the paper's per-thread-block reduction on GPU). The result is
     /// identical for any `BNFF_THREADS` because each channel's planes are
-    /// accumulated in the same mini-batch order a serial sweep uses.
+    /// accumulated in the same mini-batch order a serial sweep uses. The
+    /// unit of work is a channel pair, whose two planes of each sample go
+    /// through one two-plane kernel: per channel the plane sums of
+    /// [`simd::sum_sq_f64`], bit for bit.
     ///
     /// # Errors
     /// Returns an error for non-4-D or empty inputs.
@@ -145,16 +189,17 @@ impl ChannelAccumulator {
         // Resolved on the caller's thread and captured by value: pool
         // workers don't inherit the caller's `with_isa` override.
         let isa = active_isa();
-        let partials = parallel_map_collect(channels, channels_per_thread(per_channel), |c| {
-            let mut sum = 0.0f64;
-            let mut sq_sum = 0.0f64;
+        let partials = map_channel_pairs(channels, per_channel, |pair| {
+            let mut sums = [(0.0f64, 0.0f64); 2];
             for ni in 0..n {
-                // Per-plane subtotals first, matching `push_plane`.
-                let (s, q) = simd::sum_sq_f64(isa, x.channel_plane(ni, c));
-                sum += s;
-                sq_sum += q;
+                // Per-plane subtotals first, matching `push_sample`.
+                let (a, b) = plane_pair(x, ni, pair);
+                for (acc, (s, q)) in sums.iter_mut().zip(simd::sum_sq_f64_pair(isa, a, b)) {
+                    acc.0 += s;
+                    acc.1 += q;
+                }
             }
-            (sum, sq_sum)
+            sums
         });
         let mut acc = ChannelAccumulator::new(channels);
         for (c, (s, q)) in partials.into_iter().enumerate() {
@@ -235,26 +280,31 @@ fn per_channel_count(shape: &Shape) -> Result<(usize, usize)> {
 pub fn channel_stats_two_pass(x: &Tensor) -> Result<ChannelStats> {
     let (channels, per_channel) = per_channel_count(x.shape())?;
     let n = x.shape().n();
-    let grain = channels_per_thread(per_channel);
     // Resolved on the caller's thread and captured by value: pool workers
     // don't inherit the caller's `with_isa` override.
     let isa = active_isa();
-    // First sweep: per-channel mean, one worker partial per channel.
-    let mean: Vec<f64> = parallel_map_collect(channels, grain, |c| {
-        let mut m = 0.0f64;
+    // First sweep: per-channel mean, one worker partial per channel pair.
+    let mean: Vec<f64> = map_channel_pairs(channels, per_channel, |pair| {
+        let mut m = [0.0f64; 2];
         for ni in 0..n {
-            m += simd::sum_f64(isa, x.channel_plane(ni, c));
+            let (a, b) = plane_pair(x, ni, pair);
+            for (m, s) in m.iter_mut().zip(simd::sum_f64_pair(isa, a, b)) {
+                *m += s;
+            }
         }
-        m / per_channel as f64
+        m.map(|m| m / per_channel as f64)
     });
     // Second sweep: per-channel variance around the finished mean.
-    let var: Vec<f64> = parallel_map_collect(channels, grain, |c| {
-        let m = mean[c];
-        let mut v_acc = 0.0f64;
+    let var: Vec<f64> = map_channel_pairs(channels, per_channel, |pair| {
+        let means = [mean[2 * pair], mean.get(2 * pair + 1).copied().unwrap_or(0.0)];
+        let mut v_acc = [0.0f64; 2];
         for ni in 0..n {
-            v_acc += simd::sq_dev_sum_f64(isa, x.channel_plane(ni, c), m);
+            let (a, b) = plane_pair(x, ni, pair);
+            for (v, d) in v_acc.iter_mut().zip(simd::sq_dev_sum_f64_pair(isa, a, b, means)) {
+                *v += d;
+            }
         }
-        v_acc / per_channel as f64
+        v_acc.map(|v| v / per_channel as f64)
     });
     Ok(ChannelStats {
         mean: mean.into_iter().map(|m| m as f32).collect(),
@@ -308,6 +358,7 @@ pub fn channel_stats_welford(x: &Tensor) -> Result<ChannelStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::with_isa;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -368,9 +419,7 @@ mod tests {
         let mut b = ChannelAccumulator::new(3);
         for ni in 0..4 {
             let target = if ni < 2 { &mut a } else { &mut b };
-            for c in 0..3 {
-                target.push_plane(c, x.channel_plane(ni, c));
-            }
+            target.push_sample(&x.as_slice()[ni * 3 * 16..][..3 * 16]);
         }
         a.add_count(2 * 16);
         b.add_count(2 * 16);
@@ -417,6 +466,53 @@ mod tests {
         let a = ChannelStats::zeros(2);
         let b = ChannelStats::zeros(3);
         assert!(a.max_abs_diff(&b).is_err());
+    }
+
+    /// The channel-pair walks — `from_tensor`, the two-pass sweeps and
+    /// `push_sample` — equal the per-channel fold of single-plane sums bit
+    /// for bit on every tier, odd channel counts included.
+    #[test]
+    fn channel_pairs_equal_the_per_channel_fold() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for isa in simd::test_isas() {
+            for c in [1usize, 3, 5, 13] {
+                for n in [1usize, 3] {
+                    let label = format!("{isa} C={c} N={n}");
+                    let x = random_tensor(Shape::nchw(n, c, 5, 7), 11 + c as u64);
+                    let per_channel = (n * 35) as f64;
+                    let (mut sum, mut sq_sum) = (vec![0.0f64; c], vec![0.0f64; c]);
+                    let (mut mean, mut var) = (vec![0.0f32; c], vec![0.0f32; c]);
+                    for ci in 0..c {
+                        let (mut m, mut v) = (0.0f64, 0.0f64);
+                        for ni in 0..n {
+                            let (s, q) = simd::sum_sq_f64(isa, x.channel_plane(ni, ci));
+                            sum[ci] += s;
+                            sq_sum[ci] += q;
+                            m += simd::sum_f64(isa, x.channel_plane(ni, ci));
+                        }
+                        let m = m / per_channel;
+                        for ni in 0..n {
+                            v += simd::sq_dev_sum_f64(isa, x.channel_plane(ni, ci), m);
+                        }
+                        (mean[ci], var[ci]) = (m as f32, (v / per_channel) as f32);
+                    }
+                    let acc = with_isa(isa, || ChannelAccumulator::from_tensor(&x)).unwrap();
+                    assert_eq!(bits(&acc.sum), bits(&sum), "from_tensor Σx {label}");
+                    assert_eq!(bits(&acc.sq_sum), bits(&sq_sum), "from_tensor Σx² {label}");
+                    let mut pushed = ChannelAccumulator::new(c);
+                    for ni in 0..n {
+                        let sample = &x.as_slice()[ni * c * 35..][..c * 35];
+                        with_isa(isa, || pushed.push_sample(sample));
+                    }
+                    assert_eq!(bits(&pushed.sum), bits(&sum), "push_sample Σx {label}");
+                    assert_eq!(bits(&pushed.sq_sum), bits(&sq_sum), "push_sample Σx² {label}");
+                    let two = with_isa(isa, || channel_stats_two_pass(&x)).unwrap();
+                    assert_eq!(bits32(&two.mean), bits32(&mean), "two-pass mean {label}");
+                    assert_eq!(bits32(&two.var), bits32(&var), "two-pass var {label}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,9 +59,7 @@ proptest! {
         let mut right = ChannelAccumulator::new(c);
         for ni in 0..n {
             let target = if ni % 2 == 0 { &mut left } else { &mut right };
-            for ci in 0..c {
-                target.push_plane(ci, x.channel_plane(ni, ci));
-            }
+            target.push_sample(&x.as_slice()[ni * c * plane_elems..][..c * plane_elems]);
             target.add_count(plane_elems);
         }
         left.merge(&right).unwrap();

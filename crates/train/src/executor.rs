@@ -921,53 +921,62 @@ mod tests {
     fn both_sided_fused_conv_publishes_its_statistics_from_the_epilogue() {
         // conv1 → bn → relu → conv2 → bn → relu → conv3: conv2 sits between
         // two BNs, so BNFF fuses it on both sides (normalize+clip prologue,
-        // Σx/Σx² epilogue).
-        let mut b = GraphBuilder::new("chain");
-        let x = b.input("data", Shape::nchw(4, 3, 8, 8)).unwrap();
-        let labels = b.input("labels", Shape::vector(4)).unwrap();
-        let c1 = b.conv2d(x, Conv2dAttrs::same_3x3(8), "conv1").unwrap();
-        let c2 = b.bn_relu_conv(c1, Conv2dAttrs::same_3x3(8), "cpl2").unwrap();
-        let c3 = b.bn_relu_conv(c2, Conv2dAttrs::pointwise(8), "cpl3").unwrap();
-        let gap = b.global_avg_pool(c3, "gap").unwrap();
-        let fc = b.fully_connected(gap, 4, "fc").unwrap();
-        b.softmax_loss(fc, labels, "loss").unwrap();
-        let fused = BnffPass::new().run(&b.finish()).unwrap();
-        let (id, conv, bn_in, bn_out) = fused
-            .nodes()
-            .find_map(|n| match n.op {
-                OpKind::NormReluConvStats { conv, bn_in, bn_out } => {
-                    Some((n.id, conv, bn_in, bn_out))
-                }
-                _ => None,
-            })
-            .expect("BNFF fuses conv2 on both sides");
-        assert!(bn_out.one_pass_stats, "BNFF runs MVF before fusing");
+        // Σx/Σx² epilogue). With 8 output channels, then 5: the epilogue
+        // takes a sample's planes in pairs, an odd last channel alone.
+        for out_c in [8usize, 5] {
+            let mut b = GraphBuilder::new("chain");
+            let x = b.input("data", Shape::nchw(4, 3, 8, 8)).unwrap();
+            let labels = b.input("labels", Shape::vector(4)).unwrap();
+            let c1 = b.conv2d(x, Conv2dAttrs::same_3x3(8), "conv1").unwrap();
+            let c2 = b.bn_relu_conv(c1, Conv2dAttrs::same_3x3(out_c), "cpl2").unwrap();
+            let c3 = b.bn_relu_conv(c2, Conv2dAttrs::pointwise(8), "cpl3").unwrap();
+            let gap = b.global_avg_pool(c3, "gap").unwrap();
+            let fc = b.fully_connected(gap, 4, "fc").unwrap();
+            b.softmax_loss(fc, labels, "loss").unwrap();
+            let fused = BnffPass::new().run(&b.finish()).unwrap();
+            let (id, conv, bn_in, bn_out) = fused
+                .nodes()
+                .find_map(|n| match n.op {
+                    OpKind::NormReluConvStats { conv, bn_in, bn_out } => {
+                        Some((n.id, conv, bn_in, bn_out))
+                    }
+                    _ => None,
+                })
+                .expect("BNFF fuses conv2 on both sides");
+            assert!(bn_out.one_pass_stats, "BNFF runs MVF before fusing");
 
-        let (data, labels) = random_batch(4, 4, 19);
-        let mut variances = Vec::new();
-        for one_pass in [true, false] {
-            let mut graph = fused.clone();
-            let bn_out = BatchNormAttrs { one_pass_stats: one_pass, ..bn_out };
-            graph.set_op(id, OpKind::NormReluConvStats { conv, bn_in, bn_out }).unwrap();
-            let mut exec = Executor::new(graph, 23).unwrap();
-            // A large offset on a small signal: Σx² − (Σx)² cancels where the
-            // two-pass variance does not, so the flavours differ in bits.
-            if let Some(NodeParams::ConvBn { weights, bias, .. }) = exec.params_mut().get_mut(id) {
-                weights.map_inplace(|w| w * 1e-2);
-                *bias = Some(vec![4096.0; conv.out_channels]);
+            let (data, labels) = random_batch(4, 4, 19);
+            let mut variances = Vec::new();
+            for one_pass in [true, false] {
+                let mut graph = fused.clone();
+                let bn_out = BatchNormAttrs { one_pass_stats: one_pass, ..bn_out };
+                graph.set_op(id, OpKind::NormReluConvStats { conv, bn_in, bn_out }).unwrap();
+                let mut exec = Executor::new(graph, 23).unwrap();
+                // A large offset on a small signal: Σx² − (Σx)² cancels where the
+                // two-pass variance does not, so the flavours differ in bits.
+                if let Some(NodeParams::ConvBn { weights, bias, .. }) =
+                    exec.params_mut().get_mut(id)
+                {
+                    weights.map_inplace(|w| w * 1e-2);
+                    *bias = Some(vec![4096.0; conv.out_channels]);
+                }
+                let fwd = exec.forward_naive(&data, &labels).unwrap();
+                let published = fwd.stats(id).expect("conv2 publishes statistics");
+                let swept = bn_statistics(fwd.output(id).unwrap(), one_pass).unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&published.mean),
+                    bits(&swept.mean),
+                    "C={out_c} one_pass={one_pass}"
+                );
+                assert_eq!(bits(&published.var), bits(&swept.var), "C={out_c} one_pass={one_pass}");
+                // The planned path publishes the same numbers.
+                let planned = exec.forward(&data, &labels).unwrap();
+                assert_eq!(bits(&planned.stats(id).unwrap().var), bits(&published.var));
+                variances.push(bits(&published.var));
             }
-            let fwd = exec.forward_naive(&data, &labels).unwrap();
-            let published = fwd.stats(id).expect("conv2 publishes statistics");
-            let swept = bn_statistics(fwd.output(id).unwrap(), one_pass).unwrap();
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&published.mean), bits(&swept.mean), "one_pass={one_pass}");
-            assert_eq!(bits(&published.var), bits(&swept.var), "one_pass={one_pass}");
-            // The planned path publishes the same numbers.
-            let planned = exec.forward(&data, &labels).unwrap();
-            assert_eq!(bits(&planned.stats(id).unwrap().var), bits(&published.var));
-            variances.push(bits(&published.var));
+            assert_ne!(variances[0], variances[1], "two-pass attrs must keep the two-pass sweep");
         }
-        assert_ne!(variances[0], variances[1], "two-pass attrs must keep the two-pass sweep");
     }
 
     #[test]

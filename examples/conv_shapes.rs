@@ -7,23 +7,33 @@
 //! its stride-2 rows do not). A third covers six strided or ragged-width
 //! shapes no benchmark workload runs (ResNet-style downsampling and
 //! 28²/14²/7² maps, a 7×7 stem) — the ones whose windows the GEMM's packer
-//! expands. Each table's header names the SIMD dispatch tier it ran on
-//! (`isa <name>`), and each table ends with one line `bits <hex>`: a digest
-//! of the bits of all three results of every one of its rows — which
-//! depend on that tier. These are the tables
+//! expands. A fourth times the step's streaming passes at the DenseNet
+//! shapes of the same batch — 2×2/2 average pooling forward and backward
+//! over 16×32² maps, one- and two-pass BN statistics, the normalize sweep
+//! and the recomputing BN backward over 32×32² — in ms and GB/s (the bytes
+//! each pass reads and writes, over its time). Each table's header names
+//! the SIMD dispatch tier it ran on (`isa <name>`) and where its operands
+//! lie (`address mod 64`: malloc placement alone can move a row by
+//! 15–30 %), and each table ends with one line `bits <hex>`: a digest of
+//! the bits of every result of every one of its rows — which depend on that
+//! tier. These are the tables
 //! convolution work is sized and checked with; they read the public model
 //! builders and kernel entry points only, so the file runs unchanged against
 //! any commit, and equal digests on two commits mean equal results.
 //!
 //! Run with `cargo run --release --example conv_shapes -- --batch 64`.
 
-use bnff::graph::op::{Conv2dAttrs, OpKind};
+use bnff::graph::op::{Conv2dAttrs, OpKind, PoolAttrs};
 use bnff::graph::Graph;
+use bnff::kernels::batchnorm::{
+    bn_statistics, norm_backward_inplace, normalize_sweep_into, BnParams,
+};
 use bnff::kernels::conv::{
     conv2d_backward_input, conv2d_backward_input_into, conv2d_backward_weights, conv2d_forward,
     conv2d_forward_into,
 };
 use bnff::kernels::dispatch::active_isa;
+use bnff::kernels::pool::{avg_pool_backward_into, avg_pool_forward_into};
 use bnff::models::{densenet_cifar, resnet_cifar};
 use bnff::parallel::with_threads;
 use bnff::tensor::init::Initializer;
@@ -59,11 +69,17 @@ fn fold_bits(digest: u64, values: &[f32]) -> u64 {
         .fold(digest, |hash, byte| (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
-/// The table's title with the ISA it runs on, then the column names.
+/// Where `t`'s data starts, modulo one 64-byte cache line.
+fn line_offset(t: &Tensor) -> usize {
+    t.as_slice().as_ptr() as usize % 64
+}
+
+/// The table's title with the ISA it runs on, then the column names; each
+/// row ends with where its input and output gradient lie (`address mod 64`).
 fn print_header(title: &str) {
     println!("{title}, isa {}", active_isa());
     println!(
-        "{:>22} {:>3} {:>2}  {:>16}  {:>16}  {:>16}",
+        "{:>22} {:>3} {:>2}  {:>16}  {:>16}  {:>16}  x,g mod 64",
         "input -> out k", "s/p", "x", "forward", "weight grad", "input grad"
     );
 }
@@ -115,7 +131,7 @@ fn measure(
     }
     let cell = |ms: f64| format!("{ms:7.3} ms {:5.1}", gflop / ms * 1e3);
     println!(
-        "{:>3}x{:<2}x{:<2} -> {:>3} {}x{} {:>3} {:>2}  {}  {}  {}",
+        "{:>3}x{:<2}x{:<2} -> {:>3} {}x{} {:>3} {:>2}  {}  {}  {}  {:>2},{:>2}",
         input.c(),
         input.h(),
         input.w(),
@@ -127,6 +143,8 @@ fn measure(
         cell(ms[0]),
         cell(ms[1]),
         cell(ms[2]),
+        line_offset(&x),
+        line_offset(&d_out),
     );
     Ok(ms)
 }
@@ -166,6 +184,98 @@ fn model_table(name: &str, graph: &Graph) -> Result<(), Box<dyn std::error::Erro
     Ok(())
 }
 
+/// The streaming passes of the DenseNet step at `batch`, one thread: each
+/// row the median time of one pass and the bytes it reads and writes over
+/// that time, then the digest of every result.
+fn streaming_table(batch: usize) -> Result<(), Box<dyn std::error::Error>> {
+    const EPSILON: f32 = 1e-5;
+    let mut init = Initializer::seeded(11);
+    let pool_in = init.uniform(Shape::nchw(batch, 16, 32, 32), -1.0, 1.0);
+    let pool_attrs = PoolAttrs::new(2, 2, 0);
+    let mut pooled = Tensor::zeros(Shape::nchw(batch, 16, 16, 16));
+    let pool_grad = init.uniform(pooled.shape().clone(), -1.0, 1.0);
+    let mut pool_dx = Tensor::zeros(pool_in.shape().clone());
+    let x = init.uniform(Shape::nchw(batch, 32, 32, 32), -1.0, 1.0);
+    let grad = init.uniform(x.shape().clone(), -1.0, 1.0);
+    let stats = bn_statistics(&x, true)?;
+    // γ = σ makes the backward's scale 1, so the repeated in-place runs
+    // keep the gradient's magnitude.
+    let gamma = stats.var.iter().map(|v| (v + EPSILON).sqrt()).collect();
+    let params = BnParams::new(gamma, (0..32).map(|c| c as f32 * 0.01 - 0.1).collect())?;
+    let mut y = Tensor::zeros(x.shape().clone());
+    let mut g = grad.clone();
+    println!(
+        "streaming passes at batch {batch}, one thread, median of {RUNS}, isa {}",
+        active_isa()
+    );
+    println!(
+        "address mod 64: pool x {}, y {}, dy {}, dx {}; bn x {}, y {}, g {}",
+        line_offset(&pool_in),
+        line_offset(&pooled),
+        line_offset(&pool_grad),
+        line_offset(&pool_dx),
+        line_offset(&x),
+        line_offset(&y),
+        line_offset(&g),
+    );
+    let (big, small, bn) =
+        ((pool_in.len() * 4) as f64, (pooled.len() * 4) as f64, (x.len() * 4) as f64);
+    let row = |name: &str, bytes: f64, ms: f64| {
+        println!("{name:>40}  {ms:7.3} ms {:6.1} GB/s", bytes / ms / 1e6);
+    };
+    with_threads(1, || {
+        let ms = median_ms(|| {
+            avg_pool_forward_into(black_box(&pool_in), &pool_attrs, &mut pooled)
+                .expect("pooling shapes agree");
+        });
+        row("avg pool 2x2/2 forward 16x32x32", big + small, ms);
+        let ms = median_ms(|| {
+            avg_pool_backward_into(black_box(&pool_grad), &pool_attrs, &mut pool_dx)
+                .expect("pooling shapes agree");
+        });
+        row("avg pool 2x2/2 backward 16x32x32", small + big, ms);
+        for (name, one_pass, sweeps) in [("one-pass", true, 1.0), ("two-pass", false, 2.0)] {
+            let ms = median_ms(|| {
+                black_box(bn_statistics(black_box(&x), one_pass).expect("statistics shapes agree"));
+            });
+            row(&format!("bn_statistics {name} 32x32x32"), sweeps * bn, ms);
+        }
+        let ms = median_ms(|| {
+            normalize_sweep_into(black_box(&x), &stats, &params, EPSILON, true, None, &mut y)
+                .expect("normalize shapes agree");
+        });
+        row("normalize_sweep_into relu 32x32x32", 2.0 * bn, ms);
+        // Two passes, each reading `g` and `x` and writing `g`.
+        let ms = median_ms(|| {
+            black_box(
+                norm_backward_inplace(&mut g, black_box(&x), &stats, &params, EPSILON, true)
+                    .expect("backward shapes agree"),
+            );
+        });
+        row("norm_backward_inplace relu 32x32x32", 6.0 * bn, ms);
+    });
+    let mut g = grad.clone();
+    let d_params = norm_backward_inplace(&mut g, &x, &stats, &params, EPSILON, true)?;
+    let two_pass = bn_statistics(&x, false)?;
+    let mut digest = DIGEST_SEED;
+    for result in [
+        pooled.as_slice(),
+        pool_dx.as_slice(),
+        &stats.mean,
+        &stats.var,
+        &two_pass.mean,
+        &two_pass.var,
+        y.as_slice(),
+        g.as_slice(),
+        &d_params.d_gamma,
+        &d_params.d_beta,
+    ] {
+        digest = fold_bits(digest, result);
+    }
+    println!("bits {digest:016x}");
+    Ok(())
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let batch = match args.as_slice() {
@@ -196,5 +306,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         measure(&Shape::nchw(batch, c, hw, hw), &attrs, 1, &mut digest)?;
     }
     println!("bits {digest:016x}");
-    Ok(())
+    println!();
+    streaming_table(batch)
 }
