@@ -37,9 +37,9 @@
 //! [`ConvInput`] prologue the staging *is* the copy the prologue makes
 //! anyway, written into the interior one plane per call
 //! (`vecops::stage_plane` walks the plane's rows itself, so a 32-wide row
-//! costs no call of its own) — so the padding comes after the prologue, as
-//! `max(γ·(0 − μ)/σ + β, 0) ≠ 0` requires; a raw input pays `1.1×` its
-//! sample. An unpadded convolution (pointwise,
+//! costs no dispatched sweep call of its own) — so the padding comes after
+//! the prologue, as `max(γ·(0 − μ)/σ + β, 0) ≠ 0` requires; a raw input
+//! pays `1.1×` its sample. An unpadded convolution (pointwise,
 //! `valid`) without a prologue stages nothing and is read from the
 //! caller's tensor. The forward pass and the input gradient hold one
 //! scratch per call, the weight gradient one per sample group.

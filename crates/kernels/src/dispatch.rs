@@ -19,13 +19,12 @@
 //! so `BNFF_SIMD=avx512` on an AVX2-only machine, or `avx2` on a machine
 //! without it, is safe.
 //!
-//! [`SimdIsa::Avx512`] is numerically the AVX2+FMA flavour. Three kernels are
+//! [`SimdIsa::Avx512`] is numerically the AVX2+FMA flavour. Two kernels are
 //! wider there: the GEMM microkernel multiplies two `B` strips per call in
-//! 512-bit registers, the weight-gradient correlation sweeps eight output
-//! channels per tile, two AVX2 accumulators per zmm, and 2×2/2 average
-//! pooling takes sixteen outputs per step; all three give every result the
-//! bits the 256-bit kernel gives. Every other kernel runs its AVX2+FMA
-//! body.
+//! 512-bit registers, and the weight-gradient correlation sweeps eight
+//! output channels per tile, two AVX2 accumulators per zmm; both give every
+//! result the bits the 256-bit kernel gives. Every other kernel runs its
+//! AVX2+FMA body.
 //!
 //! Results are bit-identical across `BNFF_THREADS` *within* one ISA; the
 //! scalar and the vector ISAs differ in the last bits wherever FMA

@@ -3,9 +3,10 @@
 //! Average pooling over disjoint windows that all fit (`stride == kernel`,
 //! no padding: the DenseNet transitions' 2×2/2) runs without the general
 //! per-output window loop. The forward computes each output row from its
-//! `kernel` input rows with no bounds test and one divisor — at `k = 2` the
-//! AVX2 and AVX-512 tiers split the even and odd lanes of the two input
-//! rows — and the backward writes every input-gradient element once. Both
+//! `kernel` input rows with no bounds test and one divisor — at `k = 2` both
+//! vector tiers run one AVX2 body that splits the even and odd lanes of the
+//! two input rows — and the backward writes every input-gradient element
+//! once. Both
 //! perform the general loop's floating-point operations in its order, so
 //! every result keeps its bits (±0.0, NaN and ±∞ included) on every ISA;
 //! padded or overlapping windows keep the general loop.
@@ -326,14 +327,14 @@ fn avg_pool_disjoint(
 ) {
     let scale = (k * k) as f32;
     for (out_row, rows) in out_plane.chunks_exact_mut(ow.max(1)).zip(plane.chunks_exact(k * w)) {
-        // SAFETY (both arms): the tier implies runtime-verified support of
-        // its features, and each of the two input rows holds `w ≥ 2·ow`
-        // values (`ow = ⌊w / 2⌋` at `k = 2`).
         let done = match isa {
+            // SAFETY: both vector tiers imply runtime-verified avx2+fma
+            // support, and each of the two input rows holds `w ≥ 2·ow`
+            // values (`ow = ⌊w / 2⌋` at `k = 2`).
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            SimdIsa::Avx512 if k == 2 => unsafe { avx512::pool2_row(rows.split_at(w), out_row) },
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            SimdIsa::Avx2Fma if k == 2 => unsafe { avx2::pool2_row(rows.split_at(w), out_row, 0) },
+            SimdIsa::Avx2Fma | SimdIsa::Avx512 if k == 2 => unsafe {
+                avx2::pool2_row(rows.split_at(w), out_row)
+            },
             _ => 0,
         };
         for (qo, o) in out_row.iter_mut().enumerate().skip(done) {
@@ -473,22 +474,22 @@ mod avx2 {
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// Outputs `from..` of one 2×2/2 output row, eight at a time, from the
-    /// input rows `r0` and `r1`: each is `((((0 + r0[2q]) + r0[2q + 1]) +
-    /// r1[2q]) + r1[2q + 1]) / 4`, with the even and odd lanes of sixteen
-    /// input values split by two shuffles (which leave the 64-bit quarters
-    /// in the order 0, 2, 1, 3 — put back by one permute of the result).
-    /// Returns how many outputs are done; the caller finishes the rest.
+    /// One 2×2/2 output row, eight outputs at a time, from the input rows
+    /// `r0` and `r1`: each is `((((0 + r0[2q]) + r0[2q + 1]) + r1[2q]) +
+    /// r1[2q + 1]) / 4`, with the even and odd lanes of sixteen input values
+    /// split by two shuffles (which leave the 64-bit quarters in the order
+    /// 0, 2, 1, 3 — put back by one permute of the result). Returns how
+    /// many outputs are done; the caller finishes the rest.
     ///
     /// # Safety
     /// The CPU must support avx2 and fma, and both rows must hold at least
     /// `2·out.len()` values.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn pool2_row((r0, r1): (&[f32], &[f32]), out: &mut [f32], from: usize) -> usize {
+    pub unsafe fn pool2_row((r0, r1): (&[f32], &[f32]), out: &mut [f32]) -> usize {
         debug_assert!(r0.len() >= 2 * out.len() && r1.len() >= 2 * out.len());
         let (zero, four) = (_mm256_setzero_ps(), _mm256_set1_ps(4.0));
-        let end = from + (out.len() - from) / 8 * 8;
-        for q in (from..end).step_by(8) {
+        let end = out.len() / 8 * 8;
+        for q in (0..end).step_by(8) {
             // SAFETY: q + 8 <= out.len(), so the 16 values at 2q lie inside
             // both rows (the caller's contract), and the 8 at q inside `out`.
             unsafe {
@@ -533,47 +534,6 @@ mod avx2 {
             }
         }
         end
-    }
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-mod avx512 {
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// [`super::avx2::pool2_row`] sixteen outputs at a time: the even and
-    /// odd lanes of 32 input values by one two-source permute each, in
-    /// order, so no permute of the result; the AVX2 body finishes the row.
-    ///
-    /// # Safety
-    /// The CPU must support avx512f, and both rows must hold at least
-    /// `2·out.len()` values.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn pool2_row((r0, r1): (&[f32], &[f32]), out: &mut [f32]) -> usize {
-        debug_assert!(r0.len() >= 2 * out.len() && r1.len() >= 2 * out.len());
-        let (zero, four) = (_mm512_setzero_ps(), _mm512_set1_ps(4.0));
-        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
-        let odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
-        let end = out.len() / 16 * 16;
-        for q in (0..end).step_by(16) {
-            // SAFETY: q + 16 <= out.len(), so the 32 values at 2q lie inside
-            // both rows (the caller's contract), and the 16 at q inside `out`.
-            unsafe {
-                let (a, b) = (r0.as_ptr().add(2 * q), r1.as_ptr().add(2 * q));
-                let (a0, a1) = (_mm512_loadu_ps(a), _mm512_loadu_ps(a.add(16)));
-                let (b0, b1) = (_mm512_loadu_ps(b), _mm512_loadu_ps(b.add(16)));
-                let mut acc = _mm512_add_ps(zero, _mm512_permutex2var_ps(a0, even, a1));
-                acc = _mm512_add_ps(acc, _mm512_permutex2var_ps(a0, odd, a1));
-                acc = _mm512_add_ps(acc, _mm512_permutex2var_ps(b0, even, b1));
-                acc = _mm512_add_ps(acc, _mm512_permutex2var_ps(b0, odd, b1));
-                _mm512_storeu_ps(out.as_mut_ptr().add(q), _mm512_div_ps(acc, four));
-            }
-        }
-        // SAFETY: avx512f implies avx2 and fma; the rows and `out` are the
-        // caller's, unchanged.
-        unsafe { super::avx2::pool2_row((r0, r1), out, end) }
     }
 }
 
@@ -702,8 +662,8 @@ mod tests {
 
     /// The disjoint-window path against the general loop (called per plane),
     /// bit for bit, forward and backward, on every tier: 2×2/2 and 3×3/3 over
-    /// even, odd and single-window planes (and 25 outputs a row: a zmm step,
-    /// a ymm step and a scalar tail), inputs with ±0.0, NaN, ±∞ and
+    /// even, odd and single-window planes (and 25 outputs a row: three
+    /// vector steps and a scalar tail), inputs with ±0.0, NaN, ±∞ and
     /// subnormals, gradients with −0.0, into NaN-filled outputs — so every
     /// element, the uncovered odd row and column included, must be written.
     #[test]

@@ -22,9 +22,10 @@
 //!   but the two ISAs differ in the last bits; callers only invoke these
 //!   on whole planes, whose boundaries do not depend on thread count.
 //! * [`stage_plane`]: a plane copied, clipped or normalized+clipped into
-//!   the rows of a bordered scratch, one call per plane — per element the
-//!   element-wise sweep it names ([`relu_into`], or [`normalize_plane`]
-//!   with the clip) on the same ISA, bit for bit, wherever a row starts.
+//!   the rows of a bordered scratch, one call per plane that runs each row
+//!   through the same ISA's body of the element-wise sweep it names
+//!   ([`relu_into`], or [`normalize_plane`] with the clip) — the same code,
+//!   so the same bits, wherever a row starts.
 //! * [`norm_grad_plane`]: [`normalize_plane`] → [`relu_mask`] →
 //!   `sum_dot_f64` in one pass, bit for bit per ISA; its reductions are
 //!   `sum_dot_f64`'s (the AVX2 flavour adds a plane subtotal, the scalar one
@@ -249,6 +250,7 @@ pub(crate) enum StageOp {
 /// # Panics
 /// Panics if `src` is not `rows × width` values, `pitch < width`, or `dst`
 /// is too short to hold the rows.
+#[inline(always)]
 pub(crate) fn stage_plane(
     isa: SimdIsa,
     op: StageOp,
@@ -263,20 +265,25 @@ pub(crate) fn stage_plane(
     }
     assert!(dst.len() >= (rows - 1) * pitch + width, "staged rows overrun the scratch");
     // Rows that abut are one row.
-    let (rows, width, pitch) =
-        if pitch == width { (1, src.len(), 0) } else { (rows, width, pitch) };
-    match isa {
+    let (width, pitch) = if pitch == width { (src.len(), src.len()) } else { (width, pitch) };
+    match (op, isa) {
+        // A copy has no ISA flavour: its rows are `memcpy`s, walked here —
+        // and this function always inlined — so the staging loop calls
+        // nothing else per plane. An 8×8 plane's eight row copies cost
+        // about what one more call does (the 8×8 3×3 rows of `conv_shapes`
+        // read 3–6 % slower with that call).
+        (StageOp::Copy, _) => {
+            for (x, y) in src.chunks_exact(width).zip(dst.chunks_mut(pitch)) {
+                y[..width].copy_from_slice(x);
+            }
+        }
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
+        (_, SimdIsa::Avx2Fma | SimdIsa::Avx512) => {
             // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
             // support.
-            unsafe { avx2::stage_plane(op, src, dst, (rows, width), pitch) }
+            unsafe { avx2::stage_plane(op, src, dst, width, pitch) }
         }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
-            stage_plane_scalar(op, src, dst, (rows, width), pitch)
-        }
-        SimdIsa::Scalar => stage_plane_scalar(op, src, dst, (rows, width), pitch),
+        _ => stage_plane_scalar(op, src, dst, width, pitch),
     }
 }
 
@@ -321,22 +328,14 @@ pub(crate) fn norm_grad_plane(
     }
 }
 
-fn stage_plane_scalar(
-    op: StageOp,
-    src: &[f32],
-    dst: &mut [f32],
-    (rows, width): (usize, usize),
-    pitch: usize,
-) {
-    for r in 0..rows {
-        let (x, y) = (&src[r * width..][..width], &mut dst[r * pitch..][..width]);
-        match op {
-            StageOp::Copy => y.copy_from_slice(x),
-            StageOp::Relu => relu_into_scalar(x, y),
-            StageOp::NormClip { mean, inv_std, gamma, beta } => {
-                normalize_plane_scalar(x, None, y, mean, inv_std, gamma, beta, true)
-            }
-        }
+fn stage_plane_scalar(op: StageOp, src: &[f32], dst: &mut [f32], width: usize, pitch: usize) {
+    let rows = src.chunks_exact(width).zip(dst.chunks_mut(pitch));
+    match op {
+        StageOp::Copy => unreachable!("stage_plane copies"),
+        StageOp::Relu => rows.for_each(|(x, y)| relu_into_scalar(x, &mut y[..width])),
+        StageOp::NormClip { mean, inv_std, gamma, beta } => rows.for_each(|(x, y)| {
+            normalize_plane_scalar(x, None, &mut y[..width], mean, inv_std, gamma, beta, true)
+        }),
     }
 }
 
@@ -506,63 +505,21 @@ mod avx2 {
         }
     }
 
-    /// `op` over every row: eight values per vector step, the rest of a
-    /// row by the scalar tail (FMA-contracted, like every AVX2 tail here).
+    /// `op`'s AVX2 sweep over every row, dispatched once per plane.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn stage_plane(
-        op: StageOp,
-        src: &[f32],
-        dst: &mut [f32],
-        rows: (usize, usize),
-        pitch: usize,
-    ) {
-        let zero = _mm256_setzero_ps();
+    pub fn stage_plane(op: StageOp, src: &[f32], dst: &mut [f32], width: usize, pitch: usize) {
+        let rows = src.chunks_exact(width).zip(dst.chunks_mut(pitch));
         match op {
-            StageOp::Copy => stage_rows(src, dst, rows, pitch, |v| v, |v| v),
-            StageOp::Relu => stage_rows(src, dst, rows, pitch, |v| _mm256_max_ps(v, zero), clip),
+            StageOp::Copy => unreachable!("super::stage_plane copies"),
+            StageOp::Relu => {
+                for (x, y) in rows {
+                    relu_into(x, &mut y[..width]);
+                }
+            }
             StageOp::NormClip { mean, inv_std, gamma, beta } => {
-                let (m, is) = (_mm256_set1_ps(mean), _mm256_set1_ps(inv_std));
-                let (g, b) = (_mm256_set1_ps(gamma), _mm256_set1_ps(beta));
-                stage_rows(
-                    src,
-                    dst,
-                    rows,
-                    pitch,
-                    |v| {
-                        _mm256_max_ps(
-                            _mm256_fmadd_ps(g, _mm256_mul_ps(_mm256_sub_ps(v, m), is), b),
-                            zero,
-                        )
-                    },
-                    |v| clip(gamma.mul_add((v - mean) * inv_std, beta)),
-                );
-            }
-        }
-    }
-
-    /// The row walk behind [`stage_plane`]: `vector` on every whole group of
-    /// eight values of a row, `scalar` on the rest of it.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn stage_rows(
-        src: &[f32],
-        dst: &mut [f32],
-        (rows, width): (usize, usize),
-        pitch: usize,
-        vector: impl Fn(__m256) -> __m256,
-        scalar: impl Fn(f32) -> f32,
-    ) {
-        for r in 0..rows {
-            // The dispatcher asserted both rows in bounds.
-            let (x, y) = (&src[r * width..][..width], &mut dst[r * pitch..][..width]);
-            let ((x_chunks, x_tail), (y_chunks, y_tail)) =
-                (x.as_chunks::<8>(), y.as_chunks_mut::<8>());
-            for (xc, yc) in x_chunks.iter().zip(y_chunks) {
-                // SAFETY: `xc` and `yc` hold exactly eight values each.
-                unsafe { _mm256_storeu_ps(yc.as_mut_ptr(), vector(_mm256_loadu_ps(xc.as_ptr()))) };
-            }
-            for (o, &v) in y_tail.iter_mut().zip(x_tail) {
-                *o = scalar(v);
+                for (x, y) in rows {
+                    normalize_plane(x, None, &mut y[..width], mean, inv_std, gamma, beta, true);
+                }
             }
         }
     }

@@ -5,8 +5,8 @@
 //! portable scalar loop the crate has always shipped, and an explicit
 //! AVX2+FMA `std::arch` implementation. A third tier, [`SimdIsa::Avx512`],
 //! is numerically the AVX2+FMA flavour: every kernel runs its AVX2+FMA body
-//! there except the few with a 512-bit body of the same bits (the GEMM
-//! microkernel, the weight-gradient correlation and 2×2 average pooling —
+//! there except the two with a 512-bit body of the same bits (the GEMM
+//! microkernel and the weight-gradient correlation —
 //! `bnff_kernels::dispatch` lists them). Which flavour
 //! runs is decided *once per kernel entry* by [`active_isa`], in priority
 //! order:
@@ -42,8 +42,8 @@
 //! The f64 reductions ([`sum_f64`], [`sum_sq_f64`], [`sq_dev_sum_f64`]) are
 //! bound by their dependent add chain, not by the bytes they read: one
 //! chain per plane leaves the vector units idle for most of each add's
-//! latency. Their two-plane forms ([`sum_f64_pair`], [`sum_sq_f64_pair`],
-//! [`sq_dev_sum_f64_pair`]) walk two planes in one loop with two
+//! latency. Their crate-private two-plane forms (`sum_f64_pair`,
+//! `sum_sq_f64_pair`, `sq_dev_sum_f64_pair`) walk two planes in one loop with two
 //! independent chains. The bits hold because nothing is shared between the
 //! planes: each keeps its own four lane partials (or, scalar, its own
 //! sequential fold), takes its values in its own order, and ends with its
@@ -262,7 +262,7 @@ impl DerefMut for AlignedBuf {
 /// is the exact sequential fold the statistics kernels have always used;
 /// the AVX2 path converts eight lanes per step to `f64` and keeps four
 /// partial sums, reduced in a fixed lane order (deterministic, but rounded
-/// differently from the scalar fold). It is [`sum_f64_pair`] with an empty
+/// differently from the scalar fold). It is `sum_f64_pair` with an empty
 /// second plane.
 pub fn sum_f64(isa: SimdIsa, x: &[f32]) -> f64 {
     sum_f64_pair(isa, x, &[])[0]
@@ -285,7 +285,7 @@ pub fn sq_dev_sum_f64(isa: SimdIsa, x: &[f32], mean: f64) -> f64 {
 /// bit for bit, whatever the two lengths (an empty `b` sums to `0.0`). Each
 /// plane keeps its own lane partials, order, lane reduce and scalar tail;
 /// the two independent add chains only hide each other's latency.
-pub fn sum_f64_pair(isa: SimdIsa, a: &[f32], b: &[f32]) -> [f64; 2] {
+pub(crate) fn sum_f64_pair(isa: SimdIsa, a: &[f32], b: &[f32]) -> [f64; 2] {
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
@@ -301,7 +301,7 @@ pub fn sum_f64_pair(isa: SimdIsa, a: &[f32], b: &[f32]) -> [f64; 2] {
 
 /// [`sum_sq_f64`] of two planes at once, bit for bit the two single-plane
 /// calls whatever the two lengths — see [`sum_f64_pair`].
-pub fn sum_sq_f64_pair(isa: SimdIsa, a: &[f32], b: &[f32]) -> [(f64, f64); 2] {
+pub(crate) fn sum_sq_f64_pair(isa: SimdIsa, a: &[f32], b: &[f32]) -> [(f64, f64); 2] {
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
@@ -318,7 +318,7 @@ pub fn sum_sq_f64_pair(isa: SimdIsa, a: &[f32], b: &[f32]) -> [(f64, f64); 2] {
 /// [`sq_dev_sum_f64`] of two planes around their own means at once, bit for
 /// bit the two single-plane calls whatever the two lengths — see
 /// [`sum_f64_pair`].
-pub fn sq_dev_sum_f64_pair(isa: SimdIsa, a: &[f32], b: &[f32], means: [f64; 2]) -> [f64; 2] {
+pub(crate) fn sq_dev_sum_f64_pair(isa: SimdIsa, a: &[f32], b: &[f32], means: [f64; 2]) -> [f64; 2] {
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
@@ -434,43 +434,56 @@ mod avx2 {
         (_mm256_cvtps_pd(_mm256_castps256_ps128(v)), _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)))
     }
 
-    /// Walks two planes eight values at a time — jointly over their common
-    /// prefix, then each alone — folding `step(plane, acc, chunk)` into each
-    /// plane's own accumulator, and returns both with the planes' scalar
-    /// tails. Per plane the steps are the ones a walk of that plane alone
-    /// takes, in its order.
+    /// One step of a plane's `Σx`: the eight values of `chunk` added to the
+    /// lane partials `s`, lanes 0–3 first.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    fn walk_pair<'a, A: Copy>(
-        a: &'a [f32],
-        b: &'a [f32],
-        zero: A,
-        step: impl Fn(usize, A, &[f32; 8]) -> A,
-    ) -> ([A; 2], [&'a [f32]; 2]) {
-        let ((a_chunks, a_tail), (b_chunks, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
-        let common = a_chunks.len().min(b_chunks.len());
-        let mut acc = [zero; 2];
-        for (u, v) in a_chunks.iter().zip(b_chunks) {
-            acc[0] = step(0, acc[0], u);
-            acc[1] = step(1, acc[1], v);
-        }
-        for u in &a_chunks[common..] {
-            acc[0] = step(0, acc[0], u);
-        }
-        for v in &b_chunks[common..] {
-            acc[1] = step(1, acc[1], v);
-        }
-        (acc, [a_tail, b_tail])
+    fn add_chunk(s: __m256d, chunk: &[f32; 8]) -> __m256d {
+        let (lo, hi) = widen(chunk);
+        _mm256_add_pd(_mm256_add_pd(s, lo), hi)
     }
+
+    /// One step of a plane's `(Σx, Σx²)`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn add_sq_chunk((s, q): (__m256d, __m256d), chunk: &[f32; 8]) -> (__m256d, __m256d) {
+        let (lo, hi) = widen(chunk);
+        (
+            _mm256_add_pd(_mm256_add_pd(s, lo), hi),
+            _mm256_fmadd_pd(hi, hi, _mm256_fmadd_pd(lo, lo, q)),
+        )
+    }
+
+    /// One step of a plane's `Σ(x − m)²`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn add_sq_dev_chunk(acc: __m256d, chunk: &[f32; 8], m: __m256d) -> __m256d {
+        let (lo, hi) = widen(chunk);
+        let (lo, hi) = (_mm256_sub_pd(lo, m), _mm256_sub_pd(hi, m));
+        _mm256_fmadd_pd(hi, hi, _mm256_fmadd_pd(lo, lo, acc))
+    }
+
+    // The pair kernels walk both planes eight values at a time, jointly over
+    // their common prefix and then each alone, so each plane takes the steps
+    // a walk of it alone takes, in its order; the steps are named functions,
+    // not closures, so they inline into the loops whatever the codegen units.
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub fn sum_f64_pair(a: &[f32], b: &[f32]) -> [f64; 2] {
-        let (acc, tails) = walk_pair(a, b, _mm256_setzero_pd(), |_, s, chunk| {
-            let (lo, hi) = widen(chunk);
-            _mm256_add_pd(_mm256_add_pd(s, lo), hi)
-        });
+        let ((a_chunks, a_tail), (b_chunks, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
+        let common = a_chunks.len().min(b_chunks.len());
+        let mut acc = [_mm256_setzero_pd(); 2];
+        for (u, v) in a_chunks.iter().zip(b_chunks) {
+            acc[0] = add_chunk(acc[0], u);
+            acc[1] = add_chunk(acc[1], v);
+        }
+        for (p, rest) in [&a_chunks[common..], &b_chunks[common..]].into_iter().enumerate() {
+            for chunk in rest {
+                acc[p] = add_chunk(acc[p], chunk);
+            }
+        }
         let mut sums = [hsum_pd(acc[0]), hsum_pd(acc[1])];
-        for (sum, tail) in sums.iter_mut().zip(tails) {
+        for (sum, tail) in sums.iter_mut().zip([a_tail, b_tail]) {
             for &v in tail {
                 *sum += f64::from(v);
             }
@@ -480,15 +493,22 @@ mod avx2 {
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub fn sum_sq_f64_pair(a: &[f32], b: &[f32]) -> [(f64, f64); 2] {
+        let ((a_chunks, a_tail), (b_chunks, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
+        let common = a_chunks.len().min(b_chunks.len());
         let zero = _mm256_setzero_pd();
-        let (acc, tails) = walk_pair(a, b, (zero, zero), |_, (s, q), chunk| {
-            let (lo, hi) = widen(chunk);
-            let q = _mm256_fmadd_pd(hi, hi, _mm256_fmadd_pd(lo, lo, q));
-            (_mm256_add_pd(_mm256_add_pd(s, lo), hi), q)
-        });
+        let mut acc = [(zero, zero); 2];
+        for (u, v) in a_chunks.iter().zip(b_chunks) {
+            acc[0] = add_sq_chunk(acc[0], u);
+            acc[1] = add_sq_chunk(acc[1], v);
+        }
+        for (p, rest) in [&a_chunks[common..], &b_chunks[common..]].into_iter().enumerate() {
+            for chunk in rest {
+                acc[p] = add_sq_chunk(acc[p], chunk);
+            }
+        }
         let mut sums =
             [(hsum_pd(acc[0].0), hsum_pd(acc[0].1)), (hsum_pd(acc[1].0), hsum_pd(acc[1].1))];
-        for ((sum, sq), tail) in sums.iter_mut().zip(tails) {
+        for ((sum, sq), tail) in sums.iter_mut().zip([a_tail, b_tail]) {
             for &v in tail {
                 let v = f64::from(v);
                 *sum += v;
@@ -528,14 +548,21 @@ mod avx2 {
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub fn sq_dev_sum_f64_pair(a: &[f32], b: &[f32], means: [f64; 2]) -> [f64; 2] {
+        let ((a_chunks, a_tail), (b_chunks, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
+        let common = a_chunks.len().min(b_chunks.len());
         let m = [_mm256_set1_pd(means[0]), _mm256_set1_pd(means[1])];
-        let (acc, tails) = walk_pair(a, b, _mm256_setzero_pd(), |plane, acc, chunk| {
-            let (lo, hi) = widen(chunk);
-            let (lo, hi) = (_mm256_sub_pd(lo, m[plane]), _mm256_sub_pd(hi, m[plane]));
-            _mm256_fmadd_pd(hi, hi, _mm256_fmadd_pd(lo, lo, acc))
-        });
+        let mut acc = [_mm256_setzero_pd(); 2];
+        for (u, v) in a_chunks.iter().zip(b_chunks) {
+            acc[0] = add_sq_dev_chunk(acc[0], u, m[0]);
+            acc[1] = add_sq_dev_chunk(acc[1], v, m[1]);
+        }
+        for (p, rest) in [&a_chunks[common..], &b_chunks[common..]].into_iter().enumerate() {
+            for chunk in rest {
+                acc[p] = add_sq_dev_chunk(acc[p], chunk, m[p]);
+            }
+        }
         let mut sums = [hsum_pd(acc[0]), hsum_pd(acc[1])];
-        for ((sum, tail), mean) in sums.iter_mut().zip(tails).zip(means) {
+        for ((sum, tail), mean) in sums.iter_mut().zip([a_tail, b_tail]).zip(means) {
             for &v in tail {
                 let d = f64::from(v) - mean;
                 *sum += d * d;

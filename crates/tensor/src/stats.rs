@@ -14,7 +14,7 @@
 //!
 //! Every sweep here but Welford's walks the channels two at a time: the two
 //! planes of a channel pair go through one two-plane kernel
-//! ([`simd::sum_sq_f64_pair`] and its siblings), whose two independent f64
+//! (`simd::sum_sq_f64_pair` and its siblings), whose two independent f64
 //! add chains hide each other's latency where one chain per plane bound
 //! the sweep. Each plane still gets exactly its single-plane sums, so every
 //! statistic keeps its bits; an odd last channel pairs with an empty plane.
@@ -145,7 +145,7 @@ impl ChannelAccumulator {
 
     /// Accumulates one sample's `C` contiguous channel planes: each channel
     /// gets its plane's [`simd::sum_sq_f64`] subtotal, the planes taken two
-    /// channels at a time by [`simd::sum_sq_f64_pair`]. Counts nothing —
+    /// channels at a time by `simd::sum_sq_f64_pair`. Counts nothing —
     /// see [`ChannelAccumulator::add_count`].
     ///
     /// # Panics
