@@ -34,7 +34,7 @@ use std::time::Duration;
 
 /// The ABI version this library exports. Bumped on any breaking change to
 /// the exported surface.
-pub const BNFF_ABI_VERSION: u32 = 1;
+pub const BNFF_ABI_VERSION: u32 = 2;
 
 /// Success.
 pub const BNFF_OK: i32 = 0;
@@ -465,44 +465,6 @@ pub unsafe extern "C" fn bnff_infer_traced(
             }
             Ok(_) => BNFF_OK,
             Err(code) => code,
-        }
-    })
-}
-
-/// A JSON snapshot of the engine's serving metrics (the same
-/// `ServeReport` document `GET /v1/metrics` returns).
-///
-/// Returns a NUL-terminated string owned by the caller — release it with
-/// [`bnff_free`] — or null on failure.
-///
-/// # Safety
-/// `engine` must be a live handle from [`bnff_engine_start`].
-#[no_mangle]
-pub unsafe extern "C" fn bnff_metrics_json(engine: *const BnffEngine) -> *mut c_char {
-    guarded(std::ptr::null_mut(), || {
-        if engine.is_null() || !is_live(engine as usize) {
-            set_last_error("bnff_metrics_json: not a live engine handle");
-            return std::ptr::null_mut();
-        }
-        let engine = &unsafe { &*engine }.engine;
-        let report = engine.metrics().report(engine.uptime());
-        let json = match serde_json::to_string(&report) {
-            Ok(json) => json,
-            Err(e) => {
-                set_last_error(&format!("bnff_metrics_json: {e}"));
-                return std::ptr::null_mut();
-            }
-        };
-        match CString::new(json) {
-            Ok(cstring) => {
-                let raw = cstring.into_raw();
-                register(raw as usize, HandleKind::Str);
-                raw
-            }
-            Err(_) => {
-                set_last_error("bnff_metrics_json: report contained a NUL byte");
-                std::ptr::null_mut()
-            }
         }
     })
 }

@@ -6,9 +6,9 @@
 
 use bnff_capi::{
     bnff_abi_version, bnff_engine_start, bnff_free, bnff_infer, bnff_infer_traced, bnff_last_error,
-    bnff_metrics_json, bnff_metrics_prometheus, bnff_model_classes, bnff_model_load,
-    bnff_model_sample_len, BnffEngine, BnffTrace, BNFF_ERR_BAD_HANDLE, BNFF_ERR_BUFFER_TOO_SMALL,
-    BNFF_ERR_INVALID, BNFF_OK,
+    bnff_metrics_prometheus, bnff_model_classes, bnff_model_load, bnff_model_sample_len,
+    BnffEngine, BnffTrace, BNFF_ERR_BAD_HANDLE, BNFF_ERR_BUFFER_TOO_SMALL, BNFF_ERR_INVALID,
+    BNFF_OK,
 };
 use bnff_graph::builder::GraphBuilder;
 use bnff_graph::op::Conv2dAttrs;
@@ -89,7 +89,7 @@ fn assert_untouched(trace: &BnffTrace, case: &str) {
 
 #[test]
 fn full_lifecycle_over_the_c_abi() {
-    assert_eq!(bnff_abi_version(), 1);
+    assert_eq!(bnff_abi_version(), 2);
 
     let dir = std::env::temp_dir().join(format!("bnff-abi-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -219,24 +219,23 @@ fn full_lifecycle_over_the_c_abi() {
     assert_eq!(trace.worker, 0, "single-worker engine");
     assert!(trace.stolen <= 1);
 
-    // Metrics: a parseable ServeReport that saw our request.
-    let metrics = unsafe { bnff_metrics_json(engine) };
-    assert!(!metrics.is_null(), "{}", last_error());
-    let json = unsafe { CStr::from_ptr(metrics) }.to_str().unwrap().to_string();
-    let report: bnff_serve::ServeReport = serde_json::from_str(&json).unwrap();
-    assert!(report.requests >= 1);
-
-    // Prometheus exposition over the same registry.
+    // Metrics: the Prometheus exposition of a registry that saw our requests.
     let exposition = unsafe { bnff_metrics_prometheus(engine) };
     assert!(!exposition.is_null(), "{}", last_error());
     let text = unsafe { CStr::from_ptr(exposition) }.to_str().unwrap().to_string();
     assert!(text.contains("# TYPE bnff_requests_total counter"));
     assert!(text.contains("bnff_request_latency_seconds_bucket"));
-    assert_eq!(unsafe { bnff_free(exposition.cast()) }, BNFF_OK);
+    let requests: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("bnff_requests_total "))
+        .expect("a bnff_requests_total sample")
+        .parse()
+        .unwrap();
+    assert!(requests >= 1, "the served request is counted");
 
     // Free everything once: OK. Free again: typed error, not UB.
-    assert_eq!(unsafe { bnff_free(metrics.cast()) }, BNFF_OK);
-    assert_eq!(unsafe { bnff_free(metrics.cast()) }, BNFF_ERR_BAD_HANDLE);
+    assert_eq!(unsafe { bnff_free(exposition.cast()) }, BNFF_OK);
+    assert_eq!(unsafe { bnff_free(exposition.cast()) }, BNFF_ERR_BAD_HANDLE);
     assert_eq!(unsafe { bnff_free(engine.cast()) }, BNFF_OK);
     assert_eq!(unsafe { bnff_free(engine.cast()) }, BNFF_ERR_BAD_HANDLE);
 

@@ -157,12 +157,8 @@ fn main() {
         ],
     );
     println!("bnff_serve: listening on http://{} (model {})", server.local_addr(), args.model);
-    println!(
-        "bnff_serve: POST /v1/infer · GET /v1/metrics · GET /metrics · GET /v1/healthz · \
-         POST /v1/shutdown"
-    );
-    let report = server.wait();
-    match report {
+    println!("bnff_serve: POST /v1/infer · GET /metrics · GET /v1/healthz · POST /v1/shutdown");
+    match server.wait() {
         Some(metrics) => log_event(
             "bnff_serve",
             "shutdown",

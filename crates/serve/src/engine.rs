@@ -65,7 +65,6 @@ use crate::Result;
 use bnff_obs::{next_request_id, TraceSampler};
 use bnff_parallel::{current_threads, partition_threads, with_threads};
 use bnff_tensor::{Shape, Tensor};
-use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -119,8 +118,8 @@ impl Default for BatchingConfig {
 }
 
 /// Span timings of one traced request, echoed on its [`Completion`] (and
-/// from there as the HTTP `X-BNFF-Trace` header / JSON `trace` field).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// from there as the HTTP `X-BNFF-Trace` header).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestTrace {
     /// The request's process-unique ID.
     pub request_id: u64,
@@ -211,7 +210,6 @@ pub struct ServeEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     budgets: Vec<usize>,
-    started: Instant,
 }
 
 impl std::fmt::Debug for ServeEngine {
@@ -289,7 +287,7 @@ impl ServeEngine {
                     .expect("spawning a serve worker")
             })
             .collect();
-        Ok(ServeEngine { shared, workers, budgets, started: Instant::now() })
+        Ok(ServeEngine { shared, workers, budgets })
     }
 
     /// Submits one sample (`C × H × W`, or `1 × C × H × W`) for inference.
@@ -408,11 +406,6 @@ impl ServeEngine {
     /// The disjoint kernel-thread budgets the workers were started with.
     pub fn kernel_budgets(&self) -> &[usize] {
         &self.budgets
-    }
-
-    /// Wall-clock time since the engine started.
-    pub fn uptime(&self) -> Duration {
-        self.started.elapsed()
     }
 
     /// Drains the queues, stops the workers and returns the final metrics.

@@ -1,20 +1,18 @@
-//! The HTTP serving boundary: a [`ServeEngine`] behind five endpoints.
+//! The HTTP serving boundary: a [`ServeEngine`] behind four endpoints.
 //!
-//! | Endpoint           | Method | Behavior                                          |
-//! |--------------------|--------|---------------------------------------------------|
-//! | `/v1/infer`        | POST   | `{"sample": [f32; C·H·W]}` → classifier scores    |
-//! | `/v1/metrics`      | GET    | [`ServeReport`](crate::ServeReport) JSON snapshot |
-//! | `/metrics`         | GET    | Prometheus text exposition of the metrics registry|
-//! | `/v1/healthz`      | GET    | liveness + drain state                            |
-//! | `/v1/shutdown`     | POST   | graceful drain (the SIGTERM-equivalent)           |
+//! | Endpoint       | Method | Behavior                                           |
+//! |----------------|--------|----------------------------------------------------|
+//! | `/v1/infer`    | POST   | `{"sample": [f32; C·H·W]}` → classifier scores     |
+//! | `/metrics`     | GET    | Prometheus text exposition of the metrics registry |
+//! | `/v1/healthz`  | GET    | liveness + drain state                             |
+//! | `/v1/shutdown` | POST   | graceful drain (the SIGTERM-equivalent)            |
 //!
 //! Every connection mints a process-unique request ID at ingress and
 //! carries it through engine admission, so access-log lines
 //! ([`HttpOptions::access_log`]) and trace echoes correlate. When the
 //! engine samples a request for tracing (`BNFF_TRACE` / `trace_every`),
-//! the infer response carries an `X-BNFF-Trace` header and a `trace`
-//! JSON field with the span timings; untraced responses are byte-for-byte
-//! what they were before tracing existed.
+//! the infer response carries the span timings in an `X-BNFF-Trace`
+//! header; the body has the same shape whether or not it was traced.
 //!
 //! Engine backpressure maps onto HTTP status codes, so standard clients and
 //! load balancers react correctly without knowing the engine's error types:
@@ -72,18 +70,6 @@ struct InferResponse {
     scores: Vec<f32>,
     batch_size: usize,
     latency_us: u64,
-}
-
-/// `POST /v1/infer` success body when the engine sampled the request for
-/// tracing. A separate struct (rather than an `Option<RequestTrace>` field
-/// on [`InferResponse`]) keeps untraced responses byte-identical to what
-/// they were before tracing existed.
-#[derive(Debug, Serialize)]
-struct TracedInferResponse {
-    scores: Vec<f32>,
-    batch_size: usize,
-    latency_us: u64,
-    trace: RequestTrace,
 }
 
 /// Error body for every non-200 response.
@@ -368,7 +354,6 @@ type Routed = (u16, Vec<(&'static str, String)>, String);
 fn route(shared: &ServerShared, request: &Request, request_id: u64) -> Routed {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/v1/infer") => infer(shared, request, request_id),
-        ("GET", "/v1/metrics") => metrics(shared),
         ("GET", "/metrics") => prometheus(shared),
         ("GET", "/v1/healthz") => {
             let body =
@@ -382,7 +367,7 @@ fn route(shared: &ServerShared, request: &Request, request_id: u64) -> Routed {
             shared.drain();
             (200, Vec::new(), "{\"status\":\"drained\"}".to_string())
         }
-        (_, "/v1/infer" | "/v1/metrics" | "/metrics" | "/v1/healthz" | "/v1/shutdown") => {
+        (_, "/v1/infer" | "/metrics" | "/v1/healthz" | "/v1/shutdown") => {
             (405, Vec::new(), error_body("method not allowed"))
         }
         (_, path) => (404, Vec::new(), error_body(&format!("no such endpoint: {path}"))),
@@ -393,18 +378,6 @@ fn ok<T: Serialize>(body: &T) -> Routed {
     match serde_json::to_string(body) {
         Ok(json) => (200, Vec::new(), json),
         Err(e) => (500, Vec::new(), error_body(&e.to_string())),
-    }
-}
-
-fn metrics(shared: &ServerShared) -> Routed {
-    let guard = shared.lock_engine();
-    match guard.as_ref() {
-        Some(engine) => {
-            let report = engine.metrics().report(engine.uptime());
-            drop(guard);
-            ok(&report)
-        }
-        None => serve_error(&ServeError::ShuttingDown),
     }
 }
 
@@ -465,23 +438,15 @@ fn infer(shared: &ServerShared, request: &Request, request_id: u64) -> Routed {
     };
     match completion {
         Ok(completion) => {
-            let scores = completion.scores.as_slice().to_vec();
-            let latency_us = completion.latency.as_micros() as u64;
-            match completion.trace {
-                Some(trace) => {
-                    let mut routed = ok(&TracedInferResponse {
-                        scores,
-                        batch_size: completion.batch_size,
-                        latency_us,
-                        trace: trace.clone(),
-                    });
-                    routed.1.push(("x-bnff-trace", trace_header(&trace)));
-                    routed
-                }
-                None => {
-                    ok(&InferResponse { scores, batch_size: completion.batch_size, latency_us })
-                }
+            let mut routed = ok(&InferResponse {
+                scores: completion.scores.as_slice().to_vec(),
+                batch_size: completion.batch_size,
+                latency_us: completion.latency.as_micros() as u64,
+            });
+            if let Some(trace) = &completion.trace {
+                routed.1.push(("x-bnff-trace", trace_header(trace)));
             }
+            routed
         }
         Err(e) => serve_error(&e),
     }

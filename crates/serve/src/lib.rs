@@ -22,8 +22,9 @@
 //!    [`ServeError::Overloaded`] only when every queue is full), coalesces
 //!    them into dynamic micro-batches (`max_batch`/`max_wait` bounded, with
 //!    optional deadline expiry), partitions the kernel-thread budget
-//!    disjointly across workers, and reports latency percentiles +
-//!    throughput ([`metrics::ServeReport`]).
+//!    disjointly across workers, and records its counters and latency
+//!    histograms on one registry ([`ServeMetrics`]), scraped as Prometheus
+//!    text.
 //!
 //! Training and serving are separate processes in principle: the trainer
 //! writes its [`Checkpoint`](bnff_train::Checkpoint) as a `.bnff` model
@@ -83,7 +84,7 @@ pub use engine::{BatchingConfig, Completion, RequestTrace, ServeEngine};
 pub use error::ServeError;
 pub use executor::{FrozenExecutor, OpProfile};
 pub use httpd::{HttpOptions, HttpServer};
-pub use metrics::{MetricsSnapshot, ServeMetrics, ServeReport};
+pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use model::FrozenModel;
 pub use params::{FrozenParamSet, FrozenParams};
 

@@ -1,20 +1,19 @@
 //! Serving metrics on the unified [`bnff_obs`] registry: lock-free
-//! counters, gauges and latency histograms with both the legacy JSON
-//! [`ServeReport`] and Prometheus text exposition.
+//! counters, gauges and latency histograms, exposed in one document, the
+//! Prometheus text exposition.
 //!
 //! The engine records through [`ServeMetrics`] — typed handles into one
 //! [`Registry`] — so every observation is a relaxed atomic; no request
 //! ever takes a metrics lock (the registry mutex is touched only at
-//! registration and scrape time). Readers take a [`MetricsSnapshot`],
-//! which carries the same read API the old per-worker recorder exposed
-//! (`requests()`, `percentile_ms(..)`, `report(..)`) so existing
-//! consumers keep working, now backed by log-bucketed histograms with
-//! ≤ 6.25% relative quantile error instead of unbounded latency vectors.
+//! registration and scrape time). In-process readers take a
+//! [`MetricsSnapshot`]: the counters plus the end-to-end latency histogram
+//! (`requests()`, `percentile_ms(..)`), log-bucketed with ≤ 6.25% relative
+//! quantile error. Throughput and uptime come from the scrape:
+//! `bnff_requests_total` over the time since `bnff_start_time_seconds`.
 
 use bnff_obs::{Counter, Gauge, Histogram, HistogramOpts, HistogramSnapshot, Registry};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 
 /// Lock-free recording handles for the serving engine, all registered on
 /// one shared [`Registry`] (which also renders the Prometheus scrape).
@@ -43,9 +42,14 @@ impl Default for ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Fresh metrics on a fresh registry.
+    /// Fresh metrics on a fresh registry, whose `bnff_start_time_seconds`
+    /// gauge records now (the engine creates its metrics as it starts).
     pub fn new() -> Self {
         let registry = Arc::new(Registry::new());
+        let started = SystemTime::now().duration_since(SystemTime::UNIX_EPOCH).unwrap_or_default();
+        registry
+            .gauge("bnff_start_time_seconds", "Unix time the engine started, in seconds.")
+            .set(started.as_secs() as i64);
         ServeMetrics {
             requests: registry.counter("bnff_requests_total", "Requests served to completion."),
             batches: registry.counter("bnff_batches_total", "Coalesced batches executed."),
@@ -161,7 +165,8 @@ impl ServeMetrics {
         self.stolen.inc();
     }
 
-    /// Sets the batch capacity (`max_batch`) occupancy is reported against.
+    /// Sets the batch capacity (`max_batch`), the scrape's occupancy
+    /// denominator.
     pub fn set_batch_capacity(&self, capacity: usize) {
         self.batch_capacity.set_max(capacity as i64);
     }
@@ -177,7 +182,7 @@ impl ServeMetrics {
         self.queued.get().max(0) as usize
     }
 
-    /// A point-in-time copy of every counter and histogram.
+    /// A point-in-time copy of the counters and the latency histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             requests: self.requests.get(),
@@ -186,19 +191,15 @@ impl ServeMetrics {
             stolen: self.stolen.get(),
             shed: self.shed.get(),
             expired: self.expired.get(),
-            batch_capacity: self.batch_capacity.get().max(0) as usize,
             executor_cache_peak: self.cache_peak.get().max(0) as usize,
             latency: self.latency.snapshot(),
-            queue_wait: self.queue_wait.snapshot(),
-            infer: self.infer.snapshot(),
-            queue_depth: self.queue_depth.snapshot(),
         }
     }
 }
 
-/// A point-in-time copy of the serving metrics, with the derived-statistic
-/// read API (`percentile_ms`, occupancy means) and [`ServeReport`] folding.
-#[derive(Debug, Clone, PartialEq)]
+/// A point-in-time copy of the serving counters and the end-to-end latency
+/// histogram, for in-process readers; everything else is in the scrape.
+#[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     requests: u64,
     batches: u64,
@@ -206,39 +207,11 @@ pub struct MetricsSnapshot {
     stolen: u64,
     shed: u64,
     expired: u64,
-    batch_capacity: usize,
     executor_cache_peak: usize,
     latency: HistogramSnapshot,
-    queue_wait: HistogramSnapshot,
-    infer: HistogramSnapshot,
-    queue_depth: HistogramSnapshot,
-}
-
-impl Default for MetricsSnapshot {
-    fn default() -> Self {
-        MetricsSnapshot::empty()
-    }
 }
 
 impl MetricsSnapshot {
-    /// A snapshot with no observations.
-    pub fn empty() -> Self {
-        MetricsSnapshot {
-            requests: 0,
-            batches: 0,
-            batch_samples: 0,
-            stolen: 0,
-            shed: 0,
-            expired: 0,
-            batch_capacity: 0,
-            executor_cache_peak: 0,
-            latency: HistogramSnapshot::empty(),
-            queue_wait: HistogramSnapshot::empty(),
-            infer: HistogramSnapshot::empty(),
-            queue_depth: HistogramSnapshot::empty(),
-        }
-    }
-
     /// Requests served to completion.
     pub fn requests(&self) -> usize {
         self.requests as usize
@@ -273,25 +246,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Mean fraction of `max_batch` each executed batch filled (`0..=1`).
-    pub fn mean_batch_occupancy(&self) -> f64 {
-        if self.batch_capacity == 0 {
-            0.0
-        } else {
-            self.mean_batch_size() / self.batch_capacity as f64
-        }
-    }
-
-    /// Mean sampled shard-queue depth.
-    pub fn mean_queue_depth(&self) -> f64 {
-        self.queue_depth.mean()
-    }
-
-    /// Largest sampled shard-queue depth.
-    pub fn max_queue_depth(&self) -> usize {
-        self.queue_depth.max() as usize
-    }
-
     /// Peak per-worker executor-cache size observed.
     pub fn executor_cache_peak(&self) -> usize {
         self.executor_cache_peak
@@ -302,65 +256,6 @@ impl MetricsSnapshot {
     pub fn percentile_ms(&self, p: f64) -> f64 {
         self.latency.value_at_quantile(p / 100.0) as f64 * 1e-6
     }
-
-    /// Folds the counters into a summary over `wall` seconds of serving.
-    pub fn report(&self, wall: Duration) -> ServeReport {
-        let wall_seconds = wall.as_secs_f64().max(f64::MIN_POSITIVE);
-        ServeReport {
-            requests: self.requests(),
-            batches: self.batches(),
-            wall_seconds,
-            throughput_rps: self.requests() as f64 / wall_seconds,
-            p50_ms: self.percentile_ms(50.0),
-            p99_ms: self.percentile_ms(99.0),
-            p999_ms: self.percentile_ms(99.9),
-            shed: self.shed(),
-            expired: self.expired(),
-            stolen_batches: self.stolen_batches(),
-            mean_batch_size: self.mean_batch_size(),
-            mean_batch_occupancy: self.mean_batch_occupancy(),
-            mean_queue_depth: self.mean_queue_depth(),
-            max_queue_depth: self.max_queue_depth(),
-            executor_cache_peak: self.executor_cache_peak(),
-        }
-    }
-}
-
-/// A machine-readable serving summary (printed by `serve_synthetic` and
-/// served as JSON by `GET /v1/metrics`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeReport {
-    /// Requests served.
-    pub requests: usize,
-    /// Batches executed.
-    pub batches: usize,
-    /// Wall-clock seconds the load took.
-    pub wall_seconds: f64,
-    /// Served requests per second.
-    pub throughput_rps: f64,
-    /// Median end-to-end request latency in milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile end-to-end request latency in milliseconds.
-    pub p99_ms: f64,
-    /// 99.9th-percentile end-to-end request latency in milliseconds.
-    pub p999_ms: f64,
-    /// Requests shed by admission control (bounded queues full).
-    pub shed: usize,
-    /// Requests expired in the queue past the configured deadline.
-    pub expired: usize,
-    /// Batches a worker assembled by stealing from a sibling's shard.
-    pub stolen_batches: usize,
-    /// Mean coalesced batch size.
-    pub mean_batch_size: f64,
-    /// Mean fraction of `max_batch` each executed batch filled.
-    pub mean_batch_occupancy: f64,
-    /// Mean sampled request-queue depth.
-    pub mean_queue_depth: f64,
-    /// Largest sampled request-queue depth.
-    pub max_queue_depth: usize,
-    /// Peak per-worker executor-cache size (bounded by the engine's fixed
-    /// per-worker cache capacity).
-    pub executor_cache_peak: usize,
 }
 
 #[cfg(test)]
@@ -384,40 +279,6 @@ mod tests {
         assert_close(snap.percentile_ms(99.0), 99.0, "p99");
         assert_close(snap.percentile_ms(100.0), 100.0, "p100");
         assert_eq!(snap.requests(), 100);
-    }
-
-    #[test]
-    fn report_folds_counters() {
-        let m = ServeMetrics::new();
-        m.record_request(Duration::from_millis(2));
-        m.record_batch(4);
-        m.record_request(Duration::from_millis(4));
-        m.record_batch(2);
-        let report = m.snapshot().report(Duration::from_secs(2));
-        assert_eq!(report.requests, 2);
-        assert_eq!(report.batches, 2);
-        assert!((report.throughput_rps - 1.0).abs() < 1e-9);
-        assert!((report.mean_batch_size - 3.0).abs() < 1e-9);
-        assert!(report.p99_ms >= report.p50_ms);
-    }
-
-    #[test]
-    fn queue_and_cache_gauges() {
-        let m = ServeMetrics::new();
-        m.set_batch_capacity(8);
-        m.record_batch(4);
-        m.record_batch(8);
-        m.record_queue_depth(1);
-        m.record_queue_depth(5);
-        m.record_queue_depth(3);
-        m.record_executor_cache(2);
-        m.record_executor_cache(3);
-        m.record_executor_cache(1);
-        let report = m.snapshot().report(Duration::from_secs(1));
-        assert!((report.mean_batch_occupancy - 0.75).abs() < 1e-9);
-        assert!((report.mean_queue_depth - 3.0).abs() < 1e-9);
-        assert_eq!(report.max_queue_depth, 5);
-        assert_eq!(report.executor_cache_peak, 3);
     }
 
     #[test]
@@ -488,31 +349,118 @@ mod tests {
         assert_eq!(m.snapshot().executor_cache_peak(), 4);
         m.set_batch_capacity(8);
         m.set_batch_capacity(4);
-        m.record_batch(8);
-        assert!((m.snapshot().mean_batch_occupancy() - 1.0).abs() < 1e-9);
+        assert!(m.render_prometheus().lines().any(|l| l == "bnff_batch_capacity 8"));
+    }
+
+    /// Metrics with known observations on every series the scrape carries:
+    /// two requests in batches of 4 and 2, one stolen batch, 6 shed, 2
+    /// expired, cache sizes 2, 3, 1, queue depths 1, 5, 3 and capacity 8.
+    fn observed() -> ServeMetrics {
+        let m = ServeMetrics::new();
+        m.set_batch_capacity(8);
+        m.record_request(Duration::from_millis(2));
+        m.record_batch(4);
+        m.record_request(Duration::from_millis(4));
+        m.record_batch(2);
+        m.record_stolen_batch();
+        m.record_shed(6);
+        m.record_expired(2);
+        for size in [2, 3, 1] {
+            m.record_executor_cache(size);
+        }
+        for depth in [1, 5, 3] {
+            m.record_queue_depth(depth);
+        }
+        m
+    }
+
+    fn assert_lines(text: &str, lines: &[&str]) {
+        for line in lines {
+            assert!(text.lines().any(|l| l == *line), "missing exposition line {line:?}");
+        }
+    }
+
+    /// The value of the unlabelled sample `name` in an exposition.
+    fn sample(text: &str, name: &str) -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {name} sample"))
+            .parse()
+            .unwrap()
     }
 
     #[test]
-    fn serve_report_serde_round_trip() {
+    fn empty_snapshot_is_safe() {
         let m = ServeMetrics::new();
-        m.set_batch_capacity(4);
-        for ms in [1u64, 2, 3, 40] {
-            m.record_request(Duration::from_millis(ms));
-        }
-        m.record_batch(4);
-        m.record_queue_depth(9);
-        m.record_executor_cache(2);
-        m.record_shed(6);
-        m.record_expired(2);
-        m.record_stolen_batch();
-        let report = m.snapshot().report(Duration::from_secs(2));
-        let json = serde_json::to_string(&report).unwrap();
-        let back: ServeReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report, "ServeReport changed across the serde shims");
-        assert_eq!(back.shed, 6);
-        assert_eq!(back.expired, 2);
-        assert_eq!(back.stolen_batches, 1);
-        assert_eq!(back.p999_ms, report.p999_ms);
+        let empty = m.snapshot();
+        assert_eq!((empty.requests(), empty.batches(), empty.shed()), (0, 0, 0));
+        assert_eq!(
+            (empty.expired(), empty.stolen_batches(), empty.executor_cache_peak()),
+            (0, 0, 0)
+        );
+        assert_eq!(empty.mean_batch_size(), 0.0);
+        assert_eq!(empty.percentile_ms(99.0), 0.0);
+        assert_lines(&m.render_prometheus(), &["bnff_requests_total 0", "bnff_batches_total 0"]);
+    }
+
+    /// The totals reach both the snapshot and the scrape.
+    #[test]
+    fn report_folds_counters() {
+        let m = observed();
+        let snap = m.snapshot();
+        assert_eq!((snap.requests(), snap.batches(), snap.stolen_batches()), (2, 2, 1));
+        assert_eq!((snap.shed(), snap.expired()), (6, 2));
+        assert!((snap.mean_batch_size() - 3.0).abs() < 1e-9);
+        assert!(snap.percentile_ms(99.0) >= snap.percentile_ms(50.0));
+        assert!(snap.percentile_ms(50.0) > 0.0);
+        assert_lines(
+            &m.render_prometheus(),
+            &[
+                "bnff_requests_total 2",
+                "bnff_batches_total 2",
+                "bnff_batch_samples_total 6",
+                "bnff_stolen_batches_total 1",
+                "bnff_shed_total 6",
+                "bnff_expired_total 2",
+            ],
+        );
+    }
+
+    /// The peak gauges and the queue-depth sum and count (their ratio is
+    /// the mean depth).
+    #[test]
+    fn queue_and_cache_gauges() {
+        let m = observed();
+        assert_eq!(m.snapshot().executor_cache_peak(), 3);
+        assert_lines(
+            &m.render_prometheus(),
+            &[
+                "bnff_executor_cache_peak 3",
+                "bnff_batch_capacity 8",
+                "bnff_queue_depth_sum 9",
+                "bnff_queue_depth_count 3",
+            ],
+        );
+    }
+
+    /// The scrape parses back to the snapshot's totals, and carries the
+    /// start time (requests over uptime is throughput).
+    #[test]
+    fn serve_report_serde_round_trip() {
+        let m = observed();
+        let snap = m.snapshot();
+        let text = m.render_prometheus();
+        assert_eq!(sample(&text, "bnff_requests_total"), snap.requests() as u64);
+        assert_eq!(sample(&text, "bnff_batches_total"), snap.batches() as u64);
+        assert_eq!(sample(&text, "bnff_stolen_batches_total"), snap.stolen_batches() as u64);
+        assert_eq!(sample(&text, "bnff_shed_total"), snap.shed() as u64);
+        assert_eq!(sample(&text, "bnff_expired_total"), snap.expired() as u64);
+        assert_eq!(sample(&text, "bnff_executor_cache_peak"), snap.executor_cache_peak() as u64);
+        let samples = sample(&text, "bnff_batch_samples_total") as f64;
+        assert!((samples / snap.batches() as f64 - snap.mean_batch_size()).abs() < 1e-9);
+        let started = sample(&text, "bnff_start_time_seconds");
+        let now = SystemTime::now().duration_since(SystemTime::UNIX_EPOCH).unwrap().as_secs();
+        assert!(started <= now && now - started < 5, "start {started}, now {now}");
     }
 
     #[test]
@@ -544,20 +492,5 @@ mod tests {
         assert!(text.contains("bnff_queued 2\n"));
         assert!(text.contains("bnff_request_latency_seconds_bucket{le=\"+Inf\"} 1\n"));
         assert!(text.contains("bnff_request_latency_seconds_count 1\n"));
-    }
-
-    #[test]
-    fn empty_snapshot_is_safe() {
-        let snap = MetricsSnapshot::empty();
-        assert_eq!(snap.percentile_ms(99.0), 0.0);
-        assert_eq!(snap.mean_batch_size(), 0.0);
-        assert_eq!(snap.mean_batch_occupancy(), 0.0);
-        assert_eq!(snap.mean_queue_depth(), 0.0);
-        assert_eq!(snap.max_queue_depth(), 0);
-        assert_eq!(snap.executor_cache_peak(), 0);
-        let report = snap.report(Duration::from_millis(1));
-        assert_eq!(report.requests, 0);
-        let fresh = ServeMetrics::new();
-        assert_eq!(fresh.snapshot(), MetricsSnapshot::empty());
     }
 }

@@ -109,18 +109,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let completion = rx.recv()??;
         first_scores.get_or_insert_with(|| completion.scores.as_slice().to_vec());
     }
-    let wall = started.elapsed();
-    let report = engine.shutdown().report(wall);
+    let wall = started.elapsed().as_secs_f64();
+    let metrics = engine.shutdown();
     println!(
         "--- served {} requests in {:.1} ms over {} batches (mean batch {:.2}) ---",
-        report.requests,
-        report.wall_seconds * 1e3,
-        report.batches,
-        report.mean_batch_size
+        metrics.requests(),
+        wall * 1e3,
+        metrics.batches(),
+        metrics.mean_batch_size()
     );
     println!(
         "throughput {:.0} req/s · p50 {:.3} ms · p99 {:.3} ms",
-        report.throughput_rps, report.p50_ms, report.p99_ms
+        metrics.requests() as f64 / wall,
+        metrics.percentile_ms(50.0),
+        metrics.percentile_ms(99.0)
     );
     if let Some(scores) = first_scores {
         println!("first request's logits: {scores:?}");
