@@ -1,9 +1,9 @@
 //! The linear IR: a frozen inference graph compiled to a flat instruction
 //! tape.
 //!
-//! The interpreted frozen executor re-derives everything at request time —
-//! it walks the graph, matches on every node's `OpKind`, looks parameters up
-//! in hash maps, resolves Split aliases and queries the memory plan's
+//! An interpreted frozen executor would re-derive everything at request
+//! time — walk the graph, match on every node's `OpKind`, look parameters
+//! up in hash maps, resolve Split aliases and query the memory plan's
 //! liveness tables for every node it visits. None of that depends on the
 //! request: for a fixed graph at a fixed batch size the answers never
 //! change. [`LinearProgram::lower`] asks every question **once**, at compile

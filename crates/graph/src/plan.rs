@@ -2,9 +2,9 @@
 //! interval-based buffer-slot assignment.
 //!
 //! The cost analysis ([`crate::analysis`]) counts how many bytes a training
-//! iteration *sweeps*; this module plans how many bytes it must *hold*. A
-//! naive executor materializes one output buffer per node and keeps all of
-//! them until the backward pass finishes. Most of those tensors are dead
+//! iteration *sweeps*; this module plans how many bytes it must *hold*.
+//! Naive allocation materializes one output buffer per node and keeps all
+//! of them until the backward pass finishes. Most of those tensors are dead
 //! long before that: once the last forward consumer has read an activation
 //! that the backward pass does not revisit, its buffer can be recycled.
 //!

@@ -18,10 +18,6 @@
 //! cheap batch-1 programs run under a single thread to skip the fan-out
 //! cost without changing a single bit of output.
 //!
-//! The per-node interpreted walk survives as
-//! [`FrozenExecutor::infer_interpreted`] — the reference implementation the
-//! tape is tested bit-identical against.
-//!
 //! ## Per-op profiling
 //!
 //! Every executor carries an opt-in [`OpProfiler`] with one slot per tape
@@ -38,9 +34,9 @@ use crate::error::ServeError;
 use crate::params::{FrozenParamSet, FrozenParams};
 use crate::Result;
 use bnff_graph::linear::{Instr, Kernel, LinearProgram};
-use bnff_graph::op::{OpKind, PoolKind};
+use bnff_graph::op::PoolKind;
 use bnff_graph::plan::ExecutionPlan;
-use bnff_graph::{Graph, Node, NodeId};
+use bnff_graph::{Graph, NodeId};
 use bnff_kernels::affine::{
     channel_affine_in_place, channel_affine_into, channel_affine_relu_in_place,
     channel_affine_relu_into,
@@ -48,10 +44,9 @@ use bnff_kernels::affine::{
 use bnff_kernels::concat::concat_forward_into;
 use bnff_kernels::conv::{conv2d_forward_into, conv2d_forward_relu_into};
 use bnff_kernels::eltwise::eltwise_sum_forward_into;
-use bnff_kernels::fc::{fc_forward, fc_forward_into};
+use bnff_kernels::fc::fc_forward_into;
 use bnff_kernels::pool::{
-    avg_pool_forward_into, global_avg_pool_forward, global_avg_pool_forward_into,
-    max_pool_forward_into,
+    avg_pool_forward_into, global_avg_pool_forward_into, max_pool_forward_into,
 };
 use bnff_kernels::relu::{relu_forward_inplace, relu_forward_into};
 use bnff_obs::OpProfiler;
@@ -81,22 +76,13 @@ pub struct OpProfile {
 /// A forward-only executor bound to one frozen graph at one batch size.
 #[derive(Debug)]
 pub struct FrozenExecutor {
-    graph: Graph,
-    params: Arc<FrozenParamSet>,
-    plan: ExecutionPlan,
     program: LinearProgram,
     /// Per-instruction parameter handles, aligned with `program.instrs()` —
     /// bound once at compile time so the request path never touches the
     /// parameter hash map.
     bound: Vec<Option<Arc<FrozenParams>>>,
-    input: NodeId,
-    output: NodeId,
-    batch: usize,
     /// The tape's register file (kept across calls so buffers recycle).
     registers: Mutex<Vec<Option<Tensor>>>,
-    /// Recycled arena buffers for the interpreted path, one bin per plan
-    /// slot (kept across calls).
-    workspace: Mutex<Vec<Option<Vec<f32>>>>,
     /// Opt-in per-instruction timing; one slot per tape instruction. Off
     /// by default — the disabled cost is one relaxed load per pass.
     profiler: OpProfiler,
@@ -120,24 +106,10 @@ impl FrozenExecutor {
     ) -> Result<Self> {
         let plan = ExecutionPlan::for_inference(&graph)?;
         let program = LinearProgram::lower(&graph, &plan, input, output)?;
-        let batch = graph.node(input)?.output_shape.dim(0).map_err(ServeError::Tensor)?;
         let bound = bind_params(&program, &params)?;
         let registers = Mutex::new((0..program.reg_count()).map(|_| None).collect());
-        let workspace = Mutex::new(vec![None; plan.slot_count()]);
         let profiler = OpProfiler::new(program.instrs().len());
-        Ok(FrozenExecutor {
-            graph,
-            params,
-            plan,
-            program,
-            bound,
-            input,
-            output,
-            batch,
-            registers,
-            workspace,
-            profiler,
-        })
+        Ok(FrozenExecutor { program, bound, registers, profiler })
     }
 
     /// Turns per-instruction timing on or off (off by default). Profiling
@@ -170,24 +142,9 @@ impl FrozenExecutor {
             .collect()
     }
 
-    /// The executor's graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The inference memory plan.
-    pub fn plan(&self) -> &ExecutionPlan {
-        &self.plan
-    }
-
     /// The compiled instruction tape.
     pub fn program(&self) -> &LinearProgram {
         &self.program
-    }
-
-    /// The batch size this executor is bound to.
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 
     /// The expected input shape.
@@ -244,125 +201,6 @@ impl FrozenExecutor {
         regs[self.program.output_reg()]
             .take()
             .ok_or_else(|| ServeError::InvalidArgument("tape produced no output".into()))
-    }
-
-    fn conv_params(&self, node: &Node) -> Result<(&Tensor, Option<&[f32]>)> {
-        match self.params.get(node.id) {
-            Some(FrozenParams::Conv { weights, bias }) => Ok((weights, bias.as_deref())),
-            _ => Err(ServeError::Fold(format!("no frozen conv parameters for '{}'", node.name))),
-        }
-    }
-
-    /// Runs one forward pass by interpreting the graph node by node — the
-    /// pre-tape reference implementation. The tape is tested bit-identical
-    /// against this walk across the model zoo. The walk deliberately does
-    /// *not* honour the tape's serial-execution hint: the hint comes from
-    /// the linear IR's compile-time FLOPs analysis, which the reference
-    /// stays independent of.
-    ///
-    /// # Errors
-    /// Returns an error when the input shape disagrees with the graph or a
-    /// kernel fails.
-    pub fn infer_interpreted(&self, data: &Tensor) -> Result<Tensor> {
-        let expected = &self.graph.node(self.input)?.output_shape;
-        expected.expect_same(data.shape()).map_err(ServeError::Tensor)?;
-
-        let n = self.graph.node_count();
-        let mut values: Vec<Option<Tensor>> = vec![None; n];
-        values[self.input.index()] = Some(data.clone());
-        let mut ws = self.workspace.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-
-        for (pos, &id) in self.plan.order().iter().enumerate() {
-            let node = self.graph.node(id)?;
-            let out = match &node.op {
-                OpKind::Input => None, // Pre-seeded.
-                OpKind::Conv2d(a) | OpKind::ConvRelu(a) => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    let (w, b) = self.conv_params(node)?;
-                    let mut out = self.plan.alloc_output(&mut ws, id, &node.output_shape);
-                    if matches!(node.op, OpKind::ConvRelu(_)) {
-                        conv2d_forward_relu_into(x, w, b, a, &mut out)?;
-                    } else {
-                        conv2d_forward_into(x, w, b, a, &mut out)?;
-                    }
-                    Some(out)
-                }
-                OpKind::ChannelAffine => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    let (scale, shift) = match self.params.get(id) {
-                        Some(FrozenParams::Affine { scale, shift }) => (scale, shift),
-                        _ => {
-                            return Err(ServeError::Fold(format!(
-                                "no frozen affine parameters for '{}'",
-                                node.name
-                            )))
-                        }
-                    };
-                    let mut out = self.plan.alloc_output(&mut ws, id, &node.output_shape);
-                    channel_affine_into(x, scale, shift, &mut out)?;
-                    Some(out)
-                }
-                OpKind::Relu => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    let mut out = self.plan.alloc_output(&mut ws, id, &node.output_shape);
-                    relu_forward_into(x, &mut out)?;
-                    Some(out)
-                }
-                OpKind::Pool { kind, attrs } => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    let mut out = self.plan.alloc_output(&mut ws, id, &node.output_shape);
-                    match kind {
-                        // State-free inference kernel: no argmax retained.
-                        PoolKind::Max => max_pool_forward_into(x, attrs, &mut out)?,
-                        PoolKind::Average => avg_pool_forward_into(x, attrs, &mut out)?,
-                    }
-                    Some(out)
-                }
-                OpKind::GlobalAvgPool => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    Some(global_avg_pool_forward(x)?)
-                }
-                OpKind::Concat => {
-                    let refs = self.plan.input_values(&values, node)?;
-                    let mut out = self.plan.alloc_output(&mut ws, id, &node.output_shape);
-                    concat_forward_into(&refs, &mut out)?;
-                    Some(out)
-                }
-                OpKind::Split { .. } => None, // Alias, resolved by the plan.
-                OpKind::EltwiseSum => {
-                    let refs = self.plan.input_values(&values, node)?;
-                    let mut out = self.plan.alloc_output(&mut ws, id, &node.output_shape);
-                    eltwise_sum_forward_into(&refs, &mut out)?;
-                    Some(out)
-                }
-                OpKind::FullyConnected { .. } => {
-                    let x = self.plan.input_value(&values, node, 0)?;
-                    let (w, b) = match self.params.get(id) {
-                        Some(FrozenParams::Fc { weights, bias }) => (weights, bias),
-                        _ => {
-                            return Err(ServeError::Fold(format!(
-                                "no frozen FC parameters for '{}'",
-                                node.name
-                            )))
-                        }
-                    };
-                    Some(fc_forward(x, w, b)?)
-                }
-                other => {
-                    return Err(ServeError::InvalidArgument(format!(
-                        "frozen graphs cannot contain the training operator {other}"
-                    )))
-                }
-            };
-            if let Some(out) = out {
-                values[id.index()] = Some(out);
-            }
-            self.plan.release_dead(&mut ws, &mut values, pos);
-        }
-
-        values[self.plan.resolve(self.output).index()]
-            .take()
-            .ok_or_else(|| ServeError::InvalidArgument("frozen graph produced no output".into()))
     }
 }
 

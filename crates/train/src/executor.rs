@@ -27,9 +27,8 @@
 //! per-executor arena (one bin per plan slot); retained outputs — until the
 //! [`ForwardResult`] is dropped — and backward's gradients circulate through
 //! one [`BufferPool`]. Both persist across steps, so a warmed step mallocs
-//! no activation or gradient. [`Executor::forward_naive`] keeps one fresh
-//! buffer per node as the bit-identical reference. Every kernel fans out
-//! over the `bnff-parallel` pool.
+//! no activation or gradient. Every kernel fans out over the
+//! `bnff-parallel` pool.
 
 use crate::error::TrainError;
 use crate::params::{Gradients, NodeParamGrads, NodeParams, ParamSet};
@@ -80,9 +79,9 @@ enum NodeState {
     Softmax(SoftmaxLossState),
 }
 
-/// The result of one forward pass. Not `Clone`: dropping a planned result
-/// hands its retained buffers back to the executor's pool, which a copy never
-/// borrowed from.
+/// The result of one forward pass. Not `Clone`: dropping it hands its
+/// retained buffers back to the executor's pool, which a copy never borrowed
+/// from.
 #[derive(Debug)]
 pub struct ForwardResult {
     /// Mean cross-entropy loss over the mini-batch.
@@ -91,33 +90,27 @@ pub struct ForwardResult {
     pub accuracy: f32,
     /// The classifier scores fed into the loss node.
     pub scores: Tensor,
-    /// Node outputs by node id: the ones backward revisits (planned path) or
-    /// all of them (naive path).
+    /// Node outputs by node id: the ones backward revisits.
     values: Vec<Option<Tensor>>,
     stats: Vec<Option<ChannelStats>>,
     states: Vec<Option<NodeState>>,
     labels: Vec<usize>,
-    /// The workspace a planned pass drew the retained `values` from.
-    home: Option<Arc<Mutex<Workspace>>>,
+    /// The workspace the pass drew the retained `values` from.
+    home: Arc<Mutex<Workspace>>,
 }
 
 impl Drop for ForwardResult {
     /// Returns the retained outputs' storage to the pool it was taken from.
     fn drop(&mut self) {
-        if let Some(home) = &self.home {
-            let mut ws = lock(home);
-            self.values.drain(..).flatten().for_each(|t| ws.pool.reclaim(t));
-        }
+        let mut ws = lock(&self.home);
+        self.values.drain(..).flatten().for_each(|t| ws.pool.reclaim(t));
     }
 }
 
 impl ForwardResult {
-    /// The output tensor of a node, if it was retained.
-    ///
-    /// The planned forward pass ([`Executor::forward`]) retains only the
-    /// tensors its liveness analysis says the backward pass re-reads;
-    /// [`Executor::forward_naive`] retains every node output (a Split owns
-    /// none: it forwards its producer's).
+    /// The output tensor of a node, if it was retained: the forward pass
+    /// retains only the tensors its liveness analysis says the backward pass
+    /// re-reads (a Split owns none: it forwards its producer's).
     pub fn output(&self, id: NodeId) -> Option<&Tensor> {
         self.values.get(id.index()).and_then(Option::as_ref)
     }
@@ -138,12 +131,6 @@ struct Workspace {
 }
 
 impl Workspace {
-    /// A workspace whose pool retains at most `pool_bytes`; with zero (the
-    /// naive reference path) every buffer it hands out is fresh.
-    fn new(plan: &ExecutionPlan, pool_bytes: usize) -> Self {
-        Workspace { arena: vec![None; plan.slot_count()], pool: BufferPool::bounded(pool_bytes) }
-    }
-
     /// An executor's workspace. What is out of its pool at once, and idles in
     /// it between steps, is the outputs a forward result retains and the
     /// gradients one backward holds — in practice twice their planned peak
@@ -152,7 +139,8 @@ impl Workspace {
     /// times. Give and take balance, so the bound only guards against
     /// imbalance.
     fn for_graph(plan: &ExecutionPlan) -> Self {
-        Self::new(plan, plan.saved_bytes() + 3 * plan.gradient_peak_bytes())
+        let pool_bytes = plan.saved_bytes() + 3 * plan.gradient_peak_bytes();
+        Workspace { arena: vec![None; plan.slot_count()], pool: BufferPool::bounded(pool_bytes) }
     }
 
     /// The output buffer of node `id`, contents unspecified (every kernel
@@ -332,7 +320,7 @@ impl Executor {
     /// Returns an error if an operation cannot be executed or shapes are
     /// inconsistent with the graph.
     pub fn forward(&self, data: &Tensor, labels: &[usize]) -> Result<ForwardResult> {
-        self.run_forward(data, labels, true, StatsMode::Batch)
+        self.run_forward(data, labels, StatsMode::Batch)
     }
 
     /// Runs the plan-driven forward pass with *inference* semantics: every
@@ -345,18 +333,7 @@ impl Executor {
     /// inconsistent with the graph, or a normalization has no running
     /// statistics entry.
     pub fn forward_eval(&self, data: &Tensor, labels: &[usize]) -> Result<ForwardResult> {
-        self.run_forward(data, labels, true, StatsMode::Running)
-    }
-
-    /// The reference forward pass: one freshly allocated buffer per node,
-    /// every output retained until the result is dropped. The planned path
-    /// is bit-identical to this one (see `tests/memory_plan.rs`).
-    ///
-    /// # Errors
-    /// Returns an error if an operation cannot be executed or shapes are
-    /// inconsistent with the graph.
-    pub fn forward_naive(&self, data: &Tensor, labels: &[usize]) -> Result<ForwardResult> {
-        self.run_forward(data, labels, false, StatsMode::Batch)
+        self.run_forward(data, labels, StatsMode::Running)
     }
 
     /// The statistics node `id` publishes for `x`: the mini-batch's in
@@ -403,7 +380,6 @@ impl Executor {
         &self,
         data: &Tensor,
         labels: &[usize],
-        planned: bool,
         mode: StatsMode,
     ) -> Result<ForwardResult> {
         let data_id = self.data_input()?;
@@ -417,11 +393,7 @@ impl Executor {
         let mut loss = 0.0f32;
         let mut scores: Option<Tensor> = None;
 
-        // Only the planned path takes the workspace lock; the naive
-        // reference path releases nothing and allocates everything fresh.
-        let mut guard = planned.then(|| lock(&self.workspace));
-        let mut unpooled = Workspace::new(&self.plan, 0);
-        let ws = guard.as_deref_mut().unwrap_or(&mut unpooled);
+        let mut ws = lock(&self.workspace);
         let mut seed = ws.output(&self.plan, data_id, data.shape());
         seed.as_mut_slice().copy_from_slice(data.as_slice());
         values[data_id.index()] = Some(seed);
@@ -508,14 +480,12 @@ impl Executor {
                 }
                 values[id.index()] = Some(out);
             }
-            if planned {
-                self.plan.release_dead(&mut ws.arena, &mut values, pos);
-            }
+            self.plan.release_dead(&mut ws.arena, &mut values, pos);
         }
 
         let scores = scores.ok_or_else(|| TrainError::Missing("softmax loss node".to_string()))?;
         let accuracy = accuracy(&scores, labels)?;
-        let (labels, home) = (labels.to_vec(), planned.then(|| Arc::clone(&self.workspace)));
+        let (labels, home) = (labels.to_vec(), Arc::clone(&self.workspace));
         Ok(ForwardResult { loss, accuracy, scores, values, stats, states, labels, home })
     }
 
@@ -759,19 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_and_naive_paths_are_bit_identical() {
-        let exec = Executor::new(tiny_classifier(4), 11).unwrap();
-        let (data, labels) = random_batch(4, 4, 12);
-        let planned = exec.forward(&data, &labels).unwrap();
-        let naive = exec.forward_naive(&data, &labels).unwrap();
-        assert_eq!(planned.loss.to_bits(), naive.loss.to_bits());
-        assert_eq!(planned.scores.as_slice(), naive.scores.as_slice());
-        // A second planned step over recycled buffers must not drift.
-        let again = exec.forward(&data, &labels).unwrap();
-        assert_eq!(again.loss.to_bits(), planned.loss.to_bits());
-    }
-
-    #[test]
     fn planned_forward_retains_only_backward_reads() {
         let exec = Executor::new(tiny_classifier(4), 13).unwrap();
         let (data, labels) = random_batch(4, 4, 14);
@@ -787,9 +744,6 @@ mod tests {
         for name in ["conv1", "bn1", "conv2"] {
             assert!(fwd.states[find(name).index()].is_none(), "{name}");
         }
-        // The naive path retains everything.
-        let naive = exec.forward_naive(&data, &labels).unwrap();
-        assert!(naive.output(find("conv1")).is_some());
     }
 
     #[test]
@@ -960,8 +914,9 @@ mod tests {
                     weights.map_inplace(|w| w * 1e-2);
                     *bias = Some(vec![4096.0; conv.out_channels]);
                 }
-                let fwd = exec.forward_naive(&data, &labels).unwrap();
+                let fwd = exec.forward(&data, &labels).unwrap();
                 let published = fwd.stats(id).expect("conv2 publishes statistics");
+                // conv2's output is retained: cpl3's backward re-reads it.
                 let swept = bn_statistics(fwd.output(id).unwrap(), one_pass).unwrap();
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
@@ -970,9 +925,6 @@ mod tests {
                     "C={out_c} one_pass={one_pass}"
                 );
                 assert_eq!(bits(&published.var), bits(&swept.var), "C={out_c} one_pass={one_pass}");
-                // The planned path publishes the same numbers.
-                let planned = exec.forward(&data, &labels).unwrap();
-                assert_eq!(bits(&planned.stats(id).unwrap().var), bits(&published.var));
                 variances.push(bits(&published.var));
             }
             assert_ne!(variances[0], variances[1], "two-pass attrs must keep the two-pass sweep");
@@ -994,7 +946,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_exposes_stats_and_naive_outputs() {
+    fn forward_exposes_published_stats() {
         let baseline = tiny_classifier(2);
         let restructured = BnffPass::new().run(&baseline).unwrap();
         let exec = Executor::new(restructured, 9).unwrap();
@@ -1003,10 +955,6 @@ mod tests {
             exec.graph().nodes().find(|n| matches!(n.op, OpKind::ConvStats { .. })).unwrap().id;
         let fwd = exec.forward(&data, &labels).unwrap();
         assert!(fwd.stats(stats_node).is_some());
-        // The naive reference path still exposes every intermediate output.
-        let naive = exec.forward_naive(&data, &labels).unwrap();
-        assert!(naive.stats(stats_node).is_some());
-        assert!(naive.output(stats_node).is_some());
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Workspace integration tests for the memory planner and the plan-driven
-//! executor: buffer reuse must be invisible to the numerics (bit-identical
-//! losses and gradients against the naive reference executor, across thread
-//! counts and across training steps), and the planned peak activation
-//! footprint must beat naive per-node allocation on the model zoo.
+//! executor: buffer reuse must be invisible to the numerics (a forward
+//! bit-identical to the plan-free reference interpreter in `support`, and
+//! gradients bit-identical across training steps, at 1 and 4 threads), and
+//! the planned peak activation footprint must beat naive per-node
+//! allocation on the model zoo.
+
+mod support;
 
 use bnff::core::{BnffOptimizer, FusionLevel};
 use bnff::graph::plan::ExecutionPlan;
@@ -12,7 +15,8 @@ use bnff::models::{densenet_cifar, resnet_cifar};
 use bnff::parallel::with_threads;
 use bnff::tensor::init::Initializer;
 use bnff::tensor::{Shape, Tensor};
-use bnff::train::{Executor, Gradients};
+use bnff::train::{Executor, ForwardResult, Gradients};
+use support::Reference;
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -59,32 +63,55 @@ fn assert_grads_bit_identical(a: &Gradients, b: &Gradients, context: &str) {
     }
 }
 
-/// Runs planned-vs-naive on one graph under one thread count; the planned
-/// path runs twice so cross-step buffer recycling is exercised.
+/// Asserts a forward result is the reference's, bitwise: loss, accuracy,
+/// scores, every output the forward retains and every statistic published.
+fn assert_matches_reference(fwd: &ForwardResult, reference: &Reference, graph: &Graph, ctx: &str) {
+    assert_eq!(fwd.loss.to_bits(), reference.loss.to_bits(), "{ctx}: loss");
+    assert_eq!(fwd.accuracy.to_bits(), reference.accuracy.to_bits(), "{ctx}: accuracy");
+    assert_eq!(bits(&fwd.scores), bits(reference.scores.as_ref().unwrap()), "{ctx}: scores");
+    for node in graph.nodes() {
+        let (id, name) = (node.id.index(), &node.name);
+        if let Some(out) = fwd.output(node.id) {
+            let want = reference.values[id].as_ref().unwrap();
+            assert_eq!(bits(out), bits(want), "{ctx}: retained output of {name}");
+        }
+        let published = (fwd.stats(node.id), reference.stats[id].as_ref());
+        assert_eq!(published.0.is_some(), published.1.is_some(), "{ctx}: statistics of {name}");
+        if let (Some(got), Some(want)) = published {
+            assert_eq!(vec_bits(&got.mean), vec_bits(&want.mean), "{ctx}: mean of {name}");
+            assert_eq!(vec_bits(&got.var), vec_bits(&want.var), "{ctx}: variance of {name}");
+        }
+    }
+}
+
+/// Holds the planned forward to the reference on one graph under one thread
+/// count, over two steps whose gradients — the first on a cold pool, the
+/// second on recycled buffers — must be bit-identical; then, with the
+/// running statistics moved once, holds `forward_eval` to the reference's
+/// eval mode.
 fn check_equivalence(graph: &Graph, threads: usize, context: &str) {
-    let exec = Executor::new(graph.clone(), 41).unwrap();
+    let mut exec = Executor::new(graph.clone(), 41).unwrap();
     let batch = 6;
     let mut init = Initializer::seeded(42);
     let data = init.uniform(Shape::nchw(batch, 3, 32, 32), -1.0, 1.0);
     let labels: Vec<usize> = (0..batch).map(|i| i % 4).collect();
 
     with_threads(threads, || {
-        let naive_fwd = exec.forward_naive(&data, &labels).unwrap();
-        let naive_grads = exec.backward(&naive_fwd).unwrap();
+        let reference = support::training(&exec, false, &data, &labels);
+        let first = exec.forward(&data, &labels).unwrap();
+        assert_matches_reference(&first, &reference, graph, &format!("{context} t{threads}"));
+        let cold = exec.backward(&first).unwrap();
+        drop(first);
+        let second = exec.forward(&data, &labels).unwrap();
+        let step_ctx = format!("{context} t{threads} step1");
+        assert_matches_reference(&second, &reference, graph, &step_ctx);
+        assert_grads_bit_identical(&exec.backward(&second).unwrap(), &cold, &step_ctx);
 
-        for step in 0..2 {
-            let fwd = exec.forward(&data, &labels).unwrap();
-            let step_ctx = format!("{context} t{threads} step{step}");
-            assert_eq!(fwd.loss.to_bits(), naive_fwd.loss.to_bits(), "{step_ctx}: loss");
-            assert_eq!(
-                fwd.accuracy.to_bits(),
-                naive_fwd.accuracy.to_bits(),
-                "{step_ctx}: accuracy"
-            );
-            assert_eq!(bits(&fwd.scores), bits(&naive_fwd.scores), "{step_ctx}: scores");
-            let grads = exec.backward(&fwd).unwrap();
-            assert_grads_bit_identical(&grads, &naive_grads, &step_ctx);
-        }
+        exec.update_running_stats(&second).unwrap();
+        drop(second);
+        let eval = exec.forward_eval(&data, &labels).unwrap();
+        let reference = support::training(&exec, true, &data, &labels);
+        assert_matches_reference(&eval, &reference, graph, &format!("{context} t{threads} eval"));
     });
 }
 
@@ -117,23 +144,8 @@ fn planned_execution_is_bit_identical_on_resnet_graphs() {
 fn planned_execution_is_bit_identical_with_split_maxpool_and_eltwise() {
     // The zoo's executed models cover conv/BN/ReLU/avg-pool/concat/FC; this
     // graph adds the remaining executor arms — Split aliasing, max pooling
-    // and the residual element-wise sum — to the planned-vs-naive check.
-    use bnff::graph::builder::GraphBuilder;
-    use bnff::graph::op::{Conv2dAttrs, PoolAttrs};
-    let mut b = GraphBuilder::new("mixed");
-    let x = b.input("data", Shape::nchw(6, 3, 32, 32)).unwrap();
-    let labels = b.input("labels", Shape::vector(6)).unwrap();
-    let c1 = b.conv2d(x, Conv2dAttrs::same_3x3(8), "conv1").unwrap();
-    let bn = b.batch_norm_default(c1, "bn1").unwrap();
-    let s = b.split(bn, 2, "split").unwrap();
-    let r = b.relu(s, "relu").unwrap();
-    let c2 = b.conv2d(r, Conv2dAttrs::pointwise(8), "conv2").unwrap();
-    let ews = b.eltwise_sum(vec![c2, s], "ews").unwrap();
-    let mp = b.max_pool(ews, PoolAttrs::new(2, 2, 0), "maxpool").unwrap();
-    let gap = b.global_avg_pool(mp, "gap").unwrap();
-    let fc = b.fully_connected(gap, 4, "fc").unwrap();
-    b.softmax_loss(fc, labels, "loss").unwrap();
-    let graph = b.finish();
+    // and the residual element-wise sum.
+    let graph = support::graphs::mixed(6);
     for threads in [1usize, 4] {
         check_equivalence(&graph, threads, "mixed ops");
     }

@@ -1,9 +1,12 @@
 //! Workspace integration tests for the linear instruction tape: for the
 //! CIFAR-scale zoo models at every measured fusion level (0–3: Baseline,
-//! RCF, RCF+MVF, BNFF), the compiled tape must produce **bit-identical**
-//! scores to the per-node interpreted walk of the same frozen graph, at
-//! batch sizes 1, 4 and 8 and across `BNFF_THREADS` 1 and 4 — the tape is
-//! a dispatch optimization, never a numerics change.
+//! RCF, RCF+MVF, BNFF), and for a graph with a Split, a max pool and a
+//! residual sum, the compiled tape must produce **bit-identical** scores to
+//! the plan-free reference interpreter in `support` run on the frozen
+//! template, at batch sizes 1, 4 and 8 and across `BNFF_THREADS` 1 and 4 —
+//! the tape is a dispatch optimization, never a numerics change.
+
+mod support;
 
 use bnff::core::{BnffOptimizer, FusionLevel};
 use bnff::graph::Graph;
@@ -35,9 +38,8 @@ fn to_bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Tape vs interpreted walk, bitwise, at batch sizes 1/4/8 and thread
-/// counts 1/4.
-fn check_tape_matches_interpreted(graph: &Graph, context: &str) {
+/// Tape vs reference, bitwise, at batch sizes 1/4/8 and thread counts 1/4.
+fn check_tape_matches_reference(graph: &Graph, context: &str) {
     let exec = conditioned(graph, 23);
     let model = ServeEngine::builder().executor(&exec).build_model().unwrap();
     for batch in [1usize, 4, 8] {
@@ -48,11 +50,11 @@ fn check_tape_matches_interpreted(graph: &Graph, context: &str) {
         for threads in [1usize, 4] {
             with_threads(threads, || {
                 let tape = executor.infer(&data).unwrap();
-                let interpreted = executor.infer_interpreted(&data).unwrap();
+                let reference = support::frozen(&model, &data);
                 assert_eq!(
                     to_bits(&tape),
-                    to_bits(&interpreted),
-                    "{context} b{batch} t{threads}: tape diverges from interpreted walk"
+                    to_bits(&reference),
+                    "{context} b{batch} t{threads}: tape diverges from the reference"
                 );
                 per_thread_bits.push(to_bits(&tape));
             });
@@ -69,7 +71,7 @@ fn cifar_densenet_tape_matches_interpreted_at_levels_0_to_3() {
     let baseline = densenet_cifar(4, 6, 2, 4).unwrap();
     for level in FusionLevel::measured() {
         let graph = BnffOptimizer::new(level).apply(&baseline).unwrap();
-        check_tape_matches_interpreted(&graph, &format!("densenet-cifar {level}"));
+        check_tape_matches_reference(&graph, &format!("densenet-cifar {level}"));
     }
 }
 
@@ -78,6 +80,11 @@ fn cifar_resnet_tape_matches_interpreted_at_levels_0_to_3() {
     let baseline = resnet_cifar(4, 1, 4).unwrap();
     for level in FusionLevel::measured() {
         let graph = BnffOptimizer::new(level).apply(&baseline).unwrap();
-        check_tape_matches_interpreted(&graph, &format!("resnet-cifar {level}"));
+        check_tape_matches_reference(&graph, &format!("resnet-cifar {level}"));
     }
+}
+
+#[test]
+fn split_maxpool_and_eltwise_tape_matches_reference() {
+    check_tape_matches_reference(&support::graphs::mixed(6), "mixed ops");
 }
