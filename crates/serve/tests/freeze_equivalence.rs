@@ -15,7 +15,6 @@ use bnff_tensor::init::Initializer;
 use bnff_tensor::{Shape, Tensor};
 use bnff_train::checkpoint::Checkpoint;
 use bnff_train::params::NodeParams;
-use bnff_train::validate::score_divergence;
 use bnff_train::Executor;
 use std::time::Duration;
 
@@ -95,7 +94,7 @@ fn frozen_matches_eval_at_every_measured_fusion_level() {
         let model = ServeEngine::builder().executor(&exec).build_model().unwrap();
         let frozen = model.executor(4).unwrap();
         let scores = frozen.infer(&data).unwrap();
-        let div = score_divergence(&eval.scores, &scores).unwrap();
+        let div = eval.scores.max_abs_diff(&scores).unwrap();
         assert!(div < 1e-5, "{level}: frozen diverges from eval by {div}");
         // A second inference over recycled arena buffers must not drift.
         let again = frozen.infer(&data).unwrap();

@@ -4,16 +4,15 @@
 //! [`Executor`] walks a graph in topological order, dispatching every node
 //! (including the fused BNFF operators) to the kernels in `bnff-kernels`,
 //! keeps the per-node state the backward pass needs, and produces
-//! parameter gradients; an [`SgdOptimizer`] applies them. Synthetic labelled datasets ([`data`]) make end-to-end
-//! training runs self-contained, and [`validate`] holds the numerical
-//! equivalence checks that justify the paper's restructuring:
+//! parameter gradients; an [`SgdOptimizer`] applies them. Synthetic
+//! labelled datasets ([`data`]) make end-to-end training runs
+//! self-contained.
 //!
-//! * MVF (single-sweep `E[X²]−E[X]²` statistics) yields the same losses and
-//!   gradients as the two-pass baseline;
-//! * the fused `CONV+stats` / `norm+ReLU+CONV` kernels reproduce the
-//!   unfused composite-layer arithmetic, forward and backward;
-//! * a CIFAR-scale DenseNet trains to better-than-chance accuracy on a
-//!   synthetic task with either implementation.
+//! The paper's restructuring is legal because it moves memory traffic, not
+//! arithmetic, and here it leaves the bits unchanged: at every fusion level
+//! a training step gives the Baseline's loss, parameters and running
+//! statistics bit for bit. The workspace test `tests/equivalence.rs` and this
+//! crate's `tests/golden_bits.rs` assert it.
 //!
 //! Each dispatched kernel fans out across the `bnff-parallel` pool, so a
 //! training step uses every core `BNFF_THREADS` allows.
@@ -59,7 +58,6 @@ pub mod optimizer;
 pub mod params;
 pub mod running;
 pub mod trainer;
-pub mod validate;
 
 pub use checkpoint::Checkpoint;
 pub use error::TrainError;

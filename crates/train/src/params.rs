@@ -105,28 +105,30 @@ impl Gradients {
     }
 
     /// Global L2 norm of all parameter gradients (useful for debugging
-    /// exploding/vanishing gradients). Nodes are summed in index order, so
-    /// the result is reproducible bit for bit.
+    /// exploding/vanishing gradients). Every gradient tensor — `d_W`, `d_b`,
+    /// `dγ`, `dβ` — contributes its squared norm as one `f64` term; the terms
+    /// are sorted ascending and added left to right. The result therefore
+    /// depends neither on node order nor on how a fusion level groups the
+    /// tensors into nodes, and is reproducible bit for bit.
     pub fn global_norm(&self) -> f64 {
         fn sq(v: &[f32]) -> f64 {
             v.iter().map(|&v| f64::from(v) * f64::from(v)).sum()
         }
-        let mut nodes: Vec<_> = self.per_node.iter().collect();
-        nodes.sort_unstable_by_key(|(idx, _)| **idx);
-        let mut acc = 0.0f64;
-        for (_, g) in nodes {
+        let mut terms = Vec::new();
+        for g in self.per_node.values() {
             match g {
                 NodeParamGrads::Conv { d_weights, d_bias }
                 | NodeParamGrads::Fc { d_weights, d_bias } => {
-                    acc += d_weights.sq_norm() + sq(d_bias);
+                    terms.extend([d_weights.sq_norm(), sq(d_bias)]);
                 }
-                NodeParamGrads::Bn { d_gamma, d_beta } => acc += sq(d_gamma) + sq(d_beta),
+                NodeParamGrads::Bn { d_gamma, d_beta } => terms.extend([sq(d_gamma), sq(d_beta)]),
                 NodeParamGrads::ConvBn { d_weights, d_bias, d_gamma, d_beta } => {
-                    acc += d_weights.sq_norm() + sq(d_bias) + sq(d_gamma) + sq(d_beta);
+                    terms.extend([d_weights.sq_norm(), sq(d_bias), sq(d_gamma), sq(d_beta)]);
                 }
             }
         }
-        acc.sqrt()
+        terms.sort_unstable_by(f64::total_cmp);
+        terms.iter().sum::<f64>().sqrt()
     }
 }
 
@@ -303,6 +305,26 @@ mod tests {
         let params = ParamSet::initialize(&fused, 1).unwrap();
         let has_conv_bn = params.iter().any(|(_, p)| matches!(p, NodeParams::ConvBn { .. }));
         assert!(has_conv_bn, "fused graph must own ConvBn parameters");
+    }
+
+    #[test]
+    fn global_norm_ignores_how_a_level_groups_the_tensors() {
+        let d_weights = Tensor::from_vec(Shape::vector(2), vec![0.1, 0.1]).unwrap();
+        let (d_gamma, d_beta) = (vec![0.1], vec![1.1]);
+        let fused = NodeParamGrads::ConvBn {
+            d_weights: d_weights.clone(),
+            d_bias: Vec::new(),
+            d_gamma: d_gamma.clone(),
+            d_beta: d_beta.clone(),
+        };
+        let fused = Gradients { per_node: HashMap::from([(7, fused)]) };
+        let split = Gradients {
+            per_node: HashMap::from([
+                (2, NodeParamGrads::Conv { d_weights, d_bias: Vec::new() }),
+                (9, NodeParamGrads::Bn { d_gamma, d_beta }),
+            ]),
+        };
+        assert_eq!(fused.global_norm().to_bits(), split.global_norm().to_bits());
     }
 
     #[test]

@@ -1,41 +1,26 @@
 //! Golden bits of the numeric executor: two training steps plus one eval
-//! forward of a DenseNet-CIFAR and a tiny ResNet at every fusion level,
-//! pinned to the scalar ISA, must reproduce the recorded loss, gradient-norm
-//! and running-statistics bits exactly — at one thread and at four. A
-//! refactor of the executor or the kernels that moves a single bit fails
+//! forward of a DenseNet-CIFAR and a tiny ResNet must reproduce one recorded
+//! row of loss, gradient-norm and running-statistics bits per (model, ISA) —
+//! at every fusion level, at one thread and at four. The restructuring moves
+//! memory traffic, not arithmetic, so every level trains the Baseline's bits;
+//! a refactor of the executor or the kernels that moves a single bit fails
 //! here and has to name the op and the summation order that changed.
 //!
-//! The table was recorded before the fused-op decoding (`OpKind::form()`)
-//! replaced the executor's per-kind arms, and re-recorded once since: when
-//! the weight gradient of a convolution whose windows are read in place
-//! (stride 1, `out_w % 8 == 0` — every convolution of both models) became
-//! a correlation. The op is `conv2d_backward_weights`, the order that moved
-//! is the sum over a sample's output positions: per `d_W[co][(ci, kh, kw)]`
-//! eight lane partials (lane `ow mod 8`, positions ascending) combined as
-//! `((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))`, where the GEMM summed
-//! the positions in one ascending chain per `KC` slab; samples are still
-//! added in batch order and sample groups in order. No other kernel's bits
-//! moved (the forward pass, `d_x` and the strided / ragged-width `d_W`
-//! digest of `examples/conv_shapes` equal the parent commit's).
+//! Both digests are order-free, so they compare graphs whose nodes differ in
+//! number and order: `grad_norm` is `Gradients::global_norm` (every gradient
+//! tensor's squared norm one `f64` term, sorted ascending, summed left to
+//! right), and `running` is an FNV-1a fold of the sorted per-node FNV-1a
+//! digests of each node's running mean‖var bits.
 //!
-//! A second table pins the same runs on the AVX2+FMA ISA. It exists to show
-//! that PR 24 — the register microkernel writing its own `C` tile and
-//! multiplying only the rows of a ragged last `A` panel that exist — moved
-//! no AVX2 bit: it was recorded at the parent commit and passes unedited
-//! after it. A host without avx2+fma skips that half with a message
-//! (`with_isa` clamps to what the hardware has, so the run checks the ISA it
-//! actually took).
-//!
-//! The AVX-512 tier has no table of its own: it runs every kernel's
-//! AVX2+FMA body except two that it widens without moving a bit — the GEMM
-//! microkernel, whose 512-bit pair kernel gives every element the 256-bit
-//! kernel's bits, and the weight-gradient correlation, whose zmm
-//! accumulators each hold two of the AVX2 tile's (output channels `p` and
-//! `p + 4`) and are reduced by the same `hadd` tree — so both models must
-//! reproduce the AVX2 table under it too. A host without avx512f skips
-//! those two tests with a message — `with_isa(SimdIsa::Avx512, ..)` steps
-//! down to AVX2+FMA there, and a run on that tier would only repeat the
-//! AVX2 tests, not check the wide kernel.
+//! One row is pinned on the scalar ISA and one on AVX2+FMA. The AVX-512 tier
+//! has none of its own: it runs every kernel's AVX2+FMA body except two that
+//! it widens without moving a bit — the GEMM microkernel, whose 512-bit pair
+//! kernel gives every element the 256-bit kernel's bits, and the
+//! weight-gradient correlation, whose zmm accumulators each hold two of the
+//! AVX2 tile's (output channels `p` and `p + 4`) and are reduced by the same
+//! `hadd` tree — so both models must reproduce the AVX2 row under it too.
+//! `with_isa` clamps to what the hardware has; a host that lacks an ISA skips
+//! its tests with a message rather than re-check the tier below.
 
 use bnff_core::{BnffOptimizer, FusionLevel};
 use bnff_graph::Graph;
@@ -55,22 +40,37 @@ struct Golden {
     loss: u32,
     /// `Gradients::global_norm` of the second training step.
     grad_norm: u64,
-    /// FNV-1a over every running mean/variance bit pattern, in node order.
+    /// FNV-1a over the sorted per-node FNV-1a digests of mean‖var bits.
     running: u64,
     /// Loss of one `forward_eval` after the two steps.
     eval_loss: u32,
 }
 
-/// One table row: `loss`, `grad_norm`, `running`, `eval_loss`.
+/// One row: `loss`, `grad_norm`, `running`, `eval_loss`.
 const fn row(loss: u32, grad_norm: u64, running: u64, eval_loss: u32) -> Golden {
     Golden { loss, grad_norm, running, eval_loss }
 }
 
-fn fnv1a(hash: &mut u64, word: u32) {
-    for byte in word.to_le_bytes() {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+/// The scalar row of the DenseNet-CIFAR runs.
+const DENSENET_SCALAR: Golden =
+    row(0x4005_8b38, 0x3ff9_4835_5616_f828, 0x2f29_a787_2488_3d85, 0x3fc9_d1ae);
+
+/// The scalar row of the tiny-ResNet runs.
+const RESNET_SCALAR: Golden =
+    row(0x3fed_a8b0, 0x4012_0b57_a67d_6cc0, 0xddf3_80c3_e929_daec, 0x3ffa_a8b2);
+
+/// The AVX2+FMA row of the DenseNet-CIFAR runs.
+const DENSENET_AVX2: Golden =
+    row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0x024f_06cf_c38e_7d36, 0x3fc9_d1af);
+
+/// The AVX2+FMA row of the tiny-ResNet runs.
+const RESNET_AVX2: Golden =
+    row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0xb57f_32e7_cba0_0911, 0x3ffa_a8b2);
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn run(graph: &Graph) -> Golden {
@@ -87,30 +87,33 @@ fn run(graph: &Graph) -> Golden {
         loss = fwd.loss.to_bits();
         grad_norm = grads.global_norm().to_bits();
     }
-    let mut tracked: Vec<_> = exec.running_stats().iter().collect();
-    tracked.sort_unstable_by_key(|(idx, _)| **idx);
-    let mut running = 0xcbf2_9ce4_8422_2325u64;
-    for (_, stats) in tracked {
-        stats.mean.iter().chain(&stats.var).for_each(|v| fnv1a(&mut running, v.to_bits()));
-    }
+    let mut digests: Vec<u64> = exec
+        .running_stats()
+        .iter()
+        .map(|(_, stats)| {
+            fnv1a(stats.mean.iter().chain(&stats.var).flat_map(|v| v.to_bits().to_le_bytes()))
+        })
+        .collect();
+    digests.sort_unstable();
+    let running = fnv1a(digests.iter().flat_map(|d| d.to_le_bytes()));
     let (data, labels) = dataset.batch(BATCH, 99).unwrap();
     let eval_loss = exec.forward_eval(&data, &labels).unwrap().loss.to_bits();
     Golden { loss, grad_norm, running, eval_loss }
 }
 
-fn check(model: &str, baseline: &Graph, isa: SimdIsa, expected: &[Golden]) {
-    let levels = FusionLevel::all();
-    assert_eq!(levels.len(), expected.len());
-    for (level, want) in levels.into_iter().zip(expected) {
+/// Every fusion level of `baseline`, at one thread and at four, must give
+/// `want` on `isa`.
+fn check(model: &str, baseline: &Graph, isa: SimdIsa, want: &Golden) {
+    for level in FusionLevel::all() {
         let graph = BnffOptimizer::new(level).apply(baseline).unwrap();
         for threads in [1usize, 4] {
             // `with_isa` clamps to what the host supports: only a run that
-            // really took `isa` may be held to its table.
+            // really took `isa` may be held to its row.
             let got = with_isa(isa, || {
                 (active_isa() == isa).then(|| with_threads(threads, || run(&graph)))
             });
             let Some(got) = got else {
-                eprintln!("skipping the {isa:?} table of {model}: this host lacks that ISA");
+                eprintln!("skipping the {isa:?} row of {model}: this host lacks that ISA");
                 return;
             };
             assert_eq!(&got, want, "{model} {} on {isa:?} at {threads} thread(s)", level.label());
@@ -121,74 +124,14 @@ fn check(model: &str, baseline: &Graph, isa: SimdIsa, expected: &[Golden]) {
 #[test]
 fn densenet_cifar_reproduces_the_recorded_bits_at_every_level() {
     let baseline = densenet_cifar(BATCH, 4, 1, CLASSES).unwrap();
-    check(
-        "densenet_cifar",
-        &baseline,
-        SimdIsa::Scalar,
-        &[
-            // Baseline
-            row(0x4005_8b38, 0x3ff9_4835_5616_f828, 0x373c_2103_750c_1aff, 0x3fc9_d1ae),
-            // RCF
-            row(0x4005_8b38, 0x3ff9_4835_5616_f828, 0x373c_2103_750c_1aff, 0x3fc9_d1ae),
-            // RCF+MVF
-            row(0x4005_8b38, 0x3ff9_4835_5616_f828, 0x373c_2103_750c_1aff, 0x3fc9_d1ae),
-            // BNFF
-            row(0x4005_8b38, 0x3ff9_4835_5616_f827, 0x3d2c_a187_8503_2e2b, 0x3fc9_d1ae),
-            // BNFF+ICF
-            row(0x4005_8b38, 0x3ff9_4835_5616_f827, 0x0c64_142a_d7a9_5d33, 0x3fc9_d1ae),
-        ],
-    );
+    check("densenet_cifar", &baseline, SimdIsa::Scalar, &DENSENET_SCALAR);
 }
 
 #[test]
 fn tiny_resnet_reproduces_the_recorded_bits_at_every_level() {
     let baseline = resnet_cifar(BATCH, 1, CLASSES).unwrap();
-    check(
-        "resnet_cifar",
-        &baseline,
-        SimdIsa::Scalar,
-        &[
-            // Baseline
-            row(0x3fed_a8b0, 0x4012_0b57_a67d_6cc0, 0x0abe_b9c8_f52c_2017, 0x3ffa_a8b2),
-            // RCF
-            row(0x3fed_a8b0, 0x4012_0b57_a67d_6cc0, 0x0abe_b9c8_f52c_2017, 0x3ffa_a8b2),
-            // RCF+MVF
-            row(0x3fed_a8b0, 0x4012_0b57_a67d_6cc0, 0x0abe_b9c8_f52c_2017, 0x3ffa_a8b2),
-            // BNFF
-            row(0x3fed_a8b0, 0x4012_0b57_a67d_6cc0, 0x0abe_b9c8_f52c_2017, 0x3ffa_a8b2),
-            // BNFF+ICF
-            row(0x3fed_a8b0, 0x4012_0b57_a67d_6cc0, 0x0abe_b9c8_f52c_2017, 0x3ffa_a8b2),
-        ],
-    );
+    check("resnet_cifar", &baseline, SimdIsa::Scalar, &RESNET_SCALAR);
 }
-
-/// The AVX2+FMA table of the DenseNet-CIFAR runs.
-const DENSENET_AVX2: [Golden; 5] = [
-    // Baseline
-    row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0xff70_5672_86ff_c9f7, 0x3fc9_d1af),
-    // RCF
-    row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0xff70_5672_86ff_c9f7, 0x3fc9_d1af),
-    // RCF+MVF
-    row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0xff70_5672_86ff_c9f7, 0x3fc9_d1af),
-    // BNFF
-    row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0x148f_1b70_227f_d503, 0x3fc9_d1af),
-    // BNFF+ICF
-    row(0x4005_8b39, 0x3ff9_4835_7130_df11, 0x30da_2d40_bf79_96af, 0x3fc9_d1af),
-];
-
-/// The AVX2+FMA table of the tiny-ResNet runs.
-const RESNET_AVX2: [Golden; 5] = [
-    // Baseline
-    row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
-    // RCF
-    row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
-    // RCF+MVF
-    row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
-    // BNFF
-    row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
-    // BNFF+ICF
-    row(0x3fed_a8ae, 0x4012_0b57_a4e4_2d89, 0x0818_548e_d9d0_72d3, 0x3ffa_a8b2),
-];
 
 #[test]
 fn densenet_cifar_reproduces_the_recorded_avx2_bits_at_every_level() {

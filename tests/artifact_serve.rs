@@ -15,7 +15,6 @@ use bnff::serve::{FrozenModel, ServeEngine, ServeError};
 use bnff::tensor::init::Initializer;
 use bnff::tensor::{Shape, Tensor};
 use bnff::train::checkpoint::Checkpoint;
-use bnff::train::validate::score_divergence;
 use bnff::train::Executor;
 
 fn classifier(batch: usize, classes: usize) -> Graph {
@@ -82,7 +81,7 @@ fn artifact_deployment_is_equivalent_at_every_fusion_level() {
         );
 
         // And the deployed model still tracks the training-time eval pass.
-        let div = score_divergence(&eval.scores, &artifact_scores).unwrap();
+        let div = eval.scores.max_abs_diff(&artifact_scores).unwrap();
         assert!(div < 1e-5, "{level}: deployed model diverges from eval by {div}");
     }
 

@@ -1,77 +1,122 @@
-//! Workspace integration tests: numerical equivalence of the restructured
-//! training graphs, spanning the models, graph, kernels and train crates.
+//! Workspace integration test: fission and fusion move memory traffic, not
+//! arithmetic, so every fusion level must train the Baseline's bits. After
+//! each of a few SGD steps the loss, every parameter tensor and every running
+//! mean/variance must equal the Baseline's bit for bit. Levels own different
+//! nodes (a fused convolution holds the γ/β of the BN it absorbed), so the
+//! tensors are compared as multisets of bit patterns.
 
 use bnff::core::{BnffOptimizer, FusionLevel};
+use bnff::graph::Graph;
 use bnff::models::{densenet_cifar, resnet_cifar};
-use bnff::tensor::init::Initializer;
-use bnff::tensor::Shape;
+use bnff::parallel::with_threads;
 use bnff::train::data::SyntheticDataset;
-use bnff::train::validate::{compare_training, mvf_divergence};
-use bnff::train::{Executor, TrainConfig};
+use bnff::train::{NodeParams, TrainConfig, Trainer};
+use std::collections::HashMap;
 
-#[test]
-fn mvf_is_numerically_harmless_on_a_small_densenet() {
-    let batch = 8;
-    let graph = densenet_cifar(batch, 8, 2, 4).unwrap();
-    let mut init = Initializer::seeded(3);
-    let data = init.uniform(Shape::nchw(batch, 3, 32, 32), -1.0, 1.0);
-    let labels: Vec<usize> = (0..batch).map(|i| i % 4).collect();
-    let div = mvf_divergence(&graph, &data, &labels, 11).unwrap();
-    assert!(div.loss_diff < 1e-3, "MVF changed the loss by {}", div.loss_diff);
-    assert!(div.max_grad_diff < 5e-2, "MVF changed gradients by {}", div.max_grad_diff);
+const STEPS: usize = 3;
+const CLASSES: usize = 4;
+
+/// One tensor's bit pattern and the node (and role) that owns it.
+type Owned = (Vec<u32>, String);
+
+/// What a trainer holds after one step.
+struct Snapshot {
+    loss: u32,
+    params: Vec<Owned>,
+    running: Vec<Owned>,
+}
+
+fn owned(values: &[f32], node: &str, role: &str) -> Owned {
+    (values.iter().map(|v| v.to_bits()).collect(), format!("{node} {role}"))
+}
+
+fn snapshot(trainer: &Trainer, loss: f32) -> Snapshot {
+    let exec = trainer.executor();
+    let names: HashMap<usize, &str> =
+        exec.graph().nodes().map(|n| (n.id.index(), n.name.as_str())).collect();
+    let mut params = Vec::new();
+    for (idx, p) in exec.params().iter() {
+        let node = names[idx];
+        let (weights, bias, bn) = match p {
+            NodeParams::Conv { weights, bias } => (Some(weights), bias.as_deref(), None),
+            NodeParams::ConvBn { weights, bias, bn } => (Some(weights), bias.as_deref(), Some(bn)),
+            NodeParams::Fc { weights, bias } => (Some(weights), Some(bias.as_slice()), None),
+            NodeParams::Bn(bn) => (None, None, Some(bn)),
+        };
+        params.extend(weights.map(|w| owned(w.as_slice(), node, "W")));
+        params.extend(bias.map(|b| owned(b, node, "b")));
+        if let Some(bn) = bn {
+            params.extend([owned(&bn.gamma, node, "γ"), owned(&bn.beta, node, "β")]);
+        }
+    }
+    let mut running = Vec::new();
+    for (idx, stats) in exec.running_stats().iter() {
+        let node = names[idx];
+        running.extend([owned(&stats.mean, node, "mean"), owned(&stats.var, node, "var")]);
+    }
+    Snapshot { loss: loss.to_bits(), params, running }
+}
+
+fn train(graph: Graph, batch: usize) -> Vec<Snapshot> {
+    let dataset = SyntheticDataset::new(CLASSES, 3, 32, 0.1, 29).unwrap();
+    let config =
+        TrainConfig { batch_size: batch, steps: STEPS, seed: 17, ..TrainConfig::default() };
+    let mut trainer = Trainer::new(graph, dataset, config).unwrap();
+    (0..STEPS)
+        .map(|step| {
+            let loss = trainer.step(step).unwrap().loss;
+            snapshot(&trainer, loss)
+        })
+        .collect()
+}
+
+/// Panics naming a tensor of `got` with no bit-equal twin left in `want` —
+/// or, when every one has one, a tensor of `want` left over.
+fn assert_same_multiset(want: &[Owned], got: &[Owned], context: &str) {
+    let mut unmatched: HashMap<&[u32], Vec<&str>> = HashMap::new();
+    for (bits, owner) in want {
+        unmatched.entry(bits).or_default().push(owner);
+    }
+    for (bits, owner) in got {
+        let twins = unmatched.get_mut(bits.as_slice());
+        if twins.and_then(Vec::pop).is_none() {
+            panic!("{context}: {owner} has no bit-equal twin in the Baseline");
+        }
+    }
+    if let Some(owner) = unmatched.values().flatten().min() {
+        panic!("{context}: the Baseline's {owner} has no bit-equal twin at this level");
+    }
 }
 
 #[test]
-fn bnff_restructured_densenet_produces_finite_training_signals() {
-    let batch = 8;
-    let baseline = densenet_cifar(batch, 8, 2, 4).unwrap();
-    let restructured = BnffOptimizer::new(FusionLevel::Bnff).apply(&baseline).unwrap();
-    // The restructuring merges layers but never drops a convolution.
-    let convs = |g: &bnff::graph::Graph| g.nodes().filter(|n| n.op.contains_conv()).count();
-    assert_eq!(convs(&baseline), convs(&restructured));
-
-    let exec = Executor::new(restructured, 5).unwrap();
-    let mut init = Initializer::seeded(9);
-    let data = init.uniform(Shape::nchw(batch, 3, 32, 32), -1.0, 1.0);
-    let labels: Vec<usize> = (0..batch).map(|i| i % 4).collect();
-    let fwd = exec.forward(&data, &labels).unwrap();
-    assert!(fwd.loss.is_finite() && fwd.loss > 0.0);
-    let grads = exec.backward(&fwd).unwrap();
-    assert!(grads.global_norm().is_finite());
-    assert!(grads.global_norm() > 0.0);
-}
-
-#[test]
-fn baseline_and_bnff_training_reach_similar_losses() {
-    let batch = 8;
-    let classes = 3;
-    let baseline = densenet_cifar(batch, 6, 1, classes).unwrap();
-    let restructured = BnffOptimizer::new(FusionLevel::Bnff).apply(&baseline).unwrap();
-    let dataset = SyntheticDataset::new(classes, 3, 32, 0.05, 77).unwrap();
-    let config = TrainConfig {
-        batch_size: batch,
-        steps: 12,
-        learning_rate: 0.05,
-        momentum: 0.9,
-        weight_decay: 0.0,
-        seed: 2,
-    };
-    let cmp = compare_training(&baseline, &restructured, &dataset, &config).unwrap();
-    assert!(cmp.loss_a.is_finite() && cmp.loss_b.is_finite());
-    assert!(cmp.accuracy_a > 1.0 / classes as f32);
-    assert!(cmp.accuracy_b > 1.0 / classes as f32);
-}
-
-#[test]
-fn resnet_style_graphs_survive_the_full_pipeline_too() {
-    let batch = 4;
-    let baseline = resnet_cifar(batch, 1, 4).unwrap();
-    let restructured = BnffOptimizer::new(FusionLevel::Bnff).apply(&baseline).unwrap();
-    assert!(restructured.validate().is_ok());
-    let exec = Executor::new(restructured, 1).unwrap();
-    let mut init = Initializer::seeded(13);
-    let data = init.uniform(Shape::nchw(batch, 3, 32, 32), -1.0, 1.0);
-    let labels: Vec<usize> = (0..batch).map(|i| i % 4).collect();
-    let fwd = exec.forward(&data, &labels).unwrap();
-    assert!(fwd.loss.is_finite());
+fn every_fusion_level_trains_the_baselines_bits() {
+    let models = [
+        ("densenet_cifar", densenet_cifar(8, 8, 2, CLASSES).unwrap(), 8),
+        ("resnet_cifar", resnet_cifar(4, 1, CLASSES).unwrap(), 4),
+    ];
+    // Every (model, level) run is independent: train all ten side by side,
+    // one kernel worker each (bits do not depend on the worker count, and
+    // the runs already fill the cores).
+    let runs: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = models
+            .iter()
+            .flat_map(|(model, baseline, batch)| {
+                FusionLevel::all().into_iter().map(move |level| {
+                    let graph = BnffOptimizer::new(level).apply(baseline).unwrap();
+                    (*model, level, s.spawn(move || with_threads(1, || train(graph, *batch))))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|(model, level, run)| (model, level, run.join().unwrap())).collect()
+    });
+    for (model, level, got) in &runs {
+        let (_, _, want) =
+            runs.iter().find(|(m, l, _)| m == model && *l == FusionLevel::Baseline).unwrap();
+        for (step, (w, g)) in want.iter().zip(got).enumerate() {
+            let context = format!("{model} {level} step {step}");
+            assert_eq!(w.loss, g.loss, "{context}: loss bits");
+            assert_same_multiset(&w.params, &g.params, &format!("{context} parameters"));
+            assert_same_multiset(&w.running, &g.running, &format!("{context} running statistics"));
+        }
+    }
 }

@@ -15,7 +15,6 @@ use bnff::parallel::with_threads;
 use bnff::serve::ServeEngine;
 use bnff::tensor::init::Initializer;
 use bnff::tensor::{Shape, Tensor};
-use bnff::train::validate::score_divergence;
 use bnff::train::Executor;
 
 /// Prepares a trained-ish executor (moved running statistics) and an input
@@ -46,7 +45,7 @@ fn check_frozen_equivalence(graph: &Graph, context: &str) {
         with_threads(threads, || {
             let eval = exec.forward_eval(&data, &labels).unwrap();
             let scores = model.executor(data.shape().n()).unwrap().infer(&data).unwrap();
-            let div = score_divergence(&eval.scores, &scores).unwrap();
+            let div = eval.scores.max_abs_diff(&scores).unwrap();
             assert!(div < 1e-5, "{context} t{threads}: frozen diverges from eval by {div}");
             per_thread_bits.push(scores.as_slice().iter().map(|v| v.to_bits()).collect());
         });
