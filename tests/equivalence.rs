@@ -1,9 +1,11 @@
-//! Workspace integration test: fission and fusion move memory traffic, not
+//! Workspace integration tests: fission and fusion move memory traffic, not
 //! arithmetic, so every fusion level must train the Baseline's bits. After
 //! each of a few SGD steps the loss, every parameter tensor and every running
 //! mean/variance must equal the Baseline's bit for bit. Levels own different
 //! nodes (a fused convolution holds the γ/β of the BN it absorbed), so the
-//! tensors are compared as multisets of bit patterns.
+//! tensors are compared as multisets of bit patterns. Every (model, level)
+//! run is trained once and shared; between them the tests below cover all
+//! five levels of both models.
 
 use bnff::core::{BnffOptimizer, FusionLevel};
 use bnff::graph::Graph;
@@ -12,6 +14,7 @@ use bnff::parallel::with_threads;
 use bnff::train::data::SyntheticDataset;
 use bnff::train::{NodeParams, TrainConfig, Trainer};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 const STEPS: usize = 3;
 const CLASSES: usize = 4;
@@ -88,35 +91,100 @@ fn assert_same_multiset(want: &[Owned], got: &[Owned], context: &str) {
     }
 }
 
-#[test]
-fn every_fusion_level_trains_the_baselines_bits() {
-    let models = [
-        ("densenet_cifar", densenet_cifar(8, 8, 2, CLASSES).unwrap(), 8),
-        ("resnet_cifar", resnet_cifar(4, 1, CLASSES).unwrap(), 4),
-    ];
-    // Every (model, level) run is independent: train all ten side by side,
-    // one kernel worker each (bits do not depend on the worker count, and
-    // the runs already fill the cores).
-    let runs: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = models
-            .iter()
-            .flat_map(|(model, baseline, batch)| {
-                FusionLevel::all().into_iter().map(move |level| {
-                    let graph = BnffOptimizer::new(level).apply(baseline).unwrap();
-                    (*model, level, s.spawn(move || with_threads(1, || train(graph, *batch))))
+/// One (model, level) run: a snapshot after each step.
+type Run = (&'static str, FusionLevel, Vec<Snapshot>);
+
+fn runs() -> &'static [Run] {
+    static RUNS: OnceLock<Vec<Run>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let models = [("densenet_cifar", densenet(), 8), ("resnet_cifar", resnet(), 4)];
+        // Every (model, level) run is independent: train all ten side by
+        // side, one kernel worker each (bits do not depend on the worker
+        // count, and the runs already fill the cores).
+        std::thread::scope(|s| {
+            let handles: Vec<_> = models
+                .iter()
+                .flat_map(|(model, baseline, batch)| {
+                    FusionLevel::all().into_iter().map(move |level| {
+                        let graph = BnffOptimizer::new(level).apply(baseline).unwrap();
+                        (*model, level, s.spawn(move || with_threads(1, || train(graph, *batch))))
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|(model, level, run)| (model, level, run.join().unwrap())).collect()
-    });
-    for (model, level, got) in &runs {
-        let (_, _, want) =
-            runs.iter().find(|(m, l, _)| m == model && *l == FusionLevel::Baseline).unwrap();
-        for (step, (w, g)) in want.iter().zip(got).enumerate() {
-            let context = format!("{model} {level} step {step}");
-            assert_eq!(w.loss, g.loss, "{context}: loss bits");
-            assert_same_multiset(&w.params, &g.params, &format!("{context} parameters"));
-            assert_same_multiset(&w.running, &g.running, &format!("{context} running statistics"));
-        }
+                .collect();
+            handles
+                .into_iter()
+                .map(|(model, level, run)| (model, level, run.join().unwrap()))
+                .collect()
+        })
+    })
+}
+
+fn densenet() -> Graph {
+    densenet_cifar(8, 8, 2, CLASSES).unwrap()
+}
+
+fn resnet() -> Graph {
+    resnet_cifar(4, 1, CLASSES).unwrap()
+}
+
+fn snapshots(model: &str, level: FusionLevel) -> &'static [Snapshot] {
+    let (_, _, snaps) = runs().iter().find(|(m, l, _)| *m == model && *l == level).unwrap();
+    snaps
+}
+
+fn assert_trains_the_baselines_bits(model: &str, level: FusionLevel) {
+    let want = snapshots(model, FusionLevel::Baseline);
+    for (step, (w, g)) in want.iter().zip(snapshots(model, level)).enumerate() {
+        let context = format!("{model} {level} step {step}");
+        assert_eq!(w.loss, g.loss, "{context}: loss bits");
+        assert_same_multiset(&w.params, &g.params, &format!("{context} parameters"));
+        assert_same_multiset(&w.running, &g.running, &format!("{context} running statistics"));
+    }
+}
+
+#[test]
+fn mvf_is_numerically_harmless_on_a_small_densenet() {
+    // MVF's single-sweep variance moves no bit, nor does the RCF it builds on.
+    for level in [FusionLevel::Rcf, FusionLevel::RcfMvf] {
+        assert_trains_the_baselines_bits("densenet_cifar", level);
+    }
+}
+
+#[test]
+fn baseline_and_bnff_training_reach_similar_losses() {
+    for level in [FusionLevel::Bnff, FusionLevel::BnffIcf] {
+        assert_trains_the_baselines_bits("densenet_cifar", level);
+    }
+}
+
+/// Bit-identity alone would also hold if every level were broken the same
+/// way: the shared runs must train, not just agree.
+#[test]
+fn bnff_restructured_densenet_produces_finite_training_signals() {
+    let baseline = densenet();
+    let restructured = BnffOptimizer::new(FusionLevel::Bnff).apply(&baseline).unwrap();
+    // The restructuring merges layers but never drops a convolution.
+    let convs = |g: &Graph| g.nodes().filter(|n| n.op.contains_conv()).count();
+    assert_eq!(convs(&baseline), convs(&restructured));
+
+    let snaps = snapshots("densenet_cifar", FusionLevel::Bnff);
+    for (step, snap) in snaps.iter().enumerate() {
+        let loss = f32::from_bits(snap.loss);
+        assert!(loss.is_finite() && loss > 0.0, "step {step}: loss {loss}");
+    }
+    for (step, pair) in snaps.windows(2).enumerate() {
+        assert_ne!(pair[0].params, pair[1].params, "step {}: SGD left every parameter", step + 1);
+    }
+}
+
+#[test]
+fn resnet_style_graphs_survive_the_full_pipeline_too() {
+    let restructured = BnffOptimizer::new(FusionLevel::Bnff).apply(&resnet()).unwrap();
+    assert!(restructured.validate().is_ok());
+    for snap in snapshots("resnet_cifar", FusionLevel::Baseline) {
+        assert!(f32::from_bits(snap.loss).is_finite());
+    }
+    for level in FusionLevel::all() {
+        assert_trains_the_baselines_bits("resnet_cifar", level);
     }
 }
