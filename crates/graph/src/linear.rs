@@ -5,10 +5,9 @@
 //! time — walk the graph, match on every node's `OpKind`, look parameters
 //! up in hash maps, resolve Split aliases and query the memory plan's
 //! liveness tables for every node it visits. None of that depends on the
-//! request: for a fixed graph at a fixed batch size the answers never
-//! change. [`LinearProgram::lower`] asks every question **once**, at compile
-//! time, and records the answers as a `Vec<`[`Instr`]`>` in topological
-//! order:
+//! request: for a fixed graph the answers never change. [`LinearProgram::lower`]
+//! asks every question **once**, at compile time, and records the answers
+//! as a `Vec<`[`Instr`]`>` in topological order:
 //!
 //! * each instruction carries a fully-resolved kernel recipe (a [`Kernel`]
 //!   with concrete attributes and the fused-ReLU flag),
@@ -17,11 +16,12 @@
 //!   buffer-slot assignment, with pre-computed byte sizes — no slot
 //!   `HashMap`, no shape inference, no liveness queries remain on the
 //!   request path,
-//! * shapes are batch-specialized: a program lowered for batch `N` hardcodes
-//!   every loop bound and buffer size for that `N`, and small programs carry
-//!   a serial-execution hint ([`LinearProgram::prefers_serial`]) so a tape
-//!   walker can skip per-kernel thread fan-out when the whole forward pass
-//!   is cheaper than the spawns.
+//! * shapes, register sizes and FLOPs are *per sample*: no frozen operator
+//!   couples samples, and the plan's packing and liveness see only sizes
+//!   that are all `N ×` a per-sample size, so one tape serves every batch
+//!   size. The serial-execution hint ([`LinearProgram::prefers_serial`])
+//!   scales the FLOPs by `N`, so a tape walker can skip per-kernel thread
+//!   fan-out when the whole forward pass is cheaper than the spawns.
 //!
 //! ReLU fusion has one owner per producer. A convolution's trailing ReLU is
 //! the freeze pass's decision (stage 3 rewrites every sole-consumer pair to
@@ -127,27 +127,27 @@ pub struct Instr {
     pub input_nodes: Vec<NodeId>,
     /// Output register.
     pub out: Reg,
-    /// Concrete (batch-specialized) output shape.
+    /// Per-sample output shape (the batch dimension stripped).
     pub out_shape: Shape,
     /// `out_shape.volume()`, pre-computed.
     pub out_volume: usize,
-    /// Estimated FLOPs of this instruction.
+    /// Estimated FLOPs of this instruction, per sample.
     pub flops: u64,
 }
 
-/// A frozen graph compiled to a flat instruction tape for one batch size.
+/// A frozen graph compiled to a flat instruction tape that serves every
+/// batch size.
 #[derive(Debug, Clone, Serialize)]
 pub struct LinearProgram {
     name: String,
-    batch: usize,
     instrs: Vec<Instr>,
     input_reg: Reg,
     input_node: NodeId,
-    input_shape: Shape,
+    sample_shape: Shape,
     output_reg: Reg,
     output_node: NodeId,
-    /// Capacity in bytes of every register (slot-backed registers first,
-    /// pinned outputs after).
+    /// Per-sample capacity in bytes of every register (slot-backed
+    /// registers first, pinned outputs after).
     reg_bytes: Vec<usize>,
     flops_estimate: u64,
 }
@@ -171,12 +171,23 @@ fn node_flops(graph: &Graph, node_id: NodeId) -> Result<u64> {
     })
 }
 
+fn lowering_error(reason: String) -> GraphError {
+    GraphError::PassError { pass: "linearize".to_string(), reason }
+}
+
+/// A template shape with its leading batch dimension stripped; an error if
+/// it does not lead with `batch` (the tape could not serve other batches).
+fn per_sample(shape: &Shape, batch: usize, name: &str) -> Result<Shape> {
+    match shape.dims().split_first() {
+        Some((&n, sample)) if n == batch => Ok(Shape::new(sample.to_vec())),
+        _ => Err(lowering_error(format!("'{name}' of shape {shape} does not lead with {batch}"))),
+    }
+}
+
 /// The register assigned to a node's (alias-resolved) output tensor.
 fn lookup_reg(reg_of: &[Option<Reg>], plan: &ExecutionPlan, id: NodeId) -> Result<Reg> {
-    reg_of[plan.resolve(id).index()].ok_or_else(|| GraphError::PassError {
-        pass: "linearize".to_string(),
-        reason: format!("node {id} owns no register"),
-    })
+    reg_of[plan.resolve(id).index()]
+        .ok_or_else(|| lowering_error(format!("node {id} owns no register")))
 }
 
 /// Whether a kernel may legally run in place (output register equal to its
@@ -190,12 +201,13 @@ impl LinearProgram {
     /// Lowers a frozen graph and its inference memory plan into a tape.
     ///
     /// `input`/`output` are the graph's data input and final output nodes
-    /// (as recorded by the freeze pass). The program is specialized to the
-    /// batch size baked into the graph's shapes.
+    /// (as recorded by the freeze pass). Shapes, register sizes and FLOPs
+    /// are divided by the graph's batch, so the program serves any batch.
     ///
     /// # Errors
-    /// Returns an error when the graph contains a training-only operator or
-    /// the lowered tape fails its register-clobber validation.
+    /// Returns an error when the graph contains a training-only operator, a
+    /// lowered value does not lead with the batch dimension, or the lowered
+    /// tape fails its register-clobber validation.
     pub fn lower(
         graph: &Graph,
         plan: &ExecutionPlan,
@@ -203,12 +215,14 @@ impl LinearProgram {
         output: NodeId,
     ) -> Result<LinearProgram> {
         let n = graph.node_count();
-        let input_shape = graph.node(input)?.output_shape.clone();
-        let batch = input_shape.dim(0).unwrap_or(1);
+        let input_node = graph.node(input)?;
+        let batch = input_node.output_shape.dim(0).unwrap_or(1).max(1);
+        let sample_shape = per_sample(&input_node.output_shape, batch, &input_node.name)?;
 
         // Register file: one register per plan slot, then one dedicated
-        // register per pinned (final-output) tensor.
-        let mut reg_bytes: Vec<usize> = plan.slot_sizes().to_vec();
+        // register per pinned (final-output) tensor. Every size is `batch ×`
+        // a per-sample size, so the division is exact.
+        let mut reg_bytes: Vec<usize> = plan.slot_sizes().iter().map(|b| b / batch).collect();
         let mut reg_of: Vec<Option<Reg>> = vec![None; n];
         for &id in plan.order() {
             let idx = id.index();
@@ -216,7 +230,7 @@ impl LinearProgram {
                 reg_of[idx] = Some(slot);
             } else if plan.liveness(id).map(|l| l.saved_for_backward).unwrap_or(false) {
                 reg_of[idx] = Some(reg_bytes.len());
-                reg_bytes.push(graph.node(id)?.output_shape.bytes_f32());
+                reg_bytes.push(graph.node(id)?.output_shape.bytes_f32() / batch);
             }
         }
 
@@ -262,13 +276,10 @@ impl LinearProgram {
                 OpKind::EltwiseSum => (Kernel::EltwiseSum, id),
                 OpKind::FullyConnected { .. } => (Kernel::FullyConnected, id),
                 other => {
-                    return Err(GraphError::PassError {
-                        pass: "linearize".to_string(),
-                        reason: format!(
-                            "training-only operator {other} in node '{}' cannot be lowered",
-                            node.name
-                        ),
-                    })
+                    return Err(lowering_error(format!(
+                        "training-only operator {other} in node '{}' cannot be lowered",
+                        node.name
+                    )))
                 }
             };
             let value = graph.node(value_node)?;
@@ -276,8 +287,11 @@ impl LinearProgram {
             let inputs: Vec<Reg> =
                 input_nodes.iter().map(|&i| lookup_reg(&reg_of, plan, i)).collect::<Result<_>>()?;
             let out = lookup_reg(&reg_of, plan, value_node)?;
-            let flops = node_flops(graph, id)?
-                + if value_node == id { 0 } else { node_flops(graph, value_node)? };
+            // Every term of `node_flops` is linear in the batch.
+            let flops = (node_flops(graph, id)?
+                + if value_node == id { 0 } else { node_flops(graph, value_node)? })
+                / batch as u64;
+            let out_shape = per_sample(&value.output_shape, batch, &value.name)?;
             flops_estimate += flops;
             instrs.push(Instr {
                 node: value_node,
@@ -287,19 +301,18 @@ impl LinearProgram {
                 inputs,
                 input_nodes,
                 out,
-                out_shape: value.output_shape.clone(),
-                out_volume: value.output_shape.volume(),
+                out_volume: out_shape.volume(),
+                out_shape,
                 flops,
             });
         }
 
         let program = LinearProgram {
             name: graph.name().to_string(),
-            batch,
             instrs,
             input_reg: lookup_reg(&reg_of, plan, input)?,
             input_node: input,
-            input_shape,
+            sample_shape,
             output_reg: lookup_reg(&reg_of, plan, output)?,
             output_node: plan.resolve(output),
             reg_bytes,
@@ -309,8 +322,7 @@ impl LinearProgram {
         Ok(program)
     }
 
-    /// Plans and lowers a freshly frozen graph in one step (the batch size
-    /// is the one baked into the frozen graph's shapes).
+    /// Plans and lowers a freshly frozen graph in one step.
     ///
     /// # Errors
     /// Returns an error when planning or lowering fails.
@@ -322,11 +334,6 @@ impl LinearProgram {
     /// The lowered graph's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The batch size this program is specialized to.
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 
     /// The instruction tape, in execution order.
@@ -349,9 +356,9 @@ impl LinearProgram {
         self.input_reg
     }
 
-    /// The concrete input shape (batch included).
-    pub fn input_shape(&self) -> &Shape {
-        &self.input_shape
+    /// The per-sample input shape (the batch dimension stripped).
+    pub fn sample_shape(&self) -> &Shape {
+        &self.sample_shape
     }
 
     /// The register holding the final output after the tape runs.
@@ -364,22 +371,22 @@ impl LinearProgram {
         self.reg_bytes.len()
     }
 
-    /// Capacity in bytes of every register.
+    /// Per-sample capacity in bytes of every register.
     pub fn reg_bytes(&self) -> &[usize] {
         &self.reg_bytes
     }
 
-    /// Estimated FLOPs of one forward pass.
+    /// Estimated FLOPs of one forward pass, per sample.
     pub fn flops_estimate(&self) -> u64 {
         self.flops_estimate
     }
 
-    /// Whether the whole pass is cheap enough that per-kernel thread
-    /// fan-out costs more than it buys. Kernels are thread-count
-    /// bit-identical, so honouring (or ignoring) the hint never changes
-    /// results.
-    pub fn prefers_serial(&self) -> bool {
-        self.flops_estimate < SERIAL_FLOPS_THRESHOLD
+    /// Whether the whole pass over `n` samples is cheap enough that
+    /// per-kernel thread fan-out costs more than it buys. Kernels are
+    /// thread-count bit-identical, so honouring (or ignoring) the hint never
+    /// changes results.
+    pub fn prefers_serial(&self, n: usize) -> bool {
+        self.flops_estimate.saturating_mul(n as u64) < SERIAL_FLOPS_THRESHOLD
     }
 
     /// Replays the tape symbolically and checks that every instruction
@@ -465,7 +472,7 @@ mod tests {
     fn lowers_a_frozen_fragment() {
         let frozen = frozen_fragment();
         let program = LinearProgram::lower_for_inference(&frozen).unwrap();
-        assert_eq!(program.batch(), 2);
+        assert_eq!(program.sample_shape(), &Shape::new(vec![3, 8, 8]));
         assert!(!program.is_empty());
         // Every instruction's operands are fully resolved.
         for instr in program.instrs() {
@@ -475,7 +482,7 @@ mod tests {
         }
         assert!(program.validate().is_ok());
         assert!(program.flops_estimate() > 0);
-        assert!(program.prefers_serial());
+        assert!(program.prefers_serial(2));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Single-sample requests are admitted into **per-worker bounded shard
 //! queues**; each worker coalesces its own shard into batches bounded by
 //! `max_batch` samples and `max_wait` queueing delay (whichever comes
-//! first), stamps a [`FrozenExecutor`] for the coalesced size, runs one
-//! forward pass and fans the score rows back out to the callers. Because
+//! first), runs one forward pass on the worker's own [`FrozenExecutor`]
+//! (lowered once at start; it serves every batch size up to `max_batch`)
+//! and fans the score rows back out to the callers. Because
 //! the frozen graph has no batch-coupled operators left (BN folded into the
 //! weights) and every kernel partitions per sample, a request's scores are
 //! **identical** whether it was served alone or coalesced into a full batch
@@ -246,19 +247,23 @@ impl ServeEngine {
         crate::builder::ServeEngineBuilder::new()
     }
 
-    /// Starts an engine over a frozen model: one bounded shard queue per
-    /// worker, each worker's kernel fan-out pinned to a disjoint slice of
-    /// the kernel-thread budget.
+    /// Starts an engine over a frozen model: one bounded shard queue and
+    /// one executor per worker, each worker's kernel fan-out pinned to a
+    /// disjoint slice of the kernel-thread budget.
     ///
     /// # Errors
     /// Returns an error for a zero `max_batch`/`workers`/`queue_depth`
-    /// configuration.
+    /// configuration, and the lowering error when the model cannot be
+    /// lowered to a tape.
     pub(crate) fn start(model: FrozenModel, config: BatchingConfig) -> Result<Self> {
         if config.max_batch == 0 || config.workers == 0 || config.queue_depth == 0 {
             return Err(ServeError::InvalidArgument(
                 "max_batch, workers and queue_depth must be positive".to_string(),
             ));
         }
+        let executors = (0..config.workers)
+            .map(|_| model.executor(config.max_batch))
+            .collect::<Result<Vec<_>>>()?;
         let total_threads =
             if config.kernel_threads > 0 { config.kernel_threads } else { current_threads() };
         let budgets = partition_threads(total_threads, config.workers);
@@ -278,12 +283,13 @@ impl ServeEngine {
         });
         let workers = budgets
             .iter()
+            .zip(executors)
             .enumerate()
-            .map(|(i, &budget)| {
+            .map(|(i, (&budget, executor))| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("bnff-serve-{i}"))
-                    .spawn(move || with_threads(budget, || worker_loop(&shared, i)))
+                    .spawn(move || with_threads(budget, || worker_loop(&shared, i, &executor)))
                     .expect("spawning a serve worker")
             })
             .collect();
@@ -318,22 +324,15 @@ impl ServeEngine {
         request_id: u64,
         force_trace: bool,
     ) -> Result<mpsc::Receiver<Result<Completion>>> {
+        // Only the sample's values are read when its batch is stacked.
         let per_sample = self.shared.model.sample_shape()?;
-        let sample = if sample.shape() == &per_sample {
-            let mut dims = vec![1usize];
-            dims.extend_from_slice(per_sample.dims());
-            Tensor::from_vec(Shape::new(dims), sample.into_vec()).map_err(ServeError::Tensor)?
-        } else {
-            let mut batched = vec![1usize];
-            batched.extend_from_slice(per_sample.dims());
-            if sample.shape().dims() != batched.as_slice() {
-                return Err(ServeError::InvalidArgument(format!(
-                    "sample shape {} does not match the model's {per_sample}",
-                    sample.shape()
-                )));
-            }
-            sample
-        };
+        let dims = sample.shape().dims();
+        if dims != per_sample.dims() && dims.split_first() != Some((&1, per_sample.dims())) {
+            return Err(ServeError::InvalidArgument(format!(
+                "sample shape {} does not match the model's {per_sample}",
+                sample.shape()
+            )));
+        }
         let trace = force_trace || self.shared.sampler.sample();
         let (tx, rx) = mpsc::channel();
         let shards = &self.shared.shards;
@@ -535,42 +534,7 @@ fn next_batch(shared: &Shared, worker: usize) -> Option<(Assembled, bool)> {
     }
 }
 
-/// Largest number of batch-size-specialized executors (compiled tapes plus
-/// their register files) each worker keeps cached, bounding the memory a
-/// worker holds for rare batch sizes.
-const EXECUTOR_CACHE: usize = 4;
-
-/// A bounded per-worker cache of batch-size-specialized executors, evicting
-/// the least-recently-used size (recompiled on demand). Entries are kept
-/// most-recently-used first.
-#[derive(Default)]
-struct ExecutorCache {
-    entries: Vec<(usize, FrozenExecutor)>,
-}
-
-impl ExecutorCache {
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The executor for `size`, compiling (and possibly evicting) on miss.
-    fn get_or_compile(&mut self, size: usize, model: &FrozenModel) -> Result<&FrozenExecutor> {
-        if let Some(i) = self.entries.iter().position(|(s, _)| *s == size) {
-            let hit = self.entries.remove(i);
-            self.entries.insert(0, hit);
-        } else {
-            let executor = model.executor(size)?;
-            self.entries.insert(0, (size, executor));
-            self.entries.truncate(EXECUTOR_CACHE);
-        }
-        Ok(&self.entries[0].1)
-    }
-}
-
-fn worker_loop(shared: &Shared, worker: usize) {
-    // Executors (compiled tapes + register files) are stamped per coalesced
-    // batch size and cached per worker, bounded by `EXECUTOR_CACHE`.
-    let mut executors = ExecutorCache::default();
+fn worker_loop(shared: &Shared, worker: usize, executor: &FrozenExecutor) {
     while let Some((assembled, stolen)) = next_batch(shared, worker) {
         let Assembled { batch, expired } = assembled;
         for request in expired {
@@ -585,12 +549,11 @@ fn worker_loop(shared: &Shared, worker: usize) {
         // completed is the inference span (shared by every request in the
         // batch).
         let taken = Instant::now();
-        let result = run_batch(shared, &mut executors, &batch);
+        let result = run_batch(executor, &batch);
         let completed = Instant::now();
         let metrics = &shared.metrics;
         metrics.record_batch(size);
         metrics.record_queue_depth(shared.shards[worker].lock().queue.len());
-        metrics.record_executor_cache(executors.len());
         if stolen {
             metrics.record_stolen_batch();
         }
@@ -633,24 +596,15 @@ fn worker_loop(shared: &Shared, worker: usize) {
 
 /// Stacks the batch, runs one forward pass and slices the score rows back
 /// out (one 1-D logits tensor per request, in submission order).
-fn run_batch(
-    shared: &Shared,
-    executors: &mut ExecutorCache,
-    batch: &[Request],
-) -> Result<Vec<Tensor>> {
-    let size = batch.len();
-    let executor = executors.get_or_compile(size, &shared.model)?;
-    let sample_volume = batch[0].sample.len();
-    let mut stacked = Vec::with_capacity(size * sample_volume);
+fn run_batch(executor: &FrozenExecutor, batch: &[Request]) -> Result<Vec<Tensor>> {
+    let mut stacked = Vec::with_capacity(batch.len() * batch[0].sample.len());
     for request in batch {
         stacked.extend_from_slice(request.sample.as_slice());
     }
     let mut dims = executor.input_shape().dims().to_vec();
-    dims[0] = size;
+    dims[0] = batch.len();
     let data = Tensor::from_vec(Shape::new(dims), stacked).map_err(ServeError::Tensor)?;
     let scores = executor.infer_owned(data)?;
-    let classes = scores.len() / size.max(1);
-    Ok((0..size)
-        .map(|i| Tensor::from_slice(&scores.as_slice()[i * classes..(i + 1) * classes]))
-        .collect())
+    let classes = (scores.len() / batch.len()).max(1);
+    Ok(scores.as_slice().chunks(classes).map(Tensor::from_slice).collect())
 }

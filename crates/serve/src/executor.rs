@@ -5,17 +5,20 @@
 //! memory plan's liveness tables — all request-invariant work. The executor
 //! now compiles the frozen graph once, at construction, into a
 //! [`LinearProgram`]: a flat instruction tape in topological order whose
-//! instructions carry fully-resolved kernel recipes (op kind, shapes,
-//! fused-ReLU flag, conv lowering strategy) and pre-resolved register
-//! operands. [`FrozenExecutor::infer`] is a tape walker — `for instr in
-//! program` dispatching straight into the `*_into` kernels with
-//! pre-bound parameter handles; no dispatch decision survives to request
-//! time.
+//! instructions carry fully-resolved kernel recipes (op kind, per-sample
+//! shapes, fused-ReLU flag) and pre-resolved register operands.
+//! [`FrozenExecutor::infer`] is a tape walker — `for instr in program`
+//! dispatching straight into the `*_into` kernels with pre-bound parameter
+//! handles; no dispatch decision survives to request time.
+//!
+//! One executor serves every batch of 1 to `max_batch` samples: a call of
+//! `n` samples stamps `n` in front of each instruction's per-sample output
+//! shape, so every kernel works on the `n`-sample prefix of its register.
 //!
 //! Kernels are the same `bnff-kernels` entry points the trainer uses, so
 //! inference saturates `BNFF_THREADS` cores with thread-count-identical
 //! results — which also makes the program's serial hint free to honour:
-//! cheap batch-1 programs run under a single thread to skip the fan-out
+//! cheap small-batch passes run under a single thread to skip the fan-out
 //! cost without changing a single bit of output.
 //!
 //! ## Per-op profiling
@@ -73,10 +76,12 @@ pub struct OpProfile {
     pub max_ns: u64,
 }
 
-/// A forward-only executor bound to one frozen graph at one batch size.
+/// A forward-only executor bound to one frozen graph, serving any batch of
+/// 1 to `max_batch` samples.
 #[derive(Debug)]
 pub struct FrozenExecutor {
     program: LinearProgram,
+    max_batch: usize,
     /// Per-instruction parameter handles, aligned with `program.instrs()` —
     /// bound once at compile time so the request path never touches the
     /// parameter hash map.
@@ -89,27 +94,31 @@ pub struct FrozenExecutor {
 }
 
 impl FrozenExecutor {
-    /// Creates an executor over a frozen graph and its folded parameters:
-    /// plans the graph's memory, lowers it to a [`LinearProgram`] and binds
-    /// every instruction's parameters. All lowering errors (training-only
-    /// operators, missing parameters, register hazards) surface here, not
-    /// at request time.
+    /// Creates an executor over a frozen graph and its folded parameters for
+    /// batches of up to `max_batch` samples: plans the graph's memory,
+    /// lowers it to a [`LinearProgram`] and binds every instruction's
+    /// parameters. All lowering errors (training-only operators, missing
+    /// parameters, register hazards) surface here, not at request time.
     ///
     /// # Errors
-    /// Returns an error when the graph cannot be memory-planned, lowered,
-    /// or a parameterised instruction has no folded parameters.
+    /// Returns an error when `max_batch` is zero, the graph cannot be
+    /// memory-planned or lowered, or an instruction lacks its parameters.
     pub fn new(
-        graph: Graph,
+        graph: &Graph,
         params: Arc<FrozenParamSet>,
         input: NodeId,
         output: NodeId,
+        max_batch: usize,
     ) -> Result<Self> {
-        let plan = ExecutionPlan::for_inference(&graph)?;
-        let program = LinearProgram::lower(&graph, &plan, input, output)?;
+        if max_batch == 0 {
+            return Err(ServeError::InvalidArgument("max_batch must be positive".into()));
+        }
+        let plan = ExecutionPlan::for_inference(graph)?;
+        let program = LinearProgram::lower(graph, &plan, input, output)?;
         let bound = bind_params(&program, &params)?;
         let registers = Mutex::new((0..program.reg_count()).map(|_| None).collect());
         let profiler = OpProfiler::new(program.instrs().len());
-        Ok(FrozenExecutor { program, bound, registers, profiler })
+        Ok(FrozenExecutor { program, max_batch, bound, registers, profiler })
     }
 
     /// Turns per-instruction timing on or off (off by default). Profiling
@@ -147,17 +156,19 @@ impl FrozenExecutor {
         &self.program
     }
 
-    /// The expected input shape.
+    /// The largest input shape: `max_batch` samples.
     pub fn input_shape(&self) -> Shape {
-        self.program.input_shape().clone()
+        batched(self.max_batch, self.program.sample_shape())
     }
 
-    /// Runs one forward pass over the compiled tape, returning the frozen
-    /// graph's output (the classifier scores).
+    /// Runs one forward pass over the compiled tape for `n` samples
+    /// (`1 ≤ n ≤ max_batch`), returning the frozen graph's output (the
+    /// classifier scores).
     ///
     /// # Errors
-    /// Returns an error when the input shape disagrees with the graph or a
-    /// kernel fails.
+    /// Returns [`ServeError::InvalidArgument`] when the input is not
+    /// `n × sample` with `1 ≤ n ≤ max_batch`, and an error when a kernel
+    /// fails.
     pub fn infer(&self, data: &Tensor) -> Result<Tensor> {
         self.infer_owned(data.clone())
     }
@@ -168,21 +179,30 @@ impl FrozenExecutor {
     /// tensor anyway).
     ///
     /// # Errors
-    /// Returns an error when the input shape disagrees with the graph or a
-    /// kernel fails.
+    /// Same as [`FrozenExecutor::infer`].
     pub fn infer_owned(&self, data: Tensor) -> Result<Tensor> {
-        if self.program.prefers_serial() {
+        let sample = self.program.sample_shape();
+        let n = match data.shape().dims().split_first() {
+            Some((&n, dims)) if (1..=self.max_batch).contains(&n) && dims == sample.dims() => n,
+            _ => {
+                return Err(ServeError::InvalidArgument(format!(
+                    "input shape {} is not n × {sample} with 1 ≤ n ≤ {}",
+                    data.shape(),
+                    self.max_batch
+                )))
+            }
+        };
+        if self.program.prefers_serial(n) {
             // Cheap pass: per-kernel thread fan-out costs more than it
             // buys. Kernels are thread-count bit-identical, so this cannot
             // change the result.
-            with_threads(1, || self.run_tape(data))
+            with_threads(1, || self.run_tape(data, n))
         } else {
-            self.run_tape(data)
+            self.run_tape(data, n)
         }
     }
 
-    fn run_tape(&self, data: Tensor) -> Result<Tensor> {
-        self.program.input_shape().expect_same(data.shape()).map_err(ServeError::Tensor)?;
+    fn run_tape(&self, data: Tensor, n: usize) -> Result<Tensor> {
         let mut regs = self.registers.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         regs[self.program.input_reg()] = Some(data);
         // One relaxed load decides the loop; the disabled path is exactly
@@ -190,12 +210,12 @@ impl FrozenExecutor {
         if self.profiler.enabled() {
             for (i, (instr, params)) in self.program.instrs().iter().zip(&self.bound).enumerate() {
                 let began = Instant::now();
-                exec_instr(&mut regs, instr, params.as_deref())?;
+                exec_instr(&mut regs, instr, params.as_deref(), n)?;
                 self.profiler.record(i, began.elapsed().as_nanos() as u64);
             }
         } else {
             for (instr, params) in self.program.instrs().iter().zip(&self.bound) {
-                exec_instr(&mut regs, instr, params.as_deref())?;
+                exec_instr(&mut regs, instr, params.as_deref(), n)?;
             }
         }
         regs[self.program.output_reg()]
@@ -239,47 +259,44 @@ fn bind_params(
         .collect()
 }
 
+/// `sample` with a leading batch dimension of `n`.
+fn batched(n: usize, sample: &Shape) -> Shape {
+    Shape::new([&[n], sample.dims()].concat())
+}
+
 /// Takes the output register's buffer (or allocates one) shaped for the
-/// instruction.
-fn take_out(regs: &mut [Option<Tensor>], instr: &Instr) -> Tensor {
-    match regs[instr.out].take() {
-        Some(t) => {
-            let mut buf = t.into_vec();
-            // Every kernel overwrites its whole output; leftover values in
-            // a grown buffer are never read.
-            buf.resize(instr.out_volume, 0.0);
-            Tensor::from_vec(instr.out_shape.clone(), buf)
-                .expect("register buffer resized to the instruction's volume")
-        }
-        None => Tensor::zeros(instr.out_shape.clone()),
-    }
+/// instruction's output over `n` samples.
+fn take_out(regs: &mut [Option<Tensor>], instr: &Instr, n: usize) -> Tensor {
+    let mut buf = regs[instr.out].take().map_or_else(Vec::new, Tensor::into_vec);
+    // Truncates when `n` shrank, zero-fills only the new tail when it grew;
+    // every kernel overwrites its whole output, so no stale value is read.
+    buf.resize(n * instr.out_volume, 0.0);
+    Tensor::from_vec(batched(n, &instr.out_shape), buf)
+        .expect("register buffer resized to the instruction's volume")
+}
+
+/// The error for operand `idx` of `instr` finding its register empty.
+fn empty_operand(instr: &Instr, idx: usize) -> ServeError {
+    let reg = instr.inputs[idx];
+    ServeError::InvalidArgument(format!("register {reg} read by '{}' is empty", instr.name))
 }
 
 fn reg_ref<'a>(regs: &'a [Option<Tensor>], instr: &Instr, idx: usize) -> Result<&'a Tensor> {
-    regs[instr.inputs[idx]].as_ref().ok_or_else(|| {
-        ServeError::InvalidArgument(format!(
-            "register {} read by '{}' is empty",
-            instr.inputs[idx], instr.name
-        ))
-    })
+    regs[instr.inputs[idx]].as_ref().ok_or_else(|| empty_operand(instr, idx))
 }
 
-/// Executes one instruction against the register file.
+/// Executes one instruction over `n` samples against the register file.
 fn exec_instr(
     regs: &mut [Option<Tensor>],
     instr: &Instr,
     params: Option<&FrozenParams>,
+    n: usize,
 ) -> Result<()> {
     // The in-place pointwise kernels: the planner recycled the input's
     // register for the output (it proved the input dead), so the kernel
     // sweeps the buffer once in place.
     if instr.inputs.first() == Some(&instr.out) {
-        let mut buf = regs[instr.out].take().ok_or_else(|| {
-            ServeError::InvalidArgument(format!(
-                "register {} read by '{}' is empty",
-                instr.out, instr.name
-            ))
-        })?;
+        let mut buf = regs[instr.out].take().ok_or_else(|| empty_operand(instr, 0))?;
         match (&instr.kernel, params) {
             (Kernel::Affine { fused_relu }, Some(FrozenParams::Affine { scale, shift })) => {
                 if *fused_relu {
@@ -299,7 +316,7 @@ fn exec_instr(
         regs[instr.out] = Some(buf);
         return Ok(());
     }
-    let mut out = take_out(regs, instr);
+    let mut out = take_out(regs, instr, n);
     match (&instr.kernel, params) {
         (Kernel::Conv { attrs, fused_relu }, Some(FrozenParams::Conv { weights, bias })) => {
             let x = reg_ref(regs, instr, 0)?;

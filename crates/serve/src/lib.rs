@@ -16,7 +16,8 @@
 //!    over an [`ExecutionPlan::for_inference`](bnff_graph::plan::ExecutionPlan::for_inference)
 //!    memory plan, so every intermediate activation recycles through one
 //!    small arena and the same `bnff-parallel`-threaded kernels the trainer
-//!    uses keep results bit-identical across `BNFF_THREADS`.
+//!    uses keep results bit-identical across `BNFF_THREADS`. One executor
+//!    runs any batch of 1 to its `max_batch` samples on one tape.
 //! 3. **Serve** — [`ServeEngine`] admits single-sample requests into
 //!    per-worker bounded shard queues (spilling to siblings, shedding with
 //!    [`ServeError::Overloaded`] only when every queue is full), coalesces
@@ -56,11 +57,14 @@
 //! // Freeze + fold through the builder; `.start()` would spin up workers,
 //! // `.build_model()` hands back the frozen model for direct execution.
 //! let model = ServeEngine::builder().executor(&exec).build_model()?;
-//! // Stamp a single-sample executor and classify one image.
-//! let single = model.executor(1)?;
-//! let image = Initializer::seeded(1).uniform(Shape::nchw(1, 3, 8, 8), -1.0, 1.0);
-//! let scores = single.infer(&image)?;
-//! assert_eq!(scores.shape(), &Shape::matrix(1, 2));
+//! // Lower an executor for up to four samples per pass; the same tape
+//! // classifies one image, then three.
+//! let executor = model.executor(4)?;
+//! let mut init = Initializer::seeded(1);
+//! let image = init.uniform(Shape::nchw(1, 3, 8, 8), -1.0, 1.0);
+//! assert_eq!(executor.infer(&image)?.shape(), &Shape::matrix(1, 2));
+//! let images = init.uniform(Shape::nchw(3, 3, 8, 8), -1.0, 1.0);
+//! assert_eq!(executor.infer(&images)?.shape(), &Shape::matrix(3, 2));
 //! # Ok(())
 //! # }
 //! ```

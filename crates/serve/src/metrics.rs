@@ -31,7 +31,6 @@ pub struct ServeMetrics {
     infer: Arc<Histogram>,
     queue_depth: Arc<Histogram>,
     queued: Arc<Gauge>,
-    cache_peak: Arc<Gauge>,
     batch_capacity: Arc<Gauge>,
 }
 
@@ -88,10 +87,6 @@ impl ServeMetrics {
                 HistogramOpts::small_counts(),
             ),
             queued: registry.gauge("bnff_queued", "Requests currently queued across all shards."),
-            cache_peak: registry.gauge(
-                "bnff_executor_cache_peak",
-                "Peak batch-size-specialized executors cached by any worker.",
-            ),
             batch_capacity: registry
                 .gauge("bnff_batch_capacity", "Configured max_batch (occupancy denominator)."),
             registry,
@@ -141,12 +136,6 @@ impl ServeMetrics {
         self.queue_depth.record(depth as u64);
     }
 
-    /// Records a worker's executor-cache size (the gauge keeps the peak).
-    #[inline]
-    pub fn record_executor_cache(&self, size: usize) {
-        self.cache_peak.set_max(size as i64);
-    }
-
     /// Counts `n` requests shed by admission control.
     #[inline]
     pub fn record_shed(&self, n: usize) {
@@ -191,7 +180,6 @@ impl ServeMetrics {
             stolen: self.stolen.get(),
             shed: self.shed.get(),
             expired: self.expired.get(),
-            executor_cache_peak: self.cache_peak.get().max(0) as usize,
             latency: self.latency.snapshot(),
         }
     }
@@ -207,7 +195,6 @@ pub struct MetricsSnapshot {
     stolen: u64,
     shed: u64,
     expired: u64,
-    executor_cache_peak: usize,
     latency: HistogramSnapshot,
 }
 
@@ -246,9 +233,11 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Peak per-worker executor-cache size observed.
+    /// Executors each worker holds: always 1, since one tape serves every
+    /// batch size. Kept only because the benchmark harness reports it as
+    /// `serve.executor_cache_peak`.
     pub fn executor_cache_peak(&self) -> usize {
-        self.executor_cache_peak
+        1
     }
 
     /// The `p`-th latency percentile in milliseconds (`p` in `[0, 100]`).
@@ -344,9 +333,6 @@ mod tests {
         assert_eq!(snap.stolen_batches(), 2);
         assert_eq!(m.queued(), 3);
         // Peak gauges never regress.
-        m.record_executor_cache(4);
-        m.record_executor_cache(2);
-        assert_eq!(m.snapshot().executor_cache_peak(), 4);
         m.set_batch_capacity(8);
         m.set_batch_capacity(4);
         assert!(m.render_prometheus().lines().any(|l| l == "bnff_batch_capacity 8"));
@@ -354,7 +340,7 @@ mod tests {
 
     /// Metrics with known observations on every series the scrape carries:
     /// two requests in batches of 4 and 2, one stolen batch, 6 shed, 2
-    /// expired, cache sizes 2, 3, 1, queue depths 1, 5, 3 and capacity 8.
+    /// expired, queue depths 1, 5, 3 and capacity 8.
     fn observed() -> ServeMetrics {
         let m = ServeMetrics::new();
         m.set_batch_capacity(8);
@@ -365,9 +351,6 @@ mod tests {
         m.record_stolen_batch();
         m.record_shed(6);
         m.record_expired(2);
-        for size in [2, 3, 1] {
-            m.record_executor_cache(size);
-        }
         for depth in [1, 5, 3] {
             m.record_queue_depth(depth);
         }
@@ -394,10 +377,7 @@ mod tests {
         let m = ServeMetrics::new();
         let empty = m.snapshot();
         assert_eq!((empty.requests(), empty.batches(), empty.shed()), (0, 0, 0));
-        assert_eq!(
-            (empty.expired(), empty.stolen_batches(), empty.executor_cache_peak()),
-            (0, 0, 0)
-        );
+        assert_eq!((empty.expired(), empty.stolen_batches()), (0, 0));
         assert_eq!(empty.mean_batch_size(), 0.0);
         assert_eq!(empty.percentile_ms(99.0), 0.0);
         assert_lines(&m.render_prometheus(), &["bnff_requests_total 0", "bnff_batches_total 0"]);
@@ -426,20 +406,14 @@ mod tests {
         );
     }
 
-    /// The peak gauges and the queue-depth sum and count (their ratio is
+    /// The capacity gauge and the queue-depth sum and count (their ratio is
     /// the mean depth).
     #[test]
-    fn queue_and_cache_gauges() {
+    fn queue_depth_and_capacity_gauges() {
         let m = observed();
-        assert_eq!(m.snapshot().executor_cache_peak(), 3);
         assert_lines(
             &m.render_prometheus(),
-            &[
-                "bnff_executor_cache_peak 3",
-                "bnff_batch_capacity 8",
-                "bnff_queue_depth_sum 9",
-                "bnff_queue_depth_count 3",
-            ],
+            &["bnff_batch_capacity 8", "bnff_queue_depth_sum 9", "bnff_queue_depth_count 3"],
         );
     }
 
@@ -455,7 +429,6 @@ mod tests {
         assert_eq!(sample(&text, "bnff_stolen_batches_total"), snap.stolen_batches() as u64);
         assert_eq!(sample(&text, "bnff_shed_total"), snap.shed() as u64);
         assert_eq!(sample(&text, "bnff_expired_total"), snap.expired() as u64);
-        assert_eq!(sample(&text, "bnff_executor_cache_peak"), snap.executor_cache_peak() as u64);
         let samples = sample(&text, "bnff_batch_samples_total") as f64;
         assert!((samples / snap.batches() as f64 - snap.mean_batch_size()).abs() < 1e-9);
         let started = sample(&text, "bnff_start_time_seconds");

@@ -1,13 +1,13 @@
-//! The frozen model: a batch-retargetable frozen graph plus its folded
-//! parameters.
+//! The frozen model: a frozen graph template plus its folded parameters.
 //!
 //! A [`FrozenModel`] is built once — from a live
 //! [`Executor`](bnff_train::Executor), or from the `.bnff` artifact of a
-//! [`Checkpoint`] written by a separate training process — and then stamped
-//! into per-batch-size [`FrozenExecutor`]s. Shapes in the graph IR are
-//! concrete, so retargeting rebuilds the node list with the requested batch
-//! dimension and re-infers every shape; node ids (and therefore the folded
-//! parameter keys) are preserved because insertion order is.
+//! [`Checkpoint`] written by a separate training process — and then lowered
+//! into [`FrozenExecutor`]s. The template keeps the training batch size in
+//! its shapes, but no frozen operator couples samples, so the tape lowered
+//! from it (per-sample shapes, see [`bnff_graph::linear`]) serves every
+//! batch size up to the executor's `max_batch`; nothing is re-inferred per
+//! batch.
 
 use crate::error::ServeError;
 use crate::executor::FrozenExecutor;
@@ -84,39 +84,18 @@ impl FrozenModel {
         shape.dim(shape.rank().saturating_sub(1)).map_err(ServeError::Tensor)
     }
 
-    /// Stamps an executor bound to `batch` samples per forward pass.
+    /// Lowers the template into an executor that runs any batch of 1 to
+    /// `max_batch` samples per forward pass.
     ///
     /// # Errors
-    /// Returns an error when `batch` is zero or shape re-inference fails.
-    pub fn executor(&self, batch: usize) -> Result<FrozenExecutor> {
-        if batch == 0 {
-            return Err(ServeError::InvalidArgument("batch size must be positive".into()));
-        }
-        let graph = self.rebatch(batch)?;
-        FrozenExecutor::new(graph, Arc::clone(&self.params), self.input, self.output)
-    }
-
-    /// Rebuilds the template graph with a different batch dimension.
-    fn rebatch(&self, batch: usize) -> Result<Graph> {
-        let mut out = Graph::new(self.template.name().to_string());
-        for node in self.template.nodes() {
-            if node.inputs.is_empty() {
-                let mut dims = node.output_shape.dims().to_vec();
-                if dims.is_empty() {
-                    return Err(ServeError::InvalidArgument(format!(
-                        "input '{}' has no batch dimension",
-                        node.name
-                    )));
-                }
-                dims[0] = batch;
-                out.add_input(&node.name, Shape::new(dims));
-            } else {
-                // Insertion order is topological (freeze builds it that
-                // way), so every input already exists; `add_node` re-infers
-                // the output shape at the new batch size.
-                out.add_node(&node.name, node.op.clone(), node.inputs.clone())?;
-            }
-        }
-        Ok(out)
+    /// Returns an error when `max_batch` is zero or lowering fails.
+    pub fn executor(&self, max_batch: usize) -> Result<FrozenExecutor> {
+        FrozenExecutor::new(
+            &self.template,
+            Arc::clone(&self.params),
+            self.input,
+            self.output,
+            max_batch,
+        )
     }
 }

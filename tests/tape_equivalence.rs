@@ -4,7 +4,10 @@
 //! residual sum, the compiled tape must produce **bit-identical** scores to
 //! the plan-free reference interpreter in `support` run on the frozen
 //! template, at batch sizes 1, 4 and 8 and across `BNFF_THREADS` 1 and 4 —
-//! the tape is a dispatch optimization, never a numerics change.
+//! the tape is a dispatch optimization, never a numerics change. One
+//! executor serves every prefix `1 ≤ n ≤ max_batch` of its registers, in
+//! any order, and rejects every other input with a typed error that leaves
+//! it serving.
 
 mod support;
 
@@ -12,7 +15,7 @@ use bnff::core::{BnffOptimizer, FusionLevel};
 use bnff::graph::Graph;
 use bnff::models::{densenet_cifar, resnet_cifar};
 use bnff::parallel::with_threads;
-use bnff::serve::ServeEngine;
+use bnff::serve::{FrozenExecutor, FrozenModel, ServeEngine, ServeError};
 use bnff::tensor::init::Initializer;
 use bnff::tensor::{Shape, Tensor};
 use bnff::train::Executor;
@@ -87,4 +90,57 @@ fn cifar_resnet_tape_matches_interpreted_at_levels_0_to_3() {
 #[test]
 fn split_maxpool_and_eltwise_tape_matches_reference() {
     check_tape_matches_reference(&support::graphs::mixed(6), "mixed ops");
+}
+
+/// One `n`-sample batch through `executor`, bitwise against the reference.
+fn check_prefix(executor: &FrozenExecutor, model: &FrozenModel, n: usize, seed: u64, what: &str) {
+    let mut dims = executor.input_shape().dims().to_vec();
+    dims[0] = n;
+    let data = Initializer::seeded(seed).uniform(Shape::new(dims), -1.0, 1.0);
+    let tape = executor.infer(&data).unwrap();
+    assert_eq!(to_bits(&tape), to_bits(&support::frozen(model, &data)), "{what} n{n}");
+}
+
+#[test]
+fn one_executor_serves_every_prefix_in_any_order() {
+    // Shrinking then growing `n` exposes register tails a previous call
+    // wrote: any stale value read would break bit-identity.
+    let order = [8usize, 1, 3, 8, 2, 5, 1, 4, 6, 7];
+    let graphs = [
+        ("densenet-cifar", densenet_cifar(4, 6, 2, 4).unwrap()),
+        ("mixed", support::graphs::mixed(6)),
+    ];
+    for (name, graph) in graphs {
+        let model =
+            ServeEngine::builder().executor(&conditioned(&graph, 29)).build_model().unwrap();
+        let executor = model.executor(8).unwrap();
+        assert_eq!(executor.input_shape().dims()[0], 8);
+        for threads in [1usize, 4] {
+            with_threads(threads, || {
+                for (step, &n) in order.iter().enumerate() {
+                    let what = format!("{name} t{threads} step {step}");
+                    check_prefix(&executor, &model, n, (threads * 100 + step) as u64, &what);
+                }
+            });
+        }
+    }
+}
+
+#[test]
+fn out_of_range_batches_and_wrong_samples_are_typed_rejections() {
+    let graph = support::graphs::mixed(6);
+    let model = ServeEngine::builder().executor(&conditioned(&graph, 31)).build_model().unwrap();
+    let executor = model.executor(8).unwrap();
+    check_prefix(&executor, &model, 5, 1, "warm-up");
+    let bad = [
+        ("n = 0", Shape::nchw(0, 3, 32, 32)),
+        ("n = max_batch + 1", Shape::nchw(9, 3, 32, 32)),
+        ("wrong sample shape", Shape::nchw(2, 3, 16, 16)),
+    ];
+    for (i, (what, shape)) in bad.into_iter().enumerate() {
+        let err = executor.infer(&Tensor::zeros(shape)).unwrap_err();
+        assert!(matches!(err, ServeError::InvalidArgument(_)), "{what}: {err:?}");
+        // The executor keeps serving, bit for bit.
+        check_prefix(&executor, &model, 2 + i, 10 + i as u64, &format!("after {what}"));
+    }
 }
