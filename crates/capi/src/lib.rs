@@ -330,10 +330,7 @@ unsafe fn infer_into(
         return fail(BNFF_ERR_INVALID, &"sample is null");
     }
     let engine = &unsafe { &*engine }.engine;
-    let shape = match engine.sample_shape() {
-        Ok(shape) => shape,
-        Err(e) => return fail(error_code(&e), &e),
-    };
+    let shape = engine.sample_shape();
     if sample_len as usize != shape.volume() {
         return fail(
             BNFF_ERR_INVALID,
@@ -341,7 +338,7 @@ unsafe fn infer_into(
         );
     }
     let values = unsafe { std::slice::from_raw_parts(sample, sample_len as usize) };
-    let tensor = match Tensor::from_vec(shape, values.to_vec()) {
+    let tensor = match Tensor::from_vec(shape.clone(), values.to_vec()) {
         Ok(tensor) => tensor,
         Err(e) => return fail(BNFF_ERR_INVALID, &e),
     };

@@ -4,7 +4,21 @@
 //! reads or writes of mini-batch feature maps that cannot be captured by
 //! on-chip buffers (Section 3.1, Figure 5). This module computes, for every
 //! node of a graph, the forward- and backward-pass FLOPs and the list of
-//! memory sweeps it performs. The accounting follows Figure 5 of the paper:
+//! memory sweeps it performs, in two accountings:
+//!
+//! * [`node_cost`] charges the paper's reference implementation, the one
+//!   its figures profile and `bnff-memsim` reproduces: every concatenation
+//!   copies its inputs, every statistics sub-layer sweeps its whole input.
+//! * [`executor_node_cost`] charges what this workspace's training executor
+//!   does, which differs in exactly those nodes ([`crate::rope`]): a
+//!   concatenation whose consumers all read planes is a rope and costs
+//!   nothing in either direction; one with another consumer copies its
+//!   inputs once and hands its gradient back slice by slice; and a
+//!   `SubBnStats` or `ConcatStats` reads only the channels whose
+//!   statistics no earlier node published. [`activation_sweep_count`]
+//!   counts these.
+//!
+//! The reference accounting follows Figure 5 of the paper:
 //!
 //! | op (forward)        | activation sweeps                                   |
 //! |---------------------|-----------------------------------------------------|
@@ -29,6 +43,7 @@
 use crate::graph::Graph;
 use crate::node::{Node, NodeId};
 use crate::op::{Conv2dAttrs, OpKind, PoolKind};
+use crate::rope::ChannelRopes;
 use crate::Result;
 use bnff_tensor::Shape;
 use serde::Serialize;
@@ -545,6 +560,59 @@ pub fn node_cost(graph: &Graph, node: &Node) -> Result<NodeCost> {
     Ok(cost)
 }
 
+/// The cost of a single node as the training executor runs it: the
+/// reference [`node_cost`], except that a rope concatenation costs nothing,
+/// a copied one its copy and the slice-by-slice return of its gradient, and
+/// a `SubBnStats` or `ConcatStats` reads only its unpublished channels.
+///
+/// # Errors
+/// Returns an error if the graph is structurally inconsistent.
+pub fn executor_node_cost(graph: &Graph, node: &Node) -> Result<NodeCost> {
+    executor_cost(graph, &ChannelRopes::of(graph)?, node)
+}
+
+/// [`executor_node_cost`] with the graph's concatenations resolved once.
+fn executor_cost(graph: &Graph, ropes: &ChannelRopes, node: &Node) -> Result<NodeCost> {
+    let mut cost = node_cost(graph, node)?;
+    // The share of its channels a statistics node sweeps itself.
+    let swept = ropes.assembly(node.id).map_or(1.0, |parts| {
+        let total: usize = parts.iter().map(|p| p.channels).sum();
+        let swept = ropes.swept_channels(node.id).unwrap_or(total);
+        if total == 0 {
+            1.0
+        } else {
+            swept as f64 / total as f64
+        }
+    });
+    let scaled = |bytes: usize| (bytes as f64 * swept).round() as usize;
+    match node.op {
+        OpKind::SubBnStats(_) => {
+            for sweep in &mut cost.sweeps_fwd {
+                if sweep.class == TensorClass::Activation {
+                    sweep.bytes = scaled(sweep.bytes);
+                }
+            }
+            cost.sweeps_fwd.retain(|s| s.bytes > 0);
+            cost.flops_fwd *= swept;
+        }
+        OpKind::Concat | OpKind::ConcatStats(_) => {
+            if ropes.is_rope(node.id) {
+                cost.sweeps_fwd.clear();
+                cost.sweeps_bwd.clear();
+            }
+            if matches!(node.op, OpKind::ConcatStats(_)) {
+                let bytes = scaled(node.output_shape.bytes_f32());
+                if bytes > 0 {
+                    cost.sweeps_fwd.push(Sweep::read_act(bytes, "unpublished channels (Σx/Σx²)"));
+                }
+                cost.flops_fwd *= swept;
+            }
+        }
+        _ => {}
+    }
+    Ok(cost)
+}
+
 /// Aggregate costs of an entire graph, by node and by layer category.
 #[derive(Debug, Clone, Serialize)]
 pub struct GraphCost {
@@ -599,14 +667,16 @@ pub fn graph_cost(graph: &Graph) -> Result<GraphCost> {
 }
 
 /// Counts whole-activation memory sweeps (reads + writes of mini-batch
-/// feature maps and gradients) for the entire graph, forward + backward.
+/// feature maps and gradients) of a training step on the executor
+/// ([`executor_node_cost`]), forward + backward.
 ///
 /// # Errors
 /// Returns an error if the graph is structurally inconsistent.
 pub fn activation_sweep_count(graph: &Graph) -> Result<usize> {
+    let ropes = ChannelRopes::of(graph)?;
     let mut count = 0usize;
     for node in graph.nodes() {
-        let cost = node_cost(graph, node)?;
+        let cost = executor_cost(graph, &ropes, node)?;
         count += cost
             .sweeps_fwd
             .iter()
@@ -795,6 +865,47 @@ mod tests {
             fused_sweeps < baseline_sweeps,
             "fused {fused_sweeps} must be below baseline {baseline_sweeps}"
         );
+    }
+
+    /// What the executor accounting charges the nodes it treats differently,
+    /// on `in → stem conv → [stem, a]` read by a BN-ReLU-CONV (a rope) and
+    /// by a ReLU (copied), at 512 B per channel.
+    #[test]
+    fn executor_accounting_charges_ropes_copies_and_unpublished_channels() {
+        use crate::passes::{BnffPass, IcfPass, Pass};
+        let mut b = GraphBuilder::new("ropes");
+        let x = b.input("in", Shape::nchw(2, 3, 8, 8)).unwrap();
+        let stem = b.conv2d(x, Conv2dAttrs::same_3x3(4), "stem").unwrap();
+        let a = b.bn_relu_conv(stem, Conv2dAttrs::pointwise(2), "a").unwrap();
+        let rope = b.concat(vec![stem, a], "rope").unwrap();
+        b.bn_relu_conv(rope, Conv2dAttrs::pointwise(4), "b").unwrap();
+        let copied = b.concat(vec![stem, a], "copied").unwrap();
+        b.relu(copied, "relu").unwrap();
+        let bnff = BnffPass::new().run(&b.finish()).unwrap();
+        let icf = IcfPass::new().run(&bnff).unwrap();
+
+        let bytes = |sweeps: &[Sweep]| -> usize {
+            let moved =
+                |s: &&Sweep| matches!(s.class, TensorClass::Activation | TensorClass::Gradient);
+            sweeps.iter().filter(moved).map(|s| s.bytes).sum()
+        };
+        let by_op = |g: &Graph, op: &str| g.nodes().find(|n| n.op.name() == op).unwrap().clone();
+        let plane = 2 * 8 * 8 * 4;
+        // (graph, node, forward bytes, backward bytes, reference forward bytes)
+        let table = [
+            (&bnff, find(&bnff, "rope"), 0, 0, 2 * 6 * plane),
+            (&bnff, find(&bnff, "copied"), 2 * 6 * plane, 2 * 6 * plane, 2 * 6 * plane),
+            // The stem's ConvStats published its 4 channels; `a`'s 2 are swept.
+            (&bnff, by_op(&bnff, "SubBnStats"), 2 * plane, 2 * 6 * plane, 6 * plane),
+            (&icf, by_op(&icf, "ConcatStats"), 2 * plane, 0, 2 * 6 * plane),
+        ];
+        for (graph, node, fwd, bwd, reference) in table {
+            let cost = executor_node_cost(graph, &node).unwrap();
+            assert_eq!(bytes(&cost.sweeps_fwd), fwd, "{} forward", node.name);
+            assert_eq!(bytes(&cost.sweeps_bwd), bwd, "{} backward", node.name);
+            let paper = node_cost(graph, &node).unwrap();
+            assert_eq!(bytes(&paper.sweeps_fwd), reference, "{} reference forward", node.name);
+        }
     }
 
     #[test]

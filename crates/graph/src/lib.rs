@@ -58,6 +58,7 @@ pub mod node;
 pub mod op;
 pub mod passes;
 pub mod plan;
+pub mod rope;
 pub mod shape_infer;
 
 pub use builder::GraphBuilder;

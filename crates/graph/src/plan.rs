@@ -11,18 +11,25 @@
 //! The planner walks the topological order and computes, per node output:
 //!
 //! 1. **Forward liveness** — the interval from the producing node to its
-//!    last forward consumer (Split outputs are aliases of their input and
-//!    extend the producer's interval instead of owning one).
+//!    last forward consumer. Two kinds of node own no buffer and extend
+//!    other nodes' intervals instead: a Split is an alias of its input, and
+//!    — in a training plan — a concatenation whose consumers all read
+//!    planes is a *channel rope* of its inputs ([`crate::rope`]): every
+//!    edge into it is an edge into each of its (flattened) parts. A
+//!    concatenation with any other consumer owns a buffer its parts are
+//!    copied into, and reads them at its own position.
 //! 2. **Backward retention** — whether the backward pass re-reads the
 //!    tensor. One rule: every convolution, every normalization,
 //!    fully-connected layers and ReLU masks re-read their *first input* and
-//!    nothing else. A convolution with a prologue recomputes the clipped /
-//!    normalized ifmap from its raw input, and a normalization — standalone
-//!    or absorbed — recomputes `x̂` and its ReLU mask from its raw input and
-//!    the 2×C statistics, so no operator keeps a feature map of its own and
-//!    the plan's saved tensors are everything a forward result holds;
-//!    pooling and concat need only shapes. Retained tensors stay live
-//!    through the backward pass and are excluded from reuse.
+//!    nothing else — through a rope, every part of it. A convolution with a
+//!    prologue recomputes the clipped / normalized ifmap from its raw
+//!    input, and a normalization — standalone or absorbed — recomputes `x̂`
+//!    and its ReLU mask from its raw input and the 2×C statistics, so no
+//!    operator keeps a feature map of its own and the plan's saved tensors
+//!    are everything a forward result holds. Pooling needs only shapes, and
+//!    a concatenation's gradient goes straight to its parts'. Retained
+//!    tensors stay live through the backward pass and are excluded from
+//!    reuse.
 //! 3. **Slot assignment** — transient tensors are packed into reusable
 //!    buffer slots with a greedy best-fit over their live intervals, giving
 //!    the arena capacity an executor needs and the planned peak bytes
@@ -32,6 +39,7 @@ use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::node::{Node, NodeId};
 use crate::op::{OpForm, OpKind};
+use crate::rope::{ChannelRopes, StatsPart};
 use crate::Result;
 use bnff_tensor::{Shape, Tensor};
 use serde::Serialize;
@@ -83,6 +91,8 @@ pub struct ExecutionPlan {
     position: Vec<usize>,
     /// Node index → alias target (Split nodes forward their input tensor).
     alias_of: Vec<Option<usize>>,
+    /// A training plan's concatenations (none in an inference plan).
+    ropes: ChannelRopes,
     /// Node index → liveness of its own output (None for non-producers and
     /// aliases).
     liveness: Vec<Option<TensorLiveness>>,
@@ -172,16 +182,26 @@ impl ExecutionPlan {
             }
         }
         let resolve = |idx: usize| alias_of[idx].unwrap_or(idx);
+        let ropes = match mode {
+            PlanMode::Training => ChannelRopes::of(graph)?,
+            PlanMode::Inference => ChannelRopes::default(),
+        };
 
         // Liveness: producers start at their own position; every consumer
         // edge extends the resolved producer's last forward use; backward
         // retention pins the tensor for the whole step.
         let mut liveness: Vec<Option<TensorLiveness>> = vec![None; n];
+        let mut naive_bytes = 0usize;
         for &id in &order {
             if alias_of[id.index()].is_some() || !produces_tensor(graph, id) {
                 continue;
             }
             let node = graph.node(id)?;
+            if ropes.is_rope(id) {
+                // Naive execution would still copy the parts into a buffer.
+                naive_bytes += node.output_shape.bytes_f32();
+                continue;
+            }
             let pos = position[id.index()];
             // Training pins through consumer edges only (below). Inference
             // pins final outputs so the executor can return them instead of
@@ -197,8 +217,26 @@ impl ExecutionPlan {
         for &id in &order {
             let node = graph.node(id)?;
             let pos = position[id.index()];
-            for (slot, input) in node.inputs.iter().enumerate() {
-                let producer = resolve(input.index());
+            // A concatenation reads its flattened parts (a rope only when it
+            // sweeps statistics); any other node reads its inputs, a rope
+            // through its parts.
+            let reads: Vec<(usize, usize)> = match ropes.parts(id) {
+                Some(parts) => parts.iter().map(|&part| (1, part)).collect(),
+                None => node
+                    .inputs
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(slot, input)| {
+                        let producer = resolve(input.index());
+                        let parts = match ropes.is_rope(NodeId::new(producer)) {
+                            true => ropes.parts(NodeId::new(producer)).unwrap_or_default(),
+                            false => std::slice::from_ref(&producer),
+                        };
+                        parts.iter().map(move |&part| (slot, part)).collect::<Vec<_>>()
+                    })
+                    .collect(),
+            };
+            for (slot, producer) in reads {
                 let Some(live) = liveness[producer].as_mut() else { continue };
                 live.last_use = live.last_use.max(pos);
                 if slot == 0 && mode == PlanMode::Training && backward_reads_first_input(&node.op) {
@@ -213,7 +251,6 @@ impl ExecutionPlan {
         let mut slot: Vec<Option<usize>> = vec![None; n];
         let mut slots: Vec<(usize, usize)> = Vec::new(); // (bytes, free_from)
         let mut release_at: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
-        let mut naive_bytes = 0usize;
         let mut saved_bytes = 0usize;
         for &id in &order {
             let idx = id.index();
@@ -267,6 +304,7 @@ impl ExecutionPlan {
             order,
             position,
             alias_of,
+            ropes,
             liveness,
             slot,
             release_at,
@@ -297,6 +335,26 @@ impl ExecutionPlan {
     /// Whether a node's output tensor is an alias of another node's.
     pub fn is_alias(&self, id: NodeId) -> bool {
         self.alias_of[id.index()].is_some()
+    }
+
+    /// Whether a node is a concatenation that owns no buffer: its value is
+    /// its parts' tensors ([`ExecutionPlan::concat_parts`]).
+    pub fn is_rope(&self, id: NodeId) -> bool {
+        self.ropes.is_rope(id)
+    }
+
+    /// The producers a training plan's concatenation is made of, flattened
+    /// through nested concatenations and Split aliases — the tensors its
+    /// value is read from and its gradient is handed to; `None` for any
+    /// other node, and for every node of an inference plan.
+    pub fn concat_parts(&self, id: NodeId) -> Option<&[usize]> {
+        self.ropes.parts(id)
+    }
+
+    /// The parts a training plan's `SubBnStats` or `ConcatStats` assembles
+    /// its statistics from ([`crate::rope`]).
+    pub fn stats_assembly(&self, id: NodeId) -> Option<&[StatsPart]> {
+        self.ropes.assembly(id)
     }
 
     /// Liveness of a node's own output tensor, if it produces one.
@@ -345,6 +403,37 @@ impl ExecutionPlan {
         node: &Node,
     ) -> Result<Vec<&'a Tensor>> {
         (0..node.inputs.len()).map(|i| self.input_value(values, node, i)).collect()
+    }
+
+    /// Borrows the tensors that make up `node`'s `idx`-th input: a rope's
+    /// parts, or the one tensor of any other input.
+    ///
+    /// # Errors
+    /// As [`ExecutionPlan::input_value`].
+    pub fn input_parts<'a>(
+        &self,
+        values: &'a [Option<Tensor>],
+        node: &Node,
+        idx: usize,
+    ) -> Result<Vec<&'a Tensor>> {
+        let input = self.resolve(node.inputs[idx]);
+        match self.ropes.parts(input).filter(|_| self.is_rope(input)) {
+            Some(parts) => self.part_values(values, parts),
+            None => Ok(vec![self.input_value(values, node, idx)?]),
+        }
+    }
+
+    /// Borrows the tensors of `parts` (producer indices).
+    ///
+    /// # Errors
+    /// Returns [`GraphError::MissingValue`] when one was not produced.
+    pub fn part_values<'a>(
+        &self,
+        values: &'a [Option<Tensor>],
+        parts: &[usize],
+    ) -> Result<Vec<&'a Tensor>> {
+        let value = |p: usize| values[p].as_ref().ok_or(GraphError::MissingValue(NodeId::new(p)));
+        parts.iter().map(|&p| value(p)).collect()
     }
 
     /// Allocates the output tensor of `id`: the recycled buffer in the arena
@@ -596,6 +685,31 @@ mod tests {
         assert_eq!(summary.planned_peak_bytes, summary.saved_bytes + summary.arena_bytes);
         assert!(summary.slots >= 1);
         assert!(summary.tensors > 0);
+    }
+
+    #[test]
+    fn a_rope_owns_no_buffer_and_pins_its_parts() {
+        // in → conv → [in, conv] → BN: the BN reads (and re-reads) both
+        // parts; the concatenation holds nothing in training, a copy when
+        // serving.
+        let mut b = GraphBuilder::new("rope");
+        let x = b.input("in", Shape::nchw(2, 4, 8, 8)).unwrap();
+        let conv = b.conv2d(x, Conv2dAttrs::pointwise(4), "conv").unwrap();
+        let cat = b.concat(vec![x, conv], "concat").unwrap();
+        let bn = b.batch_norm_default(cat, "bn").unwrap();
+        b.global_avg_pool(bn, "gap").unwrap();
+        let g = b.finish();
+        let plan = ExecutionPlan::for_graph(&g).unwrap();
+        assert!(plan.is_rope(cat) && plan.liveness(cat).is_none());
+        assert_eq!(plan.concat_parts(cat).unwrap(), [x.index(), conv.index()]);
+        assert!(plan.is_saved(x) && plan.is_saved(conv));
+        let bytes = 2 * 4 * 8 * 8 * 4;
+        assert_eq!(plan.saved_bytes(), 2 * bytes);
+        // Naive execution would still copy the parts.
+        assert_eq!(plan.naive_total_bytes(), 2 * bytes + 2 * bytes + 2 * bytes + 2 * 8 * 4);
+        let serving = ExecutionPlan::for_inference(&g).unwrap();
+        assert!(!serving.is_rope(cat) && serving.liveness(cat).is_some());
+        assert!(serving.concat_parts(cat).is_none());
     }
 
     #[test]

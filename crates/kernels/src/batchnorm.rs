@@ -25,7 +25,7 @@ use bnff_parallel::{
 };
 use bnff_tensor::simd::{sum_dot_f64, SimdIsa};
 use bnff_tensor::stats::{channel_stats_one_pass, channel_stats_two_pass, ChannelStats};
-use bnff_tensor::{active_isa, Tensor};
+use bnff_tensor::{active_isa, ChannelRope, GradPart, Shape, Tensor};
 
 /// Minimum `(sample, channel)` planes per worker for planes of `plane_len`
 /// activations (each costing a few floating-point operations).
@@ -88,9 +88,9 @@ pub struct BnForwardState {
     pub x_hat: Tensor,
 }
 
-fn check_channels(x: &Tensor, params: &BnParams) -> Result<usize> {
-    x.shape().expect_nchw()?;
-    let c = x.shape().c();
+fn check_channels(x: &Shape, params: &BnParams) -> Result<usize> {
+    x.expect_nchw()?;
+    let c = x.c();
     if params.channels() != c {
         return Err(KernelError::ShapeMismatch(format!(
             "input has {c} channels but parameters have {}",
@@ -100,10 +100,10 @@ fn check_channels(x: &Tensor, params: &BnParams) -> Result<usize> {
     Ok(c)
 }
 
-/// Validates the operands of a normalization of `x`, returning its channel
-/// count.
+/// Validates the operands of a normalization of a feature map of shape `x`,
+/// returning its channel count.
 pub(crate) fn check_normalize(
-    x: &Tensor,
+    x: &Shape,
     stats: &ChannelStats,
     params: &BnParams,
     epsilon: f32,
@@ -121,11 +121,12 @@ pub(crate) fn check_normalize(
     Ok(c)
 }
 
-/// Computes mini-batch statistics, two-pass (baseline) or one-pass (MVF).
+/// Computes mini-batch statistics, two-pass (baseline) or one-pass (MVF), of
+/// a tensor or of a channel rope (per channel the same bits).
 ///
 /// # Errors
 /// Returns an error for non-4-D inputs.
-pub fn bn_statistics(x: &Tensor, one_pass: bool) -> Result<ChannelStats> {
+pub fn bn_statistics<'a>(x: impl Into<ChannelRope<'a>>, one_pass: bool) -> Result<ChannelStats> {
     let stats = if one_pass { channel_stats_one_pass(x)? } else { channel_stats_two_pass(x)? };
     Ok(stats)
 }
@@ -168,12 +169,12 @@ pub fn bn_normalize_into(
 /// standalone normalization node: writes `y = γ·x̂ + β` — clipped at zero in
 /// the same pass when `fuse_relu` — into `y` and, for a caller that keeps
 /// it, `x̂ = (x − μ)/√(σ² + ε)` into `x_hat`. Every element of both is
-/// overwritten.
+/// overwritten. `x` is a tensor or a channel rope, read plane by plane.
 ///
 /// # Errors
 /// Returns an error if shapes or channel counts disagree.
-pub fn normalize_sweep_into(
-    x: &Tensor,
+pub fn normalize_sweep_into<'a>(
+    x: impl Into<ChannelRope<'a>>,
     stats: &ChannelStats,
     params: &BnParams,
     epsilon: f32,
@@ -181,10 +182,11 @@ pub fn normalize_sweep_into(
     x_hat: Option<&mut Tensor>,
     y: &mut Tensor,
 ) -> Result<()> {
-    let c = check_normalize(x, stats, params, epsilon)?;
-    x.shape().expect_same(y.shape())?;
-    let plane_len = (x.shape().h() * x.shape().w()).max(1);
-    let src = x.as_slice();
+    let x = x.into();
+    let shape = x.shape();
+    let c = check_normalize(&shape, stats, params, epsilon)?;
+    shape.expect_same(y.shape())?;
+    let plane_len = (shape.h() * shape.w()).max(1);
     // One task per `(sample, channel)` plane; `x̂` and `y` are written in
     // lockstep so the feature map is swept once. The ISA is resolved here,
     // on the caller's thread, because pool workers don't inherit the
@@ -195,7 +197,7 @@ pub fn normalize_sweep_into(
         let ci = p % c;
         vecops::normalize_plane(
             isa,
-            &src[p * plane_len..(p + 1) * plane_len],
+            x.plane(p / c, ci),
             hat_plane,
             y_plane,
             stats.mean[ci],
@@ -208,7 +210,7 @@ pub fn normalize_sweep_into(
     let min_planes = min_planes_per_thread(plane_len);
     match x_hat {
         Some(x_hat) => {
-            x.shape().expect_same(x_hat.shape())?;
+            shape.expect_same(x_hat.shape())?;
             let (hat, y) = (x_hat.as_mut_slice(), y.as_mut_slice());
             parallel_rows_mut2(hat, plane_len, y, plane_len, min_planes, |first, hat, y| {
                 let planes = hat.chunks_mut(plane_len).zip(y.chunks_mut(plane_len));
@@ -264,7 +266,7 @@ pub fn bn_backward(
     params: &BnParams,
     epsilon: f32,
 ) -> Result<(Tensor, BnParamGrads)> {
-    let c = check_channels(d_y, params)?;
+    let c = check_channels(d_y.shape(), params)?;
     d_y.shape().expect_same(state.x_hat.shape())?;
     let n = d_y.shape().n();
     let plane_len = d_y.shape().h() * d_y.shape().w();
@@ -285,9 +287,10 @@ pub fn bn_backward(
 
     // Second pass: ∂x over the stored x̂ (`mean 0`, `inv_std 1`).
     let mut d_x = d_y.clone();
-    bn_dx_sweep(isa, &mut d_x, x_hat, &sums, |ci| {
+    let channel = |ci| {
         (0.0, 1.0, f64::from(params.gamma[ci]) * f64::from(inv_std(&state.stats, ci, epsilon)))
-    });
+    };
+    bn_dx_sweep(isa, &mut d_x, x_hat.into(), &sums, channel, None)?;
     Ok((d_x, param_grads(&sums)))
 }
 
@@ -340,24 +343,59 @@ impl<'a> NormRecompute<'a> {
 /// The backward pass of a normalization that stored nothing, in place:
 /// `grad` holds the gradient of `y = γ·x̂ + β` (of `max(y, 0)` when `relu`)
 /// on entry and `d_x` on return. `x̂` and the ReLU mask are recomputed from
-/// the layer's input `x` and its statistics (`NormRecompute`); numerically
-/// this is `relu_backward` on the stored `y`, then [`bn_backward`] on a
-/// stored `x̂`, per ISA and for any thread count.
+/// the layer's input `x` — a tensor or a channel rope — and its statistics
+/// (`NormRecompute`); numerically this is `relu_backward` on the stored
+/// `y`, then [`bn_backward`] on a stored `x̂`, per ISA and for any thread
+/// count.
 ///
 /// # Errors
 /// Returns an error if shapes or channel counts disagree.
-pub fn norm_backward_inplace(
+pub fn norm_backward_inplace<'a>(
     grad: &mut Tensor,
-    x: &Tensor,
+    x: impl Into<ChannelRope<'a>>,
     stats: &ChannelStats,
     params: &BnParams,
     epsilon: f32,
     relu: bool,
 ) -> Result<BnParamGrads> {
-    let c = check_normalize(x, stats, params, epsilon)?;
-    x.shape().expect_same(grad.shape())?;
-    let n = x.shape().n();
-    let plane_len = (x.shape().h() * x.shape().w()).max(1);
+    norm_backward(grad, x.into(), stats, params, epsilon, relu, None)
+}
+
+/// [`norm_backward_inplace`] for a normalization whose input is a channel
+/// rope, with `d_x` handed to the rope's parts instead of left in `grad`:
+/// each plane is written into (or added to) the part that holds its
+/// channel in the sweep that forms it, so no rope-sized gradient is split
+/// afterwards. `grad` is left holding `d_x` too.
+///
+/// # Errors
+/// Returns an error if shapes or channel counts disagree, or the parts do
+/// not make up `x`'s shape.
+pub fn norm_backward_into_parts(
+    grad: &mut Tensor,
+    x: ChannelRope<'_>,
+    stats: &ChannelStats,
+    params: &BnParams,
+    epsilon: f32,
+    relu: bool,
+    parts: &mut [GradPart<'_>],
+) -> Result<BnParamGrads> {
+    norm_backward(grad, x, stats, params, epsilon, relu, Some(parts))
+}
+
+fn norm_backward(
+    grad: &mut Tensor,
+    x: ChannelRope<'_>,
+    stats: &ChannelStats,
+    params: &BnParams,
+    epsilon: f32,
+    relu: bool,
+    parts: Option<&mut [GradPart<'_>]>,
+) -> Result<BnParamGrads> {
+    let shape = x.shape();
+    let c = check_normalize(&shape, stats, params, epsilon)?;
+    shape.expect_same(grad.shape())?;
+    let n = shape.n();
+    let plane_len = (shape.h() * shape.w()).max(1);
     let isa = active_isa();
 
     // Mask + reductions: one task per channel, handed that channel's planes
@@ -374,70 +412,92 @@ pub fn norm_backward_inplace(
         for (offset, (g_planes, sums)) in channels.iter_mut().zip(sums).enumerate() {
             let ci = first + offset;
             for (ni, g_plane) in g_planes.iter_mut().enumerate() {
-                recompute.plane(ci, g_plane, x.channel_plane(ni, ci), sums);
+                recompute.plane(ci, g_plane, x.plane(ni, ci), sums);
             }
         }
     });
 
-    norm_dx_sweep(isa, grad, x, &sums, stats, params, epsilon);
+    norm_dx_sweep(isa, grad, x, &sums, stats, params, epsilon, parts)?;
     Ok(param_grads(&sums))
 }
 
 /// [`bn_dx_sweep`] over the raw input `x`: `x̂` is recomputed from `stats`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn norm_dx_sweep(
     isa: SimdIsa,
     grad: &mut Tensor,
-    x: &Tensor,
+    x: ChannelRope<'_>,
     sums: &[(f64, f64)],
     stats: &ChannelStats,
     params: &BnParams,
     epsilon: f32,
-) {
-    bn_dx_sweep(isa, grad, x, sums, |ci| {
+    parts: Option<&mut [GradPart<'_>]>,
+) -> Result<()> {
+    let channel = |ci| {
         let inv_std = inv_std(stats, ci, epsilon);
         (stats.mean[ci], inv_std, f64::from(params.gamma[ci]) * f64::from(inv_std))
-    });
+    };
+    bn_dx_sweep(isa, grad, x, sums, channel, parts)
 }
 
 /// The BN input-gradient sweep, in place on `grad`, one task per
 /// `(sample, channel)` plane: `d_x = scale·(g − mean_g − x̂·mean_gx̂)` from
 /// the per-channel `(Σg, Σg·x̂)` in `sums`, with `x̂ = (x − mean)·inv_std`
-/// and `(mean, inv_std, scale)` supplied per channel by `channel`.
+/// and `(mean, inv_std, scale)` supplied per channel by `channel`. With
+/// `parts` — `x` is a rope — each finished plane is also written into (or
+/// added to) the part of the rope's gradient that holds its channel while
+/// it is cache-hot.
 pub(crate) fn bn_dx_sweep(
     isa: SimdIsa,
     grad: &mut Tensor,
-    x: &Tensor,
+    x: ChannelRope<'_>,
     sums: &[(f64, f64)],
     channel: impl Fn(usize) -> (f32, f32, f64) + Sync,
-) {
-    let shape = grad.shape();
-    let (c, plane_len) = (shape.c(), shape.h() * shape.w());
-    let per_channel = (shape.n() * plane_len) as f64;
-    let x_all = x.as_slice();
-    parallel_rows_mut(
-        grad.as_mut_slice(),
-        plane_len.max(1),
-        min_planes_per_thread(plane_len),
-        |first_plane, block| {
-            for (p_local, g_plane) in block.chunks_mut(plane_len.max(1)).enumerate() {
-                let p = first_plane + p_local;
-                let ci = p % c;
-                let (mean, inv_std, scale) = channel(ci);
-                let (sum, dot) = sums[ci];
-                let x_plane = &x_all[p * plane_len..(p + 1) * plane_len];
-                vecops::bn_dx_plane(
-                    isa,
-                    g_plane,
-                    x_plane,
-                    mean,
-                    inv_std,
-                    scale,
-                    sum / per_channel,
-                    dot / per_channel,
-                );
+    parts: Option<&mut [GradPart<'_>]>,
+) -> Result<()> {
+    let shape = grad.shape().clone();
+    let (c, plane_len) = (shape.c(), (shape.h() * shape.w()).max(1));
+    let per_channel = (shape.n() * shape.h() * shape.w()) as f64;
+    let dx_plane = |p: usize, g_plane: &mut [f32]| {
+        let ci = p % c;
+        let (mean, inv_std, scale) = channel(ci);
+        let (sum, dot) = sums[ci];
+        let x_plane = x.plane(p / c, ci);
+        vecops::bn_dx_plane(
+            isa,
+            g_plane,
+            x_plane,
+            mean,
+            inv_std,
+            scale,
+            sum / per_channel,
+            dot / per_channel,
+        );
+    };
+    let min_planes = min_planes_per_thread(plane_len);
+    let grad = grad.as_mut_slice();
+    match parts {
+        None => parallel_rows_mut(grad, plane_len, min_planes, |first_plane, block| {
+            for (p_local, g_plane) in block.chunks_mut(plane_len).enumerate() {
+                dx_plane(first_plane + p_local, g_plane);
             }
-        },
-    );
+        }),
+        Some(parts) => {
+            let planes = GradPart::planes(parts, &shape)?;
+            let mut planes: Vec<_> = planes.into_iter().zip(grad.chunks_mut(plane_len)).collect();
+            parallel_rows_mut(&mut planes, 1, min_planes, |first_plane, block| {
+                for (p_local, ((part, add), g_plane)) in block.iter_mut().enumerate() {
+                    dx_plane(first_plane + p_local, g_plane);
+                    if *add {
+                        vecops::add_assign(isa, part, g_plane);
+                    } else {
+                        part.copy_from_slice(g_plane);
+                    }
+                }
+            });
+        }
+    }
+    Ok(())
 }
 
 /// `(∂γ, ∂β)` from the per-channel `(Σg, Σg·x̂)`.

@@ -1,8 +1,11 @@
-//! Channel-axis concatenation (DenseNet dense connectivity).
+//! Channel-axis concatenation (DenseNet dense connectivity), materialized:
+//! the inputs copied into one buffer. The training executor does not call
+//! it — a concatenation there is a [`ChannelRope`] of its inputs, and its
+//! gradient is theirs — but the serving tape and the reference interpreter
+//! do.
 
-use crate::error::KernelError;
 use crate::Result;
-use bnff_tensor::{Shape, Tensor};
+use bnff_tensor::{ChannelRope, Shape, Tensor};
 
 /// Concatenates NCHW tensors along the channel axis.
 ///
@@ -21,24 +24,7 @@ pub fn concat_forward(inputs: &[&Tensor]) -> Result<Tensor> {
 /// Returns an error when no inputs are given or batch/spatial dimensions
 /// disagree.
 pub fn concat_output_shape(inputs: &[&Tensor]) -> Result<Shape> {
-    let first = inputs.first().ok_or_else(|| {
-        KernelError::InvalidArgument("concat needs at least one input".to_string())
-    })?;
-    first.shape().expect_nchw()?;
-    let (n, h, w) = (first.shape().n(), first.shape().h(), first.shape().w());
-    let mut channels = 0usize;
-    for t in inputs {
-        t.shape().expect_nchw()?;
-        if t.shape().n() != n || t.shape().h() != h || t.shape().w() != w {
-            return Err(KernelError::ShapeMismatch(format!(
-                "concat input {} incompatible with {}",
-                t.shape(),
-                first.shape()
-            )));
-        }
-        channels += t.shape().c();
-    }
-    Ok(Shape::nchw(n, channels, h, w))
+    Ok(ChannelRope::new(inputs)?.shape())
 }
 
 /// [`concat_forward`] into a caller-provided output tensor. Every element
@@ -48,57 +34,13 @@ pub fn concat_output_shape(inputs: &[&Tensor]) -> Result<Shape> {
 /// Returns an error when no inputs are given or shapes (including `out`'s)
 /// disagree.
 pub fn concat_forward_into(inputs: &[&Tensor], out: &mut Tensor) -> Result<()> {
-    let expected = concat_output_shape(inputs)?;
-    if out.shape() != &expected {
-        return Err(KernelError::ShapeMismatch(format!(
-            "concat output tensor is {}, inputs produce {}",
-            out.shape(),
-            expected
-        )));
-    }
-    for ni in 0..expected.n() {
-        let mut offset = 0usize;
-        for t in inputs {
-            for ci in 0..t.shape().c() {
-                out.channel_plane_mut(ni, offset + ci).copy_from_slice(t.channel_plane(ni, ci));
-            }
-            offset += t.shape().c();
-        }
-    }
-    Ok(())
-}
-
-/// Splits the upstream gradient of a concatenation back into
-/// caller-provided gradient tensors, one per concatenated input and of that
-/// input's shape. Every element of every tensor in `grads` is overwritten.
-///
-/// # Errors
-/// Returns an error when the channel counts do not add up or batch/spatial
-/// dimensions disagree.
-pub fn concat_backward_into(d_y: &Tensor, grads: &mut [Tensor]) -> Result<()> {
-    let refs: Vec<&Tensor> = grads.iter().collect();
-    if refs.is_empty() || concat_output_shape(&refs)? != *d_y.shape() {
-        return Err(KernelError::ShapeMismatch(format!(
-            "the given input gradients do not concatenate to the gradient {}",
-            d_y.shape()
-        )));
-    }
-    let mut offset = 0usize;
-    for g in grads {
-        let channels = g.shape().c();
-        for ni in 0..d_y.shape().n() {
-            for ci in 0..channels {
-                g.channel_plane_mut(ni, ci).copy_from_slice(d_y.channel_plane(ni, offset + ci));
-            }
-        }
-        offset += channels;
-    }
-    Ok(())
+    Ok(ChannelRope::new(inputs)?.copy_into(out)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bnff_tensor::GradPart;
 
     #[test]
     fn concatenates_channels_in_order() {
@@ -123,19 +65,21 @@ mod tests {
         assert!(concat_forward_into(&[&a, &b], &mut bad).is_err());
     }
 
+    /// A concatenation's gradient is its inputs': each takes its channel
+    /// range of the output gradient, copied into a fresh buffer or added to
+    /// what it holds.
     #[test]
     fn backward_splits_gradient() {
-        let a = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
-        let b = Tensor::zeros(Shape::nchw(1, 2, 2, 2));
-        let y = concat_forward(&[&a, &b]).unwrap();
-        let mut d_y = Tensor::zeros(y.shape().clone());
+        let mut d_y = Tensor::zeros(Shape::nchw(1, 3, 2, 2));
         d_y.channel_plane_mut(0, 0).fill(1.0);
         d_y.channel_plane_mut(0, 2).fill(3.0);
-        let mut grads = [Tensor::filled(a.shape().clone(), f32::NAN), b.clone()];
-        concat_backward_into(&d_y, &mut grads).unwrap();
-        assert_eq!(grads[0].channel_plane(0, 0), &[1.0; 4]);
-        assert_eq!(grads[1].channel_plane(0, 0), &[0.0; 4]);
-        assert_eq!(grads[1].channel_plane(0, 1), &[3.0; 4]);
+        let mut a = Tensor::filled(Shape::nchw(1, 1, 2, 2), f32::NAN);
+        let mut b = Tensor::filled(Shape::nchw(1, 2, 2, 2), 0.5);
+        GradPart { grad: &mut a, add: false }.take_channels(&d_y, 0).unwrap();
+        GradPart { grad: &mut b, add: true }.take_channels(&d_y, 1).unwrap();
+        assert_eq!(a.channel_plane(0, 0), &[1.0; 4]);
+        assert_eq!(b.channel_plane(0, 0), &[0.5; 4]);
+        assert_eq!(b.channel_plane(0, 1), &[3.5; 4]);
     }
 
     #[test]
@@ -144,9 +88,20 @@ mod tests {
         let b = Tensor::from_vec(Shape::nchw(2, 1, 1, 2), vec![5.0, 6.0, 7.0, 8.0]).unwrap();
         let y = concat_forward(&[&a, &b]).unwrap();
         let mut back = [Tensor::zeros(a.shape().clone()), Tensor::zeros(b.shape().clone())];
-        concat_backward_into(&y, &mut back).unwrap();
-        assert!(back[0].all_close(&a, 1e-6).unwrap());
-        assert!(back[1].all_close(&b, 1e-6).unwrap());
+        for (offset, part) in back.iter_mut().enumerate() {
+            GradPart { grad: part, add: false }.take_channels(&y, offset).unwrap();
+        }
+        assert_eq!(back[0].as_slice(), a.as_slice());
+        assert_eq!(back[1].as_slice(), b.as_slice());
+    }
+
+    #[test]
+    fn backward_channel_mismatch_rejected() {
+        let d_y = Tensor::zeros(Shape::nchw(1, 3, 2, 2));
+        let mut past_the_end = Tensor::zeros(Shape::nchw(1, 2, 2, 2));
+        assert!(GradPart { grad: &mut past_the_end, add: false }.take_channels(&d_y, 2).is_err());
+        let mut other_plane = Tensor::zeros(Shape::nchw(1, 1, 4, 1));
+        assert!(GradPart { grad: &mut other_plane, add: false }.take_channels(&d_y, 0).is_err());
     }
 
     #[test]
@@ -155,13 +110,5 @@ mod tests {
         let b = Tensor::zeros(Shape::nchw(1, 1, 4, 4));
         assert!(concat_forward(&[&a, &b]).is_err());
         assert!(concat_forward(&[]).is_err());
-    }
-
-    #[test]
-    fn backward_channel_mismatch_rejected() {
-        let d_y = Tensor::zeros(Shape::nchw(1, 3, 2, 2));
-        let mut too_few = [Tensor::zeros(Shape::nchw(1, 1, 2, 2))];
-        assert!(concat_backward_into(&d_y, &mut too_few).is_err());
-        assert!(concat_backward_into(&d_y, &mut []).is_err());
     }
 }

@@ -88,7 +88,7 @@ use bnff_parallel::{chunk_ranges, min_items_per_thread, parallel_reduce, paralle
 use bnff_tensor::pool::SharedBufferPool;
 use bnff_tensor::simd::SimdIsa;
 use bnff_tensor::stats::{ChannelAccumulator, ChannelStats};
-use bnff_tensor::{Shape, Tensor};
+use bnff_tensor::{ChannelRope, Shape, Tensor};
 
 /// Per-call scratch recycled across calls and steps: the staged sample of a
 /// padded convolution or of a [`ConvInput`] prologue (`Staging`), the
@@ -97,17 +97,21 @@ use bnff_tensor::{Shape, Tensor};
 static COL_POOL: SharedBufferPool = SharedBufferPool::bounded(64 << 20);
 
 /// The input feature map of a convolution together with what is applied to
-/// it while it is read — 1:1 with [`bnff_graph::op::ConvPrologue`].
+/// it while it is read — 1:1 with [`bnff_graph::op::ConvPrologue`]. The
+/// feature map is a tensor or a channel rope (`(&tensor).into()` for the
+/// former); a rope's samples are gathered plane by plane into the staging
+/// scratch, like a prologue's.
 #[derive(Debug, Clone, Copy)]
 pub enum ConvInput<'a> {
-    /// The tensor as is: every sample is borrowed, nothing is copied.
-    Raw(&'a Tensor),
-    /// RCF: the tensor clipped at zero.
-    Clip(&'a Tensor),
+    /// The feature map as is: a tensor's samples are borrowed, nothing is
+    /// copied.
+    Raw(ChannelRope<'a>),
+    /// RCF: the feature map clipped at zero.
+    Clip(ChannelRope<'a>),
     /// `(sub-BN2)-ReLU`: `max(γ·(x − μ)/√(σ² + ε) + β, 0)`.
     NormClip {
         /// The raw activations.
-        x: &'a Tensor,
+        x: ChannelRope<'a>,
         /// The statistics `x` is normalized with.
         stats: &'a ChannelStats,
         /// The γ/β applied after normalization.
@@ -118,49 +122,51 @@ pub enum ConvInput<'a> {
 }
 
 impl<'a> ConvInput<'a> {
-    /// The tensor the prologue is applied to.
-    pub fn tensor(&self) -> &'a Tensor {
+    /// The feature map the prologue is applied to.
+    pub fn x(&self) -> ChannelRope<'a> {
         match *self {
             ConvInput::Raw(x) | ConvInput::Clip(x) | ConvInput::NormClip { x, .. } => x,
         }
     }
 
-    fn check(&self) -> Result<()> {
-        if let ConvInput::NormClip { x, stats, params, epsilon } = *self {
-            check_normalize(x, stats, params, epsilon)?;
+    /// Validates the prologue's operands, returning the feature map's shape.
+    fn check(&self) -> Result<Shape> {
+        let shape = self.x().shape();
+        shape.expect_nchw()?;
+        if let ConvInput::NormClip { stats, params, epsilon, .. } = *self {
+            check_normalize(&shape, stats, params, epsilon)?;
         }
-        Ok(())
+        Ok(shape)
     }
 
     /// The `(C, H, W)` of one sample.
     fn sample_dims(&self) -> (usize, usize, usize) {
-        let shape = self.tensor().shape();
-        (shape.c(), shape.h(), shape.w())
+        let x = self.x();
+        (x.c(), x.h(), x.w())
     }
 
-    /// Whether the convolution reads a transformed copy of each sample.
+    /// Whether the convolution reads a written copy of each sample: one
+    /// transformed by a prologue, or gathered from a rope's parts.
     fn transforms(&self) -> bool {
-        !matches!(self, ConvInput::Raw(_))
+        !matches!(self, ConvInput::Raw(x) if x.tensor().is_some())
     }
 
-    /// Sample `ni` of the untransformed tensor.
-    pub(crate) fn raw_sample(&self, ni: usize) -> &'a [f32] {
-        let x = self.tensor();
-        let len = x.len() / x.shape().n().max(1);
-        &x.as_slice()[ni * len..(ni + 1) * len]
-    }
-
-    /// Sample `ni` as the convolution reads it: the borrowed slice (`stage`
-    /// is `None`), or the sample written plane by plane into `stage` —
-    /// copied, clipped or normalized+clipped (the normalize sweep's
-    /// arithmetic per ISA, minus the `x̂` store; per element it does not
-    /// depend on where a row starts).
+    /// Sample `ni` as the convolution reads it: the borrowed slice of a
+    /// tensor (`stage` is `None`), or the sample written plane by plane into
+    /// `stage` — copied, clipped or normalized+clipped (the normalize
+    /// sweep's arithmetic per ISA, minus the `x̂` store; per element it does
+    /// not depend on where a row starts).
     fn sample<'s>(&self, isa: SimdIsa, ni: usize, stage: Option<&'s mut Staging>) -> &'s [f32]
     where
         'a: 's,
     {
-        let src = self.raw_sample(ni);
-        let Some(stage) = stage else { return src };
+        let x = self.x();
+        let Some(stage) = stage else {
+            let x = x.tensor().expect("a rope is always staged");
+            let len = x.len() / x.shape().n().max(1);
+            return &x.as_slice()[ni * len..(ni + 1) * len];
+        };
+        let src = x.sample_planes(ni);
         match *self {
             ConvInput::Raw(_) => stage.write(isa, src, |_| StageOp::Copy),
             ConvInput::Clip(_) => stage.write(isa, src, |_| StageOp::Relu),
@@ -265,14 +271,19 @@ impl Staging {
         Staging { dims, border, buf }
     }
 
-    /// Writes one sample, plane `ci` through `op(ci)` by one
-    /// [`vecops::stage_plane`] call that walks the plane's interior rows,
-    /// and returns the staged sample.
-    fn write(&mut self, isa: SimdIsa, src: &[f32], op: impl Fn(usize) -> StageOp) -> &[f32] {
+    /// Writes one sample given as its `C` planes, plane `ci` through
+    /// `op(ci)` by one [`vecops::stage_plane`] call that walks the plane's
+    /// interior rows, and returns the staged sample.
+    fn write<'p>(
+        &mut self,
+        isa: SimdIsa,
+        src: impl Iterator<Item = &'p [f32]>,
+        op: impl Fn(usize) -> StageOp,
+    ) -> &[f32] {
         let ((_, h, w), (bh, bw)) = (self.dims, self.border);
         let (rows, cols) = (h + 2 * bh, w + 2 * bw);
         let first = bh * cols + bw;
-        let planes = src.chunks_exact((h * w).max(1)).zip(self.buf.chunks_exact_mut(rows * cols));
+        let planes = src.zip(self.buf.chunks_exact_mut(rows * cols));
         for (ci, (x_plane, plane)) in planes.enumerate() {
             vecops::stage_plane(isa, op(ci), x_plane, &mut plane[first..], (h, w), cols);
         }
@@ -289,13 +300,13 @@ impl Drop for Staging {
 /// Validates the weight tensor layout `(Cout, Cin, Kh, Kw)` against the
 /// input channels and attributes, returning `(in_c, out_h, out_w)`.
 fn check_conv(
-    input: &Tensor,
+    input: &Shape,
     weights: &Tensor,
     attrs: &Conv2dAttrs,
 ) -> Result<(usize, usize, usize)> {
     weights.shape().expect_nchw()?;
-    let (out_h, out_w) = conv_out_hw(input.shape(), attrs)?;
-    let in_c = input.shape().c();
+    let (out_h, out_w) = conv_out_hw(input, attrs)?;
+    let in_c = input.c();
     let ws = weights.shape();
     if ws.n() != attrs.out_channels
         || ws.c() != in_c
@@ -355,7 +366,7 @@ pub fn conv2d_forward_direct(
     bias: Option<&[f32]>,
     attrs: &Conv2dAttrs,
 ) -> Result<Tensor> {
-    let (in_c, out_h, out_w) = check_conv(input, weights, attrs)?;
+    let (in_c, out_h, out_w) = check_conv(input.shape(), weights, attrs)?;
     check_bias(bias, attrs)?;
     let mut out = Tensor::zeros(conv_out_shape(input.shape(), attrs)?);
     let (h, w) = (input.shape().h(), input.shape().w());
@@ -431,7 +442,7 @@ pub fn conv2d_forward_into(
     attrs: &Conv2dAttrs,
     out: &mut Tensor,
 ) -> Result<()> {
-    conv_forward(ConvInput::Raw(input), weights, bias, attrs, false, None, out)
+    conv_forward(ConvInput::Raw(input.into()), weights, bias, attrs, false, None, out)
 }
 
 /// Inference entry point for the frozen graph's fused `CONV+ReLU` operator:
@@ -448,7 +459,7 @@ pub fn conv2d_forward_relu_into(
     attrs: &Conv2dAttrs,
     out: &mut Tensor,
 ) -> Result<()> {
-    conv_forward(ConvInput::Raw(input), weights, bias, attrs, true, None, out)
+    conv_forward(ConvInput::Raw(input.into()), weights, bias, attrs, true, None, out)
 }
 
 /// The per-sample epilogue's bias add and optional fused ReLU clamp, applied
@@ -488,7 +499,7 @@ fn conv_samples(
     let mut stage = Staging::take(dims, windows.pad, input.transforms());
     let isa = bnff_tensor::active_isa();
     let out_len = m * windows.out.0 * windows.out.1;
-    for ni in 0..input.tensor().shape().n() {
+    for ni in 0..input.x().n() {
         let sample = input.sample(isa, ni, stage.as_mut());
         let out_n = &mut out[ni * out_len..(ni + 1) * out_len];
         gemm.run(sample, 1.0, beta, out_n)?;
@@ -513,11 +524,10 @@ pub(crate) fn conv_forward(
     mut stats: Option<&mut ChannelAccumulator>,
     out: &mut Tensor,
 ) -> Result<()> {
-    input.check()?;
-    let x = input.tensor();
-    let (_, out_h, out_w) = check_conv(x, weights, attrs)?;
+    let x = input.check()?;
+    let (_, out_h, out_w) = check_conv(&x, weights, attrs)?;
     check_bias(bias, attrs)?;
-    check_conv_output("output tensor", out, x.shape(), attrs, (out_h, out_w))?;
+    check_conv_output("output tensor", out, &x, attrs, (out_h, out_w))?;
     let cols = out_h * out_w;
     // out_n = W (Cout x C·Kh·Kw, row-major by construction) · im2col(x_n)
     let windows = Windows::of(attrs, (out_h, out_w));
@@ -607,7 +617,7 @@ pub(crate) fn backward_input(
     d_input: &mut Tensor,
     epilogue: impl FnMut(usize, &mut [f32]),
 ) -> Result<()> {
-    let (_, out_h, out_w) = check_conv(d_input, weights, attrs)?;
+    let (_, out_h, out_w) = check_conv(d_input.shape(), weights, attrs)?;
     check_conv_output("d_out", d_out, d_input.shape(), attrs, (out_h, out_w))?;
     if attrs.stride == 1 && attrs.pad < attrs.kernel_h.min(attrs.kernel_w) {
         backward_input_rotated(d_out, weights, attrs, overwrite, d_input, epilogue)
@@ -636,7 +646,8 @@ fn backward_input_rotated(
     let (in_c, beta) = (d_input.shape().c(), if overwrite { 0.0 } else { 1.0 });
     let w_rot = rotated_weights(weights);
     let d_x = d_input.as_mut_slice();
-    let done = conv_samples(ConvInput::Raw(d_out), in_c, &w_rot, &windows, beta, d_x, epilogue);
+    let d_out = ConvInput::Raw(d_out.into());
+    let done = conv_samples(d_out, in_c, &w_rot, &windows, beta, d_x, epilogue);
     COL_POOL.give(w_rot);
     done
 }
@@ -686,7 +697,7 @@ pub fn conv2d_backward_weights(
     attrs: &Conv2dAttrs,
     with_bias: bool,
 ) -> Result<(Tensor, Vec<f32>)> {
-    backward_weights(ConvInput::Raw(input), d_out, attrs, with_bias)
+    backward_weights(ConvInput::Raw(input.into()), d_out, attrs, with_bias)
 }
 
 /// The one weight-gradient body: [`conv2d_backward_weights`] against the
@@ -698,12 +709,11 @@ pub(crate) fn backward_weights(
     attrs: &Conv2dAttrs,
     with_bias: bool,
 ) -> Result<(Tensor, Vec<f32>)> {
-    input.check()?;
-    let x = input.tensor();
-    let out_hw = conv_out_hw(x.shape(), attrs)?;
-    check_conv_output("d_out", d_out, x.shape(), attrs, out_hw)?;
-    let n = x.shape().n();
-    let in_dims = (x.shape().c(), x.shape().h(), x.shape().w());
+    let x = input.check()?;
+    let out_hw = conv_out_hw(&x, attrs)?;
+    check_conv_output("d_out", d_out, &x, attrs, out_hw)?;
+    let n = x.n();
+    let in_dims = (x.c(), x.h(), x.w());
     let (rows, cols) = (in_dims.0 * attrs.kernel_h * attrs.kernel_w, out_hw.0 * out_hw.1);
     let d_w_shape = Shape::nchw(attrs.out_channels, in_dims.0, attrs.kernel_h, attrs.kernel_w);
     // Samples are grouped into a bounded number of chunks fixed by the
@@ -888,7 +898,7 @@ mod tests {
             let bias: Option<Vec<f32>> =
                 attrs.bias.then(|| (0..attrs.out_channels).map(|i| i as f32 * 0.3 - 0.5).collect());
             for fuse_relu in [false, true] {
-                let (_, oh, ow) = check_conv(&x, &w, &attrs).unwrap();
+                let (_, oh, ow) = check_conv(x.shape(), &w, &attrs).unwrap();
                 let mut gathered =
                     Tensor::filled(Shape::nchw(2, attrs.out_channels, oh, ow), f32::NAN);
                 if fuse_relu {
@@ -923,9 +933,12 @@ mod tests {
         let stats = crate::batchnorm::bn_statistics(&x, true).unwrap();
         let params = BnParams::new(vec![0.8, -0.6, 1.1], vec![0.1, 0.0, -0.2]).unwrap();
         let norm_clip =
-            ConvInput::NormClip { x: &x, stats: &stats, params: &params, epsilon: 1e-5 };
-        let inputs =
-            [("raw", ConvInput::Raw(&x)), ("clip", ConvInput::Clip(&x)), ("norm", norm_clip)];
+            ConvInput::NormClip { x: (&x).into(), stats: &stats, params: &params, epsilon: 1e-5 };
+        let inputs = [
+            ("raw", ConvInput::Raw((&x).into())),
+            ("clip", ConvInput::Clip((&x).into())),
+            ("norm", norm_clip),
+        ];
         // Each sample as the convolution reads it, from the batch-wide sweeps.
         let reads = [
             x.clone(),
@@ -980,8 +993,12 @@ mod tests {
                 let finite = random(x.shape().clone(), 62);
                 let stats = crate::batchnorm::bn_statistics(&finite, true).unwrap();
                 let params = BnParams::new(vec![0.8, -0.6, 1.1], vec![0.1, -0.0, -0.2]).unwrap();
-                let norm_clip =
-                    ConvInput::NormClip { x: &x, stats: &stats, params: &params, epsilon: 1e-5 };
+                let norm_clip = ConvInput::NormClip {
+                    x: (&x).into(),
+                    stats: &stats,
+                    params: &params,
+                    epsilon: 1e-5,
+                };
                 let mut clipped = x.clone();
                 vecops::relu_into(isa, x.as_slice(), clipped.as_mut_slice());
                 let mut normed = x.clone();
@@ -993,8 +1010,8 @@ mod tests {
                     vecops::normalize_plane(isa, src, None, y, mean, inv_std, gamma, beta, true);
                 }
                 let inputs = [
-                    ("raw", ConvInput::Raw(&x), &x),
-                    ("clip", ConvInput::Clip(&x), &clipped),
+                    ("raw", ConvInput::Raw((&x).into()), &x),
+                    ("clip", ConvInput::Clip((&x).into()), &clipped),
                     ("norm", norm_clip, &normed),
                 ];
                 for (name, input, read) in inputs {
@@ -1029,7 +1046,7 @@ mod tests {
     ) -> (Tensor, Tensor, Tensor) {
         let x = random(Shape::nchw(2, in_c, in_h, in_w), 11);
         let w = random(Shape::nchw(attrs.out_channels, in_c, attrs.kernel_h, attrs.kernel_w), 12);
-        let (_, oh, ow) = check_conv(&x, &w, &attrs).unwrap();
+        let (_, oh, ow) = check_conv(x.shape(), &w, &attrs).unwrap();
         let g = random(Shape::nchw(2, attrs.out_channels, oh, ow), 13);
         (x, w, g)
     }

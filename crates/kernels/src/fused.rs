@@ -22,8 +22,14 @@
 //!   `d_x`. The unfused [`crate::relu::relu_backward`] and
 //!   [`crate::batchnorm::bn_backward`] run the same plane helpers, which is
 //!   what keeps fused and unfused training bit-identical per ISA.
-//! * [`concat_forward_with_stats_into`] — the ICF fused layer: Σx/Σx²
-//!   accumulated while the concatenation writes its output.
+//! * [`fused_conv_backward_into_parts`] — the same backward for an input
+//!   that is a channel rope: `d_x` goes to the rope's parts, for the
+//!   normalizing prologue plane by plane in the `d_x` sweep itself.
+//! * [`concat_forward_with_stats_into`] — the ICF fused layer as a copy:
+//!   Σx/Σx² of the concatenation written into one buffer. No executor calls
+//!   it (a training `ConcatStats` is a rope whose statistics are assembled,
+//!   a frozen graph has none); it stays public for the benchmark's kernel
+//!   replay (`benchmark/src/replay.rs`), which times it.
 //!
 //! The cost model (`bnff_graph::analysis`, `bnff-memsim`) still charges the
 //! fused layer the `O2'` write of the paper's Figure 5, which these kernels
@@ -37,7 +43,7 @@ use crate::vecops;
 use crate::Result;
 use bnff_graph::op::Conv2dAttrs;
 use bnff_tensor::stats::{ChannelAccumulator, ChannelStats};
-use bnff_tensor::{active_isa, Tensor};
+use bnff_tensor::{active_isa, ChannelRope, GradPart, Tensor};
 
 /// The fused convolution forward pass into a caller-provided output tensor
 /// (every element is overwritten): `input`'s prologue per sample, the
@@ -91,7 +97,8 @@ pub fn conv2d_forward_with_stats_into(
     attrs: &Conv2dAttrs,
     out: &mut Tensor,
 ) -> Result<ChannelStats> {
-    let stats = fused_conv_forward_into(ConvInput::Raw(input), weights, bias, attrs, true, out)?;
+    let input = ConvInput::Raw(input.into());
+    let stats = fused_conv_forward_into(input, weights, bias, attrs, true, out)?;
     Ok(stats.expect("statistics were requested"))
 }
 
@@ -132,7 +139,7 @@ pub fn norm_relu_conv_forward_into(
     attrs: &Conv2dAttrs,
     out: &mut Tensor,
 ) -> Result<()> {
-    let input = ConvInput::NormClip { x: raw, stats, params: bn, epsilon };
+    let input = ConvInput::NormClip { x: raw.into(), stats, params: bn, epsilon };
     fused_conv_forward_into(input, weights, bias, attrs, false, out).map(|_| ())
 }
 
@@ -169,46 +176,90 @@ pub fn fused_conv_backward_into(
     with_bias: bool,
     d_input: Option<&mut Tensor>,
 ) -> Result<ConvGrads> {
+    fused_conv_backward(input, d_out, weights, attrs, with_bias, d_input, None)
+}
+
+/// [`fused_conv_backward_into`] for a convolution whose input is a channel
+/// rope, with the input gradient handed to the rope's parts: `d_input` is
+/// the rope-shaped scratch the per-sample pass writes, and each finished
+/// plane of `d_x` is written into (or added to) the part that holds its
+/// channel — for [`ConvInput::NormClip`] in the `d_x` sweep itself, while
+/// the plane is cache-hot.
+///
+/// # Errors
+/// As [`fused_conv_backward_into`], and if the parts do not make up the
+/// input's shape.
+pub fn fused_conv_backward_into_parts(
+    input: ConvInput<'_>,
+    d_out: &Tensor,
+    weights: &Tensor,
+    attrs: &Conv2dAttrs,
+    with_bias: bool,
+    d_input: &mut Tensor,
+    parts: &mut [GradPart<'_>],
+) -> Result<ConvGrads> {
+    fused_conv_backward(input, d_out, weights, attrs, with_bias, Some(d_input), Some(parts))
+}
+
+fn fused_conv_backward(
+    input: ConvInput<'_>,
+    d_out: &Tensor,
+    weights: &Tensor,
+    attrs: &Conv2dAttrs,
+    with_bias: bool,
+    d_input: Option<&mut Tensor>,
+    parts: Option<&mut [GradPart<'_>]>,
+) -> Result<ConvGrads> {
     let (d_weights, d_bias) = backward_weights(input, d_out, attrs, with_bias)?;
-    let x = input.tensor();
-    let plane_len = (x.shape().h() * x.shape().w()).max(1);
+    let x = input.x();
     // Resolved here, on the caller's thread; the epilogues run on it too.
     let isa = active_isa();
-    let mut d_bn = None;
     if let Some(d_x) = &d_input {
         x.shape().expect_same(d_x.shape())?;
     }
-    match (input, d_input) {
-        (ConvInput::NormClip { .. }, None) => {
-            return Err(KernelError::InvalidArgument(
+    if let Some(parts) = &parts {
+        let grads: Vec<&Tensor> = parts.iter().map(|p| &*p.grad).collect();
+        x.shape().expect_same(&ChannelRope::new(&grads)?.shape())?;
+    }
+    let Some(d_x) = d_input else {
+        return match input {
+            ConvInput::NormClip { .. } => Err(KernelError::InvalidArgument(
                 "a normalizing prologue's parameter gradients need the input gradient".to_string(),
-            ));
-        }
-        (_, None) => {}
-        (ConvInput::Raw(_), Some(d_x)) => {
-            backward_input(d_out, weights, attrs, true, d_x, |_, _| {})?;
-        }
-        (ConvInput::Clip(_), Some(d_x)) => {
+            )),
+            _ => Ok(ConvGrads { d_weights, d_bias, d_bn: None }),
+        };
+    };
+    match input {
+        ConvInput::Raw(_) => backward_input(d_out, weights, attrs, true, d_x, |_, _| {})?,
+        ConvInput::Clip(_) => {
             // relu(x) > 0 ⇔ x > 0: the raw input is its own mask.
+            let plane_len = (x.h() * x.w()).max(1);
             backward_input(d_out, weights, attrs, true, d_x, |ni, g| {
-                vecops::relu_mask(isa, g, input.raw_sample(ni));
+                for (g_plane, x_plane) in g.chunks_exact_mut(plane_len).zip(x.sample_planes(ni)) {
+                    vecops::relu_mask(isa, g_plane, x_plane);
+                }
             })?;
         }
-        (ConvInput::NormClip { stats, params, epsilon, .. }, Some(d_x)) => {
-            let mut sums = vec![(0.0f64, 0.0f64); x.shape().c()];
+        ConvInput::NormClip { stats, params, epsilon, .. } => {
+            let plane_len = (x.h() * x.w()).max(1);
+            let mut sums = vec![(0.0f64, 0.0f64); x.c()];
             let recompute = NormRecompute::new(isa, stats, params, epsilon, true);
             backward_input(d_out, weights, attrs, true, d_x, |ni, g| {
-                let x_planes = input.raw_sample(ni).chunks_exact(plane_len);
-                let planes = g.chunks_exact_mut(plane_len).zip(x_planes);
+                let planes = g.chunks_exact_mut(plane_len).zip(x.sample_planes(ni));
                 for (ci, (g_plane, x_plane)) in planes.enumerate() {
                     recompute.plane(ci, g_plane, x_plane, &mut sums[ci]);
                 }
             })?;
-            norm_dx_sweep(isa, d_x, x, &sums, stats, params, epsilon);
-            d_bn = Some(param_grads(&sums));
+            norm_dx_sweep(isa, d_x, x, &sums, stats, params, epsilon, parts)?;
+            return Ok(ConvGrads { d_weights, d_bias, d_bn: Some(param_grads(&sums)) });
         }
     }
-    Ok(ConvGrads { d_weights, d_bias, d_bn })
+    let mut offset = 0;
+    for part in parts.into_iter().flatten() {
+        part.take_channels(d_x, offset)?;
+        offset += part.grad.shape().c();
+    }
+    Ok(ConvGrads { d_weights, d_bias, d_bn: None })
 }
 
 /// Channel concatenation into a caller-provided output tensor that also
@@ -301,8 +352,12 @@ mod tests {
                     let want = conv2d_forward(&relu_forward(&y), &wt, None, &attrs).unwrap();
                     let want_stats = bn_statistics(&want, true).unwrap();
                     for with_stats in [false, true] {
-                        let input =
-                            ConvInput::NormClip { x: &x, stats: &stats, params: &bn, epsilon: EPS };
+                        let input = ConvInput::NormClip {
+                            x: (&x).into(),
+                            stats: &stats,
+                            params: &bn,
+                            epsilon: EPS,
+                        };
                         let mut got = Tensor::filled(want.shape().clone(), f32::NAN);
                         let ridden =
                             fused_conv_forward_into(input, &wt, None, &attrs, with_stats, &mut got)
@@ -317,7 +372,7 @@ mod tests {
                     let want = conv2d_forward(&relu_forward(&x), &wt, None, &attrs).unwrap();
                     let mut got = Tensor::filled(want.shape().clone(), f32::NAN);
                     fused_conv_forward_into(
-                        ConvInput::Clip(&x),
+                        ConvInput::Clip((&x).into()),
                         &wt,
                         None,
                         &attrs,
@@ -422,8 +477,12 @@ mod tests {
                     let d_out = random(conv_out_shape(x.shape(), &attrs).unwrap(), 7);
                     let want = reference_backward(&x, &stats, &bn, &wt, &attrs, &d_out);
 
-                    let input =
-                        ConvInput::NormClip { x: &x, stats: &stats, params: &bn, epsilon: EPS };
+                    let input = ConvInput::NormClip {
+                        x: (&x).into(),
+                        stats: &stats,
+                        params: &bn,
+                        epsilon: EPS,
+                    };
                     let mut d_x = Tensor::filled(x.shape().clone(), f32::NAN);
                     let got =
                         fused_conv_backward_into(input, &d_out, &wt, &attrs, true, Some(&mut d_x))
@@ -484,8 +543,12 @@ mod tests {
                     conv2d_backward_input_into(&d_out, &wt, &attrs, &mut plain).unwrap();
                     let clipped = relu_forward(&x);
                     let cases = [
-                        (ConvInput::Raw(&x), &x, plain.clone()),
-                        (ConvInput::Clip(&x), &clipped, relu_backward(&plain, &clipped).unwrap()),
+                        (ConvInput::Raw((&x).into()), &x, plain.clone()),
+                        (
+                            ConvInput::Clip((&x).into()),
+                            &clipped,
+                            relu_backward(&plain, &clipped).unwrap(),
+                        ),
                     ];
                     for (input, read, want) in cases {
                         let (d_w, d_b) =
@@ -547,6 +610,145 @@ mod tests {
         assert!(stats.max_abs_diff(&reference).unwrap() < 1e-4);
     }
 
+    /// A rope is read as the tensor it would be copied into, bit for bit —
+    /// statistics, the normalize sweep, both directions of the fused
+    /// convolution under each prologue — and its input gradient, handed to
+    /// the parts (one fresh, one holding an earlier contribution), is the
+    /// copy's split and summed in.
+    #[test]
+    fn rope_inputs_read_and_receive_the_bits_of_their_copy() {
+        use crate::batchnorm::normalize_sweep_into;
+        use crate::batchnorm::{norm_backward_inplace, norm_backward_into_parts};
+        use bnff_tensor::ChannelRope;
+        for isa in test_isas() {
+            with_isa(isa, || {
+                let (a, b) =
+                    (random(Shape::nchw(3, 2, 9, 9), 51), random(Shape::nchw(3, 3, 9, 9), 52));
+                let parts = [&a, &b];
+                let rope = ChannelRope::new(&parts).unwrap();
+                let mut copy = Tensor::zeros(rope.shape());
+                rope.copy_into(&mut copy).unwrap();
+                for one_pass in [true, false] {
+                    let (got, want) = (
+                        bn_statistics(rope, one_pass).unwrap(),
+                        bn_statistics(&copy, one_pass).unwrap(),
+                    );
+                    assert_eq!(
+                        (bits(&got.mean), bits(&got.var)),
+                        (bits(&want.mean), bits(&want.var))
+                    );
+                }
+                let stats = bn_statistics(&copy, true).unwrap();
+                let bn = bn_params(5);
+                let (mut y_rope, mut y_copy) =
+                    (Tensor::zeros(rope.shape()), Tensor::zeros(rope.shape()));
+                normalize_sweep_into(rope, &stats, &bn, EPS, true, None, &mut y_rope).unwrap();
+                normalize_sweep_into(&copy, &stats, &bn, EPS, true, None, &mut y_copy).unwrap();
+                assert_eq!(bits(y_rope.as_slice()), bits(y_copy.as_slice()), "{isa}");
+
+                // The parts' gradients: `a`'s is fresh, `b`'s holds 0.25.
+                let split = |d_x: &Tensor| {
+                    let mut grads =
+                        [Tensor::zeros(a.shape().clone()), Tensor::filled(b.shape().clone(), 0.25)];
+                    GradPart { grad: &mut grads[0], add: false }.take_channels(d_x, 0).unwrap();
+                    GradPart { grad: &mut grads[1], add: true }.take_channels(d_x, 2).unwrap();
+                    grads
+                };
+                let into_parts = |run: &mut dyn FnMut(&mut [GradPart<'_>])| {
+                    let mut grads = [
+                        Tensor::filled(a.shape().clone(), f32::NAN),
+                        Tensor::filled(b.shape().clone(), 0.25),
+                    ];
+                    let [ga, gb] = &mut grads;
+                    run(&mut [GradPart { grad: ga, add: false }, GradPart { grad: gb, add: true }]);
+                    grads
+                };
+                let same = |got: &[Tensor; 2], want: &[Tensor; 2], what: &str| {
+                    for (g, w) in got.iter().zip(want) {
+                        assert_eq!(bits(g.as_slice()), bits(w.as_slice()), "{what} under {isa}");
+                    }
+                };
+
+                let d_y = random(rope.shape(), 53);
+                let mut d_x = d_y.clone();
+                let want_bn =
+                    norm_backward_inplace(&mut d_x, &copy, &stats, &bn, EPS, true).unwrap();
+                let mut got_bn = None;
+                let got = into_parts(&mut |parts| {
+                    let mut g = d_y.clone();
+                    got_bn = Some(
+                        norm_backward_into_parts(&mut g, rope, &stats, &bn, EPS, true, parts)
+                            .unwrap(),
+                    );
+                });
+                same(&got, &split(&d_x), "norm backward");
+                assert_eq!(got_bn.unwrap(), want_bn);
+
+                let attrs = Conv2dAttrs::same_3x3(4);
+                let wt = random(Shape::nchw(4, 5, 3, 3), 54);
+                let d_out = random(Shape::nchw(3, 4, 9, 9), 55);
+                for (from_rope, from_copy) in [
+                    (ConvInput::Raw(rope), ConvInput::Raw((&copy).into())),
+                    (ConvInput::Clip(rope), ConvInput::Clip((&copy).into())),
+                    (
+                        ConvInput::NormClip { x: rope, stats: &stats, params: &bn, epsilon: EPS },
+                        ConvInput::NormClip {
+                            x: (&copy).into(),
+                            stats: &stats,
+                            params: &bn,
+                            epsilon: EPS,
+                        },
+                    ),
+                ] {
+                    let label = format!("{from_copy:?}");
+                    let mut want = Tensor::zeros(d_out.shape().clone());
+                    fused_conv_forward_into(from_copy, &wt, None, &attrs, true, &mut want).unwrap();
+                    let mut got = Tensor::filled(d_out.shape().clone(), f32::NAN);
+                    fused_conv_forward_into(from_rope, &wt, None, &attrs, true, &mut got).unwrap();
+                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{label}");
+
+                    let mut d_x = Tensor::zeros(rope.shape());
+                    let want = fused_conv_backward_into(
+                        from_copy,
+                        &d_out,
+                        &wt,
+                        &attrs,
+                        false,
+                        Some(&mut d_x),
+                    )
+                    .unwrap();
+                    let mut got = None;
+                    let grads = into_parts(&mut |parts| {
+                        let mut scratch = Tensor::filled(rope.shape(), f32::NAN);
+                        got = Some(
+                            fused_conv_backward_into_parts(
+                                from_rope,
+                                &d_out,
+                                &wt,
+                                &attrs,
+                                false,
+                                &mut scratch,
+                                parts,
+                            )
+                            .unwrap(),
+                        );
+                    });
+                    same(&grads, &split(&d_x), &label);
+                    let got = got.unwrap();
+                    assert_eq!(
+                        bits(got.d_weights.as_slice()),
+                        bits(want.d_weights.as_slice()),
+                        "{label}"
+                    );
+                    assert_eq!(
+                        got.d_bn.map(|g| (bits(&g.d_gamma), bits(&g.d_beta))),
+                        want.d_bn.map(|g| (bits(&g.d_gamma), bits(&g.d_beta)))
+                    );
+                }
+            });
+        }
+    }
+
     #[test]
     fn mismatched_channels_rejected() {
         let attrs = Conv2dAttrs::pointwise(2);
@@ -558,11 +760,13 @@ mod tests {
         // Both directions validate the prologue's operands, and a
         // normalizing prologue cannot skip the input gradient.
         let d_out = Tensor::zeros(Shape::nchw(1, 2, 4, 4));
-        let bad = ConvInput::NormClip { x: &raw, stats: &stats, params: &bn, epsilon: 1e-5 };
+        let bad =
+            ConvInput::NormClip { x: (&raw).into(), stats: &stats, params: &bn, epsilon: 1e-5 };
         let mut d_x = Tensor::zeros(raw.shape().clone());
         assert!(fused_conv_backward_into(bad, &d_out, &w, &attrs, false, Some(&mut d_x)).is_err());
         let bn = BnParams::identity(3);
-        let good = ConvInput::NormClip { x: &raw, stats: &stats, params: &bn, epsilon: 1e-5 };
+        let good =
+            ConvInput::NormClip { x: (&raw).into(), stats: &stats, params: &bn, epsilon: 1e-5 };
         assert!(fused_conv_backward_into(good, &d_out, &w, &attrs, false, None).is_err());
         assert!(fused_conv_backward_into(good, &d_out, &w, &attrs, false, Some(&mut d_x)).is_ok());
         let mut wrong = Tensor::zeros(Shape::nchw(1, 3, 4, 5));

@@ -28,7 +28,7 @@ use bnff_kernels::softmax::softmax_loss_forward;
 use bnff_parallel::{with_grain, with_threads};
 use bnff_tensor::init::Initializer;
 use bnff_tensor::stats::{channel_stats_one_pass, channel_stats_two_pass};
-use bnff_tensor::{Shape, Tensor};
+use bnff_tensor::{ChannelRope, Shape, Tensor};
 
 /// Worker counts exercised against the single-threaded reference: the
 /// acceptance pair (1 vs 4), non-dividing counts (3, 7), and far more
@@ -258,8 +258,9 @@ fn fused_kernels_match_serial() {
     check("norm_relu_conv", || {
         norm_relu_conv_forward(&x, &stats, &bn, 1e-5, &w, None, &attrs).unwrap().into_vec()
     });
-    let normalized = ConvInput::NormClip { x: &x, stats: &stats, params: &bn, epsilon: 1e-5 };
-    for (label, input) in [("norm_clip", normalized), ("clip", ConvInput::Clip(&x))] {
+    let normalized =
+        ConvInput::NormClip { x: (&x).into(), stats: &stats, params: &bn, epsilon: 1e-5 };
+    for (label, input) in [("norm_clip", normalized), ("clip", ConvInput::Clip((&x).into()))] {
         check(&format!("fused_conv_forward {label}"), || fused_forward(input, &w, &attrs));
         check(&format!("fused_conv_backward {label}"), || fused_backward(input, &w, &attrs));
     }
@@ -267,7 +268,7 @@ fn fused_kernels_match_serial() {
 
 /// The fused forward with its statistics epilogue, flattened.
 fn fused_forward(input: ConvInput<'_>, w: &Tensor, attrs: &Conv2dAttrs) -> Vec<f32> {
-    let mut out = conv2d_forward(input.tensor(), w, None, attrs).unwrap();
+    let mut out = conv2d_forward(input.x().tensor().unwrap(), w, None, attrs).unwrap();
     let stats = fused_conv_forward_into(input, w, None, attrs, true, &mut out).unwrap().unwrap();
     let mut flat = out.into_vec();
     flat.extend(stats.mean);
@@ -279,9 +280,9 @@ fn fused_forward(input: ConvInput<'_>, w: &Tensor, attrs: &Conv2dAttrs) -> Vec<f
 /// a dirty buffer: `d_x`, `d_W` and (for a normalizing prologue) ∂γ/∂β,
 /// flattened.
 fn fused_backward(input: ConvInput<'_>, w: &Tensor, attrs: &Conv2dAttrs) -> Vec<f32> {
-    let mut d_out = conv2d_forward(input.tensor(), w, None, attrs).unwrap();
+    let mut d_out = conv2d_forward(input.x().tensor().unwrap(), w, None, attrs).unwrap();
     fused_conv_forward_into(input, w, None, attrs, false, &mut d_out).unwrap();
-    let mut d_x = Tensor::filled(input.tensor().shape().clone(), f32::NAN);
+    let mut d_x = Tensor::filled(input.x().tensor().unwrap().shape().clone(), f32::NAN);
     let grads = fused_conv_backward_into(input, &d_out, w, attrs, false, Some(&mut d_x)).unwrap();
     let mut flat = d_x.into_vec();
     flat.extend(grads.d_weights.into_vec());
@@ -367,8 +368,12 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
     // Fixed statistics (not the batch's): the prologue only has to be
     // deterministic, and 9×9 and 4×4 inputs can share them.
     let stats = channel_stats_one_pass(&x).unwrap();
-    let normalized =
-        |input| ConvInput::NormClip { x: input, stats: &stats, params: &params, epsilon: 1e-5 };
+    let normalized = |input| ConvInput::NormClip {
+        x: ChannelRope::from(input),
+        stats: &stats,
+        params: &params,
+        epsilon: 1e-5,
+    };
 
     // Every ISA the host can run: the scalar path and each vector tier.
     let isas: Vec<SimdIsa> = [SimdIsa::Scalar, SimdIsa::Avx2Fma, SimdIsa::Avx512]
@@ -433,11 +438,13 @@ fn kernels_are_bit_identical_across_thread_counts_on_both_paths() {
         ("fused_backward_4x4", &|| fused_backward(normalized(&small), &w, &attrs)),
         ("fused_backward_9x9", &|| fused_backward(normalized(&x), &w, &attrs)),
         ("fused_backward_stride2", &|| fused_backward(normalized(&x), &w, &strided)),
-        ("fused_backward_clip", &|| fused_backward(ConvInput::Clip(&x), &w, &attrs)),
+        ("fused_backward_clip", &|| fused_backward(ConvInput::Clip((&x).into()), &w, &attrs)),
         // The same through the bordered scratch the in-place reads need.
         ("fused_forward_8x8", &|| fused_forward(normalized(&wide8), &w, &attrs)),
         ("fused_backward_16x16", &|| fused_backward(normalized(&wide16), &w, &attrs)),
-        ("fused_backward_clip_8x8", &|| fused_backward(ConvInput::Clip(&wide8), &w, &attrs)),
+        ("fused_backward_clip_8x8", &|| {
+            fused_backward(ConvInput::Clip((&wide8).into()), &w, &attrs)
+        }),
         ("fused_backward_8x8_13", &|| fused_backward(normalized(&wide8), &w13, &same13)),
     ];
     for &isa in &isas {

@@ -259,8 +259,12 @@ fn bn_affine_and_fused_paths_agree() {
         assert_paths_close("conv2d_forward_relu in place", 4 * 9, &s, &v);
         let (s, v) = both_paths(|| {
             let stats = channel_stats_one_pass(&wide).unwrap();
-            let input =
-                ConvInput::NormClip { x: &wide, stats: &stats, params: &params, epsilon: 1e-5 };
+            let input = ConvInput::NormClip {
+                x: (&wide).into(),
+                stats: &stats,
+                params: &params,
+                epsilon: 1e-5,
+            };
             let mut out = Tensor::zeros(Shape::nchw(2, 6, h, w_in));
             fused_conv_forward_into(input, &w, None, &attrs, false, &mut out).unwrap();
             let mut d_x = Tensor::zeros(wide.shape().clone());
@@ -309,7 +313,8 @@ fn bn_affine_and_fused_paths_agree() {
     let d_out = init.uniform(Shape::nchw(3, 6, 5, 5), -1.0, 1.0);
     let (s, v) = both_paths(|| {
         let stats = channel_stats_one_pass(&x).unwrap();
-        let input = ConvInput::NormClip { x: &x, stats: &stats, params: &params, epsilon: 1e-5 };
+        let input =
+            ConvInput::NormClip { x: (&x).into(), stats: &stats, params: &params, epsilon: 1e-5 };
         let mut d_x = Tensor::zeros(x.shape().clone());
         let grads =
             fused_conv_backward_into(input, &d_out, &w, &attrs, false, Some(&mut d_x)).unwrap();

@@ -187,7 +187,9 @@ impl Shard {
 }
 
 struct Shared {
-    model: FrozenModel,
+    /// The model's per-sample input shape, resolved once at start: every
+    /// submission is checked against it.
+    sample_shape: Shape,
     config: BatchingConfig,
     shards: Vec<Shard>,
     /// Round-robin home-shard cursor for admissions.
@@ -254,7 +256,7 @@ impl ServeEngine {
     /// # Errors
     /// Returns an error for a zero `max_batch`/`workers`/`queue_depth`
     /// configuration, and the lowering error when the model cannot be
-    /// lowered to a tape.
+    /// lowered to a tape or its input node resolved.
     pub(crate) fn start(model: FrozenModel, config: BatchingConfig) -> Result<Self> {
         if config.max_batch == 0 || config.workers == 0 || config.queue_depth == 0 {
             return Err(ServeError::InvalidArgument(
@@ -274,7 +276,7 @@ impl ServeEngine {
             None => TraceSampler::from_env(),
         };
         let shared = Arc::new(Shared {
-            model,
+            sample_shape: model.sample_shape()?,
             shards: (0..config.workers).map(|_| Shard::new()).collect(),
             next_shard: AtomicUsize::new(0),
             metrics,
@@ -325,7 +327,7 @@ impl ServeEngine {
         force_trace: bool,
     ) -> Result<mpsc::Receiver<Result<Completion>>> {
         // Only the sample's values are read when its batch is stacked.
-        let per_sample = self.shared.model.sample_shape()?;
+        let per_sample = &self.shared.sample_shape;
         let dims = sample.shape().dims();
         if dims != per_sample.dims() && dims.split_first() != Some((&1, per_sample.dims())) {
             return Err(ServeError::InvalidArgument(format!(
@@ -389,12 +391,10 @@ impl ServeEngine {
         self.shared.sampler.period()
     }
 
-    /// The per-sample input shape the model expects (`C × H × W`).
-    ///
-    /// # Errors
-    /// Returns an error when the model's input node cannot be resolved.
-    pub fn sample_shape(&self) -> Result<Shape> {
-        self.shared.model.sample_shape()
+    /// The per-sample input shape the model expects (`C × H × W`),
+    /// resolved at start.
+    pub fn sample_shape(&self) -> &Shape {
+        &self.shared.sample_shape
     }
 
     /// Total admission capacity: `workers × queue_depth` queued requests.

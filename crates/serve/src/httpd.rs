@@ -191,8 +191,7 @@ impl HttpServer {
     /// test port) and starts accepting requests against `engine`.
     ///
     /// # Errors
-    /// Returns an error when the address cannot be bound or the model's
-    /// sample shape cannot be resolved.
+    /// Returns an error when the address cannot be bound.
     pub fn bind(engine: ServeEngine, addr: &str) -> Result<Self> {
         Self::bind_with(engine, addr, HttpOptions::default())
     }
@@ -200,10 +199,9 @@ impl HttpServer {
     /// [`HttpServer::bind`] with explicit [`HttpOptions`] (access logging).
     ///
     /// # Errors
-    /// Returns an error when the address cannot be bound or the model's
-    /// sample shape cannot be resolved.
+    /// Returns an error when the address cannot be bound.
     pub fn bind_with(engine: ServeEngine, addr: &str, options: HttpOptions) -> Result<Self> {
-        let sample_shape = engine.sample_shape()?;
+        let sample_shape = engine.sample_shape().clone();
         let listener = TcpListener::bind(addr)
             .map_err(|e| ServeError::InvalidArgument(format!("binding {addr}: {e}")))?;
         let local = listener

@@ -30,6 +30,7 @@ pub mod error;
 pub mod init;
 pub mod ops;
 pub mod pool;
+pub mod rope;
 pub mod shape;
 pub mod simd;
 pub mod stats;
@@ -37,6 +38,7 @@ pub mod tensor;
 
 pub use error::TensorError;
 pub use pool::BufferPool;
+pub use rope::{ChannelRope, GradPart};
 pub use shape::Shape;
 pub use simd::{active_isa, with_isa, SimdIsa};
 pub use stats::ChannelStats;

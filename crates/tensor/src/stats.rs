@@ -20,6 +20,7 @@
 //! statistic keeps its bits; an odd last channel pairs with an empty plane.
 
 use crate::error::TensorError;
+use crate::rope::ChannelRope;
 use crate::shape::Shape;
 use crate::simd::{self, active_isa};
 use crate::tensor::Tensor;
@@ -33,10 +34,12 @@ fn channels_per_thread(per_channel: usize) -> usize {
 }
 
 /// Planes `2·pair` and `2·pair + 1` of sample `ni` — the second one empty
-/// past the last channel, where the two-plane kernels sum it to zero.
-fn plane_pair(x: &Tensor, ni: usize, pair: usize) -> (&[f32], &[f32]) {
+/// past the last channel, where the two-plane kernels sum it to zero. The
+/// two may come from different parts of a rope: each plane gets its own
+/// sums whatever it is paired with.
+fn plane_pair<'a>(x: &ChannelRope<'a>, ni: usize, pair: usize) -> (&'a [f32], &'a [f32]) {
     let c = 2 * pair;
-    (x.channel_plane(ni, c), if c + 1 < x.shape().c() { x.channel_plane(ni, c + 1) } else { &[] })
+    (x.plane(ni, c), if c + 1 < x.c() { x.plane(ni, c + 1) } else { &[] })
 }
 
 /// `f(pair)` for every channel pair across worker threads, flattened back
@@ -184,8 +187,17 @@ impl ChannelAccumulator {
     /// # Errors
     /// Returns an error for non-4-D or empty inputs.
     pub fn from_tensor(x: &Tensor) -> Result<Self> {
-        let (channels, per_channel) = per_channel_count(x.shape())?;
-        let n = x.shape().n();
+        Self::from_rope(x.into())
+    }
+
+    /// [`ChannelAccumulator::from_tensor`] over the planes of a rope: per
+    /// channel the same sums as over the concatenated tensor, bit for bit.
+    ///
+    /// # Errors
+    /// Returns an error for non-4-D or empty inputs.
+    pub fn from_rope(x: ChannelRope<'_>) -> Result<Self> {
+        let (channels, per_channel) = per_channel_count(&x.shape())?;
+        let n = x.n();
         // Resolved on the caller's thread and captured by value: pool
         // workers don't inherit the caller's `with_isa` override.
         let isa = active_isa();
@@ -193,7 +205,7 @@ impl ChannelAccumulator {
             let mut sums = [(0.0f64, 0.0f64); 2];
             for ni in 0..n {
                 // Per-plane subtotals first, matching `push_sample`.
-                let (a, b) = plane_pair(x, ni, pair);
+                let (a, b) = plane_pair(&x, ni, pair);
                 for (acc, (s, q)) in sums.iter_mut().zip(simd::sum_sq_f64_pair(isa, a, b)) {
                     acc.0 += s;
                     acc.1 += q;
@@ -277,9 +289,10 @@ fn per_channel_count(shape: &Shape) -> Result<(usize, usize)> {
 ///
 /// # Errors
 /// Returns an error for non-4-D or empty inputs.
-pub fn channel_stats_two_pass(x: &Tensor) -> Result<ChannelStats> {
-    let (channels, per_channel) = per_channel_count(x.shape())?;
-    let n = x.shape().n();
+pub fn channel_stats_two_pass<'a>(x: impl Into<ChannelRope<'a>>) -> Result<ChannelStats> {
+    let x = x.into();
+    let (channels, per_channel) = per_channel_count(&x.shape())?;
+    let n = x.n();
     // Resolved on the caller's thread and captured by value: pool workers
     // don't inherit the caller's `with_isa` override.
     let isa = active_isa();
@@ -287,7 +300,7 @@ pub fn channel_stats_two_pass(x: &Tensor) -> Result<ChannelStats> {
     let mean: Vec<f64> = map_channel_pairs(channels, per_channel, |pair| {
         let mut m = [0.0f64; 2];
         for ni in 0..n {
-            let (a, b) = plane_pair(x, ni, pair);
+            let (a, b) = plane_pair(&x, ni, pair);
             for (m, s) in m.iter_mut().zip(simd::sum_f64_pair(isa, a, b)) {
                 *m += s;
             }
@@ -299,7 +312,7 @@ pub fn channel_stats_two_pass(x: &Tensor) -> Result<ChannelStats> {
         let means = [mean[2 * pair], mean.get(2 * pair + 1).copied().unwrap_or(0.0)];
         let mut v_acc = [0.0f64; 2];
         for ni in 0..n {
-            let (a, b) = plane_pair(x, ni, pair);
+            let (a, b) = plane_pair(&x, ni, pair);
             for (v, d) in v_acc.iter_mut().zip(simd::sq_dev_sum_f64_pair(isa, a, b, means)) {
                 *v += d;
             }
@@ -317,8 +330,8 @@ pub fn channel_stats_two_pass(x: &Tensor) -> Result<ChannelStats> {
 ///
 /// # Errors
 /// Returns an error for non-4-D or empty inputs.
-pub fn channel_stats_one_pass(x: &Tensor) -> Result<ChannelStats> {
-    ChannelAccumulator::from_tensor(x)?.finalize()
+pub fn channel_stats_one_pass<'a>(x: impl Into<ChannelRope<'a>>) -> Result<ChannelStats> {
+    ChannelAccumulator::from_rope(x.into())?.finalize()
 }
 
 /// Numerically robust single-pass statistics using Welford's online

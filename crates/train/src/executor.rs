@@ -19,7 +19,17 @@
 //!   statistics, so a [`ForwardResult`] holds exactly the plan's saved
 //!   tensors (plus max-pool argmax indices and the softmax probabilities).
 //! * Training publishes mini-batch statistics and eval the running ones;
-//!   `publish_stats` is the one place that chooses.
+//!   `publish_stats` is the one place that chooses. A `SubBnStats` or
+//!   `ConcatStats` in training copies what earlier nodes published over the
+//!   same tensors and sweeps only the rest (`assembled_stats`).
+//! * A concatenation has no arm in either direction. Its value is its
+//!   inputs' tensors, read by its consumers as a [`ChannelRope`] (the plan
+//!   gives the rare concatenation with another kind of consumer a buffer,
+//!   which it fills by one copy). Its gradient is its inputs' gradient
+//!   slots: a normalization's `d_x` sweep — standalone or the fused
+//!   convolution's epilogue — writes each channel range straight into its
+//!   part's slot, and any other gradient reaching a concatenation is handed
+//!   to the parts by `accumulate`.
 //!
 //! Execution follows an [`ExecutionPlan`] computed once per graph: node
 //! outputs live in a vector indexed by node id (inputs are borrowed); those
@@ -38,13 +48,15 @@ use bnff_graph::op::{ConvPrologue, OpForm, OpKind, PoolKind};
 use bnff_graph::plan::ExecutionPlan;
 use bnff_graph::{Graph, Node, NodeId};
 use bnff_kernels::batchnorm::{
-    bn_statistics, norm_backward_inplace, normalize_sweep_into, BnParamGrads, BnParams,
+    bn_statistics, norm_backward_inplace, norm_backward_into_parts, normalize_sweep_into,
+    BnParamGrads, BnParams,
 };
-use bnff_kernels::concat::{concat_backward_into, concat_forward_into};
 use bnff_kernels::conv::ConvInput;
 use bnff_kernels::eltwise::eltwise_sum_forward_into;
 use bnff_kernels::fc::{fc_backward_into, fc_forward_into};
-use bnff_kernels::fused::{fused_conv_backward_into, fused_conv_forward_into};
+use bnff_kernels::fused::{
+    fused_conv_backward_into, fused_conv_backward_into_parts, fused_conv_forward_into,
+};
 use bnff_kernels::pool::{
     avg_pool_backward_into, avg_pool_forward_into, global_avg_pool_backward_into,
     global_avg_pool_forward_into, max_pool_backward_into, max_pool_forward_argmax_into,
@@ -56,7 +68,7 @@ use bnff_kernels::softmax::{
 };
 use bnff_tensor::pool::BufferPool;
 use bnff_tensor::stats::ChannelStats;
-use bnff_tensor::{ops, Shape, Tensor};
+use bnff_tensor::{ops, ChannelRope, GradPart, Shape, Tensor};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -110,7 +122,8 @@ impl Drop for ForwardResult {
 impl ForwardResult {
     /// The output tensor of a node, if it was retained: the forward pass
     /// retains only the tensors its liveness analysis says the backward pass
-    /// re-reads (a Split owns none: it forwards its producer's).
+    /// re-reads (a Split owns none: it forwards its producer's; nor does a
+    /// concatenation whose value is its inputs' tensors).
     pub fn output(&self, id: NodeId) -> Option<&Tensor> {
         self.values.get(id.index()).and_then(Option::as_ref)
     }
@@ -308,8 +321,71 @@ impl Executor {
         fwd.output(self.plan.resolve(node.inputs[0])).ok_or_else(|| missing("saved input", node))
     }
 
-    fn input_shape(&self, node: &Node, idx: usize) -> Result<&Shape> {
-        Ok(&self.graph.node(node.inputs[idx])?.output_shape)
+    /// The retained tensors that make up a node's first input: a rope's
+    /// parts, or the one tensor of any other input.
+    fn saved_parts<'f>(&self, fwd: &'f ForwardResult, node: &Node) -> Result<Vec<&'f Tensor>> {
+        self.plan.input_parts(&fwd.values, node, 0).map_err(|_| missing("saved input", node))
+    }
+
+    /// A dirty pool buffer for the gradient of node `id`'s output.
+    fn grad_buffer(&self, pool: &mut BufferPool, id: NodeId) -> Result<Tensor> {
+        Ok(pool.take_tensor_dirty(self.graph.node(id)?.output_shape.clone()))
+    }
+
+    /// The gradient slots of `input`'s parts for a sweep to write `d_x`
+    /// into, when `input` is a concatenation whose parts are distinct
+    /// tensors: each part's gradient so far (added to), or a dirty pool
+    /// buffer (overwritten).
+    fn take_part_grads(
+        &self,
+        pool: &mut BufferPool,
+        d_vals: &mut [Option<Tensor>],
+        input: NodeId,
+    ) -> Result<Option<PartGrads>> {
+        let Some(parts) = self.plan.concat_parts(input) else { return Ok(None) };
+        if (1..parts.len()).any(|i| parts[..i].contains(&parts[i])) {
+            return Ok(None);
+        }
+        let slots = parts.iter().map(|&part| match d_vals[part].take() {
+            Some(grad) => Ok((part, grad, true)),
+            None => Ok((part, self.grad_buffer(pool, NodeId::new(part))?, false)),
+        });
+        Ok(Some(PartGrads(slots.collect::<Result<_>>()?)))
+    }
+
+    /// Adds `grad` into the gradient slot of `id`: moved in when the slot
+    /// is still empty, summed in and recycled otherwise. A concatenation has
+    /// no slot: each of its parts takes its channel range of `grad`, in
+    /// order.
+    fn accumulate(
+        &self,
+        pool: &mut BufferPool,
+        d_vals: &mut [Option<Tensor>],
+        id: NodeId,
+        grad: Tensor,
+    ) -> Result<()> {
+        let Some(parts) = self.plan.concat_parts(id) else {
+            match d_vals[id.index()].as_mut() {
+                Some(existing) => {
+                    ops::add_assign(existing, &grad).map_err(TrainError::Tensor)?;
+                    pool.reclaim(grad);
+                }
+                None => d_vals[id.index()] = Some(grad),
+            }
+            return Ok(());
+        };
+        let mut offset = 0;
+        for &part in parts {
+            let (mut slot, add) = match d_vals[part].take() {
+                Some(slot) => (slot, true),
+                None => (self.grad_buffer(pool, NodeId::new(part))?, false),
+            };
+            GradPart { grad: &mut slot, add }.take_channels(&grad, offset)?;
+            offset += slot.shape().c();
+            d_vals[part] = Some(slot);
+        }
+        pool.reclaim(grad);
+        Ok(())
     }
 
     /// Runs the plan-driven forward pass on a mini-batch: inputs are
@@ -342,17 +418,70 @@ impl Executor {
         &self,
         mode: StatsMode,
         id: NodeId,
-        x: &Tensor,
+        x: ChannelRope<'_>,
         one_pass: bool,
     ) -> Result<ChannelStats> {
         match mode {
             StatsMode::Batch => Ok(bn_statistics(x, one_pass)?),
-            StatsMode::Running => self
-                .running
-                .get(id)
-                .map(crate::running::RunningStats::as_channel_stats)
-                .ok_or_else(|| TrainError::Missing(format!("running statistics for {id}"))),
+            StatsMode::Running => self.running_stats_of(id),
         }
+    }
+
+    fn running_stats_of(&self, id: NodeId) -> Result<ChannelStats> {
+        self.running
+            .get(id)
+            .map(crate::running::RunningStats::as_channel_stats)
+            .ok_or_else(|| TrainError::Missing(format!("running statistics for {id}")))
+    }
+
+    /// The statistics a `SubBnStats` or `ConcatStats` node publishes. In
+    /// training they are assembled: every part an earlier node published
+    /// with the same estimator is copied from it (a channel's statistics
+    /// depend on its planes alone, so the bits are the sweep's), and one
+    /// sweep covers the rest. Eval reads the node's own running statistics.
+    fn assembled_stats(
+        &self,
+        mode: StatsMode,
+        id: NodeId,
+        one_pass: bool,
+        values: &[Option<Tensor>],
+        stats: &[Option<ChannelStats>],
+    ) -> Result<ChannelStats> {
+        if mode == StatsMode::Running {
+            return self.running_stats_of(id);
+        }
+        let assembly = self.plan.stats_assembly(id).ok_or_else(|| {
+            TrainError::Missing(format!("statistics assembly of {id} in the plan"))
+        })?;
+        let swept: Vec<usize> =
+            assembly.iter().filter(|p| p.published.is_none()).map(|p| p.tensor.index()).collect();
+        let swept = match swept.is_empty() {
+            true => None,
+            false => {
+                let parts = self.plan.part_values(values, &swept)?;
+                Some(bn_statistics(ChannelRope::new(&parts)?, one_pass)?)
+            }
+        };
+        let channels = assembly.iter().map(|p| p.channels).sum();
+        let mut out = ChannelStats::zeros(0);
+        out.mean.reserve(channels);
+        out.var.reserve(channels);
+        let mut next_swept = 0;
+        for part in assembly {
+            let (source, from) = match part.published {
+                Some((node, offset)) => (stats[node.index()].as_ref(), offset),
+                None => {
+                    next_swept += part.channels;
+                    (swept.as_ref(), next_swept - part.channels)
+                }
+            };
+            let source =
+                source.ok_or_else(|| TrainError::Missing(format!("statistics for {id}")))?;
+            out.mean.extend_from_slice(&source.mean[from..from + part.channels]);
+            out.var.extend_from_slice(&source.var[from..from + part.channels]);
+            out.count = source.count;
+        }
+        Ok(out)
     }
 
     /// `x` as the convolution `node` reads it: its prologue, with the
@@ -361,7 +490,7 @@ impl Executor {
         &'a self,
         node: &Node,
         prologue: ConvPrologue,
-        x: &'a Tensor,
+        x: ChannelRope<'a>,
         stats: &'a [Option<ChannelStats>],
     ) -> Result<ConvInput<'a>> {
         Ok(match prologue {
@@ -401,14 +530,26 @@ impl Executor {
         for (pos, &id) in self.plan.order().iter().enumerate() {
             let node = self.graph.node(id)?;
             let input = || self.plan.input_value(&values, node, 0);
-            // Label inputs carry no tensor, the data input is pre-seeded,
-            // and a Split is a pointer pass resolved through the plan; every
-            // other node fills the one output buffer allocated for it here.
-            if !matches!(node.op, OpKind::Input | OpKind::Split { .. }) {
+            // What an arm that reads planes is handed: a rope's parts, or
+            // the one tensor of any other input.
+            let parts = || self.plan.input_parts(&values, node, 0);
+            if self.plan.is_rope(id) {
+                // A rope owns no buffer: its consumers read its parts. ICF's
+                // statistics epilogue is all that runs here.
+                if let OpKind::ConcatStats(bn) = node.op {
+                    let s = self.assembled_stats(mode, id, bn.one_pass_stats, &values, &stats)?;
+                    stats[id.index()] = Some(s);
+                }
+            } else if !matches!(node.op, OpKind::Input | OpKind::Split { .. }) {
+                // Label inputs carry no tensor, the data input is pre-seeded,
+                // and a Split is a pointer pass resolved through the plan;
+                // every other node fills the one output buffer allocated for
+                // it here.
                 let mut out = ws.output(&self.plan, id, &node.output_shape);
                 match (node.op.form(), &node.op) {
                     (OpForm::Conv { attrs, prologue, stats_out, relu_out: false }, _) => {
-                        let x = self.ifmap(node, prologue, input()?, &stats)?;
+                        let parts = parts()?;
+                        let x = self.ifmap(node, prologue, ChannelRope::new(&parts)?, &stats)?;
                         let (w, b) = self.conv_params(node)?;
                         // Epilogue: single-sweep statistics ride the output
                         // write; two-pass ones re-sweep the finished ofmap.
@@ -417,13 +558,14 @@ impl Executor {
                         stats[id.index()] =
                             match fused_conv_forward_into(x, w, b, &attrs, rides, &mut out)? {
                                 None if stats_out.is_some() => {
-                                    Some(self.publish_stats(mode, id, &out, false)?)
+                                    Some(self.publish_stats(mode, id, (&out).into(), false)?)
                                 }
                                 ridden => ridden,
                             };
                     }
                     (OpForm::Norm { bn, stats_from_input, relu }, _) => {
-                        let x = input()?;
+                        let parts = parts()?;
+                        let x = ChannelRope::new(&parts)?;
                         if stats_from_input {
                             stats[id.index()] =
                                 Some(self.publish_stats(mode, id, x, bn.one_pass_stats)?);
@@ -433,7 +575,8 @@ impl Executor {
                         normalize_sweep_into(x, s, params, bn.epsilon, relu, None, &mut out)?;
                     }
                     (_, OpKind::SubBnStats(attrs)) => {
-                        let s = self.publish_stats(mode, id, input()?, attrs.one_pass_stats)?;
+                        let one_pass = attrs.one_pass_stats;
+                        let s = self.assembled_stats(mode, id, one_pass, &values, &stats)?;
                         let (mean, var) = out.as_mut_slice().split_at_mut(s.channels());
                         mean.copy_from_slice(&s.mean);
                         var.copy_from_slice(&s.var);
@@ -451,11 +594,15 @@ impl Executor {
                         global_avg_pool_forward_into(input()?, &mut out)?;
                     }
                     (_, OpKind::Concat | OpKind::ConcatStats(_)) => {
-                        concat_forward_into(&self.plan.input_values(&values, node)?, &mut out)?;
-                        // ICF: the concatenation's own Σx/Σx² epilogue.
-                        if let Some(bn) = node.op.stats_out() {
-                            stats[id.index()] =
-                                Some(self.publish_stats(mode, id, &out, bn.one_pass_stats)?);
+                        // A consumer that reads no planes: the parts are
+                        // copied into the concatenation's own buffer.
+                        let parts = self.plan.concat_parts(id).unwrap_or_default();
+                        ChannelRope::new(&self.plan.part_values(&values, parts)?)?
+                            .copy_into(&mut out)?;
+                        if let OpKind::ConcatStats(bn) = node.op {
+                            let one_pass = bn.one_pass_stats;
+                            let s = self.assembled_stats(mode, id, one_pass, &values, &stats)?;
+                            stats[id.index()] = Some(s);
                         }
                     }
                     (_, OpKind::EltwiseSum) => {
@@ -512,7 +659,7 @@ impl Executor {
                 };
                 let mut d_scores = pool.take_tensor_dirty(state.probs.shape().clone());
                 softmax_loss_backward_into(state, &fwd.labels, &mut d_scores)?;
-                accumulate(pool, &mut d_vals, node.inputs[0], d_scores)?;
+                self.accumulate(pool, &mut d_vals, node.inputs[0], d_scores)?;
                 continue;
             }
             let Some(mut grad) = d_vals[id.index()].take() else {
@@ -521,13 +668,11 @@ impl Executor {
             // Each arm yields the gradient of the node's first input, if any,
             // in a dirty pool buffer of that input's shape (every kernel
             // overwrites it) — or passes on the gradient it owns, in place.
-            let input_grad = |pool: &mut BufferPool, i| {
-                Ok(pool.take_tensor_dirty(self.input_shape(node, i)?.clone()))
-            };
+            let input_grad = |pool: &mut BufferPool| self.grad_buffer(pool, node.inputs[0]);
             let d_x = match (node.op.form(), &node.op) {
                 (OpForm::Conv { attrs, prologue, relu_out: false, .. }, _) => {
-                    let x = self.saved_input(fwd, node)?;
-                    let x = self.ifmap(node, prologue, x, &fwd.stats)?;
+                    let parts = self.saved_parts(fwd, node)?;
+                    let x = self.ifmap(node, prologue, ChannelRope::new(&parts)?, &fwd.stats)?;
                     let (w, b) = self.conv_params(node)?;
                     // Nothing consumes the data input's gradient, so a
                     // convolution reading it (the stem) skips the
@@ -535,20 +680,63 @@ impl Executor {
                     // absorbed need it.
                     let wanted = matches!(prologue, ConvPrologue::NormRelu(_))
                         || self.plan.resolve(node.inputs[0]) != data_id;
-                    let mut d_x = wanted.then(|| input_grad(pool, 0)).transpose()?;
-                    let grads =
-                        fused_conv_backward_into(x, &grad, w, &attrs, b.is_some(), d_x.as_mut())?;
+                    let mut d_x = wanted.then(|| input_grad(pool)).transpose()?;
+                    let with_bias = b.is_some();
+                    // Into a concatenation's parts, `d_x` is only scratch.
+                    let slots = match wanted {
+                        true => self.take_part_grads(pool, &mut d_vals, node.inputs[0])?,
+                        false => None,
+                    };
+                    let grads = match (slots, d_x.as_mut()) {
+                        (Some(mut slots), Some(scratch)) => {
+                            let grads = fused_conv_backward_into_parts(
+                                x,
+                                &grad,
+                                w,
+                                &attrs,
+                                with_bias,
+                                scratch,
+                                &mut slots.parts(),
+                            )?;
+                            slots.put_back(&mut d_vals);
+                            d_x.take().into_iter().for_each(|scratch| pool.reclaim(scratch));
+                            grads
+                        }
+                        (_, d_x) => fused_conv_backward_into(x, &grad, w, &attrs, with_bias, d_x)?,
+                    };
                     per_node.insert(id.index(), grads.into());
                     d_x
                 }
                 (OpForm::Norm { bn, stats_from_input, relu }, _) => {
-                    let x = self.saved_input(fwd, node)?;
+                    let parts = self.saved_parts(fwd, node)?;
+                    let x = ChannelRope::new(&parts)?;
                     let s = node_stats(&fwd.stats, node, stats_from_input)?;
                     let params = self.bn_params(node)?;
+                    let eps = bn.epsilon;
                     let BnParamGrads { d_gamma, d_beta } =
-                        norm_backward_inplace(&mut grad, x, s, params, bn.epsilon, relu)?;
+                        match self.take_part_grads(pool, &mut d_vals, node.inputs[0])? {
+                            Some(mut slots) => {
+                                let grads = norm_backward_into_parts(
+                                    &mut grad,
+                                    x,
+                                    s,
+                                    params,
+                                    eps,
+                                    relu,
+                                    &mut slots.parts(),
+                                )?;
+                                slots.put_back(&mut d_vals);
+                                pool.reclaim(grad);
+                                grads
+                            }
+                            None => {
+                                let grads =
+                                    norm_backward_inplace(&mut grad, x, s, params, eps, relu)?;
+                                self.accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
+                                grads
+                            }
+                        };
                     per_node.insert(id.index(), NodeParamGrads::Bn { d_gamma, d_beta });
-                    accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
                     continue;
                 }
                 (_, OpKind::Relu | OpKind::Split { .. }) => {
@@ -557,24 +745,25 @@ impl Executor {
                     if matches!(node.op, OpKind::Relu) {
                         relu_backward_inplace(&mut grad, self.saved_input(fwd, node)?)?;
                     }
-                    accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
+                    self.accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
                     continue;
                 }
                 (_, OpKind::EltwiseSum) => {
                     let (last, rest) = node.inputs.split_last().expect("eltwise sum has inputs");
                     for input in rest {
                         // Occupied slots accumulate by reference; only a
-                        // first insertion pays for a copy.
+                        // first insertion (or a concatenation, which has no
+                        // slot) pays for a copy.
                         match d_vals[input.index()].as_mut() {
                             Some(sum) => ops::add_assign(sum, &grad).map_err(TrainError::Tensor)?,
                             None => {
                                 let mut copy = pool.take_tensor_dirty(grad.shape().clone());
                                 copy.as_mut_slice().copy_from_slice(grad.as_slice());
-                                d_vals[input.index()] = Some(copy);
+                                self.accumulate(pool, &mut d_vals, *input, copy)?;
                             }
                         }
                     }
-                    accumulate(pool, &mut d_vals, *last, grad)?;
+                    self.accumulate(pool, &mut d_vals, *last, grad)?;
                     continue;
                 }
                 // Nothing consumes the data input's gradient, and the
@@ -587,33 +776,23 @@ impl Executor {
                     let Some(NodeState::MaxPool(state)) = state else {
                         return Err(missing("forward state", node));
                     };
-                    let mut d_x = input_grad(pool, 0)?;
+                    let mut d_x = input_grad(pool)?;
                     max_pool_backward_into(&grad, state, &mut d_x)?;
                     Some(d_x)
                 }
                 (_, OpKind::Pool { kind: PoolKind::Average, attrs }) => {
-                    let mut d_x = input_grad(pool, 0)?;
+                    let mut d_x = input_grad(pool)?;
                     avg_pool_backward_into(&grad, attrs, &mut d_x)?;
                     Some(d_x)
                 }
                 (_, OpKind::GlobalAvgPool) => {
-                    let mut d_x = input_grad(pool, 0)?;
+                    let mut d_x = input_grad(pool)?;
                     global_avg_pool_backward_into(&grad, &mut d_x)?;
                     Some(d_x)
                 }
-                (_, OpKind::Concat | OpKind::ConcatStats(_)) => {
-                    let mut parts = (0..node.inputs.len())
-                        .map(|i| input_grad(pool, i))
-                        .collect::<Result<Vec<_>>>()?;
-                    concat_backward_into(&grad, &mut parts)?;
-                    for (input, part) in node.inputs.iter().zip(parts) {
-                        accumulate(pool, &mut d_vals, *input, part)?;
-                    }
-                    None
-                }
                 (_, OpKind::FullyConnected { .. }) => {
                     let (x, (w, _)) = (self.saved_input(fwd, node)?, self.fc_params(node)?);
-                    let mut d_x = input_grad(pool, 0)?;
+                    let mut d_x = input_grad(pool)?;
                     let (d_weights, d_bias) = fc_backward_into(x, w, &grad, &mut d_x)?;
                     per_node.insert(id.index(), NodeParamGrads::Fc { d_weights, d_bias });
                     Some(d_x)
@@ -621,7 +800,7 @@ impl Executor {
                 _ => return Err(inference_only(node)),
             };
             if let Some(d_x) = d_x {
-                accumulate(pool, &mut d_vals, node.inputs[0], d_x)?;
+                self.accumulate(pool, &mut d_vals, node.inputs[0], d_x)?;
             }
             // The incoming gradient is consumed: recycle its storage.
             pool.reclaim(grad);
@@ -653,24 +832,22 @@ fn node_stats<'a>(
     stats[source.index()].as_ref().ok_or_else(|| missing("statistics", node))
 }
 
-/// Adds `grad` into the gradient slot of `id`: moved in when the slot is
-/// still empty, summed in and recycled otherwise.
-fn accumulate(
-    pool: &mut BufferPool,
-    d_vals: &mut [Option<Tensor>],
-    id: NodeId,
-    grad: Tensor,
-) -> Result<()> {
-    match d_vals[id.index()].as_mut() {
-        Some(existing) => {
-            ops::add_assign(existing, &grad).map_err(TrainError::Tensor)?;
-            pool.reclaim(grad);
-        }
-        None => d_vals[id.index()] = Some(grad),
-    }
-    Ok(())
-}
+/// The gradient slots of a concatenation's parts, taken out of the
+/// backward pass's gradient vector for one sweep to write and put back
+/// after it: `(part, gradient, add)`.
+struct PartGrads(Vec<(usize, Tensor, bool)>);
 
+impl PartGrads {
+    fn parts(&mut self) -> Vec<GradPart<'_>> {
+        self.0.iter_mut().map(|(_, grad, add)| GradPart { grad, add: *add }).collect()
+    }
+
+    fn put_back(self, d_vals: &mut [Option<Tensor>]) {
+        for (part, grad, _) in self.0 {
+            d_vals[part] = Some(grad);
+        }
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;

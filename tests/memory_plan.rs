@@ -152,6 +152,72 @@ fn planned_execution_is_bit_identical_with_split_maxpool_and_eltwise() {
 }
 
 #[test]
+fn planned_execution_is_bit_identical_through_nested_shared_and_copied_concatenations() {
+    let baseline = support::graphs::concatenations(6);
+    let restructured = BnffOptimizer::new(FusionLevel::Bnff).apply(&baseline).unwrap();
+    for (graph, level) in [(&baseline, "baseline"), (&restructured, "bnff")] {
+        let plan = ExecutionPlan::for_graph(graph).unwrap();
+        let id = |name: &str| graph.nodes().find(|n| n.name == name).unwrap().id;
+        assert!(plan.is_rope(id("inner")) && plan.is_rope(id("outer")), "{level}");
+        assert!(!plan.is_rope(id("side")), "{level}: a ReLU reads no planes");
+        for threads in [1usize, 4] {
+            check_equivalence(graph, threads, &format!("concatenations {level}"));
+        }
+    }
+}
+
+/// What the planner that copied every concatenation into its own buffer
+/// planned for `densenet_cifar(64, 8, 2, 10)`: its peak at the Baseline
+/// and BNFF levels, and its saved bytes at BNFF.
+const COPYING_PEAK_L0: usize = 144_842_756;
+const COPYING_PEAK_L3: usize = 53_878_784;
+const COPYING_SAVED_L3: usize = 47_587_328;
+
+#[test]
+fn ropes_hold_forty_fewer_channel_planes_per_dense_block() {
+    let (batch, growth, layers, block_input) = (64, 8, 2, 16);
+    let baseline = densenet_cifar(batch, growth, layers, 10).unwrap();
+    // A copying plan held each block's input and every concatenation but
+    // the last apart from the last one's buffer; a rope plan holds the
+    // input and the growth maps once. At 2 layers: 16 + 24 channels.
+    let held_apart = layers * block_input + growth * layers * (layers - 1) / 2;
+    assert_eq!(held_apart, 40);
+    let planes: usize = [32usize, 16, 8].iter().map(|hw| hw * hw * batch * 4).sum();
+    let fewer = held_apart * planes;
+    assert_eq!(fewer, 13_762_560);
+    let plan = |level| {
+        ExecutionPlan::for_graph(&BnffOptimizer::new(level).apply(&baseline).unwrap()).unwrap()
+    };
+    let (l0, l3) = (plan(FusionLevel::Baseline), plan(FusionLevel::Bnff));
+    assert_eq!(l0.planned_peak_bytes(), COPYING_PEAK_L0 - fewer);
+    assert_eq!(l3.saved_bytes(), COPYING_SAVED_L3 - fewer);
+    // At BNFF the arena also loses the slot a growth map sat in until its
+    // copy; what that slot holds now is the transition's 2 × 32 statistics.
+    let growth_slot = batch * growth * 32 * 32 * 4 - 2 * 32 * 4;
+    assert_eq!(l3.planned_peak_bytes(), COPYING_PEAK_L3 - fewer - growth_slot);
+}
+
+#[test]
+fn no_concatenation_output_is_held() {
+    let baseline = densenet_cifar(6, 6, 2, 4).unwrap();
+    let data = Initializer::seeded(43).uniform(Shape::nchw(6, 3, 32, 32), -1.0, 1.0);
+    let labels: Vec<usize> = (0..6).map(|i| i % 4).collect();
+    for level in FusionLevel::all() {
+        let exec = Executor::new(BnffOptimizer::new(level).apply(&baseline).unwrap(), 44).unwrap();
+        let fwd = exec.forward(&data, &labels).unwrap();
+        let concats = exec.graph().nodes().filter(|n| n.op.name().starts_with("Concat"));
+        let mut count = 0;
+        for node in concats {
+            let plan = exec.plan();
+            assert!(plan.is_rope(node.id) && plan.liveness(node.id).is_none(), "{level:?}");
+            assert!(fwd.output(node.id).is_none(), "{level:?}: {} holds a tensor", node.name);
+            count += 1;
+        }
+        assert_eq!(count, 6, "{level:?}");
+    }
+}
+
+#[test]
 fn planned_peak_never_exceeds_the_naive_total_across_the_zoo() {
     for model in [
         Model::AlexNet,

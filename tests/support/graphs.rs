@@ -24,3 +24,27 @@ pub fn mixed(batch: usize) -> Graph {
     b.softmax_loss(fc, labels, "loss").unwrap();
     b.finish()
 }
+
+/// The concatenations the CIFAR zoo does not build, on a `batch × 3 × 32 ×
+/// 32` input with four classes: one nested in another, a tensor (`stem`)
+/// feeding two, and one a ReLU reads (at every fusion level: no convolution
+/// follows it) — the one a training plan copies.
+pub fn concatenations(batch: usize) -> Graph {
+    let mut b = GraphBuilder::new("concatenations");
+    let x = b.input("data", Shape::nchw(batch, 3, 32, 32)).unwrap();
+    let labels = b.input("labels", Shape::vector(batch)).unwrap();
+    let stem = b.conv2d(x, Conv2dAttrs::same_3x3(8), "stem").unwrap();
+    let a = b.bn_relu_conv(stem, Conv2dAttrs::pointwise(4), "a").unwrap();
+    let inner = b.concat(vec![stem, a], "inner").unwrap();
+    let grown = b.bn_relu_conv(inner, Conv2dAttrs::same_3x3(4), "b").unwrap();
+    let outer = b.concat(vec![inner, grown], "outer").unwrap();
+    let side = b.concat(vec![stem, grown], "side").unwrap();
+    let clipped = b.relu(side, "relu").unwrap();
+    let c = b.bn_relu_conv(outer, Conv2dAttrs::pointwise(12), "c").unwrap();
+    let pooled =
+        [b.global_avg_pool(c, "gap_c").unwrap(), b.global_avg_pool(clipped, "gap").unwrap()];
+    let sum = b.eltwise_sum(pooled.to_vec(), "sum").unwrap();
+    let fc = b.fully_connected(sum, 4, "fc").unwrap();
+    b.softmax_loss(fc, labels, "loss").unwrap();
+    b.finish()
+}
