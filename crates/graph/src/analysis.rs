@@ -18,22 +18,24 @@
 //!   statistics no earlier node published. [`activation_sweep_count`]
 //!   counts these.
 //!
-//! The reference accounting follows Figure 5 of the paper:
+//! The reference accounting follows Figure 5 of the paper; the last column
+//! is what the executor accounting changes:
 //!
-//! | op (forward)        | activation sweeps                                   |
-//! |---------------------|-----------------------------------------------------|
-//! | `Conv2d`            | read ifmap, write ofmap                             |
-//! | `BatchNorm` 2-pass  | read ifmap ×3 (mean, var, normalize), write ofmap   |
-//! | `BatchNorm` 1-pass  | read ifmap ×2 (fused mean+var, normalize), write    |
-//! | `ReLU`              | read ifmap, write ofmap                             |
-//! | `SubBnStats`        | read ifmap ×2 (×1 with MVF)                         |
-//! | `SubBnNorm`         | read ifmap, write ofmap                             |
-//! | `ReluConv` (RCF)    | read ifmap, write ofmap                             |
-//! | `ConvStats` (BNFF)  | read ifmap, write ofmap (Σx/Σx² stay on chip)        |
-//! | `NormReluConv`      | read ifmap, write normalized ifmap (for backward),  |
-//! |                     | write ofmap                                         |
-//! | `Concat`            | read every input, write output                      |
-//! | `Split`             | nothing (pointer pass)                              |
+//! | op (forward)        | activation sweeps                                   | executor |
+//! |---------------------|-----------------------------------------------------|----------|
+//! | `Conv2d`            | read ifmap, write ofmap                             | |
+//! | `BatchNorm` 2-pass  | read ifmap ×3 (mean, var, normalize), write ofmap   | |
+//! | `BatchNorm` 1-pass  | read ifmap ×2 (fused mean+var, normalize), write    | |
+//! | `ReLU`              | read ifmap, write ofmap                             | |
+//! | `SubBnStats`        | read ifmap ×2 (×1 with MVF)                         | reads only the unpublished channels |
+//! | `SubBnNorm`         | read ifmap, write ofmap                             | |
+//! | `ReluConv` (RCF)    | read ifmap, write ofmap                             | |
+//! | `ConvStats` (BNFF)  | read ifmap, write ofmap (Σx/Σx² stay on chip)        | |
+//! | `NormReluConv`      | read ifmap, write normalized ifmap (for backward),  | |
+//! |                     | write ofmap                                         | |
+//! | `Concat`            | read every input, write output                      | nothing, for a rope |
+//! | `ConcatStats`       | as `Concat`, Σx/Σx² on chip                         | a rope reads only the unpublished channels |
+//! | `Split`             | nothing (pointer pass)                              | |
 //!
 //! Backward sweeps follow the same style; convolutions need twice the
 //! forward work (gradient w.r.t. inputs *and* weights), BN needs five sweeps
