@@ -9,14 +9,13 @@
 //! * [`node_cost`] charges the paper's reference implementation, the one
 //!   its figures profile and `bnff-memsim` reproduces: every concatenation
 //!   copies its inputs, every statistics sub-layer sweeps its whole input.
-//! * [`executor_node_cost`] charges what this workspace's training executor
-//!   does, which differs in exactly those nodes ([`crate::rope`]): a
-//!   concatenation whose consumers all read planes is a rope and costs
-//!   nothing in either direction; one with another consumer copies its
-//!   inputs once and hands its gradient back slice by slice; and a
-//!   `SubBnStats` or `ConcatStats` reads only the channels whose
-//!   statistics no earlier node published. [`activation_sweep_count`]
-//!   counts these.
+//! * the executor accounting, which [`activation_sweep_count`] counts,
+//!   charges what this workspace's training executor does. It differs in
+//!   exactly those nodes ([`crate::rope`]): a concatenation whose
+//!   consumers all read planes is a rope and costs nothing in either
+//!   direction; one with another consumer copies its inputs once and hands
+//!   its gradient back slice by slice; and a `SubBnStats` or `ConcatStats`
+//!   reads only the channels whose statistics no earlier node published.
 //!
 //! The reference accounting follows Figure 5 of the paper; the last column
 //! is what the executor accounting changes:
@@ -562,18 +561,11 @@ pub fn node_cost(graph: &Graph, node: &Node) -> Result<NodeCost> {
     Ok(cost)
 }
 
-/// The cost of a single node as the training executor runs it: the
-/// reference [`node_cost`], except that a rope concatenation costs nothing,
-/// a copied one its copy and the slice-by-slice return of its gradient, and
-/// a `SubBnStats` or `ConcatStats` reads only its unpublished channels.
-///
-/// # Errors
-/// Returns an error if the graph is structurally inconsistent.
-pub fn executor_node_cost(graph: &Graph, node: &Node) -> Result<NodeCost> {
-    executor_cost(graph, &ChannelRopes::of(graph)?, node)
-}
-
-/// [`executor_node_cost`] with the graph's concatenations resolved once.
+/// The cost of a single node as the training executor runs it, with the
+/// graph's concatenations resolved once into `ropes`: the reference
+/// [`node_cost`], except that a rope concatenation costs nothing, a copied
+/// one its copy and the slice-by-slice return of its gradient, and a
+/// `SubBnStats` or `ConcatStats` reads only its unpublished channels.
 fn executor_cost(graph: &Graph, ropes: &ChannelRopes, node: &Node) -> Result<NodeCost> {
     let mut cost = node_cost(graph, node)?;
     // The share of its channels a statistics node sweeps itself.
@@ -669,8 +661,8 @@ pub fn graph_cost(graph: &Graph) -> Result<GraphCost> {
 }
 
 /// Counts whole-activation memory sweeps (reads + writes of mini-batch
-/// feature maps and gradients) of a training step on the executor
-/// ([`executor_node_cost`]), forward + backward.
+/// feature maps and gradients) of a training step as the executor runs it
+/// (the executor accounting above), forward + backward.
 ///
 /// # Errors
 /// Returns an error if the graph is structurally inconsistent.
@@ -902,7 +894,7 @@ mod tests {
             (&icf, by_op(&icf, "ConcatStats"), 2 * plane, 0, 2 * 6 * plane),
         ];
         for (graph, node, fwd, bwd, reference) in table {
-            let cost = executor_node_cost(graph, &node).unwrap();
+            let cost = executor_cost(graph, &ChannelRopes::of(graph).unwrap(), &node).unwrap();
             assert_eq!(bytes(&cost.sweeps_fwd), fwd, "{} forward", node.name);
             assert_eq!(bytes(&cost.sweeps_bwd), bwd, "{} backward", node.name);
             let paper = node_cost(graph, &node).unwrap();

@@ -97,13 +97,9 @@ impl ChannelRopes {
             }
         }
 
-        // A concatenation stays a rope when it has consumers, all of them
-        // read planes, and no tensor occurs twice among its parts (a part's
-        // gradient is written through one reference).
-        let mut rope: Vec<bool> = parts
-            .iter()
-            .map(|p| p.as_ref().is_some_and(|p| (1..p.len()).all(|i| !p[..i].contains(&p[i]))))
-            .collect();
+        // A concatenation stays a rope when it has consumers and all of
+        // them read planes.
+        let mut rope: Vec<bool> = parts.iter().map(Option::is_some).collect();
         let mut consumed = vec![false; n];
         for node in graph.nodes() {
             for input in &node.inputs {
@@ -134,41 +130,43 @@ impl ChannelRopes {
         for &id in order {
             let node = graph.node(id)?;
             let Some(bn) = node.op.stats_out() else { continue };
+            // The tensors the statistics are over, all live where the node
+            // runs: a concatenation's own parts (it reads them there), or
+            // the input a node reads — a rope's parts, or the one tensor,
+            // a copied concatenation's own buffer included.
             let over: Vec<usize> = match (node.op.form(), &node.op) {
                 (OpForm::Conv { .. }, _) => vec![id.index()],
-                (_, OpKind::ConcatStats(_)) => self.value_parts(id.index()),
+                (_, OpKind::ConcatStats(_)) => self.parts[id.index()].clone().unwrap_or_default(),
                 _ => {
                     let input = node.inputs[0].index();
-                    self.value_parts(alias_of[input].unwrap_or(input))
+                    let input = alias_of[input].unwrap_or(input);
+                    match self.rope[input] {
+                        true => self.parts[input].clone().unwrap_or_default(),
+                        false => vec![input],
+                    }
                 }
             };
             let assembles = matches!(node.op, OpKind::SubBnStats(_) | OpKind::ConcatStats(_));
             let mut assembly = Vec::with_capacity(over.len());
-            let mut offset = 0;
             for tensor in over {
                 let shape = &graph.node(NodeId::new(tensor))?.output_shape;
                 let channels = if shape.is_nchw() { shape.c() } else { 0 };
-                let key = (tensor, bn.one_pass_stats);
-                let source = published.get(&key).copied();
-                assembly.push(StatsPart {
-                    tensor: NodeId::new(tensor),
-                    channels,
-                    published: source,
-                });
+                let published = published.get(&(tensor, bn.one_pass_stats)).copied();
+                assembly.push(StatsPart { tensor: NodeId::new(tensor), channels, published });
+            }
+            // Published once the node has run: a tensor repeated among its
+            // parts is swept each time, never read back from the node itself.
+            let mut offset = 0;
+            for part in &assembly {
+                let key = (part.tensor.index(), bn.one_pass_stats);
                 published.entry(key).or_insert((id, offset));
-                offset += channels;
+                offset += part.channels;
             }
             if assembles {
                 self.assembly[id.index()] = Some(assembly);
             }
         }
         Ok(())
-    }
-
-    /// The tensors a value is made of: a concatenation's parts, or the
-    /// producer itself.
-    fn value_parts(&self, producer: usize) -> Vec<usize> {
-        self.parts[producer].clone().unwrap_or_else(|| vec![producer])
     }
 
     /// The producers a concatenation is made of, flattened through nested
@@ -269,21 +267,38 @@ mod tests {
     }
 
     #[test]
-    fn other_consumers_repeats_and_outputs_keep_a_buffer() {
+    fn other_consumers_and_outputs_keep_a_buffer_that_statistics_read() {
         let mut b = GraphBuilder::new("copied");
         let x = b.input("in", Shape::nchw(2, 3, 8, 8)).unwrap();
         let c = b.conv2d(x, Conv2dAttrs::pointwise(4), "conv").unwrap();
         let clipped = b.concat(vec![x, c], "clipped").unwrap();
         b.relu(clipped, "relu").unwrap();
+        b.bn_relu_conv(clipped, Conv2dAttrs::pointwise(2), "read").unwrap();
         let twice = b.concat(vec![c, c], "twice").unwrap();
         b.batch_norm_default(twice, "bn").unwrap();
-        let nested = b.concat(vec![clipped, x], "nested").unwrap();
-        let graph = b.finish();
+        b.concat(vec![clipped, x], "nested").unwrap();
+        let graph = BnffPass::new().run(&b.finish()).unwrap();
+        let id = |name: &str| graph.nodes().find(|n| n.name == name).unwrap().id;
+        let [x, c, clipped, twice, nested] = ["in", "conv", "clipped", "twice", "nested"].map(id);
         let ropes = ChannelRopes::of(&graph).unwrap();
-        for id in [clipped, twice, nested] {
-            assert!(!ropes.is_rope(id), "{id}");
-        }
-        // A copied concatenation still flattens into the ones built on it.
+        assert!(!ropes.is_rope(clipped) && !ropes.is_rope(nested));
+        // A copied concatenation still flattens into the ones built on it,
+        // and a repeated part is read twice.
         assert_eq!(ropes.parts(nested).unwrap(), [x.index(), c.index(), x.index()]);
+        assert!(ropes.is_rope(twice));
+        assert_eq!(ropes.parts(twice).unwrap(), [c.index(), c.index()]);
+
+        let stats_over = |input: NodeId| {
+            let over =
+                |n: &&crate::Node| matches!(n.op, OpKind::SubBnStats(_)) && n.inputs[0] == input;
+            ropes.assembly(graph.nodes().find(over).unwrap().id).unwrap().to_vec()
+        };
+        // Statistics over a copied concatenation sweep its own buffer, the
+        // one tensor of it alive where they run.
+        let swept = |tensor: NodeId, channels| StatsPart { tensor, channels, published: None };
+        assert_eq!(stats_over(clipped), [swept(clipped, 7)]);
+        // A repeated part is swept each time, not read back from the node
+        // that sweeps it.
+        assert_eq!(stats_over(twice), [swept(c, 4), swept(c, 4)]);
     }
 }

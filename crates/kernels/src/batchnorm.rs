@@ -25,7 +25,7 @@ use bnff_parallel::{
 };
 use bnff_tensor::simd::{sum_dot_f64, SimdIsa};
 use bnff_tensor::stats::{channel_stats_one_pass, channel_stats_two_pass, ChannelStats};
-use bnff_tensor::{active_isa, ChannelRope, GradPart, Shape, Tensor};
+use bnff_tensor::{active_isa, ChannelRope, Shape, Tensor};
 
 /// Minimum `(sample, channel)` planes per worker for planes of `plane_len`
 /// activations (each costing a few floating-point operations).
@@ -193,11 +193,11 @@ pub fn normalize_sweep_into<'a>(
     // caller's `with_isa` override; workers split on whole planes, so the
     // vectorized sweep stays deterministic across thread counts.
     let isa = active_isa();
-    let plane = |p: usize, hat_plane: Option<&mut [f32]>, y_plane: &mut [f32]| {
+    let plane = |p: usize, x_plane: &[f32], hat_plane: Option<&mut [f32]>, y_plane: &mut [f32]| {
         let ci = p % c;
         vecops::normalize_plane(
             isa,
-            x.plane(p / c, ci),
+            x_plane,
             hat_plane,
             y_plane,
             stats.mean[ci],
@@ -214,14 +214,17 @@ pub fn normalize_sweep_into<'a>(
             let (hat, y) = (x_hat.as_mut_slice(), y.as_mut_slice());
             parallel_rows_mut2(hat, plane_len, y, plane_len, min_planes, |first, hat, y| {
                 let planes = hat.chunks_mut(plane_len).zip(y.chunks_mut(plane_len));
-                for (offset, (hat_plane, y_plane)) in planes.enumerate() {
-                    plane(first + offset, Some(hat_plane), y_plane);
+                for (offset, (x_plane, (hat_plane, y_plane))) in
+                    x.planes_from(first).zip(planes).enumerate()
+                {
+                    plane(first + offset, x_plane, Some(hat_plane), y_plane);
                 }
             });
         }
         None => parallel_rows_mut(y.as_mut_slice(), plane_len, min_planes, |first, y| {
-            for (offset, y_plane) in y.chunks_mut(plane_len).enumerate() {
-                plane(first + offset, None, y_plane);
+            let planes = x.planes_from(first).zip(y.chunks_mut(plane_len));
+            for (offset, (x_plane, y_plane)) in planes.enumerate() {
+                plane(first + offset, x_plane, None, y_plane);
             }
         }),
     }
@@ -290,7 +293,7 @@ pub fn bn_backward(
     let channel = |ci| {
         (0.0, 1.0, f64::from(params.gamma[ci]) * f64::from(inv_std(&state.stats, ci, epsilon)))
     };
-    bn_dx_sweep(isa, &mut d_x, x_hat.into(), &sums, channel, None)?;
+    bn_dx_sweep(isa, &mut d_x, x_hat.into(), &sums, channel);
     Ok((d_x, param_grads(&sums)))
 }
 
@@ -358,39 +361,7 @@ pub fn norm_backward_inplace<'a>(
     epsilon: f32,
     relu: bool,
 ) -> Result<BnParamGrads> {
-    norm_backward(grad, x.into(), stats, params, epsilon, relu, None)
-}
-
-/// [`norm_backward_inplace`] for a normalization whose input is a channel
-/// rope, with `d_x` handed to the rope's parts instead of left in `grad`:
-/// each plane is written into (or added to) the part that holds its
-/// channel in the sweep that forms it, so no rope-sized gradient is split
-/// afterwards. `grad` is left holding `d_x` too.
-///
-/// # Errors
-/// Returns an error if shapes or channel counts disagree, or the parts do
-/// not make up `x`'s shape.
-pub fn norm_backward_into_parts(
-    grad: &mut Tensor,
-    x: ChannelRope<'_>,
-    stats: &ChannelStats,
-    params: &BnParams,
-    epsilon: f32,
-    relu: bool,
-    parts: &mut [GradPart<'_>],
-) -> Result<BnParamGrads> {
-    norm_backward(grad, x, stats, params, epsilon, relu, Some(parts))
-}
-
-fn norm_backward(
-    grad: &mut Tensor,
-    x: ChannelRope<'_>,
-    stats: &ChannelStats,
-    params: &BnParams,
-    epsilon: f32,
-    relu: bool,
-    parts: Option<&mut [GradPart<'_>]>,
-) -> Result<BnParamGrads> {
+    let x = x.into();
     let shape = x.shape();
     let c = check_normalize(&shape, stats, params, epsilon)?;
     shape.expect_same(grad.shape())?;
@@ -411,18 +382,17 @@ fn norm_backward(
         let recompute = NormRecompute::new(isa, stats, params, epsilon, relu);
         for (offset, (g_planes, sums)) in channels.iter_mut().zip(sums).enumerate() {
             let ci = first + offset;
-            for (ni, g_plane) in g_planes.iter_mut().enumerate() {
-                recompute.plane(ci, g_plane, x.plane(ni, ci), sums);
+            for (g_plane, x_plane) in g_planes.iter_mut().zip(x.channel_planes(ci)) {
+                recompute.plane(ci, g_plane, x_plane, sums);
             }
         }
     });
 
-    norm_dx_sweep(isa, grad, x, &sums, stats, params, epsilon, parts)?;
+    norm_dx_sweep(isa, grad, x, &sums, stats, params, epsilon);
     Ok(param_grads(&sums))
 }
 
 /// [`bn_dx_sweep`] over the raw input `x`: `x̂` is recomputed from `stats`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn norm_dx_sweep(
     isa: SimdIsa,
     grad: &mut Tensor,
@@ -431,73 +401,50 @@ pub(crate) fn norm_dx_sweep(
     stats: &ChannelStats,
     params: &BnParams,
     epsilon: f32,
-    parts: Option<&mut [GradPart<'_>]>,
-) -> Result<()> {
-    let channel = |ci| {
+) {
+    bn_dx_sweep(isa, grad, x, sums, |ci| {
         let inv_std = inv_std(stats, ci, epsilon);
         (stats.mean[ci], inv_std, f64::from(params.gamma[ci]) * f64::from(inv_std))
-    };
-    bn_dx_sweep(isa, grad, x, sums, channel, parts)
+    });
 }
 
 /// The BN input-gradient sweep, in place on `grad`, one task per
 /// `(sample, channel)` plane: `d_x = scale·(g − mean_g − x̂·mean_gx̂)` from
 /// the per-channel `(Σg, Σg·x̂)` in `sums`, with `x̂ = (x − mean)·inv_std`
-/// and `(mean, inv_std, scale)` supplied per channel by `channel`. With
-/// `parts` — `x` is a rope — each finished plane is also written into (or
-/// added to) the part of the rope's gradient that holds its channel while
-/// it is cache-hot.
+/// and `(mean, inv_std, scale)` supplied per channel by `channel`.
 pub(crate) fn bn_dx_sweep(
     isa: SimdIsa,
     grad: &mut Tensor,
     x: ChannelRope<'_>,
     sums: &[(f64, f64)],
     channel: impl Fn(usize) -> (f32, f32, f64) + Sync,
-    parts: Option<&mut [GradPart<'_>]>,
-) -> Result<()> {
-    let shape = grad.shape().clone();
-    let (c, plane_len) = (shape.c(), (shape.h() * shape.w()).max(1));
-    let per_channel = (shape.n() * shape.h() * shape.w()) as f64;
-    let dx_plane = |p: usize, g_plane: &mut [f32]| {
-        let ci = p % c;
-        let (mean, inv_std, scale) = channel(ci);
-        let (sum, dot) = sums[ci];
-        let x_plane = x.plane(p / c, ci);
-        vecops::bn_dx_plane(
-            isa,
-            g_plane,
-            x_plane,
-            mean,
-            inv_std,
-            scale,
-            sum / per_channel,
-            dot / per_channel,
-        );
-    };
-    let min_planes = min_planes_per_thread(plane_len);
-    let grad = grad.as_mut_slice();
-    match parts {
-        None => parallel_rows_mut(grad, plane_len, min_planes, |first_plane, block| {
-            for (p_local, g_plane) in block.chunks_mut(plane_len).enumerate() {
-                dx_plane(first_plane + p_local, g_plane);
+) {
+    let shape = grad.shape();
+    let (c, plane_len) = (shape.c(), shape.h() * shape.w());
+    let per_channel = (shape.n() * plane_len) as f64;
+    parallel_rows_mut(
+        grad.as_mut_slice(),
+        plane_len.max(1),
+        min_planes_per_thread(plane_len),
+        |first_plane, block| {
+            let planes = x.planes_from(first_plane).zip(block.chunks_mut(plane_len.max(1)));
+            for (p_local, (x_plane, g_plane)) in planes.enumerate() {
+                let ci = (first_plane + p_local) % c;
+                let (mean, inv_std, scale) = channel(ci);
+                let (sum, dot) = sums[ci];
+                vecops::bn_dx_plane(
+                    isa,
+                    g_plane,
+                    x_plane,
+                    mean,
+                    inv_std,
+                    scale,
+                    sum / per_channel,
+                    dot / per_channel,
+                );
             }
-        }),
-        Some(parts) => {
-            let planes = GradPart::planes(parts, &shape)?;
-            let mut planes: Vec<_> = planes.into_iter().zip(grad.chunks_mut(plane_len)).collect();
-            parallel_rows_mut(&mut planes, 1, min_planes, |first_plane, block| {
-                for (p_local, ((part, add), g_plane)) in block.iter_mut().enumerate() {
-                    dx_plane(first_plane + p_local, g_plane);
-                    if *add {
-                        vecops::add_assign(isa, part, g_plane);
-                    } else {
-                        part.copy_from_slice(g_plane);
-                    }
-                }
-            });
-        }
-    }
-    Ok(())
+        },
+    );
 }
 
 /// `(∂γ, ∂β)` from the per-channel `(Σg, Σg·x̂)`.

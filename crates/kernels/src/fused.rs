@@ -22,9 +22,6 @@
 //!   `d_x`. The unfused [`crate::relu::relu_backward`] and
 //!   [`crate::batchnorm::bn_backward`] run the same plane helpers, which is
 //!   what keeps fused and unfused training bit-identical per ISA.
-//! * [`fused_conv_backward_into_parts`] — the same backward for an input
-//!   that is a channel rope: `d_x` goes to the rope's parts, for the
-//!   normalizing prologue plane by plane in the `d_x` sweep itself.
 //! * [`concat_forward_with_stats_into`] — the ICF fused layer as a copy:
 //!   Σx/Σx² of the concatenation written into one buffer. No executor calls
 //!   it (a training `ConcatStats` is a rope whose statistics are assembled,
@@ -43,7 +40,7 @@ use crate::vecops;
 use crate::Result;
 use bnff_graph::op::Conv2dAttrs;
 use bnff_tensor::stats::{ChannelAccumulator, ChannelStats};
-use bnff_tensor::{active_isa, ChannelRope, GradPart, Tensor};
+use bnff_tensor::{active_isa, Tensor};
 
 /// The fused convolution forward pass into a caller-provided output tensor
 /// (every element is overwritten): `input`'s prologue per sample, the
@@ -176,50 +173,12 @@ pub fn fused_conv_backward_into(
     with_bias: bool,
     d_input: Option<&mut Tensor>,
 ) -> Result<ConvGrads> {
-    fused_conv_backward(input, d_out, weights, attrs, with_bias, d_input, None)
-}
-
-/// [`fused_conv_backward_into`] for a convolution whose input is a channel
-/// rope, with the input gradient handed to the rope's parts: `d_input` is
-/// the rope-shaped scratch the per-sample pass writes, and each finished
-/// plane of `d_x` is written into (or added to) the part that holds its
-/// channel — for [`ConvInput::NormClip`] in the `d_x` sweep itself, while
-/// the plane is cache-hot.
-///
-/// # Errors
-/// As [`fused_conv_backward_into`], and if the parts do not make up the
-/// input's shape.
-pub fn fused_conv_backward_into_parts(
-    input: ConvInput<'_>,
-    d_out: &Tensor,
-    weights: &Tensor,
-    attrs: &Conv2dAttrs,
-    with_bias: bool,
-    d_input: &mut Tensor,
-    parts: &mut [GradPart<'_>],
-) -> Result<ConvGrads> {
-    fused_conv_backward(input, d_out, weights, attrs, with_bias, Some(d_input), Some(parts))
-}
-
-fn fused_conv_backward(
-    input: ConvInput<'_>,
-    d_out: &Tensor,
-    weights: &Tensor,
-    attrs: &Conv2dAttrs,
-    with_bias: bool,
-    d_input: Option<&mut Tensor>,
-    parts: Option<&mut [GradPart<'_>]>,
-) -> Result<ConvGrads> {
     let (d_weights, d_bias) = backward_weights(input, d_out, attrs, with_bias)?;
     let x = input.x();
     // Resolved here, on the caller's thread; the epilogues run on it too.
     let isa = active_isa();
     if let Some(d_x) = &d_input {
         x.shape().expect_same(d_x.shape())?;
-    }
-    if let Some(parts) = &parts {
-        let grads: Vec<&Tensor> = parts.iter().map(|p| &*p.grad).collect();
-        x.shape().expect_same(&ChannelRope::new(&grads)?.shape())?;
     }
     let Some(d_x) = d_input else {
         return match input {
@@ -250,14 +209,9 @@ fn fused_conv_backward(
                     recompute.plane(ci, g_plane, x_plane, &mut sums[ci]);
                 }
             })?;
-            norm_dx_sweep(isa, d_x, x, &sums, stats, params, epsilon, parts)?;
+            norm_dx_sweep(isa, d_x, x, &sums, stats, params, epsilon);
             return Ok(ConvGrads { d_weights, d_bias, d_bn: Some(param_grads(&sums)) });
         }
-    }
-    let mut offset = 0;
-    for part in parts.into_iter().flatten() {
-        part.take_channels(d_x, offset)?;
-        offset += part.grad.shape().c();
     }
     Ok(ConvGrads { d_weights, d_bias, d_bn: None })
 }
@@ -610,15 +564,13 @@ mod tests {
         assert!(stats.max_abs_diff(&reference).unwrap() < 1e-4);
     }
 
-    /// A rope is read as the tensor it would be copied into, bit for bit —
-    /// statistics, the normalize sweep, both directions of the fused
-    /// convolution under each prologue — and its input gradient, handed to
-    /// the parts (one fresh, one holding an earlier contribution), is the
-    /// copy's split and summed in.
+    /// A rope is read as the tensor it would be copied into, bit for bit:
+    /// statistics, the normalize sweep, the normalization's backward, and
+    /// both directions of the fused convolution under each prologue, the
+    /// input gradient included.
     #[test]
-    fn rope_inputs_read_and_receive_the_bits_of_their_copy() {
-        use crate::batchnorm::normalize_sweep_into;
-        use crate::batchnorm::{norm_backward_inplace, norm_backward_into_parts};
+    fn rope_inputs_give_the_bits_of_their_copy() {
+        use crate::batchnorm::{norm_backward_inplace, normalize_sweep_into};
         use bnff_tensor::ChannelRope;
         for isa in test_isas() {
             with_isa(isa, || {
@@ -646,43 +598,13 @@ mod tests {
                 normalize_sweep_into(&copy, &stats, &bn, EPS, true, None, &mut y_copy).unwrap();
                 assert_eq!(bits(y_rope.as_slice()), bits(y_copy.as_slice()), "{isa}");
 
-                // The parts' gradients: `a`'s is fresh, `b`'s holds 0.25.
-                let split = |d_x: &Tensor| {
-                    let mut grads =
-                        [Tensor::zeros(a.shape().clone()), Tensor::filled(b.shape().clone(), 0.25)];
-                    GradPart { grad: &mut grads[0], add: false }.take_channels(d_x, 0).unwrap();
-                    GradPart { grad: &mut grads[1], add: true }.take_channels(d_x, 2).unwrap();
-                    grads
-                };
-                let into_parts = |run: &mut dyn FnMut(&mut [GradPart<'_>])| {
-                    let mut grads = [
-                        Tensor::filled(a.shape().clone(), f32::NAN),
-                        Tensor::filled(b.shape().clone(), 0.25),
-                    ];
-                    let [ga, gb] = &mut grads;
-                    run(&mut [GradPart { grad: ga, add: false }, GradPart { grad: gb, add: true }]);
-                    grads
-                };
-                let same = |got: &[Tensor; 2], want: &[Tensor; 2], what: &str| {
-                    for (g, w) in got.iter().zip(want) {
-                        assert_eq!(bits(g.as_slice()), bits(w.as_slice()), "{what} under {isa}");
-                    }
-                };
-
                 let d_y = random(rope.shape(), 53);
-                let mut d_x = d_y.clone();
+                let (mut got, mut want) = (d_y.clone(), d_y);
+                let got_bn = norm_backward_inplace(&mut got, rope, &stats, &bn, EPS, true).unwrap();
                 let want_bn =
-                    norm_backward_inplace(&mut d_x, &copy, &stats, &bn, EPS, true).unwrap();
-                let mut got_bn = None;
-                let got = into_parts(&mut |parts| {
-                    let mut g = d_y.clone();
-                    got_bn = Some(
-                        norm_backward_into_parts(&mut g, rope, &stats, &bn, EPS, true, parts)
-                            .unwrap(),
-                    );
-                });
-                same(&got, &split(&d_x), "norm backward");
-                assert_eq!(got_bn.unwrap(), want_bn);
+                    norm_backward_inplace(&mut want, &copy, &stats, &bn, EPS, true).unwrap();
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "norm backward {isa}");
+                assert_eq!(got_bn, want_bn);
 
                 let attrs = Conv2dAttrs::same_3x3(4);
                 let wt = random(Shape::nchw(4, 5, 3, 3), 54);
@@ -700,41 +622,22 @@ mod tests {
                         },
                     ),
                 ] {
-                    let label = format!("{from_copy:?}");
+                    let label = format!("{from_copy:?} under {isa}");
                     let mut want = Tensor::zeros(d_out.shape().clone());
                     fused_conv_forward_into(from_copy, &wt, None, &attrs, true, &mut want).unwrap();
                     let mut got = Tensor::filled(d_out.shape().clone(), f32::NAN);
                     fused_conv_forward_into(from_rope, &wt, None, &attrs, true, &mut got).unwrap();
                     assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{label}");
 
-                    let mut d_x = Tensor::zeros(rope.shape());
-                    let want = fused_conv_backward_into(
-                        from_copy,
-                        &d_out,
-                        &wt,
-                        &attrs,
-                        false,
-                        Some(&mut d_x),
-                    )
-                    .unwrap();
-                    let mut got = None;
-                    let grads = into_parts(&mut |parts| {
-                        let mut scratch = Tensor::filled(rope.shape(), f32::NAN);
-                        got = Some(
-                            fused_conv_backward_into_parts(
-                                from_rope,
-                                &d_out,
-                                &wt,
-                                &attrs,
-                                false,
-                                &mut scratch,
-                                parts,
-                            )
-                            .unwrap(),
-                        );
-                    });
-                    same(&grads, &split(&d_x), &label);
-                    let got = got.unwrap();
+                    let backward = |input, d_x: &mut Tensor| {
+                        fused_conv_backward_into(input, &d_out, &wt, &attrs, false, Some(d_x))
+                            .unwrap()
+                    };
+                    let mut want_dx = Tensor::zeros(rope.shape());
+                    let want = backward(from_copy, &mut want_dx);
+                    let mut got_dx = Tensor::filled(rope.shape(), f32::NAN);
+                    let got = backward(from_rope, &mut got_dx);
+                    assert_eq!(bits(got_dx.as_slice()), bits(want_dx.as_slice()), "{label}");
                     assert_eq!(
                         bits(got.d_weights.as_slice()),
                         bits(want.d_weights.as_slice()),

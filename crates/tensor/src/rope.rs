@@ -5,15 +5,15 @@
 //! The training executor keeps it that way — a *rope* — instead of copying
 //! them into one buffer: every consumer that reads a feature map plane by
 //! plane (channel statistics, the normalize sweep, the BN backward sweeps,
-//! a convolution's per-sample staging) asks the rope for plane `(n, c)` and
-//! gets it from whichever part holds channel `c`. A plain tensor is the
-//! one-part rope ([`From<&Tensor>`]).
+//! a convolution's per-sample staging) walks the rope's planes, channel by
+//! channel ([`ChannelRope::channel_planes`]) or in NCHW order
+//! ([`ChannelRope::planes_from`], [`ChannelRope::sample_planes`]), each
+//! from whichever part holds its channel. A plain tensor is the one-part
+//! rope ([`From<&Tensor>`]).
 //!
-//! A rope's gradient is its parts' gradients. A [`GradPart`] names one; a
-//! sweep that produces the rope's gradient overwrites each channel range of
-//! a part that holds no contribution yet and adds into one that does — the
-//! `a + b`, in arrival order, that summing a split-off copy into the
-//! part's gradient would compute.
+//! A rope's gradient is its parts' gradients. A [`GradPart`] names one and
+//! takes its channel range of a gradient of the whole rope: it overwrites a
+//! part that holds no contribution yet and adds into one that does.
 
 use crate::error::TensorError;
 use crate::shape::Shape;
@@ -123,20 +123,37 @@ impl<'a> ChannelRope<'a> {
         one.into_iter().chain(many.iter().copied())
     }
 
-    /// Plane `(ni, ci)`, from whichever part holds channel `ci`.
+    /// The part that holds channel `ci`, and the channel's index in it.
     ///
     /// # Panics
-    /// Panics if `ni` or `ci` is out of range.
-    pub fn plane(&self, ni: usize, ci: usize) -> &'a [f32] {
-        let mut ci = ci;
+    /// Panics if `ci` is out of range.
+    fn locate(&self, ci: usize) -> (&'a Tensor, usize) {
+        let mut local = ci;
         for part in self.parts() {
             let c = part.shape().c();
-            if ci < c {
-                return part.channel_plane(ni, ci);
+            if local < c {
+                return (part, local);
             }
-            ci -= c;
+            local -= c;
         }
-        panic!("channel {} is past the rope's {} channels", ci, self.channels)
+        panic!("channel {ci} is past the rope's {} channels", self.channels)
+    }
+
+    /// The `N` planes of channel `ci`, in sample order. The part is looked
+    /// up once per channel, not once per plane.
+    ///
+    /// # Panics
+    /// Panics if `ci` is out of range.
+    pub fn channel_planes(&self, ci: usize) -> impl Iterator<Item = &'a [f32]> + 'a {
+        let (part, local) = self.locate(ci);
+        (0..self.n()).map(move |ni| part.channel_plane(ni, local))
+    }
+
+    /// Every plane from plane `first` on, in NCHW order (plane `p` is
+    /// channel `p % C` of sample `p / C`), walking the parts in order.
+    pub fn planes_from(&self, first: usize) -> impl Iterator<Item = &'a [f32]> + 'a {
+        let (rope, c) = (*self, self.channels.max(1));
+        (first / c..self.n()).flat_map(move |ni| rope.sample_planes(ni)).skip(first % c)
     }
 
     /// The `C` planes of sample `ni`, in channel order.
@@ -183,33 +200,6 @@ pub struct GradPart<'a> {
 }
 
 impl GradPart<'_> {
-    /// Every plane of the gradient of a rope of `shape`, sample-major like
-    /// an NCHW tensor: `(plane, add)` of the part that holds it.
-    ///
-    /// # Errors
-    /// Returns an error if the parts do not make up `shape`.
-    pub fn planes<'p>(
-        parts: &'p mut [GradPart<'_>],
-        shape: &Shape,
-    ) -> Result<Vec<(&'p mut [f32], bool)>> {
-        {
-            let refs: Vec<&Tensor> = parts.iter().map(|p| &*p.grad).collect();
-            shape.expect_same(&ChannelRope::new(&refs)?.shape())?;
-        }
-        let plane = (shape.h() * shape.w()).max(1);
-        let mut by_part: Vec<_> = parts
-            .iter_mut()
-            .map(|p| (p.grad.shape().c(), p.add, p.grad.as_mut_slice().chunks_mut(plane)))
-            .collect();
-        let mut planes = Vec::with_capacity(shape.n() * shape.c());
-        for _ in 0..shape.n() {
-            for (channels, add, chunks) in &mut by_part {
-                planes.extend(chunks.by_ref().take(*channels).map(|p| (p, *add)));
-            }
-        }
-        Ok(planes)
-    }
-
     /// Takes this part's share of `grad`, a gradient of the whole rope whose
     /// channels from `offset` on are this part's: copied in when the part
     /// holds nothing yet, added (`a + b`, element-wise) when it does.
@@ -258,16 +248,23 @@ mod tests {
         assert!(rope.tensor().is_none());
         let mut whole = Tensor::filled(rope.shape(), f32::NAN);
         rope.copy_into(&mut whole).unwrap();
+        let whole = &whole;
+        let whole_planes = |ni: usize| (0..3).map(move |ci| whole.channel_plane(ni, ci));
         for ni in 0..2 {
-            for ci in 0..3 {
-                assert_eq!(rope.plane(ni, ci), whole.channel_plane(ni, ci));
-            }
             let planes: Vec<&[f32]> = rope.sample_planes(ni).collect();
-            assert_eq!(planes, (0..3).map(|ci| whole.channel_plane(ni, ci)).collect::<Vec<_>>());
+            assert_eq!(planes, whole_planes(ni).collect::<Vec<_>>());
+        }
+        for ci in 0..3 {
+            let planes: Vec<&[f32]> = rope.channel_planes(ci).collect();
+            assert_eq!(planes, [whole.channel_plane(0, ci), whole.channel_plane(1, ci)]);
+        }
+        let nchw: Vec<&[f32]> = (0..2).flat_map(whole_planes).collect();
+        for first in 0..=6 {
+            assert_eq!(rope.planes_from(first).collect::<Vec<_>>(), nchw[first..], "from {first}");
         }
         let one = ChannelRope::from(&a);
         assert!(std::ptr::eq(one.tensor().unwrap(), &a));
-        assert_eq!(one.plane(1, 0), a.channel_plane(1, 0));
+        assert_eq!(one.channel_planes(0).nth(1).unwrap(), a.channel_plane(1, 0));
     }
 
     #[test]
@@ -292,13 +289,5 @@ mod tests {
         assert_eq!(fresh.as_slice(), &[1.0, 2.0, 7.0, 8.0]);
         assert_eq!(held.as_slice(), &[3.5, 4.5, 5.5, 6.5, 9.5, 10.5, 11.5, 12.5]);
         assert!(GradPart { grad: &mut held, add: true }.take_channels(&grad, 2).is_err());
-
-        let mut parts =
-            [GradPart { grad: &mut fresh, add: false }, GradPart { grad: &mut held, add: true }];
-        let planes = GradPart::planes(&mut parts, grad.shape()).unwrap();
-        let flags: Vec<bool> = planes.iter().map(|p| p.1).collect();
-        assert_eq!(flags, [false, true, true, false, true, true]);
-        assert_eq!(planes[3].0, &[7.0, 8.0]);
-        assert!(GradPart::planes(&mut parts, &Shape::nchw(2, 4, 1, 2)).is_err());
     }
 }

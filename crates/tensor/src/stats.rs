@@ -33,13 +33,17 @@ fn channels_per_thread(per_channel: usize) -> usize {
     min_items_per_thread(per_channel.saturating_mul(4))
 }
 
-/// Planes `2·pair` and `2·pair + 1` of sample `ni` — the second one empty
-/// past the last channel, where the two-plane kernels sum it to zero. The
-/// two may come from different parts of a rope: each plane gets its own
-/// sums whatever it is paired with.
-fn plane_pair<'a>(x: &ChannelRope<'a>, ni: usize, pair: usize) -> (&'a [f32], &'a [f32]) {
+/// Planes `2·pair` and `2·pair + 1` of each sample, in sample order — the
+/// second one empty past the last channel, where the two-plane kernels sum
+/// it to zero. The two may come from different parts of a rope: each plane
+/// gets its own sums whatever it is paired with.
+fn plane_pairs<'a>(
+    x: &ChannelRope<'a>,
+    pair: usize,
+) -> impl Iterator<Item = (&'a [f32], &'a [f32])> + 'a {
     let c = 2 * pair;
-    (x.plane(ni, c), if c + 1 < x.c() { x.plane(ni, c + 1) } else { &[] })
+    let second = (c + 1 < x.c()).then(|| x.channel_planes(c + 1));
+    x.channel_planes(c).zip(second.into_iter().flatten().chain(std::iter::repeat(&[][..])))
 }
 
 /// `f(pair)` for every channel pair across worker threads, flattened back
@@ -197,15 +201,13 @@ impl ChannelAccumulator {
     /// Returns an error for non-4-D or empty inputs.
     pub fn from_rope(x: ChannelRope<'_>) -> Result<Self> {
         let (channels, per_channel) = per_channel_count(&x.shape())?;
-        let n = x.n();
         // Resolved on the caller's thread and captured by value: pool
         // workers don't inherit the caller's `with_isa` override.
         let isa = active_isa();
         let partials = map_channel_pairs(channels, per_channel, |pair| {
             let mut sums = [(0.0f64, 0.0f64); 2];
-            for ni in 0..n {
-                // Per-plane subtotals first, matching `push_sample`.
-                let (a, b) = plane_pair(&x, ni, pair);
+            // Per-plane subtotals first, matching `push_sample`.
+            for (a, b) in plane_pairs(&x, pair) {
                 for (acc, (s, q)) in sums.iter_mut().zip(simd::sum_sq_f64_pair(isa, a, b)) {
                     acc.0 += s;
                     acc.1 += q;
@@ -292,15 +294,13 @@ fn per_channel_count(shape: &Shape) -> Result<(usize, usize)> {
 pub fn channel_stats_two_pass<'a>(x: impl Into<ChannelRope<'a>>) -> Result<ChannelStats> {
     let x = x.into();
     let (channels, per_channel) = per_channel_count(&x.shape())?;
-    let n = x.n();
     // Resolved on the caller's thread and captured by value: pool workers
     // don't inherit the caller's `with_isa` override.
     let isa = active_isa();
     // First sweep: per-channel mean, one worker partial per channel pair.
     let mean: Vec<f64> = map_channel_pairs(channels, per_channel, |pair| {
         let mut m = [0.0f64; 2];
-        for ni in 0..n {
-            let (a, b) = plane_pair(&x, ni, pair);
+        for (a, b) in plane_pairs(&x, pair) {
             for (m, s) in m.iter_mut().zip(simd::sum_f64_pair(isa, a, b)) {
                 *m += s;
             }
@@ -311,8 +311,7 @@ pub fn channel_stats_two_pass<'a>(x: impl Into<ChannelRope<'a>>) -> Result<Chann
     let var: Vec<f64> = map_channel_pairs(channels, per_channel, |pair| {
         let means = [mean[2 * pair], mean.get(2 * pair + 1).copied().unwrap_or(0.0)];
         let mut v_acc = [0.0f64; 2];
-        for ni in 0..n {
-            let (a, b) = plane_pair(&x, ni, pair);
+        for (a, b) in plane_pairs(&x, pair) {
             for (v, d) in v_acc.iter_mut().zip(simd::sq_dev_sum_f64_pair(isa, a, b, means)) {
                 *v += d;
             }

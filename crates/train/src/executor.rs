@@ -25,11 +25,9 @@
 //! * A concatenation has no arm in either direction. Its value is its
 //!   inputs' tensors, read by its consumers as a [`ChannelRope`] (the plan
 //!   gives the rare concatenation with another kind of consumer a buffer,
-//!   which it fills by one copy). Its gradient is its inputs' gradient
-//!   slots: a normalization's `d_x` sweep — standalone or the fused
-//!   convolution's epilogue — writes each channel range straight into its
-//!   part's slot, and any other gradient reaching a concatenation is handed
-//!   to the parts by `accumulate`.
+//!   which it fills by one copy). It has no gradient slot either: every
+//!   gradient reaching it is handed to its inputs' slots by `accumulate`,
+//!   channel range by channel range.
 //!
 //! Execution follows an [`ExecutionPlan`] computed once per graph: node
 //! outputs live in a vector indexed by node id (inputs are borrowed); those
@@ -48,15 +46,12 @@ use bnff_graph::op::{ConvPrologue, OpForm, OpKind, PoolKind};
 use bnff_graph::plan::ExecutionPlan;
 use bnff_graph::{Graph, Node, NodeId};
 use bnff_kernels::batchnorm::{
-    bn_statistics, norm_backward_inplace, norm_backward_into_parts, normalize_sweep_into,
-    BnParamGrads, BnParams,
+    bn_statistics, norm_backward_inplace, normalize_sweep_into, BnParamGrads, BnParams,
 };
 use bnff_kernels::conv::ConvInput;
 use bnff_kernels::eltwise::eltwise_sum_forward_into;
 use bnff_kernels::fc::{fc_backward_into, fc_forward_into};
-use bnff_kernels::fused::{
-    fused_conv_backward_into, fused_conv_backward_into_parts, fused_conv_forward_into,
-};
+use bnff_kernels::fused::{fused_conv_backward_into, fused_conv_forward_into};
 use bnff_kernels::pool::{
     avg_pool_backward_into, avg_pool_forward_into, global_avg_pool_backward_into,
     global_avg_pool_forward_into, max_pool_backward_into, max_pool_forward_argmax_into,
@@ -330,27 +325,6 @@ impl Executor {
     /// A dirty pool buffer for the gradient of node `id`'s output.
     fn grad_buffer(&self, pool: &mut BufferPool, id: NodeId) -> Result<Tensor> {
         Ok(pool.take_tensor_dirty(self.graph.node(id)?.output_shape.clone()))
-    }
-
-    /// The gradient slots of `input`'s parts for a sweep to write `d_x`
-    /// into, when `input` is a concatenation whose parts are distinct
-    /// tensors: each part's gradient so far (added to), or a dirty pool
-    /// buffer (overwritten).
-    fn take_part_grads(
-        &self,
-        pool: &mut BufferPool,
-        d_vals: &mut [Option<Tensor>],
-        input: NodeId,
-    ) -> Result<Option<PartGrads>> {
-        let Some(parts) = self.plan.concat_parts(input) else { return Ok(None) };
-        if (1..parts.len()).any(|i| parts[..i].contains(&parts[i])) {
-            return Ok(None);
-        }
-        let slots = parts.iter().map(|&part| match d_vals[part].take() {
-            Some(grad) => Ok((part, grad, true)),
-            None => Ok((part, self.grad_buffer(pool, NodeId::new(part))?, false)),
-        });
-        Ok(Some(PartGrads(slots.collect::<Result<_>>()?)))
     }
 
     /// Adds `grad` into the gradient slot of `id`: moved in when the slot
@@ -681,29 +655,8 @@ impl Executor {
                     let wanted = matches!(prologue, ConvPrologue::NormRelu(_))
                         || self.plan.resolve(node.inputs[0]) != data_id;
                     let mut d_x = wanted.then(|| input_grad(pool)).transpose()?;
-                    let with_bias = b.is_some();
-                    // Into a concatenation's parts, `d_x` is only scratch.
-                    let slots = match wanted {
-                        true => self.take_part_grads(pool, &mut d_vals, node.inputs[0])?,
-                        false => None,
-                    };
-                    let grads = match (slots, d_x.as_mut()) {
-                        (Some(mut slots), Some(scratch)) => {
-                            let grads = fused_conv_backward_into_parts(
-                                x,
-                                &grad,
-                                w,
-                                &attrs,
-                                with_bias,
-                                scratch,
-                                &mut slots.parts(),
-                            )?;
-                            slots.put_back(&mut d_vals);
-                            d_x.take().into_iter().for_each(|scratch| pool.reclaim(scratch));
-                            grads
-                        }
-                        (_, d_x) => fused_conv_backward_into(x, &grad, w, &attrs, with_bias, d_x)?,
-                    };
+                    let grads =
+                        fused_conv_backward_into(x, &grad, w, &attrs, b.is_some(), d_x.as_mut())?;
                     per_node.insert(id.index(), grads.into());
                     d_x
                 }
@@ -712,31 +665,10 @@ impl Executor {
                     let x = ChannelRope::new(&parts)?;
                     let s = node_stats(&fwd.stats, node, stats_from_input)?;
                     let params = self.bn_params(node)?;
-                    let eps = bn.epsilon;
                     let BnParamGrads { d_gamma, d_beta } =
-                        match self.take_part_grads(pool, &mut d_vals, node.inputs[0])? {
-                            Some(mut slots) => {
-                                let grads = norm_backward_into_parts(
-                                    &mut grad,
-                                    x,
-                                    s,
-                                    params,
-                                    eps,
-                                    relu,
-                                    &mut slots.parts(),
-                                )?;
-                                slots.put_back(&mut d_vals);
-                                pool.reclaim(grad);
-                                grads
-                            }
-                            None => {
-                                let grads =
-                                    norm_backward_inplace(&mut grad, x, s, params, eps, relu)?;
-                                self.accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
-                                grads
-                            }
-                        };
+                        norm_backward_inplace(&mut grad, x, s, params, bn.epsilon, relu)?;
                     per_node.insert(id.index(), NodeParamGrads::Bn { d_gamma, d_beta });
+                    self.accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
                     continue;
                 }
                 (_, OpKind::Relu | OpKind::Split { .. }) => {
@@ -832,22 +764,6 @@ fn node_stats<'a>(
     stats[source.index()].as_ref().ok_or_else(|| missing("statistics", node))
 }
 
-/// The gradient slots of a concatenation's parts, taken out of the
-/// backward pass's gradient vector for one sweep to write and put back
-/// after it: `(part, gradient, add)`.
-struct PartGrads(Vec<(usize, Tensor, bool)>);
-
-impl PartGrads {
-    fn parts(&mut self) -> Vec<GradPart<'_>> {
-        self.0.iter_mut().map(|(_, grad, add)| GradPart { grad, add: *add }).collect()
-    }
-
-    fn put_back(self, d_vals: &mut [Option<Tensor>]) {
-        for (part, grad, _) in self.0 {
-            d_vals[part] = Some(grad);
-        }
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -152,14 +152,18 @@ fn planned_execution_is_bit_identical_with_split_maxpool_and_eltwise() {
 }
 
 #[test]
-fn planned_execution_is_bit_identical_through_nested_shared_and_copied_concatenations() {
+fn planned_execution_is_bit_identical_through_nested_shared_copied_and_repeated_concatenations() {
     let baseline = support::graphs::concatenations(6);
     let restructured = BnffOptimizer::new(FusionLevel::Bnff).apply(&baseline).unwrap();
     for (graph, level) in [(&baseline, "baseline"), (&restructured, "bnff")] {
         let plan = ExecutionPlan::for_graph(graph).unwrap();
         let id = |name: &str| graph.nodes().find(|n| n.name == name).unwrap().id;
-        assert!(plan.is_rope(id("inner")) && plan.is_rope(id("outer")), "{level}");
-        assert!(!plan.is_rope(id("side")), "{level}: a ReLU reads no planes");
+        for rope in ["inner", "outer", "twice"] {
+            assert!(plan.is_rope(id(rope)), "{level}: {rope}");
+        }
+        for copied in ["side", "both"] {
+            assert!(!plan.is_rope(id(copied)), "{level}: a ReLU reads no planes of {copied}");
+        }
         for threads in [1usize, 4] {
             check_equivalence(graph, threads, &format!("concatenations {level}"));
         }

@@ -27,8 +27,10 @@ pub fn mixed(batch: usize) -> Graph {
 
 /// The concatenations the CIFAR zoo does not build, on a `batch × 3 × 32 ×
 /// 32` input with four classes: one nested in another, a tensor (`stem`)
-/// feeding two, and one a ReLU reads (at every fusion level: no convolution
-/// follows it) — the one a training plan copies.
+/// feeding several, one a ReLU reads (at every fusion level: no convolution
+/// follows it) and one that a ReLU and a normalization both read — the two
+/// a training plan copies; the second's growth map (`d`) is read by it
+/// alone — and one that holds the same tensor twice.
 pub fn concatenations(batch: usize) -> Graph {
     let mut b = GraphBuilder::new("concatenations");
     let x = b.input("data", Shape::nchw(batch, 3, 32, 32)).unwrap();
@@ -41,8 +43,15 @@ pub fn concatenations(batch: usize) -> Graph {
     let side = b.concat(vec![stem, grown], "side").unwrap();
     let clipped = b.relu(side, "relu").unwrap();
     let c = b.bn_relu_conv(outer, Conv2dAttrs::pointwise(12), "c").unwrap();
+    let d = b.bn_relu_conv(stem, Conv2dAttrs::pointwise(4), "d").unwrap();
+    let both = b.concat(vec![stem, d], "both").unwrap();
+    let e = b.bn_relu_conv(both, Conv2dAttrs::pointwise(12), "e").unwrap();
+    let both_clipped = b.relu(both, "relu_both").unwrap();
+    let twice = b.concat(vec![grown, grown], "twice").unwrap();
+    let f = b.bn_relu_conv(twice, Conv2dAttrs::pointwise(12), "f").unwrap();
     let pooled =
-        [b.global_avg_pool(c, "gap_c").unwrap(), b.global_avg_pool(clipped, "gap").unwrap()];
+        [(c, "gap_c"), (clipped, "gap"), (e, "gap_e"), (both_clipped, "gap_both"), (f, "gap_f")]
+            .map(|(x, name)| b.global_avg_pool(x, name).unwrap());
     let sum = b.eltwise_sum(pooled.to_vec(), "sum").unwrap();
     let fc = b.fully_connected(sum, 4, "fc").unwrap();
     b.softmax_loss(fc, labels, "loss").unwrap();
