@@ -12,9 +12,8 @@ use bnff_capi::{
 };
 use bnff_graph::builder::GraphBuilder;
 use bnff_graph::op::Conv2dAttrs;
-use bnff_serve::ServeEngine;
 use bnff_tensor::init::Initializer;
-use bnff_tensor::Shape;
+use bnff_tensor::{Shape, Tensor};
 use bnff_train::checkpoint::Checkpoint;
 use bnff_train::Executor;
 use std::ffi::{CStr, CString};
@@ -108,15 +107,15 @@ fn full_lifecycle_over_the_c_abi() {
     let engine = unsafe { bnff_engine_start(model, 1, 4, 500, 16) };
     assert!(!engine.is_null(), "{}", last_error());
 
-    // Reference scores straight through the Rust API on the same file.
-    let reference_model = ServeEngine::builder().model_file(&model_path).build_model().unwrap();
-    let single = reference_model.executor(1).unwrap();
+    // Reference scores: the writer's eval-mode forward, with the sample in
+    // row 0 of a training batch.
     let mut init = Initializer::seeded(7);
     let sample = init.uniform(Shape::new(vec![3, 6, 6]), -1.0, 1.0);
-    let batched =
-        bnff_tensor::Tensor::from_vec(Shape::nchw(1, 3, 6, 6), sample.as_slice().to_vec()).unwrap();
+    let mut batch = Tensor::zeros(Shape::nchw(2, 3, 6, 6));
+    batch.as_mut_slice()[..sample.len()].copy_from_slice(sample.as_slice());
+    let eval = exec.forward_eval(&batch, &[0, 0]).unwrap();
     let expected: Vec<u32> =
-        single.infer(&batched).unwrap().as_slice().iter().map(|v| v.to_bits()).collect();
+        eval.scores.as_slice()[..classes as usize].iter().map(|v| v.to_bits()).collect();
 
     let mut scores = vec![0.0f32; classes as usize];
     let mut written = 0u64;
@@ -133,7 +132,7 @@ fn full_lifecycle_over_the_c_abi() {
     assert_eq!(code, BNFF_OK, "{}", last_error());
     assert_eq!(written, classes);
     let got: Vec<u32> = scores.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, expected, "ABI scores must match direct frozen inference exactly");
+    assert_eq!(got, expected, "ABI scores must equal the eval-mode forward's exactly");
 
     // The error table, through both entry points: each row is typed, sets
     // a message naming the entry point, and leaves `trace_out` alone.

@@ -344,11 +344,6 @@ impl Graph {
                 a.weight_elems(in_c) + if a.bias { a.out_channels } else { 0 } + absorbed
             }
             (OpForm::Norm { .. }, _) => 2 * node.output_shape.c(),
-            (_, OpKind::ChannelAffine) => {
-                // Channels are dim 1 for NCHW activations and the feature
-                // axis for a 2-D (batch × features) input.
-                2 * node.output_shape.dim(1).unwrap_or(0)
-            }
             (_, OpKind::FullyConnected { out_features }) => {
                 let in_features =
                     in_shape.map(|s| s.volume() / s.dim(0).unwrap_or(1).max(1)).unwrap_or(0);

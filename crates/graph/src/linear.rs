@@ -10,7 +10,8 @@
 //! as a `Vec<`[`Instr`]`>` in topological order:
 //!
 //! * each instruction carries a fully-resolved kernel recipe (a [`Kernel`]
-//!   with concrete attributes and the fused-ReLU flag),
+//!   with concrete attributes) read off the training operator's decoded
+//!   [`OpForm`]: a convolution keeps its prologue, a normalization its clip,
 //! * operands are *virtual registers* ([`Reg`]): dense indices into a
 //!   register file whose slots come straight from the memory plan's
 //!   buffer-slot assignment, with pre-computed byte sizes — no slot
@@ -23,14 +24,10 @@
 //!   scales the FLOPs by `N`, so a tape walker can skip per-kernel thread
 //!   fan-out when the whole forward pass is cheaper than the spawns.
 //!
-//! ReLU fusion has one owner per producer. A convolution's trailing ReLU is
-//! the freeze pass's decision (stage 3 rewrites every sole-consumer pair to
-//! [`OpKind::ConvRelu`]); lowering only reads it off the op. The one fusion
-//! lowering owns is the pair no `OpKind` can carry: a `ChannelAffine` whose
-//! sole consumer is the immediately following `Relu` collapses into one
-//! fused instruction (bit-exact — the clamp is the same `max(v, 0)` sweep
-//! either way). Convolutions carry no lowering choice: the kernels have one
-//! forward entry point, whose GEMM gathers windows while packing.
+//! Statistics are parameters at inference: a statistics node lowers to
+//! nothing, a convolution's or normalization's statistics edge is not an
+//! operand, and an epilogue (`stats_out`, a `ConcatStats`' sweep) is not
+//! run.
 //!
 //! [`LinearProgram::validate`] replays the tape symbolically and proves that
 //! no register is read after being clobbered — the register-file analogue of
@@ -40,7 +37,7 @@
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::node::NodeId;
-use crate::op::{Conv2dAttrs, OpKind, PoolAttrs, PoolKind};
+use crate::op::{Conv2dAttrs, ConvPrologue, OpForm, OpKind, PoolAttrs, PoolKind};
 use crate::passes::freeze::FrozenGraph;
 use crate::plan::ExecutionPlan;
 use crate::Result;
@@ -59,17 +56,17 @@ const SERIAL_FLOPS_THRESHOLD: u64 = 100_000_000;
 /// compile-time decision it needs.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Kernel {
-    /// 2-D convolution.
+    /// 2-D convolution, its prologue applied while the ifmap is staged.
     Conv {
         /// Concrete convolution attributes.
         attrs: Conv2dAttrs,
-        /// Clamp the output with a fused ReLU.
-        fused_relu: bool,
+        /// What is applied to the ifmap while it is read.
+        prologue: ConvPrologue,
     },
-    /// Per-channel affine `y = scale[c]·x + shift[c]`.
-    Affine {
-        /// Clamp the output with a fused ReLU.
-        fused_relu: bool,
+    /// The normalize sweep `γ·(x−μ)/√(σ²+ε) + β` over running statistics.
+    Norm {
+        /// The output is clipped at zero in the same sweep.
+        relu: bool,
     },
     /// Standalone ReLU.
     Relu,
@@ -96,7 +93,7 @@ impl Kernel {
     pub fn kind_name(&self) -> &'static str {
         match self {
             Kernel::Conv { .. } => "conv",
-            Kernel::Affine { .. } => "affine",
+            Kernel::Norm { .. } => "norm",
             Kernel::Relu => "relu",
             Kernel::Pool { .. } => "pool",
             Kernel::GlobalAvgPool => "global_avg_pool",
@@ -110,13 +107,9 @@ impl Kernel {
 /// One instruction of the tape: a kernel recipe plus resolved operands.
 #[derive(Debug, Clone, Serialize)]
 pub struct Instr {
-    /// The graph node this instruction computes (for the fused
-    /// affine+ReLU peephole, the *ReLU* node — the value consumers read).
+    /// The graph node this instruction computes (and whose parameters it
+    /// runs with).
     pub node: NodeId,
-    /// The node whose operator (and parameters) drive the kernel — differs
-    /// from `node` only for fused instructions, where it names the producer
-    /// (the affine) rather than the value (the ReLU).
-    pub op_node: NodeId,
     /// The node's diagnostic name.
     pub name: String,
     /// The resolved kernel recipe.
@@ -157,12 +150,12 @@ pub struct LinearProgram {
 fn node_flops(graph: &Graph, node_id: NodeId) -> Result<u64> {
     let node = graph.node(node_id)?;
     let out = &node.output_shape;
-    Ok(match &node.op {
-        OpKind::Conv2d(a) | OpKind::ConvRelu(a) => {
+    Ok(match (node.op.conv_attrs(), &node.op) {
+        (Some(a), _) => {
             let in_c = graph.node(node.inputs[0])?.output_shape.c();
             2 * (out.volume() * in_c * a.kernel_h * a.kernel_w) as u64
         }
-        OpKind::FullyConnected { .. } => {
+        (_, OpKind::FullyConnected { .. }) => {
             let in_features =
                 graph.node(node.inputs[0])?.output_shape.volume() / out.dim(0).unwrap_or(1).max(1);
             2 * (out.volume() * in_features) as u64
@@ -190,13 +183,6 @@ fn lookup_reg(reg_of: &[Option<Reg>], plan: &ExecutionPlan, id: NodeId) -> Resul
         .ok_or_else(|| lowering_error(format!("node {id} owns no register")))
 }
 
-/// Whether a kernel may legally run in place (output register equal to its
-/// first input register): true for the pointwise kernels, where element `i`
-/// of the output depends only on element `i` of the input.
-fn kernel_is_pointwise(kernel: &Kernel) -> bool {
-    matches!(kernel, Kernel::Affine { .. } | Kernel::Relu)
-}
-
 impl LinearProgram {
     /// Lowers a frozen graph and its inference memory plan into a tape.
     ///
@@ -205,9 +191,10 @@ impl LinearProgram {
     /// are divided by the graph's batch, so the program serves any batch.
     ///
     /// # Errors
-    /// Returns an error when the graph contains a training-only operator, a
-    /// lowered value does not lead with the batch dimension, or the lowered
-    /// tape fails its register-clobber validation.
+    /// Returns an error when the graph contains an operator with no
+    /// inference kernel (the loss head), a lowered value does not lead with
+    /// the batch dimension, or the lowered tape fails its register-clobber
+    /// validation.
     pub fn lower(
         graph: &Graph,
         plan: &ExecutionPlan,
@@ -234,73 +221,46 @@ impl LinearProgram {
             }
         }
 
-        // The peephole marks ReLU nodes fused into their producing affine.
-        let mut fused_into_producer = vec![false; n];
         let mut instrs = Vec::new();
         let mut flops_estimate = 0u64;
-        for (pos, &id) in plan.order().iter().enumerate() {
+        for &id in plan.order() {
             let node = graph.node(id)?;
-            if fused_into_producer[id.index()] {
-                continue;
-            }
-            let (kernel, value_node) = match &node.op {
-                OpKind::Input | OpKind::Split { .. } => continue,
-                OpKind::Conv2d(a) | OpKind::ConvRelu(a) => {
-                    let fused_relu = matches!(node.op, OpKind::ConvRelu(_));
-                    (Kernel::Conv { attrs: *a, fused_relu }, id)
-                }
-                OpKind::ChannelAffine => {
-                    // Fuse a sole-consumer ReLU that executes immediately
-                    // next: no instruction can observe the unclamped value,
-                    // and no other tensor is defined in between, so writing
-                    // the ReLU's register at the affine's position clobbers
-                    // nothing. When the planner recycled the affine input's
-                    // slot for the ReLU (it can: the input dies at the
-                    // affine), the fused instruction becomes an in-place
-                    // sweep — legal because the kernel is pointwise.
-                    let consumers = graph.consumers(id);
-                    let fusable = consumers.len() == 1
-                        && matches!(graph.node(consumers[0])?.op, OpKind::Relu)
-                        && plan.position(consumers[0]) == pos + 1;
-                    if fusable {
-                        fused_into_producer[consumers[0].index()] = true;
-                        (Kernel::Affine { fused_relu: true }, consumers[0])
-                    } else {
-                        (Kernel::Affine { fused_relu: false }, id)
-                    }
-                }
-                OpKind::Relu => (Kernel::Relu, id),
-                OpKind::Pool { kind, attrs } => (Kernel::Pool { kind: *kind, attrs: *attrs }, id),
-                OpKind::GlobalAvgPool => (Kernel::GlobalAvgPool, id),
-                OpKind::Concat => (Kernel::Concat, id),
-                OpKind::EltwiseSum => (Kernel::EltwiseSum, id),
-                OpKind::FullyConnected { .. } => (Kernel::FullyConnected, id),
-                other => {
+            let kernel = match (node.op.form(), &node.op) {
+                (_, OpKind::Input | OpKind::Split { .. } | OpKind::SubBnStats(_)) => continue,
+                (OpForm::Conv { attrs, prologue, .. }, _) => Kernel::Conv { attrs, prologue },
+                (OpForm::Norm { relu, .. }, _) => Kernel::Norm { relu },
+                (_, OpKind::Relu) => Kernel::Relu,
+                (_, OpKind::Pool { kind, attrs }) => Kernel::Pool { kind: *kind, attrs: *attrs },
+                (_, OpKind::GlobalAvgPool) => Kernel::GlobalAvgPool,
+                (_, OpKind::Concat | OpKind::ConcatStats(_)) => Kernel::Concat,
+                (_, OpKind::EltwiseSum) => Kernel::EltwiseSum,
+                (_, OpKind::FullyConnected { .. }) => Kernel::FullyConnected,
+                (_, other) => {
                     return Err(lowering_error(format!(
-                        "training-only operator {other} in node '{}' cannot be lowered",
+                        "operator {other} in node '{}' has no inference kernel",
                         node.name
                     )))
                 }
             };
-            let value = graph.node(value_node)?;
-            let input_nodes: Vec<NodeId> = node.inputs.iter().map(|&i| plan.resolve(i)).collect();
+            // A statistics edge is no operand: the statistics are parameters.
+            let operands = match kernel {
+                Kernel::Conv { .. } | Kernel::Norm { .. } => &node.inputs[..1],
+                _ => &node.inputs[..],
+            };
+            let input_nodes: Vec<NodeId> = operands.iter().map(|&i| plan.resolve(i)).collect();
             let inputs: Vec<Reg> =
                 input_nodes.iter().map(|&i| lookup_reg(&reg_of, plan, i)).collect::<Result<_>>()?;
-            let out = lookup_reg(&reg_of, plan, value_node)?;
             // Every term of `node_flops` is linear in the batch.
-            let flops = (node_flops(graph, id)?
-                + if value_node == id { 0 } else { node_flops(graph, value_node)? })
-                / batch as u64;
-            let out_shape = per_sample(&value.output_shape, batch, &value.name)?;
+            let flops = node_flops(graph, id)? / batch as u64;
+            let out_shape = per_sample(&node.output_shape, batch, &node.name)?;
             flops_estimate += flops;
             instrs.push(Instr {
-                node: value_node,
-                op_node: id,
+                node: id,
                 name: node.name.clone(),
                 kernel,
                 inputs,
                 input_nodes,
-                out,
+                out: lookup_reg(&reg_of, plan, id)?,
                 out_volume: out_shape.volume(),
                 out_shape,
                 flops,
@@ -412,9 +372,7 @@ impl LinearProgram {
             for (slot, (&reg, &expect)) in
                 instr.inputs.iter().zip(instr.input_nodes.iter()).enumerate()
             {
-                // Pointwise kernels may run in place on their first
-                // operand; any other self-read is a clobber.
-                if reg == instr.out && !(slot == 0 && kernel_is_pointwise(&instr.kernel)) {
+                if reg == instr.out {
                     return Err(clobber(format!(
                         "'{}' reads its own output register {reg} (operand {slot})",
                         instr.name
@@ -454,7 +412,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::passes::freeze::freeze;
-    use crate::passes::{BnffPass, Pass};
+    use crate::passes::{BnffPass, IcfPass, Pass};
 
     fn frozen_fragment() -> FrozenGraph {
         let mut b = GraphBuilder::new("frag");
@@ -473,7 +431,9 @@ mod tests {
         let frozen = frozen_fragment();
         let program = LinearProgram::lower_for_inference(&frozen).unwrap();
         assert_eq!(program.sample_shape(), &Shape::new(vec![3, 8, 8]));
-        assert!(!program.is_empty());
+        // conv, BN, ReLU, pool, GAP, FC: one instruction per operator.
+        let kinds: Vec<&str> = program.instrs().iter().map(|i| i.kernel.kind_name()).collect();
+        assert_eq!(kinds, ["conv", "norm", "relu", "pool", "global_avg_pool", "fully_connected"]);
         // Every instruction's operands are fully resolved.
         for instr in program.instrs() {
             assert_eq!(instr.inputs.len(), instr.input_nodes.len());
@@ -486,89 +446,28 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_affine_relu_pairs_fuse_in_place() {
-        // An input-adjacent BN freezes to a standalone ChannelAffine
-        // followed by its sole-consumer ReLU on the very next position. The
-        // planner recycles the input's slot for the ReLU, so the fused
-        // instruction must run in place on that register.
-        let mut b = GraphBuilder::new("affine-relu");
-        let x = b.input("in", Shape::nchw(1, 4, 6, 6)).unwrap();
-        let bn = b.batch_norm_default(x, "bn").unwrap();
-        let r = b.relu(bn, "relu").unwrap();
-        let c = b.conv2d(r, Conv2dAttrs::pointwise(2), "conv").unwrap();
-        let gap = b.global_avg_pool(c, "gap").unwrap();
-        let fc = b.fully_connected(gap, 2, "fc").unwrap();
-        let labels = b.input("labels", Shape::vector(1)).unwrap();
-        b.softmax_loss(fc, labels, "loss").unwrap();
-        let frozen = freeze(&b.finish()).unwrap();
-        let program = LinearProgram::lower_for_inference(&frozen).unwrap();
-        let fused: Vec<&Instr> = program
-            .instrs()
-            .iter()
-            .filter(|i| matches!(i.kernel, Kernel::Affine { fused_relu: true }))
-            .collect();
-        assert_eq!(fused.len(), 1, "affine→relu should fuse: {:?}", program.instrs());
-        // No standalone Relu instruction survives.
-        assert!(!program.instrs().iter().any(|i| matches!(i.kernel, Kernel::Relu)));
-    }
-
-    #[test]
-    fn baseline_conv_relu_pairs_fuse_into_the_conv() {
-        // A graph-level-unfused conv→relu pair is fused by the freeze pass
-        // (`ConvRelu`); lowering reads the flag off the op.
-        let mut b = GraphBuilder::new("conv-relu");
-        let x = b.input("in", Shape::nchw(1, 3, 8, 8)).unwrap();
-        let c1 = b.conv2d(x, Conv2dAttrs::same_3x3(4), "c1").unwrap();
-        let r1 = b.relu(c1, "r1").unwrap();
-        let c2 = b.conv2d(x, Conv2dAttrs::same_3x3(4), "c2").unwrap();
-        let cat = b.concat(vec![r1, c2], "cat").unwrap();
-        let gap = b.global_avg_pool(cat, "gap").unwrap();
-        let fc = b.fully_connected(gap, 2, "fc").unwrap();
-        let labels = b.input("labels", Shape::vector(1)).unwrap();
-        b.softmax_loss(fc, labels, "loss").unwrap();
-        let frozen = freeze(&b.finish()).unwrap();
-        let program = LinearProgram::lower_for_inference(&frozen).unwrap();
-        assert!(
-            program
-                .instrs()
-                .iter()
-                .any(|i| matches!(i.kernel, Kernel::Conv { fused_relu: true, .. })),
-            "c1→r1 should fuse into the conv's epilogue: {:?}",
-            program.instrs()
-        );
-        // A fused convolution never writes one of its own input registers.
-        for instr in program.instrs() {
-            if matches!(instr.kernel, Kernel::Conv { .. }) {
-                assert!(!instr.inputs.contains(&instr.out), "'{}' runs in place", instr.name);
-            }
-        }
-    }
-
-    #[test]
     fn non_adjacent_relu_stays_standalone() {
-        // A second consumer of the input makes the freeze pass schedule
-        // another conv between the affine and its ReLU — the peephole must
-        // leave the pair unfused and the tape must still validate.
+        // An input-adjacent BN → ReLU → conv chain with a second consumer of
+        // the input, a conv → ReLU pair and a concatenation: every ReLU is
+        // its own instruction, and nothing runs in place.
         let mut b = GraphBuilder::new("affine-relu-gap");
         let x = b.input("in", Shape::nchw(1, 4, 6, 6)).unwrap();
         let bn = b.batch_norm_default(x, "bn").unwrap();
         let r = b.relu(bn, "relu").unwrap();
         let c1 = b.conv2d(r, Conv2dAttrs::pointwise(2), "c1").unwrap();
+        let r1 = b.relu(c1, "r1").unwrap();
         let c2 = b.conv2d(x, Conv2dAttrs::pointwise(2), "c2").unwrap();
-        let cat = b.concat(vec![c1, c2], "cat").unwrap();
+        let cat = b.concat(vec![r1, c2], "cat").unwrap();
         let gap = b.global_avg_pool(cat, "gap").unwrap();
         let fc = b.fully_connected(gap, 2, "fc").unwrap();
         let labels = b.input("labels", Shape::vector(1)).unwrap();
         b.softmax_loss(fc, labels, "loss").unwrap();
-        let frozen = freeze(&b.finish()).unwrap();
-        let program = LinearProgram::lower_for_inference(&frozen).unwrap();
-        program.validate().unwrap();
-        if program.instrs().iter().any(|i| matches!(i.kernel, Kernel::Relu)) {
-            // Unfused: the affine stays plain.
-            assert!(program
-                .instrs()
-                .iter()
-                .any(|i| matches!(i.kernel, Kernel::Affine { fused_relu: false })));
+        let program = LinearProgram::lower_for_inference(&freeze(&b.finish()).unwrap()).unwrap();
+        let kinds: Vec<&str> = program.instrs().iter().map(|i| i.kernel.kind_name()).collect();
+        assert_eq!(kinds.iter().filter(|k| **k == "relu").count(), 2, "{kinds:?}");
+        assert!(program.instrs().iter().any(|i| i.kernel == Kernel::Norm { relu: false }));
+        for instr in program.instrs() {
+            assert!(!instr.inputs.contains(&instr.out), "'{}' runs in place", instr.name);
         }
     }
 
@@ -578,14 +477,59 @@ mod tests {
         let x = b.input("in", Shape::nchw(2, 3, 16, 16)).unwrap();
         let c1 = b.conv_bn_relu(x, Conv2dAttrs::same_3x3(8), "a").unwrap();
         let c2 = b.conv_bn_relu(c1, Conv2dAttrs::pointwise(4), "b").unwrap();
-        let gap = b.global_avg_pool(c2, "gap").unwrap();
+        let cat = b.concat(vec![c1, c2], "cat").unwrap();
+        let c3 = b.bn_relu_conv(cat, Conv2dAttrs::pointwise(4), "c").unwrap();
+        let gap = b.global_avg_pool(c3, "gap").unwrap();
         let fc = b.fully_connected(gap, 3, "fc").unwrap();
         let labels = b.input("labels", Shape::vector(2)).unwrap();
         b.softmax_loss(fc, labels, "loss").unwrap();
-        let graph = BnffPass::new().run(&b.finish()).unwrap();
-        let frozen = freeze(&graph).unwrap();
-        let program = LinearProgram::lower_for_inference(&frozen).unwrap();
-        assert!(program.validate().is_ok());
+        let baseline = b.finish();
+        for graph in [BnffPass::new().run(&baseline).unwrap(), {
+            IcfPass::new().run(&BnffPass::new().run(&baseline).unwrap()).unwrap()
+        }] {
+            let frozen = freeze(&graph).unwrap();
+            let program = LinearProgram::lower_for_inference(&frozen).unwrap();
+            for instr in program.instrs() {
+                let node = frozen.graph.node(instr.node).unwrap();
+                match (node.op.form(), &instr.kernel) {
+                    (
+                        OpForm::Conv { attrs, prologue, .. },
+                        Kernel::Conv { attrs: a, prologue: p },
+                    ) => {
+                        assert_eq!((attrs, prologue), (*a, *p), "{}", node.name);
+                        assert_eq!(
+                            instr.inputs.len(),
+                            1,
+                            "{}: statistics are no operand",
+                            node.name
+                        );
+                    }
+                    (OpForm::Norm { relu, .. }, Kernel::Norm { relu: r }) => {
+                        assert_eq!(relu, *r, "{}", node.name);
+                        assert_eq!(
+                            instr.inputs.len(),
+                            1,
+                            "{}: statistics are no operand",
+                            node.name
+                        );
+                    }
+                    (_, Kernel::Concat) => {
+                        assert!(matches!(node.op, OpKind::Concat | OpKind::ConcatStats(_)))
+                    }
+                    (form, kernel) => assert!(
+                        !matches!(form, OpForm::Conv { .. } | OpForm::Norm { .. })
+                            && !matches!(node.op, OpKind::SubBnStats(_)),
+                        "{}: {kernel:?}",
+                        node.name
+                    ),
+                }
+            }
+            // Every convolution lowers once.
+            let convs = frozen.graph.nodes().filter(|n| n.op.contains_conv()).count();
+            let instrs = program.instrs();
+            assert_eq!(instrs.iter().filter(|i| i.kernel.kind_name() == "conv").count(), convs);
+            assert!(program.prefers_serial(2));
+        }
     }
 
     #[test]
@@ -601,6 +545,6 @@ mod tests {
         let plan = ExecutionPlan::for_inference(&graph).unwrap();
         let input = graph.input_nodes()[0];
         let err = LinearProgram::lower(&graph, &plan, input, fc);
-        assert!(err.is_err(), "BatchNorm must not lower");
+        assert!(err.is_err(), "SoftmaxLoss must not lower");
     }
 }

@@ -10,8 +10,8 @@
 //! convolution as a *prologue* (applied while its ifmap is read) or an
 //! *epilogue* (accumulated while its ofmap is written). [`OpKind::form`]
 //! decodes every kind into that prologue/core/epilogue shape once;
-//! executors, the planner and the freeze pass read the decoded [`OpForm`]
-//! instead of naming the kinds.
+//! both executors, the planner and the tape lowering read the decoded
+//! [`OpForm`] instead of naming the kinds.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -221,20 +221,19 @@ pub enum OpKind {
     /// ICF: channel concatenation that also accumulates Σx / Σx² of its
     /// output (Concat + sub-BN1 across a composite-layer boundary).
     ConcatStats(BatchNormAttrs),
-    // ---- Inference-only operators introduced by the freeze pass ----
-    /// Frozen-graph convolution with the following ReLU fused into its
-    /// output write. The bias (folded BN shift) lives in the conv attrs'
-    /// `bias` flag like any other convolution.
+    // ---- Retired inference operators ----
+    /// A convolution with the following ReLU fused into its output write.
+    /// No pass emits it (serving runs the training operators); it stays
+    /// while the benchmark's replay names it.
     ConvRelu(Conv2dAttrs),
-    /// Frozen-graph per-channel affine `y = scale[c]·x + shift[c]`: the
-    /// residue of a Batch Normalization whose running statistics could not
-    /// be folded into a preceding convolution (e.g. after a Concat or an
-    /// element-wise sum).
+    /// A per-channel affine `y = scale[c]·x + shift[c]`. No pass emits it
+    /// (serving normalizes with the running statistics); it stays while the
+    /// benchmark's replay names it.
     ChannelAffine,
 }
 
 /// What a convolution applies to its input feature map while reading it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ConvPrologue {
     /// The ifmap is read as is.
     None,
@@ -259,8 +258,6 @@ pub enum OpForm {
         /// `CONV1-(sub-BN1)`: Σx/Σx² of the ofmap are accumulated while it
         /// is written, for the BN with these attributes.
         stats_out: Option<BatchNormAttrs>,
-        /// The ofmap is clipped at zero while it is written (frozen graphs).
-        relu_out: bool,
     },
     /// A normalization `γ·(x−μ)/√(σ²+ε) + β` sweep the op owns γ/β for.
     Norm {
@@ -281,21 +278,15 @@ impl OpKind {
     /// place the fused kinds are taken apart.
     pub fn form(&self) -> OpForm {
         use ConvPrologue::{NormRelu, Relu};
-        let conv = |attrs, prologue, stats_out, relu_out| OpForm::Conv {
-            attrs,
-            prologue,
-            stats_out,
-            relu_out,
-        };
+        let conv = |attrs, prologue, stats_out| OpForm::Conv { attrs, prologue, stats_out };
         match *self {
-            OpKind::Conv2d(a) => conv(a, ConvPrologue::None, None, false),
-            OpKind::ReluConv(a) => conv(a, Relu, None, false),
-            OpKind::ConvStats { conv: a, bn } => conv(a, ConvPrologue::None, Some(bn), false),
-            OpKind::NormReluConv { conv: a, bn } => conv(a, NormRelu(bn), None, false),
+            OpKind::Conv2d(a) => conv(a, ConvPrologue::None, None),
+            OpKind::ReluConv(a) => conv(a, Relu, None),
+            OpKind::ConvStats { conv: a, bn } => conv(a, ConvPrologue::None, Some(bn)),
+            OpKind::NormReluConv { conv: a, bn } => conv(a, NormRelu(bn), None),
             OpKind::NormReluConvStats { conv: a, bn_in, bn_out } => {
-                conv(a, NormRelu(bn_in), Some(bn_out), false)
+                conv(a, NormRelu(bn_in), Some(bn_out))
             }
-            OpKind::ConvRelu(a) => conv(a, ConvPrologue::None, None, true),
             OpKind::BatchNorm(bn) => OpForm::Norm { bn, stats_from_input: true, relu: false },
             OpKind::SubBnNorm(bn) => OpForm::Norm { bn, stats_from_input: false, relu: false },
             OpKind::NormRelu(bn) => OpForm::Norm { bn, stats_from_input: false, relu: true },
@@ -310,6 +301,7 @@ impl OpKind {
             | OpKind::EltwiseSum
             | OpKind::SoftmaxLoss
             | OpKind::ConcatStats(_)
+            | OpKind::ConvRelu(_)
             | OpKind::ChannelAffine => OpForm::Other,
         }
     }
@@ -356,9 +348,9 @@ impl OpKind {
     /// The layer category used for CONV/FC vs non-CONV breakdowns.
     pub fn category(&self) -> LayerCategory {
         match self.form() {
-            OpForm::Conv {
-                prologue: ConvPrologue::None, stats_out: None, relu_out: false, ..
-            } => LayerCategory::ConvFc,
+            OpForm::Conv { prologue: ConvPrologue::None, stats_out: None, .. } => {
+                LayerCategory::ConvFc
+            }
             OpForm::Conv { .. } => LayerCategory::FusedConv,
             _ if matches!(self, OpKind::FullyConnected { .. }) => LayerCategory::ConvFc,
             _ => LayerCategory::NonConv,
@@ -386,8 +378,7 @@ impl OpKind {
 
     /// Whether the operation learns parameters (weights, γ/β).
     pub fn has_parameters(&self) -> bool {
-        !matches!(self.form(), OpForm::Other)
-            || matches!(self, OpKind::FullyConnected { .. } | OpKind::ChannelAffine)
+        !matches!(self.form(), OpForm::Other) || matches!(self, OpKind::FullyConnected { .. })
     }
 
     /// Number of tensor inputs this operation requires, when fixed.
@@ -446,18 +437,13 @@ mod tests {
         use ConvPrologue::{NormRelu, Relu};
         let a = Conv2dAttrs::same_3x3(8);
         let (bn, mvf) = (BatchNormAttrs::default(), BatchNormAttrs::one_pass());
-        let conv = |prologue, stats_out, relu_out| OpForm::Conv {
-            attrs: a,
-            prologue,
-            stats_out,
-            relu_out,
-        };
+        let conv = |prologue, stats_out| OpForm::Conv { attrs: a, prologue, stats_out };
         let norm = |stats_from_input, relu| OpForm::Norm { bn, stats_from_input, relu };
         let pool = OpKind::Pool { kind: PoolKind::Max, attrs: PoolAttrs::new(2, 2, 0) };
         // (op, its form, the statistics it publishes)
         let table = [
             (OpKind::Input, OpForm::Other, None),
-            (OpKind::Conv2d(a), conv(ConvPrologue::None, None, false), None),
+            (OpKind::Conv2d(a), conv(ConvPrologue::None, None), None),
             (OpKind::FullyConnected { out_features: 4 }, OpForm::Other, None),
             (OpKind::BatchNorm(bn), norm(true, false), Some(bn)),
             (OpKind::SubBnStats(mvf), OpForm::Other, Some(mvf)),
@@ -469,21 +455,21 @@ mod tests {
             (OpKind::Split { consumers: 2 }, OpForm::Other, None),
             (OpKind::EltwiseSum, OpForm::Other, None),
             (OpKind::SoftmaxLoss, OpForm::Other, None),
-            (OpKind::ReluConv(a), conv(Relu, None, false), None),
+            (OpKind::ReluConv(a), conv(Relu, None), None),
             (
                 OpKind::ConvStats { conv: a, bn: mvf },
-                conv(ConvPrologue::None, Some(mvf), false),
+                conv(ConvPrologue::None, Some(mvf)),
                 Some(mvf),
             ),
-            (OpKind::NormReluConv { conv: a, bn }, conv(NormRelu(bn), None, false), None),
+            (OpKind::NormReluConv { conv: a, bn }, conv(NormRelu(bn), None), None),
             (OpKind::NormRelu(bn), norm(false, true), None),
             (
                 OpKind::NormReluConvStats { conv: a, bn_in: bn, bn_out: mvf },
-                conv(NormRelu(bn), Some(mvf), false),
+                conv(NormRelu(bn), Some(mvf)),
                 Some(mvf),
             ),
             (OpKind::ConcatStats(mvf), OpForm::Other, Some(mvf)),
-            (OpKind::ConvRelu(a), conv(ConvPrologue::None, None, true), None),
+            (OpKind::ConvRelu(a), OpForm::Other, None),
             (OpKind::ChannelAffine, OpForm::Other, None),
         ];
         let mut seen = [false; 21];

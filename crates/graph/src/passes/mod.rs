@@ -16,11 +16,10 @@
 //!   `sub-BN1` layers that sit at composite-layer boundaries into the
 //!   producing Concat.
 //!
-//! Beyond the paper's training-time passes, [`freeze()`] rewrites a trained
-//! graph (at any of the levels above) for *inference*: BN and its fission
-//! products collapse into per-channel affines over running statistics,
-//! which fold into the adjacent convolutions — the serve crate applies the
-//! resulting [`FoldRecipe`] plan numerically.
+//! Beyond the paper's training-time passes, [`freeze()`] strips a trained
+//! graph (at any of the levels above) for *inference*: the loss head and
+//! the label input go, every other operator stays as trained, and serving
+//! normalizes with the running statistics, as the eval-mode forward does.
 
 mod bnff;
 mod fission;
@@ -32,7 +31,7 @@ mod rcf;
 
 pub use bnff::BnffPass;
 pub use fission::FissionPass;
-pub use freeze::{freeze, AffineSource, FoldRecipe, FrozenGraph};
+pub use freeze::{freeze, FrozenGraph};
 pub use fusion::{FuseNormReluConvPass, FuseStatsIntoConvPass};
 pub use icf::IcfPass;
 pub use mvf::MvfPass;

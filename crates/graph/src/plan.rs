@@ -109,12 +109,14 @@ pub struct ExecutionPlan {
 /// Whether a node materializes an output tensor at run time.
 ///
 /// Label inputs carry no tensor and Split is a pointer pass (an alias of
-/// its input), so neither owns a buffer.
-fn produces_tensor(graph: &Graph, id: NodeId) -> bool {
+/// its input), so neither owns a buffer; at inference a statistics node's
+/// value is a parameter, the running statistics.
+fn produces_tensor(graph: &Graph, id: NodeId, mode: PlanMode) -> bool {
     match graph.node(id) {
         Ok(node) => match &node.op {
             OpKind::Input => node.output_shape.is_nchw(),
             OpKind::Split { .. } => false,
+            OpKind::SubBnStats(_) => mode == PlanMode::Training,
             _ => true,
         },
         Err(_) => false,
@@ -154,8 +156,9 @@ impl ExecutionPlan {
 
     /// Plans buffer reuse for a forward-only (inference) execution: no
     /// tensor is retained for a backward pass, so every intermediate
-    /// activation recycles through the arena; only the graph's final
-    /// outputs are pinned.
+    /// activation recycles through the arena; only the data input and the
+    /// graph's final outputs are pinned. A `SubBnStats` owns no tensor:
+    /// serving reads the running statistics in its place.
     ///
     /// # Errors
     /// Returns an error if the graph is cyclic or references unknown nodes.
@@ -193,7 +196,7 @@ impl ExecutionPlan {
         let mut liveness: Vec<Option<TensorLiveness>> = vec![None; n];
         let mut naive_bytes = 0usize;
         for &id in &order {
-            if alias_of[id.index()].is_some() || !produces_tensor(graph, id) {
+            if alias_of[id.index()].is_some() || !produces_tensor(graph, id, mode) {
                 continue;
             }
             let node = graph.node(id)?;
@@ -205,8 +208,11 @@ impl ExecutionPlan {
             let pos = position[id.index()];
             // Training pins through consumer edges only (below). Inference
             // pins final outputs so the executor can return them instead of
-            // releasing them into the arena.
-            let saved = mode == PlanMode::Inference && graph.consumers(id).is_empty();
+            // releasing them into the arena, and the data input: its
+            // register holds the caller's buffer, which no later tensor may
+            // have to grow.
+            let saved = mode == PlanMode::Inference
+                && (graph.consumers(id).is_empty() || matches!(node.op, OpKind::Input));
             liveness[id.index()] = Some(TensorLiveness {
                 def: pos,
                 last_use: pos,

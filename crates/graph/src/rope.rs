@@ -35,7 +35,7 @@ use std::collections::HashMap;
 /// convolution's per-sample staging, a normalization's sweeps (forward and
 /// backward), a statistics node, and another concatenation.
 pub fn reads_ropes(op: &OpKind) -> bool {
-    matches!(op.form(), OpForm::Conv { relu_out: false, .. } | OpForm::Norm { .. })
+    matches!(op.form(), OpForm::Conv { .. } | OpForm::Norm { .. })
         || matches!(op, OpKind::SubBnStats(_) | OpKind::Concat | OpKind::ConcatStats(_))
 }
 

@@ -1,9 +1,8 @@
 //! Property tests for the linear-IR lowering: across randomly shaped
 //! chain/residual/dense graphs, the registers a [`LinearProgram`]
 //! assigns must never alias two simultaneously-live values. Register reuse
-//! is legal only once the previous occupant's last reader has run (the
-//! boundary case — a pointwise kernel consuming its own output register in
-//! place — shares exactly one position and no more).
+//! is legal only once the previous occupant's last reader has run: no
+//! instruction reads the register it writes.
 
 use bnff_graph::builder::GraphBuilder;
 use bnff_graph::op::Conv2dAttrs;
@@ -94,9 +93,8 @@ fn check_no_aliasing(program: &LinearProgram) -> Result<(), TestCaseError> {
     prop_assert!(out_vid.is_some(), "output register never written");
     ranges[out_vid.unwrap()].last_use = program.len() + 1;
 
-    // Two values sharing a register must have non-overlapping live ranges;
-    // `last_use == def` of the successor is the legal in-place boundary
-    // (the defining instruction reads the predecessor as it overwrites it).
+    // Two values sharing a register must have disjoint live ranges: the
+    // successor is defined strictly after the predecessor's last read.
     for (a_idx, a) in ranges.iter().enumerate() {
         for b in ranges.iter().skip(a_idx + 1) {
             if a.reg != b.reg {
@@ -104,7 +102,7 @@ fn check_no_aliasing(program: &LinearProgram) -> Result<(), TestCaseError> {
             }
             let (first, second) = if a.def <= b.def { (a, b) } else { (b, a) };
             prop_assert!(
-                first.last_use <= second.def,
+                first.last_use < second.def,
                 "register {} aliases live ranges [{}, {}] and [{}, {}]",
                 a.reg,
                 first.def,

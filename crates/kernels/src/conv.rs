@@ -6,7 +6,7 @@
 //! passes read their windows through one [`Im2colView`] — two GEMMs and,
 //! where the view's windows lie in place, a correlation:
 //!
-//! * **forward** — `out_n = W · im2col(x_n)`, bias/ReLU (and, for the fused
+//! * **forward** — `out_n = W · im2col(x_n)`, the bias (and, for the fused
 //!   `CONV1-(sub-BN1)` layer, the Σx/Σx² accumulation) applied per sample
 //!   while the output is cache-hot;
 //! * **weight gradient** — `d_W += d_out_n · im2col(x_n)ᵀ`, summed across a
@@ -430,8 +430,9 @@ pub fn conv2d_forward(
 
 /// [`conv2d_forward`] into a caller-provided output tensor (every element
 /// is overwritten — the packed GEMM's `beta == 0` path never reads the
-/// recycled buffer). This is the one entry point the plan-driven executor,
-/// the serving tape and the fused kernels route their convolutions through.
+/// recycled buffer). Both executors reach the same body through
+/// [`crate::fused::fused_conv_forward_into`], which adds the prologue and
+/// the statistics epilogue.
 ///
 /// # Errors
 /// Returns an error if the shapes (including `out`'s) are inconsistent.
@@ -442,40 +443,20 @@ pub fn conv2d_forward_into(
     attrs: &Conv2dAttrs,
     out: &mut Tensor,
 ) -> Result<()> {
-    conv_forward(ConvInput::Raw(input.into()), weights, bias, attrs, false, None, out)
+    conv_forward(ConvInput::Raw(input.into()), weights, bias, attrs, None, out)
 }
 
-/// Inference entry point for the frozen graph's fused `CONV+ReLU` operator:
-/// [`conv2d_forward_into`] that clamps each output sample to `max(·, 0)`
-/// while the written tile is still cache-hot, so the frozen graph pays no
-/// separate ReLU sweep.
-///
-/// # Errors
-/// Returns an error if the shapes (including `out`'s) are inconsistent.
-pub fn conv2d_forward_relu_into(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    attrs: &Conv2dAttrs,
-    out: &mut Tensor,
-) -> Result<()> {
-    conv_forward(ConvInput::Raw(input.into()), weights, bias, attrs, true, None, out)
-}
-
-/// The per-sample epilogue's bias add and optional fused ReLU clamp, applied
-/// to one sample's run of output planes.
-fn apply_bias_relu(out_slice: &mut [f32], bias: Option<&[f32]>, cols: usize, fuse_relu: bool) {
+/// The per-sample epilogue's bias add, applied to one sample's run of
+/// output planes.
+fn apply_bias(out_slice: &mut [f32], bias: Option<&[f32]>, cols: usize) {
     // Runs on the caller's thread, so resolving the ISA here honours any
-    // scoped `with_isa` override. Add and clamp are bit-identical across
-    // ISAs, so this never perturbs the conv results.
+    // scoped `with_isa` override. The add is bit-identical across ISAs, so
+    // this never perturbs the conv results.
     let isa = bnff_tensor::active_isa();
     if let Some(b) = bias {
         for (oc, &bv) in b.iter().enumerate() {
             crate::vecops::add_scalar(isa, &mut out_slice[oc * cols..(oc + 1) * cols], bv);
         }
-    }
-    if fuse_relu {
-        crate::vecops::relu_inplace(isa, out_slice);
     }
 }
 
@@ -510,8 +491,8 @@ fn conv_samples(
 
 /// The one convolution forward body behind every entry point: per sample,
 /// the prologue of `input`, one GEMM (module docs: what it packs and what it
-/// reads in place), then the epilogue on the cache-hot output — bias, the
-/// frozen graph's ReLU clamp, and (the `CONV1-(sub-BN1)` accumulation) a
+/// reads in place), then the epilogue on the cache-hot output — bias and
+/// (the `CONV1-(sub-BN1)` accumulation) a
 /// push of the sample's output planes into `stats`, two channels at a time
 /// and in sample order, so the sums are bit-identical to
 /// [`ChannelAccumulator::from_tensor`] on `out`.
@@ -520,7 +501,6 @@ pub(crate) fn conv_forward(
     weights: &Tensor,
     bias: Option<&[f32]>,
     attrs: &Conv2dAttrs,
-    fuse_relu: bool,
     mut stats: Option<&mut ChannelAccumulator>,
     out: &mut Tensor,
 ) -> Result<()> {
@@ -533,7 +513,7 @@ pub(crate) fn conv_forward(
     let windows = Windows::of(attrs, (out_h, out_w));
     let (m, w_mat) = (attrs.out_channels, weights.as_slice());
     conv_samples(input, m, w_mat, &windows, 0.0, out.as_mut_slice(), |_, out_n| {
-        apply_bias_relu(out_n, bias, cols, fuse_relu);
+        apply_bias(out_n, bias, cols);
         if let Some(acc) = stats.as_deref_mut() {
             acc.push_sample(out_n);
             acc.add_count(cols);
@@ -844,7 +824,6 @@ mod tests {
         w: &Tensor,
         bias: Option<&[f32]>,
         attrs: &Conv2dAttrs,
-        fuse_relu: bool,
     ) -> Vec<f32> {
         let (rows, cols) = col_shape(x.shape(), attrs).unwrap();
         let mut out = Vec::new();
@@ -852,7 +831,7 @@ mod tests {
             let col = im2col(x, ni, attrs).unwrap();
             let mut out_n = vec![f32::NAN; attrs.out_channels * cols];
             gemm(attrs.out_channels, cols, rows, 1.0, w.as_slice(), &col, 0.0, &mut out_n).unwrap();
-            apply_bias_relu(&mut out_n, bias, cols, fuse_relu);
+            apply_bias(&mut out_n, bias, cols);
             out.extend(out_n);
         }
         out
@@ -879,9 +858,9 @@ mod tests {
 
     #[test]
     fn gather_path_is_bit_identical_to_materialized() {
-        // Strided, padded, pointwise and biased variants, with and without
-        // the fused ReLU, then the whole geometry table; the gather path
-        // must match the materialized lowering bit for bit.
+        // Strided, padded, pointwise and biased variants, then the whole
+        // geometry table; the gather path must match the materialized
+        // lowering bit for bit.
         let mut cases = vec![
             ("same3x3".to_string(), Conv2dAttrs::same_3x3(6), 4usize, 9usize, 9usize),
             ("strided".to_string(), Conv2dAttrs::new(5, 3, 2, 1), 4, 9, 9),
@@ -897,19 +876,11 @@ mod tests {
                 random(Shape::nchw(attrs.out_channels, in_c, attrs.kernel_h, attrs.kernel_w), 4);
             let bias: Option<Vec<f32>> =
                 attrs.bias.then(|| (0..attrs.out_channels).map(|i| i as f32 * 0.3 - 0.5).collect());
-            for fuse_relu in [false, true] {
-                let (_, oh, ow) = check_conv(x.shape(), &w, &attrs).unwrap();
-                let mut gathered =
-                    Tensor::filled(Shape::nchw(2, attrs.out_channels, oh, ow), f32::NAN);
-                if fuse_relu {
-                    conv2d_forward_relu_into(&x, &w, bias.as_deref(), &attrs, &mut gathered)
-                        .unwrap();
-                } else {
-                    conv2d_forward_into(&x, &w, bias.as_deref(), &attrs, &mut gathered).unwrap();
-                }
-                let reference = conv_materialized(&x, &w, bias.as_deref(), &attrs, fuse_relu);
-                assert_eq!(bits(gathered.as_slice()), bits(&reference), "{case} relu={fuse_relu}");
-            }
+            let (_, oh, ow) = check_conv(x.shape(), &w, &attrs).unwrap();
+            let mut gathered = Tensor::filled(Shape::nchw(2, attrs.out_channels, oh, ow), f32::NAN);
+            conv2d_forward_into(&x, &w, bias.as_deref(), &attrs, &mut gathered).unwrap();
+            let reference = conv_materialized(&x, &w, bias.as_deref(), &attrs);
+            assert_eq!(bits(gathered.as_slice()), bits(&reference), "{case}");
         }
     }
 
@@ -950,10 +921,10 @@ mod tests {
         let strided = Conv2dAttrs::new(5, 3, 2, 1);
         for ((name, input), read) in inputs.into_iter().zip(&reads) {
             for attrs in [attrs, strided] {
-                let want = conv_materialized(read, &w, None, &attrs, false);
+                let want = conv_materialized(read, &w, None, &attrs);
                 COL_POOL.give(vec![f32::NAN; scratch_len]);
                 let mut got = Tensor::filled(conv_out_shape(x.shape(), &attrs).unwrap(), f32::NAN);
-                conv_forward(input, &w, None, &attrs, false, None, &mut got).unwrap();
+                conv_forward(input, &w, None, &attrs, None, &mut got).unwrap();
                 assert_eq!(bits(got.as_slice()), bits(&want), "{name} {attrs:?}");
             }
             // The weight gradient: every sample group stages in a scratch of

@@ -2,10 +2,9 @@
 //!
 //! Every kernel with an explicit-SIMD flavour (the packed GEMM microkernel,
 //! the weight-gradient correlation, BN statistics and normalization, ReLU,
-//! channel affine, the element-wise sum and the convolution bias/ReLU
-//! epilogue) resolves an ISA **once at
-//! kernel entry, on the calling thread**, and threads it by value through
-//! its workers. Resolution order:
+//! the element-wise sum and the convolution bias epilogue) resolves an ISA
+//! **once at kernel entry, on the calling thread**, and threads it by value
+//! through its workers. Resolution order:
 //!
 //! 1. a scoped [`with_isa`] override on the calling thread (tests use this
 //!    to compare paths in one process),

@@ -25,8 +25,8 @@
 //! * [`concat_forward_with_stats_into`] — the ICF fused layer as a copy:
 //!   Σx/Σx² of the concatenation written into one buffer. No executor calls
 //!   it (a training `ConcatStats` is a rope whose statistics are assembled,
-//!   a frozen graph has none); it stays public for the benchmark's kernel
-//!   replay (`benchmark/src/replay.rs`), which times it.
+//!   a served one a plain concatenation); it stays public for the
+//!   benchmark's kernel replay (`benchmark/src/replay.rs`), which times it.
 //!
 //! The cost model (`bnff_graph::analysis`, `bnff-memsim`) still charges the
 //! fused layer the `O2'` write of the paper's Figure 5, which these kernels
@@ -58,7 +58,7 @@ pub fn fused_conv_forward_into(
     out: &mut Tensor,
 ) -> Result<Option<ChannelStats>> {
     let mut stats = with_stats.then(|| ChannelAccumulator::new(attrs.out_channels));
-    conv_forward(input, weights, bias, attrs, false, stats.as_mut(), out)?;
+    conv_forward(input, weights, bias, attrs, stats.as_mut(), out)?;
     Ok(stats.map(|acc| acc.finalize()).transpose()?)
 }
 

@@ -60,7 +60,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod affine;
 pub mod batchnorm;
 pub mod concat;
 pub mod conv;

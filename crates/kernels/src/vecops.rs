@@ -1,12 +1,11 @@
 //! Shared vectorized sweeps for the bandwidth-bound kernels.
 //!
-//! ReLU and its backward mask, channel affine, BN normalize and the BN
-//! input gradient, the element-wise sum and the conv bias/ReLU epilogue are
-//! all memory-sweep kernels — exactly the loops the paper's DRAM-byte
-//! argument is about. Each helper here takes the
-//! [`SimdIsa`] the calling kernel resolved at entry (on the calling
-//! thread) and runs either the historical scalar loop, bit-for-bit, or an
-//! AVX2+FMA sweep.
+//! ReLU and its backward mask, BN normalize and the BN input gradient, the
+//! element-wise sum and the conv bias epilogue are all memory-sweep kernels
+//! — exactly the loops the paper's DRAM-byte argument is about. Each helper
+//! here takes the [`SimdIsa`] the calling kernel resolved at entry (on the
+//! calling thread) and runs either the historical scalar loop, bit-for-bit,
+//! or an AVX2+FMA sweep.
 //!
 //! Determinism notes, per helper:
 //!
@@ -16,11 +15,11 @@
 //!   the uncontracted f64 `mul`/`sub` are exact-rounded elementwise ops),
 //!   so these helpers are safe on *arbitrary* chunk boundaries — a worker
 //!   split mid-slice cannot change results.
-//! * [`affine`] / [`normalize_plane`]: the AVX2 flavour contracts
-//!   `scale·x + shift` (and `γ·x̂ + β`) with FMA, rounding once where the
-//!   scalar loop rounds twice. Within one ISA results are deterministic,
-//!   but the two ISAs differ in the last bits; callers only invoke these
-//!   on whole planes, whose boundaries do not depend on thread count.
+//! * [`normalize_plane`]: the AVX2 flavour contracts `γ·x̂ + β` with FMA,
+//!   rounding once where the scalar loop rounds twice. Within one ISA
+//!   results are deterministic, but the two ISAs differ in the last bits;
+//!   callers only invoke it on whole planes, whose boundaries do not depend
+//!   on thread count.
 //! * [`stage_plane`]: a plane copied, clipped or normalized+clipped into
 //!   the rows of a bordered scratch, one call per plane that runs each row
 //!   through the same ISA's body of the element-wise sweep it names
@@ -144,52 +143,6 @@ pub(crate) fn add_scalar(isa: SimdIsa, dst: &mut [f32], value: f32) {
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
         SimdIsa::Avx2Fma | SimdIsa::Avx512 => add_scalar_scalar(dst, value),
         SimdIsa::Scalar => add_scalar_scalar(dst, value),
-    }
-}
-
-/// `dst[i] = scale·src[i] + shift` (clamped at zero when `fuse_relu`),
-/// reading from `src`. AVX2 contracts with FMA.
-pub(crate) fn affine(
-    isa: SimdIsa,
-    src: &[f32],
-    dst: &mut [f32],
-    scale: f32,
-    shift: f32,
-    fuse_relu: bool,
-) {
-    debug_assert_eq!(src.len(), dst.len());
-    match isa {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
-            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
-            // support.
-            unsafe { avx2::affine(src, dst, scale, shift, fuse_relu) }
-        }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma | SimdIsa::Avx512 => affine_scalar(src, dst, scale, shift, fuse_relu),
-        SimdIsa::Scalar => affine_scalar(src, dst, scale, shift, fuse_relu),
-    }
-}
-
-/// In-place [`affine`]: `dst[i] = scale·dst[i] + shift` (clamped when
-/// `fuse_relu`).
-pub(crate) fn affine_inplace(
-    isa: SimdIsa,
-    dst: &mut [f32],
-    scale: f32,
-    shift: f32,
-    fuse_relu: bool,
-) {
-    match isa {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdIsa::Avx2Fma | SimdIsa::Avx512 => {
-            // SAFETY: `Avx2Fma` and `Avx512` imply runtime-verified avx2+fma
-            // support.
-            unsafe { avx2::affine_inplace(dst, scale, shift, fuse_relu) }
-        }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        SimdIsa::Avx2Fma | SimdIsa::Avx512 => affine_inplace_scalar(dst, scale, shift, fuse_relu),
-        SimdIsa::Scalar => affine_inplace_scalar(dst, scale, shift, fuse_relu),
     }
 }
 
@@ -406,30 +359,6 @@ fn add_assign_scalar(dst: &mut [f32], src: &[f32]) {
 fn add_scalar_scalar(dst: &mut [f32], value: f32) {
     for v in dst {
         *v += value;
-    }
-}
-
-fn affine_scalar(src: &[f32], dst: &mut [f32], scale: f32, shift: f32, fuse_relu: bool) {
-    if fuse_relu {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = (scale * v + shift).max(0.0);
-        }
-    } else {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = scale * v + shift;
-        }
-    }
-}
-
-fn affine_inplace_scalar(dst: &mut [f32], scale: f32, shift: f32, fuse_relu: bool) {
-    if fuse_relu {
-        for v in dst {
-            *v = (scale * *v + shift).max(0.0);
-        }
-    } else {
-        for v in dst {
-            *v = scale * *v + shift;
-        }
     }
 }
 
@@ -703,54 +632,6 @@ mod avx2 {
         }
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn affine(src: &[f32], dst: &mut [f32], scale: f32, shift: f32, fuse_relu: bool) {
-        let s = _mm256_set1_ps(scale);
-        let b = _mm256_set1_ps(shift);
-        let zero = _mm256_setzero_ps();
-        let n = src.len();
-        let vec_end = n - n % 8;
-        for i in (0..vec_end).step_by(8) {
-            // SAFETY: i + 8 <= vec_end <= len of both slices.
-            unsafe {
-                let v = _mm256_loadu_ps(src.as_ptr().add(i));
-                let mut r = _mm256_fmadd_ps(s, v, b);
-                if fuse_relu {
-                    r = _mm256_max_ps(r, zero);
-                }
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), r);
-            }
-        }
-        for (d, &v) in dst[vec_end..].iter_mut().zip(&src[vec_end..]) {
-            let r = scale.mul_add(v, shift);
-            *d = if fuse_relu { clip(r) } else { r };
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn affine_inplace(dst: &mut [f32], scale: f32, shift: f32, fuse_relu: bool) {
-        let s = _mm256_set1_ps(scale);
-        let b = _mm256_set1_ps(shift);
-        let zero = _mm256_setzero_ps();
-        let n = dst.len();
-        let vec_end = n - n % 8;
-        for i in (0..vec_end).step_by(8) {
-            // SAFETY: i + 8 <= vec_end <= dst.len().
-            unsafe {
-                let p = dst.as_mut_ptr().add(i);
-                let mut r = _mm256_fmadd_ps(s, _mm256_loadu_ps(p), b);
-                if fuse_relu {
-                    r = _mm256_max_ps(r, zero);
-                }
-                _mm256_storeu_ps(p, r);
-            }
-        }
-        for v in &mut dst[vec_end..] {
-            let r = scale.mul_add(*v, shift);
-            *v = if fuse_relu { clip(r) } else { r };
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub fn normalize_plane(
@@ -850,26 +731,6 @@ mod tests {
             let mut out = vec![7.0; 9];
             relu_into(path, &src, &mut out);
             assert!(out.iter().all(|&v| v == 0.0), "{path}: {out:?}");
-        }
-    }
-
-    #[test]
-    fn affine_matches_scalar_within_fma_tolerance() {
-        let isa = active_vector_isa();
-        for n in [1usize, 8, 13, 64, 100] {
-            let src = data(n);
-            for fuse in [false, true] {
-                let mut a = vec![0.0; n];
-                let mut b = vec![0.0; n];
-                affine(SimdIsa::Scalar, &src, &mut a, 1.3, -0.4, fuse);
-                affine(isa, &src, &mut b, 1.3, -0.4, fuse);
-                for (x, y) in a.iter().zip(&b) {
-                    assert!((x - y).abs() <= 1e-5, "{x} vs {y}");
-                }
-                let mut c = src.clone();
-                affine_inplace(isa, &mut c, 1.3, -0.4, fuse);
-                assert_eq!(b, c, "in-place must match out-of-place on one ISA");
-            }
         }
     }
 

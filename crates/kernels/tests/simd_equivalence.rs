@@ -22,15 +22,15 @@ use bnff_graph::op::Conv2dAttrs;
 use bnff_kernels::batchnorm::{
     bn_backward, bn_forward, norm_backward_inplace, BnParamGrads, BnParams,
 };
-use bnff_kernels::conv::{conv2d_backward_weights, conv2d_forward_relu_into, ConvInput};
+use bnff_kernels::conv::{conv2d_backward_weights, conv2d_forward_into, ConvInput};
 use bnff_kernels::dispatch::{active_isa, with_isa, SimdIsa};
 use bnff_kernels::eltwise::eltwise_sum_forward;
+use bnff_kernels::fc;
 use bnff_kernels::fused::{
     fused_conv_backward_into, fused_conv_forward_into, norm_relu_conv_forward,
 };
 use bnff_kernels::gemm::{gemm, gemm_nt, gemm_tn, KC, MC, MR, NR};
 use bnff_kernels::relu::{relu_backward, relu_forward};
-use bnff_kernels::{affine, fc};
 use bnff_tensor::init::Initializer;
 use bnff_tensor::stats::{channel_stats_one_pass, channel_stats_two_pass};
 use bnff_tensor::{Shape, Tensor};
@@ -222,24 +222,15 @@ fn bn_affine_and_fused_paths_agree() {
     // Normalize is one FMA deep; statistics dominate the (tiny) drift.
     assert_paths_close("bn_forward", 3 * 5 * 5, &s, &v);
 
-    let scale = [1.5f32, -0.5, 0.25, 2.0];
-    let shift = [0.1f32, -0.3, 0.0, 0.7];
-    let (s, v) = both_paths(|| {
-        let mut out = Tensor::zeros(x.shape().clone());
-        affine::channel_affine_relu_into(&x, &scale, &shift, &mut out).unwrap();
-        out.into_vec()
-    });
-    assert_paths_close("channel_affine_relu", 1, &s, &v);
-
     let attrs = Conv2dAttrs::same_3x3(6);
     let w = init.uniform(Shape::nchw(6, 4, 3, 3), -0.5, 0.5);
     let bias: Vec<f32> = (0..6).map(|i| 0.05 * i as f32 - 0.1).collect();
     let (s, v) = both_paths(|| {
         let mut out = Tensor::zeros(Shape::nchw(3, 6, 5, 5));
-        conv2d_forward_relu_into(&x, &w, Some(&bias), &attrs, &mut out).unwrap();
+        conv2d_forward_into(&x, &w, Some(&bias), &attrs, &mut out).unwrap();
         out.into_vec()
     });
-    assert_paths_close("conv2d_forward_relu", 4 * 9, &s, &v);
+    assert_paths_close("conv2d_forward", 4 * 9, &s, &v);
 
     let (s, v) = both_paths(|| {
         let stats = channel_stats_one_pass(&x).unwrap();
@@ -253,10 +244,10 @@ fn bn_affine_and_fused_paths_agree() {
         let wide = init.uniform(Shape::nchw(2, 4, h, w_in), -2.0, 2.0);
         let (s, v) = both_paths(|| {
             let mut out = Tensor::zeros(Shape::nchw(2, 6, h, w_in));
-            conv2d_forward_relu_into(&wide, &w, Some(&bias), &attrs, &mut out).unwrap();
+            conv2d_forward_into(&wide, &w, Some(&bias), &attrs, &mut out).unwrap();
             out.into_vec()
         });
-        assert_paths_close("conv2d_forward_relu in place", 4 * 9, &s, &v);
+        assert_paths_close("conv2d_forward in place", 4 * 9, &s, &v);
         let (s, v) = both_paths(|| {
             let stats = channel_stats_one_pass(&wide).unwrap();
             let input = ConvInput::NormClip {

@@ -6,8 +6,9 @@
 //! first), runs one forward pass on the worker's own [`FrozenExecutor`]
 //! (lowered once at start; it serves every batch size up to `max_batch`)
 //! and fans the score rows back out to the callers. Because
-//! the frozen graph has no batch-coupled operators left (BN folded into the
-//! weights) and every kernel partitions per sample, a request's scores are
+//! the frozen graph has no batch-coupled operators left (every normalization
+//! reads running statistics) and every kernel partitions per sample, a
+//! request's scores are
 //! **identical** whether it was served alone or coalesced into a full batch
 //! — the batcher trades latency for throughput, never numerics.
 //!

@@ -2,13 +2,13 @@
 
 use std::fmt;
 
-/// Errors produced while freezing, folding or serving a model.
+/// Errors produced while freezing or serving a model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// A frozen node's parameters could not be derived from the training
-    /// state (missing parameters, missing running statistics, channel
-    /// mismatches).
-    Fold(String),
+    /// A frozen node's parameters could not be copied from the training
+    /// state (missing parameters or running statistics, parameters that do
+    /// not fit the node's operator).
+    Params(String),
     /// A request or configuration was invalid.
     InvalidArgument(String),
     /// The engine is shutting down and no longer accepts requests.
@@ -39,7 +39,7 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Fold(msg) => write!(f, "fold error: {msg}"),
+            ServeError::Params(msg) => write!(f, "parameter error: {msg}"),
             ServeError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             ServeError::ShuttingDown => write!(f, "the serving engine is shutting down"),
             ServeError::Overloaded { queued } => {

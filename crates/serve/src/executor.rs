@@ -5,18 +5,22 @@
 //! memory plan's liveness tables — all request-invariant work. The executor
 //! now compiles the frozen graph once, at construction, into a
 //! [`LinearProgram`]: a flat instruction tape in topological order whose
-//! instructions carry fully-resolved kernel recipes (op kind, per-sample
-//! shapes, fused-ReLU flag) and pre-resolved register operands.
-//! [`FrozenExecutor::infer`] is a tape walker — `for instr in program`
-//! dispatching straight into the `*_into` kernels with pre-bound parameter
-//! handles; no dispatch decision survives to request time.
+//! instructions carry fully-resolved kernel recipes (op kind, a
+//! convolution's prologue, per-sample shapes) and pre-resolved register
+//! operands. [`FrozenExecutor::infer`] is a tape walker — `for instr in
+//! program` dispatching straight into the `*_into` kernels with pre-bound
+//! parameter handles; no dispatch decision survives to request time.
+//!
+//! The kernels are the ones the training executor's forward calls —
+//! `fused_conv_forward_into` with the same [`ConvInput`] prologue,
+//! `normalize_sweep_into` — fed the running statistics, so a served score
+//! is the eval-mode forward's score, bit for bit.
 //!
 //! One executor serves every batch of 1 to `max_batch` samples: a call of
 //! `n` samples stamps `n` in front of each instruction's per-sample output
 //! shape, so every kernel works on the `n`-sample prefix of its register.
 //!
-//! Kernels are the same `bnff-kernels` entry points the trainer uses, so
-//! inference saturates `BNFF_THREADS` cores with thread-count-identical
+//! Those kernels saturate `BNFF_THREADS` cores with thread-count-identical
 //! results — which also makes the program's serial hint free to honour:
 //! cheap small-batch passes run under a single thread to skip the fan-out
 //! cost without changing a single bit of output.
@@ -37,21 +41,19 @@ use crate::error::ServeError;
 use crate::params::{FrozenParamSet, FrozenParams};
 use crate::Result;
 use bnff_graph::linear::{Instr, Kernel, LinearProgram};
-use bnff_graph::op::PoolKind;
+use bnff_graph::op::{ConvPrologue, PoolKind};
 use bnff_graph::plan::ExecutionPlan;
 use bnff_graph::{Graph, NodeId};
-use bnff_kernels::affine::{
-    channel_affine_in_place, channel_affine_into, channel_affine_relu_in_place,
-    channel_affine_relu_into,
-};
+use bnff_kernels::batchnorm::normalize_sweep_into;
 use bnff_kernels::concat::concat_forward_into;
-use bnff_kernels::conv::{conv2d_forward_into, conv2d_forward_relu_into};
+use bnff_kernels::conv::ConvInput;
 use bnff_kernels::eltwise::eltwise_sum_forward_into;
 use bnff_kernels::fc::fc_forward_into;
+use bnff_kernels::fused::fused_conv_forward_into;
 use bnff_kernels::pool::{
     avg_pool_forward_into, global_avg_pool_forward_into, max_pool_forward_into,
 };
-use bnff_kernels::relu::{relu_forward_inplace, relu_forward_into};
+use bnff_kernels::relu::relu_forward_into;
 use bnff_obs::OpProfiler;
 use bnff_parallel::with_threads;
 use bnff_tensor::{Shape, Tensor};
@@ -66,7 +68,7 @@ pub struct OpProfile {
     pub node: NodeId,
     /// The node's name.
     pub name: String,
-    /// The kernel's op-kind label (`"conv"`, `"affine"`, …).
+    /// The kernel's op-kind label (`"conv"`, `"norm"`, …).
     pub kind: &'static str,
     /// Recorded executions.
     pub count: u64,
@@ -94,7 +96,7 @@ pub struct FrozenExecutor {
 }
 
 impl FrozenExecutor {
-    /// Creates an executor over a frozen graph and its folded parameters for
+    /// Creates an executor over a frozen graph and its parameters for
     /// batches of up to `max_batch` samples: plans the graph's memory,
     /// lowers it to a [`LinearProgram`] and binds every instruction's
     /// parameters. All lowering errors (training-only operators, missing
@@ -141,7 +143,7 @@ impl FrozenExecutor {
             .iter()
             .zip(self.profiler.snapshot())
             .map(|(instr, stats)| OpProfile {
-                node: instr.op_node,
+                node: instr.node,
                 name: instr.name.clone(),
                 kind: instr.kernel.kind_name(),
                 count: stats.count,
@@ -234,24 +236,21 @@ fn bind_params(
         .instrs()
         .iter()
         .map(|instr| {
-            let handle = params.get_shared(instr.op_node);
-            let ok = match &instr.kernel {
-                Kernel::Conv { .. } => {
-                    matches!(handle.as_deref(), Some(FrozenParams::Conv { .. }))
+            let handle = params.get_shared(instr.node);
+            let ok = match (&instr.kernel, handle.as_deref()) {
+                (Kernel::Conv { prologue, .. }, Some(FrozenParams::Conv { norm, .. })) => {
+                    norm.is_some() == matches!(prologue, ConvPrologue::NormRelu(_))
                 }
-                Kernel::Affine { .. } => {
-                    matches!(handle.as_deref(), Some(FrozenParams::Affine { .. }))
-                }
-                Kernel::FullyConnected => {
-                    matches!(handle.as_deref(), Some(FrozenParams::Fc { .. }))
-                }
+                (Kernel::Norm { .. }, Some(FrozenParams::Norm(_)))
+                | (Kernel::FullyConnected, Some(FrozenParams::Fc { .. })) => true,
+                (Kernel::Conv { .. } | Kernel::Norm { .. } | Kernel::FullyConnected, _) => false,
                 _ => return Ok(None),
             };
             if ok {
                 Ok(handle)
             } else {
-                Err(ServeError::Fold(format!(
-                    "no frozen parameters for instruction '{}'",
+                Err(ServeError::Params(format!(
+                    "no frozen parameters fit instruction '{}'",
                     instr.name
                 )))
             }
@@ -275,14 +274,12 @@ fn take_out(regs: &mut [Option<Tensor>], instr: &Instr, n: usize) -> Tensor {
         .expect("register buffer resized to the instruction's volume")
 }
 
-/// The error for operand `idx` of `instr` finding its register empty.
-fn empty_operand(instr: &Instr, idx: usize) -> ServeError {
-    let reg = instr.inputs[idx];
-    ServeError::InvalidArgument(format!("register {reg} read by '{}' is empty", instr.name))
-}
-
+/// Operand `idx` of `instr`; an error if its register is empty.
 fn reg_ref<'a>(regs: &'a [Option<Tensor>], instr: &Instr, idx: usize) -> Result<&'a Tensor> {
-    regs[instr.inputs[idx]].as_ref().ok_or_else(|| empty_operand(instr, idx))
+    let reg = instr.inputs[idx];
+    regs[reg].as_ref().ok_or_else(|| {
+        ServeError::InvalidArgument(format!("register {reg} read by '{}' is empty", instr.name))
+    })
 }
 
 /// Executes one instruction over `n` samples against the register file.
@@ -292,47 +289,26 @@ fn exec_instr(
     params: Option<&FrozenParams>,
     n: usize,
 ) -> Result<()> {
-    // The in-place pointwise kernels: the planner recycled the input's
-    // register for the output (it proved the input dead), so the kernel
-    // sweeps the buffer once in place.
-    if instr.inputs.first() == Some(&instr.out) {
-        let mut buf = regs[instr.out].take().ok_or_else(|| empty_operand(instr, 0))?;
-        match (&instr.kernel, params) {
-            (Kernel::Affine { fused_relu }, Some(FrozenParams::Affine { scale, shift })) => {
-                if *fused_relu {
-                    channel_affine_relu_in_place(&mut buf, scale, shift)?;
-                } else {
-                    channel_affine_in_place(&mut buf, scale, shift)?;
-                }
-            }
-            (Kernel::Relu, _) => relu_forward_inplace(&mut buf),
-            _ => {
-                return Err(ServeError::InvalidArgument(format!(
-                    "instruction '{}' runs in place but is not pointwise",
-                    instr.name
-                )))
-            }
-        }
-        regs[instr.out] = Some(buf);
-        return Ok(());
-    }
     let mut out = take_out(regs, instr, n);
     match (&instr.kernel, params) {
-        (Kernel::Conv { attrs, fused_relu }, Some(FrozenParams::Conv { weights, bias })) => {
-            let x = reg_ref(regs, instr, 0)?;
-            if *fused_relu {
-                conv2d_forward_relu_into(x, weights, bias.as_deref(), attrs, &mut out)?;
-            } else {
-                conv2d_forward_into(x, weights, bias.as_deref(), attrs, &mut out)?;
-            }
+        (Kernel::Conv { attrs, prologue }, Some(FrozenParams::Conv { weights, bias, norm })) => {
+            let x = reg_ref(regs, instr, 0)?.into();
+            // `bind_params` gave a normalizing prologue its normalization.
+            let input = match (prologue, norm) {
+                (ConvPrologue::NormRelu(_), Some(n)) => ConvInput::NormClip {
+                    x,
+                    stats: &n.running,
+                    params: &n.params,
+                    epsilon: n.epsilon,
+                },
+                (ConvPrologue::Relu, _) => ConvInput::Clip(x),
+                _ => ConvInput::Raw(x),
+            };
+            fused_conv_forward_into(input, weights, bias.as_deref(), attrs, false, &mut out)?;
         }
-        (Kernel::Affine { fused_relu }, Some(FrozenParams::Affine { scale, shift })) => {
+        (Kernel::Norm { relu }, Some(FrozenParams::Norm(n))) => {
             let x = reg_ref(regs, instr, 0)?;
-            if *fused_relu {
-                channel_affine_relu_into(x, scale, shift, &mut out)?;
-            } else {
-                channel_affine_into(x, scale, shift, &mut out)?;
-            }
+            normalize_sweep_into(x, &n.running, &n.params, n.epsilon, *relu, None, &mut out)?;
         }
         (Kernel::Relu, _) => {
             relu_forward_into(reg_ref(regs, instr, 0)?, &mut out)?;

@@ -1,23 +1,23 @@
 //! # bnff-serve — the inference serving subsystem
 //!
-//! At inference time the paper's restructuring collapses entirely: Batch
-//! Normalization (and every BNFF-fused variant of it) normalizes with
-//! *running* statistics, which is a per-channel affine that folds into the
-//! adjacent convolution's weights and bias. This crate turns that
-//! observation into a servable system, in three layers:
+//! At inference time the paper's restructuring changes nothing about the
+//! arithmetic: Batch Normalization (and every BNFF-fused variant of it)
+//! normalizes with *running* statistics instead of the mini-batch's, which
+//! is exactly the training executor's eval-mode forward. This crate serves
+//! that forward, bit for bit, in three layers:
 //!
-//! 1. **Freeze + fold** — [`FrozenModel`] applies the structural freeze
-//!    pass (`bnff_graph::passes::freeze`) to a trained graph at *any*
-//!    fusion level, then applies the fold plan numerically
-//!    ([`params::fold_params`]): scaled filters, folded biases, residual
-//!    [`ChannelAffine`](bnff_graph::op::OpKind::ChannelAffine) nodes only
-//!    where a Concat or element-wise sum blocks the fold.
+//! 1. **Freeze** — [`FrozenModel`] strips a trained graph at *any* fusion
+//!    level of its loss head and label input (`bnff_graph::passes::freeze`)
+//!    and copies its parameters and running statistics
+//!    ([`FrozenParamSet::from_training`]); every operator stays as trained.
 //! 2. **Execute** — [`FrozenExecutor`] runs the frozen graph forward-only
 //!    over an [`ExecutionPlan::for_inference`](bnff_graph::plan::ExecutionPlan::for_inference)
 //!    memory plan, so every intermediate activation recycles through one
-//!    small arena and the same `bnff-parallel`-threaded kernels the trainer
-//!    uses keep results bit-identical across `BNFF_THREADS`. One executor
-//!    runs any batch of 1 to its `max_batch` samples on one tape.
+//!    small arena, and calls the kernels the trainer's forward calls — a
+//!    convolution stages its normalize-and-clip prologue as in training —
+//!    so a served score equals the eval-mode forward's, bit for bit, at any
+//!    `BNFF_THREADS`. One executor runs any batch of 1 to its `max_batch`
+//!    samples on one tape.
 //! 3. **Serve** — [`ServeEngine`] admits single-sample requests into
 //!    per-worker bounded shard queues (spilling to siblings, shedding with
 //!    [`ServeError::Overloaded`] only when every queue is full), coalesces
@@ -54,7 +54,7 @@
 //! b.softmax_loss(fc, labels, "loss")?;
 //!
 //! let exec = Executor::new(b.finish(), 42)?;
-//! // Freeze + fold through the builder; `.start()` would spin up workers,
+//! // Freeze through the builder; `.start()` would spin up workers,
 //! // `.build_model()` hands back the frozen model for direct execution.
 //! let model = ServeEngine::builder().executor(&exec).build_model()?;
 //! // Lower an executor for up to four samples per pass; the same tape
@@ -90,7 +90,7 @@ pub use executor::{FrozenExecutor, OpProfile};
 pub use httpd::{HttpOptions, HttpServer};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use model::FrozenModel;
-pub use params::{FrozenParamSet, FrozenParams};
+pub use params::{FrozenNorm, FrozenParamSet, FrozenParams};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

@@ -1,4 +1,5 @@
-//! The frozen model: a frozen graph template plus its folded parameters.
+//! The frozen model: a frozen graph template plus copies of its trained
+//! parameters and running statistics.
 //!
 //! A [`FrozenModel`] is built once — from a live
 //! [`Executor`](bnff_train::Executor), or from the `.bnff` artifact of a
@@ -11,7 +12,7 @@
 
 use crate::error::ServeError;
 use crate::executor::FrozenExecutor;
-use crate::params::{fold_params, FrozenParamSet};
+use crate::params::FrozenParamSet;
 use crate::Result;
 use bnff_graph::passes::freeze::{freeze, FrozenGraph};
 use bnff_graph::{Graph, NodeId};
@@ -22,7 +23,8 @@ use bnff_train::ParamSet;
 use std::path::Path;
 use std::sync::Arc;
 
-/// A frozen, BN-folded model ready for serving.
+/// A frozen model ready for serving: the eval-mode forward of its training
+/// graph.
 #[derive(Debug, Clone)]
 pub struct FrozenModel {
     template: Graph,
@@ -32,30 +34,31 @@ pub struct FrozenModel {
 }
 
 impl FrozenModel {
-    /// Freezes a training graph and folds its parameters + running
+    /// Freezes a training graph and copies its parameters and running
     /// statistics.
     ///
     /// # Errors
-    /// Returns an error when the freeze pass or the numeric fold fails.
+    /// Returns an error when the freeze pass fails or a node's parameters
+    /// cannot be copied.
     pub fn from_parts(graph: &Graph, params: &ParamSet, running: &RunningStatSet) -> Result<Self> {
         let frozen: FrozenGraph = freeze(graph)?;
-        let folded = fold_params(&frozen, params, running)?;
+        let params = FrozenParamSet::from_training(&frozen, params, running)?;
         Ok(FrozenModel {
             template: frozen.graph,
-            params: Arc::new(folded),
+            params: Arc::new(params),
             input: frozen.input,
             output: frozen.output,
         })
     }
 
     /// Loads and freezes a `.bnff` model artifact — the process-separation
-    /// path: the trainer wrote the file, the server folds it. The file is
+    /// path: the trainer wrote the file, the server freezes it. The file is
     /// read once and CRC-verified before any tensor is touched.
     ///
     /// # Errors
     /// Returns [`ServeError::Model`] when the file fails any format
     /// validation (anything that is not an artifact is a typed
-    /// `BadMagic`/`Truncated`), and a fold error when the model cannot be
+    /// `BadMagic`/`Truncated`), and a parameter error when the model cannot be
     /// frozen.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
         let checkpoint = Checkpoint::read_artifact(path)?;
@@ -67,7 +70,7 @@ impl FrozenModel {
         &self.template
     }
 
-    /// The folded parameters (shared by every stamped executor).
+    /// The frozen parameters (shared by every stamped executor).
     pub fn params(&self) -> &Arc<FrozenParamSet> {
         &self.params
     }

@@ -1,21 +1,19 @@
-//! Numeric application of the freeze pass's fold plan.
+//! The parameters a frozen graph runs with.
 //!
-//! The freeze pass (`bnff_graph::passes::freeze`) is purely structural: it
-//! emits [`FoldRecipe`]s that reference *training-graph* nodes. This module
-//! applies them against a trained [`ParamSet`] and its [`RunningStatSet`],
-//! producing the frozen parameters:
-//!
-//! * a folded convolution's filters are scaled per **output** channel by
-//!   `scale[o] = γ[o]/√(running_var[o]+ε)` and its bias becomes
-//!   `scale[o]·b[o] + shift[o]` — BN at inference costs nothing;
-//! * a standalone affine keeps its `(scale, shift)` vectors;
-//! * everything else (FC, unfolded convs) is copied through.
+//! Serving computes the eval-mode forward of the training executor, so the
+//! frozen parameters are copies of the training ones, taken node by node
+//! through the freeze pass's frozen → training node map: filters and biases,
+//! and, for every normalization (standalone, or a prologue a fused
+//! convolution absorbed), its γ/β, its ε and the running statistics of its
+//! statistics source. No arithmetic is done at load.
 
 use crate::error::ServeError;
 use crate::Result;
-use bnff_graph::passes::freeze::{AffineSource, FoldRecipe, FrozenGraph};
-use bnff_graph::NodeId;
-use bnff_kernels::affine::bn_affine_coefficients;
+use bnff_graph::op::{BatchNormAttrs, ConvPrologue, OpForm};
+use bnff_graph::passes::freeze::FrozenGraph;
+use bnff_graph::{Node, NodeId};
+use bnff_kernels::batchnorm::BnParams;
+use bnff_tensor::stats::ChannelStats;
 use bnff_tensor::Tensor;
 use bnff_train::params::NodeParams;
 use bnff_train::running::RunningStatSet;
@@ -23,29 +21,38 @@ use bnff_train::ParamSet;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The inference-ready parameters of one frozen node.
+/// What a normalization reads at inference.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FrozenNorm {
+    /// γ/β.
+    pub params: BnParams,
+    /// The running statistics of the normalization's statistics source.
+    pub running: ChannelStats,
+    /// The ε under the square root.
+    pub epsilon: f32,
+}
+
+/// The parameters of one frozen node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FrozenParams {
-    /// Convolution filters (possibly scaled by a folded BN) and bias.
+    /// A convolution: filters, bias and, with a normalizing prologue, the
+    /// normalization it absorbed.
     Conv {
         /// Filter tensor `(Cout, Cin, Kh, Kw)`.
         weights: Tensor,
-        /// Per-output-channel bias (present whenever an affine was folded).
+        /// Optional per-output-channel bias.
         bias: Option<Vec<f32>>,
+        /// The prologue's normalization, if it normalizes.
+        norm: Option<FrozenNorm>,
     },
+    /// A standalone normalization.
+    Norm(FrozenNorm),
     /// Fully-connected weights `(out, in)` and bias.
     Fc {
         /// Weight matrix `(out, in)`.
         weights: Tensor,
         /// Bias of length `out`.
         bias: Vec<f32>,
-    },
-    /// A standalone per-channel affine.
-    Affine {
-        /// Per-channel scale.
-        scale: Vec<f32>,
-        /// Per-channel shift.
-        shift: Vec<f32>,
     },
 }
 
@@ -58,6 +65,57 @@ pub struct FrozenParamSet {
 }
 
 impl FrozenParamSet {
+    /// Copies a frozen graph's parameters out of the trained parameter set
+    /// and its running statistics.
+    ///
+    /// # Errors
+    /// Returns [`ServeError::Params`] when a node's training parameters do
+    /// not fit its operator or a normalization's statistics source has no
+    /// running statistics.
+    pub fn from_training(
+        frozen: &FrozenGraph,
+        params: &ParamSet,
+        running: &RunningStatSet,
+    ) -> Result<Self> {
+        let mut entries = HashMap::new();
+        for node in frozen.graph.nodes() {
+            let Some(trained) = params.get(frozen.training[node.id.index()]) else { continue };
+            let norm = |bn: BatchNormAttrs, own: bool| -> Result<FrozenNorm> {
+                let source = frozen.training[if own { node.id } else { node.inputs[1] }.index()];
+                let stats = running.get(source).ok_or_else(|| {
+                    ServeError::Params(format!("no running statistics for {source}"))
+                })?;
+                let params = match trained {
+                    NodeParams::Bn(p) | NodeParams::ConvBn { bn: p, .. } => p.clone(),
+                    _ => return Err(misfit(node)),
+                };
+                Ok(FrozenNorm { params, running: stats.as_channel_stats(), epsilon: bn.epsilon })
+            };
+            let entry = match (node.op.form(), trained) {
+                (
+                    OpForm::Conv { prologue, .. },
+                    NodeParams::Conv { weights, bias } | NodeParams::ConvBn { weights, bias, .. },
+                ) => FrozenParams::Conv {
+                    weights: weights.clone(),
+                    bias: bias.clone(),
+                    norm: match prologue {
+                        ConvPrologue::NormRelu(bn) => Some(norm(bn, false)?),
+                        ConvPrologue::None | ConvPrologue::Relu => None,
+                    },
+                },
+                (OpForm::Norm { bn, stats_from_input, .. }, _) => {
+                    FrozenParams::Norm(norm(bn, stats_from_input)?)
+                }
+                (OpForm::Other, NodeParams::Fc { weights, bias }) => {
+                    FrozenParams::Fc { weights: weights.clone(), bias: bias.clone() }
+                }
+                _ => return Err(misfit(node)),
+            };
+            entries.insert(node.id.index(), Arc::new(entry));
+        }
+        Ok(FrozenParamSet { entries })
+    }
+
     /// Looks up the parameters of a frozen node.
     pub fn get(&self, id: NodeId) -> Option<&FrozenParams> {
         self.entries.get(&id.index()).map(Arc::as_ref)
@@ -79,132 +137,27 @@ impl FrozenParamSet {
         self.entries.is_empty()
     }
 
-    /// Total number of scalar parameters the frozen model carries.
+    /// Total number of scalar parameters the frozen model carries (running
+    /// statistics included).
     pub fn scalar_count(&self) -> usize {
+        let norm = |n: &FrozenNorm| 2 * n.params.gamma.len() + 2 * n.running.channels();
         self.entries
             .values()
             .map(|p| match p.as_ref() {
-                FrozenParams::Conv { weights, bias } => {
-                    weights.len() + bias.as_ref().map(Vec::len).unwrap_or(0)
+                FrozenParams::Conv { weights, bias, norm: n } => {
+                    weights.len() + bias.as_ref().map_or(0, Vec::len) + n.as_ref().map_or(0, norm)
                 }
+                FrozenParams::Norm(n) => norm(n),
                 FrozenParams::Fc { weights, bias } => weights.len() + bias.len(),
-                FrozenParams::Affine { scale, shift } => scale.len() + shift.len(),
             })
             .sum()
     }
 }
 
-/// The γ/β a recipe's `gamma_beta` node owns in the training parameters.
-fn gamma_beta(params: &ParamSet, id: NodeId) -> Result<(&[f32], &[f32])> {
-    match params.get(id) {
-        Some(NodeParams::Bn(bn)) => Ok((&bn.gamma, &bn.beta)),
-        Some(NodeParams::ConvBn { bn, .. }) => Ok((&bn.gamma, &bn.beta)),
-        _ => Err(ServeError::Fold(format!("node {id} owns no γ/β parameters"))),
-    }
-}
-
-/// The affine `(scale, shift)` of one [`AffineSource`].
-fn affine_coefficients(
-    params: &ParamSet,
-    running: &RunningStatSet,
-    src: &AffineSource,
-) -> Result<(Vec<f32>, Vec<f32>)> {
-    let (gamma, beta) = gamma_beta(params, src.gamma_beta)?;
-    let stats = running.get(src.stats).ok_or_else(|| {
-        ServeError::Fold(format!("no running statistics for stats node {}", src.stats))
-    })?;
-    Ok(bn_affine_coefficients(gamma, beta, &stats.mean, &stats.var, src.epsilon)?)
-}
-
-/// Scales weight "rows" (leading-axis slices) and folds the affine into the
-/// bias: `w'[o] = scale[o]·w[o]`, `b'[o] = scale[o]·b[o] + shift[o]`.
-fn fold_into_weights(
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    scale: &[f32],
-    shift: &[f32],
-) -> Result<(Tensor, Vec<f32>)> {
-    let out_channels = weights.shape().dim(0).map_err(ServeError::Tensor)?;
-    if scale.len() != out_channels {
-        return Err(ServeError::Fold(format!(
-            "affine covers {} channels but the producer has {out_channels} output channels",
-            scale.len()
-        )));
-    }
-    let row = weights.len() / out_channels.max(1);
-    let mut folded = weights.clone();
-    for (oc, chunk) in folded.as_mut_slice().chunks_mut(row.max(1)).enumerate() {
-        for v in chunk.iter_mut() {
-            *v *= scale[oc];
-        }
-    }
-    let folded_bias = (0..out_channels)
-        .map(|oc| scale[oc] * bias.map(|b| b[oc]).unwrap_or(0.0) + shift[oc])
-        .collect();
-    Ok((folded, folded_bias))
-}
-
-/// Applies a [`FrozenGraph`]'s fold plan to a trained parameter set and its
-/// running statistics.
-///
-/// # Errors
-/// Returns [`ServeError::Fold`] when a recipe references missing training
-/// state or the channel counts disagree.
-pub fn fold_params(
-    frozen: &FrozenGraph,
-    params: &ParamSet,
-    running: &RunningStatSet,
-) -> Result<FrozenParamSet> {
-    let mut entries = HashMap::new();
-    for (&idx, recipe) in &frozen.recipes {
-        let folded = match recipe {
-            FoldRecipe::Conv { source, affine } => {
-                let (weights, bias) = match params.get(*source) {
-                    Some(NodeParams::Conv { weights, bias }) => (weights, bias.as_deref()),
-                    Some(NodeParams::ConvBn { weights, bias, .. }) => (weights, bias.as_deref()),
-                    _ => {
-                        return Err(ServeError::Fold(format!(
-                            "node {source} owns no convolution parameters"
-                        )))
-                    }
-                };
-                match affine {
-                    Some(src) => {
-                        let (scale, shift) = affine_coefficients(params, running, src)?;
-                        let (weights, bias) = fold_into_weights(weights, bias, &scale, &shift)?;
-                        FrozenParams::Conv { weights, bias: Some(bias) }
-                    }
-                    None => FrozenParams::Conv {
-                        weights: weights.clone(),
-                        bias: bias.map(<[f32]>::to_vec),
-                    },
-                }
-            }
-            FoldRecipe::Fc { source, affine } => {
-                let (weights, bias) = match params.get(*source) {
-                    Some(NodeParams::Fc { weights, bias }) => (weights, bias),
-                    _ => {
-                        return Err(ServeError::Fold(format!(
-                            "node {source} owns no fully-connected parameters"
-                        )))
-                    }
-                };
-                match affine {
-                    Some(src) => {
-                        let (scale, shift) = affine_coefficients(params, running, src)?;
-                        let (weights, bias) =
-                            fold_into_weights(weights, Some(bias), &scale, &shift)?;
-                        FrozenParams::Fc { weights, bias }
-                    }
-                    None => FrozenParams::Fc { weights: weights.clone(), bias: bias.clone() },
-                }
-            }
-            FoldRecipe::Affine(src) => {
-                let (scale, shift) = affine_coefficients(params, running, src)?;
-                FrozenParams::Affine { scale, shift }
-            }
-        };
-        entries.insert(idx, Arc::new(folded));
-    }
-    Ok(FrozenParamSet { entries })
+/// The error for training parameters that do not fit the node's operator.
+fn misfit(node: &Node) -> ServeError {
+    ServeError::Params(format!(
+        "the training parameters of '{}' do not fit its {}",
+        node.name, node.op
+    ))
 }

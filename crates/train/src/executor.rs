@@ -74,7 +74,7 @@ enum StatsMode {
     /// Training semantics: per-channel statistics of the current mini-batch.
     Batch,
     /// Inference (eval) semantics: the executor's running statistics — the
-    /// same numbers the freeze pass folds into a frozen graph.
+    /// same numbers a frozen graph is served with.
     Running,
 }
 
@@ -387,7 +387,7 @@ impl Executor {
     }
 
     /// The statistics node `id` publishes for `x`: the mini-batch's in
-    /// training, the running ones (what the freeze pass folds) in eval.
+    /// training, the running ones (what serving reads) in eval.
     fn publish_stats(
         &self,
         mode: StatsMode,
@@ -521,7 +521,7 @@ impl Executor {
                 // it here.
                 let mut out = ws.output(&self.plan, id, &node.output_shape);
                 match (node.op.form(), &node.op) {
-                    (OpForm::Conv { attrs, prologue, stats_out, relu_out: false }, _) => {
+                    (OpForm::Conv { attrs, prologue, stats_out }, _) => {
                         let parts = parts()?;
                         let x = self.ifmap(node, prologue, ChannelRope::new(&parts)?, &stats)?;
                         let (w, b) = self.conv_params(node)?;
@@ -596,8 +596,8 @@ impl Executor {
                         out.fill(loss);
                     }
                     // Every training convolution and normalization decoded
-                    // above; what is left are the freeze pass's operators.
-                    _ => return Err(inference_only(node)),
+                    // above; what is left are the retired inference operators.
+                    _ => return Err(untrainable(node)),
                 }
                 values[id.index()] = Some(out);
             }
@@ -644,7 +644,7 @@ impl Executor {
             // overwrites it) — or passes on the gradient it owns, in place.
             let input_grad = |pool: &mut BufferPool| self.grad_buffer(pool, node.inputs[0]);
             let d_x = match (node.op.form(), &node.op) {
-                (OpForm::Conv { attrs, prologue, relu_out: false, .. }, _) => {
+                (OpForm::Conv { attrs, prologue, .. }, _) => {
                     let parts = self.saved_parts(fwd, node)?;
                     let x = self.ifmap(node, prologue, ChannelRope::new(&parts)?, &fwd.stats)?;
                     let (w, b) = self.conv_params(node)?;
@@ -729,7 +729,7 @@ impl Executor {
                     per_node.insert(id.index(), NodeParamGrads::Fc { d_weights, d_bias });
                     Some(d_x)
                 }
-                _ => return Err(inference_only(node)),
+                _ => return Err(untrainable(node)),
             };
             if let Some(d_x) = d_x {
                 self.accumulate(pool, &mut d_vals, node.inputs[0], d_x)?;
@@ -746,11 +746,8 @@ fn missing(what: &str, node: &Node) -> TrainError {
     TrainError::Missing(format!("{what} for '{}'", node.name))
 }
 
-fn inference_only(node: &Node) -> TrainError {
-    let name = &node.name;
-    TrainError::Unsupported(format!(
-        "'{name}' is an inference-only operator; run frozen graphs on the bnff-serve executor"
-    ))
+fn untrainable(node: &Node) -> TrainError {
+    TrainError::Unsupported(format!("'{}' is a {}, which no pass emits", node.name, node.op))
 }
 
 /// The statistics `node` normalizes with: the ones it published itself

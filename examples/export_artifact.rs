@@ -1,6 +1,7 @@
-//! Trains a tiny model and exports it as a binary artifact (`model.bnff`)
-//! plus a ready `request.json` body for `POST /v1/infer` — the input set for
-//! the CI HTTP smoke test:
+//! Trains a tiny model and exports it as a binary artifact (`model.bnff`),
+//! a ready `request.json` body for `POST /v1/infer`, and the scores the
+//! reply must carry (`expected_scores.json`) — the input set for the CI
+//! HTTP smoke test:
 //!
 //! ```text
 //! cargo run --release --example export_artifact -- OUTDIR
@@ -8,12 +9,17 @@
 //! curl -d @OUTDIR/request.json http://127.0.0.1:8080/v1/infer
 //! ```
 //!
+//! The expected scores are the trainer's eval-mode forward of the request
+//! sample, rendered by the same JSON writer the server uses: the reply's
+//! `scores` array must equal the file byte for byte.
+//!
 //! Environment knobs: `BNFF_EXPORT_TRAIN_STEPS` (default 6).
 
 use bnff::core::{BnffOptimizer, FusionLevel};
 use bnff::models::resnet_cifar;
 use bnff::serve::ServeEngine;
 use bnff::tensor::init::Initializer;
+use bnff::tensor::{Shape, Tensor};
 use bnff::train::checkpoint::Checkpoint;
 use bnff::train::data::SyntheticDataset;
 use bnff::train::{TrainConfig, Trainer};
@@ -61,11 +67,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&request_path, &body)?;
     println!("wrote {} ({} B)", request_path.display(), body.len());
 
-    // --- 4. Prove the artifact round-trips: load it back and infer.
+    // --- 4. The scores a served reply must carry: the eval-mode forward,
+    // with the sample in row 0 of a training batch.
+    let mut template = Tensor::zeros(Shape::new([&[batch], sample.shape().dims()].concat()));
+    template.as_mut_slice()[..sample.len()].copy_from_slice(sample.as_slice());
+    let eval = trainer.executor().forward_eval(&template, &vec![0; batch])?;
+    let expected = serde_json::to_string(&eval.scores.as_slice()[..classes].to_vec())?;
+    let expected_path = outdir.join("expected_scores.json");
+    std::fs::write(&expected_path, &expected)?;
+    println!("wrote {} ({expected})", expected_path.display());
+
+    // --- 5. Prove the artifact round-trips: load it back and infer.
     let mut dims = vec![1usize];
     dims.extend_from_slice(sample.shape().dims());
-    let batched =
-        bnff::tensor::Tensor::from_vec(bnff::tensor::Shape::new(dims), sample.as_slice().to_vec())?;
+    let batched = Tensor::from_vec(Shape::new(dims), sample.as_slice().to_vec())?;
     let scores = model.executor(1)?.infer(&batched)?;
     println!("sanity scores: {:?}", scores.as_slice());
     Ok(())

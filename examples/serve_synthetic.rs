@@ -1,8 +1,9 @@
 //! End-to-end serving demo: train a small zoo model, write it as a `.bnff`
-//! artifact, load and freeze that file (BN folded into the weights), and
-//! serve a stream of synthetic
-//! single-sample requests through the dynamic micro-batching engine,
-//! printing throughput and p50/p99 latency.
+//! artifact, load and freeze that file (the loss head goes; every
+//! normalization reads its running statistics, as in the eval-mode
+//! forward), and serve a stream of synthetic single-sample requests through
+//! the dynamic micro-batching engine, printing throughput and p50/p99
+//! latency.
 //!
 //! Run with `cargo run --release --example serve_synthetic`.
 //!
@@ -69,7 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         checkpoint.params.scalar_count()
     );
 
-    // --- 3. Load and freeze: BN folds into the conv weights.
+    // --- 3. Load and freeze: the loss head and the labels go, and the
+    // frozen parameters are the trained ones plus the running statistics.
     let model = ServeEngine::builder().model_file(&artifact_path).build_model()?;
     println!(
         "--- frozen: {} nodes (training graph had {}), {} frozen params ---",

@@ -2,9 +2,9 @@
 //! (0–3: Baseline, RCF, RCF+MVF, BNFF): train a little, checkpoint,
 //! convert to a binary artifact and back bit-identically, then prove a
 //! model served from the artifact file scores exactly like one served
-//! from the in-memory checkpoint (no serialization at all) — and within
-//! 1e-5 of the training executor's eval-mode forward. Anything that is not
-//! an artifact is refused with a typed error.
+//! from the in-memory checkpoint (no serialization at all) — and exactly
+//! like the training executor's eval-mode forward. Anything that is not an
+//! artifact is refused with a typed error.
 
 use bnff::artifact::{Artifact, ModelError};
 use bnff::core::{BnffOptimizer, FusionLevel};
@@ -80,9 +80,12 @@ fn artifact_deployment_is_equivalent_at_every_fusion_level() {
             "{level}: artifact-served and checkpoint-served scores differ"
         );
 
-        // And the deployed model still tracks the training-time eval pass.
-        let div = eval.scores.max_abs_diff(&artifact_scores).unwrap();
-        assert!(div < 1e-5, "{level}: deployed model diverges from eval by {div}");
+        // And the deployed model computes the training-time eval pass.
+        assert_eq!(
+            bits(&artifact_scores),
+            bits(&eval.scores),
+            "{level}: deployed model diverges from eval"
+        );
     }
 
     let _ = std::fs::remove_dir_all(&dir);

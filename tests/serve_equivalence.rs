@@ -1,11 +1,14 @@
 //! Workspace integration tests for the serving subsystem: the freeze pass
 //! must structurally handle the whole model zoo, and frozen-graph inference
-//! must match the training executor's eval-mode (running-statistics)
-//! forward within 1e-5 for CIFAR-scale zoo models at every measured fusion
-//! level (0–3: Baseline, RCF, RCF+MVF, BNFF), bit-identically across
-//! `BNFF_THREADS` 1 and 4.
+//! must equal the training executor's eval-mode (running-statistics)
+//! forward **bit for bit** — for CIFAR-scale zoo models at every measured
+//! fusion level, across `BNFF_THREADS` 1 and 4. Training is bit-identical
+//! across fusion levels, so a model trained at any level serves the
+//! Baseline's eval scores.
 
 use bnff::core::{BnffOptimizer, FusionLevel};
+use bnff::graph::linear::LinearProgram;
+use bnff::graph::op::OpKind;
 use bnff::graph::passes::freeze;
 use bnff::graph::plan::ExecutionPlan;
 use bnff::graph::Graph;
@@ -15,7 +18,8 @@ use bnff::parallel::with_threads;
 use bnff::serve::ServeEngine;
 use bnff::tensor::init::Initializer;
 use bnff::tensor::{Shape, Tensor};
-use bnff::train::Executor;
+use bnff::train::data::SyntheticDataset;
+use bnff::train::{Executor, TrainConfig, Trainer};
 
 /// Prepares a trained-ish executor (moved running statistics) and an input
 /// batch for one graph.
@@ -35,25 +39,21 @@ fn conditioned(graph: &Graph, seed: u64) -> (Executor, Tensor, Vec<usize>) {
     (exec, data, labels)
 }
 
-/// Frozen inference vs eval-mode forward, within 1e-5 and bit-identical
-/// across thread counts.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Frozen inference vs eval-mode forward, bit for bit, at 1 and 4 threads.
 fn check_frozen_equivalence(graph: &Graph, context: &str) {
     let (exec, data, labels) = conditioned(graph, 171);
     let model = ServeEngine::builder().executor(&exec).build_model().unwrap();
-    let mut per_thread_bits: Vec<Vec<u32>> = Vec::new();
     for threads in [1usize, 4] {
         with_threads(threads, || {
             let eval = exec.forward_eval(&data, &labels).unwrap();
             let scores = model.executor(data.shape().n()).unwrap().infer(&data).unwrap();
-            let div = eval.scores.max_abs_diff(&scores).unwrap();
-            assert!(div < 1e-5, "{context} t{threads}: frozen diverges from eval by {div}");
-            per_thread_bits.push(scores.as_slice().iter().map(|v| v.to_bits()).collect());
+            assert_eq!(bits(&scores), bits(&eval.scores), "{context} t{threads}: frozen ≠ eval");
         });
     }
-    assert_eq!(
-        per_thread_bits[0], per_thread_bits[1],
-        "{context}: frozen scores differ between 1 and 4 threads"
-    );
 }
 
 #[test]
@@ -74,11 +74,56 @@ fn cifar_resnet_frozen_matches_eval_at_levels_0_to_3() {
     }
 }
 
+/// A trainer for `graph` after two SGD steps on synthetic data; every level
+/// of one model gets the same data, seed and configuration.
+fn trained(graph: Graph, batch: usize) -> Trainer {
+    let dataset = SyntheticDataset::new(4, 3, 32, 0.1, 29).unwrap();
+    let config = TrainConfig { batch_size: batch, steps: 2, seed: 17, ..TrainConfig::default() };
+    let mut trainer = Trainer::new(graph, dataset, config).unwrap();
+    for step in 0..2 {
+        trainer.step(step).unwrap();
+    }
+    trainer
+}
+
+#[test]
+fn every_level_serves_the_baselines_eval_scores() {
+    for (model, baseline, batch) in [
+        ("densenet-cifar", densenet_cifar(4, 6, 2, 4).unwrap(), 4),
+        ("resnet-cifar", resnet_cifar(4, 1, 4).unwrap(), 4),
+    ] {
+        // Every level trains independently: side by side, one kernel worker
+        // each (bits do not depend on the worker count).
+        let trainers: Vec<(FusionLevel, Trainer)> = std::thread::scope(|s| {
+            let runs: Vec<_> = FusionLevel::all()
+                .into_iter()
+                .map(|level| {
+                    let graph = BnffOptimizer::new(level).apply(&baseline).unwrap();
+                    (level, s.spawn(move || with_threads(1, || trained(graph, batch))))
+                })
+                .collect();
+            runs.into_iter().map(|(level, run)| (level, run.join().unwrap())).collect()
+        });
+        let probe = Initializer::seeded(5).uniform(Shape::nchw(batch, 3, 32, 32), -1.0, 1.0);
+        let labels = vec![0; batch];
+        let (_, base) = &trainers[0];
+        let want = bits(&base.executor().forward_eval(&probe, &labels).unwrap().scores);
+        for (level, trainer) in &trainers {
+            let served = ServeEngine::builder().executor(trainer.executor()).build_model().unwrap();
+            let executor = served.executor(batch).unwrap();
+            for threads in [1usize, 4] {
+                let got = with_threads(threads, || executor.infer(&probe).unwrap());
+                assert_eq!(bits(&got), want, "{model} {level} t{threads}: ≠ the Baseline's eval");
+            }
+        }
+    }
+}
+
 #[test]
 fn the_whole_zoo_freezes_structurally_at_every_level() {
     // ImageNet-scale models are too slow to execute numerically in tier-1,
-    // but the freeze pass must still handle their structure: validate the
-    // frozen graph, plan it for inference, and check recipe coverage.
+    // but the freeze pass, the inference plan and the tape lowering must
+    // still handle their structure.
     for model in [
         Model::AlexNet,
         Model::Vgg16,
@@ -95,21 +140,25 @@ fn the_whole_zoo_freezes_structurally_at_every_level() {
             let context = format!("{} {level}", model.display_name());
             let frozen = freeze::freeze(&graph).unwrap();
             frozen.graph.validate().unwrap_or_else(|e| panic!("{context}: {e}"));
-            for node in frozen.graph.nodes() {
-                assert!(!node.op.is_bn_related(), "{context}: {} survived the freeze", node.op);
-                if node.op.has_parameters() {
-                    assert!(
-                        frozen.recipes.contains_key(&node.id.index()),
-                        "{context}: no fold recipe for '{}'",
-                        node.name
-                    );
-                }
-            }
+            // Only the loss head and the label input go.
+            assert_eq!(frozen.graph.node_count(), graph.node_count() - 2, "{context}");
             let plan = ExecutionPlan::for_inference(&frozen.graph).unwrap();
             assert!(
                 plan.planned_peak_bytes() < plan.naive_total_bytes(),
                 "{context}: inference plan does not reuse buffers"
             );
+            // Statistics nodes lower to nothing; every other node but the
+            // data input and Splits to one instruction.
+            let program = LinearProgram::lower(&frozen.graph, &plan, frozen.input, frozen.output)
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            let silent = frozen
+                .graph
+                .nodes()
+                .filter(|n| {
+                    matches!(n.op, OpKind::Input | OpKind::Split { .. } | OpKind::SubBnStats(_))
+                })
+                .count();
+            assert_eq!(program.len(), frozen.graph.node_count() - silent, "{context}");
         }
     }
 }

@@ -2,12 +2,12 @@
 //! CIFAR-scale zoo models at every measured fusion level (0–3: Baseline,
 //! RCF, RCF+MVF, BNFF), and for a graph with a Split, a max pool and a
 //! residual sum, the compiled tape must produce **bit-identical** scores to
-//! the plan-free reference interpreter in `support` run on the frozen
-//! template, at batch sizes 1, 4 and 8 and across `BNFF_THREADS` 1 and 4 —
-//! the tape is a dispatch optimization, never a numerics change. One
-//! executor serves every prefix `1 ≤ n ≤ max_batch` of its registers, in
-//! any order, and rejects every other input with a typed error that leaves
-//! it serving.
+//! the plan-free reference interpreter in `support` run in eval mode on the
+//! training graph, at batch sizes 1, 4 and 8 and across `BNFF_THREADS` 1
+//! and 4 — the tape is a dispatch optimization, never a numerics change.
+//! One executor serves every prefix `1 ≤ n ≤ max_batch` of its registers,
+//! in any order, and rejects every other input with a typed error that
+//! leaves it serving.
 
 mod support;
 
@@ -15,7 +15,7 @@ use bnff::core::{BnffOptimizer, FusionLevel};
 use bnff::graph::Graph;
 use bnff::models::{densenet_cifar, resnet_cifar};
 use bnff::parallel::with_threads;
-use bnff::serve::{FrozenExecutor, FrozenModel, ServeEngine, ServeError};
+use bnff::serve::{FrozenExecutor, ServeEngine, ServeError};
 use bnff::tensor::init::Initializer;
 use bnff::tensor::{Shape, Tensor};
 use bnff::train::Executor;
@@ -41,6 +41,13 @@ fn to_bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// The eval-mode reference scores of `exec`'s training graph for `data`, at
+/// `data`'s batch size.
+fn reference(exec: &Executor, data: &Tensor) -> Tensor {
+    let labels = vec![0; data.shape().n()];
+    support::training(exec, true, data, &labels).scores.expect("the loss head ran")
+}
+
 /// Tape vs reference, bitwise, at batch sizes 1/4/8 and thread counts 1/4.
 fn check_tape_matches_reference(graph: &Graph, context: &str) {
     let exec = conditioned(graph, 23);
@@ -53,10 +60,9 @@ fn check_tape_matches_reference(graph: &Graph, context: &str) {
         for threads in [1usize, 4] {
             with_threads(threads, || {
                 let tape = executor.infer(&data).unwrap();
-                let reference = support::frozen(&model, &data);
                 assert_eq!(
                     to_bits(&tape),
-                    to_bits(&reference),
+                    to_bits(&reference(&exec, &data)),
                     "{context} b{batch} t{threads}: tape diverges from the reference"
                 );
                 per_thread_bits.push(to_bits(&tape));
@@ -93,12 +99,12 @@ fn split_maxpool_and_eltwise_tape_matches_reference() {
 }
 
 /// One `n`-sample batch through `executor`, bitwise against the reference.
-fn check_prefix(executor: &FrozenExecutor, model: &FrozenModel, n: usize, seed: u64, what: &str) {
+fn check_prefix(executor: &FrozenExecutor, exec: &Executor, n: usize, seed: u64, what: &str) {
     let mut dims = executor.input_shape().dims().to_vec();
     dims[0] = n;
     let data = Initializer::seeded(seed).uniform(Shape::new(dims), -1.0, 1.0);
     let tape = executor.infer(&data).unwrap();
-    assert_eq!(to_bits(&tape), to_bits(&support::frozen(model, &data)), "{what} n{n}");
+    assert_eq!(to_bits(&tape), to_bits(&reference(exec, &data)), "{what} n{n}");
 }
 
 #[test]
@@ -111,15 +117,15 @@ fn one_executor_serves_every_prefix_in_any_order() {
         ("mixed", support::graphs::mixed(6)),
     ];
     for (name, graph) in graphs {
-        let model =
-            ServeEngine::builder().executor(&conditioned(&graph, 29)).build_model().unwrap();
+        let exec = conditioned(&graph, 29);
+        let model = ServeEngine::builder().executor(&exec).build_model().unwrap();
         let executor = model.executor(8).unwrap();
         assert_eq!(executor.input_shape().dims()[0], 8);
         for threads in [1usize, 4] {
             with_threads(threads, || {
                 for (step, &n) in order.iter().enumerate() {
                     let what = format!("{name} t{threads} step {step}");
-                    check_prefix(&executor, &model, n, (threads * 100 + step) as u64, &what);
+                    check_prefix(&executor, &exec, n, (threads * 100 + step) as u64, &what);
                 }
             });
         }
@@ -128,10 +134,10 @@ fn one_executor_serves_every_prefix_in_any_order() {
 
 #[test]
 fn out_of_range_batches_and_wrong_samples_are_typed_rejections() {
-    let graph = support::graphs::mixed(6);
-    let model = ServeEngine::builder().executor(&conditioned(&graph, 31)).build_model().unwrap();
+    let exec = conditioned(&support::graphs::mixed(6), 31);
+    let model = ServeEngine::builder().executor(&exec).build_model().unwrap();
     let executor = model.executor(8).unwrap();
-    check_prefix(&executor, &model, 5, 1, "warm-up");
+    check_prefix(&executor, &exec, 5, 1, "warm-up");
     let bad = [
         ("n = 0", Shape::nchw(0, 3, 32, 32)),
         ("n = max_batch + 1", Shape::nchw(9, 3, 32, 32)),
@@ -141,6 +147,6 @@ fn out_of_range_batches_and_wrong_samples_are_typed_rejections() {
         let err = executor.infer(&Tensor::zeros(shape)).unwrap_err();
         assert!(matches!(err, ServeError::InvalidArgument(_)), "{what}: {err:?}");
         // The executor keeps serving, bit for bit.
-        check_prefix(&executor, &model, 2 + i, 10 + i as u64, &format!("after {what}"));
+        check_prefix(&executor, &exec, 2 + i, 10 + i as u64, &format!("after {what}"));
     }
 }
