@@ -76,7 +76,7 @@ pub struct BnffTrace {
     pub request_id: u64,
     /// Microseconds spent queued before a worker took the request.
     pub queue_us: u64,
-    /// Microseconds of tape execution for the request's batch.
+    /// Microseconds of the forward pass over the request's batch.
     pub infer_us: u64,
     /// How many samples the request's batch coalesced.
     pub batch_size: u64,
@@ -412,7 +412,7 @@ pub unsafe extern "C" fn bnff_infer(
 }
 
 /// Like [`bnff_infer`], but forces a trace on the request and writes the
-/// span timings (queue wait, tape execution, batch size, worker) to
+/// span timings (queue wait, forward pass, batch size, worker) to
 /// `trace_out`. The request ID in the trace is minted by the library and
 /// is unique within the process.
 ///

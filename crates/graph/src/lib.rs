@@ -53,7 +53,6 @@ pub mod builder;
 pub mod dot;
 pub mod error;
 pub mod graph;
-pub mod linear;
 pub mod node;
 pub mod op;
 pub mod passes;
@@ -64,7 +63,6 @@ pub mod shape_infer;
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::Graph;
-pub use linear::{Instr, Kernel, LinearProgram, Reg};
 pub use node::{Node, NodeId};
 pub use op::OpKind;
 pub use plan::{ExecutionPlan, MemoryPlanSummary};

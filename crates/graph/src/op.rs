@@ -10,8 +10,8 @@
 //! convolution as a *prologue* (applied while its ifmap is read) or an
 //! *epilogue* (accumulated while its ofmap is written). [`OpKind::form`]
 //! decodes every kind into that prologue/core/epilogue shape once;
-//! both executors, the planner and the tape lowering read the decoded
-//! [`OpForm`] instead of naming the kinds.
+//! the executor, the planner and serving's parameter re-key read the
+//! decoded [`OpForm`] instead of naming the kinds.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

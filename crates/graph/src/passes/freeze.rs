@@ -11,8 +11,8 @@
 //! its training [`OpKind`], statistics nodes, statistics edges and epilogues
 //! included: [`OpKind::form`] decodes a frozen node exactly as it decodes
 //! its training twin. The inference memory plan gives a statistics node no
-//! tensor (its value is a parameter, the running statistics), and the tape
-//! lowering emits nothing for it.
+//! tensor (its value is a parameter, the running statistics), and the eval
+//! walk only publishes those statistics for it.
 
 use crate::error::GraphError;
 use crate::graph::Graph;

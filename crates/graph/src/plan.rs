@@ -13,11 +13,14 @@
 //! 1. **Forward liveness** — the interval from the producing node to its
 //!    last forward consumer. Two kinds of node own no buffer and extend
 //!    other nodes' intervals instead: a Split is an alias of its input, and
-//!    — in a training plan — a concatenation whose consumers all read
-//!    planes is a *channel rope* of its inputs ([`crate::rope`]): every
-//!    edge into it is an edge into each of its (flattened) parts. A
-//!    concatenation with any other consumer owns a buffer its parts are
-//!    copied into, and reads them at its own position.
+//!    a concatenation whose consumers all read planes is a *channel rope*
+//!    of its inputs ([`crate::rope`]): every edge into it is an edge into
+//!    each of its (flattened) parts. A concatenation with any other
+//!    consumer owns a buffer its parts are copied into, and reads them at
+//!    its own position. Training and inference plans share all of this;
+//!    an inference plan retains nothing for a backward pass, and its
+//!    statistics nodes own no tensor (their value is the running
+//!    statistics).
 //! 2. **Backward retention** — whether the backward pass re-reads the
 //!    tensor. One rule: every convolution, every normalization,
 //!    fully-connected layers and ReLU masks re-read their *first input* and
@@ -91,7 +94,7 @@ pub struct ExecutionPlan {
     position: Vec<usize>,
     /// Node index → alias target (Split nodes forward their input tensor).
     alias_of: Vec<Option<usize>>,
-    /// A training plan's concatenations (none in an inference plan).
+    /// The graph's concatenations as channel ropes.
     ropes: ChannelRopes,
     /// Node index → liveness of its own output (None for non-producers and
     /// aliases).
@@ -158,7 +161,8 @@ impl ExecutionPlan {
     /// tensor is retained for a backward pass, so every intermediate
     /// activation recycles through the arena; only the data input and the
     /// graph's final outputs are pinned. A `SubBnStats` owns no tensor:
-    /// serving reads the running statistics in its place.
+    /// serving reads the running statistics in its place. Concatenations
+    /// are ropes exactly as in a training plan.
     ///
     /// # Errors
     /// Returns an error if the graph is cyclic or references unknown nodes.
@@ -185,10 +189,7 @@ impl ExecutionPlan {
             }
         }
         let resolve = |idx: usize| alias_of[idx].unwrap_or(idx);
-        let ropes = match mode {
-            PlanMode::Training => ChannelRopes::of(graph)?,
-            PlanMode::Inference => ChannelRopes::default(),
-        };
+        let ropes = ChannelRopes::of(graph)?;
 
         // Liveness: producers start at their own position; every consumer
         // edge extends the resolved producer's last forward use; backward
@@ -208,9 +209,8 @@ impl ExecutionPlan {
             let pos = position[id.index()];
             // Training pins through consumer edges only (below). Inference
             // pins final outputs so the executor can return them instead of
-            // releasing them into the arena, and the data input: its
-            // register holds the caller's buffer, which no later tensor may
-            // have to grow.
+            // releasing them into the arena, and the data input: it is the
+            // caller's buffer, which no arena bin may take over.
             let saved = mode == PlanMode::Inference
                 && (graph.consumers(id).is_empty() || matches!(node.op, OpKind::Input));
             liveness[id.index()] = Some(TensorLiveness {
@@ -338,27 +338,21 @@ impl ExecutionPlan {
         }
     }
 
-    /// Whether a node's output tensor is an alias of another node's.
-    pub fn is_alias(&self, id: NodeId) -> bool {
-        self.alias_of[id.index()].is_some()
-    }
-
     /// Whether a node is a concatenation that owns no buffer: its value is
     /// its parts' tensors ([`ExecutionPlan::concat_parts`]).
     pub fn is_rope(&self, id: NodeId) -> bool {
         self.ropes.is_rope(id)
     }
 
-    /// The producers a training plan's concatenation is made of, flattened
-    /// through nested concatenations and Split aliases — the tensors its
-    /// value is read from and its gradient is handed to; `None` for any
-    /// other node, and for every node of an inference plan.
+    /// The producers a concatenation is made of, flattened through nested
+    /// concatenations and Split aliases — the tensors its value is read
+    /// from and its gradient is handed to; `None` for any other node.
     pub fn concat_parts(&self, id: NodeId) -> Option<&[usize]> {
         self.ropes.parts(id)
     }
 
-    /// The parts a training plan's `SubBnStats` or `ConcatStats` assembles
-    /// its statistics from ([`crate::rope`]).
+    /// The parts a `SubBnStats` or `ConcatStats` assembles its statistics
+    /// from ([`crate::rope`]).
     pub fn stats_assembly(&self, id: NodeId) -> Option<&[StatsPart]> {
         self.ropes.assembly(id)
     }
@@ -657,7 +651,6 @@ mod tests {
         let _r2 = b.relu(s, "r2").unwrap();
         let g = b.finish();
         let plan = ExecutionPlan::for_graph(&g).unwrap();
-        assert!(plan.is_alias(s));
         assert_eq!(plan.resolve(s), x);
         assert!(plan.liveness(s).is_none());
         // The ReLU consumers read the input through the alias, which also
@@ -696,8 +689,7 @@ mod tests {
     #[test]
     fn a_rope_owns_no_buffer_and_pins_its_parts() {
         // in → conv → [in, conv] → BN: the BN reads (and re-reads) both
-        // parts; the concatenation holds nothing in training, a copy when
-        // serving.
+        // parts; the concatenation holds nothing, in training or serving.
         let mut b = GraphBuilder::new("rope");
         let x = b.input("in", Shape::nchw(2, 4, 8, 8)).unwrap();
         let conv = b.conv2d(x, Conv2dAttrs::pointwise(4), "conv").unwrap();
@@ -714,8 +706,11 @@ mod tests {
         // Naive execution would still copy the parts.
         assert_eq!(plan.naive_total_bytes(), 2 * bytes + 2 * bytes + 2 * bytes + 2 * 8 * 4);
         let serving = ExecutionPlan::for_inference(&g).unwrap();
-        assert!(!serving.is_rope(cat) && serving.liveness(cat).is_some());
-        assert!(serving.concat_parts(cat).is_none());
+        assert!(serving.is_rope(cat) && serving.liveness(cat).is_none());
+        assert_eq!(serving.concat_parts(cat).unwrap(), [x.index(), conv.index()]);
+        // Both parts stay live through the BN, the rope's one consumer.
+        let bn_pos = serving.position(bn);
+        assert!([x, conv].iter().all(|&p| serving.liveness(p).unwrap().last_use >= bn_pos));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Concatenations without copies: what a training graph's `Concat` and
+//! Concatenations without copies: what a graph's `Concat` and
 //! `ConcatStats` nodes are at run time, and where a statistics node over
 //! one finds statistics already published.
 //!
@@ -30,8 +30,7 @@ use crate::Result;
 use serde::Serialize;
 use std::collections::HashMap;
 
-/// Whether `op` reads its feature-map input plane by plane in a training
-/// step — the consumers a concatenation can stay a rope for: a
+/// Whether `op` reads its feature-map input plane by plane — the consumers a concatenation can stay a rope for: a
 /// convolution's per-sample staging, a normalization's sweeps (forward and
 /// backward), a statistics node, and another concatenation.
 pub fn reads_ropes(op: &OpKind) -> bool {
@@ -53,9 +52,9 @@ pub struct StatsPart {
     pub published: Option<(NodeId, usize)>,
 }
 
-/// The concatenations of a training graph as channel ropes, and the
-/// statistics nodes that assemble their output from published statistics.
-#[derive(Debug, Clone, Default, Serialize)]
+/// The concatenations of a graph as channel ropes, and the statistics
+/// nodes that assemble their output from published statistics.
+#[derive(Debug, Clone, Serialize)]
 pub struct ChannelRopes {
     /// Node index → the producers a concatenation is made of, flattened.
     parts: Vec<Option<Vec<usize>>>,

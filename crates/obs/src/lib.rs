@@ -20,8 +20,9 @@
 //! - [`trace`] — process-unique request IDs ([`next_request_id`]) and the
 //!   `BNFF_TRACE` every-N-th [`TraceSampler`] deciding which responses
 //!   echo their span timings.
-//! - [`profile`] — the per-slot [`OpProfiler`] the tape executor uses for
-//!   opt-in per-instruction timing (one relaxed load per pass when off).
+//! - [`profile`] — the per-slot [`OpProfiler`] the serving executor's
+//!   forward walk fills for opt-in per-node timing, one slot per plan
+//!   position (one relaxed load per pass when off).
 //!
 //! Plus [`log`], a pure logfmt formatter for the serve binary's
 //! structured startup/access/shutdown lines.

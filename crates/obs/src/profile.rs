@@ -1,14 +1,14 @@
-//! An opt-in per-slot span profiler for fixed-size instruction sequences.
+//! An opt-in per-slot span profiler for fixed-size step sequences.
 //!
-//! Built for the serving executor's tape walk: the tape has a fixed number
-//! of instructions known at compile time, so the profiler pre-allocates
-//! one accumulation slot per instruction and recording is two relaxed
-//! `fetch_add`s plus a `fetch_max` — no locks, no allocation, safe from
-//! concurrent walkers sharing one executor.
+//! Built for the executor's forward walk: a memory plan has a fixed number
+//! of positions known when the executor is built, so the profiler
+//! pre-allocates one accumulation slot per position and recording is two
+//! relaxed `fetch_add`s plus a `fetch_max` — no locks, no allocation, safe
+//! from concurrent walkers sharing one executor.
 //!
 //! The *disabled* path is the design constraint: [`OpProfiler::enabled`]
 //! is a single relaxed atomic load, so an executor can check it once per
-//! tape walk and run the uninstrumented loop — the cost of carrying the
+//! walk and read no clock — the cost of carrying the
 //! profiler when it is off is one load per forward pass, which is what the
 //! CI `obs_overhead_pct` gate bounds.
 

@@ -4,7 +4,7 @@
 //! queues**; each worker coalesces its own shard into batches bounded by
 //! `max_batch` samples and `max_wait` queueing delay (whichever comes
 //! first), runs one forward pass on the worker's own [`FrozenExecutor`]
-//! (lowered once at start; it serves every batch size up to `max_batch`)
+//! (built once at start; it serves every batch size up to `max_batch`)
 //! and fans the score rows back out to the callers. Because
 //! the frozen graph has no batch-coupled operators left (every normalization
 //! reads running statistics) and every kernel partitions per sample, a
@@ -256,8 +256,8 @@ impl ServeEngine {
     ///
     /// # Errors
     /// Returns an error for a zero `max_batch`/`workers`/`queue_depth`
-    /// configuration, and the lowering error when the model cannot be
-    /// lowered to a tape or its input node resolved.
+    /// configuration, and the planning error when the model's graph cannot
+    /// be memory-planned or its input node resolved.
     pub(crate) fn start(model: FrozenModel, config: BatchingConfig) -> Result<Self> {
         if config.max_batch == 0 || config.workers == 0 || config.queue_depth == 0 {
             return Err(ServeError::InvalidArgument(

@@ -5,9 +5,9 @@ use std::fmt;
 /// Errors produced while freezing or serving a model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// A frozen node's parameters could not be copied from the training
-    /// state (missing parameters or running statistics, parameters that do
-    /// not fit the node's operator).
+    /// A frozen node lacks what the eval walk reads for it: trained
+    /// parameters that fit its operator, or the running statistics of a
+    /// statistics source.
     Params(String),
     /// A request or configuration was invalid.
     InvalidArgument(String),
@@ -90,10 +90,14 @@ impl From<bnff_tensor::TensorError> for ServeError {
 impl From<bnff_train::TrainError> for ServeError {
     fn from(err: bnff_train::TrainError) -> Self {
         match err {
-            // Model-loading failures keep their typed identity across the
-            // layer boundary so callers (and the HTTP/C ABI surfaces) can
-            // match on one hierarchy.
+            // Model-loading and kernel failures keep their typed identity
+            // across the layer boundary so callers (and the HTTP/C ABI
+            // surfaces) can match on one hierarchy.
             bnff_train::TrainError::Model(err) => ServeError::Model(err),
+            bnff_train::TrainError::Graph(err) => ServeError::Graph(err),
+            bnff_train::TrainError::Kernel(err) => ServeError::Kernel(err),
+            bnff_train::TrainError::Tensor(err) => ServeError::Tensor(err),
+            bnff_train::TrainError::InvalidArgument(msg) => ServeError::InvalidArgument(msg),
             other => ServeError::Train(other.to_string()),
         }
     }

@@ -8,16 +8,17 @@
 //!
 //! 1. **Freeze** — [`FrozenModel`] strips a trained graph at *any* fusion
 //!    level of its loss head and label input (`bnff_graph::passes::freeze`)
-//!    and copies its parameters and running statistics
-//!    ([`FrozenParamSet::from_training`]); every operator stays as trained.
-//! 2. **Execute** — [`FrozenExecutor`] runs the frozen graph forward-only
-//!    over an [`ExecutionPlan::for_inference`](bnff_graph::plan::ExecutionPlan::for_inference)
+//!    and re-keys its parameters and running statistics to the frozen
+//!    nodes, failing at load when one is missing; every operator stays as
+//!    trained.
+//! 2. **Execute** — [`FrozenExecutor`] runs the training executor's own
+//!    forward walk ([`bnff_train::Executor::infer`]) in eval mode over an
+//!    [`ExecutionPlan::for_inference`](bnff_graph::plan::ExecutionPlan::for_inference)
 //!    memory plan, so every intermediate activation recycles through one
-//!    small arena, and calls the kernels the trainer's forward calls — a
-//!    convolution stages its normalize-and-clip prologue as in training —
-//!    so a served score equals the eval-mode forward's, bit for bit, at any
+//!    small arena and a concatenation is read as a rope of its inputs. A
+//!    served score is the eval-mode forward's, bit for bit, at any
 //!    `BNFF_THREADS`. One executor runs any batch of 1 to its `max_batch`
-//!    samples on one tape.
+//!    samples.
 //! 3. **Serve** — [`ServeEngine`] admits single-sample requests into
 //!    per-worker bounded shard queues (spilling to siblings, shedding with
 //!    [`ServeError::Overloaded`] only when every queue is full), coalesces
@@ -57,8 +58,8 @@
 //! // Freeze through the builder; `.start()` would spin up workers,
 //! // `.build_model()` hands back the frozen model for direct execution.
 //! let model = ServeEngine::builder().executor(&exec).build_model()?;
-//! // Lower an executor for up to four samples per pass; the same tape
-//! // classifies one image, then three.
+//! // An executor for up to four samples per pass classifies one image,
+//! // then three.
 //! let executor = model.executor(4)?;
 //! let mut init = Initializer::seeded(1);
 //! let image = init.uniform(Shape::nchw(1, 3, 8, 8), -1.0, 1.0);
@@ -81,7 +82,6 @@ pub mod http;
 pub mod httpd;
 pub mod metrics;
 pub mod model;
-pub mod params;
 
 pub use builder::ServeEngineBuilder;
 pub use engine::{BatchingConfig, Completion, RequestTrace, ServeEngine};
@@ -90,7 +90,6 @@ pub use executor::{FrozenExecutor, OpProfile};
 pub use httpd::{HttpOptions, HttpServer};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use model::FrozenModel;
-pub use params::{FrozenNorm, FrozenParamSet, FrozenParams};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

@@ -233,8 +233,8 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Executors each worker holds: always 1, since one tape serves every
-    /// batch size. Kept only because the benchmark harness reports it as
+    /// Executors each worker holds: always 1, since one executor serves
+    /// every batch size. Kept only because the benchmark harness reports it as
     /// `serve.executor_cache_peak`.
     pub fn executor_cache_peak(&self) -> usize {
         1

@@ -5,8 +5,8 @@
 //! Normalization statistics — so training and serving can run as separate
 //! processes: the trainer writes a `.bnff` artifact
 //! ([`Checkpoint::write_artifact`], byte layout in `bnff-artifact`),
-//! `bnff-serve` loads it, freezes the graph and folds the running statistics
-//! into the weights without ever touching the training code path again.
+//! `bnff-serve` loads it, freezes the graph and runs its eval forward over
+//! the running statistics, with no training state in the serving process.
 //!
 //! The artifact is the only on-disk form and round-trips **bit-identically**:
 //! every `f32` is stored as its raw little-endian word, node ids stay dense,

@@ -37,6 +37,14 @@
 //! one [`BufferPool`]. Both persist across steps, so a warmed step mallocs
 //! no activation or gradient. Every kernel fans out over the
 //! `bnff-parallel` pool.
+//!
+//! One forward walk serves three callers: [`Executor::forward`],
+//! [`Executor::forward_eval`] and [`Executor::infer`], the eval forward of
+//! a frozen graph (no loss head) over an inference plan, which retains
+//! nothing for backward. Serving runs that walk: its executor shares its
+//! parameters and running statistics behind [`Arc`]s
+//! ([`Executor::for_inference`]), and a walk over `n` samples sizes every
+//! feature map for `n`, so one executor serves any batch.
 
 use crate::error::TrainError;
 use crate::params::{Gradients, NodeParamGrads, NodeParams, ParamSet};
@@ -55,18 +63,21 @@ use bnff_kernels::fused::{fused_conv_backward_into, fused_conv_forward_into};
 use bnff_kernels::pool::{
     avg_pool_backward_into, avg_pool_forward_into, global_avg_pool_backward_into,
     global_avg_pool_forward_into, max_pool_backward_into, max_pool_forward_argmax_into,
-    MaxPoolState,
+    max_pool_forward_into, MaxPoolState,
 };
 use bnff_kernels::relu::{relu_backward_inplace, relu_forward_into};
 use bnff_kernels::softmax::{
     accuracy, softmax_loss_backward_into, softmax_loss_forward, SoftmaxLossState,
 };
+use bnff_obs::OpProfiler;
 use bnff_tensor::pool::BufferPool;
 use bnff_tensor::stats::ChannelStats;
 use bnff_tensor::{ops, ChannelRope, GradPart, Shape, Tensor};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Which statistics a forward pass normalizes with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,6 +95,16 @@ enum StatsMode {
 enum NodeState {
     MaxPool(MaxPoolState),
     Softmax(SoftmaxLossState),
+}
+
+/// What one forward walk leaves: the retained outputs by node id, the
+/// published statistics and backward state, and the loss head's result.
+struct Walk {
+    values: Vec<Option<Tensor>>,
+    stats: Vec<Option<ChannelStats>>,
+    states: Vec<Option<NodeState>>,
+    loss: f32,
+    scores: Option<Tensor>,
 }
 
 /// The result of one forward pass. Not `Clone`: dropping it hands its
@@ -181,13 +202,15 @@ impl fmt::Debug for Workspace {
     }
 }
 
-/// A numeric executor bound to one graph and one parameter set.
+/// A numeric executor bound to one graph and one parameter set. The
+/// parameters and running statistics sit behind [`Arc`]s: a clone or an
+/// inference executor shares them until one side writes.
 #[derive(Debug)]
 pub struct Executor {
     graph: Graph,
-    params: ParamSet,
+    params: Arc<ParamSet>,
     plan: ExecutionPlan,
-    running: RunningStatSet,
+    running: Arc<RunningStatSet>,
     workspace: Arc<Mutex<Workspace>>,
 }
 
@@ -195,9 +218,9 @@ impl Clone for Executor {
     fn clone(&self) -> Self {
         Executor {
             graph: self.graph.clone(),
-            params: self.params.clone(),
+            params: Arc::clone(&self.params),
             plan: self.plan.clone(),
-            running: self.running.clone(),
+            running: Arc::clone(&self.running),
             // Recycled buffers are per-executor scratch, not state.
             workspace: Arc::new(Mutex::new(Workspace::for_graph(&self.plan))),
         }
@@ -234,6 +257,25 @@ impl Executor {
     pub fn with_state(graph: Graph, params: ParamSet, running: RunningStatSet) -> Result<Self> {
         let plan = ExecutionPlan::for_graph(&graph)?;
         let workspace = Arc::new(Mutex::new(Workspace::for_graph(&plan)));
+        let (params, running) = (Arc::new(params), Arc::new(running));
+        Ok(Executor { graph, params, plan, running, workspace })
+    }
+
+    /// Creates a forward-only executor for a graph without a loss head (a
+    /// frozen graph), sharing the parameters and running statistics, keyed
+    /// by its node ids, with every other executor built from them. Its
+    /// memory plan is the inference one: nothing is retained for a
+    /// backward pass. [`Executor::infer`] runs it.
+    ///
+    /// # Errors
+    /// Returns an error if the graph cannot be memory-planned.
+    pub fn for_inference(
+        graph: Graph,
+        params: Arc<ParamSet>,
+        running: Arc<RunningStatSet>,
+    ) -> Result<Self> {
+        let plan = ExecutionPlan::for_inference(&graph)?;
+        let workspace = Arc::new(Mutex::new(Workspace::for_graph(&plan)));
         Ok(Executor { graph, params, plan, running, workspace })
     }
 
@@ -252,9 +294,10 @@ impl Executor {
         &self.params
     }
 
-    /// Mutable access to the parameters (used by the optimizer).
+    /// Mutable access to the parameters (used by the optimizer); copies
+    /// them first if another executor shares them.
     pub fn params_mut(&mut self) -> &mut ParamSet {
-        &mut self.params
+        Arc::make_mut(&mut self.params)
     }
 
     /// The executor's running (inference) Batch Normalization statistics.
@@ -270,12 +313,13 @@ impl Executor {
     /// Returns an error when a tracked node's statistics are absent from
     /// `fwd` (e.g. the result came from an eval-mode forward).
     pub fn update_running_stats(&mut self, fwd: &ForwardResult) -> Result<()> {
-        let tracked: Vec<usize> = self.running.iter().map(|(idx, _)| *idx).collect();
+        let running = Arc::make_mut(&mut self.running);
+        let tracked: Vec<usize> = running.iter().map(|(idx, _)| *idx).collect();
         for id in tracked.into_iter().map(NodeId::new) {
             let stats = fwd.stats(id).ok_or_else(|| {
                 TrainError::Missing(format!("mini-batch statistics of {id} in forward result"))
             })?;
-            self.running.observe(id, stats)?;
+            running.observe(id, stats)?;
         }
         Ok(())
     }
@@ -488,38 +532,96 @@ impl Executor {
         let data_id = self.data_input()?;
         let expected = &self.graph.node(data_id)?.output_shape;
         expected.expect_same(data.shape()).map_err(TrainError::Tensor)?;
+        let mut ws = lock(&self.workspace);
+        let mut seed = ws.output(&self.plan, data_id, data.shape());
+        seed.as_mut_slice().copy_from_slice(data.as_slice());
+        let walk = self.walk(&mut ws, data_id, seed, Some(labels), mode, None)?;
+        drop(ws);
 
+        let Walk { values, stats, states, loss, scores } = walk;
+        let scores = scores.ok_or_else(|| TrainError::Missing("softmax loss node".to_string()))?;
+        let accuracy = accuracy(&scores, labels)?;
+        let (labels, home) = (labels.to_vec(), Arc::clone(&self.workspace));
+        Ok(ForwardResult { loss, accuracy, scores, values, stats, states, labels, home })
+    }
+
+    /// Runs the eval-mode forward of a graph without a loss head (see
+    /// [`Executor::for_inference`]) on a batch of any `n ≥ 1` samples
+    /// shaped like the data input's, and returns the output of the last
+    /// node in execution order — a frozen graph's one sink. The batch
+    /// moves in as the data input's tensor. With `profiler` given and
+    /// enabled, the walk times every plan position into the slot of that
+    /// position; a disabled profiler costs one relaxed load per pass.
+    ///
+    /// # Errors
+    /// Returns [`TrainError::InvalidArgument`] when the batch is not `n ×`
+    /// the data input's sample shape, and an error when a node cannot be
+    /// executed (a loss head has no labels here).
+    pub fn infer(&self, data: Tensor, profiler: Option<&OpProfiler>) -> Result<Tensor> {
+        let data_id = self.data_input()?;
+        let expected = &self.graph.node(data_id)?.output_shape;
+        match (data.shape().dims().split_first(), expected.dims().split_first()) {
+            (Some((&n, sample)), Some((_, want))) if n > 0 && sample == want => {}
+            _ => {
+                return Err(TrainError::InvalidArgument(format!(
+                    "input shape {} is not n × the sample of {expected}",
+                    data.shape()
+                )))
+            }
+        }
+        let output = self.plan.order().last().map(|&id| self.plan.resolve(id));
+        let output = output.ok_or_else(|| TrainError::Missing("output node".to_string()))?;
+        let mut ws = lock(&self.workspace);
+        let mut walk = self.walk(&mut ws, data_id, data, None, StatsMode::Running, profiler)?;
+        walk.values[output.index()].take().ok_or_else(|| {
+            TrainError::Missing(format!("the output of {output}, which the plan does not pin"))
+        })
+    }
+
+    /// The one forward walk: `data` is the data input's tensor, and its
+    /// batch sizes every feature map the walk allocates.
+    fn walk(
+        &self,
+        ws: &mut Workspace,
+        data_id: NodeId,
+        data: Tensor,
+        labels: Option<&[usize]>,
+        mode: StatsMode,
+        profiler: Option<&OpProfiler>,
+    ) -> Result<Walk> {
+        let batch = data.shape().dims().first().copied().unwrap_or(1);
         let n = self.graph.node_count();
         let mut values: Vec<Option<Tensor>> = vec![None; n];
         let mut stats: Vec<Option<ChannelStats>> = vec![None; n];
         let mut states: Vec<Option<NodeState>> = (0..n).map(|_| None).collect();
         let mut loss = 0.0f32;
         let mut scores: Option<Tensor> = None;
-
-        let mut ws = lock(&self.workspace);
-        let mut seed = ws.output(&self.plan, data_id, data.shape());
-        seed.as_mut_slice().copy_from_slice(data.as_slice());
-        values[data_id.index()] = Some(seed);
+        values[data_id.index()] = Some(data);
+        // One relaxed load decides whether any position is timed.
+        let timed = profiler.filter(|p| p.enabled());
 
         for (pos, &id) in self.plan.order().iter().enumerate() {
+            let began = timed.map(|_| Instant::now());
             let node = self.graph.node(id)?;
             let input = || self.plan.input_value(&values, node, 0);
             // What an arm that reads planes is handed: a rope's parts, or
             // the one tensor of any other input.
             let parts = || self.plan.input_parts(&values, node, 0);
-            if self.plan.is_rope(id) {
-                // A rope owns no buffer: its consumers read its parts. ICF's
-                // statistics epilogue is all that runs here.
-                if let OpKind::ConcatStats(bn) = node.op {
+            if matches!(node.op, OpKind::Input | OpKind::Split { .. }) {
+                // Label inputs carry no tensor, the data input is seeded,
+                // and a Split is a pointer pass resolved through the plan.
+            } else if self.plan.liveness(id).is_none() {
+                // A node without a buffer: a rope, whose consumers read its
+                // parts, or at inference a statistics node, whose value is
+                // the running statistics. What it publishes is all that runs.
+                if let Some(bn) = node.op.stats_out() {
                     let s = self.assembled_stats(mode, id, bn.one_pass_stats, &values, &stats)?;
                     stats[id.index()] = Some(s);
                 }
-            } else if !matches!(node.op, OpKind::Input | OpKind::Split { .. }) {
-                // Label inputs carry no tensor, the data input is pre-seeded,
-                // and a Split is a pointer pass resolved through the plan;
-                // every other node fills the one output buffer allocated for
-                // it here.
-                let mut out = ws.output(&self.plan, id, &node.output_shape);
+            } else {
+                // Every other node fills the one output buffer allocated
+                // for it here.
+                let mut out = ws.output(&self.plan, id, &out_shape(node, batch));
                 match (node.op.form(), &node.op) {
                     (OpForm::Conv { attrs, prologue, stats_out }, _) => {
                         let parts = parts()?;
@@ -557,10 +659,14 @@ impl Executor {
                         stats[id.index()] = Some(s);
                     }
                     (_, OpKind::Relu) => relu_forward_into(input()?, &mut out)?,
-                    (_, OpKind::Pool { kind: PoolKind::Max, attrs }) => {
-                        let state = max_pool_forward_argmax_into(input()?, attrs, &mut out)?;
-                        states[id.index()] = Some(NodeState::MaxPool(state));
-                    }
+                    (_, OpKind::Pool { kind: PoolKind::Max, attrs }) => match mode {
+                        StatsMode::Batch => {
+                            let state = max_pool_forward_argmax_into(input()?, attrs, &mut out)?;
+                            states[id.index()] = Some(NodeState::MaxPool(state));
+                        }
+                        // No backward follows an eval pass: no argmax.
+                        StatsMode::Running => max_pool_forward_into(input()?, attrs, &mut out)?,
+                    },
                     (_, OpKind::Pool { kind: PoolKind::Average, attrs }) => {
                         avg_pool_forward_into(input()?, attrs, &mut out)?;
                     }
@@ -588,6 +694,7 @@ impl Executor {
                         fc_forward_into(input()?, w, b, &mut out)?;
                     }
                     (_, OpKind::SoftmaxLoss) => {
+                        let labels = labels.ok_or_else(|| missing("labels", node))?;
                         let x = input()?;
                         let state = softmax_loss_forward(x, labels)?;
                         loss = state.loss;
@@ -602,12 +709,11 @@ impl Executor {
                 values[id.index()] = Some(out);
             }
             self.plan.release_dead(&mut ws.arena, &mut values, pos);
+            if let (Some(profiler), Some(began)) = (timed, began) {
+                profiler.record(pos, began.elapsed().as_nanos() as u64);
+            }
         }
-
-        let scores = scores.ok_or_else(|| TrainError::Missing("softmax loss node".to_string()))?;
-        let accuracy = accuracy(&scores, labels)?;
-        let (labels, home) = (labels.to_vec(), Arc::clone(&self.workspace));
-        Ok(ForwardResult { loss, accuracy, scores, values, stats, states, labels, home })
+        Ok(Walk { values, stats, states, loss, scores })
     }
 
     /// Runs the backward pass, producing parameter gradients. Every
@@ -739,6 +845,21 @@ impl Executor {
         }
 
         Ok(Gradients { per_node })
+    }
+}
+
+/// `node`'s output shape in a walk over `batch` samples: a feature map
+/// leads with the batch; a statistics node's 2×C summary and the loss do
+/// not.
+fn out_shape(node: &Node, batch: usize) -> Cow<'_, Shape> {
+    let dims = node.output_shape.dims();
+    match dims.split_first() {
+        Some((&n, sample))
+            if n != batch && !matches!(node.op, OpKind::SubBnStats(_) | OpKind::SoftmaxLoss) =>
+        {
+            Cow::Owned(Shape::new([&[batch], sample].concat()))
+        }
+        _ => Cow::Borrowed(&node.output_shape),
     }
 }
 
@@ -1033,6 +1154,27 @@ mod tests {
         assert!(grads.global_norm() > 0.0);
         // The fused graph must still own parameters for every conv/BN/FC.
         assert!(!grads.per_node.is_empty());
+    }
+
+    #[test]
+    fn an_eval_pass_keeps_no_max_pool_argmax() {
+        // Nothing backward reads follows an eval pass, so its max pool runs
+        // the argmax-free kernel: same scores, no state.
+        let mut b = GraphBuilder::new("pooled");
+        let x = b.input("data", Shape::nchw(2, 3, 8, 8)).unwrap();
+        let labels = b.input("labels", Shape::vector(2)).unwrap();
+        let c = b.conv2d(x, Conv2dAttrs::same_3x3(4), "conv").unwrap();
+        let pool = b.max_pool(c, bnff_graph::op::PoolAttrs::new(2, 2, 0), "pool").unwrap();
+        let gap = b.global_avg_pool(pool, "gap").unwrap();
+        let fc = b.fully_connected(gap, 4, "fc").unwrap();
+        b.softmax_loss(fc, labels, "loss").unwrap();
+        let exec = Executor::new(b.finish(), 11).unwrap();
+        let (data, labels) = random_batch(2, 4, 12);
+        let train = exec.forward(&data, &labels).unwrap();
+        let eval = exec.forward_eval(&data, &labels).unwrap();
+        assert!(matches!(train.states[pool.index()], Some(NodeState::MaxPool(_))));
+        assert!(eval.states[pool.index()].is_none());
+        assert_eq!(train.scores.as_slice(), eval.scores.as_slice(), "no BN: same scores");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! batch), so normalization must use statistics accumulated over training —
 //! an exponential moving average of the per-channel batch mean/variance
 //! (Hajaj & Gillies, arXiv:1802.07590, motivate why inference must not see
-//! batch structure). The freeze pass folds exactly these running statistics
-//! into the adjacent convolutions.
+//! batch structure). The eval forward — `Executor::forward_eval`, and
+//! serving's walk of the frozen graph — normalizes with exactly these.
 //!
 //! One [`RunningStats`] entry exists per *statistics-producing* node — every
 //! node whose op reports [`bnff_graph::op::OpKind::stats_out`]: a `BatchNorm`

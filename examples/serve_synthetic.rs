@@ -70,14 +70,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         checkpoint.params.scalar_count()
     );
 
-    // --- 3. Load and freeze: the loss head and the labels go, and the
-    // frozen parameters are the trained ones plus the running statistics.
+    // --- 3. Load and freeze: the loss head and the labels go; every other
+    // node runs with its trained parameters and running statistics.
     let model = ServeEngine::builder().model_file(&artifact_path).build_model()?;
     println!(
-        "--- frozen: {} nodes (training graph had {}), {} frozen params ---",
+        "--- frozen: {} nodes (training graph had {}) ---",
         model.template().node_count(),
-        checkpoint.graph.node_count(),
-        model.params().scalar_count()
+        checkpoint.graph.node_count()
     );
     std::fs::remove_file(&artifact_path).ok();
 

@@ -7,19 +7,19 @@
 //! Baseline's eval scores.
 
 use bnff::core::{BnffOptimizer, FusionLevel};
-use bnff::graph::linear::LinearProgram;
-use bnff::graph::op::OpKind;
+use bnff::graph::op::{ConvPrologue, OpForm, OpKind};
 use bnff::graph::passes::freeze;
 use bnff::graph::plan::ExecutionPlan;
-use bnff::graph::Graph;
+use bnff::graph::{Graph, NodeId};
+use bnff::kernels::batchnorm::BnParams;
 use bnff::models::zoo::{build, Model};
 use bnff::models::{densenet_cifar, resnet_cifar};
 use bnff::parallel::with_threads;
-use bnff::serve::ServeEngine;
+use bnff::serve::{FrozenModel, ServeEngine, ServeError};
 use bnff::tensor::init::Initializer;
 use bnff::tensor::{Shape, Tensor};
 use bnff::train::data::SyntheticDataset;
-use bnff::train::{Executor, TrainConfig, Trainer};
+use bnff::train::{Executor, NodeParams, ParamSet, RunningStatSet, TrainConfig, Trainer};
 
 /// Prepares a trained-ish executor (moved running statistics) and an input
 /// batch for one graph.
@@ -119,11 +119,35 @@ fn every_level_serves_the_baselines_eval_scores() {
     }
 }
 
+/// Parameters of the kind every parameterised node takes, with empty
+/// tensors: freezing checks their kinds and building an executor reads no
+/// weight, so the structural sweep needs no ImageNet-sized initialization.
+fn hollow_params(graph: &Graph) -> ParamSet {
+    let empty = || Tensor::zeros(Shape::new(vec![0]));
+    let mut params = ParamSet::new();
+    for node in graph.nodes() {
+        let entry = match (node.op.form(), &node.op) {
+            (OpForm::Conv { prologue: ConvPrologue::NormRelu(_), .. }, _) => {
+                NodeParams::ConvBn { weights: empty(), bias: None, bn: BnParams::identity(0) }
+            }
+            (OpForm::Conv { .. }, _) => NodeParams::Conv { weights: empty(), bias: None },
+            (OpForm::Norm { .. }, _) => NodeParams::Bn(BnParams::identity(0)),
+            (_, OpKind::FullyConnected { .. }) => {
+                NodeParams::Fc { weights: empty(), bias: Vec::new() }
+            }
+            _ => continue,
+        };
+        params.insert(node.id, entry);
+    }
+    params
+}
+
 #[test]
 fn the_whole_zoo_freezes_structurally_at_every_level() {
     // ImageNet-scale models are too slow to execute numerically in tier-1,
-    // but the freeze pass, the inference plan and the tape lowering must
-    // still handle their structure.
+    // but the freeze pass, the parameter re-keying and the inference plan
+    // must still handle their structure: every model and level builds a
+    // serving executor.
     for model in [
         Model::AlexNet,
         Model::Vgg16,
@@ -138,6 +162,10 @@ fn the_whole_zoo_freezes_structurally_at_every_level() {
         for level in FusionLevel::measured() {
             let graph = BnffOptimizer::new(level).apply(&baseline).unwrap();
             let context = format!("{} {level}", model.display_name());
+            let running = RunningStatSet::initialize(&graph);
+            let served = FrozenModel::from_parts(&graph, &hollow_params(&graph), &running)
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            let executor = served.executor(2).unwrap_or_else(|e| panic!("{context}: {e}"));
             let frozen = freeze::freeze(&graph).unwrap();
             frozen.graph.validate().unwrap_or_else(|e| panic!("{context}: {e}"));
             // Only the loss head and the label input go.
@@ -147,20 +175,44 @@ fn the_whole_zoo_freezes_structurally_at_every_level() {
                 plan.planned_peak_bytes() < plan.naive_total_bytes(),
                 "{context}: inference plan does not reuse buffers"
             );
-            // Statistics nodes lower to nothing; every other node but the
-            // data input and Splits to one instruction.
-            let program = LinearProgram::lower(&frozen.graph, &plan, frozen.input, frozen.output)
-                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            // The walk writes a tensor for every node but the data input,
+            // Splits, statistics nodes and ropes.
             let silent = frozen
                 .graph
                 .nodes()
                 .filter(|n| {
                     matches!(n.op, OpKind::Input | OpKind::Split { .. } | OpKind::SubBnStats(_))
+                        || plan.is_rope(n.id)
                 })
                 .count();
-            assert_eq!(program.len(), frozen.graph.node_count() - silent, "{context}");
+            assert_eq!(executor.program().len(), frozen.graph.node_count() - silent, "{context}");
         }
     }
+}
+
+#[test]
+fn a_model_missing_a_part_fails_at_load_not_at_its_first_request() {
+    // A BNFF DenseNet: its fused convolutions own weights and γ/β, and its
+    // statistics sources own running statistics.
+    let graph = BnffOptimizer::new(FusionLevel::Bnff).apply(&densenet_cifar(2, 4, 1, 4).unwrap());
+    let exec = Executor::new(graph.unwrap(), 3).unwrap();
+    let (graph, params, running) = (exec.graph(), exec.params(), exec.running_stats());
+    FrozenModel::from_parts(graph, params, running).unwrap().executor(2).unwrap();
+
+    let conv = graph.nodes().find(|n| n.op.conv_attrs().is_some()).unwrap();
+    let mut no_weights = ParamSet::new();
+    params.iter().filter(|(idx, _)| **idx != conv.id.index()).for_each(|(idx, p)| {
+        no_weights.insert(NodeId::new(*idx), p.clone());
+    });
+    let err = FrozenModel::from_parts(graph, &no_weights, running).unwrap_err();
+    assert!(matches!(&err, ServeError::Params(msg) if msg.contains(&conv.name)), "{err}");
+
+    let source = graph.nodes().find(|n| n.op.stats_out().is_some()).unwrap();
+    let entries = running.iter().filter(|(idx, _)| **idx != source.id.index());
+    let entries = entries.map(|(idx, s)| (*idx, s.clone())).collect();
+    let no_stats = RunningStatSet::from_entries(entries, running.momentum());
+    let err = FrozenModel::from_parts(graph, params, &no_stats).unwrap_err();
+    assert!(matches!(&err, ServeError::Params(msg) if msg.contains(&source.name)), "{err}");
 }
 
 /// Exhaustive numeric sweep over the executable zoo — slow, so opt-in:

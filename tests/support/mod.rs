@@ -2,9 +2,9 @@
 //! `Graph::topo_order()` giving each node a fresh output sized from its inputs
 //! (so one graph serves any batch), clones a Split's input, composes fused
 //! operators from unfused public kernels, and never reads an
-//! `ExecutionPlan` or a `LinearProgram`: a plan bug cannot hit both sides.
-//! Its eval mode is what the training executor's `forward_eval` and the
-//! serving tape compute.
+//! `ExecutionPlan`: a plan bug cannot hit both sides. Its eval mode is what
+//! the training executor's `forward_eval` and serving's walk of the frozen
+//! graph compute.
 #![allow(dead_code)]
 
 pub mod graphs;

@@ -1,13 +1,13 @@
-//! Workspace integration tests for the linear instruction tape: for the
+//! Workspace integration tests for the served forward walk (the training
+//! executor's eval walk over the frozen graph's inference plan): for the
 //! CIFAR-scale zoo models at every measured fusion level (0–3: Baseline,
 //! RCF, RCF+MVF, BNFF), and for a graph with a Split, a max pool and a
-//! residual sum, the compiled tape must produce **bit-identical** scores to
-//! the plan-free reference interpreter in `support` run in eval mode on the
-//! training graph, at batch sizes 1, 4 and 8 and across `BNFF_THREADS` 1
-//! and 4 — the tape is a dispatch optimization, never a numerics change.
-//! One executor serves every prefix `1 ≤ n ≤ max_batch` of its registers,
-//! in any order, and rejects every other input with a typed error that
-//! leaves it serving.
+//! residual sum, it must produce **bit-identical** scores to the plan-free
+//! reference interpreter in `support` run in eval mode on the training
+//! graph, at batch sizes 1, 4 and 8 and across `BNFF_THREADS` 1 and 4.
+//! One executor serves every prefix `1 ≤ n ≤ max_batch` of its arena
+//! buffers, in any order, and rejects every other input with a typed error
+//! that leaves it serving.
 
 mod support;
 
@@ -48,7 +48,8 @@ fn reference(exec: &Executor, data: &Tensor) -> Tensor {
     support::training(exec, true, data, &labels).scores.expect("the loss head ran")
 }
 
-/// Tape vs reference, bitwise, at batch sizes 1/4/8 and thread counts 1/4.
+/// Served walk vs reference, bitwise, at batch sizes 1/4/8 and thread
+/// counts 1/4.
 fn check_tape_matches_reference(graph: &Graph, context: &str) {
     let exec = conditioned(graph, 23);
     let model = ServeEngine::builder().executor(&exec).build_model().unwrap();
