@@ -31,8 +31,10 @@
 //!    operator keeps a feature map of its own and the plan's saved tensors
 //!    are everything a forward result holds. Pooling needs only shapes, and
 //!    a concatenation's gradient goes straight to its parts'. Retained
-//!    tensors stay live through the backward pass and are excluded from
-//!    reuse.
+//!    tensors are excluded from the forward's reuse; the backward hands
+//!    each back once its *last backward reader* — the reader earliest in
+//!    forward order — has run ([`ExecutionPlan::released_after_backward`]),
+//!    so the gradients born after it reuse its storage.
 //! 3. **Slot assignment** — transient tensors are packed into reusable
 //!    buffer slots with a greedy best-fit over their live intervals, giving
 //!    the arena capacity an executor needs and the planned peak bytes
@@ -56,8 +58,9 @@ pub struct TensorLiveness {
     pub last_use: usize,
     /// Size of the tensor in bytes.
     pub bytes: usize,
-    /// Whether the backward pass re-reads the tensor (keeping it alive for
-    /// the whole step).
+    /// Whether the backward pass re-reads the tensor (keeping it alive
+    /// through the forward and into the backward, until its last backward
+    /// reader).
     pub saved_for_backward: bool,
 }
 
@@ -104,6 +107,9 @@ pub struct ExecutionPlan {
     /// Topological position → producer node indices whose buffers die after
     /// that position executes.
     release_at: Vec<Vec<usize>>,
+    /// Topological position → saved producer node indices the backward pass
+    /// no longer reads once that position's backward has run.
+    backward_release_at: Vec<Vec<usize>>,
     slot_bytes: Vec<usize>,
     naive_bytes: usize,
     saved_bytes: usize,
@@ -149,7 +155,7 @@ fn backward_reads_first_input(op: &OpKind) -> bool {
 
 impl ExecutionPlan {
     /// Plans buffer reuse for one training graph (backward-pass reads keep
-    /// their tensors alive through the whole step).
+    /// their tensors alive until the backward of their last reader).
     ///
     /// # Errors
     /// Returns an error if the graph is cyclic or references unknown nodes.
@@ -193,8 +199,11 @@ impl ExecutionPlan {
 
         // Liveness: producers start at their own position; every consumer
         // edge extends the resolved producer's last forward use; backward
-        // retention pins the tensor for the whole step.
+        // retention pins the tensor through the forward, and the backward
+        // reader earliest in forward order — the first to pin it — is the
+        // last to read it.
         let mut liveness: Vec<Option<TensorLiveness>> = vec![None; n];
+        let mut backward_release_at: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
         let mut naive_bytes = 0usize;
         for &id in &order {
             if alias_of[id.index()].is_some() || !produces_tensor(graph, id, mode) {
@@ -246,6 +255,9 @@ impl ExecutionPlan {
                 let Some(live) = liveness[producer].as_mut() else { continue };
                 live.last_use = live.last_use.max(pos);
                 if slot == 0 && mode == PlanMode::Training && backward_reads_first_input(&node.op) {
+                    if !live.saved_for_backward {
+                        backward_release_at[pos].push(producer);
+                    }
                     live.saved_for_backward = true;
                 }
             }
@@ -314,6 +326,7 @@ impl ExecutionPlan {
             liveness,
             slot,
             release_at,
+            backward_release_at,
             slot_bytes: slots.into_iter().map(|(bytes, _)| bytes).collect(),
             naive_bytes,
             saved_bytes,
@@ -376,6 +389,15 @@ impl ExecutionPlan {
     /// position `pos` has executed.
     pub fn released_after(&self, pos: usize) -> &[usize] {
         self.release_at.get(pos).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Saved producer node indices whose tensors the backward pass reads
+    /// for the last time in the backward of the node at topological
+    /// position `pos` — the earliest in forward order of the nodes whose
+    /// backward reads them, directly, through a Split or as a rope's part.
+    /// Every tensor the plan saves for backward appears exactly once.
+    pub fn released_after_backward(&self, pos: usize) -> &[usize] {
+        self.backward_release_at.get(pos).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Borrows the output tensor of `node`'s `idx`-th input out of an
@@ -597,6 +619,32 @@ mod tests {
     }
 
     #[test]
+    fn saved_tensors_go_back_after_their_last_backward_reader() {
+        // The backward schedule, position by position: what the backward of
+        // the node there reads for the last time.
+        let schedule = |plan: &ExecutionPlan| -> Vec<Vec<usize>> {
+            (0..plan.order().len()).map(|pos| plan.released_after_backward(pos).to_vec()).collect()
+        };
+        // in(0) → conv1(1) → bn(2) → relu(3) → conv2(4): each saved tensor
+        // has one backward reader, its consumer.
+        let (g, ids) = conv_chain();
+        let plan = ExecutionPlan::for_graph(&g).unwrap();
+        let [x, c1, bn, r] = [0, 1, 2, 3].map(|i| ids[i].index());
+        assert_eq!(schedule(&plan), [vec![], vec![x], vec![c1], vec![bn], vec![r]]);
+
+        // in(0) → conv1(1) → conv2(2) → conv3(3): conv2 reads conv1's output
+        // twice (raw input and statistics), once as its backward's ifmap.
+        let (g, ids) = fused_chain();
+        let plan = ExecutionPlan::for_graph(&g).unwrap();
+        let [x, c1, c2] = [0, 1, 2].map(|i| ids[i].index());
+        assert_eq!(schedule(&plan), [vec![], vec![x], vec![c1], vec![c2]]);
+
+        // Nothing is scheduled for a forward-only plan.
+        let serving = ExecutionPlan::for_inference(&g).unwrap();
+        assert!(schedule(&serving).iter().all(Vec::is_empty));
+    }
+
+    #[test]
     fn gradient_peak_mirrors_the_forward_live_intervals() {
         // in → conv1 → bn → relu → conv2: at most a tensor and its
         // consumer's output are alive at once, the widest pair being
@@ -648,7 +696,7 @@ mod tests {
         let x = b.input("in", Shape::nchw(1, 4, 8, 8)).unwrap();
         let s = b.split(x, 2, "split").unwrap();
         let r1 = b.relu(s, "r1").unwrap();
-        let _r2 = b.relu(s, "r2").unwrap();
+        let r2 = b.relu(s, "r2").unwrap();
         let g = b.finish();
         let plan = ExecutionPlan::for_graph(&g).unwrap();
         assert_eq!(plan.resolve(s), x);
@@ -657,7 +705,9 @@ mod tests {
         // makes the input a saved ReLU mask.
         assert!(plan.is_saved(x));
         assert!(plan.is_saved(s));
-        let _ = r1;
+        // The backward walks r2 before r1: r1's backward reads the input last.
+        assert_eq!(plan.released_after_backward(plan.position(r1)), [x.index()]);
+        assert!(plan.released_after_backward(plan.position(r2)).is_empty());
     }
 
     #[test]
@@ -703,6 +753,10 @@ mod tests {
         assert!(plan.is_saved(x) && plan.is_saved(conv));
         let bytes = 2 * 4 * 8 * 8 * 4;
         assert_eq!(plan.saved_bytes(), 2 * bytes);
+        // The BN's backward reads both parts; the convolution's, later in
+        // the backward, reads the input again.
+        assert_eq!(plan.released_after_backward(plan.position(bn)), [conv.index()]);
+        assert_eq!(plan.released_after_backward(plan.position(conv)), [x.index()]);
         // Naive execution would still copy the parts.
         assert_eq!(plan.naive_total_bytes(), 2 * bytes + 2 * bytes + 2 * bytes + 2 * 8 * 4);
         let serving = ExecutionPlan::for_inference(&g).unwrap();

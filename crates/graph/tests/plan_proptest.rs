@@ -4,10 +4,14 @@
 //! - two tensors that share an arena slot have disjoint `[def, last_use]`
 //!   intervals, and each fits its slot;
 //! - every part of a channel rope stays live through the rope's last
-//!   consumer (a Split of the rope counts as its consumers).
+//!   consumer (a Split of the rope counts as its consumers);
+//! - the backward hands every saved tensor back exactly once, right after
+//!   the backward of its last reader: no node whose backward reads it —
+//!   directly, through a Split or as a rope's part — runs after its release
+//!   (an inference plan schedules nothing).
 
 use bnff_graph::builder::GraphBuilder;
-use bnff_graph::op::{Conv2dAttrs, OpKind};
+use bnff_graph::op::{Conv2dAttrs, OpForm, OpKind};
 use bnff_graph::passes::freeze::freeze;
 use bnff_graph::passes::{BnffPass, IcfPass, Pass};
 use bnff_graph::plan::ExecutionPlan;
@@ -67,6 +71,62 @@ fn reader_positions(graph: &Graph, plan: &ExecutionPlan, id: NodeId) -> Vec<usiz
     out
 }
 
+/// The producers whose tensors the backward of `node` reads: its first
+/// input, through Splits, or every part of that input if it is a rope.
+/// Convolutions, normalizations, ReLUs and fully-connected layers re-read
+/// their first input in the backward; nothing else reads a tensor.
+fn backward_reads(graph: &Graph, plan: &ExecutionPlan, node: NodeId) -> Vec<usize> {
+    let op = &graph.node(node).unwrap().op;
+    let reads = matches!(op.form(), OpForm::Conv { .. } | OpForm::Norm { .. })
+        || matches!(op, OpKind::Relu | OpKind::FullyConnected { .. });
+    if !reads {
+        return Vec::new();
+    }
+    let mut input = graph.node(node).unwrap().inputs[0];
+    while let OpKind::Split { .. } = graph.node(input).unwrap().op {
+        input = graph.node(input).unwrap().inputs[0];
+    }
+    match plan.concat_parts(input).filter(|_| plan.is_rope(input)) {
+        Some(parts) => parts.to_vec(),
+        None => vec![input.index()],
+    }
+}
+
+/// Checks the backward release schedule of a training plan: each saved
+/// tensor is released once, at the position of its backward reader that is
+/// earliest in forward order (the backward walks positions in reverse).
+fn check_backward_schedule(graph: &Graph, plan: &ExecutionPlan) -> Result<(), TestCaseError> {
+    let mut released_at = vec![Vec::new(); graph.node_count()];
+    for pos in 0..plan.order().len() {
+        for &tensor in plan.released_after_backward(pos) {
+            released_at[tensor].push(pos);
+        }
+    }
+    let mut last_reader: Vec<Option<usize>> = vec![None; graph.node_count()];
+    for node in graph.nodes() {
+        let pos = plan.position(node.id);
+        for tensor in backward_reads(graph, plan, node.id) {
+            let first = last_reader[tensor].get_or_insert(pos);
+            *first = (*first).min(pos);
+        }
+    }
+    for node in graph.nodes() {
+        let idx = node.id.index();
+        let saved = plan.liveness(node.id).is_some_and(|live| live.saved_for_backward);
+        let (reader, released) = (last_reader[idx], &released_at[idx]);
+        prop_assert!(
+            reader.is_some() == saved,
+            "{idx}: saved {saved}, last backward reader {reader:?}"
+        );
+        let expected: Vec<usize> = reader.into_iter().collect();
+        prop_assert!(
+            *released == expected,
+            "{idx} is released after the backward at {released:?}, its last reader is at {reader:?}"
+        );
+    }
+    Ok(())
+}
+
 /// Checks both properties of the module docs on one plan.
 fn check_plan(graph: &Graph, plan: &ExecutionPlan, what: &str) -> Result<(), TestCaseError> {
     let nodes: Vec<NodeId> = graph.nodes().map(|n| n.id).collect();
@@ -123,10 +183,14 @@ proptest! {
         if fused == 1 {
             graph = IcfPass::new().run(&BnffPass::new().run(&graph).unwrap()).unwrap();
         }
-        check_plan(&graph, &ExecutionPlan::for_graph(&graph).unwrap(), "training")?;
+        let training = ExecutionPlan::for_graph(&graph).unwrap();
+        check_plan(&graph, &training, "training")?;
+        check_backward_schedule(&graph, &training)?;
         let frozen = freeze(&graph).unwrap().graph;
         let serving = ExecutionPlan::for_inference(&frozen).unwrap();
         check_plan(&frozen, &serving, "inference")?;
+        let positions = 0..serving.order().len();
+        prop_assert!(positions.into_iter().all(|pos| serving.released_after_backward(pos).is_empty()));
         // A dense block's concatenation that feeds the next block's
         // normalization, a plane reader, is a rope in serving too.
         let ropes = frozen.nodes().filter(|n| serving.is_rope(n.id)).count();

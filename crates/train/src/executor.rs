@@ -32,11 +32,14 @@
 //! Execution follows an [`ExecutionPlan`] computed once per graph: node
 //! outputs live in a vector indexed by node id (inputs are borrowed); those
 //! backward never revisits are released at their last forward use into a
-//! per-executor arena (one bin per plan slot); retained outputs — until the
-//! [`ForwardResult`] is dropped — and backward's gradients circulate through
-//! one [`BufferPool`]. Both persist across steps, so a warmed step mallocs
-//! no activation or gradient. Every kernel fans out over the
-//! `bnff-parallel` pool.
+//! per-executor arena (one bin per plan slot); retained outputs and
+//! backward's gradients circulate through one [`BufferPool`]. A retained
+//! output goes back to the pool in the backward, right after its last
+//! backward reader ([`ExecutionPlan::released_after_backward`]), so the
+//! gradients born later reuse it; what a forward result still holds when
+//! it is dropped (no backward ran) goes back then. Both persist across
+//! steps, so a warmed step mallocs no activation or gradient. Every kernel
+//! fans out over the `bnff-parallel` pool.
 //!
 //! One forward walk serves three callers: [`Executor::forward`],
 //! [`Executor::forward_eval`] and [`Executor::infer`], the eval forward of
@@ -74,6 +77,7 @@ use bnff_tensor::pool::BufferPool;
 use bnff_tensor::stats::ChannelStats;
 use bnff_tensor::{ops, ChannelRope, GradPart, Shape, Tensor};
 use std::borrow::Cow;
+use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -107,9 +111,13 @@ struct Walk {
     scores: Option<Tensor>,
 }
 
-/// The result of one forward pass. Not `Clone`: dropping it hands its
-/// retained buffers back to the executor's pool, which a copy never borrowed
-/// from.
+/// The result of one forward pass. Not `Clone`: its retained buffers go
+/// back to the executor's pool — each during [`Executor::backward`], right
+/// after its last backward reader, or, without a backward, when the result
+/// is dropped — which a copy never borrowed from. A result whose backward
+/// has run keeps its loss, scores and statistics (so
+/// [`Executor::update_running_stats`] still reads it) but no retained
+/// output, and a second backward over it is a [`TrainError::Missing`].
 #[derive(Debug)]
 pub struct ForwardResult {
     /// Mean cross-entropy loss over the mini-batch.
@@ -118,8 +126,9 @@ pub struct ForwardResult {
     pub accuracy: f32,
     /// The classifier scores fed into the loss node.
     pub scores: Tensor,
-    /// Node outputs by node id: the ones backward revisits.
-    values: Vec<Option<Tensor>>,
+    /// Node outputs by node id: the ones backward revisits, until it has.
+    /// Empty once a backward has run.
+    values: RefCell<Vec<Option<Tensor>>>,
     stats: Vec<Option<ChannelStats>>,
     states: Vec<Option<NodeState>>,
     labels: Vec<usize>,
@@ -128,20 +137,26 @@ pub struct ForwardResult {
 }
 
 impl Drop for ForwardResult {
-    /// Returns the retained outputs' storage to the pool it was taken from.
+    /// Returns the outputs no backward handed back to the pool they were
+    /// taken from.
     fn drop(&mut self) {
         let mut ws = lock(&self.home);
-        self.values.drain(..).flatten().for_each(|t| ws.pool.reclaim(t));
+        self.values.get_mut().drain(..).flatten().for_each(|t| ws.pool.reclaim(t));
     }
 }
 
 impl ForwardResult {
-    /// The output tensor of a node, if it was retained: the forward pass
+    /// The output tensor of a node, if it is retained: the forward pass
     /// retains only the tensors its liveness analysis says the backward pass
     /// re-reads (a Split owns none: it forwards its producer's; nor does a
-    /// concatenation whose value is its inputs' tensors).
-    pub fn output(&self, id: NodeId) -> Option<&Tensor> {
-        self.values.get(id.index()).and_then(Option::as_ref)
+    /// concatenation whose value is its inputs' tensors), and the backward
+    /// hands each back to the pool after its last reader, so after
+    /// [`Executor::backward`] this is `None` for every node. The guard
+    /// borrows the result: a backward started while one is held fails with
+    /// [`TrainError::InvalidArgument`].
+    pub fn output(&self, id: NodeId) -> Option<Ref<'_, Tensor>> {
+        let values = self.values.try_borrow().ok()?;
+        Ref::filter_map(values, |v| v.get(id.index()).and_then(Option::as_ref)).ok()
     }
 
     /// The mini-batch statistics produced by a statistics-bearing node.
@@ -160,13 +175,16 @@ struct Workspace {
 }
 
 impl Workspace {
-    /// An executor's workspace. What is out of its pool at once, and idles in
-    /// it between steps, is the outputs a forward result retains and the
-    /// gradients one backward holds — in practice twice their planned peak
-    /// (best fit serves small requests from larger buffers, and a gradient
-    /// summed into an occupied slot briefly has two), budgeted at three
-    /// times. Give and take balance, so the bound only guards against
-    /// imbalance.
+    /// An executor's workspace. What is out of its pool at once, and so
+    /// idles in it between steps, peaks in the backward: the retained
+    /// outputs whose last backward reader has not run yet plus the live
+    /// gradients, which reuse the outputs already read for the last time.
+    /// On DenseNet-CIFAR at batch 64 that is the saved bytes plus 0.7 ×
+    /// (level 0) to 1.3 × (BNFF) the planned gradient peak (best fit serves
+    /// small requests from larger buffers, and a gradient summed into an
+    /// occupied slot briefly has two); the budget is saved bytes plus three
+    /// times the gradient peak. Give and take balance, so the bound only
+    /// guards against imbalance.
     fn for_graph(plan: &ExecutionPlan) -> Self {
         let pool_bytes = plan.saved_bytes() + 3 * plan.gradient_peak_bytes();
         Workspace { arena: vec![None; plan.slot_count()], pool: BufferPool::bounded(pool_bytes) }
@@ -174,8 +192,8 @@ impl Workspace {
 
     /// The output buffer of node `id`, contents unspecified (every kernel
     /// overwrites its whole output): the recycled bin of its plan slot, or —
-    /// a retained output has none — a pool buffer, which comes back when the
-    /// forward result is dropped.
+    /// a retained output has none — a pool buffer, which comes back after
+    /// its last backward reader, or when the forward result is dropped.
     fn output(&mut self, plan: &ExecutionPlan, id: NodeId, shape: &Shape) -> Tensor {
         match plan.slot(id) {
             Some(_) => plan.alloc_output(&mut self.arena, id, shape),
@@ -356,14 +374,18 @@ impl Executor {
     }
 
     /// The retained output of a node's first input, through Split aliases.
-    fn saved_input<'f>(&self, fwd: &'f ForwardResult, node: &Node) -> Result<&'f Tensor> {
-        fwd.output(self.plan.resolve(node.inputs[0])).ok_or_else(|| missing("saved input", node))
+    fn saved_input<'f>(&self, values: &'f [Option<Tensor>], node: &Node) -> Result<&'f Tensor> {
+        self.plan.input_value(values, node, 0).map_err(|_| missing("saved input", node))
     }
 
     /// The retained tensors that make up a node's first input: a rope's
     /// parts, or the one tensor of any other input.
-    fn saved_parts<'f>(&self, fwd: &'f ForwardResult, node: &Node) -> Result<Vec<&'f Tensor>> {
-        self.plan.input_parts(&fwd.values, node, 0).map_err(|_| missing("saved input", node))
+    fn saved_parts<'f>(
+        &self,
+        values: &'f [Option<Tensor>],
+        node: &Node,
+    ) -> Result<Vec<&'f Tensor>> {
+        self.plan.input_parts(values, node, 0).map_err(|_| missing("saved input", node))
     }
 
     /// A dirty pool buffer for the gradient of node `id`'s output.
@@ -542,6 +564,7 @@ impl Executor {
         let scores = scores.ok_or_else(|| TrainError::Missing("softmax loss node".to_string()))?;
         let accuracy = accuracy(&scores, labels)?;
         let (labels, home) = (labels.to_vec(), Arc::clone(&self.workspace));
+        let values = RefCell::new(values);
         Ok(ForwardResult { loss, accuracy, scores, values, stats, states, labels, home })
     }
 
@@ -718,11 +741,25 @@ impl Executor {
 
     /// Runs the backward pass, producing parameter gradients. Every
     /// gradient buffer comes from the executor's pool and returns to it as
-    /// soon as a node's backward has consumed it.
+    /// soon as a node's backward has consumed it, and every output `fwd`
+    /// retains returns to it right after the backward of its last reader —
+    /// so `fwd` comes out holding none ([`ForwardResult::output`] is `None`
+    /// throughout), with its statistics intact for
+    /// [`Executor::update_running_stats`].
     ///
     /// # Errors
-    /// Returns an error if the forward result does not match this graph.
+    /// Returns an error if the forward result does not match this graph,
+    /// [`TrainError::Missing`] if its backward has already run, and
+    /// [`TrainError::InvalidArgument`] while one of its outputs is borrowed.
     pub fn backward(&self, fwd: &ForwardResult) -> Result<Gradients> {
+        let mut values = fwd.values.try_borrow_mut().map_err(|_| {
+            TrainError::InvalidArgument("an output of the forward result is borrowed".to_string())
+        })?;
+        if values.is_empty() {
+            return Err(TrainError::Missing(
+                "saved activations of a forward result whose backward has run".to_string(),
+            ));
+        }
         let mut d_vals: Vec<Option<Tensor>> = vec![None; self.graph.node_count()];
         let mut per_node: HashMap<usize, NodeParamGrads> = HashMap::new();
         let data_id = self.data_input()?;
@@ -730,7 +767,10 @@ impl Executor {
         let mut ws = lock(&self.workspace);
         let pool = &mut ws.pool;
 
-        for &id in self.plan.order().iter().rev() {
+        for (pos, &id) in self.plan.order().iter().enumerate().rev() {
+            // The backward just run, at `pos + 1`, read these for the last
+            // time: the gradients still to come can have their storage.
+            release_saved(pool, &mut values, self.plan.released_after_backward(pos + 1));
             let node = self.graph.node(id)?;
             let state = fwd.states.get(id.index()).and_then(Option::as_ref);
             if matches!(node.op, OpKind::SoftmaxLoss) {
@@ -751,7 +791,7 @@ impl Executor {
             let input_grad = |pool: &mut BufferPool| self.grad_buffer(pool, node.inputs[0]);
             let d_x = match (node.op.form(), &node.op) {
                 (OpForm::Conv { attrs, prologue, .. }, _) => {
-                    let parts = self.saved_parts(fwd, node)?;
+                    let parts = self.saved_parts(&values, node)?;
                     let x = self.ifmap(node, prologue, ChannelRope::new(&parts)?, &fwd.stats)?;
                     let (w, b) = self.conv_params(node)?;
                     // Nothing consumes the data input's gradient, so a
@@ -767,7 +807,7 @@ impl Executor {
                     d_x
                 }
                 (OpForm::Norm { bn, stats_from_input, relu }, _) => {
-                    let parts = self.saved_parts(fwd, node)?;
+                    let parts = self.saved_parts(&values, node)?;
                     let x = ChannelRope::new(&parts)?;
                     let s = node_stats(&fwd.stats, node, stats_from_input)?;
                     let params = self.bn_params(node)?;
@@ -781,7 +821,7 @@ impl Executor {
                     // A ReLU masks the gradient it owns; through a Split it
                     // flows unchanged. Either way it is moved, not copied.
                     if matches!(node.op, OpKind::Relu) {
-                        relu_backward_inplace(&mut grad, self.saved_input(fwd, node)?)?;
+                        relu_backward_inplace(&mut grad, self.saved_input(&values, node)?)?;
                     }
                     self.accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
                     continue;
@@ -829,7 +869,7 @@ impl Executor {
                     Some(d_x)
                 }
                 (_, OpKind::FullyConnected { .. }) => {
-                    let (x, (w, _)) = (self.saved_input(fwd, node)?, self.fc_params(node)?);
+                    let (x, (w, _)) = (self.saved_input(&values, node)?, self.fc_params(node)?);
                     let mut d_x = input_grad(pool)?;
                     let (d_weights, d_bias) = fc_backward_into(x, w, &grad, &mut d_x)?;
                     per_node.insert(id.index(), NodeParamGrads::Fc { d_weights, d_bias });
@@ -843,6 +883,9 @@ impl Executor {
             // The incoming gradient is consumed: recycle its storage.
             pool.reclaim(grad);
         }
+        release_saved(pool, &mut values, self.plan.released_after_backward(0));
+        // Marks the result spent: nothing is left for a second backward.
+        values.clear();
 
         Ok(Gradients { per_node })
     }
@@ -860,6 +903,15 @@ fn out_shape(node: &Node, batch: usize) -> Cow<'_, Shape> {
             Cow::Owned(Shape::new([&[batch], sample].concat()))
         }
         _ => Cow::Borrowed(&node.output_shape),
+    }
+}
+
+/// Hands the saved tensors `released` (producer indices) back to the pool.
+fn release_saved(pool: &mut BufferPool, values: &mut [Option<Tensor>], released: &[usize]) {
+    for &saved in released {
+        if let Some(tensor) = values[saved].take() {
+            pool.reclaim(tensor);
+        }
     }
 }
 
@@ -1010,7 +1062,7 @@ mod tests {
                 .nodes()
                 .filter(|n| plan.liveness(n.id).is_some_and(|live| live.saved_for_backward));
             assert_eq!(takes() - before, saved.count(), "{level:?}");
-            let held: usize = fwd.values.iter().flatten().map(Tensor::bytes).sum();
+            let held: usize = fwd.values.borrow().iter().flatten().map(Tensor::bytes).sum();
             assert_eq!(held, plan.saved_bytes(), "{level:?}");
             for node in exec.graph().nodes() {
                 let stateless = !matches!(
@@ -1044,6 +1096,30 @@ mod tests {
             assert!(takes_after > takes, "{level:?}: the step drew from the pool");
             assert_eq!(takes_after - takes, hits_after - hits, "{level:?}: every take must hit");
             assert!(idle <= taken_after - taken, "{level:?}: {idle} B idle, one step takes less");
+        }
+    }
+
+    #[test]
+    fn a_spent_forward_result_holds_no_output_and_refuses_a_second_backward() {
+        for level in [bnff_core::FusionLevel::Baseline, bnff_core::FusionLevel::BnffIcf] {
+            let (mut exec, data, labels) = densenet(level);
+            let fwd = exec.forward(&data, &labels).unwrap();
+            let saved: Vec<NodeId> =
+                exec.graph().nodes().map(|n| n.id).filter(|&id| exec.plan().is_saved(id)).collect();
+            assert!(saved.iter().all(|&id| fwd.output(id).is_some()), "{level:?}");
+            {
+                // A held output guard makes a backward a typed error.
+                let _guard = fwd.output(saved[0]).unwrap();
+                let busy = exec.backward(&fwd);
+                assert!(matches!(busy, Err(TrainError::InvalidArgument(_))), "{level:?}");
+            }
+            exec.backward(&fwd).unwrap();
+            for &id in &saved {
+                assert!(fwd.output(id).is_none(), "{level:?}: {id} is still retained");
+            }
+            exec.update_running_stats(&fwd).unwrap();
+            let again = exec.backward(&fwd);
+            assert!(matches!(again, Err(TrainError::Missing(_))), "{level:?}: {again:?}");
         }
     }
 
@@ -1128,7 +1204,7 @@ mod tests {
                 let fwd = exec.forward(&data, &labels).unwrap();
                 let published = fwd.stats(id).expect("conv2 publishes statistics");
                 // conv2's output is retained: cpl3's backward re-reads it.
-                let swept = bn_statistics(fwd.output(id).unwrap(), one_pass).unwrap();
+                let swept = bn_statistics(&*fwd.output(id).unwrap(), one_pass).unwrap();
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(&published.mean),

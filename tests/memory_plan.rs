@@ -73,7 +73,7 @@ fn assert_matches_reference(fwd: &ForwardResult, reference: &Reference, graph: &
         let (id, name) = (node.id.index(), &node.name);
         if let Some(out) = fwd.output(node.id) {
             let want = reference.values[id].as_ref().unwrap();
-            assert_eq!(bits(out), bits(want), "{ctx}: retained output of {name}");
+            assert_eq!(bits(&out), bits(want), "{ctx}: retained output of {name}");
         }
         let published = (fwd.stats(node.id), reference.stats[id].as_ref());
         assert_eq!(published.0.is_some(), published.1.is_some(), "{ctx}: statistics of {name}");
