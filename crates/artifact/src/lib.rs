@@ -64,10 +64,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod crc;
-pub mod error;
-pub mod manifest;
-pub mod reader;
-pub mod writer;
+mod error;
+mod manifest;
+mod reader;
+mod writer;
 
 pub use error::ModelError;
 pub use manifest::{Dtype, Manifest, ParamEntry, ParamKind, Provenance, StatsEntry, TensorEntry};
@@ -86,4 +86,4 @@ pub const HEADER_LEN: usize = 32;
 /// Alignment of every tensor's byte offset inside the tensor section.
 /// 64 bytes = one cache line, and a multiple of every SIMD vector width the
 /// kernels use, so zero-copy views are always aligned loads.
-pub const TENSOR_ALIGN: usize = 64;
+pub(crate) const TENSOR_ALIGN: usize = 64;

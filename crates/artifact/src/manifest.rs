@@ -139,7 +139,7 @@ pub struct Manifest {
 
 impl ParamKind {
     /// Every tensor-table index the entry references.
-    pub fn tensor_refs(&self) -> Vec<usize> {
+    pub(crate) fn tensor_refs(&self) -> Vec<usize> {
         match self {
             ParamKind::Conv { weights, bias } => {
                 let mut v = vec![*weights];

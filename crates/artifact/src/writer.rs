@@ -14,7 +14,7 @@ use std::path::Path;
 /// or [`ArtifactWriter::write`].
 ///
 /// Tensor offsets are assigned on insertion, each aligned to
-/// [`TENSOR_ALIGN`] bytes, so the writer is deterministic: the same model
+/// `TENSOR_ALIGN` bytes, so the writer is deterministic: the same model
 /// always produces byte-identical artifacts.
 #[derive(Debug, Clone)]
 pub struct ArtifactWriter {

@@ -51,7 +51,7 @@ pub struct Fig7Row {
 ///
 /// # Errors
 /// Returns an error if the model cannot be built, restructured or simulated.
-pub fn figure7_for_model(model: Model, batch: usize) -> Result<Vec<Fig7Row>> {
+pub(crate) fn figure7_for_model(model: Model, batch: usize) -> Result<Vec<Fig7Row>> {
     let machine = MachineProfile::skylake_xeon_2s();
     let graph = build(model, batch)?;
     let mut rows = Vec::new();

@@ -28,7 +28,7 @@ pub use fig1::{figure1, Fig1Row};
 pub use fig3::{figure3, Fig3Series};
 pub use fig4::{figure4, Fig4Row};
 pub use fig6::{figure6, Fig6Row};
-pub use fig7::{figure7, figure7_for_model, Fig7Row};
+pub use fig7::{figure7, Fig7Row};
 pub use fig8::{figure8, Fig8Row};
 pub use gpu::{gpu_cutlass, GpuRow};
 pub use table1::{table1, Table1Row};
@@ -40,4 +40,5 @@ pub const PAPER_CPU_BATCH: usize = 120;
 /// by shapes only, so analysing the ImageNet-scale graphs at the paper's
 /// mini-batch size is cheap; using a smaller batch would shrink the feature
 /// maps below the last-level cache and break the premise of Section 3.1.
-pub const QUICK_BATCH: usize = PAPER_CPU_BATCH;
+#[cfg(test)]
+pub(crate) const QUICK_BATCH: usize = PAPER_CPU_BATCH;

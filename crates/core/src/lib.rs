@@ -24,10 +24,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod error;
+mod error;
 pub mod experiments;
-pub mod fusion_level;
-pub mod optimizer;
+mod fusion_level;
+mod optimizer;
 
 pub use error::CoreError;
 pub use fusion_level::FusionLevel;

@@ -97,7 +97,7 @@ impl ComparisonReport {
 ///
 /// # Errors
 /// Returns an error if restructuring or simulation fails.
-pub fn evaluate_level(
+pub(crate) fn evaluate_level(
     graph: &Graph,
     level: FusionLevel,
     machine: &MachineProfile,

@@ -11,7 +11,7 @@
 //!   copies its inputs, every statistics sub-layer sweeps its whole input.
 //! * the executor accounting, which [`activation_sweep_count`] counts,
 //!   charges what this workspace's training executor does. It differs in
-//!   exactly those nodes ([`crate::rope`]): a concatenation whose
+//!   exactly those nodes (`crate::rope`): a concatenation whose
 //!   consumers all read planes is a rope and costs nothing in either
 //!   direction; one with another consumer copies its inputs once and hands
 //!   its gradient back slice by slice; and a `SubBnStats` or `ConcatStats`
@@ -146,11 +146,6 @@ impl NodeCost {
     /// Total bytes swept in the backward pass.
     pub fn bytes_bwd(&self) -> usize {
         self.sweeps_bwd.iter().map(|s| s.bytes).sum()
-    }
-
-    /// Total bytes swept per training iteration (forward + backward).
-    pub fn bytes_total(&self) -> usize {
-        self.bytes_fwd() + self.bytes_bwd()
     }
 }
 
@@ -628,11 +623,6 @@ impl GraphCost {
         self.flops_fwd + self.flops_bwd
     }
 
-    /// Total bytes swept per training iteration.
-    pub fn bytes_total(&self) -> usize {
-        self.bytes_fwd + self.bytes_bwd
-    }
-
     /// Cost of a single node.
     pub fn node(&self, id: NodeId) -> Option<&NodeCost> {
         self.per_node.get(&id.index())
@@ -797,7 +787,7 @@ mod tests {
         assert!(cost.bytes_fwd > 0);
         assert!(cost.bytes_bwd > cost.bytes_fwd);
         assert!(cost.flops_total() > cost.flops_fwd);
-        assert!(cost.bytes_total() > cost.bytes_bwd);
+        assert!(cost.bytes_fwd + cost.bytes_bwd > cost.bytes_bwd);
     }
 
     #[test]
@@ -809,14 +799,15 @@ mod tests {
         let bytes_of = |category| -> usize {
             g.nodes()
                 .filter(|n| n.op.category() == category)
-                .map(|n| cost.per_node[&n.id.index()].bytes_total())
+                .map(|n| &cost.per_node[&n.id.index()])
+                .map(|c| c.bytes_fwd() + c.bytes_bwd())
                 .sum()
         };
         assert!(bytes_of(LayerCategory::ConvFc) > 0);
         assert!(bytes_of(LayerCategory::NonConv) > 0);
         assert_eq!(
             bytes_of(LayerCategory::ConvFc) + bytes_of(LayerCategory::NonConv),
-            cost.bytes_total()
+            cost.bytes_fwd + cost.bytes_bwd
         );
     }
 
@@ -907,7 +898,7 @@ mod tests {
         let g = fragment();
         let input = find(&g, "in");
         let cost = node_cost(&g, &input).unwrap();
-        assert_eq!(cost.bytes_total(), 0);
+        assert_eq!(cost.bytes_fwd() + cost.bytes_bwd(), 0);
         assert_eq!(cost.flops_fwd, 0.0);
     }
 }

@@ -57,7 +57,7 @@ impl Graph {
     }
 
     /// Adds an input node with an explicit shape.
-    pub fn add_input(&mut self, name: impl Into<String>, shape: Shape) -> NodeId {
+    pub(crate) fn add_input(&mut self, name: impl Into<String>, shape: Shape) -> NodeId {
         let id = NodeId::new(self.nodes.len());
         self.nodes.push(Node::new(id, name, OpKind::Input, vec![], shape));
         id
@@ -68,7 +68,7 @@ impl Graph {
     /// # Errors
     /// Returns an error if an input id is unknown, the arity is wrong or
     /// shape inference fails.
-    pub fn add_node(
+    pub(crate) fn add_node(
         &mut self,
         name: impl Into<String>,
         op: OpKind,
@@ -91,27 +91,6 @@ impl Graph {
         Ok(id)
     }
 
-    /// Adds an operation node with an explicitly provided output shape,
-    /// bypassing inference. Used by restructuring passes for fused operators
-    /// whose shape is inherited from the nodes they replace.
-    ///
-    /// # Errors
-    /// Returns [`GraphError::UnknownNode`] if an input id is unknown.
-    pub fn add_node_with_shape(
-        &mut self,
-        name: impl Into<String>,
-        op: OpKind,
-        inputs: Vec<NodeId>,
-        output_shape: Shape,
-    ) -> Result<NodeId> {
-        for id in &inputs {
-            self.node(*id)?;
-        }
-        let id = NodeId::new(self.nodes.len());
-        self.nodes.push(Node::new(id, name, op, inputs, output_shape));
-        Ok(id)
-    }
-
     /// Replaces the operation of an existing node (shape is kept).
     ///
     /// # Errors
@@ -129,7 +108,7 @@ impl Graph {
     ///
     /// # Errors
     /// Returns [`GraphError::UnknownNode`] if any id is not in this graph.
-    pub fn set_inputs(&mut self, id: NodeId, inputs: Vec<NodeId>) -> Result<()> {
+    pub(crate) fn set_inputs(&mut self, id: NodeId, inputs: Vec<NodeId>) -> Result<()> {
         for i in &inputs {
             self.node(*i)?;
         }
@@ -145,7 +124,7 @@ impl Graph {
     ///
     /// # Errors
     /// Returns [`GraphError::UnknownNode`] if the id is not in this graph.
-    pub fn set_node_name(&mut self, id: NodeId, name: impl Into<String>) -> Result<()> {
+    pub(crate) fn set_node_name(&mut self, id: NodeId, name: impl Into<String>) -> Result<()> {
         let idx = id.index();
         if idx >= self.nodes.len() {
             return Err(GraphError::UnknownNode(id));
@@ -158,7 +137,7 @@ impl Graph {
     ///
     /// # Errors
     /// Returns [`GraphError::UnknownNode`] if either id is not in this graph.
-    pub fn rewire_consumers(&mut self, old: NodeId, new: NodeId) -> Result<()> {
+    pub(crate) fn rewire_consumers(&mut self, old: NodeId, new: NodeId) -> Result<()> {
         self.node(old)?;
         self.node(new)?;
         for node in self.nodes.iter_mut() {
@@ -172,7 +151,7 @@ impl Graph {
     }
 
     /// Map from node id to the ids of the nodes that consume its output.
-    pub fn consumer_map(&self) -> HashMap<NodeId, Vec<NodeId>> {
+    pub(crate) fn consumer_map(&self) -> HashMap<NodeId, Vec<NodeId>> {
         let mut map: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
         for node in &self.nodes {
             for input in &node.inputs {
@@ -193,7 +172,8 @@ impl Graph {
     }
 
     /// All nodes whose output is not consumed by any other node.
-    pub fn output_nodes(&self) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn output_nodes(&self) -> Vec<NodeId> {
         let consumed: HashSet<NodeId> =
             self.nodes.iter().flat_map(|n| n.inputs.iter().copied()).collect();
         self.nodes.iter().filter(|n| !consumed.contains(&n.id)).map(|n| n.id).collect()
@@ -284,7 +264,7 @@ impl Graph {
     /// # Errors
     /// Returns [`GraphError::PassError`] if a retained node still references
     /// a removed node.
-    pub fn compacted(&self, removed: &HashSet<NodeId>) -> Result<Graph> {
+    pub(crate) fn compacted(&self, removed: &HashSet<NodeId>) -> Result<Graph> {
         let mut mapping: HashMap<NodeId, NodeId> = HashMap::new();
         let mut new_graph = Graph::new(self.name.clone());
         for node in &self.nodes {
@@ -309,7 +289,8 @@ impl Graph {
     }
 
     /// Counts nodes per operation name (e.g. `"Conv2d" -> 120`).
-    pub fn op_histogram(&self) -> HashMap<&'static str, usize> {
+    #[cfg(test)]
+    pub(crate) fn op_histogram(&self) -> HashMap<&'static str, usize> {
         let mut hist = HashMap::new();
         for node in &self.nodes {
             *hist.entry(node.op.name()).or_insert(0) += 1;
@@ -331,7 +312,7 @@ impl Graph {
     }
 
     /// Number of learnable parameters owned by one node.
-    pub fn node_parameter_count(&self, node: &Node) -> usize {
+    pub(crate) fn node_parameter_count(&self, node: &Node) -> usize {
         let in_shape =
             node.inputs.first().and_then(|id| self.node(*id).ok()).map(|n| &n.output_shape);
         match (node.op.form(), &node.op) {
@@ -464,18 +445,6 @@ mod tests {
         // conv1: 32*16*1*1, bn: 2*32, conv2: 8*32*3*3
         let expected = 32 * 16 + 64 + 8 * 32 * 9;
         assert_eq!(g.parameter_count(), expected);
-    }
-
-    #[test]
-    fn add_node_with_shape_checks_inputs() {
-        let mut g = Graph::new("g");
-        let input = g.add_input("in", Shape::nchw(1, 4, 4, 4));
-        assert!(g
-            .add_node_with_shape("x", OpKind::Relu, vec![NodeId::new(42)], Shape::nchw(1, 4, 4, 4))
-            .is_err());
-        assert!(g
-            .add_node_with_shape("x", OpKind::Relu, vec![input], Shape::nchw(1, 4, 4, 4))
-            .is_ok());
     }
 
     #[test]

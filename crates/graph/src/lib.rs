@@ -50,17 +50,18 @@
 
 pub mod analysis;
 pub mod builder;
-pub mod dot;
-pub mod error;
-pub mod graph;
-pub mod node;
+mod dot;
+mod error;
+mod graph;
+mod node;
 pub mod op;
 pub mod passes;
 pub mod plan;
-pub mod rope;
-pub mod shape_infer;
+mod rope;
+mod shape_infer;
 
 pub use builder::GraphBuilder;
+pub use dot::to_dot;
 pub use error::GraphError;
 pub use graph::Graph;
 pub use node::{Node, NodeId};

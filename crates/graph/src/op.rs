@@ -68,7 +68,7 @@ impl Conv2dAttrs {
     }
 
     /// Number of weight elements given the input channel count.
-    pub fn weight_elems(&self, in_channels: usize) -> usize {
+    pub(crate) fn weight_elems(&self, in_channels: usize) -> usize {
         self.out_channels * in_channels * self.kernel_h * self.kernel_w
     }
 }
@@ -364,7 +364,7 @@ impl OpKind {
 
     /// Whether the operation is Batch Normalization or one of its fission
     /// products.
-    pub fn is_bn_related(&self) -> bool {
+    pub(crate) fn is_bn_related(&self) -> bool {
         matches!(self.form(), OpForm::Norm { .. }) || matches!(self, OpKind::SubBnStats(_))
     }
 
@@ -376,15 +376,10 @@ impl OpKind {
         }
     }
 
-    /// Whether the operation learns parameters (weights, γ/β).
-    pub fn has_parameters(&self) -> bool {
-        !matches!(self.form(), OpForm::Other) || matches!(self, OpKind::FullyConnected { .. })
-    }
-
     /// Number of tensor inputs this operation requires, when fixed.
     ///
     /// Returns `None` for variadic operations (Concat, EltwiseSum).
-    pub fn fixed_arity(&self) -> Option<usize> {
+    pub(crate) fn fixed_arity(&self) -> Option<usize> {
         match (self.form(), self) {
             (_, OpKind::Input) => Some(0),
             (_, OpKind::Concat | OpKind::ConcatStats(_) | OpKind::EltwiseSum) => None,
@@ -578,14 +573,5 @@ mod tests {
     fn one_pass_default() {
         assert!(!BatchNormAttrs::default().one_pass_stats);
         assert!(BatchNormAttrs::one_pass().one_pass_stats);
-    }
-
-    #[test]
-    fn parameterized_ops() {
-        assert!(OpKind::BatchNorm(BatchNormAttrs::default()).has_parameters());
-        assert!(OpKind::Conv2d(Conv2dAttrs::pointwise(2)).has_parameters());
-        assert!(!OpKind::Relu.has_parameters());
-        assert!(!OpKind::Concat.has_parameters());
-        assert!(!OpKind::SubBnStats(BatchNormAttrs::default()).has_parameters());
     }
 }

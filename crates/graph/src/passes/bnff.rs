@@ -11,11 +11,11 @@ use crate::Result;
 ///
 /// The order matters:
 ///
-/// 1. [`FissionPass`] exposes `sub-BN1` / `sub-BN2`.
+/// 1. `FissionPass` exposes `sub-BN1` / `sub-BN2`.
 /// 2. [`MvfPass`] makes the statistics single-sweep so they can ride along
 ///    the preceding convolution's output sweep.
-/// 3. [`FuseStatsIntoConvPass`] produces `CONV1-(sub-BN1)`.
-/// 4. [`FuseNormReluConvPass`] produces `(sub-BN2)-ReLU-CONV2`.
+/// 3. `FuseStatsIntoConvPass` produces `CONV1-(sub-BN1)`.
+/// 4. `FuseNormReluConvPass` produces `(sub-BN2)-ReLU-CONV2`.
 /// 5. [`RcfPass`] fuses any remaining standalone ReLU into its following
 ///    convolution (e.g. ResNet's post-shortcut ReLUs).
 #[derive(Debug, Default, Clone, Copy)]
@@ -104,7 +104,10 @@ mod tests {
 
         let cost_before = analysis::graph_cost(&g).unwrap();
         let cost_after = analysis::graph_cost(&out).unwrap();
-        assert!(cost_after.bytes_total() < cost_before.bytes_total());
+        assert!(
+            cost_after.bytes_fwd + cost_after.bytes_bwd
+                < cost_before.bytes_fwd + cost_before.bytes_bwd
+        );
         // Forward savings are proportionally larger than backward savings
         // (Section 5: 47.9% vs 15.4% for DenseNet-121).
         let fwd_saving = 1.0 - cost_after.bytes_fwd as f64 / cost_before.bytes_fwd as f64;

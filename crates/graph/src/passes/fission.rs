@@ -17,11 +17,11 @@ use crate::Result;
 /// passes so each can be absorbed by an adjacent convolution (Section 3.2 of
 /// the paper).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct FissionPass;
+pub(crate) struct FissionPass;
 
 impl FissionPass {
     /// Creates the pass.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FissionPass
     }
 }

@@ -22,11 +22,11 @@ use std::collections::HashSet;
 /// Fuses each `sub-BN1` statistics node into the convolution that produces
 /// its input, yielding [`OpKind::ConvStats`].
 #[derive(Debug, Default, Clone, Copy)]
-pub struct FuseStatsIntoConvPass;
+pub(crate) struct FuseStatsIntoConvPass;
 
 impl FuseStatsIntoConvPass {
     /// Creates the pass.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FuseStatsIntoConvPass
     }
 }
@@ -81,11 +81,11 @@ impl Pass for FuseStatsIntoConvPass {
 /// that consume it, yielding [`OpKind::NormReluConv`] (or [`OpKind::NormRelu`]
 /// when no convolution follows).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct FuseNormReluConvPass;
+pub(crate) struct FuseNormReluConvPass;
 
 impl FuseNormReluConvPass {
     /// Creates the pass.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FuseNormReluConvPass
     }
 }

@@ -8,9 +8,9 @@
 //! * **MVF** ([`MvfPass`]) — mean/variance fusion: compute the per-channel
 //!   variance as `E[X²] − E[X]²` so BN statistics need a single sweep.
 //! * **BNFF** ([`BnffPass`]) — BN Fission-n-Fusion: split every BN into
-//!   `sub-BN1` / `sub-BN2` ([`FissionPass`]), fuse `sub-BN1` into the
+//!   `sub-BN1` / `sub-BN2` (`FissionPass`), fuse `sub-BN1` into the
 //!   preceding convolution and `sub-BN2` (+ ReLU) into the following
-//!   convolution ([`FuseStatsIntoConvPass`], [`FuseNormReluConvPass`]);
+//!   convolution (`FuseStatsIntoConvPass`, `FuseNormReluConvPass`);
 //!   includes MVF and RCF.
 //! * **ICF** ([`IcfPass`]) — inter-composite-layer fusion: additionally fuse
 //!   `sub-BN1` layers that sit at composite-layer boundaries into the
@@ -30,9 +30,9 @@ mod mvf;
 mod rcf;
 
 pub use bnff::BnffPass;
-pub use fission::FissionPass;
+use fission::FissionPass;
 pub use freeze::{freeze, FrozenGraph};
-pub use fusion::{FuseNormReluConvPass, FuseStatsIntoConvPass};
+use fusion::{FuseNormReluConvPass, FuseStatsIntoConvPass};
 pub use icf::IcfPass;
 pub use mvf::MvfPass;
 pub use rcf::RcfPass;

@@ -12,7 +12,7 @@ use crate::Result;
 /// are swept twice before normalization; MVF merges the two sweeps
 /// (Section 3.2). The pass is purely an attribute flip — the structural
 /// fusion with the preceding convolution is done by
-/// [`FuseStatsIntoConvPass`](crate::passes::FuseStatsIntoConvPass).
+/// `FuseStatsIntoConvPass`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MvfPass;
 

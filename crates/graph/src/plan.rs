@@ -14,7 +14,7 @@
 //!    last forward consumer. Two kinds of node own no buffer and extend
 //!    other nodes' intervals instead: a Split is an alias of its input, and
 //!    a concatenation whose consumers all read planes is a *channel rope*
-//!    of its inputs ([`crate::rope`]): every edge into it is an edge into
+//!    of its inputs (`crate::rope`): every edge into it is an edge into
 //!    each of its (flattened) parts. A concatenation with any other
 //!    consumer owns a buffer its parts are copied into, and reads them at
 //!    its own position. Training and inference plans share all of this;
@@ -365,7 +365,7 @@ impl ExecutionPlan {
     }
 
     /// The parts a `SubBnStats` or `ConcatStats` assembles its statistics
-    /// from ([`crate::rope`]).
+    /// from (`crate::rope`).
     pub fn stats_assembly(&self, id: NodeId) -> Option<&[StatsPart]> {
         self.ropes.assembly(id)
     }
@@ -387,7 +387,7 @@ impl ExecutionPlan {
 
     /// Producer node indices whose buffers die once the node at topological
     /// position `pos` has executed.
-    pub fn released_after(&self, pos: usize) -> &[usize] {
+    pub(crate) fn released_after(&self, pos: usize) -> &[usize] {
         self.release_at.get(pos).map(Vec::as_slice).unwrap_or(&[])
     }
 

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 /// Whether `op` reads its feature-map input plane by plane — the consumers a concatenation can stay a rope for: a
 /// convolution's per-sample staging, a normalization's sweeps (forward and
 /// backward), a statistics node, and another concatenation.
-pub fn reads_ropes(op: &OpKind) -> bool {
+pub(crate) fn reads_ropes(op: &OpKind) -> bool {
     matches!(op.form(), OpForm::Conv { .. } | OpForm::Norm { .. })
         || matches!(op, OpKind::SubBnStats(_) | OpKind::Concat | OpKind::ConcatStats(_))
 }
@@ -55,7 +55,7 @@ pub struct StatsPart {
 /// The concatenations of a graph as channel ropes, and the statistics
 /// nodes that assemble their output from published statistics.
 #[derive(Debug, Clone, Serialize)]
-pub struct ChannelRopes {
+pub(crate) struct ChannelRopes {
     /// Node index → the producers a concatenation is made of, flattened.
     parts: Vec<Option<Vec<usize>>>,
     /// Node index → the concatenation owns no buffer.
@@ -69,7 +69,7 @@ impl ChannelRopes {
     ///
     /// # Errors
     /// Returns an error if the graph is cyclic or references unknown nodes.
-    pub fn of(graph: &Graph) -> Result<ChannelRopes> {
+    pub(crate) fn of(graph: &Graph) -> Result<ChannelRopes> {
         let order = graph.topo_order()?;
         let n = graph.node_count();
         let mut alias_of: Vec<Option<usize>> = vec![None; n];
@@ -170,24 +170,24 @@ impl ChannelRopes {
 
     /// The producers a concatenation is made of, flattened through nested
     /// concatenations and Split aliases; `None` for any other node.
-    pub fn parts(&self, id: NodeId) -> Option<&[usize]> {
+    pub(crate) fn parts(&self, id: NodeId) -> Option<&[usize]> {
         self.parts.get(id.index()).and_then(Option::as_deref)
     }
 
     /// Whether `id` is a concatenation that owns no buffer.
-    pub fn is_rope(&self, id: NodeId) -> bool {
+    pub(crate) fn is_rope(&self, id: NodeId) -> bool {
         self.rope.get(id.index()).copied().unwrap_or(false)
     }
 
     /// The parts a `SubBnStats` or `ConcatStats` node's statistics are
     /// assembled from, each with its published source or none (swept).
-    pub fn assembly(&self, id: NodeId) -> Option<&[StatsPart]> {
+    pub(crate) fn assembly(&self, id: NodeId) -> Option<&[StatsPart]> {
         self.assembly.get(id.index()).and_then(Option::as_deref)
     }
 
     /// Channels of `id`'s statistics the node sweeps itself: all of them
     /// unless it assembles them.
-    pub fn swept_channels(&self, id: NodeId) -> Option<usize> {
+    pub(crate) fn swept_channels(&self, id: NodeId) -> Option<usize> {
         let assembly = self.assembly(id)?;
         Some(assembly.iter().filter(|p| p.published.is_none()).map(|p| p.channels).sum())
     }

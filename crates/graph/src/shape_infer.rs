@@ -50,7 +50,7 @@ fn expect_arity(op: &OpKind, inputs: &[&Shape]) -> Result<()> {
 /// Returns [`GraphError::ArityMismatch`] when the number of inputs is wrong
 /// and [`GraphError::ShapeInference`] when the input shapes are structurally
 /// incompatible with the operation.
-pub fn infer_output_shape(op: &OpKind, inputs: &[&Shape]) -> Result<Shape> {
+pub(crate) fn infer_output_shape(op: &OpKind, inputs: &[&Shape]) -> Result<Shape> {
     expect_arity(op, inputs)?;
     match op {
         OpKind::Input => Err(GraphError::ShapeInference {

@@ -1,8 +1,8 @@
 //! Channel-axis concatenation (DenseNet dense connectivity), materialized:
 //! the inputs copied into one buffer. The training executor does not call
 //! it — a concatenation there is a [`ChannelRope`] of its inputs, and its
-//! gradient is theirs — but the serving tape and the reference interpreter
-//! do.
+//! gradient is theirs — but the reference interpreter the workspace tests
+//! hold the executor to (`tests/support`) and the benchmark's replay do.
 
 use crate::Result;
 use bnff_tensor::{ChannelRope, Shape, Tensor};
@@ -23,7 +23,7 @@ pub fn concat_forward(inputs: &[&Tensor]) -> Result<Tensor> {
 /// # Errors
 /// Returns an error when no inputs are given or batch/spatial dimensions
 /// disagree.
-pub fn concat_output_shape(inputs: &[&Tensor]) -> Result<Shape> {
+pub(crate) fn concat_output_shape(inputs: &[&Tensor]) -> Result<Shape> {
     Ok(ChannelRope::new(inputs)?.shape())
 }
 

@@ -3,7 +3,7 @@
 //! reference.
 //!
 //! No kernel here writes a `(C·Kh·Kw) × (Ho·Wo)` column matrix. All three
-//! passes read their windows through one [`Im2colView`] — two GEMMs and,
+//! passes read their windows through one `Im2colView` — two GEMMs and,
 //! where the view's windows lie in place, a correlation:
 //!
 //! * **forward** — `out_n = W · im2col(x_n)`, the bias (and, for the fused
@@ -21,7 +21,7 @@
 //!   gradient with the 180°-rotated, channel-transposed weights, run by
 //!   the same per-sample body as the forward pass (`conv_samples`). A
 //!   strided convolution (or `pad > K − 1`) has no such form and keeps
-//!   `d_col = Wᵀ · d_out_n` scattered by [`col2im_accumulate`]; which of
+//!   `d_col = Wᵀ · d_out_n` scattered by `col2im_accumulate`; which of
 //!   the two runs is decided from the attributes alone.
 //!
 //! ## What is staged, what is packed, what is read in place
@@ -32,7 +32,7 @@
 //! scratch (`Staging`) whose zero border is laid once per take (the scratch
 //! is recycled dirty), and hands the GEMM — or the correlation — the view
 //! of those windows over the bordered copy, where none of them is clipped
-//! (`Windows::staged` is the rule; an [`Im2colView`] has no padding to
+//! (`Windows::staged` is the rule; an `Im2colView` has no padding to
 //! express). For a
 //! [`ConvInput`] prologue the staging *is* the copy the prologue makes
 //! anyway, written into the interior one plane per call
@@ -411,7 +411,7 @@ pub fn conv2d_forward_direct(
 
 /// The production convolution forward pass: each sample is one GEMM
 /// `out_n = W · im2col(x_n)` that reads the windows where they lie or
-/// gathers them while packing (see [`Im2colView`]), so no column matrix is
+/// gathers them while packing (see `Im2colView`), so no column matrix is
 /// written. Pointwise (`1×1`/stride-1/no-pad) convolutions are the
 /// degenerate case — each input sample already *is* the operand.
 ///
@@ -570,7 +570,7 @@ fn rotated_weights(weights: &Tensor) -> Vec<f32> {
 /// read the way the forward pass reads its own, with no `d_col` and no
 /// scatter.
 /// Otherwise `d_col = Wᵀ · d_out_n` is scattered back by
-/// [`col2im_accumulate`].
+/// `col2im_accumulate`.
 ///
 /// # Errors
 /// Returns [`KernelError::ShapeMismatch`] when `weights` or `d_out` do not

@@ -304,7 +304,7 @@ mod avx2 {
     /// Every tile of the `RR` rows `co0..` of `d_W`, in one function so
     /// that a tile's horizontal reduction overlaps the next tile's sweep.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn channels<const RR: usize>(s: &Sweep<'_>, co0: usize, d_w_rows: &mut [f32]) {
+    pub(super) fn channels<const RR: usize>(s: &Sweep<'_>, co0: usize, d_w_rows: &mut [f32]) {
         let rows = s.bases.len();
         for j0 in (0..rows).step_by(T) {
             match rows - j0 {
@@ -392,7 +392,7 @@ mod avx512 {
     /// `R2 · cols` values interleaved by [`super::interleave`] (`cols` the
     /// sample's output positions), which the aligned loads read.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn channels(s: &Sweep<'_>, pairs: &[f32], d_w_rows: &mut [f32]) {
+    pub(super) unsafe fn channels(s: &Sweep<'_>, pairs: &[f32], d_w_rows: &mut [f32]) {
         debug_assert!(pairs.as_ptr().addr().is_multiple_of(64));
         debug_assert_eq!(pairs.len(), R2 * s.steps.len() * LANES);
         let rows = s.bases.len();

@@ -37,7 +37,7 @@
 //! * a row-major `B` (`rows[kk] = kk·n`) — [`gemm`], [`gemm_tn`] and every
 //!   pointwise convolution — while few enough `A` panels sweep each strip
 //!   that packing would not pay back (`m ≤ 36`, see `IN_PLACE_MAX_PANELS`);
-//! * a convolution's column matrix, which is *virtual* — an [`Im2colView`]
+//! * a convolution's column matrix, which is *virtual* — an `Im2colView`
 //!   names the sample and the window geometry — when the view has stride 1
 //!   and an output width that is a multiple of 8: row `(ci, kh, kw)` is
 //!   then the sample itself shifted by `(ci·H + kh)·W + kw`, and neither
@@ -204,7 +204,7 @@ enum Operand<'a> {
 /// and the stride-1 input gradient (a forward convolution of `d_out` with
 /// the rotated weights) all read their windows through this view.
 #[derive(Debug, Clone, Copy)]
-pub struct Im2colView<'a> {
+pub(crate) struct Im2colView<'a> {
     /// One sample's `C × H × W` values, contiguous.
     pub sample: &'a [f32],
     /// Input channels `C`.
@@ -782,7 +782,7 @@ mod avx2 {
     /// `tile.cols ≤ NR` and `tile.at + (R − 1)·tile.ldc + tile.cols ≤
     /// c.len()`, as [`super::microkernel`] asserts before every call.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn microkernel<const R: usize>(
+    pub(super) unsafe fn microkernel<const R: usize>(
         a_panel: &[f32],
         b: &Strip<'_>,
         c: &mut [f32],
@@ -913,7 +913,7 @@ mod avx512 {
     /// `tile.at + (R − 1)·tile.ldc + 2·NR ≤ c.len()`, as
     /// [`super::microkernel2`] asserts before every call.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn microkernel2<const R: usize>(
+    pub(super) unsafe fn microkernel2<const R: usize>(
         a_panel: &[f32],
         b: [&Strip<'_>; 2],
         c: &mut [f32],
@@ -1363,33 +1363,6 @@ pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     Ok(())
 }
 
-/// `c = alpha * a·B + beta * c` where `a` is `m×k` row-major and `B` is the
-/// `k×n` im2col column matrix described by an [`Im2colView`] — read in
-/// place or gathered during packing, never materialized. Bit-identical to
-/// materializing the column matrix and calling [`gemm`]: the microkernel
-/// consumes bitwise equal values in the same accumulation order. A
-/// pointwise view's column matrix is the sample itself.
-///
-/// # Errors
-/// Returns [`KernelError::ShapeMismatch`] when the slice lengths or the
-/// view's geometry do not match the given dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_im2col(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: Im2colView<'_>,
-    beta: f32,
-    c: &mut [f32],
-) -> Result<()> {
-    check_len(a.len(), m, k, "a")?;
-    check_len(c.len(), m, n, "c")?;
-    b.check(k, n)?;
-    Im2colGemm::new(m, a, &b)?.run(b.sample, alpha, beta, c)
-}
-
 /// `c += a·Bᵀ` where `a` is `m×k` row-major and `B` is the `n×k` im2col
 /// column matrix described by an [`Im2colView`]: the weight-gradient GEMM
 /// `d_W += d_out · colᵀ`, accumulating into `c` so a run of samples sums
@@ -1704,7 +1677,8 @@ mod tests {
                     let label = format!("im2col {channels}x{in_h}x{in_w} m {m} α {alpha} β {beta}");
                     both(&label, beta, &|| {
                         let mut c = c0.clone();
-                        gemm_im2col(m, n, k, alpha, &a, view, beta, &mut c).unwrap();
+                        let gemm = Im2colGemm::new(m, &a, &view).unwrap();
+                        gemm.run(view.sample, alpha, beta, &mut c).unwrap();
                         c
                     });
                 }
@@ -1856,7 +1830,9 @@ mod tests {
                     let mut expected = vec![0.0f32; m * n];
                     gemm(m, n, k, 1.0, &a, &col, 0.0, &mut expected).unwrap();
                     let mut fused = vec![f32::NAN; m * n];
-                    gemm_im2col(m, n, k, 1.0, &a, view, 0.0, &mut fused).unwrap();
+                    view.check(k, n).unwrap();
+                    let gemm = Im2colGemm::new(m, &a, &view).unwrap();
+                    gemm.run(view.sample, 1.0, 0.0, &mut fused).unwrap();
                     assert_eq!(bits(&fused), bits(&expected), "{label}");
 
                     // a · colᵀ, accumulated into zeros: equal values (the
@@ -1883,19 +1859,25 @@ mod tests {
         let view = Im2colView { sample: &staged, ..geometry };
         let a = vec![0.0f32; 2 * 27];
         let mut c = vec![0.0f32; 2 * 16];
-        assert!(gemm_im2col(2, 16, 27, 1.0, &a, view, 0.0, &mut c).is_ok());
+        assert!(view.check(27, 16).is_ok());
+        let gemm = Im2colGemm::new(2, &a, &view).unwrap();
+        assert!(gemm.run(view.sample, 1.0, 0.0, &mut c).is_ok());
         // k disagrees with the view's row count.
-        assert!(gemm_im2col(2, 16, 26, 1.0, &a[..52], view, 0.0, &mut c).is_err());
+        assert!(view.check(26, 16).is_err());
+        assert!(Im2colGemm::new(2, &a[..52], &view).is_err());
         // Sample shorter than C·H·W.
         let short = Im2colView { sample: &staged[..staged.len() - 1], ..view };
-        assert!(gemm_im2col(2, 16, 27, 1.0, &a, short, 0.0, &mut c).is_err());
+        assert!(short.check(27, 16).is_err());
+        assert!(gemm.run(short.sample, 1.0, 0.0, &mut c).is_err());
         // A zero stride has no column matrix.
         let stuck = Im2colView { stride: 0, ..view };
-        assert!(gemm_im2col(2, 16, 27, 1.0, &a, stuck, 0.0, &mut c).is_err());
+        assert!(stuck.check(27, 16).is_err());
+        assert!(Im2colGemm::new(2, &a, &stuck).is_err());
         // The same windows over the sample without its border: a view has
         // no padding, so 4×4 outputs of a 3×3 over 4×4 do not exist.
         let bare = Im2colView { sample: x.as_slice(), in_h: 4, in_w: 4, ..view };
-        assert!(gemm_im2col(2, 16, 27, 1.0, &a, bare, 0.0, &mut c).is_err());
+        assert!(bare.check(27, 16).is_err());
+        assert!(Im2colGemm::new(2, &a, &bare).is_err());
         assert!(gemm_nt_im2col_acc(2, 27, 16, &c, bare, &mut vec![0.0f32; 2 * 27]).is_err());
     }
 
@@ -1919,18 +1901,21 @@ mod tests {
         };
         let a = vec![0.5f32; 3 * 2 * 49];
         let mut c = vec![0.0f32; 3 * 64];
-        assert!(gemm_im2col(3, 24, 18, 1.0, &a[..54], view, 0.0, &mut c[..72]).is_ok());
-        let mismatch = |view: Im2colView<'_>, n: usize, k: usize, c: &mut [f32]| {
-            let result = gemm_im2col(3, n, k, 1.0, &a[..3 * k], view, 0.0, &mut c[..3 * n]);
-            matches!(result, Err(KernelError::ShapeMismatch(_)))
+        assert!(view.check(18, 24).is_ok());
+        let gemm = Im2colGemm::new(3, &a[..54], &view).unwrap();
+        assert!(gemm.run(view.sample, 1.0, 0.0, &mut c[..72]).is_ok());
+        let mismatch = |view: Im2colView<'_>, n: usize, k: usize| {
+            let checked = view.check(k, n);
+            let prepared = Im2colGemm::new(3, &a[..3 * k], &view).map(|_| ());
+            [checked, prepared].iter().all(|r| matches!(r, Err(KernelError::ShapeMismatch(_))))
         };
         // The right `out_h·out_w`, the wrong `out_w`: 3×8 instead of 4×6.
-        assert!(mismatch(Im2colView { out_h: 3, out_w: 8, ..view }, 24, 18, &mut c));
+        assert!(mismatch(Im2colView { out_h: 3, out_w: 8, ..view }, 24, 18));
         // An output larger than the windows that fit: 8×8 from a 6×8 input.
-        assert!(mismatch(Im2colView { out_h: 8, out_w: 8, ..view }, 64, 18, &mut c));
+        assert!(mismatch(Im2colView { out_h: 8, out_w: 8, ..view }, 64, 18));
         // A filter larger than the padded input.
         let wide = Im2colView { kernel_h: 7, kernel_w: 7, out_h: 1, out_w: 2, ..view };
-        assert!(mismatch(wide, 2, 98, &mut c));
+        assert!(mismatch(wide, 2, 98));
     }
 
     /// A plain `B` is read in place while few panels sweep it; a transposed

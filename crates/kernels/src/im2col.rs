@@ -73,7 +73,8 @@ fn taps_inside(start: isize, stride: usize, extent: usize, len: usize) -> Range<
 ///
 /// # Errors
 /// Returns an error if the input is not 4-D or the window does not fit.
-pub fn im2col(input: &Tensor, sample: usize, attrs: &Conv2dAttrs) -> Result<Vec<f32>> {
+#[cfg(test)]
+pub(crate) fn im2col(input: &Tensor, sample: usize, attrs: &Conv2dAttrs) -> Result<Vec<f32>> {
     let shape = input.shape();
     let (ho, wo) = conv_out_hw(shape, attrs)?;
     let (c, h, w) = (shape.c(), shape.h(), shape.w());
@@ -112,7 +113,7 @@ pub fn im2col(input: &Tensor, sample: usize, attrs: &Conv2dAttrs) -> Result<Vec<
 ///
 /// # Errors
 /// Returns an error if the target is not 4-D or the dimensions disagree.
-pub fn col2im_accumulate(
+pub(crate) fn col2im_accumulate(
     cols_data: &[f32],
     target: &mut Tensor,
     sample: usize,
@@ -172,7 +173,7 @@ pub fn col2im_accumulate(
 ///
 /// # Errors
 /// Returns an error if the input shape is not 4-D or the window does not fit.
-pub fn col_shape(input: &Shape, attrs: &Conv2dAttrs) -> Result<(usize, usize)> {
+pub(crate) fn col_shape(input: &Shape, attrs: &Conv2dAttrs) -> Result<(usize, usize)> {
     let (ho, wo) = conv_out_hw(input, attrs)?;
     Ok((input.c() * attrs.kernel_h * attrs.kernel_w, ho * wo))
 }

@@ -66,11 +66,11 @@ pub mod conv;
 mod correlate;
 pub mod dispatch;
 pub mod eltwise;
-pub mod error;
+mod error;
 pub mod fc;
 pub mod fused;
 pub mod gemm;
-pub mod im2col;
+mod im2col;
 pub mod pool;
 pub mod relu;
 pub mod softmax;

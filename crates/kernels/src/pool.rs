@@ -485,7 +485,7 @@ mod avx2 {
     /// The CPU must support avx2 and fma, and both rows must hold at least
     /// `2·out.len()` values.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn pool2_row((r0, r1): (&[f32], &[f32]), out: &mut [f32]) -> usize {
+    pub(super) unsafe fn pool2_row((r0, r1): (&[f32], &[f32]), out: &mut [f32]) -> usize {
         debug_assert!(r0.len() >= 2 * out.len() && r1.len() >= 2 * out.len());
         let (zero, four) = (_mm256_setzero_ps(), _mm256_set1_ps(4.0));
         let end = out.len() / 8 * 8;
@@ -516,7 +516,7 @@ mod avx2 {
     /// The CPU must support avx2 and fma, and `row` must hold at least
     /// `2·g.len()` values.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn unpool2_row(g: &[f32], row: &mut [f32]) -> usize {
+    pub(super) unsafe fn unpool2_row(g: &[f32], row: &mut [f32]) -> usize {
         debug_assert!(row.len() >= 2 * g.len());
         let (zero, four) = (_mm256_setzero_ps(), _mm256_set1_ps(4.0));
         let end = g.len() / 8 * 8;

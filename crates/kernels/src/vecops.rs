@@ -418,7 +418,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn relu_into(src: &[f32], dst: &mut [f32]) {
+    pub(super) fn relu_into(src: &[f32], dst: &mut [f32]) {
         let zero = _mm256_setzero_ps();
         let n = src.len();
         let vec_end = n - n % 8;
@@ -436,7 +436,13 @@ mod avx2 {
 
     /// `op`'s AVX2 sweep over every row, dispatched once per plane.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn stage_plane(op: StageOp, src: &[f32], dst: &mut [f32], width: usize, pitch: usize) {
+    pub(super) fn stage_plane(
+        op: StageOp,
+        src: &[f32],
+        dst: &mut [f32],
+        width: usize,
+        pitch: usize,
+    ) {
         let rows = src.chunks_exact(width).zip(dst.chunks_mut(pitch));
         match op {
             StageOp::Copy => unreachable!("super::stage_plane copies"),
@@ -454,7 +460,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn relu_inplace(dst: &mut [f32]) {
+    pub(super) fn relu_inplace(dst: &mut [f32]) {
         let zero = _mm256_setzero_ps();
         let n = dst.len();
         let vec_end = n - n % 8;
@@ -471,7 +477,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn relu_mask(g: &mut [f32], y: &[f32]) {
+    pub(super) fn relu_mask(g: &mut [f32], y: &[f32]) {
         let zero = _mm256_setzero_ps();
         let n = g.len();
         let vec_end = n - n % 8;
@@ -489,7 +495,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn bn_dx_plane(
+    pub(super) fn bn_dx_plane(
         g: &mut [f32],
         x: &[f32],
         mean: f32,
@@ -547,7 +553,7 @@ mod avx2 {
     /// `sum_dot_f64`'s lane partials, `hsum_pd` and scalar tail.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn norm_grad_plane(
+    pub(super) fn norm_grad_plane(
         g: &mut [f32],
         x: &[f32],
         mean: f32,
@@ -599,7 +605,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn add_assign(dst: &mut [f32], src: &[f32]) {
+    pub(super) fn add_assign(dst: &mut [f32], src: &[f32]) {
         let n = src.len();
         let vec_end = n - n % 8;
         for i in (0..vec_end).step_by(8) {
@@ -616,7 +622,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn add_scalar(dst: &mut [f32], value: f32) {
+    pub(super) fn add_scalar(dst: &mut [f32], value: f32) {
         let b = _mm256_set1_ps(value);
         let n = dst.len();
         let vec_end = n - n % 8;
@@ -634,7 +640,7 @@ mod avx2 {
 
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn normalize_plane(
+    pub(super) fn normalize_plane(
         src: &[f32],
         mut hat: Option<&mut [f32]>,
         y: &mut [f32],

@@ -58,7 +58,7 @@ impl CacheModel {
 
     /// DRAM bytes the cache-blocked packed GEMM engine moves for `g`
     /// (all `count` executions).
-    pub fn gemm_dram_bytes_blocked(&self, g: &GemmShape) -> f64 {
+    pub(crate) fn gemm_dram_bytes_blocked(&self, g: &GemmShape) -> f64 {
         if g.m == 0 || g.n == 0 || g.k == 0 {
             return 0.0;
         }
@@ -70,7 +70,7 @@ impl CacheModel {
 
     /// DRAM bytes the legacy row-streaming GEMM engine would move for `g`
     /// (all `count` executions).
-    pub fn gemm_dram_bytes_streamed(&self, g: &GemmShape) -> f64 {
+    pub(crate) fn gemm_dram_bytes_streamed(&self, g: &GemmShape) -> f64 {
         if g.m == 0 || g.n == 0 || g.k == 0 {
             return 0.0;
         }
@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn resident_gemms_cost_the_same_either_way() {
         // Small operands fit on chip: both engines pay first touch only.
-        let cache = CacheModel::with_threshold(1 << 20);
+        let cache = CacheModel { resident_threshold: 1 << 20 };
         let g = shape(64, 64, 64);
         let blocked = cache.gemm_dram_bytes_blocked(&g);
         assert_eq!(blocked, cache.gemm_dram_bytes_streamed(&g));
@@ -103,7 +103,7 @@ mod tests {
     #[test]
     fn blocking_caps_traffic_when_operands_exceed_the_cache() {
         // A 2048³ f32 GEMM: every operand is 16 MiB, over a 1 MiB threshold.
-        let cache = CacheModel::with_threshold(1 << 20);
+        let cache = CacheModel { resident_threshold: 1 << 20 };
         let g = shape(2048, 2048, 2048);
         let blocked = cache.gemm_dram_bytes_blocked(&g);
         let streamed = cache.gemm_dram_bytes_streamed(&g);
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn count_scales_linearly_and_empty_gemms_are_free() {
-        let cache = CacheModel::with_threshold(1 << 10);
+        let cache = CacheModel { resident_threshold: 1 << 10 };
         let one = cache.gemm_dram_bytes_blocked(&shape(128, 256, 64));
         let many = cache.gemm_dram_bytes_blocked(&GemmShape { m: 128, n: 256, k: 64, count: 8 });
         assert!((many - 8.0 * one).abs() < 1e-6);

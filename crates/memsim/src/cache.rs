@@ -12,32 +12,21 @@ use bnff_graph::analysis::{Sweep, TensorClass};
 
 /// Decides which memory sweeps reach DRAM on a given machine.
 #[derive(Debug, Clone)]
-pub struct CacheModel {
+pub(crate) struct CacheModel {
     /// Capacity threshold in bytes: tensors at or below this size are
     /// treated as cache-resident after their first touch.
-    resident_threshold: usize,
+    pub(crate) resident_threshold: usize,
 }
 
 impl CacheModel {
     /// Builds the cache model for a machine, reserving a fraction of the
     /// cache for the working set of the convolution kernels themselves.
-    pub fn for_machine(machine: &MachineProfile) -> Self {
+    pub(crate) fn for_machine(machine: &MachineProfile) -> Self {
         CacheModel { resident_threshold: (machine.cache_bytes as f64 * 0.5) as usize }
     }
 
-    /// Builds a cache model with an explicit residency threshold (useful for
-    /// the cache-crossover ablation).
-    pub fn with_threshold(resident_threshold: usize) -> Self {
-        CacheModel { resident_threshold }
-    }
-
-    /// The residency threshold in bytes.
-    pub fn resident_threshold(&self) -> usize {
-        self.resident_threshold
-    }
-
     /// Whether a tensor of `bytes` bytes is treated as cache-resident.
-    pub fn is_resident(&self, bytes: usize) -> bool {
+    pub(crate) fn is_resident(&self, bytes: usize) -> bool {
         bytes <= self.resident_threshold
     }
 
@@ -50,7 +39,7 @@ impl CacheModel {
     /// * Weights and weight gradients are read/written once per iteration;
     ///   they are charged fully but are tiny compared to feature maps.
     /// * Per-channel statistics are negligible and charged nothing.
-    pub fn dram_bytes(&self, sweep: &Sweep) -> f64 {
+    pub(crate) fn dram_bytes(&self, sweep: &Sweep) -> f64 {
         match sweep.class {
             TensorClass::Statistics => 0.0,
             TensorClass::Weight | TensorClass::WeightGradient => sweep.bytes as f64,
@@ -65,7 +54,7 @@ impl CacheModel {
     }
 
     /// Total DRAM bytes for a list of sweeps.
-    pub fn dram_bytes_for(&self, sweeps: &[Sweep]) -> f64 {
+    pub(crate) fn dram_bytes_for(&self, sweeps: &[Sweep]) -> f64 {
         sweeps.iter().map(|s| self.dram_bytes(s)).sum()
     }
 }
@@ -81,7 +70,7 @@ mod tests {
 
     #[test]
     fn large_activations_hit_dram() {
-        let cache = CacheModel::with_threshold(1 << 20);
+        let cache = CacheModel { resident_threshold: 1 << 20 };
         let s = sweep(100 << 20, TensorClass::Activation);
         assert_eq!(cache.dram_bytes(&s), (100 << 20) as f64);
         assert!(!cache.is_resident(100 << 20));
@@ -89,7 +78,7 @@ mod tests {
 
     #[test]
     fn small_activations_stay_resident() {
-        let cache = CacheModel::with_threshold(1 << 20);
+        let cache = CacheModel { resident_threshold: 1 << 20 };
         let s = sweep(64 << 10, TensorClass::Activation);
         assert!(cache.dram_bytes(&s) < (64 << 10) as f64 * 0.2);
         assert!(cache.is_resident(64 << 10));
@@ -97,7 +86,7 @@ mod tests {
 
     #[test]
     fn statistics_are_free_weights_are_not() {
-        let cache = CacheModel::with_threshold(1 << 20);
+        let cache = CacheModel { resident_threshold: 1 << 20 };
         assert_eq!(cache.dram_bytes(&sweep(4096, TensorClass::Statistics)), 0.0);
         assert_eq!(cache.dram_bytes(&sweep(4096, TensorClass::Weight)), 4096.0);
         assert_eq!(cache.dram_bytes(&sweep(4096, TensorClass::WeightGradient)), 4096.0);
@@ -107,12 +96,12 @@ mod tests {
     fn machine_threshold_tracks_cache_size() {
         let sky = CacheModel::for_machine(&MachineProfile::skylake_xeon_2s());
         let gpu = CacheModel::for_machine(&MachineProfile::pascal_titan_x());
-        assert!(sky.resident_threshold() > gpu.resident_threshold());
+        assert!(sky.resident_threshold > gpu.resident_threshold);
     }
 
     #[test]
     fn aggregate_sums_sweeps() {
-        let cache = CacheModel::with_threshold(1 << 10);
+        let cache = CacheModel { resident_threshold: 1 << 10 };
         let sweeps = vec![
             sweep(2048, TensorClass::Activation),
             sweep(100, TensorClass::Statistics),

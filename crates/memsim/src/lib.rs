@@ -7,11 +7,11 @@
 //!
 //! 1. [`graph` analysis](bnff_graph::analysis) reports, per layer, the FLOPs
 //!    and the whole-tensor memory sweeps of the forward and backward pass.
-//! 2. A [`CacheModel`] decides which sweeps actually
+//! 2. A `CacheModel` decides which sweeps actually
 //!    reach DRAM: mini-batch feature maps do (they are far larger than the
 //!    last-level cache, exactly the paper's Section 3.1 argument), small
 //!    weight tensors and per-channel statistics do not.
-//! 3. A [roofline] execution-time model charges each layer the
+//! 3. A roofline execution-time model charges each layer the
 //!    maximum of its compute time and its DRAM time on a given
 //!    [`MachineProfile`], plus a per-layer kernel
 //!    launch overhead.
@@ -48,16 +48,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod blocked;
-pub mod cache;
-pub mod dram;
-pub mod error;
-pub mod machine;
-pub mod report;
-pub mod roofline;
+mod blocked;
+mod cache;
+mod dram;
+mod error;
+mod machine;
+mod report;
+mod roofline;
 pub mod timeline;
 
-pub use cache::CacheModel;
 pub use error::MemsimError;
 pub use machine::MachineProfile;
 pub use report::{simulate_iteration, IterationReport, NodeTiming};

@@ -104,21 +104,6 @@ impl MachineProfile {
         }
     }
 
-    /// Nvidia Tesla P100 (referenced in Section 3.1): 10.6 TFLOPS, 732 GB/s.
-    pub fn tesla_p100() -> Self {
-        MachineProfile {
-            name: "Nvidia Tesla P100".to_string(),
-            peak_flops: 10.6e12,
-            mem_bandwidth: 732.0e9,
-            cache_bytes: 4 * 1024 * 1024,
-            conv_efficiency: 0.45,
-            elementwise_efficiency: 0.30,
-            stream_efficiency: 0.80,
-            kernel_overhead: 8e-6,
-            default_batch: 32,
-        }
-    }
-
     /// Returns a copy with a different peak memory bandwidth (Figure 8
     /// halves the Skylake bandwidth to 115.2 GB/s).
     #[must_use]
@@ -138,13 +123,6 @@ impl MachineProfile {
         self
     }
 
-    /// Returns a copy with a different default mini-batch size.
-    #[must_use]
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.default_batch = batch;
-        self
-    }
-
     /// Compute-to-bandwidth ratio in FLOP per byte (Table 1's implicit
     /// "FLOP/B" column; the paper quotes 14.5 FLOP/B for the P100).
     pub fn flop_per_byte(&self) -> f64 {
@@ -152,17 +130,17 @@ impl MachineProfile {
     }
 
     /// Effective (achievable) DRAM bandwidth in bytes per second.
-    pub fn effective_bandwidth(&self) -> f64 {
+    pub(crate) fn effective_bandwidth(&self) -> f64 {
         self.mem_bandwidth * self.stream_efficiency
     }
 
     /// Effective FLOP/s for convolution-class layers.
-    pub fn effective_conv_flops(&self) -> f64 {
+    pub(crate) fn effective_conv_flops(&self) -> f64 {
         self.peak_flops * self.conv_efficiency
     }
 
     /// Effective FLOP/s for element-wise layers.
-    pub fn effective_elementwise_flops(&self) -> f64 {
+    pub(crate) fn effective_elementwise_flops(&self) -> f64 {
         self.peak_flops * self.elementwise_efficiency
     }
 }
@@ -191,7 +169,11 @@ mod tests {
     #[test]
     fn p100_flop_per_byte_matches_paper() {
         // The paper quotes 14.5 FLOP/B (58 FLOPs per 32-bit word) for P100.
-        let p100 = MachineProfile::tesla_p100();
+        let p100 = MachineProfile {
+            peak_flops: 10.6e12,
+            mem_bandwidth: 732.0e9,
+            ..MachineProfile::pascal_titan_x()
+        };
         assert!((p100.flop_per_byte() - 14.5).abs() < 0.2);
     }
 
@@ -201,7 +183,6 @@ mod tests {
             MachineProfile::skylake_xeon_2s(),
             MachineProfile::knights_landing(),
             MachineProfile::pascal_titan_x(),
-            MachineProfile::tesla_p100(),
         ] {
             assert!(profile.validate().is_ok(), "{} failed validation", profile.name);
         }
@@ -214,8 +195,6 @@ mod tests {
         assert!(half.name.contains("115.2"));
         let inf = MachineProfile::skylake_xeon_2s().with_infinite_bandwidth();
         assert!(inf.mem_bandwidth.is_infinite());
-        let batched = MachineProfile::pascal_titan_x().with_batch(16);
-        assert_eq!(batched.default_batch, 16);
     }
 
     #[test]

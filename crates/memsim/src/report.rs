@@ -127,17 +127,6 @@ impl IterationReport {
         1.0 - self.conv_fraction()
     }
 
-    /// Time spent (fwd + bwd) in BN and BN-derived standalone layers.
-    pub fn bn_seconds(&self) -> f64 {
-        self.per_node
-            .iter()
-            .filter(|n| {
-                matches!(n.op.as_str(), "BatchNorm" | "SubBnStats" | "SubBnNorm" | "NormRelu")
-            })
-            .map(NodeTiming::total_seconds)
-            .sum()
-    }
-
     /// Speedup of this report relative to `other` (other / self).
     pub fn speedup_over(&self, other: &IterationReport) -> f64 {
         other.total_seconds() / self.total_seconds()
@@ -314,7 +303,12 @@ mod tests {
                 .unwrap();
         // The paper's Figure 4 observes ~20x on BN+ReLU; our model should
         // show at least a large one-order-of-magnitude effect.
-        let ratio = finite.bn_seconds() / infinite.bn_seconds();
+        let bn_seconds = |report: &IterationReport| -> f64 {
+            let bn = ["BatchNorm", "SubBnStats", "SubBnNorm", "NormRelu"];
+            let nodes = report.per_node.iter().filter(|n| bn.contains(&n.op.as_str()));
+            nodes.map(NodeTiming::total_seconds).sum()
+        };
+        let ratio = bn_seconds(&finite) / bn_seconds(&infinite);
         assert!(ratio > 5.0, "BN speedup under infinite bandwidth only {ratio}");
     }
 

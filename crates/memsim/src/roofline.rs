@@ -14,7 +14,7 @@ use bnff_graph::op::LayerCategory;
 ///
 /// `flops` is the arithmetic work, `dram_bytes` the DRAM traffic after cache
 /// filtering, and `category` selects the compute-efficiency class.
-pub fn pass_time(
+pub(crate) fn pass_time(
     machine: &MachineProfile,
     category: LayerCategory,
     flops: f64,
@@ -30,27 +30,9 @@ pub fn pass_time(
     compute_time.max(memory_time) + machine.kernel_overhead
 }
 
-/// Whether a layer with the given intensity (FLOP per DRAM byte) is
-/// compute-bound on this machine.
-pub fn is_compute_bound(
-    machine: &MachineProfile,
-    category: LayerCategory,
-    flops: f64,
-    dram_bytes: f64,
-) -> bool {
-    let compute_rate = match category {
-        LayerCategory::ConvFc | LayerCategory::FusedConv => machine.effective_conv_flops(),
-        LayerCategory::NonConv => machine.effective_elementwise_flops(),
-    };
-    if dram_bytes <= 0.0 {
-        return true;
-    }
-    flops / compute_rate >= dram_bytes / machine.effective_bandwidth()
-}
-
 /// The achieved bandwidth (bytes/s) of a layer pass, given its execution
 /// time; used to draw the Figure 3 style bandwidth-utilization timeline.
-pub fn achieved_bandwidth(dram_bytes: f64, seconds: f64) -> f64 {
+pub(crate) fn achieved_bandwidth(dram_bytes: f64, seconds: f64) -> f64 {
     if seconds > 0.0 {
         dram_bytes / seconds
     } else {
@@ -68,9 +50,12 @@ mod tests {
         // A representative DenseNet 3x3 conv at batch 120: ~47 GFLOP, ~77 MB.
         let flops = 47.0e9;
         let bytes = 77.0e6;
-        assert!(is_compute_bound(&sky, LayerCategory::ConvFc, flops, bytes));
         let t = pass_time(&sky, LayerCategory::ConvFc, flops, bytes);
         assert!(t > flops / sky.peak_flops);
+        // Compute time, not memory time, sets the pass time.
+        let compute_time = flops / sky.effective_conv_flops();
+        assert!(compute_time > bytes / sky.effective_bandwidth());
+        assert!((t - compute_time - sky.kernel_overhead).abs() < 1e-9);
     }
 
     #[test]
@@ -79,7 +64,6 @@ mod tests {
         // A BN over a 120x128x28x28 feature map: ~48 MB read 3x + written 1x.
         let bytes = 4.0 * 48.0e6;
         let flops = 7.0 * 12.0e6;
-        assert!(!is_compute_bound(&sky, LayerCategory::NonConv, flops, bytes));
         let t = pass_time(&sky, LayerCategory::NonConv, flops, bytes);
         let memory_time = bytes / sky.effective_bandwidth();
         assert!((t - memory_time - sky.kernel_overhead).abs() < 1e-9);
@@ -92,7 +76,6 @@ mod tests {
         // Only compute time + overhead remains.
         let expected = 1.0e9 / inf.effective_elementwise_flops() + inf.kernel_overhead;
         assert!((t - expected).abs() / expected < 1e-9);
-        assert!(is_compute_bound(&inf, LayerCategory::NonConv, 1.0, 1.0e12));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use bnff_tensor::Shape;
 
 /// Configuration of a DenseNet-BC network.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DenseNetConfig {
+pub(crate) struct DenseNetConfig {
     /// Growth rate `k`: channels added by every composite layer.
     pub growth_rate: usize,
     /// Number of composite layers in each dense block.
@@ -36,7 +36,7 @@ pub struct DenseNetConfig {
 
 impl DenseNetConfig {
     /// DenseNet-121: blocks of 6, 12, 24, 16 composite layers, growth 32.
-    pub fn d121() -> Self {
+    pub(crate) fn d121() -> Self {
         DenseNetConfig {
             growth_rate: 32,
             block_layers: vec![6, 12, 24, 16],
@@ -50,17 +50,12 @@ impl DenseNetConfig {
     }
 
     /// DenseNet-169: blocks of 6, 12, 32, 32.
-    pub fn d169() -> Self {
+    pub(crate) fn d169() -> Self {
         DenseNetConfig { block_layers: vec![6, 12, 32, 32], ..Self::d121() }
     }
 
-    /// DenseNet-201: blocks of 6, 12, 48, 32.
-    pub fn d201() -> Self {
-        DenseNetConfig { block_layers: vec![6, 12, 48, 32], ..Self::d121() }
-    }
-
     /// A small CIFAR-scale DenseNet-BC for numerical experiments.
-    pub fn cifar(growth_rate: usize, layers_per_block: usize, classes: usize) -> Self {
+    pub(crate) fn cifar(growth_rate: usize, layers_per_block: usize, classes: usize) -> Self {
         DenseNetConfig {
             growth_rate,
             block_layers: vec![layers_per_block; 3],
@@ -71,13 +66,6 @@ impl DenseNetConfig {
             image_size: 32,
             imagenet_stem: false,
         }
-    }
-
-    /// Total number of convolution layers (the "121" in DenseNet-121 counts
-    /// these plus the final FC).
-    pub fn conv_layer_count(&self) -> usize {
-        // Stem + 2 per composite layer + 1 per transition.
-        1 + 2 * self.block_layers.iter().sum::<usize>() + (self.block_layers.len() - 1)
     }
 }
 
@@ -101,7 +89,7 @@ fn composite_layer(
 ///
 /// # Errors
 /// Returns an error if the configuration produces inconsistent shapes.
-pub fn densenet(batch: usize, cfg: &DenseNetConfig) -> Result<Graph> {
+pub(crate) fn densenet(batch: usize, cfg: &DenseNetConfig) -> Result<Graph> {
     let name = format!(
         "densenet-{}-k{}",
         1 + 2 * self_total_layers(cfg) + cfg.block_layers.len(),
@@ -166,7 +154,7 @@ pub fn densenet121(batch: usize) -> Result<Graph> {
 ///
 /// # Errors
 /// Returns an error if graph construction fails.
-pub fn densenet169(batch: usize) -> Result<Graph> {
+pub(crate) fn densenet169(batch: usize) -> Result<Graph> {
     let mut g = densenet(batch, &DenseNetConfig::d169())?;
     g.set_name("densenet-169");
     Ok(g)
@@ -194,8 +182,6 @@ mod tests {
 
     #[test]
     fn densenet121_has_120_conv_layers_plus_fc() {
-        let cfg = DenseNetConfig::d121();
-        assert_eq!(cfg.conv_layer_count(), 120);
         let g = densenet121(4).unwrap();
         let convs = g.nodes().filter(|n| matches!(n.op, OpKind::Conv2d(_))).count();
         assert_eq!(convs, 120);

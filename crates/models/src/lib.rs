@@ -2,11 +2,11 @@
 //!
 //! Graph builders for every network the paper evaluates or references:
 //!
-//! * [`densenet::densenet121`] (and the other DenseNet-BC depths) — the
-//!   primary optimization target,
-//! * [`resnet::resnet50`] (and ResNet-18/34) — the secondary target,
-//! * [`alexnet::alexnet`] and [`vgg::vgg16`] — the early, CONV-dominated
-//!   models of Figure 1,
+//! * [`densenet121`] (and the other DenseNet-BC depths) — the primary
+//!   optimization target,
+//! * [`resnet50`] (and ResNet-18/34) — the secondary target,
+//! * [`alexnet`] and VGG-16 — the early, CONV-dominated models of
+//!   Figure 1,
 //! * CIFAR-scale variants of DenseNet and ResNet used by the numerical
 //!   training tests, where running the real arithmetic is cheap.
 //!
@@ -29,16 +29,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod alexnet;
-pub mod densenet;
-pub mod resnet;
-pub mod vgg;
+mod alexnet;
+mod densenet;
+mod resnet;
+mod vgg;
 pub mod zoo;
 
 pub use alexnet::alexnet;
-pub use densenet::{densenet121, densenet169, densenet_cifar, DenseNetConfig};
-pub use resnet::{resnet18, resnet50, resnet_cifar};
-pub use vgg::vgg16;
+pub use densenet::{densenet121, densenet_cifar};
+pub use resnet::{resnet50, resnet_cifar};
 pub use zoo::{build, Model};
 
 /// Convenience result alias re-exported from the graph crate.

@@ -107,7 +107,7 @@ pub fn resnet50(batch: usize) -> Result<Graph> {
 ///
 /// # Errors
 /// Returns an error if graph construction fails.
-pub fn resnet18(batch: usize) -> Result<Graph> {
+pub(crate) fn resnet18(batch: usize) -> Result<Graph> {
     let mut b = GraphBuilder::new("resnet-18");
     let data = b.input("data", Shape::nchw(batch, 3, 224, 224))?;
     let labels = b.input("labels", Shape::vector(batch))?;

@@ -28,7 +28,7 @@ fn vgg_block(
 ///
 /// # Errors
 /// Returns an error if graph construction fails.
-pub fn vgg16(batch: usize) -> Result<Graph> {
+pub(crate) fn vgg16(batch: usize) -> Result<Graph> {
     let mut b = GraphBuilder::new("vgg-16");
     let data = b.input("data", Shape::nchw(batch, 3, 224, 224))?;
     let labels = b.input("labels", Shape::vector(batch))?;

@@ -1,8 +1,9 @@
 //! A small registry mapping model names to builders.
 
-use crate::{
-    alexnet, densenet121, densenet169, densenet_cifar, resnet18, resnet50, resnet_cifar, vgg16,
-};
+use crate::densenet::densenet169;
+use crate::resnet::resnet18;
+use crate::vgg::vgg16;
+use crate::{alexnet, densenet121, densenet_cifar, resnet50, resnet_cifar};
 use bnff_graph::{Graph, Result};
 
 /// The models available in the zoo.

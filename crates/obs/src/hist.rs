@@ -189,7 +189,7 @@ impl HistogramSnapshot {
     /// How many observations were `<=` the bucket containing `bound` —
     /// the cumulative count Prometheus `le` buckets expose. Exact when
     /// `bound` is a bucket boundary (powers of two always are).
-    pub fn cumulative_le(&self, bound: u64) -> u64 {
+    pub(crate) fn cumulative_le(&self, bound: u64) -> u64 {
         let last = bucket_index(bound);
         self.buckets[..=last].iter().sum()
     }

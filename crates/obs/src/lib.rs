@@ -14,13 +14,13 @@
 //! - [`hist`] — a lock-free log-linear [`Histogram`] (16 sub-buckets per
 //!   power of two, ≤ 6.25% relative quantile error) with lossless
 //!   snapshot merging.
-//! - [`registry`] — a [`Registry`] of named counters, gauges and
+//! - `registry` — a [`Registry`] of named counters, gauges and
 //!   histograms; registration locks once, recording is atomics-only, and
 //!   [`Registry::render_prometheus`] emits the scrape format.
-//! - [`trace`] — process-unique request IDs ([`next_request_id`]) and the
+//! - `trace` — process-unique request IDs ([`next_request_id`]) and the
 //!   `BNFF_TRACE` every-N-th [`TraceSampler`] deciding which responses
 //!   echo their span timings.
-//! - [`profile`] — the per-slot [`OpProfiler`] the serving executor's
+//! - `profile` — the per-slot [`OpProfiler`] the serving executor's
 //!   forward walk fills for opt-in per-node timing, one slot per plan
 //!   position (one relaxed load per pass when off).
 //!
@@ -32,9 +32,9 @@
 
 pub mod hist;
 pub mod log;
-pub mod profile;
-pub mod registry;
-pub mod trace;
+mod profile;
+mod registry;
+mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
 pub use profile::{OpProfiler, SpanStats};

@@ -3,14 +3,14 @@
 //! The serve binary's operational output (startup config dump, access
 //! lines, shutdown summary) is machine-parseable logfmt rather than free
 //! prose: `ts=<unix_ms> component=bnff_serve event=access method=POST …`.
-//! Formatting is pure ([`kv_line`]) so tests assert on exact strings; the
+//! Formatting is pure (`kv_line`) so tests assert on exact strings; the
 //! emitting wrapper ([`log_event`]) stamps wall-clock time and writes one
 //! line to stderr (stdout stays reserved for program results).
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
-pub fn now_ms() -> u64 {
+pub(crate) fn now_ms() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
 }
 
@@ -24,7 +24,12 @@ fn format_value(v: &str) -> String {
 }
 
 /// Formats one structured log line: `ts=<ts> component=<c> event=<e> k=v…`.
-pub fn kv_line(ts_ms: u64, component: &str, event: &str, fields: &[(&str, String)]) -> String {
+pub(crate) fn kv_line(
+    ts_ms: u64,
+    component: &str,
+    event: &str,
+    fields: &[(&str, String)],
+) -> String {
     let mut line =
         format!("ts={ts_ms} component={} event={}", format_value(component), format_value(event));
     for (key, value) in fields {
@@ -36,7 +41,7 @@ pub fn kv_line(ts_ms: u64, component: &str, event: &str, fields: &[(&str, String
     line
 }
 
-/// Emits one structured event line to stderr, stamped with [`now_ms`].
+/// Emits one structured event line to stderr, stamped with `now_ms`.
 pub fn log_event(component: &str, event: &str, fields: &[(&str, String)]) {
     eprintln!("{}", kv_line(now_ms(), component, event, fields));
 }

@@ -32,16 +32,7 @@ pub struct SpanStats {
     pub max_ns: u64,
 }
 
-impl SpanStats {
-    /// Mean nanoseconds per execution (`0.0` when never recorded).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-}
+impl SpanStats {}
 
 /// A per-slot span profiler (see the module docs).
 #[derive(Debug)]
@@ -133,7 +124,6 @@ mod tests {
         p.record(1, 7);
         let snap = p.snapshot();
         assert_eq!(snap[0], SpanStats { count: 2, total_ns: 400, max_ns: 300 });
-        assert!((snap[0].mean_ns() - 200.0).abs() < 1e-9);
         assert_eq!(snap[1].count, 1);
         p.reset();
         assert_eq!(p.snapshot()[0].count, 0);

@@ -194,7 +194,12 @@ impl Registry {
     }
 
     /// Registers (or re-fetches) a counter with baked-in labels.
-    pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
+    pub(crate) fn counter_with(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+    ) -> Arc<Counter> {
         match self.register(name, help, "counter", labels, || {
             Handle::Counter(Arc::new(Counter::default()))
         }) {
@@ -209,7 +214,7 @@ impl Registry {
     }
 
     /// Registers (or re-fetches) a gauge with baked-in labels.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
+    pub(crate) fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         match self
             .register(name, help, "gauge", labels, || Handle::Gauge(Arc::new(Gauge::default())))
         {
@@ -224,7 +229,7 @@ impl Registry {
     }
 
     /// Registers (or re-fetches) a histogram with baked-in labels.
-    pub fn histogram_with(
+    pub(crate) fn histogram_with(
         &self,
         name: &str,
         help: &str,

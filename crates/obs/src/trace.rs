@@ -32,7 +32,7 @@ pub struct TraceSampler {
 
 impl TraceSampler {
     /// A sampler that never samples.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         TraceSampler::every(0)
     }
 
@@ -54,11 +54,6 @@ impl TraceSampler {
             },
             Err(_) => TraceSampler::disabled(),
         }
-    }
-
-    /// Whether any request is ever sampled.
-    pub fn is_enabled(&self) -> bool {
-        self.every > 0
     }
 
     /// The sampling period (`0` = disabled).
@@ -91,14 +86,14 @@ mod tests {
     #[test]
     fn disabled_sampler_never_samples() {
         let s = TraceSampler::disabled();
-        assert!(!s.is_enabled());
+        assert_eq!(s.period(), 0);
         assert!((0..100).all(|_| !s.sample()));
     }
 
     #[test]
     fn every_n_samples_exactly_one_in_n() {
         let s = TraceSampler::every(4);
-        assert!(s.is_enabled());
+        assert_eq!(s.period(), 4);
         let hits = (0..40).filter(|_| s.sample()).count();
         assert_eq!(hits, 10);
         // The very first request is sampled (operators flip tracing on and

@@ -55,14 +55,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod pool;
-pub mod range;
-pub mod topology;
+mod pool;
+mod range;
+mod topology;
 
 pub use pool::{
-    current_grain, current_threads, is_nested, min_items_per_thread, parallel_for,
-    parallel_map_collect, parallel_reduce, parallel_row_blocks_mut, parallel_rows_mut,
-    parallel_rows_mut2, tree_reduce, with_grain, with_threads,
+    current_threads, is_nested, min_items_per_thread, parallel_for, parallel_map_collect,
+    parallel_reduce, parallel_row_blocks_mut, parallel_rows_mut, parallel_rows_mut2, with_grain,
+    with_threads,
 };
 pub use range::chunk_ranges;
-pub use topology::{partition_threads, worker_thread_budgets};
+pub use topology::partition_threads;

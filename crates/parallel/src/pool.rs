@@ -62,7 +62,7 @@ pub fn is_nested() -> bool {
 
 /// The spawn-amortization grain in effect on this thread: the innermost
 /// [`with_grain`] override, or the built-in default (2¹⁶ scalar ops).
-pub fn current_grain() -> usize {
+pub(crate) fn current_grain() -> usize {
     GRAIN_OVERRIDE.with(Cell::get).unwrap_or(DEFAULT_GRAIN)
 }
 
@@ -328,7 +328,7 @@ where
 /// Combines `values` pairwise in index order until one remains — a balanced
 /// binary reduction tree whose shape depends only on `values.len()`, never
 /// on the thread count. Returns `None` for an empty input.
-pub fn tree_reduce<T>(mut values: Vec<T>, fold: impl Fn(T, T) -> T) -> Option<T> {
+pub(crate) fn tree_reduce<T>(mut values: Vec<T>, fold: impl Fn(T, T) -> T) -> Option<T> {
     while values.len() > 1 {
         let mut next = Vec::with_capacity(values.len().div_ceil(2));
         let mut iter = values.into_iter();
@@ -345,7 +345,7 @@ pub fn tree_reduce<T>(mut values: Vec<T>, fold: impl Fn(T, T) -> T) -> Option<T>
 
 /// Two-pass tree reduction: pass one maps every index to a partial in
 /// parallel ([`parallel_map_collect`]), pass two combines the partials with
-/// [`tree_reduce`]. Deterministic for any thread count. Returns `None` when
+/// `tree_reduce`. Deterministic for any thread count. Returns `None` when
 /// `items == 0`.
 pub fn parallel_reduce<T, M, F>(items: usize, min_per_thread: usize, map: M, fold: F) -> Option<T>
 where

@@ -44,15 +44,6 @@ pub fn partition_threads(total: usize, workers: usize) -> Vec<usize> {
     (0..workers).map(|w| (base + usize::from(w < extra)).max(1)).collect()
 }
 
-/// The kernel-thread budget a pool of `workers` serve workers should
-/// partition: the caller's effective thread count
-/// ([`current_threads`](crate::current_threads) — a `with_threads` scope,
-/// `BNFF_THREADS`, or the machine's available parallelism, in that order).
-#[must_use]
-pub fn worker_thread_budgets(workers: usize) -> Vec<usize> {
-    partition_threads(crate::current_threads(), workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,9 +77,9 @@ mod tests {
 
     #[test]
     fn budgets_follow_the_scoped_thread_override() {
-        let slices = with_threads(6, || worker_thread_budgets(4));
+        let slices = with_threads(6, || partition_threads(crate::current_threads(), 4));
         assert_eq!(slices, vec![2, 2, 1, 1]);
-        let slices = with_threads(1, || worker_thread_budgets(2));
+        let slices = with_threads(1, || partition_threads(crate::current_threads(), 2));
         assert_eq!(slices, vec![1, 1]);
     }
 }

@@ -179,7 +179,7 @@ impl FrozenExecutor {
     ///
     /// # Errors
     /// Same as [`FrozenExecutor::infer`].
-    pub fn infer_owned(&self, data: Tensor) -> Result<Tensor> {
+    pub(crate) fn infer_owned(&self, data: Tensor) -> Result<Tensor> {
         // The walk rejects `n = 0` and a wrong sample shape itself.
         let n = data.shape().dims().first().copied().unwrap_or(0);
         if n > self.max_batch {

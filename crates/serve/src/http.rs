@@ -14,12 +14,12 @@ use std::fmt;
 use std::io::{BufRead, Write};
 
 /// Largest accepted request line + single header line, in bytes.
-pub const MAX_LINE: usize = 8 * 1024;
+pub(crate) const MAX_LINE: usize = 8 * 1024;
 /// Largest accepted number of headers.
-pub const MAX_HEADERS: usize = 64;
+pub(crate) const MAX_HEADERS: usize = 64;
 /// Largest accepted request body, in bytes (a batch of f32 samples in
 /// decimal JSON stays far under this).
-pub const MAX_BODY: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_BODY: usize = 16 * 1024 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,9 +55,9 @@ pub enum HttpError {
     /// `Content-Length` is missing on a body-bearing method, unparseable,
     /// or the body ended early.
     BadBody(String),
-    /// The declared body exceeds [`MAX_BODY`].
+    /// The declared body exceeds `MAX_BODY`.
     BodyTooLarge(usize),
-    /// A line exceeds [`MAX_LINE`].
+    /// A line exceeds `MAX_LINE`.
     LineTooLong,
     /// The peer sent nothing for as long as the socket's read timeout.
     Timeout,

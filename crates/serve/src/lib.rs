@@ -74,14 +74,14 @@
 #![warn(rust_2018_idioms)]
 
 pub mod assembly;
-pub mod builder;
-pub mod engine;
-pub mod error;
-pub mod executor;
+mod builder;
+mod engine;
+mod error;
+mod executor;
 pub mod http;
-pub mod httpd;
-pub mod metrics;
-pub mod model;
+mod httpd;
+mod metrics;
+mod model;
 
 pub use builder::ServeEngineBuilder;
 pub use engine::{BatchingConfig, Completion, RequestTrace, ServeEngine};

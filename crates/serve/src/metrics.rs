@@ -138,31 +138,31 @@ impl ServeMetrics {
 
     /// Counts `n` requests shed by admission control.
     #[inline]
-    pub fn record_shed(&self, n: usize) {
+    pub(crate) fn record_shed(&self, n: usize) {
         self.shed.add(n as u64);
     }
 
     /// Counts `n` requests expired past their queueing deadline.
     #[inline]
-    pub fn record_expired(&self, n: usize) {
+    pub(crate) fn record_expired(&self, n: usize) {
         self.expired.add(n as u64);
     }
 
     /// Counts one batch assembled by work-stealing.
     #[inline]
-    pub fn record_stolen_batch(&self) {
+    pub(crate) fn record_stolen_batch(&self) {
         self.stolen.inc();
     }
 
     /// Sets the batch capacity (`max_batch`), the scrape's occupancy
     /// denominator.
-    pub fn set_batch_capacity(&self, capacity: usize) {
+    pub(crate) fn set_batch_capacity(&self, capacity: usize) {
         self.batch_capacity.set_max(capacity as i64);
     }
 
     /// Adjusts the queued-requests gauge at admission (`+n`) / take (`-n`).
     #[inline]
-    pub fn add_queued(&self, n: i64) {
+    pub(crate) fn add_queued(&self, n: i64) {
         self.queued.add(n);
     }
 

@@ -237,7 +237,7 @@ fn engine_rejects_bad_samples_and_shuts_down_cleanly() {
 /// the frozen graph, once, the written ones among them — counting only the
 /// runs made while enabled, never changing a score bit.
 #[test]
-fn tape_profiler_counts_enabled_runs_and_leaves_scores_untouched() {
+fn walk_profiler_counts_enabled_runs_and_leaves_scores_untouched() {
     let (exec, data, _labels) = conditioned_executor(classifier(4, 3), 79);
     let model = ServeEngine::builder().executor(&exec).build_model().unwrap();
     let frozen = model.executor(4).unwrap();

@@ -71,12 +71,6 @@ impl Initializer {
         let data = (0..shape.volume()).map(|_| dist.sample(&mut self.rng)).collect();
         Tensor::from_vec(shape, data).expect("volume matches by construction")
     }
-
-    /// Standard normal initialization scaled by `std`.
-    pub fn normal(&mut self, shape: Shape, std: f32) -> Tensor {
-        let data = (0..shape.volume()).map(|_| self.standard_normal() * std).collect();
-        Tensor::from_vec(shape, data).expect("volume matches by construction")
-    }
 }
 
 #[cfg(test)]
@@ -128,8 +122,8 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = Initializer::seeded(1);
         let mut b = Initializer::seeded(2);
-        let wa = a.normal(Shape::vector(64), 1.0);
-        let wb = b.normal(Shape::vector(64), 1.0);
+        let wa = a.he_normal(Shape::vector(64), 8);
+        let wb = b.he_normal(Shape::vector(64), 8);
         assert_ne!(wa, wb);
     }
 

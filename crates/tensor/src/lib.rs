@@ -26,15 +26,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod error;
+mod error;
 pub mod init;
 pub mod ops;
 pub mod pool;
-pub mod rope;
-pub mod shape;
+mod rope;
+mod shape;
 pub mod simd;
 pub mod stats;
-pub mod tensor;
+mod tensor;
 
 pub use error::TensorError;
 pub use pool::BufferPool;

@@ -25,14 +25,6 @@ pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     a.zip_map(b, |x, y| x - y)
 }
 
-/// `out = a * b`, element-wise (Hadamard product).
-///
-/// # Errors
-/// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-pub fn mul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    a.zip_map(b, |x, y| x * y)
-}
-
 /// `a += b`, element-wise, in place.
 ///
 /// # Errors
@@ -141,7 +133,6 @@ mod tests {
         let b = t(&[4.0, 5.0, 6.0]);
         assert_eq!(add(&a, &b).unwrap().as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(sub(&b, &a).unwrap().as_slice(), &[3.0, 3.0, 3.0]);
-        assert_eq!(mul(&a, &b).unwrap().as_slice(), &[4.0, 10.0, 18.0]);
     }
 
     #[test]

@@ -130,7 +130,8 @@ impl Shape {
     }
 
     /// Row-major strides (in elements) for this shape.
-    pub fn strides(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![0usize; self.rank()];
         let mut acc = 1usize;
         for (i, d) in self.dims.iter().enumerate().rev() {
@@ -184,7 +185,7 @@ impl Shape {
     ///
     /// # Errors
     /// Returns [`TensorError::LengthMismatch`] if the volumes differ.
-    pub fn reshaped(&self, dims: Vec<usize>) -> Result<Shape, TensorError> {
+    pub(crate) fn reshaped(&self, dims: Vec<usize>) -> Result<Shape, TensorError> {
         let new = Shape::new(dims);
         if new.volume() == self.volume() {
             Ok(new)

@@ -39,17 +39,18 @@
 //!
 //! ## Two planes per call
 //!
-//! The f64 reductions ([`sum_f64`], [`sum_sq_f64`], [`sq_dev_sum_f64`]) are
+//! The f64 reductions (`Σx`, `(Σx, Σx²)`, `Σ(x − m)²` of a plane) are
 //! bound by their dependent add chain, not by the bytes they read: one
 //! chain per plane leaves the vector units idle for most of each add's
-//! latency. Their crate-private two-plane forms (`sum_f64_pair`,
-//! `sum_sq_f64_pair`, `sq_dev_sum_f64_pair`) walk two planes in one loop with two
+//! latency. Their crate-private forms (`sum_f64_pair`, `sum_sq_f64_pair`,
+//! `sq_dev_sum_f64_pair`) walk two planes in one loop with two
 //! independent chains. The bits hold because nothing is shared between the
 //! planes: each keeps its own four lane partials (or, scalar, its own
 //! sequential fold), takes its values in its own order, and ends with its
 //! own lane reduce and scalar tail — so each result is exactly the
 //! single-plane call's, whatever the two lengths. The single-plane forms
-//! are the two-plane ones with an empty second plane.
+//! (`sum_f64`, `sum_sq_f64`, `sq_dev_sum_f64`), the two-plane ones with an
+//! empty second plane, are built for the tests that hold them to that.
 //!
 //! ```rust
 //! use bnff_tensor::simd::{active_isa, with_isa, SimdIsa};
@@ -88,7 +89,7 @@ impl SimdIsa {
     /// The widest ISA the running CPU and OS support (ignoring every
     /// override). The feature checks include the OS saving the vector
     /// registers' state.
-    pub fn detected() -> SimdIsa {
+    pub(crate) fn detected() -> SimdIsa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         {
             if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
@@ -224,7 +225,7 @@ impl AlignedBuf {
     /// lane remainders) are preserved, growth beyond the old lane count is
     /// zero-filled — the aligned analogue of `BufferPool::take_dirty`
     /// semantics: callers overwrite before reading.
-    pub fn resize_dirty(&mut self, len: usize) {
+    pub(crate) fn resize_dirty(&mut self, len: usize) {
         self.lanes.resize(len.div_ceil(LANE_F32S), Lane::default());
         self.len = len;
     }
@@ -264,20 +265,23 @@ impl DerefMut for AlignedBuf {
 /// partial sums, reduced in a fixed lane order (deterministic, but rounded
 /// differently from the scalar fold). It is `sum_f64_pair` with an empty
 /// second plane.
-pub fn sum_f64(isa: SimdIsa, x: &[f32]) -> f64 {
+#[cfg(test)]
+pub(crate) fn sum_f64(isa: SimdIsa, x: &[f32]) -> f64 {
     sum_f64_pair(isa, x, &[])[0]
 }
 
 /// `(Σx, Σx²)` of a slice accumulated in `f64`, on the given ISA — the MVF
 /// one-pass statistics primitive. Scalar path matches the historical
 /// element loop bit-for-bit; see [`sum_f64`] for the AVX2 rounding caveat.
-pub fn sum_sq_f64(isa: SimdIsa, x: &[f32]) -> (f64, f64) {
+#[cfg(test)]
+pub(crate) fn sum_sq_f64(isa: SimdIsa, x: &[f32]) -> (f64, f64) {
     sum_sq_f64_pair(isa, x, &[])[0]
 }
 
 /// `Σ(x − mean)²` of a slice accumulated in `f64`, on the given ISA — the
 /// second sweep of the baseline two-pass variance.
-pub fn sq_dev_sum_f64(isa: SimdIsa, x: &[f32], mean: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn sq_dev_sum_f64(isa: SimdIsa, x: &[f32], mean: f64) -> f64 {
     sq_dev_sum_f64_pair(isa, x, &[], [mean, 0.0])[0]
 }
 
@@ -337,7 +341,7 @@ pub(crate) fn sq_dev_sum_f64_pair(isa: SimdIsa, a: &[f32], b: &[f32], means: [f6
 /// `(sample, channel)` plane at a time. The scalar path *continues* the
 /// running sums element by element (the historical per-channel fold, bit for
 /// bit, whatever the plane boundaries); the AVX2 path adds one plane
-/// subtotal built from four lane partials, like [`sum_sq_f64`].
+/// subtotal built from four lane partials, like `sum_sq_f64`.
 ///
 /// Its callers in `bnff-kernels`: BN backward over a stored `x̂`
 /// (`bn_backward`), and the tests that hold the one-pass recompute epilogue
@@ -469,7 +473,7 @@ mod avx2 {
     // not closures, so they inline into the loops whatever the codegen units.
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn sum_f64_pair(a: &[f32], b: &[f32]) -> [f64; 2] {
+    pub(super) fn sum_f64_pair(a: &[f32], b: &[f32]) -> [f64; 2] {
         let ((a_chunks, a_tail), (b_chunks, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
         let common = a_chunks.len().min(b_chunks.len());
         let mut acc = [_mm256_setzero_pd(); 2];
@@ -492,7 +496,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn sum_sq_f64_pair(a: &[f32], b: &[f32]) -> [(f64, f64); 2] {
+    pub(super) fn sum_sq_f64_pair(a: &[f32], b: &[f32]) -> [(f64, f64); 2] {
         let ((a_chunks, a_tail), (b_chunks, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
         let common = a_chunks.len().min(b_chunks.len());
         let zero = _mm256_setzero_pd();
@@ -520,7 +524,7 @@ mod avx2 {
 
     /// `(Σg, Σg·h)` of two planes of equal length (asserted by the caller).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn sum_dot_f64(g: &[f32], h: &[f32]) -> (f64, f64) {
+    pub(super) fn sum_dot_f64(g: &[f32], h: &[f32]) -> (f64, f64) {
         let mut s = _mm256_setzero_pd();
         let mut d = _mm256_setzero_pd();
         let (g_chunks, h_chunks) = (g.chunks_exact(8), h.chunks_exact(8));
@@ -547,7 +551,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn sq_dev_sum_f64_pair(a: &[f32], b: &[f32], means: [f64; 2]) -> [f64; 2] {
+    pub(super) fn sq_dev_sum_f64_pair(a: &[f32], b: &[f32], means: [f64; 2]) -> [f64; 2] {
         let ((a_chunks, a_tail), (b_chunks, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
         let common = a_chunks.len().min(b_chunks.len());
         let m = [_mm256_set1_pd(means[0]), _mm256_set1_pd(means[1])];

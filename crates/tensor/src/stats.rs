@@ -151,7 +151,7 @@ impl ChannelAccumulator {
     }
 
     /// Accumulates one sample's `C` contiguous channel planes: each channel
-    /// gets its plane's [`simd::sum_sq_f64`] subtotal, the planes taken two
+    /// gets its plane's `simd::sum_sq_f64` subtotal, the planes taken two
     /// channels at a time by `simd::sum_sq_f64_pair`. Counts nothing —
     /// see [`ChannelAccumulator::add_count`].
     ///
@@ -186,7 +186,7 @@ impl ChannelAccumulator {
     /// accumulated in the same mini-batch order a serial sweep uses. The
     /// unit of work is a channel pair, whose two planes of each sample go
     /// through one two-plane kernel: per channel the plane sums of
-    /// [`simd::sum_sq_f64`], bit for bit.
+    /// `simd::sum_sq_f64`, bit for bit.
     ///
     /// # Errors
     /// Returns an error for non-4-D or empty inputs.

@@ -164,7 +164,7 @@ impl Tensor {
     ///
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn zip_map<F: Fn(f32, f32) -> f32>(&self, other: &Tensor, f: F) -> Result<Tensor> {
+    pub(crate) fn zip_map<F: Fn(f32, f32) -> f32>(&self, other: &Tensor, f: F) -> Result<Tensor> {
         self.shape.expect_same(&other.shape)?;
         let data = self.data.iter().zip(other.data.iter()).map(|(&a, &b)| f(a, b)).collect();
         Ok(Tensor { shape: self.shape.clone(), data })

@@ -52,17 +52,6 @@ impl Checkpoint {
         }
     }
 
-    /// Rebuilds an executor from the snapshot (the inverse of
-    /// [`Checkpoint::capture`]).
-    ///
-    /// # Errors
-    /// Returns an error when the stored graph fails validation or memory
-    /// planning.
-    pub fn into_executor(self) -> Result<Executor> {
-        self.graph.validate()?;
-        Executor::with_state(self.graph, self.params, self.running)
-    }
-
     /// Encodes the checkpoint as a single-file binary model artifact
     /// (see `bnff-artifact` for the byte layout). The conversion is
     /// lossless: [`Checkpoint::from_artifact`] reproduces the checkpoint
@@ -275,7 +264,8 @@ mod tests {
         assert_eq!(back, ckpt);
         // Conversion is deterministic: same checkpoint, same bytes.
         assert_eq!(ckpt.to_artifact_bytes().unwrap(), bytes);
-        let restored = back.into_executor().unwrap();
+        back.graph.validate().unwrap();
+        let restored = Executor::with_state(back.graph, back.params, back.running).unwrap();
         assert_eq!(restored.params(), exec.params());
         assert_eq!(restored.running_stats(), exec.running_stats());
         assert_eq!(restored.graph(), exec.graph());

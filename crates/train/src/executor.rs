@@ -261,7 +261,7 @@ impl Executor {
     /// # Errors
     /// Returns an error if the graph cannot be memory-planned (e.g. it is
     /// cyclic).
-    pub fn with_params(graph: Graph, params: ParamSet) -> Result<Self> {
+    pub(crate) fn with_params(graph: Graph, params: ParamSet) -> Result<Self> {
         let running = RunningStatSet::initialize(&graph);
         Self::with_state(graph, params, running)
     }
@@ -272,7 +272,11 @@ impl Executor {
     /// # Errors
     /// Returns an error if the graph cannot be memory-planned (e.g. it is
     /// cyclic).
-    pub fn with_state(graph: Graph, params: ParamSet, running: RunningStatSet) -> Result<Self> {
+    pub(crate) fn with_state(
+        graph: Graph,
+        params: ParamSet,
+        running: RunningStatSet,
+    ) -> Result<Self> {
         let plan = ExecutionPlan::for_graph(&graph)?;
         let workspace = Arc::new(Mutex::new(Workspace::for_graph(&plan)));
         let (params, running) = (Arc::new(params), Arc::new(running));

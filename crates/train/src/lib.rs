@@ -52,12 +52,12 @@
 
 pub mod checkpoint;
 pub mod data;
-pub mod error;
-pub mod executor;
-pub mod optimizer;
+mod error;
+mod executor;
+mod optimizer;
 pub mod params;
 pub mod running;
-pub mod trainer;
+mod trainer;
 
 pub use checkpoint::Checkpoint;
 pub use error::TrainError;

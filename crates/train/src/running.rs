@@ -20,7 +20,7 @@ use bnff_tensor::stats::ChannelStats;
 use std::collections::HashMap;
 
 /// The default EMA momentum: `running = (1−m)·running + m·batch`.
-pub const DEFAULT_MOMENTUM: f32 = 0.1;
+pub(crate) const DEFAULT_MOMENTUM: f32 = 0.1;
 
 /// Running mean/variance of one statistics-producing node.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +77,7 @@ pub struct RunningStatSet {
 
 impl RunningStatSet {
     /// Identity running statistics for every statistics-producing node of
-    /// `graph`, with the [`DEFAULT_MOMENTUM`].
+    /// `graph`, with the `DEFAULT_MOMENTUM`.
     pub fn initialize(graph: &Graph) -> Self {
         let entries = graph
             .nodes()
@@ -94,13 +94,6 @@ impl RunningStatSet {
     /// artifact.
     pub fn from_entries(entries: HashMap<usize, RunningStats>, momentum: f32) -> Self {
         RunningStatSet { entries, momentum: momentum.clamp(f32::MIN_POSITIVE, 1.0) }
-    }
-
-    /// Returns a copy with a different EMA momentum (must be in `(0, 1]`).
-    #[must_use]
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum.clamp(f32::MIN_POSITIVE, 1.0);
-        self
     }
 
     /// The EMA momentum.
@@ -138,7 +131,7 @@ impl RunningStatSet {
     /// # Errors
     /// Returns an error when the node is untracked or the channel counts
     /// disagree.
-    pub fn observe(&mut self, id: NodeId, batch: &ChannelStats) -> Result<()> {
+    pub(crate) fn observe(&mut self, id: NodeId, batch: &ChannelStats) -> Result<()> {
         let momentum = self.momentum;
         let entry = self.entries.get_mut(&id.index()).ok_or_else(|| {
             crate::TrainError::Missing(format!("running statistics entry for {id}"))
@@ -195,7 +188,8 @@ mod tests {
     #[test]
     fn observe_moves_the_ema_toward_the_batch() {
         let g = bn_graph();
-        let mut set = RunningStatSet::initialize(&g).with_momentum(0.5);
+        let mut set = RunningStatSet::initialize(&g);
+        set.momentum = 0.5;
         let bn = g.nodes().find(|n| n.name == "bn").unwrap().id;
         let batch = ChannelStats { mean: vec![2.0; 8], var: vec![3.0; 8], count: 128 };
         set.observe(bn, &batch).unwrap();
@@ -211,7 +205,8 @@ mod tests {
     #[test]
     fn artifact_round_trip_keeps_momentum_and_statistics() {
         let g = bn_graph();
-        let mut set = RunningStatSet::initialize(&g).with_momentum(0.25);
+        let mut set = RunningStatSet::initialize(&g);
+        set.momentum = 0.25;
         let bn = g.nodes().find(|n| n.name == "bn").unwrap().id;
         let batch = ChannelStats {
             mean: (0..8).map(|i| 0.1 + i as f32 * 0.37).collect(),

@@ -81,11 +81,6 @@ impl Trainer {
         &self.executor
     }
 
-    /// The per-step metric history so far.
-    pub fn history(&self) -> &[StepMetrics] {
-        &self.history
-    }
-
     /// Runs a single optimization step, returning its metrics.
     ///
     /// # Errors
@@ -191,11 +186,10 @@ mod tests {
     #[test]
     fn history_accumulates_per_step() {
         let dataset = SyntheticDataset::new(2, 2, 8, 0.1, 5).unwrap();
-        let config = TrainConfig { batch_size: 4, steps: 3, ..TrainConfig::default() };
+        let config = TrainConfig { batch_size: 4, steps: 2, ..TrainConfig::default() };
         let mut trainer = Trainer::new(small_graph(4, 2), dataset, config).unwrap();
-        trainer.step(0).unwrap();
-        trainer.step(1).unwrap();
-        assert_eq!(trainer.history().len(), 2);
-        assert_eq!(trainer.history()[1].step, 1);
+        let history = trainer.run().unwrap();
+        assert_eq!(history.len(), 2);
+        assert_eq!(history[1].step, 1);
     }
 }

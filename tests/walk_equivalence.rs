@@ -50,7 +50,7 @@ fn reference(exec: &Executor, data: &Tensor) -> Tensor {
 
 /// Served walk vs reference, bitwise, at batch sizes 1/4/8 and thread
 /// counts 1/4.
-fn check_tape_matches_reference(graph: &Graph, context: &str) {
+fn check_walk_matches_reference(graph: &Graph, context: &str) {
     let exec = conditioned(graph, 23);
     let model = ServeEngine::builder().executor(&exec).build_model().unwrap();
     for batch in [1usize, 4, 8] {
@@ -60,43 +60,43 @@ fn check_tape_matches_reference(graph: &Graph, context: &str) {
         let mut per_thread_bits: Vec<Vec<u32>> = Vec::new();
         for threads in [1usize, 4] {
             with_threads(threads, || {
-                let tape = executor.infer(&data).unwrap();
+                let walk = executor.infer(&data).unwrap();
                 assert_eq!(
-                    to_bits(&tape),
+                    to_bits(&walk),
                     to_bits(&reference(&exec, &data)),
-                    "{context} b{batch} t{threads}: tape diverges from the reference"
+                    "{context} b{batch} t{threads}: walk diverges from the reference"
                 );
-                per_thread_bits.push(to_bits(&tape));
+                per_thread_bits.push(to_bits(&walk));
             });
         }
         assert_eq!(
             per_thread_bits[0], per_thread_bits[1],
-            "{context} b{batch}: tape scores differ between 1 and 4 threads"
+            "{context} b{batch}: walk scores differ between 1 and 4 threads"
         );
     }
 }
 
 #[test]
-fn cifar_densenet_tape_matches_interpreted_at_levels_0_to_3() {
+fn cifar_densenet_walk_matches_interpreted_at_levels_0_to_3() {
     let baseline = densenet_cifar(4, 6, 2, 4).unwrap();
     for level in FusionLevel::measured() {
         let graph = BnffOptimizer::new(level).apply(&baseline).unwrap();
-        check_tape_matches_reference(&graph, &format!("densenet-cifar {level}"));
+        check_walk_matches_reference(&graph, &format!("densenet-cifar {level}"));
     }
 }
 
 #[test]
-fn cifar_resnet_tape_matches_interpreted_at_levels_0_to_3() {
+fn cifar_resnet_walk_matches_interpreted_at_levels_0_to_3() {
     let baseline = resnet_cifar(4, 1, 4).unwrap();
     for level in FusionLevel::measured() {
         let graph = BnffOptimizer::new(level).apply(&baseline).unwrap();
-        check_tape_matches_reference(&graph, &format!("resnet-cifar {level}"));
+        check_walk_matches_reference(&graph, &format!("resnet-cifar {level}"));
     }
 }
 
 #[test]
-fn split_maxpool_and_eltwise_tape_matches_reference() {
-    check_tape_matches_reference(&support::graphs::mixed(6), "mixed ops");
+fn split_maxpool_and_eltwise_walk_matches_reference() {
+    check_walk_matches_reference(&support::graphs::mixed(6), "mixed ops");
 }
 
 /// One `n`-sample batch through `executor`, bitwise against the reference.
@@ -104,8 +104,8 @@ fn check_prefix(executor: &FrozenExecutor, exec: &Executor, n: usize, seed: u64,
     let mut dims = executor.input_shape().dims().to_vec();
     dims[0] = n;
     let data = Initializer::seeded(seed).uniform(Shape::new(dims), -1.0, 1.0);
-    let tape = executor.infer(&data).unwrap();
-    assert_eq!(to_bits(&tape), to_bits(&reference(exec, &data)), "{what} n{n}");
+    let walk = executor.infer(&data).unwrap();
+    assert_eq!(to_bits(&walk), to_bits(&reference(exec, &data)), "{what} n{n}");
 }
 
 #[test]
