@@ -11,21 +11,26 @@
 //! The planner walks the topological order and computes, per node output:
 //!
 //! 1. **Forward liveness** — the interval from the producing node to its
-//!    last forward consumer. Two kinds of node own no buffer and extend
-//!    other nodes' intervals instead: a Split is an alias of its input, and
-//!    a concatenation whose consumers all read planes is a *channel rope*
-//!    of its inputs (`crate::rope`): every edge into it is an edge into
-//!    each of its (flattened) parts. A concatenation with any other
+//!    last forward consumer. Some nodes own no buffer and extend other
+//!    nodes' intervals instead: a Split is an alias of its input; so is a
+//!    ReLU whose input — through Splits — nothing else reads (and which is
+//!    no data input and no ReLU's output): it clips that tensor in place;
+//!    and a concatenation whose consumers all read planes is a *channel
+//!    rope* of its inputs (`crate::rope`): every edge into it is an edge
+//!    into each of its (flattened) parts. A concatenation with any other
 //!    consumer owns a buffer its parts are copied into, and reads them at
 //!    its own position. Training and inference plans share all of this;
 //!    an inference plan retains nothing for a backward pass, and its
 //!    statistics nodes own no tensor (their value is the running
 //!    statistics).
 //! 2. **Backward retention** — whether the backward pass re-reads the
-//!    tensor. One rule: every convolution, every normalization,
-//!    fully-connected layers and ReLU masks re-read their *first input* and
-//!    nothing else — through a rope, every part of it. A convolution with a
-//!    prologue recomputes the clipped / normalized ifmap from its raw
+//!    tensor. Two rules. Every convolution, every normalization and
+//!    fully-connected layers re-read their *first input* and nothing else
+//!    — through a rope, every part of it. A ReLU re-reads its own *output*:
+//!    `max(y, 0) > 0` exactly where `y > 0`, NaN and ±0 included, so the
+//!    mask is the same bits, and the tensor is the one its consumer pins
+//!    anyway (clipped in place, it is its input's buffer). A convolution
+//!    with a prologue recomputes the clipped / normalized ifmap from its raw
 //!    input, and a normalization — standalone or absorbed — recomputes `x̂`
 //!    and its ReLU mask from its raw input and the 2×C statistics, so no
 //!    operator keeps a feature map of its own and the plan's saved tensors
@@ -95,8 +100,11 @@ pub struct ExecutionPlan {
     order: Vec<NodeId>,
     /// Node index → topological position.
     position: Vec<usize>,
-    /// Node index → alias target (Split nodes forward their input tensor).
+    /// Node index → alias target (a Split forwards its input's tensor, an
+    /// in-place ReLU clips it).
     alias_of: Vec<Option<usize>>,
+    /// Node index → the position of the ReLU that clips its tensor in place.
+    clipped_at: Vec<Option<usize>>,
     /// The graph's concatenations as channel ropes.
     ropes: ChannelRopes,
     /// Node index → liveness of its own output (None for non-producers and
@@ -115,7 +123,8 @@ pub struct ExecutionPlan {
     saved_bytes: usize,
 }
 
-/// Whether a node materializes an output tensor at run time.
+/// Whether a node materializes an output tensor at run time, aliases
+/// aside.
 ///
 /// Label inputs carry no tensor and Split is a pointer pass (an alias of
 /// its input), so neither owns a buffer; at inference a statistics node's
@@ -145,12 +154,39 @@ enum PlanMode {
 
 /// Whether `op`'s backward pass re-reads the output tensor of its first
 /// input (the saved ifmap of the cost analysis) — the only tensor any
-/// backward re-reads. Every training convolution and normalization does: a
-/// prologue, `x̂` and a ReLU mask are recomputed from the raw input, never
-/// stored.
+/// backward but a ReLU's re-reads. Every training convolution and
+/// normalization does: a prologue, `x̂` and a ReLU mask are recomputed from
+/// the raw input, never stored.
 fn backward_reads_first_input(op: &OpKind) -> bool {
     matches!(op.form(), OpForm::Conv { .. } | OpForm::Norm { .. })
-        || matches!(op, OpKind::Relu | OpKind::FullyConnected { .. })
+        || matches!(op, OpKind::FullyConnected { .. })
+}
+
+/// How many nodes read `id`'s value: its consumers, a Split counted as its
+/// own readers (as one when it has none).
+fn readers(graph: &Graph, id: NodeId) -> Result<usize> {
+    graph
+        .consumers(id)
+        .into_iter()
+        .map(|consumer| match graph.node(consumer)?.op {
+            OpKind::Split { .. } => Ok(readers(graph, consumer)?.max(1)),
+            _ => Ok(1),
+        })
+        .sum()
+}
+
+/// The tensor the ReLU `relu` clips in place, if it may: its input,
+/// through Splits, when nothing else reads it and it is neither the data
+/// input (the caller's buffer at inference) nor a ReLU's output (which that
+/// ReLU's backward re-reads). A concatenation a ReLU reads is never a rope:
+/// a ReLU reads no planes.
+fn clipped_in_place(graph: &Graph, relu: &Node) -> Result<Option<NodeId>> {
+    let mut input = relu.inputs[0];
+    while let OpKind::Split { .. } = graph.node(input)?.op {
+        input = graph.node(input)?.inputs[0];
+    }
+    let sole = readers(graph, input)? == 1;
+    Ok((sole && !matches!(graph.node(input)?.op, OpKind::Input | OpKind::Relu)).then_some(input))
 }
 
 impl ExecutionPlan {
@@ -185,14 +221,24 @@ impl ExecutionPlan {
         }
 
         // Split nodes alias their input's tensor (chains collapse to the
-        // first real producer).
+        // first real producer), and so does a ReLU that clips its input in
+        // place: from its position on, the tensor holds the ReLU's output.
         let mut alias_of: Vec<Option<usize>> = vec![None; n];
+        let mut clipped_at: Vec<Option<usize>> = vec![None; n];
         for &id in &order {
             let node = graph.node(id)?;
-            if let OpKind::Split { .. } = node.op {
-                let target = node.inputs[0].index();
-                alias_of[id.index()] = Some(alias_of[target].unwrap_or(target));
-            }
+            let target = match node.op {
+                OpKind::Split { .. } => node.inputs[0].index(),
+                OpKind::Relu => match clipped_in_place(graph, node)? {
+                    Some(input) => {
+                        clipped_at[input.index()] = Some(position[id.index()]);
+                        input.index()
+                    }
+                    None => continue,
+                },
+                _ => continue,
+            };
+            alias_of[id.index()] = Some(alias_of[target].unwrap_or(target));
         }
         let resolve = |idx: usize| alias_of[idx].unwrap_or(idx);
         let ropes = ChannelRopes::of(graph)?;
@@ -216,12 +262,9 @@ impl ExecutionPlan {
                 continue;
             }
             let pos = position[id.index()];
-            // Training pins through consumer edges only (below). Inference
-            // pins final outputs so the executor can return them instead of
-            // releasing them into the arena, and the data input: it is the
-            // caller's buffer, which no arena bin may take over.
-            let saved = mode == PlanMode::Inference
-                && (graph.consumers(id).is_empty() || matches!(node.op, OpKind::Input));
+            // Everything else is pinned below. Inference pins the data input:
+            // it is the caller's buffer, which no arena bin may take over.
+            let saved = mode == PlanMode::Inference && matches!(node.op, OpKind::Input);
             liveness[id.index()] = Some(TensorLiveness {
                 def: pos,
                 last_use: pos,
@@ -234,9 +277,10 @@ impl ExecutionPlan {
             let pos = position[id.index()];
             // A concatenation reads its flattened parts (a rope only when it
             // sweeps statistics); any other node reads its inputs, a rope
-            // through its parts.
+            // through its parts. A part may be an in-place ReLU: its
+            // gradient is its own, its tensor its input's.
             let reads: Vec<(usize, usize)> = match ropes.parts(id) {
-                Some(parts) => parts.iter().map(|&part| (1, part)).collect(),
+                Some(parts) => parts.iter().map(|&part| (1, resolve(part))).collect(),
                 None => node
                     .inputs
                     .iter()
@@ -247,19 +291,34 @@ impl ExecutionPlan {
                             true => ropes.parts(NodeId::new(producer)).unwrap_or_default(),
                             false => std::slice::from_ref(&producer),
                         };
-                        parts.iter().map(move |&part| (slot, part)).collect::<Vec<_>>()
+                        parts.iter().map(move |&part| (slot, resolve(part))).collect::<Vec<_>>()
                     })
                     .collect(),
             };
+            let mut pinned = Vec::new();
             for (slot, producer) in reads {
                 let Some(live) = liveness[producer].as_mut() else { continue };
                 live.last_use = live.last_use.max(pos);
                 if slot == 0 && mode == PlanMode::Training && backward_reads_first_input(&node.op) {
-                    if !live.saved_for_backward {
-                        backward_release_at[pos].push(producer);
-                    }
-                    live.saved_for_backward = true;
+                    pinned.push(producer);
                 }
+            }
+            // A ReLU's backward masks with its own output. At inference
+            // nothing is read again, but a sink's tensor is what the
+            // executor returns instead of releasing it into the arena.
+            let pins_own = match mode {
+                PlanMode::Training => matches!(node.op, OpKind::Relu),
+                PlanMode::Inference => graph.consumers(id).is_empty(),
+            };
+            if pins_own {
+                pinned.push(resolve(id.index()));
+            }
+            for tensor in pinned {
+                let Some(live) = liveness[tensor].as_mut() else { continue };
+                if mode == PlanMode::Training && !live.saved_for_backward {
+                    backward_release_at[pos].push(tensor);
+                }
+                live.saved_for_backward = true;
             }
         }
 
@@ -322,6 +381,7 @@ impl ExecutionPlan {
             order,
             position,
             alias_of,
+            clipped_at,
             ropes,
             liveness,
             slot,
@@ -343,11 +403,28 @@ impl ExecutionPlan {
         self.position[id.index()]
     }
 
-    /// Resolves Split aliases to the node whose tensor is actually read.
+    /// Resolves Split and in-place ReLU aliases to the node whose tensor is
+    /// actually read.
     pub fn resolve(&self, id: NodeId) -> NodeId {
         match self.alias_of[id.index()] {
             Some(target) => NodeId::new(target),
             None => id,
+        }
+    }
+
+    /// Whether `id` is a ReLU that clips its input's tensor in place.
+    pub fn clips_in_place(&self, id: NodeId) -> bool {
+        self.clipped_at[self.resolve(id).index()] == Some(self.position(id))
+    }
+
+    /// The node whose tensor holds `id`'s output once the forward has run:
+    /// [`resolve`](Self::resolve)`(id)`, or `None` when a ReLU after `id`
+    /// clipped that tensor in place, so it holds the ReLU's output instead.
+    pub fn holder(&self, id: NodeId) -> Option<NodeId> {
+        let tensor = self.resolve(id);
+        match self.clipped_at[tensor.index()] {
+            Some(clip) if self.position(id) < clip => None,
+            _ => Some(tensor),
         }
     }
 
@@ -375,9 +452,12 @@ impl ExecutionPlan {
         self.liveness.get(id.index()).and_then(Option::as_ref)
     }
 
-    /// Whether a node's output must be retained for the backward pass.
+    /// Whether a node's output is retained for the backward pass (at
+    /// inference: pinned). A tensor a ReLU clipped in place retains the
+    /// ReLU's output, not its producer's.
     pub fn is_saved(&self, id: NodeId) -> bool {
-        self.liveness(self.resolve(id)).map(|l| l.saved_for_backward).unwrap_or(false)
+        let live = self.holder(id).and_then(|holder| self.liveness(holder));
+        live.is_some_and(|live| live.saved_for_backward)
     }
 
     /// The reuse slot assigned to a transient node output.
@@ -445,7 +525,8 @@ impl ExecutionPlan {
         }
     }
 
-    /// Borrows the tensors of `parts` (producer indices).
+    /// Borrows the tensors of `parts` (producer indices), following
+    /// in-place ReLU aliases.
     ///
     /// # Errors
     /// Returns [`GraphError::MissingValue`] when one was not produced.
@@ -454,8 +535,11 @@ impl ExecutionPlan {
         values: &'a [Option<Tensor>],
         parts: &[usize],
     ) -> Result<Vec<&'a Tensor>> {
-        let value = |p: usize| values[p].as_ref().ok_or(GraphError::MissingValue(NodeId::new(p)));
-        parts.iter().map(|&p| value(p)).collect()
+        let value = |p: NodeId| values[self.resolve(p).index()].as_ref();
+        parts
+            .iter()
+            .map(|&p| value(NodeId::new(p)).ok_or(GraphError::MissingValue(NodeId::new(p))))
+            .collect()
     }
 
     /// Allocates the output tensor of `id`: the recycled buffer in the arena
@@ -528,9 +612,25 @@ impl ExecutionPlan {
     /// of that output's last consumer to the backward of its producer — the
     /// forward live interval, mirrored.
     pub fn gradient_peak_bytes(&self) -> usize {
+        self.max_live(|live| live.last_use)
+    }
+
+    /// Lower bound on the bytes of node outputs any execution of the plan's
+    /// order holds at once, [`planned_peak_bytes`](Self::planned_peak_bytes)
+    /// included: the most bytes live at one position, a tensor retained for
+    /// the backward (or pinned at inference) counting as live to the end of
+    /// the forward.
+    pub fn live_lower_bound_bytes(&self) -> usize {
+        let end = self.order.len().saturating_sub(1);
+        self.max_live(|live| if live.saved_for_backward { end } else { live.last_use })
+    }
+
+    /// The most bytes of node outputs live at one position, each alive from
+    /// its definition through `until`.
+    fn max_live(&self, until: impl Fn(&TensorLiveness) -> usize) -> usize {
         let mut live_at = vec![0usize; self.order.len()];
         for live in self.liveness.iter().flatten() {
-            for bytes in &mut live_at[live.def..=live.last_use] {
+            for bytes in &mut live_at[live.def..=until(live)] {
                 *bytes += live.bytes;
             }
         }
@@ -589,11 +689,27 @@ mod tests {
         assert!(plan.is_saved(ids[0]));
         // conv1's output is what BN's backward recomputes x̂ from.
         assert!(plan.is_saved(ids[1]));
-        // bn's output is the ReLU mask; relu's output is conv2's saved ifmap.
-        assert!(plan.is_saved(ids[2]));
+        // relu's output is its own mask and conv2's saved ifmap. The ReLU
+        // clips bn's tensor in place, so bn's output is not kept at all.
+        assert!(!plan.is_saved(ids[2]));
         assert!(plan.is_saved(ids[3]));
+        assert_eq!(plan.resolve(ids[3]), ids[2]);
         // conv2's output has no consumer and no backward reader.
         assert!(!plan.is_saved(ids[4]));
+        assert_eq!(plan.saved_bytes(), (2 * 8 + 2 * 16 + 2 * 16) * 8 * 8 * 4);
+
+        // A ReLU whose input something else reads too gets a buffer of its
+        // own and pins that, not its input: a pool needs only shapes.
+        let mut b = GraphBuilder::new("shared");
+        let x = b.input("in", Shape::nchw(2, 8, 8, 8)).unwrap();
+        let c1 = b.conv2d(x, Conv2dAttrs::pointwise(16), "conv1").unwrap();
+        let bn = b.batch_norm_default(c1, "bn").unwrap();
+        let r = b.relu(bn, "relu").unwrap();
+        let gap = b.global_avg_pool(bn, "gap").unwrap();
+        let g = b.finish();
+        let plan = ExecutionPlan::for_graph(&g).unwrap();
+        assert_eq!(plan.resolve(r), r);
+        assert!(plan.is_saved(r) && !plan.is_saved(bn) && !plan.is_saved(gap));
 
         // A clipping normalization pins its input like any other — the mask
         // is recomputed — and nothing pins an operator's own output.
@@ -625,12 +741,14 @@ mod tests {
         let schedule = |plan: &ExecutionPlan| -> Vec<Vec<usize>> {
             (0..plan.order().len()).map(|pos| plan.released_after_backward(pos).to_vec()).collect()
         };
-        // in(0) → conv1(1) → bn(2) → relu(3) → conv2(4): each saved tensor
-        // has one backward reader, its consumer.
+        // in(0) → conv1(1) → bn(2) → relu(3) → conv2(4): the data input
+        // and conv1's output have one backward reader, their consumer. The
+        // ReLU clips bn's tensor in place; conv2's backward reads it first,
+        // the ReLU's own backward last.
         let (g, ids) = conv_chain();
         let plan = ExecutionPlan::for_graph(&g).unwrap();
-        let [x, c1, bn, r] = [0, 1, 2, 3].map(|i| ids[i].index());
-        assert_eq!(schedule(&plan), [vec![], vec![x], vec![c1], vec![bn], vec![r]]);
+        let [x, c1, bn] = [0, 1, 2].map(|i| ids[i].index());
+        assert_eq!(schedule(&plan), [vec![], vec![x], vec![c1], vec![bn], vec![]]);
 
         // in(0) → conv1(1) → conv2(2) → conv3(3): conv2 reads conv1's output
         // twice (raw input and statistics), once as its backward's ifmap.
@@ -653,6 +771,36 @@ mod tests {
         let plan = ExecutionPlan::for_graph(&g).unwrap();
         assert_eq!(plan.gradient_peak_bytes(), 2 * (2 * 16 * 8 * 8 * 4));
         assert!(plan.gradient_peak_bytes() <= plan.naive_total_bytes());
+    }
+
+    #[test]
+    fn the_lower_bound_counts_what_is_live_at_one_position() {
+        // in(0) → conv1(1) → bn(2) → relu(3, in place) → conv2(4).
+        let (g, _) = conv_chain();
+        let (map8, map16) = (2 * 8 * 8 * 8 * 4, 2 * 16 * 8 * 8 * 4);
+        // Training retains in, conv1 and bn's clipped tensor to the end;
+        // conv2's output joins them there, in the plan's one slot.
+        let plan = ExecutionPlan::for_graph(&g).unwrap();
+        assert_eq!(plan.live_lower_bound_bytes(), 2 * map8 + 2 * map16);
+        assert_eq!(plan.planned_peak_bytes(), plan.live_lower_bound_bytes());
+        // Inference pins in and the sink. At bn's position in, conv1 and
+        // bn are live; the slots conv1 and bn's tensor take overlap there.
+        let plan = ExecutionPlan::for_inference(&g).unwrap();
+        assert_eq!(plan.live_lower_bound_bytes(), map8 + 2 * map16);
+        assert_eq!(plan.planned_peak_bytes(), 2 * map8 + 2 * map16);
+    }
+
+    #[test]
+    fn an_inference_plan_pins_the_tensor_a_sink_relu_clipped() {
+        let mut b = GraphBuilder::new("clipped sink");
+        let x = b.input("in", Shape::nchw(2, 8, 8, 8)).unwrap();
+        let c1 = b.conv2d(x, Conv2dAttrs::pointwise(16), "conv1").unwrap();
+        let bn = b.batch_norm_default(c1, "bn").unwrap();
+        let r = b.relu(bn, "relu").unwrap();
+        let plan = ExecutionPlan::for_inference(&b.finish()).unwrap();
+        assert!(plan.clips_in_place(r) && plan.holder(r) == Some(bn) && plan.holder(bn).is_none());
+        assert!(plan.is_saved(r) && !plan.is_saved(bn) && !plan.is_saved(c1));
+        assert!(plan.released_after(plan.position(r)).is_empty());
     }
 
     #[test]
@@ -701,13 +849,15 @@ mod tests {
         let plan = ExecutionPlan::for_graph(&g).unwrap();
         assert_eq!(plan.resolve(s), x);
         assert!(plan.liveness(s).is_none());
-        // The ReLU consumers read the input through the alias, which also
-        // makes the input a saved ReLU mask.
-        assert!(plan.is_saved(x));
-        assert!(plan.is_saved(s));
-        // The backward walks r2 before r1: r1's backward reads the input last.
-        assert_eq!(plan.released_after_backward(plan.position(r1)), [x.index()]);
-        assert!(plan.released_after_backward(plan.position(r2)).is_empty());
+        // The ReLU consumers read the input through the alias, but each
+        // masks its gradient with its own output: nothing pins the input.
+        assert!(!plan.is_saved(x) && !plan.is_saved(s));
+        // Two readers: neither ReLU may clip the input in place.
+        assert!(!plan.clips_in_place(r1) && !plan.clips_in_place(r2));
+        for r in [r1, r2] {
+            assert!(plan.is_saved(r));
+            assert_eq!(plan.released_after_backward(plan.position(r)), [r.index()]);
+        }
     }
 
     #[test]

@@ -71,14 +71,18 @@ fn reader_positions(graph: &Graph, plan: &ExecutionPlan, id: NodeId) -> Vec<usiz
     out
 }
 
-/// The producers whose tensors the backward of `node` reads: its first
-/// input, through Splits, or every part of that input if it is a rope.
-/// Convolutions, normalizations, ReLUs and fully-connected layers re-read
-/// their first input in the backward; nothing else reads a tensor.
+/// The producers whose tensors the backward of `node` reads. A ReLU reads
+/// its own output — through the alias, its input's tensor if it clipped
+/// that in place. Convolutions, normalizations and fully-connected layers
+/// read their first input, through Splits and in-place ReLUs, or every
+/// part of that input if it is a rope; nothing else reads a tensor.
 fn backward_reads(graph: &Graph, plan: &ExecutionPlan, node: NodeId) -> Vec<usize> {
     let op = &graph.node(node).unwrap().op;
+    if let OpKind::Relu = op {
+        return vec![plan.resolve(node).index()];
+    }
     let reads = matches!(op.form(), OpForm::Conv { .. } | OpForm::Norm { .. })
-        || matches!(op, OpKind::Relu | OpKind::FullyConnected { .. });
+        || matches!(op, OpKind::FullyConnected { .. });
     if !reads {
         return Vec::new();
     }
@@ -87,8 +91,8 @@ fn backward_reads(graph: &Graph, plan: &ExecutionPlan, node: NodeId) -> Vec<usiz
         input = graph.node(input).unwrap().inputs[0];
     }
     match plan.concat_parts(input).filter(|_| plan.is_rope(input)) {
-        Some(parts) => parts.to_vec(),
-        None => vec![input.index()],
+        Some(parts) => parts.iter().map(|&p| plan.resolve(NodeId::new(p)).index()).collect(),
+        None => vec![plan.resolve(input).index()],
     }
 }
 
@@ -155,7 +159,8 @@ fn check_plan(graph: &Graph, plan: &ExecutionPlan, what: &str) -> Result<(), Tes
         let last_read = reader_positions(graph, plan, rope).into_iter().max();
         prop_assert!(last_read.is_some(), "{what}: rope {rope} has no reader");
         for &part in plan.concat_parts(rope).unwrap() {
-            let live = plan.liveness(NodeId::new(part));
+            // An in-place ReLU's tensor is its input's.
+            let live = plan.liveness(plan.resolve(NodeId::new(part)));
             prop_assert!(live.is_some(), "{what}: part {part} of rope {rope} owns no tensor");
             prop_assert!(
                 live.unwrap().last_use >= last_read.unwrap(),

@@ -107,7 +107,7 @@ impl FrozenExecutor {
             .order()
             .iter()
             .copied()
-            .filter(|&id| id != input && plan.liveness(id).is_some())
+            .filter(|&id| id != input && (plan.liveness(id).is_some() || plan.clips_in_place(id)))
             .collect();
         let profiler = OpProfiler::new(plan.order().len());
         Ok(FrozenExecutor { exec, max_batch, sample, written, sample_flops, profiler })

@@ -163,10 +163,7 @@ impl Checkpoint {
         for stats in &manifest.stats {
             entries.insert(
                 stats.node,
-                RunningStats {
-                    mean: read_vec(artifact, stats.mean)?,
-                    var: read_vec(artifact, stats.var)?,
-                },
+                RunningStats::new(read_vec(artifact, stats.mean)?, read_vec(artifact, stats.var)?),
             );
         }
         Ok(Checkpoint {

@@ -18,6 +18,12 @@
 //!   ReLU mask from the raw first input the plan pins and the 2×C
 //!   statistics, so a [`ForwardResult`] holds exactly the plan's saved
 //!   tensors (plus max-pool argmax indices and the softmax probabilities).
+//! * A standalone ReLU keeps nothing either. Backward masks its gradient
+//!   with the ReLU's own output, which its consumer pins anyway. Where the
+//!   plan makes it an alias of its input (nothing else reads that), the
+//!   walk clips the input's tensor in place, so a BN → ReLU → convolution
+//!   chain holds one tensor, as the RCF convolution that reads the BN output
+//!   raw does.
 //! * Training publishes mini-batch statistics and eval the running ones;
 //!   `publish_stats` is the one place that chooses. A `SubBnStats` or
 //!   `ConcatStats` in training copies what earlier nodes published over the
@@ -68,7 +74,7 @@ use bnff_kernels::pool::{
     global_avg_pool_forward_into, max_pool_backward_into, max_pool_forward_argmax_into,
     max_pool_forward_into, MaxPoolState,
 };
-use bnff_kernels::relu::{relu_backward_inplace, relu_forward_into};
+use bnff_kernels::relu::{relu_backward_inplace, relu_forward_inplace, relu_forward_into};
 use bnff_kernels::softmax::{
     accuracy, softmax_loss_backward_into, softmax_loss_forward, SoftmaxLossState,
 };
@@ -101,11 +107,15 @@ enum NodeState {
     Softmax(SoftmaxLossState),
 }
 
+/// The statistics each node published, by node id: a walk's own, or borrowed
+/// from the running statistics.
+type Published<'a> = Vec<Option<Cow<'a, ChannelStats>>>;
+
 /// What one forward walk leaves: the retained outputs by node id, the
 /// published statistics and backward state, and the loss head's result.
-struct Walk {
+struct Walk<'a> {
     values: Vec<Option<Tensor>>,
-    stats: Vec<Option<ChannelStats>>,
+    stats: Published<'a>,
     states: Vec<Option<NodeState>>,
     loss: f32,
     scores: Option<Tensor>,
@@ -129,9 +139,11 @@ pub struct ForwardResult {
     /// Node outputs by node id: the ones backward revisits, until it has.
     /// Empty once a backward has run.
     values: RefCell<Vec<Option<Tensor>>>,
-    stats: Vec<Option<ChannelStats>>,
+    stats: Published<'static>,
     states: Vec<Option<NodeState>>,
     labels: Vec<usize>,
+    /// The plan the pass ran, which says whose tensor holds a node's value.
+    plan: Arc<ExecutionPlan>,
     /// The workspace the pass drew the retained `values` from.
     home: Arc<Mutex<Workspace>>,
 }
@@ -148,20 +160,22 @@ impl Drop for ForwardResult {
 impl ForwardResult {
     /// The output tensor of a node, if it is retained: the forward pass
     /// retains only the tensors its liveness analysis says the backward pass
-    /// re-reads (a Split owns none: it forwards its producer's; nor does a
-    /// concatenation whose value is its inputs' tensors), and the backward
-    /// hands each back to the pool after its last reader, so after
-    /// [`Executor::backward`] this is `None` for every node. The guard
-    /// borrows the result: a backward started while one is held fails with
-    /// [`TrainError::InvalidArgument`].
+    /// re-reads, and the backward hands each back to the pool after its
+    /// last reader, so after [`Executor::backward`] this is `None` for every
+    /// node. A Split or an in-place ReLU reads its producer's tensor; a
+    /// node whose tensor a ReLU clipped in place has no output left, and
+    /// neither has a concatenation whose value is its inputs' tensors. The
+    /// guard borrows the result: a backward started while one is held fails
+    /// with [`TrainError::InvalidArgument`].
     pub fn output(&self, id: NodeId) -> Option<Ref<'_, Tensor>> {
         let values = self.values.try_borrow().ok()?;
-        Ref::filter_map(values, |v| v.get(id.index()).and_then(Option::as_ref)).ok()
+        let holder = values.get(id.index()).and_then(|_| self.plan.holder(id))?;
+        Ref::filter_map(values, |v| v[holder.index()].as_ref()).ok()
     }
 
     /// The mini-batch statistics produced by a statistics-bearing node.
     pub fn stats(&self, id: NodeId) -> Option<&ChannelStats> {
-        self.stats.get(id.index()).and_then(Option::as_ref)
+        self.stats.get(id.index()).and_then(Option::as_deref)
     }
 }
 
@@ -227,7 +241,7 @@ impl fmt::Debug for Workspace {
 pub struct Executor {
     graph: Graph,
     params: Arc<ParamSet>,
-    plan: ExecutionPlan,
+    plan: Arc<ExecutionPlan>,
     running: Arc<RunningStatSet>,
     workspace: Arc<Mutex<Workspace>>,
 }
@@ -237,7 +251,7 @@ impl Clone for Executor {
         Executor {
             graph: self.graph.clone(),
             params: Arc::clone(&self.params),
-            plan: self.plan.clone(),
+            plan: Arc::clone(&self.plan),
             running: Arc::clone(&self.running),
             // Recycled buffers are per-executor scratch, not state.
             workspace: Arc::new(Mutex::new(Workspace::for_graph(&self.plan))),
@@ -277,7 +291,7 @@ impl Executor {
         params: ParamSet,
         running: RunningStatSet,
     ) -> Result<Self> {
-        let plan = ExecutionPlan::for_graph(&graph)?;
+        let plan = Arc::new(ExecutionPlan::for_graph(&graph)?);
         let workspace = Arc::new(Mutex::new(Workspace::for_graph(&plan)));
         let (params, running) = (Arc::new(params), Arc::new(running));
         Ok(Executor { graph, params, plan, running, workspace })
@@ -296,7 +310,7 @@ impl Executor {
         params: Arc<ParamSet>,
         running: Arc<RunningStatSet>,
     ) -> Result<Self> {
-        let plan = ExecutionPlan::for_inference(&graph)?;
+        let plan = Arc::new(ExecutionPlan::for_inference(&graph)?);
         let workspace = Arc::new(Mutex::new(Workspace::for_graph(&plan)));
         Ok(Executor { graph, params, plan, running, workspace })
     }
@@ -377,9 +391,15 @@ impl Executor {
         }
     }
 
-    /// The retained output of a node's first input, through Split aliases.
+    /// The retained output of a node's first input, through aliases.
     fn saved_input<'f>(&self, values: &'f [Option<Tensor>], node: &Node) -> Result<&'f Tensor> {
         self.plan.input_value(values, node, 0).map_err(|_| missing("saved input", node))
+    }
+
+    /// The retained output of a node itself, through an in-place alias.
+    fn saved_output<'f>(&self, values: &'f [Option<Tensor>], node: &Node) -> Result<&'f Tensor> {
+        let holder = self.plan.resolve(node.id);
+        values[holder.index()].as_ref().ok_or_else(|| missing("saved output", node))
     }
 
     /// The retained tensors that make up a node's first input: a rope's
@@ -464,17 +484,18 @@ impl Executor {
         id: NodeId,
         x: ChannelRope<'_>,
         one_pass: bool,
-    ) -> Result<ChannelStats> {
+    ) -> Result<Cow<'_, ChannelStats>> {
         match mode {
-            StatsMode::Batch => Ok(bn_statistics(x, one_pass)?),
+            StatsMode::Batch => Ok(Cow::Owned(bn_statistics(x, one_pass)?)),
             StatsMode::Running => self.running_stats_of(id),
         }
     }
 
-    fn running_stats_of(&self, id: NodeId) -> Result<ChannelStats> {
+    /// Node `id`'s running statistics, borrowed: an eval pass copies none.
+    fn running_stats_of(&self, id: NodeId) -> Result<Cow<'_, ChannelStats>> {
         self.running
             .get(id)
-            .map(crate::running::RunningStats::as_channel_stats)
+            .map(|running| Cow::Borrowed(&**running))
             .ok_or_else(|| TrainError::Missing(format!("running statistics for {id}")))
     }
 
@@ -489,8 +510,8 @@ impl Executor {
         id: NodeId,
         one_pass: bool,
         values: &[Option<Tensor>],
-        stats: &[Option<ChannelStats>],
-    ) -> Result<ChannelStats> {
+        stats: &[Option<Cow<'_, ChannelStats>>],
+    ) -> Result<Cow<'_, ChannelStats>> {
         if mode == StatsMode::Running {
             return self.running_stats_of(id);
         }
@@ -513,7 +534,7 @@ impl Executor {
         let mut next_swept = 0;
         for part in assembly {
             let (source, from) = match part.published {
-                Some((node, offset)) => (stats[node.index()].as_ref(), offset),
+                Some((node, offset)) => (stats[node.index()].as_deref(), offset),
                 None => {
                     next_swept += part.channels;
                     (swept.as_ref(), next_swept - part.channels)
@@ -525,7 +546,7 @@ impl Executor {
             out.var.extend_from_slice(&source.var[from..from + part.channels]);
             out.count = source.count;
         }
-        Ok(out)
+        Ok(Cow::Owned(out))
     }
 
     /// `x` as the convolution `node` reads it: its prologue, with the
@@ -535,7 +556,7 @@ impl Executor {
         node: &Node,
         prologue: ConvPrologue,
         x: ChannelRope<'a>,
-        stats: &'a [Option<ChannelStats>],
+        stats: &'a [Option<Cow<'_, ChannelStats>>],
     ) -> Result<ConvInput<'a>> {
         Ok(match prologue {
             ConvPrologue::None => ConvInput::Raw(x),
@@ -567,9 +588,12 @@ impl Executor {
         let Walk { values, stats, states, loss, scores } = walk;
         let scores = scores.ok_or_else(|| TrainError::Missing("softmax loss node".to_string()))?;
         let accuracy = accuracy(&scores, labels)?;
+        // The result outlives the borrow: an eval pass copies its running
+        // statistics here.
+        let stats = stats.into_iter().map(|s| s.map(|s| Cow::Owned(s.into_owned()))).collect();
         let (labels, home) = (labels.to_vec(), Arc::clone(&self.workspace));
-        let values = RefCell::new(values);
-        Ok(ForwardResult { loss, accuracy, scores, values, stats, states, labels, home })
+        let (values, plan) = (RefCell::new(values), Arc::clone(&self.plan));
+        Ok(ForwardResult { loss, accuracy, scores, values, stats, states, labels, plan, home })
     }
 
     /// Runs the eval-mode forward of a graph without a loss head (see
@@ -615,11 +639,11 @@ impl Executor {
         labels: Option<&[usize]>,
         mode: StatsMode,
         profiler: Option<&OpProfiler>,
-    ) -> Result<Walk> {
+    ) -> Result<Walk<'_>> {
         let batch = data.shape().dims().first().copied().unwrap_or(1);
         let n = self.graph.node_count();
         let mut values: Vec<Option<Tensor>> = vec![None; n];
-        let mut stats: Vec<Option<ChannelStats>> = vec![None; n];
+        let mut stats: Published<'_> = vec![None; n];
         let mut states: Vec<Option<NodeState>> = (0..n).map(|_| None).collect();
         let mut loss = 0.0f32;
         let mut scores: Option<Tensor> = None;
@@ -637,6 +661,9 @@ impl Executor {
             if matches!(node.op, OpKind::Input | OpKind::Split { .. }) {
                 // Label inputs carry no tensor, the data input is seeded,
                 // and a Split is a pointer pass resolved through the plan.
+            } else if self.plan.clips_in_place(id) {
+                let x = values[self.plan.resolve(id).index()].as_mut();
+                relu_forward_inplace(x.ok_or_else(|| missing("input to clip", node))?);
             } else if self.plan.liveness(id).is_none() {
                 // A node without a buffer: a rope, whose consumers read its
                 // parts, or at inference a statistics node, whose value is
@@ -663,7 +690,7 @@ impl Executor {
                                 None if stats_out.is_some() => {
                                     Some(self.publish_stats(mode, id, (&out).into(), false)?)
                                 }
-                                ridden => ridden,
+                                ridden => ridden.map(Cow::Owned),
                             };
                     }
                     (OpForm::Norm { bn, stats_from_input, relu }, _) => {
@@ -822,10 +849,12 @@ impl Executor {
                     continue;
                 }
                 (_, OpKind::Relu | OpKind::Split { .. }) => {
-                    // A ReLU masks the gradient it owns; through a Split it
-                    // flows unchanged. Either way it is moved, not copied.
+                    // A ReLU masks the gradient it owns with its output
+                    // (`max(y, 0) > 0` exactly where `y > 0`); through a
+                    // Split it flows unchanged. Either way it is moved, not
+                    // copied.
                     if matches!(node.op, OpKind::Relu) {
-                        relu_backward_inplace(&mut grad, self.saved_input(&values, node)?)?;
+                        relu_backward_inplace(&mut grad, self.saved_output(&values, node)?)?;
                     }
                     self.accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
                     continue;
@@ -930,12 +959,12 @@ fn untrainable(node: &Node) -> TrainError {
 /// The statistics `node` normalizes with: the ones it published itself
 /// (`own`) or those on its second input.
 fn node_stats<'a>(
-    stats: &'a [Option<ChannelStats>],
+    stats: &'a [Option<Cow<'_, ChannelStats>>],
     node: &Node,
     own: bool,
 ) -> Result<&'a ChannelStats> {
     let source = if own { node.id } else { node.inputs[1] };
-    stats[source.index()].as_ref().ok_or_else(|| missing("statistics", node))
+    stats[source.index()].as_deref().ok_or_else(|| missing("statistics", node))
 }
 
 #[cfg(test)]

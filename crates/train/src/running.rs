@@ -18,34 +18,46 @@ use crate::Result;
 use bnff_graph::{Graph, NodeId};
 use bnff_tensor::stats::ChannelStats;
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 
 /// The default EMA momentum: `running = (1−m)·running + m·batch`.
 pub(crate) const DEFAULT_MOMENTUM: f32 = 0.1;
 
-/// Running mean/variance of one statistics-producing node.
+/// Running mean/variance of one statistics-producing node: per-channel
+/// statistics (their `count` is 0) that an eval pass hands the
+/// normalization kernels by reference.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RunningStats {
-    /// Per-channel running mean.
-    pub mean: Vec<f32>,
-    /// Per-channel running (biased) variance.
-    pub var: Vec<f32>,
+pub struct RunningStats(ChannelStats);
+
+impl Deref for RunningStats {
+    type Target = ChannelStats;
+
+    fn deref(&self) -> &ChannelStats {
+        &self.0
+    }
+}
+
+impl DerefMut for RunningStats {
+    fn deref_mut(&mut self) -> &mut ChannelStats {
+        &mut self.0
+    }
 }
 
 impl RunningStats {
+    /// Running statistics from a per-channel mean and (biased) variance.
+    pub(crate) fn new(mean: Vec<f32>, var: Vec<f32>) -> Self {
+        RunningStats(ChannelStats { mean, var, count: 0 })
+    }
+
     /// Identity statistics (mean 0, variance 1) for `channels` channels —
     /// the state before any batch has been observed.
-    pub fn identity(channels: usize) -> Self {
-        RunningStats { mean: vec![0.0; channels], var: vec![1.0; channels] }
+    fn identity(channels: usize) -> Self {
+        Self::new(vec![0.0; channels], vec![1.0; channels])
     }
 
-    /// Number of channels covered.
-    pub fn channels(&self) -> usize {
-        self.mean.len()
-    }
-
-    /// The statistics as a [`ChannelStats`] the normalization kernels accept.
+    /// An owned copy of the statistics.
     pub fn as_channel_stats(&self) -> ChannelStats {
-        ChannelStats { mean: self.mean.clone(), var: self.var.clone(), count: 0 }
+        self.0.clone()
     }
 
     /// Blends one mini-batch's statistics in with EMA weight `momentum`.

@@ -8,8 +8,10 @@
 mod support;
 
 use bnff::core::{BnffOptimizer, FusionLevel};
+use bnff::graph::op::{OpForm, OpKind};
+use bnff::graph::passes::freeze::freeze;
 use bnff::graph::plan::ExecutionPlan;
-use bnff::graph::Graph;
+use bnff::graph::{Graph, NodeId};
 use bnff::models::zoo::{build, Model};
 use bnff::models::{densenet_cifar, resnet_cifar};
 use bnff::parallel::with_threads;
@@ -171,8 +173,9 @@ fn planned_execution_is_bit_identical_through_nested_shared_copied_and_repeated_
 }
 
 /// What the planner that copied every concatenation into its own buffer
-/// planned for `densenet_cifar(64, 8, 2, 10)`: its peak at the Baseline
-/// and BNFF levels, and its saved bytes at BNFF.
+/// (and held each BN output a ReLU masked with) planned for
+/// `densenet_cifar(64, 8, 2, 10)`: its peak at the Baseline and BNFF
+/// levels, and its saved bytes at BNFF.
 const COPYING_PEAK_L0: usize = 144_842_756;
 const COPYING_PEAK_L3: usize = 53_878_784;
 const COPYING_SAVED_L3: usize = 47_587_328;
@@ -192,13 +195,119 @@ fn ropes_hold_forty_fewer_channel_planes_per_dense_block() {
     let plan = |level| {
         ExecutionPlan::for_graph(&BnffOptimizer::new(level).apply(&baseline).unwrap()).unwrap()
     };
-    let (l0, l3) = (plan(FusionLevel::Baseline), plan(FusionLevel::Bnff));
-    assert_eq!(l0.planned_peak_bytes(), COPYING_PEAK_L0 - fewer);
+    let (l0, l1, l3) =
+        (plan(FusionLevel::Baseline), plan(FusionLevel::Rcf), plan(FusionLevel::Bnff));
+    // Nor does the Baseline hold a BN output beside the ReLU output it is
+    // clipped into: per block, each composite layer's two BNs (over the
+    // concatenation so far, and over the 4k bottleneck) and the
+    // transition's. The last block's closing BN is still held: its ReLU
+    // feeds the global pool, which needs no tensor, and masks with it.
+    let bn_channels: usize = (0..layers).map(|l| block_input + l * growth + 4 * growth).sum();
+    let closing = block_input + layers * growth;
+    assert_eq!(bn_channels + closing, 136);
+    let clipped = (bn_channels + closing) * planes - closing * 8 * 8 * batch * 4;
+    assert_eq!(clipped, 46_268_416);
+    assert_eq!(l0.planned_peak_bytes(), COPYING_PEAK_L0 - fewer - clipped);
+    // Fusing the ReLU into the convolution (RCF) moves no byte.
+    assert_eq!(l0.planned_peak_bytes(), l1.planned_peak_bytes());
+    assert_eq!(l0.saved_bytes(), l1.saved_bytes());
     assert_eq!(l3.saved_bytes(), COPYING_SAVED_L3 - fewer);
     // At BNFF the arena also loses the slot a growth map sat in until its
     // copy; what that slot holds now is the transition's 2 × 32 statistics.
     let growth_slot = batch * growth * 32 * 32 * 4 - 2 * 32 * 4;
     assert_eq!(l3.planned_peak_bytes(), COPYING_PEAK_L3 - fewer - growth_slot);
+}
+
+/// The node whose tensor `relu` may clip in place: its input, through
+/// Splits, when no other node reads that and it is neither the data input
+/// nor a ReLU's output.
+fn sole_input(graph: &Graph, relu: NodeId) -> Option<NodeId> {
+    fn readers(graph: &Graph, id: NodeId) -> usize {
+        let split = |c: NodeId| matches!(graph.node(c).unwrap().op, OpKind::Split { .. });
+        let count = |c: NodeId| if split(c) { readers(graph, c).max(1) } else { 1 };
+        graph.consumers(id).into_iter().map(count).sum()
+    }
+    let mut input = graph.node(relu).unwrap().inputs[0];
+    while let OpKind::Split { .. } = graph.node(input).unwrap().op {
+        input = graph.node(input).unwrap().inputs[0];
+    }
+    let op = &graph.node(input).unwrap().op;
+    (readers(graph, input) == 1 && !matches!(op, OpKind::Input | OpKind::Relu)).then_some(input)
+}
+
+/// Whether the backward of a node other than `except` re-reads `tensor`:
+/// a convolution, normalization or FC as its first input (a rope's part
+/// included), or a ReLU as its own output.
+fn read_back_by_another(
+    graph: &Graph,
+    plan: &ExecutionPlan,
+    tensor: NodeId,
+    except: NodeId,
+) -> bool {
+    let first_input = |node: &bnff::graph::Node| {
+        let input = plan.resolve(node.inputs[0]);
+        let parts = plan.concat_parts(input).filter(|_| plan.is_rope(input)).unwrap_or_default();
+        input == tensor || parts.iter().any(|&p| plan.resolve(NodeId::new(p)) == tensor)
+    };
+    graph.nodes().filter(|n| n.id != except).any(|node| match (node.op.form(), &node.op) {
+        (_, OpKind::Relu) => plan.resolve(node.id) == tensor,
+        (OpForm::Conv { .. } | OpForm::Norm { .. }, _) | (_, OpKind::FullyConnected { .. }) => {
+            first_input(node)
+        }
+        _ => false,
+    })
+}
+
+#[test]
+fn a_relu_holds_nothing_of_its_own() {
+    let zoo = [
+        densenet_cifar(2, 8, 2, 10).unwrap(),
+        resnet_cifar(2, 1, 10).unwrap(),
+        build(Model::DenseNet121, 2).unwrap(),
+        build(Model::ResNet50, 2).unwrap(),
+    ];
+    let plan = |baseline: &Graph, level| {
+        ExecutionPlan::for_graph(&BnffOptimizer::new(level).apply(baseline).unwrap()).unwrap()
+    };
+    // Fusing a ReLU into the convolution after it moves arithmetic, not
+    // retention: the Baseline holds what RCF holds.
+    for baseline in &zoo {
+        let (l0, l1) = (plan(baseline, FusionLevel::Baseline), plan(baseline, FusionLevel::Rcf));
+        assert_eq!(l0.saved_bytes(), l1.saved_bytes(), "{}", baseline.name());
+        assert_eq!(l0.planned_peak_bytes(), l1.planned_peak_bytes(), "{}", baseline.name());
+    }
+    // Every level of the zoo and of the graphs with a ReLU whose input
+    // another node reads (`mixed`: a Split; `concatenations`: a copied
+    // concatenation), in training and at inference.
+    let extra = [support::graphs::mixed(2), support::graphs::concatenations(2)];
+    let graphs = zoo.iter().chain(&extra).flat_map(|baseline| {
+        FusionLevel::all().into_iter().map(|l| BnffOptimizer::new(l).apply(baseline).unwrap())
+    });
+    let mut clipped = 0;
+    for graph in graphs {
+        let serving = freeze(&graph).unwrap().graph;
+        let training = ExecutionPlan::for_graph(&graph).unwrap();
+        let inference = ExecutionPlan::for_inference(&serving).unwrap();
+        for (graph, plan, trains) in [(&graph, &training, true), (&serving, &inference, false)] {
+            for relu in graph.nodes().filter(|n| matches!(n.op, OpKind::Relu)) {
+                let context = format!("{}: {}", graph.name(), relu.name);
+                // A ReLU whose input has one reader is an alias of it.
+                let sole = sole_input(graph, relu.id);
+                assert_eq!(plan.clips_in_place(relu.id), sole.is_some(), "{context}");
+                if let Some(input) = sole {
+                    assert_eq!(plan.resolve(relu.id), input, "{context}");
+                    assert!(plan.liveness(relu.id).is_none(), "{context}");
+                    clipped += 1;
+                }
+                // No training plan pins a ReLU's input unless another
+                // node's backward reads it.
+                let input = relu.inputs[0];
+                let read_back = read_back_by_another(graph, plan, plan.resolve(input), relu.id);
+                assert!(!trains || !plan.is_saved(input) || read_back, "{context}");
+            }
+        }
+    }
+    assert!(clipped > 0);
 }
 
 #[test]
@@ -276,5 +385,40 @@ fn restructured_graphs_still_plan_their_memory() {
             plan.planned_peak_bytes(),
             plan.naive_total_bytes()
         );
+    }
+}
+
+/// Planned peak ÷ the live lower bound, in hundredths rounded down, of each
+/// zoo model at batch 8 and each of Baseline, RCF and BNFF: (training plan,
+/// inference plan of the frozen graph). The slack is the slot planner's: a
+/// slot grows to the largest tensor it ever holds, and slot sizes add up.
+const SLACK: [(Model, [[usize; 2]; 3]); 8] = [
+    (Model::AlexNet, [[100, 100], [100, 100], [100, 100]]),
+    (Model::Vgg16, [[100, 100], [100, 100], [100, 100]]),
+    (Model::ResNet18, [[105, 111], [105, 111], [124, 111]]),
+    (Model::ResNet50, [[107, 100], [107, 100], [108, 100]]),
+    (Model::DenseNet121, [[101, 259], [101, 259], [117, 157]]),
+    (Model::DenseNet169, [[101, 269], [101, 269], [115, 165]]),
+    (Model::DenseNetCifar, [[103, 187], [103, 187], [110, 102]]),
+    (Model::ResNetCifar, [[105, 100], [105, 100], [106, 100]]),
+];
+
+#[test]
+fn the_planned_peak_sits_where_recorded_above_the_live_lower_bound() {
+    let levels = [FusionLevel::Baseline, FusionLevel::Rcf, FusionLevel::Bnff];
+    for (model, recorded) in SLACK {
+        let baseline = build(model, 8).unwrap();
+        for (level, want) in levels.into_iter().zip(recorded) {
+            let context = format!("{} {level}", model.display_name());
+            let graph = BnffOptimizer::new(level).apply(&baseline).unwrap();
+            let training = ExecutionPlan::for_graph(&graph).unwrap();
+            let inference = ExecutionPlan::for_inference(&freeze(&graph).unwrap().graph).unwrap();
+            let slack = [training, inference].map(|plan| {
+                let (planned, bound) = (plan.planned_peak_bytes(), plan.live_lower_bound_bytes());
+                assert!(bound <= planned, "{context}: bound {bound} above planned {planned}");
+                100 * planned / bound
+            });
+            assert_eq!(slack, want, "{context}: (training, inference)");
+        }
     }
 }
