@@ -56,7 +56,7 @@ mod graph;
 mod node;
 pub mod op;
 pub mod passes;
-pub mod plan;
+mod plan;
 mod rope;
 mod shape_infer;
 
@@ -66,7 +66,7 @@ pub use error::GraphError;
 pub use graph::Graph;
 pub use node::{Node, NodeId};
 pub use op::OpKind;
-pub use plan::{ExecutionPlan, MemoryPlanSummary};
+pub use plan::ExecutionPlan;
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn inference_plan_recycles_everything_but_the_output() {
         let frozen = freeze(&BnffPass::new().run(&classifier(2)).unwrap()).unwrap();
-        let plan = crate::plan::ExecutionPlan::for_inference(&frozen.graph).unwrap();
+        let plan = crate::ExecutionPlan::for_inference(&frozen.graph).unwrap();
         // Only the pinned output (and the input, whose register holds the
         // caller's buffer) survives; peak memory sits well below the
         // keep-everything total.

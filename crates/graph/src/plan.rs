@@ -1,5 +1,5 @@
 //! Memory planning: liveness analysis over the topological order and greedy
-//! interval-based buffer-slot assignment.
+//! interval-based buffer-slot assignment over a whole training step.
 //!
 //! The cost analysis ([`crate::analysis`]) counts how many bytes a training
 //! iteration *sweeps*; this module plans how many bytes it must *hold*.
@@ -35,23 +35,31 @@
 //!    and its ReLU mask from its raw input and the 2×C statistics, so no
 //!    operator keeps a feature map of its own and the plan's saved tensors
 //!    are everything a forward result holds. Pooling needs only shapes, and
-//!    a concatenation's gradient goes straight to its parts'. Retained
-//!    tensors are excluded from the forward's reuse; the backward hands
-//!    each back once its *last backward reader* — the reader earliest in
-//!    forward order — has run ([`ExecutionPlan::released_after_backward`]),
-//!    so the gradients born after it reuse its storage.
-//! 3. **Slot assignment** — transient tensors are packed into reusable
-//!    buffer slots with a greedy best-fit over their live intervals, giving
-//!    the arena capacity an executor needs and the planned peak bytes
-//!    reported next to the naive per-node-allocation total.
+//!    a concatenation's gradient goes straight to its parts'. The backward
+//!    hands each retained tensor back once its *last backward reader* — the
+//!    reader earliest in forward order — has run
+//!    ([`ExecutionPlan::released_after_backward`]).
+//! 3. **The backward's buffers** — a training plan replays the executor's
+//!    backward and owns its buffer policy ([`ExecutionPlan::grad_draw`],
+//!    [`ExecutionPlan::grad_slot`]): which arm draws a buffer (a convolution
+//!    reading the data input draws none unless an absorbed BN needs it),
+//!    which passes its gradient's buffer on in place (normalization, ReLU,
+//!    Split, a sum's last input), where a rope's parts get theirs, and the
+//!    scratch: an input gradient summed into an occupied one or split over a
+//!    rope's parts, and a sum's copies.
+//! 4. **Slot assignment** — every buffer of the step is a [`BufferSpan`] on
+//!    one timeline (forward position `p` is time `p`, the backward of `p`
+//!    time `2L − 1 − p`); a greedy best-fit packs them into reusable slots,
+//!    whose sizes add up to the planned peak. An inference plan packs only
+//!    its transient outputs: the data input and the sink are pinned.
 
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::node::{Node, NodeId};
-use crate::op::{OpForm, OpKind};
+use crate::op::{ConvPrologue, OpForm, OpKind};
 use crate::rope::{ChannelRopes, StatsPart};
 use crate::Result;
-use bnff_tensor::{Shape, Tensor};
+use bnff_tensor::Tensor;
 use serde::Serialize;
 
 /// Liveness of one node's output tensor within a training step.
@@ -69,30 +77,25 @@ pub struct TensorLiveness {
     pub saved_for_backward: bool,
 }
 
-/// Compact, serializable view of a plan's memory accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct MemoryPlanSummary {
-    /// Peak bytes the planned execution holds at once: tensors retained for
-    /// the backward pass plus the reuse arena's slot capacities.
-    pub planned_peak_bytes: usize,
-    /// Bytes a naive one-buffer-per-node execution holds (the sum of every
-    /// node output, all alive simultaneously at the end of forward).
-    pub naive_total_bytes: usize,
-    /// Bytes retained for the backward pass.
-    pub saved_bytes: usize,
-    /// Total capacity of the reusable buffer slots.
-    pub arena_bytes: usize,
-    /// Number of reusable buffer slots.
-    pub slots: usize,
-    /// Number of planned (tensor-producing) nodes.
-    pub tensors: usize,
+/// One buffer of a planned step: drawn at time `def`, handed back after
+/// time `last` (see the module docs for the timeline), in reuse slot `slot`.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct BufferSpan {
+    /// Time the buffer is drawn.
+    pub def: usize,
+    /// Last time it is in use.
+    pub last: usize,
+    /// Size in bytes.
+    pub bytes: usize,
+    /// The reuse slot it is packed into.
+    pub slot: usize,
 }
 
 /// The memory plan of one graph: execution order, per-output liveness,
 /// buffer-slot assignment and release schedule.
 ///
-/// Both metrics cover the node *output* tensors the executor materializes —
-/// every feature map a training step holds. The only other backward state
+/// Both metrics cover the feature maps the executor materializes — node
+/// outputs and, in training, their gradients. The only other backward state
 /// (max-pool argmax indices, softmax probabilities) is identical between the
 /// naive and the planned execution and is not part of the comparison.
 #[derive(Debug, Clone, Serialize)]
@@ -110,8 +113,14 @@ pub struct ExecutionPlan {
     /// Node index → liveness of its own output (None for non-producers and
     /// aliases).
     liveness: Vec<Option<TensorLiveness>>,
-    /// Node index → assigned reuse slot (None for saved / non-producers).
-    slot: Vec<Option<usize>>,
+    /// Every slotted buffer of the step, in the order it is drawn.
+    spans: Vec<BufferSpan>,
+    /// Node index → the span of its output, if it has a slot.
+    output_span: Vec<Option<usize>>,
+    /// Node index → the span holding its gradient when its backward runs.
+    grad_span: Vec<Option<usize>>,
+    /// Node index → (input index, span) of each buffer its backward draws.
+    draw_span: Vec<Vec<(usize, usize)>>,
     /// Topological position → producer node indices whose buffers die after
     /// that position executes.
     release_at: Vec<Vec<usize>>,
@@ -121,6 +130,9 @@ pub struct ExecutionPlan {
     slot_bytes: Vec<usize>,
     naive_bytes: usize,
     saved_bytes: usize,
+    /// Bytes of the pinned tensors of an inference plan, which take no slot.
+    pinned_bytes: usize,
+    lower_bound: usize,
 }
 
 /// Whether a node materializes an output tensor at run time, aliases
@@ -175,18 +187,63 @@ fn readers(graph: &Graph, id: NodeId) -> Result<usize> {
         .sum()
 }
 
+/// `id`, or the producer a chain of Splits from `id` aliases.
+fn through_splits(graph: &Graph, mut id: NodeId) -> Result<NodeId> {
+    while let OpKind::Split { .. } = graph.node(id)?.op {
+        id = graph.node(id)?.inputs[0];
+    }
+    Ok(id)
+}
+
 /// The tensor the ReLU `relu` clips in place, if it may: its input,
 /// through Splits, when nothing else reads it and it is neither the data
 /// input (the caller's buffer at inference) nor a ReLU's output (which that
 /// ReLU's backward re-reads). A concatenation a ReLU reads is never a rope:
 /// a ReLU reads no planes.
 fn clipped_in_place(graph: &Graph, relu: &Node) -> Result<Option<NodeId>> {
-    let mut input = relu.inputs[0];
-    while let OpKind::Split { .. } = graph.node(input)?.op {
-        input = graph.node(input)?.inputs[0];
-    }
+    let input = through_splits(graph, relu.inputs[0])?;
     let sole = readers(graph, input)? == 1;
     Ok((sole && !matches!(graph.node(input)?.op, OpKind::Input | OpKind::Relu)).then_some(input))
+}
+
+/// The backward pass as the executor runs it, replayed over the graph for
+/// the buffers it draws and hands back on the step's timeline.
+struct BackwardReplay<'a> {
+    graph: &'a Graph,
+    ropes: &'a ChannelRopes,
+    spans: &'a mut Vec<(usize, usize, usize)>,
+    /// Node index → the span of the gradient it holds so far.
+    held: Vec<Option<usize>>,
+}
+
+impl BackwardReplay<'_> {
+    /// A buffer shaped like `id`'s output, drawn at time `t`.
+    fn draw(&mut self, id: NodeId, t: usize) -> Result<usize> {
+        self.spans.push((t, t, self.graph.node(id)?.output_shape.bytes_f32()));
+        Ok(self.spans.len() - 1)
+    }
+
+    /// The executor's `accumulate` of the gradient in `span` into `id` at
+    /// time `t`: split over a concatenation's parts (a part holding none
+    /// draws a buffer) or summed in, the buffer goes back; taken over, not.
+    fn accumulate(&mut self, id: NodeId, span: usize, t: usize) -> Result<()> {
+        match self.ropes.parts(id) {
+            Some(parts) => {
+                for &part in parts {
+                    if self.held[part].is_none() {
+                        self.held[part] = Some(self.draw(NodeId::new(part), t)?);
+                    }
+                }
+            }
+            None if self.held[id.index()].is_none() => {
+                self.held[id.index()] = Some(span);
+                return Ok(());
+            }
+            None => {}
+        }
+        self.spans[span].1 = t;
+        Ok(())
+    }
 }
 
 impl ExecutionPlan {
@@ -322,25 +379,110 @@ impl ExecutionPlan {
             }
         }
 
-        // Greedy best-fit interval packing of the transient tensors into
-        // reusable slots. A slot whose occupant died at position `p` is
-        // available to tensors defined strictly after `p`.
-        let mut slot: Vec<Option<usize>> = vec![None; n];
-        let mut slots: Vec<(usize, usize)> = Vec::new(); // (bytes, free_from)
+        // The step's timeline: the backward of position `p` is time `end − p`.
+        // An inference plan's pinned tensors live to the end of the forward
+        // and take no slot.
+        let end = (2 * order.len()).saturating_sub(1);
+        let mut released = vec![end; n];
+        for (pos, tensors) in backward_release_at.iter().enumerate() {
+            tensors.iter().for_each(|&tensor| released[tensor] = end - pos);
+        }
+        let mut spans: Vec<(usize, usize, usize)> = Vec::new(); // (def, last, bytes)
+        let mut pinned: Vec<(usize, usize, usize)> = Vec::new();
+        let mut output_span: Vec<Option<usize>> = vec![None; n];
         let mut release_at: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
         let mut saved_bytes = 0usize;
         for &id in &order {
             let idx = id.index();
             let Some(live) = liveness[idx].as_ref() else { continue };
             naive_bytes += live.bytes;
-            if live.saved_for_backward {
-                saved_bytes += live.bytes;
-                continue;
+            saved_bytes += if live.saved_for_backward { live.bytes } else { 0 };
+            let last = match (live.saved_for_backward, mode) {
+                (false, _) => {
+                    release_at[live.last_use].push(idx);
+                    live.last_use
+                }
+                (true, PlanMode::Training) => released[idx],
+                (true, PlanMode::Inference) => {
+                    pinned.push((live.def, order.len() - 1, live.bytes));
+                    continue;
+                }
+            };
+            output_span[idx] = Some(spans.len());
+            spans.push((live.def, last, live.bytes));
+        }
+
+        // The backward: each gradient from its first contribution to its
+        // node's backward, and the buffers the arms draw. A naive execution
+        // would hold one gradient per node that gets one.
+        let mut grad_span: Vec<Option<usize>> = vec![None; n];
+        let mut draw_span: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        if mode == PlanMode::Training {
+            let held = vec![None; n];
+            let mut replay = BackwardReplay { graph, ropes: &ropes, spans: &mut spans, held };
+            for (pos, &id) in order.iter().enumerate().rev() {
+                let (t, node, idx) = (end - pos, graph.node(id)?, id.index());
+                if let OpKind::SoftmaxLoss = node.op {
+                    let d_scores = replay.draw(node.inputs[0], t)?;
+                    draw_span[idx].push((0, d_scores));
+                    replay.accumulate(node.inputs[0], d_scores, t)?;
+                    continue;
+                }
+                let Some(grad) = replay.held[idx].take() else { continue };
+                grad_span[idx] = Some(grad);
+                naive_bytes += replay.spans[grad].2;
+                let draws_input_grad = match (node.op.form(), &node.op) {
+                    // These pass the buffer they hold on, in place.
+                    (OpForm::Norm { .. }, _) | (_, OpKind::Relu | OpKind::Split { .. }) => {
+                        replay.accumulate(node.inputs[0], grad, t)?;
+                        continue;
+                    }
+                    (_, OpKind::EltwiseSum) => {
+                        let Some((last, rest)) = node.inputs.split_last() else { continue };
+                        // A copy for each input that holds no gradient yet (a
+                        // concatenation never does); the others sum in place.
+                        for (k, &input) in rest.iter().enumerate() {
+                            if replay.held[input.index()].is_none() {
+                                let copy = replay.draw(input, t)?;
+                                draw_span[idx].push((k, copy));
+                                replay.accumulate(input, copy, t)?;
+                            }
+                        }
+                        replay.accumulate(*last, grad, t)?;
+                        continue;
+                    }
+                    // Nothing consumes the data input's gradient: a
+                    // convolution reading it draws none, unless the ∂γ/∂β of
+                    // a BN it absorbed need it.
+                    (OpForm::Conv { prologue, .. }, _) => {
+                        let x = graph.node(through_splits(graph, node.inputs[0])?)?;
+                        matches!(prologue, ConvPrologue::NormRelu(_))
+                            || !matches!(x.op, OpKind::Input)
+                    }
+                    (_, op) => {
+                        matches!(op, OpKind::Pool { .. } | OpKind::GlobalAvgPool)
+                            || matches!(op, OpKind::FullyConnected { .. })
+                    }
+                };
+                if draws_input_grad {
+                    let d_x = replay.draw(node.inputs[0], t)?;
+                    draw_span[idx].push((0, d_x));
+                    replay.accumulate(node.inputs[0], d_x, t)?;
+                }
+                // The gradient is consumed.
+                replay.spans[grad].1 = t;
             }
-            release_at[live.last_use].push(idx);
+        }
+
+        // Greedy best-fit interval packing of the buffers, in the order they
+        // are drawn, into reusable slots. A slot whose occupant was last in
+        // use at time `t` is available to buffers drawn strictly after `t`.
+        let mut slots: Vec<(usize, usize)> = Vec::new(); // (bytes, free_from)
+        let mut packed = Vec::with_capacity(spans.len());
+        for &(def, last, bytes) in &spans {
             let mut best: Option<usize> = None;
-            for (si, &(bytes, free_from)) in slots.iter().enumerate() {
-                if free_from >= live.def {
+            for (si, &(size, free_from)) in slots.iter().enumerate() {
+                if free_from >= def {
                     continue;
                 }
                 best = match best {
@@ -349,32 +491,38 @@ impl ExecutionPlan {
                     // non-fitting the largest (least growth).
                     Some(b) => {
                         let (bb, _) = slots[b];
-                        let better = if bytes >= live.bytes && bb >= live.bytes {
-                            bytes < bb
-                        } else if bytes >= live.bytes {
+                        let better = if size >= bytes && bb >= bytes {
+                            size < bb
+                        } else if size >= bytes {
                             true
-                        } else if bb >= live.bytes {
+                        } else if bb >= bytes {
                             false
                         } else {
-                            bytes > bb
+                            size > bb
                         };
                         Some(if better { si } else { b })
                     }
                     None => Some(si),
                 };
             }
-            let si = match best {
+            let slot = match best {
                 Some(si) => {
-                    slots[si].0 = slots[si].0.max(live.bytes);
-                    slots[si].1 = live.last_use;
+                    slots[si] = (slots[si].0.max(bytes), last);
                     si
                 }
                 None => {
-                    slots.push((live.bytes, live.last_use));
+                    slots.push((bytes, last));
                     slots.len() - 1
                 }
             };
-            slot[idx] = Some(si);
+            packed.push(BufferSpan { def, last, bytes, slot });
+        }
+
+        // The most bytes live at one time, each buffer from its draw through
+        // its last use.
+        let mut live_at = vec![0usize; end + 1];
+        for &(def, last, bytes) in spans.iter().chain(&pinned) {
+            live_at[def..=last].iter_mut().for_each(|live| *live += bytes);
         }
 
         Ok(ExecutionPlan {
@@ -384,12 +532,17 @@ impl ExecutionPlan {
             clipped_at,
             ropes,
             liveness,
-            slot,
+            spans: packed,
+            output_span,
+            grad_span,
+            draw_span,
             release_at,
             backward_release_at,
             slot_bytes: slots.into_iter().map(|(bytes, _)| bytes).collect(),
             naive_bytes,
             saved_bytes,
+            pinned_bytes: pinned.iter().map(|&(_, _, bytes)| bytes).sum(),
+            lower_bound: live_at.into_iter().max().unwrap_or(0),
         })
     }
 
@@ -460,14 +613,41 @@ impl ExecutionPlan {
         live.is_some_and(|live| live.saved_for_backward)
     }
 
-    /// The reuse slot assigned to a transient node output.
+    /// The reuse slot of a node's output: `None` for a node without a
+    /// buffer, and at inference for the pinned data input and sink.
     pub fn slot(&self, id: NodeId) -> Option<usize> {
-        self.slot.get(id.index()).copied().flatten()
+        self.span_slot(self.output_span.get(id.index()).copied().flatten())
+    }
+
+    /// The reuse slot of the buffer that holds `id`'s gradient when `id`'s
+    /// backward runs: the one drawn for it, or the one of the gradient it
+    /// took over in place. `None` where no gradient reaches `id`.
+    pub fn grad_slot(&self, id: NodeId) -> Option<usize> {
+        self.span_slot(self.grad_span.get(id.index()).copied().flatten())
+    }
+
+    /// The reuse slot the backward of `id` draws a buffer from for the
+    /// gradient it sends down input `input`, shaped like that input's
+    /// output; `None` where it draws none — the arm passes its own gradient
+    /// on, sums into one the input already holds, or (a convolution reading
+    /// the data input) skips it.
+    pub fn grad_draw(&self, id: NodeId, input: usize) -> Option<usize> {
+        let draws = self.draw_span.get(id.index()).map(Vec::as_slice).unwrap_or_default();
+        self.span_slot(draws.iter().find(|&&(k, _)| k == input).map(|&(_, span)| span))
+    }
+
+    fn span_slot(&self, span: Option<usize>) -> Option<usize> {
+        span.map(|span| self.spans[span].slot)
+    }
+
+    /// Every slotted buffer of the step, in the order it is drawn.
+    pub fn buffers(&self) -> &[BufferSpan] {
+        &self.spans
     }
 
     /// Producer node indices whose buffers die once the node at topological
     /// position `pos` has executed.
-    pub(crate) fn released_after(&self, pos: usize) -> &[usize] {
+    pub fn released_after(&self, pos: usize) -> &[usize] {
         self.release_at.get(pos).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -542,46 +722,6 @@ impl ExecutionPlan {
             .collect()
     }
 
-    /// Allocates the output tensor of `id`: the recycled buffer in the arena
-    /// bin of its plan slot when there is one (`arena` holds one bin per
-    /// [`slot_count`](Self::slot_count)), a fresh tensor otherwise — the bin
-    /// is empty, or the plan retains the output and gives it no slot.
-    pub fn alloc_output(
-        &self,
-        arena: &mut [Option<Vec<f32>>],
-        id: NodeId,
-        shape: &Shape,
-    ) -> Tensor {
-        if let Some(mut buf) = self.slot(id).and_then(|slot| arena[slot].take()) {
-            // Every kernel fed from the arena overwrites its whole output,
-            // so only growth needs (zero-)initialization; the surviving
-            // prefix is left dirty on purpose.
-            buf.resize(shape.volume(), 0.0);
-            return Tensor::from_vec(shape.clone(), buf)
-                .expect("arena buffer resized to the shape's volume");
-        }
-        Tensor::zeros(shape.clone())
-    }
-
-    /// Moves every tensor whose last use was the node at topological
-    /// position `pos` out of `values` and back into its arena bin.
-    pub fn release_dead(
-        &self,
-        arena: &mut [Option<Vec<f32>>],
-        values: &mut [Option<Tensor>],
-        pos: usize,
-    ) {
-        for &dead in self.released_after(pos) {
-            if let Some(tensor) = values[dead].take() {
-                // The planner assigns every transient producer a slot, and
-                // only transient producers appear in the release schedule.
-                let slot =
-                    self.slot(NodeId::new(dead)).expect("released tensors always have a plan slot");
-                arena[slot] = Some(tensor.into_vec());
-            }
-        }
-    }
-
     /// Number of reusable buffer slots.
     pub fn slot_count(&self) -> usize {
         self.slot_bytes.len()
@@ -592,12 +732,16 @@ impl ExecutionPlan {
         &self.slot_bytes
     }
 
-    /// Peak bytes of node outputs the planned execution holds at once.
+    /// Peak bytes the planned execution holds at once: the slot sizes, plus
+    /// an inference plan's pinned tensors. A training plan's slots hold the
+    /// whole step — outputs, gradients and the backward's scratch.
     pub fn planned_peak_bytes(&self) -> usize {
-        self.saved_bytes + self.slot_bytes.iter().sum::<usize>()
+        self.pinned_bytes + self.slot_bytes.iter().sum::<usize>()
     }
 
-    /// Bytes of node outputs a naive one-buffer-per-node execution holds.
+    /// Bytes a naive execution holds: every node output, each in a buffer of
+    /// its own, and in training one gradient per node the backward hands
+    /// one to.
     pub fn naive_total_bytes(&self) -> usize {
         self.naive_bytes
     }
@@ -607,46 +751,13 @@ impl ExecutionPlan {
         self.saved_bytes
     }
 
-    /// Upper bound on the bytes of activation gradients one backward pass
-    /// holds at once: one gradient per node output, alive from the backward
-    /// of that output's last consumer to the backward of its producer — the
-    /// forward live interval, mirrored.
-    pub fn gradient_peak_bytes(&self) -> usize {
-        self.max_live(|live| live.last_use)
-    }
-
-    /// Lower bound on the bytes of node outputs any execution of the plan's
-    /// order holds at once, [`planned_peak_bytes`](Self::planned_peak_bytes)
-    /// included: the most bytes live at one position, a tensor retained for
-    /// the backward (or pinned at inference) counting as live to the end of
-    /// the forward.
-    pub fn live_lower_bound_bytes(&self) -> usize {
-        let end = self.order.len().saturating_sub(1);
-        self.max_live(|live| if live.saved_for_backward { end } else { live.last_use })
-    }
-
-    /// The most bytes of node outputs live at one position, each alive from
-    /// its definition through `until`.
-    fn max_live(&self, until: impl Fn(&TensorLiveness) -> usize) -> usize {
-        let mut live_at = vec![0usize; self.order.len()];
-        for live in self.liveness.iter().flatten() {
-            for bytes in &mut live_at[live.def..=until(live)] {
-                *bytes += live.bytes;
-            }
-        }
-        live_at.into_iter().max().unwrap_or(0)
-    }
-
-    /// The plan's memory accounting in one serializable record.
-    pub fn summary(&self) -> MemoryPlanSummary {
-        MemoryPlanSummary {
-            planned_peak_bytes: self.planned_peak_bytes(),
-            naive_total_bytes: self.naive_total_bytes(),
-            saved_bytes: self.saved_bytes,
-            arena_bytes: self.slot_bytes.iter().sum(),
-            slots: self.slot_bytes.len(),
-            tensors: self.liveness.iter().flatten().count(),
-        }
+    /// Lower bound on the bytes any execution of the plan's step holds at
+    /// once, [`planned_peak_bytes`](Self::planned_peak_bytes) included: the
+    /// most bytes live at one time of the step — forward and backward for a
+    /// training plan, the forward (pinned tensors live to its end) for an
+    /// inference plan.
+    pub fn step_lower_bound_bytes(&self) -> usize {
+        self.lower_bound
     }
 }
 
@@ -763,14 +874,54 @@ mod tests {
     }
 
     #[test]
-    fn gradient_peak_mirrors_the_forward_live_intervals() {
-        // in → conv1 → bn → relu → conv2: at most a tensor and its
-        // consumer's output are alive at once, the widest pair being
-        // conv1/bn (or bn/relu) at 16 channels each.
-        let (g, _) = conv_chain();
-        let plan = ExecutionPlan::for_graph(&g).unwrap();
-        assert_eq!(plan.gradient_peak_bytes(), 2 * (2 * 16 * 8 * 8 * 4));
-        assert!(plan.gradient_peak_bytes() <= plan.naive_total_bytes());
+    fn the_plan_owns_the_backward_buffer_policy() {
+        // in → conv1 → {conv2, conv3} → sum → gap → fc → loss.
+        let mut b = GraphBuilder::new("fork");
+        let x = b.input("in", Shape::nchw(2, 4, 8, 8)).unwrap();
+        let labels = b.input("labels", Shape::vector(2)).unwrap();
+        let c1 = b.conv2d(x, Conv2dAttrs::pointwise(8), "conv1").unwrap();
+        let c2 = b.conv2d(c1, Conv2dAttrs::pointwise(8), "conv2").unwrap();
+        let c3 = b.conv2d(c1, Conv2dAttrs::pointwise(8), "conv3").unwrap();
+        let sum = b.eltwise_sum(vec![c2, c3], "sum").unwrap();
+        let gap = b.global_avg_pool(sum, "gap").unwrap();
+        let fc = b.fully_connected(gap, 4, "fc").unwrap();
+        let loss = b.softmax_loss(fc, labels, "loss").unwrap();
+        let plan = ExecutionPlan::for_graph(&b.finish()).unwrap();
+        // Each draw becomes the gradient of an input that holds none yet.
+        assert_eq!(plan.grad_draw(loss, 0), plan.grad_slot(fc));
+        assert_eq!(plan.grad_draw(fc, 0), plan.grad_slot(gap));
+        assert_eq!(plan.grad_draw(gap, 0), plan.grad_slot(sum));
+        // The sum copies its gradient for its first input and passes its
+        // own buffer to the last.
+        assert_eq!(plan.grad_draw(sum, 0), plan.grad_slot(c2));
+        assert_eq!((plan.grad_draw(sum, 1), plan.grad_slot(c3)), (None, plan.grad_slot(sum)));
+        // The later convolution's backward runs first: its draw becomes
+        // conv1's gradient, and the other's, summed into it, is scratch.
+        let (later, earlier) = match plan.position(c3) > plan.position(c2) {
+            true => (c3, c2),
+            false => (c2, c3),
+        };
+        assert_eq!(plan.grad_draw(later, 0), plan.grad_slot(c1));
+        assert!(plan.grad_draw(earlier, 0).is_some_and(|s| Some(s) != plan.grad_slot(c1)));
+        // Nothing consumes the data input's gradient: the stem draws none.
+        assert_eq!((plan.grad_draw(c1, 0), plan.grad_slot(x)), (None, None));
+
+        // in → conv1 → bn → relu → conv2 → gap → fc → loss: the ReLU and the
+        // normalization pass the buffer conv2 drew on, in place.
+        let mut b = GraphBuilder::new("chain");
+        let x = b.input("in", Shape::nchw(2, 4, 8, 8)).unwrap();
+        let labels = b.input("labels", Shape::vector(2)).unwrap();
+        let c1 = b.conv2d(x, Conv2dAttrs::pointwise(8), "conv1").unwrap();
+        let bn = b.batch_norm_default(c1, "bn").unwrap();
+        let r = b.relu(bn, "relu").unwrap();
+        let c2 = b.conv2d(r, Conv2dAttrs::pointwise(8), "conv2").unwrap();
+        let gap = b.global_avg_pool(c2, "gap").unwrap();
+        let fc = b.fully_connected(gap, 4, "fc").unwrap();
+        b.softmax_loss(fc, labels, "loss").unwrap();
+        let plan = ExecutionPlan::for_graph(&b.finish()).unwrap();
+        let drawn = plan.grad_draw(c2, 0);
+        assert!(drawn.is_some() && [r, bn, c1].iter().all(|&id| plan.grad_slot(id) == drawn));
+        assert!([r, bn].iter().all(|&id| plan.grad_draw(id, 0).is_none()));
     }
 
     #[test]
@@ -781,12 +932,12 @@ mod tests {
         // Training retains in, conv1 and bn's clipped tensor to the end;
         // conv2's output joins them there, in the plan's one slot.
         let plan = ExecutionPlan::for_graph(&g).unwrap();
-        assert_eq!(plan.live_lower_bound_bytes(), 2 * map8 + 2 * map16);
-        assert_eq!(plan.planned_peak_bytes(), plan.live_lower_bound_bytes());
+        assert_eq!(plan.step_lower_bound_bytes(), 2 * map8 + 2 * map16);
+        assert_eq!(plan.planned_peak_bytes(), plan.step_lower_bound_bytes());
         // Inference pins in and the sink. At bn's position in, conv1 and
         // bn are live; the slots conv1 and bn's tensor take overlap there.
         let plan = ExecutionPlan::for_inference(&g).unwrap();
-        assert_eq!(plan.live_lower_bound_bytes(), map8 + 2 * map16);
+        assert_eq!(plan.step_lower_bound_bytes(), map8 + 2 * map16);
         assert_eq!(plan.planned_peak_bytes(), 2 * map8 + 2 * map16);
     }
 
@@ -880,10 +1031,9 @@ mod tests {
             plan.planned_peak_bytes(),
             plan.naive_total_bytes()
         );
-        let summary = plan.summary();
-        assert_eq!(summary.planned_peak_bytes, summary.saved_bytes + summary.arena_bytes);
-        assert!(summary.slots >= 1);
-        assert!(summary.tensors > 0);
+        // Every buffer of a training step sits in a slot.
+        assert_eq!(plan.planned_peak_bytes(), plan.slot_sizes().iter().sum::<usize>());
+        assert!(plan.slot_count() >= 1);
     }
 
     #[test]

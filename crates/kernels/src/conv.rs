@@ -561,8 +561,7 @@ fn rotated_weights(weights: &Tensor) -> Vec<f32> {
 /// [`conv2d_backward_input`] accumulating into a caller-provided gradient
 /// tensor (whose shape is the convolution's input shape). The gradient is
 /// *added* to `d_input`, so callers wanting the plain gradient must pass a
-/// zero-filled tensor — e.g. one taken from a
-/// [`bnff_tensor::pool::BufferPool`].
+/// zero-filled tensor.
 ///
 /// At stride 1 (with `pad ≤ K − 1`) each sample is one GEMM
 /// `d_x_n += W_rot · im2col(d_out_n)` — a forward convolution of the output

@@ -6,7 +6,7 @@ use crate::roofline::pass_time;
 use crate::Result;
 use bnff_graph::analysis::{node_cost, node_gemms};
 use bnff_graph::op::LayerCategory;
-use bnff_graph::plan::ExecutionPlan;
+use bnff_graph::ExecutionPlan;
 use bnff_graph::Graph;
 use serde::Serialize;
 use std::collections::HashMap;

@@ -13,7 +13,7 @@
 //!    trained.
 //! 2. **Execute** — [`FrozenExecutor`] runs the training executor's own
 //!    forward walk ([`bnff_train::Executor::infer`]) in eval mode over an
-//!    [`ExecutionPlan::for_inference`](bnff_graph::plan::ExecutionPlan::for_inference)
+//!    [`ExecutionPlan::for_inference`](bnff_graph::ExecutionPlan::for_inference)
 //!    memory plan, so every intermediate activation recycles through one
 //!    small arena and a concatenation is read as a rope of its inputs. A
 //!    served score is the eval-mode forward's, bit for bit, at any

@@ -37,7 +37,6 @@ pub mod stats;
 mod tensor;
 
 pub use error::TensorError;
-pub use pool::BufferPool;
 pub use rope::{ChannelRope, GradPart};
 pub use shape::Shape;
 pub use simd::{active_isa, with_isa, SimdIsa};

@@ -35,17 +35,16 @@
 //!   gradient reaching it is handed to its inputs' slots by `accumulate`,
 //!   channel range by channel range.
 //!
-//! Execution follows an [`ExecutionPlan`] computed once per graph: node
-//! outputs live in a vector indexed by node id (inputs are borrowed); those
-//! backward never revisits are released at their last forward use into a
-//! per-executor arena (one bin per plan slot); retained outputs and
-//! backward's gradients circulate through one [`BufferPool`]. A retained
-//! output goes back to the pool in the backward, right after its last
-//! backward reader ([`ExecutionPlan::released_after_backward`]), so the
-//! gradients born later reuse it; what a forward result still holds when
-//! it is dropped (no backward ran) goes back then. Both persist across
-//! steps, so a warmed step mallocs no activation or gradient. Every kernel
-//! fans out over the `bnff-parallel` pool.
+//! Execution follows an [`ExecutionPlan`] computed once per graph, which
+//! slots every buffer of a training step: node outputs live in a vector
+//! indexed by node id (inputs are borrowed), and each output, gradient and
+//! backward scratch buffer is drawn from its slot's bin and handed back
+//! where the plan says ([`ExecutionPlan::grad_draw`],
+//! [`ExecutionPlan::released_after_backward`]). The bins, one buffer each,
+//! are the executor's only allocator: after one step their capacities add
+//! up to [`ExecutionPlan::planned_peak_bytes`], and a warmed step mallocs
+//! no activation or gradient. Every kernel fans out over the
+//! `bnff-parallel` pool.
 //!
 //! One forward walk serves three callers: [`Executor::forward`],
 //! [`Executor::forward_eval`] and [`Executor::infer`], the eval forward of
@@ -60,7 +59,7 @@ use crate::params::{Gradients, NodeParamGrads, NodeParams, ParamSet};
 use crate::running::RunningStatSet;
 use crate::Result;
 use bnff_graph::op::{ConvPrologue, OpForm, OpKind, PoolKind};
-use bnff_graph::plan::ExecutionPlan;
+use bnff_graph::ExecutionPlan;
 use bnff_graph::{Graph, Node, NodeId};
 use bnff_kernels::batchnorm::{
     bn_statistics, norm_backward_inplace, normalize_sweep_into, BnParamGrads, BnParams,
@@ -79,7 +78,6 @@ use bnff_kernels::softmax::{
     accuracy, softmax_loss_backward_into, softmax_loss_forward, SoftmaxLossState,
 };
 use bnff_obs::OpProfiler;
-use bnff_tensor::pool::BufferPool;
 use bnff_tensor::stats::ChannelStats;
 use bnff_tensor::{ops, ChannelRope, GradPart, Shape, Tensor};
 use std::borrow::Cow;
@@ -122,7 +120,7 @@ struct Walk<'a> {
 }
 
 /// The result of one forward pass. Not `Clone`: its retained buffers go
-/// back to the executor's pool — each during [`Executor::backward`], right
+/// back to the executor's bins — each during [`Executor::backward`], right
 /// after its last backward reader, or, without a backward, when the result
 /// is dropped — which a copy never borrowed from. A result whose backward
 /// has run keeps its loss, scores and statistics (so
@@ -149,18 +147,20 @@ pub struct ForwardResult {
 }
 
 impl Drop for ForwardResult {
-    /// Returns the outputs no backward handed back to the pool they were
+    /// Returns the outputs no backward handed back to the bins they were
     /// taken from.
     fn drop(&mut self) {
         let mut ws = lock(&self.home);
-        self.values.get_mut().drain(..).flatten().for_each(|t| ws.pool.reclaim(t));
+        for (idx, tensor) in self.values.get_mut().drain(..).enumerate() {
+            tensor.into_iter().for_each(|t| ws.give(self.plan.slot(NodeId::new(idx)), t));
+        }
     }
 }
 
 impl ForwardResult {
     /// The output tensor of a node, if it is retained: the forward pass
     /// retains only the tensors its liveness analysis says the backward pass
-    /// re-reads, and the backward hands each back to the pool after its
+    /// re-reads, and the backward hands each back to its bin after its
     /// last reader, so after [`Executor::backward`] this is `None` for every
     /// node. A Split or an in-place ReLU reads its producer's tensor; a
     /// node whose tensor a ReLU clipped in place has no output left, and
@@ -179,39 +179,56 @@ impl ForwardResult {
     }
 }
 
-/// The persistent buffer storage one executor recycles across nodes and
-/// across training steps: one bin per plan slot for transient forward
-/// activations, plus a best-fit free list for retained outputs and backward
-/// gradients.
+/// The buffers one executor recycles across nodes and across steps: one
+/// bin per plan slot, holding at most one buffer between its tenants.
 struct Workspace {
-    arena: Vec<Option<Vec<f32>>>,
-    pool: BufferPool,
+    bins: Vec<Option<Vec<f32>>>,
+    /// Takes that allocated: the bin was empty (a cold start, a second live
+    /// forward result) or too small (a smaller first tenant), or no slot.
+    allocations: usize,
 }
 
 impl Workspace {
-    /// An executor's workspace. What is out of its pool at once, and so
-    /// idles in it between steps, peaks in the backward: the retained
-    /// outputs whose last backward reader has not run yet plus the live
-    /// gradients, which reuse the outputs already read for the last time.
-    /// On DenseNet-CIFAR at batch 64 that is the saved bytes plus 0.7 ×
-    /// (level 0) to 1.3 × (BNFF) the planned gradient peak (best fit serves
-    /// small requests from larger buffers, and a gradient summed into an
-    /// occupied slot briefly has two); the budget is saved bytes plus three
-    /// times the gradient peak. Give and take balance, so the bound only
-    /// guards against imbalance.
-    fn for_graph(plan: &ExecutionPlan) -> Self {
-        let pool_bytes = plan.saved_bytes() + 3 * plan.gradient_peak_bytes();
-        Workspace { arena: vec![None; plan.slot_count()], pool: BufferPool::bounded(pool_bytes) }
+    fn for_plan(plan: &ExecutionPlan) -> Self {
+        Workspace { bins: vec![None; plan.slot_count()], allocations: 0 }
     }
 
-    /// The output buffer of node `id`, contents unspecified (every kernel
-    /// overwrites its whole output): the recycled bin of its plan slot, or —
-    /// a retained output has none — a pool buffer, which comes back after
-    /// its last backward reader, or when the forward result is dropped.
-    fn output(&mut self, plan: &ExecutionPlan, id: NodeId, shape: &Shape) -> Tensor {
-        match plan.slot(id) {
-            Some(_) => plan.alloc_output(&mut self.arena, id, shape),
-            None => self.pool.take_tensor_dirty(shape.clone()),
+    /// A tensor of `shape`, contents unspecified: the buffer in `slot`'s
+    /// bin, or a fresh one of exactly the shape's volume, so a bin grows to
+    /// its largest tenant and no further.
+    fn take(&mut self, slot: Option<usize>, shape: &Shape) -> Tensor {
+        let len = shape.volume();
+        let recycled = slot.and_then(|slot| self.bins[slot].take()).filter(|b| b.capacity() >= len);
+        self.allocations += usize::from(recycled.is_none());
+        let buf = match recycled {
+            // SAFETY: a bin holds only buffers allocated below, where
+            // `vec![0.0; n]` writes all `n` of its capacity, and no tensor
+            // changes its buffer's length; so every element up to the
+            // capacity is an initialized `f32`. Unlike `resize`, this pays
+            // no zero fill when a larger tenant follows a smaller one.
+            Some(mut buf) => unsafe {
+                buf.set_len(len);
+                buf
+            },
+            None => vec![0.0; len],
+        };
+        Tensor::from_vec(shape.clone(), buf).expect("buffer sized to the shape's volume")
+    }
+
+    /// Puts `tensor`'s buffer, which [`take`](Self::take) drew, into
+    /// `slot`'s bin; one without a slot, or meeting a full bin, is freed.
+    fn give(&mut self, slot: Option<usize>, tensor: Tensor) {
+        if let Some(slot) = slot {
+            self.bins[slot].get_or_insert_with(|| tensor.into_vec());
+        }
+    }
+
+    /// Hands the output tensors of `nodes` (node indices) to their bins.
+    fn release(&mut self, plan: &ExecutionPlan, values: &mut [Option<Tensor>], nodes: &[usize]) {
+        for &idx in nodes {
+            if let Some(tensor) = values[idx].take() {
+                self.give(plan.slot(NodeId::new(idx)), tensor);
+            }
         }
     }
 }
@@ -224,12 +241,11 @@ fn lock(workspace: &Mutex<Workspace>) -> MutexGuard<'_, Workspace> {
 
 impl fmt::Debug for Workspace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let bytes: usize = self.bins.iter().flatten().map(|bin| 4 * bin.capacity()).sum();
         f.debug_struct("Workspace")
-            .field("arena_slots", &self.arena.len())
-            .field("arena_filled", &self.arena.iter().flatten().count())
-            .field("pool_free_bytes", &self.pool.free_bytes())
-            .field("pool_takes", &self.pool.takes())
-            .field("pool_hits", &self.pool.hits())
+            .field("bins", &self.bins.len())
+            .field("bin_bytes", &bytes)
+            .field("allocations", &self.allocations)
             .finish()
     }
 }
@@ -254,7 +270,7 @@ impl Clone for Executor {
             plan: Arc::clone(&self.plan),
             running: Arc::clone(&self.running),
             // Recycled buffers are per-executor scratch, not state.
-            workspace: Arc::new(Mutex::new(Workspace::for_graph(&self.plan))),
+            workspace: Arc::new(Mutex::new(Workspace::for_plan(&self.plan))),
         }
     }
 }
@@ -292,7 +308,7 @@ impl Executor {
         running: RunningStatSet,
     ) -> Result<Self> {
         let plan = Arc::new(ExecutionPlan::for_graph(&graph)?);
-        let workspace = Arc::new(Mutex::new(Workspace::for_graph(&plan)));
+        let workspace = Arc::new(Mutex::new(Workspace::for_plan(&plan)));
         let (params, running) = (Arc::new(params), Arc::new(running));
         Ok(Executor { graph, params, plan, running, workspace })
     }
@@ -311,7 +327,7 @@ impl Executor {
         running: Arc<RunningStatSet>,
     ) -> Result<Self> {
         let plan = Arc::new(ExecutionPlan::for_inference(&graph)?);
-        let workspace = Arc::new(Mutex::new(Workspace::for_graph(&plan)));
+        let workspace = Arc::new(Mutex::new(Workspace::for_plan(&plan)));
         Ok(Executor { graph, params, plan, running, workspace })
     }
 
@@ -412,43 +428,52 @@ impl Executor {
         self.plan.input_parts(values, node, 0).map_err(|_| missing("saved input", node))
     }
 
-    /// A dirty pool buffer for the gradient of node `id`'s output.
-    fn grad_buffer(&self, pool: &mut BufferPool, id: NodeId) -> Result<Tensor> {
-        Ok(pool.take_tensor_dirty(self.graph.node(id)?.output_shape.clone()))
+    /// The buffer the plan has the backward of `node` draw for the gradient
+    /// of its input `k`, contents unspecified; `None` where it draws none.
+    fn draw(&self, ws: &mut Workspace, node: &Node, k: usize) -> Result<Option<Tensor>> {
+        let Some(slot) = self.plan.grad_draw(node.id, k) else { return Ok(None) };
+        Ok(Some(ws.take(Some(slot), &self.graph.node(node.inputs[k])?.output_shape)))
     }
 
-    /// Adds `grad` into the gradient slot of `id`: moved in when the slot
-    /// is still empty, summed in and recycled otherwise. A concatenation has
-    /// no slot: each of its parts takes its channel range of `grad`, in
-    /// order.
+    /// Adds `grad`, drawn from slot `home`, into the gradient of `id`: taken
+    /// over when `id` holds none yet, summed in and handed back otherwise. A
+    /// concatenation holds none: each of its parts takes its channel range
+    /// of `grad`, in order, in the buffer the plan gives the part's gradient.
     fn accumulate(
         &self,
-        pool: &mut BufferPool,
+        ws: &mut Workspace,
         d_vals: &mut [Option<Tensor>],
         id: NodeId,
         grad: Tensor,
+        home: Option<usize>,
     ) -> Result<()> {
         let Some(parts) = self.plan.concat_parts(id) else {
             match d_vals[id.index()].as_mut() {
                 Some(existing) => {
                     ops::add_assign(existing, &grad).map_err(TrainError::Tensor)?;
-                    pool.reclaim(grad);
+                    ws.give(home, grad);
                 }
-                None => d_vals[id.index()] = Some(grad),
+                None => {
+                    debug_assert_eq!(self.plan.grad_slot(id), home, "{id} takes over its buffer");
+                    d_vals[id.index()] = Some(grad);
+                }
             }
             return Ok(());
         };
         let mut offset = 0;
-        for &part in parts {
-            let (mut slot, add) = match d_vals[part].take() {
-                Some(slot) => (slot, true),
-                None => (self.grad_buffer(pool, NodeId::new(part))?, false),
+        for part in parts.iter().map(|&part| NodeId::new(part)) {
+            let (mut part_grad, add) = match d_vals[part.index()].take() {
+                Some(part_grad) => (part_grad, true),
+                None => {
+                    let shape = &self.graph.node(part)?.output_shape;
+                    (ws.take(self.plan.grad_slot(part), shape), false)
+                }
             };
-            GradPart { grad: &mut slot, add }.take_channels(&grad, offset)?;
-            offset += slot.shape().c();
-            d_vals[part] = Some(slot);
+            GradPart { grad: &mut part_grad, add }.take_channels(&grad, offset)?;
+            offset += part_grad.shape().c();
+            d_vals[part.index()] = Some(part_grad);
         }
-        pool.reclaim(grad);
+        ws.give(home, grad);
         Ok(())
     }
 
@@ -580,7 +605,7 @@ impl Executor {
         let expected = &self.graph.node(data_id)?.output_shape;
         expected.expect_same(data.shape()).map_err(TrainError::Tensor)?;
         let mut ws = lock(&self.workspace);
-        let mut seed = ws.output(&self.plan, data_id, data.shape());
+        let mut seed = ws.take(self.plan.slot(data_id), data.shape());
         seed.as_mut_slice().copy_from_slice(data.as_slice());
         let walk = self.walk(&mut ws, data_id, seed, Some(labels), mode, None)?;
         drop(ws);
@@ -675,7 +700,7 @@ impl Executor {
             } else {
                 // Every other node fills the one output buffer allocated
                 // for it here.
-                let mut out = ws.output(&self.plan, id, &out_shape(node, batch));
+                let mut out = ws.take(self.plan.slot(id), &out_shape(node, batch));
                 match (node.op.form(), &node.op) {
                     (OpForm::Conv { attrs, prologue, stats_out }, _) => {
                         let parts = parts()?;
@@ -762,7 +787,7 @@ impl Executor {
                 }
                 values[id.index()] = Some(out);
             }
-            self.plan.release_dead(&mut ws.arena, &mut values, pos);
+            ws.release(&self.plan, &mut values, self.plan.released_after(pos));
             if let (Some(profiler), Some(began)) = (timed, began) {
                 profiler.record(pos, began.elapsed().as_nanos() as u64);
             }
@@ -771,11 +796,11 @@ impl Executor {
     }
 
     /// Runs the backward pass, producing parameter gradients. Every
-    /// gradient buffer comes from the executor's pool and returns to it as
-    /// soon as a node's backward has consumed it, and every output `fwd`
-    /// retains returns to it right after the backward of its last reader —
-    /// so `fwd` comes out holding none ([`ForwardResult::output`] is `None`
-    /// throughout), with its statistics intact for
+    /// gradient buffer comes from the bin the plan names and returns to it
+    /// as soon as a node's backward has consumed it, and every output `fwd`
+    /// retains returns to its bin right after the backward of its last
+    /// reader — so `fwd` comes out holding none ([`ForwardResult::output`]
+    /// is `None` throughout), with its statistics intact for
     /// [`Executor::update_running_stats`].
     ///
     /// # Errors
@@ -793,45 +818,40 @@ impl Executor {
         }
         let mut d_vals: Vec<Option<Tensor>> = vec![None; self.graph.node_count()];
         let mut per_node: HashMap<usize, NodeParamGrads> = HashMap::new();
-        let data_id = self.data_input()?;
+        let (plan, ws) = (&*self.plan, &mut *lock(&self.workspace));
 
-        let mut ws = lock(&self.workspace);
-        let pool = &mut ws.pool;
-
-        for (pos, &id) in self.plan.order().iter().enumerate().rev() {
+        for (pos, &id) in plan.order().iter().enumerate().rev() {
             // The backward just run, at `pos + 1`, read these for the last
             // time: the gradients still to come can have their storage.
-            release_saved(pool, &mut values, self.plan.released_after_backward(pos + 1));
+            ws.release(plan, &mut values, plan.released_after_backward(pos + 1));
             let node = self.graph.node(id)?;
             let state = fwd.states.get(id.index()).and_then(Option::as_ref);
+            // The buffer the plan draws for the gradient of the node's first
+            // input (every kernel overwrites it).
+            let input_grad =
+                |ws: &mut Workspace| self.draw(ws, node, 0)?.ok_or_else(|| missing("buffer", node));
             if matches!(node.op, OpKind::SoftmaxLoss) {
                 let Some(NodeState::Softmax(state)) = state else {
                     return Err(missing("forward state", node));
                 };
-                let mut d_scores = pool.take_tensor_dirty(state.probs.shape().clone());
+                let mut d_scores = input_grad(ws)?;
                 softmax_loss_backward_into(state, &fwd.labels, &mut d_scores)?;
-                self.accumulate(pool, &mut d_vals, node.inputs[0], d_scores)?;
+                self.accumulate(ws, &mut d_vals, node.inputs[0], d_scores, plan.grad_draw(id, 0))?;
                 continue;
             }
             let Some(mut grad) = d_vals[id.index()].take() else {
                 continue;
             };
+            let home = plan.grad_slot(id);
             // Each arm yields the gradient of the node's first input, if any,
-            // in a dirty pool buffer of that input's shape (every kernel
-            // overwrites it) — or passes on the gradient it owns, in place.
-            let input_grad = |pool: &mut BufferPool| self.grad_buffer(pool, node.inputs[0]);
+            // or passes on the gradient it owns, in place.
             let d_x = match (node.op.form(), &node.op) {
                 (OpForm::Conv { attrs, prologue, .. }, _) => {
                     let parts = self.saved_parts(&values, node)?;
                     let x = self.ifmap(node, prologue, ChannelRope::new(&parts)?, &fwd.stats)?;
                     let (w, b) = self.conv_params(node)?;
-                    // Nothing consumes the data input's gradient, so a
-                    // convolution reading it (the stem) skips the
-                    // input-gradient GEMM — unless the ∂γ/∂β of a BN it
-                    // absorbed need it.
-                    let wanted = matches!(prologue, ConvPrologue::NormRelu(_))
-                        || self.plan.resolve(node.inputs[0]) != data_id;
-                    let mut d_x = wanted.then(|| input_grad(pool)).transpose()?;
+                    // The plan draws none for the stem: its GEMM is skipped.
+                    let mut d_x = self.draw(ws, node, 0)?;
                     let grads =
                         fused_conv_backward_into(x, &grad, w, &attrs, b.is_some(), d_x.as_mut())?;
                     per_node.insert(id.index(), grads.into());
@@ -845,7 +865,7 @@ impl Executor {
                     let BnParamGrads { d_gamma, d_beta } =
                         norm_backward_inplace(&mut grad, x, s, params, bn.epsilon, relu)?;
                     per_node.insert(id.index(), NodeParamGrads::Bn { d_gamma, d_beta });
-                    self.accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
+                    self.accumulate(ws, &mut d_vals, node.inputs[0], grad, home)?;
                     continue;
                 }
                 (_, OpKind::Relu | OpKind::Split { .. }) => {
@@ -856,25 +876,29 @@ impl Executor {
                     if matches!(node.op, OpKind::Relu) {
                         relu_backward_inplace(&mut grad, self.saved_output(&values, node)?)?;
                     }
-                    self.accumulate(pool, &mut d_vals, node.inputs[0], grad)?;
+                    self.accumulate(ws, &mut d_vals, node.inputs[0], grad, home)?;
                     continue;
                 }
                 (_, OpKind::EltwiseSum) => {
                     let (last, rest) = node.inputs.split_last().expect("eltwise sum has inputs");
-                    for input in rest {
-                        // Occupied slots accumulate by reference; only a
-                        // first insertion (or a concatenation, which has no
-                        // slot) pays for a copy.
-                        match d_vals[input.index()].as_mut() {
-                            Some(sum) => ops::add_assign(sum, &grad).map_err(TrainError::Tensor)?,
-                            None => {
-                                let mut copy = pool.take_tensor_dirty(grad.shape().clone());
+                    for (k, input) in rest.iter().enumerate() {
+                        // The plan draws a copy for an input that holds no
+                        // gradient yet (a concatenation never does); the
+                        // others sum by reference.
+                        match self.draw(ws, node, k)? {
+                            Some(mut copy) => {
                                 copy.as_mut_slice().copy_from_slice(grad.as_slice());
-                                self.accumulate(pool, &mut d_vals, *input, copy)?;
+                                let copy_home = plan.grad_draw(id, k);
+                                self.accumulate(ws, &mut d_vals, *input, copy, copy_home)?;
+                            }
+                            None => {
+                                let sum = d_vals[input.index()].as_mut();
+                                let sum = sum.ok_or_else(|| missing("input gradient", node))?;
+                                ops::add_assign(sum, &grad).map_err(TrainError::Tensor)?;
                             }
                         }
                     }
-                    self.accumulate(pool, &mut d_vals, *last, grad)?;
+                    self.accumulate(ws, &mut d_vals, *last, grad, home)?;
                     continue;
                 }
                 // Nothing consumes the data input's gradient, and the
@@ -887,23 +911,23 @@ impl Executor {
                     let Some(NodeState::MaxPool(state)) = state else {
                         return Err(missing("forward state", node));
                     };
-                    let mut d_x = input_grad(pool)?;
+                    let mut d_x = input_grad(ws)?;
                     max_pool_backward_into(&grad, state, &mut d_x)?;
                     Some(d_x)
                 }
                 (_, OpKind::Pool { kind: PoolKind::Average, attrs }) => {
-                    let mut d_x = input_grad(pool)?;
+                    let mut d_x = input_grad(ws)?;
                     avg_pool_backward_into(&grad, attrs, &mut d_x)?;
                     Some(d_x)
                 }
                 (_, OpKind::GlobalAvgPool) => {
-                    let mut d_x = input_grad(pool)?;
+                    let mut d_x = input_grad(ws)?;
                     global_avg_pool_backward_into(&grad, &mut d_x)?;
                     Some(d_x)
                 }
                 (_, OpKind::FullyConnected { .. }) => {
                     let (x, (w, _)) = (self.saved_input(&values, node)?, self.fc_params(node)?);
-                    let mut d_x = input_grad(pool)?;
+                    let mut d_x = input_grad(ws)?;
                     let (d_weights, d_bias) = fc_backward_into(x, w, &grad, &mut d_x)?;
                     per_node.insert(id.index(), NodeParamGrads::Fc { d_weights, d_bias });
                     Some(d_x)
@@ -911,12 +935,12 @@ impl Executor {
                 _ => return Err(untrainable(node)),
             };
             if let Some(d_x) = d_x {
-                self.accumulate(pool, &mut d_vals, node.inputs[0], d_x)?;
+                self.accumulate(ws, &mut d_vals, node.inputs[0], d_x, plan.grad_draw(id, 0))?;
             }
-            // The incoming gradient is consumed: recycle its storage.
-            pool.reclaim(grad);
+            // The incoming gradient is consumed: hand its buffer back.
+            ws.give(home, grad);
         }
-        release_saved(pool, &mut values, self.plan.released_after_backward(0));
+        ws.release(plan, &mut values, plan.released_after_backward(0));
         // Marks the result spent: nothing is left for a second backward.
         values.clear();
 
@@ -936,15 +960,6 @@ fn out_shape(node: &Node, batch: usize) -> Cow<'_, Shape> {
             Cow::Owned(Shape::new([&[batch], sample].concat()))
         }
         _ => Cow::Borrowed(&node.output_shape),
-    }
-}
-
-/// Hands the saved tensors `released` (producer indices) back to the pool.
-fn release_saved(pool: &mut BufferPool, values: &mut [Option<Tensor>], released: &[usize]) {
-    for &saved in released {
-        if let Some(tensor) = values[saved].take() {
-            pool.reclaim(tensor);
-        }
     }
 }
 
@@ -1042,20 +1057,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn workspace_recycles_buffers_across_steps() {
-        let exec = Executor::new(tiny_classifier(4), 15).unwrap();
-        let (data, labels) = random_batch(4, 4, 16);
-        let fwd = exec.forward(&data, &labels).unwrap();
-        let _ = exec.backward(&fwd).unwrap();
-        drop(fwd);
-        let before = exec.workspace.lock().unwrap().pool.hits();
-        let fwd = exec.forward(&data, &labels).unwrap();
-        let _ = exec.backward(&fwd).unwrap();
-        let after = exec.workspace.lock().unwrap().pool.hits();
-        assert!(after > before, "second step should reuse pooled gradient buffers");
-    }
-
     /// `baseline` (a batch-2 CIFAR model) restructured to `level`, one batch
     /// for it, and an executor on it.
     fn restructured(
@@ -1072,31 +1073,67 @@ mod tests {
         restructured(&bnff_models::densenet_cifar(2, 4, 1, 4).unwrap(), level)
     }
 
+    /// The CIFAR zoo at `batch` under Baseline, RCF and BNFF, each with an
+    /// executor and a batch for it.
+    fn cifar_zoo(batch: usize) -> Vec<(bnff_core::FusionLevel, Executor, Tensor, Vec<usize>)> {
+        use bnff_core::FusionLevel::{Baseline, Bnff, Rcf};
+        let zoo = [
+            bnff_models::densenet_cifar(batch, 8, 2, 10).unwrap(),
+            bnff_models::resnet_cifar(batch, 1, 10).unwrap(),
+        ];
+        let data = Initializer::seeded(31).uniform(Shape::nchw(batch, 3, 32, 32), -1.0, 1.0);
+        let labels: Vec<usize> = (0..batch).map(|i| i % 10).collect();
+        let cases = zoo.iter().flat_map(|g| [Baseline, Rcf, Bnff].map(|level| (g, level)));
+        cases
+            .map(|(baseline, level)| {
+                let graph = bnff_core::BnffOptimizer::new(level).apply(baseline).unwrap();
+                (level, Executor::new(graph, 29).unwrap(), data.clone(), labels.clone())
+            })
+            .collect()
+    }
+
+    /// The bytes the bins hold and the takes that allocated so far.
+    fn footprint(exec: &Executor) -> (usize, usize) {
+        let ws = exec.workspace.lock().unwrap();
+        (ws.bins.iter().flatten().map(|bin| 4 * bin.capacity()).sum(), ws.allocations)
+    }
+
+    #[test]
+    fn a_warmed_step_holds_exactly_the_planned_peak_and_allocates_nothing() {
+        for (level, exec, data, labels) in [2, 8].into_iter().flat_map(cifar_zoo) {
+            let context = format!("{} {level:?} batch {}", exec.graph().name(), labels.len());
+            let step = || exec.backward(&exec.forward(&data, &labels).unwrap()).unwrap();
+            step();
+            let (bytes, allocations) = footprint(&exec);
+            assert_eq!(bytes, exec.plan().planned_peak_bytes(), "{context}");
+            step();
+            assert_eq!(footprint(&exec), (bytes, allocations), "{context}: the second step");
+        }
+    }
+
     #[test]
     fn a_forward_result_holds_exactly_what_the_plan_pins() {
-        // For the CIFAR zoo at every level: the retained outputs are the
-        // plan's saved bytes, each drawn from the pool exactly once and
-        // nothing else with them, and no convolution or normalization adds
-        // state of its own.
-        let zoo = [
-            bnff_models::densenet_cifar(2, 4, 1, 4).unwrap(),
-            bnff_models::resnet_cifar(2, 1, 4).unwrap(),
-        ];
-        let cases =
-            zoo.iter().flat_map(|g| bnff_core::FusionLevel::all().into_iter().map(move |l| (g, l)));
-        for (baseline, level) in cases {
-            let (exec, data, labels) = restructured(baseline, level);
-            let plan = exec.plan();
-            let takes = || exec.workspace.lock().unwrap().pool.takes();
-            let before = takes();
+        // For the CIFAR zoo at every level: on a warmed executor the
+        // retained outputs are the plan's saved bytes, each taken from its
+        // own bin and nothing allocated with them, and no convolution or
+        // normalization adds state of its own.
+        for (level, exec, data, labels) in cifar_zoo(2) {
+            exec.backward(&exec.forward(&data, &labels).unwrap()).unwrap();
+            let (_, allocations) = footprint(&exec);
             let fwd = exec.forward(&data, &labels).unwrap();
-            let saved = exec
-                .graph()
-                .nodes()
-                .filter(|n| plan.liveness(n.id).is_some_and(|live| live.saved_for_backward));
-            assert_eq!(takes() - before, saved.count(), "{level:?}");
-            let held: usize = fwd.values.borrow().iter().flatten().map(Tensor::bytes).sum();
-            assert_eq!(held, plan.saved_bytes(), "{level:?}");
+            let (plan, values) = (exec.plan(), fwd.values.borrow());
+            let held: Vec<NodeId> =
+                (0..values.len()).filter(|&i| values[i].is_some()).map(NodeId::new).collect();
+            assert!(held.iter().all(|&id| plan.liveness(id).unwrap().saved_for_backward));
+            let bytes: usize = values.iter().flatten().map(Tensor::bytes).sum();
+            assert_eq!(bytes, plan.saved_bytes(), "{level:?}");
+            let ws = exec.workspace.lock().unwrap();
+            let emptied: Vec<usize> =
+                (0..ws.bins.len()).filter(|&s| ws.bins[s].is_none()).collect();
+            let mut slots: Vec<usize> = held.iter().map(|&id| plan.slot(id).unwrap()).collect();
+            slots.sort_unstable();
+            assert_eq!(emptied, slots, "{level:?}: the bins the retained outputs came from");
+            assert_eq!(ws.allocations, allocations, "{level:?}");
             for node in exec.graph().nodes() {
                 let stateless = !matches!(
                     node.op,
@@ -1104,31 +1141,6 @@ mod tests {
                 );
                 assert_eq!(fwd.states[node.id.index()].is_none(), stateless, "{}", node.name);
             }
-        }
-    }
-
-    #[test]
-    fn a_warmed_step_circulates_the_pool_instead_of_filling_it() {
-        for level in [bnff_core::FusionLevel::Baseline, bnff_core::FusionLevel::Bnff] {
-            let (exec, data, labels) = densenet(level);
-            let step = || {
-                let fwd = exec.forward(&data, &labels).unwrap();
-                exec.backward(&fwd).unwrap();
-            };
-            (0..3).for_each(|_| step());
-            let counters = || {
-                let ws = exec.workspace.lock().unwrap();
-                (ws.pool.takes(), ws.pool.hits(), ws.pool.taken_bytes(), ws.pool.free_bytes())
-            };
-            let (takes, hits, taken, _) = counters();
-            step();
-            let (takes_after, hits_after, taken_after, idle) = counters();
-            // Nothing tensor-sized came from malloc, and the pool holds no
-            // buffer a step does not take: it is a working set, not a
-            // graveyard filled to its bound.
-            assert!(takes_after > takes, "{level:?}: the step drew from the pool");
-            assert_eq!(takes_after - takes, hits_after - hits, "{level:?}: every take must hit");
-            assert!(idle <= taken_after - taken, "{level:?}: {idle} B idle, one step takes less");
         }
     }
 

@@ -9,7 +9,7 @@
 use bnff::core::{BnffOptimizer, FusionLevel};
 use bnff::graph::op::{ConvPrologue, OpForm, OpKind};
 use bnff::graph::passes::freeze;
-use bnff::graph::plan::ExecutionPlan;
+use bnff::graph::ExecutionPlan;
 use bnff::graph::{Graph, NodeId};
 use bnff::kernels::batchnorm::BnParams;
 use bnff::models::zoo::{build, Model};

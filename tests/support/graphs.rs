@@ -57,3 +57,22 @@ pub fn concatenations(batch: usize) -> Graph {
     b.softmax_loss(fc, labels, "loss").unwrap();
     b.finish()
 }
+
+/// A channel rope whose parts are ReLUs that clip their BN's output in
+/// place, on a `batch × 3 × 32 × 32` input with four classes: the stem's,
+/// which a convolution also reads, and a branch's, which only the rope
+/// reads. The rope's gradient goes to the ReLUs' own gradients, its planes
+/// come from the BNs' tensors.
+pub fn clipped_rope(batch: usize) -> Graph {
+    let mut b = GraphBuilder::new("clipped rope");
+    let x = b.input("data", Shape::nchw(batch, 3, 32, 32)).unwrap();
+    let labels = b.input("labels", Shape::vector(batch)).unwrap();
+    let stem = b.conv_bn_relu(x, Conv2dAttrs::same_3x3(8), "stem").unwrap();
+    let branch = b.conv_bn_relu(stem, Conv2dAttrs::pointwise(4), "branch").unwrap();
+    let rope = b.concat(vec![stem, branch], "rope").unwrap();
+    let c = b.bn_relu_conv(rope, Conv2dAttrs::pointwise(8), "c").unwrap();
+    let gap = b.global_avg_pool(c, "gap").unwrap();
+    let fc = b.fully_connected(gap, 4, "fc").unwrap();
+    b.softmax_loss(fc, labels, "loss").unwrap();
+    b.finish()
+}
