@@ -1112,6 +1112,40 @@ mod tests {
     }
 
     #[test]
+    fn workspace_recycles_buffers_across_steps() {
+        let exec = Executor::new(tiny_classifier(4), 15).unwrap();
+        let (data, labels) = random_batch(4, 4, 16);
+        let fwd = exec.forward(&data, &labels).unwrap();
+        let _ = exec.backward(&fwd).unwrap();
+        drop(fwd);
+        let (_, before) = footprint(&exec);
+        assert!(before > 0, "a cold step fills the bins");
+        let fwd = exec.forward(&data, &labels).unwrap();
+        let _ = exec.backward(&fwd).unwrap();
+        assert_eq!(footprint(&exec).1, before, "second step should reuse the binned buffers");
+    }
+
+    #[test]
+    fn a_warmed_step_circulates_the_pool_instead_of_filling_it() {
+        for level in [bnff_core::FusionLevel::Baseline, bnff_core::FusionLevel::Bnff] {
+            let (exec, data, labels) = densenet(level);
+            let step = || {
+                let fwd = exec.forward(&data, &labels).unwrap();
+                exec.backward(&fwd).unwrap();
+            };
+            (0..3).for_each(|_| step());
+            let (bytes, allocations) = footprint(&exec);
+            step();
+            // Nothing tensor-sized came from malloc, every buffer a step
+            // took is back in its bin, and the bins hold no more than the
+            // plan's peak: a working set, not a graveyard that grows.
+            assert_eq!(footprint(&exec), (bytes, allocations), "{level:?}");
+            assert!(exec.workspace.lock().unwrap().bins.iter().all(Option::is_some), "{level:?}");
+            assert!(bytes <= exec.plan().planned_peak_bytes(), "{level:?}: {bytes} B held");
+        }
+    }
+
+    #[test]
     fn a_forward_result_holds_exactly_what_the_plan_pins() {
         // For the CIFAR zoo at every level: on a warmed executor the
         // retained outputs are the plan's saved bytes, each taken from its
