@@ -47,7 +47,7 @@
 //!    Split, a sum's last input), where a rope's parts get theirs, and the
 //!    scratch: an input gradient summed into an occupied one or split over a
 //!    rope's parts, and a sum's copies.
-//! 4. **Slot assignment** — every buffer of the step is a [`BufferSpan`] on
+//! 4. **Slot assignment** — every buffer of the step is a span on
 //!    one timeline (forward position `p` is time `p`, the backward of `p`
 //!    time `2L − 1 − p`); a greedy best-fit packs them into reusable slots,
 //!    whose sizes add up to the planned peak. An inference plan packs only
@@ -80,15 +80,11 @@ pub struct TensorLiveness {
 /// One buffer of a planned step: drawn at time `def`, handed back after
 /// time `last` (see the module docs for the timeline), in reuse slot `slot`.
 #[derive(Debug, Clone, Copy, Serialize)]
-pub struct BufferSpan {
-    /// Time the buffer is drawn.
-    pub def: usize,
-    /// Last time it is in use.
-    pub last: usize,
-    /// Size in bytes.
-    pub bytes: usize,
-    /// The reuse slot it is packed into.
-    pub slot: usize,
+struct BufferSpan {
+    def: usize,
+    last: usize,
+    bytes: usize,
+    slot: usize,
 }
 
 /// The memory plan of one graph: execution order, per-output liveness,
@@ -640,11 +636,6 @@ impl ExecutionPlan {
         span.map(|span| self.spans[span].slot)
     }
 
-    /// Every slotted buffer of the step, in the order it is drawn.
-    pub fn buffers(&self) -> &[BufferSpan] {
-        &self.spans
-    }
-
     /// Producer node indices whose buffers die once the node at topological
     /// position `pos` has executed.
     pub fn released_after(&self, pos: usize) -> &[usize] {
@@ -1065,6 +1056,94 @@ mod tests {
         // Both parts stay live through the BN, the rope's one consumer.
         let bn_pos = serving.position(bn);
         assert!([x, conv].iter().all(|&p| serving.liveness(p).unwrap().last_use >= bn_pos));
+    }
+
+    /// A trainable graph of `blocks` body blocks — 0: a chain, 1: residual
+    /// (element-wise sums), 2: dense (ropes) — BNFF+ICF-restructured when
+    /// `fused`.
+    fn body(batch: usize, channels: usize, blocks: usize, kind: usize, fused: bool) -> Graph {
+        use crate::passes::{BnffPass, IcfPass, Pass};
+        let mut b = GraphBuilder::new("body");
+        let x = b.input("in", Shape::nchw(batch, 3, 8, 8)).unwrap();
+        let mut cur = b.conv_bn_relu(x, Conv2dAttrs::same_3x3(channels), "stem").unwrap();
+        for i in 0..blocks {
+            let conv = Conv2dAttrs::same_3x3(channels);
+            cur = match kind {
+                0 => b.conv_bn_relu(cur, conv, &format!("c{i}")).unwrap(),
+                1 => {
+                    let branch = b.conv_bn_relu(cur, conv, &format!("r{i}")).unwrap();
+                    b.eltwise_sum(vec![cur, branch], &format!("sum{i}")).unwrap()
+                }
+                _ => {
+                    let branch = b.bn_relu_conv(cur, conv, &format!("d{i}")).unwrap();
+                    b.concat(vec![cur, branch], &format!("cat{i}")).unwrap()
+                }
+            };
+        }
+        let gap = b.global_avg_pool(cur, "gap").unwrap();
+        let fc = b.fully_connected(gap, 4, "fc").unwrap();
+        let labels = b.input("labels", Shape::vector(batch)).unwrap();
+        b.softmax_loss(fc, labels, "loss").unwrap();
+        let g = b.finish();
+        match fused {
+            true => IcfPass::new().run(&BnffPass::new().run(&g).unwrap()).unwrap(),
+            false => g,
+        }
+    }
+
+    /// Checks one plan's slots over the whole step: no two buffers sharing
+    /// a slot are live at one time, each fits its slot and a slot is as
+    /// large as its largest tenant, a node's output buffer covers its
+    /// forward liveness, every gradient and draw is a buffer shaped like
+    /// its node's output, and the step's lower bound is at most the peak.
+    fn check_step_slots(g: &Graph, plan: &ExecutionPlan, what: &str) {
+        let mut tenants = vec![Vec::new(); plan.slot_count()];
+        for span in &plan.spans {
+            tenants[span.slot].push(*span);
+        }
+        for (slot, spans) in tenants.iter_mut().enumerate() {
+            spans.sort_by_key(|span| span.def);
+            let largest = spans.iter().map(|span| span.bytes).max();
+            assert_eq!(largest, Some(plan.slot_bytes[slot]), "{what}: slot {slot}'s size");
+            for pair in spans.windows(2) {
+                assert!(pair[0].last < pair[1].def, "{what}: slot {slot} holds {pair:?}");
+            }
+        }
+        let bytes = |id: NodeId| g.node(id).unwrap().output_shape.bytes_f32();
+        for node in g.nodes() {
+            let idx = node.id.index();
+            if let Some(span) = plan.output_span[idx].map(|span| plan.spans[span]) {
+                let live = plan.liveness(node.id).unwrap();
+                assert!(span.def == live.def && span.last >= live.last_use, "{what}: {idx}");
+                assert_eq!(span.bytes, live.bytes, "{what}: {idx}");
+            }
+            if let Some(span) = plan.grad_span[idx] {
+                assert_eq!(plan.spans[span].bytes, bytes(node.id), "{what}: {idx}'s gradient");
+            }
+            for &(k, span) in &plan.draw_span[idx] {
+                assert_eq!(plan.spans[span].bytes, bytes(node.inputs[k]), "{what}: {idx}'s draw");
+            }
+        }
+        assert!(plan.step_lower_bound_bytes() <= plan.planned_peak_bytes(), "{what}");
+    }
+
+    #[test]
+    fn no_two_buffers_of_a_step_share_a_slot_at_one_time() {
+        for (kind, blocks, batch, channels, fused) in (0..3).flat_map(|kind| {
+            (1..4).flat_map(move |blocks| {
+                [(1, 2), (2, 5)].into_iter().flat_map(move |(batch, channels)| {
+                    [false, true].map(|fused| (kind, blocks, batch, channels, fused))
+                })
+            })
+        }) {
+            let g = body(batch, channels, blocks, kind, fused);
+            let what = format!("kind {kind}, {blocks} blocks, batch {batch}, fused {fused}");
+            let training = ExecutionPlan::for_graph(&g).unwrap();
+            check_step_slots(&g, &training, &format!("training {what}"));
+            let frozen = crate::passes::freeze::freeze(&g).unwrap().graph;
+            let serving = ExecutionPlan::for_inference(&frozen).unwrap();
+            check_step_slots(&frozen, &serving, &format!("inference {what}"));
+        }
     }
 
     #[test]

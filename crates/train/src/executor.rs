@@ -842,7 +842,8 @@ impl Executor {
             let Some(mut grad) = d_vals[id.index()].take() else {
                 continue;
             };
-            let home = plan.grad_slot(id);
+            // A gradient the plan gave no slot is one its replay never saw.
+            let home = Some(plan.grad_slot(id).ok_or_else(|| missing("gradient slot", node))?);
             // Each arm yields the gradient of the node's first input, if any,
             // or passes on the gradient it owns, in place.
             let d_x = match (node.op.form(), &node.op) {
@@ -851,7 +852,13 @@ impl Executor {
                     let x = self.ifmap(node, prologue, ChannelRope::new(&parts)?, &fwd.stats)?;
                     let (w, b) = self.conv_params(node)?;
                     // The plan draws none for the stem: its GEMM is skipped.
+                    // Anywhere else that would drop a gradient, so it fails
+                    // (an absorbed BN's kernel fails on its own).
                     let mut d_x = self.draw(ws, node, 0)?;
+                    let x_op = &self.graph.node(plan.resolve(node.inputs[0]))?.op;
+                    if d_x.is_none() && !matches!(x_op, OpKind::Input) {
+                        return Err(missing("input gradient buffer", node));
+                    }
                     let grads =
                         fused_conv_backward_into(x, &grad, w, &attrs, b.is_some(), d_x.as_mut())?;
                     per_node.insert(id.index(), grads.into());
@@ -1073,17 +1080,17 @@ mod tests {
         restructured(&bnff_models::densenet_cifar(2, 4, 1, 4).unwrap(), level)
     }
 
-    /// The CIFAR zoo at `batch` under Baseline, RCF and BNFF, each with an
+    /// The CIFAR zoo at `batch` under every fusion level, each with an
     /// executor and a batch for it.
     fn cifar_zoo(batch: usize) -> Vec<(bnff_core::FusionLevel, Executor, Tensor, Vec<usize>)> {
-        use bnff_core::FusionLevel::{Baseline, Bnff, Rcf};
         let zoo = [
             bnff_models::densenet_cifar(batch, 8, 2, 10).unwrap(),
             bnff_models::resnet_cifar(batch, 1, 10).unwrap(),
         ];
         let data = Initializer::seeded(31).uniform(Shape::nchw(batch, 3, 32, 32), -1.0, 1.0);
         let labels: Vec<usize> = (0..batch).map(|i| i % 10).collect();
-        let cases = zoo.iter().flat_map(|g| [Baseline, Rcf, Bnff].map(|level| (g, level)));
+        let levels = bnff_core::FusionLevel::all();
+        let cases = zoo.iter().flat_map(|g| levels.iter().map(move |&level| (g, level)));
         cases
             .map(|(baseline, level)| {
                 let graph = bnff_core::BnffOptimizer::new(level).apply(baseline).unwrap();
